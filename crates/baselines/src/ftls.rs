@@ -4,7 +4,7 @@ use crate::pvb::{FlashPvb, RamPvb};
 use crate::pvl::PvlStore;
 use flash_sim::{FlashDevice, Geometry};
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
-use geckoftl_core::gecko::{GeckoConfig, LogGecko};
+use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::validity::MetaSink;
 
 /// The five FTLs of the paper's evaluation.
@@ -115,16 +115,12 @@ pub fn build_with(kind: BaselineKind, geo: Geometry, cfg: FtlConfig) -> FtlEngin
             cfg,
             ValidityBackend::External(Box::new(PvlStore::new(geo))),
         ),
-        BaselineKind::GeckoFtl => {
-            let gecko = LogGecko::new(geo, GeckoConfig::paper_default(&geo));
-            FtlEngine::format(geo, cfg, ValidityBackend::Gecko(gecko))
-        }
+        BaselineKind::GeckoFtl => build_geckoftl_tuned(geo, cfg, GeckoConfig::paper_default(&geo)),
     }
 }
 
-/// Build GeckoFTL with an explicit Gecko tuning (Figures 9–12 sweeps).
-/// Honors [`GeckoConfig::shards`]: `shards > 1` builds the per-channel
-/// sharded validity store instead of a single tree.
+/// Build GeckoFTL with an explicit Gecko tuning (Figures 9–12 sweeps),
+/// including the number of per-channel trees ([`GeckoConfig::shards`]).
 pub fn build_geckoftl_tuned(geo: Geometry, cfg: FtlConfig, gecko_cfg: GeckoConfig) -> FtlEngine {
     FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg))
 }

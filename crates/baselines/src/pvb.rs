@@ -81,10 +81,6 @@ impl ValidityStore for RamPvb {
         // B·K / 8 (paper §2): the dominant RAM consumer.
         self.geo.total_pages() / 8
     }
-
-    fn name(&self) -> &'static str {
-        "ram-pvb"
-    }
 }
 
 /// Payload of one flash-resident PVB page.
@@ -262,10 +258,6 @@ impl ValidityStore for FlashPvb {
     fn ram_bytes(&self) -> u64 {
         // Segment directory: one 4-byte pointer per PVB page (O(B·K/P)).
         4 * self.directory.len() as u64
-    }
-
-    fn name(&self) -> &'static str {
-        "flash-pvb"
     }
 
     fn collectable_meta(&self) -> Option<MetaKind> {

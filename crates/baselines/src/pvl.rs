@@ -14,7 +14,7 @@
 //! design (two words per block: chain head + erase timestamp) but index the
 //! chains as per-block sets of log pages, which reads the same pages a chain
 //! walk would while avoiding the dangling-pointer problem the paper's
-//! cleaning extension leaves open (see DESIGN.md).
+//! cleaning extension leaves open (see docs/DESIGN.md, "Deviations").
 
 use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, MetaKind, PageData, Ppn};
 use geckoftl_core::gecko::Bitmap;
@@ -252,10 +252,6 @@ impl ValidityStore for PvlStore {
         // Paper accounting: one chain-head pointer plus one erase timestamp
         // per block.
         8 * self.geo.blocks as u64
-    }
-
-    fn name(&self) -> &'static str {
-        "pvl"
     }
 
     fn flush(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink) {

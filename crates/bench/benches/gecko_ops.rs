@@ -33,56 +33,41 @@ fn bench_gecko_updates(c: &mut Criterion) {
 
 fn bench_gecko_query(c: &mut Criterion) {
     let geo = Geometry::small();
-    // One pre-loaded structure per query engine: the fast path
-    // (bloom + fence pointers), the pre-optimization linear scan, and the
-    // probe-every-run naive oracle (run on the fast instance).
-    let variants = [
-        ("gecko_gc_query_fast", true),
-        ("gecko_gc_query_legacy", false),
-    ];
-    for (name, fast) in variants {
-        let mut dev = FlashDevice::new(geo);
-        let mut sink = FlatMetaSink::new((3000..4096).map(BlockId).collect());
-        let cfg = GeckoConfig {
-            fast_path: fast,
-            bloom_bits_per_key: if fast { 8 } else { 0 },
-            ..small_cfg(&geo)
-        };
-        let mut gecko = LogGecko::new(geo, cfg);
-        let mut x = 7u64;
-        for _ in 0..200_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let page = (x >> 33) % (3000 * geo.pages_per_block as u64);
-            gecko.mark_invalid(&mut dev, &mut sink, Ppn(page as u32));
-        }
-        c.bench_function(name, |b| {
-            let mut blk = 0u32;
-            b.iter(|| {
-                blk = (blk + 1) % 3000;
-                black_box(gecko.gc_query(&mut dev, BlockId(blk)));
-            });
-        });
-        if fast {
-            c.bench_function("gecko_gc_query_batch8", |b| {
-                let mut blk = 0u32;
-                b.iter(|| {
-                    let blocks: Vec<BlockId> =
-                        (0..8).map(|i| BlockId((blk + i * 311) % 3000)).collect();
-                    blk = (blk + 1) % 3000;
-                    black_box(gecko.gc_query_batch(&mut dev, &blocks));
-                });
-            });
-            c.bench_function("gecko_gc_query_naive_oracle", |b| {
-                let mut blk = 0u32;
-                b.iter(|| {
-                    blk = (blk + 1) % 3000;
-                    black_box(gecko.gc_query_naive(&mut dev, BlockId(blk)));
-                });
-            });
-        }
+    // One pre-loaded structure serves the single query, the batched query
+    // and the probe-every-run naive oracle.
+    let mut dev = FlashDevice::new(geo);
+    let mut sink = FlatMetaSink::new((3000..4096).map(BlockId).collect());
+    let mut gecko = LogGecko::new(geo, small_cfg(&geo));
+    let mut x = 7u64;
+    for _ in 0..200_000 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let page = (x >> 33) % (3000 * geo.pages_per_block as u64);
+        gecko.mark_invalid(&mut dev, &mut sink, Ppn(page as u32));
     }
+    c.bench_function("gecko_gc_query_fast", |b| {
+        let mut blk = 0u32;
+        b.iter(|| {
+            blk = (blk + 1) % 3000;
+            black_box(gecko.gc_query(&mut dev, BlockId(blk)));
+        });
+    });
+    c.bench_function("gecko_gc_query_batch8", |b| {
+        let mut blk = 0u32;
+        b.iter(|| {
+            let blocks: Vec<BlockId> = (0..8).map(|i| BlockId((blk + i * 311) % 3000)).collect();
+            blk = (blk + 1) % 3000;
+            black_box(gecko.gc_query_batch(&mut dev, &blocks));
+        });
+    });
+    c.bench_function("gecko_gc_query_naive_oracle", |b| {
+        let mut blk = 0u32;
+        b.iter(|| {
+            blk = (blk + 1) % 3000;
+            black_box(gecko.gc_query_naive(&mut dev, BlockId(blk)));
+        });
+    });
 }
 
 fn bench_merge_pump(c: &mut Criterion) {

@@ -1,4 +1,5 @@
-//! Ablations of GeckoFTL's design choices (DESIGN.md §3):
+//! Ablations of GeckoFTL's design choices (docs/DESIGN.md, "Design choices
+//! with an ablation"):
 //!
 //! 1. Multi-way merging (Appendix A) on/off.
 //! 2. Metadata-aware GC (§4.2) vs the greedy policy.
@@ -40,7 +41,7 @@ pub fn run() -> Vec<Table> {
         };
         let mut engine = build_geckoftl_tuned(geo, base_cfg(&geo), gecko_cfg);
         let d = measure_uniform(&mut engine, 60_000, 51);
-        let stats = engine.backend().gecko().expect("gecko").stats;
+        let stats = engine.backend().gecko().expect("gecko").stats();
         merges.row(vec![
             if multiway { "multi-way" } else { "two-way" }.into(),
             f3(d.wa_breakdown(10.0).validity),

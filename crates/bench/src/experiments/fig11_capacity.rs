@@ -43,7 +43,11 @@ pub fn run() -> Vec<Table> {
             .backend()
             .gecko()
             .expect("gecko backend")
-            .occupied_levels();
+            .shard_trees()
+            .iter()
+            .map(|tree| tree.occupied_levels())
+            .max()
+            .unwrap_or(0);
 
         let pvb_cfg = FtlConfig {
             recovery: RecoveryPolicy::Battery,

@@ -80,7 +80,7 @@ pub const ALL: &[Experiment] = &[
     },
     Experiment {
         slug: "gecko_query",
-        what: "GC-query fast path (bloom/fence/batch) vs linear scan; emits BENCH_gecko_query.json",
+        what: "GC-query Bloom filters on vs off (bloom_bits_per_key 8 vs 0); emits BENCH_gecko_query.json",
         run: gecko_query::run,
     },
     Experiment {

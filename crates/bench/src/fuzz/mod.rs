@@ -7,7 +7,8 @@
 //!    back after a fault or recovery, or a byte-level translation/validity
 //!    audit mismatch ([`oracle::audit_state`]). These are bugs; the failing
 //!    scenario is [`minimize`]d and written to `fuzz/corpus/` as a
-//!    regression test (`tests/fuzz_corpus.rs` replays every entry).
+//!    regression test under the first free index (`tests/fuzz_corpus.rs`
+//!    replays every entry).
 //! 2. **Worst-case behaviour**: scenarios maximizing tail write latency,
 //!    write amplification, recovery cost or retired blocks. The search
 //!    keeps a hall of fame per signal and mutates the current worst case
@@ -31,7 +32,8 @@ pub use scenario::Scenario;
 
 use crate::report::{f3, Table};
 use rand::{rngs::StdRng, SeedableRng};
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 /// The committed corpus of minimized scenarios (regression tests).
 pub fn corpus_dir() -> PathBuf {
@@ -60,6 +62,26 @@ fn signal_value(f: &Fitness, signal: usize) -> f64 {
         2 => f.recovery_us,
         _ => f.retired_blocks as f64,
     }
+}
+
+/// Write a minimized find into `dir` as `fuzz_found_<seed>_<index>.scenario`
+/// under the first free index, and return the file name. `create_new` makes
+/// the claim atomic: a find never replaces an existing file — committed
+/// `fuzz_found_*` entries are regression tests.
+fn write_find(dir: &Path, seed: u64, text: &str) -> std::io::Result<String> {
+    std::fs::create_dir_all(dir)?;
+    for index in 0.. {
+        let name = format!("fuzz_found_{seed:08x}_{index:03}.scenario");
+        match std::fs::File::create_new(dir.join(&name)) {
+            Ok(mut file) => {
+                file.write_all(text.as_bytes())?;
+                return Ok(name);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    unreachable!("the index range is unbounded")
 }
 
 /// One fuzzing campaign. Returns the report tables; failing scenarios are
@@ -125,14 +147,14 @@ pub fn campaign(seed: u64, budget: Budget) -> Vec<Table> {
         if !out.ok {
             let msg = out.failure.clone().unwrap_or_default();
             let small = minimize(&sc, |c| !replay(c).ok);
-            let name = format!("fuzz_found_{seed:08x}_{:03}.scenario", failures.len());
-            let dir = corpus_dir();
-            let _ = std::fs::create_dir_all(&dir);
             let text = format!(
                 "# found by fuzz campaign seed {seed:#x}\n# failure: {msg}\n{}",
                 small.to_text()
             );
-            let _ = std::fs::write(dir.join(&name), text);
+            let name = match write_find(&corpus_dir(), seed, &text) {
+                Ok(name) => name,
+                Err(e) => format!("(unwritten: {e})"),
+            };
             failures.push((name, msg));
             return;
         }
@@ -261,6 +283,31 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A find never replaces an existing corpus file: it takes the first
+    /// free index, whatever is already there.
+    #[test]
+    fn a_find_never_overwrites_an_existing_corpus_entry() {
+        let dir = std::env::temp_dir().join(format!("gecko-fuzz-find-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let committed = dir.join("fuzz_found_0000002a_000.scenario");
+        std::fs::write(&committed, "committed regression test").unwrap();
+
+        let first = write_find(&dir, 0x2a, "first find").unwrap();
+        let second = write_find(&dir, 0x2a, "second find").unwrap();
+        assert_eq!(first, "fuzz_found_0000002a_001.scenario");
+        assert_eq!(second, "fuzz_found_0000002a_002.scenario");
+        assert_eq!(
+            std::fs::read_to_string(&committed).unwrap(),
+            "committed regression test"
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.join(&first)).unwrap(),
+            "first find"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     /// The engine must survive a miniature campaign with zero correctness
     /// failures, and the campaign must be deterministic per seed.

@@ -181,9 +181,9 @@ pub fn replay(sc: &Scenario) -> Outcome {
     replay_with_shards(sc, 1)
 }
 
-/// [`replay`] against a validity store sharded `shards` ways (1 = the
-/// single-tree layout). The oracle contract is shard-count-independent, so
-/// the corpus doubles as a crash-equivalence suite for the sharded store.
+/// [`replay`] against a validity store of `shards` trees. The oracle
+/// contract is shard-count-independent, so the corpus doubles as a
+/// crash-equivalence suite for sharding.
 pub fn replay_with_shards(sc: &Scenario, shards: u32) -> Outcome {
     let mut engine = engine_for(sc, shards);
     let logical = engine.geometry().logical_pages() as u32;

@@ -3,8 +3,8 @@
 //!
 //! Each scenario in `traces/golden/` is a recorded [`Trace`] (the
 //! `ftl-workloads` text format) replayed against a GeckoFTL engine on the
-//! tiny simulation geometry, under both the single-tree validity store and
-//! the 4-way sharded one. The replay's key statistics — op counts, write
+//! tiny simulation geometry, with the validity store at one tree
+//! (`shards = 1`) and at four. The replay's key statistics — op counts, write
 //! amplification, reads per GC query, per-tenant splits, latency tails and
 //! a full-device content fingerprint — are serialized to a `key = value`
 //! text block and compared **byte-identically** against the committed

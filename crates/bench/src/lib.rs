@@ -9,7 +9,8 @@
 //! cargo run --release -p gecko-bench --bin reproduce -- all
 //! ```
 //!
-//! Experiments use scaled-down device geometries (see DESIGN.md): RAM and
+//! Experiments use scaled-down device geometries (see docs/DESIGN.md,
+//! "Simulated time"): RAM and
 //! recovery comparisons come from the analytical models at full paper scale
 //! (as in the paper), write-amplification comparisons from simulation.
 

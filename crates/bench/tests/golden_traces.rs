@@ -1,6 +1,6 @@
 //! Golden-trace corpus regression: every committed trace in
-//! `traces/golden/` replays to **byte-identical** pinned statistics under
-//! both the single-tree and 4-way-sharded validity store.
+//! `traces/golden/` replays to **byte-identical** pinned statistics with
+//! the validity store at one tree (`shards = 1`) and at four.
 //!
 //! A failure prints the per-metric delta (expected vs got, line by line),
 //! so a behaviour change reads as "WA moved from 1.31 to 1.45 on

@@ -24,13 +24,12 @@ impl FtlEngine {
         let mut best: Option<(flash_sim::Ppn, u64)> = None;
         for b in geo.iter_blocks() {
             for (ppn, data) in self.dev.peek_block_pages(b) {
-                if let Some((l, _)) = data.as_user() {
-                    if l == lpn {
-                        let seq = self.dev.peek_spare(ppn).expect("written").seq;
-                        if best.is_none_or(|(_, s)| seq > s) {
-                            best = Some((ppn, seq));
-                        }
-                    }
+                // A page with a torn spare has no identity: never newest.
+                let (Some((l, _)), Some(spare)) = (data.as_user(), self.dev.peek_spare(ppn)) else {
+                    continue;
+                };
+                if l == lpn && best.is_none_or(|(_, s)| spare.seq > s) {
+                    best = Some((ppn, spare.seq));
                 }
             }
         }
@@ -126,28 +125,13 @@ impl FtlEngine {
         self.note_gc_time(spent);
     }
 
-    /// Plan the next GC burst ahead of need (victim ranking + bitmap
-    /// prefetch), without collecting anything. Background maintenance hook
-    /// for [`super::concurrent::ConcurrentFtl`]'s worker: the prefetch IO
-    /// moves off the host write that would otherwise trigger it. No-op if
-    /// a plan is already staged or the free pool is healthy.
-    pub fn prepare_gc(&mut self) {
-        self.plan_gc_burst();
-    }
-
-    /// Rank this burst's likely victims into `gc_plan`, and — on the
-    /// fast-path Gecko backend — batch-query their validity bitmaps.
+    /// Rank this burst's likely victims into `gc_plan` and batch-query
+    /// their validity bitmaps into `gc_prefetch`.
     ///
-    /// The plan is built for **every** Gecko backend, fast path and
-    /// linear-scan baseline alike. Victim selection must not depend on the
-    /// query implementation under ablation: the clustered ranking breaks
-    /// greedy's ties differently than per-collection [`BlockManager::pick_victim`],
-    /// so planning only on the fast path made the A/B variants collect
-    /// different victim sequences — and, eventually, different GC
-    /// operation *counts* — from identical workloads. Only the batched
-    /// prefetch is a fast-path optimization: for every other store
-    /// `gc_query_batch` degrades to a per-victim loop, so prefetching
-    /// could only *add* wasted reads for victims that are never collected.
+    /// Only the Gecko backend plans: for every other store `gc_query_batch`
+    /// degrades to a per-victim loop, so prefetching could only *add*
+    /// wasted reads for victims that are never collected, and they keep
+    /// plain greedy order.
     ///
     /// Soundness of the prefetch: a prefetched bitmap is a snapshot at
     /// batch-query time. Pages it reports invalid can never become valid
@@ -163,10 +147,9 @@ impl FtlEngine {
         if !self.gc_plan.is_empty() || !self.gc_prefetch.is_empty() {
             return;
         }
-        let Some(cfg) = self.backend.gecko_config() else {
+        if self.backend.gecko().is_none() {
             return; // non-Gecko stores keep plain greedy order
-        };
-        let fast_path = cfg.fast_path;
+        }
         let deficit = self
             .cfg
             .gc_free_threshold
@@ -181,14 +164,12 @@ impl FtlEngine {
             return;
         }
         self.gc_plan = victims.iter().copied().collect();
-        if fast_path {
-            self.gc_invalidated.clear();
-            let bitmaps =
-                self.backend
-                    .store()
-                    .gc_query_batch(&mut self.dev, &mut self.bm, &victims);
-            self.gc_prefetch = victims.into_iter().zip(bitmaps).collect();
-        }
+        self.gc_invalidated.clear();
+        let bitmaps = self
+            .backend
+            .store()
+            .gc_query_batch(&mut self.dev, &mut self.bm, &victims);
+        self.gc_prefetch = victims.into_iter().zip(bitmaps).collect();
     }
 
     /// Pick and collect one victim block. Returns false if no block has any
@@ -206,7 +187,6 @@ impl FtlEngine {
                     self.paranoid_check_erasable(victim);
                 }
                 self.counters.gc_operations += 1;
-                self.gc_victim_log.push(victim);
                 // A planned victim may drain to 0-valid before its turn:
                 // it is consumed here, so drop it from the plan too (not
                 // just the prefetch map), or the burst's remaining plan
@@ -275,7 +255,6 @@ impl FtlEngine {
                         break;
                     }
                     self.counters.gc_operations += 1;
-                    self.gc_victim_log.push(planned);
                     self.collect_user_block(planned);
                     return true;
                 }
@@ -293,7 +272,6 @@ impl FtlEngine {
         });
         let Some(victim) = victim else { return false };
         self.counters.gc_operations += 1;
-        self.gc_victim_log.push(victim);
         match self.bm.group_of(victim).expect("victim is allocated") {
             BlockGroup::User => self.collect_user_block(victim),
             BlockGroup::Translation => self.collect_translation_block(victim),
@@ -401,9 +379,17 @@ impl FtlEngine {
                 &mut self.dev,
                 BlockGroup::User,
                 data,
-                // No before-pointer: the old copy sits on the victim and
-                // is superseded by the erase marker.
-                SpareInfo::User { lpn, before: None },
+                // The old copy is superseded by the victim's erase marker
+                // — but only once that marker exists. A power cut before
+                // the erase leaves the old copy on flash with no report
+                // anywhere (the entry's UIP flag is off, so a sync in
+                // between reports nothing, and a Gecko flush in between
+                // moves recovery's diff horizon past that sync). The
+                // before-pointer lets GeckoRec step 6 re-derive it.
+                SpareInfo::User {
+                    lpn,
+                    before: Some(ppn),
+                },
                 IoPurpose::GcMigrateUser,
             );
             self.counters.gc_migrations += 1;

@@ -67,14 +67,11 @@ impl FtlEngine {
             }
         }
 
-        if let Some(s) = self.backend.gecko_stats() {
-            gecko_stats_into(&mut m, "gecko", &s);
-        }
-        // A sharded store additionally reports each shard tree under
-        // `gecko.shard<N>.*` (the aggregate above stays the primary series;
-        // see docs/OBSERVABILITY.md).
-        if let Some(sharded) = self.backend.sharded() {
-            for (i, tree) in sharded.shard_trees().iter().enumerate() {
+        // The aggregate is the primary series; each shard tree additionally
+        // reports under `gecko.shard<N>.*` (see docs/OBSERVABILITY.md).
+        if let Some(gecko) = self.backend.gecko() {
+            gecko_stats_into(&mut m, "gecko", &gecko.stats());
+            for (i, tree) in gecko.shard_trees().iter().enumerate() {
                 gecko_stats_into(&mut m, &format!("gecko.shard{i}"), &tree.stats);
                 m.set_gauge(
                     &format!("gecko.shard{i}.merge_backlog_pages"),
@@ -106,7 +103,7 @@ impl FtlEngine {
 }
 
 /// Register one [`crate::gecko::GeckoStats`] under a name prefix (`gecko`
-/// for the aggregate, `gecko.shard<N>` per shard of a sharded store).
+/// for the aggregate, `gecko.shard<N>` per shard).
 fn gecko_stats_into(m: &mut MetricsSnapshot, prefix: &str, s: &crate::gecko::GeckoStats) {
     m.set_counter(&format!("{prefix}.buffer_inserts"), s.buffer_inserts);
     m.set_counter(&format!("{prefix}.flushes"), s.flushes);
@@ -197,7 +194,7 @@ mod tests {
         assert_eq!(m.counter("engine.writes"), ftl.counters.writes);
         assert_eq!(
             m.counter("gecko.flushes"),
-            ftl.backend.gecko().unwrap().stats.flushes
+            ftl.backend.gecko().unwrap().stats().flushes
         );
         assert_eq!(
             m.gauge("io.user_write.busy_us"),

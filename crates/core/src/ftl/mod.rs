@@ -16,18 +16,17 @@
 //! protocol of §4.1): sync-time invalidation uses the translation page that
 //! is being read anyway, so no FTL pays a fetch-on-miss read for writes.
 //! This normalization is what lets Figure 13/14-style comparisons attribute
-//! differences purely to the three axes above (see DESIGN.md).
+//! differences purely to the three axes above (see docs/DESIGN.md,
+//! "Deviations").
 
 pub mod block_manager;
-pub mod concurrent;
 mod engine_gc;
 pub mod metrics;
 
 pub use block_manager::{BlockGroup, BlockManager, BlockState};
-pub use concurrent::ConcurrentFtl;
 
 use crate::cache::{CacheEntry, MappingCache};
-use crate::gecko::{GeckoConfig, LogGecko, ShardedGecko};
+use crate::gecko::{GeckoConfig, ShardedGecko};
 use crate::translation::TranslationTable;
 use crate::validity::{MetaSink, ValidityStore};
 use flash_sim::{
@@ -114,122 +113,64 @@ impl FtlConfig {
 /// The validity backend: GeckoFTL's Logarithmic Gecko is held concretely so
 /// the engine can drive its flush/recovery hooks; baseline stores plug in as
 /// trait objects.
-// One instance per engine: the size gap between the inline LogGecko (with
-// its reusable scratch buffers) and the boxed baselines is irrelevant.
-#[allow(clippy::large_enum_variant)]
 pub enum ValidityBackend {
-    /// Logarithmic Gecko (GeckoFTL), one tree for the whole device.
-    Gecko(LogGecko),
-    /// Logarithmic Gecko split into per-channel trees
-    /// ([`crate::gecko::ShardedGecko`]), pumped concurrently.
-    Sharded(ShardedGecko),
+    /// Logarithmic Gecko (GeckoFTL): [`GeckoConfig::shards`] per-channel
+    /// trees, one tree when `shards == 1`.
+    Gecko(ShardedGecko),
     /// Any other validity store (RAM/flash PVB, PVL).
     External(Box<dyn ValidityStore>),
 }
 
 impl ValidityBackend {
-    /// Build the Gecko-family backend `cfg` asks for: a single tree when
-    /// `cfg.shards == 1`, a per-channel sharded store otherwise.
+    /// Build the Gecko backend `cfg` asks for.
     pub fn gecko_for(geo: Geometry, cfg: GeckoConfig) -> Self {
-        if cfg.shards > 1 {
-            ValidityBackend::Sharded(ShardedGecko::new(geo, cfg))
-        } else {
-            ValidityBackend::Gecko(LogGecko::new(geo, cfg))
-        }
+        ValidityBackend::Gecko(ShardedGecko::new(geo, cfg))
     }
 
     /// The store as a trait object.
     pub fn store(&mut self) -> &mut dyn ValidityStore {
         match self {
             ValidityBackend::Gecko(g) => g,
-            ValidityBackend::Sharded(s) => s,
             ValidityBackend::External(s) => s.as_mut(),
         }
     }
 
-    /// Immutable view for RAM accounting / naming.
+    /// Immutable view for RAM accounting.
     pub fn store_ref(&self) -> &dyn ValidityStore {
         match self {
             ValidityBackend::Gecko(g) => g,
-            ValidityBackend::Sharded(s) => s,
             ValidityBackend::External(s) => s.as_ref(),
         }
     }
 
-    /// The single-tree Logarithmic Gecko instance, if this is one.
-    pub fn gecko(&self) -> Option<&LogGecko> {
+    /// The Logarithmic Gecko store, if this is one — the backend with
+    /// flush watermarks, merge schedulers and the recovery protocol of
+    /// Appendix C.
+    pub fn gecko(&self) -> Option<&ShardedGecko> {
         match self {
             ValidityBackend::Gecko(g) => Some(g),
-            _ => None,
-        }
-    }
-
-    /// The sharded Gecko store, if this is one.
-    pub fn sharded(&self) -> Option<&ShardedGecko> {
-        match self {
-            ValidityBackend::Sharded(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Whether this is a Gecko-family backend (single-tree or sharded) —
-    /// the backends with flush watermarks, merge schedulers and the
-    /// recovery protocol of Appendix C.
-    pub fn is_gecko(&self) -> bool {
-        !matches!(self, ValidityBackend::External(_))
-    }
-
-    /// The Gecko configuration, for either Gecko-family backend.
-    pub fn gecko_config(&self) -> Option<GeckoConfig> {
-        match self {
-            ValidityBackend::Gecko(g) => Some(g.config()),
-            ValidityBackend::Sharded(s) => Some(s.config()),
             ValidityBackend::External(_) => None,
         }
+    }
+
+    /// The Gecko configuration.
+    pub fn gecko_config(&self) -> Option<GeckoConfig> {
+        self.gecko().map(ShardedGecko::config)
     }
 
     /// Aggregated Gecko lifetime counters (summed over shards).
     pub fn gecko_stats(&self) -> Option<crate::gecko::GeckoStats> {
-        match self {
-            ValidityBackend::Gecko(g) => Some(g.stats),
-            ValidityBackend::Sharded(s) => Some(s.stats()),
-            ValidityBackend::External(_) => None,
-        }
-    }
-
-    /// The Gecko flush watermark: for a sharded store, the *minimum* over
-    /// shards — the conservative bound under which every shard's buffered
-    /// reports are durable (protection clearing and recovery both need
-    /// all-shards durability, not any-shard).
-    pub fn last_flush_seq(&self) -> Option<u64> {
-        match self {
-            ValidityBackend::Gecko(g) => Some(g.last_flush_seq()),
-            ValidityBackend::Sharded(s) => Some(s.last_flush_seq()),
-            ValidityBackend::External(_) => None,
-        }
+        self.gecko().map(ShardedGecko::stats)
     }
 
     /// Pending incremental merge work in page-IOs (0 for non-Gecko).
     pub fn merge_backlog_pages(&self) -> u64 {
-        match self {
-            ValidityBackend::Gecko(g) => g.merge_backlog_pages(),
-            ValidityBackend::Sharded(s) => s.merge_backlog_pages(),
-            ValidityBackend::External(_) => 0,
-        }
+        self.gecko().map_or(0, ShardedGecko::merge_backlog_pages)
     }
 
-    /// Merge jobs queued or in flight (0 for non-Gecko).
-    pub fn merge_jobs_pending(&self) -> usize {
-        match self {
-            ValidityBackend::Gecko(g) => g.merge_jobs_pending(),
-            ValidityBackend::Sharded(s) => s.merge_jobs_pending(),
-            ValidityBackend::External(_) => 0,
-        }
-    }
-
-    /// Advance pending merge work by one bounded slice (per shard, for a
-    /// sharded store — the shards' slices overlap on their channels).
-    /// Returns `true` while work remains; `false` for non-Gecko backends.
+    /// Advance pending merge work by one bounded slice per shard (the
+    /// shards' slices overlap on their channels). Returns `true` while work
+    /// remains; `false` for non-Gecko backends.
     pub fn pump_merges(
         &mut self,
         dev: &mut FlashDevice,
@@ -238,7 +179,6 @@ impl ValidityBackend {
     ) -> bool {
         match self {
             ValidityBackend::Gecko(g) => g.pump_merges(dev, sink, budget),
-            ValidityBackend::Sharded(s) => s.pump_merges(dev, sink, budget),
             ValidityBackend::External(_) => false,
         }
     }
@@ -292,16 +232,11 @@ pub struct FtlEngine {
     pub(crate) gc_prefetch: HashMap<BlockId, crate::gecko::Bitmap>,
     /// The burst's planned collection order (the clustered ranking of
     /// [`BlockManager::pick_victims`]); consumed by
-    /// [`FtlEngine::collect_once`]. Built for every Gecko backend — fast
-    /// path and linear-scan baseline alike — so the A/B pair collects the
-    /// same victim sequence; the fast path additionally prefetches the
-    /// planned victims' bitmaps into `gc_prefetch`. Entries are
-    /// re-validated against current eligibility before use.
+    /// [`FtlEngine::collect_once`]. Built for the Gecko backend only,
+    /// together with the planned victims' prefetched bitmaps in
+    /// `gc_prefetch`. Entries are re-validated against current eligibility
+    /// before use.
     pub(crate) gc_plan: std::collections::VecDeque<BlockId>,
-    /// Every GC victim collected, in collection order. Cheap simulator
-    /// bookkeeping used to pin the fast path and the linear-scan baseline
-    /// to identical victim sequences in tests and benches.
-    pub gc_victim_log: Vec<BlockId>,
     /// Lifetime op counters.
     pub counters: EngineCounters,
     /// Per-tenant accounting, populated by the `*_for` entry points.
@@ -377,12 +312,8 @@ impl FtlEngine {
 
     /// Build GeckoFTL with paper-default tuning on a fresh device.
     pub fn geckoftl(geo: Geometry) -> Self {
-        let gecko = LogGecko::new(geo, GeckoConfig::paper_default(&geo));
-        Self::format(
-            geo,
-            FtlConfig::geckoftl(&geo),
-            ValidityBackend::Gecko(gecko),
-        )
+        let backend = ValidityBackend::gecko_for(geo, GeckoConfig::paper_default(&geo));
+        Self::format(geo, FtlConfig::geckoftl(&geo), backend)
     }
 
     fn format_on(mut dev: FlashDevice, cfg: &mut FtlConfig, backend: ValidityBackend) -> Self {
@@ -414,7 +345,6 @@ impl FtlEngine {
             gc_invalidated: HashSet::new(),
             gc_prefetch: HashMap::new(),
             gc_plan: std::collections::VecDeque::new(),
-            gc_victim_log: Vec::new(),
             counters: EngineCounters::default(),
             tenants: BTreeMap::new(),
             gc_attrib_us: 0.0,
@@ -433,7 +363,7 @@ impl FtlEngine {
         backend: ValidityBackend,
         cfg: FtlConfig,
     ) -> Self {
-        let last_flush_seen = backend.last_flush_seq().unwrap_or(0);
+        let last_flush_seen = backend.gecko().map_or(0, ShardedGecko::last_flush_seq);
         FtlEngine {
             dev,
             bm,
@@ -447,7 +377,6 @@ impl FtlEngine {
             gc_invalidated: HashSet::new(),
             gc_prefetch: HashMap::new(),
             gc_plan: std::collections::VecDeque::new(),
-            gc_victim_log: Vec::new(),
             counters: EngineCounters::default(),
             tenants: BTreeMap::new(),
             gc_attrib_us: 0.0,
@@ -726,7 +655,7 @@ impl FtlEngine {
         self.cache.remove(lpn);
         // Keep the pre-unmap version findable for recovery's diffs, exactly
         // as sync_tpage protects the pre-sync version.
-        if self.backend.is_gecko() {
+        if self.backend.gecko().is_some() {
             if let Some(old) = self.tt.tpage_location(tpage) {
                 self.bm.protect(self.geometry().block_of(old));
             }
@@ -919,7 +848,7 @@ impl FtlEngine {
         // *before* the synchronize call marks the old version obsolete —
         // otherwise its block can become empty and be erased on the spot,
         // leaving a gap in the version chain recovery diffs.
-        if self.backend.is_gecko() {
+        if self.backend.gecko().is_some() {
             if let Some(old) = self.tt.tpage_location(tpage) {
                 self.bm.protect(self.geometry().block_of(old));
             }
@@ -1113,7 +1042,9 @@ impl FtlEngine {
     /// (App. C.2.2: "When Logarithmic Gecko's buffer is flushed, we clear
     /// the list").
     fn after_validity_op(&mut self) {
-        let Some(flushed) = self.backend.last_flush_seq() else {
+        // The *minimum* shard watermark: protections may only be lifted
+        // once every shard's buffered reports are durable.
+        let Some(flushed) = self.backend.gecko().map(ShardedGecko::last_flush_seq) else {
             return;
         };
         if flushed > self.last_flush_seen {

@@ -2,7 +2,8 @@
 
 use flash_sim::Geometry;
 
-/// Configuration of a [`crate::gecko::LogGecko`] instance.
+/// Configuration of a [`crate::gecko::ShardedGecko`] store and its
+/// per-shard [`crate::gecko::LogGecko`] trees.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GeckoConfig {
     /// `T`: size ratio between runs at adjacent levels. Controls the
@@ -21,15 +22,11 @@ pub struct GeckoConfig {
     /// index) and pre/postamble bookkeeping (Appendix C.1).
     pub page_header_bytes: u32,
     /// RAM bits per key for the per-run blocked Bloom filter built at
-    /// flush/merge time (see [`crate::gecko::filter`]). 0 disables filters;
-    /// 8 (the default) targets a ≈2–3 % false-positive rate, letting GC
-    /// queries skip runs that cannot contain the victim's keys.
+    /// flush/merge time (see [`crate::gecko::filter`]). 0 disables filters
+    /// (the `gecko_query` experiment's baseline: every run covering an open
+    /// key is probed); 8 (the default) targets a ≈2–3 % false-positive rate,
+    /// letting GC queries skip runs that cannot contain the victim's keys.
     pub bloom_bits_per_key: u32,
-    /// Use the Bloom-filter + fence-pointer fast path for GC queries. When
-    /// false, queries use the pre-optimization linear directory scan — kept
-    /// as an A/B baseline for the `gecko_query` benchmark and as the
-    /// equivalence oracle's twin in property tests.
-    pub fast_path: bool,
     /// Run merges to completion inside the update path (the paper's
     /// behavior). When false — the default — a due merge is enqueued on the
     /// incremental merge scheduler ([`crate::gecko::scheduler`]) and drained
@@ -48,15 +45,16 @@ pub struct GeckoConfig {
     /// [`flash_sim::Geometry::channel_of`] when `shards == channels`: each
     /// shard's merge queue then holds jobs for one channel and the shards
     /// can be pumped concurrently inside one device overlap window. `1`
-    /// (the default) keeps the single-tree layout and is the A/B baseline
-    /// the sharded layout is property-tested against. Must be ≥ 1.
+    /// (the default) is one tree for the whole device — the paper's layout
+    /// and the baseline the sharded layouts are property-tested against.
+    /// Must be ≥ 1.
     pub shards: u32,
 }
 
 impl Default for GeckoConfig {
     /// Geometry-independent defaults: the paper's `T = 2` with multi-way
     /// merging, no entry-partitioning (callers size `S` from the geometry
-    /// via [`GeckoConfig::paper_default`]), and the fast query path on.
+    /// via [`GeckoConfig::paper_default`]), and Bloom filters on.
     fn default() -> Self {
         GeckoConfig {
             size_ratio: 2,
@@ -65,7 +63,6 @@ impl Default for GeckoConfig {
             key_bytes: 4,
             page_header_bytes: 32,
             bloom_bits_per_key: 8,
-            fast_path: true,
             sync_merge: false,
             merge_step_pages: 4,
             shards: 1,

@@ -29,7 +29,7 @@ pub use run::{GeckoPagePayload, Postamble, Run, RunDirEntry, RunId, RunMeta};
 pub use scheduler::{FinishedMerge, JobInput, MergeJob, MergeScheduler};
 pub use sharded::ShardedGecko;
 
-use crate::validity::{MetaSink, ValidityStore};
+use crate::validity::MetaSink;
 use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, Ppn, SpanKind};
 use std::collections::{BTreeMap, HashSet};
 
@@ -98,7 +98,7 @@ pub struct GeckoStats {
     /// Per-key run probes skipped because the run's Bloom filter proved the
     /// key absent (each skip avoids up to one flash read).
     pub bloom_skips: u64,
-    /// Flash pages actually read by fence-pointer probes on the fast path.
+    /// Flash pages actually read by fence-pointer probes.
     pub fence_probes: u64,
     /// Flash page-IOs performed by incremental merge steps (reads of
     /// participant pages + writes of output pages), including forced drains.
@@ -210,7 +210,7 @@ impl LogGecko {
 
     /// Integrated-RAM footprint per Appendix B: run directories (two 4-byte
     /// words per run page) and the one-page update buffer, plus the per-run
-    /// Bloom filters of the query fast path and the buffers of
+    /// Bloom filters of the query path and the buffers of
     /// queued/in-flight [`MergeJob`]s (neither in the paper's accounting —
     /// reported honestly as part of the validity store). Merge buffers are
     /// charged as the actual queued-job state rather than the paper's
@@ -247,14 +247,25 @@ impl LogGecko {
 
     /// Report an invalidated physical page (Algorithm 1).
     pub fn mark_invalid(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, ppn: Ppn) {
-        let (key, bit) = self.key_of(ppn);
-        let sub = self.cfg.sub_bits(&self.geo);
-        let entry = self
-            .buffer
-            .entry(key)
-            .or_insert_with(|| GeckoEntry::blank(key, sub));
-        entry.bitmap.set(bit);
-        self.stats.buffer_inserts += 1;
+        self.mark_invalid_batch(dev, sink, &[ppn]);
+    }
+
+    /// Report several invalidated pages as one flush generation: the whole
+    /// batch is inserted before the flush threshold is checked, so it never
+    /// straddles a flush (see [`ValidityStore::mark_invalid_batch`]).
+    ///
+    /// [`ValidityStore::mark_invalid_batch`]: crate::validity::ValidityStore::mark_invalid_batch
+    pub fn mark_invalid_batch(
+        &mut self,
+        dev: &mut FlashDevice,
+        sink: &mut dyn MetaSink,
+        ppns: &[Ppn],
+    ) {
+        for &ppn in ppns {
+            // The bare buffer insert, shared with recovery's refill.
+            self.recover_invalidation(ppn);
+            self.stats.buffer_inserts += 1;
+        }
         self.maybe_flush(dev, sink);
     }
 
@@ -280,34 +291,21 @@ impl LogGecko {
     /// `block` by consulting the buffer and then every run from newest to
     /// oldest, stopping per sub-key at erase flags.
     ///
-    /// On the fast path ([`GeckoConfig::fast_path`]) each run costs at most
-    /// one flash read per *open sub-key present in the run*: the per-run
-    /// Bloom filter skips runs that cannot contain a key, and fence-pointer
-    /// binary search pins each surviving key to its unique page. With the
-    /// fast path off, cost reverts to the paper's bound of one read per run
-    /// covering a still-open sub-key.
+    /// Each run costs at most one flash read per *open sub-key present in
+    /// the run*: the per-run Bloom filter skips runs that cannot contain a
+    /// key, and fence-pointer binary search pins each surviving key to its
+    /// unique page. With filters off ([`GeckoConfig::bloom_bits_per_key`]
+    /// `= 0`) cost reverts to the paper's bound of one read per run covering
+    /// a still-open sub-key.
     pub fn gc_query(&mut self, dev: &mut FlashDevice, block: BlockId) -> Bitmap {
-        self.gc_query_with_purpose(dev, block, IoPurpose::ValidityQuery)
-    }
-
-    /// GC query with an explicit IO purpose (recovery re-uses the machinery).
-    pub fn gc_query_with_purpose(
-        &mut self,
-        dev: &mut FlashDevice,
-        block: BlockId,
-        purpose: IoPurpose,
-    ) -> Bitmap {
         self.stats.queries += 1;
-        if !self.cfg.fast_path {
-            return self.gc_query_legacy(dev, block, purpose);
-        }
         let mut open = std::mem::take(&mut self.scratch.open);
         open.clear();
         for part in 0..self.cfg.partitions as u16 {
             open.push((GeckoKey { block, part }, 0));
         }
         let mut results = [Bitmap::new(self.geo.pages_per_block)];
-        self.query_open_keys(dev, &mut open, &mut results, purpose);
+        self.query_open_keys(dev, &mut open, &mut results);
         self.scratch.open = open;
         let [result] = results;
         result
@@ -320,26 +318,10 @@ impl LogGecko {
     /// independent queries whenever their keys share run pages (always true
     /// for the small runs at shallow levels).
     pub fn gc_query_batch(&mut self, dev: &mut FlashDevice, blocks: &[BlockId]) -> Vec<Bitmap> {
-        self.gc_query_batch_with_purpose(dev, blocks, IoPurpose::ValidityQuery)
-    }
-
-    /// [`LogGecko::gc_query_batch`] with an explicit IO purpose.
-    pub fn gc_query_batch_with_purpose(
-        &mut self,
-        dev: &mut FlashDevice,
-        blocks: &[BlockId],
-        purpose: IoPurpose,
-    ) -> Vec<Bitmap> {
         self.stats.queries += blocks.len() as u64;
         let b = self.geo.pages_per_block;
         let mut results: Vec<Bitmap> = blocks.iter().map(|_| Bitmap::new(b)).collect();
         if blocks.is_empty() {
-            return results;
-        }
-        if !self.cfg.fast_path {
-            for (i, &block) in blocks.iter().enumerate() {
-                results[i] = self.gc_query_legacy(dev, block, purpose);
-            }
             return results;
         }
         self.stats.batch_queries += 1;
@@ -367,7 +349,7 @@ impl LogGecko {
                 open.push((GeckoKey { block: blk, part }, i));
             }
         }
-        self.query_open_keys(dev, &mut open, &mut results, purpose);
+        self.query_open_keys(dev, &mut open, &mut results);
         self.scratch.open = open;
         for (dup, src) in dups {
             results[dup] = results[src].clone();
@@ -375,7 +357,7 @@ impl LogGecko {
         results
     }
 
-    /// Fast-path query core shared by single and batched GC queries.
+    /// Query core shared by single and batched GC queries.
     ///
     /// `open` holds sorted `(key, result-index)` pairs still awaiting an
     /// erase flag; bits absorbed for a key land in `results[index]` at
@@ -388,7 +370,6 @@ impl LogGecko {
         dev: &mut FlashDevice,
         open: &mut Vec<(GeckoKey, usize)>,
         results: &mut [Bitmap],
-        purpose: IoPurpose,
     ) {
         debug_assert!(
             open.windows(2).all(|w| w[0].0 < w[1].0),
@@ -439,7 +420,7 @@ impl LogGecko {
             self.stats.fence_probes += ppns.len() as u64;
             for &ppn in &ppns {
                 let data = dev
-                    .read_page(ppn, purpose)
+                    .read_page(ppn, IoPurpose::ValidityQuery)
                     .expect("run directory points at a written page");
                 let payload = data
                     .blob::<GeckoPagePayload>()
@@ -474,87 +455,10 @@ impl LogGecko {
         self.scratch.probe_ppns = ppns;
     }
 
-    /// The pre-optimization query algorithm: linear directory scan over the
-    /// contiguous open-key range, no Bloom filters. Kept as the
-    /// [`GeckoConfig::fast_path`]`= false` baseline for A/B benchmarking.
-    fn gc_query_legacy(
-        &mut self,
-        dev: &mut FlashDevice,
-        block: BlockId,
-        purpose: IoPurpose,
-    ) -> Bitmap {
-        let s = self.cfg.partitions as usize;
-        let sub = self.cfg.sub_bits(&self.geo);
-        let mut result = Bitmap::new(self.geo.pages_per_block);
-        let mut open = vec![true; s];
-        let mut open_count = s;
-
-        let absorb = |entry: &GeckoEntry,
-                      open: &mut Vec<bool>,
-                      open_count: &mut usize,
-                      result: &mut Bitmap| {
-            let part = entry.key.part as usize;
-            if !open[part] {
-                return;
-            }
-            for bit in entry.bitmap.iter_ones() {
-                result.set(part as u32 * sub + bit);
-            }
-            if entry.erase_flag {
-                open[part] = false;
-                *open_count -= 1;
-            }
-        };
-
-        // 1. The RAM buffer holds the newest information.
-        for part in 0..s as u16 {
-            if let Some(entry) = self.buffer.get(&GeckoKey { block, part }) {
-                absorb(entry, &mut open, &mut open_count, &mut result);
-            }
-        }
-
-        // 2. Runs, newest data first; read only pages overlapping open keys.
-        let mut runs: Vec<&Run> = self.levels.iter().flatten().collect();
-        runs.sort_by_key(|r| std::cmp::Reverse(r.meta.data_age()));
-        for run in runs {
-            if open_count == 0 {
-                return result;
-            }
-            let lo_part = open.iter().position(|o| *o);
-            let hi_part = open.iter().rposition(|o| *o);
-            let (Some(lo), Some(hi)) = (lo_part, hi_part) else {
-                return result;
-            };
-            let lo = GeckoKey {
-                block,
-                part: lo as u16,
-            };
-            let hi = GeckoKey {
-                block,
-                part: hi as u16,
-            };
-            let pages: Vec<Ppn> = run.pages_overlapping(lo, hi).map(|p| p.ppn).collect();
-            for ppn in pages {
-                let data = dev
-                    .read_page(ppn, purpose)
-                    .expect("run directory points at a written page");
-                let payload = data
-                    .blob::<GeckoPagePayload>()
-                    .expect("gecko block page holds a gecko payload");
-                for entry in &payload.entries {
-                    if entry.key.block == block {
-                        absorb(entry, &mut open, &mut open_count, &mut result);
-                    }
-                }
-            }
-        }
-        result
-    }
-
     /// Probe-every-run oracle: assemble the bitmap by reading **every** page
     /// of every run, newest first, using no run directories, fence pointers
     /// or filters. Deliberately the slowest possible correct implementation;
-    /// the property tests check the fast path against it byte-for-byte, and
+    /// the property tests check the query path against it byte-for-byte, and
     /// the query benchmark uses it as the most pessimistic baseline.
     pub fn gc_query_naive(&mut self, dev: &mut FlashDevice, block: BlockId) -> Bitmap {
         let s = self.cfg.partitions as usize;
@@ -958,7 +862,7 @@ impl LogGecko {
     /// pass at no extra IO: runs missing their RAM-resident Bloom filter
     /// (recovered runs — filters are not persisted) get one rebuilt from
     /// the keys streaming past, and zeroed `entry_count`s are refilled, so
-    /// recovered runs serve fast-path queries immediately instead of
+    /// recovered runs serve filtered queries immediately instead of
     /// degrading to probe-per-run until the next merge.
     pub fn scan_all_bitmaps(
         &mut self,
@@ -1043,7 +947,8 @@ impl LogGecko {
         }
     }
 
-    /// Seed the buffer with a recovered invalidation (Appendix C.2.2).
+    /// Seed the buffer with a recovered invalidation (Appendix C.2.2):
+    /// set `ppn`'s bit without counting or flushing.
     pub fn recover_invalidation(&mut self, ppn: Ppn) {
         let (key, bit) = self.key_of(ppn);
         let sub = self.cfg.sub_bits(&self.geo);
@@ -1052,63 +957,6 @@ impl LogGecko {
             .entry(key)
             .or_insert_with(|| GeckoEntry::blank(key, sub));
         entry.bitmap.set(bit);
-    }
-}
-
-/// A [`ValidityStore`] façade over [`LogGecko`], the store GeckoFTL uses.
-impl ValidityStore for LogGecko {
-    fn mark_invalid(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, ppn: Ppn) {
-        LogGecko::mark_invalid(self, dev, sink, ppn);
-    }
-
-    fn mark_invalid_batch(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, ppns: &[Ppn]) {
-        // Insert the whole batch before checking the flush threshold so the
-        // batch never straddles a flush generation (see the trait docs).
-        let sub = self.cfg.sub_bits(&self.geo);
-        for &ppn in ppns {
-            let (key, bit) = self.key_of(ppn);
-            let entry = self
-                .buffer
-                .entry(key)
-                .or_insert_with(|| GeckoEntry::blank(key, sub));
-            entry.bitmap.set(bit);
-            self.stats.buffer_inserts += 1;
-        }
-        self.maybe_flush(dev, sink);
-    }
-
-    fn note_erase(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, block: BlockId) {
-        LogGecko::note_erase(self, dev, sink, block);
-    }
-
-    fn gc_query(
-        &mut self,
-        dev: &mut FlashDevice,
-        _sink: &mut dyn MetaSink,
-        block: BlockId,
-    ) -> Bitmap {
-        LogGecko::gc_query(self, dev, block)
-    }
-
-    fn gc_query_batch(
-        &mut self,
-        dev: &mut FlashDevice,
-        _sink: &mut dyn MetaSink,
-        blocks: &[BlockId],
-    ) -> Vec<Bitmap> {
-        LogGecko::gc_query_batch(self, dev, blocks)
-    }
-
-    fn ram_bytes(&self) -> u64 {
-        LogGecko::ram_bytes(self)
-    }
-
-    fn name(&self) -> &'static str {
-        "logarithmic-gecko"
-    }
-
-    fn flush(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink) {
-        LogGecko::flush(self, dev, sink);
     }
 }
 

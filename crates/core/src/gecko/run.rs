@@ -149,19 +149,6 @@ impl Run {
         self.filter.as_ref().map_or(0, RunFilter::ram_bytes)
     }
 
-    /// Directory entries for pages whose key range intersects `[lo, hi]`,
-    /// found by binary search over the fence pointers (pages are in key
-    /// order, so the overlap set is one contiguous slice).
-    pub fn pages_overlapping(
-        &self,
-        lo: GeckoKey,
-        hi: GeckoKey,
-    ) -> impl Iterator<Item = &RunDirEntry> {
-        let start = self.pages.partition_point(|p| p.last < lo);
-        let end = self.pages.partition_point(|p| p.first <= hi);
-        self.pages[start..end.max(start)].iter()
-    }
-
     /// The unique page that can hold `key`, via binary search over the
     /// fence pointers (keys are unique within a run, so at most one page
     /// qualifies). `None` if the key falls outside every page's range.
@@ -243,23 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_selects_only_covering_pages() {
-        let run = run_with_pages(&[
-            (key(0, 0), key(9, 3)),
-            (key(10, 0), key(19, 3)),
-            (key(20, 0), key(29, 3)),
-        ]);
-        let hits: Vec<_> = run.pages_overlapping(key(12, 0), key(12, 3)).collect();
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].ppn, Ppn(1));
-        // Query range straddling two pages.
-        let hits: Vec<_> = run.pages_overlapping(key(19, 0), key(20, 3)).collect();
-        assert_eq!(hits.len(), 2);
-        // No overlap.
-        assert_eq!(run.pages_overlapping(key(40, 0), key(40, 3)).count(), 0);
-    }
-
-    #[test]
     fn fence_search_agrees_with_linear_scan() {
         let run = run_with_pages(&[
             (key(0, 0), key(9, 3)),
@@ -272,9 +242,6 @@ mod tests {
                 let k = key(b, p);
                 let linear = run.pages.iter().find(|pg| pg.first <= k && k <= pg.last);
                 assert_eq!(run.page_for(k), linear, "page_for({b},{p})");
-                // Overlap with a one-key range must agree too.
-                let by_range: Vec<_> = run.pages_overlapping(k, k).collect();
-                assert_eq!(by_range.len(), linear.is_some() as usize);
             }
         }
         // Gap between pages: key 35 belongs to no page.

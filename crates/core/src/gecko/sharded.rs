@@ -1,5 +1,6 @@
-//! Channel-sharded Logarithmic Gecko: one independent [`LogGecko`] tree per
-//! shard, with block `b` owned by shard `b % shards`.
+//! The Logarithmic Gecko validity store: `shards` independent [`LogGecko`]
+//! trees, with block `b` owned by shard `b % shards`. `shards == 1` is the
+//! paper's single tree; it is the same code path, not a separate backend.
 //!
 //! When `shards == channels` the shard function coincides with
 //! [`Geometry::channel_of`], so each shard's merge queue holds jobs whose
@@ -10,21 +11,18 @@
 //! `docs/CONCURRENCY.md`).
 //!
 //! Every operation routes to exactly one shard (invalidations, erases, GC
-//! queries are all per-block), so shard trees never share state and the
-//! sharded store is *logically* equivalent to a single tree: the same
-//! queries return the same bitmaps. Physical layout differs — each shard
-//! flushes and merges on its own cadence — which is why the equivalence
-//! property tests compare query bits and settled invariants, not bytes
-//! (`tests/sharded.rs`). With `shards == 1` the layout is byte-identical to
-//! a plain [`LogGecko`] by construction: shard 0 sees the identical
-//! operation sequence.
+//! queries are all per-block), so shard trees never share state and every
+//! shard count is *logically* equivalent: the same queries return the same
+//! bitmaps. Physical layout differs — each shard flushes and merges on its
+//! own cadence — which is why the equivalence property tests compare query
+//! bits and settled invariants, not bytes (`tests/sharded.rs`).
 
 use super::{Bitmap, GeckoConfig, GeckoStats, LogGecko, Run};
 use crate::validity::{MetaSink, ValidityStore};
 use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, Ppn};
 use std::collections::HashMap;
 
-/// A validity store split into `shards` independent [`LogGecko`] trees.
+/// The Gecko-family validity store: `shards` independent [`LogGecko`] trees.
 #[derive(Debug)]
 pub struct ShardedGecko {
     shards: Vec<LogGecko>,
@@ -33,8 +31,8 @@ pub struct ShardedGecko {
 
 impl ShardedGecko {
     /// Create `cfg.shards` empty trees. Each tree uses the full-device
-    /// geometry for entry sizing (a shard's entries are identical to the
-    /// single-tree layout's); only the key population is partitioned.
+    /// geometry for entry sizing (entries look the same at every shard
+    /// count); only the key population is partitioned.
     pub fn new(geo: Geometry, cfg: GeckoConfig) -> Self {
         cfg.validate(&geo);
         let shards = (0..cfg.shards.max(1))
@@ -64,11 +62,6 @@ impl ShardedGecko {
     /// The per-shard trees, in shard order.
     pub fn shard_trees(&self) -> &[LogGecko] {
         &self.shards
-    }
-
-    /// Mutable access to one shard's tree (tests, recovery refill).
-    pub fn shard_mut(&mut self, idx: usize) -> &mut LogGecko {
-        &mut self.shards[idx]
     }
 
     /// Configuration in effect (identical across shards).
@@ -118,16 +111,6 @@ impl ShardedGecko {
         self.shards.iter().map(LogGecko::buffer_len).sum()
     }
 
-    /// Total flash pages occupied by live runs across all shards.
-    pub fn total_run_pages(&self) -> u64 {
-        self.shards.iter().map(LogGecko::total_run_pages).sum()
-    }
-
-    /// Total live entries across all shards' runs.
-    pub fn total_run_entries(&self) -> u64 {
-        self.shards.iter().map(LogGecko::total_run_entries).sum()
-    }
-
     /// All live runs of every shard (no global order guarantee — data-age
     /// order is only meaningful within a shard).
     pub fn all_runs(&self) -> impl Iterator<Item = &Run> {
@@ -157,31 +140,10 @@ impl ShardedGecko {
         self.shards[shard].gc_query(dev, block)
     }
 
-    /// GC query with an explicit IO purpose, routed to the owning shard.
-    pub fn gc_query_with_purpose(
-        &mut self,
-        dev: &mut FlashDevice,
-        block: BlockId,
-        purpose: IoPurpose,
-    ) -> Bitmap {
-        let shard = self.shard_of(block);
-        self.shards[shard].gc_query_with_purpose(dev, block, purpose)
-    }
-
     /// Batched GC query: partition the victim list by shard, run each
     /// shard's sub-batch (keeping that shard's probe coalescing), and
     /// reassemble results in caller order.
     pub fn gc_query_batch(&mut self, dev: &mut FlashDevice, blocks: &[BlockId]) -> Vec<Bitmap> {
-        self.gc_query_batch_with_purpose(dev, blocks, IoPurpose::ValidityQuery)
-    }
-
-    /// [`ShardedGecko::gc_query_batch`] with an explicit IO purpose.
-    pub fn gc_query_batch_with_purpose(
-        &mut self,
-        dev: &mut FlashDevice,
-        blocks: &[BlockId],
-        purpose: IoPurpose,
-    ) -> Vec<Bitmap> {
         let n = self.shards.len();
         let mut by_shard: Vec<Vec<(usize, BlockId)>> = vec![Vec::new(); n];
         for (i, &b) in blocks.iter().enumerate() {
@@ -193,18 +155,12 @@ impl ShardedGecko {
                 continue;
             }
             let sub: Vec<BlockId> = group.iter().map(|&(_, b)| b).collect();
-            let bitmaps = self.shards[shard].gc_query_batch_with_purpose(dev, &sub, purpose);
+            let bitmaps = self.shards[shard].gc_query_batch(dev, &sub);
             for ((i, _), bm) in group.into_iter().zip(bitmaps) {
                 results[i] = Some(bm);
             }
         }
         results.into_iter().map(Option::unwrap).collect()
-    }
-
-    /// Linear-scan baseline query, routed to the owning shard.
-    pub fn gc_query_naive(&mut self, dev: &mut FlashDevice, block: BlockId) -> Bitmap {
-        let shard = self.shard_of(block);
-        self.shards[shard].gc_query_naive(dev, block)
     }
 
     /// Flush every shard's buffer. Shards flush independently in steady
@@ -242,8 +198,8 @@ impl ShardedGecko {
     }
 
     /// Run all shards' pending merge work to completion (quiescence for
-    /// shutdown/recovery/tests). Delegates to each shard's drain so the
-    /// forced-stall accounting matches the single tree's exactly.
+    /// shutdown/recovery/tests). Delegates to each shard's drain, which
+    /// owns the forced-stall accounting.
     pub fn drain_merges(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink) {
         if self.merge_jobs_pending() == 0 {
             return;
@@ -297,7 +253,7 @@ impl ShardedGecko {
     }
 }
 
-/// A [`ValidityStore`] façade over [`ShardedGecko`].
+/// The family's one [`ValidityStore`] implementation.
 impl ValidityStore for ShardedGecko {
     fn mark_invalid(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, ppn: Ppn) {
         ShardedGecko::mark_invalid(self, dev, sink, ppn);
@@ -344,10 +300,6 @@ impl ValidityStore for ShardedGecko {
 
     fn ram_bytes(&self) -> u64 {
         ShardedGecko::ram_bytes(self)
-    }
-
-    fn name(&self) -> &'static str {
-        "logarithmic-gecko-sharded"
     }
 
     fn flush(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink) {

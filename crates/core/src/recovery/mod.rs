@@ -231,10 +231,10 @@ pub fn gecko_recover(
 
     // ---- Step 3: run directories. ---------------------------------------
     let timer = StepTimer::start(&dev);
-    // Under a sharded store, every run holds keys of exactly one shard
-    // (shards never share a tree), so its first key names the owning
-    // shard. Candidates MUST be partitioned by shard before liveness is
-    // judged: spans live in the global sequence space but merging is
+    // Every run holds keys of exactly one shard (shards never share a
+    // tree), so its first key names the owning shard. Candidates MUST be
+    // partitioned by shard before liveness is judged: spans live in the
+    // global sequence space but merging is
     // laminar only within a shard, so two shards' flush spans can nest
     // without any supersession — a global containment walk would kill
     // live runs. Each shard's tree is then reassembled independently,
@@ -245,16 +245,11 @@ pub fn gecko_recover(
         .flatten()
         .flat_map(|r| r.pages.iter().map(|p| p.ppn))
         .collect();
-    let mut gecko = if gecko_cfg.shards > 1 {
-        let trees = shard_runs
-            .into_iter()
-            .map(|rs| LogGecko::from_recovered(geo, gecko_cfg, rs))
-            .collect();
-        RecGecko::Sharded(ShardedGecko::from_shards(geo, trees))
-    } else {
-        let runs = shard_runs.into_iter().next().unwrap_or_default();
-        RecGecko::Single(Box::new(LogGecko::from_recovered(geo, gecko_cfg, runs)))
-    };
+    let trees = shard_runs
+        .into_iter()
+        .map(|rs| LogGecko::from_recovered(geo, gecko_cfg, rs))
+        .collect();
+    let mut gecko = ShardedGecko::from_shards(geo, trees);
     report
         .steps
         .push((RecoveryStep::RunDirectories, timer.stop(&mut dev, 3)));
@@ -267,7 +262,8 @@ pub fn gecko_recover(
     // idempotently — the recovered bit is factually true (both checks
     // below verify the invalidated page still holds the superseded data),
     // and validity bits are OR-ed, so a duplicate changes no query answer.
-    let threshold = gecko.min_flush_seq();
+    let threshold = gecko.last_flush_seq();
+    let shard_thresholds = gecko.shard_flush_seqs();
     // 4a (C.2.1): blocks erased since the last flush get erase markers. The
     // erase timestamp is persisted in a spare area (Appendix D), read as
     // part of the step-1 scan.
@@ -282,7 +278,7 @@ pub fn gecko_recover(
         // hide post-erase invalidations that sit in that shard's runs.
         // (Unlike plain invalidation bits, markers are not idempotent
         // across a flush boundary.)
-        let b_threshold = gecko.flush_seq_for(b);
+        let b_threshold = shard_thresholds[gecko.shard_of(b)];
         let erased_since_flush = dev.erase_seq(b) > b_threshold
             || bid[b.0 as usize].first_seq > b_threshold && bid[b.0 as usize].written > 0;
         if erased_since_flush {
@@ -456,8 +452,12 @@ pub fn gecko_recover(
             };
             // Re-report the immediate invalidation carried in the spare
             // area, if its target still holds the superseded data (same
-            // timestamp discipline as the step-4b check).
-            if let Some(b) = before {
+            // timestamp discipline as the step-4b check). A target whose
+            // block was erased after this page was written cannot — its
+            // persisted erase timestamp (part of the step-1 scan, as in
+            // step 4a) says so without a spare read, which is the common
+            // case for GC-migrated copies: their victim is erased next.
+            if let Some(b) = before.filter(|b| dev.erase_seq(geo.block_of(*b)) < spare.seq) {
                 if let Ok(bs) = dev.read_spare(b, IoPurpose::Recovery) {
                     if bs.seq < spare.seq
                         && matches!(bs.info, SpareInfo::User { lpn: bl, .. } if bl == lpn)
@@ -495,6 +495,49 @@ pub fn gecko_recover(
             }
         }
     }
+    // Bad user blocks. A failed erase retires a block with its stale
+    // contents intact, and GC's "every page stale" report — the override of
+    // the erase marker it had already issued — lives in the RAM buffer. If
+    // the marker flushed and the override did not, the recovered store
+    // claims a clean block, and nothing above re-derives the truth: the
+    // marker masks the block's older invalidations, and the migrated
+    // copies' before-pointers reach only as far back as the step-6 scan.
+    // So judge every page of a bad user block against the recovered
+    // mapping itself: a page that is not its LPN's newest copy (the
+    // recreated entry, else the flash-resident table) is stale. BVC stays
+    // over-counted, which is the safe direction — it only keeps GC from
+    // picking a block it could not erase anyway.
+    let tt = TranslationTable::from_recovered(geo, gmd);
+    // Built only if a bad user block exists (the common case has none).
+    let mut newest: Option<HashMap<flash_sim::Lpn, Ppn>> = None;
+    for b in geo.iter_blocks() {
+        let entry = &bid[b.0 as usize];
+        if entry.group != Some(BlockGroup::User) || !dev.is_bad(b) {
+            continue;
+        }
+        for off in 0..entry.written {
+            if invalid_maps.get(&b).is_some_and(|m| m.get(off)) {
+                continue; // already known stale
+            }
+            let ppn = geo.ppn(b, PageOffset(off));
+            let Ok(spare) = dev.read_spare(ppn, IoPurpose::Recovery) else {
+                continue; // torn: step 6 reported it
+            };
+            let SpareInfo::User { lpn, .. } = spare.info else {
+                panic!("user block holds {:?}", spare.info)
+            };
+            let newest =
+                newest.get_or_insert_with(|| recreated.iter().map(|e| (e.lpn, e.ppn)).collect());
+            let current = match newest.get(&lpn) {
+                Some(&cached) => Some(cached),
+                None => tt.lookup(&mut dev, lpn, IoPurpose::Recovery),
+            };
+            if current != Some(ppn) {
+                gecko.recover_invalidation(ppn);
+                report.recovered_invalidations += 1;
+            }
+        }
+    }
     let overflow: Vec<CacheEntry> = if recreated.len() > cfg.cache_entries {
         recreated.split_off(cfg.cache_entries)
     } else {
@@ -527,78 +570,18 @@ pub fn gecko_recover(
             }
         }
     }
-    let tt = TranslationTable::from_recovered(geo, gmd);
     let mut cfg = cfg;
     if cfg.checkpoint_period.is_none() && matches!(cfg.recovery, RecoveryPolicy::CheckpointDeferred)
     {
         cfg.checkpoint_period = Some(cfg.cache_entries as u64);
     }
-    let mut engine = FtlEngine::from_parts(dev, bm, tt, cache, gecko.into_backend(), cfg);
+    let mut engine = FtlEngine::from_parts(dev, bm, tt, cache, ValidityBackend::Gecko(gecko), cfg);
     // Entries that did not fit into the cache cannot wait for lazy
     // correction (dropping them could lose a dirty mapping): verify them
     // against the translation table immediately via ordinary
     // synchronization operations (mostly C.3.1 aborts).
     engine.resolve_recovered_overflow(overflow);
     (engine, report)
-}
-
-/// The tree(s) under reconstruction: a single-tree store or a per-channel
-/// sharded one. Thin routing shim so the eight steps read identically for
-/// both layouts; the differences (per-block vs global watermarks) are
-/// confined to the two accessors.
-enum RecGecko {
-    Single(Box<LogGecko>),
-    Sharded(ShardedGecko),
-}
-
-impl RecGecko {
-    /// The global replay horizon: the least-advanced shard's watermark.
-    fn min_flush_seq(&self) -> u64 {
-        match self {
-            RecGecko::Single(g) => g.last_flush_seq(),
-            RecGecko::Sharded(s) => s.last_flush_seq(),
-        }
-    }
-
-    /// The watermark governing `block`: its owning shard's.
-    fn flush_seq_for(&self, block: BlockId) -> u64 {
-        match self {
-            RecGecko::Single(g) => g.last_flush_seq(),
-            RecGecko::Sharded(s) => s.shard_flush_seqs()[s.shard_of(block)],
-        }
-    }
-
-    fn recover_erase_marker(&mut self, block: BlockId) {
-        match self {
-            RecGecko::Single(g) => g.recover_erase_marker(block),
-            RecGecko::Sharded(s) => s.recover_erase_marker(block),
-        }
-    }
-
-    fn recover_invalidation(&mut self, ppn: Ppn) {
-        match self {
-            RecGecko::Single(g) => g.recover_invalidation(ppn),
-            RecGecko::Sharded(s) => s.recover_invalidation(ppn),
-        }
-    }
-
-    fn scan_all_bitmaps(
-        &mut self,
-        dev: &mut FlashDevice,
-        purpose: IoPurpose,
-    ) -> HashMap<BlockId, crate::gecko::Bitmap> {
-        match self {
-            RecGecko::Single(g) => g.scan_all_bitmaps(dev, purpose),
-            RecGecko::Sharded(s) => s.scan_all_bitmaps(dev, purpose),
-        }
-    }
-
-    fn into_backend(self) -> ValidityBackend {
-        match self {
-            RecGecko::Single(g) => ValidityBackend::Gecko(*g),
-            RecGecko::Sharded(s) => ValidityBackend::Sharded(s),
-        }
-    }
 }
 
 fn read_tpage(dev: &mut FlashDevice, ppn: Ppn) -> TranslationPagePayload {

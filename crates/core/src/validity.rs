@@ -37,11 +37,7 @@ pub trait MetaSink {
 
 /// A page-validity store: the component every FTL uses to track invalid
 /// pages of **user blocks**.
-///
-/// `Send` is a supertrait so an engine holding a boxed store can move into
-/// the [`crate::ftl::ConcurrentFtl`] front-end's lock; stores are plain
-/// data, so this costs implementors nothing.
-pub trait ValidityStore: Send {
+pub trait ValidityStore {
     /// Report that physical page `ppn` no longer holds live data
     /// (Algorithm 1 for Logarithmic Gecko; a bitmap update for PVB).
     fn mark_invalid(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, ppn: Ppn);
@@ -92,9 +88,6 @@ pub trait ValidityStore: Send {
     /// Integrated-RAM footprint of the store's RAM-resident state, in bytes,
     /// using the paper's accounting (Appendix B).
     fn ram_bytes(&self) -> u64;
-
-    /// Human-readable store name for reports.
-    fn name(&self) -> &'static str;
 
     /// The metadata block kind this store can garbage-collect by migrating
     /// live pages (`None` if its blocks must never be picked as greedy GC

@@ -2,9 +2,9 @@
 //! device: data integrity under garbage-collection pressure, crash recovery
 //! with GeckoRec, and the §4.3 recovery-cost bounds.
 
-use flash_sim::{Geometry, IoPurpose, Lpn};
+use flash_sim::{Geometry, IoPurpose, Lpn, SpanKind, TraceEvent};
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
-use geckoftl_core::gecko::{GeckoConfig, LogGecko};
+use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
 use std::collections::HashMap;
 
@@ -30,7 +30,7 @@ fn small_engine(seed_cache: usize) -> FtlEngine {
         checkpoint_period: None,
         qos_headroom_blocks: 0,
     };
-    let gecko = LogGecko::new(
+    let gecko = ValidityBackend::gecko_for(
         geo,
         GeckoConfig {
             // Small pages so Gecko actually flushes/merges at this scale.
@@ -38,7 +38,7 @@ fn small_engine(seed_cache: usize) -> FtlEngine {
             ..GeckoConfig::paper_default(&geo)
         },
     );
-    FtlEngine::format(geo, cfg, ValidityBackend::Gecko(gecko))
+    FtlEngine::format(geo, cfg, gecko)
 }
 
 fn run_workload(engine: &mut FtlEngine, oracle: &mut HashMap<u32, u64>, rng: &mut Lcg, n: u64) {
@@ -222,14 +222,14 @@ fn greedy_policy_also_preserves_data() {
         checkpoint_period: None,
         qos_headroom_blocks: 0,
     };
-    let gecko = LogGecko::new(
+    let gecko = ValidityBackend::gecko_for(
         geo,
         GeckoConfig {
             page_header_bytes: geo.page_bytes - 64,
             ..GeckoConfig::paper_default(&geo)
         },
     );
-    let mut engine = FtlEngine::format(geo, cfg, ValidityBackend::Gecko(gecko));
+    let mut engine = FtlEngine::format(geo, cfg, gecko);
     let mut oracle = HashMap::new();
     let mut rng = Lcg(1234);
     run_workload(&mut engine, &mut oracle, &mut rng, 6000);
@@ -267,14 +267,14 @@ fn restricted_dirty_policy_bounds_dirty_entries() {
         checkpoint_period: None,
         qos_headroom_blocks: 0,
     };
-    let gecko = LogGecko::new(
+    let gecko = ValidityBackend::gecko_for(
         geo,
         GeckoConfig {
             page_header_bytes: geo.page_bytes - 64,
             ..GeckoConfig::paper_default(&geo)
         },
     );
-    let mut engine = FtlEngine::format(geo, cfg, ValidityBackend::Gecko(gecko));
+    let mut engine = FtlEngine::format(geo, cfg, gecko);
     let mut oracle = HashMap::new();
     let mut rng = Lcg(21);
     let logical = geo.logical_pages() as u32;
@@ -378,17 +378,15 @@ fn crash_immediately_after_single_write() {
     assert_eq!(recovered.read(Lpn(6)), None);
 }
 
-/// The GC victim-sequence A/B pin: the query fast path (Bloom filters +
-/// batched bitmap prefetch) must not change *which* blocks GC collects,
-/// only how their bitmaps are fetched. The burst plan is built for both
-/// variants, so from identical workloads both must produce the identical
-/// victim sequence — and therefore identical GC operation counts. (The
-/// regression this pins: planning only on the fast path let the clustered
-/// tie-break diverge from plain greedy, e.g. 495 vs 494 GC operations in
-/// BENCH_gecko_query from the same seed.)
+/// The GC victim-sequence A/B pin: Bloom filters must not change *which*
+/// blocks GC collects, only how many run pages each query reads. From
+/// identical workloads the Bloom-on and Bloom-off engines must produce the
+/// identical victim sequence — read off the telemetry `GcCollect` spans,
+/// whose argument is the victim block id — and therefore identical GC
+/// operation counts.
 #[test]
-fn fast_path_and_naive_gc_collect_identical_victim_sequences() {
-    let build = |fast_path: bool| {
+fn bloom_on_and_off_gc_collect_identical_victim_sequences() {
+    let build = |bloom_bits_per_key: u32| {
         let geo = Geometry::tiny();
         let cfg = FtlConfig {
             cache_entries: 64,
@@ -398,36 +396,67 @@ fn fast_path_and_naive_gc_collect_identical_victim_sequences() {
             checkpoint_period: None,
             qos_headroom_blocks: 0,
         };
-        let gecko = LogGecko::new(
+        let gecko = ValidityBackend::gecko_for(
             geo,
             GeckoConfig {
                 page_header_bytes: geo.page_bytes - 64,
-                fast_path,
+                bloom_bits_per_key,
                 ..GeckoConfig::paper_default(&geo)
             },
         );
-        FtlEngine::format(geo, cfg, ValidityBackend::Gecko(gecko))
+        let mut engine = FtlEngine::format(geo, cfg, gecko);
+        engine.telemetry_mut().enable(1 << 19);
+        engine
     };
-    let mut fast = build(true);
-    let mut naive = build(false);
-    let mut fast_oracle = HashMap::new();
-    let mut naive_oracle = HashMap::new();
-    let mut rng_f = Lcg(0x6C);
-    let mut rng_n = Lcg(0x6C);
-    run_workload(&mut fast, &mut fast_oracle, &mut rng_f, 8000);
-    run_workload(&mut naive, &mut naive_oracle, &mut rng_n, 8000);
+    let victims = |engine: &FtlEngine| -> Vec<u32> {
+        assert_eq!(engine.telemetry().dropped_events(), 0, "ring too small");
+        engine
+            .telemetry()
+            .events()
+            .filter_map(|ev| match *ev {
+                TraceEvent::Span {
+                    kind: SpanKind::GcCollect,
+                    arg,
+                    ..
+                } => Some(arg),
+                _ => None,
+            })
+            .collect()
+    };
+    let mut on = build(8);
+    let mut off = build(0);
+    let mut on_oracle = HashMap::new();
+    let mut off_oracle = HashMap::new();
+    let mut rng_on = Lcg(0x6C);
+    let mut rng_off = Lcg(0x6C);
+    run_workload(&mut on, &mut on_oracle, &mut rng_on, 8000);
+    run_workload(&mut off, &mut off_oracle, &mut rng_off, 8000);
     assert!(
-        fast.counters.gc_operations > 50,
+        on.counters.gc_operations > 50,
         "GC must run enough to expose ordering divergence"
     );
+    assert_eq!(victims(&on).len() as u64, on.counters.gc_operations);
     assert_eq!(
-        fast.gc_victim_log, naive.gc_victim_log,
-        "fast path and linear-scan baseline must collect the same victims"
+        victims(&on),
+        victims(&off),
+        "Bloom filters must not change the victim sequence"
     );
-    assert_eq!(fast.counters.gc_operations, naive.counters.gc_operations);
-    assert_eq!(fast.counters.gc_migrations, naive.counters.gc_migrations);
-    verify_all(&mut fast, &fast_oracle);
-    verify_all(&mut naive, &naive_oracle);
+    assert_eq!(on.counters.gc_operations, off.counters.gc_operations);
+    assert_eq!(on.counters.gc_migrations, off.counters.gc_migrations);
+    assert!(
+        on.device()
+            .stats()
+            .counts(IoPurpose::ValidityQuery)
+            .page_reads
+            < off
+                .device()
+                .stats()
+                .counts(IoPurpose::ValidityQuery)
+                .page_reads,
+        "the filters must actually skip run probes"
+    );
+    verify_all(&mut on, &on_oracle);
+    verify_all(&mut off, &off_oracle);
 }
 
 // ---------------------------------------------------------------------------
@@ -598,14 +627,14 @@ fn qos_headroom_is_byte_identical_when_disabled_and_prepays_when_on() {
             checkpoint_period: None,
             qos_headroom_blocks: headroom,
         };
-        let gecko = LogGecko::new(
+        let gecko = ValidityBackend::gecko_for(
             geo,
             GeckoConfig {
                 page_header_bytes: geo.page_bytes - 64,
                 ..GeckoConfig::paper_default(&geo)
             },
         );
-        let mut e = FtlEngine::format(geo, cfg, ValidityBackend::Gecko(gecko));
+        let mut e = FtlEngine::format(geo, cfg, gecko);
         let logical = geo.logical_pages() as u32;
         for i in 0..9_000u64 {
             let heavy = i % 4 != 0;

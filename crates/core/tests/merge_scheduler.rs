@@ -13,7 +13,7 @@
 
 use flash_sim::{BlockId, FlashDevice, Geometry, Lpn, Ppn};
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
-use geckoftl_core::gecko::{GeckoConfig, LogGecko};
+use geckoftl_core::gecko::{GeckoConfig, LogGecko, ShardedGecko};
 use geckoftl_core::recovery::gecko_recover;
 use geckoftl_core::validity::FlatMetaSink;
 use std::collections::HashMap;
@@ -219,7 +219,7 @@ fn incremental_engine(merge_step_pages: u32) -> FtlEngine {
         checkpoint_period: None,
         qos_headroom_blocks: 0,
     };
-    let gecko = LogGecko::new(
+    let gecko = ValidityBackend::gecko_for(
         geo,
         GeckoConfig {
             page_header_bytes: geo.page_bytes - 64,
@@ -228,7 +228,7 @@ fn incremental_engine(merge_step_pages: u32) -> FtlEngine {
             ..GeckoConfig::paper_default(&geo)
         },
     );
-    FtlEngine::format(geo, cfg, ValidityBackend::Gecko(gecko))
+    FtlEngine::format(geo, cfg, gecko)
 }
 
 fn run_workload(engine: &mut FtlEngine, oracle: &mut HashMap<u32, u64>, rng: &mut Lcg, n: u64) {
@@ -294,9 +294,9 @@ fn crash_mid_merge_recovers_exactly() {
         verify_all(&mut recovered, &oracle);
         // Satellite: recovery's step-5 scan rebuilds per-run Bloom filters
         // (and entry counts) at no extra IO, so recovered runs serve
-        // fast-path queries immediately.
+        // filtered queries immediately.
         let g = recovered.backend().gecko().expect("gecko backend");
-        for run in g.runs_newest_first() {
+        for run in g.all_runs() {
             assert!(run.filter.is_some(), "recovered run must carry a filter");
             assert!(run.entry_count > 0, "recovered entry count must be real");
         }
@@ -373,9 +373,9 @@ fn flush_landing_mid_merge_survives_crash() {
             continue;
         }
         windows_hit += 1;
-        let snapshot = |g: &LogGecko| {
+        let snapshot = |g: &ShardedGecko| {
             let mut v: Vec<_> = g
-                .runs_newest_first()
+                .all_runs()
                 .map(|r| (r.meta.id, r.meta.level, r.meta.span(), r.pages.clone()))
                 .collect();
             v.sort_by_key(|(id, ..)| *id);
@@ -445,11 +445,7 @@ fn crash_after_deferred_install_keeps_buffered_reports() {
         for _ in 0..5000 {
             let g = engine.backend().gecko().expect("gecko backend");
             let flush_seq = g.last_flush_seq();
-            let newest_run_seq = g
-                .runs_newest_first()
-                .map(|r| r.meta.created_seq)
-                .max()
-                .unwrap_or(0);
+            let newest_run_seq = g.all_runs().map(|r| r.meta.created_seq).max().unwrap_or(0);
             let erased_since_flush = engine.geometry().iter_blocks().any(|b| {
                 let e = engine.device().erase_seq(b);
                 e > flush_seq && e < newest_run_seq
@@ -490,7 +486,7 @@ fn engine_equivalence_across_step_budgets() {
             checkpoint_period: None,
             qos_headroom_blocks: 0,
         };
-        let gecko = LogGecko::new(
+        let gecko = ValidityBackend::gecko_for(
             geo,
             GeckoConfig {
                 page_header_bytes: geo.page_bytes - 64,
@@ -499,7 +495,7 @@ fn engine_equivalence_across_step_budgets() {
                 ..GeckoConfig::paper_default(&geo)
             },
         );
-        FtlEngine::format(geo, cfg, ValidityBackend::Gecko(gecko))
+        FtlEngine::format(geo, cfg, gecko)
     };
     for (sync, step) in [(true, 1), (false, 1), (false, 4), (false, 32)] {
         let mut engine = build(sync, step);
@@ -508,10 +504,10 @@ fn engine_equivalence_across_step_budgets() {
         run_workload(&mut engine, &mut oracle, &mut rng, 6000);
         assert!(engine.counters.gc_operations > 20, "GC must run");
         let gecko = engine.backend().gecko().expect("gecko backend");
-        assert!(gecko.stats.merges > 0, "merges must run");
+        assert!(gecko.stats().merges > 0, "merges must run");
         if !sync {
             assert!(
-                gecko.stats.merge_pages_stepped > 0,
+                gecko.stats().merge_pages_stepped > 0,
                 "incremental merges must flow through the scheduler"
             );
         }

@@ -1,6 +1,6 @@
 //! Property tests of the channel-sharded validity store: `shards = 1`
-//! must be byte-identical to a plain single-tree [`LogGecko`] (same code
-//! path, same operation order, same device), and `shards = N` must be
+//! must be byte-identical to a bare [`LogGecko`] tree (same code path,
+//! same operation order, same device), and `shards = N` must be
 //! *logically* identical to `shards = 1` — every GC query answers the same
 //! bits, mid-stream and settled — across plain runs and mixed crash
 //! workloads with per-shard recovery. Physical layout legitimately differs
@@ -231,8 +231,8 @@ fn verify_all(engine: &mut FtlEngine, oracle: &HashMap<u32, u64>) {
     }
 }
 
-/// Mixed crash workload at the engine level: a sharded engine and a
-/// single-tree engine run the same host trace, both crash at the same op
+/// Mixed crash workload at the engine level: a 4-shard engine and a
+/// 1-shard engine run the same host trace, both crash at the same op
 /// counts, recover (the sharded one through per-shard candidate assembly),
 /// and must both serve every acknowledged write — after each recovery and
 /// at the end.
@@ -249,18 +249,17 @@ fn sharded_engine_survives_mixed_crash_workload_like_single() {
             let dev = engine.crash();
             let (recovered, _report) = gecko_recover(dev, cfg, gecko_cfg);
             engine = recovered;
-            if shards > 1 {
-                assert!(
-                    engine.backend().sharded().is_some(),
-                    "recovery must reassemble the sharded layout"
-                );
-            }
+            assert_eq!(
+                engine.backend().gecko().expect("gecko").num_shards(),
+                shards as usize,
+                "recovery must reassemble the sharded layout"
+            );
             verify_all(&mut engine, &oracle);
         }
         run_workload(&mut engine, &mut oracle, &mut rng, 800);
         engine.shutdown_clean();
         verify_all(&mut engine, &oracle);
-        assert_eq!(engine.backend().merge_jobs_pending(), 0);
+        assert_eq!(engine.backend().gecko().unwrap().merge_jobs_pending(), 0);
     }
 }
 
@@ -282,12 +281,16 @@ fn per_shard_recovery_preserves_every_installed_run() {
     // installed run set is the whole story — recovery legitimately
     // reshapes in-flight merge state (discarding unsealed outputs).
     for _ in 0..40_000 {
-        if engine.backend().merge_jobs_pending() == 0 {
+        if engine.backend().gecko().unwrap().merge_jobs_pending() == 0 {
             break;
         }
         run_workload(&mut engine, &mut oracle, &mut rng, 1);
     }
-    assert_eq!(engine.backend().merge_jobs_pending(), 0, "failed to settle");
+    assert_eq!(
+        engine.backend().gecko().unwrap().merge_jobs_pending(),
+        0,
+        "failed to settle"
+    );
 
     let snapshot = |s: &ShardedGecko| -> Vec<Vec<_>> {
         s.shard_trees()
@@ -302,7 +305,7 @@ fn per_shard_recovery_preserves_every_installed_run() {
             })
             .collect()
     };
-    let store = engine.backend().sharded().expect("sharded backend");
+    let store = engine.backend().gecko().expect("gecko backend");
     let before = snapshot(store);
     let watermarks = store.shard_flush_seqs();
     assert!(
@@ -312,7 +315,7 @@ fn per_shard_recovery_preserves_every_installed_run() {
 
     let dev = engine.crash();
     let (mut recovered, _report) = gecko_recover(dev, cfg, gecko_cfg);
-    let after = snapshot(recovered.backend().sharded().expect("sharded recovered"));
+    let after = snapshot(recovered.backend().gecko().expect("gecko recovered"));
     for (s, runs_before) in before.iter().enumerate() {
         for run in runs_before {
             assert!(

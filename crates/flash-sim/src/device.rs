@@ -455,19 +455,14 @@ impl FlashDevice {
     }
 
     /// Iterate the programmed pages of one block in write order, without
-    /// charging IO. **Test/debug only.**
+    /// charging IO; pages whose data area a power cut tore are skipped.
+    /// **Test/debug only.**
     pub fn peek_block_pages(&self, block: BlockId) -> impl Iterator<Item = (Ppn, &PageData)> {
         let geo = self.geo;
         let b = &self.blocks[block.0 as usize];
-        (0..b.written_pages()).map(move |off| {
-            let ppn = geo.ppn(block, PageOffset(off));
-            (
-                ppn,
-                b.page(PageOffset(off))
-                    .data
-                    .as_ref()
-                    .expect("written page has data"),
-            )
+        (0..b.written_pages()).filter_map(move |off| {
+            let data = b.page(PageOffset(off)).data.as_ref()?;
+            Some((geo.ppn(block, PageOffset(off)), data))
         })
     }
 }

@@ -35,12 +35,12 @@ pub enum SpareInfo {
     /// and, when the write superseded a known older copy, where that copy
     /// lives. The before-image pointer makes §4.1's *immediate* invalidation
     /// reports recoverable after a crash (the paper's App. C.2.2 only
-    /// re-derives sync-time reports; see DESIGN.md).
+    /// re-derives sync-time reports; see docs/DESIGN.md, "Deviations").
     User {
         /// The logical page stored on this physical page.
         lpn: Lpn,
         /// Physical address of the copy this write superseded, if the FTL
-        /// knew it at write time (cache-hit writes).
+        /// knew it at write time (cache-hit writes and GC migrations).
         before: Option<Ppn>,
     },
     /// A translation page: records which translation-table slice it holds.

@@ -1,13 +1,13 @@
 //! Property-based tests for the full FTL: for any workload and any crash
-//! point, GeckoFTL never loses an acknowledged write (DESIGN.md invariants
-//! 2–4), and the baseline FTLs satisfy read-your-writes.
+//! point, GeckoFTL never loses an acknowledged write (docs/DESIGN.md
+//! invariants 2–4), and the baseline FTLs satisfy read-your-writes.
 
 use geckoftl::flash_sim::{EraseFault, FaultPlan, Geometry, Lpn, WriteFault};
 use geckoftl::ftl_baselines::{build, BaselineKind};
 use geckoftl::geckoftl_core::ftl::{
     FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend,
 };
-use geckoftl::geckoftl_core::gecko::{GeckoConfig, LogGecko};
+use geckoftl::geckoftl_core::gecko::GeckoConfig;
 use geckoftl::geckoftl_core::recovery::gecko_recover;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -22,14 +22,14 @@ fn tiny_gecko_engine(cache: usize) -> FtlEngine {
         checkpoint_period: None,
         qos_headroom_blocks: 0,
     };
-    let gecko = LogGecko::new(
+    let gecko = ValidityBackend::gecko_for(
         geo,
         GeckoConfig {
             page_header_bytes: geo.page_bytes - 64, // force real flush/merge activity
             ..GeckoConfig::paper_default(&geo)
         },
     );
-    FtlEngine::format(geo, cfg, ValidityBackend::Gecko(gecko))
+    FtlEngine::format(geo, cfg, gecko)
 }
 
 /// Drive `writes` against an engine carrying `plan`. Recoverable faults

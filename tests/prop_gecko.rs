@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) for Logarithmic Gecko: for *any*
 //! sequence of invalidations and erases, under *any* tuning, the structure
-//! answers GC queries exactly like a plain RAM bitmap (DESIGN.md
+//! answers GC queries exactly like a plain RAM bitmap (docs/DESIGN.md
 //! invariant 1), and its structural invariants hold.
 
 use geckoftl::flash_sim::{BlockId, FlashDevice, Geometry, Ppn};
@@ -201,71 +201,71 @@ proptest! {
         check_all_blocks(&mut rebuilt, &mut dev, &model, &geo);
     }
 
-    /// The Bloom-filter + fence-pointer fast path must return byte-identical
-    /// bitmaps to (a) the probe-every-run naive oracle, (b) the
-    /// pre-optimization linear-scan path running the same op sequence on a
-    /// twin instance, and (c) the batched query API — across randomized
+    /// Bloom-filtered queries must return byte-identical bitmaps to (a) the
+    /// probe-every-run naive oracle, (b) a Bloom-off twin running the same
+    /// op sequence, and (c) the batched query API — across randomized
     /// update/erase/merge histories and tunings.
     #[test]
-    fn fast_path_matches_naive_oracle(
+    fn bloom_on_off_batch_and_naive_queries_agree(
         ops in prop::collection::vec(op_strategy(), 1..500),
         s_pow in 0u32..5,          // S ∈ {1,2,4,8,16}, all divide B=16
-        bloom_bits in 0u32..13,    // includes 0 = filters disabled
+        bloom_bits in 1u32..13,
         header_slack in 0u32..3,   // vary entries-per-page => merge shapes
     ) {
         let geo = Geometry::tiny();
         let mut dev = FlashDevice::new(geo);
         let mut sink = FlatMetaSink::new((32..64).map(BlockId).collect());
-        let fast_cfg = GeckoConfig {
+        let on_cfg = GeckoConfig {
             partitions: 1 << s_pow,
             page_header_bytes: 4096 - 64 - 32 * header_slack,
             bloom_bits_per_key: bloom_bits,
-            fast_path: true,
             ..GeckoConfig::default()
         };
-        let legacy_cfg = GeckoConfig { fast_path: false, bloom_bits_per_key: 0, ..fast_cfg };
-        let mut fast = LogGecko::new(geo, fast_cfg);
-        // The legacy twin shares the device but writes its runs through a
-        // separate sink pool so the two structures stay independent.
-        let mut legacy_dev = FlashDevice::new(geo);
-        let mut legacy_sink = FlatMetaSink::new((32..64).map(BlockId).collect());
-        let mut legacy = LogGecko::new(geo, legacy_cfg);
+        let off_cfg = GeckoConfig { bloom_bits_per_key: 0, ..on_cfg };
+        let mut on = LogGecko::new(geo, on_cfg);
+        // The Bloom-off twin gets its own device and sink pool so the two
+        // structures stay independent.
+        let mut off_dev = FlashDevice::new(geo);
+        let mut off_sink = FlatMetaSink::new((32..64).map(BlockId).collect());
+        let mut off = LogGecko::new(geo, off_cfg);
 
         for op in &ops {
             match *op {
                 Op::Invalidate(p) => {
-                    fast.mark_invalid(&mut dev, &mut sink, Ppn(p));
-                    legacy.mark_invalid(&mut legacy_dev, &mut legacy_sink, Ppn(p));
+                    on.mark_invalid(&mut dev, &mut sink, Ppn(p));
+                    off.mark_invalid(&mut off_dev, &mut off_sink, Ppn(p));
                 }
                 Op::Erase(blk) => {
-                    fast.note_erase(&mut dev, &mut sink, BlockId(blk));
-                    legacy.note_erase(&mut legacy_dev, &mut legacy_sink, BlockId(blk));
+                    on.note_erase(&mut dev, &mut sink, BlockId(blk));
+                    off.note_erase(&mut off_dev, &mut off_sink, BlockId(blk));
                 }
                 Op::Query(blk) => {
-                    let via_fast = fast.gc_query(&mut dev, BlockId(blk));
-                    let via_naive = fast.gc_query_naive(&mut dev, BlockId(blk));
-                    prop_assert_eq!(&via_fast, &via_naive, "fast vs naive mid-run, block {}", blk);
+                    let via_on = on.gc_query(&mut dev, BlockId(blk));
+                    let via_naive = on.gc_query_naive(&mut dev, BlockId(blk));
+                    prop_assert_eq!(&via_on, &via_naive, "bloom-on vs naive mid-run, block {}", blk);
                 }
             }
         }
 
-        // Every block: fast == naive == legacy twin, and batch == singles.
+        // Every block: bloom-on == naive == bloom-off twin, and batch == singles.
         let all_blocks: Vec<BlockId> = (0..32).map(BlockId).collect();
-        let batch = fast.gc_query_batch(&mut dev, &all_blocks);
+        let batch = on.gc_query_batch(&mut dev, &all_blocks);
+        let off_batch = off.gc_query_batch(&mut off_dev, &all_blocks);
         for (i, &blk) in all_blocks.iter().enumerate() {
-            let via_fast = fast.gc_query(&mut dev, blk);
-            let via_naive = fast.gc_query_naive(&mut dev, blk);
-            let via_legacy = legacy.gc_query(&mut legacy_dev, blk);
-            prop_assert_eq!(&via_fast, &via_naive, "fast vs naive, block {:?}", blk);
-            prop_assert_eq!(&via_fast, &via_legacy, "fast vs legacy twin, block {:?}", blk);
-            prop_assert_eq!(&batch[i], &via_fast, "batch vs single, block {:?}", blk);
+            let via_on = on.gc_query(&mut dev, blk);
+            let via_naive = on.gc_query_naive(&mut dev, blk);
+            let via_off = off.gc_query(&mut off_dev, blk);
+            prop_assert_eq!(&via_on, &via_naive, "bloom-on vs naive, block {:?}", blk);
+            prop_assert_eq!(&via_on, &via_off, "bloom-on vs bloom-off twin, block {:?}", blk);
+            prop_assert_eq!(&batch[i], &via_on, "batch vs single, block {:?}", blk);
+            prop_assert_eq!(&off_batch[i], &via_on, "bloom-off batch vs single, block {:?}", blk);
         }
 
         // Duplicate + unsorted request orders answer consistently too.
         let shuffled = [BlockId(9), BlockId(3), BlockId(9), BlockId(31), BlockId(0), BlockId(3)];
-        let dup = fast.gc_query_batch(&mut dev, &shuffled);
+        let dup = on.gc_query_batch(&mut dev, &shuffled);
         for (i, &blk) in shuffled.iter().enumerate() {
-            prop_assert_eq!(&dup[i], &fast.gc_query(&mut dev, blk), "dup batch, slot {}", i);
+            prop_assert_eq!(&dup[i], &on.gc_query(&mut dev, blk), "dup batch, slot {}", i);
         }
     }
 }

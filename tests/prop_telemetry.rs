@@ -22,7 +22,7 @@ use geckoftl::flash_sim::{
 use geckoftl::geckoftl_core::ftl::{
     FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend,
 };
-use geckoftl::geckoftl_core::gecko::{GeckoConfig, LogGecko};
+use geckoftl::geckoftl_core::gecko::GeckoConfig;
 use geckoftl::geckoftl_core::recovery::gecko_recover;
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -53,14 +53,14 @@ fn tiny_gecko_engine(cache: usize) -> FtlEngine {
         checkpoint_period: None,
         qos_headroom_blocks: 0,
     };
-    let gecko = LogGecko::new(
+    let gecko = ValidityBackend::gecko_for(
         geo,
         GeckoConfig {
             page_header_bytes: geo.page_bytes - 64, // force real flush/merge activity
             ..GeckoConfig::paper_default(&geo)
         },
     );
-    FtlEngine::format(geo, cfg, ValidityBackend::Gecko(gecko))
+    FtlEngine::format(geo, cfg, gecko)
 }
 
 /// Byte-level digest of everything the simulated device persists: per-block
@@ -103,7 +103,7 @@ fn observe(engine: &FtlEngine) -> RunObservation {
         clock_us: engine.device().clock().now_us(),
         flash_state: device_digest(engine.device()),
         io_stats: format!("{:?}", engine.device().stats()),
-        gecko_stats: format!("{:?}", engine.backend().gecko().map(|g| &g.stats)),
+        gecko_stats: format!("{:?}", engine.backend().gecko_stats()),
         engine_counters: format!("{:?}", engine.counters),
         fault_stats: format!("{:?}", engine.device().fault_stats()),
     }
