@@ -79,7 +79,6 @@ pub fn build(kind: BaselineKind, geo: Geometry) -> FtlEngine {
         geo,
         FtlConfig {
             cache_entries: FtlConfig::scaled_cache_entries(&geo),
-            gc_free_threshold: 8,
             gc_policy: kind.gc_policy(),
             recovery: kind.recovery_policy(),
             checkpoint_period: None,

@@ -10,20 +10,9 @@ use crate::report::{f3, Table};
 use ftl_baselines::ftls::{build_geckoftl_tuned, build_with};
 use ftl_baselines::BaselineKind;
 use ftl_workloads::Uniform;
-use geckoftl_core::ftl::{FtlConfig, GcPolicy, RecoveryPolicy};
+use geckoftl_core::ftl::{FtlConfig, GcPolicy};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::{gecko_recover, RecoveryStep};
-
-fn base_cfg(geo: &flash_sim::Geometry) -> FtlConfig {
-    FtlConfig {
-        cache_entries: FtlConfig::scaled_cache_entries(geo),
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
-        qos_headroom_blocks: 0,
-    }
-}
 
 /// Run all ablations.
 pub fn run() -> Vec<Table> {
@@ -39,7 +28,7 @@ pub fn run() -> Vec<Table> {
             multiway_merge: multiway,
             ..GeckoConfig::paper_default(&geo)
         };
-        let mut engine = build_geckoftl_tuned(geo, base_cfg(&geo), gecko_cfg);
+        let mut engine = build_geckoftl_tuned(geo, FtlConfig::geckoftl(&geo), gecko_cfg);
         let d = measure_uniform(&mut engine, 60_000, 51);
         let stats = engine.backend().gecko().expect("gecko").stats();
         merges.row(vec![
@@ -69,7 +58,7 @@ pub fn run() -> Vec<Table> {
             let cfg = FtlConfig {
                 gc_policy: policy,
                 recovery: kind.recovery_policy(),
-                ..base_cfg(&geo)
+                ..FtlConfig::geckoftl(&geo)
             };
             let mut engine = match kind {
                 BaselineKind::GeckoFtl => {
@@ -102,7 +91,7 @@ pub fn run() -> Vec<Table> {
         ],
     );
     for period in [None::<u64>, Some(u64::MAX)] {
-        let mut cfg = base_cfg(&geo);
+        let mut cfg = FtlConfig::geckoftl(&geo);
         cfg.checkpoint_period = period; // None → default C; MAX → disabled
         let gecko_cfg = GeckoConfig::paper_default(&geo);
         let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg);

@@ -11,7 +11,7 @@ use crate::report::{f3, Table};
 use flash_sim::IoPurpose;
 use ftl_baselines::ftls::{build_geckoftl_tuned, build_with};
 use ftl_baselines::BaselineKind;
-use geckoftl_core::ftl::{FtlConfig, GcPolicy, RecoveryPolicy};
+use geckoftl_core::ftl::{FtlConfig, RecoveryPolicy};
 use geckoftl_core::gecko::GeckoConfig;
 
 fn validity_io(delta: &flash_sim::StatsSnapshot) -> (u64, u64) {
@@ -32,14 +32,7 @@ fn validity_io(delta: &flash_sim::StatsSnapshot) -> (u64, u64) {
 /// Run the Figure-9 comparison.
 pub fn run() -> Vec<Table> {
     let geo = sim_geometry();
-    let base_cfg = FtlConfig {
-        cache_entries: FtlConfig::scaled_cache_entries(&geo),
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
-        qos_headroom_blocks: 0,
-    };
+    let base_cfg = FtlConfig::geckoftl(&geo);
 
     let mut per_interval = Table::new(
         "Figure 9 (top) — validity-metadata reads/writes per 10k-write interval",

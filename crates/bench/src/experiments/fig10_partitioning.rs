@@ -7,7 +7,7 @@ use crate::harness::measure_uniform;
 use crate::report::{f3, Table};
 use flash_sim::Geometry;
 use ftl_baselines::ftls::build_geckoftl_tuned;
-use geckoftl_core::ftl::{FtlConfig, GcPolicy, RecoveryPolicy};
+use geckoftl_core::ftl::FtlConfig;
 use geckoftl_core::gecko::GeckoConfig;
 
 /// Run the Figure-10 sweep: B ∈ {64,128,256,512} × S ∈ {1,2,4,8,16,32}.
@@ -24,19 +24,12 @@ pub fn run() -> Vec<Table> {
                 partitions: s,
                 ..GeckoConfig::paper_default(&geo)
             };
-            let cfg = FtlConfig {
-                cache_entries: FtlConfig::scaled_cache_entries(&geo),
-                gc_free_threshold: 8,
-                gc_policy: GcPolicy::MetadataAware,
-                recovery: RecoveryPolicy::CheckpointDeferred,
-                checkpoint_period: None,
-                qos_headroom_blocks: 0,
-            };
+            let cfg = FtlConfig::geckoftl(&geo);
             let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg);
             let v = gecko_cfg.entries_per_page(&geo);
             let d = measure_uniform(&mut engine, 40_000, 13);
             let wa = d.wa_breakdown(10.0).validity;
-            let star = if s == GeckoConfig::recommended_partitions(&geo, 4) {
+            let star = if s == GeckoConfig::recommended_partitions(&geo) {
                 "*"
             } else {
                 ""

@@ -8,7 +8,7 @@ use crate::report::{f3, Table};
 use flash_sim::Geometry;
 use ftl_baselines::ftls::{build_geckoftl_tuned, build_with};
 use ftl_baselines::BaselineKind;
-use geckoftl_core::ftl::{FtlConfig, GcPolicy, RecoveryPolicy};
+use geckoftl_core::ftl::{FtlConfig, RecoveryPolicy};
 use geckoftl_core::gecko::analysis::{crossover_capacity_log2, GeckoCostModel};
 use geckoftl_core::gecko::GeckoConfig;
 
@@ -27,14 +27,7 @@ pub fn run() -> Vec<Table> {
     );
     for shift in [10u32, 11, 12, 13] {
         let geo = Geometry::new(1 << shift, 1 << 7, 1 << 12, 0.7);
-        let cfg = FtlConfig {
-            cache_entries: FtlConfig::scaled_cache_entries(&geo),
-            gc_free_threshold: 8,
-            gc_policy: GcPolicy::MetadataAware,
-            recovery: RecoveryPolicy::CheckpointDeferred,
-            checkpoint_period: None,
-            qos_headroom_blocks: 0,
-        };
+        let cfg = FtlConfig::geckoftl(&geo);
         let mut gecko = build_geckoftl_tuned(geo, cfg, GeckoConfig::paper_default(&geo));
         let gecko_wa = measure_uniform(&mut gecko, 40_000, 21)
             .wa_breakdown(10.0)

@@ -7,7 +7,7 @@ use crate::harness::measure_uniform;
 use crate::report::{f3, Table};
 use flash_sim::{Geometry, IoPurpose};
 use ftl_baselines::ftls::build_geckoftl_tuned;
-use geckoftl_core::ftl::{FtlConfig, GcPolicy, RecoveryPolicy};
+use geckoftl_core::ftl::FtlConfig;
 use geckoftl_core::gecko::GeckoConfig;
 
 /// Run the Figure-12 sweep over R ∈ {0.5 .. 0.9}.
@@ -25,14 +25,7 @@ pub fn run() -> Vec<Table> {
     for r10 in [5u32, 6, 7, 8, 9] {
         let r = r10 as f64 / 10.0;
         let geo = Geometry::new(1 << 10, 1 << 7, 1 << 12, r);
-        let cfg = FtlConfig {
-            cache_entries: FtlConfig::scaled_cache_entries(&geo),
-            gc_free_threshold: 8,
-            gc_policy: GcPolicy::MetadataAware,
-            recovery: RecoveryPolicy::CheckpointDeferred,
-            checkpoint_period: None,
-            qos_headroom_blocks: 0,
-        };
+        let cfg = FtlConfig::geckoftl(&geo);
         let mut engine = build_geckoftl_tuned(geo, cfg, GeckoConfig::paper_default(&geo));
         let gcs_before = engine.counters.gc_operations;
         let d = measure_uniform(&mut engine, 40_000, 31);

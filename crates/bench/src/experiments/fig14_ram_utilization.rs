@@ -57,7 +57,6 @@ pub fn run() -> Vec<Table> {
     for (kind, cache, label) in cases {
         let cfg = FtlConfig {
             cache_entries: cache,
-            gc_free_threshold: 8,
             // The paper gives DFTL and µ-FTL GeckoFTL's GC scheme here.
             gc_policy: GcPolicy::MetadataAware,
             recovery: match kind {

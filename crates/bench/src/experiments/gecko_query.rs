@@ -15,7 +15,7 @@ use crate::report::{f3, Table};
 use flash_sim::{Geometry, IoPurpose, LatencyModel};
 use ftl_baselines::ftls::build_geckoftl_tuned;
 use ftl_workloads::{Mixed, Uniform};
-use geckoftl_core::ftl::{FtlConfig, GcPolicy, RecoveryPolicy};
+use geckoftl_core::ftl::FtlConfig;
 use geckoftl_core::gecko::GeckoConfig;
 use std::time::Instant;
 
@@ -64,14 +64,7 @@ fn gecko_cfg(fast: bool) -> GeckoConfig {
 
 fn run_variant(name: &'static str, fast: bool, measured_ops: u64) -> VariantResult {
     let geo = geometry();
-    let cfg = FtlConfig {
-        cache_entries: FtlConfig::scaled_cache_entries(&geo),
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
-        qos_headroom_blocks: 0,
-    };
+    let cfg = FtlConfig::geckoftl(&geo);
     let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg(fast));
     fill_sequential(&mut engine);
     let logical = geo.logical_pages();

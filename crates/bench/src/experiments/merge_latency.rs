@@ -22,7 +22,7 @@ use flash_sim::telemetry::{chrome_trace_json, TraceEvent};
 use flash_sim::{Geometry, Histogram, IoPurpose};
 use ftl_baselines::ftls::build_geckoftl_tuned;
 use ftl_workloads::{Mixed, WorkloadOp, Zipfian};
-use geckoftl_core::ftl::{FtlConfig, GcPolicy, RecoveryPolicy};
+use geckoftl_core::ftl::FtlConfig;
 use geckoftl_core::gecko::GeckoConfig;
 use std::time::Instant;
 
@@ -153,11 +153,7 @@ fn run_variant(
         // migrations — an orthogonal cost the scheduler neither adds nor
         // removes).
         cache_entries: 2048,
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
-        qos_headroom_blocks: 0,
+        ..FtlConfig::geckoftl(&geo)
     };
     let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg(sync_merge));
     fill_sequential(&mut engine);

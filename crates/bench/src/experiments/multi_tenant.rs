@@ -20,7 +20,7 @@
 use crate::report::{f3, Table};
 use flash_sim::{Geometry, Lpn};
 use ftl_workloads::{Mixed, OverwriteStorm, TenantMix, Trace, Uniform, WorkloadOp};
-use geckoftl_core::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 
 /// Per-tenant measured outcome of one engine variant.
@@ -82,11 +82,8 @@ fn run_variant(name: &'static str, headroom: usize, trace: &Trace) -> VariantRes
     let geo = geometry();
     let cfg = FtlConfig {
         cache_entries: 64,
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
         qos_headroom_blocks: headroom,
+        ..FtlConfig::geckoftl(&geo)
     };
     let gecko_cfg = GeckoConfig {
         page_header_bytes: geo.page_bytes - 64,

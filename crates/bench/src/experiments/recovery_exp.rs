@@ -6,21 +6,14 @@ use crate::harness::{drive, fill_sequential, sim_geometry};
 use crate::report::{f3, Table};
 use ftl_baselines::ftls::build_geckoftl_tuned;
 use ftl_workloads::Uniform;
-use geckoftl_core::ftl::{FtlConfig, GcPolicy, RecoveryPolicy};
+use geckoftl_core::ftl::FtlConfig;
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
 
 /// Run the crash-recovery experiment.
 pub fn run() -> Vec<Table> {
     let geo = sim_geometry();
-    let cfg = FtlConfig {
-        cache_entries: FtlConfig::scaled_cache_entries(&geo),
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
-        qos_headroom_blocks: 0,
-    };
+    let cfg = FtlConfig::geckoftl(&geo);
     let gecko_cfg = GeckoConfig::paper_default(&geo);
     let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg);
     fill_sequential(&mut engine);

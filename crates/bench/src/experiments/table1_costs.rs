@@ -48,7 +48,6 @@ pub fn run() -> Vec<Table> {
     let sim = sim_geometry();
     let cfg = |kind: BaselineKind| FtlConfig {
         cache_entries: FtlConfig::scaled_cache_entries(&sim),
-        gc_free_threshold: 8,
         gc_policy: kind.gc_policy(),
         recovery: kind.recovery_policy(),
         checkpoint_period: None,

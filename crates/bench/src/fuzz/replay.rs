@@ -30,7 +30,7 @@ use crate::fuzz::corpus_dir;
 use flash_sim::{FaultPlan, FaultStats, FlashDevice, Geometry, Lpn, SpanKind};
 use ftl_workloads::WorkloadOp;
 use geckoftl_core::ftl::metrics::wa_total;
-use geckoftl_core::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
 use std::collections::{BTreeMap, BTreeSet};
@@ -86,11 +86,7 @@ fn engine_for(sc: &Scenario, shards: u32) -> FtlEngine {
         // Clamp into what the tiny geometry's over-provisioning allows
         // (cache_entries must stay below half the spare pages).
         cache_entries: sc.cache_entries.clamp(16, 128),
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
-        qos_headroom_blocks: 0,
+        ..FtlConfig::geckoftl(&geo)
     };
     let gecko_cfg = GeckoConfig {
         page_header_bytes: geo.page_bytes - 64, // force real flush/merge activity

@@ -22,7 +22,7 @@ use flash_sim::Geometry;
 use ftl_workloads::{
     BurstyDiurnal, Mixed, OverwriteStorm, Scan, TenantMix, Trace, TrimWave, Uniform, WorkloadOp,
 };
-use geckoftl_core::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 use std::path::PathBuf;
 
@@ -40,11 +40,7 @@ pub fn golden_engine(shards: u32) -> FtlEngine {
     let geo = Geometry::tiny();
     let cfg = FtlConfig {
         cache_entries: 64,
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
-        qos_headroom_blocks: 0,
+        ..FtlConfig::geckoftl(&geo)
     };
     let gecko_cfg = GeckoConfig {
         page_header_bytes: geo.page_bytes - 64, // force real flush/merge activity

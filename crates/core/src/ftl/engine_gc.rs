@@ -2,7 +2,7 @@
 //! migration with UIP identification (§4.1), and the metadata-aware policy.
 
 use super::block_manager::BlockGroup;
-use super::{FtlEngine, GcPolicy};
+use super::{FtlEngine, GcPolicy, GC_FREE_THRESHOLD};
 use crate::cache::CacheEntry;
 use flash_sim::{BlockId, IoPurpose, PageData, PageOffset, Ppn, SpanKind, SpareInfo};
 
@@ -87,11 +87,11 @@ impl FtlEngine {
     /// victims' keys and coalesces probes landing on the same flash page —
     /// one pass over the store instead of a per-victim round trip.
     pub(crate) fn maybe_gc(&mut self) {
-        if self.bm.free_blocks() >= self.cfg.gc_free_threshold {
+        if self.bm.free_blocks() >= GC_FREE_THRESHOLD {
             return;
         }
         let t0 = self.dev.clock().now_us();
-        while self.bm.free_blocks() < self.cfg.gc_free_threshold {
+        while self.bm.free_blocks() < GC_FREE_THRESHOLD {
             self.plan_gc_burst();
             if self.collect_once() {
                 // Long GC bursts tick the checkpoint clock (migrations are
@@ -150,10 +150,7 @@ impl FtlEngine {
         if self.backend.gecko().is_none() {
             return; // non-Gecko stores keep plain greedy order
         }
-        let deficit = self
-            .cfg
-            .gc_free_threshold
-            .saturating_sub(self.bm.free_blocks());
+        let deficit = GC_FREE_THRESHOLD.saturating_sub(self.bm.free_blocks());
         if deficit < 2 {
             return; // a single collection gains nothing from planning
         }

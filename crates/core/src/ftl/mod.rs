@@ -66,13 +66,14 @@ pub enum RecoveryPolicy {
     CheckpointDeferred,
 }
 
+/// GC triggers when the free pool drops below this many blocks.
+pub const GC_FREE_THRESHOLD: usize = 8;
+
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct FtlConfig {
     /// `C`: capacity of the LRU mapping cache, in entries.
     pub cache_entries: usize,
-    /// GC triggers when the free pool drops below this many blocks.
-    pub gc_free_threshold: usize,
     /// Victim-selection policy.
     pub gc_policy: GcPolicy,
     /// Dirty-entry recovery scheme.
@@ -83,7 +84,7 @@ pub struct FtlConfig {
     pub checkpoint_period: Option<u64>,
     /// Multi-tenant QoS budget: when non-zero, a tenant whose writes have
     /// accumulated an above-average share of GC debt prepays collection
-    /// until the free pool holds `gc_free_threshold + qos_headroom_blocks`
+    /// until the free pool holds [`GC_FREE_THRESHOLD`]` + qos_headroom_blocks`
     /// blocks, so its bursts stop eating the headroom other tenants' p99
     /// depends on. `0` disables the mechanism (byte-identical to the
     /// pre-QoS engine).
@@ -101,7 +102,6 @@ impl FtlConfig {
     pub fn geckoftl(geo: &Geometry) -> Self {
         FtlConfig {
             cache_entries: Self::scaled_cache_entries(geo),
-            gc_free_threshold: 8,
             gc_policy: GcPolicy::MetadataAware,
             recovery: RecoveryPolicy::CheckpointDeferred,
             checkpoint_period: None, // filled from cache_entries at build
@@ -744,7 +744,7 @@ impl FtlEngine {
         if headroom == 0 {
             return false;
         }
-        if self.bm.free_blocks() >= self.cfg.gc_free_threshold + headroom {
+        if self.bm.free_blocks() >= GC_FREE_THRESHOLD + headroom {
             return false;
         }
         let mine = self.tenants.get(&tenant).map_or(0.0, |s| s.gc_debt_us);
@@ -758,7 +758,7 @@ impl FtlEngine {
     /// never becomes a forced-drain stall of its own.
     fn gc_prepay(&mut self) {
         let t0 = self.dev.clock().now_us();
-        let target = self.cfg.gc_free_threshold + self.cfg.qos_headroom_blocks;
+        let target = GC_FREE_THRESHOLD + self.cfg.qos_headroom_blocks;
         let mut budget = 2;
         while self.bm.free_blocks() < target && budget > 0 {
             if !self.collect_once() {

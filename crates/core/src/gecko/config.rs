@@ -2,6 +2,10 @@
 
 use flash_sim::Geometry;
 
+/// Size of a Gecko key in bytes: a block ID, 4 in the paper. Sizes entries
+/// ([`GeckoConfig::bits_per_entry`]) and the §3.3 partitioning rule.
+pub const KEY_BYTES: u32 = 4;
+
 /// Configuration of a [`crate::gecko::ShardedGecko`] store and its
 /// per-shard [`crate::gecko::LogGecko`] trees.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -16,8 +20,6 @@ pub struct GeckoConfig {
     /// Whether merges use the multi-way policy of Appendix A (merge all
     /// cascading runs at once) instead of recursive two-way merges.
     pub multiway_merge: bool,
-    /// Size of a Gecko key in bytes (4 in the paper: a block ID).
-    pub key_bytes: u32,
     /// Bytes reserved per run page for the in-page header (run ID, page
     /// index) and pre/postamble bookkeeping (Appendix C.1).
     pub page_header_bytes: u32,
@@ -60,7 +62,6 @@ impl Default for GeckoConfig {
             size_ratio: 2,
             partitions: 1,
             multiway_merge: true,
-            key_bytes: 4,
             page_header_bytes: 32,
             bloom_bits_per_key: 8,
             sync_merge: false,
@@ -75,7 +76,7 @@ impl GeckoConfig {
     /// (Figure 9) and `S = B / key-bits` (§3.3), with multi-way merging.
     pub fn paper_default(geo: &Geometry) -> Self {
         let cfg = GeckoConfig {
-            partitions: Self::recommended_partitions(geo, 4),
+            partitions: Self::recommended_partitions(geo),
             ..GeckoConfig::default()
         };
         cfg.validate(geo);
@@ -84,8 +85,8 @@ impl GeckoConfig {
 
     /// The §3.3 tuning rule `S = B / key` (in bits), clamped to a divisor of
     /// B and at least 1.
-    pub fn recommended_partitions(geo: &Geometry, key_bytes: u32) -> u32 {
-        let key_bits = key_bytes * 8;
+    pub fn recommended_partitions(geo: &Geometry) -> u32 {
+        let key_bits = KEY_BYTES * 8;
         let b = geo.pages_per_block;
         let mut s = (b / key_bits).max(1);
         while !b.is_multiple_of(s) {
@@ -133,7 +134,7 @@ impl GeckoConfig {
     /// The sub-key is packed into the key field's spare high bits, as in the
     /// paper's S=4 example ("a 32 bits key and a 32 bits chunk").
     pub fn bits_per_entry(&self, geo: &Geometry) -> u32 {
-        self.key_bytes * 8 + self.sub_bits(geo) + 1
+        KEY_BYTES * 8 + self.sub_bits(geo) + 1
     }
 
     /// `V`: number of Gecko entries that fit into one flash page (and hence
@@ -194,7 +195,6 @@ mod tests {
                 size_ratio: 2,
                 partitions: 1,
                 multiway_merge: true,
-                key_bytes: 4,
                 page_header_bytes: 32,
                 ..GeckoConfig::default()
             }
@@ -224,7 +224,6 @@ mod tests {
             size_ratio: 2,
             partitions: 1,
             multiway_merge: true,
-            key_bytes: 4,
             page_header_bytes: 32,
             ..GeckoConfig::default()
         };
@@ -262,7 +261,6 @@ mod tests {
             size_ratio: 2,
             partitions: 3,
             multiway_merge: true,
-            key_bytes: 4,
             page_header_bytes: 32,
             ..GeckoConfig::default()
         };

@@ -22,7 +22,7 @@ pub mod scheduler;
 pub mod sharded;
 
 pub use analysis::GeckoCostModel;
-pub use config::GeckoConfig;
+pub use config::{GeckoConfig, KEY_BYTES};
 pub use entry::{Bitmap, GeckoEntry, GeckoKey};
 pub use filter::RunFilter;
 pub use run::{GeckoPagePayload, Postamble, Run, RunDirEntry, RunId, RunMeta};
@@ -1013,7 +1013,6 @@ mod tests {
             size_ratio: t,
             partitions: s,
             multiway_merge: true,
-            key_bytes: 4,
             // Leave room for ~6 entries per page: shrink the usable space
             // via a huge header so flushes/merges happen at test scale.
             page_header_bytes: 4096 - 40,

@@ -24,11 +24,7 @@ fn small_engine(seed_cache: usize) -> FtlEngine {
     let geo = Geometry::tiny(); // 64 blocks × 16 pages, 716 logical pages
     let cfg = FtlConfig {
         cache_entries: seed_cache,
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
-        qos_headroom_blocks: 0,
+        ..FtlConfig::geckoftl(&geo)
     };
     let gecko = ValidityBackend::gecko_for(
         geo,
@@ -216,7 +212,6 @@ fn greedy_policy_also_preserves_data() {
     let geo = Geometry::tiny();
     let cfg = FtlConfig {
         cache_entries: 64,
-        gc_free_threshold: 8,
         gc_policy: GcPolicy::GreedyAll,
         recovery: RecoveryPolicy::CheckpointDeferred,
         checkpoint_period: None,
@@ -261,7 +256,6 @@ fn restricted_dirty_policy_bounds_dirty_entries() {
     let geo = Geometry::tiny();
     let cfg = FtlConfig {
         cache_entries: 64,
-        gc_free_threshold: 8,
         gc_policy: GcPolicy::GreedyAll,
         recovery: RecoveryPolicy::RestrictedDirty { fraction: 0.1 },
         checkpoint_period: None,
@@ -390,11 +384,7 @@ fn bloom_on_and_off_gc_collect_identical_victim_sequences() {
         let geo = Geometry::tiny();
         let cfg = FtlConfig {
             cache_entries: 64,
-            gc_free_threshold: 8,
-            gc_policy: GcPolicy::MetadataAware,
-            recovery: RecoveryPolicy::CheckpointDeferred,
-            checkpoint_period: None,
-            qos_headroom_blocks: 0,
+            ..FtlConfig::geckoftl(&geo)
         };
         let gecko = ValidityBackend::gecko_for(
             geo,
@@ -621,11 +611,8 @@ fn qos_headroom_is_byte_identical_when_disabled_and_prepays_when_on() {
         let geo = Geometry::tiny();
         let cfg = FtlConfig {
             cache_entries: 64,
-            gc_free_threshold: 8,
-            gc_policy: GcPolicy::MetadataAware,
-            recovery: RecoveryPolicy::CheckpointDeferred,
-            checkpoint_period: None,
             qos_headroom_blocks: headroom,
+            ..FtlConfig::geckoftl(&geo)
         };
         let gecko = ValidityBackend::gecko_for(
             geo,

@@ -12,7 +12,7 @@
 //! exactly.
 
 use flash_sim::{BlockId, FlashDevice, Geometry, Lpn, Ppn};
-use geckoftl_core::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::{GeckoConfig, LogGecko, ShardedGecko};
 use geckoftl_core::recovery::gecko_recover;
 use geckoftl_core::validity::FlatMetaSink;
@@ -213,11 +213,7 @@ fn incremental_engine(merge_step_pages: u32) -> FtlEngine {
     let geo = Geometry::tiny();
     let cfg = FtlConfig {
         cache_entries: 64,
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
-        qos_headroom_blocks: 0,
+        ..FtlConfig::geckoftl(&geo)
     };
     let gecko = ValidityBackend::gecko_for(
         geo,
@@ -480,11 +476,7 @@ fn engine_equivalence_across_step_budgets() {
     let build = |sync: bool, step: u32| {
         let cfg = FtlConfig {
             cache_entries: 64,
-            gc_free_threshold: 8,
-            gc_policy: GcPolicy::MetadataAware,
-            recovery: RecoveryPolicy::CheckpointDeferred,
-            checkpoint_period: None,
-            qos_headroom_blocks: 0,
+            ..FtlConfig::geckoftl(&geo)
         };
         let gecko = ValidityBackend::gecko_for(
             geo,

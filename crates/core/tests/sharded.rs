@@ -9,7 +9,7 @@
 //! logically rather than byte-wise.
 
 use flash_sim::{BlockId, FlashDevice, Geometry, Lpn, Ppn};
-use geckoftl_core::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::{GeckoConfig, LogGecko, ShardedGecko};
 use geckoftl_core::recovery::gecko_recover;
 use geckoftl_core::validity::FlatMetaSink;
@@ -194,11 +194,7 @@ fn engine_with_shards(shards: u32) -> FtlEngine {
     let geo = Geometry::tiny().with_channels(shards.max(1));
     let cfg = FtlConfig {
         cache_entries: 64,
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
-        qos_headroom_blocks: 0,
+        ..FtlConfig::geckoftl(&geo)
     };
     let gecko_cfg = GeckoConfig {
         page_header_bytes: geo.page_bytes - 64,

@@ -4,9 +4,7 @@
 
 use geckoftl::flash_sim::{EraseFault, FaultPlan, Geometry, Lpn, WriteFault};
 use geckoftl::ftl_baselines::{build, BaselineKind};
-use geckoftl::geckoftl_core::ftl::{
-    FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend,
-};
+use geckoftl::geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl::geckoftl_core::gecko::GeckoConfig;
 use geckoftl::geckoftl_core::recovery::gecko_recover;
 use proptest::prelude::*;
@@ -16,11 +14,7 @@ fn tiny_gecko_engine(cache: usize) -> FtlEngine {
     let geo = Geometry::tiny();
     let cfg = FtlConfig {
         cache_entries: cache,
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
-        qos_headroom_blocks: 0,
+        ..FtlConfig::geckoftl(&geo)
     };
     let gecko = ValidityBackend::gecko_for(
         geo,

@@ -62,7 +62,6 @@ fn run_case(
         size_ratio,
         partitions,
         multiway_merge: multiway,
-        key_bytes: 4,
         page_header_bytes: header,
         sync_merge: pump_budget.is_none(),
         ..GeckoConfig::default()
@@ -174,7 +173,6 @@ proptest! {
             size_ratio: 2,
             partitions: 1,
             multiway_merge: true,
-            key_bytes: 4,
             page_header_bytes: 4096 - 64,
             ..GeckoConfig::default()
         };

@@ -4,9 +4,7 @@
 //! tree under TRIM-heavy workloads.
 
 use geckoftl::flash_sim::{Geometry, Lpn};
-use geckoftl::geckoftl_core::ftl::{
-    FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend,
-};
+use geckoftl::geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl::geckoftl_core::gecko::GeckoConfig;
 use geckoftl::geckoftl_core::recovery::gecko_recover;
 use proptest::prelude::*;
@@ -32,11 +30,7 @@ fn gecko_engine(cache: usize, shards: u32) -> FtlEngine {
     let geo = Geometry::tiny();
     let cfg = FtlConfig {
         cache_entries: cache,
-        gc_free_threshold: 8,
-        gc_policy: GcPolicy::MetadataAware,
-        recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
-        qos_headroom_blocks: 0,
+        ..FtlConfig::geckoftl(&geo)
     };
     let gecko_cfg = GeckoConfig {
         page_header_bytes: geo.page_bytes - 64, // force real flush/merge activity
