@@ -97,18 +97,10 @@ pub fn build_with(kind: BaselineKind, geo: Geometry, cfg: FtlConfig) -> FtlEngin
             cfg,
             ValidityBackend::External(Box::new(RamPvb::new(geo))),
         ),
-        BaselineKind::MuFtl => {
-            // The flash PVB must be materialized on the same device the
-            // engine will use, so build in two steps.
-            let mut engine = FtlEngine::format(
-                geo,
-                cfg,
-                ValidityBackend::External(Box::new(RamPvb::new(geo))), // placeholder
-            );
-            let pvb = engine.with_raw_parts(|dev, bm| FlashPvb::format(geo, dev, bm));
-            engine.replace_backend(ValidityBackend::External(Box::new(pvb)));
-            engine
-        }
+        // The flash PVB is materialized on the device the engine will use.
+        BaselineKind::MuFtl => FtlEngine::format_with(geo, cfg, |dev, bm| {
+            ValidityBackend::External(Box::new(FlashPvb::format(geo, dev, bm)))
+        }),
         BaselineKind::IbFtl => FtlEngine::format(
             geo,
             cfg,

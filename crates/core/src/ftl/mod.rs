@@ -305,19 +305,19 @@ pub struct EngineCounters {
 
 impl FtlEngine {
     /// Format a fresh device and build an engine on it.
-    pub fn format(geo: Geometry, mut cfg: FtlConfig, backend: ValidityBackend) -> Self {
-        let dev = FlashDevice::new(geo);
-        Self::format_on(dev, &mut cfg, backend)
+    pub fn format(geo: Geometry, cfg: FtlConfig, backend: ValidityBackend) -> Self {
+        Self::format_with(geo, cfg, |_, _| backend)
     }
 
-    /// Build GeckoFTL with paper-default tuning on a fresh device.
-    pub fn geckoftl(geo: Geometry) -> Self {
-        let backend = ValidityBackend::gecko_for(geo, GeckoConfig::paper_default(&geo));
-        Self::format(geo, FtlConfig::geckoftl(&geo), backend)
-    }
-
-    fn format_on(mut dev: FlashDevice, cfg: &mut FtlConfig, backend: ValidityBackend) -> Self {
-        let geo = dev.geometry();
+    /// As [`FtlEngine::format`], for a validity store that is itself
+    /// flash-resident (µ-FTL's PVB): `make_backend` materializes it on the
+    /// engine's own freshly formatted device.
+    #[doc(hidden)]
+    pub fn format_with(
+        geo: Geometry,
+        mut cfg: FtlConfig,
+        make_backend: impl FnOnce(&mut FlashDevice, &mut BlockManager) -> ValidityBackend,
+    ) -> Self {
         if cfg.checkpoint_period.is_none()
             && matches!(cfg.recovery, RecoveryPolicy::CheckpointDeferred)
         {
@@ -327,33 +327,25 @@ impl FtlEngine {
             (cfg.cache_entries as u64) < geo.overprovisioned_pages() / 2,
             "cache too large: unidentified invalid pages could starve GC"
         );
+        let mut dev = FlashDevice::new(geo);
         let mut bm = BlockManager::new(geo);
         bm.erase_empty_metadata = cfg.gc_policy == GcPolicy::MetadataAware;
         let mut tt = TranslationTable::new(geo);
         tt.format(&mut dev, &mut bm);
         let cache = MappingCache::new(cfg.cache_entries);
-        FtlEngine {
-            dev,
-            bm,
-            tt,
-            cache,
-            backend,
-            cfg: *cfg,
-            epoch: 1,
-            ops_since_checkpoint: 0,
-            last_flush_seen: 0,
-            gc_invalidated: HashSet::new(),
-            gc_prefetch: HashMap::new(),
-            gc_plan: std::collections::VecDeque::new(),
-            counters: EngineCounters::default(),
-            tenants: BTreeMap::new(),
-            gc_attrib_us: 0.0,
-        }
+        let backend = make_backend(&mut dev, &mut bm);
+        Self::from_parts(dev, bm, tt, cache, backend, cfg)
     }
 
-    /// Reassemble an engine from recovered components. Used by GeckoRec and
-    /// by the baselines' clean-shutdown restart; not part of the ordinary
-    /// API surface.
+    /// Build GeckoFTL with paper-default tuning on a fresh device.
+    pub fn geckoftl(geo: Geometry) -> Self {
+        let backend = ValidityBackend::gecko_for(geo, GeckoConfig::paper_default(&geo));
+        Self::format(geo, FtlConfig::geckoftl(&geo), backend)
+    }
+
+    /// Assemble an engine from its components: freshly formatted ones, or
+    /// those GeckoRec / the baselines' clean-shutdown restart recovered. Not
+    /// part of the ordinary API surface.
     #[doc(hidden)]
     pub fn from_parts(
         dev: FlashDevice,
@@ -446,20 +438,13 @@ impl FtlEngine {
         self.dev
     }
 
-    /// Run a closure with mutable access to the device and block manager —
-    /// needed to materialize flash-resident baseline stores on the engine's
-    /// own device (e.g. µ-FTL's PVB formatting).
+    /// Run a closure with mutable access to the device and block manager
+    /// (fault plans and crash images in the fuzzer and the property tests).
     pub fn with_raw_parts<R>(
         &mut self,
         f: impl FnOnce(&mut FlashDevice, &mut BlockManager) -> R,
     ) -> R {
         f(&mut self.dev, &mut self.bm)
-    }
-
-    /// Swap the validity backend. Intended for baseline construction only —
-    /// swapping mid-workload would discard validity state.
-    pub fn replace_backend(&mut self, backend: ValidityBackend) {
-        self.backend = backend;
     }
 
     /// Application write: store a new version of logical page `lpn`.
