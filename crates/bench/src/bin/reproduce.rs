@@ -11,7 +11,7 @@
 //! reproduce check-trace trace.json  # validate a trace file (CI)
 //! ```
 
-use gecko_bench::experiments::{find, ALL};
+use gecko_bench::experiments::{find, RunOptions, ALL};
 use gecko_bench::report::{format_table, write_csv};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -20,6 +20,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut slugs: Vec<&str> = Vec::new();
     let mut csv_dir: Option<PathBuf> = None;
+    let mut opts = RunOptions::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -29,18 +30,19 @@ fn main() {
                     args.get(i).map(String::as_str).unwrap_or("results"),
                 ));
             }
-            "--smoke" => gecko_bench::smoke::set(true),
+            "--smoke" => opts.smoke = true,
             "--shards" => {
                 i += 1;
-                let n = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                let n = args.get(i).and_then(|s| s.parse().ok()).filter(|&n| n > 0);
+                if n.is_none() {
                     eprintln!("--shards needs a positive integer");
                     std::process::exit(2);
-                });
-                gecko_bench::shards::set(n);
+                }
+                opts.shards = n;
             }
             "--trace" => {
                 i += 1;
-                gecko_bench::tracing::set(args.get(i).map(String::as_str).unwrap_or("trace.json"));
+                opts.trace = Some(args.get(i).cloned().unwrap_or_else(|| "trace.json".into()));
             }
             "check-trace" => {
                 i += 1;
@@ -76,7 +78,7 @@ fn main() {
         };
         let started = Instant::now();
         eprintln!(">> running {slug}: {}", exp.what);
-        let tables = (exp.run)();
+        let tables = (exp.run)(&opts);
         for t in &tables {
             println!("{}", format_table(t));
         }

@@ -5,6 +5,7 @@
 //! 2. Metadata-aware GC (§4.2) vs the greedy policy.
 //! 3. Checkpoints (§4.3) on/off: runtime sync cost vs recovery-scan size.
 
+use super::RunOptions;
 use crate::harness::{drive, fill_sequential, measure_uniform, sim_geometry};
 use crate::report::{f3, Table};
 use ftl_baselines::ftls::{build_geckoftl_tuned, build_with};
@@ -15,7 +16,7 @@ use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::{gecko_recover, RecoveryStep};
 
 /// Run all ablations.
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let geo = sim_geometry();
 
     // ---- 1. Multi-way merging. ------------------------------------------
@@ -133,7 +134,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn ablations_show_expected_tradeoffs() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         // Metadata-aware GC must not be worse overall than greedy, and for
         // DFTL (whose greedy collector migrates translation blocks) it must
         // cut translation WA.

@@ -6,13 +6,14 @@
 //! the device, plus the wear spread that the Appendix-D leveler would have
 //! to even out.
 
+use super::RunOptions;
 use crate::harness::{drive, fill_sequential, sim_geometry};
 use crate::report::{f3, Table};
 use ftl_baselines::{build, BaselineKind};
 use ftl_workloads::Uniform;
 
 /// Run the endurance comparison.
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let geo = sim_geometry();
     let mut t = Table::new(
         "Endurance — erase pressure per FTL for the same 60k-update workload",
@@ -69,7 +70,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn geckoftl_extends_lifetime_over_flash_pvb() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         let rows = &tables[0].rows;
         let rate = |ftl: &str| -> f64 {
             rows.iter().find(|r| r[0] == ftl).unwrap()[2]

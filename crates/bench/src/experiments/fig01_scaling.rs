@@ -2,11 +2,12 @@
 //! device capacity grows (the paper's motivation figure). Pure model, at
 //! full paper scale, exactly as the paper derives it.
 
+use super::RunOptions;
 use crate::report::{human_bytes, Table};
 use ftl_models::{capacity_sweep, FtlName};
 
 /// Run the Figure-1 sweep: 8 GB → 16 TB.
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 1 — LazyFTL RAM requirement and recovery time vs device capacity",
         &["capacity", "ram", "ram_bytes", "recovery_s"],
@@ -39,7 +40,7 @@ pub fn run() -> Vec<Table> {
 mod tests {
     #[test]
     fn produces_monotone_curves() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         assert_eq!(tables.len(), 2);
         let ram: Vec<u64> = tables[0]
             .rows

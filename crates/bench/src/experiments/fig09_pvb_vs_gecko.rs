@@ -6,6 +6,7 @@
 //! per interval of 10 000 application writes. Bottom panel: the same as
 //! write-amplification (`w + r/δ`).
 
+use super::RunOptions;
 use crate::harness::{sim_geometry, Driver};
 use crate::report::{f3, Table};
 use flash_sim::IoPurpose;
@@ -30,7 +31,7 @@ fn validity_io(delta: &flash_sim::StatsSnapshot) -> (u64, u64) {
 }
 
 /// Run the Figure-9 comparison.
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let geo = sim_geometry();
     let base_cfg = FtlConfig::geckoftl(&geo);
 
@@ -98,7 +99,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn t2_is_optimal_and_all_geckos_beat_pvb() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         let summary = &tables[0];
         let wa: Vec<f64> = summary.rows.iter().map(|r| r[3].parse().unwrap()).collect();
         // rows: T=2, T=4, T=8, T=16, PVB

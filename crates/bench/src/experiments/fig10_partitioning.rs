@@ -3,6 +3,7 @@
 //! B because fewer entries fit into the buffer; with the tuning rule
 //! S = B/key-bits, it stays flat; over-partitioning re-inflates space.
 
+use super::RunOptions;
 use crate::harness::measure_uniform;
 use crate::report::{f3, Table};
 use flash_sim::Geometry;
@@ -11,7 +12,7 @@ use geckoftl_core::ftl::FtlConfig;
 use geckoftl_core::gecko::GeckoConfig;
 
 /// Run the Figure-10 sweep: B ∈ {64,128,256,512} × S ∈ {1,2,4,8,16,32}.
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 10 — validity WA vs block size B and partitioning factor S (S*=B/32 is the tuning rule)",
         &["B", "S", "V (buffer entries)", "validity WA"],
@@ -50,7 +51,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn unpartitioned_wa_grows_with_b_but_tuned_is_flat() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         let rows = &tables[0].rows;
         let wa_of = |b: &str, s_prefix: &str| -> f64 {
             rows.iter()

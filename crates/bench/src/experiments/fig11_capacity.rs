@@ -3,6 +3,7 @@
 //! the crossover sits at an astronomically large capacity (~2¹⁰⁰× — here
 //! computed from the analytical model).
 
+use super::RunOptions;
 use crate::harness::measure_uniform;
 use crate::report::{f3, Table};
 use flash_sim::Geometry;
@@ -14,7 +15,7 @@ use geckoftl_core::gecko::GeckoConfig;
 
 /// Run the Figure-11 capacity sweep (K = 2¹⁰ .. 2¹³ simulated, crossover
 /// extrapolated analytically).
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 11 — validity WA vs number of blocks K (B=128, 4 KB pages, R=0.7)",
         &[
@@ -77,7 +78,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn gecko_stays_below_pvb_and_grows_slowly() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         let rows = &tables[0].rows;
         for r in rows {
             let gecko: f64 = r[2].parse().unwrap();

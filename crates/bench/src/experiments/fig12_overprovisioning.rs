@@ -3,6 +3,7 @@
 //! application writes — more GC *queries* — but queries are cheap reads, so
 //! the WA contribution stays small (§5.2).
 
+use super::RunOptions;
 use crate::harness::measure_uniform;
 use crate::report::{f3, Table};
 use flash_sim::{Geometry, IoPurpose};
@@ -11,7 +12,7 @@ use geckoftl_core::ftl::FtlConfig;
 use geckoftl_core::gecko::GeckoConfig;
 
 /// Run the Figure-12 sweep over R ∈ {0.5 .. 0.9}.
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 12 — Gecko validity IO vs over-provisioning (R = logical/physical)",
         &[
@@ -56,7 +57,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn queries_rise_with_r_but_wa_stays_low() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         let rows = &tables[0].rows;
         let q_low: f64 = rows.first().unwrap()[1].parse().unwrap();
         let q_high: f64 = rows.last().unwrap()[1].parse().unwrap();

@@ -5,6 +5,7 @@
 //! the paper); the WA panel replays one recorded uniform-update trace
 //! against all five simulated FTLs.
 
+use super::RunOptions;
 use crate::harness::{drive, fill_sequential, sim_geometry};
 use crate::report::{f3, human_bytes, Table};
 use flash_sim::Geometry;
@@ -25,7 +26,7 @@ fn model_name(kind: BaselineKind) -> FtlName {
 }
 
 /// Run the three Figure-13 panels.
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let paper = Geometry::paper_2tb();
     let lat = flash_sim::LatencyModel::paper();
 
@@ -114,7 +115,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn headline_claims_hold() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         let ram_total = &tables[0];
         let rec_total = &tables[2];
         let wa = &tables[4];

@@ -10,6 +10,7 @@
 //! All three run GeckoFTL's garbage-collection scheme, per the paper's
 //! apples-to-apples setup.
 
+use super::RunOptions;
 use crate::harness::{drive, fill_sequential, sim_geometry};
 use crate::report::{f3, Table};
 use ftl_baselines::{build_with, BaselineKind};
@@ -17,7 +18,7 @@ use ftl_workloads::Uniform;
 use geckoftl_core::ftl::{FtlConfig, GcPolicy, RecoveryPolicy};
 
 /// Run the Figure-14 comparison.
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let geo = sim_geometry();
     // Budget: the RAM PVB size converted into cache entries (8 B each),
     // mirroring the paper's 64 MB → +60 MB-of-cache trade.
@@ -92,7 +93,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn geckoftl_gets_best_of_both_worlds() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         let rows = &tables[0].rows;
         let get = |i: usize, col: usize| -> f64 { rows[i][col].parse().unwrap() };
         let (dftl, mu, gecko) = (0, 1, 2);

@@ -10,6 +10,7 @@
 //! Table 1 bounds at one read per run. Results are also emitted as
 //! `BENCH_gecko_query.json` so the repo carries a machine-readable baseline.
 
+use super::RunOptions;
 use crate::harness::{drive, fill_sequential};
 use crate::report::{f3, Table};
 use flash_sim::{Geometry, IoPurpose, LatencyModel};
@@ -160,7 +161,7 @@ fn emit_json(baseline: &VariantResult, fast: &VariantResult, measured_ops: u64) 
 }
 
 /// Run the GC-query fast-path A/B and emit `BENCH_gecko_query.json`.
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let measured_ops = 40_000;
     let baseline = run_variant("baseline (no bloom filters)", false, measured_ops);
     let fast = run_variant("fast path (bloom+fence+batch)", true, measured_ops);
@@ -231,7 +232,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn fast_path_reduces_reads_per_query() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         let rows = &tables[0].rows;
         let reads_per_query = |name_frag: &str| -> f64 {
             rows.iter()

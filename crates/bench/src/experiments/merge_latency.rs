@@ -15,6 +15,7 @@
 //! merge IO happens, not *what* the FTL stores. Results land in
 //! `BENCH_merge_latency.json`.
 
+use super::RunOptions;
 use crate::fuzz::oracle::audit_state;
 use crate::harness::fill_sequential;
 use crate::report::{f3, Table};
@@ -60,16 +61,14 @@ fn geometry() -> Geometry {
     Geometry::new(256, 128, 4096, 0.5).with_channels(4)
 }
 
-fn gecko_cfg(sync_merge: bool) -> GeckoConfig {
+fn gecko_cfg(sync_merge: bool, shards: u32) -> GeckoConfig {
     GeckoConfig {
         // Shrink usable page space so flushes/merges build a real
         // multi-level tree at simulation scale (V ≈ 31 entries).
         page_header_bytes: 4096 - 256,
         sync_merge,
         merge_step_pages: 4,
-        // `reproduce ... --shards N` splits the validity store into N
-        // per-channel trees (N = channels aligns shard and channel).
-        shards: crate::shards::get().unwrap_or(1),
+        shards,
         ..GeckoConfig::paper_default(&geometry())
     }
 }
@@ -142,6 +141,7 @@ fn export_trace(
 fn run_variant(
     name: String,
     sync_merge: bool,
+    shards: u32,
     measured_writes: usize,
     trace: Option<&str>,
 ) -> VariantResult {
@@ -155,7 +155,7 @@ fn run_variant(
         cache_entries: 2048,
         ..FtlConfig::geckoftl(&geo)
     };
-    let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg(sync_merge));
+    let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg(sync_merge, shards));
     fill_sequential(&mut engine);
     let logical = geo.logical_pages();
     // Zipfian-skewed updates + 25 % reads: a realistic mixed workload whose
@@ -241,7 +241,8 @@ fn run_variant(
     // merges through every idle gap.
     let backlog_pages = |e: &geckoftl_core::ftl::FtlEngine| e.backend().merge_backlog_pages();
     let debt = backlog_pages(&engine);
-    let quantum = 8 * geo.channels as u64 * gecko_cfg(sync_merge).merge_step_pages.max(1) as u64;
+    let quantum =
+        8 * geo.channels as u64 * gecko_cfg(sync_merge, shards).merge_step_pages.max(1) as u64;
     // Slack: installs during the drain can cascade-plan further merges.
     let allowed = 4 * debt.div_ceil(quantum) + 16;
     let mut ticks = 0u64;
@@ -322,7 +323,7 @@ fn json_variant(v: &VariantResult) -> String {
     )
 }
 
-fn emit_json(sync: &VariantResult, inc: &VariantResult, measured_writes: usize) {
+fn emit_json(sync: &VariantResult, inc: &VariantResult, shards: u32, measured_writes: usize) {
     let pct = |a: f64, b: f64| 100.0 * (1.0 - b / a.max(1e-9));
     let geo = geometry();
     let geo_str = format!(
@@ -350,8 +351,8 @@ fn emit_json(sync: &VariantResult, inc: &VariantResult, measured_writes: usize) 
         ),
         measured_writes,
         geo_str,
-        gecko_cfg(false).merge_step_pages,
-        gecko_cfg(false).shards,
+        gecko_cfg(false, shards).merge_step_pages,
+        shards,
         json_variant(sync),
         json_variant(inc),
         pct(sync.lat.quantile(0.99), inc.lat.quantile(0.99)),
@@ -373,18 +374,24 @@ fn emit_json(sync: &VariantResult, inc: &VariantResult, measured_writes: usize) 
 
 /// Run the merge-latency A/B and emit `BENCH_merge_latency.json`. In smoke
 /// mode (CI) the measured interval shrinks and the JSON is not rewritten.
-pub fn run() -> Vec<Table> {
-    let smoke = crate::smoke::on();
-    let measured_writes = if smoke { 5_000 } else { 40_000 };
-    let sync = run_variant("sync merges (paper)".into(), true, measured_writes, None);
+pub fn run(opts: &RunOptions) -> Vec<Table> {
+    let measured_writes = if opts.smoke { 5_000 } else { 40_000 };
+    // N = channels aligns each shard with one flash channel.
+    let shards = opts.shards.unwrap_or(1);
+    let sync = run_variant(
+        "sync merges (paper)".into(),
+        true,
+        shards,
+        measured_writes,
+        None,
+    );
     // The incremental variant is the one worth a timeline: its merge slices
     // overlap across channels, which is exactly what the per-channel lanes
     // of the Chrome trace make visible.
-    let shards = gecko_cfg(false).shards;
     let inc = run_variant(
         format!(
             "incremental (step={}, {}ch{})",
-            gecko_cfg(false).merge_step_pages,
+            gecko_cfg(false, shards).merge_step_pages,
             geometry().channels,
             if shards > 1 {
                 format!(", {shards} shards")
@@ -393,8 +400,9 @@ pub fn run() -> Vec<Table> {
             }
         ),
         false,
+        shards,
         measured_writes,
-        crate::tracing::path(),
+        opts.trace.as_deref(),
     );
 
     let mut t = Table::new(
@@ -434,8 +442,8 @@ pub fn run() -> Vec<Table> {
             f3(v.wall_secs),
         ]);
     }
-    if !smoke {
-        emit_json(&sync, &inc, measured_writes);
+    if !opts.smoke {
+        emit_json(&sync, &inc, shards, measured_writes);
     }
     vec![t]
 }
@@ -445,7 +453,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn incremental_merges_cut_the_write_tail() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         let rows = &tables[0].rows;
         let cell = |name_frag: &str, col: usize| -> f64 {
             rows.iter()

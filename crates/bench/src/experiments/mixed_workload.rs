@@ -11,6 +11,7 @@
 //! ratio. This experiment measures RA and WA per FTL across read ratios and
 //! evaluates the formula — the generalization the paper asserts.
 
+use super::RunOptions;
 use crate::harness::{drive, fill_sequential, sim_geometry};
 use crate::report::{f3, Table};
 use flash_sim::IoPurpose;
@@ -18,7 +19,7 @@ use ftl_baselines::{build, BaselineKind};
 use ftl_workloads::{Mixed, Uniform};
 
 /// Run the mixed-workload generalization experiment.
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let geo = sim_geometry();
     let mut t = Table::new(
         "Mixed workloads — read-amplification, write-amplification and the §5 slowdown factor",
@@ -73,7 +74,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn geckoftl_generalizes_to_mixed_workloads() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         let rows = &tables[0].rows;
         // At every read ratio, GeckoFTL's WA stays below µ-FTL's, so its
         // slowdown factor is at least as good.

@@ -21,6 +21,24 @@ pub mod table1_costs;
 
 use crate::report::Table;
 
+/// What the `reproduce` command line asks of the experiments it runs. The
+/// default is the full configuration, which the release-only experiment
+/// tests use.
+#[derive(Clone, Debug, Default)]
+pub struct RunOptions {
+    /// `--smoke`: shrink the heavy experiments (`merge_latency`,
+    /// `multi_tenant`, `fuzz`) to CI-sized runs and skip rewriting the
+    /// committed JSON baselines.
+    pub smoke: bool,
+    /// `--shards N`: split the validity store into N per-channel Gecko
+    /// trees instead of one (honoured by `merge_latency`).
+    pub shards: Option<u32>,
+    /// `--trace FILE`: record telemetry over the measured interval and
+    /// export a Chrome Trace Event Format JSON timeline (honoured by
+    /// `merge_latency`; load it in `chrome://tracing` / Perfetto).
+    pub trace: Option<String>,
+}
+
 /// An experiment: a slug (CLI name / CSV prefix) and a runner.
 pub struct Experiment {
     /// CLI name, e.g. `fig9`.
@@ -28,7 +46,7 @@ pub struct Experiment {
     /// One-line description.
     pub what: &'static str,
     /// Runner producing the experiment's tables.
-    pub run: fn() -> Vec<Table>,
+    pub run: fn(&RunOptions) -> Vec<Table>,
 }
 
 /// All experiments in paper order.

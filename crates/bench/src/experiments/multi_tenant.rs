@@ -17,6 +17,7 @@
 //! `BENCH_multi_tenant.json` so the repo carries a machine-readable
 //! baseline of the isolation claim.
 
+use super::RunOptions;
 use crate::report::{f3, Table};
 use flash_sim::{Geometry, Lpn};
 use ftl_workloads::{Mixed, OverwriteStorm, TenantMix, Trace, Uniform, WorkloadOp};
@@ -179,8 +180,8 @@ fn emit_json(off: &VariantResult, on: &VariantResult, ops: usize) {
 }
 
 /// Run the per-tenant QoS A/B and emit `BENCH_multi_tenant.json`.
-pub fn run() -> Vec<Table> {
-    let ops = if crate::smoke::on() { 12_000 } else { 60_000 };
+pub fn run(opts: &RunOptions) -> Vec<Table> {
+    let ops = if opts.smoke { 12_000 } else { 60_000 };
     let trace = workload(ops);
     let off = run_variant("qos off (headroom 0)", 0, &trace);
     let on = run_variant("qos on (headroom 4)", 4, &trace);
@@ -212,7 +213,7 @@ pub fn run() -> Vec<Table> {
             ]);
         }
     }
-    if !crate::smoke::on() {
+    if !opts.smoke {
         emit_json(&off, &on, ops);
     }
     vec![t]

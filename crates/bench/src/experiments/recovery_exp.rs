@@ -2,6 +2,7 @@
 //! the measured per-step IO — the executable counterpart of the Appendix-C
 //! cost model (and the proof that recovery really restores all data).
 
+use super::RunOptions;
 use crate::harness::{drive, fill_sequential, sim_geometry};
 use crate::report::{f3, Table};
 use ftl_baselines::ftls::build_geckoftl_tuned;
@@ -11,7 +12,7 @@ use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
 
 /// Run the crash-recovery experiment.
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let geo = sim_geometry();
     let cfg = FtlConfig::geckoftl(&geo);
     let gecko_cfg = GeckoConfig::paper_default(&geo);
@@ -77,7 +78,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn recovery_is_far_cheaper_than_brute_force() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         let s = &tables[0];
         let total: f64 = s.rows[0][1].parse().unwrap();
         let brute: f64 = s.rows[6][1].parse().unwrap();

@@ -2,6 +2,7 @@
 //! page-validity techniques — analytical at paper scale, plus an empirical
 //! spot check of the amortized Gecko update cost from simulation.
 
+use super::RunOptions;
 use crate::harness::{measure_uniform, sim_geometry};
 use crate::report::{f3, human_bytes, Table};
 use flash_sim::Geometry;
@@ -10,7 +11,7 @@ use geckoftl_core::ftl::FtlConfig;
 use geckoftl_core::gecko::analysis::{FlashPvbCostModel, GeckoCostModel};
 
 /// Run the Table-1 reproduction.
-pub fn run() -> Vec<Table> {
+pub fn run(_: &RunOptions) -> Vec<Table> {
     let geo = Geometry::paper_2tb();
     let gecko = GeckoCostModel::paper_default(geo);
     let delta = 10.0;
@@ -107,7 +108,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
     fn gecko_beats_flash_pvb_empirically() {
-        let tables = super::run();
+        let tables = super::run(&Default::default());
         let emp = &tables[1];
         let gecko_wa: f64 = emp.rows[0][3].parse().unwrap();
         let pvb_wa: f64 = emp.rows[1][3].parse().unwrap();

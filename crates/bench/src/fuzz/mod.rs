@@ -30,6 +30,7 @@ pub use mutate::{
 pub use replay::{replay, replay_corpus, Fitness, Outcome};
 pub use scenario::Scenario;
 
+use crate::experiments::RunOptions;
 use crate::report::{f3, Table};
 use rand::{rngs::StdRng, SeedableRng};
 use std::io::Write;
@@ -265,8 +266,8 @@ pub fn campaign(seed: u64, budget: Budget) -> Vec<Table> {
 
 /// The `fuzz` experiment: time-bounded fixed-seed campaign. `--smoke`
 /// shrinks it to CI size (a few seconds); the full run digs deeper.
-pub fn run() -> Vec<Table> {
-    let budget = if crate::smoke::on() {
+pub fn run(opts: &RunOptions) -> Vec<Table> {
+    let budget = if opts.smoke {
         Budget {
             rounds: 40,
             trace_ops: 800,
