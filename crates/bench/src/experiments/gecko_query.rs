@@ -26,7 +26,6 @@ struct VariantResult {
     validity_query_reads: u64,
     gc_queries: u64,
     gc_operations: u64,
-    batch_queries: u64,
     bloom_skips: u64,
     fence_probes: u64,
     wall_secs: f64,
@@ -86,7 +85,6 @@ fn run_variant(name: &'static str, fast: bool, measured_ops: u64) -> VariantResu
         validity_query_reads: delta.counts(IoPurpose::ValidityQuery).page_reads,
         gc_queries: gecko_after.queries - gecko_before.queries,
         gc_operations: engine.counters.gc_operations - counters_before.gc_operations,
-        batch_queries: gecko_after.batch_queries - gecko_before.batch_queries,
         bloom_skips: gecko_after.bloom_skips - gecko_before.bloom_skips,
         fence_probes: gecko_after.fence_probes - gecko_before.fence_probes,
         wall_secs,
@@ -107,7 +105,6 @@ fn json_escape_free(v: &VariantResult) -> String {
             "      \"validity_query_reads\": {},\n",
             "      \"gc_queries\": {},\n",
             "      \"gc_operations\": {},\n",
-            "      \"batch_queries\": {},\n",
             "      \"bloom_skips\": {},\n",
             "      \"fence_probes\": {},\n",
             "      \"reads_per_query\": {:.4},\n",
@@ -119,7 +116,6 @@ fn json_escape_free(v: &VariantResult) -> String {
         v.validity_query_reads,
         v.gc_queries,
         v.gc_operations,
-        v.batch_queries,
         v.bloom_skips,
         v.fence_probes,
         v.reads_per_query(),
@@ -141,7 +137,7 @@ fn emit_json(baseline: &VariantResult, fast: &VariantResult, measured_ops: u64) 
             "  \"metric\": \"flash reads per GC query (IoPurpose::ValidityQuery)\",\n",
             "  \"variants\": {{\n",
             "    \"baseline_bloom_off\": {},\n",
-            "    \"fast_path_bloom_fence_batch\": {}\n",
+            "    \"fast_path_bloom_fence\": {}\n",
             "  }},\n",
             "  \"reads_per_query_reduction_pct\": {:.2}\n",
             "}}\n"
@@ -164,7 +160,7 @@ fn emit_json(baseline: &VariantResult, fast: &VariantResult, measured_ops: u64) 
 pub fn run(_: &RunOptions) -> Vec<Table> {
     let measured_ops = 40_000;
     let baseline = run_variant("baseline (no bloom filters)", false, measured_ops);
-    let fast = run_variant("fast path (bloom+fence+batch)", true, measured_ops);
+    let fast = run_variant("fast path (bloom+fence)", true, measured_ops);
 
     let mut t = Table::new(
         "GC query engine — flash reads per query, baseline vs fast path",
@@ -173,7 +169,6 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
             "VQ reads",
             "GC queries",
             "reads/query",
-            "batch passes",
             "bloom skips",
             "fence probes",
             "WA",
@@ -188,7 +183,6 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
             v.validity_query_reads.to_string(),
             v.gc_queries.to_string(),
             f3(v.reads_per_query()),
-            v.batch_queries.to_string(),
             v.bloom_skips.to_string(),
             v.fence_probes.to_string(),
             f3(v.wa_total),
@@ -216,7 +210,6 @@ mod tests {
         assert_eq!(a.validity_query_reads, b.validity_query_reads);
         assert_eq!(a.gc_queries, b.gc_queries);
         assert_eq!(a.gc_operations, b.gc_operations);
-        assert_eq!(a.batch_queries, b.batch_queries);
         assert_eq!(a.bloom_skips, b.bloom_skips);
         assert_eq!(a.fence_probes, b.fence_probes);
         assert_eq!(

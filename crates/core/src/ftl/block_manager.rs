@@ -378,8 +378,6 @@ impl BlockManager {
     /// for its group (allocated to an `eligible` group, sealed, non-active,
     /// unprotected, with at least one invalid page) — the same rules as
     /// [`BlockManager::victim_candidates`], answered in O(1) for one block.
-    /// Used by the engine to re-validate a planned burst victim whose state
-    /// may have shifted since the batch prefetch ranked it.
     pub fn is_victim_eligible(
         &self,
         dev: &FlashDevice,
@@ -404,10 +402,12 @@ impl BlockManager {
     /// candidates tied at the burst's worst valid count, where greedy is
     /// indifferent — the *densest block-id window*, so the burst's Gecko
     /// keys (`(block, part)`, ordered by block id) cluster on shared run
-    /// pages and the batched validity query coalesces more probes. Strictly
-    /// better (fewer-valid) candidates are never displaced by clustering.
-    /// Used by the engine to prefetch validity bitmaps for a whole GC burst
-    /// in one batched query.
+    /// pages and a batched validity query
+    /// ([`crate::validity::ValidityStore::gc_query_batch`]) coalesces more
+    /// probes. Strictly better (fewer-valid) candidates are never displaced
+    /// by clustering. Library API: the engine collects one
+    /// [`BlockManager::pick_victim`] at a time and never calls this; the
+    /// repo benchmark times it.
     pub fn pick_victims(
         &self,
         dev: &FlashDevice,

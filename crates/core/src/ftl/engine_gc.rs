@@ -2,14 +2,9 @@
 //! migration with UIP identification (§4.1), and the metadata-aware policy.
 
 use super::block_manager::BlockGroup;
-use super::{FtlEngine, GcPolicy, GC_FREE_THRESHOLD};
+use super::{FtlEngine, GcPolicy, GcVictim, GC_FREE_THRESHOLD};
 use crate::cache::CacheEntry;
 use flash_sim::{BlockId, IoPurpose, PageData, PageOffset, Ppn, SpanKind, SpareInfo};
-
-/// How many extra valid pages a planned (prefetched) burst victim may carry
-/// over the current greedy-best block before the plan is declared stale and
-/// dropped. See the re-validation in [`FtlEngine::collect_once`].
-const GC_PLAN_VALID_MARGIN: u32 = 4;
 
 fn paranoid() -> bool {
     // Read the environment once: this guard sits inside per-page GC loops.
@@ -79,20 +74,15 @@ impl FtlEngine {
 
 impl FtlEngine {
     /// Run garbage collection until the free pool is back above the
-    /// threshold. Called at the top of every application write.
-    ///
-    /// When the burst will collect several victims, their validity bitmaps
-    /// are prefetched up front through one batched query
-    /// ([`crate::validity::ValidityStore::gc_query_batch`]) that sorts the
-    /// victims' keys and coalesces probes landing on the same flash page —
-    /// one pass over the store instead of a per-victim round trip.
+    /// threshold, one victim at a time (§3–§4.2: one validity query, one
+    /// migration pass and one erase marker per victim). Called at the top
+    /// of every application write.
     pub(crate) fn maybe_gc(&mut self) {
         if self.bm.free_blocks() >= GC_FREE_THRESHOLD {
             return;
         }
         let t0 = self.dev.clock().now_us();
         while self.bm.free_blocks() < GC_FREE_THRESHOLD {
-            self.plan_gc_burst();
             if self.collect_once() {
                 // Long GC bursts tick the checkpoint clock (migrations are
                 // user-page writes); honor the period between victims so
@@ -107,66 +97,16 @@ impl FtlEngine {
             }
             // No victim found: all invalid pages may be unidentified (UIP).
             // Force identification by syncing everything, then retry once.
-            // Prefetched bitmaps stay sound (syncs land in gc_invalidated),
-            // but the victim ranking has shifted wholesale: drop them.
-            self.gc_prefetch.clear();
-            self.gc_plan.clear();
             self.sync_all_dirty();
             assert!(
                 self.collect_once(),
                 "device full: no reclaimable block even after full synchronization"
             );
         }
-        self.gc_prefetch.clear();
-        self.gc_plan.clear();
         // Charge the whole burst to the op that triggered it, for the
         // per-tenant GC-debt accounting (observation only).
         let spent = self.dev.clock().now_us() - t0;
         self.note_gc_time(spent);
-    }
-
-    /// Rank this burst's likely victims into `gc_plan` and batch-query
-    /// their validity bitmaps into `gc_prefetch`.
-    ///
-    /// Only the Gecko backend plans: for every other store `gc_query_batch`
-    /// degrades to a per-victim loop, so prefetching could only *add*
-    /// wasted reads for victims that are never collected, and they keep
-    /// plain greedy order.
-    ///
-    /// Soundness of the prefetch: a prefetched bitmap is a snapshot at
-    /// batch-query time. Pages it reports invalid can never become valid
-    /// again before the victim is erased (victims are full, non-active
-    /// blocks), and pages invalidated *after* the snapshot — by syncs that
-    /// collections of earlier victims trigger — are tracked in
-    /// `gc_invalidated`, which [`FtlEngine::collect_user_block`] consults
-    /// per page. Both the prefetched bitmap and the block's
-    /// `gc_invalidated` entries are dropped the moment the block is
-    /// erased, so a block that is later reallocated and refilled can never
-    /// be judged by stale state.
-    fn plan_gc_burst(&mut self) {
-        if !self.gc_plan.is_empty() || !self.gc_prefetch.is_empty() {
-            return;
-        }
-        if self.backend.gecko().is_none() {
-            return; // non-Gecko stores keep plain greedy order
-        }
-        let deficit = GC_FREE_THRESHOLD.saturating_sub(self.bm.free_blocks());
-        if deficit < 2 {
-            return; // a single collection gains nothing from planning
-        }
-        let victims = self
-            .bm
-            .pick_victims(&self.dev, deficit.min(8), |g| g == BlockGroup::User);
-        if victims.len() < 2 {
-            return;
-        }
-        self.gc_plan = victims.iter().copied().collect();
-        self.gc_invalidated.clear();
-        let bitmaps = self
-            .backend
-            .store()
-            .gc_query_batch(&mut self.dev, &mut self.bm, &victims);
-        self.gc_prefetch = victims.into_iter().zip(bitmaps).collect();
     }
 
     /// Pick and collect one victim block. Returns false if no block has any
@@ -184,12 +124,6 @@ impl FtlEngine {
                     self.paranoid_check_erasable(victim);
                 }
                 self.counters.gc_operations += 1;
-                // A planned victim may drain to 0-valid before its turn:
-                // it is consumed here, so drop it from the plan too (not
-                // just the prefetch map), or the burst's remaining plan
-                // order silently skips one slot.
-                self.gc_prefetch.remove(&victim);
-                self.gc_plan.retain(|b| *b != victim);
                 let is_user = self.bm.group_of(victim) == Some(BlockGroup::User);
                 if is_user {
                     // Erase markers still need to supersede older validity
@@ -205,59 +139,11 @@ impl FtlEngine {
                 {
                     self.report_retired_block_stale(victim);
                 }
-                self.forget_invalidated_in(victim);
                 let now = self.dev.clock().now_us();
                 self.dev
                     .telemetry_mut()
                     .record_span(SpanKind::GcCollect, victim.0, t0, now);
                 return true;
-            }
-        }
-        // Prefer the prefetched burst's planned order: within the plan the
-        // victims' valid counts were tied or near-tied when ranked, so
-        // collecting in clustered-id order guarantees every prefetched
-        // bitmap is consumed rather than re-queried cold, at worst a
-        // bounded migration-cost deviation from strict greedy (the plan
-        // holds ≤ 8 near-tied entries, and a sealed block's valid count
-        // only ever decreases, so a planned victim never gets *worse* —
-        // only a non-planned block can become cheaper mid-burst). Entries are re-validated — state may have
-        // shifted since the batch snapshot — and skipped if stale. Only the
-        // metadata-aware policy follows the plan: its victims are User
-        // blocks by definition, whereas GreedyAll must stay free to pick a
-        // cheaper translation/metadata block (the plan is User-only, so
-        // honoring it there would bias the greedy ablation).
-        if policy == GcPolicy::MetadataAware {
-            while let Some(planned) = self.gc_plan.pop_front() {
-                if self
-                    .bm
-                    .is_victim_eligible(&self.dev, planned, |g| g == BlockGroup::User)
-                {
-                    // Margin guard: the plan was ranked from a snapshot, and
-                    // invalidations since then can make a non-planned block
-                    // strictly cheaper. A bounded deviation is the price of
-                    // consuming the prefetched bitmaps, but if the planned
-                    // victim now costs more than the current greedy choice
-                    // by more than the margin, the snapshot is stale enough
-                    // that following it would do real extra migration work:
-                    // drop the whole plan and re-rank.
-                    let best_valid = self
-                        .bm
-                        .pick_victim(&self.dev, |g| g == BlockGroup::User)
-                        .map_or(u32::MAX, |b| self.bm.valid_pages(b));
-                    if self.bm.valid_pages(planned)
-                        > best_valid.saturating_add(GC_PLAN_VALID_MARGIN)
-                    {
-                        self.gc_plan.clear();
-                        self.gc_prefetch.clear();
-                        break;
-                    }
-                    self.counters.gc_operations += 1;
-                    self.collect_user_block(planned);
-                    return true;
-                }
-                // Ineligible (e.g. erased as 0-valid earlier in the burst):
-                // drop its bitmap so plan and prefetch stay in lockstep.
-                self.gc_prefetch.remove(&planned);
             }
         }
         let victim = self.bm.pick_victim(&self.dev, |group| match policy {
@@ -290,37 +176,27 @@ impl FtlEngine {
     }
 
     fn collect_user_block_inner(&mut self, victim: BlockId) {
-        // Prefetched bitmap: snapshot taken at batch-query time, so
-        // `gc_invalidated` (accumulating since then) must be kept. A cold
-        // query re-snapshots here and may reset the set — but only when no
-        // prefetched bitmap is still outstanding: those carry the *older*
-        // batch snapshot and rely on every invalidation recorded since it.
-        // (Keeping extra entries is always safe — a listed page is genuinely
-        // invalid — so the cold victim is unaffected either way.)
-        let invalid = match self.gc_prefetch.remove(&victim) {
-            Some(bitmap) => bitmap,
-            None => {
-                if self.gc_prefetch.is_empty() {
-                    self.gc_invalidated.clear();
-                }
-                self.backend
-                    .store()
-                    .gc_query(&mut self.dev, &mut self.bm, victim)
-            }
-        };
+        let invalid = self
+            .backend
+            .store()
+            .gc_query(&mut self.dev, &mut self.bm, victim);
+        debug_assert!(self.gc_victim.is_none(), "collections do not nest");
+        self.gc_victim = Some(GcVictim {
+            block: victim,
+            invalid,
+        });
         let written = self.dev.written_pages(victim);
         let geo = self.geometry();
         for off in 0..written {
-            if invalid.get(off) {
+            let ppn = geo.ppn(victim, PageOffset(off));
+            // Looked up per page, not once before the loop: a migration
+            // below can evict a cache entry, and the synchronization that
+            // eviction triggers may invalidate further pages of this block
+            // after the query was answered (`note_gc_invalidation`).
+            if self.gc_victim.as_ref().is_some_and(|v| v.invalid.get(off)) {
                 if paranoid() {
-                    self.paranoid_check_invalid(geo.ppn(victim, flash_sim::PageOffset(off)));
+                    self.paranoid_check_invalid(ppn);
                 }
-                continue;
-            }
-            let ppn = geo.ppn(victim, flash_sim::PageOffset(off));
-            // A synchronization performed *during this collection* may have
-            // invalidated pages after the query snapshot was taken.
-            if self.gc_invalidated.contains(&ppn) {
                 continue;
             }
             let spare = self
@@ -413,6 +289,7 @@ impl FtlEngine {
                 });
             }
         }
+        self.gc_victim = None;
         // Algorithm 2: one erase marker supersedes all older validity
         // information about this block.
         self.backend
@@ -424,12 +301,6 @@ impl FtlEngine {
         {
             self.report_retired_block_stale(victim);
         }
-        // `gc_invalidated` is NOT wholesale-cleared here: when the burst
-        // runs on prefetched bitmaps, invalidations since the batch
-        // snapshot must stay visible to the remaining victims. The set is
-        // reset at the next snapshot point (cold query or batch prefetch);
-        // only the erased block's own entries are dropped, below.
-        self.forget_invalidated_in(victim);
     }
 
     /// A user block's erase failed and it was retired with its stale
@@ -447,19 +318,6 @@ impl FtlEngine {
         self.backend
             .store()
             .mark_invalid_batch(&mut self.dev, &mut self.bm, &ppns);
-    }
-
-    /// Drop `gc_invalidated` entries pointing into a just-erased block.
-    /// Mandatory whenever a user block is erased while the set may outlive
-    /// the erase (prefetched-burst mode): if the block is reallocated and
-    /// refilled within the same burst, a stale entry at a reused physical
-    /// address would make a later collection skip a *live* page.
-    fn forget_invalidated_in(&mut self, block: BlockId) {
-        if self.gc_invalidated.is_empty() {
-            return;
-        }
-        let geo = self.geometry();
-        self.gc_invalidated.retain(|p| geo.block_of(*p) != block);
     }
 
     /// Collect a translation-block victim (baseline FTLs' greedy policy):

@@ -26,14 +26,14 @@ pub mod metrics;
 pub use block_manager::{BlockGroup, BlockManager, BlockState};
 
 use crate::cache::{CacheEntry, MappingCache};
-use crate::gecko::{GeckoConfig, ShardedGecko};
+use crate::gecko::{Bitmap, GeckoConfig, ShardedGecko};
 use crate::translation::TranslationTable;
 use crate::validity::{MetaSink, ValidityStore};
 use flash_sim::{
     BlockId, FlashDevice, Geometry, Histogram, IoPurpose, Lpn, PageData, Ppn, SpanKind, SpareInfo,
     Telemetry,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Garbage-collection victim-selection policy (§4.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -223,20 +223,9 @@ pub struct FtlEngine {
     ops_since_checkpoint: u64,
     /// Gecko flush watermark, to detect flushes and clear protections.
     last_flush_seen: u64,
-    /// Pages invalidated since the current GC collection started; guards
-    /// against migrating pages that a mid-GC synchronization invalidated
-    /// after the GC query snapshot was taken.
-    pub(crate) gc_invalidated: HashSet<Ppn>,
-    /// Victim bitmaps prefetched by a batched validity query at the start
-    /// of a GC burst; consumed (and invalidated) as victims are collected.
-    pub(crate) gc_prefetch: HashMap<BlockId, crate::gecko::Bitmap>,
-    /// The burst's planned collection order (the clustered ranking of
-    /// [`BlockManager::pick_victims`]); consumed by
-    /// [`FtlEngine::collect_once`]. Built for the Gecko backend only,
-    /// together with the planned victims' prefetched bitmaps in
-    /// `gc_prefetch`. Entries are re-validated against current eligibility
-    /// before use.
-    pub(crate) gc_plan: std::collections::VecDeque<BlockId>,
+    /// The user block being collected, `Some` only while
+    /// `collect_user_block` runs: no GC state outlives a collection.
+    gc_victim: Option<GcVictim>,
     /// Lifetime op counters.
     pub counters: EngineCounters,
     /// Per-tenant accounting, populated by the `*_for` entry points.
@@ -248,6 +237,17 @@ pub struct FtlEngine {
     /// migrations, erases). The `*_for` entry points diff this around each
     /// op to charge GC debt to the tenant whose op triggered it.
     gc_attrib_us: f64,
+}
+
+/// A user-block collection in progress.
+struct GcVictim {
+    block: BlockId,
+    /// The victim's invalid pages: the validity store's answer to this
+    /// collection's one `gc_query`, plus every page of the block reported
+    /// invalid since — a migration can evict a cache entry, and the
+    /// synchronization that triggers may identify further before-images
+    /// here, which must not be migrated as live.
+    invalid: Bitmap,
 }
 
 /// A tenant / stream identifier for multi-tenant accounting. Tenant 0 is
@@ -366,9 +366,7 @@ impl FtlEngine {
             epoch: 1,
             ops_since_checkpoint: 0,
             last_flush_seen,
-            gc_invalidated: HashSet::new(),
-            gc_prefetch: HashMap::new(),
-            gc_plan: std::collections::VecDeque::new(),
+            gc_victim: None,
             counters: EngineCounters::default(),
             tenants: BTreeMap::new(),
             gc_attrib_us: 0.0,
@@ -408,6 +406,12 @@ impl FtlEngine {
     /// The validity backend (inspection).
     pub fn backend(&self) -> &ValidityBackend {
         &self.backend
+    }
+
+    /// The user block GC is collecting right now (inspection): `None`
+    /// between host operations, because no GC state outlives a collection.
+    pub fn gc_victim(&self) -> Option<BlockId> {
+        self.gc_victim.as_ref().map(|v| v.block)
     }
 
     /// Integrated-RAM footprint breakdown (paper accounting).
@@ -771,15 +775,27 @@ impl FtlEngine {
 
     /// Ask the validity store for a block's invalid bitmap without running a
     /// GC operation (test/debug introspection; charges query IO).
-    pub fn debug_validity(&mut self, block: flash_sim::BlockId) -> crate::gecko::Bitmap {
+    pub fn debug_validity(&mut self, block: BlockId) -> Bitmap {
         self.backend
             .store()
             .gc_query(&mut self.dev, &mut self.bm, block)
     }
 
+    /// A user page is being reported invalid: if it lies in the block being
+    /// collected, the collection must see it (its query was answered
+    /// earlier).
+    fn note_gc_invalidation(&mut self, ppn: Ppn) {
+        if let Some(victim) = &mut self.gc_victim {
+            let geo = self.dev.geometry();
+            if geo.block_of(ppn) == victim.block {
+                victim.invalid.set(geo.offset_of(ppn).0);
+            }
+        }
+    }
+
     /// Report a user page invalid to the validity store and to BVC.
     pub(crate) fn invalidate_user_page(&mut self, ppn: Ppn) {
-        self.gc_invalidated.insert(ppn);
+        self.note_gc_invalidation(ppn);
         self.backend
             .store()
             .mark_invalid(&mut self.dev, &mut self.bm, ppn);
@@ -790,7 +806,7 @@ impl FtlEngine {
     /// As [`FtlEngine::invalidate_user_page`], but tolerant of BVC
     /// double-counting — the App. C.3.2 re-report case.
     pub(crate) fn invalidate_user_page_lenient(&mut self, ppn: Ppn) {
-        self.gc_invalidated.insert(ppn);
+        self.note_gc_invalidation(ppn);
         self.backend
             .store()
             .mark_invalid(&mut self.dev, &mut self.bm, ppn);
@@ -888,7 +904,7 @@ impl FtlEngine {
         }
         if !reports.is_empty() {
             for &(ppn, lenient) in &reports {
-                self.gc_invalidated.insert(ppn);
+                self.note_gc_invalidation(ppn);
                 if lenient {
                     self.bm.page_obsolete_lenient(&mut self.dev, ppn);
                 } else {

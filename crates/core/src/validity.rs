@@ -68,11 +68,12 @@ pub trait ValidityStore {
     ) -> Bitmap;
 
     /// Batched GC query: the invalid bitmaps of several blocks, in input
-    /// order, all as of the same point in time. The engine uses this to
-    /// prefetch bitmaps for a whole GC burst's victim candidates in one
-    /// pass. Stores with a flash-resident structure should override it to
-    /// coalesce probes that land on the same flash page (Logarithmic Gecko
-    /// does); the default just loops.
+    /// order, all as of the same point in time. Library API: the engine
+    /// asks one [`ValidityStore::gc_query`] per victim and never calls
+    /// this; the repo benchmark times it and the property tests use it as
+    /// a query oracle. Stores with a flash-resident structure should
+    /// override it to coalesce probes that land on the same flash page
+    /// (Logarithmic Gecko does); the default just loops.
     fn gc_query_batch(
         &mut self,
         dev: &mut FlashDevice,

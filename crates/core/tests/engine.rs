@@ -2,7 +2,7 @@
 //! device: data integrity under garbage-collection pressure, crash recovery
 //! with GeckoRec, and the §4.3 recovery-cost bounds.
 
-use flash_sim::{Geometry, IoPurpose, Lpn, SpanKind, TraceEvent};
+use flash_sim::{Geometry, IoOp, IoPurpose, Lpn, SpanKind, TraceEvent};
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
@@ -447,6 +447,77 @@ fn bloom_on_and_off_gc_collect_identical_victim_sequences() {
     );
     verify_all(&mut on, &on_oracle);
     verify_all(&mut off, &off_oracle);
+}
+
+/// The GC contract (§3–§4.2): one validity query per collected user block
+/// that still holds valid pages — never a batched one — and no GC state that
+/// outlives a collection.
+#[test]
+fn gc_asks_one_query_per_victim_and_keeps_no_state_between_collections() {
+    for shards in [1u32, 4] {
+        let geo = Geometry::tiny().with_channels(shards);
+        let cfg = FtlConfig {
+            cache_entries: 64,
+            ..FtlConfig::geckoftl(&geo)
+        };
+        let gecko = ValidityBackend::gecko_for(
+            geo,
+            GeckoConfig {
+                page_header_bytes: geo.page_bytes - 64,
+                shards,
+                ..GeckoConfig::paper_default(&geo)
+            },
+        );
+        let mut engine = FtlEngine::format(geo, cfg, gecko);
+        engine.telemetry_mut().enable(1 << 19);
+        let logical = geo.logical_pages();
+        let mut rng = Lcg(0x6C0 + shards as u64);
+        for i in 0..8_000u64 {
+            let lpn = Lpn((rng.next() % logical) as u32);
+            match rng.next() % 8 {
+                0 => drop(engine.trim(lpn)),
+                1 => drop(engine.read(lpn)),
+                _ => engine.write(lpn, i),
+            }
+            assert_eq!(engine.gc_victim(), None, "GC state outlived op {i}");
+        }
+        assert_eq!(engine.telemetry().dropped_events(), 0, "ring too small");
+
+        // A collection's IO events precede its closing span in the ring. A
+        // victim with valid pages reads at least one spare area (§4.1's UIP
+        // check); a fully-invalid one is only erased, and needs no query.
+        let mut reads_since_span = 0u32;
+        let (mut collections, mut queried_collections) = (0u64, 0u64);
+        for ev in engine.telemetry().events() {
+            match *ev {
+                TraceEvent::Io {
+                    purpose,
+                    op: IoOp::SpareRead,
+                    ..
+                } if purpose as usize == IoPurpose::GcMigrateUser.index() => reads_since_span += 1,
+                TraceEvent::Span {
+                    kind: SpanKind::GcCollect,
+                    ..
+                } => {
+                    collections += 1;
+                    queried_collections += (reads_since_span > 0) as u64;
+                    reads_since_span = 0;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(collections, engine.counters.gc_operations);
+        assert!(
+            queried_collections > 100,
+            "shards={shards}: the run must be GC-heavy, saw {queried_collections}"
+        );
+        let stats = engine.backend().gecko_stats().expect("gecko backend");
+        assert_eq!(
+            stats.queries, queried_collections,
+            "shards={shards}: exactly one gc_query per victim with valid pages"
+        );
+        assert_eq!(stats.batch_queries, 0, "the engine never batches queries");
+    }
 }
 
 // ---------------------------------------------------------------------------
