@@ -78,9 +78,11 @@ pub struct FtlConfig {
     pub gc_policy: GcPolicy,
     /// Dirty-entry recovery scheme.
     pub recovery: RecoveryPolicy,
-    /// Checkpoint period in cache operations (defaults to `C`); only
-    /// meaningful under [`RecoveryPolicy::CheckpointDeferred`]. `None`
-    /// disables checkpoints (ablation), removing the recovery-scan bound.
+    /// Checkpoint period in cache operations; only meaningful under
+    /// [`RecoveryPolicy::CheckpointDeferred`], where `None` means the
+    /// default `C` ([`FtlEngine::format`] and recovery both fill it in from
+    /// `cache_entries`). To disable checkpoints — the ablation, which also
+    /// removes the recovery-scan bound — pass `Some(u64::MAX)`.
     pub checkpoint_period: Option<u64>,
     /// Multi-tenant QoS budget: when non-zero, a tenant whose writes have
     /// accumulated an above-average share of GC debt prepays collection

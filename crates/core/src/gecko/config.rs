@@ -32,10 +32,12 @@ pub struct GeckoConfig {
     /// Run merges to completion inside the update path (the paper's
     /// behavior). When false — the default — a due merge is enqueued on the
     /// incremental merge scheduler ([`crate::gecko::scheduler`]) and drained
-    /// in bounded steps charged to subsequent updates or idle ticks; a flush
-    /// that finds the previous merge still unfinished forces the remainder
-    /// synchronously, so both modes perform the identical merge sequence.
-    /// Kept as the A/B baseline for the `merge_latency` experiment.
+    /// in bounded steps charged to subsequent updates or idle ticks. A flush
+    /// does not wait for pending jobs, so the two modes plan *different*
+    /// merge sequences (new runs are pushed while older merges are still in
+    /// flight); what they share is every query answer and the settled shape
+    /// once drained. Kept as the A/B baseline for the `merge_latency`
+    /// experiment.
     pub sync_merge: bool,
     /// Page-IO budget (run-page reads + writes) of one incremental merge
     /// step. Each application write piggybacks at most one step; pages on
