@@ -2,8 +2,7 @@
 //! Logarithmic Gecko merges (the paper's behavior — a write that trips a
 //! level-N merge pays the whole merge as latency) against the bounded-step
 //! scheduler of [`geckoftl_core::gecko::scheduler`], which charges at most
-//! `merge_step_pages` of merge IO per write and overlaps the step's pages
-//! across `Geometry::channels` in simulated time.
+//! `merge_step_pages` of merge IO per tree per write.
 //!
 //! Both variants run the same mixed workload (25 % reads) on identical
 //! geometry and tuning; the only difference is `GeckoConfig::sync_merge`.
@@ -52,7 +51,7 @@ struct VariantResult {
 }
 
 fn geometry() -> Geometry {
-    // 128 MB simulated device, 4 parallel channels: big enough for a
+    // 128 MB simulated device, 4 channels: big enough for a
     // ~6-level Gecko tree under the shrunken page budget below, small
     // enough to measure in seconds. R = 0.5 (generous over-provisioning)
     // keeps GC victims mostly invalid, so the write-latency tail measures
@@ -376,7 +375,6 @@ fn emit_json(sync: &VariantResult, inc: &VariantResult, shards: u32, measured_wr
 /// mode (CI) the measured interval shrinks and the JSON is not rewritten.
 pub fn run(opts: &RunOptions) -> Vec<Table> {
     let measured_writes = if opts.smoke { 5_000 } else { 40_000 };
-    // N = channels aligns each shard with one flash channel.
     let shards = opts.shards.unwrap_or(1);
     let sync = run_variant(
         "sync merges (paper)".into(),
@@ -386,8 +384,8 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
         None,
     );
     // The incremental variant is the one worth a timeline: its merge slices
-    // overlap across channels, which is exactly what the per-channel lanes
-    // of the Chrome trace make visible.
+    // sit between the host IOs they are piggybacked on, which the span and
+    // per-channel IO lanes of the Chrome trace make visible.
     let inc = run_variant(
         format!(
             "incremental (step={}, {}ch{})",

@@ -170,9 +170,8 @@ impl ValidityBackend {
         self.gecko().map_or(0, ShardedGecko::merge_backlog_pages)
     }
 
-    /// Advance pending merge work by one bounded slice per shard (the
-    /// shards' slices overlap on their channels). Returns `true` while work
-    /// remains; `false` for non-Gecko backends.
+    /// Advance pending merge work by one bounded slice per shard. Returns
+    /// `true` while work remains; `false` for non-Gecko backends.
     pub fn pump_merges(
         &mut self,
         dev: &mut FlashDevice,

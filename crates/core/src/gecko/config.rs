@@ -40,18 +40,15 @@ pub struct GeckoConfig {
     /// experiment.
     pub sync_merge: bool,
     /// Page-IO budget (run-page reads + writes) of one incremental merge
-    /// step. Each application write piggybacks at most one step; pages on
-    /// distinct flash channels within a step overlap in simulated time.
+    /// step. Each application write piggybacks at most one step per tree.
     /// Ignored when [`GeckoConfig::sync_merge`] is true. Must be ≥ 1.
     pub merge_step_pages: u32,
     /// Number of independent Gecko trees the validity store is split into.
-    /// Block `b` belongs to shard `b % shards`, which is exactly
-    /// [`flash_sim::Geometry::channel_of`] when `shards == channels`: each
-    /// shard's merge queue then holds jobs for one channel and the shards
-    /// can be pumped concurrently inside one device overlap window. `1`
-    /// (the default) is one tree for the whole device — the paper's layout
-    /// and the baseline the sharded layouts are property-tested against.
-    /// Must be ≥ 1.
+    /// Block `b` belongs to shard `b % shards`; each shard has its own
+    /// buffer, flush cadence, watermark and merge queue, and a smaller tree
+    /// to query. `1` (the default) is one tree for the whole device — the
+    /// paper's layout and the baseline the sharded layouts are
+    /// property-tested against. Must be ≥ 1.
     pub shards: u32,
 }
 

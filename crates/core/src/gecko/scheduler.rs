@@ -8,14 +8,9 @@
 //! instead of running it inline, and the job is *pumped* in bounded steps
 //! (at most [`crate::gecko::GeckoConfig::merge_step_pages`] run-page reads
 //! or writes per step) piggybacked on subsequent updates or donated by idle
-//! ticks. Within one pump, page IO on distinct flash channels overlaps in
-//! simulated time (see [`flash_sim::FlashDevice::begin_overlap`]), and jobs
-//! are dispatched round-robin onto one queue per [`flash_sim::Geometry`]
-//! channel — the LFTL/FMMU "merge worker per channel" shape, scaffolding
-//! for a sharded multi-tree engine where independent trees' merges really
-//! do run concurrently. (A single tree's merge cascade is a dependency
-//! chain, so its jobs execute one at a time; the channel parallelism a
-//! single tree sees today is page-level, inside each step.)
+//! ticks. Jobs are dispatched round-robin onto one queue per
+//! [`flash_sim::Geometry`] channel; every page IO is charged serially on
+//! the simulated clock.
 //!
 //! # State machine
 //!
@@ -461,11 +456,11 @@ impl MergeJob {
                     self.min_level,
                     IoPurpose::ValidityMerge,
                 ));
-                // End the step at the phase boundary: output writes
-                // causally depend on every input read, so they must not
-                // share this step's channel-overlap window with the
-                // reads they wait on (the clock would hide the writes
-                // behind the reads).
+                // End the step at the phase boundary even with budget
+                // left, so a step is all reads or all writes and the
+                // leftover budget goes unspent. This is pacing only —
+                // nothing is incorrect about writing now — and it is the
+                // pacing the golden traces pin.
                 StepResult::InProgress
             }
             Phase::Write(writer) => {
@@ -618,10 +613,9 @@ impl MergeScheduler {
         self.queues[ch].push_back(job);
     }
 
-    /// Pump every channel's head job by up to `budget` page-IOs, inside one
-    /// channel-overlap window so distinct channels' IO coincides in
-    /// simulated time. Returns the jobs that completed; the caller installs
-    /// their outputs (and may enqueue follow-on cascade jobs).
+    /// Pump every channel's head job by up to `budget` page-IOs. Returns
+    /// the jobs that completed; the caller installs their outputs (and may
+    /// enqueue follow-on cascade jobs).
     #[allow(clippy::too_many_arguments)] // single call site in LogGecko::pump_merges
     pub fn step_channels(
         &mut self,
@@ -636,7 +630,6 @@ impl MergeScheduler {
         if self.is_idle() {
             return finished;
         }
-        dev.begin_overlap();
         for queue in &mut self.queues {
             let Some(job) = queue.front_mut() else {
                 continue;
@@ -649,7 +642,6 @@ impl MergeScheduler {
                 finished.push(done);
             }
         }
-        dev.end_overlap();
         finished
     }
 

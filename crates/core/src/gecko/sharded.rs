@@ -2,13 +2,12 @@
 //! trees, with block `b` owned by shard `b % shards`. `shards == 1` is the
 //! paper's single tree; it is the same code path, not a separate backend.
 //!
-//! When `shards == channels` the shard function coincides with
-//! [`Geometry::channel_of`], so each shard's merge queue holds jobs whose
-//! victim blocks live on one flash channel. Pumping every shard inside a
-//! single device overlap window then models the channels merging
-//! concurrently: each shard's page-IOs land on its own channel lane and the
-//! wall-clock charge is the max lane, not the sum (see
-//! `docs/CONCURRENCY.md`).
+//! The shard function partitions the *keys* (user blocks), not the flash
+//! pages a tree touches: every shard's run pages are appended to the same
+//! active metadata block, so a shard is not pinned to a channel, and all
+//! IO is charged serially on the simulated clock. What sharding buys is
+//! independence — per-shard buffers, flush cadence, watermarks and merge
+//! queues — and smaller trees (see `docs/CONCURRENCY.md`).
 //!
 //! Every operation routes to exactly one shard (invalidations, erases, GC
 //! queries are all per-block), so shard trees never share state and every
@@ -48,8 +47,7 @@ impl ShardedGecko {
         ShardedGecko { shards, geo }
     }
 
-    /// The shard owning `block`: `block % shards`. Equal to
-    /// [`Geometry::channel_of`] when `shards == channels`.
+    /// The shard owning `block`: `block % shards`.
     pub fn shard_of(&self, block: BlockId) -> usize {
         (block.0 % self.shards.len() as u32) as usize
     }
@@ -172,28 +170,19 @@ impl ShardedGecko {
         }
     }
 
-    /// Advance every shard's pending merge work by one bounded slice each,
-    /// inside **one** device overlap window: with `shards == channels`,
-    /// shard `i`'s page-IOs land on channel `i`'s lane, so the simulated
-    /// wall-clock charge for the whole sweep is the busiest lane — the
-    /// per-channel merge queues drain concurrently, which is the point of
-    /// sharding by channel. Returns `true` while any shard has work left.
+    /// Advance every shard's pending merge work by one bounded slice each
+    /// (so one call costs up to `shards × budget` page-IOs, charged
+    /// serially). Returns `true` while any shard has work left.
     pub fn pump_merges(
         &mut self,
         dev: &mut FlashDevice,
         sink: &mut dyn MetaSink,
         budget: u64,
     ) -> bool {
-        let any_pending = self.shards.iter().any(|s| s.merge_jobs_pending() > 0);
-        if !any_pending {
-            return false;
-        }
-        dev.begin_overlap();
         let mut more = false;
         for s in &mut self.shards {
             more |= s.pump_merges(dev, sink, budget);
         }
-        dev.end_overlap();
         more
     }
 
@@ -201,14 +190,9 @@ impl ShardedGecko {
     /// shutdown/recovery/tests). Delegates to each shard's drain, which
     /// owns the forced-stall accounting.
     pub fn drain_merges(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink) {
-        if self.merge_jobs_pending() == 0 {
-            return;
-        }
-        dev.begin_overlap();
         for s in &mut self.shards {
             s.drain_merges(dev, sink);
         }
-        dev.end_overlap();
     }
 
     /// Pending incremental merge work across all shards, in page-IOs.

@@ -520,6 +520,49 @@ fn gc_asks_one_query_per_victim_and_keeps_no_state_between_collections() {
     }
 }
 
+/// Single-lane time (DESIGN.md invariant 7): the simulated clock is the
+/// serial sum of every IO's latency, on a multi-channel device with a
+/// sharded store too — no IO class gets to overlap another.
+#[test]
+fn simulated_clock_is_the_serial_sum_of_io_latencies() {
+    let geo = Geometry::tiny().with_channels(4);
+    let cfg = FtlConfig {
+        cache_entries: 64,
+        ..FtlConfig::geckoftl(&geo)
+    };
+    let gecko = ValidityBackend::gecko_for(
+        geo,
+        GeckoConfig {
+            page_header_bytes: geo.page_bytes - 64,
+            shards: 4,
+            ..GeckoConfig::paper_default(&geo)
+        },
+    );
+    let mut engine = FtlEngine::format(geo, cfg, gecko);
+    let logical = geo.logical_pages();
+    let mut rng = Lcg(0x51AE);
+    for i in 0..8_000u64 {
+        let lpn = Lpn((rng.next() % logical) as u32);
+        match rng.next() % 16 {
+            0 => drop(engine.trim(lpn)),
+            1 | 2 => drop(engine.read(lpn)),
+            3 => drop(engine.idle_tick()),
+            _ => engine.write(lpn, i),
+        }
+    }
+    let stats = engine.device().stats();
+    assert!(
+        stats.counts(IoPurpose::ValidityMerge).page_writes > 100,
+        "the run must merge, or there is nothing that could have overlapped"
+    );
+    let busy: f64 = IoPurpose::ALL.iter().map(|&p| stats.busy_us(p)).sum();
+    let now = engine.device().clock().now_us();
+    assert!(
+        (now - busy).abs() <= 1e-9 * busy,
+        "clock {now} µs vs Σ busy_us {busy} µs"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // TRIM
 // ---------------------------------------------------------------------------

@@ -25,15 +25,6 @@ pub struct FlashDevice {
     stats: IoStats,
     seq: u64,
     erase_budget: Option<u32>,
-    /// Per-channel accumulated latency of the overlap window in flight
-    /// (`None` outside a window). See [`FlashDevice::begin_overlap`].
-    overlap_lanes: Option<Vec<f64>>,
-    /// Nesting depth of overlap windows: inner `begin`/`end` pairs join the
-    /// outermost window's lanes, and only the outermost `end` advances the
-    /// clock. This is how per-channel time domains compose: each shard's
-    /// merge pump opens its own window, and a multi-shard pump wraps them
-    /// all in one outer window — the sync point where the domains join.
-    overlap_depth: u32,
     /// Scheduled hardware faults (see [`crate::fault`]).
     fault: FaultPlan,
     /// Faults actually delivered so far.
@@ -74,8 +65,6 @@ impl FlashDevice {
             stats: IoStats::default(),
             seq: 1,
             erase_budget: None,
-            overlap_lanes: None,
-            overlap_depth: 0,
             fault: FaultPlan::default(),
             fault_stats: FaultStats::default(),
             writes_attempted: 0,
@@ -86,69 +75,22 @@ impl FlashDevice {
         }
     }
 
-    /// Open a channel-overlap window: until [`FlashDevice::end_overlap`],
-    /// each operation's latency accumulates on its block's channel lane
-    /// instead of advancing the clock, and the window closes by advancing
-    /// the clock once by the *busiest lane* — operations on distinct
-    /// channels overlap, operations on the same channel serialize. This is
-    /// how background work (e.g. incremental Gecko merge steps) scheduled
-    /// across `Geometry::channels` shows up as parallel in simulated time.
-    ///
-    /// IO counts and per-purpose busy time are recorded exactly as outside
-    /// a window; only the clock sees the overlap. Windows nest: an inner
-    /// `begin`/`end` pair joins the outermost window's lanes instead of
-    /// opening fresh ones, so independent work wrapped in one outer window
-    /// (e.g. several validity shards' merge pumps) overlaps across channels
-    /// while same-channel work still serializes.
-    pub fn begin_overlap(&mut self) {
-        self.overlap_depth += 1;
-        if self.overlap_lanes.is_none() {
-            self.overlap_lanes = Some(vec![0.0; self.geo.channels as usize]);
-        }
-    }
-
-    /// Close one overlap window level. The outermost close — the sync point
-    /// where the per-channel time domains join — advances the clock by the
-    /// busiest channel's accumulated latency and returns that elapsed time
-    /// in µs; inner closes return 0 and leave the lanes accumulating.
-    pub fn end_overlap(&mut self) -> f64 {
-        assert!(self.overlap_depth > 0, "end_overlap without begin_overlap");
-        self.overlap_depth -= 1;
-        if self.overlap_depth > 0 {
-            return 0.0;
-        }
-        let lanes = self
-            .overlap_lanes
-            .take()
-            .expect("end_overlap without begin_overlap");
-        let elapsed = lanes.iter().copied().fold(0.0, f64::max);
-        self.clock.advance_us(elapsed);
-        elapsed
-    }
-
-    /// Charge one operation's latency: onto the open overlap window's lane
-    /// for `block`'s channel, or straight onto the clock. The same charge
-    /// point records the operation as a telemetry channel-lane event, so a
-    /// trace's per-purpose duration sums reconcile with
+    /// Charge one operation's latency: record it as busy time, record the
+    /// telemetry IO event starting at the clock's current time, and advance
+    /// the clock by it. Simulated time is therefore the serial sum of every
+    /// IO's latency; the event's channel is a *label* of where the IO
+    /// landed, not a separate time domain. One charge point for both is
+    /// what makes a trace's per-purpose duration sums reconcile with
     /// [`IoStats::busy_us`] exactly.
     fn charge_us(&mut self, block: BlockId, purpose: IoPurpose, op: IoOp, us: f64) {
         self.stats.record_busy_us(purpose, us);
-        let ch = self.geo.channel_of(block) as usize;
         if self.telemetry.is_enabled() {
-            // Start time mirrors the clock semantics: inside an overlap
-            // window the operation begins after the work already queued on
-            // its channel's lane; outside, the clock itself is the start.
-            let start = match &self.overlap_lanes {
-                Some(lanes) => self.clock.now_us() + lanes[ch],
-                None => self.clock.now_us(),
-            };
+            let ch = self.geo.channel_of(block) as u16;
+            let start = self.clock.now_us();
             self.telemetry
-                .record_io(purpose.index() as u8, op, ch as u16, start, us);
+                .record_io(purpose.index() as u8, op, ch, start, us);
         }
-        match &mut self.overlap_lanes {
-            Some(lanes) => lanes[ch] += us,
-            None => self.clock.advance_us(us),
-        }
+        self.clock.advance_us(us);
     }
 
     /// Configure a per-block erase budget; further erases return
@@ -582,43 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn overlap_window_advances_clock_by_busiest_channel() {
-        let geo = Geometry::tiny().with_channels(4);
-        let mut d = FlashDevice::with_latency(geo, LatencyModel::paper());
-        // Blocks 0..4 land on channels 0..4.
-        let mut ppns = Vec::new();
-        for b in 0..4 {
-            ppns.push(write_user(&mut d, b, b, 1));
-        }
-        let before = d.clock().now_us();
-        d.begin_overlap();
-        for &p in &ppns {
-            d.read_page(p, IoPurpose::ValidityMerge).unwrap();
-        }
-        let elapsed = d.end_overlap();
-        // Four reads on four distinct channels overlap into one read time.
-        assert!((elapsed - 100.0).abs() < 1e-9, "elapsed = {elapsed}");
-        assert!((d.clock().now_us() - before - 100.0).abs() < 1e-9);
-        // Counts and busy time stay serial: 4 reads, 400 µs busy.
-        assert_eq!(d.stats().counts(IoPurpose::ValidityMerge).page_reads, 4);
-        assert!((d.stats().busy_us(IoPurpose::ValidityMerge) - 400.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn overlap_window_serializes_same_channel() {
-        let geo = Geometry::tiny().with_channels(4);
-        let mut d = FlashDevice::with_latency(geo, LatencyModel::paper());
-        let p0 = write_user(&mut d, 0, 1, 1); // channel 0
-        let p1 = write_user(&mut d, 4, 2, 1); // channel 0 again (4 % 4)
-        d.begin_overlap();
-        d.read_page(p0, IoPurpose::ValidityMerge).unwrap();
-        d.read_page(p1, IoPurpose::ValidityMerge).unwrap();
-        let elapsed = d.end_overlap();
-        assert!((elapsed - 200.0).abs() < 1e-9, "same-channel IO serializes");
-    }
-
-    #[test]
-    fn busy_time_tracks_purposes_outside_windows() {
+    fn busy_time_tracks_purposes() {
         let mut d = dev();
         let ppn = write_user(&mut d, 0, 1, 1);
         d.read_page(ppn, IoPurpose::UserRead).unwrap();
@@ -804,11 +710,9 @@ mod tests {
         for b in 0..4 {
             ppns.push(write_user(&mut d, b, b, 1));
         }
-        d.begin_overlap();
         for &p in &ppns {
             d.read_page(p, IoPurpose::ValidityMerge).unwrap();
         }
-        d.end_overlap();
         d.read_spare(ppns[0], IoPurpose::Recovery).unwrap();
         d.erase_block(BlockId(5), IoPurpose::GcMigrateUser).unwrap();
         // Summing event durations per purpose reproduces busy_us exactly
@@ -832,9 +736,10 @@ mod tests {
                 d.stats().busy_us(p)
             );
         }
-        // Inside the overlap window the four reads start together (distinct
-        // channels), and per-channel events never overlap.
-        let mut per_channel: Vec<Vec<(f64, f64)>> = vec![Vec::new(); 4];
+        // Single-lane time: whatever channel an IO is labelled with, it
+        // starts exactly where the previous IO ended.
+        let mut channels = Vec::new();
+        let mut clock = 0.0;
         for e in d.telemetry().events() {
             if let TraceEvent::Io {
                 channel,
@@ -843,19 +748,18 @@ mod tests {
                 ..
             } = *e
             {
-                per_channel[channel as usize].push((start_us, start_us + dur_us as f64));
-            }
-        }
-        for lane in &per_channel {
-            for w in lane.windows(2) {
                 assert!(
-                    w[1].0 >= w[0].1 - 1e-9,
-                    "channel-lane events must not overlap: {w:?}"
+                    (start_us - clock).abs() < 1e-9,
+                    "IO on channel {channel} starts at {start_us}, previous IO ended at {clock}"
                 );
+                clock = start_us + dur_us as f64;
+                channels.push(channel);
             }
         }
+        assert_eq!(channels, [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]);
         // Telemetry observed but never perturbed the simulation.
-        assert!((d.clock().now_us() - (4.0 * 1000.0 + 100.0 + 3.0 + 2000.0)).abs() < 1e-9);
+        assert!((clock - d.clock().now_us()).abs() < 1e-9);
+        assert!((clock - (4.0 * 1000.0 + 4.0 * 100.0 + 3.0 + 2000.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -167,9 +167,9 @@ impl Geometry {
     }
 
     /// The logical unit (channel/die) a block is wired to. Blocks stripe
-    /// round-robin across channels, the standard interleaved layout; IO on
-    /// blocks of distinct channels can proceed in parallel (see
-    /// [`crate::FlashDevice::begin_overlap`]).
+    /// round-robin across channels, the standard interleaved layout. The
+    /// device charges every IO serially, so the channel is a label on the
+    /// IO's telemetry event (one trace lane per channel), not a time domain.
     pub fn channel_of(&self, block: BlockId) -> u32 {
         block.0 % self.channels
     }

@@ -200,11 +200,9 @@ impl IoCounts {
 #[derive(Clone, Debug, Default)]
 pub struct IoStats {
     per_purpose: [IoCounts; IoPurpose::COUNT],
-    /// Nominal device busy time accumulated per purpose, in microseconds.
-    /// This is the *serial* cost of the IO; when operations overlap across
-    /// channels (see [`crate::FlashDevice::begin_overlap`]) the simulated
-    /// clock advances by less than the busy time, and the difference is the
-    /// parallelism the latency model made visible.
+    /// Device busy time accumulated per purpose, in microseconds. The
+    /// simulated clock advances by exactly this much per IO (single-lane
+    /// time), so the purposes' busy times sum to the clock.
     busy_us: [f64; IoPurpose::COUNT],
     /// Number of logical page updates issued by the application. The FTL is
     /// responsible for bumping this once per application write.

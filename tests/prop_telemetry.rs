@@ -14,7 +14,8 @@
 //! well-formed: every span closes with a non-negative duration inside the
 //! simulated time range, and within each lane (span kind) spans never
 //! overlap — lane `k`'s next span starts at or after the previous one
-//! ended.
+//! ended. IO events never overlap at all, whatever channel they landed on:
+//! simulated time is single-lane.
 
 use geckoftl::flash_sim::{
     BlockId, FaultPlan, FlashDevice, Geometry, Lpn, SpanKind, TraceEvent, WriteFault,
@@ -190,6 +191,7 @@ proptest! {
     /// Every recorded span lies within simulated time and lanes never
     /// overlap: spans of one kind, in record order, are back-to-back or
     /// separated — the next starts no earlier than the previous ended.
+    /// IO events are one lane globally, not one per channel.
     #[test]
     fn span_lanes_are_well_formed(
         ops in prop::collection::vec(op_strategy(), 100..600),
@@ -203,8 +205,14 @@ proptest! {
         prop_assert_eq!(t.dropped_events(), 0, "ring sized for the whole run");
         let now = engine.device().clock().now_us();
         let mut lane_end = [f64::NEG_INFINITY; SpanKind::COUNT];
+        let mut io_end = f64::NEG_INFINITY;
         let mut spans = 0u64;
         for ev in t.events() {
+            if let TraceEvent::Io { channel, start_us, dur_us, .. } = *ev {
+                prop_assert!(start_us >= io_end,
+                    "IO on channel {channel} at {start_us} overlaps the previous IO ending {io_end}");
+                io_end = start_us + dur_us as f64;
+            }
             if let TraceEvent::Span { kind, start_us, dur_us, .. } = *ev {
                 spans += 1;
                 let end = start_us + dur_us as f64;
