@@ -485,14 +485,15 @@ impl FtlEngine {
         self.install_write_mapping(lpn, ppn);
         // Piggyback one bounded merge-scheduler slice (§3's incremental
         // merges): instead of occasionally paying a whole Logarithmic Gecko
-        // merge inline, every write pays at most `merge_step_pages` of it.
+        // merge inline, every write pays at most `merge_step_pages` of it
+        // per shard.
         self.pump_merge_slice();
         self.post_op();
     }
 
     /// Advance pending incremental Gecko merge work by one bounded step,
     /// charged to the current operation: every host op pays at most
-    /// `merge_step_pages` of merge IO inline.
+    /// `merge_step_pages` of merge IO per shard inline.
     fn pump_merge_slice(&mut self) {
         if let Some(cfg) = self.backend.gecko_config() {
             if !cfg.sync_merge {
@@ -504,9 +505,11 @@ impl FtlEngine {
 
     /// Donate one idle-time *quantum* to background maintenance: pump the
     /// due-merge backlog slice by slice until it is drained or the
-    /// quantum's page budget (several slices, scaled to the channel count)
-    /// is spent. Returns `true` while more background work remains, so
-    /// idle loops can keep ticking.
+    /// quantum's budget of `8 × channels` pumps is spent. (The channel
+    /// factor buys no parallelism — time is single-lane — it is simply the
+    /// quantum size the multi-channel experiments were tuned with.) Returns
+    /// `true` while more background work remains, so idle loops can keep
+    /// ticking.
     ///
     /// An idle tick is deliberately bigger than the write path's
     /// piggybacked slice: when idle ticks advanced the scheduler by one

@@ -26,12 +26,12 @@ pub use config::{GeckoConfig, KEY_BYTES};
 pub use entry::{Bitmap, GeckoEntry, GeckoKey};
 pub use filter::RunFilter;
 pub use run::{GeckoPagePayload, Postamble, Run, RunDirEntry, RunId, RunMeta};
-pub use scheduler::{FinishedMerge, JobInput, MergeJob, MergeScheduler};
+pub use scheduler::{FinishedMerge, JobInput, MergeJob};
 pub use sharded::ShardedGecko;
 
 use crate::validity::MetaSink;
 use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, Ppn, SpanKind};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// The Logarithmic Gecko structure: RAM buffer + run directories in RAM,
 /// runs in flash.
@@ -51,11 +51,14 @@ pub struct LogGecko {
     /// Reusable scratch buffers for the query/flush hot paths, so
     /// steady-state operation allocates nothing per call.
     scratch: Scratch,
-    /// The incremental merge scheduler: per-channel queues of resumable
-    /// [`MergeJob`]s (see [`scheduler`] for the state machine and its
-    /// invariants). Under [`GeckoConfig::sync_merge`] the same machinery
-    /// runs, just drained to completion inline.
-    sched: MergeScheduler,
+    /// Planned merges, in plan order: the tree's one FIFO of resumable
+    /// [`MergeJob`]s, whose head job takes each pump's slice (see
+    /// [`scheduler`] for the state machine and its invariants). Jobs behind
+    /// the head are planned but untouched; planning around them is sound
+    /// because output identities are reserved at plan time and plans are
+    /// span-contiguous (invariant 4). Under [`GeckoConfig::sync_merge`] the
+    /// same machinery runs, just drained to completion inline.
+    jobs: VecDeque<MergeJob>,
     /// Runs currently participating in a pending [`MergeJob`]. They stay
     /// installed in `levels` (and queryable) until the job's output is
     /// sealed, but must not be planned into a second merge.
@@ -123,7 +126,7 @@ impl LogGecko {
             levels,
             last_flush_seq: 0,
             scratch: Scratch::default(),
-            sched: MergeScheduler::new(geo.channels),
+            jobs: VecDeque::new(),
             merging: HashSet::new(),
             stats: GeckoStats::default(),
         }
@@ -223,7 +226,11 @@ impl LogGecko {
         dir_bytes
             + filter_bytes
             + self.geo.page_bytes as u64
-            + self.sched.ram_bytes(self.entry_ram_bytes())
+            + self
+                .jobs
+                .iter()
+                .map(|j| j.ram_bytes(self.entry_ram_bytes()))
+                .sum::<u64>()
     }
 
     /// Approximate RAM of one entry buffered in a merge job: key + flags
@@ -620,9 +627,11 @@ impl LogGecko {
     }
 
     /// Pending-merge-IO ceiling for the [`LogGecko::flush`] backpressure
-    /// valve, in estimated flash page-IOs. Scaled to the slice budget (the
-    /// granularity at which debt drains) and the channel count (queues on
-    /// distinct channels drain concurrently).
+    /// valve, in estimated flash page-IOs: 16 slice budgets (the
+    /// granularity at which debt drains) per channel. The channel factor
+    /// models nothing — all IO is charged serially; it stays because it is
+    /// the ceiling the 4-channel experiments and the benchmark were tuned
+    /// and blessed with, and a 1-channel device keeps the smaller one.
     fn merge_debt_ceiling(&self) -> u64 {
         16 * self.cfg.merge_step_pages.max(1) as u64 * self.geo.channels.max(1) as u64
     }
@@ -667,7 +676,7 @@ impl LogGecko {
                     .all(|r| r.meta.supersedes_upto > span_lo);
                 self.stats.merges += 1;
                 self.merging.extend(ids);
-                self.sched.enqueue(MergeJob::new(
+                self.jobs.push_back(MergeJob::new(
                     self.cfg,
                     self.geo,
                     dev,
@@ -753,11 +762,10 @@ impl LogGecko {
             .all(|r| r.meta.supersedes_upto < lo || hi < r.meta.supersedes_since)
     }
 
-    /// Advance pending merge work by one bounded slice: every channel's
-    /// head job performs at most `budget` run-page reads/writes, with pages
-    /// on distinct channels overlapping in simulated time. Sealed outputs
-    /// are installed atomically (inputs retired, output pushed, follow-on
-    /// cascade merges planned). Returns `true` while work remains.
+    /// Advance pending merge work by one bounded slice: the head job of the
+    /// tree's FIFO performs at most `budget` run-page reads/writes. A sealed
+    /// output is installed atomically (inputs retired, output pushed,
+    /// follow-on cascade merges planned). Returns `true` while work remains.
     ///
     /// The FTL engine piggybacks one slice on every application write and
     /// donates slices from idle ticks; standalone users may call it at any
@@ -768,34 +776,35 @@ impl LogGecko {
         sink: &mut dyn MetaSink,
         budget: u64,
     ) -> bool {
-        if self.sched.is_idle() {
+        let Some(job) = self.jobs.front_mut() else {
             return false;
-        }
+        };
         let span_t0 = dev.clock().now_us();
-        let stepped_before = self.stats.merge_pages_stepped;
-        let finished = self.sched.step_channels(
+        let mut remaining = budget;
+        let finished = job.step(
             dev,
             sink,
-            budget,
+            &mut remaining,
             &mut self.stats.entries_dropped,
-            &mut self.stats.merge_pages_stepped,
             self.last_flush_seq,
         );
-        for done in finished {
+        let stepped = budget - remaining;
+        self.stats.merge_pages_stepped += stepped;
+        if let Some(done) = finished {
+            self.jobs.pop_front();
             self.install_merge(dev, sink, done);
         }
         let now = dev.clock().now_us();
-        let stepped = (self.stats.merge_pages_stepped - stepped_before) as u32;
         dev.telemetry_mut()
-            .record_span(SpanKind::MergeSlice, stepped, span_t0, now);
-        !self.sched.is_idle()
+            .record_span(SpanKind::MergeSlice, stepped as u32, span_t0, now);
+        !self.jobs.is_empty()
     }
 
     /// Run all pending merge work to completion. Counted as a forced stall
     /// when work was actually pending — except under
     /// [`GeckoConfig::sync_merge`], where inline draining *is* the policy.
     pub fn drain_merges(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink) {
-        if self.sched.is_idle() {
+        if self.jobs.is_empty() {
             return;
         }
         if !self.cfg.sync_merge {
@@ -839,19 +848,19 @@ impl LogGecko {
     /// Pending incremental merge work, in estimated flash page-IOs
     /// (0 when the structure is settled).
     pub fn merge_backlog_pages(&self) -> u64 {
-        self.sched.debt_pages()
+        self.jobs.iter().map(MergeJob::debt_pages).sum()
     }
 
     /// Number of merge jobs queued or in flight.
     pub fn merge_jobs_pending(&self) -> usize {
-        self.sched.pending_jobs()
+        self.jobs.len()
     }
 
     /// Output pages already on flash for merges whose output run is not yet
     /// sealed — orphans a crash right now would leave behind (and that
     /// GeckoRec must discard). Test/diagnostic introspection.
     pub fn unsealed_merge_pages(&self) -> u64 {
-        self.sched.unsealed_output_pages()
+        self.jobs.iter().map(MergeJob::unsealed_output_pages).sum()
     }
 
     /// Reconstruct the invalid-page bitmap of **every** block by scanning

@@ -8,9 +8,9 @@
 //! instead of running it inline, and the job is *pumped* in bounded steps
 //! (at most [`crate::gecko::GeckoConfig::merge_step_pages`] run-page reads
 //! or writes per step) piggybacked on subsequent updates or donated by idle
-//! ticks. Jobs are dispatched round-robin onto one queue per
-//! [`flash_sim::Geometry`] channel; every page IO is charged serially on
-//! the simulated clock.
+//! ticks. A tree keeps its jobs in one FIFO and a pump steps the head job,
+//! so a step's budget bounds the merge IO one pump performs per tree; every
+//! page IO is charged serially on the simulated clock.
 //!
 //! # State machine
 //!
@@ -55,16 +55,16 @@
 //!    step-4a/4b/6 windows skip reports that lived only in the lost
 //!    buffer and silently revive stale validity bits.
 //! 4. **Reserved identities + span-contiguous plans.** Several jobs may be
-//!    in flight per tree at once: flushes no longer drain pending work, and
-//!    sharded trees pump their queues concurrently. Two rules keep that
-//!    sound without persisting any scheduler state:
+//!    pending per tree at once, the head one part-way through its IO:
+//!    flushes do not drain pending work, so new plans are made around it.
+//!    Two rules keep that sound without persisting any scheduler state:
 //!
 //!    * A job's output identity (`RunId` / `created_seq`) is **reserved
 //!      from the device sequence at plan time**
 //!      ([`flash_sim::FlashDevice::reserve_seq`]), not minted when the
-//!      write phase starts — so concurrent write phases can never collide,
-//!      and the identity is unique across power failures because the
-//!      reservation advances the sequence.
+//!      write phase starts — so a flush run written while the job waits
+//!      can never collide with it, and the identity is unique across power
+//!      failures because the reservation advances the sequence.
 //!    * A plan may only fold a **data-age-contiguous** set of runs: the
 //!      candidate set's combined span `[min supersedes_since, max
 //!      supersedes_upto]` must not intersect the span of any live run
@@ -72,7 +72,7 @@
 //!      merging stays laminar, which is exactly what makes
 //!      newest-span-first query order and recovery's span-containment
 //!      liveness rule ([`crate::gecko::run::RunMeta::supersedes_upto`])
-//!      correct with concurrent jobs in flight.
+//!      correct with jobs pending.
 
 use crate::gecko::config::GeckoConfig;
 use crate::gecko::entry::{GeckoEntry, GeckoKey};
@@ -80,7 +80,6 @@ use crate::gecko::filter::RunFilter;
 use crate::gecko::run::{GeckoPagePayload, Postamble, Run, RunDirEntry, RunId, RunMeta};
 use crate::validity::MetaSink;
 use flash_sim::{FlashDevice, Geometry, IoPurpose, MetaKind, PageData};
-use std::collections::VecDeque;
 
 /// A participant run's slim description: everything the job needs to read,
 /// order and later retire the run — without cloning its Bloom filter.
@@ -314,14 +313,6 @@ enum Phase {
     Write(RunWriter),
 }
 
-/// Outcome of stepping a job.
-enum StepResult {
-    /// Budget spent; more IO remains.
-    InProgress,
-    /// The job completed within this step.
-    Done(FinishedMerge),
-}
-
 impl MergeJob {
     /// Plan a merge of `inputs` (newest data first), reserving the output
     /// run's identity from the device sequence now — before any other job's
@@ -391,22 +382,21 @@ impl MergeJob {
         }
     }
 
-    /// Run up to `budget` page-IOs of this job. `entries_dropped` counts
-    /// entries the fold discards as obsolete (Algorithm 3's collision
-    /// resolution plus largest-run tombstone dropping); `flush_watermark`
-    /// is the owning tree's current `last_flush_seq`, persisted in the
-    /// output's preamble (see [`RunMeta::flush_seq`]).
-    fn step(
+    /// Run up to `budget` page-IOs of this job, decrementing `budget` by
+    /// the IOs performed; returns the finished merge once the job completes
+    /// (the caller installs it), `None` while IO remains. `entries_dropped`
+    /// counts entries the fold discards as obsolete (Algorithm 3's
+    /// collision resolution plus largest-run tombstone dropping);
+    /// `flush_watermark` is the owning tree's current `last_flush_seq`,
+    /// persisted in the output's preamble (see [`RunMeta::flush_seq`]).
+    pub(super) fn step(
         &mut self,
         dev: &mut FlashDevice,
         sink: &mut dyn MetaSink,
         budget: &mut u64,
         entries_dropped: &mut u64,
         flush_watermark: u64,
-    ) -> StepResult {
-        if *budget == 0 {
-            return StepResult::InProgress;
-        }
+    ) -> Option<FinishedMerge> {
         match &mut self.phase {
             Phase::Read { next, streams } => {
                 let total: usize = self.inputs.iter().map(|i| i.pages.len()).sum();
@@ -427,7 +417,7 @@ impl MergeJob {
                     *budget -= 1;
                 }
                 if *next < total {
-                    return StepResult::InProgress;
+                    return None;
                 }
                 // All pages in RAM: fold now (no IO, free in simulated
                 // time) and move to the write phase.
@@ -437,7 +427,7 @@ impl MergeJob {
                     entries_dropped,
                 );
                 if merged.is_empty() {
-                    return StepResult::Done(FinishedMerge {
+                    return Some(FinishedMerge {
                         inputs: std::mem::take(&mut self.inputs),
                         output: None,
                     });
@@ -461,7 +451,7 @@ impl MergeJob {
                 // leftover budget goes unspent. This is pacing only —
                 // nothing is incorrect about writing now — and it is the
                 // pacing the golden traces pin.
-                StepResult::InProgress
+                None
             }
             Phase::Write(writer) => {
                 while *budget > 0 {
@@ -477,19 +467,20 @@ impl MergeJob {
                             unreachable!("phase checked above")
                         };
                         let (run, _) = writer.into_run();
-                        return StepResult::Done(FinishedMerge {
+                        return Some(FinishedMerge {
                             inputs: std::mem::take(&mut self.inputs),
                             output: Some(run),
                         });
                     }
                 }
-                StepResult::InProgress
+                None
             }
         }
     }
 
-    /// RAM held by this job's buffers (streams or merged output + dir).
-    fn ram_bytes(&self, entry_bytes: u64) -> u64 {
+    /// RAM held by this job's buffers: entry streams or the folded output,
+    /// plus cloned run directories.
+    pub(super) fn ram_bytes(&self, entry_bytes: u64) -> u64 {
         let dir_bytes: u64 = self
             .inputs
             .iter()
@@ -555,104 +546,4 @@ fn fold_streams(
         }
     }
     merged
-}
-
-/// Per-channel merge queues plus dispatch bookkeeping.
-#[derive(Debug)]
-pub struct MergeScheduler {
-    /// One FIFO of jobs per flash channel (the per-channel merge workers).
-    queues: Vec<VecDeque<MergeJob>>,
-    /// Round-robin dispatch cursor.
-    next_channel: usize,
-}
-
-impl MergeScheduler {
-    /// An idle scheduler for a device with `channels` logical units.
-    pub fn new(channels: u32) -> Self {
-        MergeScheduler {
-            queues: (0..channels.max(1)).map(|_| VecDeque::new()).collect(),
-            next_channel: 0,
-        }
-    }
-
-    /// Whether no job is queued or in flight.
-    pub fn is_idle(&self) -> bool {
-        self.queues.iter().all(VecDeque::is_empty)
-    }
-
-    /// Number of queued + in-flight jobs.
-    pub fn pending_jobs(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    /// Total flash page-IO debt of all pending jobs.
-    pub fn debt_pages(&self) -> u64 {
-        self.queues
-            .iter()
-            .flat_map(|q| q.iter().map(MergeJob::debt_pages))
-            .sum()
-    }
-
-    /// Output pages programmed by unsealed write phases across all jobs.
-    pub fn unsealed_output_pages(&self) -> u64 {
-        self.queues
-            .iter()
-            .flat_map(|q| q.iter().map(MergeJob::unsealed_output_pages))
-            .sum()
-    }
-
-    /// Dispatch a job onto the next channel's queue, round-robin. Several
-    /// jobs may be queued and in flight at once: output identities are
-    /// reserved at plan time ([`MergeJob::new`]), so concurrent write
-    /// phases cannot mint colliding run ids, and the planner's
-    /// span-contiguity rule keeps queries and recovery correct while the
-    /// jobs drain (invariant 4).
-    pub fn enqueue(&mut self, job: MergeJob) {
-        let ch = self.next_channel;
-        self.next_channel = (self.next_channel + 1) % self.queues.len();
-        self.queues[ch].push_back(job);
-    }
-
-    /// Pump every channel's head job by up to `budget` page-IOs. Returns
-    /// the jobs that completed; the caller installs their outputs (and may
-    /// enqueue follow-on cascade jobs).
-    #[allow(clippy::too_many_arguments)] // single call site in LogGecko::pump_merges
-    pub fn step_channels(
-        &mut self,
-        dev: &mut FlashDevice,
-        sink: &mut dyn MetaSink,
-        budget: u64,
-        entries_dropped: &mut u64,
-        pages_stepped: &mut u64,
-        flush_watermark: u64,
-    ) -> Vec<FinishedMerge> {
-        let mut finished = Vec::new();
-        if self.is_idle() {
-            return finished;
-        }
-        for queue in &mut self.queues {
-            let Some(job) = queue.front_mut() else {
-                continue;
-            };
-            let mut remaining = budget;
-            let result = job.step(dev, sink, &mut remaining, entries_dropped, flush_watermark);
-            *pages_stepped += budget - remaining;
-            if let StepResult::Done(done) = result {
-                queue.pop_front();
-                finished.push(done);
-            }
-        }
-        finished
-    }
-
-    /// RAM held by queued and in-flight jobs: entry streams, folded output
-    /// buffers and cloned run directories. Charged to the validity store's
-    /// footprint so the RAM-utilization experiment stays honest about what
-    /// incremental merging buffers.
-    pub fn ram_bytes(&self, entry_bytes: u64) -> u64 {
-        self.queues
-            .iter()
-            .flat_map(|q| q.iter().map(|j| j.ram_bytes(entry_bytes)))
-            .sum()
-    }
 }
