@@ -111,7 +111,7 @@ pub fn build_with(kind: BaselineKind, geo: Geometry, cfg: FtlConfig) -> FtlEngin
 }
 
 /// Build GeckoFTL with an explicit Gecko tuning (Figures 9–12 sweeps),
-/// including the number of per-channel trees ([`GeckoConfig::shards`]).
+/// including the number of independent trees ([`GeckoConfig::shards`]).
 pub fn build_geckoftl_tuned(geo: Geometry, cfg: FtlConfig, gecko_cfg: GeckoConfig) -> FtlEngine {
     FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg))
 }

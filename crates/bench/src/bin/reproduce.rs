@@ -6,7 +6,7 @@
 //! reproduce list               # what exists
 //! reproduce all --csv out/     # also write CSV files
 //! reproduce merge_latency --smoke   # CI-sized run, no JSON rewrite
-//! reproduce merge_latency --smoke --shards 4   # per-channel sharded store
+//! reproduce merge_latency --smoke --shards 4   # validity store split into 4 trees
 //! reproduce merge_latency --trace trace.json   # Chrome Trace timeline
 //! reproduce check-trace trace.json  # validate a trace file (CI)
 //! ```

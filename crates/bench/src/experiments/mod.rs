@@ -30,7 +30,7 @@ pub struct RunOptions {
     /// `multi_tenant`, `fuzz`) to CI-sized runs and skip rewriting the
     /// committed JSON baselines.
     pub smoke: bool,
-    /// `--shards N`: split the validity store into N per-channel Gecko
+    /// `--shards N`: split the validity store into N independent Gecko
     /// trees instead of one (honoured by `merge_latency`).
     pub shards: Option<u32>,
     /// `--trace FILE`: record telemetry over the measured interval and

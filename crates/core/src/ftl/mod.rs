@@ -116,7 +116,7 @@ impl FtlConfig {
 /// the engine can drive its flush/recovery hooks; baseline stores plug in as
 /// trait objects.
 pub enum ValidityBackend {
-    /// Logarithmic Gecko (GeckoFTL): [`GeckoConfig::shards`] per-channel
+    /// Logarithmic Gecko (GeckoFTL): [`GeckoConfig::shards`] independent
     /// trees, one tree when `shards == 1`.
     Gecko(ShardedGecko),
     /// Any other validity store (RAM/flash PVB, PVL).

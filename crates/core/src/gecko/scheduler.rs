@@ -1,4 +1,4 @@
-//! Incremental, channel-aware merge scheduling for Logarithmic Gecko.
+//! Incremental merge scheduling for Logarithmic Gecko.
 //!
 //! The paper runs merges synchronously inside the update path: an update
 //! that trips a level-N merge pays the entire merge's flash IO as latency —
