@@ -223,14 +223,9 @@ impl LogGecko {
     pub fn ram_bytes(&self) -> u64 {
         let dir_bytes = 8 * self.total_run_pages();
         let filter_bytes: u64 = self.runs_newest_first().map(Run::filter_bytes).sum();
-        dir_bytes
-            + filter_bytes
-            + self.geo.page_bytes as u64
-            + self
-                .jobs
-                .iter()
-                .map(|j| j.ram_bytes(self.entry_ram_bytes()))
-                .sum::<u64>()
+        let entry_bytes = self.entry_ram_bytes();
+        let job_bytes: u64 = self.jobs.iter().map(|j| j.ram_bytes(entry_bytes)).sum();
+        dir_bytes + filter_bytes + self.geo.page_bytes as u64 + job_bytes
     }
 
     /// Approximate RAM of one entry buffered in a merge job: key + flags
