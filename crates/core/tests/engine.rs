@@ -21,7 +21,11 @@ impl Lcg {
 }
 
 fn small_engine(seed_cache: usize) -> FtlEngine {
-    let geo = Geometry::tiny(); // 64 blocks × 16 pages, 716 logical pages
+    // 64 blocks × 16 pages, 716 logical pages
+    small_engine_on(Geometry::tiny(), seed_cache, 1)
+}
+
+fn small_engine_on(geo: Geometry, seed_cache: usize, shards: u32) -> FtlEngine {
     let cfg = FtlConfig {
         cache_entries: seed_cache,
         ..FtlConfig::geckoftl(&geo)
@@ -31,6 +35,7 @@ fn small_engine(seed_cache: usize) -> FtlEngine {
         GeckoConfig {
             // Small pages so Gecko actually flushes/merges at this scale.
             page_header_bytes: geo.page_bytes - 64,
+            shards,
             ..GeckoConfig::paper_default(&geo)
         },
     );
@@ -456,19 +461,7 @@ fn bloom_on_and_off_gc_collect_identical_victim_sequences() {
 fn gc_asks_one_query_per_victim_and_keeps_no_state_between_collections() {
     for shards in [1u32, 4] {
         let geo = Geometry::tiny().with_channels(shards);
-        let cfg = FtlConfig {
-            cache_entries: 64,
-            ..FtlConfig::geckoftl(&geo)
-        };
-        let gecko = ValidityBackend::gecko_for(
-            geo,
-            GeckoConfig {
-                page_header_bytes: geo.page_bytes - 64,
-                shards,
-                ..GeckoConfig::paper_default(&geo)
-            },
-        );
-        let mut engine = FtlEngine::format(geo, cfg, gecko);
+        let mut engine = small_engine_on(geo, 64, shards);
         engine.telemetry_mut().enable(1 << 19);
         let logical = geo.logical_pages();
         let mut rng = Lcg(0x6C0 + shards as u64);
@@ -526,19 +519,7 @@ fn gc_asks_one_query_per_victim_and_keeps_no_state_between_collections() {
 #[test]
 fn simulated_clock_is_the_serial_sum_of_io_latencies() {
     let geo = Geometry::tiny().with_channels(4);
-    let cfg = FtlConfig {
-        cache_entries: 64,
-        ..FtlConfig::geckoftl(&geo)
-    };
-    let gecko = ValidityBackend::gecko_for(
-        geo,
-        GeckoConfig {
-            page_header_bytes: geo.page_bytes - 64,
-            shards: 4,
-            ..GeckoConfig::paper_default(&geo)
-        },
-    );
-    let mut engine = FtlEngine::format(geo, cfg, gecko);
+    let mut engine = small_engine_on(geo, 64, 4);
     let logical = geo.logical_pages();
     let mut rng = Lcg(0x51AE);
     for i in 0..8_000u64 {
@@ -555,7 +536,7 @@ fn simulated_clock_is_the_serial_sum_of_io_latencies() {
         stats.counts(IoPurpose::ValidityMerge).page_writes > 100,
         "the run must merge, or there is nothing that could have overlapped"
     );
-    let busy: f64 = IoPurpose::ALL.iter().map(|&p| stats.busy_us(p)).sum();
+    let busy = stats.total_busy_us();
     let now = engine.device().clock().now_us();
     assert!(
         (now - busy).abs() <= 1e-9 * busy,
