@@ -10,9 +10,16 @@
 //!   flags are assumed-true until a synchronization operation checks them
 //!   (Appendix C.3).
 //!
-//! The cache is "implemented as a tree to enable efficient range queries for
-//! mapping entries on a particular translation page" (paper footnote 6):
-//! a `BTreeMap` keyed by LPN indexes an intrusive doubly-linked LRU list.
+//! The paper's cache is "implemented as a tree to enable efficient range
+//! queries for mapping entries on a particular translation page" (footnote
+//! 6) — what firmware with 8 bytes of RAM per entry would use. The simulator
+//! indexes its intrusive doubly-linked LRU list with a dense *slot table*
+//! instead: one `u32` per logical page (LPN → node index), grown on demand,
+//! so every access is an array read and the range query walks one contiguous
+//! slice — in LPN order, the order the tree would give. The table is
+//! simulator host state like the device's per-page arrays, not modelled
+//! firmware RAM: [`MappingCache::ram_bytes`] charges the paper's 8 B/entry
+//! and ignores it.
 //!
 //! **Checkpoints.** §4.3 bounds recovery's backwards scan to `2·C` spare
 //! reads by synchronizing, every `C` cache operations, all dirty entries
@@ -23,9 +30,15 @@
 //! correct for dirty entries that were re-promoted by reads.
 
 use flash_sim::{Lpn, Ppn};
-use std::collections::BTreeMap;
 
 const NIL: usize = usize::MAX;
+
+/// Slot-table value for "LPN not cached".
+const ABSENT: u32 = u32::MAX;
+
+/// The slot table grows in steps of this many LPNs: the span of one 4 KB
+/// translation page of 4-byte entries.
+const SLOT_STEP: usize = 1024;
 
 /// One cached logical→physical mapping entry with its flags.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,7 +82,9 @@ struct Node {
 #[derive(Clone, Debug)]
 pub struct MappingCache {
     capacity: usize,
-    map: BTreeMap<Lpn, usize>,
+    /// `slots[lpn]` is the index into `nodes` of the entry cached for `lpn`,
+    /// or `ABSENT`. LPNs at or beyond `slots.len()` are not cached.
+    slots: Vec<u32>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -81,9 +96,13 @@ impl MappingCache {
     /// An empty cache holding up to `capacity` (`C`) entries.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "cache must hold at least one entry");
+        assert!(
+            capacity < ABSENT as usize,
+            "node indices must fit the slot table's u32"
+        );
         MappingCache {
             capacity,
-            map: BTreeMap::new(),
+            slots: Vec::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -99,12 +118,12 @@ impl MappingCache {
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.nodes.len() - self.free.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Whether an insert would exceed capacity.
@@ -150,14 +169,22 @@ impl MappingCache {
         }
     }
 
+    /// Node index of the entry cached for `lpn`, if any.
+    fn slot(&self, lpn: Lpn) -> Option<usize> {
+        match self.slots.get(lpn.0 as usize) {
+            None | Some(&ABSENT) => None,
+            Some(&idx) => Some(idx as usize),
+        }
+    }
+
     /// Look up an entry without touching LRU order.
     pub fn lookup(&self, lpn: Lpn) -> Option<&CacheEntry> {
-        self.map.get(&lpn).map(|&i| &self.nodes[i].entry)
+        self.slot(lpn).map(|i| &self.nodes[i].entry)
     }
 
     /// Move an entry to the MRU position (an LRU "touch").
     pub fn promote(&mut self, lpn: Lpn) {
-        if let Some(&idx) = self.map.get(&lpn) {
+        if let Some(idx) = self.slot(lpn) {
             self.unlink(idx);
             self.push_front(idx);
         }
@@ -166,7 +193,7 @@ impl MappingCache {
     /// Mutate an entry in place (no LRU movement), keeping the dirty count
     /// consistent. Returns `None` if the entry is not cached.
     pub fn update_entry<R>(&mut self, lpn: Lpn, f: impl FnOnce(&mut CacheEntry) -> R) -> Option<R> {
-        let &idx = self.map.get(&lpn)?;
+        let idx = self.slot(lpn)?;
         let was_dirty = self.nodes[idx].entry.dirty;
         let r = f(&mut self.nodes[idx].entry);
         debug_assert_eq!(self.nodes[idx].entry.lpn, lpn, "entry lpn must not change");
@@ -180,11 +207,13 @@ impl MappingCache {
     }
 
     /// Insert a new entry at the MRU position. Panics if the LPN is already
-    /// cached or the cache is full — callers evict first.
+    /// cached or the cache is full — callers evict first. The slot table
+    /// grows to cover the LPN: 4 bytes of host memory per logical page up to
+    /// the largest ever inserted.
     pub fn insert(&mut self, entry: CacheEntry) {
         assert!(!self.is_full(), "insert into full cache — evict first");
         assert!(
-            !self.map.contains_key(&entry.lpn),
+            self.slot(entry.lpn).is_none(),
             "duplicate insert for {:?}",
             entry.lpn
         );
@@ -206,13 +235,19 @@ impl MappingCache {
             });
             self.nodes.len() - 1
         };
-        self.map.insert(entry.lpn, idx);
+        let lpn = entry.lpn.0 as usize;
+        if lpn >= self.slots.len() {
+            self.slots
+                .resize((lpn + 1).next_multiple_of(SLOT_STEP), ABSENT);
+        }
+        self.slots[lpn] = idx as u32; // idx < capacity < ABSENT
         self.push_front(idx);
     }
 
     /// Remove and return a specific entry.
     pub fn remove(&mut self, lpn: Lpn) -> Option<CacheEntry> {
-        let idx = self.map.remove(&lpn)?;
+        let idx = self.slot(lpn)?;
+        self.slots[lpn.0 as usize] = ABSENT;
         self.unlink(idx);
         self.free.push(idx);
         let entry = self.nodes[idx].entry;
@@ -233,14 +268,18 @@ impl MappingCache {
         self.remove(lpn)
     }
 
-    /// All cached LPNs in `[lo, hi)` (used to batch a synchronization
-    /// operation over one translation page; dirty-only filtering is the
-    /// caller's choice via [`MappingCache::lookup`]).
-    pub fn dirty_lpns_in_range(&self, lo: Lpn, hi: Lpn) -> Vec<Lpn> {
-        self.map
-            .range(lo..hi)
-            .filter(|(_, &idx)| self.nodes[idx].entry.dirty)
-            .map(|(lpn, _)| *lpn)
+    /// The dirty cached entries with an LPN in `[lo, hi)`, as `(lpn,
+    /// cached address)` pairs in LPN order: the batch a synchronization
+    /// operation pushes to one translation page.
+    pub fn dirty_in_range(&self, lo: Lpn, hi: Lpn) -> Vec<(Lpn, Ppn)> {
+        let end = (hi.0 as usize).min(self.slots.len());
+        let start = (lo.0 as usize).min(end);
+        self.slots[start..end]
+            .iter()
+            .filter(|&&idx| idx != ABSENT)
+            .map(|&idx| &self.nodes[idx as usize].entry)
+            .filter(|e| e.dirty)
+            .map(|e| (e.lpn, e.ppn))
             .collect()
     }
 
@@ -265,11 +304,6 @@ impl MappingCache {
             cache: self,
             cursor: self.tail,
         }
-    }
-
-    /// Iterate all entries in LPN order.
-    pub fn iter_by_lpn(&self) -> impl Iterator<Item = &CacheEntry> {
-        self.map.values().map(|&i| &self.nodes[i].entry)
     }
 }
 
@@ -342,8 +376,8 @@ mod tests {
         c.insert(entry(6, 2, false));
         c.insert(entry(7, 3, true));
         c.insert(entry(1029, 4, true)); // outside [0, 1024)
-        let lpns = c.dirty_lpns_in_range(Lpn(0), Lpn(1024));
-        assert_eq!(lpns, vec![Lpn(5), Lpn(7)]);
+        let dirty = c.dirty_in_range(Lpn(0), Lpn(1024));
+        assert_eq!(dirty, vec![(Lpn(5), Ppn(1)), (Lpn(7), Ppn(3))]);
     }
 
     #[test]
@@ -401,7 +435,5 @@ mod tests {
         }
         let order: Vec<u32> = c.iter_lru_order().map(|e| e.lpn.0).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
-        let by_lpn: Vec<u32> = c.iter_by_lpn().map(|e| e.lpn.0).collect();
-        assert_eq!(by_lpn, vec![0, 1, 2, 3]);
     }
 }

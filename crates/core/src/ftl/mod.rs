@@ -836,18 +836,11 @@ impl FtlEngine {
     /// correct recovered flags (App. C.3).
     pub(crate) fn sync_tpage(&mut self, tpage: u32) {
         let (lo, hi) = self.tt.lpn_range(tpage);
-        let lpns = self.cache.dirty_lpns_in_range(lo, hi);
-        if lpns.is_empty() {
+        let updates = self.cache.dirty_in_range(lo, hi);
+        if updates.is_empty() {
             return;
         }
         self.counters.syncs += 1;
-        let updates: Vec<(Lpn, Ppn)> = lpns
-            .iter()
-            .map(|&lpn| {
-                let e = self.cache.lookup(lpn).expect("dirty entry cached");
-                (lpn, e.ppn)
-            })
-            .collect();
         // Keep the previous translation-page version findable for GeckoRec's
         // buffer recovery (App. C.2.2). The protection must be in place
         // *before* the synchronize call marks the old version obsolete —

@@ -1,13 +1,14 @@
 //! Property tests for the engine's supporting components: the LRU mapping
-//! cache against a reference model, and the flash-resident translation
-//! table against a plain map under arbitrary synchronization sequences.
+//! cache against an ordered-map reference model, and the flash-resident
+//! translation table against a plain map under arbitrary synchronization
+//! sequences.
 
 use geckoftl::flash_sim::{FlashDevice, Geometry, IoPurpose, Lpn, Ppn};
 use geckoftl::geckoftl_core::cache::{CacheEntry, MappingCache};
 use geckoftl::geckoftl_core::ftl::BlockManager;
 use geckoftl::geckoftl_core::translation::TranslationTable;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 #[derive(Clone, Copy, Debug)]
 enum CacheOp {
@@ -18,21 +19,31 @@ enum CacheOp {
     MarkClean(u32),
 }
 
+/// 64 LPNs spread over `[0, 2584)`: the cache's LPN → slot table grows in
+/// 1024-LPN steps, so a sequence grows it up to three times, in any order.
+const LPN_STRIDE: u32 = 41;
+const LPN_END: u32 = 64 * LPN_STRIDE;
+
+fn cache_lpn() -> impl Strategy<Value = u32> {
+    (0u32..64).prop_map(|i| i * LPN_STRIDE)
+}
+
 fn cache_op() -> impl Strategy<Value = CacheOp> {
     prop_oneof![
-        4 => (0u32..64, 0u32..1000, any::<bool>()).prop_map(|(l, p, d)| CacheOp::Insert(l, p, d)),
-        2 => (0u32..64).prop_map(CacheOp::Promote),
-        1 => (0u32..64).prop_map(CacheOp::Remove),
+        4 => (cache_lpn(), 0u32..1000, any::<bool>()).prop_map(|(l, p, d)| CacheOp::Insert(l, p, d)),
+        2 => cache_lpn().prop_map(CacheOp::Promote),
+        1 => cache_lpn().prop_map(CacheOp::Remove),
         1 => Just(CacheOp::PopLru),
-        1 => (0u32..64).prop_map(CacheOp::MarkClean),
+        1 => cache_lpn().prop_map(CacheOp::MarkClean),
     ]
 }
 
-/// Reference model: a Vec in LRU order (front = LRU) plus entry data.
+/// Reference model: a Vec in LRU order (front = LRU) plus an ordered map of
+/// entry data — the tree of the paper's footnote 6.
 #[derive(Default)]
 struct LruModel {
     order: Vec<u32>,
-    data: HashMap<u32, (u32, bool)>, // lpn -> (ppn, dirty)
+    data: BTreeMap<u32, (u32, bool)>, // lpn -> (ppn, dirty)
 }
 
 impl LruModel {
@@ -110,6 +121,24 @@ proptest! {
             prop_assert_eq!(cache.dirty_count(), dirty_model);
             let order: Vec<u32> = cache.iter_lru_order().map(|e| e.lpn.0).collect();
             prop_assert_eq!(&order, &model.order);
+            // Point lookups agree on every LPN of the domain, on the
+            // never-inserted LPNs between them, and beyond the table's end.
+            let domain = (0..LPN_END).step_by(LPN_STRIDE as usize);
+            for lpn in domain.flat_map(|l| [l, l + 1]).chain([LPN_END + 5000, u32::MAX]) {
+                let got = cache.lookup(Lpn(lpn)).map(|e| (e.ppn.0, e.dirty));
+                prop_assert_eq!(got, model.data.get(&lpn).copied(), "lookup of {}", lpn);
+            }
+            // The range query returns what the ordered map's range would,
+            // in LPN order — also for ranges ending past the grown table.
+            for (lo, hi) in [(0, 1024), (1024, 2048), (2048, 3072), (500, 1500), (0, u32::MAX)] {
+                let want: Vec<(Lpn, Ppn)> = model
+                    .data
+                    .range(lo..hi)
+                    .filter(|(_, (_, dirty))| *dirty)
+                    .map(|(l, (p, _))| (Lpn(*l), Ppn(*p)))
+                    .collect();
+                prop_assert_eq!(cache.dirty_in_range(Lpn(lo), Lpn(hi)), want);
+            }
         }
     }
 
