@@ -12,7 +12,14 @@
 //! (§4.2) translation/metadata blocks are never migrated: they are erased as
 //! soon as their last valid page is superseded, which this module detects on
 //! [`BlockManager::page_obsolete`].
+//!
+//! Greedy selection is "the eligible block with the fewest valid pages". A
+//! linear scan over all blocks answers that ([`BlockManager::pick_victims`]
+//! still does); [`BlockManager::pick_victim`], which every collection pays
+//! twice, reads it off a *victim index* instead — blocks filed by BVC — and
+//! returns exactly what the scan would (docs/DESIGN.md, invariant 10).
 
+use crate::gecko::Bitmap;
 use crate::validity::MetaSink;
 use flash_sim::{
     BlockId, FlashDevice, FlashError, Geometry, IoPurpose, MetaKind, PageData, Ppn, SpareInfo,
@@ -77,6 +84,76 @@ pub enum BlockState {
     InUse(BlockGroup),
 }
 
+/// Host-side accelerator for [`BlockManager::pick_victim`]: every in-use,
+/// non-retired block filed under its BVC. Simulator state like the device's
+/// per-page arrays, not modelled firmware RAM — `(B+1)·blocks/8` bytes that
+/// [`BlockManager::bvc_ram_bytes`] does not charge.
+#[derive(Clone, Debug)]
+struct VictimIndex {
+    /// `buckets[v]`: the blocks whose BVC is `v`, for `v` in `0..=B`. (A BVC
+    /// beyond `B` — impossible for a count of written pages — would file
+    /// under `B`: never eligible either way.)
+    buckets: Vec<Bitmap>,
+    /// Population count of each bucket, so a pick skips the empty ones.
+    counts: Vec<u32>,
+}
+
+impl VictimIndex {
+    fn new(geo: &Geometry) -> Self {
+        let buckets = geo.pages_per_block as usize + 1;
+        VictimIndex {
+            buckets: vec![Bitmap::new(geo.blocks); buckets],
+            counts: vec![0; buckets],
+        }
+    }
+
+    fn bucket_of(&self, bvc: u32) -> usize {
+        (bvc as usize).min(self.buckets.len() - 1)
+    }
+
+    /// File `block`, not currently indexed, under `bvc`.
+    fn insert(&mut self, block: BlockId, bvc: u32) {
+        let v = self.bucket_of(bvc);
+        debug_assert!(!self.buckets[v].get(block.0), "{block:?} filed twice");
+        self.buckets[v].set(block.0);
+        self.counts[v] += 1;
+    }
+
+    /// Drop `block`, currently filed under `bvc`.
+    fn remove(&mut self, block: BlockId, bvc: u32) {
+        let v = self.bucket_of(bvc);
+        debug_assert!(self.buckets[v].get(block.0), "{block:?} not filed");
+        self.buckets[v].clear(block.0);
+        self.counts[v] -= 1;
+    }
+
+    /// Move `block` after its BVC changed from `old` to `new`.
+    fn refile(&mut self, block: BlockId, old: u32, new: u32) {
+        if self.bucket_of(old) != self.bucket_of(new) {
+            self.remove(block, old);
+            self.insert(block, new);
+        }
+    }
+
+    /// Indexed blocks holding at least one invalid page, in `(BVC, block)`
+    /// order — the order greedy selection ranks candidates in.
+    fn reclaimable(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let full = self.buckets.len() - 1;
+        self.buckets[..full]
+            .iter()
+            .zip(&self.counts)
+            .filter(|(_, &n)| n > 0)
+            .flat_map(|(bucket, _)| bucket.iter_ones().map(BlockId))
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Blocks [`BlockManager::pick_victim`] evaluated eligibility on (the
+    /// scan oracle's evaluations are not counted): the work-count guard.
+    static PICK_EVALUATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Manager of block allocation, groups and validity counters.
 #[derive(Clone, Debug)]
 pub struct BlockManager {
@@ -101,6 +178,10 @@ pub struct BlockManager {
     /// victim selection so GC does not livelock re-picking a 0-valid block
     /// it cannot reclaim.
     retired: Vec<bool>,
+    /// Kept in step with `state`, `bvc` and `retired` by the five places
+    /// that change them: `ensure_active`, `append`, `page_obsolete`,
+    /// `erase_and_free` and `from_recovered`.
+    victims: VictimIndex,
 }
 
 impl BlockManager {
@@ -115,6 +196,7 @@ impl BlockManager {
             erase_empty_metadata: true,
             protected: HashSet::new(),
             retired: vec![false; geo.blocks as usize],
+            victims: VictimIndex::new(&geo),
         }
     }
 
@@ -138,6 +220,12 @@ impl BlockManager {
             .iter_blocks()
             .filter(|b| state[b.0 as usize] == BlockState::Free && !dev.is_bad(*b))
             .collect();
+        let mut victims = VictimIndex::new(&geo);
+        for b in geo.iter_blocks() {
+            if matches!(state[b.0 as usize], BlockState::InUse(_)) {
+                victims.insert(b, bvc[b.0 as usize]);
+            }
+        }
         BlockManager {
             geo,
             state,
@@ -147,6 +235,21 @@ impl BlockManager {
             erase_empty_metadata,
             protected: HashSet::new(),
             retired: vec![false; geo.blocks as usize],
+            victims,
+        }
+    }
+
+    /// Whether the victim index holds `block`: in use and not retired.
+    fn is_indexed(&self, block: BlockId) -> bool {
+        matches!(self.state[block.0 as usize], BlockState::InUse(_))
+            && !self.retired[block.0 as usize]
+    }
+
+    /// Take `block` out of the victim index ahead of it being freed or
+    /// retired.
+    fn unfile(&mut self, block: BlockId) {
+        if self.is_indexed(block) {
+            self.victims.remove(block, self.bvc[block.0 as usize]);
         }
     }
 
@@ -229,6 +332,7 @@ impl BlockManager {
         debug_assert!(dev.written_pages(b) == 0, "free block must be erased");
         debug_assert!(!dev.is_bad(b), "free pool must not contain bad blocks");
         self.state[b.0 as usize] = BlockState::InUse(group);
+        self.victims.insert(b, self.bvc[b.0 as usize]);
         self.active[slot] = Some(b);
         b
     }
@@ -259,7 +363,9 @@ impl BlockManager {
             let block = self.ensure_active(dev, group);
             match dev.write_page(block, data.clone(), info, purpose) {
                 Ok(ppn) => {
-                    self.bvc[block.0 as usize] += 1;
+                    let i = block.0 as usize;
+                    self.bvc[i] += 1;
+                    self.victims.refile(block, self.bvc[i] - 1, self.bvc[i]);
                     return ppn;
                 }
                 Err(FlashError::ProgramFailed(_)) => {
@@ -279,7 +385,13 @@ impl BlockManager {
         let block = self.geo.block_of(ppn);
         let i = block.0 as usize;
         debug_assert!(self.bvc[i] > 0, "BVC underflow on {block:?}");
-        self.bvc[i] = self.bvc[i].saturating_sub(1);
+        let old = self.bvc[i];
+        self.bvc[i] = old.saturating_sub(1);
+        if self.is_indexed(block) {
+            // An underflowing counter (release builds) stays at 0, and the
+            // block stays filed under 0.
+            self.victims.refile(block, old, self.bvc[i]);
+        }
         if self.bvc[i] == 0
             && self.erase_empty_metadata
             && !self.is_active(block)
@@ -322,12 +434,14 @@ impl BlockManager {
         let i = block.0 as usize;
         match dev.erase_block(block, purpose) {
             Ok(()) => {
+                self.unfile(block);
                 self.state[i] = BlockState::Free;
                 self.bvc[i] = 0;
                 self.free.push_back(block);
                 true
             }
             Err(FlashError::EraseFailed(_) | FlashError::BlockWornOut(_)) => {
+                self.unfile(block);
                 self.retired[i] = true;
                 self.bvc[i] = 0;
                 false
@@ -348,8 +462,10 @@ impl BlockManager {
 
     /// GC victim candidates among `eligible` groups: full, non-active,
     /// unprotected blocks with at least one invalid page, as `(valid
-    /// pages, block)` pairs in block order. Single source of the victim
-    /// eligibility rules for both selection flavors below.
+    /// pages, block)` pairs in block order — the linear scan over every
+    /// block. [`BlockManager::pick_victims`] is built on it; for
+    /// [`BlockManager::pick_victim`] it is the oracle the victim index is
+    /// checked against.
     fn victim_candidates<'a>(
         &'a self,
         dev: &'a FlashDevice,
@@ -362,16 +478,34 @@ impl BlockManager {
     }
 
     /// Greedy victim selection: the full, non-active block with the fewest
-    /// valid pages among `eligible` groups. Returns `None` if no block has
-    /// any invalid page.
+    /// valid pages among `eligible` groups (lowest block id among equals).
+    /// Returns `None` if no block has any invalid page.
+    ///
+    /// Walks the victim index in `(BVC, block)` order and returns the first
+    /// block that passes [`BlockManager::is_victim_eligible`] — sealed or
+    /// bad, not active, not protected and the group filter are all judged
+    /// here, at pick time, so bad-block marks, protections and write
+    /// pointers need no hook into the index. The blocks it rejects on the
+    /// way are the few active, protected or filtered-out ones ranked below
+    /// the victim, whatever the device size.
     pub fn pick_victim(
         &self,
         dev: &FlashDevice,
         eligible: impl Fn(BlockGroup) -> bool,
     ) -> Option<BlockId> {
-        self.victim_candidates(dev, eligible)
-            .min_by_key(|&(valid, b)| (valid, b))
-            .map(|(_, b)| b)
+        let picked = self.victims.reclaimable().find(|&b| {
+            #[cfg(test)]
+            PICK_EVALUATIONS.with(|n| n.set(n.get() + 1));
+            self.is_victim_eligible(dev, b, &eligible)
+        });
+        debug_assert_eq!(
+            picked,
+            self.victim_candidates(dev, &eligible)
+                .min_by_key(|&(valid, b)| (valid, b))
+                .map(|(_, b)| b),
+            "victim index diverged from the linear scan"
+        );
+        picked
     }
 
     /// Whether `block` currently satisfies every victim-eligibility rule
@@ -407,7 +541,9 @@ impl BlockManager {
     /// probes. Strictly better (fewer-valid) candidates are never displaced
     /// by clustering. Library API: the engine collects one
     /// [`BlockManager::pick_victim`] at a time and never calls this; the
-    /// repo benchmark times it.
+    /// repo benchmark times it (`gc.pick_victims_ns`). It is the one
+    /// remaining caller of the linear scan, so that row measures the scan,
+    /// not what a collection pays.
     pub fn pick_victims(
         &self,
         dev: &FlashDevice,
@@ -715,6 +851,57 @@ mod tests {
         let bvc = vec![0u32; geo.blocks as usize];
         let bm = BlockManager::from_recovered(&dev, geo, state, bvc, true);
         assert_eq!(bm.free_blocks(), geo.blocks as usize - 1);
+    }
+
+    /// One fixed scenario on a device of `blocks` blocks: how many blocks a
+    /// user-only pick evaluated, and the bound the index promises.
+    fn pick_work(blocks: u32) -> (usize, usize) {
+        let geo = Geometry::new(blocks, 8, 4096, 0.7);
+        let (mut dev, mut bm) = (FlashDevice::new(geo), BlockManager::new(geo));
+        bm.erase_empty_metadata = false; // keep emptied translation blocks filed
+        let mut fill = |bm: &mut BlockManager, group, pages: u32| -> Vec<Ppn> {
+            (0..pages)
+                .map(|i| {
+                    let (data, info) = match group {
+                        BlockGroup::User => user_page(i),
+                        _ => (PageData::blob_of(i), SpareInfo::Translation { tpage: i }),
+                    };
+                    bm.append(&mut dev, group, data, info, IoPurpose::UserWrite)
+                })
+                .collect()
+        };
+        // Four sealed user blocks and an active one holding two pages; two
+        // sealed translation blocks and an active one holding one page.
+        let user = fill(&mut bm, BlockGroup::User, 4 * 8 + 2);
+        let tran = fill(&mut bm, BlockGroup::Translation, 2 * 8 + 1);
+        let mut obsolete = |bm: &mut BlockManager, pages: &[Ppn]| {
+            for &p in pages {
+                bm.page_obsolete(&mut dev, p);
+            }
+        };
+        obsolete(&mut bm, &user[..8]); // user block 0: BVC 0, protected below
+        obsolete(&mut bm, &user[8..12]); // user block 1: BVC 4 — the victim
+        obsolete(&mut bm, &user[16..18]); // user block 2: BVC 6
+        obsolete(&mut bm, &tran[..7]); // translation block 0: BVC 1
+        obsolete(&mut bm, &tran[8..14]); // translation block 1: BVC 2
+        bm.protect(geo.block_of(user[0]));
+        let user_only = |g| g == BlockGroup::User;
+
+        PICK_EVALUATIONS.with(|n| n.set(0));
+        assert_eq!(bm.pick_victim(&dev, user_only), Some(geo.block_of(user[8])));
+        let evaluated = PICK_EVALUATIONS.with(|n| n.get());
+        let active = bm.active.iter().flatten().count();
+        let filtered_out = bm.blocks_of_group(BlockGroup::Translation).count();
+        (evaluated, active + bm.protected_count() + filtered_out + 1)
+    }
+
+    #[test]
+    fn pick_work_is_bounded_and_independent_of_device_size() {
+        let (small, bound) = pick_work(1024);
+        let (large, _) = pick_work(16_384);
+        assert!(small <= bound, "evaluated {small} blocks, bound {bound}");
+        assert_eq!(small, 6, "protected, 3 translation, active user, victim");
+        assert_eq!(large, small, "work must not grow with the device");
     }
 
     #[test]

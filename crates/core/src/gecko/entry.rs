@@ -16,7 +16,9 @@
 use flash_sim::BlockId;
 use std::fmt;
 
-/// A fixed-width bitmap of page-validity bits (bit set ⇒ page invalid).
+/// A fixed-width bitmap: page-validity bits in Gecko entries and GC query
+/// answers (bit set ⇒ page invalid), and the block sets of the block
+/// manager's victim index.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Bitmap {
     words: Box<[u64]>,
@@ -75,9 +77,22 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones()).sum()
     }
 
-    /// Iterate over the indices of set bits.
+    /// Iterate over the indices of set bits, ascending. Word-wise: zero
+    /// words cost one compare, not 64 bit tests.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len).filter(move |i| self.get(*i))
+        self.words
+            .iter()
+            .zip((0u32..).step_by(64))
+            .flat_map(|(&word, base)| {
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let bit = rest.trailing_zeros();
+                        rest &= rest - 1;
+                        base + bit
+                    })
+                })
+            })
     }
 }
 

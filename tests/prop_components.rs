@@ -1,11 +1,14 @@
 //! Property tests for the engine's supporting components: the LRU mapping
-//! cache against an ordered-map reference model, and the flash-resident
+//! cache against an ordered-map reference model, the flash-resident
 //! translation table against a plain map under arbitrary synchronization
-//! sequences.
+//! sequences, and the block manager's victim index against the linear scan.
 
-use geckoftl::flash_sim::{FlashDevice, Geometry, IoPurpose, Lpn, Ppn};
+use geckoftl::flash_sim::{
+    BlockId, EraseFault, FaultPlan, FlashDevice, Geometry, IoPurpose, Lpn, MetaKind, PageData, Ppn,
+    SpareInfo, WriteFault,
+};
 use geckoftl::geckoftl_core::cache::{CacheEntry, MappingCache};
-use geckoftl::geckoftl_core::ftl::BlockManager;
+use geckoftl::geckoftl_core::ftl::{BlockGroup, BlockManager, BlockState};
 use geckoftl::geckoftl_core::translation::TranslationTable;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -53,8 +56,184 @@ impl LruModel {
     }
 }
 
+/// One step of a block-manager history. `pick` fields choose among whatever
+/// blocks or pages exist when the step runs (modulo their number).
+#[derive(Clone, Copy, Debug)]
+enum BmOp {
+    /// Append `pages` pages to group `BlockGroup::ALL[group]`; with
+    /// `program_fail`, the first program attempt fails (the active block
+    /// goes bad and the write retries on a fresh block).
+    Append {
+        group: usize,
+        pages: u32,
+        program_fail: bool,
+    },
+    Obsolete {
+        pick: usize,
+        lenient: bool,
+    },
+    Protect {
+        pick: usize,
+    },
+    ClearProtection,
+    /// `erase_and_free` a non-active block; with `fail`, the erase fails and
+    /// the block is retired.
+    Erase {
+        pick: usize,
+        fail: bool,
+    },
+    MarkBad {
+        pick: usize,
+    },
+    /// Rebuild the manager with `from_recovered` from its own public state.
+    Recover,
+}
+
+fn bm_op() -> impl Strategy<Value = BmOp> {
+    prop_oneof![
+        8 => (0usize..5, 1u32..24, 0u32..12).prop_map(|(group, pages, f)| BmOp::Append {
+            group,
+            pages,
+            program_fail: f == 0,
+        }),
+        12 => (0usize..4096, any::<bool>()).prop_map(|(pick, lenient)| BmOp::Obsolete { pick, lenient }),
+        2 => (0usize..64).prop_map(|pick| BmOp::Protect { pick }),
+        1 => Just(BmOp::ClearProtection),
+        4 => (0usize..64, 0u32..4).prop_map(|(pick, f)| BmOp::Erase { pick, fail: f == 0 }),
+        1 => (0usize..64).prop_map(|pick| BmOp::MarkBad { pick }),
+        1 => Just(BmOp::Recover),
+    ]
+}
+
+/// The linear scan `pick_victim` must agree with, from public parts only:
+/// the eligible block with the fewest valid pages, lowest id among equals.
+fn scan_oracle(
+    bm: &BlockManager,
+    dev: &FlashDevice,
+    eligible: impl Fn(BlockGroup) -> bool,
+) -> Option<BlockId> {
+    dev.geometry()
+        .iter_blocks()
+        .filter(|&b| bm.is_victim_eligible(dev, b, &eligible))
+        .min_by_key(|&b| (bm.valid_pages(b), b))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn victim_index_matches_linear_scan(ops in prop::collection::vec(bm_op(), 1..250)) {
+        // Few, small blocks: histories seal blocks quickly and cycle the
+        // free pool, so freed blocks are allocated again.
+        let geo = Geometry::new(24, 8, 4096, 0.7);
+        let mut dev = FlashDevice::new(geo);
+        let mut bm = BlockManager::new(geo);
+        // Pages written and not yet reported obsolete, in write order.
+        let mut live: Vec<Ppn> = Vec::new();
+        let in_use = |bm: &BlockManager| -> Vec<BlockId> {
+            geo.iter_blocks().filter(|&b| bm.group_of(b).is_some()).collect()
+        };
+
+        for op in ops {
+            match op {
+                BmOp::Append { group, pages, program_fail } => {
+                    let group = BlockGroup::ALL[group];
+                    if program_fail {
+                        let next = dev.write_attempts();
+                        dev.set_fault_plan(FaultPlan::new().on_write(next, WriteFault::ProgramFail));
+                    }
+                    for i in 0..pages {
+                        if bm.free_blocks() < 2 {
+                            break; // no GC here: keep a reserve for the retry
+                        }
+                        let info = match group {
+                            BlockGroup::User => SpareInfo::User { lpn: Lpn(i), before: None },
+                            BlockGroup::Translation => SpareInfo::Translation { tpage: i },
+                            BlockGroup::Meta(kind) => SpareInfo::Meta { kind, tag: i as u64 },
+                        };
+                        live.push(bm.append(&mut dev, group, PageData::blob_of(i), info, IoPurpose::UserWrite));
+                    }
+                }
+                BmOp::Obsolete { pick, lenient } => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let ppn = live.swap_remove(pick % live.len());
+                    if lenient {
+                        // The re-report case: the same page may be reported
+                        // again, and is ignored once the counter reads 0.
+                        bm.page_obsolete_lenient(&mut dev, ppn);
+                        live.push(ppn);
+                    } else if bm.valid_pages(geo.block_of(ppn)) > 0 {
+                        bm.page_obsolete(&mut dev, ppn);
+                    }
+                }
+                BmOp::Protect { pick } => {
+                    let blocks = in_use(&bm);
+                    if !blocks.is_empty() {
+                        bm.protect(blocks[pick % blocks.len()]);
+                    }
+                }
+                BmOp::ClearProtection => {
+                    bm.clear_protection();
+                }
+                BmOp::Erase { pick, fail } => {
+                    let blocks: Vec<BlockId> = in_use(&bm)
+                        .into_iter()
+                        .filter(|&b| !bm.is_active(b) && !bm.is_retired(b))
+                        .collect();
+                    if blocks.is_empty() {
+                        continue;
+                    }
+                    if fail {
+                        let next = dev.erase_attempts();
+                        dev.set_fault_plan(FaultPlan::new().on_erase(next, EraseFault::Fail));
+                    }
+                    let block = blocks[pick % blocks.len()];
+                    let freed = bm.erase_and_free(&mut dev, block, IoPurpose::GcMigrateUser);
+                    prop_assert_eq!(freed, !bm.is_retired(block));
+                }
+                BmOp::MarkBad { pick } => {
+                    // Only allocated blocks: the free pool never holds a bad one.
+                    let blocks = in_use(&bm);
+                    if !blocks.is_empty() {
+                        dev.mark_bad(blocks[pick % blocks.len()]);
+                    }
+                }
+                BmOp::Recover => {
+                    let state: Vec<BlockState> = geo
+                        .iter_blocks()
+                        .map(|b| bm.group_of(b).map_or(BlockState::Free, BlockState::InUse))
+                        .collect();
+                    let bvc: Vec<u32> = geo.iter_blocks().map(|b| bm.valid_pages(b)).collect();
+                    let mut recovered =
+                        BlockManager::from_recovered(&dev, geo, state, bvc, bm.erase_empty_metadata);
+                    // As GeckoRec does with the half-full blocks it finds.
+                    for b in in_use(&bm) {
+                        if bm.is_active(b) && !dev.block_is_full(b) && !dev.is_bad(b) {
+                            recovered.adopt_active(b, bm.group_of(b).expect("in use"));
+                        }
+                    }
+                    bm = recovered;
+                }
+            }
+            // Pages of blocks freed (or retired) by this step are gone.
+            live.retain(|&p| {
+                let b = geo.block_of(p);
+                bm.group_of(b).is_some() && !bm.is_retired(b) && dev.is_written(p)
+            });
+
+            prop_assert_eq!(bm.pick_victim(&dev, |_| true), scan_oracle(&bm, &dev, |_| true));
+            let user_only = |g| g == BlockGroup::User;
+            prop_assert_eq!(bm.pick_victim(&dev, user_only), scan_oracle(&bm, &dev, user_only));
+            // `GcPolicy::GreedyAll` with a flash-resident PVB as the store.
+            let greedy_all = |g| match g {
+                BlockGroup::User | BlockGroup::Translation => true,
+                BlockGroup::Meta(kind) => kind == MetaKind::Pvb,
+            };
+            prop_assert_eq!(bm.pick_victim(&dev, greedy_all), scan_oracle(&bm, &dev, greedy_all));
+        }
+    }
 
     #[test]
     fn mapping_cache_matches_lru_model(ops in prop::collection::vec(cache_op(), 1..300)) {
