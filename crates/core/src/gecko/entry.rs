@@ -16,21 +16,56 @@
 use flash_sim::BlockId;
 use std::fmt;
 
+/// Bitmaps of up to this many words (128 bits) store them inline. A Gecko
+/// sub-entry is `B/S` bits wide — 32 under the paper's tuning — so buffering,
+/// merging, cloning or querying an entry allocates nothing; wider bitmaps
+/// (an unpartitioned 512-page block, the victim index's block sets) live on
+/// the heap.
+const INLINE_WORDS: usize = 2;
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Words {
+    /// Widths up to `64 · INLINE_WORDS`; words past the width stay zero.
+    Inline([u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
+}
+
 /// A fixed-width bitmap: page-validity bits in Gecko entries and GC query
 /// answers (bit set ⇒ page invalid), and the block sets of the block
 /// manager's victim index.
+///
+/// The width decides the storage, and bits past the width are never set, so
+/// the derived `Eq` and `Hash` compare exactly width and contents.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Bitmap {
-    words: Box<[u64]>,
+    words: Words,
     len: u32,
 }
 
 impl Bitmap {
     /// An all-zero bitmap of `len` bits.
     pub fn new(len: u32) -> Self {
-        Bitmap {
-            words: vec![0u64; len.div_ceil(64) as usize].into_boxed_slice(),
-            len,
+        let n = len.div_ceil(64) as usize;
+        let words = if n <= INLINE_WORDS {
+            Words::Inline([0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0u64; n].into_boxed_slice())
+        };
+        Bitmap { words, len }
+    }
+
+    /// The `⌈len / 64⌉` words holding the bits, lowest first.
+    fn as_slice(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => &w[..self.len.div_ceil(64) as usize],
+            Words::Heap(w) => w,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => &mut w[..self.len.div_ceil(64) as usize],
+            Words::Heap(w) => w,
         }
     }
 
@@ -41,32 +76,32 @@ impl Bitmap {
 
     /// Whether no bit is set.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|w| *w == 0)
+        self.as_slice().iter().all(|w| *w == 0)
     }
 
     /// Set bit `i`.
     pub fn set(&mut self, i: u32) {
         assert!(i < self.len, "bit {i} out of range ({})", self.len);
-        self.words[(i / 64) as usize] |= 1u64 << (i % 64);
+        self.as_mut_slice()[(i / 64) as usize] |= 1u64 << (i % 64);
     }
 
     /// Clear bit `i`.
     pub fn clear(&mut self, i: u32) {
         assert!(i < self.len, "bit {i} out of range ({})", self.len);
-        self.words[(i / 64) as usize] &= !(1u64 << (i % 64));
+        self.as_mut_slice()[(i / 64) as usize] &= !(1u64 << (i % 64));
     }
 
     /// Read bit `i`.
     pub fn get(&self, i: u32) -> bool {
         assert!(i < self.len, "bit {i} out of range ({})", self.len);
-        self.words[(i / 64) as usize] >> (i % 64) & 1 == 1
+        self.as_slice()[(i / 64) as usize] >> (i % 64) & 1 == 1
     }
 
     /// Bitwise-OR another bitmap of the same width into this one (the merge
     /// operator of Algorithm 3 and of GC queries).
     pub fn or_assign(&mut self, other: &Bitmap) {
         assert_eq!(self.len, other.len, "bitmap width mismatch");
-        for (w, o) in self.words.iter_mut().zip(other.words.iter()) {
+        for (w, o) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *w |= o;
         }
     }
@@ -74,25 +109,23 @@ impl Bitmap {
     /// Number of set bits (hamming weight; used by BVC recovery, App. C
     /// step 5).
     pub fn count_ones(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
+        self.as_slice().iter().map(|w| w.count_ones()).sum()
     }
 
     /// Iterate over the indices of set bits, ascending. Word-wise: zero
     /// words cost one compare, not 64 bit tests.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words
-            .iter()
-            .zip((0u32..).step_by(64))
-            .flat_map(|(&word, base)| {
-                let mut rest = word;
-                std::iter::from_fn(move || {
-                    (rest != 0).then(|| {
-                        let bit = rest.trailing_zeros();
-                        rest &= rest - 1;
-                        base + bit
-                    })
+        let words = self.as_slice().iter().zip((0u32..).step_by(64));
+        words.flat_map(|(&word, base)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    base + bit
                 })
             })
+        })
     }
 }
 
@@ -220,6 +253,55 @@ mod tests {
         a.or_assign(&b);
         assert!(a.get(1) && a.get(2));
         assert_eq!(a.count_ones(), 2);
+    }
+
+    fn hash_of(b: &Bitmap) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        b.hash(&mut h);
+        h.finish()
+    }
+
+    /// Every method at widths on both sides of the inline/heap boundary.
+    #[test]
+    fn bitmap_round_trips_at_inline_and_heap_widths() {
+        for len in [1u32, 32, 64, 128, 129, 512] {
+            // First and last bit, and the bits around each word boundary.
+            let mut ones: Vec<u32> = [0, 31, 63, 64, 127, 128, 510, len - 1]
+                .into_iter()
+                .filter(|&i| i < len)
+                .collect();
+            ones.sort_unstable();
+            ones.dedup();
+            let mut a = Bitmap::new(len);
+            assert!(a.is_empty() && a.len() == len && a.count_ones() == 0);
+            for &i in &ones {
+                a.set(i);
+            }
+            assert_eq!(a.iter_ones().collect::<Vec<_>>(), ones, "width {len}");
+            assert_eq!(a.count_ones() as usize, ones.len());
+            assert!((0..len).all(|i| a.get(i) == ones.contains(&i)));
+
+            // The OR of two halves rebuilds the whole: equal, same hash.
+            let (lo, hi) = ones.split_at(ones.len() / 2);
+            let (mut b, mut c) = (Bitmap::new(len), Bitmap::new(len));
+            lo.iter().for_each(|&i| b.set(i));
+            hi.iter().for_each(|&i| c.set(i));
+            b.or_assign(&c);
+            assert_eq!(a, b, "width {len}");
+            assert_eq!(hash_of(&a), hash_of(&b), "width {len}");
+            assert_eq!(a.clone(), a);
+            // One bit fewer: not equal.
+            a.clear(len - 1);
+            assert!(!a.get(len - 1) && a.count_ones() as usize == ones.len() - 1);
+            assert_ne!(a, b, "width {len}");
+        }
+        // The same bits at widths either side of the boundary differ.
+        let (mut inline, mut heap) = (Bitmap::new(128), Bitmap::new(129));
+        inline.set(127);
+        heap.set(127);
+        assert_ne!(inline, heap);
+        assert_ne!(hash_of(&inline), hash_of(&heap));
     }
 
     #[test]

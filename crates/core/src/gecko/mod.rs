@@ -229,7 +229,7 @@ impl LogGecko {
     }
 
     /// Approximate RAM of one entry buffered in a merge job: key + flags
-    /// plus the boxed bitmap slice words.
+    /// plus the bitmap slice's words.
     fn entry_ram_bytes(&self) -> u64 {
         24 + u64::from(self.cfg.sub_bits(&self.geo).div_ceil(64)) * 8
     }
