@@ -55,14 +55,9 @@ fn workload(ops: usize) -> Trace {
     let logical = geometry().logical_pages();
     // Tenant 1 (light): half reads over the upper quarter of the space.
     let light_base = (logical * 3 / 4) as u32;
-    let light = Mixed::new(11, Uniform::new(13, logical / 4), 0.5, logical / 4).map(move |op| {
-        // Shift the light tenant into its private range.
-        match op {
-            WorkloadOp::Write(l) => WorkloadOp::Write(Lpn(light_base + l.0)),
-            WorkloadOp::Read(l) => WorkloadOp::Read(Lpn(light_base + l.0)),
-            other => other,
-        }
-    });
+    // Shifted into the light tenant's private range.
+    let light = Mixed::new(11, Uniform::new(13, logical / 4), 0.5, logical / 4)
+        .map(move |op| op.map_lpn(|l| Lpn(light_base + l.0)));
     // Tenant 2 (heavy): overwrite storm over the lower half.
     let heavy = OverwriteStorm::new(17, logical / 2, 24, 400);
     let mix = TenantMix::new(
@@ -93,8 +88,7 @@ fn run_variant(name: &'static str, headroom: usize, trace: &Trace) -> VariantRes
     let mut engine = FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg));
     crate::harness::fill_sequential(&mut engine);
     let before = engine.metrics();
-    let mut version = 1u64 << 40;
-    crate::harness::replay_trace(&mut engine, trace, &mut version);
+    crate::harness::replay_trace(&mut engine, trace, 1 << 40);
     let delta = engine.metrics().since(&before);
 
     let row = |id: u8| -> TenantRow {

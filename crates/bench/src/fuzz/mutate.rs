@@ -139,12 +139,7 @@ fn mutate_ops(sc: &mut Scenario, rng: &mut StdRng, b: &MutateBounds) {
             let band = rng.gen_range(2u32..24.min(b.logical_pages));
             let base = rng.gen_range(0u32..b.logical_pages - band);
             for op in &mut ops[start..end] {
-                match op {
-                    WorkloadOp::Write(l) | WorkloadOp::Read(l) | WorkloadOp::Trim(l) => {
-                        *l = Lpn(base + l.0 % band)
-                    }
-                    WorkloadOp::Idle(_) => {}
-                }
+                *op = op.map_lpn(|l| Lpn(base + l.0 % band));
             }
         }
         // Inject a TRIM wave: discard a contiguous just-written region.

@@ -82,8 +82,7 @@ pub fn replay_stats(trace: &Trace, shards: u32) -> String {
     let mut engine = golden_engine(shards);
     fill_sequential(&mut engine);
     let before = engine.metrics();
-    let mut version = 1u64 << 40;
-    replay_trace(&mut engine, trace, &mut version);
+    replay_trace(&mut engine, trace, 1 << 40);
     let delta = engine.metrics().since(&before);
 
     let mut out = String::new();

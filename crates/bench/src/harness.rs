@@ -2,7 +2,7 @@
 
 use flash_sim::{Geometry, StatsSnapshot};
 use ftl_workloads::{Trace, Uniform, WorkloadOp};
-use geckoftl_core::ftl::FtlEngine;
+use geckoftl_core::ftl::{Completion, FtlEngine, FtlError, HostOp, HostOpKind, TenantId};
 
 /// The default simulation geometry for write-amplification experiments:
 /// 1024 blocks of 128 × 4 KB pages (512 MB) at the paper's R = 0.7.
@@ -23,54 +23,105 @@ pub fn fill_sequential(engine: &mut FtlEngine) {
     }
 }
 
-/// Apply `n` operations from a workload generator.
-pub fn drive(engine: &mut FtlEngine, gen: impl Iterator<Item = WorkloadOp>, n: u64) {
-    let mut version = 1u64 << 32;
-    for op in gen.take(n as usize) {
-        match op {
+/// The one place a [`WorkloadOp`] turns into engine calls: writes get the
+/// next version tag, `Idle(n)` expands to `n` idle ticks, and a refused op
+/// comes back as a [`DriveError`] naming its position in the stream. Every
+/// experiment, trace replay, the fuzzer, the integration tests and the
+/// examples dispatch through [`OpDriver::apply`].
+#[derive(Debug)]
+pub struct OpDriver {
+    /// Version tag of the most recent write; the next write gets
+    /// `version + 1`.
+    pub version: u64,
+    /// Workload ops applied so far: the index a [`DriveError`] reports.
+    applied: usize,
+}
+
+/// A workload op the engine refused.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DriveError {
+    /// Position of the op in the stream this driver was fed.
+    pub index: usize,
+    /// The refused op.
+    pub op: WorkloadOp,
+    /// The engine's reason.
+    pub error: FtlError,
+}
+
+impl std::fmt::Display for DriveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "op #{} ({:?}): {}", self.index, self.op, self.error)
+    }
+}
+
+impl std::error::Error for DriveError {}
+
+impl OpDriver {
+    /// A driver whose first write carries `version + 1`.
+    pub fn new(version: u64) -> Self {
+        OpDriver {
+            version,
+            applied: 0,
+        }
+    }
+
+    /// Apply one workload op, charged to `tenant` if given. Returns the
+    /// host op issued and its completion, or `None` for an idle gap.
+    pub fn apply(
+        &mut self,
+        engine: &mut FtlEngine,
+        op: WorkloadOp,
+        tenant: Option<TenantId>,
+    ) -> Result<Option<(HostOp, Completion)>, DriveError> {
+        let index = self.applied;
+        self.applied += 1;
+        let (kind, lpn) = match op {
             WorkloadOp::Write(lpn) => {
-                version += 1;
-                engine.write(lpn, version);
+                self.version += 1;
+                let version = self.version;
+                (HostOpKind::Write { version }, lpn)
             }
-            WorkloadOp::Read(lpn) => {
-                let _ = engine.read(lpn);
-            }
-            WorkloadOp::Trim(lpn) => {
-                engine.trim(lpn);
-            }
+            WorkloadOp::Read(lpn) => (HostOpKind::Read, lpn),
+            WorkloadOp::Trim(lpn) => (HostOpKind::Trim, lpn),
             WorkloadOp::Idle(ticks) => {
                 for _ in 0..ticks {
                     engine.idle_tick();
                 }
+                return Ok(None);
             }
+        };
+        let host = HostOp { kind, lpn, tenant };
+        match engine.submit(host) {
+            Ok(done) => Ok(Some((host, done))),
+            Err(error) => Err(DriveError { index, op, error }),
+        }
+    }
+
+    /// Apply a whole stream of untagged ops. Panics on a refused op: the
+    /// generators and recorded traces fed here stay inside the logical
+    /// space they were built for.
+    pub fn run(&mut self, engine: &mut FtlEngine, ops: impl IntoIterator<Item = WorkloadOp>) {
+        for op in ops {
+            self.apply(engine, op, None)
+                .unwrap_or_else(|e| panic!("{e}"));
         }
     }
 }
 
-/// Replay a recorded [`Trace`] against an engine, routing each op through
-/// the per-tenant entry points (`write_for`/`read_for`/`trim_for`) so
-/// tenant accounting and QoS apply. `version` threads a monotonically
-/// increasing write payload across multiple replay calls; start it at any
-/// value and pass the same variable back in for a continuation.
-pub fn replay_trace(engine: &mut FtlEngine, trace: &Trace, version: &mut u64) {
+/// Apply `n` operations from a workload generator.
+pub fn drive(engine: &mut FtlEngine, gen: impl Iterator<Item = WorkloadOp>, n: u64) {
+    OpDriver::new(1 << 32).run(engine, gen.take(n as usize));
+}
+
+/// Replay a recorded [`Trace`] against an engine with every op charged to
+/// its tenant, so tenant accounting and QoS apply. Writes carry the version
+/// tags `version + 1, version + 2, …`.
+pub fn replay_trace(engine: &mut FtlEngine, trace: &Trace, version: u64) {
+    let mut driver = OpDriver::new(version);
     for (op, tenant) in trace.iter_with_tenants() {
-        match op {
-            WorkloadOp::Write(lpn) => {
-                *version += 1;
-                engine.write_for(tenant, lpn, *version);
-            }
-            WorkloadOp::Read(lpn) => {
-                let _ = engine.read_for(tenant, lpn);
-            }
-            WorkloadOp::Trim(lpn) => {
-                engine.trim_for(tenant, lpn);
-            }
-            WorkloadOp::Idle(ticks) => {
-                for _ in 0..ticks {
-                    engine.idle_tick();
-                }
-            }
-        }
+        driver
+            .apply(engine, op, Some(tenant))
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

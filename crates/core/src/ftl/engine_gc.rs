@@ -105,8 +105,7 @@ impl FtlEngine {
         }
         // Charge the whole burst to the op that triggered it, for the
         // per-tenant GC-debt accounting (observation only).
-        let spent = self.dev.clock().now_us() - t0;
-        self.note_gc_time(spent);
+        self.gc_attrib_us += self.dev.clock().now_us() - t0;
     }
 
     /// Pick and collect one victim block. Returns false if no block has any

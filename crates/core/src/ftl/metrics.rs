@@ -46,8 +46,8 @@ impl FtlEngine {
         m.set_counter("engine.gc_uip_skips", c.gc_uip_skips);
         m.set_counter("engine.trims", c.trims);
 
-        // Per-tenant series (only tenants seen through the `*_for` entry
-        // points appear; single-tenant runs emit nothing extra).
+        // Per-tenant series (only tenants named by a submitted op appear;
+        // single-tenant runs emit nothing extra).
         for (id, s) in self.tenant_stats() {
             let p = format!("tenant.{id}");
             m.set_counter(&format!("{p}.writes"), s.writes);

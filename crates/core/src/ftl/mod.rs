@@ -21,17 +21,18 @@
 
 pub mod block_manager;
 mod engine_gc;
+mod host;
 pub mod metrics;
 
 pub use block_manager::{BlockGroup, BlockManager, BlockState};
+pub use host::{Completion, FtlError, HostOp, HostOpKind};
 
 use crate::cache::{CacheEntry, MappingCache};
 use crate::gecko::{Bitmap, GeckoConfig, ShardedGecko};
 use crate::translation::TranslationTable;
 use crate::validity::{MetaSink, ValidityStore};
 use flash_sim::{
-    BlockId, FlashDevice, Geometry, Histogram, IoPurpose, Lpn, PageData, Ppn, SpanKind, SpareInfo,
-    Telemetry,
+    BlockId, FlashDevice, Geometry, Histogram, IoPurpose, Lpn, PageData, Ppn, SpareInfo, Telemetry,
 };
 use std::collections::BTreeMap;
 
@@ -229,13 +230,13 @@ pub struct FtlEngine {
     gc_victim: Option<GcVictim>,
     /// Lifetime op counters.
     pub counters: EngineCounters,
-    /// Per-tenant accounting, populated by the `*_for` entry points.
+    /// Per-tenant accounting, populated by ops submitted with a tenant.
     /// RAM-only observation — it never influences the simulation, so
     /// single-tenant callers using `write`/`read` stay byte-identical.
     /// `BTreeMap` so metric emission order is deterministic.
     tenants: BTreeMap<TenantId, TenantStats>,
     /// Lifetime simulated time spent inside GC (victim selection, queries,
-    /// migrations, erases). The `*_for` entry points diff this around each
+    /// migrations, erases). `submit` diffs this around each tenant-tagged
     /// op to charge GC debt to the tenant whose op triggered it.
     gc_attrib_us: f64,
 }
@@ -251,8 +252,8 @@ struct GcVictim {
     invalid: Bitmap,
 }
 
-/// A tenant / stream identifier for multi-tenant accounting. Tenant 0 is
-/// the default stream the untagged `write`/`read` entry points charge.
+/// A tenant / stream identifier for multi-tenant accounting
+/// ([`HostOp::tenant`]).
 pub type TenantId = u8;
 
 /// Per-tenant accounting: op counts, bytes, latency histograms, and the GC
@@ -452,21 +453,8 @@ impl FtlEngine {
         f(&mut self.dev, &mut self.bm)
     }
 
-    /// Application write: store a new version of logical page `lpn`.
-    pub fn write(&mut self, lpn: Lpn, version: u64) {
-        let t0 = self.dev.clock().now_us();
-        self.write_inner(lpn, version);
-        let now = self.dev.clock().now_us();
-        self.dev
-            .telemetry_mut()
-            .record_span(SpanKind::HostWrite, lpn.0, t0, now);
-    }
-
+    /// The body of a host write ([`FtlEngine::submit`] has checked `lpn`).
     fn write_inner(&mut self, lpn: Lpn, version: u64) {
-        assert!(
-            self.geometry().contains_lpn(lpn),
-            "write outside logical space: {lpn:?}"
-        );
         self.maybe_gc();
         self.counters.writes += 1;
         // Record the superseded copy's address in the new page's spare area
@@ -569,23 +557,8 @@ impl FtlEngine {
         }
     }
 
-    /// Application read: returns the stored version tag, or `None` if the
-    /// page was never written.
-    pub fn read(&mut self, lpn: Lpn) -> Option<u64> {
-        let t0 = self.dev.clock().now_us();
-        let version = self.read_inner(lpn);
-        let now = self.dev.clock().now_us();
-        self.dev
-            .telemetry_mut()
-            .record_span(SpanKind::HostRead, lpn.0, t0, now);
-        version
-    }
-
+    /// The body of a host read ([`FtlEngine::submit`] has checked `lpn`).
     fn read_inner(&mut self, lpn: Lpn) -> Option<u64> {
-        assert!(
-            self.geometry().contains_lpn(lpn),
-            "read outside logical space: {lpn:?}"
-        );
         self.counters.reads += 1;
         self.dev.stats_mut().logical_reads += 1;
         let ppn = if let Some(e) = self.cache.lookup(lpn) {
@@ -615,27 +588,8 @@ impl FtlEngine {
         Some(version)
     }
 
-    /// Host TRIM/discard: declare logical page `lpn`'s contents dead. The
-    /// mapping is durably removed (subsequent reads return `None`, even
-    /// across a crash) and the physical copy is reported invalid, so GC can
-    /// reclaim it without migration — the workload GeckoFTL's erase markers
-    /// handle without any cleaning writes. Returns `true` if a mapping
-    /// existed.
-    pub fn trim(&mut self, lpn: Lpn) -> bool {
-        let t0 = self.dev.clock().now_us();
-        let had = self.trim_inner(lpn);
-        let now = self.dev.clock().now_us();
-        self.dev
-            .telemetry_mut()
-            .record_span(SpanKind::HostTrim, lpn.0, t0, now);
-        had
-    }
-
+    /// The body of a host trim ([`FtlEngine::submit`] has checked `lpn`).
     fn trim_inner(&mut self, lpn: Lpn) -> bool {
-        assert!(
-            self.geometry().contains_lpn(lpn),
-            "trim outside logical space: {lpn:?}"
-        );
         self.maybe_gc();
         self.counters.trims += 1;
         let tpage = self.tt.tpage_of(lpn);
@@ -666,66 +620,9 @@ impl FtlEngine {
         before.is_some()
     }
 
-    /// [`FtlEngine::write`] with the op charged to `tenant`.
-    pub fn write_for(&mut self, tenant: TenantId, lpn: Lpn, version: u64) {
-        let t0 = self.dev.clock().now_us();
-        let gc0 = self.gc_attrib_us;
-        let ops0 = self.counters.gc_operations;
-        let mig0 = self.counters.gc_migrations;
-        if self.qos_should_prepay(tenant) {
-            self.gc_prepay();
-        }
-        self.write(lpn, version);
-        let dt = self.dev.clock().now_us() - t0;
-        let gc = self.gc_attrib_us - gc0;
-        let (ops, mig) = (
-            self.counters.gc_operations - ops0,
-            self.counters.gc_migrations - mig0,
-        );
-        let page_bytes = self.geometry().page_bytes as u64;
-        let s = self.tenants.entry(tenant).or_default();
-        s.writes += 1;
-        s.bytes_written += page_bytes;
-        s.gc_operations += ops;
-        s.gc_migrations += mig;
-        s.gc_debt_us += gc;
-        s.write_lat.record(dt);
-    }
-
-    /// [`FtlEngine::read`] with the op charged to `tenant`.
-    pub fn read_for(&mut self, tenant: TenantId, lpn: Lpn) -> Option<u64> {
-        let t0 = self.dev.clock().now_us();
-        let version = self.read(lpn);
-        let dt = self.dev.clock().now_us() - t0;
-        let s = self.tenants.entry(tenant).or_default();
-        s.reads += 1;
-        s.read_lat.record(dt);
-        version
-    }
-
-    /// [`FtlEngine::trim`] with the op charged to `tenant`.
-    pub fn trim_for(&mut self, tenant: TenantId, lpn: Lpn) -> bool {
-        let gc0 = self.gc_attrib_us;
-        let ops0 = self.counters.gc_operations;
-        let mig0 = self.counters.gc_migrations;
-        let had = self.trim(lpn);
-        let s = self.tenants.entry(tenant).or_default();
-        s.trims += 1;
-        s.gc_operations += self.counters.gc_operations - ops0;
-        s.gc_migrations += self.counters.gc_migrations - mig0;
-        s.gc_debt_us += self.gc_attrib_us - gc0;
-        had
-    }
-
-    /// Per-tenant accounting collected by the `*_for` entry points.
+    /// Per-tenant accounting of the ops submitted with a tenant.
     pub fn tenant_stats(&self) -> &BTreeMap<TenantId, TenantStats> {
         &self.tenants
-    }
-
-    /// Accumulate simulated GC time for tenant-debt attribution (called by
-    /// the GC paths in `engine_gc`).
-    pub(crate) fn note_gc_time(&mut self, us: f64) {
-        self.gc_attrib_us += us;
     }
 
     /// Whether `tenant` should prepay garbage collection before its next

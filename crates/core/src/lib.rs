@@ -37,7 +37,10 @@ pub mod validity;
 pub mod wear;
 
 pub use cache::{CacheEntry, MappingCache};
-pub use ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, TenantId, TenantStats};
+pub use ftl::{
+    Completion, FtlConfig, FtlEngine, FtlError, GcPolicy, HostOp, HostOpKind, RecoveryPolicy,
+    TenantId, TenantStats,
+};
 pub use gecko::{Bitmap, GeckoConfig, GeckoEntry, GeckoKey, LogGecko};
 pub use recovery::{RecoveryReport, RecoveryStep};
 pub use translation::TranslationTable;

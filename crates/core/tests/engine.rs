@@ -2,8 +2,10 @@
 //! device: data integrity under garbage-collection pressure, crash recovery
 //! with GeckoRec, and the §4.3 recovery-cost bounds.
 
-use flash_sim::{Geometry, IoOp, IoPurpose, Lpn, SpanKind, TraceEvent};
-use geckoftl_core::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
+use flash_sim::{Geometry, IoCounts, IoOp, IoPurpose, Lpn, SpanKind, TraceEvent};
+use geckoftl_core::ftl::{
+    FtlConfig, FtlEngine, FtlError, GcPolicy, HostOp, HostOpKind, RecoveryPolicy, ValidityBackend,
+};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
 use std::collections::HashMap;
@@ -70,6 +72,18 @@ fn verify_all(engine: &mut FtlEngine, oracle: &HashMap<u32, u64>) {
             "post-check for L{lpn}"
         );
     }
+}
+
+/// Everything simulated about an engine's IO so far: per-purpose counts,
+/// the logical op counts and the clock.
+fn io_state(engine: &FtlEngine) -> (Vec<IoCounts>, u64, u64, f64) {
+    let stats = engine.device().stats();
+    (
+        IoPurpose::ALL.iter().map(|&p| stats.counts(p)).collect(),
+        stats.logical_writes,
+        stats.logical_reads,
+        engine.device().clock().now_us(),
+    )
 }
 
 #[test]
@@ -665,14 +679,23 @@ fn tenant_accounting_tracks_ops_and_gc_debt() {
     let mut engine = small_engine(64);
     let logical = engine.geometry().logical_pages() as u32;
     // Tenant 1: light. Tenant 2: overwrite storm (drives all the GC).
+    let mut submit = |tenant, kind, lpn| {
+        let tenant = Some(tenant);
+        engine
+            .submit(HostOp { kind, lpn, tenant })
+            .expect("in range");
+    };
     for i in 0..200u64 {
-        engine.write_for(1, Lpn((i % 50) as u32), i + 1);
+        let version = i + 1;
+        submit(1, HostOpKind::Write { version }, Lpn((i % 50) as u32));
     }
     for i in 0..8_000u64 {
-        engine.write_for(2, Lpn((i % (logical as u64 / 4)) as u32 + 100), i + 1);
+        let lpn = Lpn((i % (logical as u64 / 4)) as u32 + 100);
+        let version = i + 1;
+        submit(2, HostOpKind::Write { version }, lpn);
     }
-    engine.read_for(1, Lpn(3));
-    engine.trim_for(1, Lpn(3));
+    submit(1, HostOpKind::Read, Lpn(3));
+    submit(1, HostOpKind::Trim, Lpn(3));
     let t = engine.tenant_stats();
     let t1 = &t[&1];
     let t2 = &t[&2];
@@ -697,12 +720,27 @@ fn tenant_accounting_tracks_ops_and_gc_debt() {
     assert_eq!(m.counter("engine.trims"), 1);
 }
 
+/// How [`qos_headroom_is_byte_identical_when_disabled_and_prepays_when_on`]
+/// hands its op sequence to the engine.
+#[derive(Clone, Copy, PartialEq)]
+enum Via {
+    /// `write` / `read` / `trim`.
+    Wrappers,
+    /// `submit` with `tenant: None`.
+    SubmitUntagged,
+    /// `submit` with the op's tenant.
+    SubmitTagged,
+}
+
 #[test]
 fn qos_headroom_is_byte_identical_when_disabled_and_prepays_when_on() {
     // qos_headroom_blocks = 0 must not change behaviour at all (same device
-    // IO counts for the same op sequence); with headroom on, a heavy tenant
-    // is made to prepay GC so its debt share rises.
-    let run = |headroom: usize| {
+    // IO for the same op sequence), whichever way the ops enter the engine
+    // and whether or not they name a tenant; with headroom on, a heavy
+    // tenant is made to prepay GC so its debt share rises.
+    //
+    // Returns the engine and Σ `Completion::sim_us` (submit variants only).
+    let run = |headroom: usize, via: Via| {
         let geo = Geometry::tiny();
         let cfg = FtlConfig {
             cache_entries: 64,
@@ -718,29 +756,65 @@ fn qos_headroom_is_byte_identical_when_disabled_and_prepays_when_on() {
         );
         let mut e = FtlEngine::format(geo, cfg, gecko);
         let logical = geo.logical_pages() as u32;
+        let t_start = e.device().clock().now_us();
+        let mut sim_us = 0.0;
         for i in 0..9_000u64 {
             let heavy = i % 4 != 0;
-            let tenant = if heavy { 2 } else { 1 };
-            let lpn = if heavy {
+            let tenant = Some(if heavy { 2 } else { 1 });
+            let lpn = Lpn(if heavy {
                 (i % (logical as u64 / 8)) as u32
             } else {
                 (logical / 2) + (i % 64) as u32
-            };
-            e.write_for(tenant, Lpn(lpn), i + 1);
+            });
+            // A write per step; every 8th step also reads the page back
+            // and every 32nd trims it.
+            let version = i + 1;
+            let mut kinds = vec![HostOpKind::Write { version }];
+            if i % 8 == 0 {
+                kinds.push(HostOpKind::Read);
+            }
+            if i % 32 == 0 {
+                kinds.push(HostOpKind::Trim);
+            }
+            for kind in kinds {
+                let tenant = match via {
+                    Via::Wrappers => {
+                        match kind {
+                            HostOpKind::Write { version } => e.write(lpn, version),
+                            HostOpKind::Read => assert_eq!(e.read(lpn), Some(version)),
+                            HostOpKind::Trim => assert!(e.trim(lpn)),
+                        }
+                        continue;
+                    }
+                    Via::SubmitUntagged => None,
+                    Via::SubmitTagged => tenant,
+                };
+                sim_us += e.submit(HostOp { kind, lpn, tenant }).unwrap().sim_us;
+            }
+        }
+        if via != Via::Wrappers {
+            assert_eq!(
+                sim_us,
+                e.device().clock().now_us() - t_start,
+                "completions partition the simulated time (no idle ticks ran)"
+            );
         }
         e
     };
-    let a = run(0);
-    let b = run(0);
-    for p in IoPurpose::ALL {
-        assert_eq!(
-            a.device().stats().counts(p),
-            b.device().stats().counts(p),
-            "headroom=0 runs are deterministic ({})",
-            p.label()
-        );
+    let mut a = run(0, Via::SubmitTagged);
+    let mut b = run(0, Via::Wrappers);
+    let mut c = run(0, Via::SubmitUntagged);
+    assert_eq!(io_state(&a), io_state(&b), "tagged submit vs wrappers");
+    assert_eq!(io_state(&a), io_state(&c), "tagged vs untagged submit");
+    assert_eq!(a.counters, b.counters);
+    assert_eq!(a.counters, c.counters);
+    assert!(b.tenant_stats().is_empty() && c.tenant_stats().is_empty());
+    for lpn in (0..Geometry::tiny().logical_pages() as u32).map(Lpn) {
+        let want = a.read(lpn);
+        assert_eq!(b.read(lpn), want, "read-back of {lpn:?}");
+        assert_eq!(c.read(lpn), want, "read-back of {lpn:?}");
     }
-    let q = run(4);
+    let q = run(4, Via::SubmitTagged);
     let qa = q.tenant_stats();
     let base = a.tenant_stats();
     assert!(
@@ -750,4 +824,54 @@ fn qos_headroom_is_byte_identical_when_disabled_and_prepays_when_on() {
     // The light tenant's worst-case write latency must not get worse under
     // QoS: prepaid GC runs on the heavy tenant's clock.
     assert!(qa[&1].write_lat.max() <= base[&1].write_lat.max() * 1.5 + 1.0);
+}
+
+#[test]
+fn out_of_range_lpn_is_refused_before_anything_is_charged() {
+    let mut engine = small_engine(64);
+    let mut oracle = HashMap::new();
+    run_workload(&mut engine, &mut oracle, &mut Lcg(5), 500);
+    let beyond = Lpn(engine.geometry().logical_pages() as u32);
+    let before = (io_state(&engine), engine.counters);
+    for kind in [
+        HostOpKind::Write { version: 1 },
+        HostOpKind::Read,
+        HostOpKind::Trim,
+    ] {
+        let op = HostOp {
+            kind,
+            lpn: beyond,
+            tenant: Some(7),
+        };
+        assert_eq!(engine.submit(op), Err(FtlError::LpnOutOfRange(op)));
+        assert_eq!((io_state(&engine), engine.counters), before);
+        assert!(engine.tenant_stats().is_empty());
+    }
+    // The unwrapping forms keep their panic messages.
+    let panic_of = |f: fn(&mut FtlEngine, Lpn)| {
+        let mut engine = small_engine(64);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f(&mut engine, beyond);
+        }));
+        *caught
+            .expect_err("must panic")
+            .downcast::<String>()
+            .expect("formatted message")
+    };
+    assert_eq!(
+        panic_of(|e, l| e.write(l, 1)),
+        format!("write outside logical space: {beyond:?}")
+    );
+    assert_eq!(
+        panic_of(|e, l| {
+            e.read(l);
+        }),
+        format!("read outside logical space: {beyond:?}")
+    );
+    assert_eq!(
+        panic_of(|e, l| {
+            e.trim(l);
+        }),
+        format!("trim outside logical space: {beyond:?}")
+    );
 }

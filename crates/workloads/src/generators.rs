@@ -23,6 +23,18 @@ pub enum WorkloadOp {
     Idle(u32),
 }
 
+impl WorkloadOp {
+    /// The same op on logical page `f(lpn)`; idle gaps pass through.
+    pub fn map_lpn(self, f: impl FnOnce(Lpn) -> Lpn) -> Self {
+        match self {
+            WorkloadOp::Write(l) => WorkloadOp::Write(f(l)),
+            WorkloadOp::Read(l) => WorkloadOp::Read(f(l)),
+            WorkloadOp::Trim(l) => WorkloadOp::Trim(f(l)),
+            WorkloadOp::Idle(n) => WorkloadOp::Idle(n),
+        }
+    }
+}
+
 /// Uniformly random page updates over the logical space — the paper's
 /// default (adversarial for Logarithmic Gecko's buffer, fair to PVB).
 #[derive(Clone, Debug)]
