@@ -6,7 +6,7 @@
 //!
 //! Both variants run the same mixed workload (25 % reads) on identical
 //! geometry and tuning; the only difference is `GeckoConfig::sync_merge`.
-//! Per-write latency is the simulated-clock delta around each `write()`.
+//! Per-write latency is each write's `Completion::sim_us`.
 //! The headline metrics are the p99 and max write latency (the tail the
 //! amortized cost analysis of Table 1 promises but synchronous merging
 //! breaks), with write-amplification equality and a byte-level
@@ -16,13 +16,13 @@
 
 use super::RunOptions;
 use crate::fuzz::oracle::audit_state;
-use crate::harness::fill_sequential;
+use crate::harness::{fill_sequential, OpDriver};
 use crate::report::{f3, Table};
 use flash_sim::telemetry::{chrome_trace_json, TraceEvent};
 use flash_sim::{Geometry, Histogram, IoPurpose};
 use ftl_baselines::ftls::build_geckoftl_tuned;
-use ftl_workloads::{Mixed, WorkloadOp, Zipfian};
-use geckoftl_core::ftl::FtlConfig;
+use ftl_workloads::{Mixed, Zipfian};
+use geckoftl_core::ftl::{FtlConfig, HostOpKind};
 use geckoftl_core::gecko::GeckoConfig;
 use std::time::Instant;
 
@@ -162,26 +162,8 @@ fn run_variant(
     // by validity-metadata maintenance — the component under test.
     let mut gen = Mixed::new(7, Zipfian::new(13, logical, 0.99), 0.25, logical);
     // Warm-up to GC + merge steady state.
-    let mut version = 1u64 << 32;
-    for op in gen.by_ref().take(logical as usize / 2) {
-        match op {
-            WorkloadOp::Write(lpn) => {
-                version += 1;
-                engine.write(lpn, version);
-            }
-            WorkloadOp::Read(lpn) => {
-                let _ = engine.read(lpn);
-            }
-            WorkloadOp::Trim(lpn) => {
-                engine.trim(lpn);
-            }
-            WorkloadOp::Idle(ticks) => {
-                for _ in 0..ticks {
-                    engine.idle_tick();
-                }
-            }
-        }
-    }
+    let mut driver = OpDriver::new(1 << 32);
+    driver.run(&mut engine, gen.by_ref().take(logical as usize / 2));
 
     let snap = engine.device().stats().snapshot();
     let gecko_before = engine.backend().gecko_stats().expect("gecko backend");
@@ -197,31 +179,20 @@ fn run_variant(
     let mut stall = Histogram::new();
     let mut measured = 0usize;
     while measured < measured_writes {
-        match gen.next().expect("infinite generator") {
-            WorkloadOp::Write(lpn) => {
-                version += 1;
-                let before_us = engine.device().clock().now_us();
-                let merge_before = engine.device().stats().busy_us(IoPurpose::ValidityMerge);
-                engine.write(lpn, version);
-                lat.record(engine.device().clock().now_us() - before_us);
+        let merge_before = engine.device().stats().busy_us(IoPurpose::ValidityMerge);
+        let op = gen.next().expect("infinite generator");
+        let issued = driver.apply(&mut engine, op, None).expect("in-range op");
+        let Some((host, done)) = issued else { continue };
+        match host.kind {
+            HostOpKind::Write { .. } => {
+                lat.record(done.sim_us);
                 stall.record(
                     engine.device().stats().busy_us(IoPurpose::ValidityMerge) - merge_before,
                 );
                 measured += 1;
             }
-            WorkloadOp::Read(lpn) => {
-                let before_us = engine.device().clock().now_us();
-                let _ = engine.read(lpn);
-                read_lat.record(engine.device().clock().now_us() - before_us);
-            }
-            WorkloadOp::Trim(lpn) => {
-                engine.trim(lpn); // Mixed never emits TRIMs; exhaustiveness only
-            }
-            WorkloadOp::Idle(ticks) => {
-                for _ in 0..ticks {
-                    engine.idle_tick();
-                }
-            }
+            HostOpKind::Read => read_lat.record(done.sim_us),
+            HostOpKind::Trim => {} // Mixed never emits TRIMs; exhaustiveness only
         }
     }
     let wall_secs = started.elapsed().as_secs_f64();

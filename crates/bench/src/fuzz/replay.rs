@@ -27,10 +27,10 @@
 use super::oracle::audit_state;
 use super::scenario::Scenario;
 use crate::fuzz::corpus_dir;
+use crate::harness::OpDriver;
 use flash_sim::{FaultPlan, FaultStats, FlashDevice, Geometry, Lpn, SpanKind};
-use ftl_workloads::WorkloadOp;
 use geckoftl_core::ftl::metrics::wa_total;
-use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, HostOp, HostOpKind, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
 use std::collections::{BTreeMap, BTreeSet};
@@ -126,18 +126,19 @@ fn recover_engine(
 }
 
 /// Verify every acknowledged write against the recovered engine, treating
-/// `inflight` (the op interrupted mid-flight, if any) as allowed to hold
-/// either its old value or its new one — `Some(v)` for a write, `None` for
-/// a TRIM. Acknowledged trims (`trimmed`, minus pages rewritten since) must
-/// stay unmapped: a durable TRIM that resurrects after a crash is a bug.
+/// `inflight` (the write or trim interrupted mid-flight, if any) as allowed
+/// to hold either its old value or its new one — the written version, or
+/// `None` for a TRIM. Acknowledged trims (`trimmed`, minus pages rewritten
+/// since) must stay unmapped: a durable TRIM that resurrects after a crash
+/// is a bug.
 fn verify_recovered(
     engine: &mut FtlEngine,
     oracle: &BTreeMap<u32, u64>,
     trimmed: &BTreeSet<u32>,
-    inflight: Option<(Lpn, Option<u64>)>,
+    inflight: Option<HostOp>,
 ) -> Result<(), String> {
     for (&l, &want) in oracle {
-        if inflight.is_some_and(|(il, _)| il.0 == l) {
+        if inflight.is_some_and(|op| op.lpn.0 == l) {
             continue;
         }
         let got = engine.read(Lpn(l));
@@ -148,7 +149,7 @@ fn verify_recovered(
         }
     }
     for &l in trimmed {
-        if inflight.is_some_and(|(il, _)| il.0 == l) {
+        if inflight.is_some_and(|op| op.lpn.0 == l) {
             continue;
         }
         let got = engine.read(Lpn(l));
@@ -158,7 +159,11 @@ fn verify_recovered(
             ));
         }
     }
-    if let Some((lpn, new_version)) = inflight {
+    if let Some(HostOp { kind, lpn, .. }) = inflight {
+        let new_version = match kind {
+            HostOpKind::Write { version } => Some(version),
+            _ => None,
+        };
         let old = oracle.get(&lpn.0).copied();
         let got = engine.read(lpn);
         if got != old && got != new_version {
@@ -190,7 +195,7 @@ pub fn replay_with_shards(sc: &Scenario, shards: u32) -> Outcome {
 
     let mut oracle: BTreeMap<u32, u64> = BTreeMap::new();
     let mut trimmed: BTreeSet<u32> = BTreeSet::new();
-    let mut version = 0u64;
+    let mut driver = OpDriver::new(0);
     let mut fitness = Fitness::default();
     let mut crashed = false;
     let mut faults = FaultStats::default();
@@ -213,40 +218,31 @@ pub fn replay_with_shards(sc: &Scenario, shards: u32) -> Outcome {
                 );
             }
         }
-        // Execute the op on the live engine.
-        let mut this_op: Option<(Lpn, Option<u64>)> = None;
-        match op {
-            WorkloadOp::Write(l) => {
-                let lpn = Lpn(l.0 % logical);
-                version += 1;
-                // Latency is captured by the engine's HostWrite span; the
-                // histogram max is folded into the fitness at engine
-                // hand-offs and at the end of the run.
-                engine.write(lpn, version);
-                this_op = Some((lpn, Some(version)));
-            }
-            WorkloadOp::Trim(l) => {
-                let lpn = Lpn(l.0 % logical);
-                engine.trim(lpn);
-                this_op = Some((lpn, None));
-            }
-            WorkloadOp::Read(l) => {
-                let lpn = Lpn(l.0 % logical);
-                let got = engine.read(lpn);
-                let want = oracle.get(&lpn.0).copied();
-                if got != want {
+        // Execute the op on the live engine; mutated LPNs wrap into the
+        // logical space. Write latency is captured by the engine's
+        // HostWrite span; the histogram max is folded into the fitness at
+        // engine hand-offs and at the end of the run.
+        let issued = driver
+            .apply(&mut engine, op.map_lpn(|l| Lpn(l.0 % logical)), None)
+            .expect("wrapped LPNs are in range");
+        // The write or trim a crash during this op leaves unacknowledged.
+        let mut this_op: Option<HostOp> = None;
+        if let Some((host, done)) = issued {
+            if host.kind == HostOpKind::Read {
+                let want = oracle.get(&host.lpn.0).copied();
+                if done.version != want {
                     return Outcome::fail(
-                        format!("op {i}: read L{} got {got:?}, want {want:?}", lpn.0),
+                        format!(
+                            "op {i}: read L{} got {:?}, want {want:?}",
+                            host.lpn.0, done.version
+                        ),
                         fitness,
                         crashed,
                         engine.device().fault_stats(),
                     );
                 }
-            }
-            WorkloadOp::Idle(ticks) => {
-                for _ in 0..ticks {
-                    engine.idle_tick();
-                }
+            } else {
+                this_op = Some(host);
             }
         }
         // A torn-write or mid-erase fault fired during this op: the live
@@ -275,28 +271,21 @@ pub fn replay_with_shards(sc: &Scenario, shards: u32) -> Outcome {
             // Re-issue the interrupted op, as a retrying host would. The
             // retry is not a measured host op (it never was), so its span
             // is suppressed.
-            if let Some((lpn, v)) = this_op {
+            if let Some(host) = this_op {
                 engine.telemetry_mut().set_enabled(false);
-                match v {
-                    Some(v) => engine.write(lpn, v),
-                    None => {
-                        engine.trim(lpn);
-                    }
-                }
+                engine.submit(host).expect("the op was in range before");
                 engine.telemetry_mut().set_enabled(true);
             }
         }
         // Acknowledged (or re-issued) now.
-        match this_op {
-            Some((lpn, Some(v))) => {
-                oracle.insert(lpn.0, v);
+        if let Some(HostOp { kind, lpn, .. }) = this_op {
+            if let HostOpKind::Write { version } = kind {
+                oracle.insert(lpn.0, version);
                 trimmed.remove(&lpn.0);
-            }
-            Some((lpn, None)) => {
+            } else {
                 oracle.remove(&lpn.0);
                 trimmed.insert(lpn.0);
             }
-            None => {}
         }
     }
 

@@ -6,9 +6,10 @@
 //! cargo run --release --example ftl_shootout
 //! ```
 
+use gecko_bench::harness::OpDriver;
 use geckoftl::flash_sim::Geometry;
 use geckoftl::ftl_baselines::{build, BaselineKind};
-use geckoftl::ftl_workloads::{Trace, Uniform, WorkloadOp};
+use geckoftl::ftl_workloads::{Trace, Uniform};
 
 fn main() {
     let geo = Geometry::new(512, 128, 4096, 0.7);
@@ -32,15 +33,7 @@ fn main() {
             ftl.write(geckoftl::flash_sim::Lpn(lpn), 0);
         }
         let snap = ftl.device().stats().snapshot();
-        for op in trace.iter() {
-            match op {
-                WorkloadOp::Write(lpn) => ftl.write(lpn, 1),
-                WorkloadOp::Read(lpn) => {
-                    let _ = ftl.read(lpn);
-                }
-                WorkloadOp::Idle(_) | WorkloadOp::Trim(_) => {}
-            }
-        }
+        OpDriver::new(0).run(&mut ftl, trace.iter());
         let d = ftl.device().stats().since(&snap);
         let wa = d.wa_breakdown(10.0);
         let secs = d.simulated_us(&ftl.device().latency()) / 1e6;

@@ -11,9 +11,10 @@
 //! cargo run --release --example kv_store
 //! ```
 
+use gecko_bench::harness::OpDriver;
 use geckoftl::flash_sim::{Geometry, Lpn};
 use geckoftl::ftl_baselines::{build, BaselineKind};
-use geckoftl::ftl_workloads::{WorkloadOp, Zipfian};
+use geckoftl::ftl_workloads::Zipfian;
 
 /// A trivial page-granular "database": page id → record count, persisted
 /// through an FTL.
@@ -61,14 +62,15 @@ fn main() {
 
         // OLTP-ish phase: zipfian updates (hot pages commit constantly),
         // interleaved with lookups.
-        let mut row_version = 101u64;
+        // (The driver stamps each commit with the next row version.)
+        let mut rows = OpDriver::new(101);
         let snap = store.ftl.device().stats().snapshot();
         for op in Zipfian::new(2024, table_pages as u64, 0.9).take(100_000) {
-            let WorkloadOp::Write(lpn) = op else { continue };
-            row_version += 1;
-            store.commit_page(lpn.0, row_version);
-            if row_version.is_multiple_of(64) {
-                let _ = store.read_page(lpn.0);
+            let issued = rows.apply(&mut store.ftl, op, None).expect("page in range");
+            let Some((commit, _)) = issued else { continue };
+            store.commits += 1;
+            if rows.version.is_multiple_of(64) {
+                let _ = store.read_page(commit.lpn.0);
             }
         }
         let delta = store.ftl.device().stats().since(&snap);

@@ -6,9 +6,10 @@
 //! cargo run --release --example power_failure
 //! ```
 
+use gecko_bench::harness::OpDriver;
 use geckoftl::flash_sim::{Geometry, Lpn};
-use geckoftl::ftl_workloads::{Uniform, WorkloadOp};
-use geckoftl::geckoftl_core::ftl::FtlEngine;
+use geckoftl::ftl_workloads::Uniform;
+use geckoftl::geckoftl_core::ftl::{FtlEngine, HostOpKind};
 use geckoftl::geckoftl_core::recovery::gecko_recover;
 use std::collections::HashMap;
 
@@ -17,17 +18,19 @@ fn main() {
     let logical = geo.logical_pages();
     let mut ftl = FtlEngine::geckoftl(geo);
     let mut oracle: HashMap<u32, u64> = HashMap::new();
-    let mut version = 0u64;
+    let mut driver = OpDriver::new(0);
     let mut gen = Uniform::new(0xC0FFEE, logical);
 
     for round in 1..=6u32 {
         // Crash later and later into the workload each round.
         let ops = 2_000 * round as u64;
         for op in (&mut gen).take(ops as usize) {
-            let WorkloadOp::Write(lpn) = op else { continue };
-            version += 1;
-            ftl.write(lpn, version);
-            oracle.insert(lpn.0, version);
+            let issued = driver.apply(&mut ftl, op, None).expect("in-range op");
+            if let Some((host, _)) = issued {
+                if let HostOpKind::Write { version } = host.kind {
+                    oracle.insert(host.lpn.0, version);
+                }
+            }
         }
 
         let cfg = ftl.config();

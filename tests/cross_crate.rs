@@ -2,10 +2,12 @@
 //! FTL built from `ftl_baselines` running workloads from `ftl_workloads` on
 //! the `flash_sim` substrate, with results cross-checked between crates.
 
+use gecko_bench::harness::{drive, OpDriver};
 use geckoftl::flash_sim::{Geometry, Lpn};
 use geckoftl::ftl_baselines::{build, BaselineKind};
 use geckoftl::ftl_models::{ram_model, FtlName};
-use geckoftl::ftl_workloads::{HotCold, Trace, Uniform, WorkloadOp, Zipfian};
+use geckoftl::ftl_workloads::{HotCold, Trace, Uniform, Zipfian};
+use geckoftl::geckoftl_core::ftl::HostOpKind;
 use geckoftl::geckoftl_core::recovery::gecko_recover;
 use std::collections::HashMap;
 
@@ -16,25 +18,24 @@ fn geo() -> Geometry {
 fn replay_with_oracle(kind: BaselineKind, trace: &Trace) {
     let mut ftl = build(kind, geo());
     let mut oracle: HashMap<u32, u64> = HashMap::new();
-    let mut version = 0u64;
+    let mut driver = OpDriver::new(0);
     for op in trace.iter() {
-        match op {
-            WorkloadOp::Write(lpn) => {
-                version += 1;
-                ftl.write(lpn, version);
-                oracle.insert(lpn.0, version);
+        let Some((host, done)) = driver.apply(&mut ftl, op, None).expect("in-range trace") else {
+            continue;
+        };
+        match host.kind {
+            HostOpKind::Write { version } => {
+                oracle.insert(host.lpn.0, version);
             }
-            WorkloadOp::Idle(_) => {}
-            // The generators driven here never emit TRIMs; exhaustiveness only.
-            WorkloadOp::Trim(_) => {}
-            WorkloadOp::Read(lpn) => {
-                assert_eq!(
-                    ftl.read(lpn),
-                    oracle.get(&lpn.0).copied(),
-                    "{}: read of L{}",
-                    kind.name(),
-                    lpn.0
-                );
+            HostOpKind::Read => assert_eq!(
+                done.version,
+                oracle.get(&host.lpn.0).copied(),
+                "{}: read of L{}",
+                kind.name(),
+                host.lpn.0
+            ),
+            HostOpKind::Trim => {
+                oracle.remove(&host.lpn.0);
             }
         }
     }
@@ -76,12 +77,14 @@ fn geckoftl_crash_recovery_through_the_facade() {
     let mut ftl = build(BaselineKind::GeckoFtl, g);
     let mut oracle: HashMap<u32, u64> = HashMap::new();
     let logical = g.logical_pages();
-    let mut version = 0;
+    let mut driver = OpDriver::new(0);
     for op in Uniform::new(12, logical).take(4000) {
-        let WorkloadOp::Write(lpn) = op else { continue };
-        version += 1;
-        ftl.write(lpn, version);
-        oracle.insert(lpn.0, version);
+        let issued = driver.apply(&mut ftl, op, None).expect("in-range op");
+        if let Some((host, _)) = issued {
+            if let HostOpKind::Write { version } = host.kind {
+                oracle.insert(host.lpn.0, version);
+            }
+        }
     }
     let cfg = ftl.config();
     let gecko_cfg = ftl.backend().gecko().expect("gecko").config();
@@ -127,19 +130,7 @@ fn mixed_read_write_workload_accounts_read_amplification() {
     }
     let snap = ftl.device().stats().snapshot();
     let gen = geckoftl::ftl_workloads::Mixed::new(9, Uniform::new(10, logical), 0.5, logical);
-    let mut version = 2;
-    for op in gen.take(4000) {
-        match op {
-            WorkloadOp::Write(lpn) => {
-                ftl.write(lpn, version);
-                version += 1;
-            }
-            WorkloadOp::Read(lpn) => {
-                let _ = ftl.read(lpn);
-            }
-            WorkloadOp::Idle(_) | WorkloadOp::Trim(_) => {}
-        }
-    }
+    drive(&mut ftl, gen, 4000);
     let d = ftl.device().stats().since(&snap);
     assert!(d.logical_reads > 1000);
     // Read misses fetch translation pages (read-amplification), and those
