@@ -602,15 +602,7 @@ impl FtlEngine {
         self.cache.remove(lpn);
         // Keep the pre-unmap version findable for recovery's diffs, exactly
         // as sync_tpage protects the pre-sync version.
-        if self.backend.gecko().is_some() {
-            if let Some(old) = self.tt.tpage_location(tpage) {
-                self.bm.protect(self.geometry().block_of(old));
-            }
-            if self.bm.protected_count() > 8 {
-                self.backend.store().flush(&mut self.dev, &mut self.bm);
-                self.after_validity_op();
-            }
-        }
+        self.protect_tpage_version(tpage);
         let before = self.tt.unmap(&mut self.dev, &mut self.bm, lpn);
         if let Some(ppn) = before {
             self.invalidate_user_page(ppn);
@@ -728,6 +720,29 @@ impl FtlEngine {
         }
     }
 
+    /// Keep `tpage`'s current flash version findable for GeckoRec's buffer
+    /// recovery (App. C.2.2) across the write that is about to supersede it.
+    /// The protection must be in place *before* that write marks the old
+    /// version obsolete — otherwise its block can become empty and be erased
+    /// on the spot, leaving a gap in the version chain recovery diffs.
+    fn protect_tpage_version(&mut self, tpage: u32) {
+        if self.backend.gecko().is_none() {
+            return;
+        }
+        if let Some(old) = self.tt.tpage_location(tpage) {
+            self.bm.protect(self.geometry().block_of(old));
+        }
+        // Bound the protected set: when it grows past a handful of blocks,
+        // force a Gecko flush — this makes every buffered report durable,
+        // advances the recovery threshold, and lifts all protections (the
+        // paper bounds its recovery structures the same way, cf. C.2.2's cap
+        // on buffer absorption).
+        if self.bm.protected_count() > 8 {
+            self.backend.store().flush(&mut self.dev, &mut self.bm);
+            self.after_validity_op();
+        }
+    }
+
     /// Synchronization operation (§4): push every dirty cached entry of one
     /// translation page to flash, identify before-images (UIP protocol) and
     /// correct recovered flags (App. C.3).
@@ -738,25 +753,7 @@ impl FtlEngine {
             return;
         }
         self.counters.syncs += 1;
-        // Keep the previous translation-page version findable for GeckoRec's
-        // buffer recovery (App. C.2.2). The protection must be in place
-        // *before* the synchronize call marks the old version obsolete —
-        // otherwise its block can become empty and be erased on the spot,
-        // leaving a gap in the version chain recovery diffs.
-        if self.backend.gecko().is_some() {
-            if let Some(old) = self.tt.tpage_location(tpage) {
-                self.bm.protect(self.geometry().block_of(old));
-            }
-            // Bound the protected set: when it grows past a handful of
-            // blocks, force a Gecko flush — this makes every buffered report
-            // durable, advances the recovery threshold, and lifts all
-            // protections (the paper bounds its recovery structures the same
-            // way, cf. C.2.2's cap on buffer absorption).
-            if self.bm.protected_count() > 8 {
-                self.backend.store().flush(&mut self.dev, &mut self.bm);
-                self.after_validity_op();
-            }
-        }
+        self.protect_tpage_version(tpage);
         let outcome = self
             .tt
             .synchronize(&mut self.dev, &mut self.bm, tpage, &updates);
