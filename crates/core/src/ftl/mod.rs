@@ -81,9 +81,10 @@ pub struct FtlConfig {
     pub recovery: RecoveryPolicy,
     /// Checkpoint period in cache operations; only meaningful under
     /// [`RecoveryPolicy::CheckpointDeferred`], where `None` means the
-    /// default `C` ([`FtlEngine::format`] and recovery both fill it in from
-    /// `cache_entries`). To disable checkpoints — the ablation, which also
-    /// removes the recovery-scan bound — pass `Some(u64::MAX)`.
+    /// default `C`. The field is never rewritten: the engine and recovery
+    /// both read it through [`FtlConfig::resolved_checkpoint_period`]. To
+    /// disable checkpoints — the ablation, which also removes the
+    /// recovery-scan bound — pass `Some(u64::MAX)`.
     pub checkpoint_period: Option<u64>,
     /// Multi-tenant QoS budget: when non-zero, a tenant whose writes have
     /// accumulated an above-average share of GC debt prepays collection
@@ -107,9 +108,17 @@ impl FtlConfig {
             cache_entries: Self::scaled_cache_entries(geo),
             gc_policy: GcPolicy::MetadataAware,
             recovery: RecoveryPolicy::CheckpointDeferred,
-            checkpoint_period: None, // filled from cache_entries at build
+            checkpoint_period: None, // the default: C
             qos_headroom_blocks: 0,
         }
+    }
+
+    /// The checkpoint period in force: `checkpoint_period`, defaulting to
+    /// `C`, under [`RecoveryPolicy::CheckpointDeferred`]; `None` under the
+    /// other policies, which take no checkpoints.
+    pub fn resolved_checkpoint_period(&self) -> Option<u64> {
+        matches!(self.recovery, RecoveryPolicy::CheckpointDeferred)
+            .then(|| self.checkpoint_period.unwrap_or(self.cache_entries as u64))
     }
 }
 
@@ -317,14 +326,9 @@ impl FtlEngine {
     #[doc(hidden)]
     pub fn format_with(
         geo: Geometry,
-        mut cfg: FtlConfig,
+        cfg: FtlConfig,
         make_backend: impl FnOnce(&mut FlashDevice, &mut BlockManager) -> ValidityBackend,
     ) -> Self {
-        if cfg.checkpoint_period.is_none()
-            && matches!(cfg.recovery, RecoveryPolicy::CheckpointDeferred)
-        {
-            cfg.checkpoint_period = Some(cfg.cache_entries as u64);
-        }
         assert!(
             (cfg.cache_entries as u64) < geo.overprovisioned_pages() / 2,
             "cache too large: unidentified invalid pages could starve GC"
@@ -865,11 +869,9 @@ impl FtlEngine {
 
     /// Take a checkpoint if the period has elapsed.
     pub(crate) fn maybe_checkpoint(&mut self) {
-        if matches!(self.cfg.recovery, RecoveryPolicy::CheckpointDeferred) {
-            if let Some(period) = self.cfg.checkpoint_period {
-                if self.ops_since_checkpoint >= period {
-                    self.checkpoint();
-                }
+        if let Some(period) = self.cfg.resolved_checkpoint_period() {
+            if self.ops_since_checkpoint >= period {
+                self.checkpoint();
             }
         }
     }

@@ -31,7 +31,7 @@
 
 use crate::cache::{CacheEntry, MappingCache};
 use crate::ftl::block_manager::{BlockGroup, BlockManager, BlockState};
-use crate::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
+use crate::ftl::{FtlConfig, FtlEngine, GcPolicy, ValidityBackend};
 use crate::gecko::{
     GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, RunMeta, ShardedGecko,
 };
@@ -68,7 +68,7 @@ pub struct StepCost {
 }
 
 /// Full recovery report: per-step costs plus totals.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecoveryReport {
     /// `(step, cost)` in execution order.
     pub steps: Vec<(RecoveryStep, StepCost)>,
@@ -401,8 +401,8 @@ pub fn gecko_recover(
     // burst of migrations before the next end-of-op check, so the window
     // carries a small cushion. Without checkpoints (ablation) the scan must
     // cover everything.
-    let scan_limit: u64 = match (cfg.recovery, cfg.checkpoint_period) {
-        (RecoveryPolicy::CheckpointDeferred, Some(period)) => {
+    let scan_limit: u64 = match cfg.resolved_checkpoint_period() {
+        Some(period) => {
             // One checkpoint epoch can overshoot the period by at most one
             // GC victim's worth of migrations (the clock is honored between
             // victims), hence the small O(B) cushion.
@@ -410,7 +410,7 @@ pub fn gecko_recover(
                 .saturating_mul(2)
                 .saturating_add(4 * geo.pages_per_block as u64)
         }
-        _ => u64::MAX,
+        None => u64::MAX,
     };
     let mut scanned = 0u64;
     let mut seen: HashSet<flash_sim::Lpn> = HashSet::new();
@@ -569,11 +569,6 @@ pub fn gecko_recover(
                 bm.adopt_active(b, group);
             }
         }
-    }
-    let mut cfg = cfg;
-    if cfg.checkpoint_period.is_none() && matches!(cfg.recovery, RecoveryPolicy::CheckpointDeferred)
-    {
-        cfg.checkpoint_period = Some(cfg.cache_entries as u64);
     }
     let mut engine = FtlEngine::from_parts(dev, bm, tt, cache, ValidityBackend::Gecko(gecko), cfg);
     // Entries that did not fit into the cache cannot wait for lazy

@@ -189,6 +189,30 @@ fn recovery_scan_is_bounded_by_checkpoints() {
 }
 
 #[test]
+fn checkpoint_period_none_recovers_like_an_explicit_c() {
+    // `None` is documented as "the default C". Recovery used to size its
+    // step-6 scan before filling the default in, so a caller passing
+    // `FtlConfig::geckoftl` got an unbounded scan.
+    let mut engine = small_engine(32);
+    let mut oracle = HashMap::new();
+    let mut rng = Lcg(99);
+    run_workload(&mut engine, &mut oracle, &mut rng, 8000);
+    let implicit = FtlConfig {
+        checkpoint_period: None,
+        ..engine.config()
+    };
+    let explicit = FtlConfig {
+        checkpoint_period: Some(implicit.cache_entries as u64),
+        ..implicit
+    };
+    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
+    let dev = engine.crash();
+    let (_, implicit_report) = gecko_recover(dev.clone(), implicit, gecko_cfg);
+    let (_, explicit_report) = gecko_recover(dev, explicit, gecko_cfg);
+    assert_eq!(implicit_report, explicit_report);
+}
+
+#[test]
 fn clean_shutdown_leaves_no_dirty_state() {
     let mut engine = small_engine(64);
     let mut oracle = HashMap::new();
