@@ -2,10 +2,9 @@
 
 use crate::pvb::{FlashPvb, RamPvb};
 use crate::pvl::PvlStore;
-use flash_sim::{FlashDevice, Geometry};
+use flash_sim::Geometry;
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
-use geckoftl_core::validity::MetaSink;
 
 /// The five FTLs of the paper's evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -114,10 +113,4 @@ pub fn build_with(kind: BaselineKind, geo: Geometry, cfg: FtlConfig) -> FtlEngin
 /// including the number of independent trees ([`GeckoConfig::shards`]).
 pub fn build_geckoftl_tuned(geo: Geometry, cfg: FtlConfig, gecko_cfg: GeckoConfig) -> FtlEngine {
     FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg))
-}
-
-/// A "flash-PVB only" store builder for §5.1's apples-to-apples comparison
-/// of Logarithmic Gecko vs a flash-resident PVB outside the full engine.
-pub fn format_flash_pvb(geo: Geometry, dev: &mut FlashDevice, sink: &mut dyn MetaSink) -> FlashPvb {
-    FlashPvb::format(geo, dev, sink)
 }

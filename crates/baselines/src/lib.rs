@@ -20,9 +20,7 @@
 pub mod ftls;
 pub mod pvb;
 pub mod pvl;
-pub mod restart;
 
 pub use ftls::{build, build_with, BaselineKind};
 pub use pvb::{FlashPvb, RamPvb};
 pub use pvl::PvlStore;
-pub use restart::restart_clean;

@@ -38,11 +38,6 @@ impl RamPvb {
         self.words[(ppn.0 / 64) as usize] >> (ppn.0 % 64) & 1 == 1
     }
 
-    /// Mark a page invalid during restart/rebuild (no device involved).
-    pub fn set_invalid_for_recovery(&mut self, ppn: Ppn) {
-        self.set(ppn);
-    }
-
     fn clear_block(&mut self, block: BlockId) {
         let b = self.geo.pages_per_block;
         for off in 0..b {
@@ -134,24 +129,6 @@ impl FlashPvb {
             store.directory[seg as usize] = Some(ppn);
         }
         store
-    }
-
-    /// Reassemble the store from a recovered segment directory (clean
-    /// restart). The geometry determines the segment layout exactly as
-    /// [`FlashPvb::format`] did.
-    pub(crate) fn assemble(geo: Geometry, directory: Vec<Option<Ppn>>) -> Self {
-        let usable_bits = (geo.page_bytes - 32) * 8;
-        let blocks_per_segment = (usable_bits / geo.pages_per_block).max(1);
-        assert_eq!(
-            directory.len() as u32,
-            geo.blocks.div_ceil(blocks_per_segment),
-            "recovered directory has the wrong segment count"
-        );
-        FlashPvb {
-            geo,
-            blocks_per_segment,
-            directory,
-        }
     }
 
     fn blank_segment(&self) -> Vec<u64> {

@@ -79,41 +79,6 @@ impl PvlStore {
         }
     }
 
-    /// Reassemble the store by scanning surviving log pages in order (clean
-    /// restart; the paper's IB-FTL recovery scans the whole log).
-    pub(crate) fn assemble_from_log(
-        geo: Geometry,
-        dev: &mut FlashDevice,
-        pages: Vec<(u64, Ppn)>,
-    ) -> Self {
-        let mut store = PvlStore::new(geo);
-        // The per-block erase timestamps live in spare areas (Appendix D)
-        // and survive power-off; without them, pre-erase log entries would
-        // resurface and mark rewritten live pages invalid.
-        for b in geo.iter_blocks() {
-            store.erase_ts[b.0 as usize] = dev.erase_seq(b);
-        }
-        for (index, ppn) in pages {
-            let payload = dev
-                .read_page(ppn, IoPurpose::Recovery)
-                .expect("log page readable")
-                .blob::<PvlPagePayload>()
-                .expect("pvl payload")
-                .clone();
-            store.flash_entries += payload.entries.len() as u64;
-            for e in &payload.entries {
-                store
-                    .chains
-                    .entry(store.geo.block_of(e.ppn))
-                    .or_default()
-                    .insert(index);
-            }
-            store.next_index = store.next_index.max(index + 1);
-            store.pages.push((index, ppn));
-        }
-        store
-    }
-
     /// Entries per log page (`V` for the log).
     pub fn entries_per_page(&self) -> u32 {
         self.entries_per_page

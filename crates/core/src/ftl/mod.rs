@@ -350,8 +350,7 @@ impl FtlEngine {
     }
 
     /// Assemble an engine from its components: freshly formatted ones, or
-    /// those GeckoRec / the baselines' clean-shutdown restart recovered. Not
-    /// part of the ordinary API surface.
+    /// those GeckoRec recovered. Not part of the ordinary API surface.
     #[doc(hidden)]
     pub fn from_parts(
         dev: FlashDevice,
