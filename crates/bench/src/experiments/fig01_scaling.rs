@@ -4,7 +4,8 @@
 
 use super::RunOptions;
 use crate::report::{human_bytes, Table};
-use ftl_models::{capacity_sweep, FtlName};
+use ftl_baselines::BaselineKind;
+use ftl_models::capacity_sweep;
 
 /// Run the Figure-1 sweep: 8 GB → 16 TB.
 pub fn run(_: &RunOptions) -> Vec<Table> {
@@ -12,7 +13,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         "Figure 1 — LazyFTL RAM requirement and recovery time vs device capacity",
         &["capacity", "ram", "ram_bytes", "recovery_s"],
     );
-    for p in capacity_sweep(FtlName::LazyFtl, 1 << 14, 1 << 25, 0.1) {
+    for p in capacity_sweep(BaselineKind::LazyFtl, 1 << 14, 1 << 25, 0.1) {
         t.row(vec![
             human_bytes(p.capacity_bytes),
             human_bytes(p.ram_bytes),
@@ -25,7 +26,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         "Figure 1 (companion) — the same sweep for GeckoFTL",
         &["capacity", "ram", "ram_bytes", "recovery_s"],
     );
-    for p in capacity_sweep(FtlName::GeckoFtl, 1 << 14, 1 << 25, 0.1) {
+    for p in capacity_sweep(BaselineKind::GeckoFtl, 1 << 14, 1 << 25, 0.1) {
         g.row(vec![
             human_bytes(p.capacity_bytes),
             human_bytes(p.ram_bytes),

@@ -10,20 +10,10 @@ use crate::harness::{drive, fill_sequential, sim_geometry};
 use crate::report::{f3, human_bytes, Table};
 use flash_sim::Geometry;
 use ftl_baselines::{build, BaselineKind};
-use ftl_models::{ram_model, recovery_model, FtlName};
+use ftl_models::{ram_model, recovery_model};
 use ftl_workloads::Uniform;
 
 const PAPER_CACHE: u64 = 1 << 19;
-
-fn model_name(kind: BaselineKind) -> FtlName {
-    match kind {
-        BaselineKind::Dftl => FtlName::Dftl,
-        BaselineKind::LazyFtl => FtlName::LazyFtl,
-        BaselineKind::MuFtl => FtlName::MuFtl,
-        BaselineKind::IbFtl => FtlName::IbFtl,
-        BaselineKind::GeckoFtl => FtlName::GeckoFtl,
-    }
-}
 
 /// Run the three Figure-13 panels.
 pub fn run(_: &RunOptions) -> Vec<Table> {
@@ -39,21 +29,21 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         "Figure 13 (top, totals) — integrated RAM per FTL",
         &["FTL", "total_bytes", "human", "battery"],
     );
-    for name in FtlName::ALL {
-        let m = ram_model(name, &paper, PAPER_CACHE);
+    for kind in BaselineKind::ALL {
+        let m = ram_model(kind, &paper, PAPER_CACHE);
         for c in &m.components {
             ram.row(vec![
-                name.label().into(),
+                kind.name().into(),
                 c.name.into(),
                 c.bytes.to_string(),
                 human_bytes(c.bytes),
             ]);
         }
         ram_total.row(vec![
-            name.label().into(),
+            kind.name().into(),
             m.total().to_string(),
             human_bytes(m.total()),
-            if name.needs_battery() { "yes" } else { "no" }.into(),
+            if kind.needs_battery() { "yes" } else { "no" }.into(),
         ]);
     }
 
@@ -66,19 +56,15 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         "Figure 13 (middle, totals) — recovery seconds per FTL",
         &["FTL", "seconds", "battery"],
     );
-    for name in FtlName::ALL {
-        let m = recovery_model(name, &paper, PAPER_CACHE, 0.1);
+    for kind in BaselineKind::ALL {
+        let m = recovery_model(kind, &paper, PAPER_CACHE, 0.1);
         for c in &m.components {
-            rec.row(vec![
-                name.label().into(),
-                c.name.into(),
-                f3(c.seconds(&lat)),
-            ]);
+            rec.row(vec![kind.name().into(), c.name.into(), f3(c.seconds(&lat))]);
         }
         rec_total.row(vec![
-            name.label().into(),
+            kind.name().into(),
             f3(m.total_seconds(&lat)),
-            if name.needs_battery() { "yes" } else { "no" }.into(),
+            if kind.needs_battery() { "yes" } else { "no" }.into(),
         ]);
     }
 
@@ -99,7 +85,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         let d = engine.device().stats().since(&snap);
         let b = d.wa_breakdown(10.0);
         wa.row(vec![
-            model_name(kind).label().into(),
+            kind.name().into(),
             f3(b.user),
             f3(b.translation),
             f3(b.validity),

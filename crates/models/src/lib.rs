@@ -26,46 +26,3 @@ pub use sweep::{capacity_sweep, CapacityPoint};
 pub fn paper_latencies() -> flash_sim::LatencyModel {
     flash_sim::LatencyModel::paper()
 }
-
-/// The five FTLs, re-exported for model consumers that do not want to link
-/// the simulation crates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FtlName {
-    /// DFTL (RAM PVB, battery).
-    Dftl,
-    /// LazyFTL (RAM PVB, restricted dirty entries).
-    LazyFtl,
-    /// µ-FTL (flash PVB, battery).
-    MuFtl,
-    /// IB-FTL (page validity log, restricted dirty entries).
-    IbFtl,
-    /// GeckoFTL (Logarithmic Gecko, checkpoints + deferred sync).
-    GeckoFtl,
-}
-
-impl FtlName {
-    /// All FTLs in the paper's presentation order.
-    pub const ALL: [FtlName; 5] = [
-        FtlName::Dftl,
-        FtlName::LazyFtl,
-        FtlName::MuFtl,
-        FtlName::IbFtl,
-        FtlName::GeckoFtl,
-    ];
-
-    /// Display name used in figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            FtlName::Dftl => "DFTL",
-            FtlName::LazyFtl => "LazyFTL",
-            FtlName::MuFtl => "u-FTL",
-            FtlName::IbFtl => "IB-FTL",
-            FtlName::GeckoFtl => "GeckoFTL",
-        }
-    }
-
-    /// Whether the FTL needs a battery (annotated in Figure 13).
-    pub fn needs_battery(self) -> bool {
-        matches!(self, FtlName::Dftl | FtlName::MuFtl)
-    }
-}

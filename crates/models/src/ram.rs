@@ -1,7 +1,7 @@
 //! Integrated-RAM models (paper §2 + Appendix B, Figure 13 top).
 
-use crate::FtlName;
 use flash_sim::Geometry;
+use ftl_baselines::BaselineKind;
 
 /// One RAM-resident data structure and its size.
 #[derive(Clone, Debug, PartialEq)]
@@ -16,7 +16,7 @@ pub struct RamComponent {
 #[derive(Clone, Debug, PartialEq)]
 pub struct RamModel {
     /// Which FTL this models.
-    pub ftl: FtlName,
+    pub ftl: BaselineKind,
     /// Per-structure sizes.
     pub components: Vec<RamComponent>,
 }
@@ -112,13 +112,13 @@ pub fn btree_root_bytes(geo: &Geometry) -> u64 {
 }
 
 /// Full RAM model for one FTL at a geometry and cache size.
-pub fn ram_model(ftl: FtlName, geo: &Geometry, cache_entries: u64) -> RamModel {
+pub fn ram_model(ftl: BaselineKind, geo: &Geometry, cache_entries: u64) -> RamModel {
     let cache = RamComponent {
         name: "LRU cache",
         bytes: cache_bytes(cache_entries),
     };
     let components = match ftl {
-        FtlName::Dftl | FtlName::LazyFtl => vec![
+        BaselineKind::Dftl | BaselineKind::LazyFtl => vec![
             RamComponent {
                 name: "GMD",
                 bytes: gmd_bytes(geo),
@@ -129,7 +129,7 @@ pub fn ram_model(ftl: FtlName, geo: &Geometry, cache_entries: u64) -> RamModel {
             },
             cache,
         ],
-        FtlName::MuFtl => vec![
+        BaselineKind::MuFtl => vec![
             RamComponent {
                 name: "B-tree root",
                 bytes: btree_root_bytes(geo),
@@ -144,7 +144,7 @@ pub fn ram_model(ftl: FtlName, geo: &Geometry, cache_entries: u64) -> RamModel {
             },
             cache,
         ],
-        FtlName::IbFtl => vec![
+        BaselineKind::IbFtl => vec![
             RamComponent {
                 name: "B-tree root",
                 bytes: btree_root_bytes(geo),
@@ -159,7 +159,7 @@ pub fn ram_model(ftl: FtlName, geo: &Geometry, cache_entries: u64) -> RamModel {
             },
             cache,
         ],
-        FtlName::GeckoFtl => vec![
+        BaselineKind::GeckoFtl => vec![
             RamComponent {
                 name: "GMD",
                 bytes: gmd_bytes(geo),
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn pvb_dominates_dftl_ram() {
-        let m = ram_model(FtlName::Dftl, &paper(), C);
+        let m = ram_model(BaselineKind::Dftl, &paper(), C);
         // "PVB accounts for 95% of all RAM-resident metadata" (metadata =
         // everything except the cache, whose size is a free choice).
         let metadata = m.total() - m.component("LRU cache");
@@ -219,8 +219,8 @@ mod tests {
     #[test]
     fn geckoftl_reduces_ram_by_95_percent() {
         let g = paper();
-        let dftl = ram_model(FtlName::Dftl, &g, C);
-        let gecko = ram_model(FtlName::GeckoFtl, &g, C);
+        let dftl = ram_model(BaselineKind::Dftl, &g, C);
+        let gecko = ram_model(BaselineKind::GeckoFtl, &g, C);
         // Compare the *validity metadata* (the component Gecko replaces):
         // PVB (64 MB) vs run directories + buffers + BVC.
         let dftl_validity = dftl.component("PVB");
@@ -241,10 +241,10 @@ mod tests {
     #[test]
     fn mu_ftl_is_smallest_geckoftl_close_behind() {
         let g = paper();
-        let mu = ram_model(FtlName::MuFtl, &g, C).total();
-        let gecko = ram_model(FtlName::GeckoFtl, &g, C).total();
-        let dftl = ram_model(FtlName::Dftl, &g, C).total();
-        let ib = ram_model(FtlName::IbFtl, &g, C).total();
+        let mu = ram_model(BaselineKind::MuFtl, &g, C).total();
+        let gecko = ram_model(BaselineKind::GeckoFtl, &g, C).total();
+        let dftl = ram_model(BaselineKind::Dftl, &g, C).total();
+        let ib = ram_model(BaselineKind::IbFtl, &g, C).total();
         // Paper: µ-FTL slightly smaller than GeckoFTL (B-tree root vs GMD);
         // both far below DFTL/LazyFTL; IB-FTL in between.
         assert!(mu < gecko, "mu = {mu}, gecko = {gecko}");
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn bvc_is_bottleneck_for_gecko_and_mu() {
         let g = paper();
-        for ftl in [FtlName::GeckoFtl, FtlName::MuFtl] {
+        for ftl in [BaselineKind::GeckoFtl, BaselineKind::MuFtl] {
             let m = ram_model(ftl, &g, C);
             let bvc = m.component("BVC");
             let other_meta: u64 = m
@@ -275,8 +275,8 @@ mod tests {
 
     #[test]
     fn ram_scales_linearly_with_capacity_for_pvb_ftls() {
-        let small = ram_model(FtlName::LazyFtl, &Geometry::paper_scaled(1 << 20), C);
-        let big = ram_model(FtlName::LazyFtl, &Geometry::paper_scaled(1 << 22), C);
+        let small = ram_model(BaselineKind::LazyFtl, &Geometry::paper_scaled(1 << 20), C);
+        let big = ram_model(BaselineKind::LazyFtl, &Geometry::paper_scaled(1 << 22), C);
         let ratio = (big.total() - big.component("LRU cache")) as f64
             / (small.total() - small.component("LRU cache")) as f64;
         assert!(

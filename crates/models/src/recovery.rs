@@ -6,8 +6,8 @@
 //! can show the "battery" tags of Figure 13).
 
 use crate::ram::{gecko_entries_per_page, gecko_pages, pvb_bytes, translation_table_bytes};
-use crate::FtlName;
 use flash_sim::{Geometry, LatencyModel};
+use ftl_baselines::BaselineKind;
 
 /// One recovery step in the model.
 #[derive(Clone, Debug, PartialEq)]
@@ -36,7 +36,7 @@ impl RecoveryComponent {
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryModel {
     /// Which FTL this models.
-    pub ftl: FtlName,
+    pub ftl: BaselineKind,
     /// Steps in execution order.
     pub components: Vec<RecoveryComponent>,
     /// Parallel logical units available for the bulk scans.
@@ -81,7 +81,7 @@ pub fn brute_force_scan_seconds(geo: &Geometry, lat: &LatencyModel) -> f64 {
 /// `cache_entries` (`C`) entries and (for the restricted-dirty FTLs) the
 /// given dirty fraction.
 pub fn recovery_model(
-    ftl: FtlName,
+    ftl: BaselineKind,
     geo: &Geometry,
     cache_entries: u64,
     dirty_fraction: f64,
@@ -108,7 +108,7 @@ pub fn recovery_model(
     });
 
     match ftl {
-        FtlName::Dftl => {
+        BaselineKind::Dftl => {
             // Battery persisted PVB at shutdown; read it back from flash.
             components.push(RecoveryComponent {
                 name: "PVB",
@@ -118,7 +118,7 @@ pub fn recovery_model(
             });
             // Dirty entries: battery → free.
         }
-        FtlName::LazyFtl => {
+        BaselineKind::LazyFtl => {
             // Rebuild the RAM PVB by scanning the whole translation table.
             components.push(RecoveryComponent {
                 name: "PVB",
@@ -136,7 +136,7 @@ pub fn recovery_model(
                 page_writes: dirty,
             });
         }
-        FtlName::MuFtl => {
+        BaselineKind::MuFtl => {
             // PVB already in flash; rebuild BVC by reading it once.
             components.push(RecoveryComponent {
                 name: "validity metadata",
@@ -146,7 +146,7 @@ pub fn recovery_model(
             });
             // Dirty entries: battery → free.
         }
-        FtlName::IbFtl => {
+        BaselineKind::IbFtl => {
             // Scan the entire page validity log (size bounded to 2·D
             // entries by cleaning) to rebuild chain heads and BVC.
             let entries_per_page = (geo.page_bytes as u64 - 32) / 16;
@@ -165,7 +165,7 @@ pub fn recovery_model(
                 page_writes: dirty,
             });
         }
-        FtlName::GeckoFtl => {
+        BaselineKind::GeckoFtl => {
             // Run directories: spare-scan the Gecko pages + read one
             // postamble per run (≈ L pages).
             let gpages = gecko_pages(geo);
@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn lazyftl_pvb_rebuild_takes_about_36_seconds() {
         let (g, lat) = paper();
-        let m = recovery_model(FtlName::LazyFtl, &g, C, 0.1);
+        let m = recovery_model(BaselineKind::LazyFtl, &g, C, 0.1);
         let pvb = m.component_seconds("PVB", &lat);
         assert!((33.0..40.0).contains(&pvb), "PVB rebuild = {pvb:.1} s");
     }
@@ -251,8 +251,8 @@ mod tests {
     #[test]
     fn geckoftl_recovers_at_least_51_percent_faster_than_lazyftl() {
         let (g, lat) = paper();
-        let lazy = recovery_model(FtlName::LazyFtl, &g, C, 0.1).total_seconds(&lat);
-        let gecko = recovery_model(FtlName::GeckoFtl, &g, C, 0.1).total_seconds(&lat);
+        let lazy = recovery_model(BaselineKind::LazyFtl, &g, C, 0.1).total_seconds(&lat);
+        let gecko = recovery_model(BaselineKind::GeckoFtl, &g, C, 0.1).total_seconds(&lat);
         let reduction = 1.0 - gecko / lazy;
         assert!(
             reduction >= 0.51,
@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn battery_ftls_skip_dirty_entry_recovery() {
         let (g, lat) = paper();
-        for ftl in [FtlName::Dftl, FtlName::MuFtl] {
+        for ftl in [BaselineKind::Dftl, BaselineKind::MuFtl] {
             let m = recovery_model(ftl, &g, C, 0.1);
             assert_eq!(m.component_seconds("LRU cache", &lat), 0.0, "{:?}", ftl);
             assert!(ftl.needs_battery());
@@ -275,7 +275,7 @@ mod tests {
         // "the time to initially scan the device ... is emerging as a
         // bottleneck for all FTLs."
         let (g, lat) = paper();
-        for ftl in FtlName::ALL {
+        for ftl in BaselineKind::ALL {
             let m = recovery_model(ftl, &g, C, 0.1);
             let scan = m.component_seconds("init scan", &lat);
             assert!(
@@ -289,9 +289,9 @@ mod tests {
     #[test]
     fn channel_parallelism_divides_scan_time() {
         let lat = LatencyModel::paper();
-        let serial = recovery_model(FtlName::GeckoFtl, &Geometry::paper_2tb(), C, 0.1);
+        let serial = recovery_model(BaselineKind::GeckoFtl, &Geometry::paper_2tb(), C, 0.1);
         let striped = recovery_model(
-            FtlName::GeckoFtl,
+            BaselineKind::GeckoFtl,
             &Geometry::paper_2tb().with_channels(8),
             C,
             0.1,
@@ -305,10 +305,20 @@ mod tests {
     #[test]
     fn recovery_time_grows_with_capacity() {
         let lat = LatencyModel::paper();
-        let small = recovery_model(FtlName::LazyFtl, &Geometry::paper_scaled(1 << 20), C, 0.1)
-            .total_seconds(&lat);
-        let big = recovery_model(FtlName::LazyFtl, &Geometry::paper_scaled(1 << 23), C, 0.1)
-            .total_seconds(&lat);
+        let small = recovery_model(
+            BaselineKind::LazyFtl,
+            &Geometry::paper_scaled(1 << 20),
+            C,
+            0.1,
+        )
+        .total_seconds(&lat);
+        let big = recovery_model(
+            BaselineKind::LazyFtl,
+            &Geometry::paper_scaled(1 << 23),
+            C,
+            0.1,
+        )
+        .total_seconds(&lat);
         // The capacity-proportional steps (init scan, PVB rebuild) grow 8×;
         // the constant dirty-entry sync term dampens the total.
         assert!(

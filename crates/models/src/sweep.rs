@@ -4,8 +4,8 @@
 
 use crate::ram::ram_model;
 use crate::recovery::recovery_model;
-use crate::FtlName;
 use flash_sim::{Geometry, LatencyModel};
+use ftl_baselines::BaselineKind;
 
 /// One capacity point of the Figure-1 curves.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,7 +26,7 @@ pub struct CapacityPoint {
 /// The cache is scaled with capacity at the paper's ratio (2¹⁹ entries per
 /// 2 TB) so Figure 1 reflects a constant *fraction* of the logical space.
 pub fn capacity_sweep(
-    ftl: FtlName,
+    ftl: BaselineKind,
     min_blocks: u32,
     max_blocks: u32,
     dirty_fraction: f64,
@@ -61,7 +61,7 @@ mod tests {
     #[test]
     fn figure_1_shape_for_lazyftl() {
         // 64 GB → 8 TB sweep.
-        let pts = capacity_sweep(FtlName::LazyFtl, 1 << 17, 1 << 24, 0.1);
+        let pts = capacity_sweep(BaselineKind::LazyFtl, 1 << 17, 1 << 24, 0.1);
         assert!(pts.len() >= 7);
         // Monotonic growth in both metrics.
         for w in pts.windows(2) {
@@ -94,8 +94,8 @@ mod tests {
 
     #[test]
     fn geckoftl_flattens_both_curves() {
-        let lazy = capacity_sweep(FtlName::LazyFtl, 1 << 20, 1 << 23, 0.1);
-        let gecko = capacity_sweep(FtlName::GeckoFtl, 1 << 20, 1 << 23, 0.1);
+        let lazy = capacity_sweep(BaselineKind::LazyFtl, 1 << 20, 1 << 23, 0.1);
+        let gecko = capacity_sweep(BaselineKind::GeckoFtl, 1 << 20, 1 << 23, 0.1);
         for (l, g) in lazy.iter().zip(&gecko) {
             assert!(g.ram_bytes < l.ram_bytes / 2, "RAM at {} blocks", l.blocks);
             assert!(

@@ -5,7 +5,7 @@
 use gecko_bench::harness::{drive, OpDriver};
 use geckoftl::flash_sim::{Geometry, Lpn};
 use geckoftl::ftl_baselines::{build, BaselineKind};
-use geckoftl::ftl_models::{ram_model, FtlName};
+use geckoftl::ftl_models::ram_model;
 use geckoftl::ftl_workloads::{HotCold, Trace, Uniform, Zipfian};
 use geckoftl::geckoftl_core::ftl::HostOpKind;
 use geckoftl::geckoftl_core::recovery::gecko_recover;
@@ -106,7 +106,11 @@ fn empirical_ram_report_matches_analytical_model_shape() {
         ftl.write(Lpn(lpn), 1);
     }
     let emp = ftl.ram_report();
-    let model = ram_model(FtlName::GeckoFtl, &g, ftl.config().cache_entries as u64);
+    let model = ram_model(
+        BaselineKind::GeckoFtl,
+        &g,
+        ftl.config().cache_entries as u64,
+    );
     assert_eq!(emp.gmd, model.component("GMD"));
     assert_eq!(emp.bvc, model.component("BVC"));
     assert_eq!(emp.cache, model.component("LRU cache"));
