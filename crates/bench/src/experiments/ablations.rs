@@ -6,11 +6,10 @@
 //! 3. Checkpoints (§4.3) on/off: runtime sync cost vs recovery-scan size.
 
 use super::RunOptions;
-use crate::harness::{drive, fill_sequential, measure_uniform, sim_geometry};
+use crate::harness::{measure_uniform, sim_geometry};
 use crate::report::{f3, Table};
 use ftl_baselines::ftls::{build_geckoftl_tuned, build_with};
 use ftl_baselines::BaselineKind;
-use ftl_workloads::Uniform;
 use geckoftl_core::ftl::{FtlConfig, GcPolicy};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::{gecko_recover, RecoveryStep};
@@ -96,13 +95,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         cfg.checkpoint_period = period; // None → default C; MAX → disabled
         let gecko_cfg = GeckoConfig::paper_default(&geo);
         let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg);
-        fill_sequential(&mut engine);
-        let logical = geo.logical_pages();
-        let mut gen = Uniform::new(53, logical);
-        drive(&mut engine, &mut gen, logical / 2);
-        let snap = engine.device().stats().snapshot();
-        drive(&mut engine, &mut gen, 40_000);
-        let d = engine.device().stats().since(&snap);
+        let d = measure_uniform(&mut engine, 40_000, 53);
         let syncs = engine.counters.syncs;
         let cfg = engine.config();
         let dev = engine.crash();

@@ -6,12 +6,11 @@
 //! against all five simulated FTLs.
 
 use super::RunOptions;
-use crate::harness::{drive, fill_sequential, sim_geometry};
+use crate::harness::{measure_uniform, sim_geometry};
 use crate::report::{f3, human_bytes, Table};
 use flash_sim::Geometry;
 use ftl_baselines::{build, BaselineKind};
 use ftl_models::{ram_model, recovery_model};
-use ftl_workloads::Uniform;
 
 const PAPER_CACHE: u64 = 1 << 19;
 
@@ -76,13 +75,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
     );
     for kind in BaselineKind::ALL {
         let mut engine = build(kind, geo);
-        fill_sequential(&mut engine);
-        let logical = engine.geometry().logical_pages();
-        let mut gen = Uniform::new(77, logical);
-        drive(&mut engine, &mut gen, logical / 2); // warm-up
-        let snap = engine.device().stats().snapshot();
-        drive(&mut engine, &mut gen, 60_000);
-        let d = engine.device().stats().since(&snap);
+        let d = measure_uniform(&mut engine, 60_000, 77);
         let b = d.wa_breakdown(10.0);
         wa.row(vec![
             kind.name().into(),

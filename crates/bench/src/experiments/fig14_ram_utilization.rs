@@ -11,10 +11,9 @@
 //! apples-to-apples setup.
 
 use super::RunOptions;
-use crate::harness::{drive, fill_sequential, sim_geometry};
+use crate::harness::{measure_uniform, sim_geometry};
 use crate::report::{f3, Table};
 use ftl_baselines::{build_with, BaselineKind};
-use ftl_workloads::Uniform;
 use geckoftl_core::ftl::{FtlConfig, GcPolicy, RecoveryPolicy};
 
 /// Run the Figure-14 comparison.
@@ -68,13 +67,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
             qos_headroom_blocks: 0,
         };
         let mut engine = build_with(kind, geo, cfg);
-        fill_sequential(&mut engine);
-        let logical = geo.logical_pages();
-        let mut gen = Uniform::new(14, logical);
-        drive(&mut engine, &mut gen, logical / 2);
-        let snap = engine.device().stats().snapshot();
-        drive(&mut engine, &mut gen, 60_000);
-        let d = engine.device().stats().since(&snap);
+        let d = measure_uniform(&mut engine, 60_000, 14);
         let b = d.wa_breakdown(10.0);
         t.row(vec![
             label.into(),
