@@ -93,7 +93,7 @@ fn validity_wa_ordering_matches_table_1() {
         for i in 0..4000u64 {
             engine.write(Lpn((rng.next() % logical as u64) as u32), i);
         }
-        let snap = engine.device().stats().snapshot();
+        let snap = engine.device().stats().clone();
         for i in 0..4000u64 {
             engine.write(Lpn((rng.next() % logical as u64) as u32), i);
         }

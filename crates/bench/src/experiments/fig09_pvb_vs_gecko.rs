@@ -15,7 +15,7 @@ use ftl_baselines::BaselineKind;
 use geckoftl_core::ftl::{FtlConfig, RecoveryPolicy};
 use geckoftl_core::gecko::GeckoConfig;
 
-fn validity_io(delta: &flash_sim::StatsSnapshot) -> (u64, u64) {
+fn validity_io(delta: &flash_sim::IoStats) -> (u64, u64) {
     let mut reads = 0;
     let mut writes = 0;
     for p in [

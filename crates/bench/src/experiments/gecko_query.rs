@@ -71,7 +71,7 @@ fn run_variant(name: &'static str, fast: bool, measured_ops: u64) -> VariantResu
     let mut gen = Mixed::new(7, Uniform::new(13, logical), 0.25, logical);
     drive(&mut engine, &mut gen, logical / 2); // warm-up to GC steady state
 
-    let snap = engine.device().stats().snapshot();
+    let snap = engine.device().stats().clone();
     let gecko_before = engine.backend().gecko().expect("gecko backend").stats();
     let counters_before = engine.counters;
     let started = Instant::now();

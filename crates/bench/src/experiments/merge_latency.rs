@@ -78,11 +78,7 @@ fn gecko_cfg(sync_merge: bool, shards: u32) -> GeckoConfig {
 /// per purpose equals the busy time the stats charged over the same window
 /// (the flash-sim `telemetry_io_events_reconcile_with_busy_us` test pins
 /// this exactly; here it is reported for the real run).
-fn export_trace(
-    path: &str,
-    engine: &geckoftl_core::ftl::FtlEngine,
-    delta: &flash_sim::StatsSnapshot,
-) {
+fn export_trace(path: &str, engine: &geckoftl_core::ftl::FtlEngine, delta: &flash_sim::IoStats) {
     let t = engine.telemetry();
     let mut labels = [""; 14];
     for p in IoPurpose::ALL {
@@ -165,7 +161,7 @@ fn run_variant(
     let mut driver = OpDriver::new(1 << 32);
     driver.run(&mut engine, gen.by_ref().take(logical as usize / 2));
 
-    let snap = engine.device().stats().snapshot();
+    let snap = engine.device().stats().clone();
     let gecko_before = engine.backend().gecko_stats().expect("gecko backend");
     if trace.is_some() {
         // The ring must hold every IO event of the measured window for the

@@ -49,7 +49,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
             // Warm-up then measure.
             let mut gen = gen;
             drive(&mut engine, &mut gen, logical / 2);
-            let snap = engine.device().stats().snapshot();
+            let snap = engine.device().stats().clone();
             drive(&mut engine, &mut gen, 60_000);
             let d = engine.device().stats().since(&snap);
             let ra = d.counts(IoPurpose::TranslationFetch).page_reads as f64

@@ -87,9 +87,10 @@ fn run_variant(name: &'static str, headroom: usize, trace: &Trace) -> VariantRes
     };
     let mut engine = FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg));
     crate::harness::fill_sequential(&mut engine);
-    let before = engine.metrics();
+    let gc_before = engine.counters.gc_operations;
+    let io_before = engine.device().stats().clone();
     crate::harness::replay_trace(&mut engine, trace, 1 << 40);
-    let delta = engine.metrics().since(&before);
+    let io = engine.device().stats().since(&io_before);
 
     let row = |id: u8| -> TenantRow {
         engine
@@ -109,8 +110,8 @@ fn run_variant(name: &'static str, headroom: usize, trace: &Trace) -> VariantRes
         headroom,
         light: row(1),
         heavy: row(2),
-        total_gc: delta.counter("engine.gc_operations"),
-        wa_total: geckoftl_core::ftl::metrics::wa_total(&delta, 10.0),
+        total_gc: engine.counters.gc_operations - gc_before,
+        wa_total: io.wa_breakdown(10.0).total(),
     }
 }
 

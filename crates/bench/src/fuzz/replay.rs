@@ -16,12 +16,12 @@
 //!
 //! The returned [`Fitness`] carries the worst-case signals the fuzzer
 //! maximizes: max write latency, write amplification, recovery cost and
-//! retired (permanently lost) blocks. All four are read from the unified
-//! telemetry layer — the `HostWrite` span histogram, the `recovery.last_us`
-//! registry gauge and registry counter deltas — instead of bespoke clock
-//! arithmetic around each call. Telemetry is observational by construction
-//! (it never touches the simulated clock or IO stats), so replays remain
-//! bit-identical to the pre-telemetry harness; the corpus regression test
+//! retired (permanently lost) blocks. Each has one source on the engine:
+//! the `HostWrite` span histogram, the [`IoStats`](flash_sim::IoStats)
+//! delta over the run, the `RecoveryReport` that `gecko_recover` returns,
+//! and the block manager's retired-block count. Telemetry is observational
+//! by construction (it never touches the simulated clock or IO stats), so
+//! replays are bit-identical with it on or off; the corpus regression test
 //! pins that.
 
 use super::oracle::audit_state;
@@ -29,15 +29,14 @@ use super::scenario::Scenario;
 use crate::fuzz::corpus_dir;
 use crate::harness::OpDriver;
 use flash_sim::{FaultPlan, FaultStats, FlashDevice, Geometry, Lpn, SpanKind};
-use geckoftl_core::ftl::metrics::wa_total;
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, HostOp, HostOpKind, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Ring capacity for replay telemetry. Spans/IO events beyond this are
-/// dropped oldest-first, which never affects fitness: the signals below come
-/// from the histograms and the registry, not the ring.
+/// dropped oldest-first, which never affects fitness: no signal below is
+/// read from the ring.
 const REPLAY_RING: usize = 1 << 12;
 
 /// Worst-case signals of one replay, used as fuzzing feedback.
@@ -117,12 +116,8 @@ fn recover_engine(
     // target the pre-crash history only (crash images already carry an
     // empty plan; boundary crashes clear it here).
     dev.set_fault_plan(FaultPlan::default());
-    let (engine, _report) = gecko_recover(dev, cfg, gecko_cfg);
-    // The registry gauge mirrors `RecoveryReport::total_secs() * 1e6`
-    // exactly: each step span's duration is the step's `sim_us` subtraction,
-    // accumulated in report order.
-    let recovery_us = engine.metrics().gauge("recovery.last_us");
-    (engine, recovery_us)
+    let (engine, report) = gecko_recover(dev, cfg, gecko_cfg);
+    (engine, report.total_secs() * 1e6)
 }
 
 /// Verify every acknowledged write against the recovered engine, treating
@@ -191,7 +186,7 @@ pub fn replay_with_shards(sc: &Scenario, shards: u32) -> Outcome {
     let cfg = engine.config();
     let gecko_cfg = engine.backend().gecko_config().expect("gecko backend");
     engine.with_raw_parts(|dev, _| dev.set_fault_plan(sc.fault_plan()));
-    let start_metrics = engine.metrics();
+    let start_stats = engine.device().stats().clone();
 
     let mut oracle: BTreeMap<u32, u64> = BTreeMap::new();
     let mut trimmed: BTreeSet<u32> = BTreeSet::new();
@@ -294,10 +289,14 @@ pub fn replay_with_shards(sc: &Scenario, shards: u32) -> Outcome {
     if !crashed {
         faults = engine.device().fault_stats();
     }
-    let end_metrics = engine.metrics();
     fitness.max_write_us = fitness.max_write_us.max(host_write_max(&engine));
-    fitness.wa = wa_total(&end_metrics.since(&start_metrics), 10.0);
-    fitness.retired_blocks = end_metrics.counter("bm.retired_blocks") as usize;
+    fitness.wa = engine
+        .device()
+        .stats()
+        .since(&start_stats)
+        .wa_breakdown(10.0)
+        .total();
+    fitness.retired_blocks = engine.block_manager().retired_blocks();
     for (&l, &want) in &oracle {
         let got = engine.read(Lpn(l));
         if got != Some(want) {

@@ -18,7 +18,7 @@
 //! golden_traces` (see `docs/WORKLOADS.md`).
 
 use crate::harness::{fill_sequential, replay_trace};
-use flash_sim::Geometry;
+use flash_sim::{Geometry, IoPurpose};
 use ftl_workloads::{
     BurstyDiurnal, Mixed, OverwriteStorm, Scan, TenantMix, Trace, TrimWave, Uniform, WorkloadOp,
 };
@@ -81,9 +81,15 @@ fn content_fingerprint(engine: &mut FtlEngine) -> u64 {
 pub fn replay_stats(trace: &Trace, shards: u32) -> String {
     let mut engine = golden_engine(shards);
     fill_sequential(&mut engine);
-    let before = engine.metrics();
+    let gecko_queries = |e: &FtlEngine| e.backend().gecko_stats().expect("gecko backend").queries;
+    let c0 = engine.counters;
+    let q0 = gecko_queries(&engine);
+    let io0 = engine.device().stats().clone();
     replay_trace(&mut engine, trace, 1 << 40);
-    let delta = engine.metrics().since(&before);
+    let c = engine.counters;
+    let queries = gecko_queries(&engine) - q0;
+    let io = engine.device().stats().since(&io0);
+    let query_reads = io.counts(IoPurpose::ValidityQuery).page_reads;
 
     let mut out = String::new();
     let mut kv = |k: &str, v: String| {
@@ -94,36 +100,29 @@ pub fn replay_stats(trace: &Trace, shards: u32) -> String {
     };
     kv("ops", trace.len().to_string());
     kv("shards", shards.to_string());
-    kv("engine.writes", delta.counter("engine.writes").to_string());
-    kv("engine.reads", delta.counter("engine.reads").to_string());
-    kv("engine.trims", delta.counter("engine.trims").to_string());
+    kv("engine.writes", (c.writes - c0.writes).to_string());
+    kv("engine.reads", (c.reads - c0.reads).to_string());
+    kv("engine.trims", (c.trims - c0.trims).to_string());
     kv(
         "engine.gc_operations",
-        delta.counter("engine.gc_operations").to_string(),
+        (c.gc_operations - c0.gc_operations).to_string(),
     );
     kv(
         "engine.gc_migrations",
-        delta.counter("engine.gc_migrations").to_string(),
+        (c.gc_migrations - c0.gc_migrations).to_string(),
     );
     kv(
         "io.user_write.page_writes",
-        delta.counter("io.user_write.page_writes").to_string(),
+        io.counts(IoPurpose::UserWrite).page_writes.to_string(),
     );
-    kv(
-        "io.validity_query.page_reads",
-        delta.counter("io.validity_query.page_reads").to_string(),
-    );
-    kv("gecko.queries", delta.counter("gecko.queries").to_string());
-    kv(
-        "wa_total",
-        format!("{:.6}", geckoftl_core::ftl::metrics::wa_total(&delta, 10.0)),
-    );
-    let rpq = delta.counter("io.validity_query.page_reads") as f64
-        / delta.counter("gecko.queries").max(1) as f64;
+    kv("io.validity_query.page_reads", query_reads.to_string());
+    kv("gecko.queries", queries.to_string());
+    kv("wa_total", format!("{:.6}", io.wa_breakdown(10.0).total()));
+    let rpq = query_reads as f64 / queries.max(1) as f64;
     kv("reads_per_query", format!("{rpq:.6}"));
 
     // Per-tenant splits and latency tails, straight from the engine's
-    // tenant accounting (the replay routes every op through `*_for`, so
+    // tenant accounting (the replay charges every op to its tenant, so
     // untagged traces appear as tenant 0).
     for (id, s) in engine.tenant_stats() {
         let p = format!("tenant.{id}");

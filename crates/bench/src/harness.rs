@@ -1,6 +1,6 @@
 //! Shared simulation drivers for the experiments.
 
-use flash_sim::{Geometry, StatsSnapshot};
+use flash_sim::{Geometry, IoStats};
 use ftl_workloads::{Trace, Uniform, WorkloadOp};
 use geckoftl_core::ftl::{Completion, FtlEngine, FtlError, HostOp, HostOpKind, TenantId};
 
@@ -131,7 +131,7 @@ pub struct MeasuredInterval {
     /// Interval index.
     pub index: usize,
     /// IO delta over the interval.
-    pub delta: StatsSnapshot,
+    pub delta: IoStats,
 }
 
 /// Driver: precondition an engine, then measure `intervals` intervals of
@@ -165,7 +165,7 @@ impl Driver {
         drive(engine, &mut gen, logical / 2);
         let mut out = Vec::with_capacity(self.intervals);
         for index in 0..self.intervals {
-            let snap = engine.device().stats().snapshot();
+            let snap = engine.device().stats().clone();
             drive(engine, &mut gen, self.interval_writes);
             out.push(MeasuredInterval {
                 index,
@@ -178,12 +178,12 @@ impl Driver {
 
 /// Measure one engine under the default driver and return the aggregate
 /// delta over all intervals.
-pub fn measure_uniform(engine: &mut FtlEngine, writes: u64, seed: u64) -> StatsSnapshot {
+pub fn measure_uniform(engine: &mut FtlEngine, writes: u64, seed: u64) -> IoStats {
     fill_sequential(engine);
     let logical = engine.geometry().logical_pages();
     let mut gen = Uniform::new(seed, logical);
     drive(engine, &mut gen, logical / 2); // warm-up
-    let snap = engine.device().stats().snapshot();
+    let snap = engine.device().stats().clone();
     drive(engine, &mut gen, writes);
     engine.device().stats().since(&snap)
 }

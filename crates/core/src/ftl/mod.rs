@@ -22,7 +22,6 @@
 pub mod block_manager;
 mod engine_gc;
 mod host;
-pub mod metrics;
 
 pub use block_manager::{BlockGroup, BlockManager, BlockState};
 pub use host::{Completion, FtlError, HostOp, HostOpKind};
@@ -242,7 +241,7 @@ pub struct FtlEngine {
     /// Per-tenant accounting, populated by ops submitted with a tenant.
     /// RAM-only observation — it never influences the simulation, so
     /// single-tenant callers using `write`/`read` stay byte-identical.
-    /// `BTreeMap` so metric emission order is deterministic.
+    /// `BTreeMap` so reports iterate tenants in a deterministic order.
     tenants: BTreeMap<TenantId, TenantStats>,
     /// Lifetime simulated time spent inside GC (victim selection, queries,
     /// migrations, erases). `submit` diffs this around each tenant-tagged

@@ -121,8 +121,8 @@ impl StepTimer {
 
     /// Close the step: compute its cost and record a `Recovery` telemetry
     /// span for it (`step` is the 1-based GeckoRec step number). The span
-    /// duration is the *same subtraction* as `sim_us`, so the telemetry
-    /// accumulator reproduces `RecoveryReport::total_secs` exactly.
+    /// duration is the *same subtraction* as `sim_us`, so the run's
+    /// `Recovery` spans sum to `RecoveryReport::total_secs` exactly.
     fn stop(self, dev: &mut FlashDevice, step: u32) -> StepCost {
         let counts = dev.stats().counts(IoPurpose::Recovery);
         let now_us = dev.clock().now_us();
@@ -148,9 +148,6 @@ pub fn gecko_recover(
 ) -> (FtlEngine, RecoveryReport) {
     let geo = dev.geometry();
     let mut report = RecoveryReport::default();
-    // A fresh recovery run: the telemetry accumulator (mirroring
-    // `RecoveryReport::total_secs`) restarts from zero.
-    dev.telemetry_mut().recovery_started();
 
     // ---- Step 1: BID — one spare read per non-empty block. -------------
     let timer = StepTimer::start(&dev);

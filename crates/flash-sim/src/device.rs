@@ -528,7 +528,7 @@ mod tests {
         let mut d = dev();
         let ppn = write_user(&mut d, 0, 1, 1);
         d.read_page(ppn, IoPurpose::UserRead).unwrap();
-        let snap = d.stats().snapshot();
+        let snap = d.stats().clone();
         d.read_spare(ppn, IoPurpose::Recovery).unwrap();
         let delta = d.stats().since(&snap);
         assert!((delta.busy_us(IoPurpose::Recovery) - 3.0).abs() < 1e-9);

@@ -52,11 +52,11 @@ pub use block::Block;
 pub use device::FlashDevice;
 pub use error::{FlashError, Result};
 pub use fault::{EraseFault, FaultPlan, FaultStats, WriteFault};
-/// Re-export of the telemetry crate (spans, histograms, metrics registry,
-/// trace export) so device users need only one dependency.
+/// Re-export of the telemetry crate (spans, histograms, trace export) so
+/// device users need only one dependency.
 pub use ftl_telemetry as telemetry;
-pub use ftl_telemetry::{Histogram, IoOp, MetricsSnapshot, SpanKind, Telemetry, TraceEvent};
+pub use ftl_telemetry::{Histogram, IoOp, SpanKind, Telemetry, TraceEvent};
 pub use geometry::{BlockId, Geometry, Lpn, PageOffset, Ppn};
 pub use latency::{LatencyModel, SimClock};
 pub use page::{MetaKind, PageData, Spare, SpareInfo};
-pub use stats::{IoCounts, IoPurpose, IoStats, StatsSnapshot, WaBreakdown, WaCategory};
+pub use stats::{IoCounts, IoPurpose, IoStats, WaBreakdown, WaCategory};

@@ -196,7 +196,8 @@ impl IoCounts {
 }
 
 /// Accumulated device statistics: per-purpose IO counts, simulated time and
-/// the number of logical updates (used as the WA denominator).
+/// the number of logical updates (used as the WA denominator). Also the
+/// type of a delta between two points in time ([`IoStats::since`]).
 #[derive(Clone, Debug, Default)]
 pub struct IoStats {
     per_purpose: [IoCounts; IoPurpose::COUNT],
@@ -261,56 +262,20 @@ impl IoStats {
         t
     }
 
-    /// Take an immutable snapshot for later differencing (interval metrics,
-    /// Figure 9's per-10k-write series).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            per_purpose: self.per_purpose,
-            busy_us: self.busy_us,
-            logical_writes: self.logical_writes,
-            logical_reads: self.logical_reads,
+    /// Difference between the current state and an earlier copy of it (a
+    /// snapshot is a `clone()`): the interval metrics behind Figure 9's
+    /// per-10k-write series.
+    pub fn since(&self, earlier: &IoStats) -> IoStats {
+        let mut delta = self.clone();
+        for (slot, then) in delta.per_purpose.iter_mut().zip(earlier.per_purpose) {
+            *slot = slot.sub(then);
         }
-    }
-
-    /// Difference between the current state and an earlier snapshot.
-    pub fn since(&self, snap: &StatsSnapshot) -> StatsSnapshot {
-        let mut per_purpose = [IoCounts::default(); IoPurpose::COUNT];
-        for (i, slot) in per_purpose.iter_mut().enumerate() {
-            *slot = self.per_purpose[i].sub(snap.per_purpose[i]);
+        for (slot, then) in delta.busy_us.iter_mut().zip(earlier.busy_us) {
+            *slot -= then;
         }
-        let mut busy_us = [0.0; IoPurpose::COUNT];
-        for (i, slot) in busy_us.iter_mut().enumerate() {
-            *slot = self.busy_us[i] - snap.busy_us[i];
-        }
-        StatsSnapshot {
-            per_purpose,
-            busy_us,
-            logical_writes: self.logical_writes - snap.logical_writes,
-            logical_reads: self.logical_reads - snap.logical_reads,
-        }
-    }
-}
-
-/// A frozen copy of [`IoStats`], also used to represent deltas.
-#[derive(Clone, Debug)]
-pub struct StatsSnapshot {
-    per_purpose: [IoCounts; IoPurpose::COUNT],
-    busy_us: [f64; IoPurpose::COUNT],
-    /// Logical page updates covered by this snapshot/delta.
-    pub logical_writes: u64,
-    /// Logical page reads covered by this snapshot/delta.
-    pub logical_reads: u64,
-}
-
-impl StatsSnapshot {
-    /// Counts for one purpose.
-    pub fn counts(&self, purpose: IoPurpose) -> IoCounts {
-        self.per_purpose[purpose.index()]
-    }
-
-    /// Nominal (serial) busy time for one purpose, in microseconds.
-    pub fn busy_us(&self, purpose: IoPurpose) -> f64 {
-        self.busy_us[purpose.index()]
+        delta.logical_writes -= earlier.logical_writes;
+        delta.logical_reads -= earlier.logical_reads;
+        delta
     }
 
     /// Aggregate counts for one Figure-13 category.
@@ -408,7 +373,7 @@ mod tests {
         let mut s = IoStats::default();
         s.record_page_write(IoPurpose::UserWrite);
         s.logical_writes = 1;
-        let snap = s.snapshot();
+        let snap = s.clone();
         s.record_page_write(IoPurpose::UserWrite);
         s.record_page_read(IoPurpose::ValidityQuery);
         s.logical_writes = 3;
@@ -428,7 +393,7 @@ mod tests {
             s.record_page_write(IoPurpose::ValidityUpdate);
         }
         s.logical_writes = 1000;
-        let wa = s.since(&IoStats::default().snapshot()).wa_breakdown(10.0);
+        let wa = s.wa_breakdown(10.0);
         assert!((wa.validity - 1.1).abs() < 1e-9);
         assert_eq!(wa.user, 0.0);
     }
@@ -454,7 +419,7 @@ mod tests {
         s.record_page_read(IoPurpose::UserRead);
         s.record_page_write(IoPurpose::UserWrite);
         s.record_spare_read(IoPurpose::Recovery);
-        let us = s.snapshot().simulated_us(&crate::LatencyModel::paper());
+        let us = s.simulated_us(&crate::LatencyModel::paper());
         assert!((us - 1103.0).abs() < 1e-9);
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! The observability substrate of the GeckoFTL reproduction: structured
 //! spans and device IO events driven by the simulated clock, streaming
-//! log-bucketed histograms, a named metrics registry with snapshot/delta
-//! semantics, and a Chrome Trace Event Format exporter.
+//! log-bucketed histograms, and a Chrome Trace Event Format exporter.
 //!
 //! Design rules (see `docs/OBSERVABILITY.md`):
 //!
@@ -24,17 +23,15 @@
 pub mod export;
 pub mod hist;
 pub mod json;
-pub mod registry;
 pub mod sink;
 
 pub use export::chrome_trace_json;
 pub use hist::Histogram;
 pub use json::{parse_json, validate_chrome_trace, Json, TraceSummary};
-pub use registry::{MetricValue, MetricsSnapshot};
 pub use sink::{EventRing, IoOp, SpanKind, TraceEvent};
 
-/// Telemetry state carried by the simulated flash device: an event ring,
-/// per-span-kind latency histograms, and the recovery-time accumulator.
+/// Telemetry state carried by the simulated flash device: an event ring
+/// and per-span-kind latency histograms.
 ///
 /// Disabled (the default) it holds no allocations and records nothing.
 #[derive(Clone, Debug, Default)]
@@ -47,10 +44,6 @@ pub struct Telemetry {
 struct Inner {
     ring: EventRing,
     span_hist: [Histogram; SpanKind::COUNT],
-    /// Sum of recovery-step span durations since the last
-    /// [`Telemetry::recovery_started`], in the order the steps ran —
-    /// mirrors `RecoveryReport::total_secs` term for term.
-    recovery_raw_us: f64,
 }
 
 impl Telemetry {
@@ -64,7 +57,6 @@ impl Telemetry {
             self.inner = Some(Box::new(Inner {
                 ring: EventRing::with_capacity(ring_capacity.max(1)),
                 span_hist: std::array::from_fn(|_| Histogram::new()),
-                recovery_raw_us: 0.0,
             }));
         }
         self.enabled = true;
@@ -104,8 +96,7 @@ impl Telemetry {
     }
 
     /// Record one closed FTL span (`start_us ..= end_us` on the simulated
-    /// clock). The duration also feeds the span kind's histogram, and
-    /// recovery-step spans accumulate into the recovery-time gauge.
+    /// clock). The duration also feeds the span kind's histogram.
     #[inline]
     pub fn record_span(&mut self, kind: SpanKind, arg: u32, start_us: f64, end_us: f64) {
         if !self.enabled {
@@ -114,29 +105,12 @@ impl Telemetry {
         let inner = self.inner.as_mut().expect("enabled implies inner");
         let dur = end_us - start_us;
         inner.span_hist[kind.index()].record(dur);
-        if kind == SpanKind::Recovery {
-            inner.recovery_raw_us += dur;
-        }
         inner.ring.push(TraceEvent::Span {
             kind,
             arg,
             start_us,
             dur_us: dur as f32,
         });
-    }
-
-    /// Reset the recovery-time accumulator; call at the start of a recovery
-    /// run so [`Telemetry::recovery_raw_us`] covers only the latest one.
-    pub fn recovery_started(&mut self) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.recovery_raw_us = 0.0;
-        }
-    }
-
-    /// Sum of recovery-step span durations of the most recent recovery, in
-    /// microseconds (0 if telemetry was disabled during recovery).
-    pub fn recovery_raw_us(&self) -> f64 {
-        self.inner.as_ref().map_or(0.0, |i| i.recovery_raw_us)
     }
 
     /// Duration histogram for one span kind (`None` before first enable).
@@ -186,7 +160,6 @@ mod tests {
         assert!(!t.is_enabled());
         assert_eq!(t.events().count(), 0);
         assert_eq!(t.ram_bytes(), 0);
-        assert_eq!(t.recovery_raw_us(), 0.0);
     }
 
     #[test]
@@ -213,17 +186,5 @@ mod tests {
         let h = t.span_hist(SpanKind::HostWrite).unwrap();
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), 5.0);
-    }
-
-    #[test]
-    fn recovery_accumulator_resets_per_run() {
-        let mut t = Telemetry::default();
-        t.enable(8);
-        t.record_span(SpanKind::Recovery, 0, 0.0, 100.0);
-        t.record_span(SpanKind::Recovery, 1, 100.0, 250.0);
-        assert_eq!(t.recovery_raw_us(), 250.0);
-        t.recovery_started();
-        t.record_span(SpanKind::Recovery, 0, 300.0, 340.0);
-        assert_eq!(t.recovery_raw_us(), 40.0);
     }
 }

@@ -32,7 +32,7 @@ fn main() {
         for lpn in 0..logical as u32 {
             ftl.write(geckoftl::flash_sim::Lpn(lpn), 0);
         }
-        let snap = ftl.device().stats().snapshot();
+        let snap = ftl.device().stats().clone();
         OpDriver::new(0).run(&mut ftl, trace.iter());
         let d = ftl.device().stats().since(&snap);
         let wa = d.wa_breakdown(10.0);

@@ -64,7 +64,7 @@ fn main() {
         // interleaved with lookups.
         // (The driver stamps each commit with the next row version.)
         let mut rows = OpDriver::new(101);
-        let snap = store.ftl.device().stats().snapshot();
+        let snap = store.ftl.device().stats().clone();
         for op in Zipfian::new(2024, table_pages as u64, 0.9).take(100_000) {
             let issued = rows.apply(&mut store.ftl, op, None).expect("page in range");
             let Some((commit, _)) = issued else { continue };

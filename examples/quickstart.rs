@@ -52,7 +52,7 @@ fn main() {
     );
 
     // Write-amplification decomposition (the paper's §5 metric).
-    let wa = ftl.device().stats().snapshot().wa_breakdown(10.0);
+    let wa = ftl.device().stats().wa_breakdown(10.0);
     println!(
         "write-amplification: user {:.3} + translation {:.3} + validity {:.3} = {:.3}",
         wa.user,

@@ -132,7 +132,7 @@ fn mixed_read_write_workload_accounts_read_amplification() {
     for lpn in 0..logical as u32 {
         ftl.write(Lpn(lpn), 1);
     }
-    let snap = ftl.device().stats().snapshot();
+    let snap = ftl.device().stats().clone();
     let gen = geckoftl::ftl_workloads::Mixed::new(9, Uniform::new(10, logical), 0.5, logical);
     drive(&mut ftl, gen, 4000);
     let d = ftl.device().stats().since(&snap);
