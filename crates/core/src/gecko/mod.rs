@@ -40,11 +40,12 @@ pub struct LogGecko {
     cfg: GeckoConfig,
     geo: Geometry,
     buffer: BTreeMap<GeckoKey, GeckoEntry>,
-    /// `levels[i]` holds the runs at level i, oldest first. Query order is
-    /// **not** positional: traversals sort runs by [`RunMeta::data_age`]
-    /// descending, because with merge jobs overlapping, neither level nor
-    /// in-level position implies data age (see [`LogGecko::runs_newest_first`]).
-    levels: Vec<Vec<Run>>,
+    /// Every live run, newest data first (strictly descending
+    /// [`RunMeta::data_age`]) — the traversal order of queries and of the
+    /// merge planner. A run's level is [`RunMeta::level`], not its position:
+    /// with merge jobs overlapping, level does not imply data age (see
+    /// [`LogGecko::runs_newest_first`]).
+    runs: Vec<Run>,
     /// Device sequence number at the most recent buffer flush (0 if never
     /// flushed). Recovery's buffer reconstruction (App. C.2) keys off this.
     last_flush_seq: u64,
@@ -60,7 +61,7 @@ pub struct LogGecko {
     /// same machinery runs, just drained to completion inline.
     jobs: VecDeque<MergeJob>,
     /// Runs currently participating in a pending [`MergeJob`]. They stay
-    /// installed in `levels` (and queryable) until the job's output is
+    /// installed in `runs` (and queryable) until the job's output is
     /// sealed, but must not be planned into a second merge.
     merging: HashSet<RunId>,
     /// Lifetime counters for analysis/ablation reporting.
@@ -118,12 +119,11 @@ impl LogGecko {
     /// Create an empty Logarithmic Gecko for a device geometry.
     pub fn new(geo: Geometry, cfg: GeckoConfig) -> Self {
         cfg.validate(&geo);
-        let levels = (0..=cfg.levels(&geo) + 2).map(|_| Vec::new()).collect();
         LogGecko {
             cfg,
             geo,
             buffer: BTreeMap::new(),
-            levels,
+            runs: Vec::new(),
             last_flush_seq: 0,
             scratch: Scratch::default(),
             jobs: VecDeque::new(),
@@ -142,17 +142,17 @@ impl LogGecko {
             // creation time says nothing about when the buffer was last
             // empty (see `RunMeta::flush_seq`).
             g.last_flush_seq = g.last_flush_seq.max(run.meta.flush_seq);
-            let level = run.meta.level as usize;
-            while g.levels.len() <= level {
-                g.levels.push(Vec::new());
-            }
-            g.levels[level].push(run);
-        }
-        // Within each level, keep oldest-first order by creation time.
-        for level in &mut g.levels {
-            level.sort_by_key(|r| r.meta.created_seq);
+            g.insert_run(run);
         }
         g
+    }
+
+    /// Install a run at its place in the newest-data-first order. A flush
+    /// run carries the newest data and lands at the front.
+    fn insert_run(&mut self, run: Run) {
+        let age = run.meta.data_age();
+        let at = self.runs.partition_point(|r| r.meta.data_age() > age);
+        self.runs.insert(at, run);
     }
 
     /// Configuration in effect.
@@ -180,12 +180,10 @@ impl LogGecko {
     /// merge jobs overlapping, level order no longer implies data-age
     /// order: a late-planned job over fresh flushes can install its output
     /// deeper than an earlier job's output over older runs. Live spans are
-    /// pairwise disjoint ([`scheduler`] invariant 4), so the sort is a
-    /// total order on data age.
+    /// pairwise disjoint ([`scheduler`] invariant 4), so data age is a
+    /// total order.
     pub fn runs_newest_first(&self) -> impl Iterator<Item = &Run> {
-        let mut runs: Vec<&Run> = self.levels.iter().flatten().collect();
-        runs.sort_by_key(|r| std::cmp::Reverse(r.meta.data_age()));
-        runs.into_iter()
+        self.runs.iter()
     }
 
     /// Total flash pages currently occupied by live runs.
@@ -200,15 +198,23 @@ impl LogGecko {
 
     /// Number of levels that currently hold at least one run.
     pub fn occupied_levels(&self) -> usize {
-        self.levels.iter().filter(|l| !l.is_empty()).count()
+        self.runs_per_level().iter().filter(|&&n| n > 0).count()
     }
 
-    /// Number of installed runs at each level. A fully drained tree holds
-    /// at most one run per level (the planner keeps scheduling until no
-    /// level has two settled runs), which tests use as the settled-shape
-    /// invariant.
+    /// Number of installed runs at each level, up to the deepest level
+    /// present. A fully drained tree holds at most one run per level (the
+    /// planner keeps scheduling until no level has two settled runs), which
+    /// tests use as the settled-shape invariant.
     pub fn runs_per_level(&self) -> Vec<usize> {
-        self.levels.iter().map(Vec::len).collect()
+        let mut counts = Vec::new();
+        for run in &self.runs {
+            let level = run.meta.level as usize;
+            if counts.len() <= level {
+                counts.resize(level + 1, 0);
+            }
+            counts[level] += 1;
+        }
+        counts
     }
 
     /// Integrated-RAM footprint per Appendix B: run directories (two 4-byte
@@ -390,12 +396,9 @@ impl LogGecko {
             None => true,
         });
 
-        // 2. Runs, newest data first (descending span — see
-        // `runs_newest_first`).
+        // 2. Runs, newest data first.
         let mut ppns = std::mem::take(&mut self.scratch.probe_ppns);
-        let mut runs: Vec<&Run> = self.levels.iter().flatten().collect();
-        runs.sort_by_key(|r| std::cmp::Reverse(r.meta.data_age()));
-        for run in runs {
+        for run in &self.runs {
             if open.is_empty() {
                 break;
             }
@@ -489,9 +492,7 @@ impl LogGecko {
                 absorb(entry, &mut open);
             }
         }
-        let mut runs: Vec<&Run> = self.levels.iter().flatten().collect();
-        runs.sort_by_key(|r| std::cmp::Reverse(r.meta.data_age()));
-        for run in runs {
+        for run in &self.runs {
             for page in &run.pages {
                 let data = dev
                     .read_page(page.ppn, IoPurpose::ValidityQuery)
@@ -594,7 +595,7 @@ impl LogGecko {
             if is_final {
                 self.last_flush_seq = run.meta.created_seq;
             }
-            self.levels[0].push(run);
+            self.insert_run(run);
             self.schedule_merges(dev);
             if self.cfg.sync_merge {
                 self.drain_merges(dev, sink);
@@ -644,8 +645,13 @@ impl LogGecko {
     /// combined span would overlap an outside live run — which keeps live
     /// spans pairwise disjoint no matter how plans interleave.
     fn schedule_merges(&mut self, dev: &mut FlashDevice) {
+        // Planning installs and retires nothing, so the deepest level
+        // present is fixed for the whole pass.
+        let Some(deepest_level) = self.runs.iter().map(|r| r.meta.level).max() else {
+            return;
+        };
         'planning: loop {
-            for start in 0..self.levels.len() {
+            for start in 0..=deepest_level {
                 let Some(inputs) = self.plan_at_level(start) else {
                     continue;
                 };
@@ -664,9 +670,8 @@ impl LogGecko {
                     .min()
                     .unwrap_or(0);
                 let output_is_largest = self
-                    .levels
+                    .runs
                     .iter()
-                    .flatten()
                     .filter(|r| !ids.contains(&r.meta.id))
                     .all(|r| r.meta.supersedes_upto > span_lo);
                 self.stats.merges += 1;
@@ -689,9 +694,10 @@ impl LogGecko {
     /// `start` holding ≥ 2 settled runs.
     ///
     /// Live spans are pairwise disjoint, so global data-age order is also
-    /// span order, and a candidate set is span-contiguous **iff** it is a
-    /// consecutive subsequence of that order. The plan is therefore built
-    /// positionally: within a maximal consecutive segment of settled runs,
+    /// span order — the order `runs` is kept in — and a candidate set is
+    /// span-contiguous **iff** it is a consecutive subsequence of it. The
+    /// plan is therefore built positionally: within a maximal consecutive
+    /// segment of settled runs,
     /// take the window from the newest to the oldest run of level `start`
     /// — including any *bridge* runs of other levels whose spans sit
     /// between them (skipping a bridge would leave a forever-unmergeable
@@ -701,31 +707,29 @@ impl LogGecko {
     ///
     /// Returns the inputs newest data first, or `None` if no segment
     /// holds two settled runs of level `start`.
-    fn plan_at_level(&self, start: usize) -> Option<Vec<JobInput>> {
-        let mut order: Vec<&Run> = self.levels.iter().flatten().collect();
-        order.sort_by_key(|r| std::cmp::Reverse(r.meta.data_age()));
+    fn plan_at_level(&self, start: u32) -> Option<Vec<JobInput>> {
+        let order = &self.runs;
         let settled = |r: &Run| !self.merging.contains(&r.meta.id);
         let mut i = 0usize;
         while i < order.len() {
-            if !settled(order[i]) {
+            if !settled(&order[i]) {
                 i += 1;
                 continue;
             }
             let seg_start = i;
-            while i < order.len() && settled(order[i]) {
+            while i < order.len() && settled(&order[i]) {
                 i += 1;
             }
             let seg = &order[seg_start..i];
-            let lvl = start as u32;
-            let first = seg.iter().position(|r| r.meta.level == lvl);
-            let last = seg.iter().rposition(|r| r.meta.level == lvl);
+            let first = seg.iter().position(|r| r.meta.level == start);
+            let last = seg.iter().rposition(|r| r.meta.level == start);
             let (Some(first), Some(last)) = (first, last) else {
                 continue;
             };
             if last == first {
                 continue; // a single run of this level: nothing due here
             }
-            let mut cand: Vec<&Run> = seg[first..=last].to_vec();
+            let mut cand: Vec<&Run> = seg[first..=last].iter().collect();
             if self.cfg.multiway_merge {
                 let mut pages: u64 = cand.iter().map(|r| r.num_pages()).sum();
                 for r in &seg[last + 1..] {
@@ -750,9 +754,8 @@ impl LogGecko {
     fn span_contiguous(&self, cand: &[&Run]) -> bool {
         let lo = cand.iter().map(|r| r.meta.supersedes_since).min().unwrap();
         let hi = cand.iter().map(|r| r.meta.supersedes_upto).max().unwrap();
-        self.levels
+        self.runs
             .iter()
-            .flatten()
             .filter(|r| !cand.iter().any(|c| c.meta.id == r.meta.id))
             .all(|r| r.meta.supersedes_upto < lo || hi < r.meta.supersedes_since)
     }
@@ -809,7 +812,7 @@ impl LogGecko {
     }
 
     /// Atomically switch queries from a merge's inputs to its output: the
-    /// participants leave the levels and have their pages retired, and the
+    /// participants leave the run list and have their pages retired, and the
     /// sealed output run (if any entries survived the fold) is installed.
     /// Follow-on cascade merges are planned immediately.
     fn install_merge(
@@ -820,22 +823,16 @@ impl LogGecko {
     ) {
         for input in &done.inputs {
             self.merging.remove(&input.meta.id);
-            let level = input.meta.level as usize;
-            if let Some(runs) = self.levels.get_mut(level) {
-                runs.retain(|r| r.meta.id != input.meta.id);
-            }
         }
+        self.runs
+            .retain(|r| !done.inputs.iter().any(|i| i.meta.id == r.meta.id));
         for input in &done.inputs {
             for page in &input.pages {
                 sink.meta_page_obsolete(dev, page.ppn);
             }
         }
         if let Some(run) = done.output {
-            let level = run.meta.level as usize;
-            while self.levels.len() <= level {
-                self.levels.push(Vec::new());
-            }
-            self.levels[level].push(run);
+            self.insert_run(run);
         }
         self.schedule_merges(dev);
     }
@@ -899,18 +896,9 @@ impl LogGecko {
             absorb(entry, &mut closed, &mut result);
         }
         let mut keys: Vec<GeckoKey> = Vec::new();
-        // Newest data first (`absorb` honors the first erase flag seen per
-        // key); indices instead of references because the repair pass needs
-        // `&mut` access to each run.
-        let mut order: Vec<(usize, usize)> = self
-            .levels
-            .iter()
-            .enumerate()
-            .flat_map(|(li, level)| (0..level.len()).map(move |ri| (li, ri)))
-            .collect();
-        order.sort_by_key(|&(li, ri)| std::cmp::Reverse(self.levels[li][ri].meta.data_age()));
-        for (li, ri) in order {
-            let run = &mut self.levels[li][ri];
+        // Newest data first: `absorb` honors the first erase flag seen per
+        // key.
+        for run in &mut self.runs {
             let rebuild_filter = bloom_bits > 0 && run.filter.is_none();
             keys.clear();
             let mut entries_seen = 0u64;
@@ -1152,8 +1140,8 @@ mod tests {
             gecko.mark_invalid(&mut dev, &mut sink, Ppn(page as u32));
             // After each operation (merges run synchronously), each level
             // holds at most one run.
-            for (lvl, runs) in gecko.levels.iter().enumerate() {
-                assert!(runs.len() <= 1, "level {lvl} holds {} runs", runs.len());
+            for (lvl, runs) in gecko.runs_per_level().iter().enumerate() {
+                assert!(*runs <= 1, "level {lvl} holds {runs} runs");
             }
         }
     }
@@ -1180,8 +1168,8 @@ mod tests {
         gecko.drain_merges(&mut dev, &mut sink);
         assert_eq!(gecko.merge_jobs_pending(), 0);
         assert_eq!(gecko.merge_backlog_pages(), 0);
-        for (lvl, runs) in gecko.levels.iter().enumerate() {
-            assert!(runs.len() <= 1, "level {lvl} holds {} runs", runs.len());
+        for (lvl, runs) in gecko.runs_per_level().iter().enumerate() {
+            assert!(*runs <= 1, "level {lvl} holds {runs} runs");
         }
         assert!(
             gecko.stats.merge_pages_stepped > 0,

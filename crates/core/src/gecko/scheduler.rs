@@ -32,7 +32,7 @@
 //! # Invariants (what keeps queries and crashes correct)
 //!
 //! 1. **Participants stay installed.** The input runs remain in
-//!    `LogGecko::levels` (and therefore queryable, in correct data-age
+//!    `LogGecko::runs` (and therefore queryable, in correct data-age
 //!    order) for the whole life of the job; they are only removed — and
 //!    their pages only retired — at *install time*, after the output run is
 //!    sealed. A GC query never observes both the inputs and the output.
@@ -105,7 +105,7 @@ impl JobInput {
 }
 
 /// A completed merge, ready for [`crate::gecko::LogGecko`] to install:
-/// retire the inputs' pages, remove them from the levels, and (unless every
+/// retire the inputs' pages, remove them from the run list, and (unless every
 /// entry folded away) push the sealed output run.
 #[derive(Debug)]
 pub struct FinishedMerge {
