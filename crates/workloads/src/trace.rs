@@ -144,9 +144,9 @@ impl Trace {
 
     /// Serialize to a compact text form, one op per line: `W <lpn>`,
     /// `R <lpn>`, `T <lpn>` or `I <ticks>`, with ops of a non-zero tenant
-    /// suffixed `@<tenant>` (e.g. `W 5 @2`). Blank lines and `#`-comments
-    /// are tolerated by the parser, so corpus files can carry a provenance
-    /// header.
+    /// suffixed `@<tenant>` (e.g. `W 5 @2`). The parser tolerates blank
+    /// lines and drops everything from a `#` to the end of its line, so
+    /// corpus files can carry a provenance header and per-op notes.
     pub fn to_text(&self) -> String {
         let mut s = String::with_capacity(self.ops.len() * 8);
         for (i, op) in self.ops.iter().enumerate() {
@@ -169,12 +169,11 @@ impl Trace {
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut t = Trace::default();
         for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
+            let code = line.split_once('#').map_or(line, |(code, _comment)| code);
+            let mut parts = code.split_whitespace();
+            let Some(kind) = parts.next() else {
                 continue;
-            }
-            let mut parts = line.split_whitespace();
-            let kind = parts.next().expect("non-empty line has a first token");
+            };
             let arg = parts
                 .next()
                 .ok_or_else(|| format!("line {}: expected '<W|R|T|I> <n> [@tenant]'", i + 1))?;
@@ -264,6 +263,9 @@ mod tests {
         let text = t.to_text();
         assert_eq!(text, "W 3 @1\nT 3 @1\nR 7\n");
         assert_eq!(Trace::from_text(&text).unwrap(), t);
+        // Comments, whole-line or trailing, parse to the same trace.
+        let annotated = "# only\nW 3 @1 # x\nT 3 @1#x\nR 7 # cold\n";
+        assert_eq!(Trace::from_text(annotated).unwrap(), t);
         assert_eq!(t.trims(), 1);
         assert_eq!(t.tenant_ids(), vec![0, 1]);
     }
@@ -286,8 +288,14 @@ mod tests {
         assert!(Trace::from_text("W 1 2").is_err());
         assert!(Trace::from_text("W 1 @x").is_err());
         assert!(Trace::from_text("W 1 @2 z").is_err());
+        // A comment hides nothing before it and everything after it.
+        assert!(Trace::from_text("W # 1").is_err());
+        assert!(Trace::from_text("W 1 2 # x").is_err());
         // Blank lines and comments are fine.
         assert_eq!(Trace::from_text("# header\n\nW 1\n\n").unwrap().len(), 1);
+        assert_eq!(Trace::from_text("# only").unwrap().len(), 0);
+        let t = Trace::from_text("W 1 @2 # x\nI 5#x\n").unwrap();
+        assert_eq!(t.to_text(), "W 1 @2\nI 5\n");
     }
 
     #[test]
