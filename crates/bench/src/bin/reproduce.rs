@@ -16,6 +16,22 @@ use gecko_bench::report::{format_table, write_csv};
 use std::path::PathBuf;
 use std::time::Instant;
 
+const USAGE: &str = "usage: reproduce <all|list|check-trace|slug...> \
+                     [--csv dir] [--smoke] [--shards n] [--trace file]";
+
+/// The value of the flag at `args[*i]`: the next argument, if there is one.
+/// Another flag in that position is refused rather than swallowed.
+fn flag_value<'a>(args: &'a [String], i: &mut usize) -> Option<&'a str> {
+    let flag = &args[*i];
+    *i += 1;
+    let value = args.get(*i).map(String::as_str);
+    if let Some(v) = value.filter(|v| v.starts_with("--")) {
+        eprintln!("{flag} needs a value, got the flag '{v}'");
+        std::process::exit(2);
+    }
+    value
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut slugs: Vec<&str> = Vec::new();
@@ -25,15 +41,15 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--csv" => {
-                i += 1;
                 csv_dir = Some(PathBuf::from(
-                    args.get(i).map(String::as_str).unwrap_or("results"),
+                    flag_value(&args, &mut i).unwrap_or("results"),
                 ));
             }
             "--smoke" => opts.smoke = true,
             "--shards" => {
-                i += 1;
-                let n = args.get(i).and_then(|s| s.parse().ok()).filter(|&n| n > 0);
+                let n = flag_value(&args, &mut i)
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&n| n > 0);
                 if n.is_none() {
                     eprintln!("--shards needs a positive integer");
                     std::process::exit(2);
@@ -41,8 +57,7 @@ fn main() {
                 opts.shards = n;
             }
             "--trace" => {
-                i += 1;
-                opts.trace = Some(args.get(i).cloned().unwrap_or_else(|| "trace.json".into()));
+                opts.trace = Some(flag_value(&args, &mut i).unwrap_or("trace.json").into());
             }
             "check-trace" => {
                 i += 1;
@@ -58,15 +73,17 @@ fn main() {
                 return;
             }
             "all" => slugs = ALL.iter().map(|e| e.slug).collect(),
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag '{flag}'");
+                eprintln!("{USAGE}");
+                std::process::exit(2);
+            }
             s => slugs.push(Box::leak(s.to_string().into_boxed_str())),
         }
         i += 1;
     }
     if slugs.is_empty() {
-        eprintln!(
-            "usage: reproduce <all|list|check-trace|slug...> \
-             [--csv dir] [--trace file] [--shards n]"
-        );
+        eprintln!("{USAGE}");
         eprintln!("run `reproduce list` to see the experiments");
         std::process::exit(2);
     }
