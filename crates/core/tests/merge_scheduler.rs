@@ -209,6 +209,79 @@ fn unpumped_scheduler_settles_via_flush_drains() {
     assert_eq!(sync.stats.merge_stall_drains, 0, "sync never stalls");
 }
 
+/// The run list *is* the query order. Under random invalidations, erases
+/// and pumps — budgets {1, 3, 64}, `sync_merge` and `multiway_merge` on and
+/// off, one `from_recovered` round trip in the middle — after every step
+/// `runs_newest_first()` strictly descends in `data_age()`, live spans are
+/// pairwise disjoint, and the filtered query answers every block exactly as
+/// the probe-every-run oracle does.
+#[test]
+fn runs_stay_newest_first() {
+    fn check(g: &mut LogGecko, dev: &mut FlashDevice, label: &str) {
+        let metas: Vec<_> = g.runs_newest_first().map(|r| r.meta.clone()).collect();
+        for w in metas.windows(2) {
+            assert!(
+                w[0].data_age() > w[1].data_age(),
+                "{label}: {:?} listed before {:?}",
+                w[0].data_age(),
+                w[1].data_age()
+            );
+            // Descending by span end, so pairwise disjoint iff each span
+            // ends before its predecessor's begins.
+            assert!(
+                w[1].supersedes_upto < w[0].supersedes_since,
+                "{label}: spans {:?} and {:?} overlap",
+                w[0].span(),
+                w[1].span()
+            );
+        }
+        for blk in (0..32).map(BlockId) {
+            assert_eq!(
+                g.gc_query(dev, blk),
+                g.gc_query_naive(dev, blk),
+                "{label}: {blk:?}"
+            );
+        }
+    }
+
+    for (sync_merge, multiway) in [(false, true), (false, false), (true, true), (true, false)] {
+        for budget in [1u64, 3, 64] {
+            let cfg = GeckoConfig {
+                sync_merge,
+                ..small_page_cfg(2, multiway)
+            };
+            let label = format!("sync {sync_merge}, multiway {multiway}, budget {budget}");
+            let (mut dev, mut sink, mut gecko) = harness(cfg);
+            let geo = dev.geometry();
+            let mut rng = Lcg(0xA9E ^ budget);
+            for step in 0..400 {
+                if step == 250 {
+                    // Persist the buffer, forget all RAM state (queued jobs
+                    // included) and rebuild from the runs, handed over
+                    // oldest first.
+                    gecko.flush(&mut dev, &mut sink);
+                    let mut runs: Vec<_> = gecko.runs_newest_first().cloned().collect();
+                    runs.reverse();
+                    gecko = LogGecko::from_recovered(geo, cfg, runs);
+                }
+                let x = rng.next();
+                match x % 8 {
+                    0 => gecko.note_erase(&mut dev, &mut sink, BlockId((x >> 8) as u32 % 32)),
+                    1 | 2 => {
+                        gecko.pump_merges(&mut dev, &mut sink, budget);
+                    }
+                    _ => {
+                        let page = (x >> 8) % (32 * geo.pages_per_block as u64);
+                        gecko.mark_invalid(&mut dev, &mut sink, Ppn(page as u32));
+                    }
+                }
+                check(&mut gecko, &mut dev, &label);
+            }
+            assert!(gecko.stats.merges > 0, "{label}: must have merged");
+        }
+    }
+}
+
 fn incremental_engine(merge_step_pages: u32) -> FtlEngine {
     let geo = Geometry::tiny();
     let cfg = FtlConfig {

@@ -16,6 +16,10 @@
 //! overlap — lane `k`'s next span starts at or after the previous one
 //! ended. IO events never overlap at all, whatever channel they landed on:
 //! simulated time is single-lane.
+//!
+//! Last, the `Recovery` spans of a GeckoRec run are the steps of the
+//! `RecoveryReport` it returns, number for number and microsecond for
+//! microsecond.
 
 use geckoftl::flash_sim::{
     BlockId, FaultPlan, FlashDevice, Geometry, Lpn, SpanKind, TraceEvent, WriteFault,
@@ -42,7 +46,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn tiny_gecko_engine(cache: usize) -> FtlEngine {
+fn tiny_gecko_engine(cache: usize, shards: u32) -> FtlEngine {
     let geo = Geometry::tiny();
     let cfg = FtlConfig {
         cache_entries: cache,
@@ -52,6 +56,7 @@ fn tiny_gecko_engine(cache: usize) -> FtlEngine {
         geo,
         GeckoConfig {
             page_header_bytes: geo.page_bytes - 64, // force real flush/merge activity
+            shards,
             ..GeckoConfig::paper_default(&geo)
         },
     );
@@ -115,7 +120,7 @@ fn run(
     plan: FaultPlan,
     ring: Option<usize>,
 ) -> FtlEngine {
-    let mut engine = tiny_gecko_engine(cache);
+    let mut engine = tiny_gecko_engine(cache, 1);
     if let Some(cap) = ring {
         engine.telemetry_mut().enable(cap);
     }
@@ -162,6 +167,58 @@ fn run(
     }
     engine.shutdown_clean();
     engine
+}
+
+/// The `Recovery` spans a GeckoRec run leaves in the ring are its report:
+/// one span per step, numbered 1..=N in execution order, each as long as
+/// the step's `sim_us`, so they sum to `RecoveryReport::total_secs`. (The
+/// ring stores durations as `f32`; simulated µs here are whole numbers far
+/// below 2²⁴, so nothing is rounded.) Two power cuts per engine: the second
+/// run's spans follow the first's in the same ring.
+#[test]
+fn recovery_spans_sum_to_the_report() {
+    for shards in [1, 4] {
+        let mut engine = tiny_gecko_engine(48, shards);
+        engine.telemetry_mut().enable(1 << 16);
+        let logical = engine.geometry().logical_pages();
+        let cfg = engine.config();
+        let gecko_cfg = engine.backend().gecko_config().expect("gecko backend");
+        let mut spans_before = 0;
+        for round in 0..2u64 {
+            for i in 0..2 * logical {
+                engine.write(Lpn((i * 7 % logical) as u32), round * 10_000 + i);
+            }
+            let (rec, report) = gecko_recover(engine.crash(), cfg, gecko_cfg);
+            engine = rec;
+            let spans: Vec<(u32, f64)> = engine
+                .telemetry()
+                .events()
+                .filter_map(|ev| match *ev {
+                    TraceEvent::Span {
+                        kind: SpanKind::Recovery,
+                        arg,
+                        dur_us,
+                        ..
+                    } => Some((arg, dur_us as f64)),
+                    _ => None,
+                })
+                .skip(spans_before)
+                .collect();
+            assert_eq!(engine.telemetry().dropped_events(), 0);
+            let steps: Vec<(u32, f64)> = (1..)
+                .zip(report.steps.iter().map(|(_, c)| c.sim_us))
+                .collect();
+            assert_eq!(spans, steps, "shards {shards}, round {round}");
+            let sum_us: f64 = spans.iter().map(|&(_, us)| us).sum();
+            assert!(sum_us > 0.0, "recovery must cost IO");
+            assert_eq!(
+                (sum_us / 1e6).to_bits(),
+                report.total_secs().to_bits(),
+                "shards {shards}, round {round}"
+            );
+            spans_before += spans.len();
+        }
+    }
 }
 
 proptest! {
