@@ -132,11 +132,6 @@ impl Scenario {
         )
     }
 
-    /// Whether any fault or crash point is scheduled at all.
-    pub fn has_faults(&self) -> bool {
-        !self.write_faults.is_empty() || !self.erase_faults.is_empty() || self.crash_after.is_some()
-    }
-
     /// Count of ops of each kind, for mutation bookkeeping.
     pub fn op_count(&self) -> usize {
         self.trace.len()

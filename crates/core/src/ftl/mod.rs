@@ -402,11 +402,6 @@ impl FtlEngine {
         &self.bm
     }
 
-    /// The translation table (inspection).
-    pub fn translation_table(&self) -> &TranslationTable {
-        &self.tt
-    }
-
     /// The validity backend (inspection).
     pub fn backend(&self) -> &ValidityBackend {
         &self.backend

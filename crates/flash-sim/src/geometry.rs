@@ -133,11 +133,6 @@ impl Geometry {
         self.total_pages() * self.page_bytes as u64
     }
 
-    /// Logical capacity in bytes.
-    pub fn logical_bytes(&self) -> u64 {
-        self.logical_pages() * self.page_bytes as u64
-    }
-
     /// `D` in Appendix E: number of pages of over-provisioned space, an upper
     /// bound on the number of invalid pages in the device at any time.
     pub fn overprovisioned_pages(&self) -> u64 {

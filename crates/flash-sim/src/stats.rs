@@ -188,11 +188,6 @@ impl IoCounts {
         self.spare_reads += other.spare_reads;
         self.erases += other.erases;
     }
-
-    /// Whether no IO at all was recorded.
-    pub fn is_zero(&self) -> bool {
-        *self == IoCounts::default()
-    }
 }
 
 /// Accumulated device statistics: per-purpose IO counts, simulated time and

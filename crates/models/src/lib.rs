@@ -20,9 +20,3 @@ pub mod sweep;
 pub use ram::{ram_model, RamComponent, RamModel};
 pub use recovery::{recovery_model, RecoveryComponent, RecoveryModel};
 pub use sweep::{capacity_sweep, CapacityPoint};
-
-/// The latencies every model uses (paper §5.3): spare read 3 µs, page read
-/// 100 µs, page write 1 ms.
-pub fn paper_latencies() -> flash_sim::LatencyModel {
-    flash_sim::LatencyModel::paper()
-}
