@@ -9,13 +9,13 @@ use geckoftl_core::gecko::GeckoConfig;
 /// The five FTLs of the paper's evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BaselineKind {
-    /// DFTL [22]: RAM PVB, battery-backed recovery, greedy GC.
+    /// DFTL \[22\]: RAM PVB, battery-backed recovery, greedy GC.
     Dftl,
-    /// LazyFTL [26]: RAM PVB, restricted dirty fraction, greedy GC.
+    /// LazyFTL \[26\]: RAM PVB, restricted dirty fraction, greedy GC.
     LazyFtl,
-    /// µ-FTL [24]: flash-resident PVB, battery, greedy GC.
+    /// µ-FTL \[24\]: flash-resident PVB, battery, greedy GC.
     MuFtl,
-    /// IB-FTL [18]: page validity log + cleaning, restricted dirty fraction,
+    /// IB-FTL \[18\]: page validity log + cleaning, restricted dirty fraction,
     /// greedy GC.
     IbFtl,
     /// GeckoFTL: Logarithmic Gecko, checkpoints + deferred synchronization,

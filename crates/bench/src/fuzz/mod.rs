@@ -6,13 +6,13 @@
 //! 1. **Correctness failures**: an acknowledged write that does not read
 //!    back after a fault or recovery, or a byte-level translation/validity
 //!    audit mismatch ([`oracle::audit_state`]). These are bugs; the failing
-//!    scenario is [`minimize`]d and written to `fuzz/corpus/` as a
+//!    scenario is [`minimize()`]d and written to `fuzz/corpus/` as a
 //!    regression test under the first free index (`tests/fuzz_corpus.rs`
 //!    replays every entry).
 //! 2. **Worst-case behaviour**: scenarios maximizing tail write latency,
 //!    write amplification, recovery cost or retired blocks. The search
 //!    keeps a hall of fame per signal and mutates the current worst case
-//!    ([`mutate`]), hill-climbing toward heavier stress.
+//!    ([`mutate()`]), hill-climbing toward heavier stress.
 //!
 //! Everything is driven from one fixed seed, so a campaign — including CI's
 //! time-bounded `reproduce fuzz --smoke` — is reproducible bit for bit.

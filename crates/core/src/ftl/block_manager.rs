@@ -511,7 +511,7 @@ impl BlockManager {
     /// Whether `block` currently satisfies every victim-eligibility rule
     /// for its group (allocated to an `eligible` group, sealed, non-active,
     /// unprotected, with at least one invalid page) — the same rules as
-    /// [`BlockManager::victim_candidates`], answered in O(1) for one block.
+    /// `victim_candidates`, answered in O(1) for one block.
     pub fn is_victim_eligible(
         &self,
         dev: &FlashDevice,

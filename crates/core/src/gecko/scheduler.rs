@@ -26,7 +26,7 @@
 //! * **Fold**: the k-way collision-resolving merge of Algorithm 3 runs
 //!   entirely in RAM the moment the last page arrives.
 //! * **Write**: the output run is written page by page through a
-//!   [`RunWriter`], up to `budget` pages per step. The run becomes *real*
+//!   `RunWriter`, up to `budget` pages per step. The run becomes *real*
 //!   only when its final page — carrying the postamble — is programmed.
 //!
 //! # Invariants (what keeps queries and crashes correct)

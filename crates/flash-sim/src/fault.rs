@@ -7,9 +7,10 @@
 //! power cut in the middle of a program can leave a *torn* page whose data
 //! area never finished while its spare area did, or vice versa. These are
 //! distinct from the *firmware bugs* the original [`crate::FlashError`]
-//! variants model: the recoverable variants ([`FlashError::ProgramFailed`],
-//! [`FlashError::EraseFailed`]) are returned to the FTL, which is expected
-//! to retry on a fresh block and retire the bad one.
+//! variants model: the recoverable variants
+//! ([`crate::FlashError::ProgramFailed`], [`crate::FlashError::EraseFailed`])
+//! are returned to the FTL, which is expected to retry on a fresh block and
+//! retire the bad one.
 //!
 //! A [`FaultPlan`] is a pure data object mapping *operation attempt
 //! indices* (the device counts every program and erase attempt since

@@ -241,7 +241,7 @@ pub mod collection {
         VecStrategy { inner, len }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         inner: S,
         len: Range<usize>,
