@@ -708,19 +708,9 @@ impl LogGecko {
     /// Returns the inputs newest data first, or `None` if no segment
     /// holds two settled runs of level `start`.
     fn plan_at_level(&self, start: u32) -> Option<Vec<JobInput>> {
-        let order = &self.runs;
-        let settled = |r: &Run| !self.merging.contains(&r.meta.id);
-        let mut i = 0usize;
-        while i < order.len() {
-            if !settled(&order[i]) {
-                i += 1;
-                continue;
-            }
-            let seg_start = i;
-            while i < order.len() && settled(&order[i]) {
-                i += 1;
-            }
-            let seg = &order[seg_start..i];
+        // The maximal segments of settled runs: what is left between runs
+        // already in a pending merge.
+        for seg in self.runs.split(|r| self.merging.contains(&r.meta.id)) {
             let first = seg.iter().position(|r| r.meta.level == start);
             let last = seg.iter().rposition(|r| r.meta.level == start);
             let (Some(first), Some(last)) = (first, last) else {
