@@ -514,6 +514,17 @@ fn gc_asks_one_query_per_victim_and_keeps_no_state_between_collections() {
         }
         assert_eq!(engine.telemetry().dropped_events(), 0, "ring too small");
 
+        // One host span per host op, each kind on its own lane.
+        let c = engine.counters;
+        for (kind, ops) in [
+            (SpanKind::HostWrite, c.writes),
+            (SpanKind::HostRead, c.reads),
+            (SpanKind::HostTrim, c.trims),
+        ] {
+            let lane = engine.telemetry().span_hist(kind).expect("enabled");
+            assert_eq!(lane.count(), ops, "shards={shards}: {kind:?} spans");
+        }
+
         // A collection's IO events precede its closing span in the ring. A
         // victim with valid pages reads at least one spare area (§4.1's UIP
         // check); a fully-invalid one is only erased, and needs no query.
