@@ -15,11 +15,14 @@
 //! 6) — what firmware with 8 bytes of RAM per entry would use. The simulator
 //! indexes its intrusive doubly-linked LRU list with a dense *slot table*
 //! instead: one `u32` per logical page (LPN → node index), grown on demand,
-//! so every access is an array read and the range query walks one contiguous
-//! slice — in LPN order, the order the tree would give. The table is
-//! simulator host state like the device's per-page arrays, not modelled
-//! firmware RAM: [`MappingCache::ram_bytes`] charges the paper's 8 B/entry
-//! and ignores it.
+//! so every access is an array read. Beside it sits one *dirty bit* per
+//! logical page, set exactly while the LPN's cached entry is dirty: the
+//! range query that collects a synchronization operation's batch reads the
+//! 16 words covering a translation page and visits only the dirty entries —
+//! in LPN order, the order the tree would give. Both are simulator host
+//! state like the device's per-page arrays (4 B and 1 bit per logical page),
+//! not modelled firmware RAM: [`MappingCache::ram_bytes`] charges the
+//! paper's 8 B/entry and ignores them.
 //!
 //! **Checkpoints.** §4.3 bounds recovery's backwards scan to `2·C` spare
 //! reads by synchronizing, every `C` cache operations, all dirty entries
@@ -37,7 +40,7 @@ const NIL: usize = usize::MAX;
 const ABSENT: u32 = u32::MAX;
 
 /// The slot table grows in steps of this many LPNs: the span of one 4 KB
-/// translation page of 4-byte entries.
+/// translation page of 4-byte entries, and a whole number of dirty-bit words.
 const SLOT_STEP: usize = 1024;
 
 /// One cached logical→physical mapping entry with its flags.
@@ -85,6 +88,9 @@ pub struct MappingCache {
     /// `slots[lpn]` is the index into `nodes` of the entry cached for `lpn`,
     /// or `ABSENT`. LPNs at or beyond `slots.len()` are not cached.
     slots: Vec<u32>,
+    /// Bit `lpn % 64` of `dirty_bits[lpn / 64]` is set iff `lpn` is cached
+    /// and its entry is dirty. Covers exactly the LPNs `slots` covers.
+    dirty_bits: Vec<u64>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -103,6 +109,7 @@ impl MappingCache {
         MappingCache {
             capacity,
             slots: Vec::new(),
+            dirty_bits: Vec::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -177,6 +184,18 @@ impl MappingCache {
         }
     }
 
+    /// Record that the cached entry of `lpn` became dirty or clean.
+    fn note_dirty(&mut self, lpn: Lpn, dirty: bool) {
+        let (word, bit) = (lpn.0 as usize / 64, 1u64 << (lpn.0 % 64));
+        if dirty {
+            self.dirty_bits[word] |= bit;
+            self.dirty_count += 1;
+        } else {
+            self.dirty_bits[word] &= !bit;
+            self.dirty_count -= 1;
+        }
+    }
+
     /// Look up an entry without touching LRU order.
     pub fn lookup(&self, lpn: Lpn) -> Option<&CacheEntry> {
         self.slot(lpn).map(|i| &self.nodes[i].entry)
@@ -198,18 +217,16 @@ impl MappingCache {
         let r = f(&mut self.nodes[idx].entry);
         debug_assert_eq!(self.nodes[idx].entry.lpn, lpn, "entry lpn must not change");
         let is_dirty = self.nodes[idx].entry.dirty;
-        match (was_dirty, is_dirty) {
-            (false, true) => self.dirty_count += 1,
-            (true, false) => self.dirty_count -= 1,
-            _ => {}
+        if is_dirty != was_dirty {
+            self.note_dirty(lpn, is_dirty);
         }
         Some(r)
     }
 
     /// Insert a new entry at the MRU position. Panics if the LPN is already
-    /// cached or the cache is full — callers evict first. The slot table
-    /// grows to cover the LPN: 4 bytes of host memory per logical page up to
-    /// the largest ever inserted.
+    /// cached or the cache is full — callers evict first. The slot table and
+    /// the dirty bits grow to cover the LPN: 4 bytes and 1 bit of host memory
+    /// per logical page up to the largest ever inserted.
     pub fn insert(&mut self, entry: CacheEntry) {
         assert!(!self.is_full(), "insert into full cache — evict first");
         assert!(
@@ -217,9 +234,6 @@ impl MappingCache {
             "duplicate insert for {:?}",
             entry.lpn
         );
-        if entry.dirty {
-            self.dirty_count += 1;
-        }
         let idx = if let Some(i) = self.free.pop() {
             self.nodes[i] = Node {
                 entry,
@@ -237,10 +251,14 @@ impl MappingCache {
         };
         let lpn = entry.lpn.0 as usize;
         if lpn >= self.slots.len() {
-            self.slots
-                .resize((lpn + 1).next_multiple_of(SLOT_STEP), ABSENT);
+            let covered = (lpn + 1).next_multiple_of(SLOT_STEP);
+            self.slots.resize(covered, ABSENT);
+            self.dirty_bits.resize(covered / 64, 0);
         }
         self.slots[lpn] = idx as u32; // idx < capacity < ABSENT
+        if entry.dirty {
+            self.note_dirty(entry.lpn, true);
+        }
         self.push_front(idx);
     }
 
@@ -252,7 +270,7 @@ impl MappingCache {
         self.free.push(idx);
         let entry = self.nodes[idx].entry;
         if entry.dirty {
-            self.dirty_count -= 1;
+            self.note_dirty(lpn, false);
         }
         Some(entry)
     }
@@ -268,19 +286,34 @@ impl MappingCache {
         self.remove(lpn)
     }
 
-    /// The dirty cached entries with an LPN in `[lo, hi)`, as `(lpn,
-    /// cached address)` pairs in LPN order: the batch a synchronization
-    /// operation pushes to one translation page.
-    pub fn dirty_in_range(&self, lo: Lpn, hi: Lpn) -> Vec<(Lpn, Ppn)> {
+    /// Replace the contents of `out` with the dirty cached entries whose
+    /// LPN lies in `[lo, hi)`, as `(lpn, cached address)` pairs in LPN
+    /// order: the batch a synchronization operation pushes to one
+    /// translation page. Reads the dirty bits of the range, a word at a
+    /// time, and visits only the entries they name.
+    pub fn dirty_in_range(&self, lo: Lpn, hi: Lpn, out: &mut Vec<(Lpn, Ppn)>) {
+        out.clear();
         let end = (hi.0 as usize).min(self.slots.len());
         let start = (lo.0 as usize).min(end);
-        self.slots[start..end]
-            .iter()
-            .filter(|&&idx| idx != ABSENT)
-            .map(|&idx| &self.nodes[idx as usize].entry)
-            .filter(|e| e.dirty)
-            .map(|e| (e.lpn, e.ppn))
-            .collect()
+        if start == end {
+            return;
+        }
+        let (first, last) = (start / 64, (end - 1) / 64);
+        for word in first..=last {
+            let mut bits = self.dirty_bits[word];
+            if word == first {
+                bits &= u64::MAX << (start % 64);
+            }
+            if word == last {
+                bits &= u64::MAX >> (63 - (end - 1) % 64);
+            }
+            while bits != 0 {
+                let lpn = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let e = &self.nodes[self.slots[lpn] as usize].entry;
+                out.push((e.lpn, e.ppn));
+            }
+        }
     }
 
     /// Dirty entries whose last write predates `epoch` — the checkpoint
@@ -376,8 +409,13 @@ mod tests {
         c.insert(entry(6, 2, false));
         c.insert(entry(7, 3, true));
         c.insert(entry(1029, 4, true)); // outside [0, 1024)
-        let dirty = c.dirty_in_range(Lpn(0), Lpn(1024));
+        let mut dirty = vec![(Lpn(9), Ppn(9))]; // stale contents are replaced
+        c.dirty_in_range(Lpn(0), Lpn(1024), &mut dirty);
         assert_eq!(dirty, vec![(Lpn(5), Ppn(1)), (Lpn(7), Ppn(3))]);
+        c.update_entry(Lpn(7), |e| e.dirty = false);
+        c.remove(Lpn(5));
+        c.dirty_in_range(Lpn(0), Lpn(2048), &mut dirty);
+        assert_eq!(dirty, vec![(Lpn(1029), Ppn(4))]);
     }
 
     #[test]

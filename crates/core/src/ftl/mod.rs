@@ -745,7 +745,8 @@ impl FtlEngine {
     /// correct recovered flags (App. C.3).
     pub(crate) fn sync_tpage(&mut self, tpage: u32) {
         let (lo, hi) = self.tt.lpn_range(tpage);
-        let updates = self.cache.dirty_in_range(lo, hi);
+        let mut updates = Vec::new();
+        self.cache.dirty_in_range(lo, hi, &mut updates);
         if updates.is_empty() {
             return;
         }

@@ -19,7 +19,7 @@ enum CacheOp {
     Promote(u32),
     Remove(u32),
     PopLru,
-    MarkClean(u32),
+    SetDirty(u32, bool),
 }
 
 /// 64 LPNs spread over `[0, 2584)`: the cache's LPN → slot table grows in
@@ -37,7 +37,7 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
         2 => cache_lpn().prop_map(CacheOp::Promote),
         1 => cache_lpn().prop_map(CacheOp::Remove),
         1 => Just(CacheOp::PopLru),
-        1 => cache_lpn().prop_map(CacheOp::MarkClean),
+        2 => (cache_lpn(), any::<bool>()).prop_map(|(l, d)| CacheOp::SetDirty(l, d)),
     ]
 }
 
@@ -240,6 +240,8 @@ proptest! {
         let capacity = 16;
         let mut cache = MappingCache::new(capacity);
         let mut model = LruModel::default();
+        // Reused across queries: each one must replace the last one's rows.
+        let mut got_range: Vec<(Lpn, Ppn)> = Vec::new();
 
         for op in ops {
             match op {
@@ -287,10 +289,10 @@ proptest! {
                         prop_assert_eq!(got.expect("nonempty").lpn, Lpn(victim));
                     }
                 }
-                CacheOp::MarkClean(lpn) => {
-                    cache.update_entry(Lpn(lpn), |e| e.dirty = false);
+                CacheOp::SetDirty(lpn, dirty) => {
+                    cache.update_entry(Lpn(lpn), |e| e.dirty = dirty);
                     if let Some(v) = model.data.get_mut(&lpn) {
-                        v.1 = false;
+                        v.1 = dirty;
                     }
                 }
             }
@@ -307,16 +309,35 @@ proptest! {
                 let got = cache.lookup(Lpn(lpn)).map(|e| (e.ppn.0, e.dirty));
                 prop_assert_eq!(got, model.data.get(&lpn).copied(), "lookup of {}", lpn);
             }
-            // The range query returns what the ordered map's range would,
-            // in LPN order — also for ranges ending past the grown table.
-            for (lo, hi) in [(0, 1024), (1024, 2048), (2048, 3072), (500, 1500), (0, u32::MAX)] {
+            // The range query (served by the per-LPN dirty bits) returns
+            // what the ordered map's range would, in LPN order: translation
+            // pages, ranges that split a 64-bit word or a 1 024-LPN growth
+            // step at either end, ranges that start inside the table and end
+            // beyond it or lie wholly beyond it, and empty ranges.
+            for (lo, hi) in [
+                (0, 1024),
+                (1024, 2048),
+                (2048, 3072),
+                (500, 1500),
+                (0, u32::MAX),
+                (37, 1000),
+                (41, 42),
+                (63, 65),
+                (64, 128),
+                (1000, 1100),
+                (2009, 5000),
+                (LPN_END + 5000, u32::MAX),
+                (700, 700),
+                (0, 0),
+            ] {
                 let want: Vec<(Lpn, Ppn)> = model
                     .data
                     .range(lo..hi)
                     .filter(|(_, (_, dirty))| *dirty)
                     .map(|(l, (p, _))| (Lpn(*l), Ppn(*p)))
                     .collect();
-                prop_assert_eq!(cache.dirty_in_range(Lpn(lo), Lpn(hi)), want);
+                cache.dirty_in_range(Lpn(lo), Lpn(hi), &mut got_range);
+                prop_assert_eq!(&got_range, &want, "dirty entries of [{}, {})", lo, hi);
             }
         }
     }
