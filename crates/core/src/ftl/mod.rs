@@ -28,7 +28,7 @@ pub use host::{Completion, FtlError, HostOp, HostOpKind};
 
 use crate::cache::{CacheEntry, MappingCache};
 use crate::gecko::{Bitmap, GeckoConfig, ShardedGecko};
-use crate::translation::TranslationTable;
+use crate::translation::{SyncOutcome, TranslationTable};
 use crate::validity::{MetaSink, ValidityStore};
 use flash_sim::{
     BlockId, FlashDevice, Geometry, Histogram, IoPurpose, Lpn, PageData, Ppn, SpareInfo, Telemetry,
@@ -236,6 +236,9 @@ pub struct FtlEngine {
     /// The user block being collected, `Some` only while
     /// `collect_user_block` runs: no GC state outlives a collection.
     gc_victim: Option<GcVictim>,
+    /// Storage of the synchronization operation in flight, reused by the
+    /// next one.
+    sync_scratch: SyncScratch,
     /// Lifetime op counters.
     pub counters: EngineCounters,
     /// Per-tenant accounting, populated by ops submitted with a tenant.
@@ -258,6 +261,21 @@ struct GcVictim {
     /// synchronization that triggers may identify further before-images
     /// here, which must not be migrated as live.
     invalid: Bitmap,
+}
+
+/// The vectors one `sync_tpage` fills, kept between calls so a steady-state
+/// synchronization allocates nothing but the new translation-page version.
+/// Contents are meaningless outside `sync_tpage`.
+#[derive(Default)]
+struct SyncScratch {
+    /// The translation page's dirty cached entries, in LPN order.
+    updates: Vec<(Lpn, Ppn)>,
+    /// What `TranslationTable::synchronize_into` found.
+    outcome: SyncOutcome,
+    /// Before-images to report invalid, with "count BVC leniently".
+    reports: Vec<(Ppn, bool)>,
+    /// The pages of `reports`, as the validity store's batch.
+    ppns: Vec<Ppn>,
 }
 
 /// A tenant / stream identifier for multi-tenant accounting
@@ -371,6 +389,7 @@ impl FtlEngine {
             ops_since_checkpoint: 0,
             last_flush_seen,
             gc_victim: None,
+            sync_scratch: SyncScratch::default(),
             counters: EngineCounters::default(),
             tenants: BTreeMap::new(),
             gc_attrib_us: 0.0,
@@ -744,17 +763,29 @@ impl FtlEngine {
     /// translation page to flash, identify before-images (UIP protocol) and
     /// correct recovered flags (App. C.3).
     pub(crate) fn sync_tpage(&mut self, tpage: u32) {
+        // Nothing below re-enters `sync_tpage`; if it did, the nested call
+        // would merely start from empty vectors.
+        let mut scratch = std::mem::take(&mut self.sync_scratch);
+        self.sync_tpage_with(tpage, &mut scratch);
+        self.sync_scratch = scratch;
+    }
+
+    fn sync_tpage_with(&mut self, tpage: u32, scratch: &mut SyncScratch) {
+        let SyncScratch {
+            updates,
+            outcome,
+            reports,
+            ppns,
+        } = scratch;
         let (lo, hi) = self.tt.lpn_range(tpage);
-        let mut updates = Vec::new();
-        self.cache.dirty_in_range(lo, hi, &mut updates);
+        self.cache.dirty_in_range(lo, hi, updates);
         if updates.is_empty() {
             return;
         }
         self.counters.syncs += 1;
         self.protect_tpage_version(tpage);
-        let outcome = self
-            .tt
-            .synchronize(&mut self.dev, &mut self.bm, tpage, &updates);
+        self.tt
+            .synchronize_into(&mut self.dev, &mut self.bm, tpage, updates, outcome);
         if outcome.aborted {
             self.counters.syncs_aborted += 1;
         }
@@ -762,7 +793,7 @@ impl FtlEngine {
         // atomic batch: a sync's reports must not straddle a Gecko buffer
         // flush, or a crash would lose the tail while recovery's C.2.2 diff
         // skips this sync (its translation page predates the flush).
-        let mut reports: Vec<(Ppn, bool)> = Vec::new();
+        reports.clear();
         for (lpn, before) in &outcome.before_images {
             let e = *self.cache.lookup(*lpn).expect("synced entry cached");
             if e.uip {
@@ -792,7 +823,7 @@ impl FtlEngine {
             });
         }
         if !reports.is_empty() {
-            for &(ppn, lenient) in &reports {
+            for &(ppn, lenient) in reports.iter() {
                 self.note_gc_invalidation(ppn);
                 if lenient {
                     self.bm.page_obsolete_lenient(&mut self.dev, ppn);
@@ -800,10 +831,11 @@ impl FtlEngine {
                     self.bm.page_obsolete(&mut self.dev, ppn);
                 }
             }
-            let ppns: Vec<Ppn> = reports.iter().map(|(p, _)| *p).collect();
+            ppns.clear();
+            ppns.extend(reports.iter().map(|(p, _)| *p));
             self.backend
                 .store()
-                .mark_invalid_batch(&mut self.dev, &mut self.bm, &ppns);
+                .mark_invalid_batch(&mut self.dev, &mut self.bm, ppns);
             self.after_validity_op();
         }
         for lpn in &outcome.already_synced {

@@ -40,7 +40,9 @@ impl TranslationPagePayload {
     }
 }
 
-/// Outcome of a synchronization operation.
+/// Outcome of a synchronization operation. Reusable: every
+/// [`TranslationTable::synchronize_into`] overwrites all three fields and
+/// keeps the vectors' storage.
 #[derive(Clone, Debug, Default)]
 pub struct SyncOutcome {
     /// `(lpn, before-image)` for every entry whose mapping actually changed;
@@ -154,6 +156,25 @@ impl TranslationTable {
         tpage: u32,
         updates: &[(Lpn, Ppn)],
     ) -> SyncOutcome {
+        let mut outcome = SyncOutcome::default();
+        self.synchronize_into(dev, bm, tpage, updates, &mut outcome);
+        outcome
+    }
+
+    /// [`TranslationTable::synchronize`] into caller-owned storage: the
+    /// engine reuses one [`SyncOutcome`], which leaves the new page
+    /// version's payload as the only allocation of a synchronization.
+    pub fn synchronize_into(
+        &mut self,
+        dev: &mut FlashDevice,
+        bm: &mut BlockManager,
+        tpage: u32,
+        updates: &[(Lpn, Ppn)],
+        outcome: &mut SyncOutcome,
+    ) {
+        outcome.before_images.clear();
+        outcome.already_synced.clear();
+        outcome.aborted = false;
         let per = self.geo.entries_per_translation_page();
         let old_loc = self.gmd[tpage as usize].expect("synchronize against a formatted table");
         let data = dev
@@ -164,7 +185,6 @@ impl TranslationTable {
             .expect("translation page payload");
         let mut entries = payload.entries.clone();
 
-        let mut outcome = SyncOutcome::default();
         let mut changed = false;
         for &(lpn, new_ppn) in updates {
             debug_assert_eq!(self.tpage_of(lpn), tpage, "update belongs to another tpage");
@@ -191,7 +211,7 @@ impl TranslationTable {
 
         if !changed {
             outcome.aborted = true;
-            return outcome;
+            return;
         }
 
         let new_payload = TranslationPagePayload { tpage, entries };
@@ -204,7 +224,6 @@ impl TranslationTable {
         );
         self.gmd[tpage as usize] = Some(new_loc);
         bm.page_obsolete(dev, old_loc);
-        outcome
     }
 
     /// Unmap `lpn` (host TRIM): write a new translation-page version with
