@@ -255,26 +255,32 @@ impl LogGecko {
 
     /// Report an invalidated physical page (Algorithm 1).
     pub fn mark_invalid(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, ppn: Ppn) {
-        self.mark_invalid_batch(dev, sink, &[ppn]);
+        self.mark_invalid_batch(dev, sink, [ppn]);
     }
 
     /// Report several invalidated pages as one flush generation: the whole
     /// batch is inserted before the flush threshold is checked, so it never
-    /// straddles a flush (see [`ValidityStore::mark_invalid_batch`]).
+    /// straddles a flush (see [`ValidityStore::mark_invalid_batch`]). An
+    /// empty batch touches nothing — [`ShardedGecko`] hands every tree the
+    /// caller's batch filtered down to that tree's blocks.
     ///
     /// [`ValidityStore::mark_invalid_batch`]: crate::validity::ValidityStore::mark_invalid_batch
     pub fn mark_invalid_batch(
         &mut self,
         dev: &mut FlashDevice,
         sink: &mut dyn MetaSink,
-        ppns: &[Ppn],
+        ppns: impl IntoIterator<Item = Ppn>,
     ) {
-        for &ppn in ppns {
+        let mut inserted = false;
+        for ppn in ppns {
             // The bare buffer insert, shared with recovery's refill.
             self.recover_invalidation(ppn);
             self.stats.buffer_inserts += 1;
+            inserted = true;
         }
-        self.maybe_flush(dev, sink);
+        if inserted {
+            self.maybe_flush(dev, sink);
+        }
     }
 
     /// Report an erased block (Algorithm 2). With entry-partitioning, one

@@ -21,6 +21,12 @@ use crate::validity::{MetaSink, ValidityStore};
 use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, Ppn};
 use std::collections::HashMap;
 
+/// The shard function: block `b` of a store of `shards` trees belongs to tree
+/// `b % shards`.
+fn shard_index(block: BlockId, shards: usize) -> usize {
+    (block.0 % shards as u32) as usize
+}
+
 /// The Gecko-family validity store: `shards` independent [`LogGecko`] trees.
 #[derive(Debug)]
 pub struct ShardedGecko {
@@ -49,7 +55,7 @@ impl ShardedGecko {
 
     /// The shard owning `block`: `block % shards`.
     pub fn shard_of(&self, block: BlockId) -> usize {
-        (block.0 % self.shards.len() as u32) as usize
+        shard_index(block, self.shards.len())
     }
 
     /// Number of shards.
@@ -244,19 +250,19 @@ impl ValidityStore for ShardedGecko {
     }
 
     fn mark_invalid_batch(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, ppns: &[Ppn]) {
-        // Partition by shard and forward each sub-batch whole, preserving
-        // the no-straddled-flush guarantee *within* each shard (each shard
-        // flushes on its own fill, so cross-shard atomicity is not a
-        // meaningful notion here).
-        let n = self.shards.len();
-        let mut by_shard: Vec<Vec<Ppn>> = vec![Vec::new(); n];
-        for &ppn in ppns {
-            by_shard[self.shard_of(self.geo.block_of(ppn))].push(ppn);
-        }
-        for (shard, group) in by_shard.into_iter().enumerate() {
-            if !group.is_empty() {
-                self.shards[shard].mark_invalid_batch(dev, sink, &group);
-            }
+        // Shard by shard, each tree takes its pages straight from the
+        // caller's slice, in the caller's order, and checks its flush
+        // threshold once after the last: the no-straddled-flush guarantee
+        // holds *within* each shard (each shard flushes on its own fill, so
+        // cross-shard atomicity is not a meaningful notion here), and a
+        // shard that owns none of the pages is left alone.
+        let (geo, n) = (self.geo, self.shards.len());
+        for (shard, tree) in self.shards.iter_mut().enumerate() {
+            let owned = ppns
+                .iter()
+                .copied()
+                .filter(|&ppn| shard_index(geo.block_of(ppn), n) == shard);
+            tree.mark_invalid_batch(dev, sink, owned);
         }
     }
 
