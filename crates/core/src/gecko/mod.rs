@@ -8,12 +8,18 @@
 //! flag per entry instead of in-place deletion, so an erase costs one buffer
 //! insertion rather than `O(L)` flash IOs.
 //!
+//! The buffer (`gecko/buffer.rs`) holds its entries in arrival order behind a dense
+//! key → position index, so an insertion, an erase-marker replace and a
+//! query probe are array accesses; a flush sorts the entries by key once and
+//! moves them out a page-full at a time.
+//!
 //! See [`entry`] for the entry format, [`run`] for the on-flash run layout,
 //! [`config`] for tuning (`T`, `S`, multi-way merging), [`scheduler`] for
 //! the incremental merge state machine that keeps merges off the update
 //! path, and [`analysis`] for the closed-form cost model of Table 1.
 
 pub mod analysis;
+mod buffer;
 pub mod config;
 pub mod entry;
 pub mod filter;
@@ -31,7 +37,7 @@ pub use sharded::ShardedGecko;
 
 use crate::validity::MetaSink;
 use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, Ppn, SpanKind};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// The Logarithmic Gecko structure: RAM buffer + run directories in RAM,
 /// runs in flash.
@@ -39,7 +45,7 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 pub struct LogGecko {
     cfg: GeckoConfig,
     geo: Geometry,
-    buffer: BTreeMap<GeckoKey, GeckoEntry>,
+    buffer: buffer::Buffer,
     /// Every live run, newest data first (strictly descending
     /// [`RunMeta::data_age`]) — the traversal order of queries and of the
     /// merge planner. A run's level is [`RunMeta::level`], not its position:
@@ -80,8 +86,6 @@ struct Scratch {
     probe_ppns: Vec<Ppn>,
     /// One flush chunk (≤ V entries) en route to a run page.
     chunk: Vec<GeckoEntry>,
-    /// Keys of the flush chunk (two-phase removal from the buffer).
-    chunk_keys: Vec<GeckoKey>,
 }
 
 /// Internal operation counters (not IO — the device tracks IO).
@@ -122,7 +126,7 @@ impl LogGecko {
         LogGecko {
             cfg,
             geo,
-            buffer: BTreeMap::new(),
+            buffer: buffer::Buffer::new(&geo, &cfg),
             runs: Vec::new(),
             last_flush_seq: 0,
             scratch: Scratch::default(),
@@ -295,7 +299,7 @@ impl LogGecko {
         let sub = self.cfg.sub_bits(&self.geo);
         for part in 0..self.cfg.partitions as u16 {
             let key = GeckoKey { block, part };
-            self.buffer.insert(key, GeckoEntry::erase_marker(key, sub));
+            self.buffer.put(GeckoEntry::erase_marker(key, sub));
             self.stats.buffer_inserts += 1;
         }
         self.maybe_flush(dev, sink);
@@ -392,7 +396,7 @@ impl LogGecko {
         let sub = self.cfg.sub_bits(&self.geo);
         // 1. The RAM buffer holds the newest information.
         let buffer = &self.buffer;
-        open.retain(|&(key, ridx)| match buffer.get(&key) {
+        open.retain(|&(key, ridx)| match buffer.get(key) {
             Some(entry) => {
                 for bit in entry.bitmap.iter_ones() {
                     results[ridx].set(key.part as u32 * sub + bit);
@@ -494,7 +498,7 @@ impl LogGecko {
         };
 
         for part in 0..s as u16 {
-            if let Some(entry) = self.buffer.get(&GeckoKey { block, part }) {
+            if let Some(entry) = self.buffer.get(GeckoKey { block, part }) {
                 absorb(entry, &mut open);
             }
         }
@@ -559,24 +563,20 @@ impl LogGecko {
         // stamping its own creation time — certified the unwritten tail as
         // durable and lost it for good.
         let prior_watermark = self.last_flush_seq;
-        // Reused scratch buffers: steady-state flushing allocates only the
-        // page payloads the simulated flash pages must own.
+        // Reused storage: steady-state flushing allocates only what the
+        // run pages and their directories must own. The buffer is emptied
+        // up front — nothing reads or inserts into it while the chunks are
+        // written — and its entries leave in key order, V at a time.
+        let mut sorted = self.buffer.take_sorted();
+        let mut pending = sorted.drain(..);
         let mut chunk = std::mem::take(&mut self.scratch.chunk);
-        let mut chunk_keys = std::mem::take(&mut self.scratch.chunk_keys);
-        while !self.buffer.is_empty() {
-            chunk_keys.clear();
-            chunk_keys.extend(self.buffer.keys().take(v).copied());
+        while pending.len() > 0 {
             chunk.clear();
-            chunk.extend(
-                chunk_keys
-                    .iter()
-                    .map(|k| self.buffer.remove(k).expect("key just listed")),
-            );
+            chunk.extend(pending.by_ref().take(v));
             // Only the final chunk makes every report buffered before its
             // creation durable; it alone stamps (and advances to) its own
-            // creation time. Nothing inserts into the buffer while a chunk
-            // is written, so emptiness here is decisive.
-            let is_final = self.buffer.is_empty();
+            // creation time.
+            let is_final = pending.len() == 0;
             // A flush run is at most one page: write it atomically.
             let mut writer = scheduler::RunWriter::new(
                 &self.cfg,
@@ -608,7 +608,8 @@ impl LogGecko {
             }
         }
         self.scratch.chunk = chunk;
-        self.scratch.chunk_keys = chunk_keys;
+        drop(pending);
+        self.buffer.recycle(sorted);
         // Backpressure valve: merge IO is normally pumped between flushes
         // (the engine piggybacks slices on writes and idle ticks), but a
         // caller that only ever inserts must not accumulate unbounded merge
@@ -888,7 +889,7 @@ impl LogGecko {
                 closed.insert(entry.key);
             }
         };
-        for entry in self.buffer.values() {
+        for entry in self.buffer.iter() {
             absorb(entry, &mut closed, &mut result);
         }
         let mut keys: Vec<GeckoKey> = Vec::new();
@@ -931,7 +932,7 @@ impl LogGecko {
         let sub = self.cfg.sub_bits(&self.geo);
         for part in 0..self.cfg.partitions as u16 {
             let key = GeckoKey { block, part };
-            self.buffer.insert(key, GeckoEntry::erase_marker(key, sub));
+            self.buffer.put(GeckoEntry::erase_marker(key, sub));
         }
     }
 
@@ -940,11 +941,7 @@ impl LogGecko {
     pub fn recover_invalidation(&mut self, ppn: Ppn) {
         let (key, bit) = self.key_of(ppn);
         let sub = self.cfg.sub_bits(&self.geo);
-        let entry = self
-            .buffer
-            .entry(key)
-            .or_insert_with(|| GeckoEntry::blank(key, sub));
-        entry.bitmap.set(bit);
+        self.buffer.get_or_blank(key, sub).bitmap.set(bit);
     }
 }
 
