@@ -183,9 +183,21 @@ impl TranslationTable {
         let payload = data
             .blob::<TranslationPagePayload>()
             .expect("translation page payload");
-        let mut entries = payload.entries.clone();
+        // Decide from the page just read whether anything will be written:
+        // a sync that turns out to be all false alarms copies nothing. The
+        // scan stops at the first update that changes an entry — almost
+        // always the first one.
+        let changes =
+            |&(lpn, new_ppn): &(Lpn, Ppn)| payload.entries[(lpn.0 % per) as usize] != new_ppn.0;
+        if !updates.iter().any(changes) {
+            outcome
+                .already_synced
+                .extend(updates.iter().map(|&(lpn, _)| lpn));
+            outcome.aborted = true;
+            return;
+        }
 
-        let mut changed = false;
+        let mut entries = payload.entries.clone();
         for &(lpn, new_ppn) in updates {
             debug_assert_eq!(self.tpage_of(lpn), tpage, "update belongs to another tpage");
             let off = (lpn.0 % per) as usize;
@@ -204,14 +216,8 @@ impl TranslationTable {
                 continue;
             }
             entries[off] = new_ppn.0;
-            changed = true;
             let before = (old != UNMAPPED).then_some(Ppn(old));
             outcome.before_images.push((lpn, before));
-        }
-
-        if !changed {
-            outcome.aborted = true;
-            return;
         }
 
         let new_payload = TranslationPagePayload { tpage, entries };
@@ -241,13 +247,13 @@ impl TranslationTable {
         let payload = data
             .blob::<TranslationPagePayload>()
             .expect("translation page payload");
-        let mut entries = payload.entries.clone();
 
         let off = (lpn.0 % per) as usize;
-        let old = entries[off];
+        let old = payload.entries[off];
         if old == UNMAPPED {
             return None;
         }
+        let mut entries = payload.entries.clone();
         entries[off] = UNMAPPED;
 
         let new_payload = TranslationPagePayload { tpage, entries };
