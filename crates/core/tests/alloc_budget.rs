@@ -1,0 +1,236 @@
+//! Allocation budget of the eviction → synchronization → report → flush
+//! path: how many allocator calls each step may make once its reusable
+//! storage is warm.
+//!
+//! A counting `#[global_allocator]` needs a test binary of its own, so no
+//! other test pays for it. Calls (`alloc` and `realloc`; frees are not
+//! counted) are tallied per thread, because the harness runs the tests of a
+//! binary on parallel threads.
+//!
+//! Measured with this file at the parent of the commits that introduced it:
+//! the range query made 4 calls (it collected into a fresh `Vec` grown
+//! 4 → 32), the report batch 9 (`vec![Vec::new(); shards]`, four growing
+//! sub-vectors, the `BTreeMap` nodes), one synchronization 6 (the 4 KB copy,
+//! the `Arc`, `SyncOutcome::before_images` grown 4 → 32), the aborted
+//! synchronization 5 and the no-op unmap 1 (each copied the 4 KB it then
+//! threw away), and the steady-state window below 91 937 against 61 766 now.
+
+use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, Lpn, Ppn};
+use geckoftl_core::cache::{CacheEntry, MappingCache};
+use geckoftl_core::ftl::{BlockManager, FtlConfig, FtlEngine, ValidityBackend};
+use geckoftl_core::gecko::{GeckoConfig, ShardedGecko};
+use geckoftl_core::translation::{SyncOutcome, TranslationTable};
+use geckoftl_core::validity::{FlatMetaSink, ValidityStore};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls made by this thread. Const-initialised and without a
+    /// destructor, so the allocator may touch it at any point of a thread's
+    /// life.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` unchanged; the only addition is
+// a thread-local counter bump, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's contract is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.with(|c| c.set(c.get() + 1));
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls `f` makes on this thread.
+fn allocator_calls<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = CALLS.with(Cell::get);
+    let result = f();
+    (result, CALLS.with(Cell::get) - before)
+}
+
+#[test]
+fn range_query_into_a_warm_vector_allocates_nothing() {
+    let mut cache = MappingCache::new(64);
+    for i in 0..40u32 {
+        cache.insert(CacheEntry {
+            dirty: i % 3 != 0,
+            ..CacheEntry::clean(Lpn(i * 25), Ppn(i))
+        });
+    }
+    let mut batch = Vec::new();
+    cache.dirty_in_range(Lpn(0), Lpn(1024), &mut batch); // warm-up
+    let warm = batch.len();
+    assert!(warm > 16, "the range holds a real batch");
+
+    let ((), calls) = allocator_calls(|| cache.dirty_in_range(Lpn(0), Lpn(1024), &mut batch));
+    assert_eq!(batch.len(), warm);
+    assert_eq!(calls, 0);
+}
+
+#[test]
+fn report_batch_without_a_flush_allocates_nothing() {
+    let geo = Geometry::tiny();
+    let cfg = GeckoConfig {
+        shards: 4,
+        ..GeckoConfig::paper_default(&geo)
+    };
+    let mut dev = FlashDevice::new(geo);
+    let mut sink = FlatMetaSink::new((32..64).map(BlockId).collect());
+    let mut store = ShardedGecko::new(geo, cfg);
+    // 20 pages of 20 blocks, five per shard; the warm-up batch of their
+    // neighbours sizes every shard's buffer.
+    let batch = |offset: u32| -> Vec<Ppn> {
+        (0..20u32)
+            .map(|b| Ppn(b * geo.pages_per_block + offset))
+            .collect()
+    };
+    store.mark_invalid_batch(&mut dev, &mut sink, &batch(0));
+    let ppns = batch(1);
+
+    let ((), calls) = allocator_calls(|| store.mark_invalid_batch(&mut dev, &mut sink, &ppns));
+    assert_eq!(store.stats().flushes, 0, "the batch must not trip a flush");
+    assert_eq!(store.stats().buffer_inserts, 40);
+    assert_eq!(calls, 0);
+}
+
+fn formatted_table() -> (FlashDevice, BlockManager, TranslationTable) {
+    let geo = Geometry::tiny();
+    let mut dev = FlashDevice::new(geo);
+    let mut bm = BlockManager::new(geo);
+    let mut tt = TranslationTable::new(geo);
+    tt.format(&mut dev, &mut bm);
+    (dev, bm, tt)
+}
+
+#[test]
+fn synchronize_allocates_only_the_new_page_version() {
+    let (mut dev, mut bm, mut tt) = formatted_table();
+    let updates = |base: u32| -> Vec<(Lpn, Ppn)> {
+        (0..20u32).map(|i| (Lpn(i * 7), Ppn(base + i))).collect()
+    };
+    let mut outcome = SyncOutcome::default();
+    tt.synchronize_into(&mut dev, &mut bm, 0, &updates(100), &mut outcome); // warm-up
+    let batch = updates(200);
+
+    let ((), calls) =
+        allocator_calls(|| tt.synchronize_into(&mut dev, &mut bm, 0, &batch, &mut outcome));
+    assert_eq!(outcome.before_images.len(), 20);
+    assert!(!outcome.aborted);
+    // The new version's entries and the `Arc` they are stored behind.
+    assert!(calls <= 2, "{calls} allocator calls");
+}
+
+#[test]
+fn aborted_synchronize_and_no_op_unmap_copy_nothing() {
+    let (mut dev, mut bm, mut tt) = formatted_table();
+    let batch: Vec<(Lpn, Ppn)> = (0..20u32).map(|i| (Lpn(i * 7), Ppn(100 + i))).collect();
+    let mut outcome = SyncOutcome::default();
+    tt.synchronize_into(&mut dev, &mut bm, 0, &batch, &mut outcome);
+    tt.synchronize_into(&mut dev, &mut bm, 0, &batch, &mut outcome); // warms `already_synced`
+    assert!(outcome.aborted);
+    let reads_before = dev.stats().counts(IoPurpose::TranslationSync).page_reads;
+
+    // Every update equals flash (App. C.3.1): read, compare, abort.
+    let ((), calls) =
+        allocator_calls(|| tt.synchronize_into(&mut dev, &mut bm, 0, &batch, &mut outcome));
+    assert!(outcome.aborted);
+    assert_eq!(outcome.already_synced.len(), 20);
+    assert_eq!(calls, 0, "an aborted synchronize must not copy the page");
+
+    // Trimming a never-written page: read, see it unmapped, return.
+    let (before, calls) = allocator_calls(|| tt.unmap(&mut dev, &mut bm, Lpn(3)));
+    assert_eq!(before, None);
+    assert_eq!(calls, 0, "a no-op unmap must not copy the page");
+
+    let reads = dev.stats().counts(IoPurpose::TranslationSync).page_reads - reads_before;
+    assert_eq!(reads, 2, "both no-op paths still pay their read");
+}
+
+/// Allocator calls allowed per flush, per merge page written and per
+/// collection, on top of the two per synchronization. Each of those builds
+/// things a flash page or a run must own — a page's entries and the `Arc`
+/// around its payload, a run's directory, postamble and Bloom filter, a merge
+/// job's streams, a collection's migration list — at a measured 6.0 calls
+/// per event on this geometry. What the budget keeps out is a cost per
+/// *report*: the ≈ 25 calls a synchronization used to make would put the
+/// window at 1.13 × the budget.
+const CALLS_PER_MAINTENANCE_EVENT: u64 = 8;
+
+#[test]
+fn steady_state_writes_allocate_per_maintenance_event_not_per_report() {
+    // 256 blocks × 16 pages, 4 shards, V = 6 entries per Gecko page: syncs,
+    // flushes, merges and collections all run thousands of times.
+    let geo = Geometry::new(256, 16, 1 << 12, 0.7);
+    let cfg = FtlConfig {
+        cache_entries: 64,
+        ..FtlConfig::geckoftl(&geo)
+    };
+    let gecko = ValidityBackend::gecko_for(
+        geo,
+        GeckoConfig {
+            page_header_bytes: geo.page_bytes - 64,
+            shards: 4,
+            ..GeckoConfig::paper_default(&geo)
+        },
+    );
+    let mut engine = FtlEngine::format(geo, cfg, gecko);
+    let logical = engine.geometry().logical_pages();
+    let mut x = 0x5EEDu64;
+    let mut write = |engine: &mut FtlEngine, version: u64| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        engine.write(Lpn(((x >> 33) % logical) as u32), version);
+    };
+    // Warm-up: two device overwrites, so GC, merges and every scratch
+    // vector have reached their steady state.
+    for v in 0..2 * geo.total_pages() {
+        write(&mut engine, v);
+    }
+
+    let counters = engine.counters;
+    let gecko_before = engine.backend().gecko_stats().expect("gecko backend");
+    let merge_writes = |e: &FtlEngine| {
+        e.device()
+            .stats()
+            .counts(IoPurpose::ValidityMerge)
+            .page_writes
+    };
+    let merge_writes_before = merge_writes(&engine);
+    let ((), calls) = allocator_calls(|| {
+        for v in 0..20_000 {
+            write(&mut engine, v);
+        }
+    });
+    let syncs = engine.counters.syncs - counters.syncs;
+    let collections = engine.counters.gc_operations - counters.gc_operations;
+    let flushes = engine.backend().gecko_stats().unwrap().flushes - gecko_before.flushes;
+    let merge_pages = merge_writes(&engine) - merge_writes_before;
+    assert!(
+        syncs > 1_000 && flushes > 500 && merge_pages > 500 && collections > 500,
+        "the window must exercise every step: {syncs} syncs, {flushes} flushes, \
+         {merge_pages} merge pages, {collections} collections"
+    );
+    let budget = 2 * syncs + CALLS_PER_MAINTENANCE_EVENT * (flushes + merge_pages + collections);
+    assert!(
+        calls <= budget,
+        "{calls} allocator calls for {syncs} syncs, {flushes} flushes, {merge_pages} merge \
+         pages and {collections} collections (budget {budget})"
+    );
+}
