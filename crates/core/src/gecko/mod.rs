@@ -8,10 +8,10 @@
 //! flag per entry instead of in-place deletion, so an erase costs one buffer
 //! insertion rather than `O(L)` flash IOs.
 //!
-//! The buffer (`gecko/buffer.rs`) holds its entries in arrival order behind a dense
-//! key → position index, so an insertion, an erase-marker replace and a
-//! query probe are array accesses; a flush sorts the entries by key once and
-//! moves them out a page-full at a time.
+//! The buffer (`gecko/buffer.rs`) holds its entries in arrival order behind
+//! a dense key → position index, so an insertion, an erase-marker replace
+//! and a query probe are array accesses; a flush sorts the entries by key
+//! once and moves them out a page-full at a time.
 //!
 //! See [`entry`] for the entry format, [`run`] for the on-flash run layout,
 //! [`config`] for tuning (`T`, `S`, multi-way merging), [`scheduler`] for
@@ -45,6 +45,7 @@ use std::collections::{HashSet, VecDeque};
 pub struct LogGecko {
     cfg: GeckoConfig,
     geo: Geometry,
+    /// The paper's one-page RAM buffer: the entries awaiting the next flush.
     buffer: buffer::Buffer,
     /// Every live run, newest data first (strictly descending
     /// [`RunMeta::data_age`]) — the traversal order of queries and of the

@@ -15,6 +15,11 @@
 //! bitmaps. Physical layout differs — each shard flushes and merges on its
 //! own cadence — which is why the equivalence property tests compare query
 //! bits and settled invariants, not bytes (`tests/sharded.rs`).
+//!
+//! A batch of reports (one synchronization's before-images) is not split
+//! into per-shard lists: shard by shard, each tree buffers the pages it owns
+//! straight from the caller's slice, in the caller's order, and then checks
+//! its flush threshold once.
 
 use super::{Bitmap, GeckoConfig, GeckoStats, LogGecko, Run};
 use crate::validity::{MetaSink, ValidityStore};
