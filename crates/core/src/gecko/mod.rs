@@ -81,9 +81,9 @@ pub struct LogGecko {
 /// state, accounted by [`LogGecko::ram_bytes`].)
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Open `(key, result-index)` pairs of the query in flight.
-    open: Vec<(GeckoKey, usize)>,
-    /// Coalesced flash-page probe list for the run under inspection.
+    /// The sub-keys of the query in flight that no erase flag has closed.
+    open: Vec<GeckoKey>,
+    /// Flash-page probe list for the run under inspection.
     probe_ppns: Vec<Ppn>,
     /// One flush chunk (≤ V entries) en route to a run page.
     chunk: Vec<GeckoEntry>,
@@ -102,8 +102,6 @@ pub struct GeckoStats {
     pub queries: u64,
     /// Entries dropped as obsolete during merges.
     pub entries_dropped: u64,
-    /// Batched GC query passes served (each covers ≥ 1 block).
-    pub batch_queries: u64,
     /// Per-key run probes skipped because the run's Bloom filter proved the
     /// key absent (each skip avoids up to one flash read).
     pub bloom_skips: u64,
@@ -318,90 +316,24 @@ impl LogGecko {
     /// a still-open sub-key.
     pub fn gc_query(&mut self, dev: &mut FlashDevice, block: BlockId) -> Bitmap {
         self.stats.queries += 1;
-        let mut open = std::mem::take(&mut self.scratch.open);
-        open.clear();
-        for part in 0..self.cfg.partitions as u16 {
-            open.push((GeckoKey { block, part }, 0));
-        }
-        let mut results = [Bitmap::new(self.geo.pages_per_block)];
-        self.query_open_keys(dev, &mut open, &mut results);
-        self.scratch.open = open;
-        let [result] = results;
-        result
-    }
-
-    /// Batched GC query: the invalid bitmaps of several blocks in one pass
-    /// over the structure. Requested keys are processed in sorted order and
-    /// probes landing on the same flash page are coalesced into a single
-    /// read, so querying `n` victim candidates costs far less than `n`
-    /// independent queries whenever their keys share run pages (always true
-    /// for the small runs at shallow levels).
-    pub fn gc_query_batch(&mut self, dev: &mut FlashDevice, blocks: &[BlockId]) -> Vec<Bitmap> {
-        self.stats.queries += blocks.len() as u64;
-        let b = self.geo.pages_per_block;
-        let mut results: Vec<Bitmap> = blocks.iter().map(|_| Bitmap::new(b)).collect();
-        if blocks.is_empty() {
-            return results;
-        }
-        self.stats.batch_queries += 1;
-        // Sort requests; duplicate blocks ride along on the first occurrence.
-        let mut order: Vec<(BlockId, usize)> = blocks
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(i, blk)| (blk, i))
-            .collect();
-        order.sort_unstable();
-        let mut dups: Vec<(usize, usize)> = Vec::new();
-        let mut open = std::mem::take(&mut self.scratch.open);
-        open.clear();
-        let mut prev: Option<(BlockId, usize)> = None;
-        for (blk, i) in order {
-            if let Some((pb, pi)) = prev {
-                if pb == blk {
-                    dups.push((i, pi));
-                    continue;
-                }
-            }
-            prev = Some((blk, i));
-            for part in 0..self.cfg.partitions as u16 {
-                open.push((GeckoKey { block: blk, part }, i));
-            }
-        }
-        self.query_open_keys(dev, &mut open, &mut results);
-        self.scratch.open = open;
-        for (dup, src) in dups {
-            results[dup] = results[src].clone();
-        }
-        results
-    }
-
-    /// Query core shared by single and batched GC queries.
-    ///
-    /// `open` holds sorted `(key, result-index)` pairs still awaiting an
-    /// erase flag; bits absorbed for a key land in `results[index]` at
-    /// `part·sub + bit`. Consults the buffer first, then every run newest to
-    /// oldest: the run's Bloom filter vetoes absent keys, fence-pointer
-    /// search pins survivors to their unique page, and probes of distinct
-    /// keys that share a page are coalesced into one flash read.
-    fn query_open_keys(
-        &mut self,
-        dev: &mut FlashDevice,
-        open: &mut Vec<(GeckoKey, usize)>,
-        results: &mut [Bitmap],
-    ) {
-        debug_assert!(
-            open.windows(2).all(|w| w[0].0 < w[1].0),
-            "open keys must be sorted"
-        );
         let sub = self.cfg.sub_bits(&self.geo);
+        let mut result = Bitmap::new(self.geo.pages_per_block);
+        let mut absorb = |entry: &GeckoEntry| {
+            for bit in entry.bitmap.iter_ones() {
+                result.set(entry.key.part as u32 * sub + bit);
+            }
+        };
+        // The block's S sub-keys, in key order; a key leaves at its first
+        // (newest) erase flag.
+        let mut open = std::mem::take(&mut self.scratch.open);
+        open.clear();
+        open.extend((0..self.cfg.partitions as u16).map(|part| GeckoKey { block, part }));
+
         // 1. The RAM buffer holds the newest information.
         let buffer = &self.buffer;
-        open.retain(|&(key, ridx)| match buffer.get(key) {
+        open.retain(|&key| match buffer.get(key) {
             Some(entry) => {
-                for bit in entry.bitmap.iter_ones() {
-                    results[ridx].set(key.part as u32 * sub + bit);
-                }
+                absorb(entry);
                 !entry.erase_flag
             }
             None => true,
@@ -419,7 +351,7 @@ impl LogGecko {
             // bound lands on it and needs neither filter nor search (the
             // common case: one block's S sub-keys share a run page).
             let mut queued_up_to: Option<GeckoKey> = None;
-            for &(key, _) in open.iter() {
+            for &key in open.iter() {
                 if queued_up_to.is_some_and(|last| key <= last) {
                     continue;
                 }
@@ -446,19 +378,16 @@ impl LogGecko {
                 // per entry instead of a binary search per entry.
                 let mut oi = 0usize;
                 for entry in &payload.entries {
-                    while oi < open.len() && open[oi].0 < entry.key {
+                    while oi < open.len() && open[oi] < entry.key {
                         oi += 1;
                     }
                     if oi >= open.len() {
                         break;
                     }
-                    if open[oi].0 != entry.key {
+                    if open[oi] != entry.key {
                         continue;
                     }
-                    let ridx = open[oi].1;
-                    for bit in entry.bitmap.iter_ones() {
-                        results[ridx].set(entry.key.part as u32 * sub + bit);
-                    }
+                    absorb(entry);
                     if entry.erase_flag {
                         // Close the key; `oi` now points at the next
                         // open key, which only larger entries can match.
@@ -469,6 +398,8 @@ impl LogGecko {
         }
         ppns.clear();
         self.scratch.probe_ppns = ppns;
+        self.scratch.open = open;
+        result
     }
 
     /// Probe-every-run oracle: assemble the bitmap by reading **every** page

@@ -87,7 +87,6 @@ impl ShardedGecko {
             total.merges += s.stats.merges;
             total.queries += s.stats.queries;
             total.entries_dropped += s.stats.entries_dropped;
-            total.batch_queries += s.stats.batch_queries;
             total.bloom_skips += s.stats.bloom_skips;
             total.fence_probes += s.stats.fence_probes;
             total.merge_pages_stepped += s.stats.merge_pages_stepped;
@@ -147,29 +146,6 @@ impl ShardedGecko {
     pub fn gc_query(&mut self, dev: &mut FlashDevice, block: BlockId) -> Bitmap {
         let shard = self.shard_of(block);
         self.shards[shard].gc_query(dev, block)
-    }
-
-    /// Batched GC query: partition the victim list by shard, run each
-    /// shard's sub-batch (keeping that shard's probe coalescing), and
-    /// reassemble results in caller order.
-    pub fn gc_query_batch(&mut self, dev: &mut FlashDevice, blocks: &[BlockId]) -> Vec<Bitmap> {
-        let n = self.shards.len();
-        let mut by_shard: Vec<Vec<(usize, BlockId)>> = vec![Vec::new(); n];
-        for (i, &b) in blocks.iter().enumerate() {
-            by_shard[self.shard_of(b)].push((i, b));
-        }
-        let mut results: Vec<Option<Bitmap>> = blocks.iter().map(|_| None).collect();
-        for (shard, group) in by_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let sub: Vec<BlockId> = group.iter().map(|&(_, b)| b).collect();
-            let bitmaps = self.shards[shard].gc_query_batch(dev, &sub);
-            for ((i, _), bm) in group.into_iter().zip(bitmaps) {
-                results[i] = Some(bm);
-            }
-        }
-        results.into_iter().map(Option::unwrap).collect()
     }
 
     /// Flush every shard's buffer. Shards flush independently in steady
@@ -282,15 +258,6 @@ impl ValidityStore for ShardedGecko {
         block: BlockId,
     ) -> Bitmap {
         ShardedGecko::gc_query(self, dev, block)
-    }
-
-    fn gc_query_batch(
-        &mut self,
-        dev: &mut FlashDevice,
-        _sink: &mut dyn MetaSink,
-        blocks: &[BlockId],
-    ) -> Vec<Bitmap> {
-        ShardedGecko::gc_query_batch(self, dev, blocks)
     }
 
     fn ram_bytes(&self) -> u64 {

@@ -67,13 +67,10 @@ pub trait ValidityStore {
         block: BlockId,
     ) -> Bitmap;
 
-    /// Batched GC query: the invalid bitmaps of several blocks, in input
-    /// order, all as of the same point in time. Library API: the engine
-    /// asks one [`ValidityStore::gc_query`] per victim and never calls
-    /// this; the repo benchmark times it and the property tests use it as
-    /// a query oracle. Stores with a flash-resident structure should
-    /// override it to coalesce probes that land on the same flash page
-    /// (Logarithmic Gecko does); the default just loops.
+    /// [`ValidityStore::gc_query`] for each of `blocks`, in input order. No
+    /// store overrides it and the engine asks one query per victim; it
+    /// exists because the repo benchmark's adapter names it
+    /// (`gecko.drive_gc_query_batch8_ns`; ROADMAP item 6 removes both).
     fn gc_query_batch(
         &mut self,
         dev: &mut FlashDevice,
