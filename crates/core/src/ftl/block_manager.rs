@@ -14,10 +14,12 @@
 //! [`BlockManager::page_obsolete`].
 //!
 //! Greedy selection is "the eligible block with the fewest valid pages". A
-//! linear scan over all blocks answers that ([`BlockManager::pick_victims`]
-//! still does); [`BlockManager::pick_victim`], which every collection pays
-//! twice, reads it off a *victim index* instead — blocks filed by BVC — and
-//! returns exactly what the scan would (docs/DESIGN.md, invariant 10).
+//! linear scan over all blocks answers that; [`BlockManager::pick_victim`],
+//! which every collection pays twice, reads it off a *victim index* instead
+//! — blocks filed by BVC — and returns exactly what the scan would
+//! (docs/DESIGN.md, invariant 10). The scan survives as that oracle and as
+//! the body of [`BlockManager::pick_victims`], which only the repo benchmark
+//! calls.
 
 use crate::gecko::Bitmap;
 use crate::validity::MetaSink;
@@ -532,48 +534,21 @@ impl BlockManager {
             && self.bvc[block.0 as usize] < self.geo.pages_per_block
     }
 
-    /// The `k` best greedy victims: fewest valid pages first, and — among
-    /// candidates tied at the burst's worst valid count, where greedy is
-    /// indifferent — the *densest block-id window*, so the burst's Gecko
-    /// keys (`(block, part)`, ordered by block id) cluster on shared run
-    /// pages and a batched validity query
-    /// ([`crate::validity::ValidityStore::gc_query_batch`]) coalesces more
-    /// probes. Strictly better (fewer-valid) candidates are never displaced
-    /// by clustering. Library API: the engine collects one
-    /// [`BlockManager::pick_victim`] at a time and never calls this; the
-    /// repo benchmark times it (`gc.pick_victims_ns`). It is the one
-    /// remaining caller of the linear scan, so that row measures the scan,
-    /// not what a collection pays.
+    /// The `k` lowest `(valid pages, block)` of the linear scan. The engine
+    /// collects one [`BlockManager::pick_victim`] at a time and never calls
+    /// this; it stays because the repo benchmark's adapter names it
+    /// (`gc.pick_victims_ns`, which therefore times the scan, not what a
+    /// collection pays; ROADMAP item 6 removes both).
     pub fn pick_victims(
         &self,
         dev: &FlashDevice,
         k: usize,
         eligible: impl Fn(BlockGroup) -> bool,
     ) -> Vec<BlockId> {
-        if k == 0 {
-            return Vec::new();
-        }
         let mut candidates: Vec<(u32, BlockId)> = self.victim_candidates(dev, eligible).collect();
-        candidates.sort_unstable_by_key(|&(valid, b)| (valid, b));
-        if candidates.len() <= k {
-            return candidates.into_iter().map(|(_, b)| b).collect();
-        }
-        // Greedy mandates every candidate strictly below the k-th best's
-        // valid count; the remaining slots go to the equal-valid group,
-        // where any choice is equally good for migration cost — pick the
-        // tightest id window there (candidates are id-sorted within a
-        // valid count, so windows are contiguous slices).
-        let threshold = candidates[k - 1].0;
-        let mandatory = candidates.partition_point(|&(v, _)| v < threshold);
-        let eq_end = candidates.partition_point(|&(v, _)| v <= threshold);
-        let need = k - mandatory;
-        let equals = &candidates[mandatory..eq_end];
-        let start = (0..=equals.len() - need)
-            .min_by_key(|&i| equals[i + need - 1].1 .0 - equals[i].1 .0)
-            .expect("need ≤ equals.len() by construction");
-        let mut victims: Vec<BlockId> = candidates[..mandatory].iter().map(|&(_, b)| b).collect();
-        victims.extend(equals[start..start + need].iter().map(|&(_, b)| b));
-        victims
+        candidates.sort_unstable();
+        candidates.truncate(k);
+        candidates.into_iter().map(|(_, b)| b).collect()
     }
 }
 
@@ -753,7 +728,7 @@ mod tests {
     }
 
     #[test]
-    fn pick_victims_clusters_equal_valid_candidates() {
+    fn pick_victims_is_the_first_k_of_the_sorted_scan() {
         let (mut dev, mut bm) = setup();
         let per_block = dev.geometry().pages_per_block;
         // Fill 8 user blocks; the 8th stays the active block.
@@ -768,26 +743,22 @@ mod tests {
             }
         };
         // Block 1 is strictly best (8 invalid); blocks 0, 3, 4, 5 tie at 4
-        // invalid. Asking for 3 victims must keep block 1 and fill the two
-        // remaining slots with the densest id window of the tie group —
-        // {3, 4}, not the id-minimal {0, 3} a plain sort would give.
+        // invalid and rank by block id.
         obsolete(&mut bm, &mut dev, 1, 8);
         for blk in [0u32, 3, 4, 5] {
             obsolete(&mut bm, &mut dev, blk, 4);
         }
-        let victims = bm.pick_victims(&dev, 3, |g| g == BlockGroup::User);
-        assert_eq!(victims, vec![BlockId(1), BlockId(3), BlockId(4)]);
-        // Every planned victim must pass the single-victim eligibility
-        // re-check the engine applies before collecting it.
-        for v in &victims {
-            assert!(bm.is_victim_eligible(&dev, *v, |g| g == BlockGroup::User));
+        let user = |g| g == BlockGroup::User;
+        let mut scan: Vec<(u32, BlockId)> = bm.victim_candidates(&dev, user).collect();
+        scan.sort_unstable();
+        let ranked: Vec<BlockId> = scan.into_iter().map(|(_, b)| b).collect();
+        assert_eq!(ranked, [1, 0, 3, 4, 5].map(BlockId));
+        // Including k = 0 and more victims than exist.
+        for k in 0..=ranked.len() + 2 {
+            let victims = bm.pick_victims(&dev, k, user);
+            assert_eq!(victims, ranked[..k.min(ranked.len())], "k = {k}");
         }
-        // Asking for more victims than exist degrades to the plain ranking.
-        let all = bm.pick_victims(&dev, 10, |g| g == BlockGroup::User);
-        assert_eq!(
-            all,
-            vec![BlockId(1), BlockId(0), BlockId(3), BlockId(4), BlockId(5)]
-        );
+        assert_eq!(bm.pick_victim(&dev, user), ranked.first().copied());
     }
 
     #[test]
