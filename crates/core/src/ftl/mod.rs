@@ -272,10 +272,10 @@ struct SyncScratch {
     updates: Vec<(Lpn, Ppn)>,
     /// What `TranslationTable::synchronize_into` found.
     outcome: SyncOutcome,
-    /// Before-images to report invalid, with "count BVC leniently".
-    reports: Vec<(Ppn, bool)>,
-    /// The pages of `reports`, as the validity store's batch.
+    /// Before-images to report invalid: the validity store's batch.
     ppns: Vec<Ppn>,
+    /// Per page of `ppns`, "count BVC leniently".
+    lenient: Vec<bool>,
 }
 
 /// A tenant / stream identifier for multi-tenant accounting
@@ -548,11 +548,7 @@ impl FtlEngine {
             // For a recovery-restored entry the same page may be re-reported
             // by the C.3 correction path, so count it leniently.
             let (old, uncertain) = (e.ppn, e.uncertain);
-            if uncertain {
-                self.invalidate_user_page_lenient(old);
-            } else {
-                self.invalidate_user_page(old);
-            }
+            self.report_invalid(&[old], &[uncertain]);
             self.cache.update_entry(lpn, |e| {
                 e.ppn = ppn;
                 e.dirty = true;
@@ -621,7 +617,7 @@ impl FtlEngine {
         self.protect_tpage_version(tpage);
         let before = self.tt.unmap(&mut self.dev, &mut self.bm, lpn);
         if let Some(ppn) = before {
-            self.invalidate_user_page(ppn);
+            self.report_invalid(&[ppn], &[false]);
         }
         self.pump_merge_slice();
         self.post_op();
@@ -702,24 +698,33 @@ impl FtlEngine {
         }
     }
 
-    /// Report a user page invalid to the validity store and to BVC.
-    pub(crate) fn invalidate_user_page(&mut self, ppn: Ppn) {
-        self.note_gc_invalidation(ppn);
-        self.backend
-            .store()
-            .mark_invalid(&mut self.dev, &mut self.bm, ppn);
-        self.bm.page_obsolete(&mut self.dev, ppn);
-        self.after_validity_op();
-    }
-
-    /// As [`FtlEngine::invalidate_user_page`], but tolerant of BVC
-    /// double-counting — the App. C.3.2 re-report case.
-    pub(crate) fn invalidate_user_page_lenient(&mut self, ppn: Ppn) {
-        self.note_gc_invalidation(ppn);
-        self.backend
-            .store()
-            .mark_invalid(&mut self.dev, &mut self.bm, ppn);
-        self.bm.page_obsolete_lenient(&mut self.dev, ppn);
+    /// Report user pages invalid — the one path from an identified
+    /// before-image to the collection in flight, BVC and the validity store.
+    /// `lenient[i]` tolerates BVC having counted `pages[i]` already (the
+    /// App. C.3.2 re-report of a recovery-restored entry). The store takes
+    /// the pages as one flush generation: a synchronization's reports must
+    /// not straddle a Gecko buffer flush, or a crash would lose the tail
+    /// while recovery's C.2.2 diff skips the sync (its translation page
+    /// predates the flush).
+    fn report_invalid(&mut self, pages: &[Ppn], lenient: &[bool]) {
+        debug_assert_eq!(pages.len(), lenient.len());
+        if pages.is_empty() {
+            return;
+        }
+        for (&ppn, &lenient) in pages.iter().zip(lenient) {
+            self.note_gc_invalidation(ppn);
+            if lenient {
+                self.bm.page_obsolete_lenient(&mut self.dev, ppn);
+            } else {
+                self.bm.page_obsolete(&mut self.dev, ppn);
+            }
+        }
+        let store = self.backend.store();
+        match *pages {
+            // A single report goes to the one tree that owns the page.
+            [ppn] => store.mark_invalid(&mut self.dev, &mut self.bm, ppn),
+            _ => store.mark_invalid_batch(&mut self.dev, &mut self.bm, pages),
+        }
         self.after_validity_op();
     }
 
@@ -774,8 +779,8 @@ impl FtlEngine {
         let SyncScratch {
             updates,
             outcome,
-            reports,
             ppns,
+            lenient,
         } = scratch;
         let (lo, hi) = self.tt.lpn_range(tpage);
         self.cache.dirty_in_range(lo, hi, updates);
@@ -790,29 +795,27 @@ impl FtlEngine {
             self.counters.syncs_aborted += 1;
         }
         // Collect every before-image to report, then submit them as one
-        // atomic batch: a sync's reports must not straddle a Gecko buffer
-        // flush, or a crash would lose the tail while recovery's C.2.2 diff
-        // skips this sync (its translation page predates the flush).
-        reports.clear();
+        // batch (`report_invalid`).
+        ppns.clear();
+        lenient.clear();
         for (lpn, before) in &outcome.before_images {
             let e = *self.cache.lookup(*lpn).expect("synced entry cached");
             if e.uip {
                 if let Some(before_ppn) = *before {
-                    if e.uncertain {
-                        // App. C.3.2: the before-image may have been erased
-                        // and rewritten before the crash; only report it if
-                        // its spare area still names this logical page.
-                        let still_before = self
+                    // App. C.3.2: a recovered entry's before-image may have
+                    // been erased and rewritten before the crash; only
+                    // report it if its spare area still names this logical
+                    // page.
+                    let still_before = !e.uncertain
+                        || self
                             .dev
                             .read_spare(before_ppn, IoPurpose::TranslationSync)
                             .is_ok_and(
                                 |s| matches!(s.info, SpareInfo::User { lpn: l, .. } if l == *lpn),
                             );
-                        if still_before {
-                            reports.push((before_ppn, true));
-                        }
-                    } else {
-                        reports.push((before_ppn, false));
+                    if still_before {
+                        ppns.push(before_ppn);
+                        lenient.push(e.uncertain);
                     }
                 }
             }
@@ -822,22 +825,7 @@ impl FtlEngine {
                 e.uncertain = false;
             });
         }
-        if !reports.is_empty() {
-            for &(ppn, lenient) in reports.iter() {
-                self.note_gc_invalidation(ppn);
-                if lenient {
-                    self.bm.page_obsolete_lenient(&mut self.dev, ppn);
-                } else {
-                    self.bm.page_obsolete(&mut self.dev, ppn);
-                }
-            }
-            ppns.clear();
-            ppns.extend(reports.iter().map(|(p, _)| *p));
-            self.backend
-                .store()
-                .mark_invalid_batch(&mut self.dev, &mut self.bm, ppns);
-            self.after_validity_op();
-        }
+        self.report_invalid(ppns, lenient);
         for lpn in &outcome.already_synced {
             // The entry already matches flash: either a recovered entry that
             // was never dirty (App. C.3.1) or an ABA physical-address-reuse
