@@ -116,65 +116,58 @@ impl FtlEngine {
         // A fully-invalid block needs no migration, so it is a legal victim
         // for every policy and every group (greedy picks it first anyway —
         // its valid count is 0).
-        if let Some(victim) = self.bm.pick_victim(&self.dev, |_| true) {
-            if self.bm.valid_pages(victim) == 0 {
-                let t0 = self.dev.clock().now_us();
-                if paranoid() {
-                    self.paranoid_check_erasable(victim);
-                }
-                self.counters.gc_operations += 1;
-                let is_user = self.bm.group_of(victim) == Some(BlockGroup::User);
-                if is_user {
-                    // Erase markers still need to supersede older validity
-                    // info about the block.
-                    self.backend
-                        .store()
-                        .note_erase(&mut self.dev, &mut self.bm, victim);
-                }
-                if !self
-                    .bm
-                    .erase_and_free(&mut self.dev, victim, IoPurpose::GcMigrateUser)
-                    && is_user
-                {
-                    self.report_retired_block_stale(victim);
-                }
-                let now = self.dev.clock().now_us();
-                self.dev
-                    .telemetry_mut()
-                    .record_span(SpanKind::GcCollect, victim.0, t0, now);
-                return true;
-            }
-        }
-        let victim = self.bm.pick_victim(&self.dev, |group| match policy {
-            GcPolicy::MetadataAware => group == BlockGroup::User,
-            GcPolicy::GreedyAll => match group {
-                BlockGroup::User | BlockGroup::Translation => true,
-                BlockGroup::Meta(kind) => Some(kind) == collectable_meta,
-            },
-        });
+        let victim = self
+            .bm
+            .pick_victim(&self.dev, |_| true)
+            .filter(|&block| self.bm.valid_pages(block) == 0)
+            .or_else(|| {
+                self.bm.pick_victim(&self.dev, |group| match policy {
+                    GcPolicy::MetadataAware => group == BlockGroup::User,
+                    GcPolicy::GreedyAll => match group {
+                        BlockGroup::User | BlockGroup::Translation => true,
+                        BlockGroup::Meta(kind) => Some(kind) == collectable_meta,
+                    },
+                })
+            });
         let Some(victim) = victim else { return false };
         self.counters.gc_operations += 1;
-        match self.bm.group_of(victim).expect("victim is allocated") {
-            BlockGroup::User => self.collect_user_block(victim),
-            BlockGroup::Translation => self.collect_translation_block(victim),
-            BlockGroup::Meta(_) => self.collect_meta_block(victim),
-        }
+        self.collect(victim);
         true
     }
 
-    /// Collect a user-block victim: query the validity store, migrate live
-    /// pages (skipping unidentified invalid pages via the §4.1 spare-check),
-    /// report the erase, erase the block.
-    pub(crate) fn collect_user_block(&mut self, victim: BlockId) {
+    /// Collect one victim of any group — migrate what is live, erase the
+    /// block — inside the collection's one `GcCollect` span.
+    pub(super) fn collect(&mut self, victim: BlockId) {
         let t0 = self.dev.clock().now_us();
-        self.collect_user_block_inner(victim);
+        let group = self.bm.group_of(victim).expect("victim is allocated");
+        if self.bm.valid_pages(victim) == 0 {
+            // Fully invalid: nothing to query, read or migrate.
+            if paranoid() {
+                self.paranoid_check_erasable(victim);
+            }
+            if group == BlockGroup::User {
+                self.erase_user_block(victim);
+            } else {
+                self.bm
+                    .erase_and_free(&mut self.dev, victim, IoPurpose::GcMigrateUser);
+            }
+        } else {
+            match group {
+                BlockGroup::User => self.collect_user_block(victim),
+                BlockGroup::Translation => self.collect_translation_block(victim),
+                BlockGroup::Meta(_) => self.collect_meta_block(victim),
+            }
+        }
         let now = self.dev.clock().now_us();
         self.dev
             .telemetry_mut()
             .record_span(SpanKind::GcCollect, victim.0, t0, now);
     }
 
-    fn collect_user_block_inner(&mut self, victim: BlockId) {
+    /// Collect a user-block victim: query the validity store, migrate live
+    /// pages (skipping unidentified invalid pages via the §4.1 spare-check),
+    /// report the erase, erase the block.
+    fn collect_user_block(&mut self, victim: BlockId) {
         let invalid = self
             .backend
             .store()
@@ -289,16 +282,20 @@ impl FtlEngine {
             }
         }
         self.gc_victim = None;
-        // Algorithm 2: one erase marker supersedes all older validity
-        // information about this block.
+        self.erase_user_block(victim);
+    }
+
+    /// Erase a user block whose live pages are gone. Algorithm 2: one erase
+    /// marker supersedes all older validity information about the block.
+    fn erase_user_block(&mut self, block: BlockId) {
         self.backend
             .store()
-            .note_erase(&mut self.dev, &mut self.bm, victim);
+            .note_erase(&mut self.dev, &mut self.bm, block);
         if !self
             .bm
-            .erase_and_free(&mut self.dev, victim, IoPurpose::GcMigrateUser)
+            .erase_and_free(&mut self.dev, block, IoPurpose::GcMigrateUser)
         {
-            self.report_retired_block_stale(victim);
+            self.report_retired_block_stale(block);
         }
     }
 
@@ -323,7 +320,6 @@ impl FtlEngine {
     /// migrate the translation pages that the GMD still points into this
     /// block, then erase it.
     fn collect_translation_block(&mut self, victim: BlockId) {
-        let t0 = self.dev.clock().now_us();
         let written = self.dev.written_pages(victim);
         let geo = self.geometry();
         for off in 0..written {
@@ -342,25 +338,16 @@ impl FtlEngine {
         }
         self.bm
             .erase_and_free(&mut self.dev, victim, IoPurpose::TranslationGc);
-        let now = self.dev.clock().now_us();
-        self.dev
-            .telemetry_mut()
-            .record_span(SpanKind::GcCollect, victim.0, t0, now);
     }
 
     /// Collect a metadata-block victim by delegating to the validity store
     /// (flash-resident PVB under the greedy policy), then erase it.
     fn collect_meta_block(&mut self, victim: BlockId) {
-        let t0 = self.dev.clock().now_us();
         self.backend
             .store()
             .collect_meta_block(&mut self.dev, &mut self.bm, victim);
         self.bm
             .erase_and_free(&mut self.dev, victim, IoPurpose::ValidityGc);
-        let now = self.dev.clock().now_us();
-        self.dev
-            .telemetry_mut()
-            .record_span(SpanKind::GcCollect, victim.0, t0, now);
     }
 
     pub(crate) fn current_epoch(&self) -> u64 {

@@ -942,7 +942,7 @@ impl FtlEngine {
         // Reuse the GC collection machinery: it migrates exactly the live
         // pages (wear-leveling migrations are GC migrations with a
         // hand-picked victim) and erases the block.
-        self.collect_user_block(block);
+        self.collect(block);
         Some((self.counters.gc_migrations - migrated_before) as u32)
     }
 
