@@ -500,10 +500,8 @@ impl FtlEngine {
     /// `merge_step_pages` of merge IO per shard inline.
     fn pump_merge_slice(&mut self) {
         if let Some(cfg) = self.backend.gecko_config() {
-            if !cfg.sync_merge {
-                self.backend
-                    .pump_merges(&mut self.dev, &mut self.bm, cfg.merge_step_pages as u64);
-            }
+            self.backend
+                .pump_merges(&mut self.dev, &mut self.bm, cfg.merge_step_pages as u64);
         }
     }
 
@@ -522,19 +520,17 @@ impl FtlEngine {
     /// deep-merge backlog accumulated during bursts was never drained —
     /// idle-period starvation that concentrated into forced stalls later.
     pub fn idle_tick(&mut self) -> bool {
-        if let Some(cfg) = self.backend.gecko_config() {
-            if !cfg.sync_merge {
-                let slice = cfg.merge_step_pages as u64;
-                let budget_slices = 8 * self.dev.geometry().channels.max(1) as u64;
-                for _ in 0..budget_slices {
-                    if !self.backend.pump_merges(&mut self.dev, &mut self.bm, slice) {
-                        return false;
-                    }
-                }
-                return true;
+        let Some(cfg) = self.backend.gecko_config() else {
+            return false;
+        };
+        let slice = cfg.merge_step_pages as u64;
+        let budget_slices = 8 * self.dev.geometry().channels.max(1) as u64;
+        for _ in 0..budget_slices {
+            if !self.backend.pump_merges(&mut self.dev, &mut self.bm, slice) {
+                return false;
             }
         }
-        false
+        true
     }
 
     /// Install the cache entry for a fresh write of `lpn` now at `ppn`

@@ -65,7 +65,7 @@ pub struct LogGecko {
     /// the head are planned but untouched; planning around them is sound
     /// because output identities are reserved at plan time and plans are
     /// span-contiguous (invariant 4). Under [`GeckoConfig::sync_merge`] the
-    /// same machinery runs, just drained to completion inline.
+    /// same machinery runs, drained to completion inside `flush`.
     jobs: VecDeque<MergeJob>,
     /// Runs currently participating in a pending [`MergeJob`]. They stay
     /// installed in `runs` (and queryable) until the job's output is
@@ -535,8 +535,12 @@ impl LogGecko {
             }
             self.insert_run(run);
             self.schedule_merges(dev);
+            // The knob's one reader: the paper's inline merges are the same
+            // jobs run to completion before the flush returns, so the queue
+            // is empty whenever `flush` is not on the stack and every other
+            // pump or drain finds nothing to do.
             if self.cfg.sync_merge {
-                self.drain_merges(dev, sink);
+                while self.pump_merges(dev, sink, u64::MAX) {}
             }
         }
         self.scratch.chunk = chunk;
@@ -549,9 +553,7 @@ impl LogGecko {
         // the backlog. Only when the debt runs far past the ceiling does
         // the flush drain the excess inline, as a counted stall.
         if self.merge_backlog_pages() > self.merge_debt_ceiling() {
-            if !self.cfg.sync_merge {
-                self.stats.merge_stall_drains += 1;
-            }
+            self.stats.merge_stall_drains += 1;
             while self.merge_backlog_pages() > self.merge_debt_ceiling()
                 && self.pump_merges(dev, sink, self.cfg.merge_step_pages as u64)
             {}
@@ -728,15 +730,13 @@ impl LogGecko {
     }
 
     /// Run all pending merge work to completion. Counted as a forced stall
-    /// when work was actually pending — except under
-    /// [`GeckoConfig::sync_merge`], where inline draining *is* the policy.
+    /// when work was actually pending (never under
+    /// [`GeckoConfig::sync_merge`]: `flush` leaves no job behind).
     pub fn drain_merges(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink) {
         if self.jobs.is_empty() {
             return;
         }
-        if !self.cfg.sync_merge {
-            self.stats.merge_stall_drains += 1;
-        }
+        self.stats.merge_stall_drains += 1;
         while self.pump_merges(dev, sink, u64::MAX) {}
     }
 
@@ -1076,8 +1076,10 @@ mod tests {
         // Same invariant as above, but under the incremental scheduler the
         // structure is only settled once pending jobs drain; mid-flight a
         // level legally holds the (still queryable) merge participants.
-        let (mut dev, mut sink, mut gecko, geo) = harness(small_page_cfg(2, 1));
-        assert!(!gecko.config().sync_merge, "incremental is the default");
+        let (mut dev, mut sink, mut gecko, geo) = harness(GeckoConfig {
+            sync_merge: false,
+            ..small_page_cfg(2, 1)
+        });
         let mut x: u64 = 99;
         for i in 0..4000u64 {
             x = x

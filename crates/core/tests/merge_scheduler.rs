@@ -214,10 +214,18 @@ fn unpumped_scheduler_settles_via_flush_drains() {
 /// off, one `from_recovered` round trip in the middle — after every step
 /// `runs_newest_first()` strictly descends in `data_age()`, live spans are
 /// pairwise disjoint, and the filtered query answers every block exactly as
-/// the probe-every-run oracle does.
+/// the probe-every-run oracle does. Under `sync_merge` no public call
+/// returns with a merge job queued: `flush` ran every job it planned, which
+/// is why nothing but `flush` needs to read the knob.
 #[test]
 fn runs_stay_newest_first() {
     fn check(g: &mut LogGecko, dev: &mut FlashDevice, label: &str) {
+        let settled = |g: &LogGecko| {
+            if g.config().sync_merge {
+                assert_eq!(g.merge_jobs_pending(), 0, "{label}: job left queued");
+            }
+        };
+        settled(g);
         let metas: Vec<_> = g.runs_newest_first().map(|r| r.meta.clone()).collect();
         for w in metas.windows(2) {
             assert!(
@@ -242,6 +250,7 @@ fn runs_stay_newest_first() {
                 "{label}: {blk:?}"
             );
         }
+        settled(g);
     }
 
     for (sync_merge, multiway) in [(false, true), (false, false), (true, true), (true, false)] {
@@ -260,6 +269,7 @@ fn runs_stay_newest_first() {
                     // included) and rebuild from the runs, handed over
                     // oldest first.
                     gecko.flush(&mut dev, &mut sink);
+                    check(&mut gecko, &mut dev, &label);
                     let mut runs: Vec<_> = gecko.runs_newest_first().cloned().collect();
                     runs.reverse();
                     gecko = LogGecko::from_recovered(geo, cfg, runs);
