@@ -509,18 +509,23 @@ impl LogGecko {
             // creation durable; it alone stamps (and advances to) its own
             // creation time.
             let is_final = pending.len() == 0;
-            // A flush run is at most one page: write it atomically.
+            // A flush run is at most one page, written atomically; its
+            // identity and point span are the device sequence now.
+            let seq = dev.now_seq();
+            let meta = RunMeta {
+                id: RunId(seq),
+                level: 0,
+                created_seq: seq,
+                flush_seq: if is_final { seq } else { prior_watermark },
+                merged_from: Vec::new(),
+                supersedes_since: seq,
+                supersedes_upto: seq,
+            };
             let mut writer = scheduler::RunWriter::new(
                 &self.cfg,
                 &self.geo,
-                dev,
-                None,
+                meta,
                 std::mem::take(&mut chunk),
-                Vec::new(),
-                None,
-                None,
-                (!is_final).then_some(prior_watermark),
-                0,
                 IoPurpose::ValidityUpdate,
             );
             while !writer.write_next_page(dev, sink) {}

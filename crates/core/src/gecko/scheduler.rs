@@ -137,37 +137,19 @@ pub(crate) struct RunWriter {
 }
 
 impl RunWriter {
-    /// Start writing `entries` (sorted, non-empty) as a run.
-    ///
-    /// `identity` is the run's `(id, created_seq)`: merge jobs pass the
-    /// pair **reserved at plan time** (see
-    /// [`flash_sim::FlashDevice::reserve_seq`]); `None` — buffer flushes,
-    /// which write their single page immediately — mints both from the
-    /// current device sequence number. Either way the identity is
-    /// persistent and strictly monotonic, so ids stay unique across power
-    /// failures and across concurrent write phases.
-    /// `min_level` clamps placement so merge output never lands above a
-    /// participant's level (which would break the data-age ordering queries
-    /// rely on when collisions shrink the output).
-    /// `flush_seq` is the buffer-flush watermark to persist in the
-    /// preamble: `None` stamps the run's own creation time (a buffer
-    /// flush's **final** chunk); non-final chunks and merge outputs pass
-    /// the watermark in effect before them (see [`RunMeta::flush_seq`]).
-    /// `supersedes_since`/`supersedes_upto` give the run's data-age span:
-    /// the union of the direct inputs' spans for merge outputs, or `None`
-    /// (buffer flushes) for the point span at the run's own creation time.
-    #[allow(clippy::too_many_arguments)] // two call sites (flush, merge); a params struct would obscure the layout inputs
+    /// Start writing `entries` (sorted, non-empty) as the run `meta`
+    /// describes. The caller builds the preamble it means — a buffer flush
+    /// mints identity and point span from the current device sequence, a
+    /// merge job passes the identity it reserved at plan time, its inputs'
+    /// span union and the current flush watermark (see [`RunMeta`]) — and
+    /// `meta.level` is a floor: the writer raises it to the level the run's
+    /// page count calls for, so merge output never lands above a
+    /// participant's level when collisions shrink it.
     pub(crate) fn new(
         cfg: &GeckoConfig,
         geo: &Geometry,
-        dev: &FlashDevice,
-        identity: Option<(RunId, u64)>,
+        mut meta: RunMeta,
         entries: Vec<GeckoEntry>,
-        merged_from: Vec<RunId>,
-        supersedes_since: Option<u64>,
-        supersedes_upto: Option<u64>,
-        flush_seq: Option<u64>,
-        min_level: u32,
         purpose: IoPurpose,
     ) -> Self {
         debug_assert!(!entries.is_empty());
@@ -176,18 +158,8 @@ impl RunWriter {
             "run entries must be sorted"
         );
         let v = cfg.entries_per_page(geo) as usize;
-        let (id, created_seq) = identity.unwrap_or((RunId(dev.now_seq()), dev.now_seq()));
         let n_pages = entries.len().div_ceil(v);
-        let level = cfg.level_for(n_pages as u64).max(min_level);
-        let meta = RunMeta {
-            id,
-            level,
-            created_seq,
-            flush_seq: flush_seq.unwrap_or(created_seq),
-            merged_from,
-            supersedes_since: supersedes_since.unwrap_or(created_seq),
-            supersedes_upto: supersedes_upto.unwrap_or(created_seq),
-        };
+        meta.level = meta.level.max(cfg.level_for(n_pages as u64));
         // Build the run's Bloom filter while the keys are in RAM anyway.
         let filter = (cfg.bloom_bits_per_key > 0).then(|| {
             let mut f = RunFilter::new(entries.len(), cfg.bloom_bits_per_key);
@@ -432,18 +404,22 @@ impl MergeJob {
                         output: None,
                     });
                 }
-                let (span_lo, span_hi) = self.span();
+                let (id, created_seq) = self.reserved;
+                let (supersedes_since, supersedes_upto) = self.span();
+                let meta = RunMeta {
+                    id,
+                    level: self.min_level,
+                    created_seq,
+                    flush_seq: flush_watermark,
+                    merged_from: self.inputs.iter().map(|i| i.meta.id).collect(),
+                    supersedes_since,
+                    supersedes_upto,
+                };
                 self.phase = Phase::Write(RunWriter::new(
                     &self.cfg,
                     &self.geo,
-                    dev,
-                    Some(self.reserved),
+                    meta,
                     merged,
-                    self.inputs.iter().map(|i| i.meta.id).collect(),
-                    Some(span_lo),
-                    Some(span_hi),
-                    Some(flush_watermark),
-                    self.min_level,
                     IoPurpose::ValidityMerge,
                 ));
                 // End the step at the phase boundary even with budget
