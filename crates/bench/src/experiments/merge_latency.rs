@@ -1,7 +1,7 @@
 //! Write-latency A/B of the incremental merge scheduler: synchronous
 //! Logarithmic Gecko merges (the paper's behavior — a write that trips a
 //! level-N merge pays the whole merge as latency) against the bounded-step
-//! scheduler of [`geckoftl_core::gecko::scheduler`], which charges at most
+//! merge jobs of [`geckoftl_core::gecko::merge_job`], which charge at most
 //! `merge_step_pages` of merge IO per tree per write.
 //!
 //! Both variants run the same mixed workload (25 % reads) on identical

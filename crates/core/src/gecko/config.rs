@@ -31,7 +31,7 @@ pub struct GeckoConfig {
     pub bloom_bits_per_key: u32,
     /// Run merges to completion inside the update path (the paper's
     /// behavior). When false — the default — a due merge is enqueued on the
-    /// incremental merge scheduler ([`crate::gecko::scheduler`]) and drained
+    /// tree's merge-job queue ([`crate::gecko::merge_job`]) and drained
     /// in bounded steps charged to subsequent updates or idle ticks. A flush
     /// does not wait for pending jobs, so the two modes plan *different*
     /// merge sequences (new runs are pushed while older merges are still in

@@ -1,11 +1,12 @@
-//! Incremental merge scheduling for Logarithmic Gecko.
+//! The resumable merge job ([`MergeJob`]) and the run writer of Logarithmic
+//! Gecko's incremental merging.
 //!
 //! The paper runs merges synchronously inside the update path: an update
 //! that trips a level-N merge pays the entire merge's flash IO as latency —
 //! exactly the tail-latency cliff the amortized analysis of Table 1 argues
-//! against. This module takes the merge off the critical path: when a merge
-//! becomes due, [`crate::gecko::LogGecko`] enqueues a [`MergeJob`] here
-//! instead of running it inline, and the job is *pumped* in bounded steps
+//! against. A [`MergeJob`] takes the merge off the critical path: when a
+//! merge becomes due, [`crate::gecko::LogGecko`] queues a job instead of
+//! running it inline, and the job is *pumped* in bounded steps
 //! (at most [`crate::gecko::GeckoConfig::merge_step_pages`] run-page reads
 //! or writes per step) piggybacked on subsequent updates or donated by idle
 //! ticks. A tree keeps its jobs in one FIFO and a pump steps the head job,

@@ -14,7 +14,7 @@
 //! once and moves them out a page-full at a time.
 //!
 //! See [`entry`] for the entry format, [`run`] for the on-flash run layout,
-//! [`config`] for tuning (`T`, `S`, multi-way merging), [`scheduler`] for
+//! [`config`] for tuning (`T`, `S`, multi-way merging), [`merge_job`] for
 //! the incremental merge state machine that keeps merges off the update
 //! path, and [`analysis`] for the closed-form cost model of Table 1.
 
@@ -23,16 +23,16 @@ mod buffer;
 pub mod config;
 pub mod entry;
 pub mod filter;
+pub mod merge_job;
 pub mod run;
-pub mod scheduler;
 pub mod sharded;
 
 pub use analysis::GeckoCostModel;
 pub use config::{GeckoConfig, KEY_BYTES};
 pub use entry::{Bitmap, GeckoEntry, GeckoKey};
 pub use filter::RunFilter;
+pub use merge_job::{FinishedMerge, JobInput, MergeJob};
 pub use run::{GeckoPagePayload, Postamble, Run, RunDirEntry, RunId, RunMeta};
-pub use scheduler::{FinishedMerge, JobInput, MergeJob};
 pub use sharded::ShardedGecko;
 
 use crate::validity::MetaSink;
@@ -61,7 +61,7 @@ pub struct LogGecko {
     scratch: Scratch,
     /// Planned merges, in plan order: the tree's one FIFO of resumable
     /// [`MergeJob`]s, whose head job takes each pump's slice (see
-    /// [`scheduler`] for the state machine and its invariants). Jobs behind
+    /// [`merge_job`] for the state machine and its invariants). Jobs behind
     /// the head are planned but untouched; planning around them is sound
     /// because output identities are reserved at plan time and plans are
     /// span-contiguous (invariant 4). Under [`GeckoConfig::sync_merge`] the
@@ -114,7 +114,7 @@ pub struct GeckoStats {
     /// shutdown, recovery, tests) found merge work still pending and ran
     /// the remainder inline. Flushes no longer drain — plan-time run-id
     /// reservation and span-contiguous planning let pushes proceed with
-    /// jobs in flight ([`scheduler`] invariant 4).
+    /// jobs in flight ([`merge_job`] invariant 4).
     pub merge_stall_drains: u64,
 }
 
@@ -183,7 +183,7 @@ impl LogGecko {
     /// merge jobs overlapping, level order no longer implies data-age
     /// order: a late-planned job over fresh flushes can install its output
     /// deeper than an earlier job's output over older runs. Live spans are
-    /// pairwise disjoint ([`scheduler`] invariant 4), so data age is a
+    /// pairwise disjoint ([`merge_job`] invariant 4), so data age is a
     /// total order.
     pub fn runs_newest_first(&self) -> impl Iterator<Item = &Run> {
         self.runs.iter()
@@ -470,7 +470,7 @@ impl LogGecko {
     /// queries rely on is preserved.
     ///
     /// Pushes do **not** wait for pending merge jobs: output identities are
-    /// reserved at plan time and plans are span-contiguous ([`scheduler`]
+    /// reserved at plan time and plans are span-contiguous ([`merge_job`]
     /// invariant 4), so planning on a structure with jobs still in flight is
     /// sound. The forced pre-push drain this method used to perform — and
     /// count as [`GeckoStats::merge_stall_drains`] — is gone; stall drains
@@ -521,7 +521,7 @@ impl LogGecko {
                 supersedes_since: seq,
                 supersedes_upto: seq,
             };
-            let mut writer = scheduler::RunWriter::new(
+            let mut writer = merge_job::RunWriter::new(
                 &self.cfg,
                 &self.geo,
                 meta,
@@ -587,7 +587,7 @@ impl LogGecko {
     ///
     /// Plans are made while earlier jobs are still in flight: their inputs
     /// stay installed (and excluded via `merging`), and the span-contiguity
-    /// rule ([`scheduler`] invariant 4) rejects any candidate set whose
+    /// rule ([`merge_job`] invariant 4) rejects any candidate set whose
     /// combined span would overlap an outside live run — which keeps live
     /// spans pairwise disjoint no matter how plans interleave.
     fn schedule_merges(&mut self, dev: &mut FlashDevice) {

@@ -72,7 +72,7 @@ pub struct RunMeta {
     /// newest validity data folded into this run.
     ///
     /// Two load-bearing properties, both enforced by the merge planner's
-    /// span-contiguity rule ([`crate::gecko::scheduler`] invariant 4):
+    /// span-contiguity rule ([`crate::gecko::merge_job`] invariant 4):
     ///
     /// * **Query order.** Runs are traversed newest-span-first. With
     ///   several merge jobs in flight per tree, levels alone no longer

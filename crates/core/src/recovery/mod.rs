@@ -691,7 +691,7 @@ fn recover_runs(dev: &mut FlashDevice, bid: &[BidEntry], shards: u32) -> Vec<Vec
     //   its input list whether or not it is itself still live (a dead
     //   intermediate's inputs died before it did).
     // * span containment — transitive: merging is laminar and live spans
-    //   are pairwise disjoint (scheduler invariant 4), so a candidate is a
+    //   are pairwise disjoint (`gecko::merge_job` invariant 4), so a candidate is a
     //   merged-away leftover **iff** its `[supersedes_since,
     //   supersedes_upto]` span is strictly contained in a *live*
     //   candidate's span. This catches leftovers whose direct superseder
