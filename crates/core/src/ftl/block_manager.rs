@@ -174,8 +174,8 @@ pub struct BlockManager {
     /// recently updated translation pages, so the engine protects their
     /// blocks until the next Gecko buffer flush.
     protected: HashSet<BlockId>,
-    /// Blocks permanently taken out of service after an erase failure (or
-    /// wear-out). A retired block stays `InUse` forever — it can never be
+    /// Blocks permanently taken out of service after an erase failure. A
+    /// retired block stays `InUse` forever — it can never be
     /// erased, so it must never reach the free pool — and is excluded from
     /// victim selection so GC does not livelock re-picking a 0-valid block
     /// it cannot reclaim.
@@ -417,8 +417,8 @@ impl BlockManager {
         }
     }
 
-    /// Erase a block and return it to the free pool. If the erase fails
-    /// (bad block, or past its wear budget) the block is *retired* instead:
+    /// Erase a block and return it to the free pool. If the erase fails (bad
+    /// block) the block is *retired* instead:
     /// it stays `InUse` forever, drops out of victim selection, and never
     /// reaches the free pool. The caller has already migrated any valid
     /// pages, so nothing is lost. Returns `false` on retirement: the block
@@ -442,7 +442,7 @@ impl BlockManager {
                 self.free.push_back(block);
                 true
             }
-            Err(FlashError::EraseFailed(_) | FlashError::BlockWornOut(_)) => {
+            Err(FlashError::EraseFailed(_)) => {
                 self.unfile(block);
                 self.retired[i] = true;
                 self.bvc[i] = 0;

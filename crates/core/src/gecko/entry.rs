@@ -154,14 +154,6 @@ impl GeckoKey {
     pub fn first_of(block: BlockId) -> Self {
         GeckoKey { block, part: 0 }
     }
-
-    /// Key of the last sub-entry of a block under partitioning factor `s`.
-    pub fn last_of(block: BlockId, s: u32) -> Self {
-        GeckoKey {
-            block,
-            part: (s - 1) as u16,
-        }
-    }
 }
 
 /// A Gecko entry (Figure 3): key, page-validity bitmap slice, erase flag.
@@ -324,13 +316,6 @@ mod tests {
             GeckoKey {
                 block: BlockId(2),
                 part: 0
-            }
-        );
-        assert_eq!(
-            GeckoKey::last_of(BlockId(2), 4),
-            GeckoKey {
-                block: BlockId(2),
-                part: 3
             }
         );
     }

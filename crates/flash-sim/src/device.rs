@@ -24,7 +24,6 @@ pub struct FlashDevice {
     clock: SimClock,
     stats: IoStats,
     seq: u64,
-    erase_budget: Option<u32>,
     /// Scheduled hardware faults (see [`crate::fault`]).
     fault: FaultPlan,
     /// Faults actually delivered so far.
@@ -64,7 +63,6 @@ impl FlashDevice {
             clock: SimClock::default(),
             stats: IoStats::default(),
             seq: 1,
-            erase_budget: None,
             fault: FaultPlan::default(),
             fault_stats: FaultStats::default(),
             writes_attempted: 0,
@@ -91,12 +89,6 @@ impl FlashDevice {
                 .record_io(purpose.index() as u8, op, ch, start, us);
         }
         self.clock.advance_us(us);
-    }
-
-    /// Configure a per-block erase budget; further erases return
-    /// [`FlashError::BlockWornOut`]. Used by wear-leveling stress tests.
-    pub fn set_erase_budget(&mut self, budget: Option<u32>) {
-        self.erase_budget = budget;
     }
 
     /// Device geometry.
@@ -269,11 +261,6 @@ impl FlashDevice {
             self.charge_us(block, purpose, IoOp::Erase, self.latency.erase_us);
             return Err(FlashError::EraseFailed(block));
         }
-        if let Some(budget) = self.erase_budget {
-            if self.blocks[block.0 as usize].erase_count() >= budget {
-                return Err(FlashError::BlockWornOut(block));
-            }
-        }
         let seq = self.bump_seq();
         self.blocks[block.0 as usize].erase(seq);
         self.stats.record_erase(purpose);
@@ -328,11 +315,6 @@ impl FlashDevice {
     /// Mark a block bad by hand (tests / harness setup).
     pub fn mark_bad(&mut self, block: BlockId) {
         self.bad[block.0 as usize] = true;
-    }
-
-    /// Number of blocks currently marked bad.
-    pub fn bad_blocks(&self) -> usize {
-        self.bad.iter().filter(|&&b| b).count()
     }
 
     /// Whether a fault captured a crash image since the last
@@ -537,17 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn erase_budget_enforced() {
-        let mut d = dev();
-        d.set_erase_budget(Some(1));
-        d.erase_block(BlockId(0), IoPurpose::WearLevel).unwrap();
-        assert_eq!(
-            d.erase_block(BlockId(0), IoPurpose::WearLevel),
-            Err(FlashError::BlockWornOut(BlockId(0)))
-        );
-    }
-
-    #[test]
     fn program_fail_persists_nothing_and_marks_bad() {
         let mut d = dev();
         d.set_fault_plan(FaultPlan::new().on_write(1, WriteFault::ProgramFail));
@@ -570,7 +541,6 @@ mod tests {
         assert_eq!(d.written_pages(BlockId(0)), 1);
         assert!(d.clock().now_us() > before);
         assert!(d.is_bad(BlockId(0)));
-        assert_eq!(d.bad_blocks(), 1);
         assert_eq!(d.fault_stats().program_failures, 1);
         // Once bad, every further write to the block fails too.
         let err = d.write_page(

@@ -11,10 +11,9 @@ pub type Result<T> = std::result::Result<T, FlashError>;
 /// Two families share this type. `BlockFull`, `PageNotWritten`,
 /// `OutOfRange` and `BlockOutOfRange` model *firmware bugs*: a correct FTL
 /// never triggers them, and the simulator surfaces them loudly instead of
-/// silently corrupting state. `ProgramFailed`, `EraseFailed` and
-/// `BlockWornOut` model *recoverable hardware faults* (injected via
-/// [`crate::FaultPlan`] or an erase budget): real devices exhibit them at
-/// scale, and a robust FTL handles them — retry the write on a fresh block,
+/// silently corrupting state. `ProgramFailed` and `EraseFailed` model
+/// *recoverable hardware faults* (injected via [`crate::FaultPlan`]): real
+/// devices exhibit them at scale, and a robust FTL handles them — retry the write on a fresh block,
 /// retire the bad block — instead of crashing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlashError {
@@ -26,9 +25,6 @@ pub enum FlashError {
     OutOfRange(Ppn),
     /// Block id outside the device geometry.
     BlockOutOfRange(BlockId),
-    /// The device has worn out this block past its configured erase budget
-    /// (only reported when an erase budget is configured).
-    BlockWornOut(BlockId),
     /// The program operation failed (hardware fault): nothing was persisted
     /// and the block is now marked bad. Recoverable — retry on another
     /// block.
@@ -46,7 +42,6 @@ impl fmt::Display for FlashError {
             FlashError::PageNotWritten(p) => write!(f, "read of unwritten page {p:?}"),
             FlashError::OutOfRange(p) => write!(f, "page address {p:?} out of range"),
             FlashError::BlockOutOfRange(b) => write!(f, "block address {b:?} out of range"),
-            FlashError::BlockWornOut(b) => write!(f, "block {b:?} exceeded its erase budget"),
             FlashError::ProgramFailed(b) => write!(f, "program operation failed on bad {b:?}"),
             FlashError::EraseFailed(b) => write!(f, "erase operation failed on bad {b:?}"),
         }

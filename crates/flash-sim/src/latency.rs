@@ -57,11 +57,6 @@ impl SimClock {
         self.now_us
     }
 
-    /// Current simulated time in seconds.
-    pub fn now_secs(&self) -> f64 {
-        self.now_us / 1e6
-    }
-
     /// Advance the clock by `us` microseconds.
     pub fn advance_us(&mut self, us: f64) {
         self.now_us += us;
@@ -90,7 +85,6 @@ mod tests {
         c.advance_us(100.0);
         c.advance_us(1000.0);
         assert!((c.now_us() - 1100.0).abs() < 1e-9);
-        assert!((c.now_secs() - 0.0011).abs() < 1e-12);
         c.reset();
         assert_eq!(c.now_us(), 0.0);
     }

@@ -39,22 +39,12 @@ pub struct RecoveryModel {
     pub ftl: BaselineKind,
     /// Steps in execution order.
     pub components: Vec<RecoveryComponent>,
-    /// Parallel logical units available for the bulk scans.
-    pub channels: u32,
 }
 
 impl RecoveryModel {
     /// Total recovery time in seconds.
     pub fn total_seconds(&self, lat: &LatencyModel) -> f64 {
         self.components.iter().map(|c| c.seconds(lat)).sum()
-    }
-
-    /// Total recovery time when the bulk scans are striped across the
-    /// device's parallel logical units (the paper's suggested mitigation of
-    /// the init-scan bottleneck). Every recovery step is a device-wide scan,
-    /// so it divides evenly.
-    pub fn total_seconds_parallel(&self, lat: &LatencyModel) -> f64 {
-        self.total_seconds(lat) / self.channels.max(1) as f64
     }
 
     /// Seconds spent in one named step (0 if absent).
@@ -202,11 +192,7 @@ pub fn recovery_model(
         }
     }
 
-    RecoveryModel {
-        ftl,
-        components,
-        channels: geo.channels,
-    }
+    RecoveryModel { ftl, components }
 }
 
 #[cfg(test)]
@@ -284,22 +270,6 @@ mod tests {
                 ftl
             );
         }
-    }
-
-    #[test]
-    fn channel_parallelism_divides_scan_time() {
-        let lat = LatencyModel::paper();
-        let serial = recovery_model(BaselineKind::GeckoFtl, &Geometry::paper_2tb(), C, 0.1);
-        let striped = recovery_model(
-            BaselineKind::GeckoFtl,
-            &Geometry::paper_2tb().with_channels(8),
-            C,
-            0.1,
-        );
-        assert!(
-            (striped.total_seconds_parallel(&lat) - serial.total_seconds(&lat) / 8.0).abs() < 1e-9
-        );
-        assert_eq!(striped.total_seconds(&lat), serial.total_seconds(&lat));
     }
 
     #[test]
