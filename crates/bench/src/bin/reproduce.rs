@@ -11,7 +11,7 @@
 //! reproduce check-trace trace.json  # validate a trace file (CI)
 //! ```
 
-use gecko_bench::experiments::{find, RunOptions, ALL};
+use gecko_bench::experiments::{find, Experiment, RunOptions, ALL, HONOUR_SHARDS_AND_TRACE};
 use gecko_bench::report::{format_table, write_csv};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -34,7 +34,7 @@ fn flag_value<'a>(args: &'a [String], i: &mut usize) -> Option<&'a str> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut slugs: Vec<&str> = Vec::new();
+    let mut selected: Vec<&Experiment> = Vec::new();
     let mut csv_dir: Option<PathBuf> = None;
     let mut opts = RunOptions::default();
     let mut i = 0;
@@ -72,27 +72,45 @@ fn main() {
                 }
                 return;
             }
-            "all" => slugs = ALL.iter().map(|e| e.slug).collect(),
+            "all" => selected = ALL.iter().collect(),
             flag if flag.starts_with("--") => {
                 eprintln!("unknown flag '{flag}'");
                 eprintln!("{USAGE}");
                 std::process::exit(2);
             }
-            s => slugs.push(Box::leak(s.to_string().into_boxed_str())),
+            slug => selected.push(find(slug).unwrap_or_else(|| {
+                eprintln!("unknown experiment '{slug}' — try `reproduce list`");
+                std::process::exit(2);
+            })),
         }
         i += 1;
     }
-    if slugs.is_empty() {
+    if selected.is_empty() {
         eprintln!("{USAGE}");
         eprintln!("run `reproduce list` to see the experiments");
         std::process::exit(2);
     }
-
-    for slug in slugs {
-        let Some(exp) = find(slug) else {
-            eprintln!("unknown experiment '{slug}' — try `reproduce list`");
+    // A flag an experiment would ignore is refused, not dropped: the table
+    // printed under `multi_tenant --shards 4` would be an unsharded one.
+    let ignoring = selected
+        .iter()
+        .find(|e| !HONOUR_SHARDS_AND_TRACE.contains(&e.slug));
+    for (flag, given) in [
+        ("--shards", opts.shards.is_some()),
+        ("--trace", opts.trace.is_some()),
+    ] {
+        if let (true, Some(exp)) = (given, ignoring) {
+            eprintln!(
+                "{flag} is honoured by {} only; '{}' would ignore it",
+                HONOUR_SHARDS_AND_TRACE.join(", "),
+                exp.slug
+            );
             std::process::exit(2);
-        };
+        }
+    }
+
+    for exp in selected {
+        let slug = exp.slug;
         let started = Instant::now();
         eprintln!(">> running {slug}: {}", exp.what);
         let tables = (exp.run)(&opts);

@@ -31,13 +31,18 @@ pub struct RunOptions {
     /// committed JSON baselines.
     pub smoke: bool,
     /// `--shards N`: split the validity store into N independent Gecko
-    /// trees instead of one (honoured by `merge_latency`).
+    /// trees instead of one ([`HONOUR_SHARDS_AND_TRACE`]).
     pub shards: Option<u32>,
     /// `--trace FILE`: record telemetry over the measured interval and
-    /// export a Chrome Trace Event Format JSON timeline (honoured by
-    /// `merge_latency`; load it in `chrome://tracing` / Perfetto).
+    /// export a Chrome Trace Event Format JSON timeline
+    /// ([`HONOUR_SHARDS_AND_TRACE`]; load it in `chrome://tracing` /
+    /// Perfetto).
     pub trace: Option<String>,
 }
+
+/// The experiments that read [`RunOptions::shards`] and
+/// [`RunOptions::trace`]; `reproduce` refuses either flag for any other.
+pub const HONOUR_SHARDS_AND_TRACE: &[&str] = &["merge_latency"];
 
 /// An experiment: a slug (CLI name / CSV prefix) and a runner.
 pub struct Experiment {

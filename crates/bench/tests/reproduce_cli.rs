@@ -32,4 +32,19 @@ fn bad_flags_are_usage_errors() {
     let (code, err) = reproduce(&["nosuch"]);
     assert_eq!(code, Some(2));
     assert!(err.contains("unknown experiment 'nosuch'"), "{err}");
+    // A flag is refused when any selected experiment would ignore it, and
+    // the refusal names the experiments that honour it.
+    for args in [
+        &["multi_tenant", "--shards", "4"][..],
+        &["merge_latency", "fig1", "--trace", "t.json"],
+        &["all", "--smoke", "--shards", "2"],
+    ] {
+        let (code, err) = reproduce(args);
+        assert_eq!(code, Some(2), "{args:?}");
+        assert!(
+            err.contains("honoured by merge_latency only"),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains(">> running"), "{args:?} ran something: {err}");
+    }
 }
