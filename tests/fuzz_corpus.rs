@@ -48,10 +48,10 @@ fn every_corpus_scenario_replays_clean_at_every_shard_count() {
 
 /// Reproducers of bugs that are found but not fixed yet live in
 /// `fuzz/known_failing/`, never in the corpus. Run with `--ignored` to see
-/// them fail; a fix moves the file into `fuzz/corpus/`. ROADMAP item 5
-/// carries the diagnosis.
+/// them fail — CI's `fuzz` job does, and fails the day they pass; a fix moves
+/// the file into `fuzz/corpus/`. ROADMAP item 1 carries the diagnosis.
 #[test]
-#[ignore = "known failing: protections are lifted on any MIN-watermark advance (ROADMAP item 5)"]
+#[ignore = "known failing: protections are lifted on any MIN-watermark advance (ROADMAP item 1)"]
 fn known_failing_scenarios_replay_clean() {
     use gecko_bench::fuzz::{replay::replay_with_shards, Scenario};
     let dir = gecko_bench::fuzz::corpus_dir().join("../known_failing");
