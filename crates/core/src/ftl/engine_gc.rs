@@ -148,6 +148,8 @@ impl FtlEngine {
             if group == BlockGroup::User {
                 self.erase_user_block(victim);
             } else {
+                // Charged to `GcMigrateUser` whatever the group: the purpose
+                // this shortcut has always used, and the goldens pin.
                 self.bm
                     .erase_and_free(&mut self.dev, victim, IoPurpose::GcMigrateUser);
             }

@@ -262,10 +262,10 @@ pub struct MergeJob {
     geo: Geometry,
     /// Participants in data-age order, newest first.
     inputs: Vec<JobInput>,
-    /// The output run's `(id, created_seq)`, reserved from the device
+    /// The output run's id and `created_seq`, reserved from the device
     /// sequence at plan time (invariant 4: concurrent write phases must
     /// never mint colliding identities).
-    reserved: (RunId, u64),
+    reserved_seq: u64,
     /// Level floor for the output (the deepest participant's level).
     min_level: u32,
     /// Whether the output will be the deepest run, allowing pure
@@ -298,7 +298,6 @@ impl MergeJob {
         min_level: u32,
         output_is_largest: bool,
     ) -> Self {
-        let seq = dev.reserve_seq();
         let streams = inputs
             .iter()
             .map(|i| Vec::with_capacity(i.entry_count as usize))
@@ -307,7 +306,7 @@ impl MergeJob {
             cfg,
             geo,
             inputs,
-            reserved: (RunId(seq), seq),
+            reserved_seq: dev.reserve_seq(),
             min_level,
             output_is_largest,
             phase: Phase::Read { next: 0, streams },
@@ -405,12 +404,11 @@ impl MergeJob {
                         output: None,
                     });
                 }
-                let (id, created_seq) = self.reserved;
                 let (supersedes_since, supersedes_upto) = self.span();
                 let meta = RunMeta {
-                    id,
+                    id: RunId(self.reserved_seq),
                     level: self.min_level,
-                    created_seq,
+                    created_seq: self.reserved_seq,
                     flush_seq: flush_watermark,
                     merged_from: self.inputs.iter().map(|i| i.meta.id).collect(),
                     supersedes_since,

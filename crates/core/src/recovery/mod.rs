@@ -691,10 +691,10 @@ fn recover_runs(dev: &mut FlashDevice, bid: &[BidEntry], shards: u32) -> Vec<Vec
     //   its input list whether or not it is itself still live (a dead
     //   intermediate's inputs died before it did).
     // * span containment — transitive: merging is laminar and live spans
-    //   are pairwise disjoint (`gecko::merge_job` invariant 4), so a candidate is a
-    //   merged-away leftover **iff** its `[supersedes_since,
-    //   supersedes_upto]` span is strictly contained in a *live*
-    //   candidate's span. This catches leftovers whose direct superseder
+    //   are pairwise disjoint (`gecko::merge_job` invariant 4), so a
+    //   candidate is a merged-away leftover **iff** its
+    //   `[supersedes_since, supersedes_upto]` span is strictly contained in
+    //   a *live* candidate's span. This catches leftovers whose direct superseder
     //   has already been erased from flash (taking its `merged_from` list
     //   with it): the newest sealed output of any merge chain is still on
     //   flash (live pages are never obsoleted before their run is merged
