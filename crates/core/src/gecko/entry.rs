@@ -187,26 +187,28 @@ impl GeckoEntry {
         }
     }
 
-    /// Resolve a collision between two entries with the same key during a
-    /// merge (Algorithm 3). `newer` comes from the more recently created run.
+    /// Resolve a collision with an entry of the same key during a merge
+    /// (Algorithm 3), in place. `self` comes from the more recently created
+    /// run, `older` from the older one.
     ///
     /// * If the newer entry has its erase flag set, the older entry was
     ///   created before the block's last erase and is discarded.
     /// * Otherwise the bitmaps are OR-merged, and the result inherits the
     ///   *older* entry's erase flag so that queries reaching it still stop
     ///   (everything in yet-older runs predates that erase).
-    pub fn merge_collision(newer: &GeckoEntry, older: &GeckoEntry) -> GeckoEntry {
-        if newer.erase_flag {
-            newer.clone()
-        } else {
-            let mut bitmap = newer.bitmap.clone();
-            bitmap.or_assign(&older.bitmap);
-            GeckoEntry {
-                key: newer.key,
-                bitmap,
-                erase_flag: older.erase_flag,
-            }
+    pub fn absorb_older(&mut self, older: &GeckoEntry) {
+        debug_assert_eq!(self.key, older.key);
+        if !self.erase_flag {
+            self.bitmap.or_assign(&older.bitmap);
+            self.erase_flag = older.erase_flag;
         }
+    }
+
+    /// [`GeckoEntry::absorb_older`] into a copy of `newer`.
+    pub fn merge_collision(newer: &GeckoEntry, older: &GeckoEntry) -> GeckoEntry {
+        let mut merged = newer.clone();
+        merged.absorb_older(older);
+        merged
     }
 }
 

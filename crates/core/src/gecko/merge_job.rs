@@ -22,10 +22,15 @@
 //!      ──▶ Write ──(postamble page written = sealed)──▶ install
 //! ```
 //!
-//! * **Read**: participant run pages are read newest-data-first into
-//!   per-participant entry streams, up to `budget` pages per step.
-//! * **Fold**: the k-way collision-resolving merge of Algorithm 3 runs
-//!   entirely in RAM the moment the last page arrives.
+//! * **Read**: participant run pages are read into one entry buffer, up to
+//!   `budget` pages per step, in data-age order: participants newest
+//!   first, each participant's pages in key order.
+//! * **Fold**: the collision-resolving merge of Algorithm 3 runs entirely
+//!   in RAM the moment the last page arrives — a stable sort of the buffer
+//!   by key, then one in-place pass that folds each equal-key group into
+//!   its first entry. The sort's stability is the newest-first tie-break:
+//!   it alone keeps a key's entries in the order they were read, which is
+//!   what tells the pass which side of a collision is the newer one.
 //! * **Write**: the output run is written page by page through a
 //!   `RunWriter`, up to `budget` pages per step. The run becomes *real*
 //!   only when its final page — carrying the postamble — is programmed.
@@ -90,7 +95,7 @@ pub struct JobInput {
     pub meta: RunMeta,
     /// Its run directory (page locations to read and later retire).
     pub pages: Vec<RunDirEntry>,
-    /// Entry count, used to pre-size the read stream.
+    /// Entry count, used to pre-size the read buffer.
     pub entry_count: u64,
 }
 
@@ -262,6 +267,8 @@ pub struct MergeJob {
     geo: Geometry,
     /// Participants in data-age order, newest first.
     inputs: Vec<JobInput>,
+    /// Run pages to read: the sum of the participants' page counts.
+    total_pages: usize,
     /// The output run's id and `created_seq`, reserved from the device
     /// sequence at plan time (invariant 4: concurrent write phases must
     /// never mint colliding identities).
@@ -277,10 +284,11 @@ pub struct MergeJob {
 #[derive(Debug)]
 enum Phase {
     /// Reading participant pages; `next` is a flat cursor over the
-    /// concatenation of all participants' page lists.
+    /// concatenation of all participants' page lists, `entries` what the
+    /// pages before it held, in the order read.
     Read {
         next: usize,
-        streams: Vec<Vec<GeckoEntry>>,
+        entries: Vec<GeckoEntry>,
     },
     /// Writing the folded output.
     Write(RunWriter),
@@ -298,18 +306,19 @@ impl MergeJob {
         min_level: u32,
         output_is_largest: bool,
     ) -> Self {
-        let streams = inputs
-            .iter()
-            .map(|i| Vec::with_capacity(i.entry_count as usize))
-            .collect();
+        let entry_count: u64 = inputs.iter().map(|i| i.entry_count).sum();
         MergeJob {
             cfg,
             geo,
+            total_pages: inputs.iter().map(|i| i.pages.len()).sum(),
             inputs,
             reserved_seq: dev.reserve_seq(),
             min_level,
             output_is_largest,
-            phase: Phase::Read { next: 0, streams },
+            phase: Phase::Read {
+                next: 0,
+                entries: Vec::with_capacity(entry_count as usize),
+            },
         }
     }
 
@@ -337,10 +346,7 @@ impl MergeJob {
     /// reads plus one write per input page.
     pub fn debt_pages(&self) -> u64 {
         match &self.phase {
-            Phase::Read { next, .. } => {
-                let total: usize = self.inputs.iter().map(|i| i.pages.len()).sum();
-                (total - next) as u64 + total as u64
-            }
+            Phase::Read { next, .. } => (self.total_pages - next + self.total_pages) as u64,
             Phase::Write(w) => (w.n_pages - w.dir.len()) as u64,
         }
     }
@@ -370,8 +376,8 @@ impl MergeJob {
         flush_watermark: u64,
     ) -> Option<FinishedMerge> {
         match &mut self.phase {
-            Phase::Read { next, streams } => {
-                let total: usize = self.inputs.iter().map(|i| i.pages.len()).sum();
+            Phase::Read { next, entries } => {
+                let total = self.total_pages;
                 while *next < total && *budget > 0 {
                     // Map the flat cursor to (participant, page).
                     let (mut p, mut off) = (0usize, *next);
@@ -384,7 +390,7 @@ impl MergeJob {
                         .read_page(ppn, IoPurpose::ValidityMerge)
                         .expect("run page readable during merge");
                     let payload = data.blob::<GeckoPagePayload>().expect("gecko page payload");
-                    streams[p].extend(payload.entries.iter().cloned());
+                    entries.extend_from_slice(&payload.entries);
                     *next += 1;
                     *budget -= 1;
                 }
@@ -393,11 +399,8 @@ impl MergeJob {
                 }
                 // All pages in RAM: fold now (no IO, free in simulated
                 // time) and move to the write phase.
-                let merged = fold_streams(
-                    std::mem::take(streams),
-                    self.output_is_largest,
-                    entries_dropped,
-                );
+                let mut merged = std::mem::take(entries);
+                fold(&mut merged, self.output_is_largest, entries_dropped);
                 if merged.is_empty() {
                     return Some(FinishedMerge {
                         inputs: std::mem::take(&mut self.inputs),
@@ -436,7 +439,7 @@ impl MergeJob {
                             &mut self.phase,
                             Phase::Read {
                                 next: 0,
-                                streams: Vec::new(),
+                                entries: Vec::new(),
                             },
                         ) else {
                             unreachable!("phase checked above")
@@ -453,8 +456,8 @@ impl MergeJob {
         }
     }
 
-    /// RAM held by this job's buffers: entry streams or the folded output,
-    /// plus cloned run directories.
+    /// RAM held by this job's buffers: the entries read so far or the folded
+    /// output, plus cloned run directories.
     pub(super) fn ram_bytes(&self, entry_bytes: u64) -> u64 {
         let dir_bytes: u64 = self
             .inputs
@@ -463,50 +466,30 @@ impl MergeJob {
             .sum();
         dir_bytes
             + match &self.phase {
-                Phase::Read { streams, .. } => streams
-                    .iter()
-                    .map(|s| s.len() as u64 * entry_bytes)
-                    .sum::<u64>(),
+                Phase::Read { entries, .. } => entries.len() as u64 * entry_bytes,
                 Phase::Write(w) => w.ram_bytes(entry_bytes),
             }
     }
 }
 
-/// K-way sorted merge with collision folding (Algorithm 3). Streams are
-/// ordered newest-first, so on key ties the lowest stream index is newest.
-fn fold_streams(
-    streams: Vec<Vec<GeckoEntry>>,
-    output_is_largest: bool,
-    entries_dropped: &mut u64,
-) -> Vec<GeckoEntry> {
-    let mut cursors = vec![0usize; streams.len()];
-    let mut merged = Vec::new();
-    loop {
-        let mut min_key: Option<GeckoKey> = None;
-        for (s, stream) in streams.iter().enumerate() {
-            if let Some(e) = stream.get(cursors[s]) {
-                if min_key.is_none_or(|m| e.key < m) {
-                    min_key = Some(e.key);
-                }
-            }
+/// Collision folding (Algorithm 3) over `entries` as the read phase left
+/// them — participants newest first, each in key order — in place: the
+/// stable sort brings every key's entries together still newest first, and
+/// the pass folds each such group into its head, compacting the survivors to
+/// the front.
+fn fold(entries: &mut Vec<GeckoEntry>, output_is_largest: bool, entries_dropped: &mut u64) {
+    entries.sort_by_key(|e| e.key);
+    // `entries[..kept]` is the folded output so far; `head` starts a group.
+    let (mut kept, mut head) = (0, 0);
+    while head < entries.len() {
+        let mut next = head + 1;
+        while next < entries.len() && entries[next].key == entries[head].key {
+            let (newer, older) = entries.split_at_mut(next);
+            newer[head].absorb_older(&older[0]);
+            *entries_dropped += 1;
+            next += 1;
         }
-        let Some(key) = min_key else { break };
-        let mut folded: Option<GeckoEntry> = None;
-        for (s, stream) in streams.iter().enumerate() {
-            if let Some(e) = stream.get(cursors[s]) {
-                if e.key == key {
-                    cursors[s] += 1;
-                    folded = Some(match folded {
-                        None => e.clone(),
-                        Some(newer) => {
-                            *entries_dropped += 1;
-                            GeckoEntry::merge_collision(&newer, e)
-                        }
-                    });
-                }
-            }
-        }
-        let entry = folded.expect("at least one stream supplied the key");
+        let entry = &entries[head];
         let keep = if entry.erase_flag {
             // Erase markers with no newer bits are pure tombstones; they
             // can be dropped once nothing older can exist below them.
@@ -515,10 +498,269 @@ fn fold_streams(
             !entry.bitmap.is_empty()
         };
         if keep {
-            merged.push(entry);
+            entries.swap(kept, head);
+            kept += 1;
         } else {
             *entries_dropped += 1;
         }
+        head = next;
     }
-    merged
+    entries.truncate(kept);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::validity::FlatMetaSink;
+    use flash_sim::BlockId;
+
+    /// Algorithm 3's collision rule as `GeckoEntry::merge_collision` spelled
+    /// it before it delegated to `absorb_older`: the reference model must not
+    /// share the rule with the code under test.
+    fn merge_collision(newer: &GeckoEntry, older: &GeckoEntry) -> GeckoEntry {
+        if newer.erase_flag {
+            newer.clone()
+        } else {
+            let mut bitmap = newer.bitmap.clone();
+            bitmap.or_assign(&older.bitmap);
+            GeckoEntry {
+                key: newer.key,
+                bitmap,
+                erase_flag: older.erase_flag,
+            }
+        }
+    }
+
+    /// The fold this file had before it sorted — a k-way min-scan over one
+    /// entry stream per participant, newest stream first — kept verbatim as
+    /// the reference model of [`fold`].
+    fn fold_streams(
+        streams: Vec<Vec<GeckoEntry>>,
+        output_is_largest: bool,
+        entries_dropped: &mut u64,
+    ) -> Vec<GeckoEntry> {
+        let mut cursors = vec![0usize; streams.len()];
+        let mut merged = Vec::new();
+        loop {
+            let mut min_key: Option<GeckoKey> = None;
+            for (s, stream) in streams.iter().enumerate() {
+                if let Some(e) = stream.get(cursors[s]) {
+                    if min_key.is_none_or(|m| e.key < m) {
+                        min_key = Some(e.key);
+                    }
+                }
+            }
+            let Some(key) = min_key else { break };
+            let mut folded: Option<GeckoEntry> = None;
+            for (s, stream) in streams.iter().enumerate() {
+                if let Some(e) = stream.get(cursors[s]) {
+                    if e.key == key {
+                        cursors[s] += 1;
+                        folded = Some(match folded {
+                            None => e.clone(),
+                            Some(newer) => {
+                                *entries_dropped += 1;
+                                merge_collision(&newer, e)
+                            }
+                        });
+                    }
+                }
+            }
+            let entry = folded.expect("at least one stream supplied the key");
+            let keep = if entry.erase_flag {
+                // Erase markers with no newer bits are pure tombstones; they
+                // can be dropped once nothing older can exist below them.
+                !(output_is_largest && entry.bitmap.is_empty())
+            } else {
+                !entry.bitmap.is_empty()
+            };
+            if keep {
+                merged.push(entry);
+            } else {
+                *entries_dropped += 1;
+            }
+        }
+        merged
+    }
+
+    struct Lcg(u64);
+    impl Lcg {
+        /// A pseudo-random number below `n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// The entry of key number `key` (four sub-entries per block) with a
+    /// `bits`-wide bitmap holding `ones`.
+    fn entry(key: u32, bits: u32, erase_flag: bool, ones: &[u32]) -> GeckoEntry {
+        let key = GeckoKey {
+            block: BlockId(key / 4),
+            part: (key % 4) as u16,
+        };
+        let mut e = GeckoEntry::blank(key, bits);
+        e.erase_flag = erase_flag;
+        ones.iter().for_each(|&i| e.bitmap.set(i));
+        e
+    }
+
+    /// Merge `streams` — one participant each, newest first, sorted by key —
+    /// with a real [`MergeJob`]: written to a device as runs of V = 31
+    /// entries per page, then read, folded and written in 7-page steps, so a
+    /// step ends mid-participant. Returns the output run's entries (none
+    /// when no run came out) and the job's drop count.
+    fn merge_through_job(
+        streams: &[Vec<GeckoEntry>],
+        output_is_largest: bool,
+    ) -> (Vec<GeckoEntry>, u64) {
+        let geo = Geometry::tiny();
+        let cfg = GeckoConfig {
+            page_header_bytes: geo.page_bytes - 190,
+            ..GeckoConfig::default()
+        };
+        assert_eq!(cfg.entries_per_page(&geo), 31);
+        let mut dev = FlashDevice::new(geo);
+        let mut sink = FlatMetaSink::new((0..geo.blocks).map(BlockId).collect());
+        // Oldest participant first, so sequence numbers grow with data age.
+        let mut inputs: Vec<JobInput> = streams
+            .iter()
+            .rev()
+            .map(|entries| {
+                let seq = dev.reserve_seq();
+                let meta = RunMeta {
+                    id: RunId(seq),
+                    level: 0,
+                    created_seq: seq,
+                    flush_seq: seq,
+                    merged_from: Vec::new(),
+                    supersedes_since: seq,
+                    supersedes_upto: seq,
+                };
+                if entries.is_empty() {
+                    // No run is empty; a participant without pages still
+                    // exercises the read cursor's skip.
+                    return JobInput {
+                        meta,
+                        pages: Vec::new(),
+                        entry_count: 0,
+                    };
+                }
+                let purpose = IoPurpose::ValidityUpdate;
+                let mut w = RunWriter::new(&cfg, &geo, meta, entries.clone(), purpose);
+                while !w.write_next_page(&mut dev, &mut sink) {}
+                JobInput::of(&w.into_run().0)
+            })
+            .collect();
+        inputs.reverse();
+
+        let mut job = MergeJob::new(cfg, geo, &mut dev, inputs, 0, output_is_largest);
+        let mut dropped = 0;
+        let done = loop {
+            let mut budget = 7;
+            if let Some(done) = job.step(&mut dev, &mut sink, &mut budget, &mut dropped, 0) {
+                break done;
+            }
+        };
+        assert_eq!(done.inputs.len(), streams.len());
+        let mut merged = Vec::new();
+        for page in done.output.iter().flat_map(|run| &run.pages) {
+            let data = dev.read_page(page.ppn, IoPurpose::ValidityMerge).unwrap();
+            merged.extend_from_slice(&data.blob::<GeckoPagePayload>().unwrap().entries);
+        }
+        (merged, dropped)
+    }
+
+    fn assert_matches_reference(streams: Vec<Vec<GeckoEntry>>, output_is_largest: bool) {
+        let (merged, dropped) = merge_through_job(&streams, output_is_largest);
+        let mut want_dropped = 0;
+        let shape: Vec<usize> = streams.iter().map(Vec::len).collect();
+        let want = fold_streams(streams, output_is_largest, &mut want_dropped);
+        let label = format!("participants {shape:?}, output_is_largest {output_is_largest}");
+        assert_eq!(merged, want, "{label}");
+        assert_eq!(dropped, want_dropped, "entries_dropped, {label}");
+    }
+
+    /// Seeded cases: 1–8 participants of 0–400 entries over a key universe
+    /// small enough that keys collide across any number of them, erase flags
+    /// and empty bitmaps anywhere, inline (32-bit) and heap (512-bit)
+    /// bitmaps, both tombstone rules.
+    #[test]
+    fn fold_matches_reference_on_seeded_inputs() {
+        let mut rng = Lcg(0x22_F01D);
+        for case in 0..120 {
+            let bits = if case % 2 == 0 { 32 } else { 512 };
+            let universe = 1 + rng.below(400) as u32;
+            let streams = (0..1 + rng.below(8))
+                .map(|_| {
+                    // Eighths of the universe this participant holds: none
+                    // to all of it.
+                    let density = rng.below(9);
+                    let mut entries = Vec::new();
+                    for key in 0..universe {
+                        if rng.below(8) >= density {
+                            continue;
+                        }
+                        let ones: Vec<u32> = (0..rng.below(4))
+                            .map(|_| rng.below(bits as u64) as u32)
+                            .collect();
+                        entries.push(entry(key, bits, rng.below(4) == 0, &ones));
+                    }
+                    entries
+                })
+                .collect();
+            assert_matches_reference(streams, rng.below(2) == 0);
+        }
+    }
+
+    /// One key held by 1–4 participants, every combination of erase flags
+    /// (newest, middle, oldest, several) and of empty bitmaps (with and
+    /// without the flag), both tombstone rules. Participant `i` owns bit
+    /// `i`, so what was OR-ed in and what was cut off by an erase shows.
+    #[test]
+    fn fold_matches_reference_on_every_collision_shape() {
+        for k in 1..=4u32 {
+            for flags in 0..1u32 << k {
+                for empties in 0..1u32 << k {
+                    let streams = |bits: u32| -> Vec<Vec<GeckoEntry>> {
+                        (0..k)
+                            .map(|i| {
+                                let ones = if empties >> i & 1 == 1 {
+                                    vec![]
+                                } else {
+                                    vec![i]
+                                };
+                                vec![entry(9, bits, flags >> i & 1 == 1, &ones)]
+                            })
+                            .collect()
+                    };
+                    assert_matches_reference(streams(32), false);
+                    assert_matches_reference(streams(512), true);
+                }
+            }
+        }
+    }
+
+    /// Newest participant: an erase marker for every key. Below it nothing
+    /// survives, and as the largest run the markers themselves are
+    /// tombstones — the merge produces no run at all.
+    #[test]
+    fn merge_whose_entries_all_fold_away_produces_no_run() {
+        let markers: Vec<GeckoEntry> = (0..100).map(|k| entry(k, 32, true, &[])).collect();
+        let older: Vec<GeckoEntry> = (0..100)
+            .step_by(3)
+            .map(|k| entry(k, 32, false, &[5]))
+            .collect();
+        let oldest: Vec<GeckoEntry> = (0..100)
+            .step_by(2)
+            .map(|k| entry(k, 32, true, &[7]))
+            .collect();
+        let total = (markers.len() + older.len() + oldest.len()) as u64;
+        let (merged, dropped) = merge_through_job(&[markers, older, oldest], true);
+        assert!(merged.is_empty());
+        assert_eq!(dropped, total);
+    }
 }

@@ -612,7 +612,7 @@ fn ram_footprint_accounts_for_queued_merge_state() {
     let mut pending_ram = None;
     for _ in 0..2000 {
         if gecko.merge_jobs_pending() > 0 {
-            // Pump partway so the job's streams hold entries.
+            // Pump partway so the job's read buffer holds entries.
             gecko.pump_merges(&mut dev, &mut sink, 1);
             pending_ram = Some(gecko.ram_bytes());
             break;
