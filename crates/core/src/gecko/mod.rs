@@ -69,8 +69,9 @@ pub struct LogGecko {
     jobs: VecDeque<MergeJob>,
     /// Runs currently participating in a pending [`MergeJob`]. They stay
     /// installed in `runs` (and queryable) until the job's output is
-    /// sealed, but must not be planned into a second merge.
-    merging: HashSet<RunId>,
+    /// sealed, but must not be planned into a second merge. A plain list:
+    /// it never outgrows the handful of live runs.
+    merging: Vec<RunId>,
     /// Lifetime counters for analysis/ablation reporting.
     pub stats: GeckoStats,
 }
@@ -130,7 +131,7 @@ impl LogGecko {
             last_flush_seq: 0,
             scratch: Scratch::default(),
             jobs: VecDeque::new(),
-            merging: HashSet::new(),
+            merging: Vec::new(),
             stats: GeckoStats::default(),
         }
     }
@@ -601,7 +602,7 @@ impl LogGecko {
                 let Some(inputs) = self.plan_at_level(start) else {
                     continue;
                 };
-                let ids: HashSet<RunId> = inputs.iter().map(|i| i.meta.id).collect();
+                let planned = |id: RunId| inputs.iter().any(|i| i.meta.id == id);
                 let deepest = inputs.iter().map(|i| i.meta.level).max().unwrap_or(0);
                 // Is the merge output going to carry the oldest live data?
                 // If so, erase flags carry no further information and
@@ -618,10 +619,10 @@ impl LogGecko {
                 let output_is_largest = self
                     .runs
                     .iter()
-                    .filter(|r| !ids.contains(&r.meta.id))
+                    .filter(|r| !planned(r.meta.id))
                     .all(|r| r.meta.supersedes_upto > span_lo);
                 self.stats.merges += 1;
-                self.merging.extend(ids);
+                self.merging.extend(inputs.iter().map(|i| i.meta.id));
                 self.jobs.push_back(MergeJob::new(
                     self.cfg,
                     self.geo,
@@ -755,11 +756,9 @@ impl LogGecko {
         sink: &mut dyn MetaSink,
         done: FinishedMerge,
     ) {
-        for input in &done.inputs {
-            self.merging.remove(&input.meta.id);
-        }
-        self.runs
-            .retain(|r| !done.inputs.iter().any(|i| i.meta.id == r.meta.id));
+        let retired = |id: RunId| done.inputs.iter().any(|i| i.meta.id == id);
+        self.merging.retain(|&id| !retired(id));
+        self.runs.retain(|r| !retired(r.meta.id));
         for input in &done.inputs {
             for page in &input.pages {
                 sink.meta_page_obsolete(dev, page.ppn);
