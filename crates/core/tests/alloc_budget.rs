@@ -1,6 +1,6 @@
 //! Allocation budget of the eviction → synchronization → report → flush
-//! path: how many allocator calls each step may make once its reusable
-//! storage is warm.
+//! path, and of one merge: how many allocator calls each step may make once
+//! its reusable storage is warm.
 //!
 //! A counting `#[global_allocator]` needs a test binary of its own, so no
 //! other test pays for it. Calls (`alloc` and `realloc`; frees are not
@@ -18,7 +18,7 @@
 use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, Lpn, Ppn};
 use geckoftl_core::cache::{CacheEntry, MappingCache};
 use geckoftl_core::ftl::{BlockManager, FtlConfig, FtlEngine, ValidityBackend};
-use geckoftl_core::gecko::{GeckoConfig, ShardedGecko};
+use geckoftl_core::gecko::{GeckoConfig, LogGecko, ShardedGecko};
 use geckoftl_core::translation::{SyncOutcome, TranslationTable};
 use geckoftl_core::validity::{FlatMetaSink, ValidityStore};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -162,11 +162,73 @@ fn aborted_synchronize_and_no_op_unmap_copy_nothing() {
     assert_eq!(reads, 2, "both no-op paths still pay their read");
 }
 
+#[test]
+fn one_merge_allocates_per_page_not_per_entry() {
+    // 512 reportable blocks (the upper half holds the run pages) at V = 31
+    // entries per Gecko page: the deepest run grows to 17 pages.
+    let geo = Geometry::new(1024, 16, 1 << 12, 0.7);
+    let cfg = GeckoConfig {
+        page_header_bytes: geo.page_bytes - 190,
+        ..GeckoConfig::default()
+    };
+    assert_eq!(cfg.entries_per_page(&geo), 31);
+    let mut dev = FlashDevice::new(geo);
+    let mut sink = FlatMetaSink::new((512..1024).map(BlockId).collect());
+    let mut gecko = LogGecko::new(geo, cfg);
+    let merge_io = |dev: &FlashDevice| {
+        let io = dev.stats().counts(IoPurpose::ValidityMerge);
+        (io.page_reads, io.page_writes)
+    };
+    let mut x = 0x5EEDu64;
+    // Keep the tree settled, report by report, until a flush plans the
+    // merge to measure: one job of ≥ 4 participants and ≥ 16 input pages
+    // whose install plans no follow-on.
+    for _ in 0..200_000 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let page = (x >> 33) % (512 * geo.pages_per_block as u64);
+        gecko.mark_invalid(&mut dev, &mut sink, Ppn(page as u32));
+        if gecko.merge_jobs_pending() == 0 {
+            continue;
+        }
+        let runs_before = gecko.runs_newest_first().count();
+        let merges_before = gecko.stats.merges;
+        let (reads_before, writes_before) = merge_io(&dev);
+        let ((), calls) = allocator_calls(|| gecko.drain_merges(&mut dev, &mut sink));
+        let participants = (runs_before + 1 - gecko.runs_newest_first().count()) as u64;
+        let (reads, writes) = merge_io(&dev);
+        let (input_pages, output_pages) = (reads - reads_before, writes - writes_before);
+        if gecko.stats.merges != merges_before || participants < 4 || input_pages < 16 {
+            continue;
+        }
+        assert!(
+            output_pages >= input_pages / 2,
+            "{output_pages} output pages"
+        );
+        // Two per output page (its entries, the `Arc` around its payload)
+        // and, measured, seven per merge (the sort's scratch, the writer's
+        // key ranges, directory and Bloom filter, the lineage in the
+        // preamble and on the page, the postamble's page list) — 31 for the
+        // 5 runs, 17 input and 12 output pages this finds. Nothing per
+        // input page, participant or entry: at the parent the same merge
+        // made 39, eight of them the unreserved output vector growing.
+        let budget = 2 * output_pages + 10;
+        assert!(
+            calls <= budget,
+            "{calls} allocator calls for a merge of {participants} runs, {input_pages} input \
+             pages and {output_pages} output pages (budget {budget})"
+        );
+        return;
+    }
+    panic!("the report stream never planned a 4-participant merge of 16 pages");
+}
+
 /// Allocator calls allowed per flush, per merge page written and per
 /// collection, on top of the two per synchronization. Each of those builds
 /// things a flash page or a run must own — a page's entries and the `Arc`
 /// around its payload, a run's directory, postamble and Bloom filter, a merge
-/// job's streams, a collection's migration list — at a measured 6.0 calls
+/// job's read buffer, a collection's migration list — at a measured 6.0 calls
 /// per event on this geometry. What the budget keeps out is a cost per
 /// *report*: the ≈ 25 calls a synchronization used to make would put the
 /// window at 1.13 × the budget.
