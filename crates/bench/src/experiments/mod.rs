@@ -1,7 +1,8 @@
 //! One module per table/figure of the paper's evaluation, plus ablations
 //! and an empirical recovery experiment. Each experiment returns [`Table`]s
-//! ready for printing or CSV export; `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison.
+//! ready for printing or CSV export. No file records the paper-vs-measured
+//! comparison yet: ROADMAP item 8's `reproduce report` is to generate
+//! `docs/EXPERIMENTS.md` from these tables.
 
 pub mod ablations;
 pub mod endurance;
