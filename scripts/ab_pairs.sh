@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Interleaved A/B of two builds of the repo benchmark on `host_ops_per_s`
+# (choosing-metrics §8): one `--trace 0` run of each binary per seed, the
+# side that runs first alternating pair by pair, because this sandbox drifts
+# ±15 % over minutes and only neighbouring runs compare.
+#
+#   ab_pairs.sh <bench_dir_A> <binary_A> <bench_dir_B> <binary_B> <workload> <pairs> <first_seed>
+#
+# A is the parent, B the change. Build each commit's `benchmark/` into its own
+# `--target-dir` and copy the executables first; a bench_dir is the scratch
+# directory that side's binary gets as GECKO_BENCH_DIR. Prints every run, each
+# side's median and quartiles, the pairs B won, and the verdict: "resolved"
+# when B won at least nine tenths of the pairs (ties count for neither) and
+# the medians lie further apart than A's interquartile range.
+set -euo pipefail
+if [ "$#" -ne 7 ]; then
+    sed -n '2,14p' "$0" >&2
+    exit 2
+fi
+dir_a=$1 bin_a=$2 dir_b=$3 bin_b=$4 workload=$5 pairs=$6 first_seed=$7
+seconds=10 # BENCHMARK.json's run_seconds: run length is the benchmark's to set
+
+run() { # <bench_dir> <binary> <seed> -> host_ops_per_s
+    GECKO_BENCH_DIR=$1 "$2" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 |
+        awk '$1 == "host_ops_per_s" { print $2 }'
+}
+
+a_runs=() b_runs=()
+for ((i = 0; i < pairs; i++)); do
+    seed=$((first_seed + i))
+    if ((i % 2 == 0)); then
+        a=$(run "$dir_a" "$bin_a" "$seed") b=$(run "$dir_b" "$bin_b" "$seed") order="A first"
+    else
+        b=$(run "$dir_b" "$bin_b" "$seed") a=$(run "$dir_a" "$bin_a" "$seed") order="B first"
+    fi
+    printf 'pair %2d  seed %-5d %s  A %.0f  B %.0f  B/A %.3f\n' \
+        $((i + 1)) "$seed" "$order" "$a" "$b" "$(awk "BEGIN { print $b / $a }")"
+    a_runs+=("$a") b_runs+=("$b")
+done
+
+# Quartiles by linear interpolation between the sorted runs.
+printf '%s\n' "${a_runs[@]}" | sort -g >"$dir_a/ab_sorted.txt"
+printf '%s\n' "${b_runs[@]}" | sort -g >"$dir_b/ab_sorted.txt"
+paste -d' ' <(printf '%s\n' "${a_runs[@]}") <(printf '%s\n' "${b_runs[@]}") |
+    awk -v fa="$dir_a/ab_sorted.txt" -v fb="$dir_b/ab_sorted.txt" -v workload="$workload" '
+    function quantile(v, n, q,    pos, lo) {
+        pos = 1 + (n - 1) * q; lo = int(pos)
+        return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+    }
+    { if ($2 > $1) won++; else if ($2 < $1) lost++ }
+    END {
+        while ((getline x < fa) > 0) a[++n] = x
+        while ((getline x < fb) > 0) b[++m] = x
+        a_med = quantile(a, n, 0.5); a_iqr = quantile(a, n, 0.75) - quantile(a, n, 0.25)
+        b_med = quantile(b, m, 0.5)
+        printf "A  median %.0f  quartiles %.0f .. %.0f  (IQR %.0f)\n", a_med, quantile(a, n, 0.25), quantile(a, n, 0.75), a_iqr
+        printf "B  median %.0f  quartiles %.0f .. %.0f\n", b_med, quantile(b, m, 0.25), quantile(b, m, 0.75)
+        printf "B won %d of %d pairs (%d lost, %d tied); median gap %.0f = x%.3f of A\n", won, NR, lost, NR - won - lost, b_med - a_med, b_med / a_med
+        verdict = (won * 10 >= NR * 9 && b_med - a_med > a_iqr) ? "resolved" : "unresolved"
+        printf "host_ops_per_s on %s: %s\n", workload, verdict
+    }'
+rm -f "$dir_a/ab_sorted.txt" "$dir_b/ab_sorted.txt"
