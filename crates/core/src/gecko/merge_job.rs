@@ -377,8 +377,7 @@ impl MergeJob {
     ) -> Option<FinishedMerge> {
         match &mut self.phase {
             Phase::Read { next, entries } => {
-                let total = self.total_pages;
-                while *next < total && *budget > 0 {
+                while *next < self.total_pages && *budget > 0 {
                     // Map the flat cursor to (participant, page).
                     let (mut p, mut off) = (0usize, *next);
                     while off >= self.inputs[p].pages.len() {
@@ -394,7 +393,7 @@ impl MergeJob {
                     *next += 1;
                     *budget -= 1;
                 }
-                if *next < total {
+                if *next < self.total_pages {
                     return None;
                 }
                 // All pages in RAM: fold now (no IO, free in simulated
@@ -737,8 +736,11 @@ mod tests {
                             })
                             .collect()
                     };
-                    assert_matches_reference(streams(32), false);
-                    assert_matches_reference(streams(512), true);
+                    for (bits, output_is_largest) in
+                        [(32, false), (32, true), (512, false), (512, true)]
+                    {
+                        assert_matches_reference(streams(bits), output_is_largest);
+                    }
                 }
             }
         }

@@ -202,10 +202,6 @@ fn one_merge_allocates_per_page_not_per_entry() {
         if gecko.stats.merges != merges_before || participants < 4 || input_pages < 16 {
             continue;
         }
-        assert!(
-            output_pages >= input_pages / 2,
-            "{output_pages} output pages"
-        );
         // Two per output page (its entries, the `Arc` around its payload)
         // and, measured, seven per merge (the sort's scratch, the writer's
         // key ranges, directory and Bloom filter, the lineage in the
