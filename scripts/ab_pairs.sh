@@ -25,7 +25,7 @@ run() { # <bench_dir> <binary> <seed> -> host_ops_per_s
         awk '$1 == "host_ops_per_s" { print $2 }'
 }
 
-a_runs=() b_runs=()
+a_runs=() b_runs=() won=0 lost=0
 for ((i = 0; i < pairs; i++)); do
     seed=$((first_seed + i))
     if ((i % 2 == 0)); then
@@ -33,30 +33,32 @@ for ((i = 0; i < pairs; i++)); do
     else
         b=$(run "$dir_b" "$bin_b" "$seed") a=$(run "$dir_a" "$bin_a" "$seed") order="B first"
     fi
+    case $(awk "BEGIN { print ($b > $a) - ($b < $a) }") in
+    1) won=$((won + 1)) ;;
+    -1) lost=$((lost + 1)) ;;
+    esac
     printf 'pair %2d  seed %-5d %s  A %.0f  B %.0f  B/A %.3f\n' \
         $((i + 1)) "$seed" "$order" "$a" "$b" "$(awk "BEGIN { print $b / $a }")"
     a_runs+=("$a") b_runs+=("$b")
 done
 
-# Quartiles by linear interpolation between the sorted runs.
-printf '%s\n' "${a_runs[@]}" | sort -g >"$dir_a/ab_sorted.txt"
-printf '%s\n' "${b_runs[@]}" | sort -g >"$dir_b/ab_sorted.txt"
-paste -d' ' <(printf '%s\n' "${a_runs[@]}") <(printf '%s\n' "${b_runs[@]}") |
-    awk -v fa="$dir_a/ab_sorted.txt" -v fb="$dir_b/ab_sorted.txt" -v workload="$workload" '
+# Each side's runs in ascending order, then quartiles by linear interpolation.
+{
+    printf 'A %s\n' "${a_runs[@]}"
+    printf 'B %s\n' "${b_runs[@]}"
+} | sort -k2,2g | awk -v won="$won" -v lost="$lost" -v pairs="$pairs" -v workload="$workload" '
     function quantile(v, n, q,    pos, lo) {
         pos = 1 + (n - 1) * q; lo = int(pos)
         return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
     }
-    { if ($2 > $1) won++; else if ($2 < $1) lost++ }
+    $1 == "A" { a[++n] = $2 }
+    $1 == "B" { b[++m] = $2 }
     END {
-        while ((getline x < fa) > 0) a[++n] = x
-        while ((getline x < fb) > 0) b[++m] = x
-        a_med = quantile(a, n, 0.5); a_iqr = quantile(a, n, 0.75) - quantile(a, n, 0.25)
-        b_med = quantile(b, m, 0.5)
+        a_med = quantile(a, n, 0.5); b_med = quantile(b, m, 0.5)
+        a_iqr = quantile(a, n, 0.75) - quantile(a, n, 0.25)
         printf "A  median %.0f  quartiles %.0f .. %.0f  (IQR %.0f)\n", a_med, quantile(a, n, 0.25), quantile(a, n, 0.75), a_iqr
         printf "B  median %.0f  quartiles %.0f .. %.0f\n", b_med, quantile(b, m, 0.25), quantile(b, m, 0.75)
-        printf "B won %d of %d pairs (%d lost, %d tied); median gap %.0f = x%.3f of A\n", won, NR, lost, NR - won - lost, b_med - a_med, b_med / a_med
-        verdict = (won * 10 >= NR * 9 && b_med - a_med > a_iqr) ? "resolved" : "unresolved"
+        printf "B won %d of %d pairs (%d lost, %d tied); median gap %.0f = x%.3f of A\n", won, pairs, lost, pairs - won - lost, b_med - a_med, b_med / a_med
+        verdict = (won * 10 >= pairs * 9 && b_med - a_med > a_iqr) ? "resolved" : "unresolved"
         printf "host_ops_per_s on %s: %s\n", workload, verdict
     }'
-rm -f "$dir_a/ab_sorted.txt" "$dir_b/ab_sorted.txt"
