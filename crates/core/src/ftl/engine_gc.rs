@@ -37,7 +37,7 @@ impl FtlEngine {
     /// output past new erases inflated recovery's step-4a window and lost
     /// buffered erase markers.)
     fn paranoid_check_invalid(&self, ppn: flash_sim::Ppn) {
-        let Some(data) = self.dev.peek_page(ppn).cloned() else {
+        let Some(data) = self.dev.peek_page(ppn) else {
             return;
         };
         if let Some((l, _)) = data.as_user() {
@@ -53,12 +53,7 @@ impl FtlEngine {
     /// Paranoid diagnostic: a block about to be erased as fully invalid
     /// must hold no newest copy of any logical page.
     fn paranoid_check_erasable(&self, victim: BlockId) {
-        let pages: Vec<_> = self
-            .dev
-            .peek_block_pages(victim)
-            .map(|(p, d)| (p, d.clone()))
-            .collect();
-        for (ppn, data) in pages {
+        for (ppn, data) in self.dev.peek_block_pages(victim) {
             if let Some((l, _)) = data.as_user() {
                 if self.true_newest(l).map(|(best, _)| best) == Some(ppn) {
                     eprintln!(

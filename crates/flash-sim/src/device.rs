@@ -201,15 +201,13 @@ impl FlashDevice {
         }
         let seq = self.bump_seq();
         if let Some(f @ (WriteFault::TornData | WriteFault::TornSpare)) = fault {
-            let mut image = self.clone();
-            image.fault = FaultPlan::default();
-            image.crash_image = None;
+            let mut image = self.snapshot();
             let (torn_data, torn_spare) = match f {
                 WriteFault::TornData => (None, Some(Spare { seq, info })),
                 _ => (Some(data.clone()), None),
             };
             image.blocks[block.0 as usize].append_torn(torn_data, torn_spare);
-            self.crash_image = Some(Box::new(image));
+            self.crash_image = Some(image);
             self.fault_stats.torn_writes += 1;
         }
         let off = self.blocks[block.0 as usize].append(block, data, Spare { seq, info })?;
@@ -223,8 +221,9 @@ impl FlashDevice {
         self.check_ppn(ppn)?;
         let block = self.geo.block_of(ppn);
         let off = self.geo.offset_of(ppn);
-        let page = self.blocks[block.0 as usize].page(off);
-        let data = page.data.clone().ok_or(FlashError::PageNotWritten(ppn))?;
+        let data = self.blocks[block.0 as usize]
+            .data(off)
+            .ok_or(FlashError::PageNotWritten(ppn))?;
         self.stats.record_page_read(purpose);
         self.charge_us(block, purpose, IoOp::PageRead, self.latency.page_read_us);
         Ok(data)
@@ -236,8 +235,9 @@ impl FlashDevice {
         self.check_ppn(ppn)?;
         let block = self.geo.block_of(ppn);
         let off = self.geo.offset_of(ppn);
-        let page = self.blocks[block.0 as usize].page(off);
-        let spare = page.spare.ok_or(FlashError::PageNotWritten(ppn))?;
+        let spare = self.blocks[block.0 as usize]
+            .spare(off)
+            .ok_or(FlashError::PageNotWritten(ppn))?;
         self.stats.record_spare_read(purpose);
         self.charge_us(block, purpose, IoOp::SpareRead, self.latency.spare_read_us);
         Ok(spare)
@@ -266,10 +266,7 @@ impl FlashDevice {
         self.stats.record_erase(purpose);
         self.charge_us(block, purpose, IoOp::Erase, self.latency.erase_us);
         if fault == Some(EraseFault::Crash) {
-            let mut image = self.clone();
-            image.fault = FaultPlan::default();
-            image.crash_image = None;
-            self.crash_image = Some(Box::new(image));
+            self.crash_image = Some(self.snapshot());
             self.fault_stats.erase_crashes += 1;
         }
         Ok(())
@@ -323,6 +320,17 @@ impl FlashDevice {
         self.crash_image.is_some()
     }
 
+    /// The device as a power cut at this instant would leave it: a deep copy
+    /// with no fault plan (images replay fault-free) and no image of its
+    /// own. An image still pending is dropped first, not copied into the
+    /// new one: only the latest fault's image can be taken.
+    fn snapshot(&mut self) -> Box<FlashDevice> {
+        self.crash_image = None;
+        let mut image = Box::new(self.clone());
+        image.fault = FaultPlan::default();
+        image
+    }
+
     /// Take the pending crash image, if any: the device state as a power
     /// cut inside a faulted operation would have left it. Feed it to
     /// recovery in place of the live device (which is abandoned — its
@@ -360,32 +368,32 @@ impl FlashDevice {
     pub fn is_written(&self, ppn: Ppn) -> bool {
         let block = self.geo.block_of(ppn);
         let off = self.geo.offset_of(ppn);
-        self.blocks[block.0 as usize].page(off).is_written()
+        self.blocks[block.0 as usize].is_written(off)
     }
 
     /// Peek at a page without charging IO. **Test/debug only** — recovery
     /// algorithms must use [`FlashDevice::read_page`].
-    pub fn peek_page(&self, ppn: Ppn) -> Option<&PageData> {
+    pub fn peek_page(&self, ppn: Ppn) -> Option<PageData> {
         let block = self.geo.block_of(ppn);
         let off = self.geo.offset_of(ppn);
-        self.blocks[block.0 as usize].page(off).data.as_ref()
+        self.blocks[block.0 as usize].data(off)
     }
 
     /// Peek at a spare area without charging IO. **Test/debug only.**
     pub fn peek_spare(&self, ppn: Ppn) -> Option<Spare> {
         let block = self.geo.block_of(ppn);
         let off = self.geo.offset_of(ppn);
-        self.blocks[block.0 as usize].page(off).spare
+        self.blocks[block.0 as usize].spare(off)
     }
 
     /// Iterate the programmed pages of one block in write order, without
     /// charging IO; pages whose data area a power cut tore are skipped.
     /// **Test/debug only.**
-    pub fn peek_block_pages(&self, block: BlockId) -> impl Iterator<Item = (Ppn, &PageData)> {
+    pub fn peek_block_pages(&self, block: BlockId) -> impl Iterator<Item = (Ppn, PageData)> + '_ {
         let geo = self.geo;
         let b = &self.blocks[block.0 as usize];
         (0..b.written_pages()).filter_map(move |off| {
-            let data = b.page(PageOffset(off)).data.as_ref()?;
+            let data = b.data(PageOffset(off))?;
             Some((geo.ppn(block, PageOffset(off)), data))
         })
     }

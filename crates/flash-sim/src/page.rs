@@ -10,6 +10,14 @@
 //! on it, a write timestamp, and a type tag. The spare area cannot be updated
 //! without erasing the block, which the simulator enforces by writing it
 //! exactly once together with the page.
+//!
+//! A programmed page is held in one of two forms, chosen per block by what
+//! was programmed into it (see [`crate::block`]): a whole user page — data
+//! and spare naming the same logical page — is a 24-byte `UserPage` record
+//! without discriminants, and everything else (metadata payloads, torn
+//! pages, the user pages the record cannot express) is the general `Page`,
+//! 48 bytes. User pages are ≈ 99.9 % of a device (Figure 8), so the record
+//! is what a simulated physical page costs the host.
 
 use crate::geometry::{Lpn, Ppn};
 use std::any::Any;
@@ -68,11 +76,13 @@ pub struct Spare {
     pub info: SpareInfo,
 }
 
-/// Symbolic page payload.
+/// Symbolic page payload: what `write_page` takes and `read_page` hands
+/// back, by value.
 ///
-/// `User` is kept inline because user pages dominate (≈99.9 % of the device,
-/// Figure 8); metadata payloads are boxed behind an `Arc` so the per-page
-/// footprint stays small for multi-million-page simulations.
+/// This is the interchange form, not the stored one: a block of user pages
+/// keeps `User` payloads packed with their spare areas (`UserPage`) and
+/// rebuilds this enum on each read. Metadata payloads sit behind an `Arc`,
+/// so reading or cloning one copies a pointer, never the 4 KB it stands for.
 #[derive(Clone, Debug)]
 pub enum PageData {
     /// User data: identified by logical page and a write version tag. The
@@ -112,16 +122,79 @@ impl PageData {
     }
 }
 
-/// One physical flash page: programmed data + spare area, or free.
+/// The general form of one programmed page: either area may be missing,
+/// because a power cut tore the write (fault injection only).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Page {
     pub(crate) data: Option<PageData>,
     pub(crate) spare: Option<Spare>,
 }
 
-impl Page {
-    pub(crate) fn is_written(&self) -> bool {
-        self.data.is_some()
+/// The packed form of a whole user page: `PageData::User { lpn, version }`
+/// with `Spare { seq, info: SpareInfo::User { lpn, before } }`, both areas
+/// present and naming the same logical page.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct UserPage {
+    seq: u64,
+    version: u64,
+    lpn: u32,
+    /// The before-image pointer, [`UserPage::NO_BEFORE`] for `None`.
+    before: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<UserPage>() == 24);
+
+impl UserPage {
+    const NO_BEFORE: u32 = u32::MAX;
+
+    /// Pack `page` if the record can express it. It cannot when an area is
+    /// missing or not a user one, when the two areas disagree on the logical
+    /// page, or when the before-pointer is the sentinel's own value.
+    pub(crate) fn pack(page: &Page) -> Option<UserPage> {
+        let (Some(PageData::User { lpn, version }), Some(spare)) = (&page.data, page.spare) else {
+            return None;
+        };
+        let SpareInfo::User {
+            lpn: spare_lpn,
+            before,
+        } = spare.info
+        else {
+            return None;
+        };
+        if spare_lpn != *lpn || before == Some(Ppn(Self::NO_BEFORE)) {
+            return None;
+        }
+        Some(UserPage {
+            seq: spare.seq,
+            version: *version,
+            lpn: lpn.0,
+            before: before.map_or(Self::NO_BEFORE, |p| p.0),
+        })
+    }
+
+    /// The same page in the general form.
+    pub(crate) fn unpack(self) -> Page {
+        Page {
+            data: Some(self.data()),
+            spare: Some(self.spare()),
+        }
+    }
+
+    pub(crate) fn data(self) -> PageData {
+        PageData::User {
+            lpn: Lpn(self.lpn),
+            version: self.version,
+        }
+    }
+
+    pub(crate) fn spare(self) -> Spare {
+        Spare {
+            seq: self.seq,
+            info: SpareInfo::User {
+                lpn: Lpn(self.lpn),
+                before: (self.before != Self::NO_BEFORE).then_some(Ppn(self.before)),
+            },
+        }
     }
 }
 
