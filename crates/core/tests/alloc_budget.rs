@@ -1,6 +1,6 @@
 //! Allocation budget of the eviction → synchronization → report → flush
-//! path, and of one merge: how many allocator calls each step may make once
-//! its reusable storage is warm.
+//! path, of one merge and of the device's page store: how many allocator
+//! calls each step may make once its reusable storage is warm.
 //!
 //! A counting `#[global_allocator]` needs a test binary of its own, so no
 //! other test pays for it. Calls (`alloc` and `realloc`; frees are not
@@ -14,8 +14,22 @@
 //! the `Arc`, `SyncOutcome::before_images` grown 4 → 32), the aborted
 //! synchronization 5 and the no-op unmap 1 (each copied the 4 KB it then
 //! threw away), and the steady-state window below 91 937 against 61 766 now.
+//!
+//! The page-store tests were measured the same way at the parent of the
+//! packed store: `FlashDevice::new` of the benchmark geometry made 1 026
+//! calls for 6.3 MB (one 6 KB page vector per block, every page written as
+//! free) against 2 calls for 50 KB now, a block's later lives none, and a
+//! second pending crash image 135 against the first one's 68 (it deep-copied
+//! the image it replaced). A block now reserves its pages on its first
+//! program, and a metadata block again in every life (its general-form
+//! storage goes with the erase), which the steady-state window sees as
+//! 50 181 calls against 49 056 — one per 16 metadata pages on its geometry,
+//! inside the unchanged budget of 81 188.
 
-use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, Lpn, Ppn};
+use flash_sim::{
+    BlockId, EraseFault, FaultPlan, FlashDevice, Geometry, IoPurpose, Lpn, MetaKind, PageData, Ppn,
+    SpareInfo,
+};
 use geckoftl_core::cache::{CacheEntry, MappingCache};
 use geckoftl_core::ftl::{BlockManager, FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::{GeckoConfig, LogGecko, ShardedGecko};
@@ -29,15 +43,18 @@ thread_local! {
     /// destructor, so the allocator may touch it at any point of a thread's
     /// life.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for (a `realloc` counts its whole new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 // SAFETY: every method forwards to `System` unchanged; the only addition is
-// a thread-local counter bump, which neither allocates nor unwinds.
+// two thread-local counter bumps, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         CALLS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|b| b.set(b.get() + layout.size() as u64));
         // SAFETY: the caller's contract is `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -49,6 +66,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         CALLS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|b| b.set(b.get() + new_size as u64));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -62,6 +80,121 @@ fn allocator_calls<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = CALLS.with(Cell::get);
     let result = f();
     (result, CALLS.with(Cell::get) - before)
+}
+
+fn write_user_page(dev: &mut FlashDevice, block: BlockId, lpn: Lpn) {
+    let info = SpareInfo::User {
+        lpn,
+        before: Some(Ppn(7)),
+    };
+    dev.write_page(
+        block,
+        PageData::User { lpn, version: 1 },
+        info,
+        IoPurpose::UserWrite,
+    )
+    .unwrap();
+}
+
+/// Program the rest of `block` with whole user pages.
+fn fill_with_user_pages(dev: &mut FlashDevice, block: BlockId) {
+    while !dev.block_is_full(block) {
+        write_user_page(dev, block, Lpn(dev.written_pages(block)));
+    }
+}
+
+#[test]
+fn a_device_costs_nothing_per_page_until_programmed() {
+    // The benchmark's geometry: 1 024 blocks × 128 pages.
+    let geo = Geometry::new(1024, 128, 4096, 0.7).with_channels(4);
+    let bytes_before = BYTES.with(Cell::get);
+    let (mut dev, calls) = allocator_calls(|| FlashDevice::new(geo));
+    let bytes = BYTES.with(Cell::get) - bytes_before;
+    // Measured: 2 calls for 50 176 B — the block table (48 B a block) and
+    // the bad-block table (1 B a block). Nothing per page: 0.4 B a page
+    // where every page used to be written as free, 48 B each.
+    assert!(
+        calls <= geo.blocks as u64 + 8 && bytes <= 64 * geo.blocks as u64,
+        "{calls} allocator calls and {bytes} B for {} blocks",
+        geo.blocks
+    );
+
+    // A block's first life reserves its pages once, on the first program.
+    let ((), calls) = allocator_calls(|| fill_with_user_pages(&mut dev, BlockId(5)));
+    assert_eq!(calls, 1);
+    // Every later life of a block of user pages reuses that storage.
+    let ((), calls) = allocator_calls(|| {
+        for _ in 0..3 {
+            dev.erase_block(BlockId(5), IoPurpose::GcMigrateUser)
+                .unwrap();
+            fill_with_user_pages(&mut dev, BlockId(5));
+        }
+    });
+    assert_eq!(calls, 0);
+}
+
+#[test]
+fn one_life_of_a_metadata_block_allocates_at_most_twice() {
+    let geo = Geometry::tiny();
+    let mut dev = FlashDevice::new(geo);
+    let payload = PageData::blob_of([0u8; 64]);
+    let one_life = |dev: &mut FlashDevice, block: BlockId, user_pages_first: u32| {
+        let ((), calls) = allocator_calls(|| {
+            for i in 0..user_pages_first {
+                write_user_page(dev, block, Lpn(i));
+            }
+            while !dev.block_is_full(block) {
+                let info = SpareInfo::Meta {
+                    kind: MetaKind::GeckoRun,
+                    tag: 9,
+                };
+                dev.write_page(block, payload.clone(), info, IoPurpose::ValidityMerge)
+                    .unwrap();
+            }
+            dev.erase_block(block, IoPurpose::ValidityGc).unwrap();
+        });
+        calls
+    };
+    // The general form's storage, reserved by the first metadata page.
+    assert_eq!(one_life(&mut dev, BlockId(0), 0), 1);
+    // Its erase dropped that storage, so the next life pays again — and
+    // once more if user pages come first and are rewritten.
+    assert_eq!(one_life(&mut dev, BlockId(0), 0), 1);
+    assert_eq!(one_life(&mut dev, BlockId(0), 3), 2);
+    // A recycled block of user pages turned metadata block: its packed
+    // storage is freed, not reused.
+    fill_with_user_pages(&mut dev, BlockId(1));
+    dev.erase_block(BlockId(1), IoPurpose::GcMigrateUser)
+        .unwrap();
+    assert_eq!(one_life(&mut dev, BlockId(1), 0), 1);
+}
+
+#[test]
+fn a_second_crash_image_costs_what_the_first_did() {
+    let geo = Geometry::tiny();
+    let mut dev = FlashDevice::new(geo);
+    for b in 0..8 {
+        fill_with_user_pages(&mut dev, BlockId(b));
+    }
+    dev.set_fault_plan(
+        FaultPlan::new()
+            .on_erase(0, EraseFault::Crash)
+            .on_erase(1, EraseFault::Crash),
+    );
+    let mut crash_erase =
+        |block| allocator_calls(|| dev.erase_block(BlockId(block), IoPurpose::GcMigrateUser)).1;
+    let first = crash_erase(0);
+    // The first image is still pending: the second fault replaces it
+    // without copying it.
+    let second = crash_erase(1);
+    assert!(first >= 8, "an image copies every programmed block");
+    assert!(
+        second <= first,
+        "first image {first} calls, second {second}"
+    );
+    let image = dev.take_crash_image().expect("the second fault's image");
+    assert!(!image.crash_image_ready() && image.fault_plan().is_empty());
+    assert_eq!(image.erase_count(BlockId(1)), 1);
 }
 
 #[test]
