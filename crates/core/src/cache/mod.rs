@@ -262,6 +262,30 @@ impl MappingCache {
         self.push_front(idx);
     }
 
+    /// Read-ahead: install as clean MRU entries those of `successors` — the
+    /// flash-resident mappings of the LPNs following `demand`, in LPN order —
+    /// that are not cached yet. Costs no IO: a full cache gives up clean LRU
+    /// entries only, and the first LRU entry that is dirty, or that is
+    /// `demand` or one of the successors, ends the install.
+    pub fn install_read_ahead(&mut self, demand: Lpn, successors: &[(Lpn, Ppn)]) {
+        let Some(&(last, _)) = successors.last() else {
+            return;
+        };
+        for &(lpn, ppn) in successors {
+            if self.slot(lpn).is_some() {
+                continue;
+            }
+            if self.is_full() {
+                let lru = *self.peek_lru().expect("full cache has an LRU entry");
+                if lru.dirty || (demand..=last).contains(&lru.lpn) {
+                    return;
+                }
+                self.remove(lru.lpn);
+            }
+            self.insert(CacheEntry::clean(lpn, ppn));
+        }
+    }
+
     /// Remove and return a specific entry.
     pub fn remove(&mut self, lpn: Lpn) -> Option<CacheEntry> {
         let idx = self.slot(lpn)?;
@@ -416,6 +440,35 @@ mod tests {
         c.remove(Lpn(5));
         c.dirty_in_range(Lpn(0), Lpn(2048), &mut dirty);
         assert_eq!(dirty, vec![(Lpn(1029), Ppn(4))]);
+    }
+
+    #[test]
+    fn read_ahead_takes_clean_lru_entries_and_never_its_own_window() {
+        let mut c = MappingCache::new(4);
+        for (lpn, dirty) in [(50, true), (60, false), (12, false), (10, false)] {
+            c.insert(entry(lpn, lpn, dirty));
+        }
+        let successors: Vec<(Lpn, Ppn)> = (11..16).map(|l| (Lpn(l), Ppn(l + 100))).collect();
+        // A dirty LRU entry ends the install before it starts.
+        c.install_read_ahead(Lpn(10), &successors);
+        let order: Vec<u32> = c.iter_lru_order().map(|e| e.lpn.0).collect();
+        assert_eq!(order, vec![50, 60, 12, 10]);
+
+        // Clean, L50 gives its place to L11 and L60 to L13. L12 is cached
+        // already and keeps its entry and its LRU position — which ends the
+        // install before L14: it lies in the window.
+        c.update_entry(Lpn(50), |e| e.dirty = false);
+        c.install_read_ahead(Lpn(10), &successors);
+        let order: Vec<u32> = c.iter_lru_order().map(|e| e.lpn.0).collect();
+        assert_eq!(order, vec![12, 10, 11, 13]);
+        assert_eq!(c.lookup(Lpn(12)), Some(&entry(12, 12, false)));
+        let installed = CacheEntry::clean(Lpn(13), Ppn(113));
+        assert_eq!(c.lookup(Lpn(13)), Some(&installed));
+
+        // Nothing to install, nothing touched.
+        c.install_read_ahead(Lpn(10), &[]);
+        assert_eq!(c.len(), 4);
+        assert_eq!(c.dirty_count(), 0);
     }
 
     #[test]

@@ -239,6 +239,13 @@ pub struct FtlEngine {
     /// Storage of the synchronization operation in flight, reused by the
     /// next one.
     sync_scratch: SyncScratch,
+    /// The LPN a host read must name to extend the current run of
+    /// consecutive host-read LPNs, and that run's length so far. RAM-only:
+    /// an engine out of recovery starts a new run.
+    read_run: (u32, u32),
+    /// The successors a read miss took from its translation page, reused by
+    /// the next one. Contents are meaningless outside `read_inner`.
+    read_ahead: Vec<(Lpn, Ppn)>,
     /// Lifetime op counters.
     pub counters: EngineCounters,
     /// Per-tenant accounting, populated by ops submitted with a tenant.
@@ -390,6 +397,8 @@ impl FtlEngine {
             last_flush_seen,
             gc_victim: None,
             sync_scratch: SyncScratch::default(),
+            read_run: (0, 0),
+            read_ahead: Vec::new(),
             counters: EngineCounters::default(),
             tenants: BTreeMap::new(),
             gc_attrib_us: 0.0,
@@ -414,6 +423,12 @@ impl FtlEngine {
     /// The mapping cache (inspection).
     pub fn cache(&self) -> &MappingCache {
         &self.cache
+    }
+
+    /// The translation table (inspection): the GMD says which flash page
+    /// holds the current version of each translation page.
+    pub fn translation(&self) -> &TranslationTable {
+        &self.tt
     }
 
     /// The block manager (inspection).
@@ -566,19 +581,47 @@ impl FtlEngine {
     }
 
     /// The body of a host read ([`FtlEngine::submit`] has checked `lpn`).
+    ///
+    /// Sequential read-ahead: a miss that is at least the third read of a
+    /// run of consecutive LPNs keeps, from the translation page it has just
+    /// paid for, the mappings of the next `run − 1` LPNs as clean cache
+    /// entries — the window doubles from miss to miss and ends with the
+    /// page. It never issues an IO of its own (docs/DESIGN.md,
+    /// "Deviations").
     fn read_inner(&mut self, lpn: Lpn) -> Option<u64> {
         self.counters.reads += 1;
         self.dev.stats_mut().logical_reads += 1;
+        let (expected, run) = self.read_run;
+        let run = if lpn.0 == expected {
+            run.saturating_add(1)
+        } else {
+            1
+        };
+        self.read_run = (lpn.0.wrapping_add(1), run);
         let ppn = if let Some(e) = self.cache.lookup(lpn) {
             let p = e.ppn;
             self.cache.promote(lpn);
             p
         } else {
-            let p = self
-                .tt
-                .lookup(&mut self.dev, lpn, IoPurpose::TranslationFetch)?;
+            let ahead = if run >= 3 { run - 1 } else { 0 };
+            let tpage = self.tt.tpage_of(lpn);
+            let fetched = self.tt.tpage_location(tpage);
+            let p = self.tt.lookup_ahead(
+                &mut self.dev,
+                lpn,
+                IoPurpose::TranslationFetch,
+                ahead,
+                &mut self.read_ahead,
+            )?;
             self.make_room();
             self.cache.insert(CacheEntry::clean(lpn, p));
+            // Evicting a dirty entry of this very translation page wrote a
+            // new version of it, and the victim — now uncached — may be one
+            // of the successors: only the GMD-current version holds the
+            // newest mapping of every uncached LPN (invariant 11).
+            if self.tt.tpage_location(tpage) == fetched {
+                self.cache.install_read_ahead(lpn, &self.read_ahead);
+            }
             self.post_op();
             p
         };
@@ -587,7 +630,10 @@ impl FtlEngine {
             .read_page(ppn, IoPurpose::UserRead)
             .expect("mapped page readable");
         let (stored_lpn, version) = data.as_user().expect("user block page holds user data");
-        debug_assert_eq!(stored_lpn, lpn, "mapping must point at this page's data");
+        // A hard assert: read-ahead installs mappings no demand fetch has
+        // checked, and the benchmark, the goldens and the fuzz campaign run
+        // in release.
+        assert_eq!(stored_lpn, lpn, "mapping must point at this page's data");
         // Reads also donate a bounded merge slice (after the data is
         // served): they never flush or schedule merges themselves, so this
         // is pure background capacity that can never concentrate into a

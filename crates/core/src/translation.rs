@@ -129,6 +129,22 @@ impl TranslationTable {
     /// Read the mapping for `lpn` from flash (one translation-page read,
     /// charged to `purpose`).
     pub fn lookup(&self, dev: &mut FlashDevice, lpn: Lpn, purpose: IoPurpose) -> Option<Ppn> {
+        self.lookup_ahead(dev, lpn, purpose, 0, &mut Vec::new())
+    }
+
+    /// [`TranslationTable::lookup`] that also takes, from the page it has
+    /// read, the mapped entries among the `ahead` LPNs following `lpn` —
+    /// fewer where the page ends first, none when `lpn` itself is unmapped.
+    /// They replace the contents of `successors`, in LPN order.
+    pub fn lookup_ahead(
+        &self,
+        dev: &mut FlashDevice,
+        lpn: Lpn,
+        purpose: IoPurpose,
+        ahead: u32,
+        successors: &mut Vec<(Lpn, Ppn)>,
+    ) -> Option<Ppn> {
+        successors.clear();
         let tpage = self.tpage_of(lpn);
         let loc = self.gmd[tpage as usize]?;
         let data = dev
@@ -137,7 +153,16 @@ impl TranslationTable {
         let payload = data
             .blob::<TranslationPagePayload>()
             .expect("translation block page holds a translation payload");
-        payload.get(lpn.0 % self.geo.entries_per_translation_page())
+        let per = self.geo.entries_per_translation_page();
+        let off = lpn.0 % per;
+        let ppn = payload.get(off)?;
+        let last = off.saturating_add(ahead).min(per - 1);
+        for next in off + 1..=last {
+            if let Some(p) = payload.get(next) {
+                successors.push((Lpn(lpn.0 - off + next), p));
+            }
+        }
+        Some(ppn)
     }
 
     /// Synchronization operation: apply `updates` (cached dirty mappings) to
