@@ -353,6 +353,44 @@ fn one_merge_allocates_per_page_not_per_entry() {
     panic!("the report stream never planned a 4-participant merge of 16 pages");
 }
 
+/// Sequential read-ahead keeps its successors in one vector the engine owns:
+/// once a pass has grown it, a miss that installs a window of clean entries
+/// (evicting as many) and the hits that follow allocate nothing.
+#[test]
+fn steady_state_sequential_reads_allocate_nothing() {
+    let geo = Geometry::tiny();
+    let cfg = FtlConfig {
+        cache_entries: 64,
+        ..FtlConfig::geckoftl(&geo)
+    };
+    let gecko = ValidityBackend::gecko_for(geo, GeckoConfig::paper_default(&geo));
+    let mut engine = FtlEngine::format(geo, cfg, gecko);
+    for lpn in 0..300 {
+        engine.write(Lpn(lpn), lpn as u64);
+    }
+    engine.shutdown_clean();
+    let pass = |engine: &mut FtlEngine| {
+        for lpn in 0..300 {
+            assert_eq!(engine.read(Lpn(lpn)), Some(lpn as u64));
+        }
+    };
+    // Warm-up: the pass ends with L236..L299 cached, so the next one starts
+    // cold and meets a full cache at every install.
+    pass(&mut engine);
+
+    let fetches = |e: &FtlEngine| {
+        let stats = e.device().stats();
+        stats.counts(IoPurpose::TranslationFetch).page_reads
+    };
+    let before = fetches(&engine);
+    let ((), calls) = allocator_calls(|| pass(&mut engine));
+    // Misses at reads 1, 2, 3, 6, 12, 24, 48 and 96 of the run, then — a
+    // window is at most the 63 entries beside the demand one — at 160, 224
+    // and 288.
+    assert_eq!(fetches(&engine) - before, 11);
+    assert_eq!(calls, 0);
+}
+
 /// Allocator calls allowed per flush, per merge page written and per
 /// collection, on top of the two per synchronization. Each of those builds
 /// things a flash page or a run must own — a page's entries and the `Arc`

@@ -906,3 +906,147 @@ fn out_of_range_lpn_is_refused_before_anything_is_charged() {
         format!("trim outside logical space: {beyond:?}")
     );
 }
+
+/// Write `lpns` (version = LPN) and push every mapping to flash.
+fn write_and_sync(engine: &mut FtlEngine, lpns: impl Iterator<Item = u32>) {
+    for lpn in lpns {
+        engine.write(Lpn(lpn), lpn as u64);
+    }
+    engine.sync_all_dirty();
+    while engine.idle_tick() {}
+}
+
+/// The stale-successor hazard of sequential read-ahead. The demand entry's
+/// eviction synchronizes a dirty entry of the *same* translation page and
+/// drops it from the cache, so the version the read fetched a moment ago
+/// holds that LPN's superseded address — and the LPN, now uncached, is one of
+/// the successors about to be installed.
+///
+/// Mutation this fails on: `read_inner` installing the successors without
+/// comparing `tpage_location` across `make_room` (L13 then reads its old
+/// version, 13, from the stale clean entry).
+#[test]
+fn read_ahead_drops_successors_its_own_eviction_superseded() {
+    let mut engine = small_engine(3);
+    write_and_sync(&mut engine, 10..20);
+    engine.write(Lpn(13), 1300);
+    // LRU → MRU: L13 (dirty), L10, L11.
+    assert_eq!(engine.read(Lpn(10)), Some(10));
+    assert_eq!(engine.read(Lpn(11)), Some(11));
+    let lru = engine.cache().peek_lru().copied().unwrap();
+    assert!(lru.lpn == Lpn(13) && lru.dirty && engine.cache().is_full());
+
+    // The third read of the run misses; making room for it syncs L13.
+    let syncs = engine.counters.syncs;
+    assert_eq!(engine.read(Lpn(12)), Some(12));
+    assert_eq!(engine.counters.syncs, syncs + 1, "the eviction synced");
+    assert_eq!(engine.read(Lpn(13)), Some(1300), "newest version of L13");
+    assert_eq!(engine.read(Lpn(14)), Some(14));
+}
+
+/// An engine whose translation page 0 (L0..L1023) is written and whose
+/// 600-entry cache holds clean entries of page 1 only: cold for page 0.
+fn engine_cold_for_tpage_0() -> FtlEngine {
+    // 2 867 logical pages: translation pages 0 and 1 whole, 2 in part.
+    let geo = Geometry::new(256, 16, 1 << 12, 0.7);
+    let mut engine = small_engine_on(geo, 600, 1);
+    write_and_sync(&mut engine, 0..1024);
+    write_and_sync(&mut engine, 1024..1624);
+    engine
+}
+
+/// The cached LPNs, least recently used first.
+fn lru_order(engine: &FtlEngine) -> Vec<u32> {
+    engine.cache().iter_lru_order().map(|e| e.lpn.0).collect()
+}
+
+fn translation_fetches(engine: &FtlEngine) -> u64 {
+    let stats = engine.device().stats();
+    stats.counts(IoPurpose::TranslationFetch).page_reads
+}
+
+/// What read-ahead buys: a sequential pass over one translation page pays a
+/// fetch per doubling of the window, not one per read.
+#[test]
+fn a_sequential_pass_over_a_translation_page_fetches_it_once_per_doubling() {
+    let mut engine = engine_cold_for_tpage_0();
+    let before = translation_fetches(&engine);
+    for lpn in 0..1024 {
+        assert_eq!(engine.read(Lpn(lpn)), Some(lpn as u64));
+    }
+    // Misses at reads 1, 2, 3, 6, 12, 24, …, 768 of the run: 11 fetches,
+    // against 1 024 at the parent.
+    let fetches = translation_fetches(&engine) - before;
+    assert!(fetches <= 12, "{fetches} fetches for 1 024 reads");
+}
+
+/// What read-ahead leaves alone: reads that form no run cost what a
+/// demand-filled LRU cache costs, one fetch per miss.
+#[test]
+fn uniform_reads_fetch_once_per_miss_of_a_demand_filled_lru() {
+    let mut engine = engine_cold_for_tpage_0();
+    let mut model = lru_order(&engine);
+    let mut rng = Lcg(0x5CA7);
+    let (before, mut misses) = (translation_fetches(&engine), 0);
+    for _ in 0..4000 {
+        let lpn = (rng.next() % 1624) as u32;
+        match model.iter().position(|&l| l == lpn) {
+            Some(at) => drop(model.remove(at)),
+            None => {
+                misses += 1;
+                model.remove(0);
+            }
+        }
+        model.push(lpn);
+        assert_eq!(engine.read(Lpn(lpn)), Some(lpn as u64));
+    }
+    assert_eq!(translation_fetches(&engine) - before, misses);
+    assert_eq!(misses, 2549, "as measured at the parent of read-ahead");
+    assert_eq!(lru_order(&engine), model);
+}
+
+/// A read with read-ahead charges one translation fetch and one user read —
+/// plus whatever the *demand* entry's eviction costs, here nothing: the
+/// successors take the place of clean LRU entries only, and a dirty entry at
+/// the LRU end stops the install instead of being synchronized.
+#[test]
+fn read_ahead_issues_no_io_and_stops_at_a_dirty_lru_entry() {
+    let mut engine = small_engine(8);
+    write_and_sync(&mut engine, (0..40).chain([100, 200, 300, 400, 410, 420]));
+    // LRU → MRU: L100, L200, L300 (dirty), L400, L410, L420, L10, L11.
+    engine.read(Lpn(100));
+    engine.read(Lpn(200));
+    engine.write(Lpn(300), 3000);
+    for lpn in [400, 410, 420, 10, 11] {
+        engine.read(Lpn(lpn));
+    }
+    while engine.idle_tick() {}
+    assert_eq!(lru_order(&engine), [100, 200, 300, 400, 410, 420, 10, 11]);
+    assert_eq!(engine.cache().dirty_count(), 1);
+
+    // Third read of the run: L100 makes room for L12, L200 for L13, and
+    // L300 — dirty — is where read-ahead stops: L14 is not installed.
+    let before = engine.device().stats().clone();
+    let counters = engine.counters;
+    assert_eq!(engine.read(Lpn(12)), Some(12));
+    let delta = engine.device().stats().since(&before);
+    let one_read = IoCounts {
+        page_reads: 1,
+        ..IoCounts::default()
+    };
+    for purpose in IoPurpose::ALL {
+        let expected = match purpose {
+            IoPurpose::TranslationFetch | IoPurpose::UserRead => one_read,
+            _ => IoCounts::default(),
+        };
+        assert_eq!(delta.counts(purpose), expected, "{purpose:?}");
+    }
+    assert_eq!(engine.counters.syncs, counters.syncs);
+    assert_eq!(lru_order(&engine), [300, 400, 410, 420, 10, 11, 12, 13]);
+    assert!(engine.cache().lookup(Lpn(300)).unwrap().dirty);
+
+    // The installed successor is a hit: no fetch.
+    assert_eq!(engine.read(Lpn(13)), Some(13));
+    let delta = engine.device().stats().since(&before);
+    assert_eq!(delta.counts(IoPurpose::TranslationFetch), one_read);
+}
