@@ -4,7 +4,9 @@
 //! The corpus has two kinds of entries. Handcrafted scenarios pin one fault
 //! kind each (torn data page, torn spare, program fail, erase fail, crash
 //! inside an erase, boundary power cut), so a regression in any single
-//! fault-handling path fails a named entry. `fuzz_found_*` entries are
+//! fault-handling path fails a named entry
+//! (`handcrafted_readahead_sync` pins read-ahead's stale-successor hazard
+//! instead, with a boundary power cut in mid-scan). `fuzz_found_*` entries are
 //! minimized reproducers of bugs the fuzz campaign actually caught — they
 //! failed once, were fixed, and must never fail again. See
 //! `crates/bench/src/fuzz/` and fuzz/README.md for the format and tooling.
