@@ -3,8 +3,8 @@
 //! lifetime with respect to the number of times they have each been
 //! overwritten" (§1, §2 idiosyncrasy 3). This experiment runs the same
 //! workload on every FTL and reports the erase pressure each design puts on
-//! the device, plus the wear spread that the Appendix-D leveler would have
-//! to even out.
+//! the device, plus the wear spread an Appendix-D leveler (not simulated)
+//! would have to even out.
 
 use super::RunOptions;
 use crate::harness::{drive, fill_sequential, sim_geometry};

@@ -132,7 +132,7 @@ impl FtlEngine {
 
     /// Collect one victim of any group — migrate what is live, erase the
     /// block — inside the collection's one `GcCollect` span.
-    pub(super) fn collect(&mut self, victim: BlockId) {
+    fn collect(&mut self, victim: BlockId) {
         let t0 = self.dev.clock().now_us();
         let group = self.bm.group_of(victim).expect("victim is allocated");
         if self.bm.valid_pages(victim) == 0 {

@@ -966,28 +966,6 @@ impl FtlEngine {
         self.epoch += 1;
     }
 
-    /// Static wear-leveling (Appendix D): forcibly relocate the live pages
-    /// of an unworn, cold block so it returns to the allocation pool and
-    /// starts absorbing writes. The victim is typically chosen by
-    /// [`crate::wear::WearLeveler::pick_static_victim`].
-    ///
-    /// Returns the number of pages migrated, or `None` if the block is not
-    /// an eligible (sealed, user-group) victim.
-    pub fn wear_level_block(&mut self, block: flash_sim::BlockId) -> Option<u32> {
-        if self.bm.group_of(block) != Some(BlockGroup::User)
-            || self.bm.is_active(block)
-            || !self.dev.block_is_full(block)
-        {
-            return None;
-        }
-        let migrated_before = self.counters.gc_migrations;
-        // Reuse the GC collection machinery: it migrates exactly the live
-        // pages (wear-leveling migrations are GC migrations with a
-        // hand-picked victim) and erases the block.
-        self.collect(block);
-        Some((self.counters.gc_migrations - migrated_before) as u32)
-    }
-
     /// Detect Gecko buffer flushes and lift translation-block protections
     /// (App. C.2.2: "When Logarithmic Gecko's buffer is flushed, we clear
     /// the list").

@@ -22,7 +22,9 @@
 //! * [`recovery`] — GeckoRec, the 8-step power-failure recovery algorithm
 //!   (§4.3 + Appendix C), including deferred synchronization and flag
 //!   correction.
-//! * [`wear`] — spare-area-based wear-leveling (Appendix D).
+//!
+//! Appendix D's wear leveling is not simulated (`docs/DESIGN.md`,
+//! "Deviations from the paper").
 //!
 //! The ready-made GeckoFTL configuration lives in [`ftl::FtlEngine`] via
 //! [`ftl::FtlConfig::geckoftl`]; baseline FTLs (DFTL, LazyFTL, µ-FTL,
@@ -34,7 +36,6 @@ pub mod gecko;
 pub mod recovery;
 pub mod translation;
 pub mod validity;
-pub mod wear;
 
 pub use cache::{CacheEntry, MappingCache};
 pub use ftl::{

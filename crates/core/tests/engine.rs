@@ -328,44 +328,6 @@ fn restricted_dirty_policy_bounds_dirty_entries() {
 }
 
 #[test]
-fn wear_leveling_relocates_cold_blocks() {
-    use geckoftl_core::wear::WearLeveler;
-    let mut engine = small_engine(64);
-    let mut oracle = HashMap::new();
-    // Cold data: written once, never updated.
-    for lpn in 0..256u32 {
-        engine.write(Lpn(lpn), 7_000_000 + lpn as u64);
-        oracle.insert(lpn, 7_000_000 + lpn as u64);
-    }
-    // Hot churn on a different range wears out the rest of the device.
-    let mut rng = Lcg(77);
-    for i in 0..6000u64 {
-        let lpn = 300 + (rng.next() % 400) as u32;
-        engine.write(Lpn(lpn), i);
-        oracle.insert(lpn, i);
-    }
-    // Run the gradual scan to build global wear statistics.
-    let geo = engine.geometry();
-    let mut wl = WearLeveler::new(geo);
-    engine.with_raw_parts(|dev, _| {
-        for _ in 0..geo.blocks {
-            wl.on_flash_write(dev);
-        }
-    });
-    assert!(wl.stats().spread() > 2, "churn must create a wear spread");
-    // Relocate a static victim and verify nothing is lost.
-    let victim = engine.with_raw_parts(|dev, _| wl.pick_static_victim(dev, |_| true));
-    if let Some(victim) = victim {
-        let migrated = engine.wear_level_block(victim);
-        if let Some(n) = migrated {
-            assert!(n > 0, "static block should hold live pages");
-            assert_eq!(engine.device().written_pages(victim), 0, "victim erased");
-        }
-    }
-    verify_all(&mut engine, &oracle);
-}
-
-#[test]
 fn current_mapping_agrees_with_read_path() {
     let mut engine = small_engine(64);
     let mut rng = Lcg(13);

@@ -673,8 +673,8 @@ mod tests {
             IoPurpose::UserWrite,
         );
         assert_eq!(d.write_attempts(), 2);
-        d.erase_block(BlockId(1), IoPurpose::WearLevel).unwrap();
-        let _ = d.erase_block(BlockId(5), IoPurpose::WearLevel);
+        d.erase_block(BlockId(1), IoPurpose::GcMigrateUser).unwrap();
+        let _ = d.erase_block(BlockId(5), IoPurpose::GcMigrateUser);
         assert_eq!(d.erase_attempts(), 2);
     }
 

@@ -40,7 +40,8 @@ pub enum IoPurpose {
     ValidityMerge,
     /// Migration of live validity-metadata pages during garbage-collection.
     ValidityGc,
-    /// Wear-leveling scans and migrations.
+    /// Wear leveling (Appendix D). Not simulated, so no IO is charged to
+    /// it; kept because `benchmark/`'s API contract names every purpose.
     WearLevel,
     /// IO performed by recovery algorithms after power failure.
     Recovery,

@@ -43,15 +43,13 @@ pub enum SpanKind {
     MergeSlice,
     /// One Gecko buffer flush (arg = entries flushed).
     BufferFlush,
-    /// One wear-leveling spare-area scan chunk.
-    WearScan,
     /// One recovery step (arg = GeckoRec step number, 1-based).
     Recovery,
 }
 
 impl SpanKind {
     /// Number of span kinds (lane count).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// All kinds in lane order.
     pub const ALL: [SpanKind; SpanKind::COUNT] = [
@@ -61,7 +59,6 @@ impl SpanKind {
         SpanKind::GcCollect,
         SpanKind::MergeSlice,
         SpanKind::BufferFlush,
-        SpanKind::WearScan,
         SpanKind::Recovery,
     ];
 
@@ -74,8 +71,7 @@ impl SpanKind {
             SpanKind::GcCollect => 3,
             SpanKind::MergeSlice => 4,
             SpanKind::BufferFlush => 5,
-            SpanKind::WearScan => 6,
-            SpanKind::Recovery => 7,
+            SpanKind::Recovery => 6,
         }
     }
 
@@ -88,7 +84,6 @@ impl SpanKind {
             SpanKind::GcCollect => "gc_collect",
             SpanKind::MergeSlice => "merge_slice",
             SpanKind::BufferFlush => "buffer_flush",
-            SpanKind::WearScan => "wear_scan",
             SpanKind::Recovery => "recovery",
         }
     }

@@ -6,7 +6,7 @@
 //!
 //! * [`flash_sim`] — the NAND flash device simulator substrate;
 //! * [`geckoftl_core`] — Logarithmic Gecko, the FTL engine, GeckoRec
-//!   recovery, wear-leveling;
+//!   recovery (Appendix D's wear leveling is not simulated);
 //! * [`ftl_baselines`] — DFTL, LazyFTL, µ-FTL, IB-FTL and their validity
 //!   stores;
 //! * [`ftl_workloads`] — workload generators and trace record/replay;
