@@ -235,6 +235,18 @@ mod tests {
     }
 
     #[test]
+    fn span_lanes_are_dense_and_uniquely_labelled() {
+        assert_eq!(SpanKind::ALL.len(), SpanKind::COUNT);
+        for (i, kind) in SpanKind::ALL.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?} sits in lane {i}");
+        }
+        let mut labels: Vec<&str> = SpanKind::ALL.iter().map(|k| k.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), SpanKind::COUNT, "duplicate span label");
+    }
+
+    #[test]
     fn ring_ram_is_capacity_not_fill() {
         let r = EventRing::with_capacity(100);
         assert_eq!(
