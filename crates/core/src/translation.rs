@@ -85,19 +85,30 @@ impl TranslationTable {
     pub fn format(&mut self, dev: &mut FlashDevice, bm: &mut BlockManager) {
         let per = self.geo.entries_per_translation_page();
         for tpage in 0..self.gmd.len() as u32 {
-            let payload = TranslationPagePayload {
-                tpage,
-                entries: vec![UNMAPPED; per as usize],
-            };
-            let ppn = bm.append(
-                dev,
-                BlockGroup::Translation,
-                PageData::blob_of(payload),
-                SpareInfo::Translation { tpage },
-                IoPurpose::TranslationInit,
-            );
-            self.gmd[tpage as usize] = Some(ppn);
+            let entries = vec![UNMAPPED; per as usize];
+            self.write_version(dev, bm, tpage, entries, IoPurpose::TranslationInit);
         }
+    }
+
+    /// Append a new version of translation page `tpage` holding `entries`
+    /// to the translation group and repoint the GMD at it. Reporting the
+    /// version it replaces obsolete is the caller's business.
+    fn write_version(
+        &mut self,
+        dev: &mut FlashDevice,
+        bm: &mut BlockManager,
+        tpage: u32,
+        entries: Vec<u32>,
+        purpose: IoPurpose,
+    ) {
+        let ppn = bm.append(
+            dev,
+            BlockGroup::Translation,
+            PageData::blob_of(TranslationPagePayload { tpage, entries }),
+            SpareInfo::Translation { tpage },
+            purpose,
+        );
+        self.gmd[tpage as usize] = Some(ppn);
     }
 
     /// Number of translation pages.
@@ -245,15 +256,7 @@ impl TranslationTable {
             outcome.before_images.push((lpn, before));
         }
 
-        let new_payload = TranslationPagePayload { tpage, entries };
-        let new_loc = bm.append(
-            dev,
-            BlockGroup::Translation,
-            PageData::blob_of(new_payload),
-            SpareInfo::Translation { tpage },
-            IoPurpose::TranslationSync,
-        );
-        self.gmd[tpage as usize] = Some(new_loc);
+        self.write_version(dev, bm, tpage, entries, IoPurpose::TranslationSync);
         bm.page_obsolete(dev, old_loc);
     }
 
@@ -281,15 +284,7 @@ impl TranslationTable {
         let mut entries = payload.entries.clone();
         entries[off] = UNMAPPED;
 
-        let new_payload = TranslationPagePayload { tpage, entries };
-        let new_loc = bm.append(
-            dev,
-            BlockGroup::Translation,
-            PageData::blob_of(new_payload),
-            SpareInfo::Translation { tpage },
-            IoPurpose::TranslationSync,
-        );
-        self.gmd[tpage as usize] = Some(new_loc);
+        self.write_version(dev, bm, tpage, entries, IoPurpose::TranslationSync);
         bm.page_obsolete(dev, old_loc);
         Some(Ppn(old))
     }
@@ -301,18 +296,12 @@ impl TranslationTable {
         let data = dev
             .read_page(old_loc, IoPurpose::TranslationGc)
             .expect("live tpage readable");
-        let payload = data
+        let entries = data
             .blob::<TranslationPagePayload>()
             .expect("translation page payload")
+            .entries
             .clone();
-        let new_loc = bm.append(
-            dev,
-            BlockGroup::Translation,
-            PageData::blob_of(payload),
-            SpareInfo::Translation { tpage },
-            IoPurpose::TranslationGc,
-        );
-        self.gmd[tpage as usize] = Some(new_loc);
+        self.write_version(dev, bm, tpage, entries, IoPurpose::TranslationGc);
         // The caller is responsible for the victim block's bookkeeping; the
         // old page is inside a block about to be erased.
     }
