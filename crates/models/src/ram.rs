@@ -2,6 +2,7 @@
 
 use flash_sim::Geometry;
 use ftl_baselines::BaselineKind;
+use geckoftl_core::gecko::GeckoConfig;
 
 /// One RAM-resident data structure and its size.
 #[derive(Clone, Debug, PartialEq)]
@@ -61,22 +62,18 @@ pub fn cache_bytes(cache_entries: u64) -> u64 {
     8 * cache_entries
 }
 
-/// Number of entries in one Gecko flash page under the paper tuning
-/// (`S = B/key-bits`, 32-bit keys): `V ≈ P·8 / (32 + B/S + 1)`.
+/// `V`: entries in one Gecko flash page under the paper tuning
+/// ([`GeckoConfig::paper_default`]).
 pub fn gecko_entries_per_page(geo: &Geometry) -> u64 {
-    let key_bits = 32u64;
-    let s = (geo.pages_per_block as u64 / key_bits).max(1);
-    let sub_bits = geo.pages_per_block as u64 / s;
-    ((geo.page_bytes as u64 - 32) * 8) / (key_bits + sub_bits + 1)
+    GeckoConfig::paper_default(geo).entries_per_page(geo) as u64
 }
 
 /// Flash pages occupied by Logarithmic Gecko: the largest run holds one
 /// entry per (block, part); smaller runs at most double it (Appendix B).
 pub fn gecko_pages(geo: &Geometry) -> u64 {
-    let key_bits = 32u64;
-    let s = (geo.pages_per_block as u64 / key_bits).max(1);
-    let entries = geo.blocks as u64 * s;
-    2 * entries.div_ceil(gecko_entries_per_page(geo))
+    let cfg = GeckoConfig::paper_default(geo);
+    let v = cfg.entries_per_page(geo) as u64;
+    2 * cfg.max_entries(geo).div_ceil(v)
 }
 
 /// Gecko run-directory RAM: two 4-byte words per Gecko page (Appendix B).
@@ -87,10 +84,7 @@ pub fn gecko_run_dir_bytes(geo: &Geometry) -> u64 {
 /// Gecko buffer RAM: the insert buffer plus `L` multi-way-merge input
 /// buffers and one output buffer: `P · (2 + L)` (Appendix B).
 pub fn gecko_buffer_bytes(geo: &Geometry) -> u64 {
-    let v = gecko_entries_per_page(geo) as f64;
-    let s = (geo.pages_per_block as u64 / 32).max(1);
-    let max_pages = (geo.blocks as u64 * s) as f64 / v;
-    let levels = max_pages.log2().ceil().max(1.0) as u64; // T = 2
+    let levels = GeckoConfig::paper_default(geo).levels(geo) as u64;
     geo.page_bytes as u64 * (2 + levels)
 }
 
