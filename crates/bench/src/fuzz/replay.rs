@@ -27,9 +27,9 @@
 use super::oracle::audit_state;
 use super::scenario::Scenario;
 use crate::fuzz::corpus_dir;
-use crate::harness::OpDriver;
+use crate::harness::{small_gecko_engine, OpDriver};
 use flash_sim::{FaultPlan, FaultStats, FlashDevice, Geometry, Lpn, SpanKind};
-use geckoftl_core::ftl::{FtlConfig, FtlEngine, HostOp, HostOpKind, ValidityBackend};
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, HostOp, HostOpKind};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
 use std::collections::{BTreeMap, BTreeSet};
@@ -80,19 +80,10 @@ impl Outcome {
 }
 
 fn engine_for(sc: &Scenario, shards: u32) -> FtlEngine {
-    let geo = Geometry::tiny();
-    let cfg = FtlConfig {
-        // Clamp into what the tiny geometry's over-provisioning allows
-        // (cache_entries must stay below half the spare pages).
-        cache_entries: sc.cache_entries.clamp(16, 128),
-        ..FtlConfig::geckoftl(&geo)
-    };
-    let gecko_cfg = GeckoConfig {
-        page_header_bytes: geo.page_bytes - 64, // force real flush/merge activity
-        shards,
-        ..GeckoConfig::paper_default(&geo)
-    };
-    let mut engine = FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg));
+    // Clamp into what the tiny geometry's over-provisioning allows
+    // (cache_entries must stay below half the spare pages).
+    let cache_entries = sc.cache_entries.clamp(16, 128);
+    let mut engine = small_gecko_engine(Geometry::tiny(), cache_entries, shards);
     engine.telemetry_mut().enable(REPLAY_RING);
     engine
 }

@@ -17,13 +17,12 @@
 //! the corpus with `GOLDEN_BLESS=1 cargo test -p gecko-bench --test
 //! golden_traces` (see `docs/WORKLOADS.md`).
 
-use crate::harness::{fill_sequential, replay_trace};
+use crate::harness::{fill_sequential, replay_trace, small_gecko_engine};
 use flash_sim::{Geometry, IoPurpose};
 use ftl_workloads::{
     BurstyDiurnal, Mixed, OverwriteStorm, Scan, TenantMix, Trace, TrimWave, Uniform, WorkloadOp,
 };
-use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
-use geckoftl_core::gecko::GeckoConfig;
+use geckoftl_core::ftl::FtlEngine;
 use std::path::PathBuf;
 
 /// The committed golden-trace directory, anchored to the workspace root so
@@ -32,22 +31,13 @@ pub fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../traces/golden")
 }
 
-/// The replay engine: tiny geometry (64 blocks × 16 pages, 716 logical
-/// pages), the same tuning the fuzzer uses, with the validity store split
-/// `shards` ways. QoS headroom stays 0 here — the corpus pins the *default*
-/// engine; the QoS path is exercised by the `multi_tenant` experiment.
+/// The replay engine: [`small_gecko_engine`] on the tiny geometry (64
+/// blocks × 16 pages, 716 logical pages) with 64 cache entries, the
+/// validity store split `shards` ways. QoS headroom stays 0 here — the
+/// corpus pins the *default* engine; the QoS path is exercised by the
+/// `multi_tenant` experiment.
 pub fn golden_engine(shards: u32) -> FtlEngine {
-    let geo = Geometry::tiny();
-    let cfg = FtlConfig {
-        cache_entries: 64,
-        ..FtlConfig::geckoftl(&geo)
-    };
-    let gecko_cfg = GeckoConfig {
-        page_header_bytes: geo.page_bytes - 64, // force real flush/merge activity
-        shards,
-        ..GeckoConfig::paper_default(&geo)
-    };
-    FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg))
+    small_gecko_engine(Geometry::tiny(), 64, shards)
 }
 
 /// FNV-1a over the final logical content: every mapped page's `(lpn,

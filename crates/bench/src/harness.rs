@@ -2,7 +2,10 @@
 
 use flash_sim::{Geometry, IoStats};
 use ftl_workloads::{Trace, Uniform, WorkloadOp};
-use geckoftl_core::ftl::{Completion, FtlEngine, FtlError, HostOp, HostOpKind, TenantId};
+use geckoftl_core::ftl::{
+    Completion, FtlConfig, FtlEngine, FtlError, HostOp, HostOpKind, TenantId, ValidityBackend,
+};
+use geckoftl_core::gecko::GeckoConfig;
 
 /// The default simulation geometry for write-amplification experiments:
 /// 1024 blocks of 128 × 4 KB pages (512 MB) at the paper's R = 0.7.
@@ -12,6 +15,23 @@ use geckoftl_core::ftl::{Completion, FtlEngine, FtlError, HostOp, HostOpKind, Te
 /// their geometries from this one.
 pub fn sim_geometry() -> Geometry {
     Geometry::new(1 << 10, 1 << 7, 1 << 12, 0.7)
+}
+
+/// The small-geometry GeckoFTL the golden traces, the fuzzer and the
+/// property tests run: paper defaults, except a Gecko page shrunk to 64
+/// usable bytes so flushes and merges happen at this scale, and the
+/// validity store split `shards` ways.
+pub fn small_gecko_engine(geo: Geometry, cache_entries: usize, shards: u32) -> FtlEngine {
+    let cfg = FtlConfig {
+        cache_entries,
+        ..FtlConfig::geckoftl(&geo)
+    };
+    let gecko_cfg = GeckoConfig {
+        page_header_bytes: geo.page_bytes - 64,
+        shards,
+        ..GeckoConfig::paper_default(&geo)
+    };
+    FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg))
 }
 
 /// Write every logical page once (sequentially) so the device reaches its

@@ -2,34 +2,14 @@
 //! point, GeckoFTL never loses an acknowledged write (docs/DESIGN.md
 //! invariants 2–4), and the baseline FTLs satisfy read-your-writes.
 
+use gecko_bench::harness::small_gecko_engine;
 use geckoftl::flash_sim::{EraseFault, FaultPlan, Geometry, Lpn, Ppn, WriteFault};
 use geckoftl::ftl_baselines::{build, BaselineKind};
-use geckoftl::geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
-use geckoftl::geckoftl_core::gecko::GeckoConfig;
+use geckoftl::geckoftl_core::ftl::FtlEngine;
 use geckoftl::geckoftl_core::recovery::gecko_recover;
 use geckoftl::geckoftl_core::translation::TranslationPagePayload;
 use proptest::prelude::*;
 use std::collections::HashMap;
-
-fn tiny_gecko_engine(cache: usize) -> FtlEngine {
-    gecko_engine_on(Geometry::tiny(), cache, 1)
-}
-
-fn gecko_engine_on(geo: Geometry, cache: usize, shards: u32) -> FtlEngine {
-    let cfg = FtlConfig {
-        cache_entries: cache,
-        ..FtlConfig::geckoftl(&geo)
-    };
-    let gecko = ValidityBackend::gecko_for(
-        geo,
-        GeckoConfig {
-            page_header_bytes: geo.page_bytes - 64, // force real flush/merge activity
-            shards,
-            ..GeckoConfig::paper_default(&geo)
-        },
-    );
-    FtlEngine::format(geo, cfg, gecko)
-}
 
 /// Drive `writes` against an engine carrying `plan`. Recoverable faults
 /// (program/erase failures) are absorbed inline by the FTL; crash faults
@@ -37,7 +17,7 @@ fn gecko_engine_on(geo: Geometry, cache: usize, shards: u32) -> FtlEngine {
 /// recover from mid-run exactly as the fuzz harness does: the interrupted
 /// write is unacknowledged (old-or-new), everything older must survive.
 fn run_faulted(writes: &[(u32, u64)], cache: usize, plan: FaultPlan) -> Result<bool, String> {
-    let mut engine = tiny_gecko_engine(cache);
+    let mut engine = small_gecko_engine(Geometry::tiny(), cache, 1);
     let cfg = engine.config();
     let gecko_cfg = engine.backend().gecko().unwrap().config();
     engine.with_raw_parts(|dev, _| dev.set_fault_plan(plan));
@@ -185,7 +165,7 @@ fn run_scan_steps(steps: &[ScanStep], cache: usize, shards: u32) -> Result<(), S
     // 1 433 logical pages: translation page 0 whole, page 1 in part.
     let geo = Geometry::new(128, 16, 1 << 12, 0.7);
     let logical = geo.logical_pages() as u32;
-    let mut engine = gecko_engine_on(geo, cache, shards);
+    let mut engine = small_gecko_engine(geo, cache, shards);
     let mut model: HashMap<u32, u64> = HashMap::new();
     let mut version = 0u64;
     let mut write = |engine: &mut FtlEngine, model: &mut HashMap<u32, u64>, l: u32| {
@@ -283,7 +263,7 @@ proptest! {
         crash_at_frac in 0.0f64..1.0,
         cache in 24usize..96,
     ) {
-        let mut engine = tiny_gecko_engine(cache);
+        let mut engine = small_gecko_engine(Geometry::tiny(), cache, 1);
         let mut oracle: HashMap<u32, u64> = HashMap::new();
         let crash_at = ((writes.len() as f64) * crash_at_frac) as usize;
 
@@ -333,7 +313,7 @@ proptest! {
     fn clean_shutdown_round_trip(
         writes in prop::collection::vec((0u32..716, any::<u64>()), 50..600),
     ) {
-        let mut engine = tiny_gecko_engine(64);
+        let mut engine = small_gecko_engine(Geometry::tiny(), 64, 1);
         let mut oracle: HashMap<u32, u64> = HashMap::new();
         for &(lpn, version) in &writes {
             engine.write(Lpn(lpn), version);

@@ -21,11 +21,11 @@
 //! `RecoveryReport` it returns, number for number and microsecond for
 //! microsecond.
 
+use gecko_bench::harness::small_gecko_engine;
 use geckoftl::flash_sim::{
     BlockId, FaultPlan, FlashDevice, Geometry, Lpn, SpanKind, TraceEvent, WriteFault,
 };
-use geckoftl::geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
-use geckoftl::geckoftl_core::gecko::GeckoConfig;
+use geckoftl::geckoftl_core::ftl::FtlEngine;
 use geckoftl::geckoftl_core::recovery::gecko_recover;
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -44,23 +44,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (0u32..716).prop_map(Op::Read),
         1 => (0u8..4).prop_map(Op::Idle),
     ]
-}
-
-fn tiny_gecko_engine(cache: usize, shards: u32) -> FtlEngine {
-    let geo = Geometry::tiny();
-    let cfg = FtlConfig {
-        cache_entries: cache,
-        ..FtlConfig::geckoftl(&geo)
-    };
-    let gecko = ValidityBackend::gecko_for(
-        geo,
-        GeckoConfig {
-            page_header_bytes: geo.page_bytes - 64, // force real flush/merge activity
-            shards,
-            ..GeckoConfig::paper_default(&geo)
-        },
-    );
-    FtlEngine::format(geo, cfg, gecko)
 }
 
 /// Byte-level digest of everything the simulated device persists: per-block
@@ -120,7 +103,7 @@ fn run(
     plan: FaultPlan,
     ring: Option<usize>,
 ) -> FtlEngine {
-    let mut engine = tiny_gecko_engine(cache, 1);
+    let mut engine = small_gecko_engine(Geometry::tiny(), cache, 1);
     if let Some(cap) = ring {
         engine.telemetry_mut().enable(cap);
     }
@@ -178,7 +161,7 @@ fn run(
 #[test]
 fn recovery_spans_sum_to_the_report() {
     for shards in [1, 4] {
-        let mut engine = tiny_gecko_engine(48, shards);
+        let mut engine = small_gecko_engine(Geometry::tiny(), 48, shards);
         engine.telemetry_mut().enable(1 << 16);
         let logical = engine.geometry().logical_pages();
         let cfg = engine.config();

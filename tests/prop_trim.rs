@@ -3,9 +3,9 @@
 //! the sharded validity store is observationally equivalent to the single
 //! tree under TRIM-heavy workloads.
 
+use gecko_bench::harness::small_gecko_engine;
 use geckoftl::flash_sim::{Geometry, Lpn};
-use geckoftl::geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
-use geckoftl::geckoftl_core::gecko::GeckoConfig;
+use geckoftl::geckoftl_core::ftl::FtlEngine;
 use geckoftl::geckoftl_core::recovery::gecko_recover;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -26,20 +26,6 @@ fn op_strategy(lpn_span: u32) -> impl Strategy<Value = Op> {
     ]
 }
 
-fn gecko_engine(cache: usize, shards: u32) -> FtlEngine {
-    let geo = Geometry::tiny();
-    let cfg = FtlConfig {
-        cache_entries: cache,
-        ..FtlConfig::geckoftl(&geo)
-    };
-    let gecko_cfg = GeckoConfig {
-        page_header_bytes: geo.page_bytes - 64, // force real flush/merge activity
-        shards,
-        ..GeckoConfig::paper_default(&geo)
-    };
-    FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
@@ -51,7 +37,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(716), 200..1200),
         cache in 24usize..96,
     ) {
-        let mut engine = gecko_engine(cache, 1);
+        let mut engine = small_gecko_engine(Geometry::tiny(), cache, 1);
         let mut oracle: HashMap<u32, u64> = HashMap::new();
         for &op in &ops {
             match op {
@@ -83,7 +69,7 @@ proptest! {
         crash_at_frac in 0.0f64..1.0,
         cache in 24usize..96,
     ) {
-        let mut engine = gecko_engine(cache, 1);
+        let mut engine = small_gecko_engine(Geometry::tiny(), cache, 1);
         let mut oracle: HashMap<u32, u64> = HashMap::new();
         let crash_at = ((ops.len() as f64) * crash_at_frac) as usize;
 
@@ -133,7 +119,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(500), 200..800),
     ) {
         let mut engines: Vec<FtlEngine> =
-            [1u32, 2, 4].iter().map(|&s| gecko_engine(64, s)).collect();
+            [1u32, 2, 4].iter().map(|&s| small_gecko_engine(Geometry::tiny(), 64, s)).collect();
         for &op in &ops {
             for engine in &mut engines {
                 match op {
