@@ -18,8 +18,8 @@
 //! 4. **Buffer** — recreate erase markers for blocks erased since the last
 //!    buffer flush (C.2.1) and invalidations lost with the buffer by
 //!    diffing translation-page versions written since the last flush
-//!    (C.2.2), with a spare-area timestamp check that also handles physical
-//!    page reuse.
+//!    (C.2.2), each version read once, with an erase-timestamp check that
+//!    also handles physical page reuse.
 //! 5. **BVC** — rebuild per-block valid counts from a full scan of
 //!    Logarithmic Gecko plus the recovered buffer.
 //! 6. **Dirty entries** — backwards scan of the most recently written user
@@ -285,53 +285,57 @@ pub fn gecko_recover(
     }
     // 4b (C.2.2): diff translation-page versions written since the last
     // flush against their predecessors; every mapping change names a
-    // physical page that was invalidated after the flush.
+    // physical page that was invalidated after the flush. The chain is the
+    // newest version at or before the threshold (the base, if any), then
+    // every later version in order; each is read once and carried forward
+    // as the next link's predecessor.
     for versions in &tpage_versions {
-        let newer: Vec<(u64, Ppn)> = versions
-            .iter()
-            .copied()
-            .filter(|(s, _)| *s > threshold)
-            .collect();
+        let split = versions.partition_point(|&(s, _)| s <= threshold);
+        let newer = &versions[split..];
         if newer.is_empty() {
             continue;
         }
-        // Chain: newest version at or before the threshold (if any), then
-        // every later version in order.
-        let base = versions
-            .iter()
-            .rev()
-            .find(|(s, _)| *s <= threshold)
-            .copied();
-        let mut chain: Vec<Option<(u64, Ppn)>> = vec![base];
-        chain.extend(newer.into_iter().map(Some));
-        for pair in chain.windows(2) {
-            let (prev, next) = (pair[0], pair[1].expect("suffix entries exist"));
-            let Some((prev_seq, prev_ppn)) = prev else {
-                // Never-written baseline is all-unmapped: nothing to diff.
-                continue;
-            };
-            let prev_entries = read_tpage(&mut dev, prev_ppn).entries;
-            let next_payload = read_tpage(&mut dev, next.1);
-            for (i, &new_val) in next_payload.entries.iter().enumerate() {
-                let old_val = prev_entries.get(i).copied().unwrap_or(u32::MAX);
-                if old_val == new_val || old_val == u32::MAX {
-                    continue;
-                }
-                let candidate = Ppn(old_val);
-                // Timestamp check: only report if the page still holds the
-                // exact data this synchronization invalidated. Content that
-                // the *previous* version pointed at was necessarily written
-                // before that version; anything newer on this physical page
-                // is a fresh life (the block was erased and rewritten, e.g.
-                // after a GC UIP-skip) and must not be re-marked.
-                let Ok(spare) = dev.read_spare(candidate, IoPurpose::Recovery) else {
-                    continue; // erased since — covered by an erase marker
-                };
-                if spare.seq < prev_seq && matches!(spare.info, SpareInfo::User { .. }) {
-                    gecko.recover_invalidation(candidate);
-                    report.recovered_invalidations += 1;
+        let mut prev: Option<(u64, Vec<u32>)> = split
+            .checked_sub(1)
+            .map(|i| (versions[i].0, read_tpage(&mut dev, versions[i].1).entries));
+        for (i, &(seq, ppn)) in newer.iter().enumerate() {
+            if prev.is_none() && i + 1 == newer.len() {
+                break; // no predecessor to diff against, no successor to feed
+            }
+            let entries = read_tpage(&mut dev, ppn).entries;
+            // Without a base the predecessor is the never-written,
+            // all-unmapped page: nothing to diff.
+            if let Some((prev_seq, prev_entries)) = &prev {
+                for (&old_val, &new_val) in prev_entries.iter().zip(&entries) {
+                    if old_val == new_val || old_val == u32::MAX {
+                        continue;
+                    }
+                    let candidate = Ppn(old_val);
+                    // Timestamp check: only report if the page still holds
+                    // the exact data this synchronization invalidated. The
+                    // previous version pointed at it, so it was written
+                    // before `prev_seq`; a block not erased since still
+                    // holds it, and one erased since (an erase takes its own
+                    // sequence number, so the two never tie) holds only
+                    // newer data — a fresh life, e.g. after a GC UIP-skip,
+                    // which must not be re-marked. The persisted erase
+                    // timestamp (step 1's scan, as in step 4a) decides this
+                    // without a spare read.
+                    let keep = dev.erase_seq(geo.block_of(candidate)) < *prev_seq;
+                    debug_assert_eq!(
+                        keep,
+                        dev.peek_spare(candidate).is_some_and(
+                            |s| s.seq < *prev_seq && matches!(s.info, SpareInfo::User { .. })
+                        ),
+                        "erase timestamp and spare area disagree on {candidate:?}"
+                    );
+                    if keep {
+                        gecko.recover_invalidation(candidate);
+                        report.recovered_invalidations += 1;
+                    }
                 }
             }
+            prev = Some((seq, entries));
         }
     }
     report

@@ -377,6 +377,53 @@ fn crash_immediately_after_single_write() {
     assert_eq!(recovered.read(Lpn(6)), None);
 }
 
+/// GeckoRec step 4b reads the base and each of the k translation-page
+/// versions written since the last flush once — k + 1 page reads — and
+/// decides every changed mapping from the persisted erase timestamp, with no
+/// spare read (DESIGN.md invariant 12). Its debug assertion checks each
+/// decision against the spare area.
+///
+/// Mutations this fails on: restoring the pairwise `chain.windows(2)` loop
+/// (2k page reads), and reporting every candidate without the timestamp
+/// check (the debug assertion fires).
+#[test]
+fn buffer_step_reads_each_version_once_and_no_spare_area() {
+    const K: u64 = 3;
+    let mut engine = small_engine(64);
+    let flush_seq = |e: &FtlEngine| e.backend().gecko().expect("gecko").last_flush_seq();
+    let watermark = flush_seq(&engine);
+    let mut oracle = HashMap::new();
+    for round in 0..K {
+        for lpn in 0..4u32 {
+            let version = round * 100 + lpn as u64;
+            engine.write(Lpn(lpn), version);
+            oracle.insert(lpn, version);
+        }
+        engine.sync_all_dirty();
+    }
+    assert_eq!(flush_seq(&engine), watermark, "no Gecko flush since format");
+    let cfg = engine.config();
+    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
+    let (mut recovered, report) = gecko_recover(engine.crash(), cfg, gecko_cfg);
+    let buffer = report
+        .steps
+        .iter()
+        .find(|(s, _)| *s == geckoftl_core::recovery::RecoveryStep::Buffer)
+        .map(|(_, c)| *c)
+        .expect("buffer step present");
+    assert_eq!(
+        buffer.page_reads,
+        K + 1,
+        "the format version plus K versions"
+    );
+    assert_eq!(buffer.spare_reads, 0);
+    // Step 4b's 8 re-derived reports (two overwrite rounds of 4 LPNs) plus
+    // step 6's 8 before-pointers: what the pairwise, spare-checked loop
+    // reported on the same image.
+    assert_eq!(report.recovered_invalidations, 16);
+    verify_all(&mut recovered, &oracle);
+}
+
 /// The GC victim-sequence A/B pin: Bloom filters must not change *which*
 /// blocks GC collects, only how many run pages each query reads. From
 /// identical workloads the Bloom-on and Bloom-off engines must produce the
