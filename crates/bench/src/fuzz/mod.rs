@@ -4,8 +4,9 @@
 //! crash point) triples — [`Scenario`]s — for two kinds of trouble:
 //!
 //! 1. **Correctness failures**: an acknowledged write that does not read
-//!    back after a fault or recovery, or a byte-level translation/validity
-//!    audit mismatch ([`oracle::audit_state`]). These are bugs; the failing
+//!    back after a fault or recovery, a byte-level translation/validity
+//!    audit mismatch ([`oracle::audit_state`]), or a panic anywhere in the
+//!    replay ([`replay::replay_with_shards`]). These are bugs; the failing
 //!    scenario is [`minimize()`]d and written to `fuzz/corpus/` as a
 //!    regression test under the first free index (`tests/fuzz_corpus.rs`
 //!    replays every entry).

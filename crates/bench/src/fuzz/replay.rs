@@ -32,7 +32,9 @@ use flash_sim::{FaultPlan, FaultStats, FlashDevice, Geometry, Lpn, SpanKind};
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, HostOp, HostOpKind};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Once;
 
 /// Ring capacity for replay telemetry. Spans/IO events beyond this are
 /// dropped oldest-first, which never affects fitness: no signal below is
@@ -168,10 +170,59 @@ pub fn replay(sc: &Scenario) -> Outcome {
     replay_with_shards(sc, 1)
 }
 
+thread_local! {
+    /// Set while this thread replays: its panics become findings, so the
+    /// panic hook stays quiet instead of printing them.
+    static REPLAYING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's last silenced panic: message and location.
+    static PANIC_MSG: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Install, once per process, a panic hook that silences panics on threads
+/// inside [`replay_with_shards`] and defers to the previous hook elsewhere.
+/// A per-thread flag, not a hook swapped per replay: replays on parallel
+/// test threads would otherwise race to restore each other's hooks.
+fn install_quiet_hook() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if REPLAYING.get() {
+                let msg = info.payload_as_str().unwrap_or("non-string payload");
+                let at = info.location().map(|l| l.to_string()).unwrap_or_default();
+                PANIC_MSG.set(format!("{msg} (at {at})"));
+            } else {
+                previous(info);
+            }
+        }));
+    });
+}
+
 /// [`replay`] against a validity store of `shards` trees. The oracle
 /// contract is shard-count-independent, so the corpus doubles as a
 /// crash-equivalence suite for sharding.
+///
+/// A panic anywhere in the engine, recovery or the oracle is a finding like
+/// any other failure: it comes back as a failed [`Outcome`] whose message
+/// starts with `panic:`, so the campaign minimizes the scenario and writes
+/// it to the corpus instead of dying. Such an outcome carries no fitness,
+/// crash flag or fault counts.
 pub fn replay_with_shards(sc: &Scenario, shards: u32) -> Outcome {
+    install_quiet_hook();
+    REPLAYING.set(true);
+    let result = std::panic::catch_unwind(|| replay_unguarded(sc, shards));
+    REPLAYING.set(false);
+    result.unwrap_or_else(|_| {
+        Outcome::fail(
+            format!("panic: {}", PANIC_MSG.take()),
+            Fitness::default(),
+            false,
+            FaultStats::default(),
+        )
+    })
+}
+
+fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
     let mut engine = engine_for(sc, shards);
     let logical = engine.geometry().logical_pages() as u32;
     let cfg = engine.config();
