@@ -37,6 +37,7 @@ pub fn audit_state(engine: &mut FtlEngine) -> bool {
             })
             .collect();
         let invalid = engine.debug_validity(block);
+        let mut live_pages = 0u32;
         for (off, &(lpn, has_data)) in pages.iter().enumerate() {
             let ppn = geo.ppn(block, PageOffset(off as u32));
             let torn = lpn.is_none() || !has_data;
@@ -63,6 +64,14 @@ pub fn audit_state(engine: &mut FtlEngine) -> bool {
                 );
                 return false;
             }
+            live_pages += live as u32;
+        }
+        let bvc = engine.block_manager().valid_pages(block);
+        if bvc < live_pages {
+            eprintln!(
+                "   oracle mismatch: BVC of {block:?} is {bvc} but {live_pages} pages are live"
+            );
+            return false;
         }
     }
     true

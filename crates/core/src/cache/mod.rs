@@ -96,6 +96,7 @@ pub struct MappingCache {
     head: usize, // most recently used
     tail: usize, // least recently used
     dirty_count: usize,
+    uncertain_count: usize,
 }
 
 impl MappingCache {
@@ -115,6 +116,7 @@ impl MappingCache {
             head: NIL,
             tail: NIL,
             dirty_count: 0,
+            uncertain_count: 0,
         }
     }
 
@@ -141,6 +143,12 @@ impl MappingCache {
     /// Number of dirty entries currently cached.
     pub fn dirty_count(&self) -> usize {
         self.dirty_count
+    }
+
+    /// Number of uncertain (recovery-recreated, not yet verified) entries
+    /// currently cached.
+    pub fn uncertain_count(&self) -> usize {
+        self.uncertain_count
     }
 
     /// Integrated-RAM footprint (paper: 8 bytes per cached entry).
@@ -209,17 +217,20 @@ impl MappingCache {
         }
     }
 
-    /// Mutate an entry in place (no LRU movement), keeping the dirty count
-    /// consistent. Returns `None` if the entry is not cached.
+    /// Mutate an entry in place (no LRU movement), keeping the dirty and
+    /// uncertain counts consistent. Returns `None` if the entry is not
+    /// cached.
     pub fn update_entry<R>(&mut self, lpn: Lpn, f: impl FnOnce(&mut CacheEntry) -> R) -> Option<R> {
         let idx = self.slot(lpn)?;
-        let was_dirty = self.nodes[idx].entry.dirty;
+        let was = self.nodes[idx].entry;
         let r = f(&mut self.nodes[idx].entry);
-        debug_assert_eq!(self.nodes[idx].entry.lpn, lpn, "entry lpn must not change");
-        let is_dirty = self.nodes[idx].entry.dirty;
-        if is_dirty != was_dirty {
-            self.note_dirty(lpn, is_dirty);
+        let is = self.nodes[idx].entry;
+        debug_assert_eq!(is.lpn, lpn, "entry lpn must not change");
+        if is.dirty != was.dirty {
+            self.note_dirty(lpn, is.dirty);
         }
+        self.uncertain_count =
+            self.uncertain_count + is.uncertain as usize - was.uncertain as usize;
         Some(r)
     }
 
@@ -259,6 +270,7 @@ impl MappingCache {
         if entry.dirty {
             self.note_dirty(entry.lpn, true);
         }
+        self.uncertain_count += entry.uncertain as usize;
         self.push_front(idx);
     }
 
@@ -296,6 +308,7 @@ impl MappingCache {
         if entry.dirty {
             self.note_dirty(lpn, false);
         }
+        self.uncertain_count -= entry.uncertain as usize;
         Some(entry)
     }
 
@@ -424,6 +437,24 @@ mod tests {
         assert_eq!(c.dirty_count(), 1);
         c.remove(Lpn(2));
         assert_eq!(c.dirty_count(), 0);
+    }
+
+    #[test]
+    fn uncertain_count_tracks_flag_changes() {
+        let mut c = MappingCache::new(4);
+        let recovered = |lpn| CacheEntry {
+            uncertain: true,
+            ..entry(lpn, lpn, true)
+        };
+        c.insert(recovered(1));
+        c.insert(recovered(2));
+        c.insert(entry(3, 30, true));
+        assert_eq!(c.uncertain_count(), 2);
+        c.update_entry(Lpn(1), |e| e.uncertain = false);
+        c.update_entry(Lpn(3), |e| e.dirty = false);
+        assert_eq!(c.uncertain_count(), 1);
+        c.remove(Lpn(2));
+        assert_eq!(c.uncertain_count(), 0);
     }
 
     #[test]

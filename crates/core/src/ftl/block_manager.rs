@@ -386,12 +386,13 @@ impl BlockManager {
     pub fn page_obsolete(&mut self, dev: &mut FlashDevice, ppn: Ppn) {
         let block = self.geo.block_of(ppn);
         let i = block.0 as usize;
-        debug_assert!(self.bvc[i] > 0, "BVC underflow on {block:?}");
+        // A hard assert: an under-counted block reads as fully invalid, and
+        // `collect_once` erases a 0-valid block without a query — with any
+        // newest copy it still holds (DESIGN.md invariant 13).
+        assert!(self.bvc[i] > 0, "BVC underflow on {block:?}");
         let old = self.bvc[i];
-        self.bvc[i] = old.saturating_sub(1);
+        self.bvc[i] = old - 1;
         if self.is_indexed(block) {
-            // An underflowing counter (release builds) stays at 0, and the
-            // block stays filed under 0.
             self.victims.refile(block, old, self.bvc[i]);
         }
         if self.bvc[i] == 0
@@ -404,16 +405,6 @@ impl BlockManager {
                     self.erase_and_free(dev, block, group.erase_purpose());
                 }
             }
-        }
-    }
-
-    /// Like [`BlockManager::page_obsolete`], but tolerates a zero counter.
-    /// Used only by the post-recovery flag-correction path (App. C.3.2),
-    /// which may re-report a page whose invalidation was already counted
-    /// during BVC recovery; the paper accepts this benign double-report.
-    pub fn page_obsolete_lenient(&mut self, dev: &mut FlashDevice, ppn: Ppn) {
-        if self.bvc[self.geo.block_of(ppn).0 as usize] > 0 {
-            self.page_obsolete(dev, ppn);
         }
     }
 

@@ -33,7 +33,7 @@ use crate::validity::{MetaSink, ValidityStore};
 use flash_sim::{
     BlockId, FlashDevice, Geometry, Histogram, IoPurpose, Lpn, PageData, Ppn, SpareInfo, Telemetry,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Garbage-collection victim-selection policy (§4.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -211,12 +211,16 @@ pub struct RamReport {
     /// Charged like any other engine RAM — an observer that keeps an event
     /// ring in firmware RAM pays for it under a fig14-style budget.
     pub telemetry: u64,
+    /// The invalid bitmaps an engine out of GeckoRec keeps while any
+    /// recovered entry is uncertain (DESIGN.md invariant 13): a block id and
+    /// one bit per page for each block they cover; 0 otherwise.
+    pub recovery: u64,
 }
 
 impl RamReport {
     /// Total integrated RAM in bytes.
     pub fn total(&self) -> u64 {
-        self.gmd + self.cache + self.bvc + self.validity + self.telemetry
+        self.gmd + self.cache + self.bvc + self.validity + self.telemetry + self.recovery
     }
 }
 
@@ -257,6 +261,27 @@ pub struct FtlEngine {
     /// migrations, erases). `submit` diffs this around each tenant-tagged
     /// op to charge GC debt to the tenant whose op triggered it.
     gc_attrib_us: f64,
+    /// The user pages the recovered BVC counts invalid, held while any
+    /// uncertain cache entry remains (`None` otherwise, and on an engine
+    /// that never recovered); charged to [`RamReport::recovery`].
+    pub(crate) recovered_invalid: Option<RecoveredInvalid>,
+}
+
+/// Which user pages BVC already counts invalid, for the App. C.3.2
+/// re-reports of recovery-restored entries (DESIGN.md invariant 13).
+/// Step 5 counted every page its validity scan found invalid, and the C.3
+/// corrections can report such a page again: an uncertain entry's sync
+/// re-reports a before-image recovery already knew, and a host write to the
+/// entry followed by its sync reports the same page twice. Each would
+/// decrement BVC a second time and let GC erase a block that still holds
+/// newest copies.
+pub(crate) struct RecoveredInvalid {
+    /// `dev.now_seq()` when recovery finished: a block whose erase seq is
+    /// lower still holds the pages the bits describe.
+    pub(crate) seq: u64,
+    /// Per user block, the pages BVC counts invalid: step 5's bitmaps, the
+    /// torn pages step 6 counted, and every re-report since.
+    pub(crate) pages: HashMap<BlockId, Bitmap>,
 }
 
 /// A user-block collection in progress.
@@ -402,6 +427,7 @@ impl FtlEngine {
             counters: EngineCounters::default(),
             tenants: BTreeMap::new(),
             gc_attrib_us: 0.0,
+            recovered_invalid: None,
         }
     }
 
@@ -455,6 +481,10 @@ impl FtlEngine {
             bvc: self.bm.bvc_ram_bytes(),
             validity: self.backend.store_ref().ram_bytes(),
             telemetry: self.dev.telemetry().ram_bytes(),
+            recovery: self.recovered_invalid.as_ref().map_or(0, |r| {
+                let bitmap = self.dev.geometry().pages_per_block.div_ceil(8) as u64;
+                r.pages.len() as u64 * (4 + bitmap)
+            }),
         }
     }
 
@@ -742,12 +772,12 @@ impl FtlEngine {
 
     /// Report user pages invalid — the one path from an identified
     /// before-image to the collection in flight, BVC and the validity store.
-    /// `lenient[i]` tolerates BVC having counted `pages[i]` already (the
-    /// App. C.3.2 re-report of a recovery-restored entry). The store takes
-    /// the pages as one flush generation: a synchronization's reports must
-    /// not straddle a Gecko buffer flush, or a crash would lose the tail
-    /// while recovery's C.2.2 diff skips the sync (its translation page
-    /// predates the flush).
+    /// `lenient[i]` marks the App. C.3.2 re-report of a recovery-restored
+    /// entry, which BVC may have counted already (`count_recovered_report`).
+    /// The store takes the pages as one flush generation: a
+    /// synchronization's reports must not straddle a Gecko buffer flush, or
+    /// a crash would lose the tail while recovery's C.2.2 diff skips the sync
+    /// (its translation page predates the flush).
     fn report_invalid(&mut self, pages: &[Ppn], lenient: &[bool]) {
         debug_assert_eq!(pages.len(), lenient.len());
         if pages.is_empty() {
@@ -755,9 +785,7 @@ impl FtlEngine {
         }
         for (&ppn, &lenient) in pages.iter().zip(lenient) {
             self.note_gc_invalidation(ppn);
-            if lenient {
-                self.bm.page_obsolete_lenient(&mut self.dev, ppn);
-            } else {
+            if !lenient || self.count_recovered_report(ppn) {
                 self.bm.page_obsolete(&mut self.dev, ppn);
             }
         }
@@ -768,6 +796,30 @@ impl FtlEngine {
             _ => store.mark_invalid_batch(&mut self.dev, &mut self.bm, pages),
         }
         self.after_validity_op();
+    }
+
+    /// Whether a re-report of `ppn` by a recovery-restored entry still has to
+    /// decrement BVC, noting it as counted if so. It does not if the page's
+    /// block is unerased since recovery and the page is already counted
+    /// (DESIGN.md invariant 13), nor on a retired block, whose count
+    /// retirement zeroed for good.
+    fn count_recovered_report(&mut self, ppn: Ppn) -> bool {
+        let geo = self.dev.geometry();
+        let block = geo.block_of(ppn);
+        let Some(rec) = &mut self.recovered_invalid else {
+            return true;
+        };
+        if self.bm.is_retired(block) {
+            return false;
+        }
+        let bits = rec
+            .pages
+            .entry(block)
+            .or_insert_with(|| Bitmap::new(geo.pages_per_block));
+        let off = geo.offset_of(ppn).0;
+        let counted = bits.get(off) && self.dev.erase_seq(block) < rec.seq;
+        bits.set(off);
+        !counted
     }
 
     /// Evict (syncing as needed) until the cache has room for one insert.
@@ -878,6 +930,10 @@ impl FtlEngine {
                 e.uip = false;
                 e.uncertain = false;
             });
+        }
+        // Only an uncertain entry re-reports leniently.
+        if self.cache.uncertain_count() == 0 {
+            self.recovered_invalid = None;
         }
     }
 

@@ -27,13 +27,15 @@
 //!    recreating a cached mapping entry per fresh LPN.
 //! 7. **Flags** — recovered entries get dirty/UIP/uncertain = true;
 //!    corrections happen lazily after operation resumes (Appendix C.3).
-//! 8. **Resume** — dispose of BID, reassemble the engine.
+//! 8. **Resume** — dispose of BID, reassemble the engine; step 5's invalid
+//!    bitmaps stay with it while the corrections may re-report a page BVC
+//!    already counts (docs/DESIGN.md invariant 13).
 
 use crate::cache::{CacheEntry, MappingCache};
 use crate::ftl::block_manager::{BlockGroup, BlockManager, BlockState};
-use crate::ftl::{FtlConfig, FtlEngine, GcPolicy, ValidityBackend};
+use crate::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveredInvalid, ValidityBackend};
 use crate::gecko::{
-    GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, RunMeta, ShardedGecko,
+    Bitmap, GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, RunMeta, ShardedGecko,
 };
 use crate::translation::{TranslationPagePayload, TranslationTable};
 use flash_sim::{BlockId, FlashDevice, IoPurpose, MetaKind, PageOffset, Ppn, SpanKind, SpareInfo};
@@ -344,7 +346,7 @@ pub fn gecko_recover(
 
     // ---- Step 5: BVC. -----------------------------------------------------
     let timer = StepTimer::start(&dev);
-    let invalid_maps = gecko.scan_all_bitmaps(&mut dev, IoPurpose::Recovery);
+    let mut invalid_maps = gecko.scan_all_bitmaps(&mut dev, IoPurpose::Recovery);
     let mut bvc = vec![0u32; geo.blocks as usize];
     let mut state = vec![BlockState::Free; geo.blocks as usize];
     for b in geo.iter_blocks() {
@@ -431,7 +433,13 @@ pub fn gecko_recover(
                 // and recreate the lost invalidation report.
                 _ => {
                     gecko.recover_invalidation(ppn);
-                    bvc[b.0 as usize] = bvc[b.0 as usize].saturating_sub(1);
+                    let counted = invalid_maps
+                        .entry(b)
+                        .or_insert_with(|| Bitmap::new(geo.pages_per_block));
+                    if !counted.get(off) {
+                        counted.set(off);
+                        bvc[b.0 as usize] -= 1;
+                    }
                     report.recovered_invalidations += 1;
                     scanned += 1;
                     continue;
@@ -571,7 +579,14 @@ pub fn gecko_recover(
             }
         }
     }
+    let seq = dev.now_seq();
     let mut engine = FtlEngine::from_parts(dev, bm, tt, cache, ValidityBackend::Gecko(gecko), cfg);
+    if report.recovered_entries > 0 {
+        engine.recovered_invalid = Some(RecoveredInvalid {
+            seq,
+            pages: invalid_maps,
+        });
+    }
     // Entries that did not fit into the cache cannot wait for lazy
     // correction (dropping them could lose a dirty mapping): verify them
     // against the translation table immediately via ordinary

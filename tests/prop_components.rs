@@ -70,7 +70,6 @@ enum BmOp {
     },
     Obsolete {
         pick: usize,
-        lenient: bool,
     },
     Protect {
         pick: usize,
@@ -96,7 +95,7 @@ fn bm_op() -> impl Strategy<Value = BmOp> {
             pages,
             program_fail: f == 0,
         }),
-        12 => (0usize..4096, any::<bool>()).prop_map(|(pick, lenient)| BmOp::Obsolete { pick, lenient }),
+        12 => (0usize..4096).prop_map(|pick| BmOp::Obsolete { pick }),
         2 => (0usize..64).prop_map(|pick| BmOp::Protect { pick }),
         1 => Just(BmOp::ClearProtection),
         4 => (0usize..64, 0u32..4).prop_map(|(pick, f)| BmOp::Erase { pick, fail: f == 0 }),
@@ -154,17 +153,12 @@ proptest! {
                         live.push(bm.append(&mut dev, group, PageData::blob_of(i), info, IoPurpose::UserWrite));
                     }
                 }
-                BmOp::Obsolete { pick, lenient } => {
+                BmOp::Obsolete { pick } => {
                     if live.is_empty() {
                         continue;
                     }
                     let ppn = live.swap_remove(pick % live.len());
-                    if lenient {
-                        // The re-report case: the same page may be reported
-                        // again, and is ignored once the counter reads 0.
-                        bm.page_obsolete_lenient(&mut dev, ppn);
-                        live.push(ppn);
-                    } else if bm.valid_pages(geo.block_of(ppn)) > 0 {
+                    if bm.valid_pages(geo.block_of(ppn)) > 0 {
                         bm.page_obsolete(&mut dev, ppn);
                     }
                 }
