@@ -23,8 +23,9 @@
 //! 5. **BVC** — rebuild per-block valid counts from a full scan of
 //!    Logarithmic Gecko plus the recovered buffer.
 //! 6. **Dirty entries** — backwards scan of the most recently written user
-//!    blocks (bounded to `2·C` spare reads by runtime checkpoints),
-//!    recreating a cached mapping entry per fresh LPN.
+//!    blocks, newest first by step 1's timestamps (bounded to `2·C` spare
+//!    reads by runtime checkpoints), recreating a cached mapping entry per
+//!    fresh LPN and each before-pointer's invalidation.
 //! 7. **Flags** — recovered entries get dirty/UIP/uncertain = true;
 //!    corrections happen lazily after operation resumes (Appendix C.3).
 //! 8. **Resume** — dispose of BID, reassemble the engine; step 5's invalid
@@ -381,24 +382,24 @@ pub fn gecko_recover(
     // ---- Step 6: dirty cached mapping entries. ----------------------------
     let timer = StepTimer::start(&dev);
     let mut cache = MappingCache::new(cfg.cache_entries);
-    // Order user blocks by the timestamp of their newest page (one spare
-    // read per user block — the paper's "K spare area reads, one per flash
-    // block").
-    let mut user_blocks: Vec<(u64, BlockId)> = Vec::new();
-    for b in geo.iter_blocks() {
-        let entry = &bid[b.0 as usize];
-        if entry.group != Some(BlockGroup::User) || entry.written == 0 {
-            continue;
-        }
-        let last = geo.ppn(b, PageOffset(entry.written - 1));
-        // A torn spare can only be the globally newest write: sort it first.
-        let newest_seq = match dev.read_spare(last, IoPurpose::Recovery) {
-            Ok(spare) => spare.seq,
-            Err(_) => u64::MAX,
-        };
-        user_blocks.push((newest_seq, b));
-    }
+    // Newest user block first, by the seq of its first page from step 1's
+    // scan, not by a spare read of its newest page per block (the paper's
+    // "K spare area reads, one per flash block"; docs/DESIGN.md,
+    // "Deviations"). The user group appends at one frontier, so its blocks'
+    // seq intervals do not overlap and both keys give the same order; a
+    // torn last page lies on the newest block, which sorts first either way.
+    let mut user_blocks: Vec<(u64, BlockId)> = geo
+        .iter_blocks()
+        .filter(|b| bid[b.0 as usize].group == Some(BlockGroup::User))
+        .map(|b| (bid[b.0 as usize].first_seq, b))
+        .collect();
     user_blocks.sort_unstable_by_key(|(seq, _)| std::cmp::Reverse(*seq));
+    debug_assert!(
+        user_blocks
+            .windows(2)
+            .all(|w| newest_seq(&dev, &bid, w[0].1) > newest_seq(&dev, &bid, w[1].1)),
+        "first-page order differs from newest-page order"
+    );
     // Checkpoints bound the scan to ≈2·C spare reads. GC migrations tick the
     // checkpoint clock too, but one trigger can overshoot the period by a
     // burst of migrations before the next end-of-op check, so the window
@@ -460,21 +461,21 @@ pub fn gecko_recover(
                 panic!("user block holds {:?}", spare.info)
             };
             // Re-report the immediate invalidation carried in the spare
-            // area, if its target still holds the superseded data (same
-            // timestamp discipline as the step-4b check). A target whose
-            // block was erased after this page was written cannot — its
-            // persisted erase timestamp (part of the step-1 scan, as in
-            // step 4a) says so without a spare read, which is the common
-            // case for GC-migrated copies: their victim is erased next.
+            // area, if its target still holds the superseded data. The
+            // target was written before this page; a block not erased
+            // since still holds it, and one erased since holds only newer
+            // data (DESIGN.md invariant 12). The persisted erase timestamp
+            // (step 1's scan, as in step 4a) decides this without a spare
+            // read — the common "erased" case is a GC-migrated copy, whose
+            // victim is erased next.
             if let Some(b) = before.filter(|b| dev.erase_seq(geo.block_of(*b)) < spare.seq) {
-                if let Ok(bs) = dev.read_spare(b, IoPurpose::Recovery) {
-                    if bs.seq < spare.seq
-                        && matches!(bs.info, SpareInfo::User { lpn: bl, .. } if bl == lpn)
-                    {
-                        gecko.recover_invalidation(b);
-                        report.recovered_invalidations += 1;
-                    }
-                }
+                debug_assert!(
+                    dev.peek_spare(b).is_some_and(|bs| bs.seq < spare.seq
+                        && matches!(bs.info, SpareInfo::User { lpn: bl, .. } if bl == lpn)),
+                    "erase timestamp and spare area disagree on {b:?}"
+                );
+                gecko.recover_invalidation(b);
+                report.recovered_invalidations += 1;
             }
             if scanned <= scan_limit && seen.insert(lpn) {
                 // TRIM guard: if the recovered validity store already knows
@@ -593,6 +594,14 @@ pub fn gecko_recover(
     // synchronization operations (mostly C.3.1 aborts).
     engine.resolve_recovered_overflow(overflow);
     (engine, report)
+}
+
+/// The seq of `block`'s newest page, read without IO (a debug check's
+/// oracle); a torn spare can only be the globally newest write.
+fn newest_seq(dev: &FlashDevice, bid: &[BidEntry], block: BlockId) -> u64 {
+    let last = PageOffset(bid[block.0 as usize].written - 1);
+    dev.peek_spare(dev.geometry().ppn(block, last))
+        .map_or(u64::MAX, |s| s.seq)
 }
 
 fn read_tpage(dev: &mut FlashDevice, ppn: Ppn) -> TranslationPagePayload {

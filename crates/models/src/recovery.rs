@@ -182,7 +182,9 @@ pub fn recovery_model(
             });
             // Dirty entries: K recency probes + 2·C backwards-scan spare
             // reads; synchronization deferred (no reads/writes here —
-            // that is the paper's headline recovery win).
+            // that is the paper's headline recovery win). The paper's
+            // count: the engine orders the blocks by step 1's BID scan
+            // instead of K probes (docs/DESIGN.md, "Deviations").
             components.push(RecoveryComponent {
                 name: "LRU cache",
                 spare_reads: k + 2 * cache_entries,
