@@ -262,8 +262,9 @@ pub struct FtlEngine {
     /// op to charge GC debt to the tenant whose op triggered it.
     gc_attrib_us: f64,
     /// The user pages the recovered BVC counts invalid, held while any
-    /// uncertain cache entry remains (`None` otherwise, and on an engine
-    /// that never recovered); charged to [`RamReport::recovery`].
+    /// recovery-restored entry is still uncertain, in the cache or in the
+    /// overflow recovery resolves after resume (`None` otherwise, and on an
+    /// engine that never recovered); charged to [`RamReport::recovery`].
     pub(crate) recovered_invalid: Option<RecoveredInvalid>,
 }
 
@@ -282,6 +283,10 @@ pub(crate) struct RecoveredInvalid {
     /// Per user block, the pages BVC counts invalid: step 5's bitmaps, the
     /// torn pages step 6 counted, and every re-report since.
     pub(crate) pages: HashMap<BlockId, Bitmap>,
+    /// Recovered entries that did not fit into the cache are still waiting
+    /// for their sync (`resolve_recovered_overflow`). They are uncertain
+    /// without being cached, so the cache's uncertain count cannot tell.
+    pub(crate) overflow_pending: bool,
 }
 
 /// A user-block collection in progress.
@@ -931,8 +936,17 @@ impl FtlEngine {
                 e.uncertain = false;
             });
         }
-        // Only an uncertain entry re-reports leniently.
-        if self.cache.uncertain_count() == 0 {
+        self.release_recovered_invalid();
+    }
+
+    /// Drop the recovered invalid bitmaps once no uncertain entry remains:
+    /// only an uncertain entry re-reports leniently.
+    fn release_recovered_invalid(&mut self) {
+        let pending = self
+            .recovered_invalid
+            .as_ref()
+            .is_some_and(|r| r.overflow_pending);
+        if !pending && self.cache.uncertain_count() == 0 {
             self.recovered_invalid = None;
         }
     }
@@ -947,6 +961,10 @@ impl FtlEngine {
             self.sync_tpage(self.tt.tpage_of(e.lpn));
             self.cache.remove(e.lpn);
         }
+        if let Some(rec) = &mut self.recovered_invalid {
+            rec.overflow_pending = false;
+        }
+        self.release_recovered_invalid();
     }
 
     /// Synchronize every dirty entry (clean shutdown; GC fallback).

@@ -586,6 +586,7 @@ pub fn gecko_recover(
         engine.recovered_invalid = Some(RecoveredInvalid {
             seq,
             pages: invalid_maps,
+            overflow_pending: !overflow.is_empty(),
         });
     }
     // Entries that did not fit into the cache cannot wait for lazy

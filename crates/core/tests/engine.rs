@@ -4,7 +4,8 @@
 
 use flash_sim::{Geometry, IoCounts, IoOp, IoPurpose, Lpn, SpanKind, TraceEvent};
 use geckoftl_core::ftl::{
-    FtlConfig, FtlEngine, FtlError, GcPolicy, HostOp, HostOpKind, RecoveryPolicy, ValidityBackend,
+    BlockGroup, FtlConfig, FtlEngine, FtlError, GcPolicy, HostOp, HostOpKind, RecoveryPolicy,
+    ValidityBackend,
 };
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
@@ -475,6 +476,84 @@ fn dirty_entry_step_reads_one_spare_area_per_walked_page() {
     assert!(recovered.ram_report().recovery > 0);
     recovered.sync_all_dirty();
     assert_eq!(recovered.ram_report().recovery, 0);
+}
+
+/// Recovery recreates more entries than the cache holds; the overflow is
+/// synced one entry at a time right after resume. The first one's eviction
+/// syncs every cached recovered entry of its translation page, so the cache
+/// holds no uncertain entry while overflow entries still wait. The last of
+/// them re-reports a before-image step 5 counted already (its invalidation
+/// was flushed before the crash), which must change no BVC (DESIGN.md
+/// invariant 13).
+///
+/// Mutation this fails on: dropping the invalid bitmaps as soon as the cache
+/// holds no uncertain entry (x's first block ends one below its live count).
+#[test]
+fn overflow_entries_do_not_recount_step_5_invalidations() {
+    const C: usize = 8;
+    // 64 entries per translation page, so x (page 0) and the ys (page 1)
+    // sync apart.
+    let geo = Geometry::new(64, 16, 256, 0.7);
+    let cfg = FtlConfig {
+        cache_entries: C,
+        // No checkpoint syncs x behind the test's back, and the recovery
+        // scan recreates every LPN written.
+        checkpoint_period: Some(u64::MAX),
+        ..FtlConfig::geckoftl(&geo)
+    };
+    let gecko = ValidityBackend::gecko_for(
+        geo,
+        GeckoConfig {
+            page_header_bytes: geo.page_bytes - 64,
+            shards: 1,
+            ..GeckoConfig::paper_default(&geo)
+        },
+    );
+    let mut engine = FtlEngine::format(geo, cfg, gecko);
+    let flush_seq = |e: &FtlEngine| e.backend().gecko().expect("gecko").last_flush_seq();
+    let x = Lpn(0);
+    let mut oracle = HashMap::from([(x.0, 2)]);
+    engine.write(x, 1);
+    // Translation page 0 now maps x to its first copy.
+    engine.shutdown_clean();
+    // A cache hit on a clean entry: the first copy is reported at once and
+    // x stays dirty.
+    engine.write(x, 2);
+    let watermark = flush_seq(&engine);
+    // More ys than the cache holds: each eviction syncs page 1 only, and
+    // reading x keeps its entry cached.
+    let ys = 64..64 + C as u32 + 2;
+    for round in 0..16 {
+        for y in ys.clone() {
+            engine.write(Lpn(y), round);
+            oracle.insert(y, round);
+            assert_eq!(engine.read(x), Some(2));
+        }
+    }
+    assert!(
+        flush_seq(&engine) > watermark,
+        "x's first copy counted durably"
+    );
+    assert!(engine.cache().lookup(x).is_some_and(|e| e.dirty));
+    let cfg = engine.config();
+    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
+    let (mut recovered, report) = gecko_recover(engine.crash(), cfg, gecko_cfg);
+    assert_eq!(report.recovered_entries, ys.len() + 1, "x plus every y");
+    recovered.sync_all_dirty();
+    let mut live: HashMap<u32, u32> = HashMap::new();
+    for &lpn in oracle.keys() {
+        let ppn = recovered.current_mapping(Lpn(lpn)).expect("mapped");
+        *live.entry(geo.block_of(ppn).0).or_default() += 1;
+    }
+    let bm = recovered.block_manager();
+    for b in bm.blocks_of_group(BlockGroup::User) {
+        assert_eq!(
+            bm.valid_pages(b),
+            live.get(&b.0).copied().unwrap_or(0),
+            "BVC of {b:?}"
+        );
+    }
+    verify_all(&mut recovered, &oracle);
 }
 
 /// The GC victim-sequence A/B pin: Bloom filters must not change *which*
