@@ -80,7 +80,6 @@ pub fn build(kind: BaselineKind, geo: Geometry) -> FtlEngine {
             cache_entries: FtlConfig::scaled_cache_entries(&geo),
             gc_policy: kind.gc_policy(),
             recovery: kind.recovery_policy(),
-            checkpoint_period: None,
             qos_headroom_blocks: 0,
         },
     )

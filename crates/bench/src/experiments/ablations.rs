@@ -10,7 +10,7 @@ use crate::harness::{measure_uniform, sim_geometry};
 use crate::report::{f3, Table};
 use ftl_baselines::ftls::{build_geckoftl_tuned, build_with};
 use ftl_baselines::BaselineKind;
-use geckoftl_core::ftl::{FtlConfig, GcPolicy};
+use geckoftl_core::ftl::{FtlConfig, GcPolicy, RecoveryPolicy};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::{gecko_recover, RecoveryStep};
 
@@ -90,9 +90,11 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
             "recovery scan (spare reads)",
         ],
     );
-    for period in [None::<u64>, Some(u64::MAX)] {
-        let mut cfg = FtlConfig::geckoftl(&geo);
-        cfg.checkpoint_period = period; // None → default C; MAX → disabled
+    for recovery in [RecoveryPolicy::CheckpointDeferred, RecoveryPolicy::Battery] {
+        let cfg = FtlConfig {
+            recovery,
+            ..FtlConfig::geckoftl(&geo)
+        };
         let gecko_cfg = GeckoConfig::paper_default(&geo);
         let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg);
         let d = measure_uniform(&mut engine, 40_000, 53);
@@ -107,7 +109,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
             .map(|(_, c)| c.spare_reads)
             .unwrap_or(0);
         ckpt.row(vec![
-            if period.is_none() {
+            if recovery == RecoveryPolicy::CheckpointDeferred {
                 "on (period C)"
             } else {
                 "off"

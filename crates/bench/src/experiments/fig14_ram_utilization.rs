@@ -63,7 +63,6 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
                 BaselineKind::GeckoFtl => RecoveryPolicy::CheckpointDeferred,
                 _ => RecoveryPolicy::Battery,
             },
-            checkpoint_period: None,
             qos_headroom_blocks: 0,
         };
         let mut engine = build_with(kind, geo, cfg);

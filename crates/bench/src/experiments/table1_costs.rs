@@ -51,7 +51,6 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         cache_entries: FtlConfig::scaled_cache_entries(&sim),
         gc_policy: kind.gc_policy(),
         recovery: kind.recovery_policy(),
-        checkpoint_period: None,
         qos_headroom_blocks: 0,
     };
     let mut e = Table::new(

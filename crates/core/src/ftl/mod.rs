@@ -49,8 +49,9 @@ pub enum GcPolicy {
 /// How the FTL bounds the recovery cost of dirty cached mapping entries.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RecoveryPolicy {
-    /// A battery synchronizes everything before power runs out (DFTL,
-    /// µ-FTL). No runtime bound on dirty entries.
+    /// A battery synchronizes everything before power runs out. No runtime
+    /// bound on dirty entries: the battery-backed FTLs (DFTL, µ-FTL), and
+    /// GeckoFTL's no-checkpoint ablation.
     Battery,
     /// At most `fraction · C` cached entries may be dirty; excess dirty
     /// entries are synchronized eagerly (LazyFTL, IB-FTL). Trades runtime
@@ -78,13 +79,6 @@ pub struct FtlConfig {
     pub gc_policy: GcPolicy,
     /// Dirty-entry recovery scheme.
     pub recovery: RecoveryPolicy,
-    /// Checkpoint period in cache operations; only meaningful under
-    /// [`RecoveryPolicy::CheckpointDeferred`], where `None` means the
-    /// default `C`. The field is never rewritten: the engine and recovery
-    /// both read it through [`FtlConfig::resolved_checkpoint_period`]. To
-    /// disable checkpoints — the ablation, which also removes the
-    /// recovery-scan bound — pass `Some(u64::MAX)`.
-    pub checkpoint_period: Option<u64>,
     /// Multi-tenant QoS budget: when non-zero, a tenant whose writes have
     /// accumulated an above-average share of GC debt prepays collection
     /// until the free pool holds [`GC_FREE_THRESHOLD`]` + qos_headroom_blocks`
@@ -107,17 +101,16 @@ impl FtlConfig {
             cache_entries: Self::scaled_cache_entries(geo),
             gc_policy: GcPolicy::MetadataAware,
             recovery: RecoveryPolicy::CheckpointDeferred,
-            checkpoint_period: None, // the default: C
             qos_headroom_blocks: 0,
         }
     }
 
-    /// The checkpoint period in force: `checkpoint_period`, defaulting to
-    /// `C`, under [`RecoveryPolicy::CheckpointDeferred`]; `None` under the
+    /// The checkpoint period in force: the paper's `C` cache operations
+    /// (§4.3) under [`RecoveryPolicy::CheckpointDeferred`]; `None` under the
     /// other policies, which take no checkpoints.
     pub fn resolved_checkpoint_period(&self) -> Option<u64> {
         matches!(self.recovery, RecoveryPolicy::CheckpointDeferred)
-            .then(|| self.checkpoint_period.unwrap_or(self.cache_entries as u64))
+            .then_some(self.cache_entries as u64)
     }
 }
 

@@ -400,22 +400,15 @@ pub fn gecko_recover(
             .all(|w| newest_seq(&dev, &bid, w[0].1) > newest_seq(&dev, &bid, w[1].1)),
         "first-page order differs from newest-page order"
     );
-    // Checkpoints bound the scan to ≈2·C spare reads. GC migrations tick the
-    // checkpoint clock too, but one trigger can overshoot the period by a
-    // burst of migrations before the next end-of-op check, so the window
-    // carries a small cushion. Without checkpoints (ablation) the scan must
-    // cover everything.
-    let scan_limit: u64 = match cfg.resolved_checkpoint_period() {
-        Some(period) => {
-            // One checkpoint epoch can overshoot the period by at most one
-            // GC victim's worth of migrations (the clock is honored between
-            // victims), hence the small O(B) cushion.
-            period
-                .saturating_mul(2)
-                .saturating_add(4 * geo.pages_per_block as u64)
-        }
-        None => u64::MAX,
-    };
+    // Checkpoints every `C` cache operations bound the scan to ≈2·C spare
+    // reads. GC migrations tick the checkpoint clock too, but one checkpoint
+    // epoch can overshoot the period by at most one GC victim's worth of
+    // migrations (the clock is honored between victims), hence the small
+    // O(B) cushion. Without checkpoints (battery, or the ablation) the scan
+    // must cover everything.
+    let scan_limit = cfg
+        .resolved_checkpoint_period()
+        .map_or(u64::MAX, |c| 2 * c + 4 * geo.pages_per_block as u64);
     let mut scanned = 0u64;
     let mut seen: HashSet<flash_sim::Lpn> = HashSet::new();
     // Newest-first list of recreated entries; the newest `C` go into the

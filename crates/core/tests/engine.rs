@@ -188,30 +188,6 @@ fn recovery_scan_is_bounded_by_checkpoints() {
 }
 
 #[test]
-fn checkpoint_period_none_recovers_like_an_explicit_c() {
-    // `None` is documented as "the default C". Recovery used to size its
-    // step-6 scan before filling the default in, so a caller passing
-    // `FtlConfig::geckoftl` got an unbounded scan.
-    let mut engine = small_engine(32);
-    let mut oracle = HashMap::new();
-    let mut rng = Lcg(99);
-    run_workload(&mut engine, &mut oracle, &mut rng, 8000);
-    let implicit = FtlConfig {
-        checkpoint_period: None,
-        ..engine.config()
-    };
-    let explicit = FtlConfig {
-        checkpoint_period: Some(implicit.cache_entries as u64),
-        ..implicit
-    };
-    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
-    let dev = engine.crash();
-    let (_, implicit_report) = gecko_recover(dev.clone(), implicit, gecko_cfg);
-    let (_, explicit_report) = gecko_recover(dev, explicit, gecko_cfg);
-    assert_eq!(implicit_report, explicit_report);
-}
-
-#[test]
 fn clean_shutdown_leaves_no_dirty_state() {
     let mut engine = small_engine(64);
     let mut oracle = HashMap::new();
@@ -256,7 +232,6 @@ fn greedy_policy_also_preserves_data() {
         cache_entries: 64,
         gc_policy: GcPolicy::GreedyAll,
         recovery: RecoveryPolicy::CheckpointDeferred,
-        checkpoint_period: None,
         qos_headroom_blocks: 0,
     };
     let gecko = ValidityBackend::gecko_for(
@@ -300,7 +275,6 @@ fn restricted_dirty_policy_bounds_dirty_entries() {
         cache_entries: 64,
         gc_policy: GcPolicy::GreedyAll,
         recovery: RecoveryPolicy::RestrictedDirty { fraction: 0.1 },
-        checkpoint_period: None,
         qos_headroom_blocks: 0,
     };
     let gecko = ValidityBackend::gecko_for(
@@ -498,7 +472,7 @@ fn overflow_entries_do_not_recount_step_5_invalidations() {
         cache_entries: C,
         // No checkpoint syncs x behind the test's back, and the recovery
         // scan recreates every LPN written.
-        checkpoint_period: Some(u64::MAX),
+        recovery: RecoveryPolicy::Battery,
         ..FtlConfig::geckoftl(&geo)
     };
     let gecko = ValidityBackend::gecko_for(
