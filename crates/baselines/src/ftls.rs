@@ -53,11 +53,7 @@ impl BaselineKind {
     pub fn recovery_policy(self) -> RecoveryPolicy {
         match self {
             BaselineKind::Dftl | BaselineKind::MuFtl => RecoveryPolicy::Battery,
-            BaselineKind::LazyFtl | BaselineKind::IbFtl => {
-                // "we set the proportion of the cache that stores dirty
-                // mapping entries for LazyFTL and IB-FTL to 10% of C".
-                RecoveryPolicy::RestrictedDirty { fraction: 0.1 }
-            }
+            BaselineKind::LazyFtl | BaselineKind::IbFtl => RecoveryPolicy::RestrictedDirty,
             BaselineKind::GeckoFtl => RecoveryPolicy::CheckpointDeferred,
         }
     }

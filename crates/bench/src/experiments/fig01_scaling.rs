@@ -13,7 +13,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         "Figure 1 — LazyFTL RAM requirement and recovery time vs device capacity",
         &["capacity", "ram", "ram_bytes", "recovery_s"],
     );
-    for p in capacity_sweep(BaselineKind::LazyFtl, 1 << 14, 1 << 25, 0.1) {
+    for p in capacity_sweep(BaselineKind::LazyFtl, 1 << 14, 1 << 25) {
         t.row(vec![
             human_bytes(p.capacity_bytes),
             human_bytes(p.ram_bytes),
@@ -26,7 +26,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         "Figure 1 (companion) — the same sweep for GeckoFTL",
         &["capacity", "ram", "ram_bytes", "recovery_s"],
     );
-    for p in capacity_sweep(BaselineKind::GeckoFtl, 1 << 14, 1 << 25, 0.1) {
+    for p in capacity_sweep(BaselineKind::GeckoFtl, 1 << 14, 1 << 25) {
         g.row(vec![
             human_bytes(p.capacity_bytes),
             human_bytes(p.ram_bytes),

@@ -56,7 +56,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         &["FTL", "seconds", "battery"],
     );
     for kind in BaselineKind::ALL {
-        let m = recovery_model(kind, &paper, PAPER_CACHE, 0.1);
+        let m = recovery_model(kind, &paper, PAPER_CACHE);
         for c in &m.components {
             rec.row(vec![kind.name().into(), c.name.into(), f3(c.seconds(&lat))]);
         }

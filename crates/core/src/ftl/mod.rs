@@ -47,25 +47,26 @@ pub enum GcPolicy {
 }
 
 /// How the FTL bounds the recovery cost of dirty cached mapping entries.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryPolicy {
     /// A battery synchronizes everything before power runs out. No runtime
     /// bound on dirty entries: the battery-backed FTLs (DFTL, µ-FTL), and
     /// GeckoFTL's no-checkpoint ablation.
     Battery,
-    /// At most `fraction · C` cached entries may be dirty; excess dirty
-    /// entries are synchronized eagerly (LazyFTL, IB-FTL). Trades runtime
-    /// write-amplification for bounded recovery.
-    RestrictedDirty {
-        /// Maximum dirty fraction of the cache (the paper's experiments use
-        /// 0.1).
-        fraction: f64,
-    },
+    /// At most [`RESTRICTED_DIRTY_FRACTION`]` · C` cached entries may be
+    /// dirty; excess dirty entries are synchronized eagerly (LazyFTL,
+    /// IB-FTL). Trades runtime write-amplification for bounded recovery.
+    RestrictedDirty,
     /// GeckoFTL (§4.3): checkpoints every `C` cache operations bound the
     /// recovery scan to `2·C` spare reads, and synchronization of recovered
     /// entries is deferred until after normal operation resumes.
     CheckpointDeferred,
 }
+
+/// The dirty-entry cap of [`RecoveryPolicy::RestrictedDirty`], as a fraction
+/// of `C` (§5.3: "we set the proportion of the cache that stores dirty
+/// mapping entries for LazyFTL and IB-FTL to 10% of C").
+pub const RESTRICTED_DIRTY_FRACTION: f64 = 0.1;
 
 /// GC triggers when the free pool drops below this many blocks.
 pub const GC_FREE_THRESHOLD: usize = 8;
@@ -1005,8 +1006,9 @@ impl FtlEngine {
             RecoveryPolicy::CheckpointDeferred => {
                 self.maybe_checkpoint();
             }
-            RecoveryPolicy::RestrictedDirty { fraction } => {
-                let max_dirty = ((self.cfg.cache_entries as f64 * fraction) as usize).max(1);
+            RecoveryPolicy::RestrictedDirty => {
+                let max_dirty =
+                    ((self.cfg.cache_entries as f64 * RESTRICTED_DIRTY_FRACTION) as usize).max(1);
                 while self.cache.dirty_count() > max_dirty {
                     let lpn = self.cache.oldest_dirty().expect("dirty entries exist").lpn;
                     self.sync_tpage(self.tt.tpage_of(lpn));

@@ -274,7 +274,7 @@ fn restricted_dirty_policy_bounds_dirty_entries() {
     let cfg = FtlConfig {
         cache_entries: 64,
         gc_policy: GcPolicy::GreedyAll,
-        recovery: RecoveryPolicy::RestrictedDirty { fraction: 0.1 },
+        recovery: RecoveryPolicy::RestrictedDirty,
         qos_headroom_blocks: 0,
     };
     let gecko = ValidityBackend::gecko_for(

@@ -8,6 +8,7 @@
 use crate::ram::{gecko_entries_per_page, gecko_pages, pvb_bytes, translation_table_bytes};
 use flash_sim::{Geometry, LatencyModel};
 use ftl_baselines::BaselineKind;
+use geckoftl_core::ftl::RESTRICTED_DIRTY_FRACTION;
 
 /// One recovery step in the model.
 #[derive(Clone, Debug, PartialEq)]
@@ -68,14 +69,9 @@ pub fn brute_force_scan_seconds(geo: &Geometry, lat: &LatencyModel) -> f64 {
 }
 
 /// Recovery model for one FTL at a geometry with an LRU cache of
-/// `cache_entries` (`C`) entries and (for the restricted-dirty FTLs) the
-/// given dirty fraction.
-pub fn recovery_model(
-    ftl: BaselineKind,
-    geo: &Geometry,
-    cache_entries: u64,
-    dirty_fraction: f64,
-) -> RecoveryModel {
+/// `cache_entries` (`C`) entries, of which the restricted-dirty FTLs keep at
+/// most [`RESTRICTED_DIRTY_FRACTION`] dirty.
+pub fn recovery_model(ftl: BaselineKind, geo: &Geometry, cache_entries: u64) -> RecoveryModel {
     let k = geo.blocks as u64;
     let tpages = translation_pages(geo);
     let mut components = Vec::new();
@@ -118,7 +114,7 @@ pub fn recovery_model(
             });
             // Synchronize the ≤ f·C dirty entries before resuming: each is
             // a translation-page read-modify-write.
-            let dirty = (cache_entries as f64 * dirty_fraction) as u64;
+            let dirty = (cache_entries as f64 * RESTRICTED_DIRTY_FRACTION) as u64;
             components.push(RecoveryComponent {
                 name: "LRU cache",
                 spare_reads: 0,
@@ -147,7 +143,7 @@ pub fn recovery_model(
                 page_reads: log_pages,
                 page_writes: 0,
             });
-            let dirty = (cache_entries as f64 * dirty_fraction) as u64;
+            let dirty = (cache_entries as f64 * RESTRICTED_DIRTY_FRACTION) as u64;
             components.push(RecoveryComponent {
                 name: "LRU cache",
                 spare_reads: 0,
@@ -220,7 +216,7 @@ mod tests {
     #[test]
     fn lazyftl_pvb_rebuild_takes_about_36_seconds() {
         let (g, lat) = paper();
-        let m = recovery_model(BaselineKind::LazyFtl, &g, C, 0.1);
+        let m = recovery_model(BaselineKind::LazyFtl, &g, C);
         let pvb = m.component_seconds("PVB", &lat);
         assert!((33.0..40.0).contains(&pvb), "PVB rebuild = {pvb:.1} s");
     }
@@ -239,8 +235,8 @@ mod tests {
     #[test]
     fn geckoftl_recovers_at_least_51_percent_faster_than_lazyftl() {
         let (g, lat) = paper();
-        let lazy = recovery_model(BaselineKind::LazyFtl, &g, C, 0.1).total_seconds(&lat);
-        let gecko = recovery_model(BaselineKind::GeckoFtl, &g, C, 0.1).total_seconds(&lat);
+        let lazy = recovery_model(BaselineKind::LazyFtl, &g, C).total_seconds(&lat);
+        let gecko = recovery_model(BaselineKind::GeckoFtl, &g, C).total_seconds(&lat);
         let reduction = 1.0 - gecko / lazy;
         assert!(
             reduction >= 0.51,
@@ -252,7 +248,7 @@ mod tests {
     fn battery_ftls_skip_dirty_entry_recovery() {
         let (g, lat) = paper();
         for ftl in [BaselineKind::Dftl, BaselineKind::MuFtl] {
-            let m = recovery_model(ftl, &g, C, 0.1);
+            let m = recovery_model(ftl, &g, C);
             assert_eq!(m.component_seconds("LRU cache", &lat), 0.0, "{:?}", ftl);
             assert!(ftl.needs_battery());
         }
@@ -264,7 +260,7 @@ mod tests {
         // bottleneck for all FTLs."
         let (g, lat) = paper();
         for ftl in BaselineKind::ALL {
-            let m = recovery_model(ftl, &g, C, 0.1);
+            let m = recovery_model(ftl, &g, C);
             let scan = m.component_seconds("init scan", &lat);
             assert!(
                 (12.0..14.0).contains(&scan),
@@ -277,20 +273,10 @@ mod tests {
     #[test]
     fn recovery_time_grows_with_capacity() {
         let lat = LatencyModel::paper();
-        let small = recovery_model(
-            BaselineKind::LazyFtl,
-            &Geometry::paper_scaled(1 << 20),
-            C,
-            0.1,
-        )
-        .total_seconds(&lat);
-        let big = recovery_model(
-            BaselineKind::LazyFtl,
-            &Geometry::paper_scaled(1 << 23),
-            C,
-            0.1,
-        )
-        .total_seconds(&lat);
+        let small = recovery_model(BaselineKind::LazyFtl, &Geometry::paper_scaled(1 << 20), C)
+            .total_seconds(&lat);
+        let big = recovery_model(BaselineKind::LazyFtl, &Geometry::paper_scaled(1 << 23), C)
+            .total_seconds(&lat);
         // The capacity-proportional steps (init scan, PVB rebuild) grow 8×;
         // the constant dirty-entry sync term dampens the total.
         assert!(

@@ -25,12 +25,7 @@ pub struct CapacityPoint {
 ///
 /// The cache is scaled with capacity at the paper's ratio (2¹⁹ entries per
 /// 2 TB) so Figure 1 reflects a constant *fraction* of the logical space.
-pub fn capacity_sweep(
-    ftl: BaselineKind,
-    min_blocks: u32,
-    max_blocks: u32,
-    dirty_fraction: f64,
-) -> Vec<CapacityPoint> {
+pub fn capacity_sweep(ftl: BaselineKind, min_blocks: u32, max_blocks: u32) -> Vec<CapacityPoint> {
     let lat = LatencyModel::paper();
     let mut out = Vec::new();
     let mut k = min_blocks;
@@ -39,7 +34,7 @@ pub fn capacity_sweep(
         let cache_entries =
             ((geo.logical_pages() as f64 * (1 << 19) as f64 / 375_809_638.0) as u64).max(64);
         let ram = ram_model(ftl, &geo, cache_entries);
-        let rec = recovery_model(ftl, &geo, cache_entries, dirty_fraction);
+        let rec = recovery_model(ftl, &geo, cache_entries);
         out.push(CapacityPoint {
             capacity_bytes: geo.physical_bytes(),
             blocks: k,
@@ -61,7 +56,7 @@ mod tests {
     #[test]
     fn figure_1_shape_for_lazyftl() {
         // 64 GB → 8 TB sweep.
-        let pts = capacity_sweep(BaselineKind::LazyFtl, 1 << 17, 1 << 24, 0.1);
+        let pts = capacity_sweep(BaselineKind::LazyFtl, 1 << 17, 1 << 24);
         assert!(pts.len() >= 7);
         // Monotonic growth in both metrics.
         for w in pts.windows(2) {
@@ -94,8 +89,8 @@ mod tests {
 
     #[test]
     fn geckoftl_flattens_both_curves() {
-        let lazy = capacity_sweep(BaselineKind::LazyFtl, 1 << 20, 1 << 23, 0.1);
-        let gecko = capacity_sweep(BaselineKind::GeckoFtl, 1 << 20, 1 << 23, 0.1);
+        let lazy = capacity_sweep(BaselineKind::LazyFtl, 1 << 20, 1 << 23);
+        let gecko = capacity_sweep(BaselineKind::GeckoFtl, 1 << 20, 1 << 23);
         for (l, g) in lazy.iter().zip(&gecko) {
             assert!(g.ram_bytes < l.ram_bytes / 2, "RAM at {} blocks", l.blocks);
             assert!(
