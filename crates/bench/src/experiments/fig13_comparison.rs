@@ -17,7 +17,6 @@ const PAPER_CACHE: u64 = 1 << 19;
 /// Run the three Figure-13 panels.
 pub fn run(_: &RunOptions) -> Vec<Table> {
     let paper = Geometry::paper_2tb();
-    let lat = flash_sim::LatencyModel::paper();
 
     // ---- Top: integrated RAM by structure (2 TB, model). ----------------
     let mut ram = Table::new(
@@ -58,11 +57,11 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
     for kind in BaselineKind::ALL {
         let m = recovery_model(kind, &paper, PAPER_CACHE);
         for c in &m.components {
-            rec.row(vec![kind.name().into(), c.name.into(), f3(c.seconds(&lat))]);
+            rec.row(vec![kind.name().into(), c.name.into(), f3(c.seconds())]);
         }
         rec_total.row(vec![
             kind.name().into(),
-            f3(m.total_seconds(&lat)),
+            f3(m.total_seconds()),
             if kind.needs_battery() { "yes" } else { "no" }.into(),
         ]);
     }

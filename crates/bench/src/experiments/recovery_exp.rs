@@ -64,10 +64,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
     ]);
     s.row(vec![
         "brute-force alternative (ms)".into(),
-        f3(
-            ftl_models::recovery::brute_force_scan_seconds(&geo, &flash_sim::LatencyModel::paper())
-                * 1000.0,
-        ),
+        f3(ftl_models::recovery::brute_force_scan_seconds(&geo) * 1000.0),
     ]);
     let _ = recovered;
     vec![s, t]

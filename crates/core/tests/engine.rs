@@ -2,7 +2,7 @@
 //! device: data integrity under garbage-collection pressure, crash recovery
 //! with GeckoRec, and the §4.3 recovery-cost bounds.
 
-use flash_sim::{Geometry, IoCounts, IoOp, IoPurpose, Lpn, SpanKind, TraceEvent};
+use flash_sim::{Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn, SpanKind, TraceEvent};
 use geckoftl_core::ftl::{
     BlockGroup, FtlConfig, FtlEngine, FtlError, GcPolicy, HostOp, HostOpKind, RecoveryPolicy,
     ValidityBackend,
@@ -258,7 +258,7 @@ fn wa_accounting_covers_the_write_path() {
     let snap = engine.device().stats().clone();
     run_workload(&mut engine, &mut oracle, &mut rng, 2000);
     let delta = engine.device().stats().since(&snap);
-    let wa = delta.wa_breakdown(engine.device().latency().delta());
+    let wa = delta.wa_breakdown(LatencyModel::paper().delta());
     // The user category includes the application write itself.
     assert!(wa.user >= 1.0, "user WA = {}", wa.user);
     assert!(wa.total() < 10.0, "absurd WA = {}", wa.total());

@@ -9,6 +9,9 @@ use crate::page::{PageData, Spare, SpareInfo};
 use crate::stats::{IoPurpose, IoStats};
 use ftl_telemetry::{IoOp, Telemetry};
 
+/// The latencies every IO is charged at: the paper's model.
+const LATENCY: LatencyModel = LatencyModel::paper();
+
 /// A simulated NAND flash device.
 ///
 /// The device is the only *persistent* component of the simulation: a power
@@ -20,7 +23,6 @@ use ftl_telemetry::{IoOp, Telemetry};
 pub struct FlashDevice {
     geo: Geometry,
     blocks: Vec<Block>,
-    latency: LatencyModel,
     clock: SimClock,
     stats: IoStats,
     seq: u64,
@@ -47,19 +49,13 @@ pub struct FlashDevice {
 }
 
 impl FlashDevice {
-    /// Create a device with the paper's latency model.
+    /// Create a freshly erased device.
     pub fn new(geo: Geometry) -> Self {
-        FlashDevice::with_latency(geo, LatencyModel::paper())
-    }
-
-    /// Create a device with a custom latency model.
-    pub fn with_latency(geo: Geometry, latency: LatencyModel) -> Self {
         FlashDevice {
             geo,
             blocks: (0..geo.blocks)
                 .map(|_| Block::new(geo.pages_per_block))
                 .collect(),
-            latency,
             clock: SimClock::default(),
             stats: IoStats::default(),
             seq: 1,
@@ -94,11 +90,6 @@ impl FlashDevice {
     /// Device geometry.
     pub fn geometry(&self) -> Geometry {
         self.geo
-    }
-
-    /// Latency model in effect.
-    pub fn latency(&self) -> LatencyModel {
-        self.latency
     }
 
     /// Simulated clock (advanced by every IO).
@@ -196,7 +187,7 @@ impl FlashDevice {
             // service; writes aimed at an already-bad block always fail.
             self.bad[block.0 as usize] = true;
             self.fault_stats.program_failures += 1;
-            self.charge_us(block, purpose, IoOp::PageWrite, self.latency.page_write_us);
+            self.charge_us(block, purpose, IoOp::PageWrite, LATENCY.page_write_us);
             return Err(FlashError::ProgramFailed(block));
         }
         let seq = self.bump_seq();
@@ -212,7 +203,7 @@ impl FlashDevice {
         }
         let off = self.blocks[block.0 as usize].append(block, data, Spare { seq, info })?;
         self.stats.record_page_write(purpose);
-        self.charge_us(block, purpose, IoOp::PageWrite, self.latency.page_write_us);
+        self.charge_us(block, purpose, IoOp::PageWrite, LATENCY.page_write_us);
         Ok(self.geo.ppn(block, off))
     }
 
@@ -225,7 +216,7 @@ impl FlashDevice {
             .data(off)
             .ok_or(FlashError::PageNotWritten(ppn))?;
         self.stats.record_page_read(purpose);
-        self.charge_us(block, purpose, IoOp::PageRead, self.latency.page_read_us);
+        self.charge_us(block, purpose, IoOp::PageRead, LATENCY.page_read_us);
         Ok(data)
     }
 
@@ -239,7 +230,7 @@ impl FlashDevice {
             .spare(off)
             .ok_or(FlashError::PageNotWritten(ppn))?;
         self.stats.record_spare_read(purpose);
-        self.charge_us(block, purpose, IoOp::SpareRead, self.latency.spare_read_us);
+        self.charge_us(block, purpose, IoOp::SpareRead, LATENCY.spare_read_us);
         Ok(spare)
     }
 
@@ -258,13 +249,13 @@ impl FlashDevice {
         if self.bad[block.0 as usize] || fault == Some(EraseFault::Fail) {
             self.bad[block.0 as usize] = true;
             self.fault_stats.erase_failures += 1;
-            self.charge_us(block, purpose, IoOp::Erase, self.latency.erase_us);
+            self.charge_us(block, purpose, IoOp::Erase, LATENCY.erase_us);
             return Err(FlashError::EraseFailed(block));
         }
         let seq = self.bump_seq();
         self.blocks[block.0 as usize].erase(seq);
         self.stats.record_erase(purpose);
-        self.charge_us(block, purpose, IoOp::Erase, self.latency.erase_us);
+        self.charge_us(block, purpose, IoOp::Erase, LATENCY.erase_us);
         if fault == Some(EraseFault::Crash) {
             self.crash_image = Some(self.snapshot());
             self.fault_stats.erase_crashes += 1;
@@ -682,7 +673,7 @@ mod tests {
     fn telemetry_io_events_reconcile_with_busy_us() {
         use ftl_telemetry::TraceEvent;
         let geo = Geometry::tiny().with_channels(4);
-        let mut d = FlashDevice::with_latency(geo, LatencyModel::paper());
+        let mut d = FlashDevice::new(geo);
         d.telemetry_mut().enable(1024);
         let mut ppns = Vec::new();
         for b in 0..4 {

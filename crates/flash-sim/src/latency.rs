@@ -20,7 +20,8 @@ pub struct LatencyModel {
 
 impl LatencyModel {
     /// The paper's model: 100 µs read, 1 ms write, 3 µs spare read, 2 ms erase.
-    pub fn paper() -> Self {
+    /// The one model the device charges.
+    pub const fn paper() -> Self {
         LatencyModel {
             page_read_us: 100.0,
             page_write_us: 1000.0,
@@ -32,12 +33,6 @@ impl LatencyModel {
     /// `δ`: the ratio between a page write and a page read.
     pub fn delta(&self) -> f64 {
         self.page_write_us / self.page_read_us
-    }
-}
-
-impl Default for LatencyModel {
-    fn default() -> Self {
-        LatencyModel::paper()
     }
 }
 

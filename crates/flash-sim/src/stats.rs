@@ -311,9 +311,10 @@ impl IoStats {
         }
     }
 
-    /// Total simulated IO time in microseconds under a latency model,
-    /// excluding nothing (all purposes included).
-    pub fn simulated_us(&self, lat: &crate::LatencyModel) -> f64 {
+    /// Total simulated IO time in microseconds under the paper's latency
+    /// model, excluding nothing (all purposes included).
+    pub fn simulated_us(&self) -> f64 {
+        let lat = crate::LatencyModel::paper();
         let mut us = 0.0;
         for c in &self.per_purpose {
             us += c.page_reads as f64 * lat.page_read_us
@@ -415,7 +416,7 @@ mod tests {
         s.record_page_read(IoPurpose::UserRead);
         s.record_page_write(IoPurpose::UserWrite);
         s.record_spare_read(IoPurpose::Recovery);
-        let us = s.simulated_us(&crate::LatencyModel::paper());
+        let us = s.simulated_us();
         assert!((us - 1103.0).abs() < 1e-9);
     }
 }

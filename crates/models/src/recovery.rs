@@ -24,8 +24,9 @@ pub struct RecoveryComponent {
 }
 
 impl RecoveryComponent {
-    /// Simulated seconds under a latency model.
-    pub fn seconds(&self, lat: &LatencyModel) -> f64 {
+    /// Simulated seconds under the paper's latency model.
+    pub fn seconds(&self) -> f64 {
+        let lat = LatencyModel::paper();
         (self.spare_reads as f64 * lat.spare_read_us
             + self.page_reads as f64 * lat.page_read_us
             + self.page_writes as f64 * lat.page_write_us)
@@ -44,16 +45,16 @@ pub struct RecoveryModel {
 
 impl RecoveryModel {
     /// Total recovery time in seconds.
-    pub fn total_seconds(&self, lat: &LatencyModel) -> f64 {
-        self.components.iter().map(|c| c.seconds(lat)).sum()
+    pub fn total_seconds(&self) -> f64 {
+        self.components.iter().map(RecoveryComponent::seconds).sum()
     }
 
     /// Seconds spent in one named step (0 if absent).
-    pub fn component_seconds(&self, name: &str, lat: &LatencyModel) -> f64 {
+    pub fn component_seconds(&self, name: &str) -> f64 {
         self.components
             .iter()
             .find(|c| c.name == name)
-            .map_or(0.0, |c| c.seconds(lat))
+            .map_or(0.0, RecoveryComponent::seconds)
     }
 }
 
@@ -64,8 +65,8 @@ fn translation_pages(geo: &Geometry) -> u64 {
 
 /// The brute-force alternative the paper rules out (§2): scanning every
 /// spare area in the device — ≈26 minutes at 2 TB.
-pub fn brute_force_scan_seconds(geo: &Geometry, lat: &LatencyModel) -> f64 {
-    geo.total_pages() as f64 * lat.spare_read_us / 1e6
+pub fn brute_force_scan_seconds(geo: &Geometry) -> f64 {
+    geo.total_pages() as f64 * LatencyModel::paper().spare_read_us / 1e6
 }
 
 /// Recovery model for one FTL at a geometry with an LRU cache of
@@ -197,16 +198,12 @@ pub fn recovery_model(ftl: BaselineKind, geo: &Geometry, cache_entries: u64) -> 
 mod tests {
     use super::*;
 
-    fn paper() -> (Geometry, LatencyModel) {
-        (Geometry::paper_2tb(), LatencyModel::paper())
-    }
-
     const C: u64 = 1 << 19;
 
     #[test]
     fn brute_force_takes_about_26_minutes() {
-        let (g, lat) = paper();
-        let secs = brute_force_scan_seconds(&g, &lat);
+        let g = Geometry::paper_2tb();
+        let secs = brute_force_scan_seconds(&g);
         assert!(
             (1500.0..1700.0).contains(&secs),
             "brute force = {secs:.0} s"
@@ -215,9 +212,9 @@ mod tests {
 
     #[test]
     fn lazyftl_pvb_rebuild_takes_about_36_seconds() {
-        let (g, lat) = paper();
+        let g = Geometry::paper_2tb();
         let m = recovery_model(BaselineKind::LazyFtl, &g, C);
-        let pvb = m.component_seconds("PVB", &lat);
+        let pvb = m.component_seconds("PVB");
         assert!((33.0..40.0).contains(&pvb), "PVB rebuild = {pvb:.1} s");
     }
 
@@ -225,7 +222,8 @@ mod tests {
     fn unrestricted_sync_would_take_about_7_minutes() {
         // min(C, TT/P) page reads+writes if all dirty entries had to be
         // synchronized before resuming (paper §2).
-        let (g, lat) = paper();
+        let g = Geometry::paper_2tb();
+        let lat = LatencyModel::paper();
         let tpages = translation_table_bytes(&g).div_ceil(g.page_bytes as u64);
         let n = C.min(tpages);
         let secs = n as f64 * (lat.page_read_us + lat.page_write_us) / 1e6;
@@ -234,9 +232,9 @@ mod tests {
 
     #[test]
     fn geckoftl_recovers_at_least_51_percent_faster_than_lazyftl() {
-        let (g, lat) = paper();
-        let lazy = recovery_model(BaselineKind::LazyFtl, &g, C).total_seconds(&lat);
-        let gecko = recovery_model(BaselineKind::GeckoFtl, &g, C).total_seconds(&lat);
+        let g = Geometry::paper_2tb();
+        let lazy = recovery_model(BaselineKind::LazyFtl, &g, C).total_seconds();
+        let gecko = recovery_model(BaselineKind::GeckoFtl, &g, C).total_seconds();
         let reduction = 1.0 - gecko / lazy;
         assert!(
             reduction >= 0.51,
@@ -246,10 +244,10 @@ mod tests {
 
     #[test]
     fn battery_ftls_skip_dirty_entry_recovery() {
-        let (g, lat) = paper();
+        let g = Geometry::paper_2tb();
         for ftl in [BaselineKind::Dftl, BaselineKind::MuFtl] {
             let m = recovery_model(ftl, &g, C);
-            assert_eq!(m.component_seconds("LRU cache", &lat), 0.0, "{:?}", ftl);
+            assert_eq!(m.component_seconds("LRU cache"), 0.0, "{:?}", ftl);
             assert!(ftl.needs_battery());
         }
     }
@@ -258,10 +256,10 @@ mod tests {
     fn init_scan_is_shared_bottleneck() {
         // "the time to initially scan the device ... is emerging as a
         // bottleneck for all FTLs."
-        let (g, lat) = paper();
+        let g = Geometry::paper_2tb();
         for ftl in BaselineKind::ALL {
             let m = recovery_model(ftl, &g, C);
-            let scan = m.component_seconds("init scan", &lat);
+            let scan = m.component_seconds("init scan");
             assert!(
                 (12.0..14.0).contains(&scan),
                 "{:?}: init scan = {scan:.1} s",
@@ -272,11 +270,10 @@ mod tests {
 
     #[test]
     fn recovery_time_grows_with_capacity() {
-        let lat = LatencyModel::paper();
         let small = recovery_model(BaselineKind::LazyFtl, &Geometry::paper_scaled(1 << 20), C)
-            .total_seconds(&lat);
+            .total_seconds();
         let big = recovery_model(BaselineKind::LazyFtl, &Geometry::paper_scaled(1 << 23), C)
-            .total_seconds(&lat);
+            .total_seconds();
         // The capacity-proportional steps (init scan, PVB rebuild) grow 8×;
         // the constant dirty-entry sync term dampens the total.
         assert!(

@@ -4,7 +4,7 @@
 
 use crate::ram::ram_model;
 use crate::recovery::recovery_model;
-use flash_sim::{Geometry, LatencyModel};
+use flash_sim::Geometry;
 use ftl_baselines::BaselineKind;
 
 /// One capacity point of the Figure-1 curves.
@@ -26,7 +26,6 @@ pub struct CapacityPoint {
 /// The cache is scaled with capacity at the paper's ratio (2¹⁹ entries per
 /// 2 TB) so Figure 1 reflects a constant *fraction* of the logical space.
 pub fn capacity_sweep(ftl: BaselineKind, min_blocks: u32, max_blocks: u32) -> Vec<CapacityPoint> {
-    let lat = LatencyModel::paper();
     let mut out = Vec::new();
     let mut k = min_blocks;
     while k <= max_blocks {
@@ -39,7 +38,7 @@ pub fn capacity_sweep(ftl: BaselineKind, min_blocks: u32, max_blocks: u32) -> Ve
             capacity_bytes: geo.physical_bytes(),
             blocks: k,
             ram_bytes: ram.total(),
-            recovery_seconds: rec.total_seconds(&lat),
+            recovery_seconds: rec.total_seconds(),
         });
         if k > max_blocks / 2 {
             break;
