@@ -68,7 +68,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
     let model = GeckoCostModel::paper_default(Geometry::paper_2tb());
     x.row(vec![
         "paper 2 TB".into(),
-        f3(crossover_capacity_log2(&model, 10.0)),
+        f3(crossover_capacity_log2(&model)),
     ]);
     vec![t, x]
 }

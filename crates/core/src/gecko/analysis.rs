@@ -96,14 +96,14 @@ impl FlashPvbCostModel {
 /// The capacity factor at which flash-PVB catches up with Logarithmic Gecko:
 /// solves for the K-multiplier `x` where gecko's logarithmic update cost
 /// equals PVB's constant cost (Figure 11's "≈2¹⁰⁰" claim). Returns
-/// `log2(x)` so the result stays representable.
-pub fn crossover_capacity_log2(model: &GeckoCostModel, delta: f64) -> f64 {
+/// `log2(x)` so the result stays representable. `δ` cancels out of both
+/// sides, so the crossover does not depend on it.
+pub fn crossover_capacity_log2(model: &GeckoCostModel) -> f64 {
     // update_wa grows with levels: (T/V)(1 + 1/δ) · L(K).
     // Crossover when (T/V)(1+1/δ)·L = (1+1/δ)  ⇔  L = V/T.
     // L = log_T(K·S/V) = V/T  ⇔  K·S/V = T^(V/T).
     let v = model.cfg.entries_per_page(&model.geo) as f64;
     let t = model.cfg.size_ratio as f64;
-    let _ = delta; // cancels out of both sides
     let target_levels = v / t;
     let current_levels = model.levels();
     // Each extra level multiplies K by T; log2 of the required multiplier:
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn crossover_is_absurdly_far() {
         let m = GeckoCostModel::paper_default(Geometry::paper_2tb());
-        let log2x = crossover_capacity_log2(&m, 10.0);
+        let log2x = crossover_capacity_log2(&m);
         // The paper reports capacity must grow by ≈2^100 for PVB to win.
         assert!(log2x > 60.0, "crossover at 2^{log2x}");
     }
