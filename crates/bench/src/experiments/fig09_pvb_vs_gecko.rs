@@ -7,15 +7,32 @@
 //! write-amplification (`w + r/δ`).
 
 use super::RunOptions;
-use crate::harness::{sim_geometry, Driver};
+use crate::harness::{drive, fill_sequential, sim_geometry};
 use crate::report::{f3, Table};
-use flash_sim::IoPurpose;
+use flash_sim::{IoPurpose, IoStats};
 use ftl_baselines::ftls::{build_geckoftl_tuned, build_with};
 use ftl_baselines::BaselineKind;
-use geckoftl_core::ftl::{FtlConfig, RecoveryPolicy};
+use ftl_workloads::Uniform;
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, RecoveryPolicy};
 use geckoftl_core::gecko::GeckoConfig;
 
-fn validity_io(delta: &flash_sim::IoStats) -> (u64, u64) {
+/// Fill the device, warm up with `logical / 2` uniform updates (seed 42),
+/// then return the IO delta of each of ten 10 000-write windows.
+fn measure_windows(engine: &mut FtlEngine) -> Vec<IoStats> {
+    fill_sequential(engine);
+    let logical = engine.geometry().logical_pages();
+    let mut gen = Uniform::new(42, logical);
+    drive(engine, &mut gen, logical / 2);
+    (0..10)
+        .map(|_| {
+            let snap = engine.device().stats().clone();
+            drive(engine, &mut gen, 10_000);
+            engine.device().stats().since(&snap)
+        })
+        .collect()
+}
+
+fn validity_io(delta: &IoStats) -> (u64, u64) {
     let mut reads = 0;
     let mut writes = 0;
     for p in [
@@ -44,15 +61,14 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         &["technique", "writes/10k", "reads/10k", "WA"],
     );
 
-    let mut techniques: Vec<(String, Vec<crate::harness::MeasuredInterval>)> = Vec::new();
+    let mut techniques: Vec<(String, Vec<IoStats>)> = Vec::new();
     for t in [2u32, 4, 8, 16] {
         let gecko_cfg = GeckoConfig {
             size_ratio: t,
             ..GeckoConfig::paper_default(&geo)
         };
         let mut engine = build_geckoftl_tuned(geo, base_cfg, gecko_cfg);
-        let intervals = Driver::default().measure(&mut engine);
-        techniques.push((format!("Gecko T={t}"), intervals));
+        techniques.push((format!("Gecko T={t}"), measure_windows(&mut engine)));
     }
     {
         // µ-FTL's flash PVB with the same GC scheme (apples-to-apples).
@@ -61,25 +77,24 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
             ..base_cfg
         };
         let mut engine = build_with(BaselineKind::MuFtl, geo, cfg);
-        let intervals = Driver::default().measure(&mut engine);
-        techniques.push(("Flash PVB".into(), intervals));
+        techniques.push(("Flash PVB".into(), measure_windows(&mut engine)));
     }
 
-    for (name, intervals) in &techniques {
+    for (name, windows) in &techniques {
         let mut total_r = 0u64;
         let mut total_w = 0u64;
         let mut total_writes = 0u64;
-        for iv in intervals {
-            let (r, w) = validity_io(&iv.delta);
+        for (index, delta) in windows.iter().enumerate() {
+            let (r, w) = validity_io(delta);
             per_interval.row(vec![
                 name.clone(),
-                iv.index.to_string(),
+                index.to_string(),
                 w.to_string(),
                 r.to_string(),
             ]);
             total_r += r;
             total_w += w;
-            total_writes += iv.delta.logical_writes;
+            total_writes += delta.logical_writes;
         }
         let n = total_writes.max(1) as f64;
         let wa = total_w as f64 / n + total_r as f64 / n / 10.0;

@@ -145,59 +145,8 @@ pub fn replay_trace(engine: &mut FtlEngine, trace: &Trace, version: u64) {
     }
 }
 
-/// One measured interval of a workload (Figure 9's per-10k-write rows).
-#[derive(Clone, Debug)]
-pub struct MeasuredInterval {
-    /// Interval index.
-    pub index: usize,
-    /// IO delta over the interval.
-    pub delta: IoStats,
-}
-
-/// Driver: precondition an engine, then measure `intervals` intervals of
-/// `interval_writes` uniformly random updates each.
-pub struct Driver {
-    /// RNG seed for the uniform workload.
-    pub seed: u64,
-    /// Number of measured intervals.
-    pub intervals: usize,
-    /// Updates per interval.
-    pub interval_writes: u64,
-}
-
-impl Default for Driver {
-    fn default() -> Self {
-        Driver {
-            seed: 42,
-            intervals: 10,
-            interval_writes: 10_000,
-        }
-    }
-}
-
-impl Driver {
-    /// Run the preconditioning fill plus a warm-up, then measure.
-    pub fn measure(&self, engine: &mut FtlEngine) -> Vec<MeasuredInterval> {
-        fill_sequential(engine);
-        let logical = engine.geometry().logical_pages();
-        // Warm-up: reach GC steady state before measuring.
-        let mut gen = Uniform::new(self.seed, logical);
-        drive(engine, &mut gen, logical / 2);
-        let mut out = Vec::with_capacity(self.intervals);
-        for index in 0..self.intervals {
-            let snap = engine.device().stats().clone();
-            drive(engine, &mut gen, self.interval_writes);
-            out.push(MeasuredInterval {
-                index,
-                delta: engine.device().stats().since(&snap),
-            });
-        }
-        out
-    }
-}
-
-/// Measure one engine under the default driver and return the aggregate
-/// delta over all intervals.
+/// Fill the device, warm up with `logical / 2` uniform updates drawn from
+/// `seed`, then return the IO delta of `writes` more from the same stream.
 pub fn measure_uniform(engine: &mut FtlEngine, writes: u64, seed: u64) -> IoStats {
     fill_sequential(engine);
     let logical = engine.geometry().logical_pages();

@@ -20,7 +20,5 @@ pub mod golden;
 pub mod harness;
 pub mod report;
 
-pub use harness::{
-    drive, fill_sequential, measure_uniform, replay_trace, sim_geometry, Driver, MeasuredInterval,
-};
+pub use harness::{drive, fill_sequential, measure_uniform, replay_trace, sim_geometry};
 pub use report::{format_table, write_csv, Table};
