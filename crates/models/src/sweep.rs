@@ -6,6 +6,7 @@ use crate::ram::ram_model;
 use crate::recovery::recovery_model;
 use flash_sim::Geometry;
 use ftl_baselines::BaselineKind;
+use geckoftl_core::ftl::FtlConfig;
 
 /// One capacity point of the Figure-1 curves.
 #[derive(Clone, Debug, PartialEq)]
@@ -24,14 +25,14 @@ pub struct CapacityPoint {
 /// `max_blocks` while keeping the paper's B, P, R and cache configuration.
 ///
 /// The cache is scaled with capacity at the paper's ratio (2¹⁹ entries per
-/// 2 TB) so Figure 1 reflects a constant *fraction* of the logical space.
+/// 2 TB, [`FtlConfig::scaled_cache_entries`]) so Figure 1 reflects a
+/// constant *fraction* of the logical space.
 pub fn capacity_sweep(ftl: BaselineKind, min_blocks: u32, max_blocks: u32) -> Vec<CapacityPoint> {
     let mut out = Vec::new();
     let mut k = min_blocks;
     while k <= max_blocks {
         let geo = Geometry::paper_scaled(k);
-        let cache_entries =
-            ((geo.logical_pages() as f64 * (1 << 19) as f64 / 375_809_638.0) as u64).max(64);
+        let cache_entries = FtlConfig::scaled_cache_entries(&geo) as u64;
         let ram = ram_model(ftl, &geo, cache_entries);
         let rec = recovery_model(ftl, &geo, cache_entries);
         out.push(CapacityPoint {
