@@ -28,7 +28,7 @@ use std::collections::HashMap;
 
 /// The shard function: block `b` of a store of `shards` trees belongs to tree
 /// `b % shards`.
-fn shard_index(block: BlockId, shards: usize) -> usize {
+pub(crate) fn shard_index(block: BlockId, shards: usize) -> usize {
     (block.0 % shards as u32) as usize
 }
 

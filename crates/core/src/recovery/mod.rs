@@ -35,6 +35,7 @@
 use crate::cache::{CacheEntry, MappingCache};
 use crate::ftl::block_manager::{BlockGroup, BlockManager, BlockState};
 use crate::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveredInvalid, ValidityBackend};
+use crate::gecko::sharded::shard_index;
 use crate::gecko::{
     Bitmap, GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, RunMeta, ShardedGecko,
 };
@@ -699,8 +700,7 @@ fn recover_runs(dev: &mut FlashDevice, bid: &[BidEntry], shards: u32) -> Vec<Vec
     let n = shards.max(1) as usize;
     let mut per_shard: Vec<Vec<Candidate>> = (0..n).map(|_| Vec::new()).collect();
     for c in candidates {
-        let shard = (c.pages[0].first.block.0 % n as u32) as usize;
-        per_shard[shard].push(c);
+        per_shard[shard_index(c.pages[0].first.block, n)].push(c);
     }
 
     // Liveness, per shard: walk newest-first, separating live runs from
