@@ -1,7 +1,6 @@
 //! Operation-stream generators.
 
 use flash_sim::Lpn;
-use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,33 +59,6 @@ impl Iterator for Uniform {
         Some(WorkloadOp::Write(Lpn(self
             .rng
             .gen_range(0..self.logical_pages))))
-    }
-}
-
-/// Sequential updates wrapping around the logical space.
-#[derive(Clone, Debug)]
-pub struct Sequential {
-    next: u32,
-    logical_pages: u32,
-}
-
-impl Sequential {
-    /// A generator starting at LPN 0.
-    pub fn new(logical_pages: u64) -> Self {
-        Sequential {
-            next: 0,
-            logical_pages: logical_pages as u32,
-        }
-    }
-}
-
-impl Iterator for Sequential {
-    type Item = WorkloadOp;
-
-    fn next(&mut self) -> Option<WorkloadOp> {
-        let lpn = self.next;
-        self.next = (self.next + 1) % self.logical_pages;
-        Some(WorkloadOp::Write(Lpn(lpn)))
     }
 }
 
@@ -233,15 +205,6 @@ impl<G: Iterator<Item = WorkloadOp>> Iterator for Mixed<G> {
     }
 }
 
-/// Sanity helper: a distribution over LPNs as a boxed trait object, for
-/// sweep code that picks generators at runtime.
-pub fn _assert_traits() {
-    fn is_send<T: Send>() {}
-    is_send::<Uniform>();
-    is_send::<Zipfian>();
-    let _ = rand::distributions::Uniform::new(0u32, 4).sample(&mut StdRng::seed_from_u64(0));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,12 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_wraps() {
-        let vs = writes(Sequential::new(4), 9);
-        assert_eq!(vs, vec![0, 1, 2, 3, 0, 1, 2, 3, 0]);
-    }
-
-    #[test]
     fn zipfian_is_skewed() {
         let vs = writes(Zipfian::new(3, 1000, 0.99), 20_000);
         let mut counts = HashMap::new();
@@ -313,7 +270,7 @@ mod tests {
 
     #[test]
     fn mixed_interleaves_reads() {
-        let g = Mixed::new(9, Sequential::new(100), 0.5, 100);
+        let g = Mixed::new(9, Uniform::new(1, 100), 0.5, 100);
         let ops: Vec<WorkloadOp> = g.take(1000).collect();
         let reads = ops
             .iter()

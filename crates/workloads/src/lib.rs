@@ -3,14 +3,14 @@
 //! Workload generators for FTL experiments. The paper's evaluation uses
 //! uniformly random page updates as its adversarial workload (§5.1: it
 //! minimizes the coalescing Gecko's buffer can do and is fair to the
-//! workload-insensitive PVB); this crate also provides sequential, zipfian
-//! and hot/cold generators plus mixed read/write streams and trace
+//! workload-insensitive PVB); this crate also provides zipfian and hot/cold
+//! generators, mixed read/write streams, scenario shapes and trace
 //! record/replay for broader experiments and ablations.
 
 pub mod generators;
 pub mod shapes;
 pub mod trace;
 
-pub use generators::{HotCold, Mixed, Sequential, Uniform, WorkloadOp, Zipfian};
+pub use generators::{HotCold, Mixed, Uniform, WorkloadOp, Zipfian};
 pub use shapes::{BurstyDiurnal, OverwriteStorm, Scan, TenantMix, TrimWave};
 pub use trace::{TenantId, Trace};
