@@ -9,7 +9,7 @@
 use super::RunOptions;
 use crate::harness::{drive, fill_sequential, sim_geometry};
 use crate::report::{f3, Table};
-use flash_sim::{IoPurpose, IoStats};
+use flash_sim::{IoStats, WaCategory};
 use ftl_baselines::ftls::{build_geckoftl_tuned, build_with};
 use ftl_baselines::BaselineKind;
 use ftl_workloads::Uniform;
@@ -30,21 +30,6 @@ fn measure_windows(engine: &mut FtlEngine) -> Vec<IoStats> {
             engine.device().stats().since(&snap)
         })
         .collect()
-}
-
-fn validity_io(delta: &IoStats) -> (u64, u64) {
-    let mut reads = 0;
-    let mut writes = 0;
-    for p in [
-        IoPurpose::ValidityUpdate,
-        IoPurpose::ValidityQuery,
-        IoPurpose::ValidityMerge,
-        IoPurpose::ValidityGc,
-    ] {
-        reads += delta.counts(p).page_reads;
-        writes += delta.counts(p).page_writes;
-    }
-    (reads, writes)
 }
 
 /// Run the Figure-9 comparison.
@@ -85,7 +70,8 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         let mut total_w = 0u64;
         let mut total_writes = 0u64;
         for (index, delta) in windows.iter().enumerate() {
-            let (r, w) = validity_io(delta);
+            let validity = delta.category_counts(WaCategory::Validity);
+            let (r, w) = (validity.page_reads, validity.page_writes);
             per_interval.row(vec![
                 name.clone(),
                 index.to_string(),

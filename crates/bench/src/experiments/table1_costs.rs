@@ -5,7 +5,7 @@
 use super::RunOptions;
 use crate::harness::{measure_uniform, sim_geometry};
 use crate::report::{f3, human_bytes, Table};
-use flash_sim::Geometry;
+use flash_sim::{Geometry, WaCategory};
 use ftl_baselines::{build_with, BaselineKind};
 use geckoftl_core::ftl::FtlConfig;
 use geckoftl_core::gecko::analysis::{FlashPvbCostModel, GeckoCostModel};
@@ -60,17 +60,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
     for kind in [BaselineKind::GeckoFtl, BaselineKind::MuFtl] {
         let mut engine = build_with(kind, sim, cfg(kind));
         let d = measure_uniform(&mut engine, 60_000, 7);
-        let mut reads = 0u64;
-        let mut writes = 0u64;
-        for p in [
-            flash_sim::IoPurpose::ValidityUpdate,
-            flash_sim::IoPurpose::ValidityQuery,
-            flash_sim::IoPurpose::ValidityMerge,
-            flash_sim::IoPurpose::ValidityGc,
-        ] {
-            reads += d.counts(p).page_reads;
-            writes += d.counts(p).page_writes;
-        }
+        let validity = d.category_counts(WaCategory::Validity);
         let n = d.logical_writes.max(1) as f64;
         e.row(vec![
             (if kind == BaselineKind::GeckoFtl {
@@ -79,8 +69,8 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
                 "Flash-resident PVB"
             })
             .into(),
-            f3(reads as f64 / n),
-            f3(writes as f64 / n),
+            f3(validity.page_reads as f64 / n),
+            f3(validity.page_writes as f64 / n),
             f3(d.wa_breakdown(delta).validity),
         ]);
     }

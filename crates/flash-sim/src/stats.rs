@@ -277,17 +277,7 @@ impl IoStats {
     /// Aggregate counts for one Figure-13 category.
     pub fn category_counts(&self, cat: WaCategory) -> IoCounts {
         let mut t = IoCounts::default();
-        for p in [
-            IoPurpose::UserWrite,
-            IoPurpose::GcMigrateUser,
-            IoPurpose::TranslationSync,
-            IoPurpose::TranslationGc,
-            IoPurpose::ValidityUpdate,
-            IoPurpose::ValidityQuery,
-            IoPurpose::ValidityMerge,
-            IoPurpose::ValidityGc,
-            IoPurpose::WearLevel,
-        ] {
+        for p in IoPurpose::ALL {
             if p.wa_category() == Some(cat) {
                 t.add_assign(self.counts(p));
             }
