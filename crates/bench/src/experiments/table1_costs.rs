@@ -6,8 +6,7 @@ use super::RunOptions;
 use crate::harness::{measure_uniform, sim_geometry};
 use crate::report::{f3, human_bytes, Table};
 use flash_sim::{Geometry, WaCategory};
-use ftl_baselines::{build_with, BaselineKind};
-use geckoftl_core::ftl::FtlConfig;
+use ftl_baselines::{build, BaselineKind};
 use geckoftl_core::gecko::analysis::{FlashPvbCostModel, GeckoCostModel};
 
 /// Run the Table-1 reproduction.
@@ -47,18 +46,12 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
     // Empirical spot check at simulation scale: amortized validity IO per
     // logical update for Gecko vs flash PVB.
     let sim = sim_geometry();
-    let cfg = |kind: BaselineKind| FtlConfig {
-        cache_entries: FtlConfig::scaled_cache_entries(&sim),
-        gc_policy: kind.gc_policy(),
-        recovery: kind.recovery_policy(),
-        qos_headroom_blocks: 0,
-    };
     let mut e = Table::new(
         "Table 1 (empirical) — measured validity IO per logical update (simulation)",
         &["technique", "reads/update", "writes/update", "validity WA"],
     );
     for kind in [BaselineKind::GeckoFtl, BaselineKind::MuFtl] {
-        let mut engine = build_with(kind, sim, cfg(kind));
+        let mut engine = build(kind, sim);
         let d = measure_uniform(&mut engine, 60_000, 7);
         let validity = d.category_counts(WaCategory::Validity);
         let n = d.logical_writes.max(1) as f64;
