@@ -7,22 +7,18 @@
 //! write-amplification (`w + r/δ`).
 
 use super::RunOptions;
-use crate::harness::{drive, fill_sequential, sim_geometry};
+use crate::harness::{drive, sim_geometry, warm_up_uniform};
 use crate::report::{f3, Table};
 use flash_sim::{IoStats, WaCategory};
 use ftl_baselines::ftls::{build_geckoftl_tuned, build_with};
 use ftl_baselines::BaselineKind;
-use ftl_workloads::Uniform;
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, RecoveryPolicy};
 use geckoftl_core::gecko::GeckoConfig;
 
-/// Fill the device, warm up with `logical / 2` uniform updates (seed 42),
-/// then return the IO delta of each of ten 10 000-write windows.
+/// Warm up (seed 42), then return the IO delta of each of ten 10 000-write
+/// windows.
 fn measure_windows(engine: &mut FtlEngine) -> Vec<IoStats> {
-    fill_sequential(engine);
-    let logical = engine.geometry().logical_pages();
-    let mut gen = Uniform::new(42, logical);
-    drive(engine, &mut gen, logical / 2);
+    let mut gen = warm_up_uniform(engine, 42);
     (0..10)
         .map(|_| {
             let snap = engine.device().stats().clone();

@@ -145,13 +145,20 @@ pub fn replay_trace(engine: &mut FtlEngine, trace: &Trace, version: u64) {
     }
 }
 
-/// Fill the device, warm up with `logical / 2` uniform updates drawn from
-/// `seed`, then return the IO delta of `writes` more from the same stream.
-pub fn measure_uniform(engine: &mut FtlEngine, writes: u64, seed: u64) -> IoStats {
+/// Fill the device, then reach GC steady state with `logical / 2` uniform
+/// updates drawn from `seed`. Returns the stream to measure with.
+pub fn warm_up_uniform(engine: &mut FtlEngine, seed: u64) -> Uniform {
     fill_sequential(engine);
     let logical = engine.geometry().logical_pages();
     let mut gen = Uniform::new(seed, logical);
-    drive(engine, &mut gen, logical / 2); // warm-up
+    drive(engine, &mut gen, logical / 2);
+    gen
+}
+
+/// [`warm_up_uniform`], then the IO delta of `writes` more updates from the
+/// same stream.
+pub fn measure_uniform(engine: &mut FtlEngine, writes: u64, seed: u64) -> IoStats {
+    let mut gen = warm_up_uniform(engine, seed);
     let snap = engine.device().stats().clone();
     drive(engine, &mut gen, writes);
     engine.device().stats().since(&snap)
