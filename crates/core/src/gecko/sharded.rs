@@ -125,38 +125,6 @@ impl ShardedGecko {
         self.shards.iter().flat_map(LogGecko::runs_newest_first)
     }
 
-    /// Integrated-RAM footprint: sum of the shard trees'.
-    pub fn ram_bytes(&self) -> u64 {
-        self.shards.iter().map(LogGecko::ram_bytes).sum()
-    }
-
-    /// Report an invalidated physical page to its owning shard.
-    pub fn mark_invalid(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, ppn: Ppn) {
-        let shard = self.shard_of(self.geo.block_of(ppn));
-        self.shards[shard].mark_invalid(dev, sink, ppn);
-    }
-
-    /// Report an erased block to its owning shard.
-    pub fn note_erase(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, block: BlockId) {
-        let shard = self.shard_of(block);
-        self.shards[shard].note_erase(dev, sink, block);
-    }
-
-    /// GC query, routed to the owning shard.
-    pub fn gc_query(&mut self, dev: &mut FlashDevice, block: BlockId) -> Bitmap {
-        let shard = self.shard_of(block);
-        self.shards[shard].gc_query(dev, block)
-    }
-
-    /// Flush every shard's buffer. Shards flush independently in steady
-    /// state (each tracks its own fill); this forces all of them, for
-    /// shutdown/checkpoint quiescence.
-    pub fn flush(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink) {
-        for s in &mut self.shards {
-            s.flush(dev, sink);
-        }
-    }
-
     /// Advance every shard's pending merge work by one bounded slice each
     /// (so one call costs up to `shards × budget` page-IOs, charged
     /// serially). Returns `true` while any shard has work left.
@@ -226,8 +194,10 @@ impl ShardedGecko {
 
 /// The family's one [`ValidityStore`] implementation.
 impl ValidityStore for ShardedGecko {
+    /// Report an invalidated physical page to its owning shard.
     fn mark_invalid(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, ppn: Ppn) {
-        ShardedGecko::mark_invalid(self, dev, sink, ppn);
+        let shard = self.shard_of(self.geo.block_of(ppn));
+        self.shards[shard].mark_invalid(dev, sink, ppn);
     }
 
     fn mark_invalid_batch(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, ppns: &[Ppn]) {
@@ -247,24 +217,34 @@ impl ValidityStore for ShardedGecko {
         }
     }
 
+    /// Report an erased block to its owning shard.
     fn note_erase(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink, block: BlockId) {
-        ShardedGecko::note_erase(self, dev, sink, block);
+        let shard = self.shard_of(block);
+        self.shards[shard].note_erase(dev, sink, block);
     }
 
+    /// GC query, routed to the owning shard.
     fn gc_query(
         &mut self,
         dev: &mut FlashDevice,
         _sink: &mut dyn MetaSink,
         block: BlockId,
     ) -> Bitmap {
-        ShardedGecko::gc_query(self, dev, block)
+        let shard = self.shard_of(block);
+        self.shards[shard].gc_query(dev, block)
     }
 
+    /// Integrated-RAM footprint: sum of the shard trees'.
     fn ram_bytes(&self) -> u64 {
-        ShardedGecko::ram_bytes(self)
+        self.shards.iter().map(LogGecko::ram_bytes).sum()
     }
 
+    /// Flush every shard's buffer. Shards flush independently in steady
+    /// state (each tracks its own fill); this forces all of them, for
+    /// shutdown/checkpoint quiescence.
     fn flush(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink) {
-        ShardedGecko::flush(self, dev, sink);
+        for s in &mut self.shards {
+            s.flush(dev, sink);
+        }
     }
 }

@@ -12,7 +12,7 @@ use flash_sim::{BlockId, FlashDevice, Geometry, Lpn, Ppn};
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::{GeckoConfig, LogGecko, ShardedGecko};
 use geckoftl_core::recovery::gecko_recover;
-use geckoftl_core::validity::FlatMetaSink;
+use geckoftl_core::validity::{FlatMetaSink, ValidityStore};
 use std::collections::HashMap;
 
 struct Lcg(u64);
@@ -140,7 +140,7 @@ fn sharded_store_matches_single_tree_logically() {
                 since_check = 0;
                 for blk in 0..32 {
                     let want = single.gc_query(&mut adev, BlockId(blk));
-                    let got = sharded.gc_query(&mut bdev, BlockId(blk));
+                    let got = sharded.gc_query(&mut bdev, &mut bsink, BlockId(blk));
                     for i in 0..16 {
                         assert_eq!(
                             want.get(i),
@@ -160,7 +160,7 @@ fn sharded_store_matches_single_tree_logically() {
         assert_eq!(sharded.merge_backlog_pages(), 0);
         for blk in 0..32 {
             let want = single.gc_query(&mut adev, BlockId(blk));
-            let got = sharded.gc_query(&mut bdev, BlockId(blk));
+            let got = sharded.gc_query(&mut bdev, &mut bsink, BlockId(blk));
             for i in 0..16 {
                 assert_eq!(
                     want.get(i),

@@ -363,7 +363,10 @@ impl BufferHarness {
         let fast = tree.gc_query(&mut self.dev, BlockId(block));
         let naive = tree.gc_query_naive(&mut self.dev, BlockId(block));
         assert_eq!(fast, naive, "fast vs naive, block {block}");
-        assert_eq!(fast, self.twin.gc_query(&mut self.twin_dev, BlockId(block)));
+        let twin = self
+            .twin
+            .gc_query(&mut self.twin_dev, &mut self.twin_sink, BlockId(block));
+        assert_eq!(fast, twin);
         let b = self.geo.pages_per_block;
         for i in 0..b {
             assert_eq!(
