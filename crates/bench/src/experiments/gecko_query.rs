@@ -88,7 +88,7 @@ fn run_variant(name: &'static str, fast: bool, measured_ops: u64) -> VariantResu
         bloom_skips: gecko_after.bloom_skips - gecko_before.bloom_skips,
         fence_probes: gecko_after.fence_probes - gecko_before.fence_probes,
         wall_secs,
-        sim_secs: delta.simulated_us() / 1e6,
+        sim_secs: delta.total_busy_us() / 1e6,
         wa_total: delta.wa_breakdown(10.0).total(),
     }
 }

@@ -300,20 +300,6 @@ impl IoStats {
             logical_writes: self.logical_writes,
         }
     }
-
-    /// Total simulated IO time in microseconds under the paper's latency
-    /// model, excluding nothing (all purposes included).
-    pub fn simulated_us(&self) -> f64 {
-        let lat = crate::LatencyModel::paper();
-        let mut us = 0.0;
-        for c in &self.per_purpose {
-            us += c.page_reads as f64 * lat.page_read_us
-                + c.page_writes as f64 * lat.page_write_us
-                + c.spare_reads as f64 * lat.spare_read_us
-                + c.erases as f64 * lat.erase_us;
-        }
-        us
-    }
 }
 
 /// Per-category write-amplification, as plotted in Figures 9 and 13.
@@ -398,15 +384,5 @@ mod tests {
         );
         assert_eq!(IoPurpose::Fill.wa_category(), None);
         assert_eq!(IoPurpose::Recovery.wa_category(), None);
-    }
-
-    #[test]
-    fn simulated_time_uses_latency_model() {
-        let mut s = IoStats::default();
-        s.record_page_read(IoPurpose::UserRead);
-        s.record_page_write(IoPurpose::UserWrite);
-        s.record_spare_read(IoPurpose::Recovery);
-        let us = s.simulated_us();
-        assert!((us - 1103.0).abs() < 1e-9);
     }
 }

@@ -36,7 +36,7 @@ fn main() {
         OpDriver::new(0).run(&mut ftl, trace.iter());
         let d = ftl.device().stats().since(&snap);
         let wa = d.wa_breakdown(10.0);
-        let secs = d.simulated_us() / 1e6;
+        let secs = d.total_busy_us() / 1e6;
         let ram = ftl.ram_report();
         println!(
             "{:>9}  {:>6.2} {:>11.2} {:>9.2} {:>7.2}  {:>8.1} s  {:>7} KB",

@@ -75,7 +75,7 @@ fn main() {
         }
         let delta = store.ftl.device().stats().since(&snap);
         let wa = delta.wa_breakdown(10.0);
-        let us = delta.simulated_us();
+        let us = delta.total_busy_us();
         println!(
             "{:>9}: {} commits | WA user {:.2} translation {:.2} validity {:.2} → total {:.2} | {:.2} simulated s",
             kind.name(),
