@@ -17,29 +17,21 @@
 //! The returned [`Fitness`] carries the worst-case signals the fuzzer
 //! maximizes: max write latency, write amplification, recovery cost and
 //! retired (permanently lost) blocks. Each has one source on the engine:
-//! the `HostWrite` span histogram, the [`IoStats`](flash_sim::IoStats)
-//! delta over the run, the `RecoveryReport` that `gecko_recover` returns,
-//! and the block manager's retired-block count. Telemetry is observational
-//! by construction (it never touches the simulated clock or IO stats), so
-//! replays are bit-identical with it on or off; the corpus regression test
-//! pins that.
+//! each write's [`Completion::sim_us`](geckoftl_core::ftl::Completion), the
+//! [`IoStats`](flash_sim::IoStats) delta over the run, the `RecoveryReport`
+//! that `gecko_recover` returns, and the block manager's retired-block count.
 
 use super::oracle::audit_state;
 use super::scenario::Scenario;
 use crate::fuzz::corpus_dir;
 use crate::harness::{small_gecko_engine, OpDriver};
-use flash_sim::{FaultPlan, FaultStats, FlashDevice, Geometry, Lpn, SpanKind};
+use flash_sim::{FaultPlan, FaultStats, FlashDevice, Geometry, Lpn};
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, HostOp, HostOpKind};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Once;
-
-/// Ring capacity for replay telemetry. Spans/IO events beyond this are
-/// dropped oldest-first, which never affects fitness: no signal below is
-/// read from the ring.
-const REPLAY_RING: usize = 1 << 12;
 
 /// Worst-case signals of one replay, used as fuzzing feedback.
 #[derive(Clone, Copy, Debug, Default)]
@@ -85,19 +77,7 @@ fn engine_for(sc: &Scenario, shards: u32) -> FtlEngine {
     // Clamp into what the tiny geometry's over-provisioning allows
     // (cache_entries must stay below half the spare pages).
     let cache_entries = sc.cache_entries.clamp(16, 128);
-    let mut engine = small_gecko_engine(Geometry::tiny(), cache_entries, shards);
-    engine.telemetry_mut().enable(REPLAY_RING);
-    engine
-}
-
-/// Worst `HostWrite` span seen by an engine's telemetry, in µs. The span
-/// duration is the same clock subtraction the harness used to perform
-/// around each `write()` call, so the histogram max is it, bit for bit.
-fn host_write_max(engine: &FtlEngine) -> f64 {
-    engine
-        .telemetry()
-        .span_hist(SpanKind::HostWrite)
-        .map_or(0.0, |h| h.max())
+    small_gecko_engine(Geometry::tiny(), cache_entries, shards)
 }
 
 fn recover_engine(
@@ -256,9 +236,7 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
             }
         }
         // Execute the op on the live engine; mutated LPNs wrap into the
-        // logical space. Write latency is captured by the engine's
-        // HostWrite span; the histogram max is folded into the fitness at
-        // engine hand-offs and at the end of the run.
+        // logical space.
         let issued = driver
             .apply(&mut engine, op.map_lpn(|l| Lpn(l.0 % logical)), None)
             .expect("wrapped LPNs are in range");
@@ -279,6 +257,9 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
                     );
                 }
             } else {
+                if matches!(host.kind, HostOpKind::Write { .. }) {
+                    fitness.max_write_us = fitness.max_write_us.max(done.sim_us);
+                }
                 this_op = Some(host);
             }
         }
@@ -289,10 +270,6 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
         if let Some(image) = image {
             crashed = true;
             faults = engine.device().fault_stats();
-            // The image's telemetry is the pre-crash prefix: it misses the
-            // doomed op's own span (recorded on the live engine after the
-            // image was captured), so fold the live maximum in first.
-            fitness.max_write_us = fitness.max_write_us.max(host_write_max(&engine));
             drop(engine);
             let (rec, rec_us) = recover_engine(image, cfg, gecko_cfg);
             engine = rec;
@@ -306,12 +283,10 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
                 );
             }
             // Re-issue the interrupted op, as a retrying host would. The
-            // retry is not a measured host op (it never was), so its span
-            // is suppressed.
+            // retry is not a measured host op (it never was), so its
+            // latency stays out of the fitness.
             if let Some(host) = this_op {
-                engine.telemetry_mut().set_enabled(false);
                 engine.submit(host).expect("the op was in range before");
-                engine.telemetry_mut().set_enabled(true);
             }
         }
         // Acknowledged (or re-issued) now.
@@ -331,7 +306,6 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
     if !crashed {
         faults = engine.device().fault_stats();
     }
-    fitness.max_write_us = fitness.max_write_us.max(host_write_max(&engine));
     fitness.wa = engine
         .device()
         .stats()
