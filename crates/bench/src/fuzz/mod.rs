@@ -6,7 +6,7 @@
 //! 1. **Correctness failures**: an acknowledged write that does not read
 //!    back after a fault or recovery, a byte-level translation/validity
 //!    audit mismatch ([`oracle::audit_state`]), or a panic anywhere in the
-//!    replay ([`replay::replay_with_shards`]). These are bugs; the failing
+//!    replay ([`replay::replay`]). These are bugs; the failing
 //!    scenario is [`minimize()`]d and written to `fuzz/corpus/` as a
 //!    regression test under the first free index (`tests/fuzz_corpus.rs`
 //!    replays every entry).
@@ -148,7 +148,7 @@ pub fn campaign(seed: u64, budget: Budget) -> Vec<Table> {
         }
         if !out.ok {
             let msg = out.failure.clone().unwrap_or_default();
-            let small = minimize(&sc, |c| !replay(c).ok);
+            let small = minimize(&sc, |c| !replay(c, 1).ok);
             let text = format!(
                 "# found by fuzz campaign seed {seed:#x}\n# failure: {msg}\n{}",
                 small.to_text()
@@ -174,7 +174,7 @@ pub fn campaign(seed: u64, budget: Budget) -> Vec<Table> {
     };
 
     for sc in seeds {
-        let out = replay(&sc);
+        let out = replay(&sc, 1);
         scenarios += 1;
         absorb(sc, out, &mut hall, &mut failures);
     }
@@ -194,7 +194,7 @@ pub fn campaign(seed: u64, budget: Budget) -> Vec<Table> {
         } else {
             mutate(&parent, &mut rng, &bounds)
         };
-        let out = replay(&child);
+        let out = replay(&child, 1);
         scenarios += 1;
         absorb(child, out, &mut hall, &mut failures);
     }
@@ -252,7 +252,7 @@ pub fn campaign(seed: u64, budget: Budget) -> Vec<Table> {
         "fuzz: corpus replay (committed regression scenarios)",
         &["entry", "ok", "crashed", "max_write_us", "wa"],
     );
-    for (name, out) in replay_corpus() {
+    for (name, out) in replay_corpus(1) {
         corpus.row(vec![
             name,
             out.ok.to_string(),

@@ -144,12 +144,6 @@ fn verify_recovered(
     Ok(())
 }
 
-/// Replay one scenario end-to-end. Deterministic: same scenario, same
-/// outcome, bit for bit.
-pub fn replay(sc: &Scenario) -> Outcome {
-    replay_with_shards(sc, 1)
-}
-
 thread_local! {
     /// Set while this thread replays: its panics become findings, so the
     /// panic hook stays quiet instead of printing them.
@@ -159,7 +153,7 @@ thread_local! {
 }
 
 /// Install, once per process, a panic hook that silences panics on threads
-/// inside [`replay_with_shards`] and defers to the previous hook elsewhere.
+/// inside [`replay`] and defers to the previous hook elsewhere.
 /// A per-thread flag, not a hook swapped per replay: replays on parallel
 /// test threads would otherwise race to restore each other's hooks.
 fn install_quiet_hook() {
@@ -178,8 +172,9 @@ fn install_quiet_hook() {
     });
 }
 
-/// [`replay`] against a validity store of `shards` trees. The oracle
-/// contract is shard-count-independent, so the corpus doubles as a
+/// Replay one scenario end-to-end against a validity store of `shards`
+/// trees. Deterministic: same scenario, same outcome, bit for bit. The
+/// oracle contract is shard-count-independent, so the corpus doubles as a
 /// crash-equivalence suite for sharding.
 ///
 /// A panic anywhere in the engine, recovery or the oracle is a finding like
@@ -187,7 +182,7 @@ fn install_quiet_hook() {
 /// starts with `panic:`, so the campaign minimizes the scenario and writes
 /// it to the corpus instead of dying. Such an outcome carries no fitness,
 /// crash flag or fault counts.
-pub fn replay_with_shards(sc: &Scenario, shards: u32) -> Outcome {
+pub fn replay(sc: &Scenario, shards: u32) -> Outcome {
     install_quiet_hook();
     REPLAYING.set(true);
     let result = std::panic::catch_unwind(|| replay_unguarded(sc, shards));
@@ -352,14 +347,10 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
     }
 }
 
-/// Replay every committed corpus scenario; returns `(file name, outcome)`
-/// pairs. Used by the corpus regression test and the `fuzz` experiment.
-pub fn replay_corpus() -> Vec<(String, Outcome)> {
-    replay_corpus_with_shards(1)
-}
-
-/// [`replay_corpus`] with a sharded validity store.
-pub fn replay_corpus_with_shards(shards: u32) -> Vec<(String, Outcome)> {
+/// Replay every committed corpus scenario against a validity store of
+/// `shards` trees; returns `(file name, outcome)` pairs. Used by the corpus
+/// regression test and the `fuzz` experiment.
+pub fn replay_corpus(shards: u32) -> Vec<(String, Outcome)> {
     let dir = corpus_dir();
     let mut entries: Vec<_> = match std::fs::read_dir(&dir) {
         Ok(rd) => rd
@@ -381,7 +372,7 @@ pub fn replay_corpus_with_shards(shards: u32) -> Vec<(String, Outcome)> {
                 .unwrap_or_else(|e| panic!("read corpus entry {path:?}: {e}"));
             let sc = Scenario::from_text(&text)
                 .unwrap_or_else(|e| panic!("parse corpus entry {path:?}: {e}"));
-            (name, replay_with_shards(&sc, shards))
+            (name, replay(&sc, shards))
         })
         .collect()
 }

@@ -17,13 +17,13 @@
 //! (acknowledged writes read back, audits pass) does not depend on how many
 //! trees the validity store is split into.
 
-use gecko_bench::fuzz::replay::replay_corpus_with_shards;
+use gecko_bench::fuzz::replay::replay_corpus;
 
 #[test]
 fn every_corpus_scenario_replays_clean_at_every_shard_count() {
     let mut delivered_any_fault = false;
     for shards in [1u32, 2, 4] {
-        let results = replay_corpus_with_shards(shards);
+        let results = replay_corpus(shards);
         assert!(
             !results.is_empty(),
             "fuzz/corpus/ is empty — the regression corpus went missing"
@@ -56,7 +56,7 @@ fn every_corpus_scenario_replays_clean_at_every_shard_count() {
 /// diagnoses.
 #[test]
 fn every_known_failing_scenario_still_fails() {
-    use gecko_bench::fuzz::{replay::replay_with_shards, Scenario};
+    use gecko_bench::fuzz::{replay::replay, Scenario};
     let dir = gecko_bench::fuzz::corpus_dir().join("../known_failing");
     for entry in std::fs::read_dir(&dir).expect("fuzz/known_failing exists") {
         let path = entry.expect("readable directory entry").path();
@@ -65,7 +65,7 @@ fn every_known_failing_scenario_still_fails() {
         assert!(
             [1u32, 2, 4]
                 .into_iter()
-                .any(|shards| !replay_with_shards(&sc, shards).ok),
+                .any(|shards| !replay(&sc, shards).ok),
             "{path:?} now replays clean at shards 1, 2 and 4: move it to fuzz/corpus/"
         );
     }
