@@ -100,12 +100,10 @@ pub fn build_with(kind: BaselineKind, geo: Geometry, cfg: FtlConfig) -> FtlEngin
             cfg,
             ValidityBackend::External(Box::new(PvlStore::new(geo))),
         ),
-        BaselineKind::GeckoFtl => build_geckoftl_tuned(geo, cfg, GeckoConfig::paper_default(&geo)),
+        BaselineKind::GeckoFtl => FtlEngine::format(
+            geo,
+            cfg,
+            ValidityBackend::gecko_for(geo, GeckoConfig::paper_default(&geo)),
+        ),
     }
-}
-
-/// Build GeckoFTL with an explicit Gecko tuning (Figures 9–12 sweeps),
-/// including the number of independent trees ([`GeckoConfig::shards`]).
-pub fn build_geckoftl_tuned(geo: Geometry, cfg: FtlConfig, gecko_cfg: GeckoConfig) -> FtlEngine {
-    FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg))
 }

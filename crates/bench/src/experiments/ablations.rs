@@ -8,9 +8,9 @@
 use super::RunOptions;
 use crate::harness::{measure_uniform, sim_geometry};
 use crate::report::{f3, Table};
-use ftl_baselines::ftls::{build_geckoftl_tuned, build_with};
+use ftl_baselines::ftls::build_with;
 use ftl_baselines::BaselineKind;
-use geckoftl_core::ftl::{FtlConfig, GcPolicy, RecoveryPolicy};
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveryPolicy, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::{gecko_recover, RecoveryStep};
 
@@ -28,7 +28,11 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
             multiway_merge: multiway,
             ..GeckoConfig::paper_default(&geo)
         };
-        let mut engine = build_geckoftl_tuned(geo, FtlConfig::geckoftl(&geo), gecko_cfg);
+        let mut engine = FtlEngine::format(
+            geo,
+            FtlConfig::geckoftl(&geo),
+            ValidityBackend::gecko_for(geo, gecko_cfg),
+        );
         let d = measure_uniform(&mut engine, 60_000, 51);
         let stats = engine.backend().gecko().expect("gecko").stats();
         merges.row(vec![
@@ -60,12 +64,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
                 recovery: kind.recovery_policy(),
                 ..FtlConfig::geckoftl(&geo)
             };
-            let mut engine = match kind {
-                BaselineKind::GeckoFtl => {
-                    build_geckoftl_tuned(geo, cfg, GeckoConfig::paper_default(&geo))
-                }
-                other => build_with(other, geo, cfg),
-            };
+            let mut engine = build_with(kind, geo, cfg);
             let before = engine.counters.gc_migrations;
             let d = measure_uniform(&mut engine, 60_000, 52);
             let b = d.wa_breakdown(10.0);
@@ -96,7 +95,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
             ..FtlConfig::geckoftl(&geo)
         };
         let gecko_cfg = GeckoConfig::paper_default(&geo);
-        let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg);
+        let mut engine = FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg));
         let d = measure_uniform(&mut engine, 40_000, 53);
         let syncs = engine.counters.syncs;
         let cfg = engine.config();

@@ -10,9 +10,9 @@ use super::RunOptions;
 use crate::harness::{drive, sim_geometry, warm_up_uniform};
 use crate::report::{f3, Table};
 use flash_sim::{IoStats, WaCategory};
-use ftl_baselines::ftls::{build_geckoftl_tuned, build_with};
+use ftl_baselines::ftls::build_with;
 use ftl_baselines::BaselineKind;
-use geckoftl_core::ftl::{FtlConfig, FtlEngine, RecoveryPolicy};
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, RecoveryPolicy, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 
 /// Warm up (seed 42), then return the IO delta of each of ten 10 000-write
@@ -48,7 +48,8 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
             size_ratio: t,
             ..GeckoConfig::paper_default(&geo)
         };
-        let mut engine = build_geckoftl_tuned(geo, base_cfg, gecko_cfg);
+        let mut engine =
+            FtlEngine::format(geo, base_cfg, ValidityBackend::gecko_for(geo, gecko_cfg));
         techniques.push((format!("Gecko T={t}"), measure_windows(&mut engine)));
     }
     {

@@ -7,8 +7,7 @@ use super::RunOptions;
 use crate::harness::measure_uniform;
 use crate::report::{f3, Table};
 use flash_sim::Geometry;
-use ftl_baselines::ftls::build_geckoftl_tuned;
-use geckoftl_core::ftl::FtlConfig;
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 
 /// Run the Figure-10 sweep: B ∈ {64,128,256,512} × S ∈ {1,2,4,8,16,32}.
@@ -26,7 +25,8 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
                 ..GeckoConfig::paper_default(&geo)
             };
             let cfg = FtlConfig::geckoftl(&geo);
-            let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg);
+            let mut engine =
+                FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg));
             let v = gecko_cfg.entries_per_page(&geo);
             let d = measure_uniform(&mut engine, 40_000, 13);
             let wa = d.wa_breakdown(10.0).validity;

@@ -7,11 +7,10 @@ use super::RunOptions;
 use crate::harness::measure_uniform;
 use crate::report::{f3, Table};
 use flash_sim::Geometry;
-use ftl_baselines::ftls::{build_geckoftl_tuned, build_with};
+use ftl_baselines::ftls::build_with;
 use ftl_baselines::BaselineKind;
 use geckoftl_core::ftl::{FtlConfig, RecoveryPolicy};
 use geckoftl_core::gecko::analysis::{crossover_capacity_log2, GeckoCostModel};
-use geckoftl_core::gecko::GeckoConfig;
 
 /// Run the Figure-11 capacity sweep (K = 2¹⁰ .. 2¹³ simulated, crossover
 /// extrapolated analytically).
@@ -29,7 +28,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
     for shift in [10u32, 11, 12, 13] {
         let geo = Geometry::new(1 << shift, 1 << 7, 1 << 12, 0.7);
         let cfg = FtlConfig::geckoftl(&geo);
-        let mut gecko = build_geckoftl_tuned(geo, cfg, GeckoConfig::paper_default(&geo));
+        let mut gecko = build_with(BaselineKind::GeckoFtl, geo, cfg);
         let gecko_wa = measure_uniform(&mut gecko, 40_000, 21)
             .wa_breakdown(10.0)
             .validity;

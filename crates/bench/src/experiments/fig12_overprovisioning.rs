@@ -7,9 +7,9 @@ use super::RunOptions;
 use crate::harness::measure_uniform;
 use crate::report::{f3, Table};
 use flash_sim::{Geometry, IoPurpose};
-use ftl_baselines::ftls::build_geckoftl_tuned;
+use ftl_baselines::ftls::build_with;
+use ftl_baselines::BaselineKind;
 use geckoftl_core::ftl::FtlConfig;
-use geckoftl_core::gecko::GeckoConfig;
 
 /// Run the Figure-12 sweep over R ∈ {0.5 .. 0.9}.
 pub fn run(_: &RunOptions) -> Vec<Table> {
@@ -27,7 +27,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         let r = r10 as f64 / 10.0;
         let geo = Geometry::new(1 << 10, 1 << 7, 1 << 12, r);
         let cfg = FtlConfig::geckoftl(&geo);
-        let mut engine = build_geckoftl_tuned(geo, cfg, GeckoConfig::paper_default(&geo));
+        let mut engine = build_with(BaselineKind::GeckoFtl, geo, cfg);
         let gcs_before = engine.counters.gc_operations;
         let d = measure_uniform(&mut engine, 40_000, 31);
         let gcs = engine.counters.gc_operations - gcs_before;

@@ -14,9 +14,8 @@ use super::RunOptions;
 use crate::harness::{drive, fill_sequential};
 use crate::report::{f3, Table};
 use flash_sim::{Geometry, IoPurpose, LatencyModel};
-use ftl_baselines::ftls::build_geckoftl_tuned;
 use ftl_workloads::{Mixed, Uniform};
-use geckoftl_core::ftl::FtlConfig;
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 use std::time::Instant;
 
@@ -65,7 +64,7 @@ fn gecko_cfg(fast: bool) -> GeckoConfig {
 fn run_variant(name: &'static str, fast: bool, measured_ops: u64) -> VariantResult {
     let geo = geometry();
     let cfg = FtlConfig::geckoftl(&geo);
-    let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg(fast));
+    let mut engine = FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg(fast)));
     fill_sequential(&mut engine);
     let logical = geo.logical_pages();
     let mut gen = Mixed::new(7, Uniform::new(13, logical), 0.25, logical);

@@ -20,9 +20,8 @@ use crate::harness::{fill_sequential, OpDriver};
 use crate::report::{f3, Table};
 use flash_sim::telemetry::{chrome_trace_json, TraceEvent};
 use flash_sim::{Geometry, Histogram, IoPurpose};
-use ftl_baselines::ftls::build_geckoftl_tuned;
 use ftl_workloads::{Mixed, Zipfian};
-use geckoftl_core::ftl::{FtlConfig, HostOpKind};
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, HostOpKind, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 use std::time::Instant;
 
@@ -78,7 +77,7 @@ fn gecko_cfg(sync_merge: bool, shards: u32) -> GeckoConfig {
 /// per purpose equals the busy time the stats charged over the same window
 /// (the flash-sim `telemetry_io_events_reconcile_with_busy_us` test pins
 /// this exactly; here it is reported for the real run).
-fn export_trace(path: &str, engine: &geckoftl_core::ftl::FtlEngine, delta: &flash_sim::IoStats) {
+fn export_trace(path: &str, engine: &FtlEngine, delta: &flash_sim::IoStats) {
     let t = engine.telemetry();
     let mut labels = [""; 14];
     for p in IoPurpose::ALL {
@@ -150,7 +149,11 @@ fn run_variant(
         cache_entries: 2048,
         ..FtlConfig::geckoftl(&geo)
     };
-    let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg(sync_merge, shards));
+    let mut engine = FtlEngine::format(
+        geo,
+        cfg,
+        ValidityBackend::gecko_for(geo, gecko_cfg(sync_merge, shards)),
+    );
     fill_sequential(&mut engine);
     let logical = geo.logical_pages();
     // Zipfian-skewed updates + 25 % reads: a realistic mixed workload whose
@@ -205,7 +208,7 @@ fn run_variant(
     // drains orders of magnitude faster than the old one-slice-per-tick
     // behavior, which merely kept pace with planning and starved deep
     // merges through every idle gap.
-    let backlog_pages = |e: &geckoftl_core::ftl::FtlEngine| e.backend().merge_backlog_pages();
+    let backlog_pages = |e: &FtlEngine| e.backend().merge_backlog_pages();
     let debt = backlog_pages(&engine);
     let quantum =
         8 * geo.channels as u64 * gecko_cfg(sync_merge, shards).merge_step_pages.max(1) as u64;

@@ -5,9 +5,8 @@
 use super::RunOptions;
 use crate::harness::{drive, fill_sequential, sim_geometry};
 use crate::report::{f3, Table};
-use ftl_baselines::ftls::build_geckoftl_tuned;
 use ftl_workloads::Uniform;
-use geckoftl_core::ftl::FtlConfig;
+use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
 
@@ -16,7 +15,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
     let geo = sim_geometry();
     let cfg = FtlConfig::geckoftl(&geo);
     let gecko_cfg = GeckoConfig::paper_default(&geo);
-    let mut engine = build_geckoftl_tuned(geo, cfg, gecko_cfg);
+    let mut engine = FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg));
     fill_sequential(&mut engine);
     let logical = geo.logical_pages();
     drive(&mut engine, Uniform::new(3, logical), logical);
