@@ -203,13 +203,6 @@ impl GeckoEntry {
             self.erase_flag = older.erase_flag;
         }
     }
-
-    /// [`GeckoEntry::absorb_older`] into a copy of `newer`.
-    pub fn merge_collision(newer: &GeckoEntry, older: &GeckoEntry) -> GeckoEntry {
-        let mut merged = newer.clone();
-        merged.absorb_older(older);
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -325,10 +318,10 @@ mod tests {
     #[test]
     fn collision_erase_flag_discards_older() {
         let key = GeckoKey::first_of(BlockId(5));
-        let newer = GeckoEntry::erase_marker(key, 8);
+        let mut merged = GeckoEntry::erase_marker(key, 8);
         let mut older = GeckoEntry::blank(key, 8);
         older.bitmap.set(3);
-        let merged = GeckoEntry::merge_collision(&newer, &older);
+        merged.absorb_older(&older);
         assert!(merged.erase_flag);
         assert!(
             merged.bitmap.is_empty(),
@@ -339,11 +332,11 @@ mod tests {
     #[test]
     fn collision_or_merges_and_keeps_older_erase_flag() {
         let key = GeckoKey::first_of(BlockId(5));
-        let mut newer = GeckoEntry::blank(key, 8);
-        newer.bitmap.set(1);
+        let mut merged = GeckoEntry::blank(key, 8);
+        merged.bitmap.set(1);
         let mut older = GeckoEntry::erase_marker(key, 8);
         older.bitmap.set(2);
-        let merged = GeckoEntry::merge_collision(&newer, &older);
+        merged.absorb_older(&older);
         assert!(merged.bitmap.get(1) && merged.bitmap.get(2));
         assert!(merged.erase_flag, "older erase flag must survive the merge");
     }

@@ -513,9 +513,9 @@ mod tests {
     use crate::validity::FlatMetaSink;
     use flash_sim::BlockId;
 
-    /// Algorithm 3's collision rule as `GeckoEntry::merge_collision` spelled
-    /// it before it delegated to `absorb_older`: the reference model must not
-    /// share the rule with the code under test.
+    /// Algorithm 3's collision rule, written out here rather than calling
+    /// [`GeckoEntry::absorb_older`]: the reference model must not share the
+    /// rule with the code under test.
     fn merge_collision(newer: &GeckoEntry, older: &GeckoEntry) -> GeckoEntry {
         if newer.erase_flag {
             newer.clone()
