@@ -31,15 +31,6 @@ pub fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../traces/golden")
 }
 
-/// The replay engine: [`small_gecko_engine`] on the tiny geometry (64
-/// blocks × 16 pages, 716 logical pages) with 64 cache entries, the
-/// validity store split `shards` ways. QoS headroom stays 0 here — the
-/// corpus pins the *default* engine; the QoS path is exercised by the
-/// `multi_tenant` experiment.
-pub fn golden_engine(shards: u32) -> FtlEngine {
-    small_gecko_engine(Geometry::tiny(), 64, shards)
-}
-
 /// FNV-1a over the final logical content: every mapped page's `(lpn,
 /// version)` plus the set of unmapped pages, so both lost writes and
 /// resurrected trims change the fingerprint.
@@ -69,7 +60,10 @@ fn content_fingerprint(engine: &mut FtlEngine) -> u64 {
 /// run, platform and build profile (all floats derive from exact integer
 /// simulation state through a fixed expression order).
 pub fn replay_stats(trace: &Trace, shards: u32) -> String {
-    let mut engine = golden_engine(shards);
+    // The tiny geometry (716 logical pages) with 64 cache entries. QoS
+    // headroom stays 0: the corpus pins the *default* engine; the QoS path
+    // is exercised by the `multi_tenant` experiment.
+    let mut engine = small_gecko_engine(Geometry::tiny(), 64, shards);
     fill_sequential(&mut engine);
     let gecko_queries = |e: &FtlEngine| e.backend().gecko_stats().expect("gecko backend").queries;
     let c0 = engine.counters;
