@@ -6,7 +6,7 @@
 use super::RunOptions;
 use crate::harness::measure_uniform;
 use crate::report::{f3, Table};
-use flash_sim::{Geometry, IoPurpose};
+use flash_sim::{Geometry, IoPurpose, WaCategory};
 use ftl_baselines::ftls::build_with;
 use ftl_baselines::BaselineKind;
 use geckoftl_core::ftl::FtlConfig;
@@ -33,14 +33,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
         let gcs = engine.counters.gc_operations - gcs_before;
         let n = d.logical_writes.max(1) as f64;
         let queries = d.counts(IoPurpose::ValidityQuery).page_reads;
-        let mut writes = 0u64;
-        for p in [
-            IoPurpose::ValidityUpdate,
-            IoPurpose::ValidityMerge,
-            IoPurpose::ValidityGc,
-        ] {
-            writes += d.counts(p).page_writes;
-        }
+        let writes = d.category_counts(WaCategory::Validity).page_writes;
         t.row(vec![
             format!("{r:.1}"),
             f3(queries as f64 / n * 10_000.0),
