@@ -7,10 +7,9 @@
 //! would have to even out.
 
 use super::RunOptions;
-use crate::harness::{drive, fill_sequential, sim_geometry};
+use crate::harness::{drive, sim_geometry, warm_up_uniform};
 use crate::report::{f3, Table};
 use ftl_baselines::{build, BaselineKind};
-use ftl_workloads::Uniform;
 
 /// Run the endurance comparison.
 pub fn run(_: &RunOptions) -> Vec<Table> {
@@ -29,10 +28,7 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
     let mut baseline_rate = None;
     for kind in BaselineKind::ALL {
         let mut engine = build(kind, geo);
-        fill_sequential(&mut engine);
-        let logical = geo.logical_pages();
-        let mut gen = Uniform::new(99, logical);
-        drive(&mut engine, &mut gen, logical / 2);
+        let mut gen = warm_up_uniform(&mut engine, 99);
         let snap_erases: u64 = geo
             .iter_blocks()
             .map(|b| engine.device().erase_count(b) as u64)
