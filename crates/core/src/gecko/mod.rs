@@ -405,9 +405,10 @@ impl LogGecko {
 
     /// Probe-every-run oracle: assemble the bitmap by reading **every** page
     /// of every run, newest first, using no run directories, fence pointers
-    /// or filters. Deliberately the slowest possible correct implementation;
-    /// the property tests check the query path against it byte-for-byte, and
-    /// the query benchmark uses it as the most pessimistic baseline.
+    /// or filters. Deliberately the slowest possible correct implementation,
+    /// kept only as the oracle the property tests check the query path
+    /// against byte-for-byte. The `gecko_query` experiment's baseline is the
+    /// query path with filters off (`bloom_bits_per_key = 0`).
     pub fn gc_query_naive(&mut self, dev: &mut FlashDevice, block: BlockId) -> Bitmap {
         let s = self.cfg.partitions as usize;
         let sub = self.cfg.sub_bits(&self.geo);
