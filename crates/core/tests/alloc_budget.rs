@@ -1,6 +1,7 @@
 //! Allocation budget of the eviction → synchronization → report → flush
-//! path, of one merge and of the device's page store: how many allocator
-//! calls each step may make once its reusable storage is warm.
+//! path, of one merge, of the device's page store and of telemetry
+//! recording: how many allocator calls each step may make once its reusable
+//! storage is warm.
 //!
 //! A counting `#[global_allocator]` needs a test binary of its own, so no
 //! other test pays for it. Calls (`alloc` and `realloc`; frees are not
@@ -27,8 +28,8 @@
 //! inside the unchanged budget of 81 188.
 
 use flash_sim::{
-    BlockId, EraseFault, FaultPlan, FlashDevice, Geometry, IoPurpose, Lpn, MetaKind, PageData, Ppn,
-    SpareInfo,
+    BlockId, EraseFault, FaultPlan, FlashDevice, Geometry, IoOp, IoPurpose, Lpn, MetaKind,
+    PageData, Ppn, SpanKind, SpareInfo, Telemetry,
 };
 use geckoftl_core::cache::{CacheEntry, MappingCache};
 use geckoftl_core::ftl::{BlockManager, FtlConfig, FtlEngine, ValidityBackend};
@@ -195,6 +196,30 @@ fn a_second_crash_image_costs_what_the_first_did() {
     let image = dev.take_crash_image().expect("the second fault's image");
     assert!(!image.crash_image_ready() && image.fault_plan().is_empty());
     assert_eq!(image.erase_count(BlockId(1)), 1);
+}
+
+/// docs/OBSERVABILITY.md's rules "zero overhead when disabled" and
+/// "preallocated sink … never reallocated": recording costs no allocator
+/// call either way, even once the ring wraps.
+#[test]
+fn telemetry_records_without_allocating() {
+    let record = |t: &mut Telemetry| {
+        for i in 0..10_000u32 {
+            let start = f64::from(i) * 1_000.0;
+            t.record_io(0, IoOp::PageWrite, 0, start, 1_000.0);
+            t.record_span(SpanKind::HostWrite, i, start, start + 1_000.0);
+        }
+    };
+    let mut t = Telemetry::default();
+    let ((), calls) = allocator_calls(|| record(&mut t));
+    assert_eq!(calls, 0, "a disabled telemetry must not allocate");
+    assert_eq!(t.total_events(), 0);
+
+    t.enable(64);
+    let ((), calls) = allocator_calls(|| record(&mut t));
+    assert_eq!(calls, 0, "the ring must be preallocated, never grown");
+    assert_eq!(t.total_events(), 20_000);
+    assert_eq!(t.dropped_events(), t.total_events() - 64);
 }
 
 #[test]
