@@ -26,7 +26,7 @@ use crate::validity::MetaSink;
 use flash_sim::{
     BlockId, FlashDevice, FlashError, Geometry, IoPurpose, MetaKind, PageData, Ppn, SpareInfo,
 };
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The block groups of Figure 8. PVB and PVL blocks take the "Gecko blocks"
 /// role for the baseline FTLs.
@@ -169,11 +169,12 @@ pub struct BlockManager {
     /// invalid (GeckoFTL's §4.2 policy). When false, they wait for the
     /// greedy garbage-collector like any other block.
     pub erase_empty_metadata: bool,
-    /// Blocks that must not be erased or garbage-collected right now:
-    /// GeckoRec's buffer recovery (App. C.2.2) needs the previous version of
-    /// recently updated translation pages, so the engine protects their
-    /// blocks until the next Gecko buffer flush.
-    protected: HashSet<BlockId>,
+    /// Blocks that must not be erased or garbage-collected right now, each
+    /// with the newest stamp taken on it: GeckoRec's buffer recovery (App.
+    /// C.2.2) needs the previous version of recently updated translation
+    /// pages, so the engine protects their blocks until the store's durable
+    /// watermark passes the stamp. Ordered, so a release is deterministic.
+    protected: BTreeMap<BlockId, u64>,
     /// Blocks permanently taken out of service after an erase failure. A
     /// retired block stays `InUse` forever — it can never be
     /// erased, so it must never reach the free pool — and is excluded from
@@ -196,7 +197,7 @@ impl BlockManager {
             free: geo.iter_blocks().collect(),
             bvc: vec![0; geo.blocks as usize],
             erase_empty_metadata: true,
-            protected: HashSet::new(),
+            protected: BTreeMap::new(),
             retired: vec![false; geo.blocks as usize],
             victims: VictimIndex::new(&geo),
         }
@@ -235,7 +236,7 @@ impl BlockManager {
             free,
             bvc,
             erase_empty_metadata,
-            protected: HashSet::new(),
+            protected: BTreeMap::new(),
             retired: vec![false; geo.blocks as usize],
             victims,
         }
@@ -278,15 +279,17 @@ impl BlockManager {
         self.active.contains(&Some(block))
     }
 
-    /// Protect a block from erasure and GC until the next
-    /// [`BlockManager::clear_protection`] (App. C.2.2's no-erase list).
-    pub fn protect(&mut self, block: BlockId) {
-        self.protected.insert(block);
+    /// Protect a block from erasure and GC until a
+    /// [`BlockManager::release_through`] at or past `stamp` (App. C.2.2's
+    /// no-erase list). A block protected twice keeps the newer stamp.
+    pub fn protect(&mut self, block: BlockId, stamp: u64) {
+        let s = self.protected.entry(block).or_insert(stamp);
+        *s = (*s).max(stamp);
     }
 
     /// Whether a block is currently protected.
     pub fn is_protected(&self, block: BlockId) -> bool {
-        self.protected.contains(&block)
+        self.protected.contains_key(&block)
     }
 
     /// Number of currently protected blocks.
@@ -294,17 +297,23 @@ impl BlockManager {
         self.protected.len()
     }
 
-    /// Drop all protections (called when Gecko's buffer flushes) and return
-    /// the blocks that were protected so the engine can erase any that have
-    /// become fully invalid in the meantime. Sorted: the caller erases these
-    /// in order, and erase order feeds the free pool and hence future victim
-    /// selection — draining the `HashSet` unsorted leaked per-process hash
-    /// randomization into GC victim order (±2 reads/query jitter in
-    /// BENCH_gecko_query).
-    pub fn clear_protection(&mut self) -> Vec<BlockId> {
-        let mut blocks: Vec<BlockId> = self.protected.drain().collect();
-        blocks.sort_unstable();
-        blocks
+    /// Drop every protection stamped at or before `seq` and return those
+    /// blocks, so the engine can erase any that have become fully invalid in
+    /// the meantime. Sorted: the caller erases these in order, and erase
+    /// order feeds the free pool and hence future victim selection (draining
+    /// a hash set unsorted once leaked per-process hash randomization into GC
+    /// victim order: ±2 reads/query jitter in BENCH_gecko_query).
+    pub fn release_through(&mut self, seq: u64) -> Vec<BlockId> {
+        let released: Vec<BlockId> = self
+            .protected
+            .iter()
+            .filter(|&(_, &stamp)| stamp <= seq)
+            .map(|(&b, _)| b)
+            .collect();
+        for b in &released {
+            self.protected.remove(b);
+        }
+        released
     }
 
     /// Integrated-RAM footprint of BVC: 2 bytes per block (Appendix B).
@@ -846,7 +855,7 @@ mod tests {
         obsolete(&mut bm, &user[16..18]); // user block 2: BVC 6
         obsolete(&mut bm, &tran[..7]); // translation block 0: BVC 1
         obsolete(&mut bm, &tran[8..14]); // translation block 1: BVC 2
-        bm.protect(geo.block_of(user[0]));
+        bm.protect(geo.block_of(user[0]), 0);
         let user_only = |g| g == BlockGroup::User;
 
         PICK_EVALUATIONS.with(|n| n.set(0));
@@ -864,6 +873,21 @@ mod tests {
         assert!(small <= bound, "evaluated {small} blocks, bound {bound}");
         assert_eq!(small, 6, "protected, 3 translation, active user, victim");
         assert_eq!(large, small, "work must not grow with the device");
+    }
+
+    #[test]
+    fn release_through_drops_only_stamps_it_has_passed() {
+        let (_, mut bm) = setup();
+        bm.protect(BlockId(9), 30);
+        bm.protect(BlockId(4), 10);
+        bm.protect(BlockId(7), 20);
+        bm.protect(BlockId(4), 40); // re-protected: the newer stamp holds
+        bm.protect(BlockId(9), 5); // an older stamp never shortens one
+        assert_eq!(bm.release_through(9), []);
+        assert_eq!(bm.release_through(30), [BlockId(7), BlockId(9)]);
+        assert!(bm.is_protected(BlockId(4)) && !bm.is_protected(BlockId(7)));
+        assert_eq!(bm.release_through(u64::MAX), [BlockId(4)]);
+        assert_eq!(bm.protected_count(), 0);
     }
 
     #[test]

@@ -71,6 +71,11 @@ pub const RESTRICTED_DIRTY_FRACTION: f64 = 0.1;
 /// GC triggers when the free pool drops below this many blocks.
 pub const GC_FREE_THRESHOLD: usize = 8;
 
+/// A translation-page sync that finds more blocks than this protected first
+/// forces a Gecko flush, which releases them all (App. C.2.2's no-erase
+/// list stays a handful of blocks, even inside a GC burst).
+pub const MAX_PROTECTED_BLOCKS: usize = 8;
+
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct FtlConfig {
@@ -229,8 +234,6 @@ pub struct FtlEngine {
     /// Checkpoint epoch (increments at every checkpoint).
     epoch: u64,
     ops_since_checkpoint: u64,
-    /// Gecko flush watermark, to detect flushes and clear protections.
-    last_flush_seen: u64,
     /// The user block being collected, `Some` only while
     /// `collect_user_block` runs: no GC state outlives a collection.
     gc_victim: Option<GcVictim>,
@@ -408,7 +411,6 @@ impl FtlEngine {
         backend: ValidityBackend,
         cfg: FtlConfig,
     ) -> Self {
-        let last_flush_seen = backend.gecko().map_or(0, ShardedGecko::last_flush_seq);
         FtlEngine {
             dev,
             bm,
@@ -418,7 +420,6 @@ impl FtlEngine {
             cfg,
             epoch: 1,
             ops_since_checkpoint: 0,
-            last_flush_seen,
             gc_victim: None,
             sync_scratch: SyncScratch::default(),
             read_run: (0, 0),
@@ -843,17 +844,21 @@ impl FtlEngine {
         if self.backend.gecko().is_none() {
             return;
         }
-        if let Some(old) = self.tt.tpage_location(tpage) {
-            self.bm.protect(self.geometry().block_of(old));
-        }
-        // Bound the protected set: when it grows past a handful of blocks,
-        // force a Gecko flush — this makes every buffered report durable,
-        // advances the recovery threshold, and lifts all protections (the
-        // paper bounds its recovery structures the same way, cf. C.2.2's cap
-        // on buffer absorption).
-        if self.bm.protected_count() > 8 {
+        // Bound the protected set: when it has grown past a handful of
+        // blocks, force a Gecko flush — this makes every buffered report
+        // durable and releases every protection (the paper bounds its
+        // recovery structures the same way, cf. C.2.2's cap on buffer
+        // absorption). First, so the flush cannot release the protection
+        // taken below.
+        if self.bm.protected_count() > MAX_PROTECTED_BLOCKS {
             self.backend.store().flush(&mut self.dev, &mut self.bm);
             self.after_validity_op();
+        }
+        // Stamped with the seq the superseding version is about to get: the
+        // old version is needed until that version's reports are durable.
+        if let Some(old) = self.tt.tpage_location(tpage) {
+            let stamp = self.dev.now_seq();
+            self.bm.protect(self.geometry().block_of(old), stamp);
         }
     }
 
@@ -1035,26 +1040,24 @@ impl FtlEngine {
         self.epoch += 1;
     }
 
-    /// Detect Gecko buffer flushes and lift translation-block protections
-    /// (App. C.2.2: "When Logarithmic Gecko's buffer is flushed, we clear
-    /// the list").
+    /// Release the translation-block protections the store's durable
+    /// watermark has passed, and erase any released block that has become
+    /// empty (App. C.2.2: "When Logarithmic Gecko's buffer is flushed, we
+    /// clear the list"; with several trees a protection is released by its
+    /// stamp, DESIGN.md invariant 6).
     fn after_validity_op(&mut self) {
-        // The *minimum* shard watermark: protections may only be lifted
-        // once every shard's buffered reports are durable.
-        let Some(flushed) = self.backend.gecko().map(ShardedGecko::last_flush_seq) else {
+        let Some(gecko) = self.backend.gecko() else {
             return;
         };
-        if flushed > self.last_flush_seen {
-            self.last_flush_seen = flushed;
-            for block in self.bm.clear_protection() {
-                let empty = self.bm.valid_pages(block) == 0;
-                let erasable = self.bm.erase_empty_metadata
-                    && !self.bm.is_active(block)
-                    && self.bm.group_of(block).is_some_and(BlockGroup::is_metadata);
-                if empty && erasable {
-                    self.bm
-                        .erase_and_free(&mut self.dev, block, IoPurpose::TranslationGc);
-                }
+        let durable = gecko.durable_watermark(self.dev.now_seq());
+        for block in self.bm.release_through(durable) {
+            let empty = self.bm.valid_pages(block) == 0;
+            let erasable = self.bm.erase_empty_metadata
+                && !self.bm.is_active(block)
+                && self.bm.group_of(block).is_some_and(BlockGroup::is_metadata);
+            if empty && erasable {
+                self.bm
+                    .erase_and_free(&mut self.dev, block, IoPurpose::TranslationGc);
             }
         }
     }

@@ -108,6 +108,27 @@ impl ShardedGecko {
             .unwrap_or(0)
     }
 
+    /// The *durable watermark* at device seq `now`: every report made
+    /// before it is on flash. It is the minimum over shards of the last
+    /// flush, where a shard with an empty buffer counts as flushed at `now`
+    /// — it holds no report newer than its flush. The engine releases
+    /// protections and bounds the version chain against it; recovery, which
+    /// cannot see buffers, keeps the persisted [`ShardedGecko::last_flush_seq`]
+    /// (DESIGN.md invariant 6).
+    pub fn durable_watermark(&self, now: u64) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| {
+                if s.buffer_len() == 0 {
+                    now
+                } else {
+                    s.last_flush_seq()
+                }
+            })
+            .min()
+            .unwrap_or(now)
+    }
+
     /// Per-shard flush watermarks, in shard order (recovery uses these to
     /// bound each shard's buffer-refill window independently).
     pub fn shard_flush_seqs(&self) -> Vec<u64> {

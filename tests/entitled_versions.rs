@@ -9,10 +9,14 @@
 //! none, and silently miss the invalidations in between (DESIGN.md
 //! invariants 2 and 6). App. C.2.2's no-erase list exists to keep them.
 //!
-//! The check drives uniform writes and, after every op, records every
+//! The engine releases a protection once the store's *durable watermark*
+//! (`durable_watermark`: a shard with an empty buffer counts as flushed now)
+//! passes its stamp, so the read set it promises to keep is the one against
+//! that watermark; recovery reads against the persisted MIN, which is never
+//! newer. The check drives uniform writes and, after every op, records every
 //! translation-page version on flash (spare areas peeked without IO). It then
-//! asks whether the base and every later version of each page, among the
-//! versions ever seen, are still there.
+//! asks, against both watermarks, whether the base and every later version of
+//! each page, among the versions ever seen, are still there.
 
 use gecko_bench::harness::{small_gecko_engine, OpDriver};
 use geckoftl::flash_sim::{Geometry, PageOffset, SpareInfo};
@@ -46,12 +50,14 @@ fn versions_on_flash(engine: &FtlEngine, seen: &mut Seen) -> HashSet<u64> {
     on_flash
 }
 
-/// The first version of step 4b's read set that is gone from flash, as
-/// `(tpage, seq, watermark)`.
-fn missing_entitled_version(engine: &FtlEngine, seen: &mut Seen) -> Option<(u32, u64, u64)> {
-    let on_flash = versions_on_flash(engine, seen);
-    let watermark = engine.backend().gecko().expect("gecko").last_flush_seq();
-    let tpages = engine.device().geometry().translation_pages();
+/// The first version of step 4b's read set against `watermark` that is gone
+/// from flash, as `(tpage, seq)`.
+fn missing_entitled_version(
+    seen: &Seen,
+    on_flash: &HashSet<u64>,
+    watermark: u64,
+) -> Option<(u32, u64)> {
+    let tpages = seen.last().map_or(0, |&(t, _)| t + 1);
     for tpage in 0..tpages {
         let mut versions = seen.range((tpage, 0)..=(tpage, u64::MAX)).map(|&(_, s)| s);
         let newer: Vec<u64> = versions.clone().filter(|&s| s > watermark).collect();
@@ -60,51 +66,64 @@ fn missing_entitled_version(engine: &FtlEngine, seen: &mut Seen) -> Option<(u32,
         }
         let base = versions.rfind(|&s| s <= watermark);
         if let Some(&seq) = base.iter().chain(&newer).find(|s| !on_flash.contains(s)) {
-            return Some((tpage, seq, watermark));
+            return Some((tpage, seq));
         }
     }
     None
 }
 
-/// Op boundaries (of `ops` uniform writes) at which step 4b's read set was
-/// incomplete, and the first such miss.
-fn misses(shards: u32, ops: usize) -> (usize, Option<(usize, u32, u64, u64)>) {
+/// What `ops` uniform writes did to step 4b's read set: the op boundaries at
+/// which it was incomplete against the durable watermark and against the MIN,
+/// with the first miss of each as `(op, tpage, seq, watermark)`.
+#[derive(Debug, Default)]
+struct Census {
+    durable_misses: usize,
+    first_durable_miss: Option<(usize, u32, u64, u64)>,
+    min_misses: usize,
+    first_min_miss: Option<(usize, u32, u64, u64)>,
+}
+
+fn census(shards: u32, ops: usize) -> Census {
     let geo = Geometry::tiny();
     let mut engine = small_gecko_engine(geo, 32, shards);
     let mut driver = OpDriver::new(0);
     let mut seen = Seen::new();
-    let mut count = 0;
-    let mut first = None;
+    let mut c = Census::default();
     for (i, op) in Uniform::new(7, geo.logical_pages()).take(ops).enumerate() {
         driver.apply(&mut engine, op, None).expect("in range");
-        if let Some((tpage, seq, watermark)) = missing_entitled_version(&engine, &mut seen) {
-            count += 1;
-            first.get_or_insert((i, tpage, seq, watermark));
+        let on_flash = versions_on_flash(&engine, &mut seen);
+        let gecko = engine.backend().gecko().expect("gecko");
+        let durable = gecko.durable_watermark(engine.device().now_seq());
+        let min = gecko.last_flush_seq();
+        if let Some((tpage, seq)) = missing_entitled_version(&seen, &on_flash, durable) {
+            c.durable_misses += 1;
+            c.first_durable_miss.get_or_insert((i, tpage, seq, durable));
+        }
+        if let Some((tpage, seq)) = missing_entitled_version(&seen, &on_flash, min) {
+            c.min_misses += 1;
+            c.first_min_miss.get_or_insert((i, tpage, seq, min));
         }
     }
-    (count, first)
+    c
 }
 
 #[test]
 fn recovery_read_set_stays_on_flash_with_one_tree() {
-    let (count, first) = misses(1, 4_000);
-    assert_eq!(
-        count, 0,
-        "first miss (op, tpage, seq, watermark): {first:?}"
-    );
+    let c = census(1, 4_000);
+    assert_eq!(c.durable_misses, 0, "{c:?}");
+    assert_eq!(c.min_misses, 0, "{c:?}");
 }
 
-/// ROADMAP item 1 flips this: `FtlEngine::after_validity_op` lifts every
-/// translation-block protection whenever the MIN shard watermark advances,
-/// including protections taken after the new MIN, so a base another shard's
-/// buffered reports still need can be erased.
+/// With several trees a protection is released by its stamp, not by a MIN
+/// advance: before ROADMAP item 1's fix `after_validity_op` lifted every
+/// protection whenever the MIN shard watermark advanced, including those
+/// taken after the new MIN, and this census missed a version at most op
+/// boundaries with four trees.
 #[test]
-fn recovery_read_set_leaves_flash_with_four_trees_until_item_1() {
-    let (count, _) = misses(4, 4_000);
-    assert!(
-        count > 0,
-        "step 4b's read set stayed on flash at shards = 4, so a MIN-watermark \
-         advance no longer releases protections taken after the new MIN \
-         (ROADMAP item 1): assert zero misses here, as with one tree"
-    );
+fn recovery_read_set_stays_on_flash_with_two_and_four_trees() {
+    for shards in [2, 4] {
+        let c = census(shards, 4_000);
+        assert_eq!(c.durable_misses, 0, "shards = {shards}: {c:?}");
+        assert_eq!(c.min_misses, 0, "shards = {shards}: {c:?}");
+    }
 }

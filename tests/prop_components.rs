@@ -71,10 +71,15 @@ enum BmOp {
     Obsolete {
         pick: usize,
     },
+    /// Protect a block, stamped `stamp`.
     Protect {
         pick: usize,
+        stamp: u64,
     },
-    ClearProtection,
+    /// Release every protection stamped at or before `seq`.
+    ReleaseThrough {
+        seq: u64,
+    },
     /// `erase_and_free` a non-active block; with `fail`, the erase fails and
     /// the block is retired.
     Erase {
@@ -96,8 +101,8 @@ fn bm_op() -> impl Strategy<Value = BmOp> {
             program_fail: f == 0,
         }),
         12 => (0usize..4096).prop_map(|pick| BmOp::Obsolete { pick }),
-        2 => (0usize..64).prop_map(|pick| BmOp::Protect { pick }),
-        1 => Just(BmOp::ClearProtection),
+        2 => (0usize..64, 0u64..16).prop_map(|(pick, stamp)| BmOp::Protect { pick, stamp }),
+        1 => (0u64..16).prop_map(|seq| BmOp::ReleaseThrough { seq }),
         4 => (0usize..64, 0u32..4).prop_map(|(pick, f)| BmOp::Erase { pick, fail: f == 0 }),
         1 => (0usize..64).prop_map(|pick| BmOp::MarkBad { pick }),
         1 => Just(BmOp::Recover),
@@ -162,14 +167,14 @@ proptest! {
                         bm.page_obsolete(&mut dev, ppn);
                     }
                 }
-                BmOp::Protect { pick } => {
+                BmOp::Protect { pick, stamp } => {
                     let blocks = in_use(&bm);
                     if !blocks.is_empty() {
-                        bm.protect(blocks[pick % blocks.len()]);
+                        bm.protect(blocks[pick % blocks.len()], stamp);
                     }
                 }
-                BmOp::ClearProtection => {
-                    bm.clear_protection();
+                BmOp::ReleaseThrough { seq } => {
+                    bm.release_through(seq);
                 }
                 BmOp::Erase { pick, fail } => {
                     let blocks: Vec<BlockId> = in_use(&bm)

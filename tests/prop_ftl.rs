@@ -155,12 +155,6 @@ fn newest_mappings_match(engine: &FtlEngine, model: &HashMap<u32, u64>) -> Resul
 /// Run `steps` on a two-translation-page device against a shadow model,
 /// checking every read, the clean-entry invariant after every host op and
 /// the whole mapping after every step.
-///
-/// With more than one Gecko tree a power cut after a trim is skipped: it
-/// resurrects the trimmed page at the parent of read-ahead too (3 of these
-/// 24 cases at 4 shards, none at 1) — the engine lifts every translation-block
-/// protection when the minimum shard watermark advances, and recovery's TRIM
-/// guard needs the version that goes with them (ROADMAP item 1).
 fn run_scan_steps(steps: &[ScanStep], cache: usize, shards: u32) -> Result<(), String> {
     // 1 433 logical pages: translation page 0 whole, page 1 in part.
     let geo = Geometry::new(128, 16, 1 << 12, 0.7);
@@ -179,7 +173,7 @@ fn run_scan_steps(steps: &[ScanStep], cache: usize, shards: u32) -> Result<(), S
         write(&mut engine, &mut model, l)?;
     }
     let mut cursor = 0u32; // the LPN the last scan would have read next
-    let mut trimmed = false;
+
     // The `len` LPNs from `start`, wrapped into the logical space.
     let span = |start: u32, len: u32| (start..start + len).map(move |l| l % logical);
     for (i, &step) in steps.iter().enumerate() {
@@ -210,7 +204,6 @@ fn run_scan_steps(steps: &[ScanStep], cache: usize, shards: u32) -> Result<(), S
                 for l in span(cursor + skip, len) {
                     engine.trim(Lpn(l));
                     model.remove(&l);
-                    trimmed = true;
                     clean_entries_equal_flash(&engine).map_err(at)?;
                 }
             }
@@ -219,7 +212,6 @@ fn run_scan_steps(steps: &[ScanStep], cache: usize, shards: u32) -> Result<(), S
                     engine.idle_tick();
                 }
             }
-            ScanStep::Crash if shards > 1 && trimmed => {}
             ScanStep::Crash => {
                 let (cfg, gecko_cfg) = (engine.config(), engine.backend().gecko_config().unwrap());
                 engine = gecko_recover(engine.crash(), cfg, gecko_cfg).0;
