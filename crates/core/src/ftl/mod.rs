@@ -33,7 +33,7 @@ use crate::validity::{MetaSink, ValidityStore};
 use flash_sim::{
     BlockId, FlashDevice, Geometry, Histogram, IoPurpose, Lpn, PageData, Ppn, SpareInfo, Telemetry,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Garbage-collection victim-selection policy (§4.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,6 +75,13 @@ pub const GC_FREE_THRESHOLD: usize = 8;
 /// forces a Gecko flush, which releases them all (App. C.2.2's no-erase
 /// list stays a handful of blocks, even inside a GC burst).
 pub const MAX_PROTECTED_BLOCKS: usize = 8;
+
+/// `K`: at the start of every host write, at most this many
+/// translation-page versions are newer than the Gecko store's durable
+/// watermark. A write that finds `K` flushes the store first, which bounds
+/// the version chains GeckoRec step 4b reads (App. C.2.2) the way the paper
+/// bounds its other recovery structures, by capping what the buffer absorbs.
+pub const MAX_UNFLUSHED_VERSIONS: usize = 96;
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -247,6 +254,11 @@ pub struct FtlEngine {
     /// The successors a read miss took from its translation page, reused by
     /// the next one. Contents are meaningless outside `read_inner`.
     read_ahead: Vec<(Lpn, Ppn)>,
+    /// The stamps of the translation-page versions newer than the Gecko
+    /// store's durable watermark, oldest first: the chain
+    /// [`MAX_UNFLUSHED_VERSIONS`] bounds. RAM-only: an engine out of
+    /// recovery starts empty.
+    unflushed_versions: VecDeque<u64>,
     /// Lifetime op counters.
     pub counters: EngineCounters,
     /// Per-tenant accounting, populated by ops submitted with a tenant.
@@ -424,6 +436,7 @@ impl FtlEngine {
             sync_scratch: SyncScratch::default(),
             read_run: (0, 0),
             read_ahead: Vec::new(),
+            unflushed_versions: VecDeque::new(),
             counters: EngineCounters::default(),
             tenants: BTreeMap::new(),
             gc_attrib_us: 0.0,
@@ -516,6 +529,10 @@ impl FtlEngine {
 
     /// The body of a host write ([`FtlEngine::submit`] has checked `lpn`).
     fn write_inner(&mut self, lpn: Lpn, version: u64) {
+        if self.unflushed_versions.len() >= MAX_UNFLUSHED_VERSIONS {
+            self.backend.store().flush(&mut self.dev, &mut self.bm);
+            self.after_validity_op();
+        }
         self.maybe_gc();
         self.counters.writes += 1;
         // Record the superseded copy's address in the new page's spare area
@@ -856,10 +873,11 @@ impl FtlEngine {
         }
         // Stamped with the seq the superseding version is about to get: the
         // old version is needed until that version's reports are durable.
+        let stamp = self.dev.now_seq();
         if let Some(old) = self.tt.tpage_location(tpage) {
-            let stamp = self.dev.now_seq();
             self.bm.protect(self.geometry().block_of(old), stamp);
         }
+        self.unflushed_versions.push_back(stamp);
     }
 
     /// Synchronization operation (§4): push every dirty cached entry of one
@@ -1050,6 +1068,13 @@ impl FtlEngine {
             return;
         };
         let durable = gecko.durable_watermark(self.dev.now_seq());
+        while self
+            .unflushed_versions
+            .front()
+            .is_some_and(|&s| s <= durable)
+        {
+            self.unflushed_versions.pop_front();
+        }
         for block in self.bm.release_through(durable) {
             let empty = self.bm.valid_pages(block) == 0;
             let erasable = self.bm.erase_empty_metadata
