@@ -259,6 +259,8 @@ pub struct FtlEngine {
     /// [`MAX_UNFLUSHED_VERSIONS`] bounds. RAM-only: an engine out of
     /// recovery starts empty.
     unflushed_versions: VecDeque<u64>,
+    /// [`FtlEngine::durable_watermark`]; it never decreases.
+    durable: u64,
     /// Lifetime op counters.
     pub counters: EngineCounters,
     /// Per-tenant accounting, populated by ops submitted with a tenant.
@@ -423,6 +425,7 @@ impl FtlEngine {
         backend: ValidityBackend,
         cfg: FtlConfig,
     ) -> Self {
+        let durable = backend.gecko().map_or(0, ShardedGecko::last_flush_seq);
         FtlEngine {
             dev,
             bm,
@@ -437,6 +440,7 @@ impl FtlEngine {
             read_run: (0, 0),
             read_ahead: Vec::new(),
             unflushed_versions: VecDeque::new(),
+            durable,
             counters: EngineCounters::default(),
             tenants: BTreeMap::new(),
             gc_attrib_us: 0.0,
@@ -478,6 +482,14 @@ impl FtlEngine {
     /// The validity backend (inspection).
     pub fn backend(&self) -> &ValidityBackend {
         &self.backend
+    }
+
+    /// The Gecko store's durable watermark as the engine last saw it
+    /// (inspection; 0 for other validity stores): every translation-page
+    /// version at or before it has its reports on flash, so protections and
+    /// the version cap are judged against it (DESIGN.md invariants 6, 14).
+    pub fn durable_watermark(&self) -> u64 {
+        self.durable
     }
 
     /// The user block GC is collecting right now (inspection): `None`
@@ -1067,15 +1079,17 @@ impl FtlEngine {
         let Some(gecko) = self.backend.gecko() else {
             return;
         };
-        let durable = gecko.durable_watermark(self.dev.now_seq());
+        // Every version written so far has made its reports by now.
+        let newest = self.dev.now_seq().saturating_sub(1);
+        self.durable = self.durable.max(gecko.durable_watermark(newest));
         while self
             .unflushed_versions
             .front()
-            .is_some_and(|&s| s <= durable)
+            .is_some_and(|&s| s <= self.durable)
         {
             self.unflushed_versions.pop_front();
         }
-        for block in self.bm.release_through(durable) {
+        for block in self.bm.release_through(self.durable) {
             let empty = self.bm.valid_pages(block) == 0;
             let erasable = self.bm.erase_empty_metadata
                 && !self.bm.is_active(block)

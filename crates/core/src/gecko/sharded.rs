@@ -108,25 +108,27 @@ impl ShardedGecko {
             .unwrap_or(0)
     }
 
-    /// The *durable watermark* at device seq `now`: every report made
-    /// before it is on flash. It is the minimum over shards of the last
-    /// flush, where a shard with an empty buffer counts as flushed at `now`
-    /// — it holds no report newer than its flush. The engine releases
-    /// protections and bounds the version chain against it; recovery, which
-    /// cannot see buffers, keeps the persisted [`ShardedGecko::last_flush_seq`]
-    /// (DESIGN.md invariant 6).
-    pub fn durable_watermark(&self, now: u64) -> u64 {
+    /// The *durable watermark*, `newest` being the seq of the device's
+    /// newest write: the reports of every translation-page version written
+    /// at or before it are on flash. It is the minimum over shards of the
+    /// last flush, where a shard with an empty buffer counts as flushed at
+    /// `newest` — it holds no report at all. The engine releases protections
+    /// and bounds the version chain against it, keeping the maximum it has
+    /// seen (a report made later cannot make an earlier one volatile again);
+    /// recovery, which cannot see buffers, keeps the persisted
+    /// [`ShardedGecko::last_flush_seq`] (DESIGN.md invariant 6).
+    pub fn durable_watermark(&self, newest: u64) -> u64 {
         self.shards
             .iter()
             .map(|s| {
                 if s.buffer_len() == 0 {
-                    now
+                    newest
                 } else {
                     s.last_flush_seq()
                 }
             })
             .min()
-            .unwrap_or(now)
+            .unwrap_or(newest)
     }
 
     /// Per-shard flush watermarks, in shard order (recovery uses these to

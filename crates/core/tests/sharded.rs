@@ -326,3 +326,38 @@ fn per_shard_recovery_preserves_every_installed_run() {
     run_workload(&mut recovered, &mut oracle, &mut rng, 1000);
     verify_all(&mut recovered, &oracle);
 }
+
+/// The durable watermark the engine releases protections against (DESIGN.md
+/// invariant 6): a shard with an empty buffer counts as flushed at the
+/// newest seq, so an idle shard never holds it back, while one buffered
+/// report holds it at its own shard's last flush. The persisted MIN, which
+/// recovery keeps, does not see buffers and stays at the idle shard's.
+#[test]
+fn durable_watermark_counts_an_empty_shard_as_flushed_now() {
+    let (mut dev, mut sink) = harness(1);
+    let geo = dev.geometry();
+    let mut g = ShardedGecko::new(geo, small_page_cfg(2));
+    // Block 1 belongs to shard 1, block 2 to shard 0.
+    let (in_shard_1, in_shard_0) = (Ppn(geo.pages_per_block), Ppn(2 * geo.pages_per_block));
+    assert_eq!(g.durable_watermark(41), 41, "no report anywhere");
+
+    g.mark_invalid(&mut dev, &mut sink, in_shard_1);
+    assert_eq!(g.durable_watermark(41), 0, "shard 1 never flushed");
+
+    g.flush(&mut dev, &mut sink);
+    let newest = dev.now_seq() - 1;
+    assert_eq!(g.durable_watermark(newest), newest, "both buffers empty");
+    assert_eq!(g.last_flush_seq(), 0, "shard 0 has never flushed");
+
+    g.mark_invalid(&mut dev, &mut sink, in_shard_1);
+    let shard_1_flush = g.shard_flush_seqs()[1];
+    assert!(shard_1_flush > 0);
+    assert_eq!(g.durable_watermark(dev.now_seq()), shard_1_flush);
+
+    g.mark_invalid(&mut dev, &mut sink, in_shard_0);
+    assert_eq!(
+        g.durable_watermark(dev.now_seq()),
+        0,
+        "shard 0 never flushed"
+    );
+}
