@@ -5,7 +5,7 @@
 use flash_sim::{Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn, SpanKind, TraceEvent};
 use geckoftl_core::ftl::{
     BlockGroup, FtlConfig, FtlEngine, FtlError, GcPolicy, HostOp, HostOpKind, RecoveryPolicy,
-    ValidityBackend,
+    ValidityBackend, MAX_UNFLUSHED_VERSIONS,
 };
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
@@ -1164,4 +1164,63 @@ fn read_ahead_issues_no_io_and_stops_at_a_dirty_lru_entry() {
     assert_eq!(engine.read(Lpn(13)), Some(13));
     let delta = engine.device().stats().since(&before);
     assert_eq!(delta.counts(IoPurpose::TranslationFetch), one_read);
+}
+
+/// The version cap flushes Gecko when `MAX_UNFLUSHED_VERSIONS` translation
+/// versions are newer than the durable watermark, and a flush leaves an
+/// empty shard's last flush where it was. Were an empty shard not counted as
+/// flushed now (DESIGN.md invariant 6), a shard that never receives a report
+/// would hold the watermark behind the cap for good, and every write would
+/// flush the other shard again: a flush per report instead of one per `K`
+/// synchronizations.
+#[test]
+fn gecko_flushes_stay_bounded_while_a_shard_buffer_stays_empty() {
+    let geo = Geometry::new(512, 16, 1 << 12, 0.7);
+    let cfg = FtlConfig {
+        cache_entries: 16,
+        ..FtlConfig::geckoftl(&geo)
+    };
+    let gecko = GeckoConfig {
+        shards: 2,
+        ..GeckoConfig::paper_default(&geo)
+    };
+    let mut engine = FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko));
+    let logical = geo.logical_pages() as u32;
+    // First writes, in a scattered order, have no before-image: their syncs
+    // report nothing. Every fourth op overwrites one of them that landed in
+    // an even block instead, so every report goes to shard 0.
+    let mut even = Vec::new();
+    let mut reports = 0u64;
+    for i in 0..4_000u32 {
+        if i % 4 == 3 && reports < even.len() as u64 {
+            engine.write(Lpn(even[reports as usize]), 1);
+            reports += 1;
+        } else {
+            let lpn = Lpn(i.wrapping_mul(2_357) % logical);
+            engine.write(lpn, 0);
+            let ppn = engine.current_mapping(lpn).expect("just written");
+            if geo.block_of(ppn).0.is_multiple_of(2) {
+                even.push(lpn.0);
+            }
+        }
+        let shards = engine.backend().gecko().expect("gecko").shard_trees();
+        assert_eq!(
+            shards[1].buffer_len(),
+            0,
+            "op {i}: shard 1 received a report"
+        );
+    }
+    let syncs = engine.counters.syncs;
+    let flushes = engine.backend().gecko_stats().expect("gecko").flushes;
+    assert!(
+        reports > 500 && syncs > 1_000,
+        "{reports} reports, {syncs} syncs"
+    );
+    // One forced flush per `K` syncs at most, plus shard 0 filling its
+    // buffer of `V` entries.
+    let v = gecko.entries_per_page(&geo) as u64;
+    assert!(
+        flushes <= syncs / MAX_UNFLUSHED_VERSIONS as u64 + reports / v + 1,
+        "{flushes} Gecko flushes for {syncs} syncs and {reports} reports"
+    );
 }
