@@ -304,15 +304,14 @@ impl BlockManager {
     /// a hash set unsorted once leaked per-process hash randomization into GC
     /// victim order: ±2 reads/query jitter in BENCH_gecko_query).
     pub fn release_through(&mut self, seq: u64) -> Vec<BlockId> {
-        let released: Vec<BlockId> = self
-            .protected
-            .iter()
-            .filter(|&(_, &stamp)| stamp <= seq)
-            .map(|(&b, _)| b)
-            .collect();
-        for b in &released {
-            self.protected.remove(b);
-        }
+        let mut released = Vec::new();
+        self.protected.retain(|&block, &mut stamp| {
+            let keep = stamp > seq;
+            if !keep {
+                released.push(block);
+            }
+            keep
+        });
         released
     }
 

@@ -1079,9 +1079,15 @@ impl FtlEngine {
         let Some(gecko) = self.backend.gecko() else {
             return;
         };
-        // Every version written so far has made its reports by now.
+        // Every version written so far has made its reports by now. A
+        // protection or stamp taken since the watermark last rose is newer
+        // than it, so nothing is due unless it rises.
         let newest = self.dev.now_seq().saturating_sub(1);
-        self.durable = self.durable.max(gecko.durable_watermark(newest));
+        let durable = gecko.durable_watermark(newest);
+        if durable <= self.durable {
+            return;
+        }
+        self.durable = durable;
         while self
             .unflushed_versions
             .front()
