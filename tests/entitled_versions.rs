@@ -13,10 +13,11 @@
 //! (`FtlEngine::durable_watermark`: a shard with an empty buffer counts as
 //! flushed now) passes its stamp, so the read set it promises to keep is the
 //! one against that watermark; recovery reads against the persisted MIN,
-//! which is never newer. The check drives uniform writes and, after every op, records every
-//! translation-page version on flash (spare areas peeked without IO). It then
-//! asks, against both watermarks, whether the base and every later version of
-//! each page, among the versions ever seen, are still there.
+//! which is never newer. The check drives uniform writes and, after every
+//! op, records every translation-page version on flash (spare areas peeked
+//! without IO). It then asks, against both watermarks, whether the base and
+//! every later version of each page, among the versions ever seen, are
+//! still there.
 
 use gecko_bench::harness::{small_gecko_engine, OpDriver};
 use geckoftl::flash_sim::{BlockId, Geometry, PageOffset, SpareInfo};
@@ -88,8 +89,8 @@ fn unprotected_version(
     on_flash: &HashMap<u64, BlockId>,
 ) -> Option<(u32, u64)> {
     let durable = engine.durable_watermark();
-    let mut pairs = seen.iter().zip(seen.iter().skip(1));
-    pairs
+    seen.iter()
+        .zip(seen.iter().skip(1))
         .find(|&(&(tpage, seq), &(next_tpage, next))| {
             tpage == next_tpage
                 && next > durable
@@ -100,15 +101,16 @@ fn unprotected_version(
         .map(|(&v, _)| v)
 }
 
-/// What a run of uniform writes did to step 4b's read set: the op
-/// boundaries at which it was incomplete against the durable watermark and
-/// against the MIN, with the first miss of each as `(op, tpage, seq,
-/// watermark)`; the op boundaries with an unprotected superseded version the
-/// durable watermark has not passed, and the first as `(op, tpage, seq)`;
-/// the ops after which more versions were newer than the
-/// durable watermark than `K` plus the versions the op itself wrote, and the
-/// most versions ever newer than it; and the ops that began with more than
-/// `MAX_PROTECTED_BLOCKS` blocks protected and flushed Gecko.
+/// What a run of uniform writes did to step 4b's read set, counted in op
+/// boundaries, with the first of each kind:
+/// - incomplete against the durable watermark, and against the MIN, as
+///   `(op, tpage, seq, watermark)`;
+/// - a superseded version the durable watermark has not passed lying in an
+///   unprotected block, as `(op, tpage, seq)`;
+/// - more versions newer than the durable watermark than `K` plus the ones
+///   the op wrote (and the most ever newer than it);
+/// - ops that began with more than `MAX_PROTECTED_BLOCKS` blocks protected
+///   and flushed Gecko.
 #[derive(Debug, Default)]
 struct Census {
     durable_misses: usize,
@@ -193,10 +195,9 @@ fn recovery_read_set_stays_on_flash_with_one_tree() {
 }
 
 /// With several trees a protection is released by its stamp, not by a MIN
-/// advance: before ROADMAP item 1's fix `after_validity_op` lifted every
-/// protection whenever the MIN shard watermark advanced, including those
-/// taken after the new MIN, and this census missed a version at most op
-/// boundaries with four trees.
+/// advance: lifting every protection whenever the MIN shard watermark
+/// advances also lifts those taken after the new MIN, and then this census
+/// misses a version at most op boundaries with four trees (ROADMAP item 1).
 #[test]
 fn recovery_read_set_stays_on_flash_with_two_and_four_trees() {
     for shards in [2, 4] {
