@@ -24,9 +24,11 @@
 //! not modelled firmware RAM: [`MappingCache::ram_bytes`] charges the
 //! paper's 8 B/entry and ignores them.
 //!
-//! **Checkpoints.** §4.3 bounds recovery's backwards scan to `2·C` spare
-//! reads by synchronizing, every `C` cache operations, all dirty entries
-//! that have not been *written* since the previous checkpoint. We track a
+//! **Checkpoints.** §4.3 bounds recovery's backwards scan by synchronizing,
+//! every `C` cache operations, all dirty entries that have not been
+//! *written* since the previous checkpoint: every dirty entry left is then
+//! younger than the previous epoch's start, the horizon the engine persists
+//! and the scan stops at (at most `2·C` pages back). We track a
 //! `written_epoch` per entry and let the engine sweep entries with
 //! `written_epoch < current_epoch` at each checkpoint — same O(C)-per-C-ops
 //! cost as the paper's checkpoint-symbol walk of the LRU queue, but also

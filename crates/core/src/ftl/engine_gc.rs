@@ -81,7 +81,9 @@ impl FtlEngine {
             if self.collect_once() {
                 // Long GC bursts tick the checkpoint clock (migrations are
                 // user-page writes); honor the period between victims so
-                // the recovery-scan bound stays ≈2·C + O(B) pages.
+                // an epoch stays ≈C + O(B) pages and the recovery scan,
+                // which stops at the start of the previous epoch, within
+                // 2·C + O(B).
                 self.maybe_checkpoint();
                 // A burst's erase markers flood the Gecko buffer and can
                 // trip several flushes within one application write; pump a

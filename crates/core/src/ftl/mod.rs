@@ -58,8 +58,10 @@ pub enum RecoveryPolicy {
     /// IB-FTL). Trades runtime write-amplification for bounded recovery.
     RestrictedDirty,
     /// GeckoFTL (§4.3): checkpoints every `C` cache operations bound the
-    /// recovery scan to `2·C` spare reads, and synchronization of recovered
-    /// entries is deferred until after normal operation resumes.
+    /// recovery scan to at most `2·C` spare reads — it stops at the
+    /// checkpoint horizon the translation pages persist, on average `1.5·C`
+    /// back — and synchronization of recovered entries is deferred until
+    /// after normal operation resumes.
     CheckpointDeferred,
 }
 
@@ -240,6 +242,10 @@ pub struct FtlEngine {
     pub(crate) cfg: FtlConfig,
     /// Checkpoint epoch (increments at every checkpoint).
     epoch: u64,
+    /// `dev.now_seq()` when the current epoch began: every user page written
+    /// in it has at least this seq. The next checkpoint makes it the
+    /// translation table's horizon.
+    epoch_start: u64,
     ops_since_checkpoint: u64,
     /// The user block being collected, `Some` only while
     /// `collect_user_block` runs: no GC state outlives a collection.
@@ -426,6 +432,7 @@ impl FtlEngine {
         cfg: FtlConfig,
     ) -> Self {
         let durable = backend.gecko().map_or(0, ShardedGecko::last_flush_seq);
+        let epoch_start = dev.now_seq();
         FtlEngine {
             dev,
             bm,
@@ -434,6 +441,7 @@ impl FtlEngine {
             backend,
             cfg,
             epoch: 1,
+            epoch_start,
             ops_since_checkpoint: 0,
             gc_victim: None,
             sync_scratch: SyncScratch::default(),
@@ -1017,9 +1025,10 @@ impl FtlEngine {
     }
 
     /// Count a user-page write toward the checkpoint period. GC migrations
-    /// tick too: they create dirty entries and emit user pages, and the
-    /// recovery scan's `2·C`-page bound is only sound if the period counts
-    /// every page the backwards scan will have to walk over.
+    /// tick too: they create dirty entries and emit user pages, and an
+    /// epoch — the distance from one horizon to the next — is only `C`
+    /// pages long if the period counts every page the backwards scan will
+    /// have to walk over.
     pub(crate) fn tick_checkpoint_clock(&mut self) {
         if matches!(self.cfg.recovery, RecoveryPolicy::CheckpointDeferred) {
             self.ops_since_checkpoint += 1;
@@ -1055,8 +1064,11 @@ impl FtlEngine {
     }
 
     /// Runtime checkpoint (§4.3): synchronize dirty entries not written
-    /// since the previous checkpoint, bounding recovery's backwards scan to
-    /// `2·C` spare reads.
+    /// since the previous checkpoint. Every dirty entry left was written in
+    /// the epoch that ends here, so its user page is no older than that
+    /// epoch's start, which becomes the horizon that every later
+    /// translation-page version persists and recovery's backwards scan stops
+    /// at (DESIGN.md invariant 15).
     pub fn checkpoint(&mut self) {
         self.counters.checkpoints += 1;
         self.ops_since_checkpoint = 0;
@@ -1067,6 +1079,12 @@ impl FtlEngine {
                 self.sync_tpage(self.tt.tpage_of(lpn));
             }
         }
+        debug_assert!(
+            self.cache.dirty_written_before(self.epoch).is_empty(),
+            "a checkpoint leaves only entries written in the epoch it ends dirty"
+        );
+        self.tt.set_horizon(self.epoch_start);
+        self.epoch_start = self.dev.now_seq();
         self.epoch += 1;
     }
 

@@ -23,9 +23,10 @@
 //! 5. **BVC** — rebuild per-block valid counts from a full scan of
 //!    Logarithmic Gecko plus the recovered buffer.
 //! 6. **Dirty entries** — backwards scan of the most recently written user
-//!    blocks, newest first by step 1's timestamps (bounded to `2·C` spare
-//!    reads by runtime checkpoints), recreating a cached mapping entry per
-//!    fresh LPN and each before-pointer's invalidation.
+//!    blocks, newest first by step 1's timestamps, down to the checkpoint
+//!    horizon the translation pages persist (at most `2·C` spare reads back,
+//!    by runtime checkpoints), recreating a cached mapping entry per fresh
+//!    LPN and each before-pointer's invalidation.
 //! 7. **Flags** — recovered entries get dirty/UIP/uncertain = true;
 //!    corrections happen lazily after operation resumes (Appendix C.3).
 //! 8. **Resume** — dispose of BID, reassemble the engine; step 5's invalid
@@ -292,21 +293,27 @@ pub fn gecko_recover(
     // physical page that was invalidated after the flush. The chain is the
     // newest version at or before the threshold (the base, if any), then
     // every later version in order; each is read once and carried forward
-    // as the next link's predecessor.
+    // as the next link's predecessor. Every version read also hands step 6
+    // the checkpoint horizon it carries; the newest is the tightest, and
+    // none costs a read of its own.
+    let mut horizon = 0;
     for versions in &tpage_versions {
         let split = versions.partition_point(|&(s, _)| s <= threshold);
         let newer = &versions[split..];
         if newer.is_empty() {
             continue;
         }
-        let mut prev: Option<(u64, Vec<u32>)> = split
-            .checked_sub(1)
-            .map(|i| (versions[i].0, read_tpage(&mut dev, versions[i].1).entries));
+        let mut prev: Option<(u64, Vec<u32>)> = split.checked_sub(1).map(|i| {
+            (
+                versions[i].0,
+                read_tpage(&mut dev, versions[i].1, &mut horizon),
+            )
+        });
         for (i, &(seq, ppn)) in newer.iter().enumerate() {
             if prev.is_none() && i + 1 == newer.len() {
                 break; // no predecessor to diff against, no successor to feed
             }
-            let entries = read_tpage(&mut dev, ppn).entries;
+            let entries = read_tpage(&mut dev, ppn, &mut horizon);
             // Without a base the predecessor is the never-written,
             // all-unmapped page: nothing to diff.
             if let Some((prev_seq, prev_entries)) = &prev {
@@ -401,12 +408,17 @@ pub fn gecko_recover(
             .all(|w| newest_seq(&dev, &bid, w[0].1) > newest_seq(&dev, &bid, w[1].1)),
         "first-page order differs from newest-page order"
     );
-    // Checkpoints every `C` cache operations bound the scan to ≈2·C spare
-    // reads. GC migrations tick the checkpoint clock too, but one checkpoint
-    // epoch can overshoot the period by at most one GC victim's worth of
+    // Dirty-entry recreation stops at the checkpoint horizon step 4b read:
+    // no dirty entry pointed at an older page when any version carrying it
+    // was written, nor at any time since (DESIGN.md invariant 15). A
+    // checkpoint every `C` cache operations keeps it at the start of the
+    // previous epoch, on average 1.5·C pages back. `scan_limit` is the
+    // paper's worst case, 2·C: it stops the scan when step 4b read no
+    // version. GC migrations tick the checkpoint clock too, but one epoch
+    // can overshoot the period by at most one GC victim's worth of
     // migrations (the clock is honored between victims), hence the small
-    // O(B) cushion. Without checkpoints (battery, or the ablation) the scan
-    // must cover everything.
+    // O(B) cushion. Without checkpoints (battery, or the ablation) the
+    // horizon is 0 and the scan must cover everything.
     let scan_limit = cfg
         .resolved_checkpoint_period()
         .map_or(u64::MAX, |c| 2 * c + 4 * geo.pages_per_block as u64);
@@ -416,6 +428,8 @@ pub fn gecko_recover(
     // cache, the remainder (possible only when GC-migration copies inflate
     // the unique count) are verified eagerly right after resume.
     let mut recreated: Vec<CacheEntry> = Vec::new();
+    // The seq of the oldest page an entry was recreated from.
+    let mut oldest_recreated = None;
     'scan: for &(_, b) in &user_blocks {
         let written = bid[b.0 as usize].written;
         for off in (0..written).rev() {
@@ -447,7 +461,8 @@ pub fn gecko_recover(
             // since the last Gecko flush — those reports lived only in the
             // lost buffer. Stop once both horizons are exhausted; blocks
             // are walked newest-first, so everything further is older.
-            if scanned >= scan_limit && spare.seq <= threshold {
+            let in_window = scanned < scan_limit && spare.seq >= horizon;
+            if !in_window && spare.seq <= threshold {
                 break 'scan;
             }
             scanned += 1;
@@ -471,7 +486,7 @@ pub fn gecko_recover(
                 gecko.recover_invalidation(b);
                 report.recovered_invalidations += 1;
             }
-            if scanned <= scan_limit && seen.insert(lpn) {
+            if in_window && seen.insert(lpn) {
                 // TRIM guard: if the recovered validity store already knows
                 // this page is invalid, its mapping was durably retracted —
                 // a trim's unmap superseded it (the invalidation either
@@ -495,6 +510,7 @@ pub fn gecko_recover(
                         written_epoch: 0,
                     });
                     report.recovered_entries += 1;
+                    oldest_recreated = Some(spare.seq);
                 }
             }
         }
@@ -511,7 +527,13 @@ pub fn gecko_recover(
     // recreated entry, else the flash-resident table) is stale. BVC stays
     // over-counted, which is the safe direction — it only keeps GC from
     // picking a block it could not erase anyway.
-    let tt = TranslationTable::from_recovered(geo, gmd);
+    // A crash before the first checkpoint after resume must walk back over
+    // every recreated entry again: they stay dirty until it syncs them.
+    let tt = TranslationTable::from_recovered(
+        geo,
+        gmd,
+        oldest_recreated.unwrap_or_else(|| dev.now_seq()),
+    );
     // Built only if a bad user block exists (the common case has none).
     let mut newest: Option<HashMap<flash_sim::Lpn, Ppn>> = None;
     for b in geo.iter_blocks() {
@@ -599,12 +621,17 @@ fn newest_seq(dev: &FlashDevice, bid: &[BidEntry], block: BlockId) -> u64 {
         .map_or(u64::MAX, |s| s.seq)
 }
 
-fn read_tpage(dev: &mut FlashDevice, ppn: Ppn) -> TranslationPagePayload {
-    dev.read_page(ppn, IoPurpose::Recovery)
-        .expect("translation page readable")
+/// Read one translation-page version's entries, raising `horizon` to the
+/// checkpoint horizon the version carries.
+fn read_tpage(dev: &mut FlashDevice, ppn: Ppn, horizon: &mut u64) -> Vec<u32> {
+    let data = dev
+        .read_page(ppn, IoPurpose::Recovery)
+        .expect("translation page readable");
+    let payload = data
         .blob::<TranslationPagePayload>()
-        .expect("translation payload")
-        .clone()
+        .expect("translation payload");
+    *horizon = (*horizon).max(payload.horizon);
+    payload.entries.clone()
 }
 
 /// Recover the set of live runs (Appendix C.1): group Gecko pages by run ID

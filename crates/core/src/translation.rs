@@ -28,6 +28,11 @@ pub struct TranslationPagePayload {
     /// `entries[i]` is the physical address of LPN `tpage·per + i`, or
     /// `UNMAPPED`.
     pub entries: Vec<u32>,
+    /// The checkpoint horizon in force when this version was written: no
+    /// dirty cached entry then pointed at a user page with a lower seq, and
+    /// none does at any later time (DESIGN.md invariant 15). 0 when the
+    /// engine takes no checkpoints.
+    pub horizon: u64,
 }
 
 impl TranslationPagePayload {
@@ -63,6 +68,8 @@ pub struct TranslationTable {
     geo: Geometry,
     /// GMD: current flash location of every translation page.
     gmd: Vec<Option<Ppn>>,
+    /// The checkpoint horizon every version written from now on carries.
+    horizon: u64,
 }
 
 impl TranslationTable {
@@ -71,13 +78,27 @@ impl TranslationTable {
         TranslationTable {
             geo,
             gmd: vec![None; geo.translation_pages() as usize],
+            horizon: 0,
         }
     }
 
-    /// Rebuild from a recovered GMD (Appendix C step 2).
-    pub fn from_recovered(geo: Geometry, gmd: Vec<Option<Ppn>>) -> Self {
+    /// Rebuild from a recovered GMD (Appendix C step 2) and the horizon the
+    /// recovered cache's dirty entries respect (step 6).
+    pub fn from_recovered(geo: Geometry, gmd: Vec<Option<Ppn>>, horizon: u64) -> Self {
         assert_eq!(gmd.len(), geo.translation_pages() as usize);
-        TranslationTable { geo, gmd }
+        TranslationTable { geo, gmd, horizon }
+    }
+
+    /// The checkpoint horizon the next version written will carry.
+    pub fn horizon(&self) -> u64 {
+        self.horizon
+    }
+
+    /// Raise the checkpoint horizon: the engine has just synchronized every
+    /// dirty entry whose user page is older than `seq`.
+    pub fn set_horizon(&mut self, seq: u64) {
+        debug_assert!(seq >= self.horizon, "the horizon never falls");
+        self.horizon = seq;
     }
 
     /// Materialize every translation page with all-unmapped entries.
@@ -104,7 +125,11 @@ impl TranslationTable {
         let ppn = bm.append(
             dev,
             BlockGroup::Translation,
-            PageData::blob_of(TranslationPagePayload { tpage, entries }),
+            PageData::blob_of(TranslationPagePayload {
+                tpage,
+                entries,
+                horizon: self.horizon,
+            }),
             SpareInfo::Translation { tpage },
             purpose,
         );
