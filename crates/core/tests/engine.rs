@@ -2,7 +2,10 @@
 //! device: data integrity under garbage-collection pressure, crash recovery
 //! with GeckoRec, and the §4.3 recovery-cost bounds.
 
-use flash_sim::{Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn, SpanKind, TraceEvent};
+use flash_sim::{
+    Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn, PageOffset, SpanKind, SpareInfo,
+    TraceEvent,
+};
 use geckoftl_core::ftl::{
     BlockGroup, FtlConfig, FtlEngine, FtlError, GcPolicy, HostOp, HostOpKind, RecoveryPolicy,
     ValidityBackend, MAX_UNFLUSHED_VERSIONS,
@@ -158,33 +161,125 @@ fn repeated_crashes_do_not_lose_data() {
     }
 }
 
+/// The user pages on `engine`'s device whose seq is at least `from`.
+fn user_pages_since(engine: &FtlEngine, from: u64) -> u64 {
+    let geo = engine.geometry();
+    let dev = engine.device();
+    geo.iter_blocks()
+        .flat_map(|b| (0..dev.written_pages(b)).map(move |off| geo.ppn(b, PageOffset(off))))
+        .filter(|&ppn| {
+            dev.peek_spare(ppn)
+                .is_some_and(|s| s.seq >= from && matches!(s.info, SpareInfo::User { .. }))
+        })
+        .count() as u64
+}
+
+/// GeckoRec step 6 walks back to the checkpoint horizon — the start of the
+/// epoch before the current one — or to the last Gecko flush, whichever is
+/// older, one spare read per page, plus the one page that stops it: 55 spare
+/// reads here, where the paper's `2·C`-page window (with its `4·B` cushion)
+/// read 129. Twelve translation pages, so step 4b reads versions that carry
+/// the horizon.
+///
+/// Mutations this fails on: a step 6 that ignores the horizon (129 reads),
+/// and, with `dirty_entries_stay_newer_than_the_checkpoint_horizon`, a
+/// checkpoint that makes the *new* epoch's start the horizon (the scan stops
+/// short of the previous epoch's dirty entries, and a write is lost).
 #[test]
 fn recovery_scan_is_bounded_by_checkpoints() {
-    let mut engine = small_engine(32);
+    let mut engine = small_engine_on(Geometry::new(64, 16, 256, 0.7), 32, 1);
     let mut oracle = HashMap::new();
     let mut rng = Lcg(99);
     run_workload(&mut engine, &mut oracle, &mut rng, 8000);
     let cfg = engine.config();
     let gecko_cfg = engine.backend().gecko().expect("gecko").config();
-    let c = cfg.cache_entries as u64;
+    let threshold = engine.backend().gecko().expect("gecko").last_flush_seq();
+    let horizon = engine.translation().horizon();
+    assert!(horizon > 0, "the run checkpoints");
+    let walked = user_pages_since(&engine, horizon.min(threshold + 1));
     let dev = engine.crash();
-    let (_, report) = gecko_recover(dev, cfg, gecko_cfg);
+    let (mut recovered, report) = gecko_recover(dev, cfg, gecko_cfg);
     let dirty_step = report
         .steps
         .iter()
         .find(|(s, _)| *s == geckoftl_core::recovery::RecoveryStep::DirtyEntries)
         .map(|(_, c)| *c)
         .expect("dirty-entry step present");
-    // ≈2·C scanned pages (plus a GC-burst cushion), one spare read each;
-    // the scan also walks on over any page newer than the last Gecko flush,
-    // hence the factor 2. Still O(C) and tiny next to the paper's
-    // alternative of scanning the whole device.
-    let bound = 2 * (2 * c + 4 * 16);
-    assert!(
-        dirty_step.spare_reads <= bound,
-        "backwards scan read {} spare areas (bound {bound})",
+    assert_eq!(
         dirty_step.spare_reads,
+        walked + 1,
+        "one spare read per page since the horizon or the flush, and the one that stops the scan"
     );
+    verify_all(&mut recovered, &oracle);
+}
+
+/// Every dirty cached entry points at a user page no older than the
+/// checkpoint horizon the translation table stamps into each version it
+/// writes (DESIGN.md invariant 15), after every op of a uniform run that
+/// checkpoints every `C = 32` cache operations. Twelve translation pages, so
+/// a checkpoint's syncs leave other pages' dirty entries behind.
+///
+/// Mutation this fails on: a checkpoint that makes the *new* epoch's start
+/// the horizon (the entries the epoch it ends wrote are older).
+#[test]
+fn dirty_entries_stay_newer_than_the_checkpoint_horizon() {
+    let geo = Geometry::new(64, 16, 256, 0.7);
+    let mut engine = small_engine_on(geo, 32, 1);
+    let logical = geo.logical_pages();
+    let mut rng = Lcg(17);
+    let mut horizons = 0;
+    let mut last = 0;
+    for i in 0..6000 {
+        let lpn = Lpn((rng.next() % logical) as u32);
+        if rng.next().is_multiple_of(4) {
+            engine.read(lpn);
+        } else {
+            engine.write(lpn, i);
+        }
+        let horizon = engine.translation().horizon();
+        for e in engine.cache().iter_lru_order().filter(|e| e.dirty) {
+            let seq = engine.device().peek_spare(e.ppn).expect("written page").seq;
+            assert!(
+                seq >= horizon,
+                "op {i}: dirty {:?} points at seq {seq}, below the horizon {horizon}",
+                e.lpn
+            );
+        }
+        if horizon > last {
+            (horizons, last) = (horizons + 1, horizon);
+        }
+    }
+    assert!(horizons > 100, "only {horizons} horizons in 6000 ops");
+}
+
+/// R1, `recover ∘ recover`: GeckoRec survives a crash of the engine it
+/// produced, right away and after a few ops before that engine's first
+/// checkpoint, with one Gecko tree and with four. Every acknowledged write
+/// reads back. The recovered entries stay dirty until that checkpoint, so
+/// the recovered table's horizon is the oldest page one was recreated from.
+///
+/// Mutation this fails on: the recovered table's horizon set to
+/// `dev.now_seq()` (the second recovery stops short of the first one's
+/// entries once a version carries it).
+#[test]
+fn recovering_a_recovered_engine_loses_no_write() {
+    let geo = Geometry::new(64, 16, 256, 0.7);
+    for shards in [1, 4] {
+        for ops_between in [0, 6] {
+            let mut engine = small_engine_on(geo, 32, shards);
+            let mut oracle = HashMap::new();
+            let mut rng = Lcg(31 + shards as u64);
+            run_workload(&mut engine, &mut oracle, &mut rng, 3000);
+            let cfg = engine.config();
+            let gecko_cfg = engine.backend().gecko().expect("gecko").config();
+            let (mut once, first) = gecko_recover(engine.crash(), cfg, gecko_cfg);
+            assert!(first.recovered_entries > 0);
+            run_workload(&mut once, &mut oracle, &mut rng, ops_between);
+            assert_eq!(once.counters.checkpoints, 0, "no checkpoint since recovery");
+            let (mut twice, _) = gecko_recover(once.crash(), cfg, gecko_cfg);
+            verify_all(&mut twice, &oracle);
+        }
+    }
 }
 
 #[test]
