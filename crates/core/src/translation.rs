@@ -96,7 +96,7 @@ impl TranslationTable {
 
     /// Raise the checkpoint horizon: the engine has just synchronized every
     /// dirty entry whose user page is older than `seq`.
-    pub fn set_horizon(&mut self, seq: u64) {
+    pub(crate) fn set_horizon(&mut self, seq: u64) {
         debug_assert!(seq >= self.horizon, "the horizon never falls");
         self.horizon = seq;
     }
