@@ -8,7 +8,9 @@
 //!   query is one page read, and only a small segment directory stays in
 //!   RAM.
 
-use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, MetaKind, PageData, PageOffset, Ppn};
+use flash_sim::{
+    BlockId, FlashDevice, Geometry, IoPurpose, MetaKind, MetaTag, PageData, PageOffset, Ppn,
+};
 use geckoftl_core::gecko::Bitmap;
 use geckoftl_core::validity::{MetaSink, ValidityStore};
 
@@ -122,7 +124,7 @@ impl FlashPvb {
             let ppn = sink.append_meta(
                 dev,
                 MetaKind::Pvb,
-                seg as u64,
+                MetaTag::Id(seg as u64),
                 PageData::blob_of(payload),
                 IoPurpose::ValidityUpdate,
             );
@@ -173,7 +175,7 @@ impl FlashPvb {
         let ppn = sink.append_meta(
             dev,
             MetaKind::Pvb,
-            seg as u64,
+            MetaTag::Id(seg as u64),
             PageData::blob_of(PvbPagePayload {
                 segment: seg,
                 words,
@@ -271,7 +273,7 @@ impl ValidityStore for FlashPvb {
             let ppn = sink.append_meta(
                 dev,
                 MetaKind::Pvb,
-                seg as u64,
+                MetaTag::Id(seg as u64),
                 PageData::blob_of(PvbPagePayload {
                     segment: seg,
                     words,

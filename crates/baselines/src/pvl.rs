@@ -16,7 +16,7 @@
 //! walk would while avoiding the dangling-pointer problem the paper's
 //! cleaning extension leaves open (see docs/DESIGN.md, "Deviations").
 
-use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, MetaKind, PageData, Ppn};
+use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, MetaKind, MetaTag, PageData, Ppn};
 use geckoftl_core::gecko::Bitmap;
 use geckoftl_core::validity::{MetaSink, ValidityStore};
 use std::collections::{BTreeSet, HashMap};
@@ -119,7 +119,7 @@ impl PvlStore {
         let ppn = sink.append_meta(
             dev,
             MetaKind::Pvl,
-            index,
+            MetaTag::Id(index),
             PageData::blob_of(PvlPagePayload { index, entries }),
             IoPurpose::ValidityUpdate,
         );

@@ -24,7 +24,8 @@
 use crate::gecko::Bitmap;
 use crate::validity::MetaSink;
 use flash_sim::{
-    BlockId, FlashDevice, FlashError, Geometry, IoPurpose, MetaKind, PageData, Ppn, SpareInfo,
+    BlockId, FlashDevice, FlashError, Geometry, IoPurpose, MetaKind, MetaTag, PageData, Ppn,
+    SpareInfo,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -558,7 +559,7 @@ impl MetaSink for BlockManager {
         &mut self,
         dev: &mut FlashDevice,
         kind: MetaKind,
-        tag: u64,
+        tag: MetaTag,
         data: PageData,
         purpose: IoPurpose,
     ) -> Ppn {
@@ -656,7 +657,7 @@ mod tests {
             let p = bm.append_meta(
                 &mut dev,
                 MetaKind::GeckoRun,
-                i as u64,
+                MetaTag::Id(i as u64),
                 PageData::blob_of(i),
                 IoPurpose::ValidityUpdate,
             );
@@ -686,7 +687,7 @@ mod tests {
             pages.push(bm.append_meta(
                 &mut dev,
                 MetaKind::Pvb,
-                i as u64,
+                MetaTag::Id(i as u64),
                 PageData::blob_of(i),
                 IoPurpose::ValidityUpdate,
             ));
@@ -898,7 +899,7 @@ mod tests {
             pages.push(bm.append_meta(
                 &mut dev,
                 MetaKind::Pvb,
-                i as u64,
+                MetaTag::Id(i as u64),
                 PageData::blob_of(i),
                 IoPurpose::ValidityUpdate,
             ));

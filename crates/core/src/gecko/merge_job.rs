@@ -85,7 +85,7 @@ use crate::gecko::entry::{GeckoEntry, GeckoKey};
 use crate::gecko::filter::RunFilter;
 use crate::gecko::run::{GeckoPagePayload, Postamble, Run, RunDirEntry, RunId, RunMeta};
 use crate::validity::MetaSink;
-use flash_sim::{FlashDevice, Geometry, IoPurpose, MetaKind, PageData};
+use flash_sim::{FlashDevice, Geometry, IoPurpose, MetaKind, MetaTag, PageData};
 
 /// A participant run's slim description: everything the job needs to read,
 /// order and later retire the run — without cloning its Bloom filter.
@@ -220,10 +220,17 @@ impl RunWriter {
             preamble: (i == 0).then(|| self.meta.clone()),
             postamble,
         };
+        // Every page's spare area names the run, its span and its shard, so
+        // recovery can judge the run's liveness without reading a page.
+        let tag = MetaTag::Run {
+            id: self.meta.id.0,
+            span: self.meta.span(),
+            first_block: self.entries[0].key.block,
+        };
         let ppn = sink.append_meta(
             dev,
             MetaKind::GeckoRun,
-            self.meta.id.0,
+            tag,
             PageData::blob_of(payload),
             self.purpose,
         );

@@ -15,6 +15,11 @@
 //! These are modelled as in-page metadata (a few dozen bytes accounted via
 //! [`crate::gecko::GeckoConfig::page_header_bytes`]), so a buffer flush still
 //! costs exactly one flash write.
+//!
+//! Every page's **spare area** carries the run ID, the run's data-age span
+//! ([`RunMeta::span`]) and the block of its first key, which names the owning
+//! shard ([`flash_sim::MetaTag::Run`]). Recovery's spare scan judges each
+//! run's liveness from these alone and reads only the runs it keeps.
 
 use crate::gecko::entry::{GeckoEntry, GeckoKey};
 use crate::gecko::filter::RunFilter;

@@ -668,7 +668,10 @@ fn recover_runs(dev: &mut FlashDevice, bid: &[BidEntry], shards: u32) -> Vec<Vec
             if !dev.is_written(ppn) {
                 continue;
             }
-            run_pages.entry(tag).or_default().push((spare.seq, ppn));
+            run_pages
+                .entry(tag.id())
+                .or_default()
+                .push((spare.seq, ppn));
         }
     }
 

@@ -11,7 +11,7 @@
 //! abstracts the block manager so the stores stay independently testable.
 
 use crate::gecko::entry::Bitmap;
-use flash_sim::{BlockId, FlashDevice, IoPurpose, MetaKind, PageData, Ppn};
+use flash_sim::{BlockId, FlashDevice, IoPurpose, MetaKind, MetaTag, PageData, Ppn};
 
 /// Where flash-resident metadata pages get written, and who to tell when an
 /// old metadata page becomes obsolete.
@@ -25,7 +25,7 @@ pub trait MetaSink {
         &mut self,
         dev: &mut FlashDevice,
         kind: MetaKind,
-        tag: u64,
+        tag: MetaTag,
         data: PageData,
         purpose: IoPurpose,
     ) -> Ppn;
@@ -150,7 +150,7 @@ impl MetaSink for FlatMetaSink {
         &mut self,
         dev: &mut FlashDevice,
         kind: MetaKind,
-        tag: u64,
+        tag: MetaTag,
         data: PageData,
         purpose: IoPurpose,
     ) -> Ppn {
@@ -203,7 +203,7 @@ mod tests {
             let ppn = sink.append_meta(
                 &mut dev,
                 MetaKind::GeckoRun,
-                i as u64,
+                MetaTag::Id(i as u64),
                 PageData::blob_of(i),
                 IoPurpose::ValidityUpdate,
             );

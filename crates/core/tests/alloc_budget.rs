@@ -28,7 +28,7 @@
 //! inside the unchanged budget of 81 188.
 
 use flash_sim::{
-    BlockId, EraseFault, FaultPlan, FlashDevice, Geometry, IoOp, IoPurpose, Lpn, MetaKind,
+    BlockId, EraseFault, FaultPlan, FlashDevice, Geometry, IoOp, IoPurpose, Lpn, MetaKind, MetaTag,
     PageData, Ppn, SpanKind, SpareInfo, Telemetry,
 };
 use geckoftl_core::cache::{CacheEntry, MappingCache};
@@ -147,7 +147,7 @@ fn one_life_of_a_metadata_block_allocates_at_most_twice() {
             while !dev.block_is_full(block) {
                 let info = SpareInfo::Meta {
                     kind: MetaKind::GeckoRun,
-                    tag: 9,
+                    tag: MetaTag::Id(9),
                 };
                 dev.write_page(block, payload.clone(), info, IoPurpose::ValidityMerge)
                     .unwrap();

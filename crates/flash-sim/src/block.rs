@@ -171,7 +171,7 @@ impl Block {
 mod tests {
     use super::*;
     use crate::geometry::{Lpn, Ppn};
-    use crate::page::{MetaKind, SpareInfo};
+    use crate::page::{MetaKind, MetaTag, SpareInfo};
     use std::sync::Arc;
 
     fn user(lpn: u32, seq: u64) -> (PageData, Spare) {
@@ -320,7 +320,7 @@ mod tests {
                     seq,
                     info: SpareInfo::Meta {
                         kind: MetaKind::GeckoRun,
-                        tag: r,
+                        tag: MetaTag::Id(r),
                     },
                 }),
             ),

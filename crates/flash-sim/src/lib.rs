@@ -58,5 +58,5 @@ pub use ftl_telemetry as telemetry;
 pub use ftl_telemetry::{Histogram, IoOp, SpanKind, Telemetry, TraceEvent};
 pub use geometry::{BlockId, Geometry, Lpn, PageOffset, Ppn};
 pub use latency::{LatencyModel, SimClock};
-pub use page::{MetaKind, PageData, Spare, SpareInfo};
+pub use page::{MetaKind, MetaTag, PageData, Spare, SpareInfo};
 pub use stats::{IoCounts, IoPurpose, IoStats, WaBreakdown, WaCategory};

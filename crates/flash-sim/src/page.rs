@@ -16,10 +16,11 @@
 //! and spare naming the same logical page — is a 24-byte `UserPage` record
 //! without discriminants, and everything else (metadata payloads, torn
 //! pages, the user pages the record cannot express) is the general `Page`,
-//! 48 bytes. User pages are ≈ 99.9 % of a device (Figure 8), so the record
-//! is what a simulated physical page costs the host.
+//! 72 bytes, most of it the spare area a Gecko run page needs. User pages
+//! are ≈ 99.9 % of a device (Figure 8), so the record is what a simulated
+//! physical page costs the host.
 
-use crate::geometry::{Lpn, Ppn};
+use crate::geometry::{BlockId, Lpn, Ppn};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -56,14 +57,42 @@ pub enum SpareInfo {
         /// Index of the translation page (covers a contiguous LPN range).
         tpage: u32,
     },
-    /// A metadata page (Gecko run / PVB / PVL), with a component-specific tag
-    /// (run id, PVB segment index, log page sequence number...).
+    /// A metadata page (Gecko run / PVB / PVL), with a component-specific tag.
     Meta {
         /// Which metadata component owns the page.
         kind: MetaKind,
-        /// Component-specific identifier.
-        tag: u64,
+        /// Component-specific identity.
+        tag: MetaTag,
     },
+}
+
+/// The component-specific part of a metadata page's spare area.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetaTag {
+    /// An identifier only (PVB segment index, log page sequence number...).
+    Id(u64),
+    /// A page of a Logarithmic Gecko run: besides the run id, what recovery
+    /// needs to judge the run's liveness without reading the page (20 bytes
+    /// more than an id).
+    Run {
+        /// The run id (equal to the run's creation sequence number).
+        id: u64,
+        /// The run's closed data-age span `[supersedes_since,
+        /// supersedes_upto]`.
+        span: (u64, u64),
+        /// The block of the run's first key, which names the shard that
+        /// owns the run.
+        first_block: BlockId,
+    },
+}
+
+impl MetaTag {
+    /// The identifier, whatever else the tag carries.
+    pub fn id(self) -> u64 {
+        match self {
+            MetaTag::Id(id) | MetaTag::Run { id, .. } => id,
+        }
+    }
 }
 
 /// A full spare area: the info plus the global write sequence number, which

@@ -4,8 +4,8 @@
 //! sequences, and the block manager's victim index against the linear scan.
 
 use geckoftl::flash_sim::{
-    BlockId, EraseFault, FaultPlan, FlashDevice, Geometry, IoPurpose, Lpn, MetaKind, PageData, Ppn,
-    SpareInfo, WriteFault,
+    BlockId, EraseFault, FaultPlan, FlashDevice, Geometry, IoPurpose, Lpn, MetaKind, MetaTag,
+    PageData, Ppn, SpareInfo, WriteFault,
 };
 use geckoftl::geckoftl_core::cache::{CacheEntry, MappingCache};
 use geckoftl::geckoftl_core::ftl::{BlockGroup, BlockManager, BlockState};
@@ -153,7 +153,7 @@ proptest! {
                         let info = match group {
                             BlockGroup::User => SpareInfo::User { lpn: Lpn(i), before: None },
                             BlockGroup::Translation => SpareInfo::Translation { tpage: i },
-                            BlockGroup::Meta(kind) => SpareInfo::Meta { kind, tag: i as u64 },
+                            BlockGroup::Meta(kind) => SpareInfo::Meta { kind, tag: MetaTag::Id(i as u64) },
                         };
                         live.push(bm.append(&mut dev, group, PageData::blob_of(i), info, IoPurpose::UserWrite));
                     }
