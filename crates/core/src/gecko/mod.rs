@@ -36,7 +36,7 @@ pub use run::{GeckoPagePayload, Postamble, Run, RunDirEntry, RunId, RunMeta};
 pub use sharded::ShardedGecko;
 
 use crate::validity::MetaSink;
-use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, Ppn, SpanKind};
+use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, PageData, Ppn, SpanKind};
 use std::collections::{HashSet, VecDeque};
 
 /// The Logarithmic Gecko structure: RAM buffer + run directories in RAM,
@@ -791,7 +791,9 @@ impl LogGecko {
 
     /// Reconstruct the invalid-page bitmap of **every** block by scanning
     /// all runs once plus the buffer — BVC recovery, Appendix C step 5.
-    /// Charges one page read per live run page to `purpose`.
+    /// A run page found in `already_read` (the pages recovery's step 3 read)
+    /// is taken from there; every other live run page costs one page read
+    /// charged to `purpose`.
     ///
     /// Since the scan reads every run page anyway, it doubles as a repair
     /// pass at no extra IO: runs missing their RAM-resident Bloom filter
@@ -803,6 +805,7 @@ impl LogGecko {
         &mut self,
         dev: &mut FlashDevice,
         purpose: IoPurpose,
+        already_read: &std::collections::HashMap<Ppn, PageData>,
     ) -> std::collections::HashMap<BlockId, Bitmap> {
         use std::collections::HashMap;
         let sub = self.cfg.sub_bits(&self.geo);
@@ -837,9 +840,16 @@ impl LogGecko {
             keys.clear();
             let mut entries_seen = 0u64;
             for page in &run.pages {
-                let data = dev
-                    .read_page(page.ppn, purpose)
-                    .expect("live run page readable");
+                let fetched;
+                let data = match already_read.get(&page.ppn) {
+                    Some(data) => data,
+                    None => {
+                        fetched = dev
+                            .read_page(page.ppn, purpose)
+                            .expect("live run page readable");
+                        &fetched
+                    }
+                };
                 let payload = data.blob::<GeckoPagePayload>().expect("gecko page payload");
                 entries_seen += payload.entries.len() as u64;
                 for entry in &payload.entries {
@@ -1212,7 +1222,7 @@ mod tests {
                 gecko.mark_invalid(&mut dev, &mut sink, Ppn(page as u32));
             }
         }
-        let maps = gecko.scan_all_bitmaps(&mut dev, IoPurpose::Recovery);
+        let maps = gecko.scan_all_bitmaps(&mut dev, IoPurpose::Recovery, &HashMap::new());
         for b in 0..32 {
             let q = gecko.gc_query(&mut dev, BlockId(b));
             let scanned = maps.get(&BlockId(b));

@@ -23,7 +23,7 @@
 
 use super::{Bitmap, GeckoConfig, GeckoStats, LogGecko, Run};
 use crate::validity::{MetaSink, ValidityStore};
-use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, Ppn};
+use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, PageData, Ppn};
 use std::collections::HashMap;
 
 /// The shard function: block `b` of a store of `shards` trees belongs to tree
@@ -188,16 +188,18 @@ impl ShardedGecko {
         self.shards.iter().map(LogGecko::unsealed_merge_pages).sum()
     }
 
-    /// BVC recovery scan: union of every shard's full-bitmap scan. Shards
-    /// partition the block space, so the per-shard maps are disjoint.
+    /// BVC recovery scan: union of every shard's full-bitmap scan, reusing
+    /// the pages in `already_read` (see [`LogGecko::scan_all_bitmaps`]).
+    /// Shards partition the block space, so the per-shard maps are disjoint.
     pub fn scan_all_bitmaps(
         &mut self,
         dev: &mut FlashDevice,
         purpose: IoPurpose,
+        already_read: &HashMap<Ppn, PageData>,
     ) -> HashMap<BlockId, Bitmap> {
         let mut all = HashMap::new();
         for s in &mut self.shards {
-            all.extend(s.scan_all_bitmaps(dev, purpose));
+            all.extend(s.scan_all_bitmaps(dev, purpose, already_read));
         }
         all
     }

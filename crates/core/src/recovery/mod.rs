@@ -11,17 +11,19 @@
 //!    timestamp them (the Blocks Information Directory).
 //! 2. **GMD** — scan translation-block spare areas; the newest version of
 //!    each translation page wins.
-//! 3. **Run directories** — scan Gecko-block spare areas, read each
-//!    candidate run's postamble (and preamble), and keep exactly the live
-//!    runs (a run is obsolete iff it was merged into a live run — tracked
-//!    via the `merged_from` preamble field).
+//! 3. **Run directories** — scan Gecko-block spare areas, which carry each
+//!    run's id, data-age span and shard; skip, unread, every merged-away
+//!    leftover (named in a kept run's `merged_from`, or with a span strictly
+//!    inside a kept run's span); read the postamble (and preamble) of the
+//!    rest, keeping the complete runs (docs/DESIGN.md invariant 16).
 //! 4. **Buffer** — recreate erase markers for blocks erased since the last
 //!    buffer flush (C.2.1) and invalidations lost with the buffer by
 //!    diffing translation-page versions written since the last flush
 //!    (C.2.2), each version read once, with an erase-timestamp check that
 //!    also handles physical page reuse.
 //! 5. **BVC** — rebuild per-block valid counts from a full scan of
-//!    Logarithmic Gecko plus the recovered buffer.
+//!    Logarithmic Gecko plus the recovered buffer, reading only the live run
+//!    pages step 3 did not, so each is read once across the two steps.
 //! 6. **Dirty entries** — backwards scan of the most recently written user
 //!    blocks, newest first by step 1's timestamps, down to the checkpoint
 //!    horizon the translation pages persist (at most `2·C` spare reads back,
@@ -41,8 +43,11 @@ use crate::gecko::{
     Bitmap, GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, RunMeta, ShardedGecko,
 };
 use crate::translation::{TranslationPagePayload, TranslationTable};
-use flash_sim::{BlockId, FlashDevice, IoPurpose, MetaKind, PageOffset, Ppn, SpanKind, SpareInfo};
-use std::collections::{HashMap, HashSet};
+use flash_sim::{
+    BlockId, FlashDevice, IoPurpose, MetaKind, MetaTag, PageData, PageOffset, Ppn, SpanKind,
+    SpareInfo,
+};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The eight steps of GeckoRec, for per-step cost reporting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -241,7 +246,7 @@ pub fn gecko_recover(
     // without any supersession — a global containment walk would kill
     // live runs. Each shard's tree is then reassembled independently,
     // with its own flush watermark.
-    let shard_runs = recover_runs(&mut dev, &bid, gecko_cfg.shards);
+    let (shard_runs, step3_pages) = recover_runs(&mut dev, &bid, gecko_cfg.shards);
     let live_pages: HashSet<Ppn> = shard_runs
         .iter()
         .flatten()
@@ -355,7 +360,7 @@ pub fn gecko_recover(
 
     // ---- Step 5: BVC. -----------------------------------------------------
     let timer = StepTimer::start(&dev);
-    let mut invalid_maps = gecko.scan_all_bitmaps(&mut dev, IoPurpose::Recovery);
+    let mut invalid_maps = gecko.scan_all_bitmaps(&mut dev, IoPurpose::Recovery, &step3_pages);
     let mut bvc = vec![0u32; geo.blocks as usize];
     let mut state = vec![BlockState::Free; geo.blocks as usize];
     for b in geo.iter_blocks() {
@@ -634,16 +639,56 @@ fn read_tpage(dev: &mut FlashDevice, ppn: Ppn, horizon: &mut u64) -> Vec<u32> {
     payload.entries.clone()
 }
 
-/// Recover the set of live runs (Appendix C.1): group Gecko pages by run ID
-/// via spare scans, read postambles/preambles, keep complete runs that were
-/// not merged into a newer live run. Returns one bucket per shard (a single
-/// bucket when `shards == 1`): the liveness walk runs per shard because its
-/// evidence — `merged_from` lists and span containment — only relates runs
-/// of the same tree.
-fn recover_runs(dev: &mut FlashDevice, bid: &[BidEntry], shards: u32) -> Vec<Vec<Run>> {
+/// One run's pages on flash, as step 3's spare scan found them: the run's
+/// data-age span and first-key block, read from the spare area every page of
+/// the run carries, and its pages as `(seq, ppn)` in write order.
+struct RunGroup {
+    span: (u64, u64),
+    first_block: BlockId,
+    pages: Vec<(u64, Ppn)>,
+}
+
+/// Recover the set of live runs (Appendix C.1) and hand back every page
+/// read doing so. Returns one bucket of runs per shard (a single bucket when
+/// `shards == 1`): liveness is judged per shard because its evidence —
+/// `merged_from` lists and span containment — only relates runs of the same
+/// tree.
+///
+/// A spare scan groups the Gecko pages by run id; each spare area also
+/// carries the run's span and the block of its first key, which names its
+/// shard. The groups are walked newest first by id (the id is the run's
+/// `created_seq`), and a group is a merged-away leftover — a retired input
+/// whose pages survive until their block happens to be erased — if a kept
+/// run of its shard names it in `merged_from`, or if its span lies strictly
+/// inside a kept run's span. A leftover costs no page read. Every other
+/// group costs its postamble, plus its preamble if the run has more than one
+/// page; a partial run (no postamble, or a page count that disagrees with
+/// it) is discarded, and the rest are kept.
+///
+/// Containment alone decides every leftover whose superseder has already
+/// been erased from flash, taking its `merged_from` list with it: merging is
+/// laminar and live spans are pairwise disjoint (`gecko::merge_job`
+/// invariant 4), every merge has at least two inputs, so an output's span
+/// strictly contains each input's, and the newest sealed output of any merge
+/// chain is still on flash (live pages are never obsoleted before their run
+/// is merged away). Newest-first order accepts containers before their
+/// leftovers are tested: a reservation happens after every transitive input
+/// already exists, so a container's id exceeds theirs. Containment tests the
+/// group's *span*, never its creation time: output identities are reserved
+/// at plan time, so a job reserved early can seal with an id inside a
+/// later-planned job's span even though its data (old runs, disjoint span)
+/// was never folded there.
+///
+/// Under debug assertions the live set is checked against the full-read
+/// rule ([`full_read_live_ids`]), which reads every group's postamble and
+/// preamble.
+fn recover_runs(
+    dev: &mut FlashDevice,
+    bid: &[BidEntry],
+    shards: u32,
+) -> (Vec<Vec<Run>>, HashMap<Ppn, PageData>) {
     let geo = dev.geometry();
-    // (seq, ppn) per run id, in write order.
-    let mut run_pages: HashMap<u64, Vec<(u64, Ppn)>> = HashMap::new();
+    let mut groups: BTreeMap<u64, RunGroup> = BTreeMap::new();
     for b in geo.iter_blocks() {
         let entry = &bid[b.0 as usize];
         if entry.group != Some(BlockGroup::Meta(MetaKind::GeckoRun)) {
@@ -660,7 +705,12 @@ fn recover_runs(dev: &mut FlashDevice, bid: &[BidEntry], shards: u32) -> Vec<Vec
             };
             let SpareInfo::Meta {
                 kind: MetaKind::GeckoRun,
-                tag,
+                tag:
+                    MetaTag::Run {
+                        id,
+                        span,
+                        first_block,
+                    },
             } = spare.info
             else {
                 panic!("gecko block holds {:?}", spare.info)
@@ -668,132 +718,172 @@ fn recover_runs(dev: &mut FlashDevice, bid: &[BidEntry], shards: u32) -> Vec<Vec
             if !dev.is_written(ppn) {
                 continue;
             }
-            run_pages
-                .entry(tag.id())
-                .or_default()
+            groups
+                .entry(id)
+                .or_insert_with(|| RunGroup {
+                    span,
+                    first_block,
+                    pages: Vec::new(),
+                })
+                .pages
                 .push((spare.seq, ppn));
         }
     }
-
-    struct Candidate {
-        meta: RunMeta,
-        pages: Vec<RunDirEntry>,
-        entry_count: u64,
+    // Blocks are scanned in address order, not write order.
+    for group in groups.values_mut() {
+        group.pages.sort_unstable_by_key(|&(seq, _)| seq);
     }
-    let mut candidates: Vec<Candidate> = Vec::new();
-    for (_, mut pages) in run_pages {
-        pages.sort_unstable_by_key(|(seq, _)| *seq);
-        // The postamble lives on the last written page of the run.
-        let &(_, last_ppn) = pages.last().expect("non-empty run group");
-        let last = dev
-            .read_page(last_ppn, IoPurpose::Recovery)
-            .expect("gecko page readable");
-        let payload = last.blob::<GeckoPagePayload>().expect("gecko payload");
-        let Some(post) = payload.postamble.clone() else {
+
+    let n = shards.max(1) as usize;
+    let mut live: Vec<Vec<Run>> = (0..n).map(|_| Vec::new()).collect();
+    let mut live_spans: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
+    let mut dead: HashSet<RunId> = HashSet::new();
+    let mut read: HashMap<Ppn, PageData> = HashMap::new();
+    for (&id, group) in groups.iter().rev() {
+        let shard = shard_index(group.first_block, n);
+        let (since, upto) = group.span;
+        let leftover = dead.contains(&RunId(id))
+            || live_spans[shard]
+                .iter()
+                .any(|&(lo, hi)| lo <= since && upto <= hi && (lo, hi) != group.span);
+        if leftover {
+            continue;
+        }
+        let Some(run) = read_run(dev, id, group, &mut read) else {
             continue; // partially written run: discard
         };
-        if post.total_pages as usize != pages.len() {
-            continue; // incomplete: some pages missing or extra garbage
-        }
-        let meta = if let Some(pre) = payload.preamble.clone() {
-            pre // single-page run: preamble and postamble share the page
-        } else {
+        dead.extend(run.meta.merged_from.iter().copied());
+        live_spans[shard].push(group.span);
+        live[shard].push(run);
+    }
+    debug_assert_eq!(
+        live.iter()
+            .map(|runs| runs.iter().map(|r| r.meta.id.0).collect::<Vec<_>>())
+            .collect::<Vec<_>>(),
+        full_read_live_ids(dev, &groups, n),
+        "spare-area liveness diverged from the full-read rule"
+    );
+    (live, read)
+}
+
+/// Read a run group's postamble, and its preamble if the run has more than
+/// one page, into a run with its directory; the pages go into `read`.
+/// `None` for a partial run: no postamble, or a page count that disagrees
+/// with it.
+fn read_run(
+    dev: &mut FlashDevice,
+    id: u64,
+    group: &RunGroup,
+    read: &mut HashMap<Ppn, PageData>,
+) -> Option<Run> {
+    // The postamble lives on the last written page of the run.
+    let &(_, last_ppn) = group.pages.last().expect("non-empty run group");
+    let last = dev
+        .read_page(last_ppn, IoPurpose::Recovery)
+        .expect("gecko page readable");
+    let payload = last.blob::<GeckoPagePayload>().expect("gecko payload");
+    let post = payload.postamble.as_ref()?;
+    if post.total_pages as usize != group.pages.len() {
+        return None; // some pages missing or extra garbage
+    }
+    let meta = match &payload.preamble {
+        Some(pre) => pre.clone(), // single-page run: preamble and postamble share the page
+        None => {
+            let first_ppn = group.pages[0].1;
             let first = dev
-                .read_page(pages[0].1, IoPurpose::Recovery)
+                .read_page(first_ppn, IoPurpose::Recovery)
                 .expect("gecko page readable");
-            first
+            let pre = first
                 .blob::<GeckoPagePayload>()
                 .expect("gecko payload")
                 .preamble
                 .clone()
-                .expect("first run page carries the preamble")
+                .expect("first run page carries the preamble");
+            read.insert(first_ppn, first);
+            pre
+        }
+    };
+    // Both are minted from one device seq, so newest first by id is newest
+    // first by creation.
+    assert_eq!(
+        (meta.id, meta.created_seq),
+        (RunId(id), id),
+        "run id and created_seq differ"
+    );
+    debug_assert_eq!(meta.span(), group.span, "spare area and preamble disagree");
+    let ppns = post.ppns.iter().copied().chain([last_ppn]); // the postamble page's own address
+    debug_assert_eq!(post.ppns.len() + 1, post.ranges.len());
+    let pages: Vec<RunDirEntry> = post
+        .ranges
+        .iter()
+        .zip(ppns)
+        .map(|(&(first, last), ppn)| RunDirEntry { ppn, first, last })
+        .collect();
+    debug_assert_eq!(pages[0].first.block, group.first_block);
+    read.insert(last_ppn, last);
+    // Bloom filters are RAM-only and not persisted; recovered runs carry
+    // none (queries stay correct at the paper's probe-per-run bound) until
+    // step 5's scan rebuilds them, and refills the entry count.
+    Some(Run {
+        meta,
+        pages,
+        entry_count: 0,
+        filter: None,
+    })
+}
+
+/// The full-read liveness rule, the oracle step 3's spare-area rule is
+/// checked against; it reads pages without IO. Every complete group's
+/// postamble and preamble are read, the shard comes from the postamble's
+/// first key, and each shard is walked newest first: a run is dead if any
+/// complete run — live or not — names it in `merged_from`, or if its span
+/// lies strictly inside a live run's span. Returns each shard's live run ids,
+/// newest first.
+fn full_read_live_ids(
+    dev: &FlashDevice,
+    groups: &BTreeMap<u64, RunGroup>,
+    shards: usize,
+) -> Vec<Vec<u64>> {
+    let page = |&(_, ppn): &(u64, Ppn)| dev.peek_page(ppn).expect("gecko page readable");
+    let mut metas: Vec<Vec<RunMeta>> = vec![Vec::new(); shards];
+    for group in groups.values() {
+        let last = page(group.pages.last().expect("non-empty run group"));
+        let last = last.blob::<GeckoPagePayload>().expect("gecko payload");
+        let Some(post) = &last.postamble else {
+            continue;
         };
-        let mut ppns = post.ppns.clone();
-        ppns.push(last_ppn); // the postamble page's own address
-        debug_assert_eq!(ppns.len(), post.ranges.len());
-        let entry_count = 0; // recomputed lazily; not needed for queries
-        let dir: Vec<RunDirEntry> = post
-            .ranges
-            .iter()
-            .zip(ppns)
-            .map(|(&(first, last), ppn)| RunDirEntry { ppn, first, last })
-            .collect();
-        candidates.push(Candidate {
-            meta,
-            pages: dir,
-            entry_count,
-        });
+        if post.total_pages as usize != group.pages.len() {
+            continue;
+        }
+        let meta = match &last.preamble {
+            Some(pre) => pre.clone(),
+            None => page(&group.pages[0])
+                .blob::<GeckoPagePayload>()
+                .expect("gecko payload")
+                .preamble
+                .clone()
+                .expect("first run page carries the preamble"),
+        };
+        metas[shard_index(post.ranges[0].0.block, shards)].push(meta);
     }
-
-    // Partition by owning shard before judging liveness. Every run's keys
-    // belong to one shard, so its first directory key names the owner.
-    let n = shards.max(1) as usize;
-    let mut per_shard: Vec<Vec<Candidate>> = (0..n).map(|_| Vec::new()).collect();
-    for c in candidates {
-        per_shard[shard_index(c.pages[0].first.block, n)].push(c);
-    }
-
-    // Liveness, per shard: walk newest-first, separating live runs from
-    // merged-away leftovers (a retired input's postamble survives until its
-    // block happens to be erased). Two complementary pieces of evidence,
-    // both persisted in the preambles:
-    //
-    // * `merged_from` — exact: every run a sealed output names as input is
-    //   dead, its entries live on in the output. A sealed run contributes
-    //   its input list whether or not it is itself still live (a dead
-    //   intermediate's inputs died before it did).
-    // * span containment — transitive: merging is laminar and live spans
-    //   are pairwise disjoint (`gecko::merge_job` invariant 4), so a
-    //   candidate is a merged-away leftover **iff** its
-    //   `[supersedes_since, supersedes_upto]` span is strictly contained in
-    //   a *live* candidate's span. This catches leftovers whose direct superseder
-    //   has already been erased from flash (taking its `merged_from` list
-    //   with it): the newest sealed output of any merge chain is still on
-    //   flash (live pages are never obsoleted before their run is merged
-    //   away) and its span contains every leftover below it.
-    //
-    // Containment tests the candidate's *span*, never its own creation
-    // time: output identities are reserved at plan time, so a job reserved
-    // early can seal with a `created_seq` lying inside a later-planned
-    // job's span even though its data (old runs, disjoint span) was never
-    // folded there. Testing `created_seq ∈ superseder interval` — sound
-    // back when a tree drained all pending work before every flush — would
-    // now kill such runs and silently revive stale validity bits.
-    //
-    // Newest-first order guarantees containers are accepted before their
-    // leftovers are tested: a reservation happens after every transitive
-    // input already exists, so a container's `created_seq` exceeds theirs.
-    per_shard
+    metas
         .into_iter()
-        .map(|mut candidates| {
-            candidates.sort_by_key(|c| std::cmp::Reverse(c.meta.created_seq));
+        .map(|mut metas| {
+            metas.sort_by_key(|m| std::cmp::Reverse(m.created_seq));
             let mut dead: HashSet<RunId> = HashSet::new();
             let mut live_spans: Vec<(u64, u64)> = Vec::new();
-            let mut live: Vec<Run> = Vec::new();
-            for c in candidates {
-                let (since, upto) = c.meta.span();
-                let gone = dead.contains(&c.meta.id)
+            let mut live = Vec::new();
+            for m in metas {
+                let (since, upto) = m.span();
+                let gone = dead.contains(&m.id)
                     || live_spans
                         .iter()
                         .any(|&(lo, hi)| lo <= since && upto <= hi && (lo, hi) != (since, upto));
-                // Exact evidence applies regardless of the witness's own
-                // fate (a dead intermediate's inputs died before it did);
-                // inputs predate their output, so recording it after
-                // testing cannot misjudge.
-                dead.extend(c.meta.merged_from.iter().copied());
-                if gone {
-                    continue;
+                dead.extend(m.merged_from.iter().copied());
+                if !gone {
+                    live_spans.push((since, upto));
+                    live.push(m.id.0);
                 }
-                live_spans.push((since, upto));
-                // Bloom filters are RAM-only and not persisted; recovered
-                // runs carry none (queries stay correct at the paper's
-                // probe-per-run bound) until merges rebuild them.
-                live.push(Run {
-                    meta: c.meta,
-                    pages: c.pages,
-                    entry_count: c.entry_count,
-                    filter: None,
-                });
             }
             live
         })
