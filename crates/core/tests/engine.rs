@@ -3,16 +3,16 @@
 //! with GeckoRec, and the §4.3 recovery-cost bounds.
 
 use flash_sim::{
-    Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn, PageOffset, SpanKind, SpareInfo,
-    TraceEvent,
+    FlashDevice, Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn, MetaKind, PageOffset,
+    SpanKind, SpareInfo, TraceEvent,
 };
 use geckoftl_core::ftl::{
     BlockGroup, FtlConfig, FtlEngine, FtlError, GcPolicy, HostOp, HostOpKind, RecoveryPolicy,
     ValidityBackend, MAX_UNFLUSHED_VERSIONS,
 };
 use geckoftl_core::gecko::GeckoConfig;
-use geckoftl_core::recovery::gecko_recover;
-use std::collections::HashMap;
+use geckoftl_core::recovery::{gecko_recover, RecoveryReport, RecoveryStep, StepCost};
+use std::collections::{HashMap, HashSet};
 
 /// Deterministic LCG so tests don't need a rand dependency here.
 struct Lcg(u64);
@@ -88,6 +88,16 @@ fn io_state(engine: &FtlEngine) -> (Vec<IoCounts>, u64, u64, f64) {
         stats.logical_reads,
         engine.device().clock().now_us(),
     )
+}
+
+/// The cost of one GeckoRec step in `report`.
+fn step_cost(report: &RecoveryReport, step: RecoveryStep) -> StepCost {
+    report
+        .steps
+        .iter()
+        .find(|(s, _)| *s == step)
+        .map(|(_, c)| *c)
+        .expect("step present")
 }
 
 #[test]
@@ -199,12 +209,7 @@ fn recovery_scan_is_bounded_by_checkpoints() {
     let walked = user_pages_since(&engine, horizon.min(threshold + 1));
     let dev = engine.crash();
     let (mut recovered, report) = gecko_recover(dev, cfg, gecko_cfg);
-    let dirty_step = report
-        .steps
-        .iter()
-        .find(|(s, _)| *s == geckoftl_core::recovery::RecoveryStep::DirtyEntries)
-        .map(|(_, c)| *c)
-        .expect("dirty-entry step present");
+    let dirty_step = step_cost(&report, RecoveryStep::DirtyEntries);
     assert_eq!(
         dirty_step.spare_reads,
         walked + 1,
@@ -473,12 +478,7 @@ fn buffer_step_reads_each_version_once_and_no_spare_area() {
     let cfg = engine.config();
     let gecko_cfg = engine.backend().gecko().expect("gecko").config();
     let (mut recovered, report) = gecko_recover(engine.crash(), cfg, gecko_cfg);
-    let buffer = report
-        .steps
-        .iter()
-        .find(|(s, _)| *s == geckoftl_core::recovery::RecoveryStep::Buffer)
-        .map(|(_, c)| *c)
-        .expect("buffer step present");
+    let buffer = step_cost(&report, RecoveryStep::Buffer);
     assert_eq!(
         buffer.page_reads,
         K + 1,
@@ -490,6 +490,121 @@ fn buffer_step_reads_each_version_once_and_no_spare_area() {
     // reported on the same image.
     assert_eq!(report.recovered_invalidations, 16);
     verify_all(&mut recovered, &oracle);
+}
+
+/// The distinct Gecko runs with a page on `dev`, live or merged away.
+fn run_groups_on_flash(dev: &FlashDevice) -> usize {
+    let geo = dev.geometry();
+    let ids: HashSet<u64> = geo
+        .iter_blocks()
+        .flat_map(|b| (0..dev.written_pages(b)).map(move |off| geo.ppn(b, PageOffset(off))))
+        .filter_map(|ppn| match dev.peek_spare(ppn)?.info {
+            SpareInfo::Meta {
+                kind: MetaKind::GeckoRun,
+                tag,
+            } => Some(tag.id()),
+            _ => None,
+        })
+        .collect();
+    ids.len()
+}
+
+/// GeckoRec step 3 judges run liveness from the spare areas it scans and
+/// reads only the runs it keeps: the postamble of each, plus the preamble of a
+/// multi-page one, plus the last page of each merge output still being
+/// written (a partial run, discarded; at most one per tree). Step 5 reads only
+/// the kept runs' other pages, so steps 3 and 5 together read each live run
+/// page once. Four trees on a deep-tree geometry with 64-page blocks, where
+/// the merged-away runs still on flash outnumber the live ones more than four
+/// to one (219 to 39 over the six instants).
+///
+/// Mutations this fails on: dropping the span-containment skip (step 3 reads
+/// the leftovers no kept run names in `merged_from`), and step 5 reading again
+/// the pages step 3 read.
+#[test]
+fn run_directory_step_reads_each_live_run_page_once() {
+    let geo = Geometry::new(64, 64, 256, 0.7);
+    let mut engine = small_engine_on(geo, 32, 4);
+    let mut oracle = HashMap::new();
+    let mut rng = Lcg(77);
+    let (mut kept, mut leftovers) = (0, 0);
+    for _ in 0..6 {
+        run_workload(&mut engine, &mut oracle, &mut rng, 700);
+        let gecko = engine.backend().gecko().expect("gecko");
+        let runs = gecko.all_runs().count();
+        let reads: u64 = gecko
+            .all_runs()
+            .map(|r| 1 + u64::from(r.num_pages() > 1))
+            .sum();
+        let pages: u64 = gecko.all_runs().map(|r| r.num_pages()).sum();
+        let partial = gecko
+            .shard_trees()
+            .iter()
+            .filter(|t| t.unsealed_merge_pages() > 0)
+            .count();
+        let cfg = engine.config();
+        let gecko_cfg = gecko.config();
+        let (_, report) = gecko_recover(engine.device().clone(), cfg, gecko_cfg);
+        let dirs = step_cost(&report, RecoveryStep::RunDirectories);
+        let bvc = step_cost(&report, RecoveryStep::Bvc);
+        assert_eq!(dirs.page_reads, reads + partial as u64, "step 3");
+        assert_eq!(
+            dirs.page_reads + bvc.page_reads,
+            pages + partial as u64,
+            "steps 3 and 5"
+        );
+        kept += runs;
+        leftovers += run_groups_on_flash(engine.device()) - runs - partial;
+    }
+    assert!(
+        leftovers > 4 * kept,
+        "{leftovers} merged-away runs on flash against {kept} live"
+    );
+    verify_all(&mut engine, &oracle);
+}
+
+/// Recovery is a function of the crash image: recovering one image twice
+/// gives equal reports, equal run lists per tree (ids, spans, directories)
+/// and equal GC-query answers for every block, with one tree and with four.
+/// Step 3 walks its run groups newest first by id, so the order in which it
+/// reads pages never matters.
+#[test]
+fn recovering_one_image_twice_gives_the_same_engine() {
+    let geo = Geometry::new(64, 16, 256, 0.7);
+    for shards in [1, 4] {
+        let mut engine = small_engine_on(geo, 32, shards);
+        let mut oracle = HashMap::new();
+        let mut rng = Lcg(53 + shards as u64);
+        run_workload(&mut engine, &mut oracle, &mut rng, 3000);
+        let cfg = engine.config();
+        let gecko_cfg = engine.backend().gecko().expect("gecko").config();
+        let image = engine.crash();
+        let recover = || {
+            let (mut engine, report) = gecko_recover(image.clone(), cfg, gecko_cfg);
+            let runs: Vec<Vec<_>> = engine
+                .backend()
+                .gecko()
+                .expect("gecko")
+                .shard_trees()
+                .iter()
+                .map(|t| {
+                    t.runs_newest_first()
+                        .map(|r| (r.meta.clone(), r.pages.clone()))
+                        .collect()
+                })
+                .collect();
+            let queries: Vec<_> = geo
+                .iter_blocks()
+                .map(|b| engine.debug_validity(b))
+                .collect();
+            (report, runs, queries)
+        };
+        let (first, second) = (recover(), recover());
+        assert_eq!(first.0, second.0, "shards {shards}: reports");
+        assert_eq!(first.1, second.1, "shards {shards}: run lists");
+        assert_eq!(first.2, second.2, "shards {shards}: GC queries");
+        assert!(first.1.iter().all(|t| !t.is_empty()), "every tree has runs");
+    }
 }
 
 /// GeckoRec step 6 charges one spare read per page its backwards scan walks:
@@ -524,12 +639,7 @@ fn dirty_entry_step_reads_one_spare_area_per_walked_page() {
     let cfg = engine.config();
     let gecko_cfg = engine.backend().gecko().expect("gecko").config();
     let (mut recovered, report) = gecko_recover(engine.crash(), cfg, gecko_cfg);
-    let dirty = report
-        .steps
-        .iter()
-        .find(|(s, _)| *s == geckoftl_core::recovery::RecoveryStep::DirtyEntries)
-        .map(|(_, c)| *c)
-        .expect("dirty-entry step present");
+    let dirty = step_cost(&report, RecoveryStep::DirtyEntries);
     assert_eq!(dirty.spare_reads, ROUNDS * LPNS as u64, "one per user page");
     assert_eq!(dirty.page_reads, 0);
     // What the step reported when it read every before-pointer's spare
