@@ -3,7 +3,7 @@
 //! with GeckoRec, and the §4.3 recovery-cost bounds.
 
 use flash_sim::{
-    FlashDevice, Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn, MetaKind, PageOffset,
+    FlashDevice, Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn, MetaTag, PageOffset,
     SpanKind, SpareInfo, TraceEvent,
 };
 use geckoftl_core::ftl::{
@@ -500,9 +500,9 @@ fn run_groups_on_flash(dev: &FlashDevice) -> usize {
         .flat_map(|b| (0..dev.written_pages(b)).map(move |off| geo.ppn(b, PageOffset(off))))
         .filter_map(|ppn| match dev.peek_spare(ppn)?.info {
             SpareInfo::Meta {
-                kind: MetaKind::GeckoRun,
-                tag,
-            } => Some(tag.id()),
+                tag: MetaTag::Run { id, .. },
+                ..
+            } => Some(id),
             _ => None,
         })
         .collect();

@@ -86,15 +86,6 @@ pub enum MetaTag {
     },
 }
 
-impl MetaTag {
-    /// The identifier, whatever else the tag carries.
-    pub fn id(self) -> u64 {
-        match self {
-            MetaTag::Id(id) | MetaTag::Run { id, .. } => id,
-        }
-    }
-}
-
 /// A full spare area: the info plus the global write sequence number, which
 /// serves as the timestamp recovery algorithms compare.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
