@@ -154,7 +154,12 @@ pub fn recovery_model(ftl: BaselineKind, geo: &Geometry, cache_entries: u64) -> 
         }
         BaselineKind::GeckoFtl => {
             // Run directories: spare-scan the Gecko pages + read one
-            // postamble per run (≈ L pages).
+            // postamble per run (≈ L pages). The engine reads the postamble
+            // (and a multi-page run's preamble) of the live runs only: each
+            // page's spare area carries its run's span and shard, which
+            // decide liveness. Its spare scan covers every written Gecko
+            // page, merged-away runs included, so it can exceed `gpages`
+            // (ROADMAP item 8).
             let gpages = gecko_pages(geo);
             components.push(RecoveryComponent {
                 name: "run directories",
@@ -170,7 +175,9 @@ pub fn recovery_model(ftl: BaselineKind, geo: &Geometry, cache_entries: u64) -> 
                 page_reads: 2 * v,
                 page_writes: 0,
             });
-            // BVC: read every live Gecko page once (step 5).
+            // BVC: read every live Gecko page once (step 5; the engine
+            // reuses the pages step 3 read, so steps 3 and 5 together read
+            // each live page once).
             components.push(RecoveryComponent {
                 name: "validity metadata",
                 spare_reads: 0,
