@@ -5,11 +5,11 @@
 use gecko_bench::harness::small_gecko_engine;
 use geckoftl::flash_sim::{EraseFault, FaultPlan, Geometry, Lpn, Ppn, WriteFault};
 use geckoftl::ftl_baselines::{build, BaselineKind};
+use geckoftl::ftl_workloads::Oracle;
 use geckoftl::geckoftl_core::ftl::FtlEngine;
 use geckoftl::geckoftl_core::recovery::gecko_recover;
 use geckoftl::geckoftl_core::translation::TranslationPagePayload;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 /// Drive `writes` against an engine carrying `plan`. Recoverable faults
 /// (program/erase failures) are absorbed inline by the FTL; crash faults
@@ -21,42 +21,28 @@ fn run_faulted(writes: &[(u32, u64)], cache: usize, plan: FaultPlan) -> Result<b
     let cfg = engine.config();
     let gecko_cfg = engine.backend().gecko().unwrap().config();
     engine.with_raw_parts(|dev, _| dev.set_fault_plan(plan));
-    let mut oracle: HashMap<u32, u64> = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut crashed = false;
     for &(lpn, version) in writes {
-        engine.write(Lpn(lpn), version);
+        let lpn = Lpn(lpn);
+        oracle.in_flight(lpn, Some(version));
+        engine.write(lpn, version);
         let image = engine.with_raw_parts(|dev, _| dev.take_crash_image());
         if let Some(image) = image {
             crashed = true;
             drop(engine);
             let (rec, _) = gecko_recover(image, cfg, gecko_cfg);
             engine = rec;
-            for (&l, &want) in &oracle {
-                if l == lpn {
-                    continue;
-                }
-                let got = engine.read(Lpn(l));
-                if got != Some(want) {
-                    return Err(format!("post-crash read of L{l}: got {got:?}, want {want}"));
-                }
-            }
-            let got = engine.read(Lpn(lpn));
-            let old = oracle.get(&lpn).copied();
-            if got != old && got != Some(version) {
-                return Err(format!(
-                    "in-flight L{lpn}: got {got:?}, want old {old:?} or new Some({version})"
-                ));
-            }
-            engine.write(Lpn(lpn), version); // host retry of the lost op
+            oracle
+                .verify(|l| engine.read(l))
+                .map_err(|e| format!("post-crash: {e}"))?;
+            engine.write(lpn, version); // host retry of the lost op
         }
-        oracle.insert(lpn, version);
+        oracle.ack_write(lpn, version);
     }
-    for (&l, &want) in &oracle {
-        let got = engine.read(Lpn(l));
-        if got != Some(want) {
-            return Err(format!("final read of L{l}: got {got:?}, want {want}"));
-        }
-    }
+    oracle
+        .verify(|l| engine.read(l))
+        .map_err(|e| format!("final read-back: {e}"))?;
     Ok(crashed)
 }
 
@@ -131,17 +117,17 @@ fn clean_entries_equal_flash(engine: &FtlEngine) -> Result<(), String> {
     Ok(())
 }
 
-/// Invariant 11, first half, against the shadow model: the cached entry of
+/// Invariant 11, first half, against the oracle: the cached entry of
 /// an LPN, or else its flash-resident entry, names the page holding the
 /// version the host wrote last — or nothing, for a trimmed or never-written
 /// LPN.
-fn newest_mappings_match(engine: &FtlEngine, model: &HashMap<u32, u64>) -> Result<(), String> {
+fn newest_mappings_match(engine: &FtlEngine, oracle: &Oracle) -> Result<(), String> {
     for l in 0..engine.geometry().logical_pages() as u32 {
         let lpn = Lpn(l);
         let cached = engine.cache().lookup(lpn).map(|e| e.ppn);
         let mapping = cached.or_else(|| flash_resident_entry(engine, lpn));
         let held = mapping.map(|ppn| engine.device().peek_page(ppn).and_then(|d| d.as_user()));
-        let want = model.get(&l).map(|&version| Some((lpn, version)));
+        let want = oracle.expected(lpn).map(|version| Some((lpn, version)));
         if held != want {
             return Err(format!(
                 "L{l} (cached: {}) maps to {mapping:?} holding {held:?}, want {want:?}",
@@ -152,7 +138,7 @@ fn newest_mappings_match(engine: &FtlEngine, model: &HashMap<u32, u64>) -> Resul
     Ok(())
 }
 
-/// Run `steps` on a two-translation-page device against a shadow model,
+/// Run `steps` on a two-translation-page device against the oracle,
 /// checking every read, the clean-entry invariant after every host op and
 /// the whole mapping after every step.
 fn run_scan_steps(steps: &[ScanStep], cache: usize, shards: u32) -> Result<(), String> {
@@ -160,17 +146,17 @@ fn run_scan_steps(steps: &[ScanStep], cache: usize, shards: u32) -> Result<(), S
     let geo = Geometry::new(128, 16, 1 << 12, 0.7);
     let logical = geo.logical_pages() as u32;
     let mut engine = small_gecko_engine(geo, cache, shards);
-    let mut model: HashMap<u32, u64> = HashMap::new();
+    let mut oracle = Oracle::new(geo.logical_pages());
     let mut version = 0u64;
-    let mut write = |engine: &mut FtlEngine, model: &mut HashMap<u32, u64>, l: u32| {
+    let mut write = |engine: &mut FtlEngine, oracle: &mut Oracle, l: u32| {
         version += 1;
         engine.write(Lpn(l), version);
-        model.insert(l, version);
+        oracle.ack_write(Lpn(l), version);
         clean_entries_equal_flash(engine)
     };
     // Filled once, so scans find mappings and bursts reach GC.
     for l in 0..logical {
-        write(&mut engine, &mut model, l)?;
+        write(&mut engine, &mut oracle, l)?;
     }
     let mut cursor = 0u32; // the LPN the last scan would have read next
 
@@ -183,7 +169,7 @@ fn run_scan_steps(steps: &[ScanStep], cache: usize, shards: u32) -> Result<(), S
                 let start = start.unwrap_or(cursor);
                 for l in span(start, len) {
                     let got = engine.read(Lpn(l));
-                    if got != model.get(&l).copied() {
+                    if got != oracle.expected(Lpn(l)) {
                         return Err(at(format!("read of L{l} got {got:?}")));
                     }
                     clean_entries_equal_flash(&engine).map_err(at)?;
@@ -192,18 +178,18 @@ fn run_scan_steps(steps: &[ScanStep], cache: usize, shards: u32) -> Result<(), S
             }
             ScanStep::WriteAhead { skip, len } => {
                 for l in span(cursor + skip, len) {
-                    write(&mut engine, &mut model, l).map_err(at)?;
+                    write(&mut engine, &mut oracle, l).map_err(at)?;
                 }
             }
             ScanStep::WriteBurst { start, len } => {
                 for l in span(start, len) {
-                    write(&mut engine, &mut model, l).map_err(at)?;
+                    write(&mut engine, &mut oracle, l).map_err(at)?;
                 }
             }
             ScanStep::TrimAhead { skip, len } => {
                 for l in span(cursor + skip, len) {
                     engine.trim(Lpn(l));
-                    model.remove(&l);
+                    oracle.ack_trim(Lpn(l));
                     clean_entries_equal_flash(&engine).map_err(at)?;
                 }
             }
@@ -218,7 +204,7 @@ fn run_scan_steps(steps: &[ScanStep], cache: usize, shards: u32) -> Result<(), S
             }
         }
         clean_entries_equal_flash(&engine).map_err(at)?;
-        newest_mappings_match(&engine, &model).map_err(at)?;
+        newest_mappings_match(&engine, &oracle).map_err(at)?;
     }
     Ok(())
 }
@@ -229,7 +215,7 @@ proptest! {
     /// Sequential read-ahead installs only what flash holds: under any
     /// interleaving of scans, writes and trims of the LPNs ahead of a scan,
     /// write bursts elsewhere, idle ticks and power cuts, every read returns
-    /// the model's version and DESIGN.md invariant 11 holds throughout —
+    /// the oracle's version and DESIGN.md invariant 11 holds throughout —
     /// with one Gecko tree and with four.
     ///
     /// Mutations this fails on: `read_inner` installing successors although
@@ -256,7 +242,7 @@ proptest! {
         cache in 24usize..96,
     ) {
         let mut engine = small_gecko_engine(Geometry::tiny(), cache, 1);
-        let mut oracle: HashMap<u32, u64> = HashMap::new();
+        let mut oracle = Oracle::new(engine.geometry().logical_pages());
         let crash_at = ((writes.len() as f64) * crash_at_frac) as usize;
 
         for (i, &(lpn, version)) in writes.iter().enumerate() {
@@ -266,16 +252,12 @@ proptest! {
                 let dev = engine.crash();
                 let (rec, _) = gecko_recover(dev, cfg, gecko_cfg);
                 engine = rec;
-                for (&l, &want) in &oracle {
-                    prop_assert_eq!(engine.read(Lpn(l)), Some(want), "post-crash read of L{}", l);
-                }
+                prop_assert_eq!(oracle.verify(|l| engine.read(l)), Ok(()), "post-crash");
             }
             engine.write(Lpn(lpn), version);
-            oracle.insert(lpn, version);
+            oracle.ack_write(Lpn(lpn), version);
         }
-        for (&l, &want) in &oracle {
-            prop_assert_eq!(engine.read(Lpn(l)), Some(want), "final read of L{}", l);
-        }
+        prop_assert_eq!(oracle.verify(|l| engine.read(l)), Ok(()), "final read-back");
     }
 
     /// Interleaved reads and writes on every baseline keep read-your-writes.
@@ -286,15 +268,16 @@ proptest! {
     ) {
         let kind = BaselineKind::ALL[kind_idx];
         let mut engine = build(kind, Geometry::tiny());
-        let mut oracle: HashMap<u32, u64> = HashMap::new();
+        let mut oracle = Oracle::new(engine.geometry().logical_pages());
         let mut version = 0u64;
         for &(lpn, is_write) in &ops {
+            let lpn = Lpn(lpn);
             if is_write {
                 version += 1;
-                engine.write(Lpn(lpn), version);
-                oracle.insert(lpn, version);
+                engine.write(lpn, version);
+                oracle.ack_write(lpn, version);
             } else {
-                prop_assert_eq!(engine.read(Lpn(lpn)), oracle.get(&lpn).copied());
+                prop_assert_eq!(engine.read(lpn), oracle.expected(lpn));
             }
         }
     }
@@ -306,10 +289,10 @@ proptest! {
         writes in prop::collection::vec((0u32..716, any::<u64>()), 50..600),
     ) {
         let mut engine = small_gecko_engine(Geometry::tiny(), 64, 1);
-        let mut oracle: HashMap<u32, u64> = HashMap::new();
+        let mut oracle = Oracle::new(engine.geometry().logical_pages());
         for &(lpn, version) in &writes {
             engine.write(Lpn(lpn), version);
-            oracle.insert(lpn, version);
+            oracle.ack_write(Lpn(lpn), version);
         }
         engine.shutdown_clean();
         let cfg = engine.config();
@@ -317,9 +300,7 @@ proptest! {
         let dev = engine.crash();
         let (mut rec, _) = gecko_recover(dev, cfg, gecko_cfg);
         rec.sync_all_dirty();
-        for (&l, &want) in &oracle {
-            prop_assert_eq!(rec.read(Lpn(l)), Some(want));
-        }
+        prop_assert_eq!(oracle.verify(|l| rec.read(l)), Ok(()));
         prop_assert_eq!(rec.cache().dirty_count(), 0);
     }
 
