@@ -6,6 +6,7 @@ use flash_sim::{
     FlashDevice, Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn, MetaTag, PageOffset,
     SpanKind, SpareInfo, TraceEvent,
 };
+use ftl_workloads::Oracle;
 use geckoftl_core::ftl::{
     BlockGroup, FtlConfig, FtlEngine, FtlError, GcPolicy, HostOp, HostOpKind, RecoveryPolicy,
     ValidityBackend, MAX_UNFLUSHED_VERSIONS,
@@ -14,17 +15,8 @@ use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::{gecko_recover, RecoveryReport, RecoveryStep, StepCost};
 use std::collections::{HashMap, HashSet};
 
-/// Deterministic LCG so tests don't need a rand dependency here.
-struct Lcg(u64);
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
+mod common;
+use common::{run_workload, verify_all, Lcg};
 
 fn small_engine(seed_cache: usize) -> FtlEngine {
     // 64 blocks × 16 pages, 716 logical pages
@@ -46,36 +38,6 @@ fn small_engine_on(geo: Geometry, seed_cache: usize, shards: u32) -> FtlEngine {
         },
     );
     FtlEngine::format(geo, cfg, gecko)
-}
-
-fn run_workload(engine: &mut FtlEngine, oracle: &mut HashMap<u32, u64>, rng: &mut Lcg, n: u64) {
-    let logical = engine.geometry().logical_pages() as u32;
-    for i in 0..n {
-        let lpn = (rng.next() % logical as u64) as u32;
-        let version = oracle.len() as u64 * 1_000_000 + i;
-        engine.write(Lpn(lpn), version);
-        oracle.insert(lpn, version);
-        if rng.next().is_multiple_of(4) {
-            let read_lpn = (rng.next() % logical as u64) as u32;
-            let got = engine.read(Lpn(read_lpn));
-            assert_eq!(
-                got,
-                oracle.get(&read_lpn).copied(),
-                "read-your-writes for L{read_lpn}"
-            );
-        }
-    }
-}
-
-fn verify_all(engine: &mut FtlEngine, oracle: &HashMap<u32, u64>) {
-    let logical = engine.geometry().logical_pages() as u32;
-    for lpn in 0..logical {
-        assert_eq!(
-            engine.read(Lpn(lpn)),
-            oracle.get(&lpn).copied(),
-            "post-check for L{lpn}"
-        );
-    }
 }
 
 /// Everything simulated about an engine's IO so far: per-purpose counts,
@@ -103,9 +65,9 @@ fn step_cost(report: &RecoveryReport, step: RecoveryStep) -> StepCost {
 #[test]
 fn read_your_writes_under_gc_pressure() {
     let mut engine = small_engine(64);
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(0xDEADBEEF);
-    run_workload(&mut engine, &mut oracle, &mut rng, 6000);
+    run_workload(&mut engine, &mut oracle, &mut rng, 6000, true);
     assert!(
         engine.counters.gc_operations > 20,
         "workload must trigger GC"
@@ -117,12 +79,12 @@ fn read_your_writes_under_gc_pressure() {
 #[test]
 fn sequential_overwrites_and_sparse_space() {
     let mut engine = small_engine(64);
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     // Hammer a small hot set so the same translation page syncs repeatedly.
     for round in 0..400u64 {
         for lpn in 0..8u32 {
             engine.write(Lpn(lpn), round * 10 + lpn as u64);
-            oracle.insert(lpn, round * 10 + lpn as u64);
+            oracle.ack_write(Lpn(lpn), round * 10 + lpn as u64);
         }
     }
     verify_all(&mut engine, &oracle);
@@ -133,9 +95,9 @@ fn sequential_overwrites_and_sparse_space() {
 #[test]
 fn crash_and_recover_preserves_all_data() {
     let mut engine = small_engine(64);
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(42);
-    run_workload(&mut engine, &mut oracle, &mut rng, 5000);
+    run_workload(&mut engine, &mut oracle, &mut rng, 5000, true);
     let cfg = engine.config();
     let gecko_cfg = engine.backend().gecko().expect("gecko backend").config();
 
@@ -151,17 +113,17 @@ fn crash_and_recover_preserves_all_data() {
 
     // The device keeps operating correctly after recovery, including the
     // App. C.3 flag-correction paths and further GC.
-    run_workload(&mut recovered, &mut oracle, &mut rng, 5000);
+    run_workload(&mut recovered, &mut oracle, &mut rng, 5000, true);
     verify_all(&mut recovered, &oracle);
 }
 
 #[test]
 fn repeated_crashes_do_not_lose_data() {
     let mut engine = small_engine(48);
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(7);
     for round in 0..4 {
-        run_workload(&mut engine, &mut oracle, &mut rng, 1500 + 700 * round);
+        run_workload(&mut engine, &mut oracle, &mut rng, 1500 + 700 * round, true);
         let cfg = engine.config();
         let gecko_cfg = engine.backend().gecko().expect("gecko").config();
         let dev = engine.crash();
@@ -198,9 +160,9 @@ fn user_pages_since(engine: &FtlEngine, from: u64) -> u64 {
 #[test]
 fn recovery_scan_is_bounded_by_checkpoints() {
     let mut engine = small_engine_on(Geometry::new(64, 16, 256, 0.7), 32, 1);
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(99);
-    run_workload(&mut engine, &mut oracle, &mut rng, 8000);
+    run_workload(&mut engine, &mut oracle, &mut rng, 8000, true);
     let cfg = engine.config();
     let gecko_cfg = engine.backend().gecko().expect("gecko").config();
     let threshold = engine.backend().gecko().expect("gecko").last_flush_seq();
@@ -272,14 +234,14 @@ fn recovering_a_recovered_engine_loses_no_write() {
     for shards in [1, 4] {
         for ops_between in [0, 6] {
             let mut engine = small_engine_on(geo, 32, shards);
-            let mut oracle = HashMap::new();
+            let mut oracle = Oracle::new(engine.geometry().logical_pages());
             let mut rng = Lcg(31 + shards as u64);
-            run_workload(&mut engine, &mut oracle, &mut rng, 3000);
+            run_workload(&mut engine, &mut oracle, &mut rng, 3000, true);
             let cfg = engine.config();
             let gecko_cfg = engine.backend().gecko().expect("gecko").config();
             let (mut once, first) = gecko_recover(engine.crash(), cfg, gecko_cfg);
             assert!(first.recovered_entries > 0);
-            run_workload(&mut once, &mut oracle, &mut rng, ops_between);
+            run_workload(&mut once, &mut oracle, &mut rng, ops_between, true);
             assert_eq!(once.counters.checkpoints, 0, "no checkpoint since recovery");
             let (mut twice, _) = gecko_recover(once.crash(), cfg, gecko_cfg);
             verify_all(&mut twice, &oracle);
@@ -290,9 +252,9 @@ fn recovering_a_recovered_engine_loses_no_write() {
 #[test]
 fn clean_shutdown_leaves_no_dirty_state() {
     let mut engine = small_engine(64);
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(5);
-    run_workload(&mut engine, &mut oracle, &mut rng, 3000);
+    run_workload(&mut engine, &mut oracle, &mut rng, 3000, true);
     engine.shutdown_clean();
     assert_eq!(engine.cache().dirty_count(), 0);
     assert_eq!(
@@ -306,9 +268,9 @@ fn clean_shutdown_leaves_no_dirty_state() {
 #[test]
 fn recovery_after_clean_shutdown_is_cheap_on_corrections() {
     let mut engine = small_engine(64);
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(11);
-    run_workload(&mut engine, &mut oracle, &mut rng, 3000);
+    run_workload(&mut engine, &mut oracle, &mut rng, 3000, true);
     engine.shutdown_clean();
     let cfg = engine.config();
     let gecko_cfg = engine.backend().gecko().expect("gecko").config();
@@ -342,21 +304,21 @@ fn greedy_policy_also_preserves_data() {
         },
     );
     let mut engine = FtlEngine::format(geo, cfg, gecko);
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(1234);
-    run_workload(&mut engine, &mut oracle, &mut rng, 6000);
+    run_workload(&mut engine, &mut oracle, &mut rng, 6000, true);
     verify_all(&mut engine, &oracle);
 }
 
 #[test]
 fn wa_accounting_covers_the_write_path() {
     let mut engine = small_engine(64);
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(3);
     // Precondition, then measure an interval.
-    run_workload(&mut engine, &mut oracle, &mut rng, 4000);
+    run_workload(&mut engine, &mut oracle, &mut rng, 4000, true);
     let snap = engine.device().stats().clone();
-    run_workload(&mut engine, &mut oracle, &mut rng, 2000);
+    run_workload(&mut engine, &mut oracle, &mut rng, 2000, true);
     let delta = engine.device().stats().since(&snap);
     let wa = delta.wa_breakdown(LatencyModel::paper().delta());
     // The user category includes the application write itself.
@@ -385,13 +347,11 @@ fn restricted_dirty_policy_bounds_dirty_entries() {
         },
     );
     let mut engine = FtlEngine::format(geo, cfg, gecko);
-    let mut oracle = HashMap::new();
     let mut rng = Lcg(21);
     let logical = geo.logical_pages() as u32;
     for _ in 0..3000 {
         let lpn = (rng.next() % logical as u64) as u32;
         engine.write(Lpn(lpn), rng.next());
-        oracle.insert(lpn, 0); // value checked via engine reads below
         assert!(
             engine.cache().dirty_count() <= 7,
             "dirty entries exceed 10% of C: {}",
@@ -465,12 +425,12 @@ fn buffer_step_reads_each_version_once_and_no_spare_area() {
     let mut engine = small_engine(64);
     let flush_seq = |e: &FtlEngine| e.backend().gecko().expect("gecko").last_flush_seq();
     let watermark = flush_seq(&engine);
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     for round in 0..K {
         for lpn in 0..4u32 {
             let version = round * 100 + lpn as u64;
             engine.write(Lpn(lpn), version);
-            oracle.insert(lpn, version);
+            oracle.ack_write(Lpn(lpn), version);
         }
         engine.sync_all_dirty();
     }
@@ -525,11 +485,11 @@ fn run_groups_on_flash(dev: &FlashDevice) -> usize {
 fn run_directory_step_reads_each_live_run_page_once() {
     let geo = Geometry::new(64, 64, 256, 0.7);
     let mut engine = small_engine_on(geo, 32, 4);
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(77);
     let (mut kept, mut leftovers) = (0, 0);
     for _ in 0..6 {
-        run_workload(&mut engine, &mut oracle, &mut rng, 700);
+        run_workload(&mut engine, &mut oracle, &mut rng, 700, true);
         let gecko = engine.backend().gecko().expect("gecko");
         let runs = gecko.all_runs().count();
         let reads: u64 = gecko
@@ -573,9 +533,9 @@ fn recovering_one_image_twice_gives_the_same_engine() {
     let geo = Geometry::new(64, 16, 256, 0.7);
     for shards in [1, 4] {
         let mut engine = small_engine_on(geo, 32, shards);
-        let mut oracle = HashMap::new();
+        let mut oracle = Oracle::new(engine.geometry().logical_pages());
         let mut rng = Lcg(53 + shards as u64);
-        run_workload(&mut engine, &mut oracle, &mut rng, 3000);
+        run_workload(&mut engine, &mut oracle, &mut rng, 3000, true);
         let cfg = engine.config();
         let gecko_cfg = engine.backend().gecko().expect("gecko").config();
         let image = engine.crash();
@@ -623,12 +583,12 @@ fn dirty_entry_step_reads_one_spare_area_per_walked_page() {
     let mut engine = small_engine(64);
     let flush_seq = |e: &FtlEngine| e.backend().gecko().expect("gecko").last_flush_seq();
     let watermark = flush_seq(&engine);
-    let mut oracle = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     for round in 0..ROUNDS {
         for lpn in 0..LPNS {
             let version = round * 100 + lpn as u64;
             engine.write(Lpn(lpn), version);
-            oracle.insert(lpn, version);
+            oracle.ack_write(Lpn(lpn), version);
         }
         // The last round stays dirty in the cache.
         if round + 1 < ROUNDS {
@@ -691,7 +651,8 @@ fn overflow_entries_do_not_recount_step_5_invalidations() {
     let mut engine = FtlEngine::format(geo, cfg, gecko);
     let flush_seq = |e: &FtlEngine| e.backend().gecko().expect("gecko").last_flush_seq();
     let x = Lpn(0);
-    let mut oracle = HashMap::from([(x.0, 2)]);
+    let mut oracle = Oracle::new(geo.logical_pages());
+    oracle.ack_write(x, 2);
     engine.write(x, 1);
     // Translation page 0 now maps x to its first copy.
     engine.shutdown_clean();
@@ -705,7 +666,7 @@ fn overflow_entries_do_not_recount_step_5_invalidations() {
     for round in 0..16 {
         for y in ys.clone() {
             engine.write(Lpn(y), round);
-            oracle.insert(y, round);
+            oracle.ack_write(Lpn(y), round);
             assert_eq!(engine.read(x), Some(2));
         }
     }
@@ -720,8 +681,8 @@ fn overflow_entries_do_not_recount_step_5_invalidations() {
     assert_eq!(report.recovered_entries, ys.len() + 1, "x plus every y");
     recovered.sync_all_dirty();
     let mut live: HashMap<u32, u32> = HashMap::new();
-    for &lpn in oracle.keys() {
-        let ppn = recovered.current_mapping(Lpn(lpn)).expect("mapped");
+    for lpn in [x].into_iter().chain(ys.map(Lpn)) {
+        let ppn = recovered.current_mapping(lpn).expect("mapped");
         *live.entry(geo.block_of(ppn).0).or_default() += 1;
     }
     let bm = recovered.block_manager();
@@ -778,12 +739,12 @@ fn bloom_on_and_off_gc_collect_identical_victim_sequences() {
     };
     let mut on = build(8);
     let mut off = build(0);
-    let mut on_oracle = HashMap::new();
-    let mut off_oracle = HashMap::new();
+    let mut on_oracle = Oracle::new(on.geometry().logical_pages());
+    let mut off_oracle = Oracle::new(off.geometry().logical_pages());
     let mut rng_on = Lcg(0x6C);
     let mut rng_off = Lcg(0x6C);
-    run_workload(&mut on, &mut on_oracle, &mut rng_on, 8000);
-    run_workload(&mut off, &mut off_oracle, &mut rng_off, 8000);
+    run_workload(&mut on, &mut on_oracle, &mut rng_on, 8000, true);
+    run_workload(&mut off, &mut off_oracle, &mut rng_off, 8000, true);
     assert!(
         on.counters.gc_operations > 50,
         "GC must run enough to expose ordering divergence"
@@ -940,7 +901,7 @@ fn trim_unmaps_and_allows_rewrite() {
 #[test]
 fn trim_heavy_workload_stays_consistent_under_gc() {
     let mut engine = small_engine(48);
-    let mut oracle: HashMap<u32, u64> = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(0xF00D);
     let logical = engine.geometry().logical_pages() as u32;
     for i in 0..6_000u64 {
@@ -948,16 +909,17 @@ fn trim_heavy_workload_stays_consistent_under_gc() {
         match rng.next() % 5 {
             0 => {
                 let had = engine.trim(Lpn(lpn));
-                assert_eq!(had, oracle.remove(&lpn).is_some(), "trim L{lpn}");
+                assert_eq!(had, oracle.expected(Lpn(lpn)).is_some(), "trim L{lpn}");
+                oracle.ack_trim(Lpn(lpn));
             }
             _ => {
                 engine.write(Lpn(lpn), i + 1);
-                oracle.insert(lpn, i + 1);
+                oracle.ack_write(Lpn(lpn), i + 1);
             }
         }
         if rng.next().is_multiple_of(7) {
             let probe = (rng.next() % logical as u64) as u32;
-            assert_eq!(engine.read(Lpn(probe)), oracle.get(&probe).copied());
+            assert_eq!(engine.read(Lpn(probe)), oracle.expected(Lpn(probe)));
         }
     }
     verify_all(&mut engine, &oracle);
@@ -970,16 +932,16 @@ fn trim_survives_crash_and_recovery() {
     // must NOT be resurrected by the backwards scan (§C.3 + the recovery
     // step-6 invalid_maps guard), while everything else survives.
     let mut engine = small_engine(48);
-    let mut oracle: HashMap<u32, u64> = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(0xBEEF);
-    run_workload(&mut engine, &mut oracle, &mut rng, 3_000);
+    run_workload(&mut engine, &mut oracle, &mut rng, 3_000, true);
 
     let logical = engine.geometry().logical_pages() as u32;
     let mut trimmed = Vec::new();
     for k in 0..40u32 {
         let lpn = (rng.next() % logical as u64) as u32;
         if engine.trim(Lpn(lpn)) {
-            oracle.remove(&lpn);
+            oracle.ack_trim(Lpn(lpn));
             trimmed.push(lpn);
         }
         // Interleave writes so trims sit inside live traffic, not at the
@@ -987,7 +949,7 @@ fn trim_survives_crash_and_recovery() {
         let w = (rng.next() % logical as u64) as u32;
         if !trimmed.contains(&w) {
             engine.write(Lpn(w), 7_000_000 + k as u64);
-            oracle.insert(w, 7_000_000 + k as u64);
+            oracle.ack_write(Lpn(w), 7_000_000 + k as u64);
         }
     }
     assert!(!trimmed.is_empty(), "workload must actually trim something");
@@ -996,35 +958,28 @@ fn trim_survives_crash_and_recovery() {
     let gecko_cfg = engine.backend().gecko().expect("gecko").config();
     let dev = engine.crash();
     let (mut recovered, _report) = gecko_recover(dev, cfg, gecko_cfg);
-    for &lpn in &trimmed {
-        assert_eq!(
-            recovered.read(Lpn(lpn)),
-            None,
-            "L{lpn} was trimmed before the crash and must stay unmapped"
-        );
-    }
     verify_all(&mut recovered, &oracle);
 }
 
 #[test]
 fn trim_survives_clean_restart() {
     let mut engine = small_engine(64);
-    let mut oracle: HashMap<u32, u64> = HashMap::new();
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(0xCAFE);
-    run_workload(&mut engine, &mut oracle, &mut rng, 2_000);
-    let victims: Vec<u32> = oracle.keys().copied().take(10).collect();
-    for &lpn in &victims {
-        assert!(engine.trim(Lpn(lpn)));
-        oracle.remove(&lpn);
+    run_workload(&mut engine, &mut oracle, &mut rng, 2_000, true);
+    let logical = engine.geometry().logical_pages() as u32;
+    let victims = (0..logical)
+        .map(Lpn)
+        .filter(|&l| oracle.expected(l).is_some());
+    for lpn in victims.take(10).collect::<Vec<_>>() {
+        assert!(engine.trim(lpn));
+        oracle.ack_trim(lpn);
     }
     let cfg = engine.config();
     let gecko_cfg = engine.backend().gecko().expect("gecko").config();
     engine.shutdown_clean();
     let dev = engine.crash();
     let (mut restarted, _) = gecko_recover(dev, cfg, gecko_cfg);
-    for &lpn in &victims {
-        assert_eq!(restarted.read(Lpn(lpn)), None, "L{lpn} stays trimmed");
-    }
     verify_all(&mut restarted, &oracle);
 }
 
@@ -1180,8 +1135,8 @@ fn qos_headroom_is_byte_identical_when_disabled_and_prepays_when_on() {
 #[test]
 fn out_of_range_lpn_is_refused_before_anything_is_charged() {
     let mut engine = small_engine(64);
-    let mut oracle = HashMap::new();
-    run_workload(&mut engine, &mut oracle, &mut Lcg(5), 500);
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
+    run_workload(&mut engine, &mut oracle, &mut Lcg(5), 500, true);
     let beyond = Lpn(engine.geometry().logical_pages() as u32);
     let before = (io_state(&engine), engine.counters);
     for kind in [
