@@ -11,23 +11,15 @@
 //! including mid-output-write, with orphan pages on flash — must recover
 //! exactly.
 
-use flash_sim::{BlockId, FlashDevice, Geometry, Lpn, Ppn};
+use flash_sim::{BlockId, FlashDevice, Geometry, Ppn};
+use ftl_workloads::Oracle;
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::{GeckoConfig, LogGecko, ShardedGecko};
 use geckoftl_core::recovery::gecko_recover;
 use geckoftl_core::validity::FlatMetaSink;
-use std::collections::HashMap;
 
-struct Lcg(u64);
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
+mod common;
+use common::{run_workload, verify_all, Lcg};
 
 /// Small pages so flushes and multi-level merges happen at test scale.
 fn small_page_cfg(size_ratio: u32, multiway: bool) -> GeckoConfig {
@@ -310,27 +302,6 @@ fn incremental_engine(merge_step_pages: u32) -> FtlEngine {
     FtlEngine::format(geo, cfg, gecko)
 }
 
-fn run_workload(engine: &mut FtlEngine, oracle: &mut HashMap<u32, u64>, rng: &mut Lcg, n: u64) {
-    let logical = engine.geometry().logical_pages() as u32;
-    for i in 0..n {
-        let lpn = (rng.next() % logical as u64) as u32;
-        let version = oracle.len() as u64 * 1_000_000 + i;
-        engine.write(Lpn(lpn), version);
-        oracle.insert(lpn, version);
-    }
-}
-
-fn verify_all(engine: &mut FtlEngine, oracle: &HashMap<u32, u64>) {
-    let logical = engine.geometry().logical_pages() as u32;
-    for lpn in 0..logical {
-        assert_eq!(
-            engine.read(Lpn(lpn)),
-            oracle.get(&lpn).copied(),
-            "post-check for L{lpn}"
-        );
-    }
-}
-
 /// Crash while a merge is in flight — including specifically while the
 /// output run is partially written, leaving orphan pages on flash — and
 /// recover with GeckoRec. No data may be lost, the orphan pages must be
@@ -342,8 +313,14 @@ fn crash_mid_merge_recovers_exactly() {
     let mut crashed_mid_merge = 0u32;
     for round in 0..6u64 {
         let mut engine = incremental_engine(1); // 1-page steps: maximal exposure
-        let mut oracle = HashMap::new();
-        run_workload(&mut engine, &mut oracle, &mut rng, 1200 + 311 * round);
+        let mut oracle = Oracle::new(engine.geometry().logical_pages());
+        run_workload(
+            &mut engine,
+            &mut oracle,
+            &mut rng,
+            1200 + 311 * round,
+            false,
+        );
         // Keep writing until a merge is observably in flight, preferring a
         // partially written (unsealed) output run.
         for _ in 0..4000 {
@@ -355,7 +332,7 @@ fn crash_mid_merge_recovers_exactly() {
             if g.merge_jobs_pending() > 0 && rng.next().is_multiple_of(7) {
                 break;
             }
-            run_workload(&mut engine, &mut oracle, &mut rng, 1);
+            run_workload(&mut engine, &mut oracle, &mut rng, 1, false);
         }
         if engine
             .backend()
@@ -380,7 +357,7 @@ fn crash_mid_merge_recovers_exactly() {
             assert!(run.entry_count > 0, "recovered entry count must be real");
         }
         // The recovered engine keeps operating (and merging) correctly.
-        run_workload(&mut recovered, &mut oracle, &mut rng, 1500);
+        run_workload(&mut recovered, &mut oracle, &mut rng, 1500, false);
         verify_all(&mut recovered, &oracle);
     }
     assert!(
@@ -410,8 +387,14 @@ fn flush_landing_mid_merge_survives_crash() {
     let mut windows_hit = 0u32;
     for round in 0..10u64 {
         let mut engine = incremental_engine(1);
-        let mut oracle = HashMap::new();
-        run_workload(&mut engine, &mut oracle, &mut rng, 1000 + 137 * round);
+        let mut oracle = Oracle::new(engine.geometry().logical_pages());
+        run_workload(
+            &mut engine,
+            &mut oracle,
+            &mut rng,
+            1000 + 137 * round,
+            false,
+        );
         // Hunt: a pending-job streak (never drained to zero) across which
         // the flush watermark advances — every job pending at that flush
         // was planned, and its output's identity reserved, beforehand.
@@ -428,7 +411,7 @@ fn flush_landing_mid_merge_survives_crash() {
                     break;
                 }
             }
-            run_workload(&mut engine, &mut oracle, &mut rng, 1);
+            run_workload(&mut engine, &mut oracle, &mut rng, 1, false);
         }
         if !overlapped {
             continue;
@@ -445,7 +428,7 @@ fn flush_landing_mid_merge_survives_crash() {
             {
                 break;
             }
-            run_workload(&mut engine, &mut oracle, &mut rng, 1);
+            run_workload(&mut engine, &mut oracle, &mut rng, 1, false);
         }
         let g = engine.backend().gecko().expect("gecko backend");
         if g.merge_jobs_pending() > 0 {
@@ -488,7 +471,7 @@ fn flush_landing_mid_merge_survives_crash() {
             }
         }
         verify_all(&mut recovered, &oracle);
-        run_workload(&mut recovered, &mut oracle, &mut rng, 1500);
+        run_workload(&mut recovered, &mut oracle, &mut rng, 1500, false);
         verify_all(&mut recovered, &oracle);
     }
     assert!(
@@ -514,8 +497,8 @@ fn crash_after_deferred_install_keeps_buffered_reports() {
     let mut crashes_at_risk = 0u32;
     for round in 0..8u64 {
         let mut engine = incremental_engine(1);
-        let mut oracle = HashMap::new();
-        run_workload(&mut engine, &mut oracle, &mut rng, 900 + 217 * round);
+        let mut oracle = Oracle::new(engine.geometry().logical_pages());
+        run_workload(&mut engine, &mut oracle, &mut rng, 900 + 217 * round, false);
         // Hunt for the dangerous window: a merge output has been installed
         // (no job pending, so its preamble is the newest run metadata on
         // flash) *after* some user block was erased post-flush — that
@@ -533,13 +516,13 @@ fn crash_after_deferred_install_keeps_buffered_reports() {
                 crashes_at_risk += 1;
                 break;
             }
-            run_workload(&mut engine, &mut oracle, &mut rng, 1);
+            run_workload(&mut engine, &mut oracle, &mut rng, 1, false);
         }
         let cfg = engine.config();
         let gecko_cfg = engine.backend().gecko().expect("gecko backend").config();
         let (mut recovered, _) = gecko_recover(engine.crash(), cfg, gecko_cfg);
         verify_all(&mut recovered, &oracle);
-        run_workload(&mut recovered, &mut oracle, &mut rng, 1200);
+        run_workload(&mut recovered, &mut oracle, &mut rng, 1200, false);
         verify_all(&mut recovered, &oracle);
     }
     assert!(
@@ -574,9 +557,9 @@ fn engine_equivalence_across_step_budgets() {
     };
     for (sync, step) in [(true, 1), (false, 1), (false, 4), (false, 32)] {
         let mut engine = build(sync, step);
-        let mut oracle = HashMap::new();
+        let mut oracle = Oracle::new(engine.geometry().logical_pages());
         let mut rng = Lcg(0xAB);
-        run_workload(&mut engine, &mut oracle, &mut rng, 6000);
+        run_workload(&mut engine, &mut oracle, &mut rng, 6000, false);
         assert!(engine.counters.gc_operations > 20, "GC must run");
         let gecko = engine.backend().gecko().expect("gecko backend");
         assert!(gecko.stats().merges > 0, "merges must run");
