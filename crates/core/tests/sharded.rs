@@ -8,23 +8,15 @@
 //! which is the same reason the merge-scheduler suite compares cadences
 //! logically rather than byte-wise.
 
-use flash_sim::{BlockId, FlashDevice, Geometry, Lpn, Ppn};
+use flash_sim::{BlockId, FlashDevice, Geometry, Ppn};
+use ftl_workloads::Oracle;
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::{GeckoConfig, LogGecko, ShardedGecko};
 use geckoftl_core::recovery::gecko_recover;
 use geckoftl_core::validity::{FlatMetaSink, ValidityStore};
-use std::collections::HashMap;
 
-struct Lcg(u64);
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
+mod common;
+use common::{run_workload, verify_all, Lcg};
 
 /// Small pages so flushes and multi-level merges happen at test scale.
 fn small_page_cfg(shards: u32) -> GeckoConfig {
@@ -196,27 +188,6 @@ fn engine_with_shards(shards: u32) -> FtlEngine {
     FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg))
 }
 
-fn run_workload(engine: &mut FtlEngine, oracle: &mut HashMap<u32, u64>, rng: &mut Lcg, n: u64) {
-    let logical = engine.geometry().logical_pages() as u32;
-    for i in 0..n {
-        let lpn = (rng.next() % logical as u64) as u32;
-        let version = oracle.len() as u64 * 1_000_000 + i;
-        engine.write(Lpn(lpn), version);
-        oracle.insert(lpn, version);
-    }
-}
-
-fn verify_all(engine: &mut FtlEngine, oracle: &HashMap<u32, u64>) {
-    let logical = engine.geometry().logical_pages() as u32;
-    for lpn in 0..logical {
-        assert_eq!(
-            engine.read(Lpn(lpn)),
-            oracle.get(&lpn).copied(),
-            "post-check for L{lpn}"
-        );
-    }
-}
-
 /// Mixed crash workload at the engine level: a 4-shard engine and a
 /// 1-shard engine run the same host trace, both crash at the same op
 /// counts, recover (the sharded one through per-shard candidate assembly),
@@ -229,9 +200,9 @@ fn sharded_engine_survives_mixed_crash_workload_like_single() {
         let mut engine = engine_with_shards(shards);
         let cfg = engine.config();
         let gecko_cfg = engine.backend().gecko_config().expect("gecko backend");
-        let mut oracle = HashMap::new();
+        let mut oracle = Oracle::new(engine.geometry().logical_pages());
         for round in 0..4u64 {
-            run_workload(&mut engine, &mut oracle, &mut rng, 900 + 217 * round);
+            run_workload(&mut engine, &mut oracle, &mut rng, 900 + 217 * round, false);
             let dev = engine.crash();
             let (recovered, _report) = gecko_recover(dev, cfg, gecko_cfg);
             engine = recovered;
@@ -242,7 +213,7 @@ fn sharded_engine_survives_mixed_crash_workload_like_single() {
             );
             verify_all(&mut engine, &oracle);
         }
-        run_workload(&mut engine, &mut oracle, &mut rng, 800);
+        run_workload(&mut engine, &mut oracle, &mut rng, 800, false);
         engine.shutdown_clean();
         verify_all(&mut engine, &oracle);
         assert_eq!(engine.backend().gecko().unwrap().merge_jobs_pending(), 0);
@@ -261,8 +232,8 @@ fn per_shard_recovery_preserves_every_installed_run() {
     let mut engine = engine_with_shards(shards);
     let cfg = engine.config();
     let gecko_cfg = engine.backend().gecko_config().expect("gecko backend");
-    let mut oracle = HashMap::new();
-    run_workload(&mut engine, &mut oracle, &mut rng, 2500);
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
+    run_workload(&mut engine, &mut oracle, &mut rng, 2500, false);
     // Stop at a settled moment (no merge in flight in any shard) so the
     // installed run set is the whole story — recovery legitimately
     // reshapes in-flight merge state (discarding unsealed outputs).
@@ -270,7 +241,7 @@ fn per_shard_recovery_preserves_every_installed_run() {
         if engine.backend().gecko().unwrap().merge_jobs_pending() == 0 {
             break;
         }
-        run_workload(&mut engine, &mut oracle, &mut rng, 1);
+        run_workload(&mut engine, &mut oracle, &mut rng, 1, false);
     }
     assert_eq!(
         engine.backend().gecko().unwrap().merge_jobs_pending(),
@@ -323,7 +294,7 @@ fn per_shard_recovery_preserves_every_installed_run() {
         }
     }
     verify_all(&mut recovered, &oracle);
-    run_workload(&mut recovered, &mut oracle, &mut rng, 1000);
+    run_workload(&mut recovered, &mut oracle, &mut rng, 1000, false);
     verify_all(&mut recovered, &oracle);
 }
 
