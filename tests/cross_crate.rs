@@ -7,47 +7,41 @@ use geckoftl::flash_sim::MetaKind;
 use geckoftl::flash_sim::{Geometry, Lpn};
 use geckoftl::ftl_baselines::{build, build_with, BaselineKind};
 use geckoftl::ftl_models::{ram_model, recovery_model, RecoveryComponent, RecoveryModel};
-use geckoftl::ftl_workloads::{HotCold, Trace, Uniform, Zipfian};
-use geckoftl::geckoftl_core::ftl::{BlockGroup, FtlConfig, HostOpKind};
+use geckoftl::ftl_workloads::{HotCold, Oracle, Trace, Uniform, WorkloadOp, Zipfian};
+use geckoftl::geckoftl_core::ftl::{BlockGroup, FtlConfig, FtlEngine, HostOpKind};
 use geckoftl::geckoftl_core::recovery::{gecko_recover, RecoveryReport, RecoveryStep, StepCost};
-use std::collections::HashMap;
 
 fn geo() -> Geometry {
     Geometry::tiny()
 }
 
+/// Acknowledge in `oracle` the host op `driver` issued for `op`, and check
+/// the version a read returned against it.
+fn apply_acked(ftl: &mut FtlEngine, driver: &mut OpDriver, oracle: &mut Oracle, op: WorkloadOp) {
+    let Some((host, done)) = driver.apply(ftl, op, None).expect("in-range op") else {
+        return;
+    };
+    match host.kind {
+        HostOpKind::Write { version } => oracle.ack_write(host.lpn, version),
+        HostOpKind::Read => assert_eq!(
+            done.version,
+            oracle.expected(host.lpn),
+            "read of {:?}",
+            host.lpn
+        ),
+        HostOpKind::Trim => oracle.ack_trim(host.lpn),
+    }
+}
+
 fn replay_with_oracle(kind: BaselineKind, trace: &Trace) {
     let mut ftl = build(kind, geo());
-    let mut oracle: HashMap<u32, u64> = HashMap::new();
+    let mut oracle = Oracle::new(geo().logical_pages());
     let mut driver = OpDriver::new(0);
     for op in trace.iter() {
-        let Some((host, done)) = driver.apply(&mut ftl, op, None).expect("in-range trace") else {
-            continue;
-        };
-        match host.kind {
-            HostOpKind::Write { version } => {
-                oracle.insert(host.lpn.0, version);
-            }
-            HostOpKind::Read => assert_eq!(
-                done.version,
-                oracle.get(&host.lpn.0).copied(),
-                "{}: read of L{}",
-                kind.name(),
-                host.lpn.0
-            ),
-            HostOpKind::Trim => {
-                oracle.remove(&host.lpn.0);
-            }
-        }
+        apply_acked(&mut ftl, &mut driver, &mut oracle, op);
     }
-    for (&lpn, &want) in &oracle {
-        assert_eq!(
-            ftl.read(Lpn(lpn)),
-            Some(want),
-            "{}: final L{lpn}",
-            kind.name()
-        );
-    }
+    let res = oracle.verify(|l| ftl.read(l));
+    assert_eq!(res, Ok(()), "{}: final read-back", kind.name());
 }
 
 #[test]
@@ -76,25 +70,18 @@ fn all_ftls_agree_on_a_hot_cold_trace() {
 fn geckoftl_crash_recovery_through_the_facade() {
     let g = geo();
     let mut ftl = build(BaselineKind::GeckoFtl, g);
-    let mut oracle: HashMap<u32, u64> = HashMap::new();
     let logical = g.logical_pages();
+    let mut oracle = Oracle::new(logical);
     let mut driver = OpDriver::new(0);
     for op in Uniform::new(12, logical).take(4000) {
-        let issued = driver.apply(&mut ftl, op, None).expect("in-range op");
-        if let Some((host, _)) = issued {
-            if let HostOpKind::Write { version } = host.kind {
-                oracle.insert(host.lpn.0, version);
-            }
-        }
+        apply_acked(&mut ftl, &mut driver, &mut oracle, op);
     }
     let cfg = ftl.config();
     let gecko_cfg = ftl.backend().gecko().expect("gecko").config();
     let dev = ftl.crash();
     let (mut rec, report) = gecko_recover(dev, cfg, gecko_cfg);
     assert!(report.total_secs() > 0.0);
-    for (&lpn, &want) in &oracle {
-        assert_eq!(rec.read(Lpn(lpn)), Some(want));
-    }
+    assert_eq!(oracle.verify(|l| rec.read(l)), Ok(()));
 }
 
 /// The 18 crash instants of a uniform run (`K = C = 256`), one every 1 000
