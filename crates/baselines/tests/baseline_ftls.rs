@@ -3,6 +3,7 @@
 
 use flash_sim::{Geometry, Lpn};
 use ftl_baselines::{build, BaselineKind};
+use ftl_workloads::Oracle;
 use std::collections::HashMap;
 
 struct Lcg(u64);
@@ -19,19 +20,19 @@ impl Lcg {
 fn exercise(kind: BaselineKind) {
     let geo = Geometry::tiny();
     let mut engine = build(kind, geo);
-    let mut oracle: HashMap<u32, u64> = HashMap::new();
+    let mut oracle = Oracle::new(geo.logical_pages());
     let mut rng = Lcg(kind as u64 + 1);
-    let logical = geo.logical_pages() as u32;
+    let logical = geo.logical_pages();
     for i in 0..6000u64 {
-        let lpn = (rng.next() % logical as u64) as u32;
-        engine.write(Lpn(lpn), i);
-        oracle.insert(lpn, i);
+        let lpn = Lpn((rng.next() % logical) as u32);
+        engine.write(lpn, i);
+        oracle.ack_write(lpn, i);
         if rng.next().is_multiple_of(5) {
-            let r = (rng.next() % logical as u64) as u32;
+            let r = Lpn((rng.next() % logical) as u32);
             assert_eq!(
-                engine.read(Lpn(r)),
-                oracle.get(&r).copied(),
-                "{}: read-your-writes for L{r} at i={i}",
+                engine.read(r),
+                oracle.expected(r),
+                "{}: read-your-writes for {r:?} at i={i}",
                 kind.name()
             );
         }
@@ -41,14 +42,8 @@ fn exercise(kind: BaselineKind) {
         "{}: GC must run",
         kind.name()
     );
-    for lpn in 0..logical {
-        assert_eq!(
-            engine.read(Lpn(lpn)),
-            oracle.get(&lpn).copied(),
-            "{}: post-check L{lpn}",
-            kind.name()
-        );
-    }
+    let res = oracle.verify(|lpn| engine.read(lpn));
+    assert_eq!(res, Ok(()), "{}: post-check", kind.name());
 }
 
 #[test]
