@@ -1,15 +1,17 @@
-//! Deterministic scenario execution with an acknowledged-write oracle.
+//! Deterministic scenario execution with an acknowledged-state oracle.
 //!
 //! Replay drives a [`Scenario`] against a real GeckoFTL engine on the tiny
 //! simulation geometry, delivering the scenario's device faults and crash
 //! points, and checks the robustness contract after every recovery and at
 //! the end of the run:
 //!
-//! - every **acknowledged** write (the `write()` call returned before any
-//!   crash) must read back its exact version;
+//! - every LPN, read back, must hold what [`ftl_workloads::Oracle`] allows:
+//!   an **acknowledged** write (the `write()` call returned before any
+//!   crash) its exact version, an acknowledged trim or a never-written LPN
+//!   nothing;
 //! - the one operation in flight at a mid-op power cut is *unacknowledged*:
 //!   its logical page may read back either the old or the new value, and
-//!   the interrupted write is re-issued after recovery (what a storage
+//!   the interrupted op is re-issued after recovery (what a storage
 //!   stack's request retry does);
 //! - after the engine quiesces, the byte-level translation/validity state
 //!   must pass [`crate::fuzz::oracle::audit_state`].
@@ -26,11 +28,11 @@ use super::scenario::Scenario;
 use crate::fuzz::corpus_dir;
 use crate::harness::{small_gecko_engine, OpDriver};
 use flash_sim::{FaultPlan, FaultStats, FlashDevice, Geometry, Lpn};
+use ftl_workloads::Oracle;
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, HostOp, HostOpKind};
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::gecko_recover;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Once;
 
 /// Worst-case signals of one replay, used as fuzzing feedback.
@@ -91,57 +93,6 @@ fn recover_engine(
     dev.set_fault_plan(FaultPlan::default());
     let (engine, report) = gecko_recover(dev, cfg, gecko_cfg);
     (engine, report.total_secs() * 1e6)
-}
-
-/// Verify every acknowledged write against the recovered engine, treating
-/// `inflight` (the write or trim interrupted mid-flight, if any) as allowed
-/// to hold either its old value or its new one — the written version, or
-/// `None` for a TRIM. Acknowledged trims (`trimmed`, minus pages rewritten
-/// since) must stay unmapped: a durable TRIM that resurrects after a crash
-/// is a bug.
-fn verify_recovered(
-    engine: &mut FtlEngine,
-    oracle: &BTreeMap<u32, u64>,
-    trimmed: &BTreeSet<u32>,
-    inflight: Option<HostOp>,
-) -> Result<(), String> {
-    for (&l, &want) in oracle {
-        if inflight.is_some_and(|op| op.lpn.0 == l) {
-            continue;
-        }
-        let got = engine.read(Lpn(l));
-        if got != Some(want) {
-            return Err(format!(
-                "post-recovery read of L{l}: got {got:?}, want Some({want})"
-            ));
-        }
-    }
-    for &l in trimmed {
-        if inflight.is_some_and(|op| op.lpn.0 == l) {
-            continue;
-        }
-        let got = engine.read(Lpn(l));
-        if got.is_some() {
-            return Err(format!(
-                "post-recovery read of trimmed L{l}: got {got:?}, want None (resurrection)"
-            ));
-        }
-    }
-    if let Some(HostOp { kind, lpn, .. }) = inflight {
-        let new_version = match kind {
-            HostOpKind::Write { version } => Some(version),
-            _ => None,
-        };
-        let old = oracle.get(&lpn.0).copied();
-        let got = engine.read(lpn);
-        if got != old && got != new_version {
-            return Err(format!(
-                "in-flight L{} must read old ({old:?}) or new ({new_version:?}), got {got:?}",
-                lpn.0
-            ));
-        }
-    }
-    Ok(())
 }
 
 thread_local! {
@@ -205,8 +156,7 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
     engine.with_raw_parts(|dev, _| dev.set_fault_plan(sc.fault_plan()));
     let start_stats = engine.device().stats().clone();
 
-    let mut oracle: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut trimmed: BTreeSet<u32> = BTreeSet::new();
+    let mut oracle = Oracle::new(u64::from(logical));
     let mut driver = OpDriver::new(0);
     let mut fitness = Fitness::default();
     let mut crashed = false;
@@ -221,7 +171,7 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
             let (rec, rec_us) = recover_engine(dev, cfg, gecko_cfg);
             engine = rec;
             fitness.recovery_us = rec_us;
-            if let Err(e) = verify_recovered(&mut engine, &oracle, &trimmed, None) {
+            if let Err(e) = oracle.verify(|l| engine.read(l)) {
                 return Outcome::fail(
                     format!("boundary crash before op {i}: {e}"),
                     fitness,
@@ -235,11 +185,12 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
         let issued = driver
             .apply(&mut engine, op.map_lpn(|l| Lpn(l.0 % logical)), None)
             .expect("wrapped LPNs are in range");
-        // The write or trim a crash during this op leaves unacknowledged.
-        let mut this_op: Option<HostOp> = None;
+        // The write or trim a crash during this op leaves unacknowledged,
+        // and the value it leaves its LPN.
+        let mut this_op: Option<(HostOp, Option<u64>)> = None;
         if let Some((host, done)) = issued {
             if host.kind == HostOpKind::Read {
-                let want = oracle.get(&host.lpn.0).copied();
+                let want = oracle.expected(host.lpn);
                 if done.version != want {
                     return Outcome::fail(
                         format!(
@@ -252,10 +203,15 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
                     );
                 }
             } else {
-                if matches!(host.kind, HostOpKind::Write { .. }) {
-                    fitness.max_write_us = fitness.max_write_us.max(done.sim_us);
-                }
-                this_op = Some(host);
+                let new = match host.kind {
+                    HostOpKind::Write { version } => {
+                        fitness.max_write_us = fitness.max_write_us.max(done.sim_us);
+                        Some(version)
+                    }
+                    _ => None,
+                };
+                oracle.in_flight(host.lpn, new);
+                this_op = Some((host, new));
             }
         }
         // A torn-write or mid-erase fault fired during this op: the live
@@ -269,7 +225,7 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
             let (rec, rec_us) = recover_engine(image, cfg, gecko_cfg);
             engine = rec;
             fitness.recovery_us = fitness.recovery_us.max(rec_us);
-            if let Err(e) = verify_recovered(&mut engine, &oracle, &trimmed, this_op) {
+            if let Err(e) = oracle.verify(|l| engine.read(l)) {
                 return Outcome::fail(
                     format!("crash image at op {i}: {e}"),
                     fitness,
@@ -280,19 +236,15 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
             // Re-issue the interrupted op, as a retrying host would. The
             // retry is not a measured host op (it never was), so its
             // latency stays out of the fitness.
-            if let Some(host) = this_op {
+            if let Some((host, _)) = this_op {
                 engine.submit(host).expect("the op was in range before");
             }
         }
         // Acknowledged (or re-issued) now.
-        if let Some(HostOp { kind, lpn, .. }) = this_op {
-            if let HostOpKind::Write { version } = kind {
-                oracle.insert(lpn.0, version);
-                trimmed.remove(&lpn.0);
-            } else {
-                oracle.remove(&lpn.0);
-                trimmed.insert(lpn.0);
-            }
+        match this_op {
+            Some((host, Some(version))) => oracle.ack_write(host.lpn, version),
+            Some((host, None)) => oracle.ack_trim(host.lpn),
+            None => {}
         }
     }
 
@@ -308,27 +260,8 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
         .wa_breakdown(10.0)
         .total();
     fitness.retired_blocks = engine.block_manager().retired_blocks();
-    for (&l, &want) in &oracle {
-        let got = engine.read(Lpn(l));
-        if got != Some(want) {
-            return Outcome::fail(
-                format!("final read of L{l}: got {got:?}, want Some({want})"),
-                fitness,
-                crashed,
-                faults,
-            );
-        }
-    }
-    for &l in &trimmed {
-        let got = engine.read(Lpn(l));
-        if got.is_some() {
-            return Outcome::fail(
-                format!("final read of trimmed L{l}: got {got:?}, want None"),
-                fitness,
-                crashed,
-                faults,
-            );
-        }
+    if let Err(e) = oracle.verify(|l| engine.read(l)) {
+        return Outcome::fail(format!("final read-back: {e}"), fitness, crashed, faults);
     }
     if !audit_state(&mut engine) {
         return Outcome::fail(
