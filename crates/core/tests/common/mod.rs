@@ -5,6 +5,7 @@
 use flash_sim::Lpn;
 use ftl_workloads::Oracle;
 use geckoftl_core::ftl::FtlEngine;
+use geckoftl_core::recovery::{gecko_recover, RecoveryReport};
 
 /// Deterministic LCG so tests don't need a rand dependency here.
 pub struct Lcg(pub u64);
@@ -49,6 +50,14 @@ pub fn run_workload(
             );
         }
     }
+}
+
+/// Cut the power to `engine` (all RAM state is dropped) and recover it with
+/// GeckoRec.
+pub fn crash_and_recover(engine: FtlEngine) -> (FtlEngine, RecoveryReport) {
+    let cfg = engine.config();
+    let gecko_cfg = engine.backend().gecko_config().expect("gecko backend");
+    gecko_recover(engine.crash(), cfg, gecko_cfg)
 }
 
 /// Read every LPN back and check it against the oracle.

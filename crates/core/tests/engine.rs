@@ -16,7 +16,7 @@ use geckoftl_core::recovery::{gecko_recover, RecoveryReport, RecoveryStep, StepC
 use std::collections::{HashMap, HashSet};
 
 mod common;
-use common::{run_workload, verify_all, Lcg};
+use common::{crash_and_recover, run_workload, verify_all, Lcg};
 
 fn small_engine(seed_cache: usize) -> FtlEngine {
     // 64 blocks × 16 pages, 716 logical pages
@@ -87,9 +87,8 @@ fn sequential_overwrites_and_sparse_space() {
             oracle.ack_write(Lpn(lpn), round * 10 + lpn as u64);
         }
     }
+    // Unwritten pages, L8 to the end, read as None.
     verify_all(&mut engine, &oracle);
-    // Unwritten pages read as None.
-    assert_eq!(engine.read(Lpn(700)), None);
 }
 
 #[test]
@@ -98,12 +97,7 @@ fn crash_and_recover_preserves_all_data() {
     let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(42);
     run_workload(&mut engine, &mut oracle, &mut rng, 5000, true);
-    let cfg = engine.config();
-    let gecko_cfg = engine.backend().gecko().expect("gecko backend").config();
-
-    // Power failure: all RAM state is dropped.
-    let dev = engine.crash();
-    let (mut recovered, report) = gecko_recover(dev, cfg, gecko_cfg);
+    let (mut recovered, report) = crash_and_recover(engine);
 
     assert!(
         report.recovered_entries > 0,
@@ -124,10 +118,7 @@ fn repeated_crashes_do_not_lose_data() {
     let mut rng = Lcg(7);
     for round in 0..4 {
         run_workload(&mut engine, &mut oracle, &mut rng, 1500 + 700 * round, true);
-        let cfg = engine.config();
-        let gecko_cfg = engine.backend().gecko().expect("gecko").config();
-        let dev = engine.crash();
-        let (rec, _) = gecko_recover(dev, cfg, gecko_cfg);
+        let (rec, _) = crash_and_recover(engine);
         engine = rec;
         verify_all(&mut engine, &oracle);
     }
@@ -163,14 +154,11 @@ fn recovery_scan_is_bounded_by_checkpoints() {
     let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(99);
     run_workload(&mut engine, &mut oracle, &mut rng, 8000, true);
-    let cfg = engine.config();
-    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
     let threshold = engine.backend().gecko().expect("gecko").last_flush_seq();
     let horizon = engine.translation().horizon();
     assert!(horizon > 0, "the run checkpoints");
     let walked = user_pages_since(&engine, horizon.min(threshold + 1));
-    let dev = engine.crash();
-    let (mut recovered, report) = gecko_recover(dev, cfg, gecko_cfg);
+    let (mut recovered, report) = crash_and_recover(engine);
     let dirty_step = step_cost(&report, RecoveryStep::DirtyEntries);
     assert_eq!(
         dirty_step.spare_reads,
@@ -237,13 +225,11 @@ fn recovering_a_recovered_engine_loses_no_write() {
             let mut oracle = Oracle::new(engine.geometry().logical_pages());
             let mut rng = Lcg(31 + shards as u64);
             run_workload(&mut engine, &mut oracle, &mut rng, 3000, true);
-            let cfg = engine.config();
-            let gecko_cfg = engine.backend().gecko().expect("gecko").config();
-            let (mut once, first) = gecko_recover(engine.crash(), cfg, gecko_cfg);
+            let (mut once, first) = crash_and_recover(engine);
             assert!(first.recovered_entries > 0);
             run_workload(&mut once, &mut oracle, &mut rng, ops_between, true);
             assert_eq!(once.counters.checkpoints, 0, "no checkpoint since recovery");
-            let (mut twice, _) = gecko_recover(once.crash(), cfg, gecko_cfg);
+            let (mut twice, _) = crash_and_recover(once);
             verify_all(&mut twice, &oracle);
         }
     }
@@ -272,10 +258,7 @@ fn recovery_after_clean_shutdown_is_cheap_on_corrections() {
     let mut rng = Lcg(11);
     run_workload(&mut engine, &mut oracle, &mut rng, 3000, true);
     engine.shutdown_clean();
-    let cfg = engine.config();
-    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
-    let dev = engine.crash();
-    let (mut recovered, _) = gecko_recover(dev, cfg, gecko_cfg);
+    let (mut recovered, _) = crash_and_recover(engine);
     verify_all(&mut recovered, &oracle);
     // Everything recovered as "uncertain" should resolve to clean: syncing
     // all dirty entries must abort most synchronization operations.
@@ -383,10 +366,7 @@ fn recovery_of_a_fresh_device_is_trivial() {
     // Crash right after format: nothing to recover, and the device must be
     // fully usable afterwards.
     let engine = small_engine(64);
-    let cfg = engine.config();
-    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
-    let dev = engine.crash();
-    let (mut recovered, report) = gecko_recover(dev, cfg, gecko_cfg);
+    let (mut recovered, report) = crash_and_recover(engine);
     assert_eq!(report.recovered_entries, 0);
     assert_eq!(report.recovered_invalidations, 0);
     assert_eq!(recovered.read(Lpn(0)), None);
@@ -398,10 +378,7 @@ fn recovery_of_a_fresh_device_is_trivial() {
 fn crash_immediately_after_single_write() {
     let mut engine = small_engine(64);
     engine.write(Lpn(5), 42);
-    let cfg = engine.config();
-    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
-    let dev = engine.crash();
-    let (mut recovered, report) = gecko_recover(dev, cfg, gecko_cfg);
+    let (mut recovered, report) = crash_and_recover(engine);
     assert_eq!(
         report.recovered_entries, 1,
         "the lone dirty write must be found"
@@ -435,9 +412,7 @@ fn buffer_step_reads_each_version_once_and_no_spare_area() {
         engine.sync_all_dirty();
     }
     assert_eq!(flush_seq(&engine), watermark, "no Gecko flush since format");
-    let cfg = engine.config();
-    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
-    let (mut recovered, report) = gecko_recover(engine.crash(), cfg, gecko_cfg);
+    let (mut recovered, report) = crash_and_recover(engine);
     let buffer = step_cost(&report, RecoveryStep::Buffer);
     assert_eq!(
         buffer.page_reads,
@@ -596,9 +571,7 @@ fn dirty_entry_step_reads_one_spare_area_per_walked_page() {
         }
     }
     assert_eq!(flush_seq(&engine), watermark, "no Gecko flush since format");
-    let cfg = engine.config();
-    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
-    let (mut recovered, report) = gecko_recover(engine.crash(), cfg, gecko_cfg);
+    let (mut recovered, report) = crash_and_recover(engine);
     let dirty = step_cost(&report, RecoveryStep::DirtyEntries);
     assert_eq!(dirty.spare_reads, ROUNDS * LPNS as u64, "one per user page");
     assert_eq!(dirty.page_reads, 0);
@@ -675,9 +648,7 @@ fn overflow_entries_do_not_recount_step_5_invalidations() {
         "x's first copy counted durably"
     );
     assert!(engine.cache().lookup(x).is_some_and(|e| e.dirty));
-    let cfg = engine.config();
-    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
-    let (mut recovered, report) = gecko_recover(engine.crash(), cfg, gecko_cfg);
+    let (mut recovered, report) = crash_and_recover(engine);
     assert_eq!(report.recovered_entries, ys.len() + 1, "x plus every y");
     recovered.sync_all_dirty();
     let mut live: HashMap<u32, u32> = HashMap::new();
@@ -954,10 +925,7 @@ fn trim_survives_crash_and_recovery() {
     }
     assert!(!trimmed.is_empty(), "workload must actually trim something");
 
-    let cfg = engine.config();
-    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
-    let dev = engine.crash();
-    let (mut recovered, _report) = gecko_recover(dev, cfg, gecko_cfg);
+    let (mut recovered, _report) = crash_and_recover(engine);
     verify_all(&mut recovered, &oracle);
 }
 
@@ -975,11 +943,8 @@ fn trim_survives_clean_restart() {
         assert!(engine.trim(lpn));
         oracle.ack_trim(lpn);
     }
-    let cfg = engine.config();
-    let gecko_cfg = engine.backend().gecko().expect("gecko").config();
     engine.shutdown_clean();
-    let dev = engine.crash();
-    let (mut restarted, _) = gecko_recover(dev, cfg, gecko_cfg);
+    let (mut restarted, _) = crash_and_recover(engine);
     verify_all(&mut restarted, &oracle);
 }
 

@@ -15,11 +15,10 @@ use flash_sim::{BlockId, FlashDevice, Geometry, Ppn};
 use ftl_workloads::Oracle;
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::{GeckoConfig, LogGecko, ShardedGecko};
-use geckoftl_core::recovery::gecko_recover;
 use geckoftl_core::validity::FlatMetaSink;
 
 mod common;
-use common::{run_workload, verify_all, Lcg};
+use common::{crash_and_recover, run_workload, verify_all, Lcg};
 
 /// Small pages so flushes and multi-level merges happen at test scale.
 fn small_page_cfg(size_ratio: u32, multiway: bool) -> GeckoConfig {
@@ -343,10 +342,7 @@ fn crash_mid_merge_recovers_exactly() {
         {
             crashed_mid_merge += 1;
         }
-        let cfg = engine.config();
-        let gecko_cfg = engine.backend().gecko().expect("gecko backend").config();
-        let dev = engine.crash();
-        let (mut recovered, _) = gecko_recover(dev, cfg, gecko_cfg);
+        let (mut recovered, _) = crash_and_recover(engine);
         verify_all(&mut recovered, &oracle);
         // Satellite: recovery's step-5 scan rebuilds per-run Bloom filters
         // (and entry counts) at no extra IO, so recovered runs serve
@@ -445,9 +441,7 @@ fn flush_landing_mid_merge_survives_crash() {
         };
         let before = snapshot(g);
         let watermark = g.last_flush_seq();
-        let cfg = engine.config();
-        let gecko_cfg = g.config();
-        let (mut recovered, _) = gecko_recover(engine.crash(), cfg, gecko_cfg);
+        let (mut recovered, _) = crash_and_recover(engine);
         let rg = recovered.backend().gecko().expect("gecko backend");
         let after = snapshot(rg);
         // Every installed run must survive — including flushes that landed
@@ -518,9 +512,7 @@ fn crash_after_deferred_install_keeps_buffered_reports() {
             }
             run_workload(&mut engine, &mut oracle, &mut rng, 1, false);
         }
-        let cfg = engine.config();
-        let gecko_cfg = engine.backend().gecko().expect("gecko backend").config();
-        let (mut recovered, _) = gecko_recover(engine.crash(), cfg, gecko_cfg);
+        let (mut recovered, _) = crash_and_recover(engine);
         verify_all(&mut recovered, &oracle);
         run_workload(&mut recovered, &mut oracle, &mut rng, 1200, false);
         verify_all(&mut recovered, &oracle);

@@ -12,11 +12,10 @@ use flash_sim::{BlockId, FlashDevice, Geometry, Ppn};
 use ftl_workloads::Oracle;
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::{GeckoConfig, LogGecko, ShardedGecko};
-use geckoftl_core::recovery::gecko_recover;
 use geckoftl_core::validity::{FlatMetaSink, ValidityStore};
 
 mod common;
-use common::{run_workload, verify_all, Lcg};
+use common::{crash_and_recover, run_workload, verify_all, Lcg};
 
 /// Small pages so flushes and multi-level merges happen at test scale.
 fn small_page_cfg(shards: u32) -> GeckoConfig {
@@ -198,14 +197,10 @@ fn sharded_engine_survives_mixed_crash_workload_like_single() {
     for shards in [1u32, 4] {
         let mut rng = Lcg(0x5EED ^ u64::from(shards));
         let mut engine = engine_with_shards(shards);
-        let cfg = engine.config();
-        let gecko_cfg = engine.backend().gecko_config().expect("gecko backend");
         let mut oracle = Oracle::new(engine.geometry().logical_pages());
         for round in 0..4u64 {
             run_workload(&mut engine, &mut oracle, &mut rng, 900 + 217 * round, false);
-            let dev = engine.crash();
-            let (recovered, _report) = gecko_recover(dev, cfg, gecko_cfg);
-            engine = recovered;
+            engine = crash_and_recover(engine).0;
             assert_eq!(
                 engine.backend().gecko().expect("gecko").num_shards(),
                 shards as usize,
@@ -230,8 +225,6 @@ fn per_shard_recovery_preserves_every_installed_run() {
     let shards = 4u32;
     let mut rng = Lcg(0xD15C);
     let mut engine = engine_with_shards(shards);
-    let cfg = engine.config();
-    let gecko_cfg = engine.backend().gecko_config().expect("gecko backend");
     let mut oracle = Oracle::new(engine.geometry().logical_pages());
     run_workload(&mut engine, &mut oracle, &mut rng, 2500, false);
     // Stop at a settled moment (no merge in flight in any shard) so the
@@ -270,8 +263,7 @@ fn per_shard_recovery_preserves_every_installed_run() {
         "workload must populate several shards for the test to bite"
     );
 
-    let dev = engine.crash();
-    let (mut recovered, _report) = gecko_recover(dev, cfg, gecko_cfg);
+    let (mut recovered, _report) = crash_and_recover(engine);
     let after = snapshot(recovered.backend().gecko().expect("gecko recovered"));
     for (s, runs_before) in before.iter().enumerate() {
         for run in runs_before {

@@ -101,18 +101,14 @@ mod tests {
         o
     }
 
-    /// The faithful store of [`oracle`], with `lpn` overwritten by `value`.
-    fn store_with(lpn: u32, value: Option<u64>) -> impl FnMut(Lpn) -> Option<u64> {
-        move |l| match l.0 {
+    /// `o`'s verdict on a store that holds what [`oracle`] acknowledged,
+    /// except `value` at `lpn`.
+    fn verdict(o: &Oracle, lpn: u32, value: Option<u64>) -> Result<(), String> {
+        o.verify(|l| match l.0 {
             l if l == lpn => value,
             1 => Some(9),
             _ => None,
-        }
-    }
-
-    #[test]
-    fn a_faithful_store_passes() {
-        assert_eq!(oracle().verify(store_with(1, Some(9))), Ok(()));
+        })
     }
 
     #[test]
@@ -120,100 +116,55 @@ mod tests {
         let mut seen = Vec::new();
         let res = oracle().verify(|l| {
             seen.push(l.0);
-            store_with(1, Some(9))(l)
+            (l.0 == 1).then_some(9)
         });
-        assert_eq!(res, Ok(()));
-        assert_eq!(seen, (0..8).collect::<Vec<_>>());
+        assert_eq!((res, seen), (Ok(()), (0..8).collect()));
     }
 
     #[test]
-    fn rejects_a_lost_acknowledged_write() {
+    fn rejects_each_violation_class_naming_lpn_allowed_set_and_value() {
+        let o = oracle();
+        assert_eq!(verdict(&o, 1, Some(9)), Ok(()), "a faithful store");
+        for (lpn, value, class) in [
+            (1, None, "L1: read None, allowed {Some(9)}"), // a lost write
+            (1, Some(7), "L1: read Some(7), allowed {Some(9)}"), // a stale version
+            (2, Some(5), "L2: read Some(5), allowed {None}"), // a resurrected trim
+            (6, Some(1), "L6: read Some(1), allowed {None}"), // never written
+        ] {
+            assert_eq!(verdict(&o, lpn, value), Err(class.into()));
+        }
+        let mut zero = Oracle::new(1);
+        zero.ack_write(Lpn(0), 0);
         assert_eq!(
-            oracle().verify(store_with(1, None)),
-            Err("L1: read None, allowed {Some(9)}".into())
-        );
-    }
-
-    #[test]
-    fn rejects_a_stale_version() {
-        assert_eq!(
-            oracle().verify(store_with(1, Some(7))),
-            Err("L1: read Some(7), allowed {Some(9)}".into())
-        );
-    }
-
-    #[test]
-    fn rejects_a_resurrected_trim() {
-        assert_eq!(
-            oracle().verify(store_with(2, Some(5))),
-            Err("L2: read Some(5), allowed {None}".into())
-        );
-    }
-
-    #[test]
-    fn rejects_a_value_on_a_never_written_lpn() {
-        assert_eq!(
-            oracle().verify(store_with(6, Some(1))),
-            Err("L6: read Some(1), allowed {None}".into())
-        );
-    }
-
-    #[test]
-    fn version_zero_is_a_version_not_unmapped() {
-        let mut o = Oracle::new(1);
-        o.ack_write(Lpn(0), 0);
-        assert_eq!(o.verify(|_| Some(0)), Ok(()));
-        assert_eq!(
-            o.verify(|_| None),
+            zero.verify(|_| None),
             Err("L0: read None, allowed {Some(0)}".into())
         );
     }
 
+    /// An in-flight write may read old or new, an in-flight trim old or
+    /// unmapped; any other value, or any other LPN off its acknowledged
+    /// value, fails. An ack ends the op in flight.
     #[test]
-    fn an_in_flight_write_reads_old_or_new() {
+    fn only_the_in_flight_lpn_reads_old_or_new() {
         let mut o = oracle();
+        for new in [Some(11), None] {
+            o.in_flight(Lpn(1), new);
+            assert_eq!(verdict(&o, 1, Some(9)), Ok(()), "old");
+            assert_eq!(verdict(&o, 1, new), Ok(()), "new");
+            let allowed = format!("allowed {{Some(9), {new:?}}}");
+            assert_eq!(
+                verdict(&o, 1, Some(7)),
+                Err(format!("L1 (in flight): read Some(7), {allowed}"))
+            );
+            assert!(verdict(&o, 6, Some(11)).is_err(), "another LPN");
+        }
         o.in_flight(Lpn(1), Some(11));
-        for value in [Some(9), Some(11)] {
-            assert_eq!(o.verify(store_with(1, value)), Ok(()), "{value:?}");
-        }
-        assert_eq!(
-            o.verify(store_with(1, Some(7))),
-            Err("L1 (in flight): read Some(7), allowed {Some(9), Some(11)}".into())
-        );
-        assert_eq!(
-            o.verify(store_with(1, None)),
-            Err("L1 (in flight): read None, allowed {Some(9), Some(11)}".into())
-        );
-    }
-
-    #[test]
-    fn an_in_flight_trim_reads_old_or_unmapped() {
-        let mut o = oracle();
-        o.in_flight(Lpn(1), None);
-        for value in [Some(9), None] {
-            assert_eq!(o.verify(store_with(1, value)), Ok(()), "{value:?}");
-        }
-        assert_eq!(
-            o.verify(store_with(1, Some(7))),
-            Err("L1 (in flight): read Some(7), allowed {Some(9), None}".into())
-        );
-    }
-
-    #[test]
-    fn only_the_in_flight_lpn_may_differ_and_an_ack_ends_it() {
-        let mut o = oracle();
-        o.in_flight(Lpn(3), Some(4));
-        assert_eq!(
-            o.verify(store_with(1, Some(7))),
-            Err("L1: read Some(7), allowed {Some(9)}".into())
-        );
-        assert_eq!(o.verify(store_with(3, Some(4))), Ok(()));
-        o.ack_write(Lpn(3), 4);
-        assert_eq!(o.expected(Lpn(3)), Some(4));
-        o.ack_trim(Lpn(3));
-        assert_eq!(
-            o.verify(store_with(3, Some(4))),
-            Err("L3: read Some(4), allowed {None}".into())
+        assert!(verdict(&o, 1, None).is_err(), "a write leaves no unmapped");
+        o.ack_write(Lpn(1), 11);
+        assert_eq!(o.expected(Lpn(1)), Some(11));
+        assert!(
+            verdict(&o, 1, Some(9)).is_err(),
+            "acked: the old version is stale"
         );
     }
 }
