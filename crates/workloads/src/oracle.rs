@@ -68,18 +68,18 @@ impl Oracle {
         for (l, &acked) in self.acked.iter().enumerate() {
             let lpn = Lpn(l as u32);
             let got = read(lpn);
-            match self.in_flight {
-                Some((at, new)) if at == lpn => {
-                    if got != acked && got != new {
-                        return Err(format!(
-                            "L{l} (in flight): read {got:?}, allowed {{{acked:?}, {new:?}}}"
-                        ));
+            // The value the op in flight would leave, if it is on this LPN.
+            let new = self
+                .in_flight
+                .filter(|&(at, _)| at == lpn)
+                .map(|(_, new)| new);
+            if got != acked && Some(got) != new {
+                return Err(match new {
+                    Some(new) => {
+                        format!("L{l} (in flight): read {got:?}, allowed {{{acked:?}, {new:?}}}")
                     }
-                }
-                _ if got != acked => {
-                    return Err(format!("L{l}: read {got:?}, allowed {{{acked:?}}}"));
-                }
-                _ => {}
+                    None => format!("L{l}: read {got:?}, allowed {{{acked:?}}}"),
+                });
             }
         }
         Ok(())
