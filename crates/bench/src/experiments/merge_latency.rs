@@ -9,13 +9,12 @@
 //! Per-write latency is each write's `Completion::sim_us`.
 //! The headline metrics are the p99 and max write latency (the tail the
 //! amortized cost analysis of Table 1 promises but synchronous merging
-//! breaks), with write-amplification equality and a byte-level
-//! translation/validity oracle audit proving the scheduler changed *when*
+//! breaks), with write-amplification equality and the GC auditor
+//! ([`FtlEngine::audit`]) proving the scheduler changed *when*
 //! merge IO happens, not *what* the FTL stores. Results land in
 //! `BENCH_merge_latency.json`.
 
 use super::RunOptions;
-use crate::fuzz::oracle::audit_state;
 use crate::harness::{fill_sequential, OpDriver};
 use crate::report::{f3, Table};
 use flash_sim::telemetry::{chrome_trace_json, TraceEvent};
@@ -227,7 +226,7 @@ fn run_variant(
 
     // Quiesce (sync dirty entries, flush + drain merges), then audit.
     engine.shutdown_clean();
-    let oracle_ok = audit_state(&mut engine);
+    let oracle_ok = engine.audit().is_ok();
 
     VariantResult {
         name,
@@ -467,7 +466,7 @@ mod tests {
             (wa_inc - wa_sync).abs() / wa_sync < 0.05,
             "WA must stay equal: {wa_inc} vs {wa_sync}"
         );
-        // The byte-level translation/validity oracle must pass for both.
+        // The GC auditor must pass for both.
         for r in rows {
             assert_eq!(r[12], "ok", "state oracle failed for {}", r[0]);
         }

@@ -4,12 +4,12 @@
 //! crash point) triples — [`Scenario`]s — for two kinds of trouble:
 //!
 //! 1. **Correctness failures**: an acknowledged write that does not read
-//!    back after a fault or recovery, a byte-level translation/validity
-//!    audit mismatch ([`oracle::audit_state`]), or a panic anywhere in the
-//!    replay ([`replay::replay`]). These are bugs; the failing
-//!    scenario is [`minimize()`]d and written to `fuzz/corpus/` as a
-//!    regression test under the first free index (`tests/fuzz_corpus.rs`
-//!    replays every entry).
+//!    back after a fault or recovery, a GC-contract violation
+//!    ([`FtlEngine::audit`](geckoftl_core::ftl::FtlEngine::audit)), or a
+//!    panic anywhere in the replay ([`replay::replay`]). These are bugs;
+//!    the failing scenario is [`minimize()`]d and written to `fuzz/corpus/`
+//!    as a regression test under the first free index
+//!    (`tests/fuzz_corpus.rs` replays every entry).
 //! 2. **Worst-case behaviour**: scenarios maximizing tail write latency,
 //!    write amplification, recovery cost or retired blocks. The search
 //!    keeps a hall of fame per signal and mutates the current worst case
@@ -20,7 +20,6 @@
 
 pub mod minimize;
 pub mod mutate;
-pub mod oracle;
 pub mod replay;
 pub mod scenario;
 

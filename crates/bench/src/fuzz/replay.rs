@@ -13,8 +13,9 @@
 //!   its logical page may read back either the old or the new value, and
 //!   the interrupted op is re-issued after recovery (what a storage
 //!   stack's request retry does);
-//! - after the engine quiesces, the byte-level translation/validity state
-//!   must pass [`crate::fuzz::oracle::audit_state`].
+//! - after the engine quiesces, the device must pass [`FtlEngine::audit`];
+//!   under debug assertions every collection runs the auditor's per-event
+//!   checks too, and their panic is a finding like any other.
 //!
 //! The returned [`Fitness`] carries the worst-case signals the fuzzer
 //! maximizes: max write latency, write amplification, recovery cost and
@@ -23,7 +24,6 @@
 //! [`IoStats`](flash_sim::IoStats) delta over the run, the `RecoveryReport`
 //! that `gecko_recover` returns, and the block manager's retired-block count.
 
-use super::oracle::audit_state;
 use super::scenario::Scenario;
 use crate::fuzz::corpus_dir;
 use crate::harness::{small_gecko_engine, OpDriver};
@@ -263,13 +263,8 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
     if let Err(e) = oracle.verify(|l| engine.read(l)) {
         return Outcome::fail(format!("final read-back: {e}"), fitness, crashed, faults);
     }
-    if !audit_state(&mut engine) {
-        return Outcome::fail(
-            "translation/validity state audit failed".into(),
-            fitness,
-            crashed,
-            faults,
-        );
+    if let Err(v) = engine.audit() {
+        return Outcome::fail(v.to_string(), fitness, crashed, faults);
     }
     Outcome {
         ok: true,

@@ -1,71 +1,11 @@
 //! Garbage collection (paper §4, §4.2): victim selection, live-page
 //! migration with UIP identification (§4.1), and the metadata-aware policy.
 
+use super::audit::{debug_check, Rule};
 use super::block_manager::BlockGroup;
 use super::{FtlEngine, GcPolicy, GcVictim, GC_FREE_THRESHOLD};
 use crate::cache::CacheEntry;
 use flash_sim::{BlockId, IoPurpose, PageData, PageOffset, Ppn, SpanKind, SpareInfo};
-
-fn paranoid() -> bool {
-    // Read the environment once: this guard sits inside per-page GC loops.
-    static PARANOID: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PARANOID.get_or_init(|| std::env::var("GECKO_PARANOID").is_ok())
-}
-
-impl FtlEngine {
-    /// Ground truth for diagnostics: the newest physical copy of `lpn`.
-    fn true_newest(&self, lpn: flash_sim::Lpn) -> Option<(flash_sim::Ppn, u64)> {
-        let geo = self.geometry();
-        let mut best: Option<(flash_sim::Ppn, u64)> = None;
-        for b in geo.iter_blocks() {
-            for (ppn, data) in self.dev.peek_block_pages(b) {
-                // A page with a torn spare has no identity: never newest.
-                let (Some((l, _)), Some(spare)) = (data.as_user(), self.dev.peek_spare(ppn)) else {
-                    continue;
-                };
-                if l == lpn && best.is_none_or(|(_, s)| spare.seq > s) {
-                    best = Some((ppn, spare.seq));
-                }
-            }
-        }
-        best
-    }
-
-    /// Paranoid diagnostic: a page the validity store reports invalid must
-    /// never be the newest physical copy of its logical page. (This is the
-    /// check that caught the recovered-flush-watermark bug: deferring merge
-    /// output past new erases inflated recovery's step-4a window and lost
-    /// buffered erase markers.)
-    fn paranoid_check_invalid(&self, ppn: flash_sim::Ppn) {
-        let Some(data) = self.dev.peek_page(ppn) else {
-            return;
-        };
-        if let Some((l, _)) = data.as_user() {
-            if self.true_newest(l).map(|(best, _)| best) == Some(ppn) {
-                eprintln!(
-                    "[PARANOID] GC treats NEWEST copy {ppn:?} of {l:?} as invalid; cache={:?}",
-                    self.cache.lookup(l)
-                );
-            }
-        }
-    }
-
-    /// Paranoid diagnostic: a block about to be erased as fully invalid
-    /// must hold no newest copy of any logical page.
-    fn paranoid_check_erasable(&self, victim: BlockId) {
-        for (ppn, data) in self.dev.peek_block_pages(victim) {
-            if let Some((l, _)) = data.as_user() {
-                if self.true_newest(l).map(|(best, _)| best) == Some(ppn) {
-                    eprintln!(
-                        "[PARANOID] erasing 0-valid {victim:?} but {ppn:?} is the NEWEST \
-                         copy of {l:?}; cache={:?}",
-                        self.cache.lookup(l)
-                    );
-                }
-            }
-        }
-    }
-}
 
 impl FtlEngine {
     /// Run garbage collection until the free pool is back above the
@@ -139,9 +79,10 @@ impl FtlEngine {
         let group = self.bm.group_of(victim).expect("victim is allocated");
         if self.bm.valid_pages(victim) == 0 {
             // Fully invalid: nothing to query, read or migrate.
-            if paranoid() {
-                self.paranoid_check_erasable(victim);
-            }
+            debug_check(|| {
+                (self.dev.peek_block_pages(victim))
+                    .try_for_each(|(ppn, _)| self.check_kept(Rule::ErasedTarget, ppn, false))
+            });
             if group == BlockGroup::User {
                 self.erase_user_block(victim);
             } else {
@@ -185,9 +126,7 @@ impl FtlEngine {
             // eviction triggers may invalidate further pages of this block
             // after the query was answered (`note_gc_invalidation`).
             if self.gc_victim.as_ref().is_some_and(|v| v.invalid.get(off)) {
-                if paranoid() {
-                    self.paranoid_check_invalid(ppn);
-                }
+                debug_check(|| self.check_kept(Rule::InvalidTarget, ppn, false));
                 continue;
             }
             let spare = self
@@ -207,13 +146,7 @@ impl FtlEngine {
             // then Y is a UIP and we do not migrate it."
             if let Some(e) = self.cache.lookup(lpn) {
                 if e.ppn != ppn {
-                    if paranoid() {
-                        if let Some((best, _)) = self.true_newest(lpn) {
-                            if best == ppn {
-                                eprintln!("[PARANOID] GC SKIPPING the NEWEST copy {ppn:?} of {lpn:?} (cache says {:?} d={} u={} unc={})", e.ppn, e.dirty, e.uip, e.uncertain);
-                            }
-                        }
-                    }
+                    debug_check(|| self.check_not_newer(Rule::NewerUipSkipped, ppn));
                     self.counters.gc_uip_skips += 1;
                     // The erase marker below supersedes this page, so its
                     // before-image is now identified: clear the UIP flag to
@@ -226,14 +159,7 @@ impl FtlEngine {
             // Live page: migrate it. "Garbage-collection migrations are
             // treated like application writes; a dirty cached mapping entry
             // is created for every page that is migrated."
-            if paranoid() {
-                if let Some((best, bseq)) = self.true_newest(lpn) {
-                    if best != ppn {
-                        let sseq = self.dev.peek_spare(ppn).expect("w").seq;
-                        eprintln!("[PARANOID] GC MIGRATING STALE copy {ppn:?} (seq {sseq}) of {lpn:?}; newest is {best:?} (seq {bseq}); cache={:?}", self.cache.lookup(lpn));
-                    }
-                }
-            }
+            debug_check(|| self.check_kept(Rule::StaleMigration, ppn, true));
             let data = self
                 .dev
                 .read_page(ppn, IoPurpose::GcMigrateUser)

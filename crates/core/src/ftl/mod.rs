@@ -19,10 +19,12 @@
 //! differences purely to the three axes above (see docs/DESIGN.md,
 //! "Deviations").
 
+mod audit;
 pub mod block_manager;
 mod engine_gc;
 mod host;
 
+pub use audit::{Rule, Violation};
 pub use block_manager::{BlockGroup, BlockManager, BlockState};
 pub use host::{Completion, FtlError, HostOp, HostOpKind};
 
@@ -774,17 +776,15 @@ impl FtlEngine {
         self.gc_attrib_us += self.dev.clock().now_us() - t0;
     }
 
-    /// The engine's current belief about where `lpn` lives: the cached
-    /// mapping if present, else the flash-resident translation table.
-    /// Unlike [`FtlEngine::read`], does not touch the cache (useful for
-    /// invariant checks in tests; charges a `TranslationFetch` read on
-    /// cache misses).
-    pub fn current_mapping(&mut self, lpn: Lpn) -> Option<Ppn> {
-        if let Some(e) = self.cache.lookup(lpn) {
-            return Some(e.ppn);
-        }
-        self.tt
-            .lookup(&mut self.dev, lpn, IoPurpose::TranslationFetch)
+    /// `lpn`'s mapping target, where the engine believes it lives: the
+    /// cached entry's `ppn` if present, else the flash-resident translation
+    /// table's. Unlike [`FtlEngine::read`], touches neither the cache nor
+    /// the clock: it charges no IO.
+    pub fn current_mapping(&self, lpn: Lpn) -> Option<Ppn> {
+        self.cache
+            .lookup(lpn)
+            .map(|e| e.ppn)
+            .or_else(|| self.tt.peek(&self.dev, lpn))
     }
 
     /// Ask the validity store for a block's invalid bitmap without running a

@@ -201,6 +201,14 @@ impl TranslationTable {
         Some(ppn)
     }
 
+    /// [`TranslationTable::lookup`] without IO, for
+    /// [`FtlEngine::current_mapping`](crate::ftl::FtlEngine::current_mapping).
+    pub(crate) fn peek(&self, dev: &FlashDevice, lpn: Lpn) -> Option<Ppn> {
+        let data = dev.peek_page(self.gmd[self.tpage_of(lpn) as usize]?)?;
+        let payload = data.blob::<TranslationPagePayload>()?;
+        payload.get(lpn.0 % self.geo.entries_per_translation_page())
+    }
+
     /// Synchronization operation: apply `updates` (cached dirty mappings) to
     /// the translation page `tpage`.
     ///
