@@ -10,25 +10,20 @@ use super::FtlEngine;
 use flash_sim::{Lpn, PageOffset, Ppn, SpareInfo};
 use std::fmt;
 
-/// The check a [`Violation`] failed.
+/// The check a [`Violation`] failed, named by what GC does or would do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rule {
-    /// GC dropped a store-invalid page that is its LPN's target.
-    InvalidTarget,
-    /// GC skipped as a UIP (§4.1) a copy newer than the cached target.
-    NewerUipSkipped,
-    /// GC migrated a page that is not its LPN's target.
+    /// A page that is not its LPN's target (a torn one too) is migrated or
+    /// store-valid.
     StaleMigration,
-    /// GC erased a block with no valid page that holds a target.
-    ErasedTarget,
-    /// A store-valid page is not the target, or a store-invalid one is.
-    ValidityMismatch,
+    /// An LPN's target is store-invalid, or erased in a 0-valid block.
+    TargetDropped,
+    /// A copy is newer than its LPN's target: skipped as a UIP, or audited.
+    NewerThanTarget,
     /// A page with data and a non-user spare area sits in a user block.
     ForeignPage,
     /// The block's valid-page count is below its live pages up to this one.
     BvcBelowLive,
-    /// The page is a newer copy of its LPN than the target.
-    NotNewest,
 }
 
 /// A page that breaks the GC contract, and what its LPN maps to. A torn
@@ -93,6 +88,7 @@ impl FtlEngine {
         self.lpn_of(ppn).and_then(|lpn| self.current_mapping(lpn))
     }
 
+    /// `Ok` if the check `holds`, else `rule`'s violation at `ppn`.
     fn ensure(&self, holds: bool, rule: Rule, ppn: Ppn) -> Result<(), Violation> {
         if holds {
             return Ok(());
@@ -109,14 +105,20 @@ impl FtlEngine {
     }
 
     /// The rule: `ppn` is `kept` iff it is its LPN's mapping target.
-    pub(super) fn check_kept(&self, rule: Rule, ppn: Ppn, kept: bool) -> Result<(), Violation> {
+    pub(super) fn check_kept(&self, ppn: Ppn, kept: bool) -> Result<(), Violation> {
+        let rule = if kept {
+            Rule::StaleMigration
+        } else {
+            Rule::TargetDropped
+        };
         self.ensure(kept == (self.target_of(ppn) == Some(ppn)), rule, ppn)
     }
 
     /// Its corollary: no copy of a mapped LPN is newer than the target.
-    pub(super) fn check_not_newer(&self, rule: Rule, ppn: Ppn) -> Result<(), Violation> {
+    pub(super) fn check_not_newer(&self, ppn: Ppn) -> Result<(), Violation> {
         let target_seq = self.target_of(ppn).map(|t| self.seq_of(t));
-        self.ensure(target_seq.is_none_or(|t| self.seq_of(ppn) <= t), rule, ppn)
+        let holds = target_seq.is_none_or(|t| self.seq_of(ppn) <= t);
+        self.ensure(holds, Rule::NewerThanTarget, ppn)
     }
 
     /// Audit the whole device once the engine has quiesced
@@ -133,15 +135,14 @@ impl FtlEngine {
             let mut live = 0;
             for off in 0..self.dev.written_pages(block) {
                 let ppn = geo.ppn(block, PageOffset(off));
-                self.check_not_newer(Rule::NotNewest, ppn)?;
+                self.check_not_newer(ppn)?;
                 let Some(invalid) = &invalid else { continue };
                 let torn = self.dev.peek_spare(ppn).is_none() || self.dev.peek_page(ppn).is_none();
                 self.ensure(torn || self.lpn_of(ppn).is_some(), Rule::ForeignPage, ppn)?;
                 let kept = !invalid.get(off);
-                self.check_kept(Rule::ValidityMismatch, ppn, kept)?;
+                self.check_kept(ppn, kept)?;
                 live += u32::from(kept);
-                let bvc_holds = self.bm.valid_pages(block) >= live;
-                self.ensure(bvc_holds, Rule::BvcBelowLive, ppn)?;
+                self.ensure(live <= self.bm.valid_pages(block), Rule::BvcBelowLive, ppn)?;
             }
         }
         Ok(())

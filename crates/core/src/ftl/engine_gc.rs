@@ -1,7 +1,7 @@
 //! Garbage collection (paper §4, §4.2): victim selection, live-page
 //! migration with UIP identification (§4.1), and the metadata-aware policy.
 
-use super::audit::{debug_check, Rule};
+use super::audit::debug_check;
 use super::block_manager::BlockGroup;
 use super::{FtlEngine, GcPolicy, GcVictim, GC_FREE_THRESHOLD};
 use crate::cache::CacheEntry;
@@ -80,8 +80,9 @@ impl FtlEngine {
         if self.bm.valid_pages(victim) == 0 {
             // Fully invalid: nothing to query, read or migrate.
             debug_check(|| {
-                (self.dev.peek_block_pages(victim))
-                    .try_for_each(|(ppn, _)| self.check_kept(Rule::ErasedTarget, ppn, false))
+                self.dev
+                    .peek_block_pages(victim)
+                    .try_for_each(|(ppn, _)| self.check_kept(ppn, false))
             });
             if group == BlockGroup::User {
                 self.erase_user_block(victim);
@@ -126,7 +127,7 @@ impl FtlEngine {
             // eviction triggers may invalidate further pages of this block
             // after the query was answered (`note_gc_invalidation`).
             if self.gc_victim.as_ref().is_some_and(|v| v.invalid.get(off)) {
-                debug_check(|| self.check_kept(Rule::InvalidTarget, ppn, false));
+                debug_check(|| self.check_kept(ppn, false));
                 continue;
             }
             let spare = self
@@ -146,7 +147,7 @@ impl FtlEngine {
             // then Y is a UIP and we do not migrate it."
             if let Some(e) = self.cache.lookup(lpn) {
                 if e.ppn != ppn {
-                    debug_check(|| self.check_not_newer(Rule::NewerUipSkipped, ppn));
+                    debug_check(|| self.check_not_newer(ppn));
                     self.counters.gc_uip_skips += 1;
                     // The erase marker below supersedes this page, so its
                     // before-image is now identified: clear the UIP flag to
@@ -159,7 +160,7 @@ impl FtlEngine {
             // Live page: migrate it. "Garbage-collection migrations are
             // treated like application writes; a dirty cached mapping entry
             // is created for every page that is migrated."
-            debug_check(|| self.check_kept(Rule::StaleMigration, ppn, true));
+            debug_check(|| self.check_kept(ppn, true));
             let data = self
                 .dev
                 .read_page(ppn, IoPurpose::GcMigrateUser)

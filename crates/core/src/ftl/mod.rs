@@ -776,10 +776,9 @@ impl FtlEngine {
         self.gc_attrib_us += self.dev.clock().now_us() - t0;
     }
 
-    /// `lpn`'s mapping target, where the engine believes it lives: the
-    /// cached entry's `ppn` if present, else the flash-resident translation
-    /// table's. Unlike [`FtlEngine::read`], touches neither the cache nor
-    /// the clock: it charges no IO.
+    /// `lpn`'s mapping target: the cached entry's `ppn`, else the flash
+    /// translation table's. Unlike [`FtlEngine::read`], it charges no IO and
+    /// leaves the cache alone.
     pub fn current_mapping(&self, lpn: Lpn) -> Option<Ppn> {
         self.cache
             .lookup(lpn)
