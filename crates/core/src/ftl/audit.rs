@@ -1,9 +1,9 @@
 //! The GC auditor: one rule for the contract §4.1's UIP protocol keeps —
 //! a user page is kept (valid, migrated) **iff** it is its LPN's mapping
-//! target, [`FtlEngine::current_mapping`]. Every check reads flash without
-//! IO. Collections run the per-event checks under `debug_assertions` and
-//! panic on a violation; [`FtlEngine::audit`] checks a quiesced device in
-//! any profile.
+//! target, [`FtlEngine::current_mapping`]. Page checks charge no IO.
+//! Collections run the per-event checks under `debug_assertions` and panic
+//! on a violation; [`FtlEngine::audit`] checks a quiesced device in any
+//! profile.
 
 use super::block_manager::BlockGroup;
 use super::FtlEngine;
