@@ -11,7 +11,17 @@
 //! garbage-collection victim selection. Under the metadata-aware GC policy
 //! (§4.2) translation/metadata blocks are never migrated: they are erased as
 //! soon as their last valid page is superseded, which this module detects on
-//! [`BlockManager::page_obsolete`].
+//! [`BlockManager::page_obsolete`] — or, for a block on App. C.2.2's
+//! no-erase list, on the [`BlockManager::release_through`] that takes it
+//! off. This module is the only place that decides when a translation block
+//! may be erased.
+//!
+//! That list is the *version chain*: one link per translation-page version
+//! newer than the validity store's durable watermark, stamped with the
+//! version's seq and protecting the block of the version it superseded.
+//! GeckoRec step 4b diffs exactly those versions against their bases, so the
+//! running engine takes a link per sync and GeckoRec hands over the links
+//! step 4b read (docs/DESIGN.md, invariants 6 and 14).
 //!
 //! Greedy selection is "the eligible block with the fewest valid pages". A
 //! linear scan over all blocks answers that; [`BlockManager::pick_victim`],
@@ -170,11 +180,12 @@ pub struct BlockManager {
     /// invalid (GeckoFTL's §4.2 policy). When false, they wait for the
     /// greedy garbage-collector like any other block.
     pub erase_empty_metadata: bool,
-    /// Blocks that must not be erased or garbage-collected right now, each
-    /// with the newest stamp taken on it: GeckoRec's buffer recovery (App.
-    /// C.2.2) needs the previous version of recently updated translation
-    /// pages, so the engine protects their blocks until the store's durable
-    /// watermark passes the stamp. Ordered, so a release is deterministic.
+    /// The version chain's stamps, one per link not yet released: what
+    /// [`BlockManager::chain_len`] counts.
+    chain: Vec<u64>,
+    /// The blocks the chain protects from erasure and GC, each with the
+    /// newest stamp of a link protecting it. Ordered, so a release erases
+    /// deterministically.
     protected: BTreeMap<BlockId, u64>,
     /// Blocks permanently taken out of service after an erase failure. A
     /// retired block stays `InUse` forever — it can never be
@@ -198,6 +209,7 @@ impl BlockManager {
             free: geo.iter_blocks().collect(),
             bvc: vec![0; geo.blocks as usize],
             erase_empty_metadata: true,
+            chain: Vec::new(),
             protected: BTreeMap::new(),
             retired: vec![false; geo.blocks as usize],
             victims: VictimIndex::new(&geo),
@@ -237,6 +249,7 @@ impl BlockManager {
             free,
             bvc,
             erase_empty_metadata,
+            chain: Vec::new(),
             protected: BTreeMap::new(),
             retired: vec![false; geo.blocks as usize],
             victims,
@@ -280,12 +293,23 @@ impl BlockManager {
         self.active.contains(&Some(block))
     }
 
-    /// Protect a block from erasure and GC until a
-    /// [`BlockManager::release_through`] at or past `stamp` (App. C.2.2's
-    /// no-erase list). A block protected twice keeps the newer stamp.
-    pub fn protect(&mut self, block: BlockId, stamp: u64) {
-        let s = self.protected.entry(block).or_insert(stamp);
-        *s = (*s).max(stamp);
+    /// Add a link to the version chain: a translation-page version stamped
+    /// `stamp`, whose predecessor lies in `block` (`None` for a page's first
+    /// version). The block is kept from erasure and GC until a
+    /// [`BlockManager::release_through`] at or past `stamp`; a block
+    /// protected twice keeps the newer stamp.
+    pub fn protect(&mut self, block: Option<BlockId>, stamp: u64) {
+        self.chain.push(stamp);
+        if let Some(block) = block {
+            let s = self.protected.entry(block).or_insert(stamp);
+            *s = (*s).max(stamp);
+        }
+    }
+
+    /// Links in the version chain: the translation-page versions newer than
+    /// the last [`BlockManager::release_through`].
+    pub fn chain_len(&self) -> usize {
+        self.chain.len()
     }
 
     /// Whether a block is currently protected.
@@ -298,13 +322,16 @@ impl BlockManager {
         self.protected.len()
     }
 
-    /// Drop every protection stamped at or before `seq` and return those
-    /// blocks, so the engine can erase any that have become fully invalid in
-    /// the meantime. Sorted: the caller erases these in order, and erase
+    /// Release every link stamped at or before `seq` — the validity store
+    /// holds its reports durably — and erase, in block order, each released
+    /// block that has become empty meanwhile, by the rule
+    /// [`BlockManager::page_obsolete`] applies (App. C.2.2: "When
+    /// Logarithmic Gecko's buffer is flushed, we clear the list"). Erase
     /// order feeds the free pool and hence future victim selection (draining
-    /// a hash set unsorted once leaked per-process hash randomization into GC
-    /// victim order: ±2 reads/query jitter in BENCH_gecko_query).
-    pub fn release_through(&mut self, seq: u64) -> Vec<BlockId> {
+    /// a hash set unsorted once leaked per-process hash randomization into
+    /// GC victim order: ±2 reads/query jitter in BENCH_gecko_query).
+    pub fn release_through(&mut self, dev: &mut FlashDevice, seq: u64) {
+        self.chain.retain(|&stamp| stamp > seq);
         let mut released = Vec::new();
         self.protected.retain(|&block, &mut stamp| {
             let keep = stamp > seq;
@@ -313,7 +340,9 @@ impl BlockManager {
             }
             keep
         });
-        released
+        for block in released {
+            self.erase_if_empty(dev, block);
+        }
     }
 
     /// Integrated-RAM footprint of BVC: 2 bytes per block (Appendix B).
@@ -404,6 +433,13 @@ impl BlockManager {
         if self.is_indexed(block) {
             self.victims.refile(block, old, self.bvc[i]);
         }
+        self.erase_if_empty(dev, block);
+    }
+
+    /// §4.2's erase-when-empty rule: erase `block` if it is an unprotected,
+    /// non-active metadata block holding no valid page and the policy is on.
+    fn erase_if_empty(&mut self, dev: &mut FlashDevice, block: BlockId) {
+        let i = block.0 as usize;
         if self.bvc[i] == 0
             && self.erase_empty_metadata
             && !self.is_active(block)
@@ -855,7 +891,7 @@ mod tests {
         obsolete(&mut bm, &user[16..18]); // user block 2: BVC 6
         obsolete(&mut bm, &tran[..7]); // translation block 0: BVC 1
         obsolete(&mut bm, &tran[8..14]); // translation block 1: BVC 2
-        bm.protect(geo.block_of(user[0]), 0);
+        bm.protect(Some(geo.block_of(user[0])), 0);
         let user_only = |g| g == BlockGroup::User;
 
         PICK_EVALUATIONS.with(|n| n.set(0));
@@ -877,17 +913,54 @@ mod tests {
 
     #[test]
     fn release_through_drops_only_stamps_it_has_passed() {
-        let (_, mut bm) = setup();
-        bm.protect(BlockId(9), 30);
-        bm.protect(BlockId(4), 10);
-        bm.protect(BlockId(7), 20);
-        bm.protect(BlockId(4), 40); // re-protected: the newer stamp holds
-        bm.protect(BlockId(9), 5); // an older stamp never shortens one
-        assert_eq!(bm.release_through(9), []);
-        assert_eq!(bm.release_through(30), [BlockId(7), BlockId(9)]);
-        assert!(bm.is_protected(BlockId(4)) && !bm.is_protected(BlockId(7)));
-        assert_eq!(bm.release_through(u64::MAX), [BlockId(4)]);
-        assert_eq!(bm.protected_count(), 0);
+        let (mut dev, mut bm) = setup();
+        let protected = |bm: &BlockManager| [4, 7, 9].map(|b| bm.is_protected(BlockId(b)));
+        bm.protect(Some(BlockId(9)), 30);
+        bm.protect(Some(BlockId(4)), 10);
+        bm.protect(Some(BlockId(7)), 20);
+        bm.protect(Some(BlockId(4)), 40); // re-protected: the newer stamp holds
+        bm.protect(Some(BlockId(9)), 5); // an older stamp never shortens one
+        bm.protect(None, 25); // a page's first version protects nothing
+        assert_eq!((bm.chain_len(), bm.protected_count()), (6, 3));
+        bm.release_through(&mut dev, 9);
+        assert_eq!(protected(&bm), [true; 3]);
+        assert_eq!(bm.chain_len(), 5, "only the link stamped 5 is released");
+        bm.release_through(&mut dev, 30);
+        assert_eq!(protected(&bm), [true, false, false]);
+        assert_eq!(bm.chain_len(), 1);
+        bm.release_through(&mut dev, u64::MAX);
+        assert_eq!(protected(&bm), [false; 3]);
+        assert_eq!((bm.chain_len(), bm.protected_count()), (0, 0));
+    }
+
+    #[test]
+    fn release_through_erases_an_emptied_protected_block() {
+        let (mut dev, mut bm) = setup();
+        let per_block = dev.geometry().pages_per_block;
+        // Fill one translation block and roll into a second so the first
+        // seals, then protect it and supersede every page on it.
+        let pages: Vec<Ppn> = (0..=per_block)
+            .map(|i| {
+                bm.append(
+                    &mut dev,
+                    BlockGroup::Translation,
+                    PageData::blob_of(i),
+                    SpareInfo::Translation { tpage: i },
+                    IoPurpose::TranslationSync,
+                )
+            })
+            .collect();
+        let first = dev.geometry().block_of(pages[0]);
+        bm.protect(Some(first), 7);
+        for p in &pages[..per_block as usize] {
+            bm.page_obsolete(&mut dev, *p);
+        }
+        assert_eq!(bm.group_of(first), Some(BlockGroup::Translation), "kept");
+        bm.release_through(&mut dev, 6);
+        assert_eq!(dev.erase_count(first), 0, "the stamp is not passed yet");
+        bm.release_through(&mut dev, 7);
+        assert_eq!(bm.group_of(first), None, "erased on release");
+        assert_eq!(dev.erase_count(first), 1);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::validity::{MetaSink, ValidityStore};
 use flash_sim::{
     BlockId, FlashDevice, Geometry, Histogram, IoPurpose, Lpn, PageData, Ppn, SpareInfo, Telemetry,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 /// Garbage-collection victim-selection policy (§4.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,9 +82,12 @@ pub const MAX_PROTECTED_BLOCKS: usize = 8;
 
 /// `K`: at the start of every host write, at most this many
 /// translation-page versions are newer than the Gecko store's durable
-/// watermark. A write that finds `K` flushes the store first, which bounds
-/// the version chains GeckoRec step 4b reads (App. C.2.2) the way the paper
+/// watermark — the links of the version chain [`BlockManager::chain_len`]
+/// counts. A write that finds `K` flushes the store first, which bounds the
+/// version chains GeckoRec step 4b reads (App. C.2.2) the way the paper
 /// bounds its other recovery structures, by capping what the buffer absorbs.
+/// GeckoRec hands the engine the chain step 4b read, so the cap holds on a
+/// recovered engine too.
 pub const MAX_UNFLUSHED_VERSIONS: usize = 96;
 
 /// Engine configuration.
@@ -262,11 +265,6 @@ pub struct FtlEngine {
     /// The successors a read miss took from its translation page, reused by
     /// the next one. Contents are meaningless outside `read_inner`.
     read_ahead: Vec<(Lpn, Ppn)>,
-    /// The stamps of the translation-page versions newer than the Gecko
-    /// store's durable watermark, oldest first: the chain
-    /// [`MAX_UNFLUSHED_VERSIONS`] bounds. RAM-only: an engine out of
-    /// recovery starts empty.
-    unflushed_versions: VecDeque<u64>,
     /// [`FtlEngine::durable_watermark`]; it never decreases.
     durable: u64,
     /// Lifetime op counters.
@@ -449,7 +447,6 @@ impl FtlEngine {
             sync_scratch: SyncScratch::default(),
             read_run: (0, 0),
             read_ahead: Vec::new(),
-            unflushed_versions: VecDeque::new(),
             durable,
             counters: EngineCounters::default(),
             tenants: BTreeMap::new(),
@@ -551,7 +548,7 @@ impl FtlEngine {
 
     /// The body of a host write ([`FtlEngine::submit`] has checked `lpn`).
     fn write_inner(&mut self, lpn: Lpn, version: u64) {
-        if self.unflushed_versions.len() >= MAX_UNFLUSHED_VERSIONS {
+        if self.bm.chain_len() >= MAX_UNFLUSHED_VERSIONS {
             self.backend.store().flush(&mut self.dev, &mut self.bm);
             self.after_validity_op();
         }
@@ -892,11 +889,9 @@ impl FtlEngine {
         }
         // Stamped with the seq the superseding version is about to get: the
         // old version is needed until that version's reports are durable.
-        let stamp = self.dev.now_seq();
-        if let Some(old) = self.tt.tpage_location(tpage) {
-            self.bm.protect(self.geometry().block_of(old), stamp);
-        }
-        self.unflushed_versions.push_back(stamp);
+        let geo = self.geometry();
+        let old = self.tt.tpage_location(tpage).map(|p| geo.block_of(p));
+        self.bm.protect(old, self.dev.now_seq());
     }
 
     /// Synchronization operation (§4): push every dirty cached entry of one
@@ -1087,40 +1082,21 @@ impl FtlEngine {
         self.epoch += 1;
     }
 
-    /// Release the translation-block protections the store's durable
-    /// watermark has passed, and erase any released block that has become
-    /// empty (App. C.2.2: "When Logarithmic Gecko's buffer is flushed, we
-    /// clear the list"; with several trees a protection is released by its
-    /// stamp, DESIGN.md invariant 6).
+    /// Advance the durable watermark and release the version chain through
+    /// it; the block manager erases any released block that has become empty
+    /// (DESIGN.md invariant 6).
     fn after_validity_op(&mut self) {
         let Some(gecko) = self.backend.gecko() else {
             return;
         };
-        // Every version written so far has made its reports by now. A
-        // protection or stamp taken since the watermark last rose is newer
-        // than it, so nothing is due unless it rises.
+        // Every version written so far has made its reports by now. A link
+        // taken since the watermark last rose is newer than it, so nothing
+        // is due unless it rises.
         let newest = self.dev.now_seq().saturating_sub(1);
         let durable = gecko.durable_watermark(newest);
-        if durable <= self.durable {
-            return;
-        }
-        self.durable = durable;
-        while self
-            .unflushed_versions
-            .front()
-            .is_some_and(|&s| s <= self.durable)
-        {
-            self.unflushed_versions.pop_front();
-        }
-        for block in self.bm.release_through(self.durable) {
-            let empty = self.bm.valid_pages(block) == 0;
-            let erasable = self.bm.erase_empty_metadata
-                && !self.bm.is_active(block)
-                && self.bm.group_of(block).is_some_and(BlockGroup::is_metadata);
-            if empty && erasable {
-                self.bm
-                    .erase_and_free(&mut self.dev, block, IoPurpose::TranslationGc);
-            }
+        if durable > self.durable {
+            self.durable = durable;
+            self.bm.release_through(&mut self.dev, durable);
         }
     }
 }

@@ -20,7 +20,10 @@
 //!    buffer flush (C.2.1) and invalidations lost with the buffer by
 //!    diffing translation-page versions written since the last flush
 //!    (C.2.2), each version read once, with an erase-timestamp check that
-//!    also handles physical page reuse.
+//!    also handles physical page reuse. The versions diffed become the
+//!    engine's version chain, so their blocks stay protected until their
+//!    reports are durable again and the next recovery can read them
+//!    (docs/DESIGN.md invariant 14).
 //! 5. **BVC** — rebuild per-block valid counts from a full scan of
 //!    Logarithmic Gecko plus the recovered buffer, reading only the live run
 //!    pages step 3 did not, so each is read once across the two steps.
@@ -31,9 +34,10 @@
 //!    LPN and each before-pointer's invalidation.
 //! 7. **Flags** — recovered entries get dirty/UIP/uncertain = true;
 //!    corrections happen lazily after operation resumes (Appendix C.3).
-//! 8. **Resume** — dispose of BID, reassemble the engine; step 5's invalid
-//!    bitmaps stay with it while the corrections may re-report a page BVC
-//!    already counts (docs/DESIGN.md invariant 13).
+//! 8. **Resume** — dispose of BID, reassemble the engine with step 4's
+//!    version chain; step 5's invalid bitmaps stay with it while the
+//!    corrections may re-report a page BVC already counts (docs/DESIGN.md
+//!    invariant 13).
 
 use crate::cache::{CacheEntry, MappingCache};
 use crate::ftl::block_manager::{BlockGroup, BlockManager, BlockState};
@@ -301,13 +305,24 @@ pub fn gecko_recover(
     // as the next link's predecessor. Every version read also hands step 6
     // the checkpoint horizon it carries; the newest is the tightest, and
     // none costs a read of its own.
+    //
+    // The engine resumes with the chain read here (`BlockManager::protect`):
+    // one link per version newer than the threshold, stamped with its seq
+    // and protecting the block of the version before it, the base for the
+    // first. Without them the engine would erase a base the next recovery
+    // diffs against, and lose the reports only that diff re-derives.
     let mut horizon = 0;
+    let mut chain: Vec<(Option<BlockId>, u64)> = Vec::new();
     for versions in &tpage_versions {
         let split = versions.partition_point(|&(s, _)| s <= threshold);
         let newer = &versions[split..];
         if newer.is_empty() {
             continue;
         }
+        chain.extend((split..versions.len()).map(|i| {
+            let before = i.checked_sub(1).map(|j| geo.block_of(versions[j].1));
+            (before, versions[i].0)
+        }));
         let mut prev: Option<(u64, Vec<u32>)> = split.checked_sub(1).map(|i| {
             (
                 versions[i].0,
@@ -590,6 +605,9 @@ pub fn gecko_recover(
         bvc,
         cfg.gc_policy == GcPolicy::MetadataAware,
     );
+    for (block, stamp) in chain {
+        bm.protect(block, stamp);
+    }
     // Re-adopt each group's partially written block as its active block —
     // unless the block is bad: its write pointer will never advance again,
     // so the group starts on a fresh block and GC drains the bad one.

@@ -71,12 +71,14 @@ enum BmOp {
     Obsolete {
         pick: usize,
     },
-    /// Protect a block, stamped `stamp`.
+    /// Add a version-chain link stamped `stamp`, protecting a block or, one
+    /// pick in `blocks + 1`, none (a translation page's first version).
     Protect {
         pick: usize,
         stamp: u64,
     },
-    /// Release every protection stamped at or before `seq`.
+    /// Release every link stamped at or before `seq`, erasing each released
+    /// block that is empty.
     ReleaseThrough {
         seq: u64,
     },
@@ -134,6 +136,8 @@ proptest! {
         let mut bm = BlockManager::new(geo);
         // Pages written and not yet reported obsolete, in write order.
         let mut live: Vec<Ppn> = Vec::new();
+        // Stamps of the version-chain links not yet released.
+        let mut chain: Vec<u64> = Vec::new();
         let in_use = |bm: &BlockManager| -> Vec<BlockId> {
             geo.iter_blocks().filter(|&b| bm.group_of(b).is_some()).collect()
         };
@@ -169,12 +173,12 @@ proptest! {
                 }
                 BmOp::Protect { pick, stamp } => {
                     let blocks = in_use(&bm);
-                    if !blocks.is_empty() {
-                        bm.protect(blocks[pick % blocks.len()], stamp);
-                    }
+                    bm.protect(blocks.get(pick % (blocks.len() + 1)).copied(), stamp);
+                    chain.push(stamp);
                 }
                 BmOp::ReleaseThrough { seq } => {
-                    bm.release_through(seq);
+                    bm.release_through(&mut dev, seq);
+                    chain.retain(|&stamp| stamp > seq);
                 }
                 BmOp::Erase { pick, fail } => {
                     let blocks: Vec<BlockId> = in_use(&bm)
@@ -214,6 +218,7 @@ proptest! {
                         }
                     }
                     bm = recovered;
+                    chain.clear();
                 }
             }
             // Pages of blocks freed (or retired) by this step are gone.
@@ -222,6 +227,7 @@ proptest! {
                 bm.group_of(b).is_some() && !bm.is_retired(b) && dev.is_written(p)
             });
 
+            prop_assert_eq!(bm.chain_len(), chain.len());
             prop_assert_eq!(bm.pick_victim(&dev, |_| true), scan_oracle(&bm, &dev, |_| true));
             let user_only = |g| g == BlockGroup::User;
             prop_assert_eq!(bm.pick_victim(&dev, user_only), scan_oracle(&bm, &dev, user_only));
