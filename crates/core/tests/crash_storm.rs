@@ -6,10 +6,9 @@
 //! flush watermark against its base, so GeckoRec hands the engine the
 //! version chain it has just read, and the block manager keeps those
 //! versions' blocks until their reports are durable (DESIGN.md invariant 14).
-//! Before it did, an engine out of recovery erased a base the next recovery
-//! needed, the reports only that diff re-derives were lost, GC migrated a
-//! stale copy, and the copy's newer seq made it win: nearly every seed of
-//! the storms below lost an acknowledged write (ROADMAP item 1).
+//! An engine that erased such a base would lose the reports only that diff
+//! re-derives; GC would then migrate a stale copy, whose newer seq makes it
+//! win over the acknowledged one.
 //!
 //! One hole is left, pinned by the micro-device test: the erased trail, a
 //! user block erased before a flush while it holds the only before-pointer

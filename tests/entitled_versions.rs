@@ -257,8 +257,8 @@ fn forced_flush_keeps_the_protection_its_sync_takes() {
 /// engine GeckoRec returns resumes with the version chain step 4b read
 /// (DESIGN.md invariant 14), so the versions a later recovery diffs stay
 /// protected. Without that chain, crashing every 5 writes left a superseded
-/// version in an unprotected block at 34 op boundaries with one tree and
-/// 787 with four. With four trees the MIN can still miss a base the engine
+/// version in an unprotected block at 33 op boundaries with one tree and
+/// 753 with four. With four trees the MIN can still miss a base the engine
 /// released against the durable watermark before the crash (invariant 6's
 /// accepted case: 4 of 4 000 boundaries), so misses are asserted with one
 /// tree only.
