@@ -660,7 +660,10 @@ mod tests {
             &mut dev,
             BlockGroup::Translation,
             PageData::blob_of(0u32),
-            SpareInfo::Translation { tpage: 0 },
+            SpareInfo::Translation {
+                tpage: 0,
+                before: None,
+            },
             IoPurpose::TranslationSync,
         );
         assert_ne!(dev.geometry().block_of(pu), dev.geometry().block_of(pt));
@@ -871,7 +874,13 @@ mod tests {
                 .map(|i| {
                     let (data, info) = match group {
                         BlockGroup::User => user_page(i),
-                        _ => (PageData::blob_of(i), SpareInfo::Translation { tpage: i }),
+                        _ => (
+                            PageData::blob_of(i),
+                            SpareInfo::Translation {
+                                tpage: i,
+                                before: None,
+                            },
+                        ),
                     };
                     bm.append(&mut dev, group, data, info, IoPurpose::UserWrite)
                 })
@@ -945,7 +954,10 @@ mod tests {
                     &mut dev,
                     BlockGroup::Translation,
                     PageData::blob_of(i),
-                    SpareInfo::Translation { tpage: i },
+                    SpareInfo::Translation {
+                        tpage: i,
+                        before: None,
+                    },
                     IoPurpose::TranslationSync,
                 )
             })

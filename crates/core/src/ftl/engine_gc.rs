@@ -254,12 +254,19 @@ impl FtlEngine {
                 .dev
                 .read_spare(ppn, IoPurpose::TranslationGc)
                 .expect("written page has a spare area");
-            let SpareInfo::Translation { tpage } = spare.info else {
+            let SpareInfo::Translation { tpage, before } = spare.info else {
                 panic!("translation block page {ppn:?} carries {:?}", spare.info)
             };
             if self.tt.tpage_location(tpage) == Some(ppn) {
                 self.counters.gc_migrations += 1;
-                self.tt.migrate_tpage(&mut self.dev, &mut self.bm, tpage);
+                // The copy names the copied version's base while that base
+                // is still on flash (invariant 12: its block is unerased
+                // since the copied version was written), so step 4b still
+                // re-derives the copied version's reports from it; the
+                // copied version itself is erased with this block.
+                let base = before.filter(|&b| self.dev.erase_seq(geo.block_of(b)) < spare.seq);
+                self.tt
+                    .migrate_tpage(&mut self.dev, &mut self.bm, tpage, base);
             }
         }
         self.bm

@@ -120,6 +120,15 @@ struct BidEntry {
     written: u32,
 }
 
+/// One translation-page version on flash, as step 2's spare scan found it.
+#[derive(Clone, Copy, Debug)]
+struct Version {
+    seq: u64,
+    ppn: Ppn,
+    /// The version its spare area names as the one it superseded.
+    before: Option<Ppn>,
+}
+
 struct StepTimer {
     start_counts: flash_sim::IoCounts,
     start_us: f64,
@@ -210,7 +219,7 @@ pub fn gecko_recover(
     let timer = StepTimer::start(&dev);
     let n_tpages = geo.translation_pages() as usize;
     // All surviving versions of every translation page, sorted by seq.
-    let mut tpage_versions: Vec<Vec<(u64, Ppn)>> = vec![Vec::new(); n_tpages];
+    let mut tpage_versions: Vec<Vec<Version>> = vec![Vec::new(); n_tpages];
     for b in geo.iter_blocks() {
         if bid[b.0 as usize].group != Some(BlockGroup::Translation) {
             continue;
@@ -220,21 +229,25 @@ pub fn gecko_recover(
             let Ok(spare) = dev.read_spare(ppn, IoPurpose::Recovery) else {
                 continue; // torn spare: the page has no identity
             };
-            let SpareInfo::Translation { tpage } = spare.info else {
+            let SpareInfo::Translation { tpage, before } = spare.info else {
                 panic!("translation block holds {:?}", spare.info)
             };
             if !dev.is_written(ppn) {
                 continue; // torn data: never point the GMD at an unreadable page
             }
-            tpage_versions[tpage as usize].push((spare.seq, ppn));
+            tpage_versions[tpage as usize].push(Version {
+                seq: spare.seq,
+                ppn,
+                before,
+            });
         }
     }
     for versions in &mut tpage_versions {
-        versions.sort_unstable_by_key(|(seq, _)| *seq);
+        versions.sort_unstable_by_key(|v| v.seq);
     }
     let gmd: Vec<Option<Ppn>> = tpage_versions
         .iter()
-        .map(|v| v.last().map(|(_, ppn)| *ppn))
+        .map(|v| v.last().map(|v| v.ppn))
         .collect();
     report
         .steps
@@ -297,46 +310,53 @@ pub fn gecko_recover(
             report.recovered_erases += 1;
         }
     }
-    // 4b (C.2.2): diff translation-page versions written since the last
-    // flush against their predecessors; every mapping change names a
-    // physical page that was invalidated after the flush. The chain is the
-    // newest version at or before the threshold (the base, if any), then
-    // every later version in order; each is read once and carried forward
-    // as the next link's predecessor. Every version read also hands step 6
-    // the checkpoint horizon it carries; the newest is the tightest, and
-    // none costs a read of its own.
+    // 4b (C.2.2): diff each translation-page version written since the last
+    // flush against the version its spare area names, when that page still
+    // holds it; every mapping change names a physical page that was
+    // invalidated after the flush. Every version newer than the flush is
+    // read once, in seq order, and carried forward as the next one's base;
+    // the first one's base is the newest version at or before the flush,
+    // read only if the first one names it. A named version that is gone was
+    // erased once its link was released at the durable watermark, which
+    // runs ahead of the persisted MIN: the naming version's reports are
+    // durable, so nothing is diffed for it, and no older version is read in
+    // its place (docs/DESIGN.md, "Deviations"). Every version read also
+    // hands step 6 the checkpoint horizon it carries; the newest is the
+    // tightest, and none costs a read of its own.
     //
     // The engine resumes with the chain read here (`BlockManager::protect`):
     // one link per version newer than the threshold, stamped with its seq
-    // and protecting the block of the version before it, the base for the
-    // first. Without them the engine would erase a base the next recovery
-    // diffs against, and lose the reports only that diff re-derives.
+    // and protecting the block of the version it names, if held. Without
+    // them the engine would erase a base the next recovery diffs against,
+    // and lose the reports only that diff re-derives.
     let mut horizon = 0;
     let mut chain: Vec<(Option<BlockId>, u64)> = Vec::new();
     for versions in &tpage_versions {
-        let split = versions.partition_point(|&(s, _)| s <= threshold);
-        let newer = &versions[split..];
-        if newer.is_empty() {
+        let split = versions.partition_point(|v| v.seq <= threshold);
+        if split == versions.len() {
             continue;
         }
-        chain.extend((split..versions.len()).map(|i| {
-            let before = i.checked_sub(1).map(|j| geo.block_of(versions[j].1));
-            (before, versions[i].0)
-        }));
-        let mut prev: Option<(u64, Vec<u32>)> = split.checked_sub(1).map(|i| {
-            (
-                versions[i].0,
-                read_tpage(&mut dev, versions[i].1, &mut horizon),
-            )
-        });
-        for (i, &(seq, ppn)) in newer.iter().enumerate() {
-            if prev.is_none() && i + 1 == newer.len() {
-                break; // no predecessor to diff against, no successor to feed
-            }
-            let entries = read_tpage(&mut dev, ppn, &mut horizon);
-            // Without a base the predecessor is the never-written,
-            // all-unmapped page: nothing to diff.
-            if let Some((prev_seq, prev_entries)) = &prev {
+        for v in &versions[split..] {
+            chain.push((held_base(&dev, v).map(|b| geo.block_of(b)), v.seq));
+        }
+        if versions.len() == 1 {
+            continue; // a page's only version: nothing to diff, nothing to feed
+        }
+        // Whether `versions[i]` diffs against the version before it: it
+        // names that one, still held. A held named version that is not the
+        // one before it is the original of a GC migration copy, still on
+        // flash at the power cut; the copy repeats its original, whose own
+        // diff re-derives the same reports.
+        let diffs = |dev: &FlashDevice, i: usize| {
+            i.checked_sub(1)
+                .is_some_and(|j| held_base(dev, &versions[i]) == Some(versions[j].ppn))
+        };
+        let mut prev: Option<Vec<u32>> =
+            diffs(&dev, split).then(|| read_tpage(&mut dev, versions[split - 1].ppn, &mut horizon));
+        for i in split..versions.len() {
+            let entries = read_tpage(&mut dev, versions[i].ppn, &mut horizon);
+            if let Some(prev_entries) = prev.as_ref().filter(|_| diffs(&dev, i)) {
+                let prev_seq = versions[i - 1].seq;
                 for (&old_val, &new_val) in prev_entries.iter().zip(&entries) {
                     if old_val == new_val || old_val == u32::MAX {
                         continue;
@@ -352,11 +372,11 @@ pub fn gecko_recover(
                     // which must not be re-marked. The persisted erase
                     // timestamp (step 1's scan, as in step 4a) decides this
                     // without a spare read.
-                    let keep = dev.erase_seq(geo.block_of(candidate)) < *prev_seq;
+                    let keep = dev.erase_seq(geo.block_of(candidate)) < prev_seq;
                     debug_assert_eq!(
                         keep,
                         dev.peek_spare(candidate).is_some_and(
-                            |s| s.seq < *prev_seq && matches!(s.info, SpareInfo::User { .. })
+                            |s| s.seq < prev_seq && matches!(s.info, SpareInfo::User { .. })
                         ),
                         "erase timestamp and spare area disagree on {candidate:?}"
                     );
@@ -366,7 +386,7 @@ pub fn gecko_recover(
                     }
                 }
             }
-            prev = Some((seq, entries));
+            prev = Some(entries);
         }
     }
     report
@@ -642,6 +662,13 @@ fn newest_seq(dev: &FlashDevice, bid: &[BidEntry], block: BlockId) -> u64 {
     let last = PageOffset(bid[block.0 as usize].written - 1);
     dev.peek_spare(dev.geometry().ppn(block, last))
         .map_or(u64::MAX, |s| s.seq)
+}
+
+/// The version `v` names as the one it superseded, if that page still holds
+/// it: its block is unerased since `v` was written (invariant 12).
+fn held_base(dev: &FlashDevice, v: &Version) -> Option<Ppn> {
+    let geo = dev.geometry();
+    v.before.filter(|&b| dev.erase_seq(geo.block_of(b)) < v.seq)
 }
 
 /// Read one translation-page version's entries, raising `horizon` to the

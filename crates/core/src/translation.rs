@@ -107,19 +107,21 @@ impl TranslationTable {
         let per = self.geo.entries_per_translation_page();
         for tpage in 0..self.gmd.len() as u32 {
             let entries = vec![UNMAPPED; per as usize];
-            self.write_version(dev, bm, tpage, entries, IoPurpose::TranslationInit);
+            self.write_version(dev, bm, tpage, entries, None, IoPurpose::TranslationInit);
         }
     }
 
     /// Append a new version of translation page `tpage` holding `entries`
-    /// to the translation group and repoint the GMD at it. Reporting the
-    /// version it replaces obsolete is the caller's business.
+    /// to the translation group, its spare area naming `before`, and
+    /// repoint the GMD at it. Reporting the version it replaces obsolete is
+    /// the caller's business.
     fn write_version(
         &mut self,
         dev: &mut FlashDevice,
         bm: &mut BlockManager,
         tpage: u32,
         entries: Vec<u32>,
+        before: Option<Ppn>,
         purpose: IoPurpose,
     ) {
         let ppn = bm.append(
@@ -130,7 +132,7 @@ impl TranslationTable {
                 entries,
                 horizon: self.horizon,
             }),
-            SpareInfo::Translation { tpage },
+            SpareInfo::Translation { tpage, before },
             purpose,
         );
         self.gmd[tpage as usize] = Some(ppn);
@@ -289,7 +291,14 @@ impl TranslationTable {
             outcome.before_images.push((lpn, before));
         }
 
-        self.write_version(dev, bm, tpage, entries, IoPurpose::TranslationSync);
+        self.write_version(
+            dev,
+            bm,
+            tpage,
+            entries,
+            Some(old_loc),
+            IoPurpose::TranslationSync,
+        );
         bm.page_obsolete(dev, old_loc);
     }
 
@@ -317,14 +326,30 @@ impl TranslationTable {
         let mut entries = payload.entries.clone();
         entries[off] = UNMAPPED;
 
-        self.write_version(dev, bm, tpage, entries, IoPurpose::TranslationSync);
+        self.write_version(
+            dev,
+            bm,
+            tpage,
+            entries,
+            Some(old_loc),
+            IoPurpose::TranslationSync,
+        );
         bm.page_obsolete(dev, old_loc);
         Some(Ppn(old))
     }
 
     /// Migrate a live translation page during greedy garbage-collection
-    /// (baseline FTLs): rewrite it verbatim at a new location.
-    pub fn migrate_tpage(&mut self, dev: &mut FlashDevice, bm: &mut BlockManager, tpage: u32) {
+    /// (baseline FTLs): rewrite it verbatim at a new location, its spare
+    /// area naming `before` — the version the copied one named, if the
+    /// caller still wants it diffed against (see
+    /// [`flash_sim::SpareInfo::Translation`]).
+    pub fn migrate_tpage(
+        &mut self,
+        dev: &mut FlashDevice,
+        bm: &mut BlockManager,
+        tpage: u32,
+        before: Option<Ppn>,
+    ) {
         let old_loc = self.gmd[tpage as usize].expect("migrating an unmaterialized tpage");
         let data = dev
             .read_page(old_loc, IoPurpose::TranslationGc)
@@ -334,7 +359,7 @@ impl TranslationTable {
             .expect("translation page payload")
             .entries
             .clone();
-        self.write_version(dev, bm, tpage, entries, IoPurpose::TranslationGc);
+        self.write_version(dev, bm, tpage, entries, before, IoPurpose::TranslationGc);
         // The caller is responsible for the victim block's bookkeeping; the
         // old page is inside a block about to be erased.
     }
@@ -466,7 +491,7 @@ mod tests {
         let (mut dev, mut bm, mut tt) = setup();
         tt.synchronize(&mut dev, &mut bm, 0, &[(Lpn(4), Ppn(123))]);
         let old = tt.tpage_location(0).unwrap();
-        tt.migrate_tpage(&mut dev, &mut bm, 0);
+        tt.migrate_tpage(&mut dev, &mut bm, 0, None);
         assert_ne!(tt.tpage_location(0), Some(old));
         assert_eq!(
             tt.lookup(&mut dev, Lpn(4), IoPurpose::TranslationFetch),

@@ -311,7 +311,10 @@ mod tests {
                 Some(PageData::blob_of(vec![r])),
                 Some(Spare {
                     seq,
-                    info: SpareInfo::Translation { tpage: r as u32 },
+                    info: SpareInfo::Translation {
+                        tpage: r as u32,
+                        before: None,
+                    },
                 }),
             ),
             Kind::Meta => (

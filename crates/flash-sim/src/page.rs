@@ -52,10 +52,18 @@ pub enum SpareInfo {
         /// knew it at write time (cache-hit writes and GC migrations).
         before: Option<Ppn>,
     },
-    /// A translation page: records which translation-table slice it holds.
+    /// A translation page: records which translation-table slice it holds
+    /// and, like a user page, which version of it this one superseded.
+    /// GeckoRec step 4b diffs a version only against the version it names
+    /// (docs/DESIGN.md, "Deviations").
     Translation {
         /// Index of the translation page (covers a contiguous LPN range).
         tpage: u32,
+        /// Physical address of the version this one superseded (`None` for
+        /// a page's first version). A GC migration, which copies a version
+        /// verbatim, names what the copied version named while that is
+        /// still on flash.
+        before: Option<Ppn>,
     },
     /// A metadata page (Gecko run / PVB / PVL), with a component-specific tag.
     Meta {

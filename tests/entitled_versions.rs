@@ -43,7 +43,7 @@ fn versions_on_flash(engine: &FtlEngine, seen: &mut Seen) -> HashMap<u64, BlockI
         for off in 0..dev.written_pages(b) {
             let ppn = geo.ppn(b, PageOffset(off));
             if let Some(spare) = dev.peek_spare(ppn) {
-                if let SpareInfo::Translation { tpage } = spare.info {
+                if let SpareInfo::Translation { tpage, .. } = spare.info {
                     if dev.is_written(ppn) {
                         seen.insert((tpage, spare.seq));
                         on_flash.insert(spare.seq, b);
