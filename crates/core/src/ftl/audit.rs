@@ -1,9 +1,10 @@
 //! The GC auditor: one rule for the contract §4.1's UIP protocol keeps —
 //! a user page is kept (valid, migrated) **iff** it is its LPN's mapping
-//! target, [`FtlEngine::current_mapping`]. Page checks charge no IO.
-//! Collections run the per-event checks under `debug_assertions` and panic
-//! on a violation; [`FtlEngine::audit`] checks a quiesced device in any
-//! profile.
+//! target, [`FtlEngine::current_mapping`] — and one for the payloads the
+//! engine reclaims (DESIGN.md invariant 17): no page a read may still reach
+//! has had its payload reclaimed. Page checks charge no IO. Collections run
+//! the per-event checks under `debug_assertions` and panic on a violation;
+//! [`FtlEngine::audit`] checks a quiesced device in any profile.
 
 use super::block_manager::BlockGroup;
 use super::FtlEngine;
@@ -24,6 +25,10 @@ pub enum Rule {
     ForeignPage,
     /// The block's valid-page count is below its live pages up to this one.
     BvcBelowLive,
+    /// A page a read may still reach — a mapping target, a GMD-current
+    /// translation version, a page of a live run, or the version a pending
+    /// link of the chain names — had its payload reclaimed.
+    ReclaimedPayload,
 }
 
 /// A page that breaks the GC contract, and what its LPN maps to. A torn
@@ -73,7 +78,9 @@ impl FtlEngine {
     /// A programmed page's LPN; `None` if it is torn (data or spare lost) or
     /// not a user page.
     fn lpn_of(&self, ppn: Ppn) -> Option<Lpn> {
-        self.dev.peek_page(ppn)?;
+        if !self.dev.is_written(ppn) {
+            return None;
+        }
         match self.dev.peek_spare(ppn)?.info {
             SpareInfo::User { lpn, .. } => Some(lpn),
             _ => None,
@@ -121,13 +128,34 @@ impl FtlEngine {
         self.ensure(holds, Rule::NewerThanTarget, ppn)
     }
 
+    /// The payload rule, from the side of what may still be read: every
+    /// GMD-current translation version, every page of a live run and every
+    /// superseded version the chain still promises step 4b holds its
+    /// payload. [`FtlEngine::audit`] adds the mapping targets.
+    pub(super) fn check_payloads(&self) -> Result<(), Violation> {
+        let held = |ppn: Ppn| self.ensure(!self.dev.is_reclaimed(ppn), Rule::ReclaimedPayload, ppn);
+        for tpage in 0..self.tt.num_tpages() {
+            self.tt.tpage_location(tpage).map_or(Ok(()), held)?;
+        }
+        for run in self.backend.gecko().into_iter().flat_map(|g| g.all_runs()) {
+            run.pages.iter().try_for_each(|page| held(page.ppn))?;
+        }
+        self.bm
+            .pending_superseded()
+            .filter(|s| s.is_held(&self.dev))
+            .try_for_each(|s| held(s.page))
+    }
+
     /// Audit the whole device once the engine has quiesced
     /// (`shutdown_clean`), when every before-image is identified: no copy of
     /// a mapped LPN is newer than its target and, in every user block, each
     /// page is marked valid iff it is its LPN's target, no page with data has
-    /// a non-user spare area, and BVC is at least the live page count.
-    /// Returns the first violation. Only the validity queries charge IO.
+    /// a non-user spare area, and BVC is at least the live page count; and
+    /// no page a read may still reach, a mapping target included, has had its
+    /// payload reclaimed. Returns the first violation. Only the validity
+    /// queries charge IO.
     pub fn audit(&mut self) -> Result<(), Violation> {
+        self.check_payloads()?;
         let geo = self.geometry();
         for block in geo.iter_blocks() {
             let user = self.bm.group_of(block) == Some(BlockGroup::User);
@@ -136,8 +164,10 @@ impl FtlEngine {
             for off in 0..self.dev.written_pages(block) {
                 let ppn = geo.ppn(block, PageOffset(off));
                 self.check_not_newer(ppn)?;
+                let target = self.dev.is_reclaimed(ppn) && self.target_of(ppn) == Some(ppn);
+                self.ensure(!target, Rule::ReclaimedPayload, ppn)?;
                 let Some(invalid) = &invalid else { continue };
-                let torn = self.dev.peek_spare(ppn).is_none() || self.dev.peek_page(ppn).is_none();
+                let torn = self.dev.peek_spare(ppn).is_none() || !self.dev.is_written(ppn);
                 self.ensure(torn || self.lpn_of(ppn).is_some(), Rule::ForeignPage, ppn)?;
                 let kept = !invalid.get(off);
                 self.check_kept(ppn, kept)?;

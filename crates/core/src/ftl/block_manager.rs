@@ -23,6 +23,16 @@
 //! running engine takes a link per sync and GeckoRec hands over the links
 //! step 4b read (docs/DESIGN.md, invariants 6 and 14).
 //!
+//! The chain's superseded versions are also the translation payloads
+//! recovery may still read, so this module decides when each one's payload
+//! leaves host memory too ([`FlashDevice::reclaim_payload`], invariant 17).
+//! Step 4b reads every version newer than the persisted MIN watermark and,
+//! as the first one's base, the version that one names. A superseded
+//! version is therefore read while it is newer than the MIN, or while its
+//! successor is newer than the MIN and still on flash; its payload is
+//! reclaimed once neither holds. That is against the MIN, not the durable
+//! watermark the protections are released at: recovery cannot see buffers.
+//!
 //! Greedy selection is "the eligible block with the fewest valid pages". A
 //! linear scan over all blocks answers that; [`BlockManager::pick_victim`],
 //! which every collection pays twice, reads it off a *victim index* instead
@@ -167,6 +177,34 @@ thread_local! {
     static PICK_EVALUATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
+/// A superseded translation-page version, and the version that superseded
+/// it (its *successor*).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Superseded {
+    /// Where the superseded version lies.
+    pub(crate) page: Ppn,
+    /// Its write sequence number.
+    pub(crate) seq: u64,
+    /// Where the successor lies.
+    pub(crate) successor: Ppn,
+    /// The successor's write sequence number, the chain link's stamp.
+    pub(crate) stamp: u64,
+}
+
+impl Superseded {
+    /// Whether `page` still holds the version: it was on flash when its
+    /// successor was written, and its block is unerased since (invariant 12).
+    pub(crate) fn is_held(&self, dev: &FlashDevice) -> bool {
+        dev.erase_seq(dev.geometry().block_of(self.page)) < self.stamp
+    }
+
+    fn reclaim(&self, dev: &mut FlashDevice) {
+        if self.is_held(dev) {
+            dev.reclaim_payload(self.page);
+        }
+    }
+}
+
 /// Manager of block allocation, groups and validity counters.
 #[derive(Clone, Debug)]
 pub struct BlockManager {
@@ -187,6 +225,15 @@ pub struct BlockManager {
     /// newest stamp of a link protecting it. Ordered, so a release erases
     /// deterministically.
     protected: BTreeMap<BlockId, u64>,
+    /// The superseded translation-page versions step 4b may still read, in
+    /// stamp order: each one's payload is reclaimed once the MIN passes its
+    /// successor's stamp ([`BlockManager::reclaim_through`]).
+    superseded: VecDeque<Superseded>,
+    /// Superseded versions whose successor was erased while they were newer
+    /// than the MIN: read only while that lasts.
+    orphans: Vec<Superseded>,
+    /// The MIN watermark payloads were last reclaimed through.
+    reclaimed_through: u64,
     /// Blocks permanently taken out of service after an erase failure. A
     /// retired block stays `InUse` forever — it can never be
     /// erased, so it must never reach the free pool — and is excluded from
@@ -211,6 +258,9 @@ impl BlockManager {
             erase_empty_metadata: true,
             chain: Vec::new(),
             protected: BTreeMap::new(),
+            superseded: VecDeque::new(),
+            orphans: Vec::new(),
+            reclaimed_through: 0,
             retired: vec![false; geo.blocks as usize],
             victims: VictimIndex::new(&geo),
         }
@@ -251,6 +301,9 @@ impl BlockManager {
             erase_empty_metadata,
             chain: Vec::new(),
             protected: BTreeMap::new(),
+            superseded: VecDeque::new(),
+            orphans: Vec::new(),
+            reclaimed_through: 0,
             retired: vec![false; geo.blocks as usize],
             victims,
         }
@@ -343,6 +396,86 @@ impl BlockManager {
         for block in released {
             self.erase_if_empty(dev, block);
         }
+    }
+
+    /// Note that the translation-page version on `s.page` was superseded:
+    /// its payload stays while step 4b may read it. Versions arrive in stamp
+    /// order.
+    pub(crate) fn supersede(&mut self, s: Superseded) {
+        debug_assert!(self.superseded.back().is_none_or(|b| b.stamp <= s.stamp));
+        self.superseded.push_back(s);
+    }
+
+    /// Take over what GeckoRec step 4b found pending: the superseded
+    /// versions it read with their successors, and the ones it read whose
+    /// successor is gone (orphans). The block manager must hold none yet.
+    pub(crate) fn adopt_superseded(
+        &mut self,
+        mut pending: Vec<Superseded>,
+        orphans: Vec<Superseded>,
+    ) {
+        debug_assert!(self.superseded.is_empty() && self.orphans.is_empty());
+        pending.sort_unstable_by_key(|s| s.stamp);
+        self.superseded = pending.into();
+        self.orphans = orphans;
+    }
+
+    /// A GC migration copied the version `page` superseded and names `page`
+    /// in turn: the base moves to the copy, `successor` stamped `stamp`.
+    pub(crate) fn carry_superseded(&mut self, page: Ppn, successor: Ppn, stamp: u64) {
+        if let Some(i) = self.superseded.iter().position(|s| s.page == page) {
+            let s = self.superseded.remove(i).expect("found");
+            self.supersede(Superseded {
+                successor,
+                stamp,
+                ..s
+            });
+        }
+    }
+
+    /// The superseded versions whose payloads are still promised to
+    /// recovery (the GC auditor's view).
+    pub(crate) fn pending_superseded(&self) -> impl Iterator<Item = &Superseded> {
+        self.superseded.iter().chain(&self.orphans)
+    }
+
+    /// Reclaim the payload of every superseded version step 4b can no
+    /// longer read now that the persisted MIN watermark is `min`: those
+    /// whose successor's stamp it has passed, and orphans it has passed.
+    pub(crate) fn reclaim_through(&mut self, dev: &mut FlashDevice, min: u64) {
+        if min <= self.reclaimed_through {
+            return;
+        }
+        self.reclaimed_through = min;
+        while let Some(s) = self.superseded.front().filter(|s| s.stamp <= min) {
+            s.reclaim(dev);
+            self.superseded.pop_front();
+        }
+        self.orphans.retain(|s| {
+            let due = s.seq <= min;
+            if due {
+                s.reclaim(dev);
+            }
+            !due
+        });
+    }
+
+    /// `block`, a translation block, has just been erased: a superseded
+    /// version whose successor it held is read from now on only while it
+    /// is newer than the MIN.
+    fn successors_erased(&mut self, dev: &mut FlashDevice, block: BlockId) {
+        let (geo, min, orphans) = (self.geo, self.reclaimed_through, &mut self.orphans);
+        self.superseded.retain(|s| {
+            if geo.block_of(s.successor) != block {
+                return true;
+            }
+            if s.seq <= min {
+                s.reclaim(dev);
+            } else {
+                orphans.push(*s);
+            }
+            false
+        });
     }
 
     /// Integrated-RAM footprint of BVC: 2 bytes per block (Appendix B).
@@ -473,6 +606,9 @@ impl BlockManager {
         match dev.erase_block(block, purpose) {
             Ok(()) => {
                 self.unfile(block);
+                if self.state[i] == BlockState::InUse(BlockGroup::Translation) {
+                    self.successors_erased(dev, block);
+                }
                 self.state[i] = BlockState::Free;
                 self.bvc[i] = 0;
                 self.free.push_back(block);

@@ -75,6 +75,7 @@ impl FtlEngine {
     /// Collect one victim of any group — migrate what is live, erase the
     /// block — inside the collection's one `GcCollect` span.
     fn collect(&mut self, victim: BlockId) {
+        debug_check(|| self.check_payloads());
         let t0 = self.dev.clock().now_us();
         let group = self.bm.group_of(victim).expect("victim is allocated");
         if self.bm.valid_pages(victim) == 0 {
@@ -261,12 +262,21 @@ impl FtlEngine {
                 self.counters.gc_migrations += 1;
                 // The copy names the copied version's base while that base
                 // is still on flash (invariant 12: its block is unerased
-                // since the copied version was written), so step 4b still
-                // re-derives the copied version's reports from it; the
-                // copied version itself is erased with this block.
-                let base = before.filter(|&b| self.dev.erase_seq(geo.block_of(b)) < spare.seq);
+                // since the copied version was written) and its payload
+                // still promised to recovery, so step 4b still re-derives
+                // the copied version's reports from it; the copied version
+                // itself is erased with this block. The base's payload is
+                // then kept for the copy.
+                let base = before.filter(|&b| {
+                    self.dev.erase_seq(geo.block_of(b)) < spare.seq && !self.dev.is_reclaimed(b)
+                });
+                let stamp = self.dev.now_seq();
                 self.tt
                     .migrate_tpage(&mut self.dev, &mut self.bm, tpage, base);
+                if let Some(base) = base {
+                    let copy = self.tt.tpage_location(tpage).expect("just written");
+                    self.bm.carry_superseded(base, copy, stamp);
+                }
             }
         }
         self.bm

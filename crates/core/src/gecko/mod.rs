@@ -751,6 +751,13 @@ impl LogGecko {
     /// participants leave the run list and have their pages retired, and the
     /// sealed output run (if any entries survived the fold) is installed.
     /// Follow-on cascade merges are planned immediately.
+    ///
+    /// With an output on flash, no recovery reads an input again — GeckoRec
+    /// step 3 skips every run whose span lies strictly inside a kept run's
+    /// (DESIGN.md invariant 16) — so the inputs' payloads are reclaimed
+    /// (invariant 17). A merge whose fold dropped every entry leaves nothing
+    /// on flash that records the inputs' death: step 3 revives them, and
+    /// they keep their payloads.
     fn install_merge(
         &mut self,
         dev: &mut FlashDevice,
@@ -762,6 +769,9 @@ impl LogGecko {
         self.runs.retain(|r| !retired(r.meta.id));
         for input in &done.inputs {
             for page in &input.pages {
+                if done.output.is_some() {
+                    dev.reclaim_payload(page.ppn);
+                }
                 sink.meta_page_obsolete(dev, page.ppn);
             }
         }

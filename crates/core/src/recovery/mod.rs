@@ -18,12 +18,13 @@
 //!    rest, keeping the complete runs (docs/DESIGN.md invariant 16).
 //! 4. **Buffer** — recreate erase markers for blocks erased since the last
 //!    buffer flush (C.2.1) and invalidations lost with the buffer by
-//!    diffing translation-page versions written since the last flush
-//!    (C.2.2), each version read once, with an erase-timestamp check that
-//!    also handles physical page reuse. The versions diffed become the
-//!    engine's version chain, so their blocks stay protected until their
-//!    reports are durable again and the next recovery can read them
-//!    (docs/DESIGN.md invariant 14).
+//!    diffing each translation-page version written since the last flush
+//!    against the version its spare area names (C.2.2), each version read
+//!    once, with an erase-timestamp check that also handles physical page
+//!    reuse. The versions diffed become the engine's version chain, so their
+//!    blocks stay protected until their reports are durable again and the
+//!    next recovery can read them, and their payloads stay in host memory
+//!    while it may (docs/DESIGN.md invariants 14 and 17).
 //! 5. **BVC** — rebuild per-block valid counts from a full scan of
 //!    Logarithmic Gecko plus the recovered buffer, reading only the live run
 //!    pages step 3 did not, so each is read once across the two steps.
@@ -40,7 +41,7 @@
 //!    invariant 13).
 
 use crate::cache::{CacheEntry, MappingCache};
-use crate::ftl::block_manager::{BlockGroup, BlockManager, BlockState};
+use crate::ftl::block_manager::{BlockGroup, BlockManager, BlockState, Superseded};
 use crate::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveredInvalid, ValidityBackend};
 use crate::gecko::sharded::shard_index;
 use crate::gecko::{
@@ -329,15 +330,39 @@ pub fn gecko_recover(
     // and protecting the block of the version it names, if held. Without
     // them the engine would erase a base the next recovery diffs against,
     // and lose the reports only that diff re-derives.
+    //
+    // It also takes over the superseded versions whose payloads this step
+    // may read again (invariant 17): each held named version, with the
+    // newest version naming it, and each version newer than the threshold
+    // that nothing names because its successor is gone (an orphan).
     let mut horizon = 0;
     let mut chain: Vec<(Option<BlockId>, u64)> = Vec::new();
+    let (mut superseded, mut orphans) = (Vec::new(), Vec::new());
     for versions in &tpage_versions {
         let split = versions.partition_point(|v| v.seq <= threshold);
         if split == versions.len() {
             continue;
         }
-        for v in &versions[split..] {
-            chain.push((held_base(&dev, v).map(|b| geo.block_of(b)), v.seq));
+        let mut namer: Vec<Option<usize>> = vec![None; versions.len()];
+        for (i, v) in versions.iter().enumerate().skip(split) {
+            let base = held_base(&dev, v);
+            chain.push((base.map(|b| geo.block_of(b)), v.seq));
+            if let Some(j) = base.and_then(|b| versions[..i].iter().rposition(|w| w.ppn == b)) {
+                namer[j] = Some(i);
+            }
+        }
+        let entry = |j: usize, i: usize| Superseded {
+            page: versions[j].ppn,
+            seq: versions[j].seq,
+            successor: versions[i].ppn,
+            stamp: versions[i].seq,
+        };
+        for (j, namer) in namer.iter().enumerate().take(versions.len() - 1) {
+            match namer {
+                Some(i) => superseded.push(entry(j, *i)),
+                None if j >= split => orphans.push(entry(j, j + 1)),
+                None => {}
+            }
         }
         if versions.len() == 1 {
             continue; // a page's only version: nothing to diff, nothing to feed
@@ -628,6 +653,7 @@ pub fn gecko_recover(
     for (block, stamp) in chain {
         bm.protect(block, stamp);
     }
+    bm.adopt_superseded(superseded, orphans);
     // Re-adopt each group's partially written block as its active block —
     // unless the block is bad: its write pointer will never advance again,
     // so the group starts on a fresh block and GC drains the bad one.
@@ -878,8 +904,9 @@ fn read_run(
 }
 
 /// The full-read liveness rule, the oracle step 3's spare-area rule is
-/// checked against; it reads pages without IO. Every complete group's
-/// postamble and preamble are read, the shard comes from the postamble's
+/// checked against; it reads pages without IO. A group whose payloads were
+/// reclaimed is dead and unread. Every other complete group's postamble and
+/// preamble are read, the shard comes from the postamble's
 /// first key, and each shard is walked newest first: a run is dead if any
 /// complete run — live or not — names it in `merged_from`, or if its span
 /// lies strictly inside a live run's span. Returns each shard's live run ids,
@@ -892,6 +919,12 @@ fn full_read_live_ids(
     let page = |&(_, ppn): &(u64, Ppn)| dev.peek_page(ppn).expect("gecko page readable");
     let mut metas: Vec<Vec<RunMeta>> = vec![Vec::new(); shards];
     for group in groups.values() {
+        // A run whose payloads were reclaimed was retired by a merge with an
+        // output (invariant 17), so it is dead; the runs its `merged_from`
+        // names were retired when it was made, and are reclaimed or erased.
+        if group.pages.iter().any(|&(_, ppn)| dev.is_reclaimed(ppn)) {
+            continue;
+        }
         let last = page(group.pages.last().expect("non-empty run group"));
         let last = last.blob::<GeckoPagePayload>().expect("gecko payload");
         let Some(post) = &last.postamble else {

@@ -350,6 +350,13 @@ fn one_merge_allocates_per_page_not_per_entry() {
         if gecko.merge_jobs_pending() == 0 {
             continue;
         }
+        let pages_of = |gecko: &LogGecko| -> Vec<Ppn> {
+            gecko
+                .runs_newest_first()
+                .flat_map(|r| r.pages.iter().map(|p| p.ppn))
+                .collect()
+        };
+        let live_before = pages_of(&gecko);
         let runs_before = gecko.runs_newest_first().count();
         let merges_before = gecko.stats.merges;
         let (reads_before, writes_before) = merge_io(&dev);
@@ -373,6 +380,15 @@ fn one_merge_allocates_per_page_not_per_entry() {
             "{calls} allocator calls for a merge of {participants} runs, {input_pages} input \
              pages and {output_pages} output pages (budget {budget})"
         );
+        // The install reclaimed every input page's payload (DESIGN.md
+        // invariant 17), and that allocated nothing either.
+        let live_after = pages_of(&gecko);
+        let retired: Vec<Ppn> = live_before
+            .into_iter()
+            .filter(|p| !live_after.contains(p))
+            .collect();
+        assert_eq!(retired.len() as u64, input_pages);
+        assert!(retired.iter().all(|&p| dev.is_reclaimed(p)), "{retired:?}");
         return;
     }
     panic!("the report stream never planned a 4-participant merge of 16 pages");

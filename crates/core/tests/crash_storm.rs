@@ -13,11 +13,17 @@
 //! One hole is left, pinned by the micro-device test: the erased trail, a
 //! user block erased before a flush while it holds the only before-pointer
 //! to a page whose report is still buffered.
+//!
+//! And one known, harmless divergence is pinned: a merge whose fold drops
+//! every entry leaves no run on flash that records its inputs' death, so
+//! recovery revives them (docs/DESIGN.md, "Deviations").
 
-use flash_sim::{Geometry, Lpn};
+use flash_sim::{BlockId, Geometry, Lpn};
 use ftl_workloads::Oracle;
-use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
-use geckoftl_core::gecko::GeckoConfig;
+use geckoftl_core::ftl::{BlockGroup, FtlConfig, FtlEngine, ValidityBackend};
+use geckoftl_core::gecko::{Bitmap, GeckoConfig};
+use geckoftl_core::recovery::gecko_recover;
+use std::collections::BTreeMap;
 
 #[allow(dead_code)] // `run_workload` and `verify_all` serve the other test files
 mod common;
@@ -105,4 +111,81 @@ fn crash_storms_lose_no_acknowledged_write() {
 fn gc_auditor_fails_at_the_erased_trail() {
     let micro = engine(Geometry::new(32, 4, 4096, 0.5), 8, 1);
     storm(micro, 22, 3_000, None);
+}
+
+/// The ids of every shard's live runs.
+fn live_run_ids(engine: &FtlEngine) -> Vec<u64> {
+    let gecko = engine.backend().gecko().expect("gecko");
+    gecko.all_runs().map(|r| r.meta.id.0).collect()
+}
+
+/// Every user block's GC-query answer, by block.
+fn user_block_answers(engine: &mut FtlEngine) -> BTreeMap<BlockId, Bitmap> {
+    let geo = engine.geometry();
+    let user: Vec<BlockId> = geo
+        .iter_blocks()
+        .filter(|&b| engine.block_manager().group_of(b) == Some(BlockGroup::User))
+        .collect();
+    user.into_iter()
+        .map(|b| (b, engine.debug_validity(b)))
+        .collect()
+}
+
+/// Finding 2 of the payload work (DESIGN.md invariant 17): a merge whose
+/// fold drops every entry (`FinishedMerge::output == None`) writes nothing
+/// that records its inputs' death, so GeckoRec step 3 keeps them and reads
+/// them — which is why such inputs keep their payloads. A sequential fill,
+/// a power cut before any Gecko flush, and the erase markers step 4a then
+/// recreates for every written block make such merges: the first flush's
+/// oldest chunks hold nothing else. After every op the device is recovered
+/// as a power cut would leave it. Its trees are the live engine's plus the
+/// revived inputs, and those change no answer: they carry only the erase
+/// markers that cancelled them and are older than every other run of their
+/// tree. So the recovered engine passes the GC auditor (every user page is
+/// store-valid iff it is its LPN's mapping target), and wherever the live
+/// engine does too — it has identified every before-image (UIP) — every
+/// user block's GC query answers as the live engine's does.
+#[test]
+fn recovery_revives_the_inputs_of_a_merge_without_output() {
+    for shards in [1, 4] {
+        let geo = Geometry::new(128, 16, 1 << 12, 0.7);
+        let mut engine = engine(geo, 16, shards);
+        let (cfg, gecko_cfg) = (engine.config(), engine.backend().gecko_config().unwrap());
+        let logical = geo.logical_pages() as u32;
+        let mut oracle = Oracle::new(geo.logical_pages());
+        for lpn in 0..logical {
+            engine.write(Lpn(lpn), 1);
+            oracle.ack_write(Lpn(lpn), 1);
+        }
+        engine = crash_and_recover(engine).0;
+        let mut compared = 0;
+        for op in 0..40 {
+            // Rewrites in the newest blocks: the first flush's oldest
+            // chunks hold erase markers only.
+            let lpn = Lpn(logical - 1 - op % 32);
+            engine.write(lpn, op.into());
+            oracle.ack_write(lpn, op.into());
+            let (mut recovered, _) = gecko_recover(engine.device().clone(), cfg, gecko_cfg);
+            let live = live_run_ids(&engine);
+            let mut revived = live_run_ids(&recovered);
+            revived.retain(|id| !live.contains(id));
+            let at = format!("shards {shards}, after op {op}: runs {revived:?} revived");
+            assert_eq!(
+                live_run_ids(&recovered).len(),
+                live.len() + revived.len(),
+                "{at}"
+            );
+            if revived.is_empty() {
+                continue;
+            }
+            assert_eq!(recovered.audit(), Ok(()), "{at}");
+            assert_eq!(oracle.verify(|lpn| recovered.read(lpn)), Ok(()), "{at}");
+            if engine.audit().is_ok() {
+                let answers = user_block_answers(&mut engine);
+                assert_eq!(user_block_answers(&mut recovered), answers, "{at}");
+                compared += 1;
+            }
+        }
+        assert!(compared > 0, "shards {shards}: no merge without output");
+    }
 }

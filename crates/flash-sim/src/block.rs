@@ -9,10 +9,16 @@
 //! `Page`s and the block stays in that form until its erase. The form is
 //! decided by what was programmed, never by configuration, and reads cannot
 //! tell the two apart (`packed_block_matches_page_vector_model`).
+//!
+//! A page in the general form can have its payload reclaimed
+//! ([`crate::FlashDevice::reclaim_payload`]): its data area then holds
+//! nothing, its spare area stays, and the write pointer does not move. Only
+//! metadata payloads are reclaimed, so a block of packed user pages never
+//! holds one.
 
 use crate::error::{FlashError, Result};
 use crate::geometry::{BlockId, PageOffset};
-use crate::page::{Page, PageData, Spare, UserPage};
+use crate::page::{DataArea, Page, PageData, Spare, UserPage};
 
 /// The pages programmed since the last erase, in write order: the length is
 /// the write pointer.
@@ -95,7 +101,7 @@ impl Block {
         }
         let off = self.written_pages();
         self.push(Page {
-            data: Some(data),
+            data: DataArea::Held(data),
             spare: Some(spare),
         });
         Ok(PageOffset(off))
@@ -108,7 +114,10 @@ impl Block {
     /// unwritten.
     pub(crate) fn append_torn(&mut self, data: Option<PageData>, spare: Option<Spare>) {
         debug_assert!(!self.is_full(), "torn write needs a free page");
-        self.push(Page { data, spare });
+        self.push(Page {
+            data: data.into(),
+            spare,
+        });
     }
 
     fn push(&mut self, page: Page) {
@@ -140,12 +149,35 @@ impl Block {
         self.erase_seq = seq;
     }
 
-    /// The data area at `off`; `None` if the page is free or its data area
-    /// was torn.
-    pub(crate) fn data(&self, off: PageOffset) -> Option<PageData> {
+    /// The data area at `off`: [`DataArea::Lost`] if the page is free or its
+    /// data area was torn.
+    pub(crate) fn data(&self, off: PageOffset) -> DataArea {
         match &self.pages {
-            Pages::User(v) => v.get(off.0 as usize).map(|p| p.data()),
-            Pages::Any(v) => v.get(off.0 as usize).and_then(|p| p.data.clone()),
+            Pages::User(v) => v
+                .get(off.0 as usize)
+                .map_or(DataArea::Lost, |p| DataArea::Held(p.data())),
+            Pages::Any(v) => v
+                .get(off.0 as usize)
+                .map_or(DataArea::Lost, |p| p.data.clone()),
+        }
+    }
+
+    /// Drop the payload at `off` from host memory, keeping the spare area;
+    /// a no-op on a page already reclaimed. Panics unless the page is a
+    /// programmed page of the general form with its data area intact: a
+    /// packed user page has no payload worth dropping, and a free or torn
+    /// one has none at all.
+    pub(crate) fn reclaim(&mut self, off: PageOffset) {
+        let page = match &mut self.pages {
+            Pages::Any(v) => v.get_mut(off.0 as usize),
+            Pages::User(_) => None,
+        };
+        match page {
+            Some(Page {
+                data: data @ (DataArea::Held(_) | DataArea::Reclaimed),
+                ..
+            }) => *data = DataArea::Reclaimed,
+            _ => panic!("{off:?} holds no metadata payload to reclaim"),
         }
     }
 
@@ -162,7 +194,9 @@ impl Block {
     pub(crate) fn is_written(&self, off: PageOffset) -> bool {
         match &self.pages {
             Pages::User(v) => (off.0 as usize) < v.len(),
-            Pages::Any(v) => v.get(off.0 as usize).is_some_and(|p| p.data.is_some()),
+            Pages::Any(v) => v
+                .get(off.0 as usize)
+                .is_some_and(|p| !matches!(p.data, DataArea::Lost)),
         }
     }
 }
@@ -235,7 +269,10 @@ mod tests {
         }
 
         fn append_torn(&mut self, data: Option<PageData>, spare: Option<Spare>) {
-            self.pages[self.write_ptr] = Page { data, spare };
+            self.pages[self.write_ptr] = Page {
+                data: data.into(),
+                spare,
+            };
             self.write_ptr += 1;
         }
 
@@ -247,13 +284,16 @@ mod tests {
 
     /// `PageData` has no `PartialEq` (a blob is opaque): two payloads are
     /// the same when they are the same user page or the same allocation.
-    fn same_data(a: &Option<PageData>, b: &Option<PageData>) -> bool {
+    fn same_data(a: &DataArea, b: &DataArea) -> bool {
         match (a, b) {
-            (None, None) => true,
-            (Some(PageData::Blob(x)), Some(PageData::Blob(y))) => Arc::ptr_eq(x, y),
-            (Some(x @ PageData::User { .. }), Some(y @ PageData::User { .. })) => {
-                x.as_user() == y.as_user()
+            (DataArea::Lost, DataArea::Lost) | (DataArea::Reclaimed, DataArea::Reclaimed) => true,
+            (DataArea::Held(PageData::Blob(x)), DataArea::Held(PageData::Blob(y))) => {
+                Arc::ptr_eq(x, y)
             }
+            (
+                DataArea::Held(x @ PageData::User { .. }),
+                DataArea::Held(y @ PageData::User { .. }),
+            ) => x.as_user() == y.as_user(),
             _ => false,
         }
     }
@@ -333,12 +373,12 @@ mod tests {
     }
 
     /// Invariant 10's idiom for the page store: through random programs,
-    /// torn programs and erases, a `Block` reads at every offset like the
-    /// vector of general pages it replaced. Each life of the block draws how
-    /// often a page other than a plain user page arrives, so the pages the
-    /// record cannot express land in empty blocks, in blocks of packed user
-    /// pages (forcing the rewrite) and in blocks already in the general
-    /// form; the counts at the end say each of them did.
+    /// torn programs, payload reclaims and erases, a `Block` reads at every
+    /// offset like the vector of general pages it replaced. Each life of the
+    /// block draws how often a page other than a plain user page arrives, so
+    /// the pages the record cannot express land in empty blocks, in blocks
+    /// of packed user pages (forcing the rewrite) and in blocks already in
+    /// the general form; the counts at the end say each of them did.
     ///
     /// Mutations this fails on: dropping the sentinel check from
     /// `UserPage::pack` (a before-pointer of `Ppn(u32::MAX)` reads back as
@@ -362,6 +402,7 @@ mod tests {
         // pages holding at least one page, and how many lives ended packed.
         let mut into_packed = [0u32; KINDS.len()];
         let mut packed_lives = 0;
+        let mut reclaims = 0;
         let mut odd_one_in = 2;
         for seq in 1..=20_000u64 {
             let r = next();
@@ -378,6 +419,14 @@ mod tests {
                 block.erase(seq);
                 model.erase();
                 odd_one_in = [2, 8, 64][next() as usize % 3];
+            } else if r % 7 == 0 && model.write_ptr > 0 {
+                // Reclaim a metadata payload, if the drawn page holds one.
+                let off = next() as usize % model.write_ptr;
+                if matches!(model.pages[off].data, DataArea::Held(PageData::Blob(_))) {
+                    block.reclaim(PageOffset(off as u32));
+                    model.pages[off].data = DataArea::Reclaimed;
+                    reclaims += 1;
+                }
             } else {
                 let kind = if next() % odd_one_in == 0 {
                     KINDS[2 + next() as usize % (KINDS.len() - 2)]
@@ -410,7 +459,7 @@ mod tests {
                     page.data
                 );
                 assert_eq!(block.spare(off), page.spare, "step {seq}: spare at {off:?}");
-                assert_eq!(block.is_written(off), page.data.is_some());
+                assert_eq!(block.is_written(off), !matches!(page.data, DataArea::Lost));
             }
         }
         assert!(
@@ -418,6 +467,7 @@ mod tests {
             "every kind must land in a block of packed user pages: {into_packed:?}"
         );
         assert!(packed_lives >= 20, "{packed_lives} lives ended packed");
+        assert!(reclaims >= 20, "{reclaims} payloads reclaimed");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::error::{FlashError, Result};
 use crate::fault::{EraseFault, FaultPlan, FaultStats, WriteFault};
 use crate::geometry::{BlockId, Geometry, PageOffset, Ppn};
 use crate::latency::{LatencyModel, SimClock};
-use crate::page::{PageData, Spare, SpareInfo};
+use crate::page::{DataArea, PageData, Spare, SpareInfo};
 use crate::stats::{IoPurpose, IoStats};
 use ftl_telemetry::{IoOp, Telemetry};
 
@@ -208,13 +208,14 @@ impl FlashDevice {
     }
 
     /// Read a programmed page. Returns a cheap clone of the payload.
+    ///
+    /// Panics, naming the page, if its payload was reclaimed
+    /// ([`FlashDevice::reclaim_payload`]): the engine promised no read would
+    /// reach it.
     pub fn read_page(&mut self, ppn: Ppn, purpose: IoPurpose) -> Result<PageData> {
         self.check_ppn(ppn)?;
         let block = self.geo.block_of(ppn);
-        let off = self.geo.offset_of(ppn);
-        let data = self.blocks[block.0 as usize]
-            .data(off)
-            .ok_or(FlashError::PageNotWritten(ppn))?;
+        let data = self.payload(ppn).ok_or(FlashError::PageNotWritten(ppn))?;
         self.stats.record_page_read(purpose);
         self.charge_us(block, purpose, IoOp::PageRead, LATENCY.page_read_us);
         Ok(data)
@@ -363,11 +364,44 @@ impl FlashDevice {
     }
 
     /// Peek at a page without charging IO. **Test/debug only** — recovery
-    /// algorithms must use [`FlashDevice::read_page`].
+    /// algorithms must use [`FlashDevice::read_page`]. Panics like it on a
+    /// reclaimed payload.
     pub fn peek_page(&self, ppn: Ppn) -> Option<PageData> {
+        self.payload(ppn)
+    }
+
+    /// The payload of `ppn`, `None` if the page is free or its data area
+    /// torn; panics if it was reclaimed.
+    fn payload(&self, ppn: Ppn) -> Option<PageData> {
         let block = self.geo.block_of(ppn);
-        let off = self.geo.offset_of(ppn);
-        self.blocks[block.0 as usize].data(off)
+        match self.blocks[block.0 as usize].data(self.geo.offset_of(ppn)) {
+            DataArea::Held(data) => Some(data),
+            DataArea::Lost => None,
+            DataArea::Reclaimed => read_of_reclaimed(ppn),
+        }
+    }
+
+    /// Drop the payload of a programmed metadata page from host memory, once
+    /// no recovery may read it (docs/DESIGN.md invariant 17). Charges no IO
+    /// and changes nothing the simulation observes: the page stays
+    /// programmed ([`FlashDevice::is_written`]) and keeps its spare area,
+    /// and the block's erase frees it as before. Reading the payload
+    /// afterwards ([`FlashDevice::read_page`], [`FlashDevice::peek_page`])
+    /// panics and names the page. Reclaiming a page twice is a no-op; one
+    /// that holds no metadata payload — free, torn, or a packed user page —
+    /// panics.
+    pub fn reclaim_payload(&mut self, ppn: Ppn) {
+        let block = self.geo.block_of(ppn);
+        self.blocks[block.0 as usize].reclaim(self.geo.offset_of(ppn));
+    }
+
+    /// Whether `ppn`'s payload was reclaimed (free to ask: host state).
+    pub fn is_reclaimed(&self, ppn: Ppn) -> bool {
+        let block = self.geo.block_of(ppn);
+        matches!(
+            self.blocks[block.0 as usize].data(self.geo.offset_of(ppn)),
+            DataArea::Reclaimed
+        )
     }
 
     /// Peek at a spare area without charging IO. **Test/debug only.**
@@ -378,16 +412,25 @@ impl FlashDevice {
     }
 
     /// Iterate the programmed pages of one block in write order, without
-    /// charging IO; pages whose data area a power cut tore are skipped.
-    /// **Test/debug only.**
+    /// charging IO; pages whose data area a power cut tore, or whose
+    /// payload was reclaimed, are skipped. **Test/debug only.**
     pub fn peek_block_pages(&self, block: BlockId) -> impl Iterator<Item = (Ppn, PageData)> + '_ {
         let geo = self.geo;
         let b = &self.blocks[block.0 as usize];
-        (0..b.written_pages()).filter_map(move |off| {
-            let data = b.data(PageOffset(off))?;
-            Some((geo.ppn(block, PageOffset(off)), data))
+        (0..b.written_pages()).filter_map(move |off| match b.data(PageOffset(off)) {
+            DataArea::Held(data) => Some((geo.ppn(block, PageOffset(off)), data)),
+            DataArea::Lost | DataArea::Reclaimed => None,
         })
     }
+}
+
+/// The panic of a read that reaches a reclaimed payload.
+#[cold]
+fn read_of_reclaimed(ppn: Ppn) -> ! {
+    panic!(
+        "P{}: read of a reclaimed payload (no recovery may read this page)",
+        ppn.0
+    )
 }
 
 #[cfg(test)]
@@ -748,6 +791,77 @@ mod tests {
             "image history stops at the power cut"
         );
         assert_eq!(d.telemetry().events().count(), 3);
+    }
+
+    fn write_meta(dev: &mut FlashDevice, block: u32) -> Ppn {
+        dev.write_page(
+            BlockId(block),
+            PageData::blob_of(vec![7u32; 1024]),
+            SpareInfo::Translation {
+                tpage: 3,
+                before: None,
+            },
+            IoPurpose::TranslationSync,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn reclaiming_a_payload_keeps_the_page_programmed_and_costs_nothing() {
+        let mut d = dev();
+        let ppn = write_meta(&mut d, 2);
+        let (clock, stats) = (d.clock().now_us(), d.stats().clone());
+        d.reclaim_payload(ppn);
+        d.reclaim_payload(ppn); // twice is a no-op
+        assert!(d.is_reclaimed(ppn));
+        assert!(d.is_written(ppn), "the page stays programmed");
+        assert_eq!(d.written_pages(BlockId(2)), 1);
+        assert_eq!(d.read_spare(ppn, IoPurpose::Recovery).unwrap().seq, 1);
+        assert_eq!(d.peek_block_pages(BlockId(2)).count(), 0);
+        assert!(
+            (d.clock().now_us() - clock - 3.0).abs() < 1e-9,
+            "only the spare read"
+        );
+        assert_eq!(
+            d.stats()
+                .since(&stats)
+                .counts(IoPurpose::Recovery)
+                .spare_reads,
+            1
+        );
+        // The erase frees it like any page.
+        d.erase_block(BlockId(2), IoPurpose::TranslationGc).unwrap();
+        assert!(!d.is_reclaimed(ppn) && !d.is_written(ppn));
+        let again = write_meta(&mut d, 2);
+        assert_eq!(again, ppn);
+        assert!(d.read_page(again, IoPurpose::TranslationFetch).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "P32: read of a reclaimed payload")]
+    fn reading_a_reclaimed_payload_panics() {
+        let mut d = dev();
+        let ppn = write_meta(&mut d, 2);
+        assert_eq!(ppn, Ppn(32));
+        d.reclaim_payload(ppn);
+        let _ = d.read_page(ppn, IoPurpose::Recovery);
+    }
+
+    #[test]
+    #[should_panic(expected = "P32: read of a reclaimed payload")]
+    fn peeking_at_a_reclaimed_payload_panics() {
+        let mut d = dev();
+        let ppn = write_meta(&mut d, 2);
+        d.reclaim_payload(ppn);
+        let _ = d.peek_page(ppn);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no metadata payload")]
+    fn user_pages_are_not_reclaimed() {
+        let mut d = dev();
+        let ppn = write_user(&mut d, 0, 1, 1);
+        d.reclaim_payload(ppn);
     }
 
     #[test]

@@ -19,6 +19,15 @@
 //! 72 bytes, most of it the spare area a Gecko run page needs. User pages
 //! are ≈ 99.9 % of a device (Figure 8), so the record is what a simulated
 //! physical page costs the host.
+//!
+//! A metadata payload is host memory the page's 72 bytes only point at: a
+//! Gecko run page's entries or a translation page's 1 024 addresses, several
+//! kilobytes each. The engine drops one as soon as no recovery may read it
+//! ([`crate::FlashDevice::reclaim_payload`]; docs/DESIGN.md invariant 17).
+//! A reclaimed page keeps its spare area and stays programmed — the
+//! simulated flash still holds the data, and nothing about IO, timing or
+//! the spare scans changes — but its data area holds nothing, and a read of
+//! it panics, naming the page.
 
 use crate::geometry::{BlockId, Lpn, Ppn};
 use std::any::Any;
@@ -150,13 +159,36 @@ impl PageData {
     }
 }
 
+/// The data area of a page in the general form, as the host holds it.
+#[derive(Clone, Debug, Default)]
+pub(crate) enum DataArea {
+    /// Nothing readable: the page is free, or a power cut tore its data area
+    /// (fault injection only).
+    #[default]
+    Lost,
+    /// The payload.
+    Held(PageData),
+    /// Programmed, but its payload was dropped from host memory
+    /// ([`crate::FlashDevice::reclaim_payload`]): no read may reach it.
+    Reclaimed,
+}
+
+impl From<Option<PageData>> for DataArea {
+    fn from(data: Option<PageData>) -> Self {
+        data.map_or(DataArea::Lost, DataArea::Held)
+    }
+}
+
 /// The general form of one programmed page: either area may be missing,
-/// because a power cut tore the write (fault injection only).
+/// because a power cut tore the write (fault injection only), and the data
+/// area's payload may have been reclaimed.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Page {
-    pub(crate) data: Option<PageData>,
+    pub(crate) data: DataArea,
     pub(crate) spare: Option<Spare>,
 }
+
+const _: () = assert!(std::mem::size_of::<Page>() == 72);
 
 /// The packed form of a whole user page: `PageData::User { lpn, version }`
 /// with `Spare { seq, info: SpareInfo::User { lpn, before } }`, both areas
@@ -179,7 +211,9 @@ impl UserPage {
     /// missing or not a user one, when the two areas disagree on the logical
     /// page, or when the before-pointer is the sentinel's own value.
     pub(crate) fn pack(page: &Page) -> Option<UserPage> {
-        let (Some(PageData::User { lpn, version }), Some(spare)) = (&page.data, page.spare) else {
+        let (DataArea::Held(PageData::User { lpn, version }), Some(spare)) =
+            (&page.data, page.spare)
+        else {
             return None;
         };
         let SpareInfo::User {
@@ -203,7 +237,7 @@ impl UserPage {
     /// The same page in the general form.
     pub(crate) fn unpack(self) -> Page {
         Page {
-            data: Some(self.data()),
+            data: DataArea::Held(self.data()),
             spare: Some(self.spare()),
         }
     }

@@ -1,37 +1,49 @@
-//! GeckoRec step 4b's read set stays on flash (ROADMAP item 10's check, the
-//! gate for item 1).
+//! GeckoRec step 4b's read set stays on flash, and only it keeps its payload
+//! (ROADMAP item 10's check, the gate for item 1; DESIGN.md invariants 14
+//! and 17).
 //!
 //! Step 4b reads translation pages in one pattern. For every page with a
 //! version newer than the MIN flush watermark (`last_flush_seq`), it reads
-//! the *base* — the newest version at or before the watermark — and every
-//! later version, and diffs each against its predecessor. A version of that
-//! set erased before the crash makes recovery diff against an older base, or
-//! none, and silently miss the invalidations in between (DESIGN.md
-//! invariants 2 and 6). App. C.2.2's no-erase list exists to keep them.
+//! every such version, and the *base* — the newest version at or before the
+//! watermark — when the first newer one names it, and diffs each version
+//! against the version it names. A version of that set erased before the
+//! crash makes recovery diff against nothing, and silently miss the
+//! invalidations in between (DESIGN.md invariants 2 and 6). App. C.2.2's
+//! no-erase list exists to keep them.
 //!
 //! The engine releases a protection once the store's *durable watermark*
 //! (`FtlEngine::durable_watermark`: a shard with an empty buffer counts as
-//! flushed now) passes its stamp, so the read set it promises to keep is the
-//! one against that watermark; recovery reads against the persisted MIN,
-//! which is never newer. The check drives uniform writes and, after every
-//! op, records every translation-page version on flash (spare areas peeked
-//! without IO). It then asks, against both watermarks, whether the base and
-//! every later version of each page, among the versions ever seen, are
-//! still there.
+//! flushed now) passes its stamp, so the read set it promises to keep on
+//! flash is the one against that watermark; recovery reads against the
+//! persisted MIN, which is never newer. The payload promise is against the
+//! MIN itself: a superseded version's payload is dropped from host memory
+//! once no recovery may read it, so every version of the read set against
+//! the MIN holds its payload and no other superseded version does. Nor does
+//! any page of a run a merge with an output has retired, which step 3 skips
+//! unread (invariant 16).
+//!
+//! The check drives uniform writes and, after every op, records every
+//! translation-page version on flash (spare areas peeked without IO). It
+//! then asks, against both watermarks, whether the base and every later
+//! version of each page, among the versions ever seen, are still there; and,
+//! against the MIN, which versions and run pages hold their payloads.
 
 use gecko_bench::harness::{small_gecko_engine, OpDriver};
-use geckoftl::flash_sim::{BlockId, Geometry, PageOffset, SpareInfo};
+use geckoftl::flash_sim::{BlockId, Geometry, MetaTag, PageOffset, Ppn, SpareInfo};
 use geckoftl::ftl_workloads::Uniform;
 use geckoftl::geckoftl_core::ftl::{
     FtlConfig, FtlEngine, ValidityBackend, MAX_PROTECTED_BLOCKS, MAX_UNFLUSHED_VERSIONS,
 };
 use geckoftl::geckoftl_core::gecko::GeckoConfig;
 use geckoftl::geckoftl_core::recovery::gecko_recover;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Translation-page versions ever seen on flash, as `(tpage, seq)`, newest
 /// last per page.
 type Seen = BTreeSet<(u32, u64)>;
+
+/// A translation-page version, as `(tpage, seq)`.
+type At = (u32, u64);
 
 /// Record the translation-page versions on flash now and return the block of
 /// each, by sequence number (unique device-wide).
@@ -61,7 +73,7 @@ fn missing_entitled_version(
     seen: &Seen,
     on_flash: &HashMap<u64, BlockId>,
     watermark: u64,
-) -> Option<(u32, u64)> {
+) -> Option<At> {
     let tpages = seen.last().map_or(0, |&(t, _)| t + 1);
     for tpage in 0..tpages {
         let mut versions = seen.range((tpage, 0)..=(tpage, u64::MAX)).map(|&(_, s)| s);
@@ -88,7 +100,7 @@ fn unprotected_version(
     engine: &FtlEngine,
     seen: &Seen,
     on_flash: &HashMap<u64, BlockId>,
-) -> Option<(u32, u64)> {
+) -> Option<At> {
     let durable = engine.durable_watermark();
     seen.iter()
         .zip(seen.iter().skip(1))
@@ -102,6 +114,114 @@ fn unprotected_version(
         .map(|(&v, _)| v)
 }
 
+/// One translation-page version on flash: `(seq, page, the page it names)`.
+type Version = (u64, Ppn, Option<Ppn>);
+
+/// Invariant 17 for translation pages against the MIN `min`: the first
+/// version of step 4b's read set whose payload was reclaimed, and the first
+/// superseded version outside it that still holds its payload, each as
+/// `(tpage, seq)`; and how many versions on flash are reclaimed.
+fn payload_mismatches(engine: &FtlEngine, min: u64) -> (Option<At>, Option<At>, usize) {
+    let dev = engine.device();
+    let geo = dev.geometry();
+    let mut versions: Vec<Vec<Version>> = vec![Vec::new(); geo.translation_pages() as usize];
+    for b in geo.iter_blocks() {
+        for off in 0..dev.written_pages(b) {
+            let ppn = geo.ppn(b, PageOffset(off));
+            match dev.peek_spare(ppn).map(|s| (s.seq, s.info)) {
+                Some((seq, SpareInfo::Translation { tpage, before })) if dev.is_written(ppn) => {
+                    versions[tpage as usize].push((seq, ppn, before));
+                }
+                _ => {}
+            }
+        }
+    }
+    let (mut missing, mut kept, mut reclaimed) = (None, None, 0);
+    for (tpage, versions) in versions.iter_mut().enumerate() {
+        versions.sort_unstable();
+        let split = versions.partition_point(|&(seq, _, _)| seq <= min);
+        // Step 4b's read set: every version newer than the MIN (unless it
+        // is the page's only version), and the base if the first newer one
+        // names it and that page still holds it.
+        let mut read = vec![false; versions.len()];
+        if split < versions.len() && versions.len() > 1 {
+            read[split..].fill(true);
+            let (seq, _, before) = versions[split];
+            let held = before.filter(|&b| dev.erase_seq(geo.block_of(b)) < seq);
+            if split > 0 && held == Some(versions[split - 1].1) {
+                read[split - 1] = true;
+            }
+        }
+        let current = engine.translation().tpage_location(tpage as u32);
+        for (&(seq, ppn, _), &read) in versions.iter().zip(&read) {
+            let at = Some((tpage as u32, seq));
+            reclaimed += usize::from(dev.is_reclaimed(ppn));
+            if read && dev.is_reclaimed(ppn) {
+                missing = missing.or(at);
+            } else if !read && Some(ppn) != current && !dev.is_reclaimed(ppn) {
+                kept = kept.or(at);
+            }
+        }
+    }
+    (missing, kept, reclaimed)
+}
+
+/// Invariant 17 for Gecko runs: the first page, as `(run id, page)`, that
+/// holds its payload although its run is dead and lies strictly inside a
+/// live run of its shard — a run a merge with an output retired — and how
+/// many such pages there are. `ever_live` collects the ids of the runs seen
+/// live so far: a partial merge output a crash left behind was never live,
+/// and step 3 reads it.
+fn dead_run_payload(
+    engine: &FtlEngine,
+    ever_live: &mut HashSet<u64>,
+) -> (Option<(u64, Ppn)>, usize) {
+    let gecko = engine.backend().gecko().expect("gecko");
+    let shards = gecko.num_shards() as u32;
+    let live: Vec<(u64, (u64, u64), u32)> = gecko
+        .all_runs()
+        .map(|r| {
+            (
+                r.meta.id.0,
+                r.meta.span(),
+                r.pages[0].first.block.0 % shards,
+            )
+        })
+        .collect();
+    ever_live.extend(live.iter().map(|&(id, _, _)| id));
+    let dev = engine.device();
+    let geo = dev.geometry();
+    let (mut first, mut pages) = (None, 0);
+    for b in geo.iter_blocks() {
+        for off in 0..dev.written_pages(b) {
+            let ppn = geo.ppn(b, PageOffset(off));
+            let Some(SpareInfo::Meta {
+                tag:
+                    MetaTag::Run {
+                        id,
+                        span: (lo, hi),
+                        first_block,
+                    },
+                ..
+            }) = dev.peek_spare(ppn).map(|s| s.info)
+            else {
+                continue;
+            };
+            let inside = live.iter().any(|&(_, (l, h), shard)| {
+                shard == first_block.0 % shards && l <= lo && hi <= h && (l, h) != (lo, hi)
+            });
+            let dead = ever_live.contains(&id) && live.iter().all(|&(live_id, _, _)| live_id != id);
+            if dead && inside && dev.is_written(ppn) {
+                pages += 1;
+                if !dev.is_reclaimed(ppn) {
+                    first = first.or(Some((id, ppn)));
+                }
+            }
+        }
+    }
+    (first, pages)
+}
+
 /// What a run of uniform writes did to step 4b's read set, counted in op
 /// boundaries, with the first of each kind:
 /// - incomplete against the durable watermark, and against the MIN, as
@@ -111,7 +231,11 @@ fn unprotected_version(
 /// - more versions newer than the durable watermark than `K` plus the ones
 ///   the op wrote (and the most ever newer than it);
 /// - ops that began with more than `MAX_PROTECTED_BLOCKS` blocks protected
-///   and flushed Gecko.
+///   and flushed Gecko;
+/// - a version of the read set against the MIN without its payload, and a
+///   superseded version outside it with one, as `(op, tpage, seq)`;
+/// - a page of a run a merge with an output retired that holds its payload,
+///   as `(op, run id, page)`.
 #[derive(Debug, Default)]
 struct Census {
     durable_misses: usize,
@@ -123,6 +247,23 @@ struct Census {
     chain_overruns: usize,
     longest_chain: usize,
     forced_flushes: usize,
+    payloads_missing: usize,
+    first_payload_missing: Option<(usize, u32, u64)>,
+    payloads_kept: usize,
+    first_payload_kept: Option<(usize, u32, u64)>,
+    dead_run_payloads: usize,
+    first_dead_run_payload: Option<(usize, u64, Ppn)>,
+    /// The most translation versions, and the most pages of retired runs,
+    /// on flash at one op boundary with their payloads reclaimed.
+    most_reclaimed_versions: usize,
+    most_dead_run_pages: usize,
+}
+
+impl Census {
+    /// Invariant 17 held at every op boundary.
+    fn payloads_exact(&self) -> bool {
+        self.payloads_missing + self.payloads_kept + self.dead_run_payloads == 0
+    }
 }
 
 /// The census of `ops` uniform writes; with `crash_every = Some(n)`, the
@@ -132,6 +273,7 @@ fn census(mut engine: FtlEngine, ops: usize, crash_every: Option<usize>) -> Cens
     let logical = engine.geometry().logical_pages();
     let mut driver = OpDriver::new(0);
     let mut seen = Seen::new();
+    let mut ever_live = HashSet::new();
     let mut c = Census::default();
     let flushes = |e: &FtlEngine| e.backend().gecko_stats().expect("gecko").flushes;
     for (i, op) in Uniform::new(7, logical).take(ops).enumerate() {
@@ -155,6 +297,22 @@ fn census(mut engine: FtlEngine, ops: usize, crash_every: Option<usize>) -> Cens
         if let Some((tpage, seq)) = unprotected_version(&engine, &seen, &on_flash) {
             c.unprotected += 1;
             c.first_unprotected.get_or_insert((i, tpage, seq));
+        }
+        let (missing, kept, reclaimed) = payload_mismatches(&engine, min);
+        c.most_reclaimed_versions = c.most_reclaimed_versions.max(reclaimed);
+        if let Some((tpage, seq)) = missing {
+            c.payloads_missing += 1;
+            c.first_payload_missing.get_or_insert((i, tpage, seq));
+        }
+        if let Some((tpage, seq)) = kept {
+            c.payloads_kept += 1;
+            c.first_payload_kept.get_or_insert((i, tpage, seq));
+        }
+        let (dead, dead_pages) = dead_run_payload(&engine, &mut ever_live);
+        c.most_dead_run_pages = c.most_dead_run_pages.max(dead_pages);
+        if let Some((id, ppn)) = dead {
+            c.dead_run_payloads += 1;
+            c.first_dead_run_payload.get_or_insert((i, id, ppn));
         }
         let newer = seen.iter().filter(|&&(_, s)| s > durable).count();
         let written = seen.iter().filter(|&&(_, s)| s >= seq0).count();
@@ -200,6 +358,7 @@ fn recovery_read_set_stays_on_flash_with_one_tree() {
     assert_eq!(c.durable_misses, 0, "{c:?}");
     assert_eq!(c.unprotected, 0, "{c:?}");
     assert_eq!(c.min_misses, 0, "{c:?}");
+    assert!(c.payloads_exact(), "{c:?}");
 }
 
 /// With several trees a protection is released by its stamp, not by a MIN
@@ -213,6 +372,7 @@ fn recovery_read_set_stays_on_flash_with_two_and_four_trees() {
         assert_eq!(c.durable_misses, 0, "shards = {shards}: {c:?}");
         assert_eq!(c.unprotected, 0, "shards = {shards}: {c:?}");
         assert_eq!(c.min_misses, 0, "shards = {shards}: {c:?}");
+        assert!(c.payloads_exact(), "shards = {shards}: {c:?}");
     }
 }
 
@@ -232,6 +392,7 @@ fn versions_newer_than_the_durable_watermark_stay_bounded() {
         assert_eq!(c.durable_misses, 0, "shards = {shards}: {c:?}");
         assert_eq!(c.unprotected, 0, "shards = {shards}: {c:?}");
         assert_eq!(c.min_misses, 0, "shards = {shards}: {c:?}");
+        assert!(c.payloads_exact(), "shards = {shards}: {c:?}");
     }
 }
 
@@ -247,6 +408,7 @@ fn forced_flush_keeps_the_protection_its_sync_takes() {
     assert_eq!(c.unprotected, 0, "{c:?}");
     assert_eq!(c.durable_misses, 0, "{c:?}");
     assert_eq!(c.min_misses, 0, "{c:?}");
+    assert!(c.payloads_exact(), "{c:?}");
     assert!(
         c.forced_flushes > 0,
         "the protected-block rule never fired: {c:?}"
@@ -270,10 +432,30 @@ fn recovered_engines_keep_the_read_set_protected() {
             let at = format!("shards = {shards}, crash every {crash_every}: {c:?}");
             assert_eq!(c.unprotected, 0, "{at}");
             assert_eq!(c.chain_overruns, 0, "{at}");
+            assert!(c.payloads_exact(), "{at}");
             if shards == 1 {
                 assert_eq!(c.durable_misses, 0, "{at}");
                 assert_eq!(c.min_misses, 0, "{at}");
             }
+        }
+    }
+}
+
+/// DESIGN.md invariant 17, ROADMAP item 10's saving: after every op of
+/// uniform writes, with one tree and with four, without power cuts and with
+/// one after every 5 and every 20 writes, every version of step 4b's read
+/// set against the MIN holds its payload, no other superseded version does,
+/// and no page of a run a merge with an output retired does either. The
+/// engine drops both kinds, so neither check is empty.
+#[test]
+fn payloads_are_held_exactly_while_recovery_may_read_them() {
+    for shards in [1, 4] {
+        for crash_every in [None, Some(5), Some(20)] {
+            let c = census(tiny_engine(shards), 4_000, crash_every);
+            let at = format!("shards = {shards}, crash every {crash_every:?}: {c:?}");
+            assert!(c.payloads_exact(), "{at}");
+            assert!(c.most_reclaimed_versions > 0, "{at}");
+            assert!(c.most_dead_run_pages > 0, "{at}");
         }
     }
 }
