@@ -4,8 +4,8 @@
 # the side that runs first alternating pair by pair, because this sandbox
 # drifts ±15 % over minutes and only neighbouring runs compare.
 #
-#   ab_pairs.sh <bench_dir_A> <binary_A> <bench_dir_B> <binary_B> <workload> <pairs> <first_seed> \
-#       [<metric> [higher|lower]]
+#   ab_pairs.sh <bench_dir_A> <binary_A> <bench_dir_B> <binary_B> <workload|all> <pairs> \
+#       <first_seed> [<metric> [higher|lower]]
 #
 # A is the parent, B the change. Build each commit's `benchmark/` into its own
 # `--target-dir` and copy the executables first; a bench_dir is the scratch
@@ -15,10 +15,12 @@
 # each side's median and quartiles, the pairs B won, and the verdict:
 # "resolved" when B won at least nine tenths of the pairs (ties count for
 # neither) and B's median is better than A's by more than A's interquartile
-# range.
+# range. The workload `all` runs the pairs for each workload BENCHMARK.json
+# declares, in turn and on the same seeds, then prints one verdict line per
+# workload.
 set -euo pipefail
 if [ "$#" -lt 7 ] || [ "$#" -gt 9 ]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,21p' "$0" >&2
     exit 2
 fi
 dir_a=$1 bin_a=$2 dir_b=$3 bin_b=$4 workload=$5 pairs=$6 first_seed=$7
@@ -31,6 +33,24 @@ lower) sign=-1 ;;
     exit 2
     ;;
 esac
+
+if [ "$workload" = all ]; then
+    # The names inside BENCHMARK.json's "workloads" array, in its order.
+    workloads=$(awk -F'"' '/"workloads"/ { on = 1; next } on && /^ *\]/ { on = 0 } on && $2 == "name" { print $4 }' \
+        "$(dirname "$0")/../BENCHMARK.json")
+    [ -n "$workloads" ] || { echo "no workloads in BENCHMARK.json" >&2; exit 2; }
+    out=$(mktemp) verdicts=$(mktemp)
+    trap 'rm -f "$out" "$verdicts"' EXIT
+    for w in $workloads; do
+        echo "== $w"
+        bash "$0" "$dir_a" "$bin_a" "$dir_b" "$bin_b" "$w" "$pairs" "$first_seed" "$metric" \
+            "${9:-higher}" | tee "$out"
+        tail -n 1 "$out" >>"$verdicts"
+    done
+    echo "== verdicts"
+    cat "$verdicts"
+    exit 0
+fi
 seconds=10 # BENCHMARK.json's run_seconds: run length is the benchmark's to set
 
 run() { # <bench_dir> <binary> <seed> -> the metric's value
