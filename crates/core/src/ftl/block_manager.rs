@@ -30,8 +30,10 @@
 //! as the first one's base, the version that one names. A superseded
 //! version is therefore read while it is newer than the MIN, or while its
 //! successor is newer than the MIN and still on flash; its payload is
-//! reclaimed once neither holds. That is against the MIN, not the durable
-//! watermark the protections are released at: recovery cannot see buffers.
+//! reclaimed once neither holds. That is against the MIN — as the floor the
+//! translation pages carry, which no recovery's threshold falls below — not
+//! the durable watermark the protections are released at: recovery cannot
+//! see buffers.
 //!
 //! Greedy selection is "the eligible block with the fewest valid pages". A
 //! linear scan over all blocks answers that; [`BlockManager::pick_victim`],
@@ -226,13 +228,13 @@ pub struct BlockManager {
     /// deterministically.
     protected: BTreeMap<BlockId, u64>,
     /// The superseded translation-page versions step 4b may still read, in
-    /// stamp order: each one's payload is reclaimed once the MIN passes its
-    /// successor's stamp ([`BlockManager::reclaim_through`]).
+    /// stamp order: each one's payload is reclaimed once the threshold floor
+    /// passes its successor's stamp ([`BlockManager::reclaim_through`]).
     superseded: VecDeque<Superseded>,
     /// Superseded versions whose successor was erased while they were newer
-    /// than the MIN: read only while that lasts.
+    /// than the threshold floor: read only while that lasts.
     orphans: Vec<Superseded>,
-    /// The MIN watermark payloads were last reclaimed through.
+    /// The threshold floor payloads were last reclaimed through.
     reclaimed_through: u64,
     /// Blocks permanently taken out of service after an erase failure. A
     /// retired block stays `InUse` forever — it can never be
@@ -406,9 +408,9 @@ impl BlockManager {
         self.superseded.push_back(s);
     }
 
-    /// Take over what GeckoRec step 4b found pending: the superseded
-    /// versions it read with their successors, and the ones it read whose
-    /// successor is gone (orphans). The block manager must hold none yet.
+    /// Take over what GeckoRec found still promised: superseded versions
+    /// with the version naming them, and ones whose successor is gone
+    /// (orphans). The block manager must hold none yet.
     pub(crate) fn adopt_superseded(
         &mut self,
         mut pending: Vec<Superseded>,
@@ -440,7 +442,7 @@ impl BlockManager {
     }
 
     /// Reclaim the payload of every superseded version step 4b can no
-    /// longer read now that the persisted MIN watermark is `min`: those
+    /// longer read now that no recovery's threshold is below `min`: those
     /// whose successor's stamp it has passed, and orphans it has passed.
     pub(crate) fn reclaim_through(&mut self, dev: &mut FlashDevice, min: u64) {
         if min <= self.reclaimed_through {
@@ -462,7 +464,7 @@ impl BlockManager {
 
     /// `block`, a translation block, has just been erased: a superseded
     /// version whose successor it held is read from now on only while it
-    /// is newer than the MIN.
+    /// is newer than the threshold.
     fn successors_erased(&mut self, dev: &mut FlashDevice, block: BlockId) {
         let (geo, min, orphans) = (self.geo, self.reclaimed_through, &mut self.orphans);
         self.superseded.retain(|s| {
@@ -799,6 +801,7 @@ mod tests {
             SpareInfo::Translation {
                 tpage: 0,
                 before: None,
+                watermark: 0,
             },
             IoPurpose::TranslationSync,
         );
@@ -1015,6 +1018,7 @@ mod tests {
                             SpareInfo::Translation {
                                 tpage: i,
                                 before: None,
+                                watermark: 0,
                             },
                         ),
                     };
@@ -1093,6 +1097,7 @@ mod tests {
                     SpareInfo::Translation {
                         tpage: i,
                         before: None,
+                        watermark: 0,
                     },
                     IoPurpose::TranslationSync,
                 )

@@ -255,7 +255,7 @@ impl FtlEngine {
                 .dev
                 .read_spare(ppn, IoPurpose::TranslationGc)
                 .expect("written page has a spare area");
-            let SpareInfo::Translation { tpage, before } = spare.info else {
+            let SpareInfo::Translation { tpage, before, .. } = spare.info else {
                 panic!("translation block page {ppn:?} carries {:?}", spare.info)
             };
             if self.tt.tpage_location(tpage) == Some(ppn) {

@@ -1113,13 +1113,14 @@ impl FtlEngine {
 
     /// Advance the durable watermark and release the version chain through
     /// it; the block manager erases any released block that has become empty
-    /// (DESIGN.md invariant 6). Then reclaim the payloads the persisted MIN
-    /// has taken out of recovery's read set (invariant 17).
+    /// (DESIGN.md invariant 6). Then hand the MIN to the translation pages
+    /// written next, and reclaim the payloads that no recovery's threshold,
+    /// never below the newest version's watermark, can reach (invariant 17).
     fn after_validity_op(&mut self) {
         let Some(gecko) = self.backend.gecko() else {
             return;
         };
-        let min = gecko.last_flush_seq();
+        self.tt.raise_watermark(gecko.last_flush_seq());
         // Every version written so far has made its reports by now. A link
         // taken since the watermark last rose is newer than it, so nothing
         // is due unless it rises.
@@ -1129,6 +1130,7 @@ impl FtlEngine {
             self.durable = durable;
             self.bm.release_through(&mut self.dev, durable);
         }
-        self.bm.reclaim_through(&mut self.dev, min);
+        self.bm
+            .reclaim_through(&mut self.dev, self.tt.stamped_watermark());
     }
 }

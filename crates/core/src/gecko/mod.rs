@@ -151,6 +151,13 @@ impl LogGecko {
         g
     }
 
+    /// Raise the flush watermark to `seq`, a floor recovery read elsewhere:
+    /// a merge without output can empty a tree and take its watermark off
+    /// flash (`recovery::gecko_recover`, step 3).
+    pub(crate) fn raise_flush_floor(&mut self, seq: u64) {
+        self.last_flush_seq = self.last_flush_seq.max(seq);
+    }
+
     /// Install a run at its place in the newest-data-first order. A flush
     /// run carries the newest data and lands at the front.
     fn insert_run(&mut self, run: Run) {

@@ -15,7 +15,9 @@
 //!    run's id, data-age span and shard; skip, unread, every merged-away
 //!    leftover (named in a kept run's `merged_from`, or with a span strictly
 //!    inside a kept run's span); read the postamble (and preamble) of the
-//!    rest, keeping the complete runs (docs/DESIGN.md invariant 16).
+//!    rest, keeping the complete runs (docs/DESIGN.md invariant 16). No
+//!    tree's flush watermark is below the newest one a translation page
+//!    carries (invariant 17).
 //! 4. **Buffer** — recreate erase markers for blocks erased since the last
 //!    buffer flush (C.2.1) and invalidations lost with the buffer by
 //!    diffing each translation-page version written since the last flush
@@ -219,8 +221,10 @@ pub fn gecko_recover(
     // ---- Step 2: GMD — scan spare areas of all translation pages. ------
     let timer = StepTimer::start(&dev);
     let n_tpages = geo.translation_pages() as usize;
-    // All surviving versions of every translation page, sorted by seq.
+    // All surviving versions of every translation page, sorted by seq, and
+    // the newest flush watermark one carries.
     let mut tpage_versions: Vec<Vec<Version>> = vec![Vec::new(); n_tpages];
+    let mut watermark = 0;
     for b in geo.iter_blocks() {
         if bid[b.0 as usize].group != Some(BlockGroup::Translation) {
             continue;
@@ -230,9 +234,15 @@ pub fn gecko_recover(
             let Ok(spare) = dev.read_spare(ppn, IoPurpose::Recovery) else {
                 continue; // torn spare: the page has no identity
             };
-            let SpareInfo::Translation { tpage, before } = spare.info else {
+            let SpareInfo::Translation {
+                tpage,
+                before,
+                watermark: w,
+            } = spare.info
+            else {
                 panic!("translation block holds {:?}", spare.info)
             };
+            watermark = watermark.max(w);
             if !dev.is_written(ppn) {
                 continue; // torn data: never point the GMD at an unreadable page
             }
@@ -270,9 +280,21 @@ pub fn gecko_recover(
         .flatten()
         .flat_map(|r| r.pages.iter().map(|p| p.ppn))
         .collect();
+    // No shard's watermark is below the newest one a translation page
+    // carries (step 2): that MIN was in force when the page was written, and
+    // every shard's watermark only rises. The runs carry it otherwise, but a
+    // merge whose fold dropped every entry can empty a tree, and once its
+    // inputs are erased the tree's watermark is gone from flash. Its flushed
+    // reports were all cancelled by erase markers then, and its lost buffer
+    // holds only reports made since. The engine reclaims the translation
+    // payloads below the floor (docs/DESIGN.md invariant 17).
     let trees = shard_runs
         .into_iter()
-        .map(|rs| LogGecko::from_recovered(geo, gecko_cfg, rs))
+        .map(|rs| {
+            let mut tree = LogGecko::from_recovered(geo, gecko_cfg, rs);
+            tree.raise_flush_floor(watermark);
+            tree
+        })
         .collect();
     let mut gecko = ShardedGecko::from_shards(geo, trees);
     report
@@ -331,23 +353,22 @@ pub fn gecko_recover(
     // them the engine would erase a base the next recovery diffs against,
     // and lose the reports only that diff re-derives.
     //
-    // It also takes over the superseded versions whose payloads this step
-    // may read again (invariant 17): each held named version, with the
-    // newest version naming it, and each version newer than the threshold
-    // that nothing names because its successor is gone (an orphan).
+    // It also takes over every superseded version whose payload a later
+    // recovery may read, against the floor the engine keeps that promise
+    // against, the newest watermark a version carries (step 2): each one a
+    // held version names, with the newest version naming it, while that
+    // one is newer than the floor; and each one nothing names, its successor
+    // gone, while it is newer than the floor itself (an orphan). The rest
+    // are reclaimed here (docs/DESIGN.md invariant 17).
     let mut horizon = 0;
     let mut chain: Vec<(Option<BlockId>, u64)> = Vec::new();
     let (mut superseded, mut orphans) = (Vec::new(), Vec::new());
     for versions in &tpage_versions {
-        let split = versions.partition_point(|v| v.seq <= threshold);
-        if split == versions.len() {
-            continue;
-        }
         let mut namer: Vec<Option<usize>> = vec![None; versions.len()];
-        for (i, v) in versions.iter().enumerate().skip(split) {
-            let base = held_base(&dev, v);
-            chain.push((base.map(|b| geo.block_of(b)), v.seq));
-            if let Some(j) = base.and_then(|b| versions[..i].iter().rposition(|w| w.ppn == b)) {
+        for (i, v) in versions.iter().enumerate() {
+            if let Some(j) =
+                held_base(&dev, v).and_then(|b| versions[..i].iter().rposition(|w| w.ppn == b))
+            {
                 namer[j] = Some(i);
             }
         }
@@ -357,12 +378,24 @@ pub fn gecko_recover(
             successor: versions[i].ppn,
             stamp: versions[i].seq,
         };
-        for (j, namer) in namer.iter().enumerate().take(versions.len() - 1) {
-            match namer {
-                Some(i) => superseded.push(entry(j, *i)),
-                None if j >= split => orphans.push(entry(j, j + 1)),
-                None => {}
+        for (j, namer) in namer
+            .iter()
+            .enumerate()
+            .take(versions.len().saturating_sub(1))
+        {
+            match *namer {
+                Some(i) if versions[i].seq > watermark => superseded.push(entry(j, i)),
+                None if versions[j].seq > watermark => orphans.push(entry(j, j + 1)),
+                _ if !dev.is_reclaimed(versions[j].ppn) => dev.reclaim_payload(versions[j].ppn),
+                _ => {}
             }
+        }
+        let split = versions.partition_point(|v| v.seq <= threshold);
+        if split == versions.len() {
+            continue;
+        }
+        for v in &versions[split..] {
+            chain.push((held_base(&dev, v).map(|b| geo.block_of(b)), v.seq));
         }
         if versions.len() == 1 {
             continue; // a page's only version: nothing to diff, nothing to feed
@@ -594,11 +627,14 @@ pub fn gecko_recover(
     // picking a block it could not erase anyway.
     // A crash before the first checkpoint after resume must walk back over
     // every recreated entry again: they stay dirty until it syncs them.
-    let tt = TranslationTable::from_recovered(
+    let mut tt = TranslationTable::from_recovered(
         geo,
         gmd,
         oldest_recreated.unwrap_or_else(|| dev.now_seq()),
     );
+    // The next version the engine writes carries at least this threshold,
+    // so the floor never falls across recoveries.
+    tt.resume_watermark(watermark, threshold);
     // Built only if a bad user block exists (the common case has none).
     let mut newest: Option<HashMap<flash_sim::Lpn, Ppn>> = None;
     for b in geo.iter_blocks() {

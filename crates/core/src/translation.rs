@@ -70,6 +70,12 @@ pub struct TranslationTable {
     gmd: Vec<Option<Ppn>>,
     /// The checkpoint horizon every version written from now on carries.
     horizon: u64,
+    /// The flush watermark every version written from now on carries in its
+    /// spare area (`SpareInfo::Translation::watermark`).
+    watermark: u64,
+    /// The watermark the newest version written carries: the floor of every
+    /// later GeckoRec's threshold.
+    stamped: u64,
 }
 
 impl TranslationTable {
@@ -79,6 +85,8 @@ impl TranslationTable {
             geo,
             gmd: vec![None; geo.translation_pages() as usize],
             horizon: 0,
+            watermark: 0,
+            stamped: 0,
         }
     }
 
@@ -86,12 +94,37 @@ impl TranslationTable {
     /// recovered cache's dirty entries respect (step 6).
     pub fn from_recovered(geo: Geometry, gmd: Vec<Option<Ppn>>, horizon: u64) -> Self {
         assert_eq!(gmd.len(), geo.translation_pages() as usize);
-        TranslationTable { geo, gmd, horizon }
+        TranslationTable {
+            geo,
+            gmd,
+            horizon,
+            watermark: 0,
+            stamped: 0,
+        }
     }
 
     /// The checkpoint horizon the next version written will carry.
     pub fn horizon(&self) -> u64 {
         self.horizon
+    }
+
+    /// Raise the flush watermark the next version carries to `seq`, the
+    /// validity store's MIN flush watermark now.
+    pub(crate) fn raise_watermark(&mut self, seq: u64) {
+        self.watermark = self.watermark.max(seq);
+    }
+
+    /// The flush watermark the newest version written carries: no GeckoRec
+    /// threshold from now on is lower.
+    pub(crate) fn stamped_watermark(&self) -> u64 {
+        self.stamped
+    }
+
+    /// Resume after recovery: the newest version on flash carries
+    /// `stamped`, and the next one written carries at least `next`.
+    pub(crate) fn resume_watermark(&mut self, stamped: u64, next: u64) {
+        self.stamped = stamped;
+        self.raise_watermark(next);
     }
 
     /// Raise the checkpoint horizon: the engine has just synchronized every
@@ -132,10 +165,15 @@ impl TranslationTable {
                 entries,
                 horizon: self.horizon,
             }),
-            SpareInfo::Translation { tpage, before },
+            SpareInfo::Translation {
+                tpage,
+                before,
+                watermark: self.watermark,
+            },
             purpose,
         );
         self.gmd[tpage as usize] = Some(ppn);
+        self.stamped = self.watermark;
     }
 
     /// Number of translation pages.

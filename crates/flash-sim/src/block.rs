@@ -354,6 +354,7 @@ mod tests {
                     info: SpareInfo::Translation {
                         tpage: r as u32,
                         before: None,
+                        watermark: 0,
                     },
                 }),
             ),

@@ -800,6 +800,7 @@ mod tests {
             SpareInfo::Translation {
                 tpage: 3,
                 before: None,
+                watermark: 0,
             },
             IoPurpose::TranslationSync,
         )

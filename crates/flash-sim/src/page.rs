@@ -73,6 +73,12 @@ pub enum SpareInfo {
         /// verbatim, names what the copied version named while that is
         /// still on flash.
         before: Option<Ppn>,
+        /// The validity store's MIN flush watermark when this version was
+        /// written (0 for stores without one): no report made before it was
+        /// buffered then. GeckoRec's threshold never falls below the newest
+        /// one, even where a merge without output has emptied a tree and
+        /// taken its watermark off flash (docs/DESIGN.md invariant 17).
+        watermark: u64,
     },
     /// A metadata page (Gecko run / PVB / PVL), with a component-specific tag.
     Meta {

@@ -117,22 +117,34 @@ fn unprotected_version(
 /// One translation-page version on flash: `(seq, page, the page it names)`.
 type Version = (u64, Ppn, Option<Ppn>);
 
-/// Invariant 17 for translation pages against the MIN `min`: the first
-/// version of step 4b's read set whose payload was reclaimed, and the first
-/// superseded version outside it that still holds its payload, each as
-/// `(tpage, seq)`; and how many versions on flash are reclaimed.
-fn payload_mismatches(engine: &FtlEngine, min: u64) -> (Option<At>, Option<At>, usize) {
+/// Invariant 17 for translation pages: the first version of step 4b's read
+/// set whose payload was reclaimed, and the first superseded version outside
+/// it that still holds its payload, each as `(tpage, seq)`; and how many
+/// versions on flash are reclaimed. The read set is taken against the floor
+/// of every recovery's threshold, the newest flush watermark a version on
+/// flash carries: the payload promise is kept against it.
+fn payload_mismatches(engine: &FtlEngine) -> (Option<At>, Option<At>, usize) {
     let dev = engine.device();
     let geo = dev.geometry();
     let mut versions: Vec<Vec<Version>> = vec![Vec::new(); geo.translation_pages() as usize];
+    let mut min = 0;
     for b in geo.iter_blocks() {
         for off in 0..dev.written_pages(b) {
             let ppn = geo.ppn(b, PageOffset(off));
-            match dev.peek_spare(ppn).map(|s| (s.seq, s.info)) {
-                Some((seq, SpareInfo::Translation { tpage, before })) if dev.is_written(ppn) => {
-                    versions[tpage as usize].push((seq, ppn, before));
-                }
-                _ => {}
+            let Some((
+                seq,
+                SpareInfo::Translation {
+                    tpage,
+                    before,
+                    watermark,
+                },
+            )) = dev.peek_spare(ppn).map(|s| (s.seq, s.info))
+            else {
+                continue;
+            };
+            min = min.max(watermark);
+            if dev.is_written(ppn) {
+                versions[tpage as usize].push((seq, ppn, before));
             }
         }
     }
@@ -225,7 +237,8 @@ fn dead_run_payload(
 /// What a run of uniform writes did to step 4b's read set, counted in op
 /// boundaries, with the first of each kind:
 /// - incomplete against the durable watermark, and against the MIN, as
-///   `(op, tpage, seq, watermark)`;
+///   `(op, tpage, seq, watermark)` (a copy of the device is recovered at
+///   every op boundary of the second kind);
 /// - a superseded version the durable watermark has not passed lying in an
 ///   unprotected block, as `(op, tpage, seq)`;
 /// - more versions newer than the durable watermark than `K` plus the ones
@@ -293,12 +306,16 @@ fn census(mut engine: FtlEngine, ops: usize, crash_every: Option<usize>) -> Cens
         if let Some((tpage, seq)) = missing_entitled_version(&seen, &on_flash, min) {
             c.min_misses += 1;
             c.first_min_miss.get_or_insert((i, tpage, seq, min));
+            // A power cut here: step 4b must diff the first newer version
+            // against nothing rather than read an older, reclaimed one.
+            let (cfg, gecko_cfg) = (engine.config(), engine.backend().gecko_config());
+            gecko_recover(engine.device().clone(), cfg, gecko_cfg.expect("gecko"));
         }
         if let Some((tpage, seq)) = unprotected_version(&engine, &seen, &on_flash) {
             c.unprotected += 1;
             c.first_unprotected.get_or_insert((i, tpage, seq));
         }
-        let (missing, kept, reclaimed) = payload_mismatches(&engine, min);
+        let (missing, kept, reclaimed) = payload_mismatches(&engine);
         c.most_reclaimed_versions = c.most_reclaimed_versions.max(reclaimed);
         if let Some((tpage, seq)) = missing {
             c.payloads_missing += 1;
@@ -458,4 +475,21 @@ fn payloads_are_held_exactly_while_recovery_may_read_them() {
             assert!(c.most_dead_run_pages > 0, "{at}");
         }
     }
+}
+
+/// DESIGN.md invariant 17 at the boundaries where the MIN misses a base:
+/// with four trees a base released against the durable watermark can be
+/// gone while the MIN has not passed its successor, and a merge without
+/// output can empty a tree and take its watermark off flash. The census
+/// recovers a copy of the device at each op boundary where a base is
+/// missing (a deep buffer, eight-page blocks, a power cut after every third
+/// write), and every such recovery reads only payloads the engine holds.
+/// Reclaiming against the engine's MIN instead of the floor the translation
+/// pages carry made step 4b read a reclaimed one here, after two trees had
+/// been emptied.
+#[test]
+fn recoveries_where_a_base_is_missing_read_only_held_payloads() {
+    let c = census(deep_buffer_engine(8, 4), 4_000, Some(3));
+    assert!(c.min_misses > 0, "no base was missing: {c:?}");
+    assert!(c.payloads_exact(), "{c:?}");
 }

@@ -156,7 +156,7 @@ proptest! {
                         }
                         let info = match group {
                             BlockGroup::User => SpareInfo::User { lpn: Lpn(i), before: None },
-                            BlockGroup::Translation => SpareInfo::Translation { tpage: i, before: None },
+                            BlockGroup::Translation => SpareInfo::Translation { tpage: i, before: None, watermark: 0 },
                             BlockGroup::Meta(kind) => SpareInfo::Meta { kind, tag: MetaTag::Id(i as u64) },
                         };
                         live.push(bm.append(&mut dev, group, PageData::blob_of(i), info, IoPurpose::UserWrite));
