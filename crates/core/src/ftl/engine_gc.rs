@@ -262,13 +262,14 @@ impl FtlEngine {
                 self.counters.gc_migrations += 1;
                 // The copy names the copied version's base while that base
                 // is still on flash (invariant 12: its block is unerased
-                // since the copied version was written) and its payload
-                // still promised to recovery, so step 4b still re-derives
-                // the copied version's reports from it; the copied version
-                // itself is erased with this block. The base's payload is
-                // then kept for the copy.
+                // since the copied version was written) and the copied
+                // version is newer than the threshold floor, so step 4b still
+                // re-derives the copied version's reports from it; the
+                // copied version itself is erased with this block. The
+                // base's payload is then kept for the copy (invariant 17).
+                let floor = self.tt.stamped_watermark();
                 let base = before.filter(|&b| {
-                    self.dev.erase_seq(geo.block_of(b)) < spare.seq && !self.dev.is_reclaimed(b)
+                    self.dev.erase_seq(geo.block_of(b)) < spare.seq && spare.seq > floor
                 });
                 let stamp = self.dev.now_seq();
                 self.tt
