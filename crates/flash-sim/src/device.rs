@@ -215,7 +215,8 @@ impl FlashDevice {
     pub fn read_page(&mut self, ppn: Ppn, purpose: IoPurpose) -> Result<PageData> {
         self.check_ppn(ppn)?;
         let block = self.geo.block_of(ppn);
-        let data = self.payload(ppn).ok_or(FlashError::PageNotWritten(ppn))?;
+        let area = self.blocks[block.0 as usize].data(self.geo.offset_of(ppn));
+        let data = payload(area, ppn).ok_or(FlashError::PageNotWritten(ppn))?;
         self.stats.record_page_read(purpose);
         self.charge_us(block, purpose, IoOp::PageRead, LATENCY.page_read_us);
         Ok(data)
@@ -367,18 +368,11 @@ impl FlashDevice {
     /// algorithms must use [`FlashDevice::read_page`]. Panics like it on a
     /// reclaimed payload.
     pub fn peek_page(&self, ppn: Ppn) -> Option<PageData> {
-        self.payload(ppn)
-    }
-
-    /// The payload of `ppn`, `None` if the page is free or its data area
-    /// torn; panics if it was reclaimed.
-    fn payload(&self, ppn: Ppn) -> Option<PageData> {
         let block = self.geo.block_of(ppn);
-        match self.blocks[block.0 as usize].data(self.geo.offset_of(ppn)) {
-            DataArea::Held(data) => Some(data),
-            DataArea::Lost => None,
-            DataArea::Reclaimed => read_of_reclaimed(ppn),
-        }
+        payload(
+            self.blocks[block.0 as usize].data(self.geo.offset_of(ppn)),
+            ppn,
+        )
     }
 
     /// Drop the payload of a programmed metadata page from host memory, once
@@ -421,6 +415,17 @@ impl FlashDevice {
             DataArea::Held(data) => Some((geo.ppn(block, PageOffset(off)), data)),
             DataArea::Lost | DataArea::Reclaimed => None,
         })
+    }
+}
+
+/// The payload in `ppn`'s data area `area`: `None` if the page is free or
+/// its data area torn; panics if it was reclaimed.
+#[inline]
+fn payload(area: DataArea, ppn: Ppn) -> Option<PageData> {
+    match area {
+        DataArea::Held(data) => Some(data),
+        DataArea::Lost => None,
+        DataArea::Reclaimed => read_of_reclaimed(ppn),
     }
 }
 
