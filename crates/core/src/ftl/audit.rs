@@ -130,7 +130,7 @@ impl FtlEngine {
 
     /// The payload rule, from the side of what may still be read: every
     /// GMD-current translation version, every page of a live run and every
-    /// superseded version the chain still promises step 4b holds its
+    /// version of step 4b's read set the block manager keeps holds its
     /// payload. [`FtlEngine::audit`] adds the mapping targets.
     pub(super) fn check_payloads(&self) -> Result<(), Violation> {
         let held = |ppn: Ppn| self.ensure(!self.dev.is_reclaimed(ppn), Rule::ReclaimedPayload, ppn);
@@ -140,10 +140,7 @@ impl FtlEngine {
         for run in self.backend.gecko().into_iter().flat_map(|g| g.all_runs()) {
             run.pages.iter().try_for_each(|page| held(page.ppn))?;
         }
-        self.bm
-            .pending_superseded()
-            .filter(|s| s.is_held(&self.dev))
-            .try_for_each(|s| held(s.page))
+        self.bm.held_versions().try_for_each(|v| held(v.ppn))
     }
 
     /// Audit the whole device once the engine has quiesced

@@ -23,17 +23,19 @@
 //! running engine takes a link per sync and GeckoRec hands over the links
 //! step 4b read (docs/DESIGN.md, invariants 6 and 14).
 //!
-//! The chain's superseded versions are also the translation payloads
-//! recovery may still read, so this module decides when each one's payload
-//! leaves host memory too ([`FlashDevice::reclaim_payload`], invariant 17).
-//! Step 4b reads every version newer than the persisted MIN watermark and,
-//! as the first one's base, the version that one names. A superseded
-//! version is therefore read while it is newer than the MIN, or while its
-//! successor is newer than the MIN and still on flash; its payload is
-//! reclaimed once neither holds. That is against the MIN — as the floor the
-//! translation pages carry, which no recovery's threshold falls below — not
-//! the durable watermark the protections are released at: recovery cannot
-//! see buffers.
+//! The payloads of translation-page versions follow step 4b's read set
+//! ([`FlashDevice::reclaim_payload`], invariant 17). The block manager keeps,
+//! per translation page, the versions on flash that still hold their
+//! payloads, oldest first and the current one last: every version written
+//! is handed to it. Against the *threshold floor* — the newest flush
+//! watermark a version carries, below which no recovery's threshold falls —
+//! step 4b reads every version newer than the floor and, as the first one's
+//! base, the version that one names; the block manager keeps those and the
+//! current version and reclaims the rest. It judges a page again when one
+//! of its versions is written, when a translation block holding one is
+//! erased, and judges every page when the floor rises. That is against the
+//! floor, not the durable watermark the protections are released at:
+//! recovery cannot see buffers.
 //!
 //! Greedy selection is "the eligible block with the fewest valid pages". A
 //! linear scan over all blocks answers that; [`BlockManager::pick_victim`],
@@ -179,32 +181,15 @@ thread_local! {
     static PICK_EVALUATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// A superseded translation-page version, and the version that superseded
-/// it (its *successor*).
+/// One translation-page version on flash.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Superseded {
-    /// Where the superseded version lies.
-    pub(crate) page: Ppn,
+pub(crate) struct Version {
     /// Its write sequence number.
     pub(crate) seq: u64,
-    /// Where the successor lies.
-    pub(crate) successor: Ppn,
-    /// The successor's write sequence number, the chain link's stamp.
-    pub(crate) stamp: u64,
-}
-
-impl Superseded {
-    /// Whether `page` still holds the version: it was on flash when its
-    /// successor was written, and its block is unerased since (invariant 12).
-    pub(crate) fn is_held(&self, dev: &FlashDevice) -> bool {
-        dev.erase_seq(dev.geometry().block_of(self.page)) < self.stamp
-    }
-
-    fn reclaim(&self, dev: &mut FlashDevice) {
-        if self.is_held(dev) {
-            dev.reclaim_payload(self.page);
-        }
-    }
+    /// Where it lies.
+    pub(crate) ppn: Ppn,
+    /// The version its spare area names as the one it superseded.
+    pub(crate) before: Option<Ppn>,
 }
 
 /// Manager of block allocation, groups and validity counters.
@@ -227,15 +212,14 @@ pub struct BlockManager {
     /// newest stamp of a link protecting it. Ordered, so a release erases
     /// deterministically.
     protected: BTreeMap<BlockId, u64>,
-    /// The superseded translation-page versions step 4b may still read, in
-    /// stamp order: each one's payload is reclaimed once the threshold floor
-    /// passes its successor's stamp ([`BlockManager::reclaim_through`]).
-    superseded: VecDeque<Superseded>,
-    /// Superseded versions whose successor was erased while they were newer
-    /// than the threshold floor: read only while that lasts.
-    orphans: Vec<Superseded>,
-    /// The threshold floor payloads were last reclaimed through.
-    reclaimed_through: u64,
+    /// Per translation page, the versions on flash that still hold their
+    /// payloads, oldest first and the current one last: step 4b's read set
+    /// against `floor`, and the current version
+    /// ([`BlockManager::keep_read_set`]).
+    versions: Vec<Vec<Version>>,
+    /// The threshold floor: the newest flush watermark a translation-page
+    /// version carries, below which no recovery's threshold falls.
+    floor: u64,
     /// Blocks permanently taken out of service after an erase failure. A
     /// retired block stays `InUse` forever — it can never be
     /// erased, so it must never reach the free pool — and is excluded from
@@ -260,9 +244,8 @@ impl BlockManager {
             erase_empty_metadata: true,
             chain: Vec::new(),
             protected: BTreeMap::new(),
-            superseded: VecDeque::new(),
-            orphans: Vec::new(),
-            reclaimed_through: 0,
+            versions: vec![Vec::new(); geo.translation_pages() as usize],
+            floor: 0,
             retired: vec![false; geo.blocks as usize],
             victims: VictimIndex::new(&geo),
         }
@@ -303,9 +286,8 @@ impl BlockManager {
             erase_empty_metadata,
             chain: Vec::new(),
             protected: BTreeMap::new(),
-            superseded: VecDeque::new(),
-            orphans: Vec::new(),
-            reclaimed_through: 0,
+            versions: vec![Vec::new(); geo.translation_pages() as usize],
+            floor: 0,
             retired: vec![false; geo.blocks as usize],
             victims,
         }
@@ -400,84 +382,82 @@ impl BlockManager {
         }
     }
 
-    /// Note that the translation-page version on `s.page` was superseded:
-    /// its payload stays while step 4b may read it. Versions arrive in stamp
-    /// order.
-    pub(crate) fn supersede(&mut self, s: Superseded) {
-        debug_assert!(self.superseded.back().is_none_or(|b| b.stamp <= s.stamp));
-        self.superseded.push_back(s);
-    }
-
-    /// Take over what GeckoRec found still promised: superseded versions
-    /// with the version naming them, and ones whose successor is gone
-    /// (orphans). The block manager must hold none yet.
-    pub(crate) fn adopt_superseded(
+    /// Note a translation-page version just written, carrying the flush
+    /// watermark `watermark`, and keep step 4b's read set.
+    pub(crate) fn note_version(
         &mut self,
-        mut pending: Vec<Superseded>,
-        orphans: Vec<Superseded>,
+        dev: &mut FlashDevice,
+        tpage: u32,
+        version: Version,
+        watermark: u64,
     ) {
-        debug_assert!(self.superseded.is_empty() && self.orphans.is_empty());
-        pending.sort_unstable_by_key(|s| s.stamp);
-        self.superseded = pending.into();
-        self.orphans = orphans;
-    }
-
-    /// A GC migration copied the version `page` superseded and names `page`
-    /// in turn: the base moves to the copy, `successor` stamped `stamp`.
-    pub(crate) fn carry_superseded(&mut self, page: Ppn, successor: Ppn, stamp: u64) {
-        if let Some(i) = self.superseded.iter().position(|s| s.page == page) {
-            let s = self.superseded.remove(i).expect("found");
-            self.supersede(Superseded {
-                successor,
-                stamp,
-                ..s
-            });
+        self.versions[tpage as usize].push(version);
+        if watermark > self.floor {
+            self.floor = watermark;
+            (0..self.versions.len()).for_each(|t| self.keep_read_set(dev, t));
+        } else {
+            self.keep_read_set(dev, tpage as usize);
         }
     }
 
-    /// The superseded versions whose payloads are still promised to
-    /// recovery (the GC auditor's view).
-    pub(crate) fn pending_superseded(&self) -> impl Iterator<Item = &Superseded> {
-        self.superseded.iter().chain(&self.orphans)
+    /// Take over the translation-page versions GeckoRec found on flash, per
+    /// page oldest first, and the floor, and keep step 4b's read set.
+    pub(crate) fn adopt_versions(
+        &mut self,
+        dev: &mut FlashDevice,
+        versions: Vec<Vec<Version>>,
+        floor: u64,
+    ) {
+        (self.versions, self.floor) = (versions, floor);
+        (0..self.versions.len()).for_each(|t| self.keep_read_set(dev, t));
     }
 
-    /// Reclaim the payload of every superseded version step 4b can no
-    /// longer read now that no recovery's threshold is below `min`: those
-    /// whose successor's stamp it has passed, and orphans it has passed.
-    pub(crate) fn reclaim_through(&mut self, dev: &mut FlashDevice, min: u64) {
-        if min <= self.reclaimed_through {
+    /// The threshold floor: no recovery's threshold falls below it.
+    pub(crate) fn floor(&self) -> u64 {
+        self.floor
+    }
+
+    /// The translation-page versions whose payloads recovery may still read
+    /// (the GC auditor's view).
+    pub(crate) fn held_versions(&self) -> impl Iterator<Item = &Version> {
+        self.versions.iter().flatten()
+    }
+
+    /// Step 4b's read set for `tpage` against the floor: every version newer
+    /// than the floor and, if the first of those names the version before
+    /// it, that one — the newest version at or before the floor, its *base*.
+    /// Keep those and the current version, and reclaim the payloads of the
+    /// rest. Every version listed is on flash, so the one before the first
+    /// newer version is still held whenever that version names it.
+    fn keep_read_set(&mut self, dev: &mut FlashDevice, tpage: usize) {
+        let (floor, list) = (self.floor, &mut self.versions[tpage]);
+        let Some(current) = list.len().checked_sub(1) else {
             return;
+        };
+        let split = list.partition_point(|v| v.seq <= floor);
+        let named =
+            split > 0 && split < list.len() && list[split].before == Some(list[split - 1].ppn);
+        let keep = (split - usize::from(named)).min(current);
+        for v in list.drain(..keep) {
+            dev.reclaim_payload(v.ppn);
         }
-        self.reclaimed_through = min;
-        while let Some(s) = self.superseded.front().filter(|s| s.stamp <= min) {
-            s.reclaim(dev);
-            self.superseded.pop_front();
+        // A list would otherwise keep its peak capacity for good.
+        if list.capacity() > 4 * list.len() {
+            list.shrink_to(2 * list.len());
         }
-        self.orphans.retain(|s| {
-            let due = s.seq <= min;
-            if due {
-                s.reclaim(dev);
-            }
-            !due
-        });
     }
 
-    /// `block`, a translation block, has just been erased: a superseded
-    /// version whose successor it held is read from now on only while it
-    /// is newer than the threshold.
-    fn successors_erased(&mut self, dev: &mut FlashDevice, block: BlockId) {
-        let (geo, min, orphans) = (self.geo, self.reclaimed_through, &mut self.orphans);
-        self.superseded.retain(|s| {
-            if geo.block_of(s.successor) != block {
-                return true;
+    /// `block`, a translation block, has just been erased: drop the versions
+    /// it held and keep the read set of each page that held one.
+    fn versions_erased(&mut self, dev: &mut FlashDevice, block: BlockId) {
+        for tpage in 0..self.versions.len() {
+            let list = &mut self.versions[tpage];
+            let held = list.len();
+            list.retain(|v| self.geo.block_of(v.ppn) != block);
+            if list.len() < held {
+                self.keep_read_set(dev, tpage);
             }
-            if s.seq <= min {
-                s.reclaim(dev);
-            } else {
-                orphans.push(*s);
-            }
-            false
-        });
+        }
     }
 
     /// Integrated-RAM footprint of BVC: 2 bytes per block (Appendix B).
@@ -609,7 +589,7 @@ impl BlockManager {
             Ok(()) => {
                 self.unfile(block);
                 if self.state[i] == BlockState::InUse(BlockGroup::Translation) {
-                    self.successors_erased(dev, block);
+                    self.versions_erased(dev, block);
                 }
                 self.state[i] = BlockState::Free;
                 self.bvc[i] = 0;

@@ -265,19 +265,15 @@ impl FtlEngine {
                 // since the copied version was written) and the copied
                 // version is newer than the threshold floor, so step 4b still
                 // re-derives the copied version's reports from it; the
-                // copied version itself is erased with this block. The
-                // base's payload is then kept for the copy (invariant 17).
-                let floor = self.tt.stamped_watermark();
+                // copied version itself is erased with this block. The base
+                // is then the version before the copy, and keeps its payload
+                // as the copy's base (invariant 17).
+                let floor = self.bm.floor();
                 let base = before.filter(|&b| {
                     self.dev.erase_seq(geo.block_of(b)) < spare.seq && spare.seq > floor
                 });
-                let stamp = self.dev.now_seq();
                 self.tt
                     .migrate_tpage(&mut self.dev, &mut self.bm, tpage, base);
-                if let Some(base) = base {
-                    let copy = self.tt.tpage_location(tpage).expect("just written");
-                    self.bm.carry_superseded(base, copy, stamp);
-                }
             }
         }
         self.bm

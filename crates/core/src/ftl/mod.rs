@@ -25,7 +25,6 @@ mod engine_gc;
 mod host;
 
 pub use audit::{Rule, Violation};
-use block_manager::Superseded;
 pub use block_manager::{BlockGroup, BlockManager, BlockState};
 pub use host::{Completion, FtlError, HostOp, HostOpKind};
 
@@ -723,9 +722,8 @@ impl FtlEngine {
         self.cache.remove(lpn);
         // Keep the pre-unmap version findable for recovery's diffs, exactly
         // as sync_tpage protects the pre-sync version.
-        let superseded = self.protect_tpage_version(tpage);
+        self.protect_tpage_version(tpage);
         let before = self.tt.unmap(&mut self.dev, &mut self.bm, lpn);
-        self.note_superseded(tpage, superseded);
         if let Some(ppn) = before {
             self.report_invalid(&[ppn], &[false]);
         }
@@ -875,10 +873,10 @@ impl FtlEngine {
     /// The protection must be in place *before* that write marks the old
     /// version obsolete — otherwise its block can become empty and be erased
     /// on the spot, leaving a gap in the version chain recovery diffs.
-    /// Returns the current version and the stamp the superseding one will
-    /// get, for [`FtlEngine::note_superseded`] (`None` without Gecko).
-    fn protect_tpage_version(&mut self, tpage: u32) -> Option<(Ppn, u64)> {
-        self.backend.gecko()?;
+    fn protect_tpage_version(&mut self, tpage: u32) {
+        if self.backend.gecko().is_none() {
+            return;
+        }
         // Bound the protected set: when it has grown past a handful of
         // blocks, force a Gecko flush — this makes every buffered report
         // durable and releases every protection (the paper bounds its
@@ -893,33 +891,8 @@ impl FtlEngine {
         // old version is needed until that version's reports are durable.
         let geo = self.geometry();
         let old = self.tt.tpage_location(tpage);
-        let stamp = self.dev.now_seq();
-        self.bm.protect(old.map(|p| geo.block_of(p)), stamp);
-        Some((old?, stamp))
-    }
-
-    /// After a write that may have superseded `tpage`'s version `protected`
-    /// (what [`FtlEngine::protect_tpage_version`] returned): if it did, hand
-    /// the superseded version to the block manager, which reclaims its
-    /// payload once step 4b can no longer read it (DESIGN.md invariant 17).
-    /// An aborted sync or a no-op unmap wrote nothing, and the version is
-    /// still the current one.
-    fn note_superseded(&mut self, tpage: u32, protected: Option<(Ppn, u64)>) {
-        let Some((page, stamp)) = protected else {
-            return;
-        };
-        let successor = self.tt.tpage_location(tpage).expect("a formatted table");
-        if successor != page {
-            // The seq from the spare area the engine wrote: host bookkeeping,
-            // no IO.
-            let seq = self.dev.peek_spare(page).expect("superseded version").seq;
-            self.bm.supersede(Superseded {
-                page,
-                seq,
-                successor,
-                stamp,
-            });
-        }
+        self.bm
+            .protect(old.map(|p| geo.block_of(p)), self.dev.now_seq());
     }
 
     /// Synchronization operation (§4): push every dirty cached entry of one
@@ -946,10 +919,9 @@ impl FtlEngine {
             return;
         }
         self.counters.syncs += 1;
-        let superseded = self.protect_tpage_version(tpage);
+        self.protect_tpage_version(tpage);
         self.tt
             .synchronize_into(&mut self.dev, &mut self.bm, tpage, updates, outcome);
-        self.note_superseded(tpage, superseded);
         if outcome.aborted {
             self.counters.syncs_aborted += 1;
         }
@@ -1114,8 +1086,9 @@ impl FtlEngine {
     /// Advance the durable watermark and release the version chain through
     /// it; the block manager erases any released block that has become empty
     /// (DESIGN.md invariant 6). Then hand the MIN to the translation pages
-    /// written next, and reclaim the payloads that no recovery's threshold,
-    /// never below the newest version's watermark, can reach (invariant 17).
+    /// written next: the newest version's is the floor of every recovery's
+    /// threshold, which the block manager keeps payloads against
+    /// (invariant 17).
     fn after_validity_op(&mut self) {
         let Some(gecko) = self.backend.gecko() else {
             return;
@@ -1130,7 +1103,5 @@ impl FtlEngine {
             self.durable = durable;
             self.bm.release_through(&mut self.dev, durable);
         }
-        self.bm
-            .reclaim_through(&mut self.dev, self.tt.stamped_watermark());
     }
 }

@@ -25,8 +25,10 @@
 //!    once, with an erase-timestamp check that also handles physical page
 //!    reuse. The versions diffed become the engine's version chain, so their
 //!    blocks stay protected until their reports are durable again and the
-//!    next recovery can read them, and their payloads stay in host memory
-//!    while it may (docs/DESIGN.md invariants 14 and 17).
+//!    next recovery can read them. Step 2's versions go to the engine's
+//!    block manager, which keeps the payloads of step 4b's read set against
+//!    the floor step 2 found and reclaims the rest (docs/DESIGN.md
+//!    invariants 14 and 17).
 //! 5. **BVC** — rebuild per-block valid counts from a full scan of
 //!    Logarithmic Gecko plus the recovered buffer, reading only the live run
 //!    pages step 3 did not, so each is read once across the two steps.
@@ -43,7 +45,7 @@
 //!    invariant 13).
 
 use crate::cache::{CacheEntry, MappingCache};
-use crate::ftl::block_manager::{BlockGroup, BlockManager, BlockState, Superseded};
+use crate::ftl::block_manager::{BlockGroup, BlockManager, BlockState, Version};
 use crate::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveredInvalid, ValidityBackend};
 use crate::gecko::sharded::shard_index;
 use crate::gecko::{
@@ -121,15 +123,6 @@ struct BidEntry {
     /// Sequence number of the block's first written page (0 if empty).
     first_seq: u64,
     written: u32,
-}
-
-/// One translation-page version on flash, as step 2's spare scan found it.
-#[derive(Clone, Copy, Debug)]
-struct Version {
-    seq: u64,
-    ppn: Ppn,
-    /// The version its spare area names as the one it superseded.
-    before: Option<Ppn>,
 }
 
 struct StepTimer {
@@ -353,43 +346,13 @@ pub fn gecko_recover(
     // them the engine would erase a base the next recovery diffs against,
     // and lose the reports only that diff re-derives.
     //
-    // It also takes over every superseded version whose payload a later
-    // recovery may read, against the floor the engine keeps that promise
-    // against, the newest watermark a version carries (step 2): each one a
-    // held version names, with the newest version naming it, while that
-    // one is newer than the floor; and each one nothing names, its successor
-    // gone, while it is newer than the floor itself (an orphan). The rest
-    // are reclaimed here (docs/DESIGN.md invariant 17).
+    // The threshold is never below the floor step 2 found, so every version
+    // read here is one whose payload the engine keeps
+    // (`BlockManager::keep_read_set`, which step 8 applies to step 2's
+    // versions).
     let mut horizon = 0;
     let mut chain: Vec<(Option<BlockId>, u64)> = Vec::new();
-    let (mut superseded, mut orphans) = (Vec::new(), Vec::new());
     for versions in &tpage_versions {
-        let mut namer: Vec<Option<usize>> = vec![None; versions.len()];
-        for (i, v) in versions.iter().enumerate() {
-            if let Some(j) =
-                held_base(&dev, v).and_then(|b| versions[..i].iter().rposition(|w| w.ppn == b))
-            {
-                namer[j] = Some(i);
-            }
-        }
-        let entry = |j: usize, i: usize| Superseded {
-            page: versions[j].ppn,
-            seq: versions[j].seq,
-            successor: versions[i].ppn,
-            stamp: versions[i].seq,
-        };
-        for (j, namer) in namer
-            .iter()
-            .enumerate()
-            .take(versions.len().saturating_sub(1))
-        {
-            match *namer {
-                Some(i) if versions[i].seq > watermark => superseded.push(entry(j, i)),
-                None if versions[j].seq > watermark => orphans.push(entry(j, j + 1)),
-                _ if !dev.is_reclaimed(versions[j].ppn) => dev.reclaim_payload(versions[j].ppn),
-                _ => {}
-            }
-        }
         let split = versions.partition_point(|v| v.seq <= threshold);
         if split == versions.len() {
             continue;
@@ -634,7 +597,7 @@ pub fn gecko_recover(
     );
     // The next version the engine writes carries at least this threshold,
     // so the floor never falls across recoveries.
-    tt.resume_watermark(watermark, threshold);
+    tt.raise_watermark(threshold);
     // Built only if a bad user block exists (the common case has none).
     let mut newest: Option<HashMap<flash_sim::Lpn, Ppn>> = None;
     for b in geo.iter_blocks() {
@@ -689,7 +652,9 @@ pub fn gecko_recover(
     for (block, stamp) in chain {
         bm.protect(block, stamp);
     }
-    bm.adopt_superseded(superseded, orphans);
+    // The engine keeps the payloads of step 4b's read set against the floor
+    // step 2 found and reclaims the rest (docs/DESIGN.md invariant 17).
+    bm.adopt_versions(&mut dev, tpage_versions, watermark);
     // Re-adopt each group's partially written block as its active block —
     // unless the block is bad: its write pointer will never advance again,
     // so the group starts on a fresh block and GC drains the bad one.

@@ -14,7 +14,7 @@
 //! the table held before the update) so the caller can report invalidated
 //! user pages to the validity store (§4.1's UIP protocol).
 
-use crate::ftl::block_manager::{BlockGroup, BlockManager};
+use crate::ftl::block_manager::{BlockGroup, BlockManager, Version};
 use flash_sim::{FlashDevice, Geometry, IoPurpose, Lpn, PageData, Ppn, SpareInfo};
 
 /// Sentinel for "logical page never written".
@@ -73,9 +73,6 @@ pub struct TranslationTable {
     /// The flush watermark every version written from now on carries in its
     /// spare area (`SpareInfo::Translation::watermark`).
     watermark: u64,
-    /// The watermark the newest version written carries: the floor of every
-    /// later GeckoRec's threshold.
-    stamped: u64,
 }
 
 impl TranslationTable {
@@ -86,7 +83,6 @@ impl TranslationTable {
             gmd: vec![None; geo.translation_pages() as usize],
             horizon: 0,
             watermark: 0,
-            stamped: 0,
         }
     }
 
@@ -99,7 +95,6 @@ impl TranslationTable {
             gmd,
             horizon,
             watermark: 0,
-            stamped: 0,
         }
     }
 
@@ -112,19 +107,6 @@ impl TranslationTable {
     /// validity store's MIN flush watermark now.
     pub(crate) fn raise_watermark(&mut self, seq: u64) {
         self.watermark = self.watermark.max(seq);
-    }
-
-    /// The flush watermark the newest version written carries: no GeckoRec
-    /// threshold from now on is lower.
-    pub(crate) fn stamped_watermark(&self) -> u64 {
-        self.stamped
-    }
-
-    /// Resume after recovery: the newest version on flash carries
-    /// `stamped`, and the next one written carries at least `next`.
-    pub(crate) fn resume_watermark(&mut self, stamped: u64, next: u64) {
-        self.stamped = stamped;
-        self.raise_watermark(next);
     }
 
     /// Raise the checkpoint horizon: the engine has just synchronized every
@@ -146,8 +128,9 @@ impl TranslationTable {
 
     /// Append a new version of translation page `tpage` holding `entries`
     /// to the translation group, its spare area naming `before`, and
-    /// repoint the GMD at it. Reporting the version it replaces obsolete is
-    /// the caller's business.
+    /// repoint the GMD at it, and hand it to the block manager, which keeps
+    /// the payloads recovery may read. Reporting the version it replaces
+    /// obsolete is the caller's business.
     fn write_version(
         &mut self,
         dev: &mut FlashDevice,
@@ -157,6 +140,8 @@ impl TranslationTable {
         before: Option<Ppn>,
         purpose: IoPurpose,
     ) {
+        // A failed program takes no sequence number.
+        let seq = dev.now_seq();
         let ppn = bm.append(
             dev,
             BlockGroup::Translation,
@@ -173,7 +158,7 @@ impl TranslationTable {
             purpose,
         );
         self.gmd[tpage as usize] = Some(ppn);
-        self.stamped = self.watermark;
+        bm.note_version(dev, tpage, Version { seq, ppn, before }, self.watermark);
     }
 
     /// Number of translation pages.
