@@ -10,9 +10,11 @@
 //! re-derives; GC would then migrate a stale copy, whose newer seq makes it
 //! win over the acknowledged one.
 //!
-//! One hole is left, pinned by the micro-device test: the erased trail, a
+//! Two holes are left, each pinned by a failing storm: the erased trail, a
 //! user block erased before a flush while it holds the only before-pointer
-//! to a page whose report is still buffered.
+//! to a page whose report is still buffered (on the micro device); and
+//! greedy GC's translation copies, which Gecko with `GcPolicy::GreedyAll`
+//! cannot recover from.
 //!
 //! And one known, harmless divergence is pinned: a merge whose fold drops
 //! every entry leaves no run on flash that records its inputs' death, so
@@ -20,7 +22,7 @@
 
 use flash_sim::{BlockId, Geometry, Lpn};
 use ftl_workloads::Oracle;
-use geckoftl_core::ftl::{BlockGroup, FtlConfig, FtlEngine, ValidityBackend};
+use geckoftl_core::ftl::{BlockGroup, FtlConfig, FtlEngine, GcPolicy, ValidityBackend};
 use geckoftl_core::gecko::{Bitmap, GeckoConfig};
 use geckoftl_core::recovery::gecko_recover;
 use std::collections::BTreeMap;
@@ -37,6 +39,11 @@ fn engine(geo: Geometry, cache_entries: usize, shards: u32) -> FtlEngine {
         cache_entries,
         ..FtlConfig::geckoftl(&geo)
     };
+    engine_with(geo, cfg, shards)
+}
+
+/// [`engine`] with the FTL configuration `cfg`.
+fn engine_with(geo: Geometry, cfg: FtlConfig, shards: u32) -> FtlEngine {
     let gecko = GeckoConfig {
         page_header_bytes: geo.page_bytes - 64,
         shards,
@@ -111,6 +118,35 @@ fn crash_storms_lose_no_acknowledged_write() {
 fn gc_auditor_fails_at_the_erased_trail() {
     let micro = engine(Geometry::new(32, 4, 4096, 0.5), 8, 1);
     storm(micro, 22, 3_000, None);
+}
+
+/// ROADMAP item 1's greedy hole: Gecko with `GcPolicy::GreedyAll` is not
+/// crash-safe. Greedy GC migrates translation pages, and a copy carries the
+/// copied version's mappings, which can name a user page whose block was
+/// erased before the copy was written; invariant 12's erase-timestamp rule
+/// then keeps a page the version no longer holds, and step 4b reports it
+/// invalid. Item 1's recipe — the storm on six translation pages, a
+/// 16-entry cache, one tree — fails at seed 3 in every profile: under debug
+/// assertions at step 4b's cross-check, in release when a read reaches a
+/// page of an erased block. (Seed 0 fails only under debug assertions.) The
+/// pin flips when the hole is fixed.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    should_panic(expected = "erase timestamp and spare area disagree on P406")
+)]
+#[cfg_attr(
+    not(debug_assertions),
+    should_panic(expected = "mapped page readable: PageNotWritten(P940)")
+)]
+fn greedy_gc_storm_reports_a_page_a_copy_no_longer_holds() {
+    let geo = Geometry::new(64, 32, 1 << 10, 0.7);
+    let cfg = FtlConfig {
+        cache_entries: 16,
+        gc_policy: GcPolicy::GreedyAll,
+        ..FtlConfig::geckoftl(&geo)
+    };
+    storm(engine_with(geo, cfg, 1), 3, 3_000, None);
 }
 
 /// The ids of every shard's live runs.

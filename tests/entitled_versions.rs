@@ -29,10 +29,10 @@
 //! against the MIN, which versions and run pages hold their payloads.
 
 use gecko_bench::harness::{small_gecko_engine, OpDriver};
-use geckoftl::flash_sim::{BlockId, Geometry, MetaTag, PageOffset, Ppn, SpareInfo};
+use geckoftl::flash_sim::{BlockId, Geometry, Lpn, MetaTag, PageOffset, Ppn, SpareInfo};
 use geckoftl::ftl_workloads::Uniform;
 use geckoftl::geckoftl_core::ftl::{
-    FtlConfig, FtlEngine, ValidityBackend, MAX_PROTECTED_BLOCKS, MAX_UNFLUSHED_VERSIONS,
+    FtlConfig, FtlEngine, GcPolicy, ValidityBackend, MAX_PROTECTED_BLOCKS, MAX_UNFLUSHED_VERSIONS,
 };
 use geckoftl::geckoftl_core::gecko::GeckoConfig;
 use geckoftl::geckoftl_core::recovery::gecko_recover;
@@ -234,6 +234,39 @@ fn dead_run_payload(
     (first, pages)
 }
 
+/// Add to `copies` the seq of every translation-page version on flash that
+/// a GC migration wrote naming a base. A sync or an unmap names the version
+/// before it; a copy names what the version it copied named, so its spare
+/// area names the same page as the version before it. `befores` collects
+/// what each version ever seen names, by seq.
+fn copies_naming_a_base(
+    engine: &FtlEngine,
+    seen: &Seen,
+    befores: &mut HashMap<u64, Ppn>,
+    copies: &mut HashSet<u64>,
+) {
+    let dev = engine.device();
+    let geo = dev.geometry();
+    for b in geo.iter_blocks() {
+        for off in 0..dev.written_pages(b) {
+            if let Some(spare) = dev.peek_spare(geo.ppn(b, PageOffset(off))) {
+                if let SpareInfo::Translation {
+                    tpage,
+                    before: Some(base),
+                    ..
+                } = spare.info
+                {
+                    befores.insert(spare.seq, base);
+                    let prev = seen.range((tpage, 0)..(tpage, spare.seq)).next_back();
+                    if prev.is_some_and(|(_, p)| befores.get(p) == Some(&base)) {
+                        copies.insert(spare.seq);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// What a run of uniform writes did to step 4b's read set, counted in op
 /// boundaries, with the first of each kind:
 /// - incomplete against the durable watermark, and against the MIN, as
@@ -270,6 +303,8 @@ struct Census {
     /// on flash at one op boundary with their payloads reclaimed.
     most_reclaimed_versions: usize,
     most_dead_run_pages: usize,
+    /// Translation-page versions GC copies wrote naming a base.
+    base_copies: usize,
 }
 
 impl Census {
@@ -282,11 +317,23 @@ impl Census {
 /// The census of `ops` uniform writes; with `crash_every = Some(n)`, the
 /// power is cut after every `n`-th write (once it is counted) and GeckoRec
 /// recovers, so the census also covers engines out of recovery.
-fn census(mut engine: FtlEngine, ops: usize, crash_every: Option<usize>) -> Census {
+fn census(engine: FtlEngine, ops: usize, crash_every: Option<usize>) -> Census {
+    census_with(engine, ops, crash_every, true)
+}
+
+/// [`census`], recovering a copy of the device where a base is missing
+/// against the MIN only if `recover_at_misses`.
+fn census_with(
+    mut engine: FtlEngine,
+    ops: usize,
+    crash_every: Option<usize>,
+    recover_at_misses: bool,
+) -> Census {
     let logical = engine.geometry().logical_pages();
     let mut driver = OpDriver::new(0);
     let mut seen = Seen::new();
     let mut ever_live = HashSet::new();
+    let (mut befores, mut copies) = (HashMap::new(), HashSet::new());
     let mut c = Census::default();
     let flushes = |e: &FtlEngine| e.backend().gecko_stats().expect("gecko").flushes;
     for (i, op) in Uniform::new(7, logical).take(ops).enumerate() {
@@ -297,6 +344,7 @@ fn census(mut engine: FtlEngine, ops: usize, crash_every: Option<usize>) -> Cens
             c.forced_flushes += 1;
         }
         let on_flash = versions_on_flash(&engine, &mut seen);
+        copies_naming_a_base(&engine, &seen, &mut befores, &mut copies);
         let durable = engine.durable_watermark();
         let min = engine.backend().gecko().expect("gecko").last_flush_seq();
         if let Some((tpage, seq)) = missing_entitled_version(&seen, &on_flash, durable) {
@@ -308,8 +356,10 @@ fn census(mut engine: FtlEngine, ops: usize, crash_every: Option<usize>) -> Cens
             c.first_min_miss.get_or_insert((i, tpage, seq, min));
             // A power cut here: step 4b must diff the first newer version
             // against nothing rather than read an older, reclaimed one.
-            let (cfg, gecko_cfg) = (engine.config(), engine.backend().gecko_config());
-            gecko_recover(engine.device().clone(), cfg, gecko_cfg.expect("gecko"));
+            if recover_at_misses {
+                let (cfg, gecko_cfg) = (engine.config(), engine.backend().gecko_config());
+                gecko_recover(engine.device().clone(), cfg, gecko_cfg.expect("gecko"));
+            }
         }
         if let Some((tpage, seq)) = unprotected_version(&engine, &seen, &on_flash) {
             c.unprotected += 1;
@@ -342,6 +392,7 @@ fn census(mut engine: FtlEngine, ops: usize, crash_every: Option<usize>) -> Cens
             engine = gecko_recover(engine.crash(), cfg, gecko_cfg.expect("gecko")).0;
         }
     }
+    c.base_copies = copies.len();
     c
 }
 
@@ -492,4 +543,71 @@ fn recoveries_where_a_base_is_missing_read_only_held_payloads() {
     let c = census(deep_buffer_engine(8, 4), 4_000, Some(3));
     assert!(c.min_misses > 0, "no base was missing: {c:?}");
     assert!(c.payloads_exact(), "{c:?}");
+}
+
+/// DESIGN.md invariant 17 once a tree is emptied: a merge whose fold drops
+/// every entry leaves its tree without a run, and once the inputs' blocks
+/// are erased, the tree's flush watermark is gone from flash. GeckoRec then
+/// raises every tree's watermark to the floor the translation pages carry.
+/// A sequential fill, a power cut before any Gecko flush, and rewrites of
+/// the 32 newest LPNs on the tiny geometry with four trees make such merges:
+/// step 4a's erase markers cancel the first flushes' entries. A copy of the
+/// device is recovered after every rewrite, and some recoveries find a tree
+/// without a run and a watermark taken from the floor; every one reads only
+/// held payloads. Without the raise, step 4b read against the lost
+/// watermark and reached a reclaimed payload at rewrite 1 552.
+#[test]
+fn recoveries_after_a_tree_is_emptied_read_only_held_payloads() {
+    let mut engine = small_gecko_engine(Geometry::tiny(), 16, 4);
+    let (cfg, gecko_cfg) = (engine.config(), engine.backend().gecko_config().unwrap());
+    let logical = engine.geometry().logical_pages() as u32;
+    for lpn in 0..logical {
+        engine.write(Lpn(lpn), 1);
+    }
+    engine = gecko_recover(engine.crash(), cfg, gecko_cfg).0;
+    let mut emptied = 0;
+    for op in 0..1_600 {
+        engine.write(Lpn(logical - 1 - op % 32), op.into());
+        let (recovered, _) = gecko_recover(engine.device().clone(), cfg, gecko_cfg);
+        let gecko = recovered.backend().gecko().expect("gecko");
+        let mut watermarks = gecko.shard_flush_seqs();
+        for run in gecko.all_runs() {
+            watermarks[run.pages[0].first.block.0 as usize % gecko_cfg.shards as usize] = 0;
+        }
+        // A tree without a run whose watermark is not 0 took the floor.
+        emptied += usize::from(watermarks.iter().any(|&w| w > 0));
+    }
+    assert!(emptied > 0, "no recovery found an emptied tree");
+}
+
+/// Greedy GC migrates translation pages (`GcPolicy::GreedyAll`, the
+/// baselines' policy, run here with Gecko): the copy of a version newer than
+/// the floor names that version's base, and the copied version is erased
+/// with the victim. After every op of uniform writes, with one tree and with
+/// four, the payloads are still exactly step 4b's read set. On this geometry
+/// with a 32-entry cache such copies occur at both tree counts (10 and 2
+/// copies). Base misses are not asserted: Gecko with greedy GC is not
+/// crash-safe (ROADMAP item 1), and a copy erases a version of the read set
+/// at hundreds of op boundaries here. Nor is the device recovered there: the
+/// hole trips step 4b's debug cross-check (`crash_storm.rs` pins it).
+#[test]
+fn greedy_gc_copies_keep_the_payloads_exact() {
+    let geo = Geometry::new(128, 4, 1 << 10, 0.6);
+    for shards in [1, 4] {
+        let cfg = FtlConfig {
+            cache_entries: 32,
+            gc_policy: GcPolicy::GreedyAll,
+            ..FtlConfig::geckoftl(&geo)
+        };
+        let gecko_cfg = GeckoConfig {
+            page_header_bytes: geo.page_bytes - 64,
+            shards,
+            ..GeckoConfig::paper_default(&geo)
+        };
+        let engine = FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg));
+        let c = census_with(engine, 4_000, None, false);
+        let at = format!("shards = {shards}: {c:?}");
+        assert!(c.base_copies > 0, "no GC copy named a base: {at}");
+        assert!(c.payloads_exact(), "{at}");
+    }
 }
