@@ -149,13 +149,6 @@ pub struct GeckoKey {
     pub part: u16,
 }
 
-impl GeckoKey {
-    /// Key of the first sub-entry of a block.
-    pub fn first_of(block: BlockId) -> Self {
-        GeckoKey { block, part: 0 }
-    }
-}
-
 /// A Gecko entry (Figure 3): key, page-validity bitmap slice, erase flag.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct GeckoEntry {
@@ -306,18 +299,14 @@ mod tests {
             part: 1,
         };
         assert!(a < b && b < c);
-        assert_eq!(
-            GeckoKey::first_of(BlockId(2)),
-            GeckoKey {
-                block: BlockId(2),
-                part: 0
-            }
-        );
     }
 
     #[test]
     fn collision_erase_flag_discards_older() {
-        let key = GeckoKey::first_of(BlockId(5));
+        let key = GeckoKey {
+            block: BlockId(5),
+            part: 0,
+        };
         let mut merged = GeckoEntry::erase_marker(key, 8);
         let mut older = GeckoEntry::blank(key, 8);
         older.bitmap.set(3);
@@ -331,7 +320,10 @@ mod tests {
 
     #[test]
     fn collision_or_merges_and_keeps_older_erase_flag() {
-        let key = GeckoKey::first_of(BlockId(5));
+        let key = GeckoKey {
+            block: BlockId(5),
+            part: 0,
+        };
         let mut merged = GeckoEntry::blank(key, 8);
         merged.bitmap.set(1);
         let mut older = GeckoEntry::erase_marker(key, 8);

@@ -56,11 +56,6 @@ impl SimClock {
     pub fn advance_us(&mut self, us: f64) {
         self.now_us += us;
     }
-
-    /// Reset to time zero (used when re-basing measurements).
-    pub fn reset(&mut self) {
-        self.now_us = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -80,7 +75,5 @@ mod tests {
         c.advance_us(100.0);
         c.advance_us(1000.0);
         assert!((c.now_us() - 1100.0).abs() < 1e-9);
-        c.reset();
-        assert_eq!(c.now_us(), 0.0);
     }
 }

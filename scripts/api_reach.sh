@@ -11,7 +11,8 @@
 # benchmark/), test-only (called only from tests/, crates/*/tests/ or a
 # `#[cfg(test)]` item) and unused. The count is by name, not by resolved path,
 # so a name the library uses anywhere is library use: the script nominates,
-# a reader decides.
+# a reader decides. Last it prints `library lines: N`, the non-blank lines of
+# that same code: one size for the library, counted one way.
 #
 # Exits 1 if a name outside the library list is missing from
 # scripts/api_reach.allow, or if an entry there names a function that is now
@@ -84,6 +85,7 @@ for list in library adapter-only test-only unused; do
     echo "== $list: $count names (call sites in parentheses)"
     awk -v l="$list" '$1 == l { printf "  %s (%d)\n", $2, $3 }' "$tmp/reach"
 done
+echo "library lines: $(grep -c '[^[:space:]]' "$tmp/library")"
 
 status=0
 while read -r list name _; do
