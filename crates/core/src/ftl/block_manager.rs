@@ -27,15 +27,15 @@
 //! ([`FlashDevice::reclaim_payload`], invariant 17). The block manager keeps,
 //! per translation page, the versions on flash that still hold their
 //! payloads, oldest first and the current one last: every version written
-//! is handed to it. Against the *threshold floor* — the newest flush
-//! watermark a version carries, below which no recovery's threshold falls —
-//! step 4b reads every version newer than the floor and, as the first one's
-//! base, the version that one names; the block manager keeps those and the
-//! current version and reclaims the rest. It judges a page again when one
-//! of its versions is written, when a translation block holding one is
-//! erased, and judges every page when the floor rises. That is against the
-//! floor, not the durable watermark the protections are released at:
-//! recovery cannot see buffers.
+//! is handed to it. Against the *floor* — the validity store's MIN flush
+//! watermark, which the runs on flash keep, so that no recovery's threshold
+//! falls below it — step 4b reads every version newer than the floor and,
+//! as the first one's base, the version that one names; the block manager
+//! keeps those and the current version and reclaims the rest. It judges a
+//! page again when one of its versions is written, when a translation block
+//! holding one is erased, and judges every page when the floor rises. That
+//! is against the MIN, not the durable watermark the protections are
+//! released at: recovery cannot see buffers.
 //!
 //! Greedy selection is "the eligible block with the fewest valid pages". A
 //! linear scan over all blocks answers that; [`BlockManager::pick_victim`],
@@ -217,8 +217,8 @@ pub struct BlockManager {
     /// against `floor`, and the current version
     /// ([`BlockManager::keep_read_set`]).
     versions: Vec<Vec<Version>>,
-    /// The threshold floor: the newest flush watermark a translation-page
-    /// version carries, below which no recovery's threshold falls.
+    /// The floor: the validity store's MIN flush watermark as the engine
+    /// last raised it, below which no recovery's threshold falls.
     floor: u64,
     /// Blocks permanently taken out of service after an erase failure. A
     /// retired block stays `InUse` forever — it can never be
@@ -382,26 +382,25 @@ impl BlockManager {
         }
     }
 
-    /// Note a translation-page version just written, carrying the flush
-    /// watermark `watermark`, and keep step 4b's read set.
-    pub(crate) fn note_version(
-        &mut self,
-        dev: &mut FlashDevice,
-        tpage: u32,
-        version: Version,
-        watermark: u64,
-    ) {
+    /// Note a translation-page version just written and keep its page's
+    /// step 4b read set.
+    pub(crate) fn note_version(&mut self, dev: &mut FlashDevice, tpage: u32, version: Version) {
         self.versions[tpage as usize].push(version);
-        if watermark > self.floor {
-            self.floor = watermark;
+        self.keep_read_set(dev, tpage as usize);
+    }
+
+    /// Raise the floor to `seq`, the validity store's MIN flush watermark
+    /// now, and keep every page's step 4b read set if it rose.
+    pub(crate) fn raise_floor(&mut self, dev: &mut FlashDevice, seq: u64) {
+        if seq > self.floor {
+            self.floor = seq;
             (0..self.versions.len()).for_each(|t| self.keep_read_set(dev, t));
-        } else {
-            self.keep_read_set(dev, tpage as usize);
         }
     }
 
     /// Take over the translation-page versions GeckoRec found on flash, per
-    /// page oldest first, and the floor, and keep step 4b's read set.
+    /// page oldest first, and the floor, its threshold, and keep step 4b's
+    /// read set.
     pub(crate) fn adopt_versions(
         &mut self,
         dev: &mut FlashDevice,
@@ -412,7 +411,7 @@ impl BlockManager {
         (0..self.versions.len()).for_each(|t| self.keep_read_set(dev, t));
     }
 
-    /// The threshold floor: no recovery's threshold falls below it.
+    /// The floor: no recovery's threshold falls below it.
     pub(crate) fn floor(&self) -> u64 {
         self.floor
     }
@@ -781,7 +780,6 @@ mod tests {
             SpareInfo::Translation {
                 tpage: 0,
                 before: None,
-                watermark: 0,
             },
             IoPurpose::TranslationSync,
         );
@@ -998,7 +996,6 @@ mod tests {
                             SpareInfo::Translation {
                                 tpage: i,
                                 before: None,
-                                watermark: 0,
                             },
                         ),
                     };
@@ -1077,7 +1074,6 @@ mod tests {
                     SpareInfo::Translation {
                         tpage: i,
                         before: None,
-                        watermark: 0,
                     },
                     IoPurpose::TranslationSync,
                 )

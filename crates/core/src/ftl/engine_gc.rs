@@ -263,7 +263,8 @@ impl FtlEngine {
                 // The copy names the copied version's base while that base
                 // is still on flash (invariant 12: its block is unerased
                 // since the copied version was written) and the copied
-                // version is newer than the threshold floor, so step 4b still
+                // version is newer than the MIN (the block manager's
+                // floor, raised after every validity op), so step 4b still
                 // re-derives the copied version's reports from it; the
                 // copied version itself is erased with this block. The base
                 // is then the version before the copy, and keeps its payload

@@ -1085,15 +1085,14 @@ impl FtlEngine {
 
     /// Advance the durable watermark and release the version chain through
     /// it; the block manager erases any released block that has become empty
-    /// (DESIGN.md invariant 6). Then hand the MIN to the translation pages
-    /// written next: the newest version's is the floor of every recovery's
-    /// threshold, which the block manager keeps payloads against
-    /// (invariant 17).
+    /// (DESIGN.md invariant 6). Then raise the block manager's floor to the
+    /// MIN, below which no recovery's threshold falls, and which it keeps
+    /// payloads against (invariant 17).
     fn after_validity_op(&mut self) {
         let Some(gecko) = self.backend.gecko() else {
             return;
         };
-        self.tt.raise_watermark(gecko.last_flush_seq());
+        let min = gecko.last_flush_seq();
         // Every version written so far has made its reports by now. A link
         // taken since the watermark last rose is newer than it, so nothing
         // is due unless it rises.
@@ -1103,5 +1102,6 @@ impl FtlEngine {
             self.durable = durable;
             self.bm.release_through(&mut self.dev, durable);
         }
+        self.bm.raise_floor(&mut self.dev, min);
     }
 }

@@ -111,14 +111,15 @@ impl JobInput {
 }
 
 /// A completed merge, ready for [`crate::gecko::LogGecko`] to install:
-/// retire the inputs' pages, remove them from the run list, and (unless every
-/// entry folded away) push the sealed output run.
+/// retire the inputs' pages, remove them from the run list, and push the
+/// sealed output run.
 #[derive(Debug)]
 pub struct FinishedMerge {
     /// The participants to retire.
     pub inputs: Vec<JobInput>,
-    /// The sealed output run; `None` when all entries were obsolete.
-    pub output: Option<Run>,
+    /// The sealed output run. There always is one: a fold that would drop
+    /// every entry keeps the last key's erase marker (see `fold`).
+    pub output: Run,
 }
 
 /// Incremental writer of one run: emits the pages of a sorted entry
@@ -407,19 +408,12 @@ impl MergeJob {
                 // time) and move to the write phase.
                 let mut merged = std::mem::take(entries);
                 fold(&mut merged, self.output_is_largest, entries_dropped);
-                if merged.is_empty() {
-                    return Some(FinishedMerge {
-                        inputs: std::mem::take(&mut self.inputs),
-                        output: None,
-                    });
-                }
                 let (supersedes_since, supersedes_upto) = self.span();
                 let meta = RunMeta {
                     id: RunId(self.reserved_seq),
                     level: self.min_level,
                     created_seq: self.reserved_seq,
                     flush_seq: flush_watermark,
-                    merged_from: self.inputs.iter().map(|i| i.meta.id).collect(),
                     supersedes_since,
                     supersedes_upto,
                 };
@@ -450,10 +444,10 @@ impl MergeJob {
                         ) else {
                             unreachable!("phase checked above")
                         };
-                        let (run, _) = writer.into_run();
+                        let (output, _) = writer.into_run();
                         return Some(FinishedMerge {
                             inputs: std::mem::take(&mut self.inputs),
-                            output: Some(run),
+                            output,
                         });
                     }
                 }
@@ -483,10 +477,16 @@ impl MergeJob {
 /// stable sort brings every key's entries together still newest first, and
 /// the pass folds each such group into its head, compacting the survivors to
 /// the front.
+///
+/// A fold that would drop every entry keeps the last key's instead, an
+/// erase marker with no invalidation since (what a largest output drops),
+/// which changes no query answer. So every merge writes a run: it keeps its
+/// tree's flush watermark on flash, and its span records its inputs' death
+/// (docs/DESIGN.md invariants 16 and 17).
 fn fold(entries: &mut Vec<GeckoEntry>, output_is_largest: bool, entries_dropped: &mut u64) {
     entries.sort_by_key(|e| e.key);
     // `entries[..kept]` is the folded output so far; `head` starts a group.
-    let (mut kept, mut head) = (0, 0);
+    let (mut kept, mut head, mut last) = (0, 0, 0);
     while head < entries.len() {
         let mut next = head + 1;
         while next < entries.len() && entries[next].key == entries[head].key {
@@ -509,7 +509,13 @@ fn fold(entries: &mut Vec<GeckoEntry>, output_is_largest: bool, entries_dropped:
         } else {
             *entries_dropped += 1;
         }
+        last = head;
         head = next;
+    }
+    if kept == 0 && !entries.is_empty() {
+        entries.swap(0, last);
+        kept = 1;
+        *entries_dropped -= 1;
     }
     entries.truncate(kept);
 }
@@ -538,8 +544,9 @@ mod tests {
     }
 
     /// The fold this file had before it sorted — a k-way min-scan over one
-    /// entry stream per participant, newest stream first — kept verbatim as
-    /// the reference model of [`fold`].
+    /// entry stream per participant, newest stream first — kept as the
+    /// reference model of [`fold`], with its rule that a fold that would drop
+    /// every entry keeps the last key's.
     fn fold_streams(
         streams: Vec<Vec<GeckoEntry>>,
         output_is_largest: bool,
@@ -547,6 +554,7 @@ mod tests {
     ) -> Vec<GeckoEntry> {
         let mut cursors = vec![0usize; streams.len()];
         let mut merged = Vec::new();
+        let mut last = None;
         loop {
             let mut min_key: Option<GeckoKey> = None;
             for (s, stream) in streams.iter().enumerate() {
@@ -584,6 +592,13 @@ mod tests {
                 merged.push(entry);
             } else {
                 *entries_dropped += 1;
+                last = Some(entry);
+            }
+        }
+        if merged.is_empty() {
+            if let Some(entry) = last {
+                merged.push(entry);
+                *entries_dropped -= 1;
             }
         }
         merged
@@ -617,8 +632,8 @@ mod tests {
     /// Merge `streams` — one participant each, newest first, sorted by key —
     /// with a real [`MergeJob`]: written to a device as runs of V = 31
     /// entries per page, then read, folded and written in 7-page steps, so a
-    /// step ends mid-participant. Returns the output run's entries (none
-    /// when no run came out) and the job's drop count.
+    /// step ends mid-participant. Returns the output run's entries and the
+    /// job's drop count.
     fn merge_through_job(
         streams: &[Vec<GeckoEntry>],
         output_is_largest: bool,
@@ -642,7 +657,6 @@ mod tests {
                     level: 0,
                     created_seq: seq,
                     flush_seq: seq,
-                    merged_from: Vec::new(),
                     supersedes_since: seq,
                     supersedes_upto: seq,
                 };
@@ -673,7 +687,7 @@ mod tests {
         };
         assert_eq!(done.inputs.len(), streams.len());
         let mut merged = Vec::new();
-        for page in done.output.iter().flat_map(|run| &run.pages) {
+        for page in &done.output.pages {
             let data = dev.read_page(page.ppn, IoPurpose::ValidityMerge).unwrap();
             merged.extend_from_slice(&data.blob::<GeckoPagePayload>().unwrap().entries);
         }
@@ -693,14 +707,15 @@ mod tests {
     /// Seeded cases: 1–8 participants of 0–400 entries over a key universe
     /// small enough that keys collide across any number of them, erase flags
     /// and empty bitmaps anywhere, inline (32-bit) and heap (512-bit)
-    /// bitmaps, both tombstone rules.
+    /// bitmaps, both tombstone rules. A case whose participants are all empty
+    /// is skipped: a merge always has a non-empty run.
     #[test]
     fn fold_matches_reference_on_seeded_inputs() {
         let mut rng = Lcg(0x22_F01D);
         for case in 0..120 {
             let bits = if case % 2 == 0 { 32 } else { 512 };
             let universe = 1 + rng.below(400) as u32;
-            let streams = (0..1 + rng.below(8))
+            let streams: Vec<Vec<GeckoEntry>> = (0..1 + rng.below(8))
                 .map(|_| {
                     // Eighths of the universe this participant holds: none
                     // to all of it.
@@ -718,7 +733,11 @@ mod tests {
                     entries
                 })
                 .collect();
-            assert_matches_reference(streams, rng.below(2) == 0);
+            let largest = rng.below(2) == 0;
+            if streams.iter().all(Vec::is_empty) {
+                continue;
+            }
+            assert_matches_reference(streams, largest);
         }
     }
 
@@ -755,9 +774,10 @@ mod tests {
 
     /// Newest participant: an erase marker for every key. Below it nothing
     /// survives, and as the largest run the markers themselves are
-    /// tombstones — the merge produces no run at all.
+    /// tombstones — but the merge still writes a run, holding the last key's
+    /// marker alone.
     #[test]
-    fn merge_whose_entries_all_fold_away_produces_no_run() {
+    fn merge_whose_entries_all_fold_away_keeps_the_last_marker() {
         let markers: Vec<GeckoEntry> = (0..100).map(|k| entry(k, 32, true, &[])).collect();
         let older: Vec<GeckoEntry> = (0..100)
             .step_by(3)
@@ -769,7 +789,7 @@ mod tests {
             .collect();
         let total = (markers.len() + older.len() + oldest.len()) as u64;
         let (merged, dropped) = merge_through_job(&[markers, older, oldest], true);
-        assert!(merged.is_empty());
-        assert_eq!(dropped, total);
+        assert_eq!(merged, [entry(99, 32, true, &[])]);
+        assert_eq!(dropped, total - 1);
     }
 }

@@ -151,13 +151,6 @@ impl LogGecko {
         g
     }
 
-    /// Raise the flush watermark to `seq`, a floor recovery read elsewhere:
-    /// a merge without output can empty a tree and take its watermark off
-    /// flash (`recovery::gecko_recover`, step 3).
-    pub(crate) fn raise_flush_floor(&mut self, seq: u64) {
-        self.last_flush_seq = self.last_flush_seq.max(seq);
-    }
-
     /// Install a run at its place in the newest-data-first order. A flush
     /// run carries the newest data and lands at the front.
     fn insert_run(&mut self, run: Run) {
@@ -526,7 +519,6 @@ impl LogGecko {
                 level: 0,
                 created_seq: seq,
                 flush_seq: if is_final { seq } else { prior_watermark },
-                merged_from: Vec::new(),
                 supersedes_since: seq,
                 supersedes_upto: seq,
             };
@@ -756,15 +748,13 @@ impl LogGecko {
 
     /// Atomically switch queries from a merge's inputs to its output: the
     /// participants leave the run list and have their pages retired, and the
-    /// sealed output run (if any entries survived the fold) is installed.
-    /// Follow-on cascade merges are planned immediately.
+    /// sealed output run is installed. Follow-on cascade merges are planned
+    /// immediately.
     ///
-    /// With an output on flash, no recovery reads an input again — GeckoRec
+    /// With the output on flash, no recovery reads an input again — GeckoRec
     /// step 3 skips every run whose span lies strictly inside a kept run's
     /// (DESIGN.md invariant 16) — so the inputs' payloads are reclaimed
-    /// (invariant 17). A merge whose fold dropped every entry leaves nothing
-    /// on flash that records the inputs' death: step 3 revives them, and
-    /// they keep their payloads.
+    /// (invariant 17).
     fn install_merge(
         &mut self,
         dev: &mut FlashDevice,
@@ -776,15 +766,11 @@ impl LogGecko {
         self.runs.retain(|r| !retired(r.meta.id));
         for input in &done.inputs {
             for page in &input.pages {
-                if done.output.is_some() {
-                    dev.reclaim_payload(page.ppn);
-                }
+                dev.reclaim_payload(page.ppn);
                 sink.meta_page_obsolete(dev, page.ppn);
             }
         }
-        if let Some(run) = done.output {
-            self.insert_run(run);
-        }
+        self.insert_run(done.output);
         self.schedule_merges(dev);
     }
 

@@ -8,7 +8,7 @@
 //! For recovery (Appendix C.1), each run is self-describing in flash:
 //!
 //! * the **first** page carries a preamble (run ID, level, creation
-//!   timestamp, and the IDs of the runs it was merged from);
+//!   timestamp, flush watermark and data-age span);
 //! * **every** page carries a header with the run ID and page index;
 //! * the **last** page carries a postamble: a copy of the run directory.
 //!
@@ -58,18 +58,15 @@ pub struct RunMeta {
     ///   invalidations entered the RAM buffer — so its own `created_seq`
     ///   would overclaim.
     pub flush_seq: u64,
-    /// IDs of the runs this run replaced (empty for buffer flushes).
-    /// Recovery treats every run named here as dead: its entries live on
-    /// in this (sealed, hence durable) output.
-    pub merged_from: Vec<RunId>,
     /// Lower bound of this run's *data-age span*: the oldest
     /// `supersedes_since` over its transitive merge inputs (its own
     /// `created_seq` for buffer flushes). Together with
     /// [`RunMeta::supersedes_upto`] it describes exactly which slice of
-    /// validity history this run carries, so recovery can identify
-    /// merged-away leftovers even when intermediate superseders have
-    /// already been erased from flash (a `merged_from` chain alone breaks
-    /// in that case), and queries can order runs by data age.
+    /// validity history this run carries. It is the one record of a merge:
+    /// every merge writes an output whose span strictly contains its
+    /// inputs', so recovery identifies every merged-away leftover by span
+    /// containment, even once intermediate outputs have been erased from
+    /// flash; and queries order runs by data age.
     pub supersedes_since: u64,
     /// Upper bound of this run's *data-age span*: the newest
     /// `supersedes_upto` over its transitive merge inputs (its own
@@ -216,7 +213,6 @@ mod tests {
                 level: 0,
                 created_seq: 1,
                 flush_seq: 1,
-                merged_from: vec![],
                 supersedes_since: 1,
                 supersedes_upto: 1,
             },

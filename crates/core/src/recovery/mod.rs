@@ -13,11 +13,9 @@
 //!    each translation page wins.
 //! 3. **Run directories** — scan Gecko-block spare areas, which carry each
 //!    run's id, data-age span and shard; skip, unread, every merged-away
-//!    leftover (named in a kept run's `merged_from`, or with a span strictly
-//!    inside a kept run's span); read the postamble (and preamble) of the
-//!    rest, keeping the complete runs (docs/DESIGN.md invariant 16). No
-//!    tree's flush watermark is below the newest one a translation page
-//!    carries (invariant 17).
+//!    leftover (a span strictly inside a kept run's span); read the
+//!    postamble (and preamble) of the rest, keeping the complete runs
+//!    (docs/DESIGN.md invariant 16).
 //! 4. **Buffer** — recreate erase markers for blocks erased since the last
 //!    buffer flush (C.2.1) and invalidations lost with the buffer by
 //!    diffing each translation-page version written since the last flush
@@ -27,8 +25,8 @@
 //!    blocks stay protected until their reports are durable again and the
 //!    next recovery can read them. Step 2's versions go to the engine's
 //!    block manager, which keeps the payloads of step 4b's read set against
-//!    the floor step 2 found and reclaims the rest (docs/DESIGN.md
-//!    invariants 14 and 17).
+//!    step 4's threshold and reclaims the rest (docs/DESIGN.md invariants
+//!    14 and 17).
 //! 5. **BVC** — rebuild per-block valid counts from a full scan of
 //!    Logarithmic Gecko plus the recovered buffer, reading only the live run
 //!    pages step 3 did not, so each is read once across the two steps.
@@ -214,10 +212,8 @@ pub fn gecko_recover(
     // ---- Step 2: GMD — scan spare areas of all translation pages. ------
     let timer = StepTimer::start(&dev);
     let n_tpages = geo.translation_pages() as usize;
-    // All surviving versions of every translation page, sorted by seq, and
-    // the newest flush watermark one carries.
+    // All surviving versions of every translation page, sorted by seq.
     let mut tpage_versions: Vec<Vec<Version>> = vec![Vec::new(); n_tpages];
-    let mut watermark = 0;
     for b in geo.iter_blocks() {
         if bid[b.0 as usize].group != Some(BlockGroup::Translation) {
             continue;
@@ -227,15 +223,9 @@ pub fn gecko_recover(
             let Ok(spare) = dev.read_spare(ppn, IoPurpose::Recovery) else {
                 continue; // torn spare: the page has no identity
             };
-            let SpareInfo::Translation {
-                tpage,
-                before,
-                watermark: w,
-            } = spare.info
-            else {
+            let SpareInfo::Translation { tpage, before } = spare.info else {
                 panic!("translation block holds {:?}", spare.info)
             };
-            watermark = watermark.max(w);
             if !dev.is_written(ppn) {
                 continue; // torn data: never point the GMD at an unreadable page
             }
@@ -273,21 +263,11 @@ pub fn gecko_recover(
         .flatten()
         .flat_map(|r| r.pages.iter().map(|p| p.ppn))
         .collect();
-    // No shard's watermark is below the newest one a translation page
-    // carries (step 2): that MIN was in force when the page was written, and
-    // every shard's watermark only rises. The runs carry it otherwise, but a
-    // merge whose fold dropped every entry can empty a tree, and once its
-    // inputs are erased the tree's watermark is gone from flash. Its flushed
-    // reports were all cancelled by erase markers then, and its lost buffer
-    // holds only reports made since. The engine reclaims the translation
-    // payloads below the floor (docs/DESIGN.md invariant 17).
+    // Every merge leaves a run, so each tree's watermark is on flash in its
+    // runs (docs/DESIGN.md invariant 17).
     let trees = shard_runs
         .into_iter()
-        .map(|rs| {
-            let mut tree = LogGecko::from_recovered(geo, gecko_cfg, rs);
-            tree.raise_flush_floor(watermark);
-            tree
-        })
+        .map(|rs| LogGecko::from_recovered(geo, gecko_cfg, rs))
         .collect();
     let mut gecko = ShardedGecko::from_shards(geo, trees);
     report
@@ -346,10 +326,10 @@ pub fn gecko_recover(
     // them the engine would erase a base the next recovery diffs against,
     // and lose the reports only that diff re-derives.
     //
-    // The threshold is never below the floor step 2 found, so every version
-    // read here is one whose payload the engine keeps
-    // (`BlockManager::keep_read_set`, which step 8 applies to step 2's
-    // versions).
+    // The threshold is never below the MIN the engine kept payloads against
+    // before the crash, so every version read here is one whose payload it
+    // kept (`BlockManager::keep_read_set`, which step 8 applies to step 2's
+    // versions against this threshold).
     let mut horizon = 0;
     let mut chain: Vec<(Option<BlockId>, u64)> = Vec::new();
     for versions in &tpage_versions {
@@ -590,14 +570,11 @@ pub fn gecko_recover(
     // picking a block it could not erase anyway.
     // A crash before the first checkpoint after resume must walk back over
     // every recreated entry again: they stay dirty until it syncs them.
-    let mut tt = TranslationTable::from_recovered(
+    let tt = TranslationTable::from_recovered(
         geo,
         gmd,
         oldest_recreated.unwrap_or_else(|| dev.now_seq()),
     );
-    // The next version the engine writes carries at least this threshold,
-    // so the floor never falls across recoveries.
-    tt.raise_watermark(threshold);
     // Built only if a bad user block exists (the common case has none).
     let mut newest: Option<HashMap<flash_sim::Lpn, Ppn>> = None;
     for b in geo.iter_blocks() {
@@ -652,9 +629,9 @@ pub fn gecko_recover(
     for (block, stamp) in chain {
         bm.protect(block, stamp);
     }
-    // The engine keeps the payloads of step 4b's read set against the floor
-    // step 2 found and reclaims the rest (docs/DESIGN.md invariant 17).
-    bm.adopt_versions(&mut dev, tpage_versions, watermark);
+    // The engine keeps the payloads of step 4b's read set against step 4's
+    // threshold and reclaims the rest (docs/DESIGN.md invariant 17).
+    bm.adopt_versions(&mut dev, tpage_versions, threshold);
     // Re-adopt each group's partially written block as its active block —
     // unless the block is bad: its write pointer will never advance again,
     // so the group starts on a fresh block and GC drains the bad one.
@@ -722,28 +699,26 @@ struct RunGroup {
 
 /// Recover the set of live runs (Appendix C.1) and hand back every page
 /// read doing so. Returns one bucket of runs per shard (a single bucket when
-/// `shards == 1`): liveness is judged per shard because its evidence —
-/// `merged_from` lists and span containment — only relates runs of the same
-/// tree.
+/// `shards == 1`): liveness is judged per shard because its evidence, span
+/// containment, only relates runs of the same tree.
 ///
 /// A spare scan groups the Gecko pages by run id; each spare area also
 /// carries the run's span and the block of its first key, which names its
 /// shard. The groups are walked newest first by id (the id is the run's
 /// `created_seq`), and a group is a merged-away leftover — a retired input
-/// whose pages survive until their block happens to be erased — if a kept
-/// run of its shard names it in `merged_from`, or if its span lies strictly
-/// inside a kept run's span. A leftover costs no page read. Every other
-/// group costs its postamble, plus its preamble if the run has more than one
-/// page; a partial run (no postamble, or a page count that disagrees with
-/// it) is discarded, and the rest are kept.
+/// whose pages survive until their block happens to be erased — if its span
+/// lies strictly inside a kept run's span of its shard. A leftover costs no
+/// page read. Every other group costs its postamble, plus its preamble if
+/// the run has more than one page; a partial run (no postamble, or a page
+/// count that disagrees with it) is discarded, and the rest are kept.
 ///
-/// Containment alone decides every leftover whose superseder has already
-/// been erased from flash, taking its `merged_from` list with it: merging is
-/// laminar and live spans are pairwise disjoint (`gecko::merge_job`
-/// invariant 4), every merge has at least two inputs, so an output's span
-/// strictly contains each input's, and the newest sealed output of any merge
-/// chain is still on flash (live pages are never obsoleted before their run
-/// is merged away). Newest-first order accepts containers before their
+/// Containment decides every leftover, even one whose superseder has
+/// already been erased from flash: merging is laminar and live spans are
+/// pairwise disjoint (`gecko::merge_job` invariant 4), every merge has at
+/// least two inputs and writes an output, so an output's span strictly
+/// contains each input's, and the newest sealed output of any merge chain
+/// is still on flash (live pages are never obsoleted before their run is
+/// merged away). Newest-first order accepts containers before their
 /// leftovers are tested: a reservation happens after every transitive input
 /// already exists, so a container's id exceeds theirs. Containment tests the
 /// group's *span*, never its creation time: output identities are reserved
@@ -809,22 +784,15 @@ fn recover_runs(
     let n = shards.max(1) as usize;
     let mut live: Vec<Vec<Run>> = (0..n).map(|_| Vec::new()).collect();
     let mut live_spans: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-    let mut dead: HashSet<RunId> = HashSet::new();
     let mut read: HashMap<Ppn, PageData> = HashMap::new();
     for (&id, group) in groups.iter().rev() {
         let shard = shard_index(group.first_block, n);
-        let (since, upto) = group.span;
-        let leftover = dead.contains(&RunId(id))
-            || live_spans[shard]
-                .iter()
-                .any(|&(lo, hi)| lo <= since && upto <= hi && (lo, hi) != group.span);
-        if leftover {
+        if strictly_inside(&live_spans[shard], group.span) {
             continue;
         }
         let Some(run) = read_run(dev, id, group, &mut read) else {
             continue; // partially written run: discard
         };
-        dead.extend(run.meta.merged_from.iter().copied());
         live_spans[shard].push(group.span);
         live[shard].push(run);
     }
@@ -904,14 +872,21 @@ fn read_run(
     })
 }
 
+/// Whether `span` lies strictly inside one of `spans`.
+fn strictly_inside(spans: &[(u64, u64)], span: (u64, u64)) -> bool {
+    let (since, upto) = span;
+    spans
+        .iter()
+        .any(|&(lo, hi)| lo <= since && upto <= hi && (lo, hi) != span)
+}
+
 /// The full-read liveness rule, the oracle step 3's spare-area rule is
 /// checked against; it reads pages without IO. A group whose payloads were
 /// reclaimed is dead and unread. Every other complete group's postamble and
-/// preamble are read, the shard comes from the postamble's
-/// first key, and each shard is walked newest first: a run is dead if any
-/// complete run — live or not — names it in `merged_from`, or if its span
-/// lies strictly inside a live run's span. Returns each shard's live run ids,
-/// newest first.
+/// preamble are read, the shard comes from the postamble's first key and
+/// the span from the preamble, and each shard is walked newest first: a run
+/// is dead if its span lies strictly inside a live run's span. Returns each
+/// shard's live run ids, newest first.
 fn full_read_live_ids(
     dev: &FlashDevice,
     groups: &BTreeMap<u64, RunGroup>,
@@ -920,9 +895,8 @@ fn full_read_live_ids(
     let page = |&(_, ppn): &(u64, Ppn)| dev.peek_page(ppn).expect("gecko page readable");
     let mut metas: Vec<Vec<RunMeta>> = vec![Vec::new(); shards];
     for group in groups.values() {
-        // A run whose payloads were reclaimed was retired by a merge with an
-        // output (invariant 17), so it is dead; the runs its `merged_from`
-        // names were retired when it was made, and are reclaimed or erased.
+        // A run whose payloads were reclaimed was retired by a merge
+        // (invariant 17), so it is dead.
         if group.pages.iter().any(|&(_, ppn)| dev.is_reclaimed(ppn)) {
             continue;
         }
@@ -949,18 +923,11 @@ fn full_read_live_ids(
         .into_iter()
         .map(|mut metas| {
             metas.sort_by_key(|m| std::cmp::Reverse(m.created_seq));
-            let mut dead: HashSet<RunId> = HashSet::new();
             let mut live_spans: Vec<(u64, u64)> = Vec::new();
             let mut live = Vec::new();
             for m in metas {
-                let (since, upto) = m.span();
-                let gone = dead.contains(&m.id)
-                    || live_spans
-                        .iter()
-                        .any(|&(lo, hi)| lo <= since && upto <= hi && (lo, hi) != (since, upto));
-                dead.extend(m.merged_from.iter().copied());
-                if !gone {
-                    live_spans.push((since, upto));
+                if !strictly_inside(&live_spans, m.span()) {
+                    live_spans.push(m.span());
                     live.push(m.id.0);
                 }
             }

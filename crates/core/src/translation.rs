@@ -70,9 +70,6 @@ pub struct TranslationTable {
     gmd: Vec<Option<Ppn>>,
     /// The checkpoint horizon every version written from now on carries.
     horizon: u64,
-    /// The flush watermark every version written from now on carries in its
-    /// spare area (`SpareInfo::Translation::watermark`).
-    watermark: u64,
 }
 
 impl TranslationTable {
@@ -82,7 +79,6 @@ impl TranslationTable {
             geo,
             gmd: vec![None; geo.translation_pages() as usize],
             horizon: 0,
-            watermark: 0,
         }
     }
 
@@ -90,23 +86,12 @@ impl TranslationTable {
     /// recovered cache's dirty entries respect (step 6).
     pub fn from_recovered(geo: Geometry, gmd: Vec<Option<Ppn>>, horizon: u64) -> Self {
         assert_eq!(gmd.len(), geo.translation_pages() as usize);
-        TranslationTable {
-            geo,
-            gmd,
-            horizon,
-            watermark: 0,
-        }
+        TranslationTable { geo, gmd, horizon }
     }
 
     /// The checkpoint horizon the next version written will carry.
     pub fn horizon(&self) -> u64 {
         self.horizon
-    }
-
-    /// Raise the flush watermark the next version carries to `seq`, the
-    /// validity store's MIN flush watermark now.
-    pub(crate) fn raise_watermark(&mut self, seq: u64) {
-        self.watermark = self.watermark.max(seq);
     }
 
     /// Raise the checkpoint horizon: the engine has just synchronized every
@@ -150,15 +135,11 @@ impl TranslationTable {
                 entries,
                 horizon: self.horizon,
             }),
-            SpareInfo::Translation {
-                tpage,
-                before,
-                watermark: self.watermark,
-            },
+            SpareInfo::Translation { tpage, before },
             purpose,
         );
         self.gmd[tpage as usize] = Some(ppn);
-        bm.note_version(dev, tpage, Version { seq, ppn, before }, self.watermark);
+        bm.note_version(dev, tpage, Version { seq, ppn, before });
     }
 
     /// Number of translation pages.

@@ -454,8 +454,7 @@ fn run_groups_on_flash(dev: &FlashDevice) -> usize {
 /// to one (219 to 39 over the six instants).
 ///
 /// Mutations this fails on: dropping the span-containment skip (step 3 reads
-/// the leftovers no kept run names in `merged_from`), and step 5 reading again
-/// the pages step 3 read.
+/// every leftover), and step 5 reading again the pages step 3 read.
 #[test]
 fn run_directory_step_reads_each_live_run_page_once() {
     let geo = Geometry::new(64, 64, 256, 0.7);

@@ -354,7 +354,6 @@ mod tests {
                     info: SpareInfo::Translation {
                         tpage: r as u32,
                         before: None,
-                        watermark: 0,
                     },
                 }),
             ),

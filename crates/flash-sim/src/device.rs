@@ -805,7 +805,6 @@ mod tests {
             SpareInfo::Translation {
                 tpage: 3,
                 before: None,
-                watermark: 0,
             },
             IoPurpose::TranslationSync,
         )

@@ -64,21 +64,18 @@ pub enum SpareInfo {
     /// A translation page: records which translation-table slice it holds
     /// and, like a user page, which version of it this one superseded.
     /// GeckoRec step 4b diffs a version only against the version it names
-    /// (docs/DESIGN.md, "Deviations").
+    /// (docs/DESIGN.md, "Deviations"). The flush watermark step 4b diffs
+    /// from is not here: every Gecko merge leaves a run, so the runs carry
+    /// each tree's (docs/DESIGN.md invariant 17).
     Translation {
         /// Index of the translation page (covers a contiguous LPN range).
         tpage: u32,
         /// Physical address of the version this one superseded (`None` for
         /// a page's first version). A GC migration, which copies a version
         /// verbatim, names what the copied version named while that is
-        /// still on flash.
+        /// still on flash and the copied version is newer than the validity
+        /// store's MIN flush watermark.
         before: Option<Ppn>,
-        /// The validity store's MIN flush watermark when this version was
-        /// written (0 for stores without one): no report made before it was
-        /// buffered then. GeckoRec's threshold never falls below the newest
-        /// one, even where a merge without output has emptied a tree and
-        /// taken its watermark off flash (docs/DESIGN.md invariant 17).
-        watermark: u64,
     },
     /// A metadata page (Gecko run / PVB / PVL), with a component-specific tag.
     Meta {

@@ -30,7 +30,7 @@
 
 use gecko_bench::harness::{small_gecko_engine, OpDriver};
 use geckoftl::flash_sim::{BlockId, Geometry, Lpn, MetaTag, PageOffset, Ppn, SpareInfo};
-use geckoftl::ftl_workloads::Uniform;
+use geckoftl::ftl_workloads::{Uniform, WorkloadOp};
 use geckoftl::geckoftl_core::ftl::{
     FtlConfig, FtlEngine, GcPolicy, ValidityBackend, MAX_PROTECTED_BLOCKS, MAX_UNFLUSHED_VERSIONS,
 };
@@ -120,29 +120,22 @@ type Version = (u64, Ppn, Option<Ppn>);
 /// Invariant 17 for translation pages: the first version of step 4b's read
 /// set whose payload was reclaimed, and the first superseded version outside
 /// it that still holds its payload, each as `(tpage, seq)`; and how many
-/// versions on flash are reclaimed. The read set is taken against the floor
-/// of every recovery's threshold, the newest flush watermark a version on
-/// flash carries: the payload promise is kept against it.
+/// versions on flash are reclaimed. The read set is taken against the
+/// engine's MIN flush watermark, the floor of every recovery's threshold:
+/// the payload promise is kept against it.
 fn payload_mismatches(engine: &FtlEngine) -> (Option<At>, Option<At>, usize) {
     let dev = engine.device();
     let geo = dev.geometry();
     let mut versions: Vec<Vec<Version>> = vec![Vec::new(); geo.translation_pages() as usize];
-    let mut min = 0;
+    let min = engine.backend().gecko().expect("gecko").last_flush_seq();
     for b in geo.iter_blocks() {
         for off in 0..dev.written_pages(b) {
             let ppn = geo.ppn(b, PageOffset(off));
-            let Some((
-                seq,
-                SpareInfo::Translation {
-                    tpage,
-                    before,
-                    watermark,
-                },
-            )) = dev.peek_spare(ppn).map(|s| (s.seq, s.info))
+            let Some((seq, SpareInfo::Translation { tpage, before })) =
+                dev.peek_spare(ppn).map(|s| (s.seq, s.info))
             else {
                 continue;
             };
-            min = min.max(watermark);
             if dev.is_written(ppn) {
                 versions[tpage as usize].push((seq, ppn, before));
             }
@@ -324,19 +317,32 @@ fn census(engine: FtlEngine, ops: usize, crash_every: Option<usize>) -> Census {
 /// [`census`], recovering a copy of the device where a base is missing
 /// against the MIN only if `recover_at_misses`.
 fn census_with(
-    mut engine: FtlEngine,
+    engine: FtlEngine,
     ops: usize,
     crash_every: Option<usize>,
     recover_at_misses: bool,
 ) -> Census {
     let logical = engine.geometry().logical_pages();
+    let mut ops = Uniform::new(7, logical).take(ops);
+    census_of(engine, |_| ops.next(), crash_every, recover_at_misses)
+}
+
+/// [`census_with`] over the ops `next_op` returns, given the engine, until
+/// it returns `None`.
+fn census_of(
+    mut engine: FtlEngine,
+    mut next_op: impl FnMut(&FtlEngine) -> Option<WorkloadOp>,
+    crash_every: Option<usize>,
+    recover_at_misses: bool,
+) -> Census {
     let mut driver = OpDriver::new(0);
     let mut seen = Seen::new();
     let mut ever_live = HashSet::new();
     let (mut befores, mut copies) = (HashMap::new(), HashSet::new());
     let mut c = Census::default();
     let flushes = |e: &FtlEngine| e.backend().gecko_stats().expect("gecko").flushes;
-    for (i, op) in Uniform::new(7, logical).take(ops).enumerate() {
+    for i in 0.. {
+        let Some(op) = next_op(&engine) else { break };
         let (seq0, flushes0) = (engine.device().now_seq(), flushes(&engine));
         let protected0 = engine.block_manager().protected_count();
         driver.apply(&mut engine, op, None).expect("in range");
@@ -530,34 +536,28 @@ fn payloads_are_held_exactly_while_recovery_may_read_them() {
 
 /// DESIGN.md invariant 17 at the boundaries where the MIN misses a base:
 /// with four trees a base released against the durable watermark can be
-/// gone while the MIN has not passed its successor, and a merge without
-/// output can empty a tree and take its watermark off flash. The census
-/// recovers a copy of the device at each op boundary where a base is
-/// missing (a deep buffer, eight-page blocks, a power cut after every third
-/// write), and every such recovery reads only payloads the engine holds.
-/// Reclaiming against the engine's MIN instead of the floor the translation
-/// pages carry made step 4b read a reclaimed one here, after two trees had
-/// been emptied.
+/// gone while the MIN has not passed its successor. The census recovers a
+/// copy of the device at each op boundary where a base is missing (the tiny
+/// geometry, a power cut after every third write), and every such recovery
+/// reads only payloads the engine holds.
 #[test]
 fn recoveries_where_a_base_is_missing_read_only_held_payloads() {
-    let c = census(deep_buffer_engine(8, 4), 4_000, Some(3));
+    let c = census(tiny_engine(4), 4_000, Some(3));
     assert!(c.min_misses > 0, "no base was missing: {c:?}");
     assert!(c.payloads_exact(), "{c:?}");
 }
 
-/// DESIGN.md invariant 17 once a tree is emptied: a merge whose fold drops
-/// every entry leaves its tree without a run, and once the inputs' blocks
-/// are erased, the tree's flush watermark is gone from flash. GeckoRec then
-/// raises every tree's watermark to the floor the translation pages carry.
-/// A sequential fill, a power cut before any Gecko flush, and rewrites of
-/// the 32 newest LPNs on the tiny geometry with four trees make such merges:
-/// step 4a's erase markers cancel the first flushes' entries. A copy of the
-/// device is recovered after every rewrite, and some recoveries find a tree
-/// without a run and a watermark taken from the floor; every one reads only
-/// held payloads. Without the raise, step 4b read against the lost
-/// watermark and reached a reclaimed payload at rewrite 1 552.
+/// DESIGN.md invariant 17: every merge leaves a run, even one whose fold
+/// drops every entry, so a tree that has flushed keeps a run and its flush
+/// watermark on flash. A sequential fill, a power cut before any Gecko
+/// flush, and rewrites of the 32 newest LPNs on the tiny geometry with four
+/// trees make such folds: step 4a's erase markers cancel the first flushes'
+/// entries. After every rewrite each tree that has flushed holds a run, and
+/// a copy of the device is recovered: no recovered tree without a run has a
+/// watermark above 0, and each keeps at least the live tree's. A fold that
+/// writes no run when it drops every entry fails this: it empties trees.
 #[test]
-fn recoveries_after_a_tree_is_emptied_read_only_held_payloads() {
+fn no_merge_empties_a_tree() {
     let mut engine = small_gecko_engine(Geometry::tiny(), 16, 4);
     let (cfg, gecko_cfg) = (engine.config(), engine.backend().gecko_config().unwrap());
     let logical = engine.geometry().logical_pages() as u32;
@@ -565,35 +565,48 @@ fn recoveries_after_a_tree_is_emptied_read_only_held_payloads() {
         engine.write(Lpn(lpn), 1);
     }
     engine = gecko_recover(engine.crash(), cfg, gecko_cfg).0;
-    let mut emptied = 0;
+    // Each tree's watermark, and whether it holds a run.
+    let trees = |engine: &FtlEngine| -> Vec<(u64, bool)> {
+        let gecko = engine.backend().gecko().expect("gecko");
+        let trees = gecko.shard_trees().iter();
+        trees
+            .map(|t| (t.last_flush_seq(), t.runs_newest_first().next().is_some()))
+            .collect()
+    };
     for op in 0..1_600 {
         engine.write(Lpn(logical - 1 - op % 32), op.into());
+        let live = trees(&engine);
         let (recovered, _) = gecko_recover(engine.device().clone(), cfg, gecko_cfg);
-        let gecko = recovered.backend().gecko().expect("gecko");
-        let mut watermarks = gecko.shard_flush_seqs();
-        for run in gecko.all_runs() {
-            watermarks[run.pages[0].first.block.0 as usize % gecko_cfg.shards as usize] = 0;
+        for (shard, (&(live_w, live_run), (w, run))) in
+            live.iter().zip(trees(&recovered)).enumerate()
+        {
+            let at = format!("rewrite {op}, tree {shard}: watermark {live_w} → {w}");
+            assert!(live_w == 0 || live_run, "{at}: the live tree holds no run");
+            assert!(w == 0 || run, "{at}: the recovered tree holds no run");
+            assert!(w >= live_w, "{at}");
         }
-        // A tree without a run whose watermark is not 0 took the floor.
-        emptied += usize::from(watermarks.iter().any(|&w| w > 0));
     }
-    assert!(emptied > 0, "no recovery found an emptied tree");
 }
 
 /// Greedy GC migrates translation pages (`GcPolicy::GreedyAll`, the
 /// baselines' policy, run here with Gecko): the copy of a version newer than
-/// the floor names that version's base, and the copied version is erased
-/// with the victim. After every op of uniform writes, with one tree and with
-/// four, the payloads are still exactly step 4b's read set. On this geometry
-/// with a 32-entry cache such copies occur at both tree counts (10 and 2
-/// copies). Base misses are not asserted: Gecko with greedy GC is not
-/// crash-safe (ROADMAP item 1), and a copy erases a version of the read set
-/// at hundreds of op boundaries here. Nor is the device recovered there: the
-/// hole trips step 4b's debug cross-check (`crash_storm.rs` pins it).
+/// the MIN names that version's base, and the copied version is erased with
+/// the victim. After every op the payloads are still exactly step 4b's read
+/// set: under uniform writes with one tree and with four, and with two trees
+/// of which one is kept idle. Under uniform writes every tree keeps
+/// receiving reports, and no copied version is newer than the MIN (48 and 2
+/// copies, none naming a base). So the last scenario, after 1 000 uniform
+/// writes, overwrites only LPNs whose copy lies in an even block, which tree
+/// 0 owns: tree 1 receives no report, its watermark holds the MIN back, and
+/// 15 copies name a base. Base misses are not asserted: Gecko with greedy GC
+/// is not crash-safe (ROADMAP item 1), and a copy erases a version of the
+/// read set at hundreds of op boundaries here. Nor is the device recovered
+/// there: the hole trips step 4b's debug cross-check (`crash_storm.rs` pins
+/// it).
 #[test]
 fn greedy_gc_copies_keep_the_payloads_exact() {
     let geo = Geometry::new(128, 4, 1 << 10, 0.6);
-    for shards in [1, 4] {
+    let engine = |shards| {
         let cfg = FtlConfig {
             cache_entries: 32,
             gc_policy: GcPolicy::GreedyAll,
@@ -604,10 +617,28 @@ fn greedy_gc_copies_keep_the_payloads_exact() {
             shards,
             ..GeckoConfig::paper_default(&geo)
         };
-        let engine = FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg));
-        let c = census_with(engine, 4_000, None, false);
-        let at = format!("shards = {shards}: {c:?}");
-        assert!(c.base_copies > 0, "no GC copy named a base: {at}");
-        assert!(c.payloads_exact(), "{at}");
+        FtlEngine::format(geo, cfg, ValidityBackend::gecko_for(geo, gecko_cfg))
+    };
+    for shards in [1, 4] {
+        let c = census_with(engine(shards), 4_000, None, false);
+        assert!(c.payloads_exact(), "shards = {shards}: {c:?}");
     }
+    let mut lpns = Uniform::new(7, geo.logical_pages()).map(|op| match op {
+        WorkloadOp::Write(lpn) => lpn,
+        op => unreachable!("uniform writes only: {op:?}"),
+    });
+    // Unwritten, or written to a block of tree 0.
+    let in_tree_0 = |e: &FtlEngine, lpn| {
+        e.current_mapping(lpn)
+            .is_none_or(|p| geo.block_of(p).0.is_multiple_of(2))
+    };
+    let mut ops = 0;
+    let next_op = |e: &FtlEngine| {
+        ops += 1;
+        let warm = ops <= 1_000;
+        (ops <= 4_000).then(|| WorkloadOp::Write(lpns.find(|&l| warm || in_tree_0(e, l)).unwrap()))
+    };
+    let c = census_of(engine(2), next_op, None, false);
+    assert!(c.base_copies > 0, "no GC copy named a base: {c:?}");
+    assert!(c.payloads_exact(), "{c:?}");
 }

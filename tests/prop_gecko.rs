@@ -234,7 +234,10 @@ impl BufferHarness {
         assert_eq!(tree.buffer_len(), 0, "a flush empties the buffer");
         let mut flushed: Vec<_> = tree
             .runs_newest_first()
-            .filter(|r| r.meta.merged_from.is_empty() && r.meta.created_seq >= seq_before)
+            // A flush run's span is its creation time; a merge output's is its
+            // inputs'.
+            .filter(|r| r.meta.span() == (r.meta.created_seq, r.meta.created_seq))
+            .filter(|r| r.meta.created_seq >= seq_before)
             .collect();
         flushed.sort_by_key(|r| r.meta.created_seq);
         assert_eq!(
