@@ -8,16 +8,15 @@
 
 use gecko_bench::harness::OpDriver;
 use geckoftl::flash_sim::{Geometry, Lpn};
-use geckoftl::ftl_workloads::Uniform;
+use geckoftl::ftl_workloads::{Oracle, Uniform};
 use geckoftl::geckoftl_core::ftl::{FtlEngine, HostOpKind};
 use geckoftl::geckoftl_core::recovery::gecko_recover;
-use std::collections::HashMap;
 
 fn main() {
     let geo = Geometry::new(256, 64, 4096, 0.7);
     let logical = geo.logical_pages();
     let mut ftl = FtlEngine::geckoftl(geo);
-    let mut oracle: HashMap<u32, u64> = HashMap::new();
+    let mut oracle = Oracle::new(logical);
     let mut driver = OpDriver::new(0);
     let mut gen = Uniform::new(0xC0FFEE, logical);
 
@@ -28,7 +27,7 @@ fn main() {
             let issued = driver.apply(&mut ftl, op, None).expect("in-range op");
             if let Some((host, _)) = issued {
                 if let HostOpKind::Write { version } = host.kind {
-                    oracle.insert(host.lpn.0, version);
+                    oracle.ack_write(host.lpn, version);
                 }
             }
         }
@@ -39,16 +38,15 @@ fn main() {
         let (recovered, report) = gecko_recover(dev, cfg, gecko_cfg);
         ftl = recovered;
 
-        // Verify every acknowledged write.
-        let mut checked = 0u64;
-        for (&lpn, &want) in &oracle {
-            assert_eq!(
-                ftl.read(Lpn(lpn)),
-                Some(want),
-                "round {round}: lost write to L{lpn}"
-            );
-            checked += 1;
+        // Verify every acknowledged write, reading every LPN in ascending
+        // order (the reads move the cache, so their order is part of the
+        // run).
+        if let Err(lost) = oracle.verify(|lpn| ftl.read(lpn)) {
+            panic!("round {round}: {lost}");
         }
+        let checked = (0..logical)
+            .filter(|&l| oracle.expected(Lpn(l as u32)).is_some())
+            .count();
         println!(
             "round {round}: crashed after {ops} ops → recovered in {:.1} sim-ms \
              ({} entries, {} invalidations, {} erase markers rebuilt); {checked} pages verified ✔",
