@@ -56,7 +56,7 @@
 //!    the RAM buffer in between), every run persists the buffer-flush
 //!    watermark current at its write ([`RunMeta::flush_seq`]), and
 //!    recovery derives "time of last flush" from that watermark rather
-//!    than from `created_seq`. Deriving it from the output's creation time
+//!    than from its id. Deriving it from the output's creation time
 //!    — correct when merges were synchronous — would make recovery's
 //!    step-4a/4b/6 windows skip reports that lived only in the lost
 //!    buffer and silently revive stale validity bits.
@@ -65,7 +65,7 @@
 //!    flushes do not drain pending work, so new plans are made around it.
 //!    Two rules keep that sound without persisting any scheduler state:
 //!
-//!    * A job's output identity (`RunId` / `created_seq`) is **reserved
+//!    * A job's output identity ([`RunId`]) is **reserved
 //!      from the device sequence at plan time**
 //!      ([`flash_sim::FlashDevice::reserve_seq`]), not minted when the
 //!      write phase starts — so a flush run written while the job waits
@@ -277,7 +277,7 @@ pub struct MergeJob {
     inputs: Vec<JobInput>,
     /// Run pages to read: the sum of the participants' page counts.
     total_pages: usize,
-    /// The output run's id and `created_seq`, reserved from the device
+    /// The output run's id, reserved from the device
     /// sequence at plan time (invariant 4: concurrent write phases must
     /// never mint colliding identities).
     reserved_seq: u64,
@@ -412,7 +412,6 @@ impl MergeJob {
                 let meta = RunMeta {
                     id: RunId(self.reserved_seq),
                     level: self.min_level,
-                    created_seq: self.reserved_seq,
                     flush_seq: flush_watermark,
                     supersedes_since,
                     supersedes_upto,
@@ -655,7 +654,6 @@ mod tests {
                 let meta = RunMeta {
                     id: RunId(seq),
                     level: 0,
-                    created_seq: seq,
                     flush_seq: seq,
                     supersedes_since: seq,
                     supersedes_upto: seq,

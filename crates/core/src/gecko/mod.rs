@@ -141,7 +141,7 @@ impl LogGecko {
     pub fn from_recovered(geo: Geometry, cfg: GeckoConfig, runs: Vec<Run>) -> Self {
         let mut g = LogGecko::new(geo, cfg);
         for run in runs {
-            // The persisted *flush watermark*, not `created_seq`: a merge
+            // The persisted *flush watermark*, not the id: a merge
             // output is written after the flush that scheduled it, so its
             // creation time says nothing about when the buffer was last
             // empty (see `RunMeta::flush_seq`).
@@ -517,7 +517,6 @@ impl LogGecko {
             let meta = RunMeta {
                 id: RunId(seq),
                 level: 0,
-                created_seq: seq,
                 flush_seq: if is_final { seq } else { prior_watermark },
                 supersedes_since: seq,
                 supersedes_upto: seq,
@@ -537,7 +536,7 @@ impl LogGecko {
                 "a single-page flush run belongs at level 0"
             );
             if is_final {
-                self.last_flush_seq = run.meta.created_seq;
+                self.last_flush_seq = run.meta.id.0;
             }
             self.insert_run(run);
             self.schedule_merges(dev);

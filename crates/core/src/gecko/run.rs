@@ -32,12 +32,12 @@ pub struct RunId(pub u64);
 /// Run-level metadata, persisted in the preamble of the run's first page.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunMeta {
-    /// Unique run identifier.
+    /// Unique run identifier: the device sequence number at creation (a
+    /// merge output's is reserved when the merge is planned), so recovery
+    /// orders runs by it.
     pub id: RunId,
     /// Level the run was placed at when created.
     pub level: u32,
-    /// Device sequence number at creation; recovery uses it to order runs.
-    pub created_seq: u64,
     /// The buffer-flush watermark this run certifies: recovery may assume
     /// that every validity report buffered before this sequence number is
     /// durable in some recoverable run. Recovery derives the last
@@ -48,19 +48,19 @@ pub struct RunMeta {
     ///
     /// * A buffer flush emits its chunks as separate single-page runs, and
     ///   only the **final** chunk — the one that empties the buffer — may
-    ///   carry its own `created_seq`. Earlier chunks carry the watermark
+    ///   carry its own id. Earlier chunks carry the watermark
     ///   from *before* the flush began: when one of them is on flash but
     ///   the buffer tail is not yet written, a crash must roll the
     ///   threshold back far enough for recovery to re-derive the tail.
     /// * A merge output carries the owning tree's `last_flush_seq` at fold
     ///   time. With incremental merging the output is sealed long after
     ///   the flush that scheduled it — possibly after further erases and
-    ///   invalidations entered the RAM buffer — so its own `created_seq`
+    ///   invalidations entered the RAM buffer — so its own id
     ///   would overclaim.
     pub flush_seq: u64,
     /// Lower bound of this run's *data-age span*: the oldest
     /// `supersedes_since` over its transitive merge inputs (its own
-    /// `created_seq` for buffer flushes). Together with
+    /// id for buffer flushes). Together with
     /// [`RunMeta::supersedes_upto`] it describes exactly which slice of
     /// validity history this run carries. It is the one record of a merge:
     /// every merge writes an output whose span strictly contains its
@@ -70,7 +70,7 @@ pub struct RunMeta {
     pub supersedes_since: u64,
     /// Upper bound of this run's *data-age span*: the newest
     /// `supersedes_upto` over its transitive merge inputs (its own
-    /// `created_seq` for buffer flushes) — i.e. the sequence number of the
+    /// id for buffer flushes) — i.e. the sequence number of the
     /// newest validity data folded into this run.
     ///
     /// Two load-bearing properties, both enforced by the merge planner's
@@ -80,7 +80,7 @@ pub struct RunMeta {
     ///   several merge jobs in flight per tree, levels alone no longer
     ///   order data age (a late-planned job over fresh flushes can install
     ///   deeper than an early-planned job over old runs), and
-    ///   `created_seq` alone never did.
+    ///   the id alone never did.
     /// * **Recovery liveness.** Live runs' spans are pairwise disjoint and
     ///   merging is laminar (an output's span is the union of its inputs'),
     ///   so after a crash a candidate run is superseded **iff** its span is
@@ -99,9 +99,9 @@ impl RunMeta {
 
     /// Sort key for newest-data-first traversals: spans of live runs are
     /// pairwise disjoint, so descending `supersedes_upto` is a total data-age
-    /// order; `created_seq` breaks ties for robustness only.
+    /// order; the id breaks ties for robustness only.
     pub fn data_age(&self) -> (u64, u64) {
-        (self.supersedes_upto, self.created_seq)
+        (self.supersedes_upto, self.id.0)
     }
 }
 
@@ -211,7 +211,6 @@ mod tests {
             meta: RunMeta {
                 id: RunId(1),
                 level: 0,
-                created_seq: 1,
                 flush_seq: 1,
                 supersedes_since: 1,
                 supersedes_upto: 1,

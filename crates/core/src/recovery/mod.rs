@@ -704,8 +704,8 @@ struct RunGroup {
 ///
 /// A spare scan groups the Gecko pages by run id; each spare area also
 /// carries the run's span and the block of its first key, which names its
-/// shard. The groups are walked newest first by id (the id is the run's
-/// `created_seq`), and a group is a merged-away leftover — a retired input
+/// shard. The groups are walked newest first by id (the device sequence
+/// number the run was created or reserved at), and a group is a merged-away leftover — a retired input
 /// whose pages survive until their block happens to be erased — if its span
 /// lies strictly inside a kept run's span of its shard. A leftover costs no
 /// page read. Every other group costs its postamble, plus its preamble if
@@ -843,14 +843,11 @@ fn read_run(
             pre
         }
     };
-    // Both are minted from one device seq, so newest first by id is newest
-    // first by creation.
-    assert_eq!(
-        (meta.id, meta.created_seq),
-        (RunId(id), id),
-        "run id and created_seq differ"
+    debug_assert_eq!(
+        (meta.id, meta.span()),
+        (RunId(id), group.span),
+        "spare area and preamble disagree"
     );
-    debug_assert_eq!(meta.span(), group.span, "spare area and preamble disagree");
     let ppns = post.ppns.iter().copied().chain([last_ppn]); // the postamble page's own address
     debug_assert_eq!(post.ppns.len() + 1, post.ranges.len());
     let pages: Vec<RunDirEntry> = post
@@ -922,7 +919,7 @@ fn full_read_live_ids(
     metas
         .into_iter()
         .map(|mut metas| {
-            metas.sort_by_key(|m| std::cmp::Reverse(m.created_seq));
+            metas.sort_by_key(|m| std::cmp::Reverse(m.id));
             let mut live_spans: Vec<(u64, u64)> = Vec::new();
             let mut live = Vec::new();
             for m in metas {

@@ -371,7 +371,7 @@ fn crash_mid_merge_recovers_exactly() {
 /// supersession by span containment. A flush that lands while a merge is
 /// in flight creates runs *after* the output's identity was reserved; the
 /// naive drain-skip — identity minted when the output starts writing, and
-/// recovery killing every candidate whose `created_seq` falls inside an
+/// recovery killing every candidate whose creation time falls inside an
 /// output's [oldest-input, output-creation] window — treats exactly those
 /// flush runs as merged away and loses their validity reports. Hunt the
 /// window (flush watermark advances while a job stays pending), let the
@@ -478,7 +478,7 @@ fn flush_landing_mid_merge_survives_crash() {
 /// Regression: the recovery flush-watermark bug. With incremental merging,
 /// a merge output run is written *after* the flush that scheduled it — by
 /// then, new erases and invalidations have entered the RAM buffer. If
-/// recovery derived "time of last flush" from the output's `created_seq`
+/// recovery derived "time of last flush" from the output's creation time
 /// (as it did when merges were synchronous, where the two moments
 /// coincide), its step-4a window would skip those buffered erase markers,
 /// stale invalid bits from deeper runs would apply to the blocks' new
@@ -501,7 +501,7 @@ fn crash_after_deferred_install_keeps_buffered_reports() {
         for _ in 0..5000 {
             let g = engine.backend().gecko().expect("gecko backend");
             let flush_seq = g.last_flush_seq();
-            let newest_run_seq = g.all_runs().map(|r| r.meta.created_seq).max().unwrap_or(0);
+            let newest_run_seq = g.all_runs().map(|r| r.meta.id.0).max().unwrap_or(0);
             let erased_since_flush = engine.geometry().iter_blocks().any(|b| {
                 let e = engine.device().erase_seq(b);
                 e > flush_seq && e < newest_run_seq

@@ -236,10 +236,10 @@ impl BufferHarness {
             .runs_newest_first()
             // A flush run's span is its creation time; a merge output's is its
             // inputs'.
-            .filter(|r| r.meta.span() == (r.meta.created_seq, r.meta.created_seq))
-            .filter(|r| r.meta.created_seq >= seq_before)
+            .filter(|r| r.meta.span() == (r.meta.id.0, r.meta.id.0))
+            .filter(|r| r.meta.id.0 >= seq_before)
             .collect();
-        flushed.sort_by_key(|r| r.meta.created_seq);
+        flushed.sort_by_key(|r| r.meta.id);
         assert_eq!(
             flushed.len(),
             want.len().div_ceil(v),
@@ -273,8 +273,8 @@ impl BufferHarness {
             if i + 1 < flushed.len() {
                 assert_eq!(run.meta.flush_seq, watermark_before, "non-final chunk");
             } else {
-                assert_eq!(run.meta.flush_seq, run.meta.created_seq, "final chunk");
-                assert_eq!(tree.last_flush_seq(), run.meta.created_seq);
+                assert_eq!(run.meta.flush_seq, run.meta.id.0, "final chunk");
+                assert_eq!(tree.last_flush_seq(), run.meta.id.0);
             }
         }
         // Settle, so the next flush's runs are the only unmerged ones and
