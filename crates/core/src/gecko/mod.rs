@@ -11,7 +11,7 @@
 //! The buffer (`gecko/buffer.rs`) holds its entries in arrival order behind
 //! a dense key → position index, so an insertion, an erase-marker replace
 //! and a query probe are array accesses; a flush sorts the entries by key
-//! once and moves them out a page-full at a time.
+//! once and writes them as one run of `⌈n/V⌉` pages.
 //!
 //! See [`entry`] for the entry format, [`run`] for the on-flash run layout,
 //! [`config`] for tuning (`T`, `S`, multi-way merging), [`merge_job`] for
@@ -56,7 +56,7 @@ pub struct LogGecko {
     /// Device sequence number at the most recent buffer flush (0 if never
     /// flushed). Recovery's buffer reconstruction (App. C.2) keys off this.
     last_flush_seq: u64,
-    /// Reusable scratch buffers for the query/flush hot paths, so
+    /// Reusable scratch buffers for the query hot path, so
     /// steady-state operation allocates nothing per call.
     scratch: Scratch,
     /// Planned merges, in plan order: the tree's one FIFO of resumable
@@ -76,7 +76,7 @@ pub struct LogGecko {
     pub stats: GeckoStats,
 }
 
-/// Preallocated scratch space reused across queries and flushes.
+/// Preallocated scratch space reused across queries.
 /// Capacities grow to the workload's high-water mark and stay there.
 /// (Merge buffers live in the [`MergeJob`] in flight — they are queued-job
 /// state, accounted by [`LogGecko::ram_bytes`].)
@@ -86,8 +86,6 @@ struct Scratch {
     open: Vec<GeckoKey>,
     /// Flash-page probe list for the run under inspection.
     probe_ppns: Vec<Ppn>,
-    /// One flush chunk (≤ V entries) en route to a run page.
-    chunk: Vec<GeckoEntry>,
 }
 
 /// Internal operation counters (not IO — the device tracks IO).
@@ -95,7 +93,8 @@ struct Scratch {
 pub struct GeckoStats {
     /// Entry insertions into the buffer (updates + erase markers).
     pub buffer_inserts: u64,
-    /// Buffer flushes (each writes one run to level 0).
+    /// Buffer flushes (each writes one run, at the level its page count
+    /// calls for).
     pub flushes: u64,
     /// Merge operations performed.
     pub merges: u64,
@@ -111,11 +110,12 @@ pub struct GeckoStats {
     /// Flash page-IOs performed by incremental merge steps (reads of
     /// participant pages + writes of output pages), including forced drains.
     pub merge_pages_stepped: u64,
-    /// Forced synchronous drains: a caller needing quiescence (clean
-    /// shutdown, recovery, tests) found merge work still pending and ran
-    /// the remainder inline. Flushes no longer drain — plan-time run-id
-    /// reservation and span-contiguous planning let pushes proceed with
-    /// jobs in flight ([`merge_job`] invariant 4).
+    /// Forced synchronous drains, counted once per drain: a flush whose
+    /// merge debt ran past the backpressure ceiling drained the excess
+    /// inline, or a caller needing quiescence (clean shutdown, recovery,
+    /// tests) found merge work still pending and ran the remainder inline.
+    /// Flushes do not otherwise wait for pending jobs ([`merge_job`]
+    /// invariant 4).
     pub merge_stall_drains: u64,
 }
 
@@ -458,99 +458,64 @@ impl LogGecko {
         }
     }
 
-    /// Flush the buffer and schedule merges. Public so that shutdown paths
-    /// can force persistence. Merges scheduled by the pushes are left to the
-    /// pump — callers needing full quiescence (clean shutdown, tests) follow
-    /// up with [`LogGecko::drain_merges`] or keep ticking
-    /// [`crate::ftl::FtlEngine::idle_tick`].
+    /// Flush the buffer as one run and schedule merges. Public so that
+    /// shutdown paths can force persistence. Merges scheduled by the push
+    /// are left to the pump — callers needing full quiescence (clean
+    /// shutdown, tests) follow up with [`LogGecko::drain_merges`] or keep
+    /// ticking [`crate::ftl::FtlEngine::idle_tick`].
     ///
     /// Erase markers can overshoot the buffer past `V` entries (Algorithm 2
-    /// inserts S sub-entries at once), so the flush emits *single-page* runs
-    /// — each inserted at level 0, scheduling merges after each — rather
-    /// than one multi-page run. Chunks cover disjoint key ranges, so their
-    /// relative order carries no information, and the data-age order that
-    /// queries rely on is preserved.
+    /// inserts S sub-entries at once); the run then has `⌈n/V⌉` pages and
+    /// the level its page count calls for. It becomes real only when its
+    /// last page, carrying the postamble, is programmed: a power cut before
+    /// that leaves a partial run GeckoRec discards, and the watermark on
+    /// flash stays the previous run's, so recovery re-derives the whole
+    /// buffer.
     ///
-    /// Pushes do **not** wait for pending merge jobs: output identities are
+    /// Pushes do not wait for pending merge jobs: output identities are
     /// reserved at plan time and plans are span-contiguous ([`merge_job`]
-    /// invariant 4), so planning on a structure with jobs still in flight is
-    /// sound. The forced pre-push drain this method used to perform — and
-    /// count as [`GeckoStats::merge_stall_drains`] — is gone; stall drains
-    /// now occur only when a caller explicitly needs quiescence.
+    /// invariant 4), so planning with jobs in flight is sound. Only the
+    /// backpressure valve below drains merge work inline, as a counted
+    /// stall, when the debt runs past `merge_debt_ceiling`.
     pub fn flush(&mut self, dev: &mut FlashDevice, sink: &mut dyn MetaSink) {
         if self.buffer.is_empty() {
-            // Nothing to push ⇒ no merge planning ⇒ no need to force-drain
-            // in-flight work; it keeps draining through the pump.
             return;
         }
         self.stats.flushes += 1;
         let span_t0 = dev.clock().now_us();
         let span_entries = self.buffer.len() as u32;
-        let v = self.buffer_capacity() as usize;
-        // The watermark in effect before this flush began. Until the chunk
-        // that *empties* the buffer is sealed, this is all any run written
-        // here may certify: earlier chunks land on flash while the buffer
-        // tail is still RAM-only, and a crash in that window must leave the
-        // recovery threshold low enough for steps 4a/4b to re-derive the
-        // tail (re-deriving the already-durable chunks is idempotent).
-        // Advancing `last_flush_seq` per chunk — as every run once did by
-        // stamping its own creation time — certified the unwritten tail as
-        // durable and lost it for good.
-        let prior_watermark = self.last_flush_seq;
-        // Reused storage: steady-state flushing allocates only what the
-        // run pages and their directories must own. The buffer is emptied
-        // up front — nothing reads or inserts into it while the chunks are
-        // written — and its entries leave in key order, V at a time.
-        let mut sorted = self.buffer.take_sorted();
-        let mut pending = sorted.drain(..);
-        let mut chunk = std::mem::take(&mut self.scratch.chunk);
-        while pending.len() > 0 {
-            chunk.clear();
-            chunk.extend(pending.by_ref().take(v));
-            // Only the final chunk makes every report buffered before its
-            // creation durable; it alone stamps (and advances to) its own
-            // creation time.
-            let is_final = pending.len() == 0;
-            // A flush run is at most one page, written atomically; its
-            // identity and point span are the device sequence now.
-            let seq = dev.now_seq();
-            let meta = RunMeta {
-                id: RunId(seq),
-                level: 0,
-                flush_seq: if is_final { seq } else { prior_watermark },
-                supersedes_since: seq,
-                supersedes_upto: seq,
-            };
-            let mut writer = merge_job::RunWriter::new(
-                &self.cfg,
-                &self.geo,
-                meta,
-                std::mem::take(&mut chunk),
-                IoPurpose::ValidityUpdate,
-            );
-            while !writer.write_next_page(dev, sink) {}
-            let (run, reclaimed) = writer.into_run();
-            chunk = reclaimed;
-            debug_assert_eq!(
-                run.meta.level, 0,
-                "a single-page flush run belongs at level 0"
-            );
-            if is_final {
-                self.last_flush_seq = run.meta.id.0;
-            }
-            self.insert_run(run);
-            self.schedule_merges(dev);
-            // The knob's one reader: the paper's inline merges are the same
-            // jobs run to completion before the flush returns, so the queue
-            // is empty whenever `flush` is not on the stack and every other
-            // pump or drain finds nothing to do.
-            if self.cfg.sync_merge {
-                while self.pump_merges(dev, sink, u64::MAX) {}
-            }
+        // The run's identity, point span and watermark are the device
+        // sequence now: every report it certifies was buffered before.
+        let seq = dev.now_seq();
+        let meta = RunMeta {
+            id: RunId(seq),
+            level: 0,
+            flush_seq: seq,
+            supersedes_since: seq,
+            supersedes_upto: seq,
+        };
+        // The buffer is emptied up front — nothing reads or inserts into it
+        // while the run is written — and gets its storage back after.
+        let mut writer = merge_job::RunWriter::new(
+            &self.cfg,
+            &self.geo,
+            meta,
+            self.buffer.take_sorted(),
+            IoPurpose::ValidityUpdate,
+        );
+        while !writer.write_next_page(dev, sink) {}
+        let (run, storage) = writer.into_run();
+        self.buffer.recycle(storage);
+        self.last_flush_seq = seq;
+        self.insert_run(run);
+        self.schedule_merges(dev);
+        // The knob's one reader: the paper's inline merges are the same
+        // jobs run to completion before the flush returns, so the queue is
+        // empty whenever `flush` is not on the stack and every other pump
+        // or drain finds nothing to do.
+        if self.cfg.sync_merge {
+            while self.pump_merges(dev, sink, u64::MAX) {}
         }
-        self.scratch.chunk = chunk;
-        drop(pending);
-        self.buffer.recycle(sorted);
         // Backpressure valve: merge IO is normally pumped between flushes
         // (the engine piggybacks slices on writes and idle ticks), but a
         // caller that only ever inserts must not accumulate unbounded merge

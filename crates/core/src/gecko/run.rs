@@ -13,8 +13,8 @@
 //! * the **last** page carries a postamble: a copy of the run directory.
 //!
 //! These are modelled as in-page metadata (a few dozen bytes accounted via
-//! [`crate::gecko::GeckoConfig::page_header_bytes`]), so a buffer flush still
-//! costs exactly one flash write.
+//! [`crate::gecko::GeckoConfig::page_header_bytes`]), so a flush of at most V
+//! entries still costs exactly one flash write.
 //!
 //! Every page's **spare area** carries the run ID, the run's data-age span
 //! ([`RunMeta::span`]) and the block of its first key, which names the owning
@@ -44,19 +44,14 @@ pub struct RunMeta {
     /// buffer-flush time (Appendix C.2) as the max watermark over live
     /// runs, and replays only reports newer than it (steps 4a/4b).
     ///
-    /// The stamp must therefore be conservative about *in-flight* state:
-    ///
-    /// * A buffer flush emits its chunks as separate single-page runs, and
-    ///   only the **final** chunk — the one that empties the buffer — may
-    ///   carry its own id. Earlier chunks carry the watermark
-    ///   from *before* the flush began: when one of them is on flash but
-    ///   the buffer tail is not yet written, a crash must roll the
-    ///   threshold back far enough for recovery to re-derive the tail.
-    /// * A merge output carries the owning tree's `last_flush_seq` at fold
-    ///   time. With incremental merging the output is sealed long after
-    ///   the flush that scheduled it — possibly after further erases and
-    ///   invalidations entered the RAM buffer — so its own id
-    ///   would overclaim.
+    /// A buffer flush run carries its own id: it holds every report
+    /// buffered before it, and a power cut before its postamble leaves a
+    /// partial run recovery discards, so the watermark on flash stays the
+    /// previous run's. A merge output carries the owning tree's
+    /// `last_flush_seq` at fold time. With incremental merging the output
+    /// is sealed long after the flush that scheduled it — possibly after
+    /// further erases and invalidations entered the RAM buffer — so its own
+    /// id would overclaim.
     pub flush_seq: u64,
     /// Lower bound of this run's *data-age span*: the oldest
     /// `supersedes_since` over its transitive merge inputs (its own

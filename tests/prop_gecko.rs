@@ -222,33 +222,31 @@ impl BufferHarness {
         self.invalid[page as usize] = true;
     }
 
-    /// Everything a flush of `shard` must have done, given the tree's state
-    /// just before the operation that tripped it: the model's entries, in
-    /// key order, V to a single-page run, only the last run certifying its
-    /// own creation time. Empties the model.
-    fn check_flush(&mut self, shard: usize, seq_before: u64, watermark_before: u64) {
+    /// Everything a flush of `shard` must have done, given the device
+    /// sequence just before the operation that tripped it: one run holding
+    /// the model's entries in key order, V to a page, at the level its page
+    /// count calls for, certifying its own creation time. Empties the model.
+    fn check_flush(&mut self, shard: usize, seq_before: u64) {
         let v = self.cfg.entries_per_page(&self.geo) as usize;
         let sub = self.cfg.sub_bits(&self.geo);
         let ModelledTree { tree, buffer } = &mut self.trees[shard];
         let want: Vec<(GeckoKey, (u32, bool))> = std::mem::take(buffer).into_iter().collect();
         assert_eq!(tree.buffer_len(), 0, "a flush empties the buffer");
-        let mut flushed: Vec<_> = tree
+        let flushed: Vec<_> = tree
             .runs_newest_first()
             // A flush run's span is its creation time; a merge output's is its
             // inputs'.
             .filter(|r| r.meta.span() == (r.meta.id.0, r.meta.id.0))
             .filter(|r| r.meta.id.0 >= seq_before)
             .collect();
-        flushed.sort_by_key(|r| r.meta.id);
-        assert_eq!(
-            flushed.len(),
-            want.len().div_ceil(v),
-            "one run per V entries"
-        );
-        let mut previous_last: Option<GeckoKey> = None;
-        for (i, (run, chunk)) in flushed.iter().zip(want.chunks(v)).enumerate() {
-            assert_eq!(run.pages.len(), 1, "flush runs are single pages");
-            let page = &run.pages[0];
+        let [run] = flushed[..] else {
+            panic!("shard {shard}: {} runs for one flush", flushed.len());
+        };
+        assert_eq!(run.pages.len(), want.len().div_ceil(v), "V entries a page");
+        assert_eq!(run.meta.level, self.cfg.level_for(run.num_pages()));
+        assert_eq!(run.meta.flush_seq, run.meta.id.0, "its own watermark");
+        assert_eq!(tree.last_flush_seq(), run.meta.id.0);
+        for (i, (page, chunk)) in run.pages.iter().zip(want.chunks(v)).enumerate() {
             let data = self
                 .dev
                 .read_page(page.ppn, IoPurpose::ValidityQuery)
@@ -263,19 +261,11 @@ impl BufferHarness {
                     (e.key, (bits, e.erase_flag))
                 })
                 .collect();
-            assert_eq!(got, chunk, "chunk {i} of shard {shard}");
+            assert_eq!(got, chunk, "page {i} of shard {shard}");
             assert_eq!(
                 (page.first, page.last),
                 (chunk[0].0, chunk[chunk.len() - 1].0)
             );
-            assert!(previous_last < Some(page.first), "chunks ascend, disjoint");
-            previous_last = Some(page.last);
-            if i + 1 < flushed.len() {
-                assert_eq!(run.meta.flush_seq, watermark_before, "non-final chunk");
-            } else {
-                assert_eq!(run.meta.flush_seq, run.meta.id.0, "final chunk");
-                assert_eq!(tree.last_flush_seq(), run.meta.id.0);
-            }
         }
         // Settle, so the next flush's runs are the only unmerged ones and
         // merge debt never reaches the flush's backpressure valve.
@@ -287,7 +277,6 @@ impl BufferHarness {
     fn apply(&mut self, op: &BufferOp) {
         let v = self.cfg.entries_per_page(&self.geo) as usize;
         let seq_before = self.dev.now_seq();
-        let watermarks: Vec<u64> = self.trees.iter().map(|t| t.tree.last_flush_seq()).collect();
         let mut flush_expected = vec![false; self.trees.len()];
         match op {
             BufferOp::Invalidate(page) => {
@@ -347,7 +336,7 @@ impl BufferHarness {
         }
         for (shard, flushed) in flush_expected.into_iter().enumerate() {
             if flushed {
-                self.check_flush(shard, seq_before, watermarks[shard]);
+                self.check_flush(shard, seq_before);
             } else {
                 let t = &self.trees[shard];
                 assert_eq!(t.tree.buffer_len(), t.buffer.len(), "shard {shard} buffer");
@@ -513,8 +502,8 @@ proptest! {
     }
 
     /// The buffer's arrival-order vector and dense position index behave
-    /// like the ordered map they replaced: same entries, same flush chunks
-    /// in the same order with the same watermarks, same query answers, at
+    /// like the ordered map they replaced: same entries, the same flush run
+    /// in key order with its own watermark, same query answers, at
     /// both shard counts and partitionings and with erase markers and
     /// batches overshooting `V`.
     #[test]
