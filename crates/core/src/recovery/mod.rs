@@ -95,6 +95,9 @@ pub struct RecoveryReport {
     pub recovered_erases: usize,
     /// Invalidations recreated by step 4b.
     pub recovered_invalidations: usize,
+    /// Each tree's flush watermark as step 3 found it on flash, in shard
+    /// order: steps 4a and 4b re-derive what is newer (Appendix C.2).
+    pub flush_watermarks: Vec<u64>,
 }
 
 impl RecoveryReport {
@@ -284,6 +287,7 @@ pub fn gecko_recover(
     // and validity bits are OR-ed, so a duplicate changes no query answer.
     let threshold = gecko.last_flush_seq();
     let shard_thresholds = gecko.shard_flush_seqs();
+    report.flush_watermarks.clone_from(&shard_thresholds);
     // 4a (C.2.1): blocks erased since the last flush get erase markers. The
     // erase timestamp is persisted in a spare area (Appendix D), read as
     // part of the step-1 scan.
