@@ -7,8 +7,8 @@
 //!
 //! For recovery (Appendix C.1), each run is self-describing in flash:
 //!
-//! * the **first** page carries a preamble (run ID, level, creation
-//!   timestamp, flush watermark and data-age span);
+//! * the **first** page carries a preamble (run ID, which is its creation
+//!   timestamp, level, flush watermark and data-age span);
 //! * **every** page carries a header with the run ID and page index;
 //! * the **last** page carries a postamble: a copy of the run directory.
 //!
