@@ -60,6 +60,9 @@ fn every_known_failing_scenario_still_fails() {
     let dir = gecko_bench::fuzz::corpus_dir().join("../known_failing");
     for entry in std::fs::read_dir(&dir).expect("fuzz/known_failing exists") {
         let path = entry.expect("readable directory entry").path();
+        if path.extension().is_none_or(|e| e != "scenario") {
+            continue; // the directory's README.md
+        }
         let text = std::fs::read_to_string(&path).expect("readable scenario");
         let sc = Scenario::from_text(&text).expect("well-formed scenario");
         assert!(
