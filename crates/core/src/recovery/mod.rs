@@ -7,8 +7,8 @@
 //! through IO-charged spare/page reads so the reported recovery cost is
 //! honest:
 //!
-//! 1. **BID** — scan one spare area per block to classify blocks and
-//!    timestamp them (the Blocks Information Directory).
+//! 1. **BID** — scan one spare area per block, its newest page's, to
+//!    classify blocks and timestamp them (the Blocks Information Directory).
 //! 2. **GMD** — scan translation-block spare areas; the newest version of
 //!    each translation page wins.
 //! 3. **Run directories** — scan Gecko-block spare areas, which carry each
@@ -31,10 +31,10 @@
 //!    Logarithmic Gecko plus the recovered buffer, reading only the live run
 //!    pages step 3 did not, so each is read once across the two steps.
 //! 6. **Dirty entries** — backwards scan of the most recently written user
-//!    blocks, newest first by step 1's timestamps, down to the checkpoint
-//!    horizon the translation pages persist (at most `2·C` spare reads back,
-//!    by runtime checkpoints), recreating a cached mapping entry per fresh
-//!    LPN and each before-pointer's invalidation.
+//!    pages, newest first across blocks (step 1's newest pages open them),
+//!    down to the checkpoint horizon the translation pages persist (at most
+//!    `2·C` spare reads back, by runtime checkpoints), recreating a cached
+//!    mapping entry per fresh LPN and each before-pointer's invalidation.
 //! 7. **Flags** — recovered entries get dirty/UIP/uncertain = true;
 //!    corrections happen lazily after operation resumes (Appendix C.3).
 //! 8. **Resume** — dispose of BID, reassemble the engine with step 4's
@@ -51,10 +51,10 @@ use crate::gecko::{
 };
 use crate::translation::{TranslationPagePayload, TranslationTable};
 use flash_sim::{
-    BlockId, FlashDevice, IoPurpose, MetaKind, MetaTag, PageData, PageOffset, Ppn, SpanKind,
+    BlockId, FlashDevice, IoPurpose, MetaKind, MetaTag, PageData, PageOffset, Ppn, SpanKind, Spare,
     SpareInfo,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
 /// The eight steps of GeckoRec, for per-step cost reporting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,9 +121,37 @@ impl RecoveryReport {
 #[derive(Clone, Copy, Debug)]
 struct BidEntry {
     group: Option<BlockGroup>,
-    /// Sequence number of the block's first written page (0 if empty).
-    first_seq: u64,
+    /// The block's newest page whose spare area reads back, as its offset
+    /// and that spare area (`None` if the block is empty).
+    newest: Option<(u32, Spare)>,
     written: u32,
+}
+
+impl BidEntry {
+    /// The seq of the block's newest readable page (0 if empty).
+    fn newest_seq(&self) -> u64 {
+        self.newest.map_or(0, |(_, s)| s.seq)
+    }
+}
+
+/// A step 6 cursor: the next user page of one block to walk, with its spare
+/// area already read. Ordered by seq alone, which no two pages share.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Cursor {
+    ppn: Ppn,
+    spare: Spare,
+}
+
+impl Ord for Cursor {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.spare.seq.cmp(&other.spare.seq)
+    }
+}
+
+impl PartialOrd for Cursor {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 struct StepTimer {
@@ -170,29 +198,35 @@ pub fn gecko_recover(
     let mut report = RecoveryReport::default();
 
     // ---- Step 1: BID — one spare read per non-empty block. -------------
+    // The paper's "K spare area reads, one per flash block": each block's
+    // newest page, which names its group, and whose seq orders step 6.
     let timer = StepTimer::start(&dev);
     let mut bid: Vec<BidEntry> = Vec::with_capacity(geo.blocks as usize);
     for b in geo.iter_blocks() {
         let written = dev.written_pages(b);
-        if written == 0 {
-            bid.push(BidEntry {
-                group: None,
-                first_seq: 0,
-                written,
-            });
-            continue;
-        }
-        let Ok(spare) = dev.read_spare(geo.first_page(b), IoPurpose::Recovery) else {
-            // Torn first page (power cut mid-program on a fresh block): the
-            // block holds exactly one page — the torn one, always the
-            // globally newest write — and nothing on it was acknowledged.
-            // Quarantine-scrub it back into circulation.
-            if dev.erase_block(b, IoPurpose::Recovery).is_err() {
-                dev.mark_bad(b); // unscrubbable: retire it for good
+        // A torn spare area is an in-flight write a power cut killed, and a
+        // failed read costs nothing; the newest page that reads back stands
+        // in for the block. (GeckoRec scrubs a block whose first page is
+        // torn, so a torn page always has a readable one below it.)
+        let newest = (0..written).rev().find_map(|off| {
+            let ppn = geo.ppn(b, PageOffset(off));
+            dev.read_spare(ppn, IoPurpose::Recovery)
+                .ok()
+                .map(|s| (off, s))
+        });
+        let Some((top, spare)) = newest else {
+            if written > 0 {
+                // Torn first page (power cut mid-program on a fresh block):
+                // the block holds exactly one page — the torn one, always
+                // the globally newest write — and nothing on it was
+                // acknowledged. Quarantine-scrub it back into circulation.
+                if dev.erase_block(b, IoPurpose::Recovery).is_err() {
+                    dev.mark_bad(b); // unscrubbable: retire it for good
+                }
             }
             bid.push(BidEntry {
                 group: None,
-                first_seq: 0,
+                newest: None,
                 written: 0,
             });
             continue;
@@ -204,7 +238,7 @@ pub fn gecko_recover(
         };
         bid.push(BidEntry {
             group: Some(group),
-            first_seq: spare.seq,
+            newest: Some((top, spare)),
             written,
         });
     }
@@ -294,7 +328,14 @@ pub fn gecko_recover(
     for b in geo.iter_blocks() {
         // The paper's rule: "all blocks that are free or whose first page
         // was written after this timestamp". The persisted erase timestamp
-        // (Appendix D) expresses both cases directly.
+        // (Appendix D) expresses the first case; the second needs the
+        // first page's seq, which step 1 does not read. It matters only for
+        // a block written since the flush (its newest page is newer) and
+        // erased before it: a spare read of its first page, unless that is
+        // step 1's page. (The clause is not redundant: greedy GC's
+        // translation copies can report a page of a block after its erase,
+        // and the recreated marker masks that report; without it the greedy
+        // storm census fails on more seeds.)
         //
         // The timestamp is the *owning shard's* watermark, not the global
         // minimum: an erase marker masks every older entry for its block,
@@ -303,8 +344,15 @@ pub fn gecko_recover(
         // (Unlike plain invalidation bits, markers are not idempotent
         // across a flush boundary.)
         let b_threshold = shard_thresholds[gecko.shard_of(b)];
+        let entry = &bid[b.0 as usize];
         let erased_since_flush = dev.erase_seq(b) > b_threshold
-            || bid[b.0 as usize].first_seq > b_threshold && bid[b.0 as usize].written > 0;
+            || entry.newest_seq() > b_threshold
+                && match entry.newest {
+                    Some((0, spare)) => spare.seq,
+                    _ => dev
+                        .read_spare(geo.first_page(b), IoPurpose::Recovery)
+                        .map_or(0, |s| s.seq),
+                } > b_threshold;
         if erased_since_flush {
             gecko.recover_erase_marker(b);
             report.recovered_erases += 1;
@@ -435,24 +483,22 @@ pub fn gecko_recover(
     // ---- Step 6: dirty cached mapping entries. ----------------------------
     let timer = StepTimer::start(&dev);
     let mut cache = MappingCache::new(cfg.cache_entries);
-    // Newest user block first, by the seq of its first page from step 1's
-    // scan, not by a spare read of its newest page per block (the paper's
-    // "K spare area reads, one per flash block"; docs/DESIGN.md,
-    // "Deviations"). The user group appends at one frontier, so its blocks'
-    // seq intervals do not overlap and both keys give the same order; a
-    // torn last page lies on the newest block, which sorts first either way.
-    let mut user_blocks: Vec<(u64, BlockId)> = geo
+    // Newest page first across the user blocks: a max-heap of per-block
+    // cursors, each keyed by the seq of the page it points at. Blocks wait
+    // newest first by step 1's newest page, and one opens when the heap's
+    // top is older than that page; its first cursor is step 1's spare area,
+    // read once. So every walked page costs one spare read, except each
+    // block's newest, and each block still open when the scan stops costs
+    // the one it read ahead. Where the user group appends at more than one
+    // frontier, blocks' seq ranges interleave: no per-block key orders the
+    // pages.
+    let mut closed: Vec<BlockId> = geo
         .iter_blocks()
         .filter(|b| bid[b.0 as usize].group == Some(BlockGroup::User))
-        .map(|b| (bid[b.0 as usize].first_seq, b))
         .collect();
-    user_blocks.sort_unstable_by_key(|(seq, _)| std::cmp::Reverse(*seq));
-    debug_assert!(
-        user_blocks
-            .windows(2)
-            .all(|w| newest_seq(&dev, &bid, w[0].1) > newest_seq(&dev, &bid, w[1].1)),
-        "first-page order differs from newest-page order"
-    );
+    closed.sort_unstable_by_key(|b| std::cmp::Reverse(bid[b.0 as usize].newest_seq()));
+    let mut closed = closed.into_iter().peekable();
+    let mut cursors: BinaryHeap<Cursor> = BinaryHeap::new();
     // Dirty-entry recreation stops at the checkpoint horizon step 4b read:
     // no dirty entry pointed at an older page when any version carrying it
     // was written, nor at any time since (DESIGN.md invariant 15). A
@@ -475,40 +521,40 @@ pub fn gecko_recover(
     let mut recreated: Vec<CacheEntry> = Vec::new();
     // The seq of the oldest page an entry was recreated from.
     let mut oldest_recreated = None;
-    'scan: for &(_, b) in &user_blocks {
-        let written = bid[b.0 as usize].written;
-        for off in (0..written).rev() {
-            let ppn = geo.ppn(b, PageOffset(off));
-            let spare = match dev.read_spare(ppn, IoPurpose::Recovery) {
-                Ok(s) if dev.is_written(ppn) => s,
-                // Torn page: the in-flight user write the power cut killed.
-                // Nothing about it was acknowledged. Step 5 counted it valid
-                // (it was never reported to Gecko), so count it invalid now
-                // and recreate the lost invalidation report.
-                _ => {
-                    gecko.recover_invalidation(ppn);
-                    let counted = invalid_maps
-                        .entry(b)
-                        .or_insert_with(|| Bitmap::new(geo.pages_per_block));
-                    if !counted.get(off) {
-                        counted.set(off);
-                        bvc[b.0 as usize] -= 1;
-                    }
-                    report.recovered_invalidations += 1;
+    loop {
+        if let Some(&b) = closed.peek() {
+            let (top, spare) = bid[b.0 as usize].newest.expect("a user block is written");
+            if cursors.peek().is_none_or(|c| c.spare.seq < spare.seq) {
+                closed.next();
+                // Pages above step 1's are torn spare areas.
+                for off in (top + 1..bid[b.0 as usize].written).rev() {
+                    let ppn = geo.ppn(b, PageOffset(off));
+                    recover_torn(&mut gecko, &mut report, &mut invalid_maps, &mut bvc, ppn);
                     scanned += 1;
-                    continue;
                 }
-            };
+                let ppn = geo.ppn(b, PageOffset(top));
+                cursors.push(Cursor { ppn, spare });
+                continue;
+            }
+        }
+        let Some(Cursor { ppn, spare }) = cursors.pop() else {
+            break;
+        };
+        let (b, off) = (geo.block_of(ppn), geo.offset_of(ppn).0);
+        if !dev.is_written(ppn) {
+            recover_torn(&mut gecko, &mut report, &mut invalid_maps, &mut bvc, ppn);
+            scanned += 1;
+        } else {
             // The scan serves two purposes with two horizons. Dirty-entry
             // recreation needs the checkpoint-bounded window. Re-deriving
             // the buffer's *immediate* invalidation reports (the
             // before-image pointers, §4.1) needs every user page written
             // since the last Gecko flush — those reports lived only in the
-            // lost buffer. Stop once both horizons are exhausted; blocks
-            // are walked newest-first, so everything further is older.
+            // lost buffer. Stop once both horizons are exhausted; pages are
+            // walked newest-first, so everything further is older.
             let in_window = scanned < scan_limit && spare.seq >= horizon;
             if !in_window && spare.seq <= threshold {
-                break 'scan;
+                break;
             }
             scanned += 1;
             let SpareInfo::User { lpn, before } = spare.info else {
@@ -556,6 +602,20 @@ pub fn gecko_recover(
                     });
                     report.recovered_entries += 1;
                     oldest_recreated = Some(spare.seq);
+                }
+            }
+        }
+        // Read the block's next page down, past any torn spare area.
+        for off in (0..off).rev() {
+            let ppn = geo.ppn(b, PageOffset(off));
+            match dev.read_spare(ppn, IoPurpose::Recovery) {
+                Ok(spare) => {
+                    cursors.push(Cursor { ppn, spare });
+                    break;
+                }
+                Err(_) => {
+                    recover_torn(&mut gecko, &mut report, &mut invalid_maps, &mut bvc, ppn);
+                    scanned += 1;
                 }
             }
         }
@@ -664,12 +724,28 @@ pub fn gecko_recover(
     (engine, report)
 }
 
-/// The seq of `block`'s newest page, read without IO (a debug check's
-/// oracle); a torn spare can only be the globally newest write.
-fn newest_seq(dev: &FlashDevice, bid: &[BidEntry], block: BlockId) -> u64 {
-    let last = PageOffset(bid[block.0 as usize].written - 1);
-    dev.peek_spare(dev.geometry().ppn(block, last))
-        .map_or(u64::MAX, |s| s.seq)
+/// Step 6's torn page: the in-flight user write the power cut killed.
+/// Nothing about it was acknowledged. Step 5 counted it valid (it was never
+/// reported to Gecko), so count it invalid now and recreate the lost
+/// invalidation report.
+fn recover_torn(
+    gecko: &mut ShardedGecko,
+    report: &mut RecoveryReport,
+    invalid_maps: &mut HashMap<BlockId, Bitmap>,
+    bvc: &mut [u32],
+    ppn: Ppn,
+) {
+    let geo = gecko.geometry();
+    let (b, off) = (geo.block_of(ppn), geo.offset_of(ppn).0);
+    gecko.recover_invalidation(ppn);
+    let counted = invalid_maps
+        .entry(b)
+        .or_insert_with(|| Bitmap::new(geo.pages_per_block));
+    if !counted.get(off) {
+        counted.set(off);
+        bvc[b.0 as usize] -= 1;
+    }
+    report.recovered_invalidations += 1;
 }
 
 /// The version `v` names as the one it superseded, if that page still holds

@@ -124,30 +124,55 @@ fn repeated_crashes_do_not_lose_data() {
     }
 }
 
-/// The user pages on `engine`'s device whose seq is at least `from`.
-fn user_pages_since(engine: &FtlEngine, from: u64) -> u64 {
-    let geo = engine.geometry();
-    let dev = engine.device();
-    geo.iter_blocks()
-        .flat_map(|b| (0..dev.written_pages(b)).map(move |off| geo.ppn(b, PageOffset(off))))
-        .filter(|&ppn| {
-            dev.peek_spare(ppn)
-                .is_some_and(|s| s.seq >= from && matches!(s.info, SpareInfo::User { .. }))
+/// The user pages on `dev` as `(seq, block)`, newest first.
+fn user_pages_newest_first(dev: &FlashDevice) -> Vec<(u64, u32)> {
+    let geo = dev.geometry();
+    let mut pages: Vec<(u64, u32)> = geo
+        .iter_blocks()
+        .flat_map(|b| (0..dev.written_pages(b)).map(move |off| (b, geo.ppn(b, PageOffset(off)))))
+        .filter_map(|(b, ppn)| {
+            let spare = dev.peek_spare(ppn)?;
+            matches!(spare.info, SpareInfo::User { .. }).then_some((spare.seq, b.0))
         })
-        .count() as u64
+        .collect();
+    pages.sort_unstable_by_key(|&(seq, _)| std::cmp::Reverse(seq));
+    pages
+}
+
+/// GeckoRec step 6's spare reads on `dev` (no torn page) when its walk,
+/// newest user page first, stops at the newest page older than `from`, as
+/// `(pages walked, reads)`. The walked pages include the one that stops the
+/// walk. Each costs one spare read, except each block's newest page, whose
+/// spare area step 1 read; and each block the walk opened, other than the
+/// stopping page's, that still holds an older page costs the one it read
+/// ahead.
+fn dirty_step_reads(dev: &FlashDevice, from: u64) -> (u64, u64) {
+    let pages = user_pages_newest_first(dev);
+    let stop = pages.iter().position(|&(seq, _)| seq < from);
+    let (walked, rest) = pages.split_at(stop.map_or(pages.len(), |i| i + 1));
+    let opened: HashSet<u32> = walked.iter().map(|&(_, b)| b).collect();
+    let stopped_in = stop.map(|i| pages[i].1);
+    let read_ahead = opened
+        .iter()
+        .filter(|&&b| Some(b) != stopped_in && rest.iter().any(|&(_, r)| r == b))
+        .count();
+    let walked = walked.len() as u64;
+    (walked, walked - opened.len() as u64 + read_ahead as u64)
 }
 
 /// GeckoRec step 6 walks back to the checkpoint horizon — the start of the
 /// epoch before the current one — or to the last Gecko flush, whichever is
-/// older, one spare read per page, plus the one page that stops it: 55 spare
-/// reads here, where the paper's `2·C`-page window (with its `4·B` cushion)
-/// read 129. Twelve translation pages, so step 4b reads versions that carry
-/// the horizon.
+/// older, plus the one page that stops it: 46 pages here, where the paper's
+/// `2·C`-page window (with its `4·B` cushion) walks 129. It reads one spare
+/// area per page walked but each block's newest, which step 1 read: 42 spare
+/// reads here ([`dirty_step_reads`]). Twelve translation pages, so step 4b
+/// reads versions that carry the horizon.
 ///
-/// Mutations this fails on: a step 6 that ignores the horizon (129 reads),
-/// and, with `dirty_entries_stay_newer_than_the_checkpoint_horizon`, a
-/// checkpoint that makes the *new* epoch's start the horizon (the scan stops
-/// short of the previous epoch's dirty entries, and a write is lost).
+/// Mutations this fails on: a step 6 that ignores the horizon, one that
+/// reads each block's newest page again, and, with
+/// `dirty_entries_stay_newer_than_the_checkpoint_horizon`, a checkpoint that
+/// makes the *new* epoch's start the horizon (the scan stops short of the
+/// previous epoch's dirty entries, and a write is lost).
 #[test]
 fn recovery_scan_is_bounded_by_checkpoints() {
     let mut engine = small_engine_on(Geometry::new(64, 16, 256, 0.7), 32, 1);
@@ -157,13 +182,14 @@ fn recovery_scan_is_bounded_by_checkpoints() {
     let threshold = engine.backend().gecko().expect("gecko").last_flush_seq();
     let horizon = engine.translation().horizon();
     assert!(horizon > 0, "the run checkpoints");
-    let walked = user_pages_since(&engine, horizon.min(threshold + 1));
+    let (walked, reads) = dirty_step_reads(engine.device(), horizon.min(threshold + 1));
     let (mut recovered, report) = crash_and_recover(engine);
     let dirty_step = step_cost(&report, RecoveryStep::DirtyEntries);
+    assert_eq!((walked, reads), (46, 42));
     assert_eq!(
-        dirty_step.spare_reads,
-        walked + 1,
-        "one spare read per page since the horizon or the flush, and the one that stops the scan"
+        dirty_step.spare_reads, reads,
+        "one spare read per page since the horizon or the flush, and the one that stops the \
+         scan, but each block's newest"
     );
     verify_all(&mut recovered, &oracle);
 }
@@ -395,11 +421,32 @@ fn crash_immediately_after_single_write() {
     assert_eq!(recovered.read(Lpn(6)), None);
 }
 
+/// GeckoRec step 4a's spare reads on `dev` against the shard watermarks
+/// `thresholds`: the first page of each block written since its shard's
+/// watermark (its newest page is newer) but erased at or before it, unless
+/// that page is the block's newest, whose spare area step 1 read.
+fn erase_step_reads(dev: &FlashDevice, thresholds: &[u64]) -> u64 {
+    let geo = dev.geometry();
+    let seq = |b, off| {
+        dev.peek_spare(geo.ppn(b, PageOffset(off)))
+            .map_or(0, |s| s.seq)
+    };
+    geo.iter_blocks()
+        .filter(|&b| {
+            let threshold = thresholds[b.0 as usize % thresholds.len()];
+            let written = dev.written_pages(b);
+            written > 1 && seq(b, written - 1) > threshold && dev.erase_seq(b) <= threshold
+        })
+        .count() as u64
+}
+
 /// GeckoRec step 4b reads the base and each of the k translation-page
 /// versions written since the last flush once — k + 1 page reads — and
 /// decides every changed mapping from the persisted erase timestamp, with no
 /// spare read (DESIGN.md invariant 12). Its debug assertion checks each
-/// decision against the spare area.
+/// decision against the spare area. Step 4's only spare reads are step 4a's
+/// first pages ([`erase_step_reads`]): here the user block and the
+/// translation block written since format.
 ///
 /// Mutations this fails on: restoring the pairwise `chain.windows(2)` loop
 /// (2k page reads), and reporting every candidate without the timestamp
@@ -420,6 +467,8 @@ fn buffer_step_reads_each_version_once_and_no_spare_area() {
         engine.sync_all_dirty();
     }
     assert_eq!(flush_seq(&engine), watermark, "no Gecko flush since format");
+    let first_pages = erase_step_reads(engine.device(), &[watermark]);
+    assert_eq!(first_pages, 2);
     let (mut recovered, report) = crash_and_recover(engine);
     let buffer = step_cost(&report, RecoveryStep::Buffer);
     assert_eq!(
@@ -427,7 +476,7 @@ fn buffer_step_reads_each_version_once_and_no_spare_area() {
         K + 1,
         "the format version plus K versions"
     );
-    assert_eq!(buffer.spare_reads, 0);
+    assert_eq!(buffer.spare_reads, first_pages, "step 4a's first pages");
     // Step 4b's 8 re-derived reports (two overwrite rounds of 4 LPNs) plus
     // step 6's 8 before-pointers: what the pairwise, spare-checked loop
     // reported on the same image.
@@ -549,15 +598,15 @@ fn recovering_one_image_twice_gives_the_same_engine() {
     }
 }
 
-/// GeckoRec step 6 charges one spare read per page its backwards scan walks:
-/// none per before-pointer, which the erase-timestamp filter decides
-/// (DESIGN.md invariant 12), and none per user block, which step 1's
-/// first-page seq orders. With no Gecko flush since format the scan walks
-/// every user page written.
+/// GeckoRec step 6 charges one spare read per page its backwards scan walks
+/// but each user block's newest, whose spare area step 1 read: none per
+/// before-pointer, which the erase-timestamp filter decides (DESIGN.md
+/// invariant 12). With no Gecko flush since format the scan walks every
+/// user page written, 36 on 3 blocks, so 33 reads ([`dirty_step_reads`]).
 ///
 /// Mutations this fails on: reading the before-pointer's spare area again
-/// (24 extra reads here), and ordering blocks by a spare read of their
-/// newest page (3 extra).
+/// (24 extra reads here), and reading each block's newest page again (3
+/// extra).
 #[test]
 fn dirty_entry_step_reads_one_spare_area_per_walked_page() {
     const ROUNDS: u64 = 3;
@@ -578,9 +627,15 @@ fn dirty_entry_step_reads_one_spare_area_per_walked_page() {
         }
     }
     assert_eq!(flush_seq(&engine), watermark, "no Gecko flush since format");
+    let (walked, reads) = dirty_step_reads(engine.device(), 0);
+    assert_eq!(walked, ROUNDS * LPNS as u64, "every user page");
     let (mut recovered, report) = crash_and_recover(engine);
     let dirty = step_cost(&report, RecoveryStep::DirtyEntries);
-    assert_eq!(dirty.spare_reads, ROUNDS * LPNS as u64, "one per user page");
+    assert_eq!(reads, 33);
+    assert_eq!(
+        dirty.spare_reads, reads,
+        "one per user page but each block's newest"
+    );
     assert_eq!(dirty.page_reads, 0);
     // What the step reported when it read every before-pointer's spare
     // area and one spare area per block (63 spare reads) on the same image:
