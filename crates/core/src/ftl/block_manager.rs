@@ -3,9 +3,14 @@
 //!
 //! GeckoFTL separates flash pages into groups of blocks by type (Figure 8):
 //! user blocks, translation blocks, and metadata blocks (Gecko runs — or,
-//! for the baselines, PVB/PVL pages). Each group has one *active block*
-//! written append-only; when it fills up, a new active block is allocated
-//! from the free pool.
+//! for the baselines, PVB/PVL pages). Each group appends at an *active
+//! block*; when one fills up, a new one is allocated from the free pool.
+//! The user group has two, its two *frontiers*: host writes append at one
+//! ([`BlockManager::append`]) and GC copies at the other
+//! ([`BlockManager::relocate`]), so a collection never packs the cold pages
+//! it migrates into a block with fresh host writes. Both frontiers' blocks
+//! are user blocks to everything else: victim selection, BVC and the
+//! validity store do not tell them apart.
 //!
 //! The BVC (Figure 7) tracks the number of valid pages per block and drives
 //! garbage-collection victim selection. Under the metadata-aware GC policy
@@ -102,6 +107,9 @@ impl BlockGroup {
     }
 }
 
+/// The active-block slot of GC copies: one past the groups' slots.
+const RELOCATION: usize = BlockGroup::ALL.len();
+
 /// Per-block bookkeeping state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BlockState {
@@ -197,7 +205,9 @@ pub(crate) struct Version {
 pub struct BlockManager {
     geo: Geometry,
     state: Vec<BlockState>,
-    active: [Option<BlockId>; 5],
+    /// The active block of each group, by `BlockGroup::index`, and of the
+    /// user group's relocation frontier, at `RELOCATION`.
+    active: [Option<BlockId>; RELOCATION + 1],
     free: VecDeque<BlockId>,
     /// BVC: number of valid pages per block.
     bvc: Vec<u32>,
@@ -238,7 +248,7 @@ impl BlockManager {
         BlockManager {
             geo,
             state: vec![BlockState::Free; geo.blocks as usize],
-            active: [None; 5],
+            active: [None; RELOCATION + 1],
             free: geo.iter_blocks().collect(),
             bvc: vec![0; geo.blocks as usize],
             erase_empty_metadata: true,
@@ -280,7 +290,7 @@ impl BlockManager {
         BlockManager {
             geo,
             state,
-            active: [None; 5],
+            active: [None; RELOCATION + 1],
             free,
             bvc,
             erase_empty_metadata,
@@ -310,6 +320,20 @@ impl BlockManager {
     /// Number of blocks currently in the free pool.
     pub fn free_blocks(&self) -> usize {
         self.free.len()
+    }
+
+    /// The user pages that can be written before the free pool runs dry:
+    /// every free block's pages plus the unwritten tails of both user
+    /// frontiers. GC counts space in these, not in free blocks: a
+    /// collection that opens a relocation block takes a block from the pool
+    /// but leaves its pages to the next copies.
+    pub fn free_user_pages(&self, dev: &FlashDevice) -> u64 {
+        let tails = [BlockGroup::User.index(), RELOCATION]
+            .iter()
+            .filter_map(|&slot| self.active[slot])
+            .map(|b| (self.geo.pages_per_block - dev.written_pages(b)) as u64)
+            .sum::<u64>();
+        self.free.len() as u64 * self.geo.pages_per_block as u64 + tails
     }
 
     /// The BVC value (valid pages) for a block.
@@ -471,8 +495,9 @@ impl BlockManager {
             .filter(move |b| self.state[b.0 as usize] == BlockState::InUse(group))
     }
 
-    fn ensure_active(&mut self, dev: &FlashDevice, group: BlockGroup) -> BlockId {
-        let slot = group.index();
+    /// The active block at `slot`, which appends for `group`, allocating
+    /// one if there is none or it is full.
+    fn ensure_active(&mut self, dev: &FlashDevice, slot: usize, group: BlockGroup) -> BlockId {
         if let Some(b) = self.active[slot] {
             if !dev.block_is_full(b) {
                 return b;
@@ -491,15 +516,22 @@ impl BlockManager {
         b
     }
 
-    /// Adopt an existing partially-written block as the group's active block
-    /// (used after recovery, which finds the old actives half-full).
+    /// Adopt an existing partially-written block as an active block of its
+    /// group (used after recovery, which finds the old actives half-full).
+    /// A second user block resumes as the relocation frontier; which one
+    /// resumes as which moves placement only.
     pub fn adopt_active(&mut self, block: BlockId, group: BlockGroup) {
         debug_assert_eq!(self.state[block.0 as usize], BlockState::InUse(group));
-        self.active[group.index()] = Some(block);
+        let slot = match group {
+            BlockGroup::User if self.active[group.index()].is_some() => RELOCATION,
+            _ => group.index(),
+        };
+        self.active[slot] = Some(block);
     }
 
-    /// Append a page to the active block of `group`. The caller guarantees a
-    /// free-block reserve via the GC trigger threshold.
+    /// Append a page to the active block of `group` — for the user group,
+    /// at the host-write frontier. The caller guarantees a free-block
+    /// reserve via the GC trigger threshold.
     ///
     /// A program failure (the active block went bad mid-write) is handled
     /// here: the block is abandoned as append target and the write retries
@@ -513,8 +545,32 @@ impl BlockManager {
         info: SpareInfo,
         purpose: IoPurpose,
     ) -> Ppn {
+        self.append_at(dev, group.index(), group, data, info, purpose)
+    }
+
+    /// Append a GC copy of a user page at the relocation frontier, as
+    /// [`BlockManager::append`] does at the host-write one.
+    pub fn relocate(
+        &mut self,
+        dev: &mut FlashDevice,
+        data: PageData,
+        info: SpareInfo,
+        purpose: IoPurpose,
+    ) -> Ppn {
+        self.append_at(dev, RELOCATION, BlockGroup::User, data, info, purpose)
+    }
+
+    fn append_at(
+        &mut self,
+        dev: &mut FlashDevice,
+        slot: usize,
+        group: BlockGroup,
+        data: PageData,
+        info: SpareInfo,
+        purpose: IoPurpose,
+    ) -> Ppn {
         loop {
-            let block = self.ensure_active(dev, group);
+            let block = self.ensure_active(dev, slot, group);
             match dev.write_page(block, data.clone(), info, purpose) {
                 Ok(ppn) => {
                     let i = block.0 as usize;
@@ -523,7 +579,7 @@ impl BlockManager {
                     return ppn;
                 }
                 Err(FlashError::ProgramFailed(_)) => {
-                    self.active[group.index()] = None;
+                    self.active[slot] = None;
                 }
                 Err(e) => panic!("active block has free pages: {e}"),
             }
@@ -784,6 +840,45 @@ mod tests {
             IoPurpose::TranslationSync,
         );
         assert_ne!(dev.geometry().block_of(pu), dev.geometry().block_of(pt));
+    }
+
+    /// GC copies append at the relocation frontier and host writes at the
+    /// host frontier: interleaved over several blocks' worth of each, no
+    /// block ever holds both, and both frontiers are user blocks.
+    #[test]
+    fn copies_and_host_writes_never_share_a_block() {
+        let (mut dev, mut bm) = setup();
+        let geo = dev.geometry();
+        let (mut host, mut copies) = (Vec::new(), Vec::new());
+        for i in 0..5 * geo.pages_per_block {
+            let (d, s) = user_page(i);
+            // Two host writes per copy, with the copies in runs of three.
+            if i % 9 < 6 {
+                host.push(bm.append(&mut dev, BlockGroup::User, d, s, IoPurpose::UserWrite));
+            } else {
+                copies.push(bm.relocate(&mut dev, d, s, IoPurpose::GcMigrateUser));
+            }
+        }
+        let b = geo.pages_per_block as usize;
+        // Both frontiers' unwritten tails count as free user pages.
+        let tails = (b - host.len() % b) % b + (b - copies.len() % b) % b;
+        assert_eq!(
+            bm.free_user_pages(&dev),
+            (bm.free_blocks() * b + tails) as u64
+        );
+        let blocks = |pages: &[Ppn]| -> std::collections::BTreeSet<BlockId> {
+            pages.iter().map(|&p| geo.block_of(p)).collect()
+        };
+        let (host, copies) = (blocks(&host), blocks(&copies));
+        assert_eq!((host.len(), copies.len()), (4, 2));
+        assert!(
+            host.is_disjoint(&copies),
+            "{host:?} and {copies:?} share a block"
+        );
+        assert!(host
+            .iter()
+            .chain(&copies)
+            .all(|&b| bm.group_of(b) == Some(BlockGroup::User)));
     }
 
     #[test]

@@ -8,16 +8,16 @@ use crate::cache::CacheEntry;
 use flash_sim::{BlockId, IoPurpose, PageData, PageOffset, Ppn, SpanKind, SpareInfo};
 
 impl FtlEngine {
-    /// Run garbage collection until the free pool is back above the
+    /// Run garbage collection until the free user pages are back above the
     /// threshold, one victim at a time (§3–§4.2: one validity query, one
     /// migration pass and one erase marker per victim). Called at the top
     /// of every application write.
     pub(crate) fn maybe_gc(&mut self) {
-        if self.bm.free_blocks() >= GC_FREE_THRESHOLD {
+        if !self.below_free_threshold(0) {
             return;
         }
         let t0 = self.dev.clock().now_us();
-        while self.bm.free_blocks() < GC_FREE_THRESHOLD {
+        while self.below_free_threshold(0) {
             if self.collect_once() {
                 // Long GC bursts tick the checkpoint clock (migrations are
                 // user-page writes); honor the period between victims so
@@ -43,6 +43,18 @@ impl FtlEngine {
         // Charge the whole burst to the op that triggered it, for the
         // per-tenant GC-debt accounting (observation only).
         self.gc_attrib_us += self.dev.clock().now_us() - t0;
+    }
+
+    /// Whether the free user pages ([`BlockManager::free_user_pages`]) are
+    /// fewer than [`GC_FREE_THRESHOLD`]` + headroom` blocks' worth. With one
+    /// frontier that is the free pool holding fewer blocks; with two, a
+    /// collection that opens a relocation block still moves it, so
+    /// collections do not pair up inside one write.
+    ///
+    /// [`BlockManager::free_user_pages`]: super::BlockManager::free_user_pages
+    pub(crate) fn below_free_threshold(&self, headroom: usize) -> bool {
+        let pages = self.geometry().pages_per_block as u64;
+        self.bm.free_user_pages(&self.dev) < (GC_FREE_THRESHOLD + headroom) as u64 * pages
     }
 
     /// Pick and collect one victim block. Returns false if no block has any
@@ -173,9 +185,10 @@ impl FtlEngine {
                 .read_page(ppn, IoPurpose::GcMigrateUser)
                 .expect("live page readable");
             debug_assert!(matches!(data, PageData::User { .. }));
-            let new_ppn = self.bm.append(
+            // At the relocation frontier: a copy never shares a block with
+            // host writes.
+            let new_ppn = self.bm.relocate(
                 &mut self.dev,
-                BlockGroup::User,
                 data,
                 // The old copy is superseded by the victim's erase marker
                 // — but only once that marker exists. A power cut before
@@ -196,12 +209,15 @@ impl FtlEngine {
             if self.cache.lookup(lpn).is_some() {
                 // Cached address necessarily equals the victim page here;
                 // repoint it. The before-image (this page) is covered by the
-                // erase marker, so no mark-invalid call is needed.
+                // erase marker, so no mark-invalid call is needed. Promoted,
+                // as a host write's entry is: left at the LRU end, the entry
+                // now dirty would make the next miss pay its sync.
                 self.cache.update_entry(lpn, |e| {
                     e.ppn = new_ppn;
                     e.dirty = true;
                     e.written_epoch = epoch;
                 });
+                self.cache.promote(lpn);
             } else {
                 self.make_room();
                 self.cache.insert(CacheEntry {

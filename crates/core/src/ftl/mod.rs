@@ -72,7 +72,9 @@ pub enum RecoveryPolicy {
 /// mapping entries for LazyFTL and IB-FTL to 10% of C").
 pub const RESTRICTED_DIRTY_FRACTION: f64 = 0.1;
 
-/// GC triggers when the free pool drops below this many blocks.
+/// GC triggers when the free user pages — the free pool's plus the
+/// unwritten tails of both user frontiers — drop below this many blocks'
+/// worth.
 pub const GC_FREE_THRESHOLD: usize = 8;
 
 /// A translation-page sync that finds more blocks than this protected first
@@ -101,9 +103,9 @@ pub struct FtlConfig {
     pub recovery: RecoveryPolicy,
     /// Multi-tenant QoS budget: when non-zero, a tenant whose writes have
     /// accumulated an above-average share of GC debt prepays collection
-    /// until the free pool holds [`GC_FREE_THRESHOLD`]` + qos_headroom_blocks`
-    /// blocks, so its bursts stop eating the headroom other tenants' p99
-    /// depends on. `0` disables the mechanism (byte-identical to the
+    /// until the free user pages are [`GC_FREE_THRESHOLD`]` +
+    /// qos_headroom_blocks` blocks' worth, so its bursts stop eating the
+    /// headroom other tenants' p99 depends on. `0` disables the mechanism (byte-identical to the
     /// pre-QoS engine).
     pub qos_headroom_blocks: usize,
 }
@@ -738,15 +740,15 @@ impl FtlEngine {
     }
 
     /// Whether `tenant` should prepay garbage collection before its next
-    /// write: the QoS budget is on, the free pool is below the headroom
-    /// target, and this tenant carries a strictly above-average share of
+    /// write: the QoS budget is on, the free user pages are below the
+    /// headroom target, and this tenant carries a strictly above-average share of
     /// the GC debt.
     fn qos_should_prepay(&self, tenant: TenantId) -> bool {
         let headroom = self.cfg.qos_headroom_blocks;
         if headroom == 0 {
             return false;
         }
-        if self.bm.free_blocks() >= GC_FREE_THRESHOLD + headroom {
+        if !self.below_free_threshold(headroom) {
             return false;
         }
         let mine = self.tenants.get(&tenant).map_or(0.0, |s| s.gc_debt_us);
@@ -760,9 +762,8 @@ impl FtlEngine {
     /// never becomes a forced-drain stall of its own.
     fn gc_prepay(&mut self) {
         let t0 = self.dev.clock().now_us();
-        let target = GC_FREE_THRESHOLD + self.cfg.qos_headroom_blocks;
         let mut budget = 2;
-        while self.bm.free_blocks() < target && budget > 0 {
+        while self.below_free_threshold(self.cfg.qos_headroom_blocks) && budget > 0 {
             if !self.collect_once() {
                 break;
             }

@@ -3,8 +3,8 @@
 //! with GeckoRec, and the §4.3 recovery-cost bounds.
 
 use flash_sim::{
-    FlashDevice, Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn, MetaTag, PageOffset,
-    SpanKind, SpareInfo, TraceEvent,
+    BlockId, FlashDevice, Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn, MetaTag,
+    PageOffset, SpanKind, SpareInfo, TraceEvent,
 };
 use ftl_workloads::Oracle;
 use geckoftl_core::ftl::{
@@ -162,10 +162,11 @@ fn dirty_step_reads(dev: &FlashDevice, from: u64) -> (u64, u64) {
 
 /// GeckoRec step 6 walks back to the checkpoint horizon — the start of the
 /// epoch before the current one — or to the last Gecko flush, whichever is
-/// older, plus the one page that stops it: 46 pages here, where the paper's
+/// older, plus the one page that stops it: 51 pages here, where the paper's
 /// `2·C`-page window (with its `4·B` cushion) walks 129. It reads one spare
-/// area per page walked but each block's newest, which step 1 read: 42 spare
-/// reads here ([`dirty_step_reads`]). Twelve translation pages, so step 4b
+/// area per page walked but each block's newest, which step 1 read, plus
+/// one page read ahead per other block still open when the walk stops: 47
+/// spare reads here ([`dirty_step_reads`]). Twelve translation pages, so step 4b
 /// reads versions that carry the horizon.
 ///
 /// Mutations this fails on: a step 6 that ignores the horizon, one that
@@ -185,7 +186,7 @@ fn recovery_scan_is_bounded_by_checkpoints() {
     let (walked, reads) = dirty_step_reads(engine.device(), horizon.min(threshold + 1));
     let (mut recovered, report) = crash_and_recover(engine);
     let dirty_step = step_cost(&report, RecoveryStep::DirtyEntries);
-    assert_eq!((walked, reads), (46, 42));
+    assert_eq!((walked, reads), (51, 47));
     assert_eq!(
         dirty_step.spare_reads, reads,
         "one spare read per page since the horizon or the flush, and the one that stops the \
@@ -231,6 +232,93 @@ fn dirty_entries_stay_newer_than_the_checkpoint_horizon() {
         }
     }
     assert!(horizons > 100, "only {horizons} horizons in 6000 ops");
+}
+
+/// 64-page blocks, so a host block spans more than the checkpoint window of
+/// a 32-entry cache.
+fn frontier_engine(shards: u32) -> FtlEngine {
+    small_engine_on(Geometry::new(64, 64, 256, 0.7), 32, shards)
+}
+
+/// The two user frontiers' open blocks at the first op boundary where one
+/// of them, opened before the other, holds the newest copy of an LPN whose
+/// cached entry is dirty, while the other's first page is older than the
+/// checkpoint horizon and the last flush: so a step 6 that walked whole
+/// blocks newest first by their first page would stop inside the later
+/// block and never reach that copy. Returns the ops run, as `(LPN,
+/// version)`, and `(earlier block, later block, LPN)`.
+fn interleaved_frontiers(shards: u32) -> (Vec<(Lpn, u64)>, (u32, u32, Lpn)) {
+    let mut engine = frontier_engine(shards);
+    let geo = engine.geometry();
+    let mut rng = Lcg(5);
+    let mut ops = Vec::new();
+    let logical = geo.logical_pages();
+    for version in 1..=20_000 {
+        // Every LPN once, then one write in four to the hot eighth: GC
+        // victims hold cold pages to copy.
+        let lpn = match version {
+            v if v <= logical => Lpn(v as u32 - 1),
+            _ if rng.next().is_multiple_of(4) => Lpn((rng.next() % logical) as u32),
+            _ => Lpn((rng.next() % (logical / 8)) as u32),
+        };
+        engine.write(lpn, version);
+        ops.push((lpn, version));
+        let dev = engine.device();
+        let first = |b: u32| {
+            dev.peek_spare(geo.ppn(BlockId(b), PageOffset(0)))
+                .map(|s| s.seq)
+        };
+        // The host write just landed at the host frontier's open block.
+        let host = geo
+            .block_of(engine.current_mapping(lpn).expect("written"))
+            .0;
+        let bm = engine.block_manager();
+        let Some(copies) = bm
+            .blocks_of_group(BlockGroup::User)
+            .map(|b| b.0)
+            .find(|&b| b != host && bm.is_active(BlockId(b)) && first(b) < first(host))
+        else {
+            continue;
+        };
+        let stop = engine
+            .translation()
+            .horizon()
+            .min(engine.backend().gecko().expect("gecko").last_flush_seq() + 1);
+        let held = engine.cache().iter_lru_order().find(|e| {
+            e.dirty
+                && geo.block_of(e.ppn).0 == copies
+                && dev.peek_spare(e.ppn).is_some_and(|s| s.seq >= stop)
+        });
+        if let Some(e) = held.filter(|_| first(host).is_some_and(|s| s < stop)) {
+            return (ops, (copies, host, e.lpn));
+        }
+    }
+    panic!("no interleaved frontiers in 20 000 writes");
+}
+
+/// GeckoRec step 6 walks user pages newest first across blocks, not block
+/// by block: a crash where one user frontier's open block — here the
+/// relocation frontier's, which GC copies fill slowly — started before the
+/// other's and holds the newest copy of a dirty LPN ([`interleaved_frontiers`])
+/// recovers every acknowledged write, at one tree and at four.
+///
+/// Mutation this fails on: a step 6 that walks whole blocks, newest first by
+/// their first page (it stops inside the host frontier's block, and a read
+/// follows the LPN's flash mapping to an erased page).
+#[test]
+fn recovery_walks_interleaved_frontiers_page_by_page() {
+    for shards in [1, 4] {
+        let (ops, (copies, host, lpn)) = interleaved_frontiers(shards);
+        let mut engine = frontier_engine(shards);
+        let mut oracle = Oracle::new(engine.geometry().logical_pages());
+        for &(lpn, version) in &ops {
+            engine.write(lpn, version);
+            oracle.ack_write(lpn, version);
+        }
+        let at = format!("shards {shards}, B{copies} before B{host}, {lpn:?}");
+        let (mut recovered, _) = crash_and_recover(engine);
+        assert_eq!(oracle.verify(|lpn| recovered.read(lpn)), Ok(()), "{at}");
+    }
 }
 
 /// R1, `recover ∘ recover`: GeckoRec survives a crash of the engine it
