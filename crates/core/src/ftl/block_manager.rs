@@ -333,7 +333,7 @@ impl BlockManager {
             .filter_map(|&slot| self.active[slot])
             .map(|b| (self.geo.pages_per_block - dev.written_pages(b)) as u64)
             .sum::<u64>();
-        self.free.len() as u64 * self.geo.pages_per_block as u64 + tails
+        self.free_blocks() as u64 * self.geo.pages_per_block as u64 + tails
     }
 
     /// The BVC value (valid pages) for a block.

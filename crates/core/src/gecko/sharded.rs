@@ -63,11 +63,6 @@ impl ShardedGecko {
         shard_index(block, self.shards.len())
     }
 
-    /// The device geometry.
-    pub(crate) fn geometry(&self) -> Geometry {
-        self.geo
-    }
-
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()

@@ -135,16 +135,19 @@ impl BidEntry {
 }
 
 /// A step 6 cursor: the next user page of one block to walk, with its spare
-/// area already read. Ordered by seq alone, which no two pages share.
+/// area already read (`None` if torn). Ordered by `seq` alone: its page's,
+/// or for a torn spare area the page above it's, so it is walked next. A
+/// block has one cursor at a time, and blocks share no seq.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Cursor {
+    seq: u64,
     ppn: Ppn,
-    spare: Spare,
+    spare: Option<Spare>,
 }
 
 impl Ord for Cursor {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.spare.seq.cmp(&other.spare.seq)
+        self.seq.cmp(&other.seq)
     }
 }
 
@@ -524,27 +527,23 @@ pub fn gecko_recover(
     loop {
         if let Some(&b) = closed.peek() {
             let (top, spare) = bid[b.0 as usize].newest.expect("a user block is written");
-            if cursors.peek().is_none_or(|c| c.spare.seq < spare.seq) {
+            if cursors.peek().is_none_or(|c| c.seq < spare.seq) {
                 closed.next();
-                // Pages above step 1's are torn spare areas.
-                for off in (top + 1..bid[b.0 as usize].written).rev() {
-                    let ppn = geo.ppn(b, PageOffset(off));
-                    recover_torn(&mut gecko, &mut report, &mut invalid_maps, &mut bvc, ppn);
-                    scanned += 1;
-                }
-                let ppn = geo.ppn(b, PageOffset(top));
-                cursors.push(Cursor { ppn, spare });
+                let last = bid[b.0 as usize].written - 1;
+                cursors.push(Cursor {
+                    seq: spare.seq,
+                    ppn: geo.ppn(b, PageOffset(last)),
+                    spare: (last == top).then_some(spare),
+                });
                 continue;
             }
         }
-        let Some(Cursor { ppn, spare }) = cursors.pop() else {
+        let Some(cursor) = cursors.pop() else {
             break;
         };
+        let ppn = cursor.ppn;
         let (b, off) = (geo.block_of(ppn), geo.offset_of(ppn).0);
-        if !dev.is_written(ppn) {
-            recover_torn(&mut gecko, &mut report, &mut invalid_maps, &mut bvc, ppn);
-            scanned += 1;
-        } else {
+        if let Some(spare) = cursor.spare.filter(|_| dev.is_written(ppn)) {
             // The scan serves two purposes with two horizons. Dirty-entry
             // recreation needs the checkpoint-bounded window. Re-deriving
             // the buffer's *immediate* invalidation reports (the
@@ -604,20 +603,36 @@ pub fn gecko_recover(
                     oldest_recreated = Some(spare.seq);
                 }
             }
-        }
-        // Read the block's next page down, past any torn spare area.
-        for off in (0..off).rev() {
-            let ppn = geo.ppn(b, PageOffset(off));
-            match dev.read_spare(ppn, IoPurpose::Recovery) {
-                Ok(spare) => {
-                    cursors.push(Cursor { ppn, spare });
-                    break;
-                }
-                Err(_) => {
-                    recover_torn(&mut gecko, &mut report, &mut invalid_maps, &mut bvc, ppn);
-                    scanned += 1;
-                }
+        } else {
+            // Torn page: the in-flight user write the power cut killed.
+            // Nothing about it was acknowledged. Step 5 counted it valid
+            // (it was never reported to Gecko), so count it invalid now
+            // and recreate the lost invalidation report.
+            gecko.recover_invalidation(ppn);
+            let counted = invalid_maps
+                .entry(b)
+                .or_insert_with(|| Bitmap::new(geo.pages_per_block));
+            if !counted.get(off) {
+                counted.set(off);
+                bvc[b.0 as usize] -= 1;
             }
+            report.recovered_invalidations += 1;
+            scanned += 1;
+        }
+        // The block's next page down joins the heap, with its spare area
+        // (step 1's, or read now); a torn one takes this page's seq, so it
+        // is walked next.
+        if let Some(next) = off.checked_sub(1) {
+            let next_ppn = geo.ppn(b, PageOffset(next));
+            let spare = match bid[b.0 as usize].newest {
+                Some((top, spare)) if top == next => Some(spare),
+                _ => dev.read_spare(next_ppn, IoPurpose::Recovery).ok(),
+            };
+            cursors.push(Cursor {
+                seq: spare.map_or(cursor.seq, |s| s.seq),
+                ppn: next_ppn,
+                spare,
+            });
         }
     }
     // Bad user blocks. A failed erase retires a block with its stale
@@ -722,30 +737,6 @@ pub fn gecko_recover(
     // synchronization operations (mostly C.3.1 aborts).
     engine.resolve_recovered_overflow(overflow);
     (engine, report)
-}
-
-/// Step 6's torn page: the in-flight user write the power cut killed.
-/// Nothing about it was acknowledged. Step 5 counted it valid (it was never
-/// reported to Gecko), so count it invalid now and recreate the lost
-/// invalidation report.
-fn recover_torn(
-    gecko: &mut ShardedGecko,
-    report: &mut RecoveryReport,
-    invalid_maps: &mut HashMap<BlockId, Bitmap>,
-    bvc: &mut [u32],
-    ppn: Ppn,
-) {
-    let geo = gecko.geometry();
-    let (b, off) = (geo.block_of(ppn), geo.offset_of(ppn).0);
-    gecko.recover_invalidation(ppn);
-    let counted = invalid_maps
-        .entry(b)
-        .or_insert_with(|| Bitmap::new(geo.pages_per_block));
-    if !counted.get(off) {
-        counted.set(off);
-        bvc[b.0 as usize] -= 1;
-    }
-    report.recovered_invalidations += 1;
 }
 
 /// The version `v` names as the one it superseded, if that page still holds
