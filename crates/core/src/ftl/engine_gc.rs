@@ -245,11 +245,12 @@ impl FtlEngine {
     /// is that page's seq if the caller has read its spare area; otherwise
     /// it costs one spare read, and only while a buffer holds reports.
     fn erase_user_block(&mut self, block: BlockId, newest: Option<u64>) {
-        if let Some(gecko) = self.backend.gecko() {
+        // A block a program failure left empty holds no trail.
+        let last = self.dev.written_pages(block).checked_sub(1);
+        if let (Some(gecko), Some(last)) = (self.backend.gecko(), last) {
             let durable = gecko.durable_watermark(self.dev.now_seq().saturating_sub(1));
             if durable + 1 < self.dev.now_seq() {
-                let geo = self.geometry();
-                let last = geo.ppn(block, PageOffset(self.dev.written_pages(block) - 1));
+                let last = self.geometry().ppn(block, PageOffset(last));
                 // A torn spare is the newest write there is.
                 let newest = newest.unwrap_or_else(|| {
                     self.dev
