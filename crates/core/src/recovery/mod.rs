@@ -132,12 +132,25 @@ impl BidEntry {
     fn newest_seq(&self) -> u64 {
         self.newest.map_or(0, |(_, s)| s.seq)
     }
+
+    /// Where step 6 walks the block's last page: at its seq, or first of all
+    /// (`u64::MAX`) if its spare area is torn. A torn page is the write a
+    /// power cut killed, newer than every readable page; its readable
+    /// neighbour below may be older than where the scan stops (a relocation
+    /// frontier fills slowly).
+    fn walk_key(&self) -> u64 {
+        match self.newest {
+            Some((top, spare)) if top + 1 == self.written => spare.seq,
+            _ => u64::MAX,
+        }
+    }
 }
 
 /// A step 6 cursor: the next user page of one block to walk, with its spare
 /// area already read (`None` if torn). Ordered by `seq` alone: its page's,
-/// or for a torn spare area the page above it's, so it is walked next. A
-/// block has one cursor at a time, and blocks share no seq.
+/// or for a torn spare area the page above it's (`u64::MAX` at the top of a
+/// block), so it is walked next. A block has one cursor at a time, and only
+/// torn pages share a seq.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Cursor {
     seq: u64,
@@ -488,18 +501,18 @@ pub fn gecko_recover(
     let mut cache = MappingCache::new(cfg.cache_entries);
     // Newest page first across the user blocks: a max-heap of per-block
     // cursors, each keyed by the seq of the page it points at. Blocks wait
-    // newest first by step 1's newest page, and one opens when the heap's
-    // top is older than that page; its first cursor is step 1's spare area,
-    // read once. So every walked page costs one spare read, except each
-    // block's newest, and each block still open when the scan stops costs
-    // the one it read ahead. Where the user group appends at more than one
-    // frontier, blocks' seq ranges interleave: no per-block key orders the
-    // pages.
+    // newest first by their last page ([`BidEntry::walk_key`]), and one
+    // opens when the heap's top is older than that page; its first cursor is
+    // step 1's spare area, read once. So every walked page costs one spare
+    // read, except each block's newest, and each block still open when the
+    // scan stops costs the one it read ahead. Where the user group appends at
+    // more than one frontier, blocks' seq ranges interleave: no per-block key
+    // orders the pages.
     let mut closed: Vec<BlockId> = geo
         .iter_blocks()
         .filter(|b| bid[b.0 as usize].group == Some(BlockGroup::User))
         .collect();
-    closed.sort_unstable_by_key(|b| std::cmp::Reverse(bid[b.0 as usize].newest_seq()));
+    closed.sort_unstable_by_key(|b| std::cmp::Reverse(bid[b.0 as usize].walk_key()));
     let mut closed = closed.into_iter().peekable();
     let mut cursors: BinaryHeap<Cursor> = BinaryHeap::new();
     // Dirty-entry recreation stops at the checkpoint horizon step 4b read:
@@ -526,12 +539,14 @@ pub fn gecko_recover(
     let mut oldest_recreated = None;
     loop {
         if let Some(&b) = closed.peek() {
-            let (top, spare) = bid[b.0 as usize].newest.expect("a user block is written");
-            if cursors.peek().is_none_or(|c| c.seq < spare.seq) {
+            let entry = &bid[b.0 as usize];
+            let (top, spare) = entry.newest.expect("a user block is written");
+            let seq = entry.walk_key();
+            if cursors.peek().is_none_or(|c| c.seq < seq) {
                 closed.next();
-                let last = bid[b.0 as usize].written - 1;
+                let last = entry.written - 1;
                 cursors.push(Cursor {
-                    seq: spare.seq,
+                    seq,
                     ppn: geo.ppn(b, PageOffset(last)),
                     spare: (last == top).then_some(spare),
                 });

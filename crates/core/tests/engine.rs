@@ -3,8 +3,8 @@
 //! with GeckoRec, and the §4.3 recovery-cost bounds.
 
 use flash_sim::{
-    BlockId, FlashDevice, Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn, MetaTag,
-    PageOffset, SpanKind, SpareInfo, TraceEvent,
+    BlockId, FaultPlan, FlashDevice, Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn,
+    MetaTag, PageOffset, SpanKind, SpareInfo, TraceEvent, WriteFault,
 };
 use ftl_workloads::Oracle;
 use geckoftl_core::ftl::{
@@ -240,6 +240,17 @@ fn frontier_engine(shards: u32) -> FtlEngine {
     small_engine_on(Geometry::new(64, 64, 256, 0.7), 32, shards)
 }
 
+/// The LPN [`frontier_engine`]'s op stream writes `version` to: every LPN
+/// once, then three writes in four to the hot eighth, so GC victims hold
+/// cold pages to copy.
+fn frontier_lpn(version: u64, logical: u64, rng: &mut Lcg) -> Lpn {
+    match version {
+        v if v <= logical => Lpn(v as u32 - 1),
+        _ if rng.next().is_multiple_of(4) => Lpn((rng.next() % logical) as u32),
+        _ => Lpn((rng.next() % (logical / 8)) as u32),
+    }
+}
+
 /// The two user frontiers' open blocks at the first op boundary where one
 /// of them, opened before the other, holds the newest copy of an LPN whose
 /// cached entry is dirty, while the other's first page is older than the
@@ -254,13 +265,7 @@ fn interleaved_frontiers(shards: u32) -> (Vec<(Lpn, u64)>, (u32, u32, Lpn)) {
     let mut ops = Vec::new();
     let logical = geo.logical_pages();
     for version in 1..=20_000 {
-        // Every LPN once, then one write in four to the hot eighth: GC
-        // victims hold cold pages to copy.
-        let lpn = match version {
-            v if v <= logical => Lpn(v as u32 - 1),
-            _ if rng.next().is_multiple_of(4) => Lpn((rng.next() % logical) as u32),
-            _ => Lpn((rng.next() % (logical / 8)) as u32),
-        };
+        let lpn = frontier_lpn(version, logical, &mut rng);
         engine.write(lpn, version);
         ops.push((lpn, version));
         let dev = engine.device();
@@ -321,11 +326,117 @@ fn recovery_walks_interleaved_frontiers_page_by_page() {
     }
 }
 
+/// Where [`frontier_engine`]'s op stream first copies a page onto the
+/// relocation frontier's open block while that block's newest page is older
+/// than the checkpoint horizon and the last flush: the op, the write attempt
+/// that programs the copy, the block and the copy's offset.
+fn stale_relocation_copy(shards: u32) -> (u64, u64, BlockId, u32) {
+    let mut engine = frontier_engine(shards);
+    let geo = engine.geometry();
+    let logical = geo.logical_pages();
+    let mut rng = Lcg(5);
+    let mut host = None;
+    for version in 1..=20_000 {
+        let lpn = frontier_lpn(version, logical, &mut rng);
+        let dev = engine.device();
+        let newest = |b: BlockId| {
+            let written = dev.written_pages(b);
+            dev.peek_spare(geo.ppn(b, PageOffset(written - 1)))
+                .expect("a readable page")
+                .seq
+        };
+        let stop = engine
+            .translation()
+            .horizon()
+            .min(engine.backend().gecko().expect("gecko").last_flush_seq() + 1);
+        let bm = engine.block_manager();
+        let relocation = bm.blocks_of_group(BlockGroup::User).find(|&b| {
+            Some(b) != host && bm.is_active(b) && !dev.block_is_full(b) && newest(b) < stop
+        });
+        let at = relocation.map(|b| (b, dev.written_pages(b)));
+        let (attempts, seq) = (dev.write_attempts(), dev.now_seq());
+        engine.write(lpn, version);
+        host = engine.current_mapping(lpn).map(|p| geo.block_of(p));
+        let dev = engine.device();
+        if let Some((b, off)) = at.filter(|&(b, off)| dev.written_pages(b) > off) {
+            // Without a failed program every write attempt takes one seq.
+            let copy = dev
+                .peek_spare(geo.ppn(b, PageOffset(off)))
+                .expect("a copy")
+                .seq;
+            return (version, attempts + (copy - seq), b, off);
+        }
+    }
+    panic!("no copy onto a stale relocation block in 20 000 writes");
+}
+
+/// A power cut that tears the spare area of a GC copy on the relocation
+/// frontier's open block, whose readable pages are all older than the
+/// checkpoint horizon and the last flush ([`stale_relocation_copy`]). The
+/// torn page is the newest write, so step 6 walks it first: it reports the
+/// page invalid and takes it off the block's BVC. Writes go on until GC has
+/// collected that block, and every acknowledged write reads back, at one
+/// tree and at four.
+///
+/// Mutation this fails on: a torn last page walked at the seq of the
+/// readable page below it (the scan stops at an older page first, and the
+/// collection that finds the torn page valid panics on its spare area).
+#[test]
+fn a_torn_relocation_copy_below_the_scan_horizon_is_reported() {
+    for shards in [1, 4] {
+        let (op, attempt, block, off) = stale_relocation_copy(shards);
+        let mut engine = frontier_engine(shards);
+        let geo = engine.geometry();
+        let logical = geo.logical_pages();
+        let mut oracle = Oracle::new(logical);
+        let mut rng = Lcg(5);
+        for version in 1..op {
+            let lpn = frontier_lpn(version, logical, &mut rng);
+            engine.write(lpn, version);
+            oracle.ack_write(lpn, version);
+        }
+        let plan = FaultPlan::new().on_write(attempt, WriteFault::TornSpare);
+        engine.with_raw_parts(|dev, _| dev.set_fault_plan(plan));
+        let lpn = frontier_lpn(op, logical, &mut rng);
+        oracle.in_flight(lpn, Some(op));
+        engine.write(lpn, op);
+        let image = engine.with_raw_parts(|dev, _| dev.take_crash_image());
+        let image = image.expect("a torn write cuts the power");
+        let at = format!("shards {shards}, {block:?} page {off}");
+        assert_eq!(
+            image.written_pages(block),
+            off + 1,
+            "{at}: the copy is torn"
+        );
+        assert!(
+            image.peek_spare(geo.ppn(block, PageOffset(off))).is_none(),
+            "{at}"
+        );
+        let erases = image.erase_count(block);
+        let (cfg, gecko_cfg) = (engine.config(), engine.backend().gecko_config().unwrap());
+        let (mut recovered, _) = gecko_recover(image, cfg, gecko_cfg);
+        assert_eq!(oracle.verify(|lpn| recovered.read(lpn)), Ok(()), "{at}");
+        let mut version = op;
+        while recovered.device().erase_count(block) == erases {
+            version += 1;
+            assert!(version < op + 20_000, "{at}: the block is never collected");
+            let lpn = frontier_lpn(version, logical, &mut rng);
+            recovered.write(lpn, version);
+            oracle.ack_write(lpn, version);
+        }
+        assert_eq!(oracle.verify(|lpn| recovered.read(lpn)), Ok(()), "{at}");
+    }
+}
+
 /// R1, `recover ∘ recover`: GeckoRec survives a crash of the engine it
-/// produced, right away and after a few reads before that engine's first
-/// checkpoint, with one Gecko tree and with four. Every acknowledged write
-/// reads back. The recovered entries stay dirty until that checkpoint, so
-/// the recovered table's horizon is the oldest page one was recreated from.
+/// produced, right away and after a few ops (writes with read-back) before
+/// that engine's first checkpoint, with one Gecko tree and with four. Every
+/// acknowledged write reads back. The recovered entries stay dirty until that
+/// checkpoint, so the recovered table's horizon is the oldest page one was
+/// recreated from. A write's GC burst ticks the checkpoint clock, so the
+/// second crash comes before the op that takes the first checkpoint: the
+/// engine is deterministic, and the longest prefix of the six ops that takes
+/// none is replayed. That prefix includes a collection.
 ///
 /// Mutation this fails on: the recovered table's horizon set to
 /// `dev.now_seq()` (the second recovery stops short of the first one's
