@@ -246,16 +246,26 @@ fn failure(f: impl FnOnce()) -> Option<String> {
 /// its hole's signature. The micro recipe fails on none since the erased
 /// trail was closed (it failed on 5, 9 and 14 in release, and 28 too under
 /// debug assertions, all at a stale migration). Under debug assertions the
-/// greedy hole fails at step 4b's erase-timestamp cross-check; in release
-/// as a read of an erased page. A change that moves page numbers moves
-/// these sets; a seed that joins one is traced before it is called the
-/// greedy hole.
+/// greedy hole fails at step 4b's erase-timestamp cross-check (an
+/// `assert_eq`, which step 6's cross-check is not); in release as a read of
+/// an erased page. A change that moves page numbers moves these sets; a
+/// seed that joins one is traced before it is called the greedy hole.
+///
+/// The two user frontiers took the debug set from 8 seeds to 13. Seeds 1
+/// and 3, traced: the version step 4b diffs from is a greedy copy of a
+/// translation page (P129 at seq 6 000, and P1732 at seq 5 233), and the
+/// page it names (P673, P468) lies in a block erased 4 and 8 seqs before
+/// that copy and not written since: the hole as at seed 7. Counted over
+/// seeds 0–19 in release (each storm up to its failure), the step 4b disagreements stayed at 143 and the
+/// translation-block collections went 339 → 361; the disagreements fall on
+/// 13 seeds instead of 8.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
 fn storm_census_fails_only_at_the_two_holes() {
     census("micro", 50, micro_engine, &[]);
     if cfg!(debug_assertions) {
-        let timestamp = "erase timestamp and spare area disagree on ";
+        let timestamp =
+            "assertion `left == right` failed: erase timestamp and spare area disagree on ";
         let greedy = [0, 1, 2, 3, 4, 6, 7, 8, 10, 12, 14, 16, 19].map(|seed| (seed, timestamp));
         census("greedy", 20, greedy_engine, &greedy);
     } else {
