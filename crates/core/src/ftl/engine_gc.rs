@@ -98,7 +98,7 @@ impl FtlEngine {
                     .try_for_each(|(ppn, _)| self.check_kept(ppn, false))
             });
             if group == BlockGroup::User {
-                self.erase_user_block(victim, None);
+                self.erase_user_block(victim);
             } else {
                 // Charged to `GcMigrateUser` whatever the group: the purpose
                 // this shortcut has always used, and the goldens pin.
@@ -133,9 +133,6 @@ impl FtlEngine {
         });
         let written = self.dev.written_pages(victim);
         let geo = self.geometry();
-        // The seq of the victim's newest page, if its spare area is read
-        // below: `erase_user_block` needs it.
-        let mut newest = None;
         for off in 0..written {
             let ppn = geo.ppn(victim, PageOffset(off));
             // Looked up per page, not once before the loop: a migration
@@ -150,9 +147,6 @@ impl FtlEngine {
                 .dev
                 .read_spare(ppn, IoPurpose::GcMigrateUser)
                 .expect("written page has a spare area");
-            if off + 1 == written {
-                newest = Some(spare.seq);
-            }
             let SpareInfo::User { lpn, .. } = spare.info else {
                 panic!(
                     "user block page {ppn:?} carries non-user spare {:?}",
@@ -231,7 +225,7 @@ impl FtlEngine {
             }
         }
         self.gc_victim = None;
-        self.erase_user_block(victim, newest);
+        self.erase_user_block(victim);
     }
 
     /// Erase a user block whose live pages are gone. Algorithm 2: one erase
@@ -241,10 +235,9 @@ impl FtlEngine {
     /// before-pointer of a report that still lies only in the buffer: the
     /// one trail GeckoRec step 6 would re-derive it from. So if the block's
     /// newest page is newer, the store flushes first, and the report is on
-    /// flash before its trail is erased (DESIGN.md invariant 9). `newest`
-    /// is that page's seq if the caller has read its spare area; otherwise
-    /// it costs one spare read, and only while a buffer holds reports.
-    fn erase_user_block(&mut self, block: BlockId, newest: Option<u64>) {
+    /// flash before its trail is erased (DESIGN.md invariant 9). That costs
+    /// one spare read, and only while a buffer holds reports.
+    fn erase_user_block(&mut self, block: BlockId) {
         // A block a program failure left empty holds no trail.
         let last = self.dev.written_pages(block).checked_sub(1);
         if let (Some(gecko), Some(last)) = (self.backend.gecko(), last) {
@@ -252,11 +245,10 @@ impl FtlEngine {
             if durable + 1 < self.dev.now_seq() {
                 let last = self.geometry().ppn(block, PageOffset(last));
                 // A torn spare is the newest write there is.
-                let newest = newest.unwrap_or_else(|| {
-                    self.dev
-                        .read_spare(last, IoPurpose::GcMigrateUser)
-                        .map_or(u64::MAX, |s| s.seq)
-                });
+                let newest = self
+                    .dev
+                    .read_spare(last, IoPurpose::GcMigrateUser)
+                    .map_or(u64::MAX, |s| s.seq);
                 if newest > durable {
                     self.backend.store().flush(&mut self.dev, &mut self.bm);
                     self.after_validity_op();
