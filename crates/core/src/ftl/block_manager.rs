@@ -200,6 +200,16 @@ pub(crate) struct Version {
     pub(crate) before: Option<Ppn>,
 }
 
+/// One link of the version chain, as [`BlockManager::protect`] took it: what
+/// handing it back restores.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChainLink {
+    block: Option<BlockId>,
+    stamp: u64,
+    /// The protected block's stamp before this link, if it had one.
+    prior: Option<u64>,
+}
+
 /// Manager of block allocation, groups and validity counters.
 #[derive(Clone, Debug)]
 pub struct BlockManager {
@@ -359,11 +369,31 @@ impl BlockManager {
     /// version). The block is kept from erasure and GC until a
     /// [`BlockManager::release_through`] at or past `stamp`; a block
     /// protected twice keeps the newer stamp.
-    pub fn protect(&mut self, block: Option<BlockId>, stamp: u64) {
+    pub fn protect(&mut self, block: Option<BlockId>, stamp: u64) -> ChainLink {
         self.chain.push(stamp);
+        let prior = block.and_then(|b| self.protected.get(&b).copied());
         if let Some(block) = block {
-            let s = self.protected.entry(block).or_insert(stamp);
-            *s = (*s).max(stamp);
+            self.protected
+                .insert(block, prior.map_or(stamp, |s| s.max(stamp)));
+        }
+        ChainLink {
+            block,
+            stamp,
+            prior,
+        }
+    }
+
+    /// Hand back the newest link, `link`, because no version followed it:
+    /// the chain and the protected blocks are as they were before the
+    /// [`BlockManager::protect`] that returned it.
+    pub(crate) fn withdraw(&mut self, link: ChainLink) {
+        let stamp = self.chain.pop();
+        debug_assert_eq!(stamp, Some(link.stamp), "only the newest link is withdrawn");
+        if let Some(block) = link.block {
+            match link.prior {
+                Some(s) => self.protected.insert(block, s),
+                None => self.protected.remove(&block),
+            };
         }
     }
 
@@ -1151,6 +1181,23 @@ mod tests {
         assert_eq!(bm.chain_len(), 1);
         bm.release_through(&mut dev, u64::MAX);
         assert_eq!(protected(&bm), [false; 3]);
+        assert_eq!((bm.chain_len(), bm.protected_count()), (0, 0));
+    }
+
+    #[test]
+    fn a_withdrawn_link_leaves_the_chain_as_it_was() {
+        let (mut dev, mut bm) = setup();
+        bm.protect(Some(BlockId(4)), 10);
+        // A block protected before keeps its older stamp after the hand-back.
+        let link = bm.protect(Some(BlockId(4)), 20);
+        bm.withdraw(link);
+        let link = bm.protect(Some(BlockId(7)), 30);
+        bm.withdraw(link);
+        let link = bm.protect(None, 40);
+        bm.withdraw(link);
+        assert_eq!((bm.chain_len(), bm.protected_count()), (1, 1));
+        assert!(bm.is_protected(BlockId(4)) && !bm.is_protected(BlockId(7)));
+        bm.release_through(&mut dev, 10);
         assert_eq!((bm.chain_len(), bm.protected_count()), (0, 0));
     }
 

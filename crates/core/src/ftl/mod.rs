@@ -25,7 +25,7 @@ mod engine_gc;
 mod host;
 
 pub use audit::{Rule, Violation};
-pub use block_manager::{BlockGroup, BlockManager, BlockState};
+pub use block_manager::{BlockGroup, BlockManager, BlockState, ChainLink};
 pub use host::{Completion, FtlError, HostOp, HostOpKind};
 
 use crate::cache::{CacheEntry, MappingCache};
@@ -724,10 +724,12 @@ impl FtlEngine {
         self.cache.remove(lpn);
         // Keep the pre-unmap version findable for recovery's diffs, exactly
         // as sync_tpage protects the pre-sync version.
-        self.protect_tpage_version(tpage);
+        let link = self.protect_tpage_version(tpage);
         let before = self.tt.unmap(&mut self.dev, &mut self.bm, lpn);
-        if let Some(ppn) = before {
-            self.report_invalid(&[ppn], &[false]);
+        match before {
+            Some(ppn) => self.report_invalid(&[ppn], &[false]),
+            // An unmapped LPN: no version was written.
+            None => self.withdraw_link(link),
         }
         self.pump_merge_slice();
         self.post_op();
@@ -873,11 +875,11 @@ impl FtlEngine {
     /// recovery (App. C.2.2) across the write that is about to supersede it.
     /// The protection must be in place *before* that write marks the old
     /// version obsolete — otherwise its block can become empty and be erased
-    /// on the spot, leaving a gap in the version chain recovery diffs.
-    fn protect_tpage_version(&mut self, tpage: u32) {
-        if self.backend.gecko().is_none() {
-            return;
-        }
+    /// on the spot, leaving a gap in the version chain recovery diffs. If
+    /// the write does not happen after all, [`FtlEngine::withdraw_link`]
+    /// hands the link back.
+    fn protect_tpage_version(&mut self, tpage: u32) -> Option<ChainLink> {
+        self.backend.gecko()?;
         // Bound the protected set: when it has grown past a handful of
         // blocks, force a Gecko flush — this makes every buffered report
         // durable and releases every protection (the paper bounds its
@@ -892,8 +894,19 @@ impl FtlEngine {
         // old version is needed until that version's reports are durable.
         let geo = self.geometry();
         let old = self.tt.tpage_location(tpage);
-        self.bm
-            .protect(old.map(|p| geo.block_of(p)), self.dev.now_seq());
+        Some(
+            self.bm
+                .protect(old.map(|p| geo.block_of(p)), self.dev.now_seq()),
+        )
+    }
+
+    /// Hand back the link [`FtlEngine::protect_tpage_version`] took for a
+    /// write that did not happen: a link stands for a version, and
+    /// [`MAX_UNFLUSHED_VERSIONS`] and [`MAX_PROTECTED_BLOCKS`] count them.
+    fn withdraw_link(&mut self, link: Option<ChainLink>) {
+        if let Some(link) = link {
+            self.bm.withdraw(link);
+        }
     }
 
     /// Synchronization operation (§4): push every dirty cached entry of one
@@ -920,11 +933,12 @@ impl FtlEngine {
             return;
         }
         self.counters.syncs += 1;
-        self.protect_tpage_version(tpage);
+        let link = self.protect_tpage_version(tpage);
         self.tt
             .synchronize_into(&mut self.dev, &mut self.bm, tpage, updates, outcome);
         if outcome.aborted {
             self.counters.syncs_aborted += 1;
+            self.withdraw_link(link);
         }
         // Collect every before-image to report, then submit them as one
         // batch (`report_invalid`).

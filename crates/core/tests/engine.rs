@@ -509,6 +509,44 @@ fn recovery_after_clean_shutdown_is_cheap_on_corrections() {
     verify_all(&mut recovered, &oracle);
 }
 
+/// A link of the version chain stands for a translation-page version, which
+/// `MAX_UNFLUSHED_VERSIONS` counts: a sync that aborts as all false alarms
+/// (App. C.3.1) and a trim of an unmapped LPN write none, and leave the chain
+/// as they found it.
+///
+/// Mutation this fails on: `sync_tpage_with` or `trim_inner` keeping the link
+/// `protect_tpage_version` took before it knew whether a version follows.
+#[test]
+fn a_sync_or_trim_that_writes_no_version_leaves_the_chain_alone() {
+    let chain = |e: &FtlEngine| e.block_manager().chain_len();
+    // Fewer writes than C, so no checkpoint: recovery recreates an uncertain
+    // entry for each, and all of them fit into the cache.
+    let mut engine = small_engine(64);
+    write_and_sync(&mut engine, 0..40);
+    engine.shutdown_clean();
+    let (mut recovered, _) = crash_and_recover(engine);
+    assert_eq!(recovered.cache().uncertain_count(), 40);
+    let (links, syncs) = (chain(&recovered), recovered.counters.syncs);
+    recovered.sync_all_dirty();
+    assert!(recovered.counters.syncs > syncs);
+    assert_eq!(
+        recovered.counters.syncs, recovered.counters.syncs_aborted,
+        "every sync is a C.3.1 false alarm"
+    );
+    assert_eq!(chain(&recovered), links, "aborted syncs wrote no version");
+
+    let mut engine = small_engine(64);
+    // The rewrites' reports sit in the Gecko buffer and hold their links.
+    write_and_sync(&mut engine, 0..10);
+    write_and_sync(&mut engine, 0..10);
+    let links = chain(&engine);
+    assert!(links > 0);
+    assert!(!engine.trim(Lpn(500)), "L500 was never written");
+    assert_eq!(chain(&engine), links, "a no-op trim wrote no version");
+    assert!(engine.trim(Lpn(5)));
+    assert_eq!(chain(&engine), links + 1, "a trim that unmaps writes one");
+}
+
 #[test]
 fn greedy_policy_also_preserves_data() {
     let geo = Geometry::tiny();

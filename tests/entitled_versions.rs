@@ -539,12 +539,19 @@ fn payloads_are_held_exactly_while_recovery_may_read_them() {
 /// gone while the MIN has not passed its successor. The census recovers a
 /// copy of the device at each op boundary where a base is missing (the tiny
 /// geometry, a power cut after every third write), and every such recovery
-/// reads only payloads the engine holds.
+/// reads only payloads the engine holds. The miss is rare, and which op
+/// streams show it moves with flush timing, so the census runs uniform
+/// streams from seeds 1, 2, … until one shows it, eight at most.
 #[test]
 fn recoveries_where_a_base_is_missing_read_only_held_payloads() {
-    let c = census(tiny_engine(4), 4_000, Some(3));
-    assert!(c.min_misses > 0, "no base was missing: {c:?}");
-    assert!(c.payloads_exact(), "{c:?}");
+    let missed = (1..=8).find(|&seed| {
+        let engine = tiny_engine(4);
+        let mut ops = Uniform::new(seed, engine.geometry().logical_pages()).take(4_000);
+        let c = census_of(engine, |_| ops.next(), Some(3), true);
+        assert!(c.payloads_exact(), "seed {seed}: {c:?}");
+        c.min_misses > 0
+    });
+    assert!(missed.is_some(), "no base was missing on seeds 1 to 8");
 }
 
 /// DESIGN.md invariant 17: every merge leaves a run, even one whose fold
