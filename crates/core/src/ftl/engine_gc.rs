@@ -162,11 +162,12 @@ impl FtlEngine {
                 if e.ppn != ppn {
                     debug_check(|| self.check_not_newer(ppn));
                     self.counters.gc_uip_skips += 1;
-                    // The erase marker below supersedes this page, so its
-                    // before-image is now identified: clear the UIP flag to
-                    // prevent a later sync from re-reporting a page on the
-                    // (about to be erased and possibly reused) block.
-                    self.cache.update_entry(lpn, |e| e.uip = false);
+                    // The erase marker below will supersede this page, and
+                    // then the UIP flag goes (`clear_skipped_uip`). Until
+                    // the marker exists the flag is the page's only record:
+                    // a sync of the entry before the erase reports the page,
+                    // and a flush that follows makes the report durable.
+                    self.uip_skipped.push(lpn);
                     continue;
                 }
             }
@@ -226,6 +227,21 @@ impl FtlEngine {
         }
         self.gc_victim = None;
         self.erase_user_block(victim);
+        self.clear_skipped_uip();
+    }
+
+    /// The victim's erase marker supersedes the pages the collection skipped
+    /// as UIPs, so their before-images are identified: clear the UIP flags,
+    /// or a later sync would report a page of the erased (and possibly
+    /// reused) block.
+    fn clear_skipped_uip(&mut self) {
+        let mut skipped = std::mem::take(&mut self.uip_skipped);
+        for lpn in skipped.drain(..) {
+            // A sync since the skip may have cleared the flag already, or an
+            // eviction dropped the entry: then there is nothing to do.
+            self.cache.update_entry(lpn, |e| e.uip = false);
+        }
+        self.uip_skipped = skipped;
     }
 
     /// Erase a user block whose live pages are gone. Algorithm 2: one erase

@@ -267,6 +267,10 @@ pub struct FtlEngine {
     /// The successors a read miss took from its translation page, reused by
     /// the next one. Contents are meaningless outside `read_inner`.
     read_ahead: Vec<(Lpn, Ppn)>,
+    /// The LPNs whose pages the collection in flight skipped as UIPs, their
+    /// flags to clear once the victim's erase marker exists; reused by the
+    /// next collection. Empty outside `collect_user_block`.
+    uip_skipped: Vec<Lpn>,
     /// [`FtlEngine::durable_watermark`]; it never decreases.
     durable: u64,
     /// Lifetime op counters.
@@ -449,6 +453,7 @@ impl FtlEngine {
             sync_scratch: SyncScratch::default(),
             read_run: (0, 0),
             read_ahead: Vec::new(),
+            uip_skipped: Vec::new(),
             durable,
             counters: EngineCounters::default(),
             tenants: BTreeMap::new(),

@@ -162,10 +162,10 @@ fn dirty_step_reads(dev: &FlashDevice, from: u64) -> (u64, u64) {
 
 /// GeckoRec step 6 walks back to the checkpoint horizon — the start of the
 /// epoch before the current one — or to the last Gecko flush, whichever is
-/// older, plus the one page that stops it: 51 pages here, where the paper's
+/// older, plus the one page that stops it: 63 pages here, where the paper's
 /// `2·C`-page window (with its `4·B` cushion) walks 129. It reads one spare
 /// area per page walked but each block's newest, which step 1 read, plus
-/// one page read ahead per other block still open when the walk stops: 47
+/// one page read ahead per other block still open when the walk stops: 59
 /// spare reads here ([`dirty_step_reads`]). Twelve translation pages, so step 4b
 /// reads versions that carry the horizon.
 ///
@@ -186,7 +186,7 @@ fn recovery_scan_is_bounded_by_checkpoints() {
     let (walked, reads) = dirty_step_reads(engine.device(), horizon.min(threshold + 1));
     let (mut recovered, report) = crash_and_recover(engine);
     let dirty_step = step_cost(&report, RecoveryStep::DirtyEntries);
-    assert_eq!((walked, reads), (51, 47));
+    assert_eq!((walked, reads), (63, 59));
     assert_eq!(
         dirty_step.spare_reads, reads,
         "one spare read per page since the horizon or the flush, and the one that stops the \
@@ -545,6 +545,119 @@ fn a_sync_or_trim_that_writes_no_version_leaves_the_chain_alone() {
     assert_eq!(chain(&engine), links, "a no-op trim wrote no version");
     assert!(engine.trim(Lpn(5)));
     assert_eq!(chain(&engine), links + 1, "a trim that unmaps writes one");
+}
+
+/// `n` writes (version `i + 1`) of uniformly random LPNs from `Lcg(seed)`,
+/// acknowledged in `oracle`, until a torn program has captured a crash
+/// image; the image, if one was.
+fn write_until_power_cut(
+    engine: &mut FtlEngine,
+    oracle: &mut Oracle,
+    seed: u64,
+    n: u64,
+) -> Option<FlashDevice> {
+    let logical = engine.geometry().logical_pages();
+    let mut rng = Lcg(seed);
+    for version in 1..=n {
+        let lpn = Lpn((rng.next() % logical) as u32);
+        engine.write(lpn, version);
+        if engine.device().crash_image_ready() {
+            oracle.in_flight(lpn, Some(version));
+            return engine.with_raw_parts(|dev, _| dev.take_crash_image());
+        }
+        oracle.ack_write(lpn, version);
+    }
+    None
+}
+
+/// The program attempts of `events` (indices from `first`) that follow, in
+/// one collection, a translation sync and then a whole Gecko flush run: the
+/// first such program per collection.
+fn programs_after_a_sync_and_a_flush_in_gc(events: &[TraceEvent], first: u64) -> Vec<u64> {
+    let is = |p: u8, purpose: IoPurpose| p as usize == purpose.index();
+    let programs: Vec<(f64, u8)> = events
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::Io {
+                purpose,
+                op: IoOp::PageWrite,
+                start_us,
+                ..
+            } => Some((start_us, purpose)),
+            _ => None,
+        })
+        .collect();
+    let mut found = Vec::new();
+    for ev in events {
+        let TraceEvent::Span {
+            kind: SpanKind::GcCollect,
+            start_us,
+            dur_us,
+            ..
+        } = *ev
+        else {
+            continue;
+        };
+        let end = start_us + dur_us as f64;
+        let (mut synced, mut flushed) = (false, false);
+        for (i, &(at, purpose)) in programs.iter().enumerate() {
+            if at < start_us || at >= end {
+                continue;
+            }
+            let flush = is(purpose, IoPurpose::ValidityUpdate);
+            if flushed && !flush {
+                found.push(first + i as u64);
+                break;
+            }
+            synced |= is(purpose, IoPurpose::TranslationSync);
+            flushed |= synced && flush;
+        }
+    }
+    found
+}
+
+/// GC's UIP skip (§4.1) leaves the entry's UIP flag set until the victim's
+/// erase marker exists, so a sync of the entry during the collection still
+/// reports the skipped page. With the flag cleared at the skip, that sync
+/// reports nothing, a Gecko flush after it moves recovery's diff horizon
+/// (App. C.2.2) past the sync, and a power cut before the erase leaves the
+/// page valid in the store with no trail: the auditor sees a store-valid
+/// page that is not its LPN's target, and a later GC would migrate it.
+///
+/// A dry run finds each collection in which a translation sync and then a
+/// whole flush run happen; a replay per collection tears the next program.
+/// At the parent, 3 and 4 of those cuts fail on seeds 0 and 8, all on the
+/// auditor's `StaleMigration` rule.
+///
+/// Mutation this fails on: `collect_user_block` clearing the UIP flag at
+/// the skip.
+#[test]
+fn a_uip_skip_survives_a_sync_a_flush_and_a_power_cut_before_the_erase() {
+    let fresh = || small_engine(16);
+    let (cfg, gecko_cfg) = (fresh().config(), fresh().backend().gecko_config().unwrap());
+    let ops = 3_000;
+    for seed in [0, 8] {
+        let mut dry = fresh();
+        let first = dry.device().write_attempts();
+        dry.telemetry_mut().enable(1 << 20);
+        let mut oracle = Oracle::new(dry.geometry().logical_pages());
+        assert!(write_until_power_cut(&mut dry, &mut oracle, seed, ops).is_none());
+        assert_eq!(dry.telemetry().dropped_events(), 0, "ring too small");
+        let events: Vec<TraceEvent> = dry.telemetry().events().copied().collect();
+        let cuts = programs_after_a_sync_and_a_flush_in_gc(&events, first);
+        assert!(cuts.len() >= 10, "seed {seed}: {} cut points", cuts.len());
+        for attempt in cuts {
+            let mut engine = fresh();
+            let plan = FaultPlan::new().on_write(attempt, WriteFault::TornData);
+            engine.with_raw_parts(|dev, _| dev.set_fault_plan(plan));
+            let mut oracle = Oracle::new(engine.geometry().logical_pages());
+            let image = write_until_power_cut(&mut engine, &mut oracle, seed, ops);
+            let (mut recovered, _) = gecko_recover(image.expect("cut"), cfg, gecko_cfg);
+            let at = format!("seed {seed}, cut at program attempt {attempt}");
+            assert_eq!(recovered.audit(), Ok(()), "{at}");
+            assert_eq!(oracle.verify(|lpn| recovered.read(lpn)), Ok(()), "{at}");
+        }
+    }
 }
 
 #[test]
