@@ -918,14 +918,20 @@ impl FtlEngine {
     /// translation page to flash, identify before-images (UIP protocol) and
     /// correct recovered flags (App. C.3).
     pub(crate) fn sync_tpage(&mut self, tpage: u32) {
+        self.sync_tpage_and(tpage, &[]);
+    }
+
+    /// [`FtlEngine::sync_tpage`], pushing also `uncached`: entries of this
+    /// translation page, in LPN order, that are dirty but not in the cache.
+    fn sync_tpage_and(&mut self, tpage: u32, uncached: &[CacheEntry]) {
         // Nothing below re-enters `sync_tpage`; if it did, the nested call
         // would merely start from empty vectors.
         let mut scratch = std::mem::take(&mut self.sync_scratch);
-        self.sync_tpage_with(tpage, &mut scratch);
+        self.sync_tpage_with(tpage, uncached, &mut scratch);
         self.sync_scratch = scratch;
     }
 
-    fn sync_tpage_with(&mut self, tpage: u32, scratch: &mut SyncScratch) {
+    fn sync_tpage_with(&mut self, tpage: u32, uncached: &[CacheEntry], scratch: &mut SyncScratch) {
         let SyncScratch {
             updates,
             outcome,
@@ -934,6 +940,10 @@ impl FtlEngine {
         } = scratch;
         let (lo, hi) = self.tt.lpn_range(tpage);
         self.cache.dirty_in_range(lo, hi, updates);
+        if !uncached.is_empty() {
+            updates.extend(uncached.iter().map(|e| (e.lpn, e.ppn)));
+            updates.sort_unstable_by_key(|&(lpn, _)| lpn);
+        }
         if updates.is_empty() {
             return;
         }
@@ -950,7 +960,13 @@ impl FtlEngine {
         ppns.clear();
         lenient.clear();
         for (lpn, before) in &outcome.before_images {
-            let e = *self.cache.lookup(*lpn).expect("synced entry cached");
+            let e = match self.cache.lookup(*lpn) {
+                Some(e) => *e,
+                None => {
+                    let i = uncached.binary_search_by_key(lpn, |e| e.lpn);
+                    uncached[i.expect("synced entry cached or passed in")]
+                }
+            };
             if e.uip {
                 if let Some(before_ppn) = *before {
                     // App. C.3.2: a recovered entry's before-image may have
@@ -1004,14 +1020,26 @@ impl FtlEngine {
     }
 
     /// Verify recovery-recreated entries that did not fit into the cache:
-    /// pass each through a synchronization operation (App. C.3 corrections)
-    /// and drop it again. Used only by [`crate::recovery::gecko_recover`].
-    pub(crate) fn resolve_recovered_overflow(&mut self, entries: Vec<CacheEntry>) {
-        for e in entries {
-            self.make_room();
-            self.cache.insert(e);
-            self.sync_tpage(self.tt.tpage_of(e.lpn));
-            self.cache.remove(e.lpn);
+    /// pass them through synchronization operations (App. C.3 corrections),
+    /// one per translation page, each with all of that page's entries. Used
+    /// only by [`crate::recovery::gecko_recover`].
+    ///
+    /// One sync per page, not one per entry: a sync copies the entries it
+    /// does not update from the version it supersedes, and that version may
+    /// map a recovered LPN to a page whose block GC erased before the crash
+    /// (the LPN's newer copy is what recovery recreated). Written after the
+    /// erase, such a version would defeat invariant 12's erase-timestamp rule
+    /// at the next recovery, which would report that page invalid in the
+    /// block's new life.
+    pub(crate) fn resolve_recovered_overflow(&mut self, mut entries: Vec<CacheEntry>) {
+        entries.sort_unstable_by_key(|e| e.lpn);
+        let mut rest = &entries[..];
+        while let Some(first) = rest.first() {
+            let tpage = self.tt.tpage_of(first.lpn);
+            let (page, tail) =
+                rest.split_at(rest.partition_point(|e| self.tt.tpage_of(e.lpn) == tpage));
+            self.sync_tpage_and(tpage, page);
+            rest = tail;
         }
         if let Some(rec) = &mut self.recovered_invalid {
             rec.overflow_pending = false;

@@ -4,7 +4,7 @@
 
 use flash_sim::{
     BlockId, FaultPlan, FlashDevice, Geometry, IoCounts, IoOp, IoPurpose, LatencyModel, Lpn,
-    MetaTag, PageOffset, SpanKind, SpareInfo, TraceEvent, WriteFault,
+    MetaTag, PageOffset, Ppn, SpanKind, SpareInfo, TraceEvent, WriteFault,
 };
 use ftl_workloads::Oracle;
 use geckoftl_core::ftl::{
@@ -13,6 +13,7 @@ use geckoftl_core::ftl::{
 };
 use geckoftl_core::gecko::GeckoConfig;
 use geckoftl_core::recovery::{gecko_recover, RecoveryReport, RecoveryStep, StepCost};
+use geckoftl_core::translation::TranslationPagePayload;
 use std::collections::{HashMap, HashSet};
 
 mod common;
@@ -471,6 +472,71 @@ fn recovering_a_recovered_engine_loses_no_write() {
             let (mut twice, _) = crash_and_recover(once);
             verify_all(&mut twice, &oracle);
         }
+    }
+}
+
+/// Whether step 4b's erase-timestamp rule (DESIGN.md invariant 12) and the
+/// spare area agree on every page every translation-page version on `dev`
+/// that holds its payload maps: a page whose block is unerased since the version was written is a
+/// user page written before it. The first mapping on which they disagree,
+/// as `(version seq, page)`.
+fn a_version_maps_a_page_erased_before_it(dev: &FlashDevice) -> Option<(u64, Ppn)> {
+    let geo = dev.geometry();
+    let written = |b| (0..dev.written_pages(b)).map(move |o| geo.ppn(b, PageOffset(o)));
+    let versions = geo.iter_blocks().flat_map(written).filter_map(|ppn| {
+        let spare = dev.peek_spare(ppn)?;
+        let SpareInfo::Translation { .. } = spare.info else {
+            return None;
+        };
+        if dev.is_reclaimed(ppn) {
+            return None; // no recovery reads it (invariant 17)
+        }
+        let page = dev.peek_page(ppn)?;
+        let payload = page.blob::<TranslationPagePayload>()?;
+        Some((spare.seq, payload.entries.clone()))
+    });
+    for (seq, entries) in versions.collect::<Vec<_>>() {
+        for ppn in entries.into_iter().filter(|&p| p != u32::MAX).map(Ppn) {
+            let unerased = dev.erase_seq(geo.block_of(ppn)) < seq;
+            let holds = dev
+                .peek_spare(ppn)
+                .is_some_and(|s| s.seq < seq && matches!(s.info, SpareInfo::User { .. }));
+            if unerased != holds {
+                return Some((seq, ppn));
+            }
+        }
+    }
+    None
+}
+
+/// A recovered engine verifies the recreated entries that do not fit its
+/// cache with one sync per translation page. A sync per entry wrote, for
+/// the first entries of a page, versions that still carried the others'
+/// mappings from the crash image, and such a mapping can name a page whose
+/// block GC erased before the crash: the entry's newer copy is what recovery
+/// recreated. The next recovery would then report that page invalid in the
+/// block's new life, because the version naming it postdates the erase.
+/// Here every version on flash after the recovery of a `C = 8` engine, which
+/// leaves dozens of entries over, maps only pages the rule judges right.
+///
+/// Mutation this fails on: `resolve_recovered_overflow` syncing one entry
+/// at a time.
+#[test]
+fn overflow_entries_are_verified_one_translation_page_at_a_time() {
+    for seed in 0..6 {
+        let geo = Geometry::new(64, 16, 256, 0.7);
+        let mut engine = small_engine_on(geo, 8, 1);
+        let mut oracle = Oracle::new(geo.logical_pages());
+        run_workload(&mut engine, &mut oracle, &mut Lcg(seed), 3_000, true);
+        assert_eq!(
+            a_version_maps_a_page_erased_before_it(engine.device()),
+            None
+        );
+        let (mut recovered, report) = crash_and_recover(engine);
+        assert!(report.recovered_entries > 8, "seed {seed}: no overflow");
+        let found = a_version_maps_a_page_erased_before_it(recovered.device());
+        assert_eq!(found, None, "seed {seed}: (version seq, page)");
+        verify_all(&mut recovered, &oracle);
     }
 }
 
