@@ -24,6 +24,23 @@
 //! not modelled firmware RAM: [`MappingCache::ram_bytes`] charges the
 //! paper's 8 B/entry and ignores them.
 //!
+//! **Clean-first eviction.** A full cache gives up the least recently used
+//! *clean* entry among its `W = C / 2` least recently used entries
+//! ([`MappingCache::clean_victim`]); only when that window holds no clean
+//! entry does the engine synchronize the LRU entry's translation page and
+//! evict it. A clean entry costs nothing to drop, while a dirty one costs a
+//! translation-page write; the bounded window keeps a dirty entry from
+//! outliving all reuse (CFLRU, Park et al., CASES 2006; docs/DESIGN.md,
+//! "Deviations"). Read-ahead gives up the same pick and nothing else. Each
+//! node carries a stamp from a counter bumped on every move to the MRU end,
+//! so list order is stamp order. A pointer to the window's newest node and a
+//! second intrusive list of the window's clean entries, in the same order,
+//! make the pick O(1): an entry joins that list at its newer end when the
+//! window reaches it clean, and the entries a sync cleans inside the window
+//! join it by stamp, sorted and merged in one walk at the next pick.
+//! Nothing allocates, and a `debug_assertions` cross-check compares every
+//! pick with a walk of the window (docs/DESIGN.md, invariant 10).
+//!
 //! **Checkpoints.** §4.3 bounds recovery's backwards scan by synchronizing,
 //! every `C` cache operations, all dirty entries that have not been
 //! *written* since the previous checkpoint: every dirty entry left is then
@@ -37,6 +54,13 @@
 use flash_sim::{Lpn, Ppn};
 
 const NIL: usize = usize::MAX;
+
+/// The clean-first window is the `C / EVICTION_WINDOW_DIVISOR` least recently
+/// used entries ([`MappingCache::clean_victim`]). `C / 2`, by measurement:
+/// `C / 4` saves less translation IO, and a window of the whole cache cut the
+/// deep-tree benchmark's peak simulated rate by a quarter (docs/DESIGN.md,
+/// "Deviations").
+pub const EVICTION_WINDOW_DIVISOR: usize = 2;
 
 /// Slot-table value for "LPN not cached".
 const ABSENT: u32 = u32::MAX;
@@ -79,8 +103,33 @@ impl CacheEntry {
 #[derive(Clone, Debug)]
 struct Node {
     entry: CacheEntry,
+    /// Toward the MRU end.
     prev: usize,
+    /// Toward the LRU end.
     next: usize,
+    /// When the node was last moved to the MRU end, from a counter that
+    /// only grows, so list order is stamp order.
+    stamp: u64,
+    /// Links of the clean list, toward its newer and its older end.
+    clean_newer: usize,
+    clean_older: usize,
+    /// Whether the node is on the clean list, waiting to join it, or
+    /// neither.
+    clean: Clean,
+}
+
+/// Where a node stands toward the clean list.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Clean {
+    /// Dirty, or free.
+    No,
+    /// Clean and newer than the window: listed when the window reaches it.
+    Unlisted,
+    /// Clean, in the window, on the clean list.
+    Listed,
+    /// Clean, in the window, cleaned by a sync since the last pick: in
+    /// `pending`, not yet listed.
+    Pending,
 }
 
 /// Fixed-capacity LRU cache of mapping entries.
@@ -99,6 +148,25 @@ pub struct MappingCache {
     tail: usize, // least recently used
     dirty_count: usize,
     uncertain_count: usize,
+    /// `W`, the number of least recently used entries the clean-first pick
+    /// looks at.
+    window: usize,
+    /// The most recent node of the window: the `W`-th from the tail, or the
+    /// head while the cache holds at most `W` entries (`NIL` when empty).
+    window_edge: usize,
+    /// The last stamp handed out.
+    clock: u64,
+    /// The clean list: the window's clean entries but the pending ones, in
+    /// LRU order, newest at the head. An entry joins it at the head when the
+    /// window reaches it clean; one a sync cleans inside the window joins
+    /// `pending`.
+    clean_head: usize,
+    clean_tail: usize,
+    /// `(stamp, node)` of each entry cleaned in place since the last pick.
+    /// The next pick sorts them and merges them into the clean list in one
+    /// walk, so each takes its place by recency. Holds at most `C` (capacity
+    /// reserved up front).
+    pending: Vec<(u64, usize)>,
 }
 
 impl MappingCache {
@@ -119,6 +187,12 @@ impl MappingCache {
             tail: NIL,
             dirty_count: 0,
             uncertain_count: 0,
+            window: (capacity / EVICTION_WINDOW_DIVISOR).max(1),
+            window_edge: NIL,
+            clock: 0,
+            clean_head: NIL,
+            clean_tail: NIL,
+            pending: Vec::with_capacity(capacity),
         }
     }
 
@@ -158,7 +232,13 @@ impl MappingCache {
         self.capacity as u64 * 8
     }
 
+    /// Take a linked node out of the list; the window keeps `W` entries.
     fn unlink(&mut self, idx: usize) {
+        let edge = self.window_edge;
+        if self.nodes[idx].stamp <= self.nodes[edge].stamp {
+            // The window loses a member and takes in the next newer entry.
+            self.window_edge = self.nodes[edge].prev;
+        }
         let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
         if prev != NIL {
             self.nodes[prev].next = next;
@@ -172,9 +252,21 @@ impl MappingCache {
         }
         self.nodes[idx].prev = NIL;
         self.nodes[idx].next = NIL;
+        // `len` still counts the node.
+        if self.len() - 1 <= self.window {
+            self.window_edge = self.head;
+        }
+        // At most one entry enters the window, the newest in it.
+        let entered = self.window_edge;
+        if entered != edge && entered != NIL && self.nodes[entered].clean == Clean::Unlisted {
+            self.link_clean(entered, NIL, self.clean_head);
+        }
     }
 
+    /// Link a node at the MRU end with a fresh stamp.
     fn push_front(&mut self, idx: usize) {
+        self.clock += 1;
+        self.nodes[idx].stamp = self.clock;
         self.nodes[idx].prev = NIL;
         self.nodes[idx].next = self.head;
         if self.head != NIL {
@@ -184,6 +276,126 @@ impl MappingCache {
         if self.tail == NIL {
             self.tail = idx;
         }
+        if self.len() <= self.window {
+            self.window_edge = idx;
+        }
+        // The newest entry: a clean one heads the clean list if the window
+        // reaches it.
+        self.leave_clean(idx);
+        if !self.nodes[idx].entry.dirty {
+            match self.window_edge == idx {
+                true => self.link_clean(idx, NIL, self.clean_head),
+                false => self.nodes[idx].clean = Clean::Unlisted,
+            }
+        }
+    }
+
+    /// Whether `idx` lies in the window.
+    fn in_window(&self, idx: usize) -> bool {
+        self.nodes[idx].stamp <= self.nodes[self.window_edge].stamp
+    }
+
+    /// Take a node off the clean list and out of `pending` (its entry there
+    /// goes stale).
+    fn leave_clean(&mut self, idx: usize) {
+        if self.nodes[idx].clean == Clean::Listed {
+            let (newer, older) = (self.nodes[idx].clean_newer, self.nodes[idx].clean_older);
+            match newer {
+                NIL => self.clean_head = older,
+                n => self.nodes[n].clean_older = older,
+            }
+            match older {
+                NIL => self.clean_tail = newer,
+                o => self.nodes[o].clean_newer = newer,
+            }
+        }
+        self.nodes[idx].clean = Clean::No;
+    }
+
+    /// Put a node on the clean list between `newer` and `older`, adjacent
+    /// list members or `NIL` past an end.
+    fn link_clean(&mut self, idx: usize, newer: usize, older: usize) {
+        let node = &mut self.nodes[idx];
+        (node.clean_newer, node.clean_older, node.clean) = (newer, older, Clean::Listed);
+        match newer {
+            NIL => self.clean_head = idx,
+            n => self.nodes[n].clean_older = idx,
+        }
+        match older {
+            NIL => self.clean_tail = idx,
+            o => self.nodes[o].clean_newer = idx,
+        }
+    }
+
+    /// Merge the entries cleaned in place into the clean list by stamp: sort
+    /// them, then walk the list once from its oldest end. A batch of more
+    /// than `C / 16` (a checkpoint's sweep; 8 in a small cache) costs less
+    /// as a rebuild of the whole list from one walk of the window.
+    fn merge_pending(&mut self) {
+        if self.pending.len() > (self.capacity / 16).max(8) {
+            self.pending.clear();
+            (self.clean_head, self.clean_tail) = (NIL, NIL);
+            let mut at = self.tail;
+            while at != NIL && self.in_window(at) {
+                if !self.nodes[at].entry.dirty {
+                    self.link_clean(at, NIL, self.clean_head);
+                }
+                at = self.nodes[at].prev;
+            }
+            return;
+        }
+        let mut pending = std::mem::take(&mut self.pending);
+        // An entry dirtied, promoted or removed since has left (a promoted
+        // one took a new stamp); one cleaned twice is in twice.
+        pending.retain(|&(stamp, i)| {
+            let node = &self.nodes[i];
+            node.clean == Clean::Pending && node.stamp == stamp
+        });
+        pending.sort_unstable();
+        pending.dedup();
+        let mut at = self.clean_tail; // the oldest listed entry not older
+        for &(stamp, idx) in &pending {
+            while at != NIL && self.nodes[at].stamp < stamp {
+                at = self.nodes[at].clean_newer;
+            }
+            // Just older than `at`; newest of all when `at` is NIL.
+            let older = match at {
+                NIL => self.clean_head,
+                a => self.nodes[a].clean_older,
+            };
+            self.link_clean(idx, at, older);
+        }
+        pending.clear();
+        self.pending = pending;
+    }
+
+    /// The clean-first pick (module doc): the least recently used clean entry
+    /// among the `W` least recently used entries, if there is one: the clean
+    /// list's tail, once the entries cleaned in place have joined it. A pick
+    /// costs O(1) plus, the first time after a sync, one sort of the entries
+    /// it cleaned in the window and one walk of the clean list; it allocates
+    /// nothing.
+    pub fn clean_victim(&mut self) -> Option<Lpn> {
+        if !self.pending.is_empty() {
+            self.merge_pending();
+        }
+        let oldest = self.clean_tail;
+        let pick = (oldest != NIL).then(|| self.nodes[oldest].entry.lpn);
+        debug_assert_eq!(
+            pick,
+            self.clean_victim_by_scan(),
+            "the clean-first pick must equal the windowed scan"
+        );
+        pick
+    }
+
+    /// [`MappingCache::clean_victim`] by a walk of the window from the LRU
+    /// end: the oracle the pick is checked against.
+    pub fn clean_victim_by_scan(&self) -> Option<Lpn> {
+        self.iter_lru_order()
+            .take(self.window)
+            .find(|e| !e.dirty)
+            .map(|e| e.lpn)
     }
 
     /// Node index of the entry cached for `lpn`, if any.
@@ -230,6 +442,21 @@ impl MappingCache {
         debug_assert_eq!(is.lpn, lpn, "entry lpn must not change");
         if is.dirty != was.dirty {
             self.note_dirty(lpn, is.dirty);
+            self.leave_clean(idx);
+            if !is.dirty && !self.in_window(idx) {
+                self.nodes[idx].clean = Clean::Unlisted;
+            } else if !is.dirty {
+                // It joins the clean list by recency, not at either end. A
+                // full `pending` is merged first, which may rebuild the list
+                // with this entry on it.
+                if self.pending.len() == self.capacity {
+                    self.merge_pending();
+                }
+                if self.nodes[idx].clean == Clean::No {
+                    self.nodes[idx].clean = Clean::Pending;
+                    self.pending.push((self.nodes[idx].stamp, idx));
+                }
+            }
         }
         self.uncertain_count =
             self.uncertain_count + is.uncertain as usize - was.uncertain as usize;
@@ -247,19 +474,20 @@ impl MappingCache {
             "duplicate insert for {:?}",
             entry.lpn
         );
+        let node = Node {
+            entry,
+            prev: NIL,
+            next: NIL,
+            stamp: 0,
+            clean_newer: NIL,
+            clean_older: NIL,
+            clean: Clean::No,
+        };
         let idx = if let Some(i) = self.free.pop() {
-            self.nodes[i] = Node {
-                entry,
-                prev: NIL,
-                next: NIL,
-            };
+            self.nodes[i] = node;
             i
         } else {
-            self.nodes.push(Node {
-                entry,
-                prev: NIL,
-                next: NIL,
-            });
+            self.nodes.push(node);
             self.nodes.len() - 1
         };
         let lpn = entry.lpn.0 as usize;
@@ -278,9 +506,10 @@ impl MappingCache {
 
     /// Read-ahead: install as clean MRU entries those of `successors` — the
     /// flash-resident mappings of the LPNs following `demand`, in LPN order —
-    /// that are not cached yet. Costs no IO: a full cache gives up clean LRU
-    /// entries only, and the first LRU entry that is dirty, or that is
-    /// `demand` or one of the successors, ends the install.
+    /// that are not cached yet. Costs no IO: a full cache gives up the
+    /// clean-first pick only ([`MappingCache::clean_victim`]), and a window
+    /// without a clean entry, or a pick that is `demand` or one of the
+    /// successors, ends the install.
     pub fn install_read_ahead(&mut self, demand: Lpn, successors: &[(Lpn, Ppn)]) {
         let Some(&(last, _)) = successors.last() else {
             return;
@@ -290,11 +519,12 @@ impl MappingCache {
                 continue;
             }
             if self.is_full() {
-                let lru = *self.peek_lru().expect("full cache has an LRU entry");
-                if lru.dirty || (demand..=last).contains(&lru.lpn) {
-                    return;
+                match self.clean_victim() {
+                    Some(victim) if !(demand..=last).contains(&victim) => {
+                        self.remove(victim);
+                    }
+                    _ => return,
                 }
-                self.remove(lru.lpn);
             }
             self.insert(CacheEntry::clean(lpn, ppn));
         }
@@ -305,6 +535,7 @@ impl MappingCache {
         let idx = self.slot(lpn)?;
         self.slots[lpn.0 as usize] = ABSENT;
         self.unlink(idx);
+        self.leave_clean(idx);
         self.free.push(idx);
         let entry = self.nodes[idx].entry;
         if entry.dirty {
@@ -475,33 +706,147 @@ mod tests {
         assert_eq!(dirty, vec![(Lpn(1029), Ppn(4))]);
     }
 
-    #[test]
-    fn read_ahead_takes_clean_lru_entries_and_never_its_own_window() {
+    /// A cache of `C = 4` (window 2) holding `entries`, LRU first.
+    fn filled(entries: &[(u32, bool)]) -> MappingCache {
         let mut c = MappingCache::new(4);
-        for (lpn, dirty) in [(50, true), (60, false), (12, false), (10, false)] {
+        for &(lpn, dirty) in entries {
             c.insert(entry(lpn, lpn, dirty));
         }
-        let successors: Vec<(Lpn, Ppn)> = (11..16).map(|l| (Lpn(l), Ppn(l + 100))).collect();
-        // A dirty LRU entry ends the install before it starts.
-        c.install_read_ahead(Lpn(10), &successors);
-        let order: Vec<u32> = c.iter_lru_order().map(|e| e.lpn.0).collect();
-        assert_eq!(order, vec![50, 60, 12, 10]);
+        assert_eq!(c.window, 2);
+        c
+    }
 
-        // Clean, L50 gives its place to L11 and L60 to L13. L12 is cached
-        // already and keeps its entry and its LRU position — which ends the
-        // install before L14: it lies in the window.
-        c.update_entry(Lpn(50), |e| e.dirty = false);
+    fn lru_order(c: &MappingCache) -> Vec<u32> {
+        c.iter_lru_order().map(|e| e.lpn.0).collect()
+    }
+
+    #[test]
+    fn a_clean_entry_in_the_window_goes_before_an_older_dirty_one() {
+        let mut c = filled(&[(1, true), (2, false), (3, false), (4, false)]);
+        assert_eq!(c.clean_victim(), Some(Lpn(2)));
+        // Promoted out of the window, L2 makes way for L3.
+        c.promote(Lpn(2));
+        assert_eq!(c.clean_victim(), Some(Lpn(3)));
+        c.remove(Lpn(3));
+        c.insert(entry(5, 5, true));
+        // LRU → MRU: 1, 4, 2, 5; the window is L1 and L4.
+        assert_eq!(c.clean_victim(), Some(Lpn(4)));
+    }
+
+    #[test]
+    fn a_window_without_a_clean_entry_offers_no_victim() {
+        let mut c = filled(&[(1, true), (2, true), (3, false), (4, false)]);
+        // The engine then syncs the LRU entry's page and evicts it
+        // (`read_ahead_drops_successors_its_own_eviction_superseded`, whose
+        // window is its one dirty LRU entry).
+        assert_eq!(c.clean_victim(), None);
+        assert_eq!(c.peek_lru().map(|e| e.lpn), Some(Lpn(1)));
+        // A sync cleans entries where they stand: L2 is older than L3 and L4.
+        c.update_entry(Lpn(2), |e| e.dirty = false);
+        assert_eq!(c.clean_victim(), Some(Lpn(2)));
+        c.update_entry(Lpn(1), |e| e.dirty = false);
+        assert_eq!(c.clean_victim(), Some(Lpn(1)));
+        // Dirtied again, L1 and L2 leave the pick to nobody.
+        c.update_entry(Lpn(1), |e| e.dirty = true);
+        c.update_entry(Lpn(2), |e| e.dirty = true);
+        assert_eq!(c.clean_victim(), None);
+    }
+
+    #[test]
+    fn synced_entries_join_the_clean_list_by_recency_in_any_batch() {
+        // Batches of 3 (sorted and merged) and of 10 (the list rebuilt from
+        // the LRU list), cleaned out of LRU order: picks go oldest first.
+        // L100, inserted clean after them, stays the newest clean entry.
+        for batch in [&[10, 4, 0][..], &[18, 2, 10, 4, 6, 8, 12, 14, 16, 0]] {
+            let mut c = MappingCache::new(33);
+            for lpn in 0..32 {
+                c.insert(entry(lpn, lpn, true));
+            }
+            c.insert(entry(100, 100, false));
+            for &lpn in batch {
+                c.update_entry(Lpn(lpn), |e| e.dirty = false);
+            }
+            let mut want: Vec<u32> = batch.to_vec();
+            want.sort_unstable();
+            for lpn in want {
+                assert_eq!(c.clean_victim(), Some(Lpn(lpn)));
+                c.remove(Lpn(lpn));
+            }
+            assert_eq!(c.clean_victim(), None, "L100 is not in the window");
+            let l100 = c.slot(Lpn(100)).unwrap();
+            assert_eq!((c.clean_tail, c.nodes[l100].clean), (NIL, Clean::Unlisted));
+            // Promote everything older: L100 enters the window, and the list.
+            for lpn in 1..32 {
+                c.promote(Lpn(lpn));
+            }
+            assert_eq!(c.clean_victim(), Some(Lpn(100)));
+        }
+    }
+
+    #[test]
+    fn a_full_pending_batch_is_merged_before_it_takes_more() {
+        // C = 12: the thirteenth entry cleaned in place between two picks
+        // finds `pending` full, and the rebuild that merges it lists that
+        // entry already: it must not be listed twice.
+        let mut c = MappingCache::new(12);
+        for lpn in 1..=12 {
+            c.insert(entry(lpn, lpn, true));
+        }
+        for round in 0..3 {
+            for lpn in 1..=12 {
+                c.update_entry(Lpn(lpn), |e| e.dirty = false);
+                c.update_entry(Lpn(lpn), |e| e.dirty = true);
+            }
+            c.update_entry(Lpn(2), |e| e.dirty = false);
+            // Walked from the oldest end: listed nodes only, each once.
+            let (mut at, mut listed) = (c.clean_tail, Vec::new());
+            while at != NIL && listed.len() <= c.nodes.len() {
+                listed.push(at);
+                at = c.nodes[at].clean_newer;
+            }
+            let on_list = |i: &usize| c.nodes[*i].clean == Clean::Listed;
+            assert!(listed.iter().all(on_list), "round {round}: {listed:?}");
+            assert_eq!(c.clean_victim(), Some(Lpn(2)), "round {round}");
+            c.update_entry(Lpn(2), |e| e.dirty = true);
+        }
+        for lpn in [4, 1, 3, 2] {
+            c.update_entry(Lpn(lpn), |e| e.dirty = false);
+        }
+        assert_eq!(c.clean_victim(), Some(Lpn(1)));
+        c.promote(Lpn(1));
+        c.promote(Lpn(2));
+        assert_eq!(c.clean_victim(), Some(Lpn(3)));
+        c.remove(Lpn(3));
+        assert_eq!(c.clean_victim(), Some(Lpn(4)));
+    }
+
+    #[test]
+    fn read_ahead_skips_dirty_entries_and_never_evicts_its_own_range() {
+        let successors: Vec<(Lpn, Ppn)> = (11..16).map(|l| (Lpn(l), Ppn(l + 100))).collect();
+        // L50 is dirty; L60 is the clean pick and gives its place to L11.
+        // Then the window is L50 and L12, which is cached already and in
+        // the range: the install ends before L13.
+        let mut c = filled(&[(50, true), (60, false), (12, false), (10, false)]);
         c.install_read_ahead(Lpn(10), &successors);
-        let order: Vec<u32> = c.iter_lru_order().map(|e| e.lpn.0).collect();
-        assert_eq!(order, vec![12, 10, 11, 13]);
+        assert_eq!(lru_order(&c), vec![50, 12, 10, 11]);
         assert_eq!(c.lookup(Lpn(12)), Some(&entry(12, 12, false)));
-        let installed = CacheEntry::clean(Lpn(13), Ppn(113));
-        assert_eq!(c.lookup(Lpn(13)), Some(&installed));
+        let installed = CacheEntry::clean(Lpn(11), Ppn(111));
+        assert_eq!(c.lookup(Lpn(11)), Some(&installed));
+
+        // A window of dirty entries ends the install before it starts.
+        let mut c = filled(&[(50, true), (60, true), (12, false), (10, false)]);
+        c.install_read_ahead(Lpn(10), &successors);
+        assert_eq!(lru_order(&c), vec![50, 60, 12, 10]);
+
+        // The demand entry itself is never given up: C = 1, window 1.
+        let mut c = MappingCache::new(1);
+        c.insert(entry(10, 10, false));
+        c.install_read_ahead(Lpn(10), &successors);
+        assert_eq!(lru_order(&c), vec![10]);
 
         // Nothing to install, nothing touched.
         c.install_read_ahead(Lpn(10), &[]);
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.dirty_count(), 0);
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

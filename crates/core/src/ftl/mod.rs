@@ -863,16 +863,18 @@ impl FtlEngine {
         !counted
     }
 
-    /// Evict (syncing as needed) until the cache has room for one insert.
+    /// Evict until the cache has room for one insert: the clean-first pick
+    /// ([`MappingCache::clean_victim`]), or, when the window holds dirty
+    /// entries only, the LRU entry after a sync of its translation page.
     pub(crate) fn make_room(&mut self) {
         while self.cache.is_full() {
-            let victim = *self.cache.peek_lru().expect("full cache has an LRU entry");
-            if victim.dirty {
-                self.sync_tpage(self.tt.tpage_of(victim.lpn));
-            }
-            // The sync may have been aborted (recovery false alarm), in
-            // which case the entry is now clean; drop it either way.
-            self.cache.remove(victim.lpn);
+            let victim = self.cache.clean_victim().unwrap_or_else(|| {
+                let lru = self.cache.peek_lru().expect("full cache has an LRU entry");
+                let lpn = lru.lpn;
+                self.sync_tpage(self.tt.tpage_of(lpn));
+                lpn
+            });
+            self.cache.remove(victim);
         }
     }
 

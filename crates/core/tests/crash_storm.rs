@@ -155,21 +155,21 @@ fn erased_trail_storm_passes_the_gc_auditor() {
 /// copied version's mappings, which can name a user page whose block was
 /// erased before the copy was written; invariant 12's erase-timestamp rule
 /// then keeps a page the version no longer holds, and step 4b reports it
-/// invalid. Item 1's recipe ([`greedy_engine`]) fails at seed 7 in every
+/// invalid. Item 1's recipe ([`greedy_engine`]) fails at seed 1 in every
 /// profile: under debug assertions at step 4b's cross-check, in release
 /// when a read reaches a page of an erased block. (The census below lists
 /// the other seeds.) The pin flips when the hole is fixed.
 #[test]
 #[cfg_attr(
     debug_assertions,
-    should_panic(expected = "erase timestamp and spare area disagree on P133")
+    should_panic(expected = "erase timestamp and spare area disagree on P736")
 )]
 #[cfg_attr(
     not(debug_assertions),
-    should_panic(expected = "mapped page readable: PageNotWritten(P216)")
+    should_panic(expected = "mapped page readable: PageNotWritten(P866)")
 )]
 fn greedy_gc_storm_reports_a_page_a_copy_no_longer_holds() {
-    storm(greedy_engine(), 7, 3_000, None);
+    storm(greedy_engine(), 1, 3_000, None);
 }
 
 /// The ids of every shard's live runs.
@@ -200,33 +200,43 @@ fn a_tree_kept_one_marker(engine: &FtlEngine) -> bool {
 
 /// Every merge leaves a run, even one whose fold drops every entry: it keeps
 /// the last key's erase marker. So no merged-away run lies outside a kept
-/// run's span, and GeckoRec step 3 revives none. The storm at four trees,
-/// seed 3, trims one op in eight, makes such a fold in the recovery after
-/// op 167: a tree's oldest runs hold only erase markers with nothing
-/// invalidated since. After
-/// every op the device is recovered as a power cut would leave it: the runs
-/// recovery found are exactly the live engine's, the recovered engine passes
-/// the GC auditor, and every acknowledged write reads back. A fold that
-/// writes no run when it drops every entry fails this: recovery revives its
-/// inputs.
+/// run's span, and GeckoRec step 3 revives none. Sequential rewrites of the
+/// tiny geometry at four trees with an 8-entry cache, the power cut and the
+/// device recovered after every 97th write, make such folds: first at write
+/// 1 458, a tree's oldest run holds only an erase marker with nothing
+/// invalidated since. (Random storms made one until the version chain stopped
+/// taking links for aborted syncs, whose forced flushes it came from.) After
+/// every write the device is also recovered as a power cut would leave it:
+/// the runs recovery found are exactly the live engine's, the recovered
+/// engine passes the GC auditor, and every acknowledged write reads back. A
+/// fold that writes no run when it drops every entry fails this: recovery
+/// revives its inputs.
 #[test]
+#[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
 fn recovery_revives_no_merged_away_run() {
-    let fresh = engine(Geometry::tiny(), 16, 4);
-    let (cfg, gecko_cfg) = (fresh.config(), fresh.backend().gecko_config().unwrap());
-    let (mut op, mut kept_one) = (0, 0);
-    storm_with(fresh, 3, 200, Some(8), |engine, oracle| {
-        op += 1;
-        kept_one += usize::from(a_tree_kept_one_marker(engine));
+    let mut engine = engine(Geometry::tiny(), 8, 4);
+    let (cfg, gecko_cfg) = (engine.config(), engine.backend().gecko_config().unwrap());
+    let logical = engine.geometry().logical_pages() as u32;
+    let mut oracle = Oracle::new(logical as u64);
+    let mut kept_one = 0;
+    for op in 1..=1_600u32 {
+        let lpn = Lpn(op % logical);
+        engine.write(lpn, op.into());
+        oracle.ack_write(lpn, op.into());
+        if op % 97 == 0 {
+            engine = crash_and_recover(engine).0;
+        }
+        kept_one += usize::from(a_tree_kept_one_marker(&engine));
         let (mut recovered, _) = gecko_recover(engine.device().clone(), cfg, gecko_cfg);
         // Runs the recovered engine flushed itself, verifying the
         // entries that did not fit its cache, are newer than the image.
         let mut found = live_run_ids(&recovered);
         found.retain(|&id| id < engine.device().now_seq());
-        let at = format!("after op {op}");
-        assert_eq!(found, live_run_ids(engine), "{at}");
+        let at = format!("after write {op}");
+        assert_eq!(found, live_run_ids(&engine), "{at}");
         assert_eq!(recovered.audit(), Ok(()), "{at}");
         assert_eq!(oracle.verify(|lpn| recovered.read(lpn)), Ok(()), "{at}");
-    });
+    }
     assert!(kept_one > 0, "no fold kept one marker");
 }
 
@@ -259,6 +269,12 @@ fn failure(f: impl FnOnce()) -> Option<String> {
 /// seeds 0–19 in release (each storm up to its failure), the step 4b disagreements stayed at 143 and the
 /// translation-block collections went 339 → 361; the disagreements fall on
 /// 13 seeds instead of 8.
+///
+/// Clean-first eviction keeps dirty entries cached longer, so more
+/// translation pages lag the cache when greedy GC copies them: the debug set
+/// is 16 seeds, and the release set 6, of which 4 read back a wrong version
+/// instead of an erased page. Every seed of the release set is in the debug
+/// set, where it fails at step 4b's erase-timestamp cross-check: the hole.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
 fn storm_census_fails_only_at_the_two_holes() {
@@ -266,16 +282,26 @@ fn storm_census_fails_only_at_the_two_holes() {
     if cfg!(debug_assertions) {
         let timestamp =
             "assertion `left == right` failed: erase timestamp and spare area disagree on ";
-        let greedy = [0, 1, 2, 3, 4, 6, 7, 8, 10, 12, 14, 16, 19].map(|seed| (seed, timestamp));
-        census("greedy", 20, greedy_engine, &greedy);
-    } else {
-        let erased_page = "mapped page readable: PageNotWritten";
+        let greedy = [1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 19];
         census(
             "greedy",
             20,
             greedy_engine,
-            &[(7, erased_page), (19, erased_page)],
+            &greedy.map(|seed| (seed, timestamp)),
         );
+    } else {
+        let erased_page = "mapped page readable: PageNotWritten";
+        // An acknowledged write that reads back as another version.
+        let lost = "trims 1 in None: after op";
+        let greedy = [
+            (1, erased_page),
+            (4, erased_page),
+            (9, lost),
+            (12, lost),
+            (14, lost),
+            (19, lost),
+        ];
+        census("greedy", 20, greedy_engine, &greedy);
     }
 }
 

@@ -7,6 +7,7 @@ use flash_sim::{
     MetaTag, PageOffset, Ppn, SpanKind, SpareInfo, TraceEvent, WriteFault,
 };
 use ftl_workloads::Oracle;
+use geckoftl_core::cache::EVICTION_WINDOW_DIVISOR;
 use geckoftl_core::ftl::{
     BlockGroup, FtlConfig, FtlEngine, FtlError, GcPolicy, HostOp, HostOpKind, RecoveryPolicy,
     ValidityBackend, MAX_UNFLUSHED_VERSIONS,
@@ -161,14 +162,38 @@ fn dirty_step_reads(dev: &FlashDevice, from: u64) -> (u64, u64) {
     (walked, walked - opened.len() as u64 + read_ahead as u64)
 }
 
-/// GeckoRec step 6 walks back to the checkpoint horizon — the start of the
-/// epoch before the current one — or to the last Gecko flush, whichever is
-/// older, plus the one page that stops it: 63 pages here, where the paper's
-/// `2·C`-page window (with its `4·B` cushion) walks 129. It reads one spare
-/// area per page walked but each block's newest, which step 1 read, plus
-/// one page read ahead per other block still open when the walk stops: 59
-/// spare reads here ([`dirty_step_reads`]). Twelve translation pages, so step 4b
-/// reads versions that carry the horizon.
+/// The checkpoint horizon GeckoRec step 4b reads on `dev`: the newest one
+/// the translation-page versions newer than `threshold` carry (the base
+/// versions it also reads are older, and carry older ones).
+fn carried_horizon(dev: &FlashDevice, threshold: u64) -> u64 {
+    let geo = dev.geometry();
+    let written = |b| (0..dev.written_pages(b)).map(move |o| geo.ppn(b, PageOffset(o)));
+    geo.iter_blocks()
+        .flat_map(written)
+        .filter(|&ppn| {
+            dev.peek_spare(ppn).is_some_and(|s| {
+                s.seq > threshold && matches!(s.info, SpareInfo::Translation { .. })
+            }) && !dev.is_reclaimed(ppn)
+        })
+        .filter_map(|ppn| {
+            dev.peek_page(ppn)?
+                .blob::<TranslationPagePayload>()
+                .map(|p| p.horizon)
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// GeckoRec step 6 walks back to the checkpoint horizon step 4b reads — the
+/// newest one the versions newer than the last Gecko flush carry: the start
+/// of an epoch before the current one — or to that flush, whichever is
+/// older, plus the one page that stops it: 96 pages here, where the paper's
+/// `2·C`-page window (with its `4·B` cushion) walks 129. (The engine's own
+/// horizon is newer: no version was written since its last checkpoint.) It
+/// reads one spare area per page walked but each block's newest, which step
+/// 1 read, plus one page read ahead per other block still open when the walk
+/// stops: 90 spare reads here ([`dirty_step_reads`]). Twelve translation
+/// pages, so step 4b reads versions that carry the horizon.
 ///
 /// Mutations this fails on: a step 6 that ignores the horizon, one that
 /// reads each block's newest page again, and, with
@@ -182,12 +207,14 @@ fn recovery_scan_is_bounded_by_checkpoints() {
     let mut rng = Lcg(99);
     run_workload(&mut engine, &mut oracle, &mut rng, 8000, true);
     let threshold = engine.backend().gecko().expect("gecko").last_flush_seq();
-    let horizon = engine.translation().horizon();
+    let horizon = carried_horizon(engine.device(), threshold);
     assert!(horizon > 0, "the run checkpoints");
+    // No version was written since the last checkpoint here.
+    assert!(horizon < engine.translation().horizon());
     let (walked, reads) = dirty_step_reads(engine.device(), horizon.min(threshold + 1));
     let (mut recovered, report) = crash_and_recover(engine);
     let dirty_step = step_cost(&report, RecoveryStep::DirtyEntries);
-    assert_eq!((walked, reads), (63, 59));
+    assert_eq!((walked, reads), (96, 90));
     assert_eq!(
         dirty_step.spare_reads, reads,
         "one spare read per page since the horizon or the flush, and the one that stops the \
@@ -437,7 +464,9 @@ fn a_torn_relocation_copy_below_the_scan_horizon_is_reported() {
 /// recreated from. A write's GC burst ticks the checkpoint clock, so the
 /// second crash comes before the op that takes the first checkpoint: the
 /// engine is deterministic, and the longest prefix of the six ops that takes
-/// none is replayed. That prefix includes a collection.
+/// none is replayed. That prefix must include a collection, so the test
+/// takes the first of eight op streams whose prefix does (at four trees the
+/// first stream takes its first checkpoint before its first collection).
 ///
 /// Mutation this fails on: the recovered table's horizon set to
 /// `dev.now_seq()` (the second recovery stops short of the first one's
@@ -446,10 +475,10 @@ fn a_torn_relocation_copy_below_the_scan_horizon_is_reported() {
 fn recovering_a_recovered_engine_loses_no_write() {
     let geo = Geometry::new(64, 16, 256, 0.7);
     // The engine once recovered, after `ops` more ops of the same stream.
-    let recovered_then = |shards: u32, ops: u64| {
+    let recovered_then = |shards: u32, seed: u64, ops: u64| {
         let mut engine = small_engine_on(geo, 32, shards);
         let mut oracle = Oracle::new(engine.geometry().logical_pages());
-        let mut rng = Lcg(31 + shards as u64);
+        let mut rng = Lcg(seed);
         run_workload(&mut engine, &mut oracle, &mut rng, 3000, true);
         let (mut once, first) = crash_and_recover(engine);
         assert!(first.recovered_entries > 0);
@@ -458,17 +487,18 @@ fn recovering_a_recovered_engine_loses_no_write() {
     };
     for shards in [1, 4] {
         for ops_between in [0, 6] {
-            let (once, oracle) = (0..=ops_between)
-                .rev()
-                .map(|ops| recovered_then(shards, ops))
-                .find(|(once, _)| once.counters.checkpoints == 0)
-                .expect("no checkpoint right after recovery");
-            if ops_between > 0 {
-                assert!(
-                    once.counters.gc_operations > 0,
-                    "shards {shards}: no collection"
-                );
-            }
+            // The first stream whose longest checkpoint-free prefix
+            // collects, from seed 31 + shards on.
+            let seeds = (31 + shards as u64..).take(8);
+            let (once, oracle) = seeds
+                .filter_map(|seed| {
+                    (0..=ops_between)
+                        .rev()
+                        .map(|ops| recovered_then(shards, seed, ops))
+                        .find(|(once, _)| once.counters.checkpoints == 0)
+                })
+                .find(|(once, _)| ops_between == 0 || once.counters.gc_operations > 0)
+                .unwrap_or_else(|| panic!("shards {shards}: no collection before a checkpoint"));
             let (mut twice, _) = crash_and_recover(once);
             verify_all(&mut twice, &oracle);
         }
@@ -516,26 +546,27 @@ fn a_version_maps_a_page_erased_before_it(dev: &FlashDevice) -> Option<(u64, Ppn
 /// block GC erased before the crash: the entry's newer copy is what recovery
 /// recreated. The next recovery would then report that page invalid in the
 /// block's new life, because the version naming it postdates the erase.
-/// Here every version on flash after the recovery of a `C = 8` engine, which
-/// leaves dozens of entries over, maps only pages the rule judges right.
+/// Here every version on flash after the recovery of a `C = 32` engine,
+/// which leaves dozens of entries over, maps only pages the rule judges
+/// right, at one tree and at four. A sync per entry fails this on three of
+/// the eight runs (seeds 0 and 1 at four trees, 3 at one).
 ///
 /// Mutation this fails on: `resolve_recovered_overflow` syncing one entry
 /// at a time.
 #[test]
 fn overflow_entries_are_verified_one_translation_page_at_a_time() {
-    for seed in 0..6 {
+    for (seed, shards) in (0..4).flat_map(|seed| [(seed, 1), (seed, 4)]) {
         let geo = Geometry::new(64, 16, 256, 0.7);
-        let mut engine = small_engine_on(geo, 8, 1);
+        let mut engine = small_engine_on(geo, 32, shards);
         let mut oracle = Oracle::new(geo.logical_pages());
         run_workload(&mut engine, &mut oracle, &mut Lcg(seed), 3_000, true);
-        assert_eq!(
-            a_version_maps_a_page_erased_before_it(engine.device()),
-            None
-        );
+        let at = format!("seed {seed}, {shards} trees");
+        let found = a_version_maps_a_page_erased_before_it(engine.device());
+        assert_eq!(found, None, "{at}, before the crash: (version seq, page)");
         let (mut recovered, report) = crash_and_recover(engine);
-        assert!(report.recovered_entries > 8, "seed {seed}: no overflow");
+        assert!(report.recovered_entries > 32, "{at}: no overflow");
         let found = a_version_maps_a_page_erased_before_it(recovered.device());
-        assert_eq!(found, None, "seed {seed}: (version seq, page)");
+        assert_eq!(found, None, "{at}: (version seq, page)");
         verify_all(&mut recovered, &oracle);
     }
 }
@@ -1731,10 +1762,11 @@ fn uniform_reads_fetch_once_per_miss_of_a_demand_filled_lru() {
 
 /// A read with read-ahead charges one translation fetch and one user read —
 /// plus whatever the *demand* entry's eviction costs, here nothing: the
-/// successors take the place of clean LRU entries only, and a dirty entry at
-/// the LRU end stops the install instead of being synchronized.
+/// successors take the place of clean entries of the eviction window only
+/// (the `C / 2` least recently used), and a dirty entry there is skipped,
+/// not synchronized.
 #[test]
-fn read_ahead_issues_no_io_and_stops_at_a_dirty_lru_entry() {
+fn read_ahead_issues_no_io_and_skips_a_dirty_lru_entry() {
     let mut engine = small_engine(8);
     write_and_sync(&mut engine, (0..40).chain([100, 200, 300, 400, 410, 420]));
     // LRU → MRU: L100, L200, L300 (dirty), L400, L410, L420, L10, L11.
@@ -1747,9 +1779,11 @@ fn read_ahead_issues_no_io_and_stops_at_a_dirty_lru_entry() {
     while engine.idle_tick() {}
     assert_eq!(lru_order(&engine), [100, 200, 300, 400, 410, 420, 10, 11]);
     assert_eq!(engine.cache().dirty_count(), 1);
+    assert_eq!(engine.cache().capacity() / EVICTION_WINDOW_DIVISOR, 4);
 
     // Third read of the run: L100 makes room for L12, L200 for L13, and
-    // L300 — dirty — is where read-ahead stops: L14 is not installed.
+    // L400 — the oldest clean entry once L300, dirty, is the LRU one — for
+    // L14.
     let before = engine.device().stats().clone();
     let counters = engine.counters;
     assert_eq!(engine.read(Lpn(12)), Some(12));
@@ -1766,11 +1800,12 @@ fn read_ahead_issues_no_io_and_stops_at_a_dirty_lru_entry() {
         assert_eq!(delta.counts(purpose), expected, "{purpose:?}");
     }
     assert_eq!(engine.counters.syncs, counters.syncs);
-    assert_eq!(lru_order(&engine), [300, 400, 410, 420, 10, 11, 12, 13]);
+    assert_eq!(lru_order(&engine), [300, 410, 420, 10, 11, 12, 13, 14]);
     assert!(engine.cache().lookup(Lpn(300)).unwrap().dirty);
 
-    // The installed successor is a hit: no fetch.
+    // The installed successors are hits: no fetch.
     assert_eq!(engine.read(Lpn(13)), Some(13));
+    assert_eq!(engine.read(Lpn(14)), Some(14));
     let delta = engine.device().stats().since(&before);
     assert_eq!(delta.counts(IoPurpose::TranslationFetch), one_read);
 }
@@ -1800,7 +1835,7 @@ fn gecko_flushes_stay_bounded_while_a_shard_buffer_stays_empty() {
     // an even block instead, so every report goes to shard 0.
     let mut even = Vec::new();
     let mut reports = 0u64;
-    for i in 0..4_000u32 {
+    for i in 0..5_000u32 {
         if i % 4 == 3 && reports < even.len() as u64 {
             engine.write(Lpn(even[reports as usize]), 1);
             reports += 1;

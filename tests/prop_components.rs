@@ -347,6 +347,55 @@ proptest! {
         }
     }
 
+    /// The clean-first pick (`MappingCache::clean_victim`: a lazy heap of
+    /// clean entries and a pointer to the window's edge) names the entry a
+    /// walk of the window from the LRU end finds, after every op of random
+    /// sequences that insert (evicting by the pick), promote, remove, dirty
+    /// and clean entries, at capacities 1 to 40, so windows of 1 to 20.
+    #[test]
+    fn clean_first_pick_matches_the_window_scan(
+        capacity in 1usize..40,
+        ops in prop::collection::vec((cache_op(), any::<bool>()), 1..400),
+    ) {
+        let mut cache = MappingCache::new(capacity);
+        for (op, then_evict) in ops {
+            match op {
+                CacheOp::Insert(lpn, ppn, dirty) => {
+                    if cache.lookup(Lpn(lpn)).is_some() {
+                        continue;
+                    }
+                    if cache.is_full() {
+                        let victim = cache
+                            .clean_victim()
+                            .unwrap_or_else(|| cache.peek_lru().expect("full").lpn);
+                        cache.remove(victim);
+                    }
+                    cache.insert(CacheEntry {
+                        lpn: Lpn(lpn),
+                        ppn: Ppn(ppn),
+                        dirty,
+                        uip: false,
+                        uncertain: false,
+                        written_epoch: 0,
+                    });
+                }
+                CacheOp::Promote(lpn) => cache.promote(Lpn(lpn)),
+                CacheOp::Remove(lpn) => drop(cache.remove(Lpn(lpn))),
+                CacheOp::PopLru => drop(cache.pop_lru()),
+                CacheOp::SetDirty(lpn, dirty) => {
+                    cache.update_entry(Lpn(lpn), |e| e.dirty = dirty);
+                }
+            }
+            if then_evict {
+                if let Some(victim) = cache.clean_victim() {
+                    cache.remove(victim);
+                }
+            }
+            let scan = cache.clean_victim_by_scan();
+            prop_assert_eq!(cache.clean_victim(), scan);
+        }
+    }
+
     #[test]
     fn translation_table_matches_map_model(
         batches in prop::collection::vec(
