@@ -154,6 +154,9 @@ pub struct MappingCache {
     /// The most recent node of the window: the `W`-th from the tail, or the
     /// head while the cache holds at most `W` entries (`NIL` when empty).
     window_edge: usize,
+    /// The window edge's stamp (0 when empty), kept here so that the window
+    /// test reads no other node.
+    edge_stamp: u64,
     /// The last stamp handed out.
     clock: u64,
     /// The clean list: the window's clean entries but the pending ones, in
@@ -189,6 +192,7 @@ impl MappingCache {
             uncertain_count: 0,
             window: (capacity / EVICTION_WINDOW_DIVISOR).max(1),
             window_edge: NIL,
+            edge_stamp: 0,
             clock: 0,
             clean_head: NIL,
             clean_tail: NIL,
@@ -235,7 +239,7 @@ impl MappingCache {
     /// Take a linked node out of the list; the window keeps `W` entries.
     fn unlink(&mut self, idx: usize) {
         let edge = self.window_edge;
-        if self.nodes[idx].stamp <= self.nodes[edge].stamp {
+        if self.in_window(idx) {
             // The window loses a member and takes in the next newer entry.
             self.window_edge = self.nodes[edge].prev;
         }
@@ -258,8 +262,14 @@ impl MappingCache {
         }
         // At most one entry enters the window, the newest in it.
         let entered = self.window_edge;
-        if entered != edge && entered != NIL && self.nodes[entered].clean == Clean::Unlisted {
-            self.link_clean(entered, NIL, self.clean_head);
+        if entered != edge {
+            self.edge_stamp = match entered {
+                NIL => 0,
+                e => self.nodes[e].stamp,
+            };
+            if entered != NIL && self.nodes[entered].clean == Clean::Unlisted {
+                self.link_clean(entered, NIL, self.clean_head);
+            }
         }
     }
 
@@ -277,7 +287,7 @@ impl MappingCache {
             self.tail = idx;
         }
         if self.len() <= self.window {
-            self.window_edge = idx;
+            (self.window_edge, self.edge_stamp) = (idx, self.clock);
         }
         // The newest entry: a clean one heads the clean list if the window
         // reaches it.
@@ -292,7 +302,7 @@ impl MappingCache {
 
     /// Whether `idx` lies in the window.
     fn in_window(&self, idx: usize) -> bool {
-        self.nodes[idx].stamp <= self.nodes[self.window_edge].stamp
+        self.nodes[idx].stamp <= self.edge_stamp
     }
 
     /// Take a node off the clean list and out of `pending` (its entry there
