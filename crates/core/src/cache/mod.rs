@@ -53,7 +53,8 @@
 
 use flash_sim::{Lpn, Ppn};
 
-const NIL: usize = usize::MAX;
+/// "No node": a node index is below `capacity`, which is below this.
+const NIL: u32 = u32::MAX;
 
 /// The clean-first window is the `C / EVICTION_WINDOW_DIVISOR` least recently
 /// used entries ([`MappingCache::clean_victim`]). `C / 2`, by measurement:
@@ -100,19 +101,21 @@ impl CacheEntry {
     }
 }
 
+/// A cached entry with its links: 48 bytes.
 #[derive(Clone, Debug)]
 struct Node {
     entry: CacheEntry,
     /// Toward the MRU end.
-    prev: usize,
+    prev: u32,
     /// Toward the LRU end.
-    next: usize,
+    next: u32,
     /// When the node was last moved to the MRU end, from a counter that
-    /// only grows, so list order is stamp order.
-    stamp: u64,
+    /// only grows (renumbered before it would wrap), so list order is stamp
+    /// order.
+    stamp: u32,
     /// Links of the clean list, toward its newer and its older end.
-    clean_newer: usize,
-    clean_older: usize,
+    clean_newer: u32,
+    clean_older: u32,
     /// Whether the node is on the clean list, waiting to join it, or
     /// neither.
     clean: Clean,
@@ -143,9 +146,9 @@ pub struct MappingCache {
     /// and its entry is dirty. Covers exactly the LPNs `slots` covers.
     dirty_bits: Vec<u64>,
     nodes: Vec<Node>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
+    free: Vec<u32>,
+    head: u32, // most recently used
+    tail: u32, // least recently used
     dirty_count: usize,
     uncertain_count: usize,
     /// `W`, the number of least recently used entries the clean-first pick
@@ -153,23 +156,23 @@ pub struct MappingCache {
     window: usize,
     /// The most recent node of the window: the `W`-th from the tail, or the
     /// head while the cache holds at most `W` entries (`NIL` when empty).
-    window_edge: usize,
+    window_edge: u32,
     /// The window edge's stamp (0 when empty), kept here so that the window
     /// test reads no other node.
-    edge_stamp: u64,
+    edge_stamp: u32,
     /// The last stamp handed out.
-    clock: u64,
+    clock: u32,
     /// The clean list: the window's clean entries but the pending ones, in
     /// LRU order, newest at the head. An entry joins it at the head when the
     /// window reaches it clean; one a sync cleans inside the window joins
     /// `pending`.
-    clean_head: usize,
-    clean_tail: usize,
-    /// `(stamp, node)` of each entry cleaned in place since the last pick.
-    /// The next pick sorts them and merges them into the clean list in one
-    /// walk, so each takes its place by recency. Holds at most `C` (capacity
+    clean_head: u32,
+    clean_tail: u32,
+    /// The nodes cleaned in place since the last pick. The next pick sorts
+    /// them by stamp and merges them into the clean list in one walk, so
+    /// each takes its place by recency. Holds at most `C` (capacity
     /// reserved up front).
-    pending: Vec<(u64, usize)>,
+    pending: Vec<u32>,
 }
 
 impl MappingCache {
@@ -236,26 +239,32 @@ impl MappingCache {
         self.capacity as u64 * 8
     }
 
+    fn node(&self, idx: u32) -> &Node {
+        &self.nodes[idx as usize]
+    }
+
+    fn node_mut(&mut self, idx: u32) -> &mut Node {
+        &mut self.nodes[idx as usize]
+    }
+
     /// Take a linked node out of the list; the window keeps `W` entries.
-    fn unlink(&mut self, idx: usize) {
+    fn unlink(&mut self, idx: u32) {
         let edge = self.window_edge;
         if self.in_window(idx) {
             // The window loses a member and takes in the next newer entry.
-            self.window_edge = self.nodes[edge].prev;
+            self.window_edge = self.node(edge).prev;
         }
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
+        let (prev, next) = (self.node(idx).prev, self.node(idx).next);
+        match prev {
+            NIL => self.head = next,
+            p => self.node_mut(p).next = next,
         }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
+        match next {
+            NIL => self.tail = prev,
+            n => self.node_mut(n).prev = prev,
         }
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = NIL;
+        let node = self.node_mut(idx);
+        (node.prev, node.next) = (NIL, NIL);
         // `len` still counts the node.
         if self.len() - 1 <= self.window {
             self.window_edge = self.head;
@@ -265,113 +274,113 @@ impl MappingCache {
         if entered != edge {
             self.edge_stamp = match entered {
                 NIL => 0,
-                e => self.nodes[e].stamp,
+                e => self.node(e).stamp,
             };
-            if entered != NIL && self.nodes[entered].clean == Clean::Unlisted {
+            if entered != NIL && self.node(entered).clean == Clean::Unlisted {
                 self.link_clean(entered, NIL, self.clean_head);
             }
         }
     }
 
     /// Link a node at the MRU end with a fresh stamp.
-    fn push_front(&mut self, idx: usize) {
+    fn push_front(&mut self, idx: u32) {
+        if self.clock == u32::MAX {
+            self.renumber();
+        }
         self.clock += 1;
-        self.nodes[idx].stamp = self.clock;
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = idx;
+        let (head, clock) = (self.head, self.clock);
+        let node = self.node_mut(idx);
+        (node.stamp, node.prev, node.next) = (clock, NIL, head);
+        match head {
+            NIL => self.tail = idx,
+            h => self.node_mut(h).prev = idx,
         }
         self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
         if self.len() <= self.window {
-            (self.window_edge, self.edge_stamp) = (idx, self.clock);
+            (self.window_edge, self.edge_stamp) = (idx, clock);
         }
         // The newest entry: a clean one heads the clean list if the window
         // reaches it.
         self.leave_clean(idx);
-        if !self.nodes[idx].entry.dirty {
+        if !self.node(idx).entry.dirty {
             match self.window_edge == idx {
                 true => self.link_clean(idx, NIL, self.clean_head),
-                false => self.nodes[idx].clean = Clean::Unlisted,
+                false => self.node_mut(idx).clean = Clean::Unlisted,
             }
+        }
+    }
+
+    /// Restamp the listed nodes `1, 2, …` from the LRU end, once every
+    /// `2³²` moves to the MRU end, so that the clock does not wrap.
+    fn renumber(&mut self) {
+        let (mut at, mut stamp) = (self.tail, 0);
+        while at != NIL {
+            stamp += 1;
+            self.node_mut(at).stamp = stamp;
+            at = self.node(at).prev;
+        }
+        self.clock = stamp;
+        if self.window_edge != NIL {
+            self.edge_stamp = self.node(self.window_edge).stamp;
         }
     }
 
     /// Whether `idx` lies in the window.
-    fn in_window(&self, idx: usize) -> bool {
-        self.nodes[idx].stamp <= self.edge_stamp
+    fn in_window(&self, idx: u32) -> bool {
+        self.node(idx).stamp <= self.edge_stamp
     }
 
-    /// Take a node off the clean list and out of `pending` (its entry there
+    /// Take a node off the clean list and out of `pending` (its index there
     /// goes stale).
-    fn leave_clean(&mut self, idx: usize) {
-        if self.nodes[idx].clean == Clean::Listed {
-            let (newer, older) = (self.nodes[idx].clean_newer, self.nodes[idx].clean_older);
+    fn leave_clean(&mut self, idx: u32) {
+        if self.node(idx).clean == Clean::Listed {
+            let (newer, older) = (self.node(idx).clean_newer, self.node(idx).clean_older);
             match newer {
                 NIL => self.clean_head = older,
-                n => self.nodes[n].clean_older = older,
+                n => self.node_mut(n).clean_older = older,
             }
             match older {
                 NIL => self.clean_tail = newer,
-                o => self.nodes[o].clean_newer = newer,
+                o => self.node_mut(o).clean_newer = newer,
             }
         }
-        self.nodes[idx].clean = Clean::No;
+        self.node_mut(idx).clean = Clean::No;
     }
 
     /// Put a node on the clean list between `newer` and `older`, adjacent
     /// list members or `NIL` past an end.
-    fn link_clean(&mut self, idx: usize, newer: usize, older: usize) {
-        let node = &mut self.nodes[idx];
+    fn link_clean(&mut self, idx: u32, newer: u32, older: u32) {
+        let node = self.node_mut(idx);
         (node.clean_newer, node.clean_older, node.clean) = (newer, older, Clean::Listed);
         match newer {
             NIL => self.clean_head = idx,
-            n => self.nodes[n].clean_older = idx,
+            n => self.node_mut(n).clean_older = idx,
         }
         match older {
             NIL => self.clean_tail = idx,
-            o => self.nodes[o].clean_newer = idx,
+            o => self.node_mut(o).clean_newer = idx,
         }
     }
 
     /// Merge the entries cleaned in place into the clean list by stamp: sort
-    /// them, then walk the list once from its oldest end. A batch of more
-    /// than `C / 16` (a checkpoint's sweep; 8 in a small cache) costs less
-    /// as a rebuild of the whole list from one walk of the window.
+    /// them, then walk the list once from its oldest end.
     fn merge_pending(&mut self) {
-        if self.pending.len() > (self.capacity / 16).max(8) {
-            self.pending.clear();
-            (self.clean_head, self.clean_tail) = (NIL, NIL);
-            let mut at = self.tail;
-            while at != NIL && self.in_window(at) {
-                if !self.nodes[at].entry.dirty {
-                    self.link_clean(at, NIL, self.clean_head);
-                }
-                at = self.nodes[at].prev;
-            }
-            return;
-        }
         let mut pending = std::mem::take(&mut self.pending);
-        // An entry dirtied, promoted or removed since has left (a promoted
-        // one took a new stamp); one cleaned twice is in twice.
-        pending.retain(|&(stamp, i)| {
-            let node = &self.nodes[i];
-            node.clean == Clean::Pending && node.stamp == stamp
-        });
-        pending.sort_unstable();
+        // An entry dirtied, promoted or removed since has left `Pending`;
+        // one cleaned again since is in twice.
+        pending.retain(|&i| self.node(i).clean == Clean::Pending);
+        pending.sort_unstable_by_key(|&i| self.node(i).stamp);
         pending.dedup();
         let mut at = self.clean_tail; // the oldest listed entry not older
-        for &(stamp, idx) in &pending {
-            while at != NIL && self.nodes[at].stamp < stamp {
-                at = self.nodes[at].clean_newer;
+        for &idx in &pending {
+            let stamp = self.node(idx).stamp;
+            while at != NIL && self.node(at).stamp < stamp {
+                at = self.node(at).clean_newer;
             }
             // Just older than `at`; newest of all when `at` is NIL.
             let older = match at {
                 NIL => self.clean_head,
-                a => self.nodes[a].clean_older,
+                a => self.node(a).clean_older,
             };
             self.link_clean(idx, at, older);
         }
@@ -390,7 +399,7 @@ impl MappingCache {
             self.merge_pending();
         }
         let oldest = self.clean_tail;
-        let pick = (oldest != NIL).then(|| self.nodes[oldest].entry.lpn);
+        let pick = (oldest != NIL).then(|| self.node(oldest).entry.lpn);
         debug_assert_eq!(
             pick,
             self.clean_victim_by_scan(),
@@ -409,11 +418,11 @@ impl MappingCache {
     }
 
     /// Node index of the entry cached for `lpn`, if any.
-    fn slot(&self, lpn: Lpn) -> Option<usize> {
-        match self.slots.get(lpn.0 as usize) {
-            None | Some(&ABSENT) => None,
-            Some(&idx) => Some(idx as usize),
-        }
+    fn slot(&self, lpn: Lpn) -> Option<u32> {
+        self.slots
+            .get(lpn.0 as usize)
+            .copied()
+            .filter(|&idx| idx != ABSENT)
     }
 
     /// Record that the cached entry of `lpn` became dirty or clean.
@@ -430,7 +439,7 @@ impl MappingCache {
 
     /// Look up an entry without touching LRU order.
     pub fn lookup(&self, lpn: Lpn) -> Option<&CacheEntry> {
-        self.slot(lpn).map(|i| &self.nodes[i].entry)
+        self.slot(lpn).map(|i| &self.node(i).entry)
     }
 
     /// Move an entry to the MRU position (an LRU "touch").
@@ -446,26 +455,23 @@ impl MappingCache {
     /// cached.
     pub fn update_entry<R>(&mut self, lpn: Lpn, f: impl FnOnce(&mut CacheEntry) -> R) -> Option<R> {
         let idx = self.slot(lpn)?;
-        let was = self.nodes[idx].entry;
-        let r = f(&mut self.nodes[idx].entry);
-        let is = self.nodes[idx].entry;
+        let was = self.node(idx).entry;
+        let r = f(&mut self.node_mut(idx).entry);
+        let is = self.node(idx).entry;
         debug_assert_eq!(is.lpn, lpn, "entry lpn must not change");
         if is.dirty != was.dirty {
             self.note_dirty(lpn, is.dirty);
             self.leave_clean(idx);
             if !is.dirty && !self.in_window(idx) {
-                self.nodes[idx].clean = Clean::Unlisted;
+                self.node_mut(idx).clean = Clean::Unlisted;
             } else if !is.dirty {
                 // It joins the clean list by recency, not at either end. A
-                // full `pending` is merged first, which may rebuild the list
-                // with this entry on it.
+                // full `pending` is merged first.
                 if self.pending.len() == self.capacity {
                     self.merge_pending();
                 }
-                if self.nodes[idx].clean == Clean::No {
-                    self.nodes[idx].clean = Clean::Pending;
-                    self.pending.push((self.nodes[idx].stamp, idx));
-                }
+                self.node_mut(idx).clean = Clean::Pending;
+                self.pending.push(idx);
             }
         }
         self.uncertain_count =
@@ -494,11 +500,11 @@ impl MappingCache {
             clean: Clean::No,
         };
         let idx = if let Some(i) = self.free.pop() {
-            self.nodes[i] = node;
+            *self.node_mut(i) = node;
             i
         } else {
             self.nodes.push(node);
-            self.nodes.len() - 1
+            (self.nodes.len() - 1) as u32 // < capacity < NIL
         };
         let lpn = entry.lpn.0 as usize;
         if lpn >= self.slots.len() {
@@ -506,7 +512,7 @@ impl MappingCache {
             self.slots.resize(covered, ABSENT);
             self.dirty_bits.resize(covered / 64, 0);
         }
-        self.slots[lpn] = idx as u32; // idx < capacity < ABSENT
+        self.slots[lpn] = idx;
         if entry.dirty {
             self.note_dirty(entry.lpn, true);
         }
@@ -547,7 +553,7 @@ impl MappingCache {
         self.unlink(idx);
         self.leave_clean(idx);
         self.free.push(idx);
-        let entry = self.nodes[idx].entry;
+        let entry = self.node(idx).entry;
         if entry.dirty {
             self.note_dirty(lpn, false);
         }
@@ -557,7 +563,7 @@ impl MappingCache {
 
     /// The least-recently-used entry, if any.
     pub fn peek_lru(&self) -> Option<&CacheEntry> {
-        (self.tail != NIL).then(|| &self.nodes[self.tail].entry)
+        (self.tail != NIL).then(|| &self.node(self.tail).entry)
     }
 
     /// Remove and return the least-recently-used entry.
@@ -590,7 +596,7 @@ impl MappingCache {
             while bits != 0 {
                 let lpn = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let e = &self.nodes[self.slots[lpn] as usize].entry;
+                let e = &self.node(self.slots[lpn]).entry;
                 out.push((e.lpn, e.ppn));
             }
         }
@@ -623,7 +629,7 @@ impl MappingCache {
 /// Iterator over cache entries in LRU→MRU order.
 pub struct LruIter<'a> {
     cache: &'a MappingCache,
-    cursor: usize,
+    cursor: u32,
 }
 
 impl<'a> Iterator for LruIter<'a> {
@@ -633,7 +639,7 @@ impl<'a> Iterator for LruIter<'a> {
         if self.cursor == NIL {
             return None;
         }
-        let node = &self.cache.nodes[self.cursor];
+        let node = self.cache.node(self.cursor);
         self.cursor = node.prev;
         Some(&node.entry)
     }
@@ -764,9 +770,9 @@ mod tests {
 
     #[test]
     fn synced_entries_join_the_clean_list_by_recency_in_any_batch() {
-        // Batches of 3 (sorted and merged) and of 10 (the list rebuilt from
-        // the LRU list), cleaned out of LRU order: picks go oldest first.
-        // L100, inserted clean after them, stays the newest clean entry.
+        // Batches of 3 and of 10, cleaned out of LRU order, are sorted and
+        // merged: picks go oldest first. L100, inserted clean after them,
+        // stays the newest clean entry.
         for batch in [&[10, 4, 0][..], &[18, 2, 10, 4, 6, 8, 12, 14, 16, 0]] {
             let mut c = MappingCache::new(33);
             for lpn in 0..32 {
@@ -784,7 +790,7 @@ mod tests {
             }
             assert_eq!(c.clean_victim(), None, "L100 is not in the window");
             let l100 = c.slot(Lpn(100)).unwrap();
-            assert_eq!((c.clean_tail, c.nodes[l100].clean), (NIL, Clean::Unlisted));
+            assert_eq!((c.clean_tail, c.node(l100).clean), (NIL, Clean::Unlisted));
             // Promote everything older: L100 enters the window, and the list.
             for lpn in 1..32 {
                 c.promote(Lpn(lpn));
@@ -796,8 +802,8 @@ mod tests {
     #[test]
     fn a_full_pending_batch_is_merged_before_it_takes_more() {
         // C = 12: the thirteenth entry cleaned in place between two picks
-        // finds `pending` full, and the rebuild that merges it lists that
-        // entry already: it must not be listed twice.
+        // finds `pending` full of entries dirtied again since and merges it
+        // first: no entry may be listed twice.
         let mut c = MappingCache::new(12);
         for lpn in 1..=12 {
             c.insert(entry(lpn, lpn, true));
@@ -812,9 +818,9 @@ mod tests {
             let (mut at, mut listed) = (c.clean_tail, Vec::new());
             while at != NIL && listed.len() <= c.nodes.len() {
                 listed.push(at);
-                at = c.nodes[at].clean_newer;
+                at = c.node(at).clean_newer;
             }
-            let on_list = |i: &usize| c.nodes[*i].clean == Clean::Listed;
+            let on_list = |i: &u32| c.node(*i).clean == Clean::Listed;
             assert!(listed.iter().all(on_list), "round {round}: {listed:?}");
             assert_eq!(c.clean_victim(), Some(Lpn(2)), "round {round}");
             c.update_entry(Lpn(2), |e| e.dirty = true);
@@ -828,6 +834,23 @@ mod tests {
         assert_eq!(c.clean_victim(), Some(Lpn(3)));
         c.remove(Lpn(3));
         assert_eq!(c.clean_victim(), Some(Lpn(4)));
+    }
+
+    #[test]
+    fn stamps_are_renumbered_before_the_clock_wraps() {
+        let mut c = filled(&[(1, true), (2, false), (3, false), (4, true)]);
+        c.clock = u32::MAX - 1;
+        c.promote(Lpn(1)); // takes the last stamp
+        c.promote(Lpn(2)); // renumbers the others first
+        assert_eq!(lru_order(&c), vec![3, 4, 1, 2]);
+        assert_eq!(c.clock, 4);
+        assert_eq!(c.clean_victim(), Some(Lpn(3)));
+        c.update_entry(Lpn(3), |e| e.dirty = true);
+        assert_eq!(c.clean_victim(), None);
+        // L1 and L3 leave, L2 enters the window: LRU → MRU 4, 2.
+        c.remove(Lpn(3));
+        c.remove(Lpn(1));
+        assert_eq!(c.clean_victim(), Some(Lpn(2)));
     }
 
     #[test]

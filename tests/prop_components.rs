@@ -347,8 +347,9 @@ proptest! {
         }
     }
 
-    /// The clean-first pick (`MappingCache::clean_victim`: a lazy heap of
-    /// clean entries and a pointer to the window's edge) names the entry a
+    /// The clean-first pick (`MappingCache::clean_victim`: an intrusive list
+    /// of the window's clean entries, the entries a sync cleaned merged into
+    /// it by stamp, and a pointer to the window's edge) names the entry a
     /// walk of the window from the LRU end finds, after every op of random
     /// sequences that insert (evicting by the pick), promote, remove, dirty
     /// and clean entries, at capacities 1 to 40, so windows of 1 to 20.
