@@ -420,12 +420,12 @@ pub fn gecko_recover(
             i.checked_sub(1)
                 .is_some_and(|j| held_base(dev, &versions[i]) == Some(versions[j].ppn))
         };
-        let mut prev: Option<Vec<u32>> =
+        let mut prev: Option<(Vec<u32>, u64)> =
             diffs(&dev, split).then(|| read_tpage(&mut dev, versions[split - 1].ppn, &mut horizon));
-        for i in split..versions.len() {
-            let entries = read_tpage(&mut dev, versions[i].ppn, &mut horizon);
-            if let Some(prev_entries) = prev.as_ref().filter(|_| diffs(&dev, i)) {
-                let prev_seq = versions[i - 1].seq;
+        for (i, v) in versions.iter().enumerate().skip(split) {
+            let (entries, mapped_at) = read_tpage(&mut dev, v.ppn, &mut horizon);
+            if let Some((prev_entries, prev_mapped_at)) = prev.as_ref().filter(|_| diffs(&dev, i)) {
+                let prev_mapped_at = *prev_mapped_at;
                 for (&old_val, &new_val) in prev_entries.iter().zip(&entries) {
                     if old_val == new_val || old_val == u32::MAX {
                         continue;
@@ -434,19 +434,20 @@ pub fn gecko_recover(
                     // Timestamp check: only report if the page still holds
                     // the exact data this synchronization invalidated. The
                     // previous version pointed at it, so it was written
-                    // before `prev_seq`; a block not erased since still
-                    // holds it, and one erased since (an erase takes its own
-                    // sequence number, so the two never tie) holds only
-                    // newer data — a fresh life, e.g. after a GC UIP-skip,
-                    // which must not be re-marked. The persisted erase
-                    // timestamp (step 1's scan, as in step 4a) decides this
-                    // without a spare read.
-                    let keep = dev.erase_seq(geo.block_of(candidate)) < prev_seq;
+                    // before that version's mappings were current,
+                    // `prev_mapped_at` (its own seq, or the original's for a
+                    // GC copy); a block not erased since still holds it, and
+                    // one erased since (an erase takes its own sequence
+                    // number, so the two never tie) holds only newer data —
+                    // a fresh life, e.g. after a GC UIP-skip, which must not
+                    // be re-marked. The persisted erase timestamp (step 1's
+                    // scan, as in step 4a) decides this without a spare read.
+                    let keep = dev.erase_seq(geo.block_of(candidate)) < prev_mapped_at;
                     debug_assert_eq!(
                         keep,
-                        dev.peek_spare(candidate).is_some_and(
-                            |s| s.seq < prev_seq && matches!(s.info, SpareInfo::User { .. })
-                        ),
+                        dev.peek_spare(candidate).is_some_and(|s| {
+                            s.seq < prev_mapped_at && matches!(s.info, SpareInfo::User { .. })
+                        }),
                         "erase timestamp and spare area disagree on {candidate:?}"
                     );
                     if keep {
@@ -455,7 +456,7 @@ pub fn gecko_recover(
                     }
                 }
             }
-            prev = Some(entries);
+            prev = Some((entries, mapped_at));
         }
     }
     report
@@ -761,9 +762,10 @@ fn held_base(dev: &FlashDevice, v: &Version) -> Option<Ppn> {
     v.before.filter(|&b| dev.erase_seq(geo.block_of(b)) < v.seq)
 }
 
-/// Read one translation-page version's entries, raising `horizon` to the
-/// checkpoint horizon the version carries.
-fn read_tpage(dev: &mut FlashDevice, ppn: Ppn, horizon: &mut u64) -> Vec<u32> {
+/// Read one translation-page version's entries and the seq they were
+/// current at, raising `horizon` to the checkpoint horizon the version
+/// carries.
+fn read_tpage(dev: &mut FlashDevice, ppn: Ppn, horizon: &mut u64) -> (Vec<u32>, u64) {
     let data = dev
         .read_page(ppn, IoPurpose::Recovery)
         .expect("translation page readable");
@@ -771,7 +773,7 @@ fn read_tpage(dev: &mut FlashDevice, ppn: Ppn, horizon: &mut u64) -> Vec<u32> {
         .blob::<TranslationPagePayload>()
         .expect("translation payload");
     *horizon = (*horizon).max(payload.horizon);
-    payload.entries.clone()
+    (payload.entries.clone(), payload.mapped_at)
 }
 
 /// One run's pages on flash, as step 3's spare scan found them: the run's

@@ -33,6 +33,11 @@ pub struct TranslationPagePayload {
     /// none does at any later time (DESIGN.md invariant 15). 0 when the
     /// engine takes no checkpoints.
     pub horizon: u64,
+    /// The seq at which these mappings were current: the version's own, or,
+    /// for a GC copy, the copied version's `mapped_at`. Every page they name
+    /// was written before it, and a block unerased since still holds that
+    /// page (DESIGN.md invariant 12).
+    pub mapped_at: u64,
 }
 
 impl TranslationPagePayload {
@@ -107,15 +112,17 @@ impl TranslationTable {
         let per = self.geo.entries_per_translation_page();
         for tpage in 0..self.gmd.len() as u32 {
             let entries = vec![UNMAPPED; per as usize];
-            self.write_version(dev, bm, tpage, entries, None, IoPurpose::TranslationInit);
+            self.write_version(dev, bm, tpage, entries, None, None, IoPurpose::TranslationInit);
         }
     }
 
     /// Append a new version of translation page `tpage` holding `entries`
     /// to the translation group, its spare area naming `before`, and
     /// repoint the GMD at it, and hand it to the block manager, which keeps
-    /// the payloads recovery may read. Reporting the version it replaces
-    /// obsolete is the caller's business.
+    /// the payloads recovery may read. `mapped_at` is when `entries` were
+    /// current, if before this write (a GC copy's). Reporting the version it
+    /// replaces obsolete is the caller's business.
+    #[allow(clippy::too_many_arguments)]
     fn write_version(
         &mut self,
         dev: &mut FlashDevice,
@@ -123,6 +130,7 @@ impl TranslationTable {
         tpage: u32,
         entries: Vec<u32>,
         before: Option<Ppn>,
+        mapped_at: Option<u64>,
         purpose: IoPurpose,
     ) {
         // A failed program takes no sequence number.
@@ -134,6 +142,7 @@ impl TranslationTable {
                 tpage,
                 entries,
                 horizon: self.horizon,
+                mapped_at: mapped_at.unwrap_or(seq),
             }),
             SpareInfo::Translation { tpage, before },
             purpose,
@@ -301,6 +310,7 @@ impl TranslationTable {
             tpage,
             entries,
             Some(old_loc),
+            None,
             IoPurpose::TranslationSync,
         );
         bm.page_obsolete(dev, old_loc);
@@ -336,6 +346,7 @@ impl TranslationTable {
             tpage,
             entries,
             Some(old_loc),
+            None,
             IoPurpose::TranslationSync,
         );
         bm.page_obsolete(dev, old_loc);
@@ -358,12 +369,21 @@ impl TranslationTable {
         let data = dev
             .read_page(old_loc, IoPurpose::TranslationGc)
             .expect("live tpage readable");
-        let entries = data
+        let payload = data
             .blob::<TranslationPagePayload>()
-            .expect("translation page payload")
-            .entries
-            .clone();
-        self.write_version(dev, bm, tpage, entries, before, IoPurpose::TranslationGc);
+            .expect("translation page payload");
+        let (entries, mapped_at) = (payload.entries.clone(), payload.mapped_at);
+        // The copy's mappings are as old as the copied version's: a block
+        // erased since then may hold a new life where they name a page.
+        self.write_version(
+            dev,
+            bm,
+            tpage,
+            entries,
+            before,
+            Some(mapped_at),
+            IoPurpose::TranslationGc,
+        );
         // The caller is responsible for the victim block's bookkeeping; the
         // old page is inside a block about to be erased.
     }

@@ -507,9 +507,9 @@ fn recovering_a_recovered_engine_loses_no_write() {
 
 /// Whether step 4b's erase-timestamp rule (DESIGN.md invariant 12) and the
 /// spare area agree on every page every translation-page version on `dev`
-/// that holds its payload maps: a page whose block is unerased since the version was written is a
-/// user page written before it. The first mapping on which they disagree,
-/// as `(version seq, page)`.
+/// that holds its payload maps: a page whose block is unerased since the
+/// version's mappings were current is a user page written before then. The
+/// first mapping on which they disagree, as `(mapped_at, page)`.
 fn a_version_maps_a_page_erased_before_it(dev: &FlashDevice) -> Option<(u64, Ppn)> {
     let geo = dev.geometry();
     let written = |b| (0..dev.written_pages(b)).map(move |o| geo.ppn(b, PageOffset(o)));
@@ -523,7 +523,7 @@ fn a_version_maps_a_page_erased_before_it(dev: &FlashDevice) -> Option<(u64, Ppn
         }
         let page = dev.peek_page(ppn)?;
         let payload = page.blob::<TranslationPagePayload>()?;
-        Some((spare.seq, payload.entries.clone()))
+        Some((payload.mapped_at, payload.entries.clone()))
     });
     for (seq, entries) in versions.collect::<Vec<_>>() {
         for ppn in entries.into_iter().filter(|&p| p != u32::MAX).map(Ppn) {
