@@ -1114,21 +1114,39 @@ impl FtlEngine {
     /// epoch's start, which becomes the horizon that every later
     /// translation-page version persists and recovery's backwards scan stops
     /// at (DESIGN.md invariant 15).
+    ///
+    /// The checkpoint's last sync writes the first version carrying the new
+    /// horizon: the horizon rises just before it, when the only stale
+    /// entries left are that sync's own. A checkpoint with no stale entry
+    /// syncs the oldest dirty entry's page for it. Otherwise the horizon
+    /// would reach flash only with the next eviction's sync, which
+    /// clean-first eviction defers, and recovery would walk back to an older
+    /// one.
     pub fn checkpoint(&mut self) {
         self.counters.checkpoints += 1;
         self.ops_since_checkpoint = 0;
         let stale = self.cache.dirty_written_before(self.epoch);
+        // The newest stale entry's page goes last.
+        let last = stale
+            .last()
+            .copied()
+            .or_else(|| self.cache.oldest_dirty().map(|e| e.lpn))
+            .map(|lpn| self.tt.tpage_of(lpn));
         for lpn in stale {
             // May already have been cleaned by an earlier batched sync.
-            if self.cache.lookup(lpn).is_some_and(|e| e.dirty) {
-                self.sync_tpage(self.tt.tpage_of(lpn));
+            let tpage = self.tt.tpage_of(lpn);
+            if Some(tpage) != last && self.cache.lookup(lpn).is_some_and(|e| e.dirty) {
+                self.sync_tpage(tpage);
             }
+        }
+        self.tt.set_horizon(self.epoch_start);
+        if let Some(tpage) = last {
+            self.sync_tpage(tpage);
         }
         debug_assert!(
             self.cache.dirty_written_before(self.epoch).is_empty(),
             "a checkpoint leaves only entries written in the epoch it ends dirty"
         );
-        self.tt.set_horizon(self.epoch_start);
         self.epoch_start = self.dev.now_seq();
         self.epoch += 1;
     }

@@ -386,7 +386,8 @@ pub fn gecko_recover(
     // durable, so nothing is diffed for it, and no older version is read in
     // its place (docs/DESIGN.md, "Deviations"). Every version read also
     // hands step 6 the checkpoint horizon it carries; the newest is the
-    // tightest, and none costs a read of its own.
+    // tightest, and only the newest version of all may cost a read of its
+    // own (below).
     //
     // The engine resumes with the chain read here (`BlockManager::protect`):
     // one link per version newer than the threshold, stamped with its seq
@@ -458,6 +459,17 @@ pub fn gecko_recover(
             }
             prev = Some((entries, mapped_at));
         }
+    }
+    // The newest version carries the newest horizon, which a checkpoint's
+    // last sync writes. When the diffs above did not read it (it is no newer
+    // than the flush, or its page's only version), one page read hands it to
+    // step 6.
+    let newest = tpage_versions
+        .iter()
+        .filter_map(|versions| Some((versions.last()?, versions.len())))
+        .max_by_key(|(v, _)| v.seq);
+    if let Some((v, _)) = newest.filter(|&(v, len)| v.seq <= threshold || len == 1) {
+        read_tpage(&mut dev, v.ppn, &mut horizon);
     }
     report
         .steps

@@ -162,41 +162,20 @@ fn dirty_step_reads(dev: &FlashDevice, from: u64) -> (u64, u64) {
     (walked, walked - opened.len() as u64 + read_ahead as u64)
 }
 
-/// The checkpoint horizon GeckoRec step 4b reads on `dev`: the newest one
-/// the translation-page versions newer than `threshold` carry (the base
-/// versions it also reads are older, and carry older ones).
-fn carried_horizon(dev: &FlashDevice, threshold: u64) -> u64 {
-    let geo = dev.geometry();
-    let written = |b| (0..dev.written_pages(b)).map(move |o| geo.ppn(b, PageOffset(o)));
-    geo.iter_blocks()
-        .flat_map(written)
-        .filter(|&ppn| {
-            dev.peek_spare(ppn).is_some_and(|s| {
-                s.seq > threshold && matches!(s.info, SpareInfo::Translation { .. })
-            }) && !dev.is_reclaimed(ppn)
-        })
-        .filter_map(|ppn| {
-            dev.peek_page(ppn)?
-                .blob::<TranslationPagePayload>()
-                .map(|p| p.horizon)
-        })
-        .max()
-        .unwrap_or(0)
-}
-
-/// GeckoRec step 6 walks back to the checkpoint horizon step 4b reads — the
-/// newest one the versions newer than the last Gecko flush carry: the start
-/// of an epoch before the current one — or to that flush, whichever is
-/// older, plus the one page that stops it: 96 pages here, where the paper's
-/// `2·C`-page window (with its `4·B` cushion) walks 129. (The engine's own
-/// horizon is newer: no version was written since its last checkpoint.) It
-/// reads one spare area per page walked but each block's newest, which step
-/// 1 read, plus one page read ahead per other block still open when the walk
-/// stops: 90 spare reads here ([`dirty_step_reads`]). Twelve translation
-/// pages, so step 4b reads versions that carry the horizon.
+/// GeckoRec step 6 walks back to the checkpoint horizon — the start of the
+/// epoch before the current one — or to the last Gecko flush, whichever is
+/// older, plus the one page that stops it: 49 pages here, where the paper's
+/// `2·C`-page window (with its `4·B` cushion) walks 129. It reads one spare
+/// area per page walked but each block's newest, which step 1 read, plus
+/// one page read ahead per other block still open when the walk stops: 45
+/// spare reads here ([`dirty_step_reads`]). The last checkpoint's last sync
+/// wrote the horizon, and the flush after it is newer than every version:
+/// recovery reads the newest version for its horizon.
 ///
 /// Mutations this fails on: a step 6 that ignores the horizon, one that
-/// reads each block's newest page again, and, with
+/// reads each block's newest page again, a step 4b that reads no version
+/// for its horizon but those it diffs (120 spare reads), a checkpoint whose
+/// syncs all precede the horizon's rise (90), and, with
 /// `dirty_entries_stay_newer_than_the_checkpoint_horizon`, a checkpoint that
 /// makes the *new* epoch's start the horizon (the scan stops short of the
 /// previous epoch's dirty entries, and a write is lost).
@@ -207,14 +186,12 @@ fn recovery_scan_is_bounded_by_checkpoints() {
     let mut rng = Lcg(99);
     run_workload(&mut engine, &mut oracle, &mut rng, 8000, true);
     let threshold = engine.backend().gecko().expect("gecko").last_flush_seq();
-    let horizon = carried_horizon(engine.device(), threshold);
+    let horizon = engine.translation().horizon();
     assert!(horizon > 0, "the run checkpoints");
-    // No version was written since the last checkpoint here.
-    assert!(horizon < engine.translation().horizon());
     let (walked, reads) = dirty_step_reads(engine.device(), horizon.min(threshold + 1));
     let (mut recovered, report) = crash_and_recover(engine);
     let dirty_step = step_cost(&report, RecoveryStep::DirtyEntries);
-    assert_eq!((walked, reads), (96, 90));
+    assert_eq!((walked, reads), (49, 45));
     assert_eq!(
         dirty_step.spare_reads, reads,
         "one spare read per page since the horizon or the flush, and the one that stops the \
@@ -723,8 +700,8 @@ fn programs_after_a_sync_and_a_flush_in_gc(events: &[TraceEvent], first: u64) ->
 ///
 /// A dry run finds each collection in which a translation sync and then a
 /// whole flush run happen; a replay per collection tears the next program.
-/// At the parent, 3 and 4 of those cuts fail on seeds 0 and 8, all on the
-/// auditor's `StaleMigration` rule.
+/// With the flag cleared at the skip, 1, 1 and 2 of those cuts fail on
+/// seeds 1, 4 and 20 (of 24 seeds, 7 fail).
 ///
 /// Mutation this fails on: `collect_user_block` clearing the UIP flag at
 /// the skip.
@@ -733,7 +710,7 @@ fn a_uip_skip_survives_a_sync_a_flush_and_a_power_cut_before_the_erase() {
     let fresh = || small_engine(16);
     let (cfg, gecko_cfg) = (fresh().config(), fresh().backend().gecko_config().unwrap());
     let ops = 3_000;
-    for seed in [0, 8] {
+    for seed in [1, 4, 20] {
         let mut dry = fresh();
         let first = dry.device().write_attempts();
         dry.telemetry_mut().enable(1 << 20);
@@ -742,7 +719,7 @@ fn a_uip_skip_survives_a_sync_a_flush_and_a_power_cut_before_the_erase() {
         assert_eq!(dry.telemetry().dropped_events(), 0, "ring too small");
         let events: Vec<TraceEvent> = dry.telemetry().events().copied().collect();
         let cuts = programs_after_a_sync_and_a_flush_in_gc(&events, first);
-        assert!(cuts.len() >= 10, "seed {seed}: {} cut points", cuts.len());
+        assert!(cuts.len() >= 5, "seed {seed}: {} cut points", cuts.len());
         for attempt in cuts {
             let mut engine = fresh();
             let plan = FaultPlan::new().on_write(attempt, WriteFault::TornData);
@@ -1868,3 +1845,4 @@ fn gecko_flushes_stay_bounded_while_a_shard_buffer_stays_empty() {
         "{flushes} Gecko flushes for {syncs} syncs and {reports} reports"
     );
 }
+
