@@ -554,6 +554,8 @@ impl MappingCache {
         self.leave_clean(idx);
         self.free.push(idx);
         let entry = self.node(idx).entry;
+        // A free node is never dirty: the sweep reads every node.
+        self.node_mut(idx).entry.dirty = false;
         if entry.dirty {
             self.note_dirty(lpn, false);
         }
@@ -603,12 +605,17 @@ impl MappingCache {
     }
 
     /// Dirty entries whose last write predates `epoch` — the checkpoint
-    /// sweep set (§4.3).
+    /// sweep set (§4.3) — in LRU order. Reads the node array in memory
+    /// order, not the list, and sorts what it keeps by stamp.
     pub fn dirty_written_before(&self, epoch: u64) -> Vec<Lpn> {
-        self.iter_lru_order()
-            .filter(|e| e.dirty && e.written_epoch < epoch)
-            .map(|e| e.lpn)
-            .collect()
+        let mut stale: Vec<(u32, Lpn)> = self
+            .nodes
+            .iter()
+            .filter(|n| n.entry.dirty && n.entry.written_epoch < epoch)
+            .map(|n| (n.stamp, n.entry.lpn))
+            .collect();
+        stale.sort_unstable_by_key(|&(stamp, _)| stamp);
+        stale.into_iter().map(|(_, lpn)| lpn).collect()
     }
 
     /// The oldest (closest to LRU end) dirty entry, if any — used by the
@@ -894,6 +901,12 @@ mod tests {
         c.insert(e1);
         c.insert(e2);
         c.insert(e3);
+        assert_eq!(c.dirty_written_before(2), vec![Lpn(1)]);
+        // In LRU order, not node order; a removed entry's node is not swept.
+        c.insert(entry(4, 4, true));
+        c.promote(Lpn(1));
+        assert_eq!(c.dirty_written_before(2), vec![Lpn(4), Lpn(1)]);
+        c.remove(Lpn(4));
         assert_eq!(c.dirty_written_before(2), vec![Lpn(1)]);
     }
 
