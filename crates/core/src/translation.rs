@@ -112,7 +112,15 @@ impl TranslationTable {
         let per = self.geo.entries_per_translation_page();
         for tpage in 0..self.gmd.len() as u32 {
             let entries = vec![UNMAPPED; per as usize];
-            self.write_version(dev, bm, tpage, entries, None, None, IoPurpose::TranslationInit);
+            self.write_version(
+                dev,
+                bm,
+                tpage,
+                entries,
+                None,
+                None,
+                IoPurpose::TranslationInit,
+            );
         }
     }
 

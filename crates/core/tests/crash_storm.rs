@@ -396,4 +396,3 @@ fn power_cut_inside_a_flush_run_keeps_the_previous_watermark() {
         );
     }
 }
-

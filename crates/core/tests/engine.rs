@@ -1845,4 +1845,3 @@ fn gecko_flushes_stay_bounded_while_a_shard_buffer_stays_empty() {
         "{flushes} Gecko flushes for {syncs} syncs and {reports} reports"
     );
 }
-
