@@ -584,8 +584,11 @@ impl FtlEngine {
     }
 
     /// Advance pending incremental Gecko merge work by one bounded step,
-    /// charged to the current operation: every host op pays at most
-    /// `merge_step_pages` of merge IO per shard inline.
+    /// charged to the current operation: an op that feeds the validity
+    /// store (a write, a trim, a GC victim, a QoS prepay's victim) pays at
+    /// most `merge_step_pages` of merge IO per shard inline. Reads never
+    /// call it: they touch no validity metadata (paper §3 amortises merges
+    /// over validity updates).
     fn pump_merge_slice(&mut self) {
         if let Some(cfg) = self.backend.gecko_config() {
             self.backend
@@ -707,11 +710,6 @@ impl FtlEngine {
         // checked, and the benchmark, the goldens and the fuzz campaign run
         // in release.
         assert_eq!(stored_lpn, lpn, "mapping must point at this page's data");
-        // Reads also donate a bounded merge slice (after the data is
-        // served): they never flush or schedule merges themselves, so this
-        // is pure background capacity that can never concentrate into a
-        // forced drain.
-        self.pump_merge_slice();
         Some(version)
     }
 

@@ -164,18 +164,19 @@ fn dirty_step_reads(dev: &FlashDevice, from: u64) -> (u64, u64) {
 
 /// GeckoRec step 6 walks back to the checkpoint horizon — the start of the
 /// epoch before the current one — or to the last Gecko flush, whichever is
-/// older, plus the one page that stops it: 49 pages here, where the paper's
+/// older, plus the one page that stops it: 37 pages here, where the paper's
 /// `2·C`-page window (with its `4·B` cushion) walks 129. It reads one spare
 /// area per page walked but each block's newest, which step 1 read, plus
-/// one page read ahead per other block still open when the walk stops: 45
-/// spare reads here ([`dirty_step_reads`]). The last checkpoint's last sync
-/// wrote the horizon, and the flush after it is newer than every version:
-/// recovery reads the newest version for its horizon.
+/// one page read ahead per other block still open when the walk stops: 34
+/// spare reads here ([`dirty_step_reads`]). The run stops at the first write
+/// after 8 000 whose checkpoint's last sync a flush followed, so that sync
+/// alone carries the horizon to flash and step 4b diffs no version newer
+/// than the flush: recovery reads the newest version for its horizon.
 ///
-/// Mutations this fails on: a step 6 that ignores the horizon, one that
-/// reads each block's newest page again, a step 4b that reads no version
-/// for its horizon but those it diffs (120 spare reads), a checkpoint whose
-/// syncs all precede the horizon's rise (90), and, with
+/// Mutations this fails on: a step 6 that ignores the horizon (120 spare
+/// reads), one that reads each block's newest page again (38), a step 4b
+/// that reads no version for its horizon but those it diffs (120), a
+/// checkpoint whose syncs all precede the horizon's rise (64), and, with
 /// `dirty_entries_stay_newer_than_the_checkpoint_horizon`, a checkpoint that
 /// makes the *new* epoch's start the horizon (the scan stops short of the
 /// previous epoch's dirty entries, and a write is lost).
@@ -185,13 +186,35 @@ fn recovery_scan_is_bounded_by_checkpoints() {
     let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(99);
     run_workload(&mut engine, &mut oracle, &mut rng, 8000, true);
-    let threshold = engine.backend().gecko().expect("gecko").last_flush_seq();
+    let flushed = |e: &FtlEngine| e.backend().gecko().expect("gecko").last_flush_seq();
+    let newest_version = |e: &FtlEngine| {
+        let tt = e.translation();
+        (0..tt.num_tpages())
+            .filter_map(|t| e.device().peek_spare(tt.tpage_location(t)?))
+            .map(|s| s.seq)
+            .max()
+            .expect("translation pages are on flash")
+    };
+    let logical = engine.geometry().logical_pages();
+    for version in 1u64 << 40.. {
+        let checkpoints = engine.counters.checkpoints;
+        let lpn = Lpn((rng.next() % logical) as u32);
+        engine.write(lpn, version);
+        oracle.ack_write(lpn, version);
+        if engine.counters.checkpoints > checkpoints && newest_version(&engine) < flushed(&engine) {
+            break;
+        }
+        assert!(
+            version < (1 << 40) + 4000,
+            "no checkpoint's last sync was followed by a flush"
+        );
+    }
     let horizon = engine.translation().horizon();
     assert!(horizon > 0, "the run checkpoints");
-    let (walked, reads) = dirty_step_reads(engine.device(), horizon.min(threshold + 1));
+    let (walked, reads) = dirty_step_reads(engine.device(), horizon.min(flushed(&engine) + 1));
     let (mut recovered, report) = crash_and_recover(engine);
     let dirty_step = step_cost(&report, RecoveryStep::DirtyEntries);
-    assert_eq!((walked, reads), (49, 45));
+    assert_eq!((walked, reads), (37, 34));
     assert_eq!(
         dirty_step.spare_reads, reads,
         "one spare read per page since the horizon or the flush, and the one that stops the \

@@ -11,7 +11,7 @@
 //! including mid-output-write, with orphan pages on flash — must recover
 //! exactly.
 
-use flash_sim::{BlockId, FlashDevice, Geometry, Ppn};
+use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, Lpn, Ppn};
 use ftl_workloads::Oracle;
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::{GeckoConfig, LogGecko, ShardedGecko};
@@ -595,6 +595,54 @@ fn engine_equivalence_across_step_budgets() {
         );
         verify_all(&mut engine, &oracle);
     }
+}
+
+/// Reads pay no merge IO: merges are amortised over the ops that feed the
+/// validity store (paper §3), and a read feeds it nothing. On the deeper
+/// window-geometry tree with a merge job pending, 2 000 reads — hits and
+/// misses over a cache that holds no dirty entry, so no read syncs a
+/// translation page and no read flushes — leave the backlog, the pages
+/// stepped and the device's merge IO as they were. The next write steps
+/// the pending job.
+///
+/// Mutation this fails on: `read_inner` pumping a merge slice.
+#[test]
+fn reads_leave_pending_merges_to_writes() {
+    let mut engine = incremental_engine_on(window_geometry(), 1);
+    let mut oracle = Oracle::new(engine.geometry().logical_pages());
+    let mut rng = Lcg(46);
+    run_workload(&mut engine, &mut oracle, &mut rng, 3000, false);
+    engine.sync_all_dirty();
+    let gecko = engine.backend().gecko().expect("gecko backend");
+    assert!(gecko.merge_jobs_pending() > 0, "a merge job is pending");
+    let merge_state = |e: &FtlEngine| {
+        (
+            e.backend().merge_backlog_pages(),
+            e.backend()
+                .gecko_stats()
+                .expect("gecko backend")
+                .merge_pages_stepped,
+            e.device().stats().counts(IoPurpose::ValidityMerge),
+        )
+    };
+    let before = merge_state(&engine);
+    assert!(before.0 > 0, "a pending job has pages to step");
+    let logical = engine.geometry().logical_pages();
+    let mut served = 0;
+    for _ in 0..2000 {
+        let lpn = Lpn((rng.next() % logical) as u32);
+        let got = engine.read(lpn);
+        assert_eq!(got, oracle.expected(lpn), "read {lpn:?}");
+        served += u32::from(got.is_some());
+    }
+    assert!(served > 1500, "most reads find a mapped page ({served})");
+    assert_eq!(merge_state(&engine), before, "reads stepped merge work");
+    run_workload(&mut engine, &mut oracle, &mut rng, 1, false);
+    assert!(
+        merge_state(&engine).1 > before.1,
+        "the next write steps the pending merge"
+    );
+    verify_all(&mut engine, &oracle);
 }
 
 /// The RAM report must charge queued merge-job state while work is pending
