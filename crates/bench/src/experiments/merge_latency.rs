@@ -31,9 +31,10 @@ struct VariantResult {
     /// from; its equivalence to the old sort-based quantiles is pinned by
     /// `ftl_telemetry::hist` regression tests).
     lat: Histogram,
-    /// Per-read latency: the incremental variant donates merge slices from
-    /// the read path too, so an honest A/B must show where that IO went —
-    /// not just the write tail it left.
+    /// Per-read latency. A read feeds no validity metadata and pays no
+    /// merge slice, so moving merge IO off the write path must not move it
+    /// onto reads: [`run`] checks that the incremental variant's read p99
+    /// is no worse than the sync baseline's.
     read_lat: Histogram,
     /// Per-write merge-stall component: the `ValidityMerge` busy time each
     /// measured write was charged. The direct measure of what the scheduler
@@ -372,6 +373,15 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
         opts.trace.as_deref(),
     );
 
+    // Merge IO is paid by the ops that feed the validity store, never by a
+    // read, so the incremental variant's read p99 is no worse than the sync
+    // baseline's; and the flush valve never fires at this tuning. Both are
+    // checked here, so a regression fails the run, not just a row.
+    let read_p99 = [&sync, &inc].map(|v| v.read_lat.quantile(0.99));
+    assert!(read_p99[1] <= read_p99[0], "read p99 {read_p99:?}");
+    let drains = [&sync, &inc].map(|v| v.merge_stall_drains);
+    assert!(drains == [0, 0], "forced merge drains {drains:?}");
+
     let mut t = Table::new(
         "Write latency — synchronous vs incremental Logarithmic Gecko merges",
         &[
@@ -442,14 +452,7 @@ mod tests {
             p999_inc < p999_sync,
             "incremental must cut p99.9 write latency: {p999_inc} vs {p999_sync}"
         );
-        // Forced drains are the stall bug this scheduler exists to avoid:
-        // they must stay rare relative to merges completed.
-        let drains: f64 = cell("incremental", 11);
-        let merges: f64 = cell("incremental", 10);
-        assert!(
-            drains <= 0.10 * merges,
-            "forced stall drains must stay ≤10% of merges: {drains} of {merges}"
-        );
+        // Forced drains (none) and the read tail are checked by `run`.
         // The merge-stall component — what the scheduler actually moves off
         // the critical path — must shrink sharply at the tail. (The single
         // worst stall is *not* asserted: a forced drain inside a GC-burst
