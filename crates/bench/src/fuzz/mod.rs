@@ -251,7 +251,7 @@ pub fn campaign(seed: u64, budget: Budget) -> Vec<Table> {
         "fuzz: corpus replay (committed regression scenarios)",
         &["entry", "ok", "crashed", "max_write_us", "wa"],
     );
-    for (name, out) in replay_corpus(1) {
+    for (name, out) in replay_corpus(1, &|_, _, _| {}) {
         corpus.row(vec![
             name,
             out.ok.to_string(),

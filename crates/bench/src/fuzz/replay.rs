@@ -82,15 +82,22 @@ fn engine_for(sc: &Scenario, shards: u32) -> FtlEngine {
     small_gecko_engine(Geometry::tiny(), cache_entries, shards)
 }
 
+/// A check of a crash image, run just before GeckoRec recovers it, given
+/// the engine's configuration (a test's reference recovery, say). A panic in
+/// it is a finding like any other.
+pub type RecoveryCheck = dyn Fn(&FlashDevice, FtlConfig, GeckoConfig) + std::panic::RefUnwindSafe;
+
 fn recover_engine(
     mut dev: FlashDevice,
     cfg: FtlConfig,
     gecko_cfg: GeckoConfig,
+    check: &RecoveryCheck,
 ) -> (FtlEngine, f64) {
     // Recovery and post-crash execution run fault-free: the plan's faults
     // target the pre-crash history only (crash images already carry an
     // empty plan; boundary crashes clear it here).
     dev.set_fault_plan(FaultPlan::default());
+    check(&dev, cfg, gecko_cfg);
     let (engine, report) = gecko_recover(dev, cfg, gecko_cfg);
     (engine, report.total_secs() * 1e6)
 }
@@ -134,9 +141,14 @@ fn install_quiet_hook() {
 /// it to the corpus instead of dying. Such an outcome carries no fitness,
 /// crash flag or fault counts.
 pub fn replay(sc: &Scenario, shards: u32) -> Outcome {
+    replay_checked(sc, shards, &|_, _, _| {})
+}
+
+/// [`replay`], running `check` on every crash image before it is recovered.
+fn replay_checked(sc: &Scenario, shards: u32, check: &RecoveryCheck) -> Outcome {
     install_quiet_hook();
     REPLAYING.set(true);
-    let result = std::panic::catch_unwind(|| replay_unguarded(sc, shards));
+    let result = std::panic::catch_unwind(|| replay_unguarded(sc, shards, check));
     REPLAYING.set(false);
     result.unwrap_or_else(|_| {
         Outcome::fail(
@@ -148,7 +160,7 @@ pub fn replay(sc: &Scenario, shards: u32) -> Outcome {
     })
 }
 
-fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
+fn replay_unguarded(sc: &Scenario, shards: u32, check: &RecoveryCheck) -> Outcome {
     let mut engine = engine_for(sc, shards);
     let logical = engine.geometry().logical_pages() as u32;
     let cfg = engine.config();
@@ -168,7 +180,7 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
             crashed = true;
             faults = engine.device().fault_stats();
             let dev = engine.crash();
-            let (rec, rec_us) = recover_engine(dev, cfg, gecko_cfg);
+            let (rec, rec_us) = recover_engine(dev, cfg, gecko_cfg, check);
             engine = rec;
             fitness.recovery_us = rec_us;
             if let Err(e) = oracle.verify(|l| engine.read(l)) {
@@ -222,7 +234,7 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
             crashed = true;
             faults = engine.device().fault_stats();
             drop(engine);
-            let (rec, rec_us) = recover_engine(image, cfg, gecko_cfg);
+            let (rec, rec_us) = recover_engine(image, cfg, gecko_cfg, check);
             engine = rec;
             fitness.recovery_us = fitness.recovery_us.max(rec_us);
             if let Err(e) = oracle.verify(|l| engine.read(l)) {
@@ -276,9 +288,10 @@ fn replay_unguarded(sc: &Scenario, shards: u32) -> Outcome {
 }
 
 /// Replay every committed corpus scenario against a validity store of
-/// `shards` trees; returns `(file name, outcome)` pairs. Used by the corpus
+/// `shards` trees, running `check` on every crash image before it is
+/// recovered; returns `(file name, outcome)` pairs. Used by the corpus
 /// regression test and the `fuzz` experiment.
-pub fn replay_corpus(shards: u32) -> Vec<(String, Outcome)> {
+pub fn replay_corpus(shards: u32, check: &RecoveryCheck) -> Vec<(String, Outcome)> {
     let dir = corpus_dir();
     let mut entries: Vec<_> = match std::fs::read_dir(&dir) {
         Ok(rd) => rd
@@ -300,7 +313,7 @@ pub fn replay_corpus(shards: u32) -> Vec<(String, Outcome)> {
                 .unwrap_or_else(|e| panic!("read corpus entry {path:?}: {e}"));
             let sc = Scenario::from_text(&text)
                 .unwrap_or_else(|e| panic!("parse corpus entry {path:?}: {e}"));
-            (name, replay(&sc, shards))
+            (name, replay_checked(&sc, shards, check))
         })
         .collect()
 }

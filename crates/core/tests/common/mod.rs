@@ -1,6 +1,9 @@
-//! Helpers the engine-level test files share: a seeded LCG and a random
+//! Helpers the engine-level test files share: a seeded LCG, a random
 //! write workload acknowledged in, and checked against, the
-//! acknowledged-state oracle.
+//! acknowledged-state oracle, and a power cut whose recovery is checked
+//! against the reference GeckoRec ([`reference`]).
+
+pub mod reference;
 
 use flash_sim::Lpn;
 use ftl_workloads::Oracle;
@@ -53,11 +56,14 @@ pub fn run_workload(
 }
 
 /// Cut the power to `engine` (all RAM state is dropped) and recover it with
-/// GeckoRec.
+/// GeckoRec, after checking GeckoRec against the reference on a clone of
+/// the image ([`reference::check_recovery`]).
 pub fn crash_and_recover(engine: FtlEngine) -> (FtlEngine, RecoveryReport) {
     let cfg = engine.config();
     let gecko_cfg = engine.backend().gecko_config().expect("gecko backend");
-    gecko_recover(engine.crash(), cfg, gecko_cfg)
+    let image = engine.crash();
+    reference::check_recovery(&image, cfg, gecko_cfg);
+    gecko_recover(image, cfg, gecko_cfg)
 }
 
 /// Read every LPN back and check it against the oracle.

@@ -24,6 +24,10 @@
 //! span records its inputs' death, even one whose fold drops every entry;
 //! and a power cut inside a multi-page flush run leaves the previous run's
 //! watermark.
+//!
+//! Every recovery here is also checked against the reference GeckoRec
+//! (`common::reference`): on a clone of the crash image, the library's
+//! recovery must give every user block the reference's GC answer and BVC.
 
 use flash_sim::{FaultPlan, FlashDevice, Geometry, Lpn, MetaTag, Ppn, SpareInfo, WriteFault};
 use ftl_workloads::Oracle;
@@ -33,6 +37,7 @@ use geckoftl_core::recovery::gecko_recover;
 
 #[allow(dead_code)] // `run_workload` and `verify_all` serve the other test files
 mod common;
+use common::reference::check_recovery;
 use common::{crash_and_recover, Lcg};
 
 /// `geo` with a `cache_entries`-entry cache, `shards` trees, and Gecko pages
@@ -202,10 +207,10 @@ fn a_tree_kept_one_marker(engine: &FtlEngine) -> bool {
 /// invalidated since. (Random storms made one until the version chain stopped
 /// taking links for aborted syncs, whose forced flushes it came from.) After
 /// every write the device is also recovered as a power cut would leave it:
-/// the runs recovery found are exactly the live engine's, the recovered
-/// engine passes the GC auditor, and every acknowledged write reads back. A
-/// fold that writes no run when it drops every entry fails this: recovery
-/// revives its inputs.
+/// the recovery agrees with the reference GeckoRec, the runs recovery found
+/// are exactly the live engine's, the recovered engine passes the GC
+/// auditor, and every acknowledged write reads back. A fold that writes no
+/// run when it drops every entry fails this: recovery revives its inputs.
 #[test]
 fn recovery_revives_no_merged_away_run() {
     let mut engine = engine(Geometry::tiny(), 8, 4);
@@ -221,6 +226,7 @@ fn recovery_revives_no_merged_away_run() {
             engine = crash_and_recover(engine).0;
         }
         kept_one += usize::from(a_tree_kept_one_marker(&engine));
+        check_recovery(engine.device(), cfg, gecko_cfg);
         let (mut recovered, _) = gecko_recover(engine.device().clone(), cfg, gecko_cfg);
         // Runs the recovered engine flushed itself, verifying the
         // entries that did not fit its cache, are newer than the image.
@@ -341,8 +347,8 @@ fn spare_names(image: &FlashDevice, ppn: Ppn, id: RunId) -> bool {
 /// attempt programs torn. A cut at any page of the run leaves no postamble:
 /// recovery discards the partial run, and the tree's watermark on flash is
 /// the previous run's, so steps 4a and 4b re-derive the whole buffer. Every
-/// cut, inside the run or not, keeps every acknowledged write, at one tree
-/// and at four.
+/// cut, inside the run or not, keeps every acknowledged write and agrees
+/// with the reference GeckoRec, at one tree and at four.
 #[test]
 fn power_cut_inside_a_flush_run_keeps_the_previous_watermark() {
     for shards in [1, 4] {
@@ -373,6 +379,7 @@ fn power_cut_inside_a_flush_run_keeps_the_previous_watermark() {
             let named = named.count();
             // The torn page keeps its spare area but not its data.
             cuts_in_run += usize::from(named == readable + 1);
+            check_recovery(&image, cfg, gecko_cfg);
             let (mut recovered, report) = gecko_recover(image, cfg, gecko_cfg);
             let watermark = report.flush_watermarks[run.tree];
             if readable == run.pages.len() {

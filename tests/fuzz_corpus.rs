@@ -16,14 +16,23 @@
 //! trace, a device fault plan and a crash point, and the oracle contract
 //! (acknowledged writes read back, audits pass) does not depend on how many
 //! trees the validity store is split into.
+//!
+//! Every crash image a replay recovers is first checked against the
+//! reference GeckoRec (`crates/core/tests/common/reference.rs`): the
+//! library's recovery must agree with it on every user block's GC answer and
+//! BVC. The library keeps no cross-check of its own, so the committed corpus
+//! is checked this way in every profile.
 
 use gecko_bench::fuzz::replay::replay_corpus;
+
+#[path = "../crates/core/tests/common/reference.rs"]
+mod reference;
 
 #[test]
 fn every_corpus_scenario_replays_clean_at_every_shard_count() {
     let mut delivered_any_fault = false;
     for shards in [1u32, 2, 4] {
-        let results = replay_corpus(shards);
+        let results = replay_corpus(shards, &reference::check_recovery);
         assert!(
             !results.is_empty(),
             "fuzz/corpus/ is empty — the regression corpus went missing"
