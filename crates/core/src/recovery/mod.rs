@@ -17,7 +17,8 @@
 //!    postamble (and preamble) of the rest, keeping the complete runs
 //!    (docs/DESIGN.md invariant 16).
 //! 4. **Buffer** — recreate erase markers for blocks erased since the last
-//!    buffer flush (C.2.1) and invalidations lost with the buffer by
+//!    buffer flush, by their persisted erase timestamps (C.2.1), and
+//!    invalidations lost with the buffer by
 //!    diffing each translation-page version written since the last flush
 //!    against the version its spare area names (C.2.2), each version read
 //!    once, with an erase-timestamp check that also handles physical page
@@ -32,8 +33,8 @@
 //!    pages step 3 did not, so each is read once across the two steps.
 //! 6. **Dirty entries** — backwards scan of the most recently written user
 //!    pages, newest first across blocks (step 1's newest pages open them),
-//!    down to the checkpoint horizon the translation pages persist (at most
-//!    `2·C` spare reads back, by runtime checkpoints), recreating a cached
+//!    down to the checkpoint horizon the translation pages persist, and no
+//!    other bound (docs/DESIGN.md invariant 15), recreating a cached
 //!    mapping entry per fresh LPN and each before-pointer's invalidation.
 //! 7. **Flags** — recovered entries get dirty/UIP/uncertain = true;
 //!    corrections happen lazily after operation resumes (Appendix C.3).
@@ -41,13 +42,21 @@
 //!    version chain; step 5's invalid bitmaps stay with it while the
 //!    corrections may re-report a page BVC already counts (docs/DESIGN.md
 //!    invariant 13).
+//!
+//! Each shortcut here (run pages left unread, erase timestamps instead of
+//! spare reads, the scan stopped at the horizon) has no second, slower rule
+//! beside it. The crash tests and the fuzz corpus check every recovery
+//! against a reference GeckoRec in test-support code
+//! (`crates/core/tests/common/reference.rs`), which applies Appendix C
+//! literally, reading every page and spare area: the recovered engine must
+//! give its every user block's GC answer and BVC.
 
 use crate::cache::{CacheEntry, MappingCache};
 use crate::ftl::block_manager::{BlockGroup, BlockManager, BlockState, Version};
 use crate::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveredInvalid, ValidityBackend};
 use crate::gecko::sharded::shard_index;
 use crate::gecko::{
-    Bitmap, GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, RunMeta, ShardedGecko,
+    Bitmap, GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, ShardedGecko,
 };
 use crate::translation::{TranslationPagePayload, TranslationTable};
 use flash_sim::{
@@ -128,11 +137,6 @@ struct BidEntry {
 }
 
 impl BidEntry {
-    /// The seq of the block's newest readable page (0 if empty).
-    fn newest_seq(&self) -> u64 {
-        self.newest.map_or(0, |(_, s)| s.seq)
-    }
-
     /// Where step 6 walks the block's last page: at its seq, or first of all
     /// (`u64::MAX`) if its spare area is torn. A torn page is the write a
     /// power cut killed, newer than every readable page; its readable
@@ -341,35 +345,24 @@ pub fn gecko_recover(
     // 4a (C.2.1): blocks erased since the last flush get erase markers. The
     // erase timestamp is persisted in a spare area (Appendix D), read as
     // part of the step-1 scan.
+    //
+    // The paper's rule also names every block "free or whose first page was
+    // written after this timestamp". A free block's marker changes no
+    // answer. A block erased before the flush whose first page is newer
+    // holds only pages written after the flush, so no flushed report names
+    // one: a report of a page's previous life would have to come after the
+    // erase, and step 4b judges a page by the seq its mappings were current
+    // at (docs/DESIGN.md invariant 12), so none does. The erase timestamp
+    // alone decides, with no spare read.
+    //
+    // The timestamp is the *owning shard's* watermark, not the global
+    // minimum: an erase marker masks every older entry for its block, so
+    // recreating one the owning shard had already persisted would hide
+    // post-erase invalidations that sit in that shard's runs. (Unlike plain
+    // invalidation bits, markers are not idempotent across a flush
+    // boundary.)
     for b in geo.iter_blocks() {
-        // The paper's rule: "all blocks that are free or whose first page
-        // was written after this timestamp". The persisted erase timestamp
-        // (Appendix D) expresses the first case; the second needs the
-        // first page's seq, which step 1 does not read. It matters only for
-        // a block written since the flush (its newest page is newer) and
-        // erased before it: a spare read of its first page, unless that is
-        // step 1's page. (The clause is not redundant: greedy GC's
-        // translation copies can report a page of a block after its erase,
-        // and the recreated marker masks that report; without it the greedy
-        // storm census fails on more seeds.)
-        //
-        // The timestamp is the *owning shard's* watermark, not the global
-        // minimum: an erase marker masks every older entry for its block,
-        // so recreating one the owning shard had already persisted would
-        // hide post-erase invalidations that sit in that shard's runs.
-        // (Unlike plain invalidation bits, markers are not idempotent
-        // across a flush boundary.)
-        let b_threshold = shard_thresholds[gecko.shard_of(b)];
-        let entry = &bid[b.0 as usize];
-        let erased_since_flush = dev.erase_seq(b) > b_threshold
-            || entry.newest_seq() > b_threshold
-                && match entry.newest {
-                    Some((0, spare)) => spare.seq,
-                    _ => dev
-                        .read_spare(geo.first_page(b), IoPurpose::Recovery)
-                        .map_or(0, |s| s.seq),
-                } > b_threshold;
-        if erased_since_flush {
+        if dev.erase_seq(b) > shard_thresholds[gecko.shard_of(b)] {
             gecko.recover_erase_marker(b);
             report.recovered_erases += 1;
         }
@@ -443,15 +436,7 @@ pub fn gecko_recover(
                     // a fresh life, e.g. after a GC UIP-skip, which must not
                     // be re-marked. The persisted erase timestamp (step 1's
                     // scan, as in step 4a) decides this without a spare read.
-                    let keep = dev.erase_seq(geo.block_of(candidate)) < prev_mapped_at;
-                    debug_assert_eq!(
-                        keep,
-                        dev.peek_spare(candidate).is_some_and(|s| {
-                            s.seq < prev_mapped_at && matches!(s.info, SpareInfo::User { .. })
-                        }),
-                        "erase timestamp and spare area disagree on {candidate:?}"
-                    );
-                    if keep {
+                    if dev.erase_seq(geo.block_of(candidate)) < prev_mapped_at {
                         gecko.recover_invalidation(candidate);
                         report.recovered_invalidations += 1;
                     }
@@ -528,21 +513,15 @@ pub fn gecko_recover(
     closed.sort_unstable_by_key(|b| std::cmp::Reverse(bid[b.0 as usize].walk_key()));
     let mut closed = closed.into_iter().peekable();
     let mut cursors: BinaryHeap<Cursor> = BinaryHeap::new();
-    // Dirty-entry recreation stops at the checkpoint horizon step 4b read:
-    // no dirty entry pointed at an older page when any version carrying it
-    // was written, nor at any time since (DESIGN.md invariant 15). A
-    // checkpoint every `C` cache operations keeps it at the start of the
-    // previous epoch, on average 1.5·C pages back. `scan_limit` is the
-    // paper's worst case, 2·C: it stops the scan when step 4b read no
-    // version. GC migrations tick the checkpoint clock too, but one epoch
-    // can overshoot the period by at most one GC victim's worth of
-    // migrations (the clock is honored between victims), hence the small
-    // O(B) cushion. Without checkpoints (battery, or the ablation) the
-    // horizon is 0 and the scan must cover everything.
-    let scan_limit = cfg
-        .resolved_checkpoint_period()
-        .map_or(u64::MAX, |c| 2 * c + 4 * geo.pages_per_block as u64);
-    let mut scanned = 0u64;
+    // Dirty-entry recreation stops at the checkpoint horizon step 4b read,
+    // and only there: no dirty entry pointed at an older page when any
+    // version carrying it was written, nor at any time since (DESIGN.md
+    // invariant 15). A checkpoint every `C` cache operations keeps it near
+    // the start of the previous epoch, about 1.5·C pages back; an engine
+    // that recovered keeps its recreated entries dirty until its first
+    // checkpoint, so the next recovery's horizon can lie further back, and
+    // the scan must reach it. Without checkpoints (battery, or the ablation)
+    // the horizon is 0 and the scan must cover everything.
     let mut seen: HashSet<flash_sim::Lpn> = HashSet::new();
     // Newest-first list of recreated entries; the newest `C` go into the
     // cache, the remainder (possible only when GC-migration copies inflate
@@ -579,11 +558,10 @@ pub fn gecko_recover(
             // since the last Gecko flush — those reports lived only in the
             // lost buffer. Stop once both horizons are exhausted; pages are
             // walked newest-first, so everything further is older.
-            let in_window = scanned < scan_limit && spare.seq >= horizon;
+            let in_window = spare.seq >= horizon;
             if !in_window && spare.seq <= threshold {
                 break;
             }
-            scanned += 1;
             let SpareInfo::User { lpn, before } = spare.info else {
                 panic!("user block holds {:?}", spare.info)
             };
@@ -596,11 +574,6 @@ pub fn gecko_recover(
             // read — the common "erased" case is a GC-migrated copy, whose
             // victim is erased next.
             if let Some(b) = before.filter(|b| dev.erase_seq(geo.block_of(*b)) < spare.seq) {
-                debug_assert!(
-                    dev.peek_spare(b).is_some_and(|bs| bs.seq < spare.seq
-                        && matches!(bs.info, SpareInfo::User { lpn: bl, .. } if bl == lpn)),
-                    "erase timestamp and spare area disagree on {b:?}"
-                );
                 gecko.recover_invalidation(b);
                 report.recovered_invalidations += 1;
             }
@@ -645,7 +618,6 @@ pub fn gecko_recover(
                 bvc[b.0 as usize] -= 1;
             }
             report.recovered_invalidations += 1;
-            scanned += 1;
         }
         // The block's next page down joins the heap, with its spare area
         // (step 1's, or read now); a torn one takes this page's seq, so it
@@ -825,10 +797,6 @@ struct RunGroup {
 /// at plan time, so a job reserved early can seal with an id inside a
 /// later-planned job's span even though its data (old runs, disjoint span)
 /// was never folded there.
-///
-/// Under debug assertions the live set is checked against the full-read
-/// rule ([`full_read_live_ids`]), which reads every group's postamble and
-/// preamble.
 fn recover_runs(
     dev: &mut FlashDevice,
     bid: &[BidEntry],
@@ -896,13 +864,6 @@ fn recover_runs(
         live_spans[shard].push(group.span);
         live[shard].push(run);
     }
-    debug_assert_eq!(
-        live.iter()
-            .map(|runs| runs.iter().map(|r| r.meta.id.0).collect::<Vec<_>>())
-            .collect::<Vec<_>>(),
-        full_read_live_ids(dev, &groups, n),
-        "spare-area liveness diverged from the full-read rule"
-    );
     (live, read)
 }
 
@@ -975,60 +936,4 @@ fn strictly_inside(spans: &[(u64, u64)], span: (u64, u64)) -> bool {
     spans
         .iter()
         .any(|&(lo, hi)| lo <= since && upto <= hi && (lo, hi) != span)
-}
-
-/// The full-read liveness rule, the oracle step 3's spare-area rule is
-/// checked against; it reads pages without IO. A group whose payloads were
-/// reclaimed is dead and unread. Every other complete group's postamble and
-/// preamble are read, the shard comes from the postamble's first key and
-/// the span from the preamble, and each shard is walked newest first: a run
-/// is dead if its span lies strictly inside a live run's span. Returns each
-/// shard's live run ids, newest first.
-fn full_read_live_ids(
-    dev: &FlashDevice,
-    groups: &BTreeMap<u64, RunGroup>,
-    shards: usize,
-) -> Vec<Vec<u64>> {
-    let page = |&(_, ppn): &(u64, Ppn)| dev.peek_page(ppn).expect("gecko page readable");
-    let mut metas: Vec<Vec<RunMeta>> = vec![Vec::new(); shards];
-    for group in groups.values() {
-        // A run whose payloads were reclaimed was retired by a merge
-        // (invariant 17), so it is dead.
-        if group.pages.iter().any(|&(_, ppn)| dev.is_reclaimed(ppn)) {
-            continue;
-        }
-        let last = page(group.pages.last().expect("non-empty run group"));
-        let last = last.blob::<GeckoPagePayload>().expect("gecko payload");
-        let Some(post) = &last.postamble else {
-            continue;
-        };
-        if post.total_pages as usize != group.pages.len() {
-            continue;
-        }
-        let meta = match &last.preamble {
-            Some(pre) => pre.clone(),
-            None => page(&group.pages[0])
-                .blob::<GeckoPagePayload>()
-                .expect("gecko payload")
-                .preamble
-                .clone()
-                .expect("first run page carries the preamble"),
-        };
-        metas[shard_index(post.ranges[0].0.block, shards)].push(meta);
-    }
-    metas
-        .into_iter()
-        .map(|mut metas| {
-            metas.sort_by_key(|m| std::cmp::Reverse(m.id));
-            let mut live_spans: Vec<(u64, u64)> = Vec::new();
-            let mut live = Vec::new();
-            for m in metas {
-                if !strictly_inside(&live_spans, m.span()) {
-                    live_spans.push(m.span());
-                    live.push(m.id.0);
-                }
-            }
-            live
-        })
-        .collect()
 }

@@ -22,8 +22,9 @@
 //!
 //! And recovery revives no merged-away run: every merge leaves a run whose
 //! span records its inputs' death, even one whose fold drops every entry;
-//! and a power cut inside a multi-page flush run leaves the previous run's
-//! watermark.
+//! a power cut inside a multi-page flush run leaves the previous run's
+//! watermark; and a second power cut before the recovered engine's first
+//! checkpoint loses nothing.
 //!
 //! Every recovery here is also checked against the reference GeckoRec
 //! (`common::reference`): on a clone of the crash image, the library's
@@ -163,10 +164,11 @@ fn erased_trail_storm_passes_the_gc_auditor() {
 /// judged such a page by the copy's own seq, so invariant 12's
 /// erase-timestamp rule kept a page the version no longer held, and step 4b
 /// reported it invalid. Item 1's recipe ([`greedy_engine`]) at seed 7 failed
-/// in every profile: under debug assertions at step 4b's cross-check on
-/// P133, in release when a read reached P216, a page of an erased block. A
-/// copy now carries the seq its mappings were current at, step 4b judges by
-/// that, and the storm reads every acknowledged write back.
+/// in every profile: under debug assertions at step 4b's former spare-area
+/// cross-check on P133, in release when a read reached P216, a page of an
+/// erased block. A copy now carries the seq its mappings were current at,
+/// step 4b judges by that, and the storm reads every acknowledged write back
+/// and agrees with the reference GeckoRec at every recovery.
 #[test]
 fn greedy_gc_storm_loses_no_acknowledged_write() {
     storm(greedy_engine(), 7, 3_000, None);
@@ -200,26 +202,34 @@ fn a_tree_kept_one_marker(engine: &FtlEngine) -> bool {
 
 /// Every merge leaves a run, even one whose fold drops every entry: it keeps
 /// the last key's erase marker. So no merged-away run lies outside a kept
-/// run's span, and GeckoRec step 3 revives none. Sequential rewrites of the
-/// tiny geometry at four trees with an 8-entry cache, the power cut and the
-/// device recovered after every 97th write, make such folds: first at write
-/// 1 458, a tree's oldest run holds only an erase marker with nothing
-/// invalidated since. (Random storms made one until the version chain stopped
-/// taking links for aborted syncs, whose forced flushes it came from.) After
-/// every write the device is also recovered as a power cut would leave it:
-/// the recovery agrees with the reference GeckoRec, the runs recovery found
-/// are exactly the live engine's, the recovered engine passes the GC
-/// auditor, and every acknowledged write reads back. A fold that writes no
-/// run when it drops every entry fails this: recovery revives its inputs.
+/// run's span, and GeckoRec step 3 revives none. The tiny geometry at four
+/// trees with a 16-entry cache is filled sequentially, the power is cut
+/// before any Gecko flush, and then its 16 newest LPNs are rewritten in
+/// turn, the power cut and the device recovered after every 97th rewrite:
+/// step 4a's erase markers cancel the first flushes' entries, and such folds
+/// follow (first at rewrite 326, a tree's oldest run holds only an erase
+/// marker with nothing invalidated since). Sequential rewrites of the whole
+/// device made them while step 4a also marked every block whose first page
+/// was newer than the flush. After every rewrite the device is also
+/// recovered as a power cut would leave it: the recovery agrees with the
+/// reference GeckoRec, the runs it found are exactly the live engine's, the
+/// recovered engine passes the GC auditor, and every acknowledged write
+/// reads back. A fold that writes no run when it drops every entry fails
+/// this: recovery revives its inputs.
 #[test]
 fn recovery_revives_no_merged_away_run() {
-    let mut engine = engine(Geometry::tiny(), 8, 4);
+    let mut engine = engine(Geometry::tiny(), 16, 4);
     let (cfg, gecko_cfg) = (engine.config(), engine.backend().gecko_config().unwrap());
     let logical = engine.geometry().logical_pages() as u32;
     let mut oracle = Oracle::new(logical as u64);
+    for lpn in 0..logical {
+        engine.write(Lpn(lpn), 0);
+        oracle.ack_write(Lpn(lpn), 0);
+    }
+    engine = crash_and_recover(engine).0;
     let mut kept_one = 0;
     for op in 1..=1_600u32 {
-        let lpn = Lpn(op % logical);
+        let lpn = Lpn(logical - 1 - op % 16);
         engine.write(lpn, op.into());
         oracle.ack_write(lpn, op.into());
         if op % 97 == 0 {
@@ -232,7 +242,7 @@ fn recovery_revives_no_merged_away_run() {
         // entries that did not fit its cache, are newer than the image.
         let mut found = live_run_ids(&recovered);
         found.retain(|&id| id < engine.device().now_seq());
-        let at = format!("after write {op}");
+        let at = format!("after rewrite {op}");
         assert_eq!(found, live_run_ids(&engine), "{at}");
         assert_eq!(recovered.audit(), Ok(()), "{at}");
         assert_eq!(oracle.verify(|lpn| recovered.read(lpn)), Ok(()), "{at}");
@@ -258,7 +268,7 @@ fn failure(f: impl FnOnce()) -> Option<String> {
 /// The greedy recipe fails on none since a copy of a translation page
 /// carries when its mappings were current: before, it failed on 2 seeds in
 /// release (7 and 19, a read of an erased page) and 13 under debug
-/// assertions (at step 4b's erase-timestamp cross-check), and with
+/// assertions (at step 4b's former erase-timestamp cross-check), and with
 /// clean-first eviction, which keeps dirty entries cached longer so that
 /// more copies lag the cache, on 6 and 16. A seed that joins either set is
 /// traced before the census is changed.
@@ -401,5 +411,43 @@ fn power_cut_inside_a_flush_run_keeps_the_previous_watermark() {
             run.pages.len(),
             "shards {shards}: a cut per page"
         );
+    }
+}
+
+/// A recovery after a recovery keeps every acknowledged write (DESIGN.md
+/// invariant 15). A 4 096-block device of 8 pages and 128 entries per
+/// translation page, a 64-entry cache: 191 writes (3·C − 1) alternate LPN 0
+/// with one LPN of each translation page in turn, the power is cut, then 63
+/// more writes of LPN 0 and a second cut. The first recovery's entries stay
+/// dirty until the engine's first checkpoint, which 63 operations do not
+/// reach, so the second recovery walks back over them again, past the
+/// pages written since. When step 6 also stopped after `2·C + 4·B` pages,
+/// the second walk ended short of them, and at one, two and four trees
+/// L4224 read `None` where version 66 was acknowledged. Both recoveries
+/// are checked against the reference.
+#[test]
+fn a_second_recovery_walks_back_over_the_first_ones_entries() {
+    for shards in [1, 2, 4] {
+        let mut engine = engine(Geometry::new(4096, 8, 512, 0.7), 64, shards);
+        let mut oracle = Oracle::new(engine.geometry().logical_pages());
+        let mut write = |engine: &mut FtlEngine, i: u64, lpn: u32| {
+            engine.write(Lpn(lpn), i + 1);
+            oracle.ack_write(Lpn(lpn), i + 1);
+        };
+        for i in 0..191 {
+            let lpn = if i % 2 == 0 {
+                0
+            } else {
+                128 * (i as u32 / 2 + 1)
+            };
+            write(&mut engine, i, lpn);
+        }
+        engine = crash_and_recover(engine).0;
+        for i in 191..254 {
+            write(&mut engine, i, 0);
+        }
+        engine = crash_and_recover(engine).0;
+        let read = oracle.verify(|lpn| engine.read(lpn));
+        assert_eq!(read, Ok(()), "{shards} trees");
     }
 }

@@ -608,8 +608,8 @@ fn no_merge_empties_a_tree() {
 /// 15 copies name a base. Base misses are not asserted: Gecko with greedy GC
 /// is not crash-safe (ROADMAP item 1), and a copy erases a version of the
 /// read set at hundreds of op boundaries here. Nor is the device recovered
-/// there: the hole trips step 4b's debug cross-check (`crash_storm.rs` pins
-/// it).
+/// there: `crash_storm.rs` storms Gecko with greedy GC through recoveries,
+/// each checked against the reference GeckoRec.
 #[test]
 fn greedy_gc_copies_keep_the_payloads_exact() {
     let geo = Geometry::new(128, 4, 1 << 10, 0.6);
