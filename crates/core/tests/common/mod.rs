@@ -23,9 +23,11 @@ impl Lcg {
 }
 
 /// Write `n` uniformly random LPNs, each acknowledged in `oracle`. The
-/// version is `mapped · 10⁶ + i`, `mapped` being how many LPNs hold a
-/// version before the write. With `read_back`, after each write one draw in
-/// four reads a random LPN and checks it against the oracle.
+/// version is the device's sequence number before the write, which no other
+/// write on the device takes, in this call or any other: a superseded copy
+/// never reads back as the version expected. With `read_back`, after each
+/// write one draw in four reads a random LPN and checks it against the
+/// oracle.
 pub fn run_workload(
     engine: &mut FtlEngine,
     oracle: &mut Oracle,
@@ -34,13 +36,9 @@ pub fn run_workload(
     read_back: bool,
 ) {
     let logical = engine.geometry().logical_pages();
-    let mut mapped = (0..logical as u32)
-        .filter(|&l| oracle.expected(Lpn(l)).is_some())
-        .count() as u64;
-    for i in 0..n {
+    for _ in 0..n {
         let lpn = Lpn((rng.next() % logical) as u32);
-        let version = mapped * 1_000_000 + i;
-        mapped += u64::from(oracle.expected(lpn).is_none());
+        let version = engine.device().now_seq();
         engine.write(lpn, version);
         oracle.ack_write(lpn, version);
         if read_back && rng.next().is_multiple_of(4) {
