@@ -59,11 +59,12 @@ pub struct Geometry {
     pub spare_bytes: u32,
     /// `R`: ratio between the logical and the physical address space.
     pub logical_ratio: f64,
-    /// Number of independent logical units (channels/dies) the controller
-    /// can drive in parallel. Affects only *time* estimates for bulk scans
-    /// (the paper notes recovery's init-scan bottleneck "may be alleviated
-    /// ... through parallelism, as a flash device typically consists of
-    /// multiple logical units"); per-operation IO accounting is unchanged.
+    /// Number of logical units (channels/dies) the blocks stripe across
+    /// ([`Geometry::channel_of`]). The simulated clock has a single lane and
+    /// charges every IO serially, so the field models no parallelism and no
+    /// time: it labels each IO's telemetry lane, and scales two pacing
+    /// budgets tuned with it, `FtlEngine::idle_tick`'s merge quantum and
+    /// Logarithmic Gecko's `merge_debt_ceiling`.
     pub channels: u32,
 }
 
