@@ -41,7 +41,10 @@
 //!    `LogGecko::runs` (and therefore queryable, in correct data-age
 //!    order) for the whole life of the job; they are only removed — and
 //!    their pages only retired — at *install time*, after the output run is
-//!    sealed. A GC query never observes both the inputs and the output.
+//!    sealed. A GC query never observes both the inputs and the output. The
+//!    job names its inputs by [`RunId`] and reads their directories there:
+//!    they are a consecutive stretch of the tree's newest-first run list
+//!    (invariant 4), so nothing is copied.
 //! 2. **Atomic install.** Sealing + install happen inside one pump call
 //!    with no intervening flash state change, so the switch from "query the
 //!    inputs" to "query the output" is atomic with respect to queries.
@@ -49,17 +52,8 @@
 //!    complete postamble, so GeckoRec's run recovery (Appendix C.1)
 //!    discards it; the participants are still complete and live on flash.
 //!    A crash after sealing recovers the output and treats the inputs as
-//!    merged-away via the `supersedes_since` window. Either way no
-//!    scheduler state needs to be persisted — with one preamble field as
-//!    the price of deferral: because an output run is written *after* the
-//!    flush that scheduled it (new erases/invalidations may have entered
-//!    the RAM buffer in between), every run persists the buffer-flush
-//!    watermark current at its write ([`RunMeta::flush_seq`]), and
-//!    recovery derives "time of last flush" from that watermark rather
-//!    than from its id. Deriving it from the output's creation time
-//!    — correct when merges were synchronous — would make recovery's
-//!    step-4a/4b/6 windows skip reports that lived only in the lost
-//!    buffer and silently revive stale validity bits.
+//!    merged-away by span containment. Either way no scheduler state needs
+//!    to be persisted.
 //! 4. **Reserved identities + span-contiguous plans.** Several jobs may be
 //!    pending per tree at once, the head one part-way through its IO:
 //!    flushes do not drain pending work, so new plans are made around it.
@@ -87,36 +81,13 @@ use crate::gecko::run::{GeckoPagePayload, Postamble, Run, RunDirEntry, RunId, Ru
 use crate::validity::MetaSink;
 use flash_sim::{FlashDevice, Geometry, IoPurpose, MetaKind, MetaTag, PageData};
 
-/// A participant run's slim description: everything the job needs to read,
-/// order and later retire the run — without cloning its Bloom filter.
-#[derive(Clone, Debug)]
-pub struct JobInput {
-    /// The run's preamble metadata (identity, level, age, lineage).
-    pub meta: RunMeta,
-    /// Its run directory (page locations to read and later retire).
-    pub pages: Vec<RunDirEntry>,
-    /// Entry count, used to pre-size the read buffer.
-    pub entry_count: u64,
-}
-
-impl JobInput {
-    /// Describe an installed run.
-    pub fn of(run: &Run) -> Self {
-        JobInput {
-            meta: run.meta.clone(),
-            pages: run.pages.clone(),
-            entry_count: run.entry_count,
-        }
-    }
-}
-
 /// A completed merge, ready for [`crate::gecko::LogGecko`] to install:
 /// retire the inputs' pages, remove them from the run list, and push the
 /// sealed output run.
 #[derive(Debug)]
 pub struct FinishedMerge {
-    /// The participants to retire.
-    pub inputs: Vec<JobInput>,
+    /// The participants to retire, newest data first.
+    pub inputs: Vec<RunId>,
     /// The sealed output run. There always is one: a fold that would drop
     /// every entry keeps the last key's erase marker (see `fold`).
     pub output: Run,
@@ -145,13 +116,13 @@ pub(crate) struct RunWriter {
 
 impl RunWriter {
     /// Start writing `entries` (sorted, non-empty) as the run `meta`
-    /// describes. The caller builds the preamble it means — a buffer flush
+    /// describes. The caller builds the metadata it means — a buffer flush
     /// mints identity and point span from the current device sequence, a
-    /// merge job passes the identity it reserved at plan time, its inputs'
-    /// span union and the current flush watermark (see [`RunMeta`]) — and
-    /// `meta.level` is a floor: the writer raises it to the level the run's
-    /// page count calls for, so merge output never lands above a
-    /// participant's level when collisions shrink it.
+    /// merge job passes the identity it reserved at plan time and its
+    /// inputs' span union (see [`RunMeta`]) — and `meta.level` is a floor:
+    /// the writer raises it to the level the run's page count calls for, so
+    /// merge output never lands above a participant's level when collisions
+    /// shrink it.
     pub(crate) fn new(
         cfg: &GeckoConfig,
         geo: &Geometry,
@@ -209,16 +180,13 @@ impl RunWriter {
         let chunk: Vec<GeckoEntry> = self.entries[self.next..end].to_vec();
         self.next = end;
         let postamble = (i == self.n_pages - 1).then(|| Postamble {
-            total_pages: self.n_pages as u32,
             ranges: std::mem::take(&mut self.ranges),
             ppns: self.dir.iter().map(|d| d.ppn).collect(),
         });
         let (first, last) = (chunk.first().unwrap().key, chunk.last().unwrap().key);
         let payload = GeckoPagePayload {
-            run_id: self.meta.id,
-            page_index: i as u32,
             entries: chunk,
-            preamble: (i == 0).then(|| self.meta.clone()),
+            preamble: (i == 0).then_some(self.meta.level),
             postamble,
         };
         // Every page's spare area names the run, its span and its shard, so
@@ -273,8 +241,10 @@ pub struct MergeJob {
     /// are `Copy`); the write phase sizes output pages from them.
     cfg: GeckoConfig,
     geo: Geometry,
-    /// Participants in data-age order, newest first.
-    inputs: Vec<JobInput>,
+    /// Participants in data-age order, newest first: a consecutive stretch
+    /// of the owning tree's run list, where the job reads their directories
+    /// (invariant 1).
+    inputs: Vec<RunId>,
     /// Run pages to read: the sum of the participants' page counts.
     total_pages: usize,
     /// The output run's id, reserved from the device
@@ -303,23 +273,24 @@ enum Phase {
 }
 
 impl MergeJob {
-    /// Plan a merge of `inputs` (newest data first), reserving the output
-    /// run's identity from the device sequence now — before any other job's
-    /// write phase can run — so concurrent jobs never collide.
+    /// Plan a merge of `inputs` (a consecutive stretch of the owning tree's
+    /// run list, newest data first), reserving the output run's identity
+    /// from the device sequence now — before any other job's write phase
+    /// can run — so concurrent jobs never collide.
     pub fn new(
         cfg: GeckoConfig,
         geo: Geometry,
         dev: &mut FlashDevice,
-        inputs: Vec<JobInput>,
+        inputs: &[Run],
         min_level: u32,
         output_is_largest: bool,
     ) -> Self {
-        let entry_count: u64 = inputs.iter().map(|i| i.entry_count).sum();
+        let entry_count: u64 = inputs.iter().map(|r| r.entry_count).sum();
         MergeJob {
             cfg,
             geo,
-            total_pages: inputs.iter().map(|i| i.pages.len()).sum(),
-            inputs,
+            inputs: inputs.iter().map(|r| r.meta.id).collect(),
+            total_pages: inputs.iter().map(|r| r.pages.len()).sum(),
             reserved_seq: dev.reserve_seq(),
             min_level,
             output_is_largest,
@@ -330,22 +301,21 @@ impl MergeJob {
         }
     }
 
-    /// The combined data-age span of the job's inputs — the span its output
-    /// will carry.
-    pub fn span(&self) -> (u64, u64) {
-        let lo = self
-            .inputs
+    /// Whether run `id` is one of this job's inputs.
+    pub(super) fn folds(&self, id: RunId) -> bool {
+        self.inputs.contains(&id)
+    }
+
+    /// The runs `ids` names as installed in `runs`, the owning tree's run
+    /// list (invariant 1).
+    fn installed<'r>(ids: &[RunId], runs: &'r [Run]) -> &'r [Run] {
+        let at = runs
             .iter()
-            .map(|i| i.meta.supersedes_since)
-            .min()
-            .unwrap_or(0);
-        let hi = self
-            .inputs
-            .iter()
-            .map(|i| i.meta.supersedes_upto)
-            .max()
-            .unwrap_or(0);
-        (lo, hi)
+            .position(|r| r.meta.id == ids[0])
+            .expect("merge inputs stay installed");
+        let inputs = &runs[at..at + ids.len()];
+        debug_assert!(inputs.iter().map(|r| r.meta.id).eq(ids.iter().copied()));
+        inputs
     }
 
     /// Total flash pages this job still has to read and write. The write
@@ -370,29 +340,29 @@ impl MergeJob {
 
     /// Run up to `budget` page-IOs of this job, decrementing `budget` by
     /// the IOs performed; returns the finished merge once the job completes
-    /// (the caller installs it), `None` while IO remains. `entries_dropped`
+    /// (the caller installs it), `None` while IO remains. `runs` is the
+    /// owning tree's run list, which holds the inputs; `entries_dropped`
     /// counts entries the fold discards as obsolete (Algorithm 3's
-    /// collision resolution plus largest-run tombstone dropping);
-    /// `flush_watermark` is the owning tree's current `last_flush_seq`,
-    /// persisted in the output's preamble (see [`RunMeta::flush_seq`]).
+    /// collision resolution plus largest-run tombstone dropping).
     pub(super) fn step(
         &mut self,
+        runs: &[Run],
         dev: &mut FlashDevice,
         sink: &mut dyn MetaSink,
         budget: &mut u64,
         entries_dropped: &mut u64,
-        flush_watermark: u64,
     ) -> Option<FinishedMerge> {
         match &mut self.phase {
             Phase::Read { next, entries } => {
+                let inputs = Self::installed(&self.inputs, runs);
                 while *next < self.total_pages && *budget > 0 {
                     // Map the flat cursor to (participant, page).
                     let (mut p, mut off) = (0usize, *next);
-                    while off >= self.inputs[p].pages.len() {
-                        off -= self.inputs[p].pages.len();
+                    while off >= inputs[p].pages.len() {
+                        off -= inputs[p].pages.len();
                         p += 1;
                     }
-                    let ppn = self.inputs[p].pages[off].ppn;
+                    let ppn = inputs[p].pages[off].ppn;
                     let data = dev
                         .read_page(ppn, IoPurpose::ValidityMerge)
                         .expect("run page readable during merge");
@@ -408,13 +378,20 @@ impl MergeJob {
                 // time) and move to the write phase.
                 let mut merged = std::mem::take(entries);
                 fold(&mut merged, self.output_is_largest, entries_dropped);
-                let (supersedes_since, supersedes_upto) = self.span();
+                // The output's span is the union of its inputs'.
                 let meta = RunMeta {
                     id: RunId(self.reserved_seq),
                     level: self.min_level,
-                    flush_seq: flush_watermark,
-                    supersedes_since,
-                    supersedes_upto,
+                    supersedes_since: inputs
+                        .iter()
+                        .map(|r| r.meta.supersedes_since)
+                        .min()
+                        .unwrap_or(0),
+                    supersedes_upto: inputs
+                        .iter()
+                        .map(|r| r.meta.supersedes_upto)
+                        .max()
+                        .unwrap_or(0),
                 };
                 self.phase = Phase::Write(RunWriter::new(
                     &self.cfg,
@@ -456,18 +433,12 @@ impl MergeJob {
     }
 
     /// RAM held by this job's buffers: the entries read so far or the folded
-    /// output, plus cloned run directories.
+    /// output.
     pub(super) fn ram_bytes(&self, entry_bytes: u64) -> u64 {
-        let dir_bytes: u64 = self
-            .inputs
-            .iter()
-            .map(|i| i.pages.len() as u64 * std::mem::size_of::<RunDirEntry>() as u64)
-            .sum();
-        dir_bytes
-            + match &self.phase {
-                Phase::Read { entries, .. } => entries.len() as u64 * entry_bytes,
-                Phase::Write(w) => w.ram_bytes(entry_bytes),
-            }
+        match &self.phase {
+            Phase::Read { entries, .. } => entries.len() as u64 * entry_bytes,
+            Phase::Write(w) => w.ram_bytes(entry_bytes),
+        }
     }
 }
 
@@ -646,7 +617,7 @@ mod tests {
         let mut dev = FlashDevice::new(geo);
         let mut sink = FlatMetaSink::new((0..geo.blocks).map(BlockId).collect());
         // Oldest participant first, so sequence numbers grow with data age.
-        let mut inputs: Vec<JobInput> = streams
+        let mut runs: Vec<Run> = streams
             .iter()
             .rev()
             .map(|entries| {
@@ -654,32 +625,32 @@ mod tests {
                 let meta = RunMeta {
                     id: RunId(seq),
                     level: 0,
-                    flush_seq: seq,
                     supersedes_since: seq,
                     supersedes_upto: seq,
                 };
                 if entries.is_empty() {
                     // No run is empty; a participant without pages still
                     // exercises the read cursor's skip.
-                    return JobInput {
+                    return Run {
                         meta,
                         pages: Vec::new(),
                         entry_count: 0,
+                        filter: None,
                     };
                 }
                 let purpose = IoPurpose::ValidityUpdate;
                 let mut w = RunWriter::new(&cfg, &geo, meta, entries.clone(), purpose);
                 while !w.write_next_page(&mut dev, &mut sink) {}
-                JobInput::of(&w.into_run().0)
+                w.into_run().0
             })
             .collect();
-        inputs.reverse();
+        runs.reverse();
 
-        let mut job = MergeJob::new(cfg, geo, &mut dev, inputs, 0, output_is_largest);
+        let mut job = MergeJob::new(cfg, geo, &mut dev, &runs, 0, output_is_largest);
         let mut dropped = 0;
         let done = loop {
             let mut budget = 7;
-            if let Some(done) = job.step(&mut dev, &mut sink, &mut budget, &mut dropped, 0) {
+            if let Some(done) = job.step(&runs, &mut dev, &mut sink, &mut budget, &mut dropped) {
                 break done;
             }
         };

@@ -31,7 +31,7 @@ pub use analysis::GeckoCostModel;
 pub use config::{GeckoConfig, KEY_BYTES};
 pub use entry::{Bitmap, GeckoEntry, GeckoKey};
 pub use filter::RunFilter;
-pub use merge_job::{FinishedMerge, JobInput, MergeJob};
+pub use merge_job::{FinishedMerge, MergeJob};
 pub use run::{GeckoPagePayload, Postamble, Run, RunDirEntry, RunId, RunMeta};
 pub use sharded::ShardedGecko;
 
@@ -53,9 +53,6 @@ pub struct LogGecko {
     /// with merge jobs overlapping, level does not imply data age (see
     /// [`LogGecko::runs_newest_first`]).
     runs: Vec<Run>,
-    /// Device sequence number at the most recent buffer flush (0 if never
-    /// flushed). Recovery's buffer reconstruction (App. C.2) keys off this.
-    last_flush_seq: u64,
     /// Reusable scratch buffers for the query hot path, so
     /// steady-state operation allocates nothing per call.
     scratch: Scratch,
@@ -65,13 +62,10 @@ pub struct LogGecko {
     /// the head are planned but untouched; planning around them is sound
     /// because output identities are reserved at plan time and plans are
     /// span-contiguous (invariant 4). Under [`GeckoConfig::sync_merge`] the
-    /// same machinery runs, drained to completion inside `flush`.
+    /// same machinery runs, drained to completion inside `flush`. A job's
+    /// inputs stay installed in `runs` (and queryable) until its output is
+    /// sealed, but must not be planned into a second merge.
     jobs: VecDeque<MergeJob>,
-    /// Runs currently participating in a pending [`MergeJob`]. They stay
-    /// installed in `runs` (and queryable) until the job's output is
-    /// sealed, but must not be planned into a second merge. A plain list:
-    /// it never outgrows the handful of live runs.
-    merging: Vec<RunId>,
     /// Lifetime counters for analysis/ablation reporting.
     pub stats: GeckoStats,
 }
@@ -128,10 +122,8 @@ impl LogGecko {
             geo,
             buffer: buffer::Buffer::new(&geo, &cfg),
             runs: Vec::new(),
-            last_flush_seq: 0,
             scratch: Scratch::default(),
             jobs: VecDeque::new(),
-            merging: Vec::new(),
             stats: GeckoStats::default(),
         }
     }
@@ -141,11 +133,6 @@ impl LogGecko {
     pub fn from_recovered(geo: Geometry, cfg: GeckoConfig, runs: Vec<Run>) -> Self {
         let mut g = LogGecko::new(geo, cfg);
         for run in runs {
-            // The persisted *flush watermark*, not the id: a merge
-            // output is written after the flush that scheduled it, so its
-            // creation time says nothing about when the buffer was last
-            // empty (see `RunMeta::flush_seq`).
-            g.last_flush_seq = g.last_flush_seq.max(run.meta.flush_seq);
             g.insert_run(run);
         }
         g
@@ -174,9 +161,11 @@ impl LogGecko {
         self.cfg.entries_per_page(&self.geo)
     }
 
-    /// Device sequence number of the last buffer flush.
+    /// Device sequence number of the last buffer flush (0 if never
+    /// flushed): the newest run's `supersedes_upto` ([`RunMeta`] says why).
+    /// Recovery's buffer reconstruction (App. C.2) keys off this.
     pub fn last_flush_seq(&self) -> u64 {
-        self.last_flush_seq
+        self.runs.first().map_or(0, |r| r.meta.supersedes_upto)
     }
 
     /// All live runs, newest data first (descending
@@ -484,13 +473,13 @@ impl LogGecko {
         self.stats.flushes += 1;
         let span_t0 = dev.clock().now_us();
         let span_entries = self.buffer.len() as u32;
-        // The run's identity, point span and watermark are the device
-        // sequence now: every report it certifies was buffered before.
+        // The run's identity and point span are the device sequence now:
+        // every report it holds was buffered before, so its span end is the
+        // tree's flush watermark once it seals.
         let seq = dev.now_seq();
         let meta = RunMeta {
             id: RunId(seq),
             level: 0,
-            flush_seq: seq,
             supersedes_since: seq,
             supersedes_upto: seq,
         };
@@ -506,7 +495,6 @@ impl LogGecko {
         while !writer.write_next_page(dev, sink) {}
         let (run, storage) = writer.into_run();
         self.buffer.recycle(storage);
-        self.last_flush_seq = seq;
         self.insert_run(run);
         self.schedule_merges(dev);
         // The knob's one reader: the paper's inline merges are the same
@@ -551,10 +539,11 @@ impl LogGecko {
     /// [`LogGecko::pump_merges`] / [`LogGecko::drain_merges`].
     ///
     /// Plans are made while earlier jobs are still in flight: their inputs
-    /// stay installed (and excluded via `merging`), and the span-contiguity
-    /// rule ([`merge_job`] invariant 4) rejects any candidate set whose
-    /// combined span would overlap an outside live run — which keeps live
-    /// spans pairwise disjoint no matter how plans interleave.
+    /// stay installed (and are excluded from new plans), and the
+    /// span-contiguity rule ([`merge_job`] invariant 4) rejects any
+    /// candidate set whose combined span would overlap an outside live run
+    /// — which keeps live spans pairwise disjoint no matter how plans
+    /// interleave.
     fn schedule_merges(&mut self, dev: &mut FlashDevice) {
         // Planning installs and retires nothing, so the deepest level
         // present is fixed for the whole pass.
@@ -585,16 +574,10 @@ impl LogGecko {
                     .iter()
                     .filter(|r| !planned(r.meta.id))
                     .all(|r| r.meta.supersedes_upto > span_lo);
+                let job =
+                    MergeJob::new(self.cfg, self.geo, dev, inputs, deepest, output_is_largest);
                 self.stats.merges += 1;
-                self.merging.extend(inputs.iter().map(|i| i.meta.id));
-                self.jobs.push_back(MergeJob::new(
-                    self.cfg,
-                    self.geo,
-                    dev,
-                    inputs,
-                    deepest,
-                    output_is_largest,
-                ));
+                self.jobs.push_back(job);
                 continue 'planning;
             }
             return;
@@ -616,33 +599,35 @@ impl LogGecko {
     /// older-ward per the multi-way policy, absorbing each next-older run
     /// whose level the combined output would reach anyway.
     ///
-    /// Returns the inputs newest data first, or `None` if no segment
-    /// holds two settled runs of level `start`.
-    fn plan_at_level(&self, start: u32) -> Option<Vec<JobInput>> {
+    /// Returns the inputs newest data first, a consecutive stretch of
+    /// `runs`, or `None` if no segment holds two settled runs of level
+    /// `start`.
+    fn plan_at_level(&self, start: u32) -> Option<&[Run]> {
         // The maximal segments of settled runs: what is left between runs
         // already in a pending merge.
-        for seg in self.runs.split(|r| self.merging.contains(&r.meta.id)) {
+        let merging = |r: &Run| self.jobs.iter().any(|j| j.folds(r.meta.id));
+        for seg in self.runs.split(merging) {
             let first = seg.iter().position(|r| r.meta.level == start);
             let last = seg.iter().rposition(|r| r.meta.level == start);
-            let (Some(first), Some(last)) = (first, last) else {
+            let (Some(first), Some(mut last)) = (first, last) else {
                 continue;
             };
             if last == first {
                 continue; // a single run of this level: nothing due here
             }
-            let mut cand: Vec<&Run> = seg[first..=last].iter().collect();
             if self.cfg.multiway_merge {
-                let mut pages: u64 = cand.iter().map(|r| r.num_pages()).sum();
+                let mut pages: u64 = seg[first..=last].iter().map(Run::num_pages).sum();
                 for r in &seg[last + 1..] {
                     if pages < (self.cfg.size_ratio as u64).pow(r.meta.level) {
                         break;
                     }
-                    cand.push(r);
+                    last += 1;
                     pages += r.num_pages();
                 }
             }
-            debug_assert!(self.span_contiguous(&cand));
-            return Some(cand.iter().map(|r| JobInput::of(r)).collect());
+            let cand = &seg[first..=last];
+            debug_assert!(self.span_contiguous(cand));
+            return Some(cand);
         }
         None
     }
@@ -652,7 +637,7 @@ impl LogGecko {
     /// every live run outside the set? (In-flight jobs need no separate
     /// check — their participants stay installed until the output is
     /// sealed, and an output's span is the union of its participants'.)
-    fn span_contiguous(&self, cand: &[&Run]) -> bool {
+    fn span_contiguous(&self, cand: &[Run]) -> bool {
         let lo = cand.iter().map(|r| r.meta.supersedes_since).min().unwrap();
         let hi = cand.iter().map(|r| r.meta.supersedes_upto).max().unwrap();
         self.runs
@@ -681,11 +666,11 @@ impl LogGecko {
         let span_t0 = dev.clock().now_us();
         let mut remaining = budget;
         let finished = job.step(
+            &self.runs,
             dev,
             sink,
             &mut remaining,
             &mut self.stats.entries_dropped,
-            self.last_flush_seq,
         );
         let stepped = budget - remaining;
         self.stats.merge_pages_stepped += stepped;
@@ -725,15 +710,14 @@ impl LogGecko {
         sink: &mut dyn MetaSink,
         done: FinishedMerge,
     ) {
-        let retired = |id: RunId| done.inputs.iter().any(|i| i.meta.id == id);
-        self.merging.retain(|&id| !retired(id));
-        self.runs.retain(|r| !retired(r.meta.id));
-        for input in &done.inputs {
+        let retired = |r: &Run| done.inputs.contains(&r.meta.id);
+        for input in self.runs.iter().filter(|r| retired(r)) {
             for page in &input.pages {
                 dev.reclaim_payload(page.ppn);
                 sink.meta_page_obsolete(dev, page.ppn);
             }
         }
+        self.runs.retain(|r| !retired(r));
         self.insert_run(done.output);
         self.schedule_merges(dev);
     }
@@ -1084,6 +1068,39 @@ mod tests {
             gecko.stats.merge_pages_stepped > 0,
             "merge IO must flow through the scheduler"
         );
+    }
+
+    /// The watermark is a view of the newest run's span end: a flush sets
+    /// it to the flush's seq, and no merge step or install moves it.
+    #[test]
+    fn only_a_flush_moves_the_watermark() {
+        let (mut dev, mut sink, mut gecko, geo) = harness(small_page_cfg(2, 1));
+        assert_eq!(gecko.last_flush_seq(), 0, "never flushed");
+        let mut installs = 0;
+        let mut x: u64 = 11;
+        for i in 0..4000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let page = (x >> 33) % (32 * geo.pages_per_block as u64);
+            // Nothing is written before a tripped flush mints its run.
+            let (seq, flushes) = (dev.now_seq(), gecko.stats.flushes);
+            gecko.mark_invalid(&mut dev, &mut sink, Ppn(page as u32));
+            if gecko.stats.flushes > flushes {
+                assert_eq!(gecko.last_flush_seq(), seq, "op {i}: the flush's seq");
+            }
+            if i % 3 == 0 {
+                let (watermark, jobs) = (gecko.last_flush_seq(), gecko.merge_jobs_pending());
+                gecko.pump_merges(&mut dev, &mut sink, 2);
+                installs += usize::from(gecko.merge_jobs_pending() < jobs);
+                assert_eq!(gecko.last_flush_seq(), watermark, "op {i}: a pump");
+            }
+        }
+        assert!(gecko.merge_jobs_pending() > 0, "a job left to drain");
+        let watermark = gecko.last_flush_seq();
+        gecko.drain_merges(&mut dev, &mut sink);
+        assert_eq!(gecko.last_flush_seq(), watermark, "the drain");
+        assert!(installs > 0, "pumps must have installed merges");
     }
 
     #[test]

@@ -7,19 +7,19 @@
 //!
 //! For recovery (Appendix C.1), each run is self-describing in flash:
 //!
-//! * the **first** page carries a preamble (run ID, which is its creation
-//!   timestamp, level, flush watermark and data-age span);
-//! * **every** page carries a header with the run ID and page index;
+//! * the **first** page carries a preamble: the run's level;
 //! * the **last** page carries a postamble: a copy of the run directory.
 //!
 //! These are modelled as in-page metadata (a few dozen bytes accounted via
 //! [`crate::gecko::GeckoConfig::page_header_bytes`]), so a flush of at most V
 //! entries still costs exactly one flash write.
 //!
-//! Every page's **spare area** carries the run ID, the run's data-age span
-//! ([`RunMeta::span`]) and the block of its first key, which names the owning
-//! shard ([`flash_sim::MetaTag::Run`]). Recovery's spare scan judges each
-//! run's liveness from these alone and reads only the runs it keeps.
+//! Every page's **spare area** carries the run ID, which is its creation
+//! timestamp, the run's data-age span ([`RunMeta::span`]) and the block of
+//! its first key, which names the owning shard ([`flash_sim::MetaTag::Run`]).
+//! Recovery's spare scan judges each run's liveness from these alone, reads
+//! only the runs it keeps, and builds each one's [`RunMeta`] from the tag and
+//! the preamble's level.
 
 use crate::gecko::entry::{GeckoEntry, GeckoKey};
 use crate::gecko::filter::RunFilter;
@@ -29,7 +29,8 @@ use flash_sim::Ppn;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RunId(pub u64);
 
-/// Run-level metadata, persisted in the preamble of the run's first page.
+/// Run-level metadata: the level is persisted in the preamble of the run's
+/// first page, the rest in the spare area of every page.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunMeta {
     /// Unique run identifier: the device sequence number at creation (a
@@ -38,21 +39,6 @@ pub struct RunMeta {
     pub id: RunId,
     /// Level the run was placed at when created.
     pub level: u32,
-    /// The buffer-flush watermark this run certifies: recovery may assume
-    /// that every validity report buffered before this sequence number is
-    /// durable in some recoverable run. Recovery derives the last
-    /// buffer-flush time (Appendix C.2) as the max watermark over live
-    /// runs, and replays only reports newer than it (steps 4a/4b).
-    ///
-    /// A buffer flush run carries its own id: it holds every report
-    /// buffered before it, and a power cut before its postamble leaves a
-    /// partial run recovery discards, so the watermark on flash stays the
-    /// previous run's. A merge output carries the owning tree's
-    /// `last_flush_seq` at fold time. With incremental merging the output
-    /// is sealed long after the flush that scheduled it — possibly after
-    /// further erases and invalidations entered the RAM buffer — so its own
-    /// id would overclaim.
-    pub flush_seq: u64,
     /// Lower bound of this run's *data-age span*: the oldest
     /// `supersedes_since` over its transitive merge inputs (its own
     /// id for buffer flushes). Together with
@@ -68,8 +54,15 @@ pub struct RunMeta {
     /// id for buffer flushes) — i.e. the sequence number of the
     /// newest validity data folded into this run.
     ///
-    /// Two load-bearing properties, both enforced by the merge planner's
-    /// span-contiguity rule ([`crate::gecko::merge_job`] invariant 4):
+    /// The newest live run's `supersedes_upto` is its tree's buffer-flush
+    /// watermark ([`crate::gecko::LogGecko::last_flush_seq`]): a flush run's
+    /// span is its own id, an output's span covers its inputs', and inputs
+    /// stay installed until the output seals, so the newest sealed flush is
+    /// always the top of the newest live span (docs/DESIGN.md invariant 17).
+    ///
+    /// Two further load-bearing properties, both enforced by the merge
+    /// planner's span-contiguity rule ([`crate::gecko::merge_job`]
+    /// invariant 4):
     ///
     /// * **Query order.** Runs are traversed newest-span-first. With
     ///   several merge jobs in flight per tree, levels alone no longer
@@ -114,7 +107,7 @@ pub struct RunDirEntry {
 /// A live run: metadata plus its RAM-resident directory.
 #[derive(Clone, Debug)]
 pub struct Run {
-    /// Preamble metadata.
+    /// Run metadata: the spare tag's id and span, the preamble's level.
     pub meta: RunMeta,
     /// The run directory: one entry per flash page, in key order.
     pub pages: Vec<RunDirEntry>,
@@ -160,14 +153,11 @@ impl Run {
 /// [`flash_sim::PageData::Blob`]).
 #[derive(Clone, Debug)]
 pub struct GeckoPagePayload {
-    /// Run this page belongs to (in-page header).
-    pub run_id: RunId,
-    /// Position of this page within the run (in-page header).
-    pub page_index: u32,
     /// The sorted Gecko entries stored on this page.
     pub entries: Vec<GeckoEntry>,
-    /// Present on the first page only: the run preamble.
-    pub preamble: Option<RunMeta>,
+    /// Present on the first page only: the run preamble, the level the run
+    /// was placed at. Its id and span are in every page's spare area.
+    pub preamble: Option<u32>,
     /// Present on the last page only: the run postamble.
     pub postamble: Option<Postamble>,
 }
@@ -175,17 +165,15 @@ pub struct GeckoPagePayload {
 /// Postamble: a persistent copy of the run directory (Appendix C.1).
 ///
 /// The last page cannot know its own physical address before being written,
-/// so its slot in `ppns` is a placeholder that recovery fills in with the
-/// address it found the postamble at.
+/// so `ppns` holds the first n − 1 addresses of an n-page run, and recovery
+/// adds the address it found the postamble at.
 #[derive(Clone, Debug)]
 pub struct Postamble {
-    /// Total pages in the run; recovery discards runs found with fewer
-    /// pages (partially-written merge output).
-    pub total_pages: u32,
-    /// Key range of every page, in page order.
+    /// Key range of every page, in page order. Its length is the run's page
+    /// count: recovery discards a run found with a different number of
+    /// pages (a partially written run).
     pub ranges: Vec<(GeckoKey, GeckoKey)>,
-    /// Physical addresses of pages `0 .. total_pages-1` (the final slot is
-    /// meaningless; see type-level docs).
+    /// Physical addresses of every page but the last, in page order.
     pub ppns: Vec<Ppn>,
 }
 
@@ -206,7 +194,6 @@ mod tests {
             meta: RunMeta {
                 id: RunId(1),
                 level: 0,
-                flush_seq: 1,
                 supersedes_since: 1,
                 supersedes_upto: 1,
             },

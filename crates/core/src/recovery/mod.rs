@@ -56,7 +56,7 @@ use crate::ftl::block_manager::{BlockGroup, BlockManager, BlockState, Version};
 use crate::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveredInvalid, ValidityBackend};
 use crate::gecko::sharded::shard_index;
 use crate::gecko::{
-    Bitmap, GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, ShardedGecko,
+    Bitmap, GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, RunMeta, ShardedGecko,
 };
 use crate::translation::{TranslationPagePayload, TranslationTable};
 use flash_sim::{
@@ -105,7 +105,9 @@ pub struct RecoveryReport {
     /// Invalidations recreated by step 4b.
     pub recovered_invalidations: usize,
     /// Each tree's flush watermark as step 3 found it on flash, in shard
-    /// order: steps 4a and 4b re-derive what is newer (Appendix C.2).
+    /// order: the span end of the tree's newest live run, 0 for a tree with
+    /// none (docs/DESIGN.md invariant 17). Steps 4a and 4b re-derive what is
+    /// newer (Appendix C.2).
     pub flush_watermarks: Vec<u64>,
 }
 
@@ -884,31 +886,32 @@ fn read_run(
         .expect("gecko page readable");
     let payload = last.blob::<GeckoPagePayload>().expect("gecko payload");
     let post = payload.postamble.as_ref()?;
-    if post.total_pages as usize != group.pages.len() {
+    if post.ranges.len() != group.pages.len() {
         return None; // some pages missing or extra garbage
     }
-    let meta = match &payload.preamble {
-        Some(pre) => pre.clone(), // single-page run: preamble and postamble share the page
+    let level = match payload.preamble {
+        Some(level) => level, // single-page run: preamble and postamble share the page
         None => {
             let first_ppn = group.pages[0].1;
             let first = dev
                 .read_page(first_ppn, IoPurpose::Recovery)
                 .expect("gecko page readable");
-            let pre = first
+            let level = first
                 .blob::<GeckoPagePayload>()
                 .expect("gecko payload")
                 .preamble
-                .clone()
                 .expect("first run page carries the preamble");
             read.insert(first_ppn, first);
-            pre
+            level
         }
     };
-    debug_assert_eq!(
-        (meta.id, meta.span()),
-        (RunId(id), group.span),
-        "spare area and preamble disagree"
-    );
+    let (supersedes_since, supersedes_upto) = group.span;
+    let meta = RunMeta {
+        id: RunId(id),
+        level,
+        supersedes_since,
+        supersedes_upto,
+    };
     let ppns = post.ppns.iter().copied().chain([last_ppn]); // the postamble page's own address
     debug_assert_eq!(post.ppns.len() + 1, post.ranges.len());
     let pages: Vec<RunDirEntry> = post

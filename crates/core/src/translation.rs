@@ -20,13 +20,12 @@ use flash_sim::{FlashDevice, Geometry, IoPurpose, Lpn, PageData, Ppn, SpareInfo}
 /// Sentinel for "logical page never written".
 const UNMAPPED: u32 = u32::MAX;
 
-/// Payload of one translation page in flash.
+/// Payload of one translation page in flash. Which slice of the table it
+/// holds is in its spare area ([`SpareInfo::Translation`]).
 #[derive(Clone, Debug)]
 pub struct TranslationPagePayload {
-    /// Which slice of the table this page holds.
-    pub tpage: u32,
     /// `entries[i]` is the physical address of LPN `tpage·per + i`, or
-    /// `UNMAPPED`.
+    /// `UNMAPPED`, where `tpage` is the index the spare area names.
     pub entries: Vec<u32>,
     /// The checkpoint horizon in force when this version was written: no
     /// dirty cached entry then pointed at a user page with a lower seq, and
@@ -147,7 +146,6 @@ impl TranslationTable {
             dev,
             BlockGroup::Translation,
             PageData::blob_of(TranslationPagePayload {
-                tpage,
                 entries,
                 horizon: self.horizon,
                 mapped_at: mapped_at.unwrap_or(seq),

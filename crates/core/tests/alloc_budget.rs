@@ -368,12 +368,14 @@ fn one_merge_allocates_per_page_not_per_entry() {
             continue;
         }
         // Two per output page (its entries, the `Arc` around its payload)
-        // and, measured, seven per merge (the sort's scratch, the writer's
-        // key ranges, directory and Bloom filter, the lineage in the
-        // preamble and on the page, the postamble's page list) — 31 for the
-        // 5 runs, 17 input and 12 output pages this finds. Nothing per
-        // input page, participant or entry: at the parent the same merge
-        // made 39, eight of them the unreserved output vector growing.
+        // and, measured pump by pump, six per merge: four as the fold ends
+        // the read phase (the sort's scratch, the writer's key ranges,
+        // directory and Bloom filter), one for the postamble's page list,
+        // and one where an output page opens a fresh flash block — 30 for
+        // the 5 runs, 17 input and 12 output pages this finds. Nothing per
+        // input page, participant or entry; the slack covers an output that
+        // opens more blocks. Planning, outside this count, allocates the
+        // job's input ids and read buffer and copies no run directory.
         let budget = 2 * output_pages + 10;
         assert!(
             calls <= budget,

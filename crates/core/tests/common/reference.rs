@@ -11,7 +11,9 @@
 //! 3. **Run directories.** Every complete run group whose payloads survive
 //!    is read in full (postamble and preamble), and each shard's runs are
 //!    walked newest first by id: a run whose span lies strictly inside a kept
-//!    run's span is a merged-away leftover.
+//!    run's span is a merged-away leftover. Each tree's flush watermark is
+//!    the newest span end the spare tags of its complete run groups carry,
+//!    merged-away leftovers included.
 //! 4. **Buffer.** (a) A block gets an erase marker if it is free, erased
 //!    after its owning tree's watermark, or whose first page was written
 //!    after it: the paper's rule, first-page clause included. (b) Every
@@ -33,19 +35,20 @@
 //!
 //! Its answers go through the library's public surface only:
 //! [`LogGecko::from_recovered`], `recover_*` and
-//! [`LogGecko::gc_query_naive`].
+//! [`LogGecko::gc_query_naive`]; its watermarks do not go through the
+//! library at all.
 //!
 //! [`check_recovery`] recovers a clone of an image with [`gecko_recover`]
-//! and asserts that every user block's GC answer and BVC equal the
-//! reference's. Where the library skips work (run pages left unread, the
-//! scan stopped at the checkpoint horizon, an erase timestamp read instead
-//! of a spare area), the reference does it, so a skip that loses a fact
-//! fails here.
+//! and asserts that its flush watermarks and every user block's GC answer
+//! and BVC equal the reference's. Where the library skips work (run pages
+//! left unread, the scan stopped at the checkpoint horizon, an erase
+//! timestamp read instead of a spare area), the reference does it, so a
+//! skip that loses a fact fails here.
 
 use flash_sim::{BlockId, FlashDevice, Lpn, MetaKind, MetaTag, PageOffset, Ppn, Spare, SpareInfo};
 use geckoftl_core::ftl::FtlConfig;
 use geckoftl_core::gecko::{
-    Bitmap, GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunMeta,
+    Bitmap, GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, RunMeta,
 };
 use geckoftl_core::recovery::gecko_recover;
 use geckoftl_core::translation::TranslationPagePayload;
@@ -58,13 +61,18 @@ pub struct BlockAnswer {
     pub valid_pages: u32,
 }
 
-/// Recover `image` with [`gecko_recover`] on a clone and assert that every
-/// user block's GC answer (`debug_validity`) and BVC equal the reference's.
-/// The image itself is left as it is, so a caller's own recovery of it runs
+/// Recover `image` with [`gecko_recover`] on a clone and assert that its
+/// flush watermarks (`RecoveryReport::flush_watermarks`), and every user
+/// block's GC answer (`debug_validity`) and BVC, equal the reference's. The
+/// image itself is left as it is, so a caller's own recovery of it runs
 /// unchanged.
 pub fn check_recovery(image: &FlashDevice, cfg: FtlConfig, gecko_cfg: GeckoConfig) {
-    let (mut engine, _) = gecko_recover(image.clone(), cfg, gecko_cfg);
-    let expected = reference_recover(image, engine.device(), gecko_cfg);
+    let (mut engine, report) = gecko_recover(image.clone(), cfg, gecko_cfg);
+    let (watermarks, expected) = reference_recover(image, engine.device(), gecko_cfg);
+    assert_eq!(
+        report.flush_watermarks, watermarks,
+        "GeckoRec and the reference disagree on the flush watermarks"
+    );
     for (&b, want) in &expected {
         let got = BlockAnswer {
             invalid: engine.debug_validity(b),
@@ -145,14 +153,14 @@ fn superseded(dev: &FlashDevice, image: &FlashDevice, v: &Version) -> Vec<Ppn> {
         .collect()
 }
 
-/// The reference recovery of `image`: each user block's GC answer and BVC,
-/// by block, as the engine recovered from it resumes on `resumed`, its
-/// device (see [`check_recovery`]).
+/// The reference recovery of `image`: each tree's flush watermark, and each
+/// user block's GC answer and BVC, by block, as the engine recovered from it
+/// resumes on `resumed`, its device (see [`check_recovery`]).
 pub fn reference_recover(
     image: &FlashDevice,
     resumed: &FlashDevice,
     gecko_cfg: GeckoConfig,
-) -> BTreeMap<BlockId, BlockAnswer> {
+) -> (Vec<u64>, BTreeMap<BlockId, BlockAnswer>) {
     let geo = image.geometry();
     let pages =
         |b: BlockId| (0..image.written_pages(b)).map(move |off| geo.ppn(b, PageOffset(off)));
@@ -186,12 +194,18 @@ pub fn reference_recover(
 
     // Step 3: the live runs, by full reads; one tree per shard.
     let n = gecko_cfg.shards.max(1) as usize;
-    let mut trees: Vec<LogGecko> = live_runs(image, n)
+    let shard = |b: BlockId| (b.0 % n as u32) as usize;
+    let groups = run_groups(image);
+    let mut trees: Vec<LogGecko> = live_runs(image, &groups, n)
         .into_iter()
         .map(|runs| LogGecko::from_recovered(geo, gecko_cfg, runs))
         .collect();
-    let shard = |b: BlockId| (b.0 % n as u32) as usize;
-    let watermarks: Vec<u64> = trees.iter().map(LogGecko::last_flush_seq).collect();
+    // Each tree's watermark: the newest span end of its complete groups.
+    let mut watermarks = vec![0; n];
+    for group in groups.values().filter(|g| sealed(image, g)) {
+        let w = &mut watermarks[shard(group.first_block)];
+        *w = (*w).max(group.span.1);
+    }
     let invalidate = |trees: &mut Vec<LogGecko>, ppn: Ppn| {
         trees[shard(geo.block_of(ppn))].recover_invalidation(ppn);
     };
@@ -305,7 +319,7 @@ pub fn reference_recover(
     for (&b, answer) in &mut answers {
         answer.invalid = trees[shard(b)].gc_query_naive(&mut dev, b);
     }
-    answers
+    (watermarks, answers)
 }
 
 /// Whether `target` still holds `lpn` as written before `before`: its spare
@@ -328,15 +342,19 @@ fn translation_payload(image: &FlashDevice, ppn: Ppn) -> Option<TranslationPageP
     )
 }
 
-/// The full-read liveness rule (Appendix C.1): every complete run group
-/// whose payloads survive is read in full, and each shard's runs are walked
-/// newest first by id; a run is dead if its span lies strictly inside a
-/// live run's span. A group whose payloads were reclaimed was retired by a
-/// merge (docs/DESIGN.md invariant 17). Returns each shard's live runs.
-fn live_runs(image: &FlashDevice, shards: usize) -> Vec<Vec<Run>> {
+/// A run's pages on the image: the span and first-key block every page's
+/// spare tag carries, and its pages as `(seq, ppn)`, oldest first.
+struct RunGroup {
+    span: (u64, u64),
+    first_block: BlockId,
+    pages: Vec<(u64, Ppn)>,
+}
+
+/// Every run group on `image` whose pages' spare area and data read back,
+/// by run id.
+fn run_groups(image: &FlashDevice) -> BTreeMap<u64, RunGroup> {
     let geo = image.geometry();
-    // Each run id's pages, as `(seq, ppn)`.
-    let mut groups: BTreeMap<u64, Vec<(u64, Ppn)>> = BTreeMap::new();
+    let mut groups: BTreeMap<u64, RunGroup> = BTreeMap::new();
     for b in geo.iter_blocks() {
         for off in 0..image.written_pages(b) {
             let ppn = geo.ppn(b, PageOffset(off));
@@ -345,48 +363,97 @@ fn live_runs(image: &FlashDevice, shards: usize) -> Vec<Vec<Run>> {
                 info:
                     SpareInfo::Meta {
                         kind: MetaKind::GeckoRun,
-                        tag: MetaTag::Run { id, .. },
+                        tag:
+                            MetaTag::Run {
+                                id,
+                                span,
+                                first_block,
+                            },
                     },
             }) = image.peek_spare(ppn)
             else {
                 continue;
             };
             if image.is_written(ppn) {
-                groups.entry(id).or_default().push((seq, ppn));
+                let group = groups.entry(id).or_insert_with(|| RunGroup {
+                    span,
+                    first_block,
+                    pages: Vec::new(),
+                });
+                group.pages.push((seq, ppn));
             }
         }
     }
-    let mut candidates: Vec<Vec<Run>> = (0..shards).map(|_| Vec::new()).collect();
-    for mut group in groups.into_values() {
-        if group.iter().any(|&(_, ppn)| image.is_reclaimed(ppn)) {
-            continue;
-        }
-        group.sort_unstable();
-        let payload = |ppn: Ppn| {
-            let page = image.peek_page(ppn).expect("gecko page readable");
-            page.blob::<GeckoPagePayload>()
-                .expect("gecko payload")
-                .clone()
-        };
-        let last_ppn = group.last().expect("non-empty group").1;
-        let last = payload(last_ppn);
-        let Some(post) = last.postamble else { continue };
-        if post.total_pages as usize != group.len() {
-            continue;
-        }
-        let meta: RunMeta = match last.preamble {
-            Some(pre) => pre,
-            None => payload(group[0].1)
-                .preamble
-                .expect("first run page carries the preamble"),
-        };
-        let ppns = post.ppns.iter().copied().chain([last_ppn]);
-        let pages: Vec<RunDirEntry> = post
-            .ranges
+    for group in groups.values_mut() {
+        group.pages.sort_unstable();
+    }
+    groups
+}
+
+/// The Gecko payload of `ppn`.
+fn gecko_payload(image: &FlashDevice, ppn: Ppn) -> GeckoPagePayload {
+    let page = image.peek_page(ppn).expect("gecko page readable");
+    page.blob::<GeckoPagePayload>()
+        .expect("gecko payload")
+        .clone()
+}
+
+/// Whether `group` was a complete run once: a merge retired it (only a
+/// sealed run is installed and later reclaimed), or its last page carries
+/// a postamble that counts its pages.
+fn sealed(image: &FlashDevice, group: &RunGroup) -> bool {
+    let reclaimed = group.pages.iter().any(|&(_, ppn)| image.is_reclaimed(ppn));
+    reclaimed || postamble_pages(image, group).is_some()
+}
+
+/// The run directory of a group whose payloads survive, from its
+/// postamble, if that counts the group's pages.
+fn postamble_pages(image: &FlashDevice, group: &RunGroup) -> Option<Vec<RunDirEntry>> {
+    if group.pages.iter().any(|&(_, ppn)| image.is_reclaimed(ppn)) {
+        return None;
+    }
+    let last_ppn = group.pages.last().expect("non-empty group").1;
+    let post = gecko_payload(image, last_ppn).postamble?;
+    if post.ranges.len() != group.pages.len() {
+        return None;
+    }
+    let ppns = post.ppns.iter().copied().chain([last_ppn]);
+    Some(
+        post.ranges
             .iter()
             .zip(ppns)
             .map(|(&(first, last), ppn)| RunDirEntry { ppn, first, last })
-            .collect();
+            .collect(),
+    )
+}
+
+/// The full-read liveness rule (Appendix C.1): every complete run group
+/// whose payloads survive is read in full, and each shard's runs are walked
+/// newest first by id; a run is dead if its span lies strictly inside a
+/// live run's span. A group whose payloads were reclaimed was retired by a
+/// merge (docs/DESIGN.md invariant 17). Each run's metadata is its spare
+/// tag's id and span and its preamble's level. Returns each shard's live
+/// runs.
+fn live_runs(
+    image: &FlashDevice,
+    groups: &BTreeMap<u64, RunGroup>,
+    shards: usize,
+) -> Vec<Vec<Run>> {
+    let mut candidates: Vec<Vec<Run>> = (0..shards).map(|_| Vec::new()).collect();
+    for (&id, group) in groups {
+        let Some(pages) = postamble_pages(image, group) else {
+            continue;
+        };
+        let level = gecko_payload(image, group.pages[0].1)
+            .preamble
+            .expect("first run page carries the preamble");
+        let (supersedes_since, supersedes_upto) = group.span;
+        let meta = RunMeta {
+            id: RunId(id),
+            level,
+            supersedes_since,
+            supersedes_upto,
+        };
         let shard = (pages[0].first.block.0 % shards as u32) as usize;
         candidates[shard].push(Run {
             meta,

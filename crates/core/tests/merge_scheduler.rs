@@ -515,10 +515,11 @@ fn crash_after_deferred_install_keeps_buffered_reports() {
         let mut oracle = Oracle::new(engine.geometry().logical_pages());
         run_workload(&mut engine, &mut oracle, &mut rng, 900 + 217 * round, false);
         // Hunt for the dangerous window: a merge output has been installed
-        // (no job pending, so its preamble is the newest run metadata on
-        // flash) *after* some user block was erased post-flush — that
-        // erase's marker lives only in the RAM buffer, and only the
-        // persisted flush watermark lets recovery re-create it.
+        // (no job pending, so its id is the newest run id on flash)
+        // *after* some user block was erased post-flush — that erase's
+        // marker lives only in the RAM buffer, and only the flush watermark
+        // (the newest live run's span end, not that output's id) lets
+        // recovery re-create it.
         for _ in 0..5000 {
             let g = engine.backend().gecko().expect("gecko backend");
             let flush_seq = g.last_flush_seq();

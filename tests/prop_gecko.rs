@@ -244,8 +244,7 @@ impl BufferHarness {
         };
         assert_eq!(run.pages.len(), want.len().div_ceil(v), "V entries a page");
         assert_eq!(run.meta.level, self.cfg.level_for(run.num_pages()));
-        assert_eq!(run.meta.flush_seq, run.meta.id.0, "its own watermark");
-        assert_eq!(tree.last_flush_seq(), run.meta.id.0);
+        assert_eq!(tree.last_flush_seq(), run.meta.id.0, "its own watermark");
         for (i, (page, chunk)) in run.pages.iter().zip(want.chunks(v)).enumerate() {
             let data = self
                 .dev
