@@ -45,7 +45,10 @@
 //! every `C` cache operations, all dirty entries that have not been
 //! *written* since the previous checkpoint: every dirty entry left is then
 //! younger than the previous epoch's start, the horizon the engine persists
-//! and the scan stops at (at most `2·C` pages back). We track a
+//! and the scan stops at (at most `2·C` pages back once the engine has
+//! checkpointed since it last resumed; before that, the scan walks back over
+//! the recovered entries however far that is, docs/DESIGN.md invariant 15).
+//! We track a
 //! `written_epoch` per entry and let the engine sweep entries with
 //! `written_epoch < current_epoch` at each checkpoint — same O(C)-per-C-ops
 //! cost as the paper's checkpoint-symbol walk of the LRU queue, but also

@@ -23,7 +23,9 @@ impl FtlEngine {
                 // user-page writes); honor the period between victims so
                 // an epoch stays ≈C + O(B) pages and the recovery scan,
                 // which stops at the start of the previous epoch, within
-                // 2·C + O(B).
+                // 2·C + O(B) once the engine has checkpointed since it last
+                // resumed (before that, it walks back over the recovered
+                // entries, docs/DESIGN.md invariant 15).
                 self.maybe_checkpoint();
                 // A burst's erase markers flood the Gecko buffer and can
                 // trip several flushes within one application write; pump a

@@ -60,10 +60,13 @@ pub enum RecoveryPolicy {
     /// IB-FTL). Trades runtime write-amplification for bounded recovery.
     RestrictedDirty,
     /// GeckoFTL (§4.3): checkpoints every `C` cache operations bound the
-    /// recovery scan to at most `2·C` spare reads — it stops at the
-    /// checkpoint horizon the translation pages persist, on average `1.5·C`
-    /// back — and synchronization of recovered entries is deferred until
-    /// after normal operation resumes.
+    /// recovery scan of an engine that has checkpointed since it last
+    /// resumed to at most `2·C` spare reads — it stops at the checkpoint
+    /// horizon the translation pages persist, on average `1.5·C` back — and
+    /// synchronization of recovered entries is deferred until after normal
+    /// operation resumes. Before that first checkpoint, a crash walks back
+    /// over the recovered entries however far that is (docs/DESIGN.md
+    /// invariant 15).
     CheckpointDeferred,
 }
 
