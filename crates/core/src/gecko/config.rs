@@ -20,8 +20,10 @@ pub struct GeckoConfig {
     /// Whether merges use the multi-way policy of Appendix A (merge all
     /// cascading runs at once) instead of recursive two-way merges.
     pub multiway_merge: bool,
-    /// Bytes reserved per run page for the in-page header (run ID, page
-    /// index) and pre/postamble bookkeeping (Appendix C.1).
+    /// Bytes reserved per run page for an in-page header. A run page holds
+    /// only its entries: its spare area describes the run and the page
+    /// ([`flash_sim::MetaTag::Run`]), so the header holds no pre- or
+    /// postamble (Appendix C.1).
     pub page_header_bytes: u32,
     /// RAM bits per key for the per-run blocked Bloom filter built at
     /// flush/merge time (see [`crate::gecko::filter`]). 0 disables filters
@@ -183,6 +185,20 @@ mod tests {
         assert_eq!(cfg.partitions, 4);
         assert_eq!(cfg.sub_bits(&geo), 32);
         assert_eq!(cfg.bits_per_entry(&geo), 32 + 32 + 1);
+    }
+
+    /// A run page's spare area holds its seq and its tag
+    /// ([`flash_sim::MetaTag::Run`]): seq 8 + kind 1 + id 8 + span 16 +
+    /// level 1 + page count 4 + two keys of `KEY_BYTES` = 46 bytes, within
+    /// the 128 of the paper's 4 KB page (P/32). The 256-byte pages of some
+    /// test geometries have 8, below every tag: a simulation convenience.
+    #[test]
+    fn run_page_spare_tag_fits_the_paper_spare_area() {
+        let tag_bytes = 8 + 1 + 8 + 16 + 1 + 4 + 2 * KEY_BYTES;
+        assert_eq!(tag_bytes, 46);
+        let geo = Geometry::paper_2tb();
+        assert_eq!(geo.spare_bytes, 128);
+        assert!(tag_bytes <= geo.spare_bytes);
     }
 
     #[test]

@@ -149,6 +149,20 @@ pub struct GeckoKey {
     pub part: u16,
 }
 
+/// The `(block, partition)` pair a run page's spare tag stores a key as
+/// ([`flash_sim::MetaTag::Run`]).
+impl From<GeckoKey> for (BlockId, u16) {
+    fn from(key: GeckoKey) -> Self {
+        (key.block, key.part)
+    }
+}
+
+impl From<(BlockId, u16)> for GeckoKey {
+    fn from((block, part): (BlockId, u16)) -> Self {
+        GeckoKey { block, part }
+    }
+}
+
 /// A Gecko entry (Figure 3): key, page-validity bitmap slice, erase flag.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct GeckoEntry {

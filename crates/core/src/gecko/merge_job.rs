@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! Read ──(all participant pages read)──▶ fold (RAM, no IO)
-//!      ──▶ Write ──(postamble page written = sealed)──▶ install
+//!      ──▶ Write ──(last page written = sealed)──▶ install
 //! ```
 //!
 //! * **Read**: participant run pages are read into one entry buffer, up to
@@ -33,7 +33,8 @@
 //!   what tells the pass which side of a collision is the newer one.
 //! * **Write**: the output run is written page by page through a
 //!   `RunWriter`, up to `budget` pages per step. The run becomes *real*
-//!   only when its final page — carrying the postamble — is programmed.
+//!   only when its final page is programmed: every page's spare tag counts
+//!   the run's pages, so recovery tells a complete run from a cut one.
 //!
 //! # Invariants (what keeps queries and crashes correct)
 //!
@@ -48,9 +49,10 @@
 //! 2. **Atomic install.** Sealing + install happen inside one pump call
 //!    with no intervening flash state change, so the switch from "query the
 //!    inputs" to "query the output" is atomic with respect to queries.
-//! 3. **Crash = forget the job.** A partially written output run has no
-//!    complete postamble, so GeckoRec's run recovery (Appendix C.1)
-//!    discards it; the participants are still complete and live on flash.
+//! 3. **Crash = forget the job.** A partially written output run has fewer
+//!    pages on flash than its spare tags count, so GeckoRec's run recovery
+//!    (Appendix C.1) discards it; the participants are still complete and
+//!    live on flash.
 //!    A crash after sealing recovers the output and treats the inputs as
 //!    merged-away by span containment. Either way no scheduler state needs
 //!    to be persisted.
@@ -75,9 +77,9 @@
 //!      correct with jobs pending.
 
 use crate::gecko::config::GeckoConfig;
-use crate::gecko::entry::{GeckoEntry, GeckoKey};
+use crate::gecko::entry::GeckoEntry;
 use crate::gecko::filter::RunFilter;
-use crate::gecko::run::{GeckoPagePayload, Postamble, Run, RunDirEntry, RunId, RunMeta};
+use crate::gecko::run::{GeckoPagePayload, Run, RunDirEntry, RunId, RunMeta};
 use crate::validity::MetaSink;
 use flash_sim::{FlashDevice, Geometry, IoPurpose, MetaKind, MetaTag, PageData};
 
@@ -94,10 +96,10 @@ pub struct FinishedMerge {
 }
 
 /// Incremental writer of one run: emits the pages of a sorted entry
-/// sequence one flash write at a time, carrying the preamble on the first
-/// page and the postamble (the persistent run directory) on the last. Both
-/// the merge state machine and the synchronous flush path write runs
-/// through this, so the on-flash layout has a single source of truth.
+/// sequence one flash write at a time, each with the spare tag that
+/// describes the run and the page's key range. Both the merge state machine
+/// and the synchronous flush path write runs through this, so the on-flash
+/// layout has a single source of truth.
 #[derive(Debug)]
 pub(crate) struct RunWriter {
     meta: RunMeta,
@@ -107,8 +109,6 @@ pub(crate) struct RunWriter {
     /// `V`: entries per page.
     v: usize,
     n_pages: usize,
-    /// Key range of every page, precomputed for the postamble.
-    ranges: Vec<(GeckoKey, GeckoKey)>,
     dir: Vec<RunDirEntry>,
     filter: Option<RunFilter>,
     purpose: IoPurpose,
@@ -146,24 +146,19 @@ impl RunWriter {
             }
             f
         });
-        let ranges = entries
-            .chunks(v)
-            .map(|c| (c.first().unwrap().key, c.last().unwrap().key))
-            .collect();
         RunWriter {
             meta,
             entries,
             next: 0,
             v,
             n_pages,
-            ranges,
             dir: Vec::with_capacity(n_pages),
             filter,
             purpose,
         }
     }
 
-    /// Whether every page (including the postamble page) has been written.
+    /// Whether every page has been written.
     pub(crate) fn sealed(&self) -> bool {
         self.dir.len() == self.n_pages
     }
@@ -175,26 +170,21 @@ impl RunWriter {
         sink: &mut dyn MetaSink,
     ) -> bool {
         debug_assert!(!self.sealed());
-        let i = self.dir.len();
         let end = (self.next + self.v).min(self.entries.len());
         let chunk: Vec<GeckoEntry> = self.entries[self.next..end].to_vec();
         self.next = end;
-        let postamble = (i == self.n_pages - 1).then(|| Postamble {
-            ranges: std::mem::take(&mut self.ranges),
-            ppns: self.dir.iter().map(|d| d.ppn).collect(),
-        });
-        let (first, last) = (chunk.first().unwrap().key, chunk.last().unwrap().key);
-        let payload = GeckoPagePayload {
-            entries: chunk,
-            preamble: (i == 0).then_some(self.meta.level),
-            postamble,
-        };
-        // Every page's spare area names the run, its span and its shard, so
-        // recovery can judge the run's liveness without reading a page.
+        let (first, last) = (chunk[0].key, chunk[chunk.len() - 1].key);
+        let payload = GeckoPagePayload { entries: chunk };
+        // Every page's spare area describes the run and the page's key
+        // range, so recovery judges the run's liveness and rebuilds its
+        // directory without reading a page.
         let tag = MetaTag::Run {
             id: self.meta.id.0,
             span: self.meta.span(),
-            first_block: self.entries[0].key.block,
+            level: self.meta.level,
+            pages: self.n_pages as u32,
+            first: first.into(),
+            last: last.into(),
         };
         let ppn = sink.append_meta(
             dev,
@@ -227,8 +217,7 @@ impl RunWriter {
     /// RAM currently held by the writer (Appendix-B style accounting).
     fn ram_bytes(&self, entry_bytes: u64) -> u64 {
         self.entries.len() as u64 * entry_bytes
-            + (self.dir.capacity() + self.ranges.len()) as u64
-                * std::mem::size_of::<RunDirEntry>() as u64
+            + self.dir.capacity() as u64 * std::mem::size_of::<RunDirEntry>() as u64
             + self.filter.as_ref().map_or(0, RunFilter::ram_bytes)
     }
 }
@@ -237,10 +226,6 @@ impl RunWriter {
 /// Read → fold → Write pipeline has progressed.
 #[derive(Debug)]
 pub struct MergeJob {
-    /// The owning tree's tuning and geometry, captured at plan time (both
-    /// are `Copy`); the write phase sizes output pages from them.
-    cfg: GeckoConfig,
-    geo: Geometry,
     /// Participants in data-age order, newest first: a consecutive stretch
     /// of the owning tree's run list, where the job reads their directories
     /// (invariant 1).
@@ -251,8 +236,6 @@ pub struct MergeJob {
     /// sequence at plan time (invariant 4: concurrent write phases must
     /// never mint colliding identities).
     reserved_seq: u64,
-    /// Level floor for the output (the deepest participant's level).
-    min_level: u32,
     /// Whether the output will be the deepest run, allowing pure
     /// tombstones and empty entries to be dropped.
     output_is_largest: bool,
@@ -277,22 +260,12 @@ impl MergeJob {
     /// run list, newest data first), reserving the output run's identity
     /// from the device sequence now — before any other job's write phase
     /// can run — so concurrent jobs never collide.
-    pub fn new(
-        cfg: GeckoConfig,
-        geo: Geometry,
-        dev: &mut FlashDevice,
-        inputs: &[Run],
-        min_level: u32,
-        output_is_largest: bool,
-    ) -> Self {
+    pub fn new(dev: &mut FlashDevice, inputs: &[Run], output_is_largest: bool) -> Self {
         let entry_count: u64 = inputs.iter().map(|r| r.entry_count).sum();
         MergeJob {
-            cfg,
-            geo,
             inputs: inputs.iter().map(|r| r.meta.id).collect(),
             total_pages: inputs.iter().map(|r| r.pages.len()).sum(),
             reserved_seq: dev.reserve_seq(),
-            min_level,
             output_is_largest,
             phase: Phase::Read {
                 next: 0,
@@ -340,12 +313,16 @@ impl MergeJob {
 
     /// Run up to `budget` page-IOs of this job, decrementing `budget` by
     /// the IOs performed; returns the finished merge once the job completes
-    /// (the caller installs it), `None` while IO remains. `runs` is the
-    /// owning tree's run list, which holds the inputs; `entries_dropped`
-    /// counts entries the fold discards as obsolete (Algorithm 3's
-    /// collision resolution plus largest-run tombstone dropping).
+    /// (the caller installs it), `None` while IO remains. `cfg`, `geo` and
+    /// `runs` are the owning tree's tuning, geometry and run list, which
+    /// holds the inputs; `entries_dropped` counts entries the fold discards
+    /// as obsolete (Algorithm 3's collision resolution plus largest-run
+    /// tombstone dropping).
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn step(
         &mut self,
+        cfg: &GeckoConfig,
+        geo: &Geometry,
         runs: &[Run],
         dev: &mut FlashDevice,
         sink: &mut dyn MetaSink,
@@ -378,10 +355,12 @@ impl MergeJob {
                 // time) and move to the write phase.
                 let mut merged = std::mem::take(entries);
                 fold(&mut merged, self.output_is_largest, entries_dropped);
-                // The output's span is the union of its inputs'.
+                // The output's span is the union of its inputs', and its
+                // level floor the deepest input's: inputs stay installed
+                // with the levels they were planned at (invariant 1).
                 let meta = RunMeta {
                     id: RunId(self.reserved_seq),
-                    level: self.min_level,
+                    level: inputs.iter().map(|r| r.meta.level).max().unwrap_or(0),
                     supersedes_since: inputs
                         .iter()
                         .map(|r| r.meta.supersedes_since)
@@ -394,8 +373,8 @@ impl MergeJob {
                         .unwrap_or(0),
                 };
                 self.phase = Phase::Write(RunWriter::new(
-                    &self.cfg,
-                    &self.geo,
+                    cfg,
+                    geo,
                     meta,
                     merged,
                     IoPurpose::ValidityMerge,
@@ -493,6 +472,7 @@ fn fold(entries: &mut Vec<GeckoEntry>, output_is_largest: bool, entries_dropped:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gecko::entry::GeckoKey;
     use crate::validity::FlatMetaSink;
     use flash_sim::BlockId;
 
@@ -646,11 +626,20 @@ mod tests {
             .collect();
         runs.reverse();
 
-        let mut job = MergeJob::new(cfg, geo, &mut dev, &runs, 0, output_is_largest);
+        let mut job = MergeJob::new(&mut dev, &runs, output_is_largest);
         let mut dropped = 0;
         let done = loop {
             let mut budget = 7;
-            if let Some(done) = job.step(&runs, &mut dev, &mut sink, &mut budget, &mut dropped) {
+            let step = job.step(
+                &cfg,
+                &geo,
+                &runs,
+                &mut dev,
+                &mut sink,
+                &mut budget,
+                &mut dropped,
+            );
+            if let Some(done) = step {
                 break done;
             }
         };

@@ -32,11 +32,11 @@ pub use config::{GeckoConfig, KEY_BYTES};
 pub use entry::{Bitmap, GeckoEntry, GeckoKey};
 pub use filter::RunFilter;
 pub use merge_job::{FinishedMerge, MergeJob};
-pub use run::{GeckoPagePayload, Postamble, Run, RunDirEntry, RunId, RunMeta};
+pub use run::{GeckoPagePayload, Run, RunDirEntry, RunId, RunMeta};
 pub use sharded::ShardedGecko;
 
 use crate::validity::MetaSink;
-use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, PageData, Ppn, SpanKind};
+use flash_sim::{BlockId, FlashDevice, Geometry, IoPurpose, Ppn, SpanKind};
 use std::collections::{HashSet, VecDeque};
 
 /// The Logarithmic Gecko structure: RAM buffer + run directories in RAM,
@@ -456,10 +456,10 @@ impl LogGecko {
     /// Erase markers can overshoot the buffer past `V` entries (Algorithm 2
     /// inserts S sub-entries at once); the run then has `⌈n/V⌉` pages and
     /// the level its page count calls for. It becomes real only when its
-    /// last page, carrying the postamble, is programmed: a power cut before
-    /// that leaves a partial run GeckoRec discards, and the watermark on
-    /// flash stays the previous run's, so recovery re-derives the whole
-    /// buffer.
+    /// last page is programmed: a power cut before that leaves fewer pages
+    /// than the run's spare tags count, a partial run GeckoRec discards, and
+    /// the watermark on flash stays the previous run's, so recovery
+    /// re-derives the whole buffer.
     ///
     /// Pushes do not wait for pending merge jobs: output identities are
     /// reserved at plan time and plans are span-contiguous ([`merge_job`]
@@ -556,7 +556,6 @@ impl LogGecko {
                     continue;
                 };
                 let planned = |id: RunId| inputs.iter().any(|i| i.meta.id == id);
-                let deepest = inputs.iter().map(|i| i.meta.level).max().unwrap_or(0);
                 // Is the merge output going to carry the oldest live data?
                 // If so, erase flags carry no further information and
                 // fully-empty entries can be dropped ("removes obsolete
@@ -574,8 +573,7 @@ impl LogGecko {
                     .iter()
                     .filter(|r| !planned(r.meta.id))
                     .all(|r| r.meta.supersedes_upto > span_lo);
-                let job =
-                    MergeJob::new(self.cfg, self.geo, dev, inputs, deepest, output_is_largest);
+                let job = MergeJob::new(dev, inputs, output_is_largest);
                 self.stats.merges += 1;
                 self.jobs.push_back(job);
                 continue 'planning;
@@ -666,6 +664,8 @@ impl LogGecko {
         let span_t0 = dev.clock().now_us();
         let mut remaining = budget;
         let finished = job.step(
+            &self.cfg,
+            &self.geo,
             &self.runs,
             dev,
             sink,
@@ -742,9 +742,7 @@ impl LogGecko {
 
     /// Reconstruct the invalid-page bitmap of **every** block by scanning
     /// all runs once plus the buffer — BVC recovery, Appendix C step 5.
-    /// A run page found in `already_read` (the pages recovery's step 3 read)
-    /// is taken from there; every other live run page costs one page read
-    /// charged to `purpose`.
+    /// Every live run page costs one page read charged to `purpose`.
     ///
     /// Since the scan reads every run page anyway, it doubles as a repair
     /// pass at no extra IO: runs missing their RAM-resident Bloom filter
@@ -756,7 +754,6 @@ impl LogGecko {
         &mut self,
         dev: &mut FlashDevice,
         purpose: IoPurpose,
-        already_read: &std::collections::HashMap<Ppn, PageData>,
     ) -> std::collections::HashMap<BlockId, Bitmap> {
         use std::collections::HashMap;
         let sub = self.cfg.sub_bits(&self.geo);
@@ -791,16 +788,9 @@ impl LogGecko {
             keys.clear();
             let mut entries_seen = 0u64;
             for page in &run.pages {
-                let fetched;
-                let data = match already_read.get(&page.ppn) {
-                    Some(data) => data,
-                    None => {
-                        fetched = dev
-                            .read_page(page.ppn, purpose)
-                            .expect("live run page readable");
-                        &fetched
-                    }
-                };
+                let data = dev
+                    .read_page(page.ppn, purpose)
+                    .expect("live run page readable");
                 let payload = data.blob::<GeckoPagePayload>().expect("gecko page payload");
                 entries_seen += payload.entries.len() as u64;
                 for entry in &payload.entries {
@@ -1206,7 +1196,7 @@ mod tests {
                 gecko.mark_invalid(&mut dev, &mut sink, Ppn(page as u32));
             }
         }
-        let maps = gecko.scan_all_bitmaps(&mut dev, IoPurpose::Recovery, &HashMap::new());
+        let maps = gecko.scan_all_bitmaps(&mut dev, IoPurpose::Recovery);
         for b in 0..32 {
             let q = gecko.gc_query(&mut dev, BlockId(b));
             let scanned = maps.get(&BlockId(b));

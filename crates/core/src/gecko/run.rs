@@ -5,21 +5,16 @@
 //! of the run, its physical location and the key range it covers, so a GC
 //! query reads at most one page per run (Figure 5).
 //!
-//! For recovery (Appendix C.1), each run is self-describing in flash:
-//!
-//! * the **first** page carries a preamble: the run's level;
-//! * the **last** page carries a postamble: a copy of the run directory.
-//!
-//! These are modelled as in-page metadata (a few dozen bytes accounted via
-//! [`crate::gecko::GeckoConfig::page_header_bytes`]), so a flush of at most V
-//! entries still costs exactly one flash write.
-//!
-//! Every page's **spare area** carries the run ID, which is its creation
-//! timestamp, the run's data-age span ([`RunMeta::span`]) and the block of
-//! its first key, which names the owning shard ([`flash_sim::MetaTag::Run`]).
-//! Recovery's spare scan judges each run's liveness from these alone, reads
-//! only the runs it keeps, and builds each one's [`RunMeta`] from the tag and
-//! the preamble's level.
+//! A run page holds its entries and nothing else. For recovery
+//! (Appendix C.1), every page's **spare area** describes the run
+//! ([`flash_sim::MetaTag::Run`]): the run ID, which is its creation
+//! timestamp, the run's data-age span ([`RunMeta::span`]), level and page
+//! count, and the page's own first and last key, whose block names the
+//! owning shard. Recovery's spare scan judges each run's liveness from these
+//! alone, keeps a run only if it finds all of its pages, and builds each
+//! kept run's [`RunMeta`] and directory from the tags without reading a
+//! page. The paper's preamble (the level) and postamble (the directory) are
+//! these fields, one constant-size tag per page.
 
 use crate::gecko::entry::{GeckoEntry, GeckoKey};
 use crate::gecko::filter::RunFilter;
@@ -29,8 +24,7 @@ use flash_sim::Ppn;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RunId(pub u64);
 
-/// Run-level metadata: the level is persisted in the preamble of the run's
-/// first page, the rest in the spare area of every page.
+/// Run-level metadata, persisted in the spare area of every page of the run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunMeta {
     /// Unique run identifier: the device sequence number at creation (a
@@ -107,7 +101,7 @@ pub struct RunDirEntry {
 /// A live run: metadata plus its RAM-resident directory.
 #[derive(Clone, Debug)]
 pub struct Run {
-    /// Run metadata: the spare tag's id and span, the preamble's level.
+    /// Run metadata, as every page's spare tag carries it.
     pub meta: RunMeta,
     /// The run directory: one entry per flash page, in key order.
     pub pages: Vec<RunDirEntry>,
@@ -155,26 +149,6 @@ impl Run {
 pub struct GeckoPagePayload {
     /// The sorted Gecko entries stored on this page.
     pub entries: Vec<GeckoEntry>,
-    /// Present on the first page only: the run preamble, the level the run
-    /// was placed at. Its id and span are in every page's spare area.
-    pub preamble: Option<u32>,
-    /// Present on the last page only: the run postamble.
-    pub postamble: Option<Postamble>,
-}
-
-/// Postamble: a persistent copy of the run directory (Appendix C.1).
-///
-/// The last page cannot know its own physical address before being written,
-/// so `ppns` holds the first n − 1 addresses of an n-page run, and recovery
-/// adds the address it found the postamble at.
-#[derive(Clone, Debug)]
-pub struct Postamble {
-    /// Key range of every page, in page order. Its length is the run's page
-    /// count: recovery discards a run found with a different number of
-    /// pages (a partially written run).
-    pub ranges: Vec<(GeckoKey, GeckoKey)>,
-    /// Physical addresses of every page but the last, in page order.
-    pub ppns: Vec<Ppn>,
 }
 
 #[cfg(test)]

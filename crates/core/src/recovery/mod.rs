@@ -12,9 +12,10 @@
 //! 2. **GMD** — scan translation-block spare areas; the newest version of
 //!    each translation page wins.
 //! 3. **Run directories** — scan Gecko-block spare areas, which carry each
-//!    run's id, data-age span and shard; skip, unread, every merged-away
-//!    leftover (a span strictly inside a kept run's span); read the
-//!    postamble (and preamble) of the rest, keeping the complete runs
+//!    run's id, data-age span, level and page count and each page's key
+//!    range; skip every merged-away leftover (a span strictly inside a kept
+//!    run's span) and every partial run (fewer pages than its tags count),
+//!    and build the rest's directories from the tags. No page is read
 //!    (docs/DESIGN.md invariant 16).
 //! 4. **Buffer** — recreate erase markers for blocks erased since the last
 //!    buffer flush, by their persisted erase timestamps (C.2.1), and
@@ -29,8 +30,8 @@
 //!    step 4's threshold and reclaims the rest (docs/DESIGN.md invariants
 //!    14 and 17).
 //! 5. **BVC** — rebuild per-block valid counts from a full scan of
-//!    Logarithmic Gecko plus the recovered buffer, reading only the live run
-//!    pages step 3 did not, so each is read once across the two steps.
+//!    Logarithmic Gecko plus the recovered buffer, reading each live run page
+//!    once.
 //! 6. **Dirty entries** — backwards scan of the most recently written user
 //!    pages, newest first across blocks (step 1's newest pages open them),
 //!    down to the checkpoint horizon the translation pages persist, and no
@@ -43,25 +44,23 @@
 //!    corrections may re-report a page BVC already counts (docs/DESIGN.md
 //!    invariant 13).
 //!
-//! Each shortcut here (run pages left unread, erase timestamps instead of
-//! spare reads, the scan stopped at the horizon) has no second, slower rule
-//! beside it. The crash tests and the fuzz corpus check every recovery
-//! against a reference GeckoRec in test-support code
+//! Each shortcut here (run directories from spare tags, erase timestamps
+//! instead of spare reads, the scan stopped at the horizon) has no second,
+//! slower rule beside it. The crash tests and the fuzz corpus check every
+//! recovery against a reference GeckoRec in test-support code
 //! (`crates/core/tests/common/reference.rs`), which applies Appendix C
-//! literally, reading every page and spare area: the recovered engine must
-//! give its every user block's GC answer and BVC.
+//! literally, reading every page and spare area and building run directories
+//! from the entries: the recovered engine must give its every user block's
+//! GC answer and BVC.
 
 use crate::cache::{CacheEntry, MappingCache};
 use crate::ftl::block_manager::{BlockGroup, BlockManager, BlockState, Version};
 use crate::ftl::{FtlConfig, FtlEngine, GcPolicy, RecoveredInvalid, ValidityBackend};
 use crate::gecko::sharded::shard_index;
-use crate::gecko::{
-    Bitmap, GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, RunMeta, ShardedGecko,
-};
+use crate::gecko::{Bitmap, GeckoConfig, LogGecko, Run, RunDirEntry, RunId, RunMeta, ShardedGecko};
 use crate::translation::{TranslationPagePayload, TranslationTable};
 use flash_sim::{
-    BlockId, FlashDevice, IoPurpose, MetaKind, MetaTag, PageData, PageOffset, Ppn, SpanKind, Spare,
-    SpareInfo,
+    BlockId, FlashDevice, IoPurpose, MetaKind, MetaTag, PageOffset, Ppn, SpanKind, Spare, SpareInfo,
 };
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
@@ -316,7 +315,7 @@ pub fn gecko_recover(
     // without any supersession — a global containment walk would kill
     // live runs. Each shard's tree is then reassembled independently,
     // with its own flush watermark.
-    let (shard_runs, step3_pages) = recover_runs(&mut dev, &bid, gecko_cfg.shards);
+    let shard_runs = recover_runs(&mut dev, &bid, gecko_cfg.shards);
     let live_pages: HashSet<Ppn> = shard_runs
         .iter()
         .flatten()
@@ -464,7 +463,7 @@ pub fn gecko_recover(
 
     // ---- Step 5: BVC. -----------------------------------------------------
     let timer = StepTimer::start(&dev);
-    let mut invalid_maps = gecko.scan_all_bitmaps(&mut dev, IoPurpose::Recovery, &step3_pages);
+    let mut invalid_maps = gecko.scan_all_bitmaps(&mut dev, IoPurpose::Recovery);
     let mut bvc = vec![0u32; geo.blocks as usize];
     let mut state = vec![BlockState::Free; geo.blocks as usize];
     for b in geo.iter_blocks() {
@@ -763,28 +762,31 @@ fn read_tpage(dev: &mut FlashDevice, ppn: Ppn, horizon: &mut u64) -> (Vec<u32>, 
 }
 
 /// One run's pages on flash, as step 3's spare scan found them: the run's
-/// data-age span and first-key block, read from the spare area every page of
-/// the run carries, and its pages as `(seq, ppn)` in write order.
+/// data-age span, level and page count, read from the spare tag every page
+/// of the run carries, and its directory entries with their seqs, each from
+/// its own page's tag.
 struct RunGroup {
     span: (u64, u64),
-    first_block: BlockId,
-    pages: Vec<(u64, Ppn)>,
+    level: u32,
+    pages: u32,
+    dir: Vec<(u64, RunDirEntry)>,
 }
 
-/// Recover the set of live runs (Appendix C.1) and hand back every page
-/// read doing so. Returns one bucket of runs per shard (a single bucket when
+/// Recover the set of live runs (Appendix C.1) from the spare areas alone.
+/// Returns one bucket of runs per shard (a single bucket when
 /// `shards == 1`): liveness is judged per shard because its evidence, span
 /// containment, only relates runs of the same tree.
 ///
 /// A spare scan groups the Gecko pages by run id; each spare area also
-/// carries the run's span and the block of its first key, which names its
-/// shard. The groups are walked newest first by id (the device sequence
-/// number the run was created or reserved at), and a group is a merged-away leftover — a retired input
+/// carries the run's span, level and page count and its own page's key
+/// range; the run's first key's block names its shard. The groups are walked
+/// newest first by id (the device sequence number the run was created or
+/// reserved at), and a group is a merged-away leftover — a retired input
 /// whose pages survive until their block happens to be erased — if its span
-/// lies strictly inside a kept run's span of its shard. A leftover costs no
-/// page read. Every other group costs its postamble, plus its preamble if
-/// the run has more than one page; a partial run (no postamble, or a page
-/// count that disagrees with it) is discarded, and the rest are kept.
+/// lies strictly inside a kept run's span of its shard. A group with fewer
+/// pages than its tags count is a partial run, cut before it sealed, and is
+/// discarded; the rest are kept, each with its directory in write (= key)
+/// order. No page is read.
 ///
 /// Containment decides every leftover, even one whose superseder has
 /// already been erased from flash: merging is laminar and live spans are
@@ -799,11 +801,7 @@ struct RunGroup {
 /// at plan time, so a job reserved early can seal with an id inside a
 /// later-planned job's span even though its data (old runs, disjoint span)
 /// was never folded there.
-fn recover_runs(
-    dev: &mut FlashDevice,
-    bid: &[BidEntry],
-    shards: u32,
-) -> (Vec<Vec<Run>>, HashMap<Ppn, PageData>) {
+fn recover_runs(dev: &mut FlashDevice, bid: &[BidEntry], shards: u32) -> Vec<Vec<Run>> {
     let geo = dev.geometry();
     let mut groups: BTreeMap<u64, RunGroup> = BTreeMap::new();
     for b in geo.iter_blocks() {
@@ -814,9 +812,8 @@ fn recover_runs(
         for off in 0..entry.written {
             let ppn = geo.ppn(b, PageOffset(off));
             // Torn pages (lost spare or lost data) never joined a sealed
-            // run: dropping one here leaves its run without a postamble —
-            // or with a short page count — so the run is discarded as
-            // partial below, exactly the torn-postamble orphan rule.
+            // run: dropping one here leaves its group short of the page
+            // count its tags carry, so the run is discarded as partial below.
             let Ok(spare) = dev.read_spare(ppn, IoPurpose::Recovery) else {
                 continue;
             };
@@ -826,7 +823,10 @@ fn recover_runs(
                     MetaTag::Run {
                         id,
                         span,
-                        first_block,
+                        level,
+                        pages,
+                        first,
+                        last,
                     },
             } = spare.info
             else {
@@ -835,102 +835,57 @@ fn recover_runs(
             if !dev.is_written(ppn) {
                 continue;
             }
+            let page = RunDirEntry {
+                ppn,
+                first: first.into(),
+                last: last.into(),
+            };
             groups
                 .entry(id)
                 .or_insert_with(|| RunGroup {
                     span,
-                    first_block,
-                    pages: Vec::new(),
+                    level,
+                    pages,
+                    dir: Vec::new(),
                 })
-                .pages
-                .push((spare.seq, ppn));
+                .dir
+                .push((spare.seq, page));
         }
     }
     // Blocks are scanned in address order, not write order.
     for group in groups.values_mut() {
-        group.pages.sort_unstable_by_key(|&(seq, _)| seq);
+        group.dir.sort_unstable_by_key(|&(seq, _)| seq);
     }
 
     let n = shards.max(1) as usize;
     let mut live: Vec<Vec<Run>> = (0..n).map(|_| Vec::new()).collect();
     let mut live_spans: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-    let mut read: HashMap<Ppn, PageData> = HashMap::new();
     for (&id, group) in groups.iter().rev() {
-        let shard = shard_index(group.first_block, n);
+        let shard = shard_index(group.dir[0].1.first.block, n);
         if strictly_inside(&live_spans[shard], group.span) {
             continue;
         }
-        let Some(run) = read_run(dev, id, group, &mut read) else {
+        if group.dir.len() != group.pages as usize {
             continue; // partially written run: discard
-        };
-        live_spans[shard].push(group.span);
-        live[shard].push(run);
-    }
-    (live, read)
-}
-
-/// Read a run group's postamble, and its preamble if the run has more than
-/// one page, into a run with its directory; the pages go into `read`.
-/// `None` for a partial run: no postamble, or a page count that disagrees
-/// with it.
-fn read_run(
-    dev: &mut FlashDevice,
-    id: u64,
-    group: &RunGroup,
-    read: &mut HashMap<Ppn, PageData>,
-) -> Option<Run> {
-    // The postamble lives on the last written page of the run.
-    let &(_, last_ppn) = group.pages.last().expect("non-empty run group");
-    let last = dev
-        .read_page(last_ppn, IoPurpose::Recovery)
-        .expect("gecko page readable");
-    let payload = last.blob::<GeckoPagePayload>().expect("gecko payload");
-    let post = payload.postamble.as_ref()?;
-    if post.ranges.len() != group.pages.len() {
-        return None; // some pages missing or extra garbage
-    }
-    let level = match payload.preamble {
-        Some(level) => level, // single-page run: preamble and postamble share the page
-        None => {
-            let first_ppn = group.pages[0].1;
-            let first = dev
-                .read_page(first_ppn, IoPurpose::Recovery)
-                .expect("gecko page readable");
-            let level = first
-                .blob::<GeckoPagePayload>()
-                .expect("gecko payload")
-                .preamble
-                .expect("first run page carries the preamble");
-            read.insert(first_ppn, first);
-            level
         }
-    };
-    let (supersedes_since, supersedes_upto) = group.span;
-    let meta = RunMeta {
-        id: RunId(id),
-        level,
-        supersedes_since,
-        supersedes_upto,
-    };
-    let ppns = post.ppns.iter().copied().chain([last_ppn]); // the postamble page's own address
-    debug_assert_eq!(post.ppns.len() + 1, post.ranges.len());
-    let pages: Vec<RunDirEntry> = post
-        .ranges
-        .iter()
-        .zip(ppns)
-        .map(|(&(first, last), ppn)| RunDirEntry { ppn, first, last })
-        .collect();
-    debug_assert_eq!(pages[0].first.block, group.first_block);
-    read.insert(last_ppn, last);
-    // Bloom filters are RAM-only and not persisted; recovered runs carry
-    // none (queries stay correct at the paper's probe-per-run bound) until
-    // step 5's scan rebuilds them, and refills the entry count.
-    Some(Run {
-        meta,
-        pages,
-        entry_count: 0,
-        filter: None,
-    })
+        let (supersedes_since, supersedes_upto) = group.span;
+        live_spans[shard].push(group.span);
+        // Bloom filters are RAM-only and not persisted; recovered runs carry
+        // none (queries stay correct at the paper's probe-per-run bound)
+        // until step 5's scan rebuilds them, and refills the entry count.
+        live[shard].push(Run {
+            meta: RunMeta {
+                id: RunId(id),
+                level: group.level,
+                supersedes_since,
+                supersedes_upto,
+            },
+            pages: group.dir.iter().map(|&(_, page)| page).collect(),
+            entry_count: 0,
+            filter: None,
+        });
+    }
+    live
 }
 
 /// Whether `span` lies strictly inside one of `spans`.

@@ -368,13 +368,12 @@ fn one_merge_allocates_per_page_not_per_entry() {
             continue;
         }
         // Two per output page (its entries, the `Arc` around its payload)
-        // and, measured pump by pump, six per merge: four as the fold ends
-        // the read phase (the sort's scratch, the writer's key ranges,
-        // directory and Bloom filter), one for the postamble's page list,
-        // and one where an output page opens a fresh flash block — 30 for
-        // the 5 runs, 17 input and 12 output pages this finds. Nothing per
-        // input page, participant or entry; the slack covers an output that
-        // opens more blocks. Planning, outside this count, allocates the
+        // and, measured pump by pump, four per merge: three as the fold ends
+        // the read phase (the sort's scratch, the writer's directory and
+        // Bloom filter) and one where an output page opens a fresh flash
+        // block — 28 for the 5 runs, 17 input and 12 output pages this
+        // finds. Nothing per input page, participant or entry; the slack
+        // covers an output that opens more blocks. Planning, outside this count, allocates the
         // job's input ids and read buffer and copies no run directory.
         let budget = 2 * output_pages + 10;
         assert!(
@@ -437,10 +436,10 @@ fn steady_state_sequential_reads_allocate_nothing() {
 /// Allocator calls allowed per flush, per merge page written and per
 /// collection, on top of the two per synchronization. Each of those builds
 /// things a flash page or a run must own — a page's entries and the `Arc`
-/// around its payload, a run's directory, postamble and Bloom filter, a merge
-/// job's read buffer, a collection's migration list — at a measured 6.0 calls
-/// per event on this geometry. What the budget keeps out is a cost per
-/// *report*: the ≈ 25 calls a synchronization used to make would put the
+/// around its payload, a run's directory and Bloom filter, a merge job's read
+/// buffer, a collection's migration list — at a measured 2.7 calls per event
+/// on this geometry beyond the syncs' two. What the budget keeps out is a
+/// cost per *report*: the ≈ 25 calls a synchronization used to make would put the
 /// window at 1.13 × the budget.
 const CALLS_PER_MAINTENANCE_EVENT: u64 = 8;
 

@@ -8,12 +8,17 @@
 //! 1. **BID.** A block's group is its newest readable spare area's.
 //! 2. **GMD.** Every translation page whose spare area and data read back is
 //!    a version of the page its spare area names.
-//! 3. **Run directories.** Every complete run group whose payloads survive
-//!    is read in full (postamble and preamble), and each shard's runs are
-//!    walked newest first by id: a run whose span lies strictly inside a kept
-//!    run's span is a merged-away leftover. Each tree's flush watermark is
-//!    the newest span end the spare tags of its complete run groups carry,
-//!    merged-away leftovers included.
+//! 3. **Run directories.** Every page of a run group carries the same id,
+//!    span, level and page count in its spare tag. Every page whose payload
+//!    survives is read in full: its entries are sorted, their first and last
+//!    key are the range its tag names, and ranges increase from page to
+//!    page. A group is complete if a merge reclaimed it or it holds as many
+//!    pages as its tags count. Every complete group whose payloads survive
+//!    gets its directory from those payload-derived ranges, and each shard's
+//!    runs are walked newest first by id: a run whose span lies strictly
+//!    inside a kept run's span is a merged-away leftover. Each tree's flush
+//!    watermark is the newest span end the spare tags of its complete run
+//!    groups carry, merged-away leftovers included.
 //! 4. **Buffer.** (a) A block gets an erase marker if it is free, erased
 //!    after its owning tree's watermark, or whose first page was written
 //!    after it: the paper's rule, first-page clause included. (b) Every
@@ -48,7 +53,7 @@
 use flash_sim::{BlockId, FlashDevice, Lpn, MetaKind, MetaTag, PageOffset, Ppn, Spare, SpareInfo};
 use geckoftl_core::ftl::FtlConfig;
 use geckoftl_core::gecko::{
-    Bitmap, GeckoConfig, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, RunMeta,
+    Bitmap, GeckoConfig, GeckoKey, GeckoPagePayload, LogGecko, Run, RunDirEntry, RunId, RunMeta,
 };
 use geckoftl_core::recovery::gecko_recover;
 use geckoftl_core::translation::TranslationPagePayload;
@@ -203,7 +208,7 @@ pub fn reference_recover(
     // Each tree's watermark: the newest span end of its complete groups.
     let mut watermarks = vec![0; n];
     for group in groups.values().filter(|g| sealed(image, g)) {
-        let w = &mut watermarks[shard(group.first_block)];
+        let w = &mut watermarks[shard(group.pages[0].first.block)];
         *w = (*w).max(group.span.1);
     }
     let invalidate = |trees: &mut Vec<LogGecko>, ppn: Ppn| {
@@ -342,16 +347,27 @@ fn translation_payload(image: &FlashDevice, ppn: Ppn) -> Option<TranslationPageP
     )
 }
 
-/// A run's pages on the image: the span and first-key block every page's
-/// spare tag carries, and its pages as `(seq, ppn)`, oldest first.
+/// A run's pages on the image: the span, level and page count every page's
+/// spare tag carries, and its pages, oldest first, each with the key range
+/// its own tag names.
 struct RunGroup {
     span: (u64, u64),
-    first_block: BlockId,
-    pages: Vec<(u64, Ppn)>,
+    level: u32,
+    count: u32,
+    pages: Vec<TaggedPage>,
+}
+
+/// A run page: its seq and address, and the key range its spare tag names.
+struct TaggedPage {
+    seq: u64,
+    ppn: Ppn,
+    first: GeckoKey,
+    last: GeckoKey,
 }
 
 /// Every run group on `image` whose pages' spare area and data read back,
-/// by run id.
+/// by run id. Panics if two pages of a run disagree on its span, level or
+/// page count.
 fn run_groups(image: &FlashDevice) -> BTreeMap<u64, RunGroup> {
     let geo = image.geometry();
     let mut groups: BTreeMap<u64, RunGroup> = BTreeMap::new();
@@ -367,7 +383,10 @@ fn run_groups(image: &FlashDevice) -> BTreeMap<u64, RunGroup> {
                             MetaTag::Run {
                                 id,
                                 span,
-                                first_block,
+                                level,
+                                pages,
+                                first,
+                                last,
                             },
                     },
             }) = image.peek_spare(ppn)
@@ -377,54 +396,77 @@ fn run_groups(image: &FlashDevice) -> BTreeMap<u64, RunGroup> {
             if image.is_written(ppn) {
                 let group = groups.entry(id).or_insert_with(|| RunGroup {
                     span,
-                    first_block,
+                    level,
+                    count: pages,
                     pages: Vec::new(),
                 });
-                group.pages.push((seq, ppn));
+                assert_eq!(
+                    (group.span, group.level, group.count),
+                    (span, level, pages),
+                    "run {id}: {ppn:?}'s tag disagrees with the run's other pages"
+                );
+                group.pages.push(TaggedPage {
+                    seq,
+                    ppn,
+                    first: first.into(),
+                    last: last.into(),
+                });
             }
         }
     }
     for group in groups.values_mut() {
-        group.pages.sort_unstable();
+        group.pages.sort_unstable_by_key(|p| p.seq);
     }
     groups
 }
 
-/// The Gecko payload of `ppn`.
-fn gecko_payload(image: &FlashDevice, ppn: Ppn) -> GeckoPagePayload {
-    let page = image.peek_page(ppn).expect("gecko page readable");
-    page.blob::<GeckoPagePayload>()
-        .expect("gecko payload")
-        .clone()
-}
-
 /// Whether `group` was a complete run once: a merge retired it (only a
-/// sealed run is installed and later reclaimed), or its last page carries
-/// a postamble that counts its pages.
+/// sealed run is installed and later reclaimed), or it holds as many pages
+/// as its tags count.
 fn sealed(image: &FlashDevice, group: &RunGroup) -> bool {
-    let reclaimed = group.pages.iter().any(|&(_, ppn)| image.is_reclaimed(ppn));
-    reclaimed || postamble_pages(image, group).is_some()
+    let reclaimed = group.pages.iter().any(|p| image.is_reclaimed(p.ppn));
+    reclaimed || group.pages.len() == group.count as usize
 }
 
-/// The run directory of a group whose payloads survive, from its
-/// postamble, if that counts the group's pages.
-fn postamble_pages(image: &FlashDevice, group: &RunGroup) -> Option<Vec<RunDirEntry>> {
-    if group.pages.iter().any(|&(_, ppn)| image.is_reclaimed(ppn)) {
+/// The directory of a group whose payloads survive, its key ranges taken
+/// from the entries each page holds. Panics unless every page's entries are
+/// sorted, its range is the one its tag names, and ranges increase from
+/// page to page.
+fn payload_directory(image: &FlashDevice, id: u64, group: &RunGroup) -> Option<Vec<RunDirEntry>> {
+    if group.pages.iter().any(|p| image.is_reclaimed(p.ppn)) {
         return None;
     }
-    let last_ppn = group.pages.last().expect("non-empty group").1;
-    let post = gecko_payload(image, last_ppn).postamble?;
-    if post.ranges.len() != group.pages.len() {
-        return None;
+    let dir: Vec<RunDirEntry> = group
+        .pages
+        .iter()
+        .map(|page| {
+            let data = image.peek_page(page.ppn).expect("gecko page readable");
+            let entries = &data
+                .blob::<GeckoPagePayload>()
+                .expect("gecko payload")
+                .entries;
+            let at = format!("run {id}, {:?}", page.ppn);
+            assert!(
+                entries.windows(2).all(|w| w[0].key < w[1].key),
+                "{at}: entries out of order"
+            );
+            let (first, last) = (entries[0].key, entries[entries.len() - 1].key);
+            assert_eq!(
+                (page.first, page.last),
+                (first, last),
+                "{at}: tag's key range"
+            );
+            RunDirEntry {
+                ppn: page.ppn,
+                first,
+                last,
+            }
+        })
+        .collect();
+    for w in dir.windows(2) {
+        assert!(w[0].last < w[1].first, "run {id}: {w:?} overlap");
     }
-    let ppns = post.ppns.iter().copied().chain([last_ppn]);
-    Some(
-        post.ranges
-            .iter()
-            .zip(ppns)
-            .map(|(&(first, last), ppn)| RunDirEntry { ppn, first, last })
-            .collect(),
-    )
+    Some(dir)
 }
 
 /// The full-read liveness rule (Appendix C.1): every complete run group
@@ -432,8 +474,8 @@ fn postamble_pages(image: &FlashDevice, group: &RunGroup) -> Option<Vec<RunDirEn
 /// newest first by id; a run is dead if its span lies strictly inside a
 /// live run's span. A group whose payloads were reclaimed was retired by a
 /// merge (docs/DESIGN.md invariant 17). Each run's metadata is its spare
-/// tag's id and span and its preamble's level. Returns each shard's live
-/// runs.
+/// tags' id, span and level, its directory the payloads' key ranges.
+/// Returns each shard's live runs.
 fn live_runs(
     image: &FlashDevice,
     groups: &BTreeMap<u64, RunGroup>,
@@ -441,16 +483,16 @@ fn live_runs(
 ) -> Vec<Vec<Run>> {
     let mut candidates: Vec<Vec<Run>> = (0..shards).map(|_| Vec::new()).collect();
     for (&id, group) in groups {
-        let Some(pages) = postamble_pages(image, group) else {
+        let Some(pages) = payload_directory(image, id, group) else {
             continue;
         };
-        let level = gecko_payload(image, group.pages[0].1)
-            .preamble
-            .expect("first run page carries the preamble");
+        if pages.len() != group.count as usize {
+            continue;
+        }
         let (supersedes_since, supersedes_upto) = group.span;
         let meta = RunMeta {
             id: RunId(id),
-            level,
+            level: group.level,
             supersedes_since,
             supersedes_upto,
         };

@@ -354,11 +354,12 @@ fn spare_names(image: &FlashDevice, ppn: Ppn, id: RunId) -> bool {
 /// device a sync's report batch can overshoot a tree's buffer, so a flush
 /// run can have several pages. The ops up to the first flush of two pages or
 /// more are replayed once per program attempt of that op, with the page that
-/// attempt programs torn. A cut at any page of the run leaves no postamble:
-/// recovery discards the partial run, and the tree's watermark on flash is
-/// the previous run's, so steps 4a and 4b re-derive the whole buffer. Every
-/// cut, inside the run or not, keeps every acknowledged write and agrees
-/// with the reference GeckoRec, at one tree and at four.
+/// attempt programs torn. A cut at any page of the run leaves fewer readable
+/// pages than the run's spare tags count: recovery discards the partial run,
+/// and the tree's watermark on flash is the previous run's, so steps 4a and
+/// 4b re-derive the whole buffer. Every cut, inside the run or not, keeps
+/// every acknowledged write and agrees with the reference GeckoRec, at one
+/// tree and at four.
 #[test]
 fn power_cut_inside_a_flush_run_keeps_the_previous_watermark() {
     for shards in [1, 4] {

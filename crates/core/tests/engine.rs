@@ -934,17 +934,17 @@ fn run_groups_on_flash(dev: &FlashDevice) -> usize {
     ids.len()
 }
 
-/// GeckoRec step 3 judges run liveness from the spare areas it scans and
-/// reads only the runs it keeps: the postamble of each, plus the preamble of a
-/// multi-page one, plus the last page of each merge output still being
-/// written (a partial run, discarded; at most one per tree). Step 5 reads only
-/// the kept runs' other pages, so steps 3 and 5 together read each live run
-/// page once. Four trees on a deep-tree geometry with 64-page blocks, where
-/// the merged-away runs still on flash outnumber the live ones more than four
-/// to one (219 to 39 over the six instants).
+/// GeckoRec step 3 judges run liveness and builds every kept run's directory
+/// from the spare areas it scans, and reads no page: not of a kept run, not
+/// of a merged-away leftover, and not of a merge output still being written
+/// (a partial run, fewer pages than its tags count, discarded; at most one
+/// per tree). Step 5 reads each live run page once. Four trees on a
+/// deep-tree geometry with 64-page blocks, where the merged-away runs still
+/// on flash outnumber the live ones more than four to one (219 to 39 over
+/// the six instants).
 ///
-/// Mutations this fails on: dropping the span-containment skip (step 3 reads
-/// every leftover), and step 5 reading again the pages step 3 read.
+/// Mutations this fails on: step 3 reading a page, and step 5 reading a
+/// page twice or skipping one.
 #[test]
 fn run_directory_step_reads_each_live_run_page_once() {
     let geo = Geometry::new(64, 64, 256, 0.7);
@@ -956,10 +956,6 @@ fn run_directory_step_reads_each_live_run_page_once() {
         run_workload(&mut engine, &mut oracle, &mut rng, 700, true);
         let gecko = engine.backend().gecko().expect("gecko");
         let runs = gecko.all_runs().count();
-        let reads: u64 = gecko
-            .all_runs()
-            .map(|r| 1 + u64::from(r.num_pages() > 1))
-            .sum();
         let pages: u64 = gecko.all_runs().map(|r| r.num_pages()).sum();
         let partial = gecko
             .shard_trees()
@@ -971,12 +967,8 @@ fn run_directory_step_reads_each_live_run_page_once() {
         let (_, report) = gecko_recover(engine.device().clone(), cfg, gecko_cfg);
         let dirs = step_cost(&report, RecoveryStep::RunDirectories);
         let bvc = step_cost(&report, RecoveryStep::Bvc);
-        assert_eq!(dirs.page_reads, reads + partial as u64, "step 3");
-        assert_eq!(
-            dirs.page_reads + bvc.page_reads,
-            pages + partial as u64,
-            "steps 3 and 5"
-        );
+        assert_eq!(dirs.page_reads, 0, "step 3");
+        assert_eq!(dirs.page_reads + bvc.page_reads, pages, "steps 3 and 5");
         kept += runs;
         leftovers += run_groups_on_flash(engine.device()) - runs - partial;
     }

@@ -16,11 +16,11 @@
 //! and spare naming the same logical page — is a 24-byte `UserPage` record
 //! without discriminants, and everything else (metadata payloads, torn
 //! pages, the user pages the record cannot express) is the general `Page`,
-//! 72 bytes, most of it the spare area a Gecko run page needs. User pages
+//! 96 bytes, most of it the spare area a Gecko run page needs. User pages
 //! are ≈ 99.9 % of a device (Figure 8), so the record is what a simulated
 //! physical page costs the host.
 //!
-//! A metadata payload is host memory the page's 72 bytes only point at: a
+//! A metadata payload is host memory the page's 96 bytes only point at: a
 //! Gecko run page's entries or a translation page's 1 024 addresses, several
 //! kilobytes each. The engine drops one as soon as no recovery may read it
 //! ([`crate::FlashDevice::reclaim_payload`]; docs/DESIGN.md invariant 17).
@@ -91,18 +91,25 @@ pub enum SpareInfo {
 pub enum MetaTag {
     /// An identifier only (PVB segment index, log page sequence number...).
     Id(u64),
-    /// A page of a Logarithmic Gecko run: besides the run id, what recovery
-    /// needs to judge the run's liveness without reading the page (20 bytes
-    /// more than an id).
+    /// A page of a Logarithmic Gecko run: besides the run id, everything
+    /// recovery needs to judge the run's liveness and rebuild its directory
+    /// without reading a page (29 bytes more than an id on flash).
     Run {
         /// The run id (equal to the run's creation sequence number).
         id: u64,
         /// The run's closed data-age span `[supersedes_since,
         /// supersedes_upto]`.
         span: (u64, u64),
-        /// The block of the run's first key, which names the shard that
-        /// owns the run.
-        first_block: BlockId,
+        /// The level the run was placed at.
+        level: u32,
+        /// The run's page count: a run found with fewer pages was cut
+        /// before it sealed.
+        pages: u32,
+        /// This page's first key, as `(block, partition)`. Its block names
+        /// the shard that owns the run.
+        first: (BlockId, u16),
+        /// This page's last key, as `(block, partition)`.
+        last: (BlockId, u16),
     },
 }
 
@@ -191,7 +198,7 @@ pub(crate) struct Page {
     pub(crate) spare: Option<Spare>,
 }
 
-const _: () = assert!(std::mem::size_of::<Page>() == 72);
+const _: () = assert!(std::mem::size_of::<Page>() == 96);
 
 /// The packed form of a whole user page: `PageData::User { lpn, version }`
 /// with `Spare { seq, info: SpareInfo::User { lpn, before } }`, both areas

@@ -176,17 +176,17 @@ fn dirty_entry_step_stays_within_the_recovery_model() {
 
 /// GeckoRec steps 1–5 against their `ftl_models::recovery_model` components
 /// at the same 18 crash instants. Every page-read count fits the model: step 3
-/// reads at most 6 pages against its 20, step 4 at most 24 against `2·V = 72`
-/// and step 5 at most 5 against `G = 16` (step 3 reads only the runs it keeps,
-/// step 5 only their pages step 3 did not; DESIGN.md invariant 16). Step 1
-/// reads at most `K` spare areas, step 4 none against `V = 36`.
+/// reads no page against its 20 (the run directories come from the spare
+/// tags), step 4 at most 20 against `2·V = 72` and step 5 at most 10 against
+/// `G = 16` (each live run page once; DESIGN.md invariant 16). Step 1 reads at
+/// most `K` spare areas, step 2 at most 70 against `2·T = 90`, step 4 none
+/// against `V = 36`.
 ///
-/// Two spare-read counts exceed the model, and ROADMAP item 8 lists them as
-/// `off`: step 2 reads up to 91 spare areas against `2·T = 90`, and step 3 up
-/// to 26 against `G = 16`. Both scan every written page of their block group,
-/// obsolete versions and merged-away runs included, where the model counts
-/// live pages (twice, for translation pages). The test pins that explanation
-/// instead of loosening the model.
+/// One spare-read count exceeds the model, and ROADMAP item 8 lists it as
+/// `off`: step 3 reads up to 25 spare areas against `G = 16`. It scans every
+/// written page of the Gecko blocks, merged-away runs included, where the
+/// model counts live pages. The test pins that explanation instead of
+/// loosening the model.
 #[test]
 fn recovery_steps_1_to_5_stay_within_the_recovery_model() {
     let (model, instants) = uniform_crash_instants();

@@ -205,7 +205,8 @@ fn dead_run_payload(
                     MetaTag::Run {
                         id,
                         span: (lo, hi),
-                        first_block,
+                        first: (first_block, _),
+                        ..
                     },
                 ..
             }) = dev.peek_spare(ppn).map(|s| s.info)
