@@ -588,6 +588,18 @@ mod tests {
         streams: &[Vec<GeckoEntry>],
         output_is_largest: bool,
     ) -> (Vec<GeckoEntry>, u64) {
+        let levels = vec![0; streams.len()];
+        let (_, merged, dropped) = merge_at_levels(streams, &levels, output_is_largest);
+        (merged, dropped)
+    }
+
+    /// [`merge_through_job`] with participant `i` installed at `levels[i]`;
+    /// also returns the output run.
+    fn merge_at_levels(
+        streams: &[Vec<GeckoEntry>],
+        levels: &[u32],
+        output_is_largest: bool,
+    ) -> (Run, Vec<GeckoEntry>, u64) {
         let geo = Geometry::tiny();
         let cfg = GeckoConfig {
             page_header_bytes: geo.page_bytes - 190,
@@ -599,12 +611,13 @@ mod tests {
         // Oldest participant first, so sequence numbers grow with data age.
         let mut runs: Vec<Run> = streams
             .iter()
+            .zip(levels)
             .rev()
-            .map(|entries| {
+            .map(|(entries, &level)| {
                 let seq = dev.reserve_seq();
                 let meta = RunMeta {
                     id: RunId(seq),
-                    level: 0,
+                    level,
                     supersedes_since: seq,
                     supersedes_upto: seq,
                 };
@@ -649,7 +662,7 @@ mod tests {
             let data = dev.read_page(page.ppn, IoPurpose::ValidityMerge).unwrap();
             merged.extend_from_slice(&data.blob::<GeckoPagePayload>().unwrap().entries);
         }
-        (merged, dropped)
+        (done.output, merged, dropped)
     }
 
     fn assert_matches_reference(streams: Vec<Vec<GeckoEntry>>, output_is_largest: bool) {
@@ -749,5 +762,39 @@ mod tests {
         let (merged, dropped) = merge_through_job(&[markers, older, oldest], true);
         assert_eq!(merged, [entry(99, 32, true, &[])]);
         assert_eq!(dropped, total - 1);
+    }
+
+    /// A merge output's level is the deepest input's or the level its page
+    /// count calls for (`level_for`), whichever is deeper: inputs stay
+    /// installed with the levels they were planned at, and an output never
+    /// lands above one of them (merge_job invariant 1). With `T = 2` and 31
+    /// entries a page: a 10-entry run at level 0 over a 40-entry run at
+    /// level 5 leaves a 2-page output at level 5, not at `level_for(2)` = 1;
+    /// 279 distinct keys in runs at levels 0 and 1 leave 9 pages at
+    /// `level_for(9)` = 3.
+    ///
+    /// Mutations this fails on: the output taking the newest input's level,
+    /// or the writer not raising the level to `level_for(pages)`.
+    #[test]
+    fn merge_output_level_is_the_deepest_input_or_its_page_count() {
+        let keys = |from: u32, n: u32| -> Vec<GeckoEntry> {
+            (from..from + n)
+                .map(|k| entry(k, 32, false, &[1]))
+                .collect()
+        };
+        let cfg = GeckoConfig::default();
+        for (streams, levels, want) in [
+            (vec![keys(0, 10), keys(100, 40)], [0, 5], 5),
+            (vec![keys(0, 140), keys(140, 139)], [0, 1], 3),
+        ] {
+            let (output, merged, _) = merge_at_levels(&streams, &levels, false);
+            let pages = output.pages.len() as u64;
+            assert_eq!(merged.len(), streams.iter().map(Vec::len).sum::<usize>());
+            assert_eq!(
+                output.meta.level, want,
+                "inputs at {levels:?}, {pages} pages"
+            );
+            assert_eq!(want, levels[1].max(cfg.level_for(pages)));
+        }
     }
 }
