@@ -75,9 +75,12 @@ pub enum RecoveryPolicy {
 /// mapping entries for LazyFTL and IB-FTL to 10% of C").
 pub const RESTRICTED_DIRTY_FRACTION: f64 = 0.1;
 
-/// GC triggers when the free user pages — the free pool's plus the
-/// unwritten tails of both user frontiers — drop below this many blocks'
-/// worth.
+/// The GC floor, in blocks' worth of free user pages — the free pool's plus
+/// the unwritten tails of both user frontiers. A write that finds fewer than
+/// one block above it picks a victim, and the writes that follow pay its
+/// migrations in paced slices out of the block of slack between trigger and
+/// floor; a write that finds the free pages below the floor itself collects
+/// synchronously until they are back above it (`maybe_gc`).
 pub const GC_FREE_THRESHOLD: usize = 8;
 
 /// A translation-page sync that finds more blocks than this protected first
@@ -104,12 +107,13 @@ pub struct FtlConfig {
     pub gc_policy: GcPolicy,
     /// Dirty-entry recovery scheme.
     pub recovery: RecoveryPolicy,
-    /// Multi-tenant QoS budget: when non-zero, a tenant whose writes have
-    /// accumulated an above-average share of GC debt prepays collection
-    /// until the free user pages are [`GC_FREE_THRESHOLD`]` +
+    /// Multi-tenant QoS budget: when non-zero, a tenant that has written
+    /// more than the average tenant prepays collection until the free user
+    /// pages are [`GC_FREE_THRESHOLD`]` +
     /// qos_headroom_blocks` blocks' worth, so its bursts stop eating the
-    /// headroom other tenants' p99 depends on. `0` disables the mechanism (byte-identical to the
-    /// pre-QoS engine).
+    /// headroom other tenants' p99 depends on. A prepay finishes the
+    /// collection in flight before it picks a victim of its own, at most two
+    /// victims per write. `0` disables the mechanism.
     pub qos_headroom_blocks: usize,
 }
 
@@ -233,12 +237,17 @@ pub struct RamReport {
     /// recovered entry is uncertain (DESIGN.md invariant 13): a block id and
     /// one bit per page for each block they cover; 0 otherwise.
     pub recovery: u64,
+    /// The user-block collection in flight, which outlives host ops: the
+    /// victim's block id, its invalid bitmap (one bit per page), its page
+    /// cursor and the pages it skipped as UIPs (an LPN and a page offset
+    /// each); 0 between collections.
+    pub gc: u64,
 }
 
 impl RamReport {
     /// Total integrated RAM in bytes.
     pub fn total(&self) -> u64 {
-        self.gmd + self.cache + self.bvc + self.validity + self.telemetry + self.recovery
+        self.gmd + self.cache + self.bvc + self.validity + self.telemetry + self.recovery + self.gc
     }
 }
 
@@ -257,8 +266,8 @@ pub struct FtlEngine {
     /// translation table's horizon.
     epoch_start: u64,
     ops_since_checkpoint: u64,
-    /// The user block being collected, `Some` only while
-    /// `collect_user_block` runs: no GC state outlives a collection.
+    /// The user-block collection in flight, from the write that picks its
+    /// victim to the one that erases it; at most one at a time.
     gc_victim: Option<GcVictim>,
     /// Storage of the synchronization operation in flight, reused by the
     /// next one.
@@ -270,10 +279,6 @@ pub struct FtlEngine {
     /// The successors a read miss took from its translation page, reused by
     /// the next one. Contents are meaningless outside `read_inner`.
     read_ahead: Vec<(Lpn, Ppn)>,
-    /// The LPNs whose pages the collection in flight skipped as UIPs, their
-    /// flags to clear once the victim's erase marker exists; reused by the
-    /// next collection. Empty outside `collect_user_block`.
-    uip_skipped: Vec<Lpn>,
     /// [`FtlEngine::durable_watermark`]; it never decreases.
     durable: u64,
     /// Lifetime op counters.
@@ -315,15 +320,25 @@ pub(crate) struct RecoveredInvalid {
     pub(crate) overflow_pending: bool,
 }
 
-/// A user-block collection in progress.
+/// A user-block collection in progress. It spans the host ops that pay
+/// its migrations, so everything it needs between two of them is here.
 struct GcVictim {
     block: BlockId,
     /// The victim's invalid pages: the validity store's answer to this
     /// collection's one `gc_query`, plus every page of the block reported
-    /// invalid since — a migration can evict a cache entry, and the
-    /// synchronization that triggers may identify further before-images
-    /// here, which must not be migrated as live.
+    /// invalid since — by a host write, a trim, or the synchronization a
+    /// migration's eviction triggers — which must not be migrated as live.
     invalid: Bitmap,
+    /// The next page to look at: every page below it is known invalid,
+    /// migrated, or skipped as a UIP.
+    cursor: u32,
+    /// The pages skipped as UIPs (§4.1) and their LPNs: each entry's UIP
+    /// flag is cleared once the victim's erase marker exists, unless a sync
+    /// has reported the page since (`clear_skipped_uip`).
+    uip_skipped: Vec<(Lpn, u32)>,
+    /// Simulated time the collection began: its `GcCollect` span runs from
+    /// here to the erase.
+    started_us: f64,
 }
 
 /// The vectors one `sync_tpage` fills, kept between calls so a steady-state
@@ -385,6 +400,9 @@ pub struct EngineCounters {
     pub checkpoints: u64,
     /// Garbage-collection operations (victims erased).
     pub gc_operations: u64,
+    /// Host ops that found the free user pages below the GC floor and
+    /// collected synchronously until they were back above it (`maybe_gc`).
+    pub gc_floor_fallbacks: u64,
     /// Live pages migrated by GC.
     pub gc_migrations: u64,
     /// Pages skipped by GC because the UIP spare-check identified them
@@ -456,7 +474,6 @@ impl FtlEngine {
             sync_scratch: SyncScratch::default(),
             read_run: (0, 0),
             read_ahead: Vec::new(),
-            uip_skipped: Vec::new(),
             durable,
             counters: EngineCounters::default(),
             tenants: BTreeMap::new(),
@@ -509,8 +526,9 @@ impl FtlEngine {
         self.durable
     }
 
-    /// The user block GC is collecting right now (inspection): `None`
-    /// between host operations, because no GC state outlives a collection.
+    /// The user block whose collection is in flight (inspection): picked by
+    /// an earlier write, its migrations paid by the writes since, not yet
+    /// erased. `None` between collections.
     pub fn gc_victim(&self) -> Option<BlockId> {
         self.gc_victim.as_ref().map(|v| v.block)
     }
@@ -526,6 +544,10 @@ impl FtlEngine {
             recovery: self.recovered_invalid.as_ref().map_or(0, |r| {
                 let bitmap = self.dev.geometry().pages_per_block.div_ceil(8) as u64;
                 r.pages.len() as u64 * (4 + bitmap)
+            }),
+            gc: self.gc_victim.as_ref().map_or(0, |v| {
+                let bitmap = v.invalid.len().div_ceil(8) as u64;
+                4 + bitmap + 2 + 6 * v.uip_skipped.len() as u64
             }),
         }
     }
@@ -749,8 +771,12 @@ impl FtlEngine {
 
     /// Whether `tenant` should prepay garbage collection before its next
     /// write: the QoS budget is on, the free user pages are below the
-    /// headroom target, and this tenant carries a strictly above-average share of
-    /// the GC debt.
+    /// headroom target, and this tenant has written strictly more than the
+    /// average tenant — it has taken more than its share of the free pages
+    /// GC makes back. Judged by writes, not by the GC debt a tenant has
+    /// paid: prepaid work is debt, so a debt rule keeps whichever tenant
+    /// paid the first collection prepaying for good, however little it
+    /// writes.
     fn qos_should_prepay(&self, tenant: TenantId) -> bool {
         let headroom = self.cfg.qos_headroom_blocks;
         if headroom == 0 {
@@ -759,15 +785,16 @@ impl FtlEngine {
         if !self.below_free_threshold(headroom) {
             return false;
         }
-        let mine = self.tenants.get(&tenant).map_or(0.0, |s| s.gc_debt_us);
-        let total: f64 = self.tenants.values().map(|s| s.gc_debt_us).sum();
-        let n = self.tenants.len().max(1) as f64;
+        let mine = self.tenants.get(&tenant).map_or(0, |s| s.writes);
+        let total: u64 = self.tenants.values().map(|s| s.writes).sum();
+        let n = self.tenants.len().max(1) as u64;
         mine * n > total
     }
 
     /// Collect up to two victims toward the QoS headroom target, charged to
-    /// the caller (a debt-heavy tenant's write path). Bounded so one prepay
-    /// never becomes a forced-drain stall of its own.
+    /// the caller (a debt-heavy tenant's write path): first the one in
+    /// flight, if any (`collect_once`). Bounded so one prepay never becomes
+    /// a forced-drain stall of its own.
     fn gc_prepay(&mut self) {
         let t0 = self.dev.clock().now_us();
         let mut budget = 2;
@@ -1058,10 +1085,14 @@ impl FtlEngine {
         }
     }
 
-    /// Clean shutdown: synchronize all dirty entries, persist validity
-    /// buffers and settle any background merge work. Models the
-    /// battery-backed pre-shutdown work of DFTL/µ-FTL.
+    /// Clean shutdown: finish the collection in flight, synchronize all
+    /// dirty entries, persist validity buffers and settle any background
+    /// merge work. Models the battery-backed pre-shutdown work of
+    /// DFTL/µ-FTL.
     pub fn shutdown_clean(&mut self) {
+        if self.gc_victim.is_some() {
+            self.collect_once();
+        }
         self.sync_all_dirty();
         self.backend.store().flush(&mut self.dev, &mut self.bm);
         // The flush may itself have scheduled a merge; finish it so the
@@ -1081,8 +1112,15 @@ impl FtlEngine {
         }
     }
 
-    /// Take a checkpoint if the period has elapsed.
+    /// Take a checkpoint if the period has elapsed and no collection is in
+    /// flight. A checkpoint never falls inside a collection: one that comes
+    /// due meanwhile waits for the victim's erase, so every copy of an
+    /// unerased victim lies above the persisted horizon and GeckoRec step 6
+    /// walks it (DESIGN.md invariant 18).
     pub(crate) fn maybe_checkpoint(&mut self) {
+        if self.gc_victim.is_some() {
+            return;
+        }
         if let Some(period) = self.cfg.resolved_checkpoint_period() {
             if self.ops_since_checkpoint >= period {
                 self.checkpoint();
@@ -1123,7 +1161,8 @@ impl FtlEngine {
     /// would reach flash only with the next eviction's sync, which
     /// clean-first eviction defers, and recovery would walk back to an older
     /// one.
-    pub fn checkpoint(&mut self) {
+    fn checkpoint(&mut self) {
+        debug_assert!(self.gc_victim.is_none(), "a checkpoint inside a collection");
         self.counters.checkpoints += 1;
         self.ops_since_checkpoint = 0;
         let stale = self.cache.dirty_written_before(self.epoch);

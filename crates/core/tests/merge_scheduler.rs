@@ -614,8 +614,16 @@ fn reads_leave_pending_merges_to_writes() {
     let mut rng = Lcg(46);
     run_workload(&mut engine, &mut oracle, &mut rng, 3000, false);
     engine.sync_all_dirty();
-    let gecko = engine.backend().gecko().expect("gecko backend");
-    assert!(gecko.merge_jobs_pending() > 0, "a merge job is pending");
+    // Write on until a job is still pending once the cache is clean.
+    let pending = |e: &FtlEngine| e.backend().gecko().expect("gecko").merge_jobs_pending();
+    for _ in 0..2000 {
+        if pending(&engine) > 0 {
+            break;
+        }
+        run_workload(&mut engine, &mut oracle, &mut rng, 1, false);
+        engine.sync_all_dirty();
+    }
+    assert!(pending(&engine) > 0, "a merge job is pending");
     let merge_state = |e: &FtlEngine| {
         (
             e.backend().merge_backlog_pages(),
