@@ -100,7 +100,8 @@ pub fn campaign(seed: u64, budget: Budget) -> Vec<Table> {
     // size is certain to reach, so each campaign exercises torn writes,
     // program/erase failures, erase crashes and a boundary power cut even
     // before mutation gets a vote. The trim-wave seed stresses the
-    // erase-marker / durable-unmap path from round zero.
+    // erase-marker / durable-unmap path from round zero, and the last seed
+    // cuts the power inside a paced garbage collection.
     let mut seeds = vec![
         seed_uniform(&mut rng, &bounds, budget.trace_ops),
         seed_storm(&mut rng, &bounds, budget.trace_ops),
@@ -126,9 +127,17 @@ pub fn campaign(seed: u64, budget: Budget) -> Vec<Table> {
     faulty.erase_faults.push((1, flash_sim::EraseFault::Crash));
     faulty.crash_after = Some(faulty.op_count() * 3 / 4);
     seeds.push(faulty);
+    // A power cut inside a paced garbage collection: uniform writes enough
+    // to fill the device, cut at the middle one of the boundaries where a
+    // victim is picked and not yet erased.
+    let mut cut = seed_uniform(&mut rng, &bounds, budget.trace_ops * 2);
+    let in_gc = replay::boundaries_in_gc(&cut);
+    cut.crash_after = in_gc.get(in_gc.len() / 2).copied();
+    seeds.push(cut);
 
     let mut scenarios = 0usize;
     let mut crashes = 0usize;
+    let mut crashes_in_gc = 0usize;
     let mut failures: Vec<(String, String)> = Vec::new(); // (file, message)
     let mut totals = flash_sim::FaultStats::default();
     // Hall of fame: the best (scenario, fitness) seen per signal.
@@ -144,6 +153,9 @@ pub fn campaign(seed: u64, budget: Budget) -> Vec<Table> {
         totals.erase_crashes += out.faults.erase_crashes;
         if out.crashed {
             crashes += 1;
+        }
+        if out.crashed_in_gc {
+            crashes_in_gc += 1;
         }
         if !out.ok {
             let msg = out.failure.clone().unwrap_or_default();
@@ -204,6 +216,7 @@ pub fn campaign(seed: u64, budget: Budget) -> Vec<Table> {
             "seed",
             "scenarios",
             "crashes",
+            "crashes_in_gc",
             "torn_writes",
             "program_fails",
             "erase_fails",
@@ -215,6 +228,7 @@ pub fn campaign(seed: u64, budget: Budget) -> Vec<Table> {
         format!("{seed:#x}"),
         scenarios.to_string(),
         crashes.to_string(),
+        crashes_in_gc.to_string(),
         totals.torn_writes.to_string(),
         totals.program_failures.to_string(),
         totals.erase_failures.to_string(),

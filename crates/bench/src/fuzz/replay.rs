@@ -59,6 +59,10 @@ pub struct Outcome {
     pub fitness: Fitness,
     /// Whether a crash (boundary or mid-op) was exercised.
     pub crashed: bool,
+    /// Whether that crash landed with a garbage collection in flight: a
+    /// boundary crash with a victim picked and not yet erased, or a mid-op
+    /// one in an op that began with a victim in flight.
+    pub crashed_in_gc: bool,
     /// Faults the device actually delivered.
     pub faults: FaultStats,
 }
@@ -70,6 +74,7 @@ impl Outcome {
             failure: Some(msg),
             fitness,
             crashed,
+            crashed_in_gc: false,
             faults,
         }
     }
@@ -172,12 +177,14 @@ fn replay_unguarded(sc: &Scenario, shards: u32, check: &RecoveryCheck) -> Outcom
     let mut driver = OpDriver::new(0);
     let mut fitness = Fitness::default();
     let mut crashed = false;
+    let mut crashed_in_gc = false;
     let mut faults = FaultStats::default();
 
     for (i, op) in sc.trace.iter().enumerate() {
         // Scheduled power cut at this op boundary.
         if !crashed && sc.crash_after == Some(i) {
             crashed = true;
+            crashed_in_gc = engine.gc_victim().is_some();
             faults = engine.device().fault_stats();
             let dev = engine.crash();
             let (rec, rec_us) = recover_engine(dev, cfg, gecko_cfg, check);
@@ -194,6 +201,7 @@ fn replay_unguarded(sc: &Scenario, shards: u32, check: &RecoveryCheck) -> Outcom
         }
         // Execute the op on the live engine; mutated LPNs wrap into the
         // logical space.
+        let in_gc = engine.gc_victim().is_some();
         let issued = driver
             .apply(&mut engine, op.map_lpn(|l| Lpn(l.0 % logical)), None)
             .expect("wrapped LPNs are in range");
@@ -232,6 +240,7 @@ fn replay_unguarded(sc: &Scenario, shards: u32, check: &RecoveryCheck) -> Outcom
         let image = engine.with_raw_parts(|dev, _| dev.take_crash_image());
         if let Some(image) = image {
             crashed = true;
+            crashed_in_gc |= in_gc;
             faults = engine.device().fault_stats();
             drop(engine);
             let (rec, rec_us) = recover_engine(image, cfg, gecko_cfg, check);
@@ -283,8 +292,28 @@ fn replay_unguarded(sc: &Scenario, shards: u32, check: &RecoveryCheck) -> Outcom
         failure: None,
         fitness,
         crashed,
+        crashed_in_gc,
         faults,
     }
+}
+
+/// The op boundaries of `sc`'s trace with a garbage collection in flight:
+/// the `crash_after` values that cut the power inside one. Found by replaying
+/// the trace at one tree with neither faults nor a power cut.
+pub fn boundaries_in_gc(sc: &Scenario) -> Vec<usize> {
+    let mut engine = engine_for(sc, 1);
+    let logical = engine.geometry().logical_pages() as u32;
+    let mut driver = OpDriver::new(0);
+    let mut found = Vec::new();
+    for (i, op) in sc.trace.iter().enumerate() {
+        if engine.gc_victim().is_some() {
+            found.push(i);
+        }
+        driver
+            .apply(&mut engine, op.map_lpn(|l| Lpn(l.0 % logical)), None)
+            .expect("wrapped LPNs are in range");
+    }
+    found
 }
 
 /// Replay every committed corpus scenario against a validity store of
