@@ -442,11 +442,9 @@ mod tests {
         // The p99 is not asserted: synchronous merges stall fewer than 1 %
         // of the writes here, so at p99 the sync variant shows writes that
         // paid no merge while the incremental one shows the slices it
-        // spreads over every write (5 024 µs against 4 128 µs). It held
-        // while GC collected a whole victim inside one write, a burst on
-        // more than 1 % of writes that set both variants' p99. The single
-        // max write is not asserted either (one sample: a GC burst landing
-        // on merge debt can spike either variant); the p99.9 tail is the
+        // spreads over every write (5 024 µs against 4 128 µs). The single
+        // max write is not asserted either (one sample: a merge landing on
+        // a GC slice can spike either variant); the p99.9 tail is the
         // robust claim.
         let (p999_sync, p999_inc) = (cell("sync", 4), cell("incremental", 4));
         assert!(

@@ -7,11 +7,11 @@
 //! validity store its one query, and each write from then on migrates a
 //! slice of the victim sized so that the rest fits into the slack above the
 //! floor. The write whose slice reaches the victim's last page issues its
-//! erase marker and erases it. Nothing is collected twice or skipped: the
-//! work and the victim order are the synchronous collection's, only when
-//! the work is paid changes. Translation and metadata victims, and fully
-//! invalid ones, are still collected in one go, and a write that finds the
-//! free pages below the floor falls back to the synchronous loop.
+//! erase marker and erases it. The work per victim is a whole collection's;
+//! only when it is paid is spread out. Translation and metadata victims,
+//! and fully invalid ones, are collected in one go, and a write that finds
+//! the free pages below the floor collects synchronously until they are
+//! back above it.
 
 use super::audit::debug_check;
 use super::block_manager::BlockGroup;
@@ -28,8 +28,8 @@ impl FtlEngine {
     /// in flight, the op pays a paced slice ([`FtlEngine::paced_pages`]),
     /// picking a victim first if none is in flight. Below the floor it
     /// finishes the victim in flight and then collects whole victims until
-    /// the free pages are back above it, as every collection once did; in
-    /// steady state the pacing keeps this fallback from running.
+    /// the free pages are back above it (the floor fallback, counted in
+    /// `EngineCounters::gc_floor_fallbacks`).
     pub(crate) fn maybe_gc(&mut self) {
         if self.gc_victim.is_none() && !self.below_free_threshold(1) {
             return;

@@ -168,10 +168,8 @@ fn dirty_step_reads(dev: &FlashDevice, from: u64) -> (u64, u64) {
 /// `2·C`-page window (with its `4·B` cushion) walks 129. It reads one spare
 /// area per page walked but each block's newest, which step 1 read, plus
 /// one page read ahead per other block still open when the walk stops: 41
-/// spare reads here ([`dirty_step_reads`]). (37 and 34 before checkpoints
-/// waited for the collection in flight, which lengthens an epoch by up to
-/// one victim.) The run stops at the first write
-/// after 8 000 whose checkpoint's last sync a flush followed, so that sync
+/// spare reads here ([`dirty_step_reads`]). The run stops at the first
+/// write after 8 000 whose checkpoint's last sync a flush followed, so that sync
 /// alone carries the horizon to flash and step 4b diffs no version newer
 /// than the flush: recovery reads the newest version for its horizon.
 ///
@@ -943,8 +941,7 @@ fn run_groups_on_flash(dev: &FlashDevice) -> usize {
 /// per tree). Step 5 reads each live run page once. Four trees on a
 /// deep-tree geometry with 64-page blocks, where the merged-away runs still
 /// on flash outnumber the live ones more than three to one (129 to 38 over
-/// the six instants; 219 to 39 while each collection ran inside one write,
-/// which flushed and merged at other instants).
+/// the six instants).
 ///
 /// Mutations this fails on: step 3 reading a page, and step 5 reading a
 /// page twice or skipping one.

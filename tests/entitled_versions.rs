@@ -543,8 +543,7 @@ fn payloads_are_held_exactly_while_recovery_may_read_them() {
 /// reads only payloads the engine holds. The miss is rare, and which op
 /// streams show it moves with flush timing, so the census runs uniform
 /// streams from seeds 1, 2, … until one shows it, sixteen at most (seed 9
-/// since collections are paced over host writes; one of the first eight
-/// before).
+/// shows it).
 #[test]
 fn recoveries_where_a_base_is_missing_read_only_held_payloads() {
     let missed = (1..=16).find(|&seed| {
