@@ -361,8 +361,7 @@ impl FtlEngine {
                     .read_spare(last, IoPurpose::GcMigrateUser)
                     .map_or(u64::MAX, |s| s.seq);
                 if newest > durable {
-                    self.backend.store().flush(&mut self.dev, &mut self.bm);
-                    self.after_validity_op();
+                    self.flush_validity();
                 }
             }
         }

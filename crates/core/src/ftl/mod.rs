@@ -581,8 +581,7 @@ impl FtlEngine {
     /// The body of a host write ([`FtlEngine::submit`] has checked `lpn`).
     fn write_inner(&mut self, lpn: Lpn, version: u64) {
         if self.bm.chain_len() >= MAX_UNFLUSHED_VERSIONS {
-            self.backend.store().flush(&mut self.dev, &mut self.bm);
-            self.after_validity_op();
+            self.flush_validity();
         }
         self.maybe_gc();
         self.counters.writes += 1;
@@ -922,8 +921,7 @@ impl FtlEngine {
         // absorption). First, so the flush cannot release the protection
         // taken below.
         if self.bm.protected_count() > MAX_PROTECTED_BLOCKS {
-            self.backend.store().flush(&mut self.dev, &mut self.bm);
-            self.after_validity_op();
+            self.flush_validity();
         }
         // Stamped with the seq the superseding version is about to get: the
         // old version is needed until that version's reports are durable.
@@ -1189,6 +1187,12 @@ impl FtlEngine {
         );
         self.epoch_start = self.dev.now_seq();
         self.epoch += 1;
+    }
+
+    /// Flush the validity store's buffers and advance the durable watermark.
+    pub(crate) fn flush_validity(&mut self) {
+        self.backend.store().flush(&mut self.dev, &mut self.bm);
+        self.after_validity_op();
     }
 
     /// Advance the durable watermark and release the version chain through

@@ -42,7 +42,9 @@
 //! 8. **Resume** — dispose of BID, reassemble the engine with step 4's
 //!    version chain; step 5's invalid bitmaps stay with it while the
 //!    corrections may re-report a page BVC already counts (docs/DESIGN.md
-//!    invariant 13).
+//!    invariant 13). If step 6 re-derived the old copy of a page a
+//!    collection cut by the power had migrated before the last flush, the
+//!    store flushes first (invariant 18).
 //!
 //! Each shortcut here (run directories from spare tags, erase timestamps
 //! instead of spare reads, the scan stopped at the horizon) has no second,
@@ -530,6 +532,9 @@ pub fn gecko_recover(
     let mut recreated: Vec<CacheEntry> = Vec::new();
     // The seq of the oldest page an entry was recreated from.
     let mut oldest_recreated = None;
+    // Whether a before-pointer re-derived a report of a collection the
+    // power cut, below its tree's flush watermark.
+    let mut cut_collection = false;
     loop {
         if let Some(&b) = closed.peek() {
             let entry = &bid[b.0 as usize];
@@ -577,6 +582,18 @@ pub fn gecko_recover(
             if let Some(b) = before.filter(|b| dev.erase_seq(geo.block_of(*b)) < spare.seq) {
                 gecko.recover_invalidation(b);
                 report.recovered_invalidations += 1;
+                // A report no run and no step-4 diff holds, from a page no
+                // newer than the last flush of the tree that owns its
+                // target, is one that flush did not carry: the old copy of
+                // a page GC migrated, which only the victim's erase marker
+                // would have reported, and the power cut came first. The
+                // next scan reaches the copy only while the checkpoint
+                // horizon stays at or below it: the other trees' flushes
+                // may lift the threshold as far as that tree's watermark.
+                let (vb, voff) = (geo.block_of(b), geo.offset_of(b).0);
+                let owner = shard_thresholds[shard_index(vb, shard_thresholds.len())];
+                cut_collection |= spare.seq <= owner
+                    && !invalid_maps.get(&vb).is_some_and(|m| m.get(voff));
             }
             if in_window && seen.insert(lpn) {
                 // TRIM guard: if the recovered validity store already knows
@@ -725,6 +742,12 @@ pub fn gecko_recover(
     }
     let seq = dev.now_seq();
     let mut engine = FtlEngine::from_parts(dev, bm, tt, cache, ValidityBackend::Gecko(gecko), cfg);
+    // Step 6 re-derived the old copies of a collection the power cut: make
+    // those reports durable before a checkpoint lifts the horizon past the
+    // copies that carry them (docs/DESIGN.md invariant 18).
+    if cut_collection {
+        engine.flush_validity();
+    }
     if report.recovered_entries > 0 {
         engine.recovered_invalid = Some(RecoveredInvalid {
             seq,

@@ -141,6 +141,26 @@ fn crash_storms_lose_no_acknowledged_write() {
     }
 }
 
+/// A collection the power cut, recovered, and then a second power cut after
+/// the recovered engine's first checkpoint. The cut victim's old copies are
+/// reported only by their copies' before-pointers, which GeckoRec step 6
+/// re-derives into the buffer. Where a flush came between the copies and the
+/// first cut, the next scan reaches the copies only through the checkpoint
+/// horizon, which the recovered engine's first checkpoint lifts past them:
+/// so GeckoRec flushes such reports at resume (DESIGN.md invariant 18).
+/// Four storms of the [`crash_storms_lose_no_acknowledged_write`] recipe,
+/// outside its seeds, where the reference found pages of the cut victim
+/// invalid that GeckoRec left valid before that flush.
+///
+/// Mutation this fails on: no flush at resume.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
+fn a_collection_cut_twice_by_the_power_keeps_its_old_copies_invalid() {
+    for (shards, trim_one_in, seed) in [(1, None, 18), (1, Some(8), 17), (2, Some(8), 20), (4, None, 56)] {
+        storm(engine(Geometry::tiny(), 16, shards), seed, 3_000, trim_one_in);
+    }
+}
+
 /// ROADMAP item 1's micro recipe ([`micro_engine`]) at seed 28, the erased
 /// trail as traced before its fix. At op 230 GC migrated L29 to P33 (seq
 /// 507); at op 232 a write of L29 reported P33 into the Gecko buffer, and
