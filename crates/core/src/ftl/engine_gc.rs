@@ -96,7 +96,7 @@ impl FtlEngine {
     fn paced_pages(&self) -> u32 {
         let Some(v) = &self.gc_victim else { return 0 };
         let written = self.dev.written_pages(v.block);
-        let known = v.invalid.iter_ones().filter(|&off| off >= v.cursor).count() as u32;
+        let known = v.invalid.count_ones_from(v.cursor);
         let left = written - v.cursor - known;
         let floor = GC_FREE_THRESHOLD as u64 * self.geometry().pages_per_block as u64;
         let slack = self.bm.free_user_pages(&self.dev).saturating_sub(floor);

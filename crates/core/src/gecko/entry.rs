@@ -112,6 +112,15 @@ impl Bitmap {
         self.as_slice().iter().map(|w| w.count_ones()).sum()
     }
 
+    /// Number of set bits at index `from` or above.
+    pub fn count_ones_from(&self, from: u32) -> u32 {
+        let words = self.as_slice();
+        let first = (from / 64) as usize;
+        let Some(head) = words.get(first) else { return 0 };
+        let rest: u32 = words[first + 1..].iter().map(|w| w.count_ones()).sum();
+        (head >> (from % 64)).count_ones() + rest
+    }
+
     /// Iterate over the indices of set bits, ascending. Word-wise: zero
     /// words cost one compare, not 64 bit tests.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
@@ -226,6 +235,8 @@ mod tests {
         assert!(b.get(0) && b.get(64) && b.get(129));
         assert!(!b.get(1));
         assert_eq!(b.count_ones(), 3);
+        let from = [0, 1, 63, 64, 65, 129, 130].map(|i| b.count_ones_from(i));
+        assert_eq!(from, [3, 2, 2, 2, 1, 1, 0]);
         b.clear(64);
         assert!(!b.get(64));
         assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![0, 129]);
