@@ -116,7 +116,9 @@ impl Bitmap {
     pub fn count_ones_from(&self, from: u32) -> u32 {
         let words = self.as_slice();
         let first = (from / 64) as usize;
-        let Some(head) = words.get(first) else { return 0 };
+        let Some(head) = words.get(first) else {
+            return 0;
+        };
         let rest: u32 = words[first + 1..].iter().map(|w| w.count_ones()).sum();
         (head >> (from % 64)).count_ones() + rest
     }

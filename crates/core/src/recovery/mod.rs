@@ -592,8 +592,8 @@ pub fn gecko_recover(
                 // may lift the threshold as far as that tree's watermark.
                 let (vb, voff) = (geo.block_of(b), geo.offset_of(b).0);
                 let owner = shard_thresholds[shard_index(vb, shard_thresholds.len())];
-                cut_collection |= spare.seq <= owner
-                    && !invalid_maps.get(&vb).is_some_and(|m| m.get(voff));
+                cut_collection |=
+                    spare.seq <= owner && !invalid_maps.get(&vb).is_some_and(|m| m.get(voff));
             }
             if in_window && seen.insert(lpn) {
                 // TRIM guard: if the recovered validity store already knows

@@ -156,8 +156,18 @@ fn crash_storms_lose_no_acknowledged_write() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
 fn a_collection_cut_twice_by_the_power_keeps_its_old_copies_invalid() {
-    for (shards, trim_one_in, seed) in [(1, None, 18), (1, Some(8), 17), (2, Some(8), 20), (4, None, 56)] {
-        storm(engine(Geometry::tiny(), 16, shards), seed, 3_000, trim_one_in);
+    for (shards, trim_one_in, seed) in [
+        (1, None, 18),
+        (1, Some(8), 17),
+        (2, Some(8), 20),
+        (4, None, 56),
+    ] {
+        storm(
+            engine(Geometry::tiny(), 16, shards),
+            seed,
+            3_000,
+            trim_one_in,
+        );
     }
 }
 
