@@ -940,8 +940,8 @@ fn run_groups_on_flash(dev: &FlashDevice) -> usize {
 /// (a partial run, fewer pages than its tags count, discarded; at most one
 /// per tree). Step 5 reads each live run page once. Four trees on a
 /// deep-tree geometry with 64-page blocks, where the merged-away runs still
-/// on flash outnumber the live ones more than three to one (129 to 38 over
-/// the six instants).
+/// on flash outnumber the live ones more than four to one (330 to 71 over
+/// twelve instants 400 ops apart).
 ///
 /// Mutations this fails on: step 3 reading a page, and step 5 reading a
 /// page twice or skipping one.
@@ -952,8 +952,8 @@ fn run_directory_step_reads_each_live_run_page_once() {
     let mut oracle = Oracle::new(engine.geometry().logical_pages());
     let mut rng = Lcg(77);
     let (mut kept, mut leftovers) = (0, 0);
-    for _ in 0..6 {
-        run_workload(&mut engine, &mut oracle, &mut rng, 700, true);
+    for _ in 0..12 {
+        run_workload(&mut engine, &mut oracle, &mut rng, 400, true);
         let gecko = engine.backend().gecko().expect("gecko");
         let runs = gecko.all_runs().count();
         let pages: u64 = gecko.all_runs().map(|r| r.num_pages()).sum();
@@ -973,7 +973,7 @@ fn run_directory_step_reads_each_live_run_page_once() {
         leftovers += run_groups_on_flash(engine.device()) - runs - partial;
     }
     assert!(
-        leftovers > 3 * kept,
+        leftovers > 4 * kept,
         "{leftovers} merged-away runs on flash against {kept} live"
     );
     verify_all(&mut engine, &oracle);
@@ -1296,6 +1296,18 @@ fn gc_asks_one_query_per_victim_and_paces_one_collection_at_a_time() {
             ops_in_flight > 1_000 && paced_victims > 100,
             "shards={shards}: {ops_in_flight} ops with a victim in flight, \
              {paced_victims} victims paced"
+        );
+        // A metadata block taken mid-collection can still drop the free
+        // pages below the floor, and the next op then finishes the victim
+        // inline (ROADMAP item 27): 60 of 586 collections with one tree, 45
+        // of 643 with four. The fallback must stay the exception.
+        let (fallbacks, collections) = (
+            engine.counters.gc_floor_fallbacks,
+            engine.counters.gc_operations,
+        );
+        assert!(
+            8 * fallbacks < collections,
+            "shards={shards}: {fallbacks} floor fallbacks in {collections} collections"
         );
         assert_eq!(engine.telemetry().dropped_events(), 0, "ring too small");
 
