@@ -76,7 +76,6 @@ pub fn build(kind: BaselineKind, geo: Geometry) -> FtlEngine {
             cache_entries: FtlConfig::scaled_cache_entries(&geo),
             gc_policy: kind.gc_policy(),
             recovery: kind.recovery_policy(),
-            qos_headroom_blocks: 0,
         },
     )
 }

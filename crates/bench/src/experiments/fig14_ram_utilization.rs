@@ -63,7 +63,6 @@ pub fn run(_: &RunOptions) -> Vec<Table> {
                 BaselineKind::GeckoFtl => RecoveryPolicy::CheckpointDeferred,
                 _ => RecoveryPolicy::Battery,
             },
-            qos_headroom_blocks: 0,
         };
         let mut engine = build_with(kind, geo, cfg);
         let d = measure_uniform(&mut engine, 60_000, 14);

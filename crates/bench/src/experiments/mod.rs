@@ -114,7 +114,7 @@ pub const ALL: &[Experiment] = &[
     },
     Experiment {
         slug: "multi_tenant",
-        what: "per-tenant QoS isolation under a noisy neighbour; emits BENCH_multi_tenant.json",
+        what: "per-tenant write latency under a noisy neighbour; emits BENCH_multi_tenant.json",
         run: multi_tenant::run,
     },
     Experiment {

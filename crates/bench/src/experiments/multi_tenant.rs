@@ -1,21 +1,18 @@
-//! Multi-tenant QoS A/B: per-tenant latency isolation with and without the
-//! GC-debt budget.
+//! Multi-tenant isolation: per-tenant write latency of a light tenant and a
+//! noisy neighbour sharing one device under paced GC.
 //!
 //! Two tenants share one device: tenant 1 is light (mixed reads/writes over
 //! a private range), tenant 2 is an overwrite storm that generates nearly
-//! all the GC debt. Without QoS, GC triggered by the storm runs inside
-//! whichever host write happens to trip the free-block threshold — so the
-//! light tenant's p99 write latency absorbs the heavy tenant's cleaning
-//! debt. With `qos_headroom_blocks > 0`, a tenant whose accumulated GC debt
-//! is above its fair share prepays collection work inside its *own* writes
-//! while the pool is inside the headroom band, which keeps the threshold
-//! from tripping under the light tenant's ops.
+//! all the GC debt. Garbage collection is paced over the host writes that
+//! follow a victim pick, whichever tenant issues them, so each write pays a
+//! slice sized to the victim's remaining pages; a write that finds the free
+//! pages below the floor collects synchronously (`maybe_gc`).
 //!
-//! The headline metric is the light tenant's p99 (and max) write latency,
-//! QoS off vs on, read from the engine's per-tenant accounting
+//! The headline metrics are each tenant's p99 and max write latency and the
+//! GC debt each carries, read from the engine's per-tenant accounting
 //! ([`geckoftl_core::TenantStats`]). Results are emitted as
 //! `BENCH_multi_tenant.json` so the repo carries a machine-readable
-//! baseline of the isolation claim.
+//! baseline of the isolation the light tenant gets.
 
 use super::RunOptions;
 use crate::report::{f3, Table};
@@ -24,7 +21,7 @@ use ftl_workloads::{Mixed, OverwriteStorm, TenantMix, Trace, Uniform, WorkloadOp
 use geckoftl_core::ftl::{FtlConfig, FtlEngine, ValidityBackend};
 use geckoftl_core::gecko::GeckoConfig;
 
-/// Per-tenant measured outcome of one engine variant.
+/// Per-tenant measured outcome of the run.
 #[derive(Clone, Copy, Debug, Default)]
 struct TenantRow {
     writes: u64,
@@ -34,9 +31,7 @@ struct TenantRow {
     write_max_us: f64,
 }
 
-struct VariantResult {
-    name: &'static str,
-    headroom: usize,
+struct RunResult {
     light: TenantRow,
     heavy: TenantRow,
     total_gc: u64,
@@ -49,8 +44,8 @@ fn geometry() -> Geometry {
     Geometry::new(128, 64, 4096, 0.7)
 }
 
-/// The shared two-tenant workload, recorded once so both variants replay
-/// the identical op sequence (the A/B differs only in `qos_headroom_blocks`).
+/// The two-tenant workload, recorded as a trace whose ops carry their
+/// tenant.
 fn workload(ops: usize) -> Trace {
     let logical = geometry().logical_pages();
     // Tenant 1 (light): half reads over the upper quarter of the space.
@@ -74,11 +69,10 @@ fn workload(ops: usize) -> Trace {
     Trace::record_mix(mix, ops)
 }
 
-fn run_variant(name: &'static str, headroom: usize, trace: &Trace) -> VariantResult {
+fn run_shared(trace: &Trace) -> RunResult {
     let geo = geometry();
     let cfg = FtlConfig {
         cache_entries: 64,
-        qos_headroom_blocks: headroom,
         ..FtlConfig::geckoftl(&geo)
     };
     let gecko_cfg = GeckoConfig {
@@ -105,9 +99,7 @@ fn run_variant(name: &'static str, headroom: usize, trace: &Trace) -> VariantRes
             })
             .unwrap_or_default()
     };
-    VariantResult {
-        name,
-        headroom,
+    RunResult {
         light: row(1),
         heavy: row(2),
         total_gc: engine.counters.gc_operations - gc_before,
@@ -130,42 +122,27 @@ fn tenant_json(t: &TenantRow) -> String {
     )
 }
 
-fn emit_json(off: &VariantResult, on: &VariantResult, ops: usize) {
-    let isolation = off.light.write_p99_us / on.light.write_p99_us.max(1e-9);
+fn emit_json(r: &RunResult, ops: usize) {
     let body = format!(
         concat!(
             "{{\n",
             "  \"experiment\": \"multi_tenant\",\n",
             "  \"workload\": \"tenant1 light mixed 50% reads vs tenant2 overwrite storm, {} ops\",\n",
             "  \"geometry\": \"K=128 B=64 P=4096 R=0.7\",\n",
-            "  \"metric\": \"light tenant write p99 (us), QoS off vs on\",\n",
-            "  \"qos_off\": {{\n",
+            "  \"metric\": \"per-tenant write p99 (us) on a shared device under paced GC\",\n",
+            "  \"shared_device\": {{\n",
             "    \"light\": {},\n",
             "    \"heavy\": {},\n",
             "    \"total_gc\": {},\n",
             "    \"wa_total\": {:.4}\n",
-            "  }},\n",
-            "  \"qos_on\": {{\n",
-            "    \"headroom_blocks\": {},\n",
-            "    \"light\": {},\n",
-            "    \"heavy\": {},\n",
-            "    \"total_gc\": {},\n",
-            "    \"wa_total\": {:.4}\n",
-            "  }},\n",
-            "  \"light_p99_isolation_factor\": {:.3}\n",
+            "  }}\n",
             "}}\n"
         ),
         ops,
-        tenant_json(&off.light),
-        tenant_json(&off.heavy),
-        off.total_gc,
-        off.wa_total,
-        on.headroom,
-        tenant_json(&on.light),
-        tenant_json(&on.heavy),
-        on.total_gc,
-        on.wa_total,
-        isolation,
+        tenant_json(&r.light),
+        tenant_json(&r.heavy),
+        r.total_gc,
+        r.wa_total,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_multi_tenant.json");
     match std::fs::write(path, body) {
@@ -174,17 +151,14 @@ fn emit_json(off: &VariantResult, on: &VariantResult, ops: usize) {
     }
 }
 
-/// Run the per-tenant QoS A/B and emit `BENCH_multi_tenant.json`.
+/// Run the two tenants on one device and emit `BENCH_multi_tenant.json`.
 pub fn run(opts: &RunOptions) -> Vec<Table> {
     let ops = if opts.smoke { 12_000 } else { 60_000 };
-    let trace = workload(ops);
-    let off = run_variant("qos off (headroom 0)", 0, &trace);
-    let on = run_variant("qos on (headroom 4)", 4, &trace);
+    let r = run_shared(&workload(ops));
 
     let mut t = Table::new(
-        "multi-tenant QoS — per-tenant write-latency isolation under a noisy neighbour",
+        "multi-tenant — per-tenant write latency under a noisy neighbour (paced GC)",
         &[
-            "variant",
             "tenant",
             "writes",
             "gc ops",
@@ -194,22 +168,19 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
             "WA",
         ],
     );
-    for v in [&off, &on] {
-        for (tenant, r) in [("light (1)", &v.light), ("heavy (2)", &v.heavy)] {
-            t.row(vec![
-                v.name.into(),
-                tenant.into(),
-                r.writes.to_string(),
-                r.gc_operations.to_string(),
-                f3(r.gc_debt_us / 1e3),
-                f3(r.write_p99_us),
-                f3(r.write_max_us),
-                f3(v.wa_total),
-            ]);
-        }
+    for (tenant, row) in [("light (1)", &r.light), ("heavy (2)", &r.heavy)] {
+        t.row(vec![
+            tenant.into(),
+            row.writes.to_string(),
+            row.gc_operations.to_string(),
+            f3(row.gc_debt_us / 1e3),
+            f3(row.write_p99_us),
+            f3(row.write_max_us),
+            f3(r.wa_total),
+        ]);
     }
     if !opts.smoke {
-        emit_json(&off, &on, ops);
+        emit_json(&r, ops);
     }
     vec![t]
 }
@@ -218,19 +189,11 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
 mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "simulation-heavy; run with --release")]
-    fn qos_improves_light_tenant_tail() {
-        let trace = super::workload(40_000);
-        let off = super::run_variant("off", 0, &trace);
-        let on = super::run_variant("on", 4, &trace);
+    fn the_storm_tenant_carries_most_gc_debt() {
+        let r = super::run_shared(&super::workload(40_000));
         assert!(
-            off.heavy.gc_debt_us > off.light.gc_debt_us,
-            "the storm tenant must carry most GC debt even without QoS"
-        );
-        assert!(
-            on.light.write_p99_us <= off.light.write_p99_us,
-            "QoS must not worsen the light tenant's p99: {} (on) vs {} (off)",
-            on.light.write_p99_us,
-            off.light.write_p99_us
+            r.heavy.gc_debt_us > r.light.gc_debt_us,
+            "the storm tenant must carry most GC debt"
         );
     }
 }

@@ -60,9 +60,8 @@ fn content_fingerprint(engine: &mut FtlEngine) -> u64 {
 /// run, platform and build profile (all floats derive from exact integer
 /// simulation state through a fixed expression order).
 pub fn replay_stats(trace: &Trace, shards: u32) -> String {
-    // The tiny geometry (716 logical pages) with 64 cache entries. QoS
-    // headroom stays 0: the corpus pins the *default* engine; the QoS path
-    // is exercised by the `multi_tenant` experiment.
+    // The tiny geometry (716 logical pages) with 64 cache entries: the
+    // corpus pins the *default* engine.
     let mut engine = small_gecko_engine(Geometry::tiny(), 64, shards);
     fill_sequential(&mut engine);
     let gecko_queries = |e: &FtlEngine| e.backend().gecko_stats().expect("gecko backend").queries;

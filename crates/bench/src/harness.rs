@@ -134,7 +134,7 @@ pub fn drive(engine: &mut FtlEngine, gen: impl Iterator<Item = WorkloadOp>, n: u
 }
 
 /// Replay a recorded [`Trace`] against an engine with every op charged to
-/// its tenant, so tenant accounting and QoS apply. Writes carry the version
+/// its tenant, so tenant accounting applies. Writes carry the version
 /// tags `version + 1, version + 2, …`.
 pub fn replay_trace(engine: &mut FtlEngine, trace: &Trace, version: u64) {
     let mut driver = OpDriver::new(version);

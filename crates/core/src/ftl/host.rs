@@ -2,12 +2,12 @@
 //! takes into the engine.
 //!
 //! [`FtlEngine::submit`] is the only implementation of a host op. It alone
-//! validates the LPN, brackets the op in its `Host*` telemetry span, runs
-//! the QoS prepay and charges [`TenantStats`](super::TenantStats); the
-//! per-kind bodies in the parent module do the FTL work of §4's cache →
-//! translation → validity pipeline. [`FtlEngine::write`], [`FtlEngine::read`]
-//! and [`FtlEngine::trim`] are `submit` + unwrap, for callers whose LPNs are
-//! in range by construction.
+//! validates the LPN, brackets the op in its `Host*` telemetry span and
+//! charges [`TenantStats`](super::TenantStats); the per-kind bodies in the
+//! parent module do the FTL work of §4's cache → translation → validity
+//! pipeline. [`FtlEngine::write`], [`FtlEngine::read`] and
+//! [`FtlEngine::trim`] are `submit` + unwrap, for callers whose LPNs are in
+//! range by construction.
 
 use super::{FtlEngine, TenantId};
 use flash_sim::{Lpn, SpanKind};
@@ -34,8 +34,8 @@ pub struct HostOp {
     pub kind: HostOpKind,
     /// The logical page operated on.
     pub lpn: Lpn,
-    /// The tenant to charge. `None` skips per-tenant accounting and QoS
-    /// entirely: the op never touches the tenants map.
+    /// The tenant to charge. `None` skips per-tenant accounting: the op
+    /// never touches the tenants map.
     pub tenant: Option<TenantId>,
 }
 
@@ -48,8 +48,8 @@ pub struct Completion {
     /// A trim's result: whether a mapping existed. `false` for writes and
     /// reads.
     pub was_mapped: bool,
-    /// Simulated µs the op took — the `SimClock` delta across `submit`,
-    /// QoS prepay included.
+    /// Simulated µs the op took — the `SimClock` delta across its `Host*`
+    /// span.
     pub sim_us: f64,
 }
 
@@ -79,10 +79,8 @@ impl fmt::Display for FtlError {
 impl std::error::Error for FtlError {}
 
 impl FtlEngine {
-    /// Serve one host op. With a tenant, a write first prepays GC if the
-    /// QoS budget says so (outside the op's span, inside its latency), and
-    /// the op's count, latency and the GC it triggered are charged to the
-    /// tenant afterwards.
+    /// Serve one host op. With a tenant, the op's count, latency and the GC
+    /// it triggered are charged to the tenant afterwards.
     pub fn submit(&mut self, op: HostOp) -> Result<Completion, FtlError> {
         let HostOp { kind, lpn, tenant } = op;
         if !self.geometry().contains_lpn(lpn) {
@@ -97,12 +95,6 @@ impl FtlEngine {
                 self.counters.gc_migrations,
             )
         });
-        if let (HostOpKind::Write { .. }, Some(t)) = (kind, tenant) {
-            if self.qos_should_prepay(t) {
-                self.gc_prepay();
-            }
-        }
-        let span_t0 = self.dev.clock().now_us();
         let (span, version, was_mapped) = match kind {
             HostOpKind::Write { version } => {
                 self.write_inner(lpn, version);
@@ -112,9 +104,7 @@ impl FtlEngine {
             HostOpKind::Trim => (SpanKind::HostTrim, None, self.trim_inner(lpn)),
         };
         let now = self.dev.clock().now_us();
-        self.dev
-            .telemetry_mut()
-            .record_span(span, lpn.0, span_t0, now);
+        self.dev.telemetry_mut().record_span(span, lpn.0, t0, now);
         let sim_us = now - t0;
         if let Some((tenant, gc0, ops0, mig0)) = gc_before {
             let page_bytes = self.geometry().page_bytes as u64;

@@ -107,14 +107,6 @@ pub struct FtlConfig {
     pub gc_policy: GcPolicy,
     /// Dirty-entry recovery scheme.
     pub recovery: RecoveryPolicy,
-    /// Multi-tenant QoS budget: when non-zero, a tenant that has written
-    /// more than the average tenant prepays collection until the free user
-    /// pages are [`GC_FREE_THRESHOLD`]` +
-    /// qos_headroom_blocks` blocks' worth, so its bursts stop eating the
-    /// headroom other tenants' p99 depends on. A prepay finishes the
-    /// collection in flight before it picks a victim of its own, at most two
-    /// victims per write. `0` disables the mechanism.
-    pub qos_headroom_blocks: usize,
 }
 
 impl FtlConfig {
@@ -130,7 +122,6 @@ impl FtlConfig {
             cache_entries: Self::scaled_cache_entries(geo),
             gc_policy: GcPolicy::MetadataAware,
             recovery: RecoveryPolicy::CheckpointDeferred,
-            qos_headroom_blocks: 0,
         }
     }
 
@@ -376,8 +367,8 @@ pub struct TenantStats {
     pub gc_operations: u64,
     /// GC page migrations triggered by this tenant's ops.
     pub gc_migrations: u64,
-    /// Simulated µs of GC work charged to this tenant (the debt the QoS
-    /// budget balances).
+    /// Simulated µs of GC work charged to this tenant: the debt its ops
+    /// paid.
     pub gc_debt_us: f64,
     /// End-to-end write latencies (µs).
     pub write_lat: Histogram,
@@ -609,8 +600,8 @@ impl FtlEngine {
 
     /// Advance pending incremental Gecko merge work by one bounded step,
     /// charged to the current operation: an op that feeds the validity
-    /// store (a write, a trim, a GC victim, a QoS prepay's victim) pays at
-    /// most `merge_step_pages` of merge IO per shard inline. Reads never
+    /// store (a write, a trim, a whole victim of GC's floor fallback) pays
+    /// at most `merge_step_pages` of merge IO per shard inline. Reads never
     /// call it: they touch no validity metadata (paper §3 amortises merges
     /// over validity updates).
     fn pump_merge_slice(&mut self) {
@@ -766,46 +757,6 @@ impl FtlEngine {
     /// Per-tenant accounting of the ops submitted with a tenant.
     pub fn tenant_stats(&self) -> &BTreeMap<TenantId, TenantStats> {
         &self.tenants
-    }
-
-    /// Whether `tenant` should prepay garbage collection before its next
-    /// write: the QoS budget is on, the free user pages are below the
-    /// headroom target, and this tenant has written strictly more than the
-    /// average tenant — it has taken more than its share of the free pages
-    /// GC makes back. Judged by writes, not by the GC debt a tenant has
-    /// paid: prepaid work is debt, so a debt rule keeps whichever tenant
-    /// paid the first collection prepaying for good, however little it
-    /// writes.
-    fn qos_should_prepay(&self, tenant: TenantId) -> bool {
-        let headroom = self.cfg.qos_headroom_blocks;
-        if headroom == 0 {
-            return false;
-        }
-        if !self.below_free_threshold(headroom) {
-            return false;
-        }
-        let mine = self.tenants.get(&tenant).map_or(0, |s| s.writes);
-        let total: u64 = self.tenants.values().map(|s| s.writes).sum();
-        let n = self.tenants.len().max(1) as u64;
-        mine * n > total
-    }
-
-    /// Collect up to two victims toward the QoS headroom target, charged to
-    /// the caller (a debt-heavy tenant's write path): first the one in
-    /// flight, if any (`collect_once`). Bounded so one prepay never becomes
-    /// a forced-drain stall of its own.
-    fn gc_prepay(&mut self) {
-        let t0 = self.dev.clock().now_us();
-        let mut budget = 2;
-        while self.below_free_threshold(self.cfg.qos_headroom_blocks) && budget > 0 {
-            if !self.collect_once() {
-                break;
-            }
-            budget -= 1;
-            self.maybe_checkpoint();
-            self.pump_merge_slice();
-        }
-        self.gc_attrib_us += self.dev.clock().now_us() - t0;
     }
 
     /// `lpn`'s mapping target: the cached entry's `ppn`, else the flash

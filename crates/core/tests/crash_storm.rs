@@ -274,8 +274,11 @@ fn recovery_revives_no_merged_away_run() {
         found.retain(|&id| id < engine.device().now_seq());
         let at = format!("after rewrite {op}");
         assert_eq!(found, live_run_ids(&engine), "{at}");
-        assert_eq!(recovered.audit(), Ok(()), "{at}");
         assert_eq!(oracle.verify(|lpn| recovered.read(lpn)), Ok(()), "{at}");
+        // The auditor judges a quiesced device: recovery's own entries are
+        // still UIPs until a clean shutdown identifies them.
+        recovered.shutdown_clean();
+        assert_eq!(recovered.audit(), Ok(()), "{at}");
     }
     assert!(kept_one > 0, "no fold kept one marker");
 }

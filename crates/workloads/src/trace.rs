@@ -212,10 +212,16 @@ impl Trace {
         Self::from_text(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Save the trace to a text file.
+    /// Save the trace to a text file. The text goes to `<path>.tmp` first
+    /// and is renamed over `path`, so a concurrent [`Trace::load`] reads the
+    /// old file or the new one, never a half-written one.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), String> {
         let path = path.as_ref();
-        std::fs::write(path, self.to_text()).map_err(|e| format!("{}: {e}", path.display()))
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        std::fs::write(&tmp, self.to_text())
+            .and_then(|()| std::fs::rename(&tmp, path))
+            .map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 

@@ -55,7 +55,6 @@ fn ftl_config_fields_match_the_inventory() {
             cache_entries,
             gc_policy,
             recovery,
-            qos_headroom_blocks,
         }
     );
     assert_listed("FtlConfig", &fields);
